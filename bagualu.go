@@ -209,9 +209,7 @@ type (
 const (
 	A2AAuto         = moe.Auto
 	A2ADirect       = moe.Direct
-	A2APairwise     = moe.Pairwise
 	A2AHierarchical = moe.Hierarchical
-	A2ABruck        = moe.Bruck
 )
 
 // Routing disciplines for GateConfig.Mode / ModelConfig.RouteMode.

@@ -532,7 +532,7 @@ func BenchmarkR8AllReduce(b *testing.B) {
 // --- R9: communication/computation breakdown ---
 
 func BenchmarkR9Breakdown(b *testing.B) {
-	for _, algo := range []moe.A2AAlgo{moe.Pairwise, moe.Hierarchical} {
+	for _, algo := range []moe.A2AAlgo{moe.Direct, moe.Hierarchical} {
 		b.Run(algo.String(), func(b *testing.B) {
 			_, tm := runEngineBench(b, 8, 4, 16, algo)
 			steps := float64(b.N)

@@ -174,7 +174,7 @@ func main() {
 	// algorithm.
 	br := metrics.NewTable("R9: MoE phase wall-time breakdown (s, summed over steps)",
 		"a2a", "gate", "dispatch", "expert", "combine")
-	for _, algo := range []moe.A2AAlgo{moe.Pairwise, moe.Hierarchical} {
+	for _, algo := range []moe.A2AAlgo{moe.Direct, moe.Hierarchical} {
 		_, _, tm := run(*maxRanks, *batch, *steps, 2**maxRanks, algo)
 		br.AddRow(algo.String(), tm.Gate, tm.Dispatch, tm.Expert, tm.Combine)
 	}

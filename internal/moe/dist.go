@@ -19,16 +19,9 @@ const (
 	Auto A2AAlgo = iota
 	// Direct sends one eager message per destination.
 	Direct
-	// Pairwise uses P-1 balanced exchange rounds. On the flattened
-	// wire path it is equivalent to Direct (all sends are eager).
-	Pairwise
 	// Hierarchical aggregates at supernode leaders (the paper's
 	// algorithm).
 	Hierarchical
-	// Bruck uses the log-P-message Bruck exchange (latency-optimal
-	// flat baseline). FP32-only and blocking: the codec and overlap
-	// options do not apply to its multi-hop relaying.
-	Bruck
 )
 
 // String names the algorithm.
@@ -38,12 +31,8 @@ func (a A2AAlgo) String() string {
 		return "auto"
 	case Direct:
 		return "direct"
-	case Pairwise:
-		return "pairwise"
 	case Hierarchical:
 		return "hierarchical"
-	case Bruck:
-		return "bruck"
 	default:
 		return fmt.Sprintf("A2AAlgo(%d)", int(a))
 	}
@@ -129,19 +118,17 @@ type DistMoE struct {
 
 	inferStats InferStats // last Infer call; see infer.go
 
-	// Forward caches for backward.
+	// Forward caches for backward; see dropForwardCaches.
 	perTok    [][]slot    // slot.pos = index into sendOrder[dst]
 	sendOrder [][]sendRef // per dst rank: which (token, k) produced row i
-	recvCount []int       // rows received from each src rank
-	ordLocal  [][]rowRef  // per local expert: rows of the local phase
-	ordRemote [][]rowRef  // per local expert: rows of the remote phase
-	stLocal   *nn.GroupState
-	stRemote  *nn.GroupState
+	// Per receive leg of the forward round trip (leg 1 is empty unless
+	// overlap is on): the rows each local expert computed, and the
+	// grouped FFN state of that pass (nil when the leg had no rows).
+	ord [2][][]rowRef
+	st  [2]*nn.GroupState
 	// Combine results (y rows per source), kept until Backward needs
-	// them for combine-weight gradients. combRemote is nil outside
-	// overlap mode.
-	combLocal  *mpi.RecvBuf
-	combRemote *mpi.RecvBuf
+	// them for combine-weight gradients.
+	comb [2]*mpi.RecvBuf
 }
 
 // Timing accumulates wall-clock seconds per MoE phase across steps;
@@ -184,6 +171,16 @@ func (t Timing) Sub(o Timing) Timing {
 	t.DispatchRemote -= o.DispatchRemote
 	t.CombineLocal -= o.CombineLocal
 	t.CombineRemote -= o.CombineRemote
+	return t
+}
+
+// mirrored swaps the dispatch and combine readings: the backward
+// pass's outbound exchange is the combine's mirror and its return leg
+// the dispatch's.
+func (t Timing) mirrored() Timing {
+	t.Dispatch, t.Combine = t.Combine, t.Dispatch
+	t.DispatchLocal, t.CombineLocal = t.CombineLocal, t.DispatchLocal
+	t.DispatchRemote, t.CombineRemote = t.CombineRemote, t.DispatchRemote
 	return t
 }
 
@@ -286,150 +283,29 @@ func (m *DistMoE) PhaseTiming() Timing { return m.Time }
 // per-comm, so aggregators must dedupe layers sharing one comm.
 func (m *DistMoE) Comm() *mpi.Comm { return m.comm }
 
-// hierWire decides the wire-layer algorithm for Algo.
-func (m *DistMoE) hierWire() bool {
-	switch m.Algo {
-	case Hierarchical:
-		return true
-	case Direct, Pairwise, Bruck:
-		return false
-	default:
-		return m.comm.SpansSupernodes() && m.comm.Size() >= 4
-	}
+// dropForwardCaches forgets everything Forward left for Backward,
+// including the grouped-GEMM view over the expert shard (it caches
+// weight tensor slices). Called when migration or resharding changes
+// the shard under them.
+func (m *DistMoE) dropForwardCaches() {
+	m.group = nil
+	m.perTok = nil
+	m.sendOrder = nil
+	m.ord = [2][][]rowRef{}
+	m.st = [2]*nn.GroupState{}
+	releaseLegs(&m.comb)
 }
 
-// overlapOn reports whether the two-phase receive path is active.
-func (m *DistMoE) overlapOn() bool {
-	return m.CommCfg.Overlap && m.Algo != Bruck
-}
-
-// postRemoteFirst posts every chunk of sb, cross-supernode
-// destinations first so their (expensive, high-latency) messages are
-// injected before the cheap local ones and spend the local compute
-// window in flight.
-func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
-	p := m.comm.Size()
-	for dst := 0; dst < p; dst++ {
-		if !m.localSN[dst] {
-			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
-		}
-	}
-	for dst := 0; dst < p; dst++ {
-		if m.localSN[dst] {
-			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
-		}
-	}
-}
-
-// exchangeBlocking runs sb through the configured algorithm as one
-// blocking flattened all-to-allv.
-func (m *DistMoE) exchangeBlocking(sb *mpi.SendBuf) *mpi.RecvBuf {
-	if m.Algo == Bruck {
-		return m.comm.AllToAllvBruck(sb)
-	}
-	ex := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-	m.postRemoteFirst(ex, sb)
-	ex.Flush()
-	return ex.RecvAll()
-}
-
-// groupRows assigns each row of a received leg to its target local
-// expert using the expert-slot metadata that rode in the messages.
-// Counts are exact under dropless routing, so each source's
-// variable-length framing is asserted (payload a whole number of
-// d-wide rows, one slot id per row) before rows are attributed.
-func (m *DistMoE) groupRows(rb *mpi.RecvBuf, d int) [][]rowRef {
-	ord := make([][]rowRef, m.LocalExperts)
-	for _, src := range rb.Srcs() {
-		rb.Rows(src, d)
-		for pos, le := range rb.Meta(src) {
-			if le < 0 || le >= m.LocalExperts {
-				panic(fmt.Sprintf("moe: received slot %d out of range (local experts %d)", le, m.LocalExperts))
-			}
-			ord[le] = append(ord[le], rowRef{src, pos})
-		}
-	}
-	return ord
-}
-
-func phaseRows(ord [][]rowRef) int {
-	n := 0
-	for _, refs := range ord {
-		n += len(refs)
-	}
-	return n
-}
-
-// chargeCompute advances the virtual clock by the expert GEMM time at
-// SimRate FLOP/s (two d×hidden matmuls per row forward, double that
-// backward). No-op when SimRate is unset.
-func (m *DistMoE) chargeCompute(rows int, backward bool) {
-	if m.SimRate <= 0 || rows == 0 {
-		return
-	}
-	f := 4 * float64(rows) * float64(m.Cfg.Dim) * float64(m.hidden)
-	if backward {
-		f *= 2
-	}
-	m.comm.Compute(f / m.SimRate)
-}
-
-// runExperts applies the local experts to one phase's received rows
-// through one grouped FFN call: every expert's rows are packed into a
-// flat [rows, d] matrix (expert-major, dispatch order within each
-// expert) and the GEMM kernel dispatch sees the phase's total FLOPs.
-// Returns per-expert output views (nil for idle experts) and the
-// grouped backward state (nil when the phase received nothing).
-func (m *DistMoE) runExperts(rb *mpi.RecvBuf, ord [][]rowRef, d int) ([]*tensor.Tensor, *nn.GroupState) {
-	outs := make([]*tensor.Tensor, m.LocalExperts)
-	total := phaseRows(ord)
-	if total == 0 || m.LocalExperts == 0 {
-		return outs, nil
-	}
-	off := make([]int, m.LocalExperts+1)
-	in := tensor.New(total, d)
-	row := 0
-	for le, refs := range ord {
-		off[le] = row
+// stageTokens fills the dispatch buffer: x's routed rows per
+// destination in sendOrder order, each tagged with its expert's slot at
+// the owner.
+func (m *DistMoE) stageTokens(sb *mpi.SendBuf, x *tensor.Tensor, sendOrder [][]sendRef, assign [][]Assignment) {
+	for dst, refs := range sendOrder {
 		for _, ref := range refs {
-			copy(in.Row(row), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
-			row++
+			sb.Append(dst, x.Row(ref.token))
+			sb.AppendMeta(dst, m.slotOf[assign[ref.token][ref.k].Expert])
 		}
 	}
-	off[m.LocalExperts] = row
-	if m.group == nil {
-		m.group = nn.NewExpertGroup(m.Experts)
-	}
-	y, st := m.group.Forward(in, off)
-	for le := range outs {
-		if off[le+1] > off[le] {
-			outs[le] = y.RowsView(off[le], off[le+1])
-		}
-	}
-	return outs, st
-}
-
-// releaseCombine frees the previous step's combine buffers (normally
-// consumed by Backward; forward-only callers drop them here).
-func (m *DistMoE) releaseCombine() {
-	if m.combLocal != nil {
-		m.combLocal.Release()
-		m.combLocal = nil
-	}
-	if m.combRemote != nil {
-		m.combRemote.Release()
-		m.combRemote = nil
-	}
-}
-
-// combRow returns the expert output row returned by rank src at
-// position pos of the combine exchange.
-func (m *DistMoE) combRow(src, pos, d int) []float32 {
-	rb := m.combLocal
-	if m.combRemote != nil && !m.localSN[src] {
-		rb = m.combRemote
-	}
-	return rb.Chunk(src)[pos*d : (pos+1)*d]
 }
 
 // Forward gates local tokens, dispatches them to expert owners,
@@ -440,7 +316,7 @@ func (m *DistMoE) combRow(src, pos, d int) []float32 {
 func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tokens, d := x.Shape[0], x.Shape[1]
 	p := m.comm.Size()
-	m.releaseCombine()
+	releaseLegs(&m.comb)
 	if len(m.shadowList) > 0 {
 		m.refreshShadows()
 	}
@@ -472,160 +348,29 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	// Stage the flattened dispatch buffer: one pooled payload, counts
-	// header per destination, expert-slot ids riding as metadata.
-	counts := make([]int, p)
-	for dst := 0; dst < p; dst++ {
-		counts[dst] = len(m.sendOrder[dst]) * d
-	}
-	sb := mpi.NewSendBuf(counts)
-	for dst := 0; dst < p; dst++ {
-		for _, ref := range m.sendOrder[dst] {
-			sb.Append(dst, x.Row(ref.token))
-			sb.AppendMeta(dst, m.slotOf[m.perTok[ref.token][ref.k].expert])
-		}
-	}
-
-	overlap := m.overlapOn()
-	t0 = time.Now()
-	var ex *mpi.Exchange
-	var dispLocal, dispRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		dispLocal = m.comm.AllToAllvBruck(sb)
-	} else {
-		ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex, sb)
-		ex.Flush()
-		tl := time.Now()
-		if overlap {
-			dispLocal = ex.RecvLocal()
-		} else {
-			dispLocal = ex.RecvAll()
-		}
-		m.Time.DispatchLocal += time.Since(tl).Seconds()
-	}
-	sb.Release()
-	m.Time.Dispatch += time.Since(t0).Seconds()
-
-	// Phase 1: experts on self + intra-supernode tokens (all tokens
-	// when blocking).
-	m.ordLocal = m.groupRows(dispLocal, d)
-	t0 = time.Now()
-	outLocal, stLocal := m.runExperts(dispLocal, m.ordLocal, d)
-	m.stLocal = stLocal
-	m.chargeCompute(phaseRows(m.ordLocal), false)
-
-	// Shadowed experts: local replicas on local tokens, also inside
-	// the in-flight window (no all-to-all involvement at all). The
-	// replicas run as their own grouped FFN call, in shadowList order.
-	m.shadowOuts = make(map[int]*tensor.Tensor, len(m.shadowList))
-	m.shadowSt = nil
-	if n := len(m.shadowList); n > 0 {
-		soff := make([]int, n+1)
-		srows := 0
-		for i, e := range m.shadowList {
-			soff[i] = srows
-			srows += len(m.shadowRefs[e])
-		}
-		soff[n] = srows
-		m.shadowOff = soff
-		if srows > 0 {
-			in := tensor.New(srows, d)
-			row := 0
-			for _, e := range m.shadowList {
-				for _, ref := range m.shadowRefs[e] {
-					copy(in.Row(row), x.Row(ref.token))
-					row++
-				}
+	m.st = [2]*nn.GroupState{}
+	var rt Timing
+	m.comb, rt = m.roundTrip(trip{
+		sendOrder: m.sendOrder,
+		stage:     func(sb *mpi.SendBuf) { m.stageTokens(sb, x, m.sendOrder, routing.Assign) },
+		ord:       &m.ord,
+		compute: func(l int, in *tensor.Tensor, off []int) *tensor.Tensor {
+			if m.group == nil {
+				m.group = nn.NewExpertGroup(m.Experts)
 			}
-			y, st := m.shadowGroup.Forward(in, soff)
-			m.shadowSt = st
-			for i, e := range m.shadowList {
-				if soff[i+1] > soff[i] {
-					m.shadowOuts[e] = y.RowsView(soff[i], soff[i+1])
-				}
-			}
-		}
-	}
-	m.Time.Expert += time.Since(t0).Seconds()
-
-	// Phase 2: absorb the cross-supernode leg and run its tokens.
-	var outRemote []*tensor.Tensor
-	if overlap {
-		t0 = time.Now()
-		dispRemote = ex.RecvRemote()
-		dt := time.Since(t0).Seconds()
-		m.Time.DispatchRemote += dt
-		m.Time.Dispatch += dt
-		m.ordRemote = m.groupRows(dispRemote, d)
-		t0 = time.Now()
-		outRemote, m.stRemote = m.runExperts(dispRemote, m.ordRemote, d)
-		m.chargeCompute(phaseRows(m.ordRemote), false)
-		m.Time.Expert += time.Since(t0).Seconds()
-	} else {
-		m.ordRemote, m.stRemote = nil, nil
-	}
-
-	// Rows received per source, for combine sizing and backward.
-	m.recvCount = make([]int, p)
-	for _, src := range dispLocal.Srcs() {
-		m.recvCount[src] = len(dispLocal.Meta(src))
-	}
-	if dispRemote != nil {
-		for _, src := range dispRemote.Srcs() {
-			m.recvCount[src] = len(dispRemote.Meta(src))
-		}
-	}
-
-	// Combine: expert outputs return to token owners, positionally
-	// aligned with each source's dispatch order.
-	ccounts := make([]int, p)
-	for s := 0; s < p; s++ {
-		ccounts[s] = m.recvCount[s] * d
-	}
-	csb := mpi.NewSendBuf(ccounts)
-	fill := func(ord [][]rowRef, outs []*tensor.Tensor) {
-		for le, refs := range ord {
-			for i, ref := range refs {
-				copy(csb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], outs[le].Row(i))
-			}
-		}
-	}
-	fill(m.ordLocal, outLocal)
-	if outRemote != nil {
-		fill(m.ordRemote, outRemote)
-	}
-	dispLocal.Release()
-	if dispRemote != nil {
-		dispRemote.Release()
-	}
-
-	t0 = time.Now()
-	if m.Algo == Bruck {
-		m.combLocal = m.comm.AllToAllvBruck(csb)
-	} else {
-		ex2 := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex2, csb)
-		ex2.Flush()
-		if overlap {
-			tl := time.Now()
-			m.combLocal = ex2.RecvLocal()
-			m.Time.CombineLocal += time.Since(tl).Seconds()
-			tl = time.Now()
-			m.combRemote = ex2.RecvRemote()
-			m.Time.CombineRemote += time.Since(tl).Seconds()
-		} else {
-			m.combLocal = ex2.RecvAll()
-		}
-	}
-	csb.Release()
-	m.Time.Combine += time.Since(t0).Seconds()
+			y, st := m.group.Forward(in, off)
+			m.st[l] = st
+			return y
+		},
+		window: func() { m.forwardShadows(x) },
+	})
+	m.Time = m.Time.Add(rt)
 
 	out := tensor.New(tokens, d)
-	for dst := 0; dst < p; dst++ {
-		for i, ref := range m.sendOrder[dst] {
+	for dst, refs := range m.sendOrder {
+		for i, ref := range refs {
 			s := m.perTok[ref.token][ref.k]
-			y := m.combRow(dst, i, d)
+			y := m.legRow(&m.comb, dst, i, d)
 			row := out.Row(ref.token)
 			for j := range row {
 				row[j] += s.weight * y[j]
@@ -645,41 +390,74 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward runs the reverse dispatch: output gradients travel to the
+// forwardShadows applies the shadow replicas to the local tokens routed
+// to them, as their own grouped FFN call in shadowList order. It runs
+// inside the dispatch's in-flight window and involves no all-to-all.
+func (m *DistMoE) forwardShadows(x *tensor.Tensor) {
+	m.shadowOuts = make(map[int]*tensor.Tensor, len(m.shadowList))
+	m.shadowSt = nil
+	n := len(m.shadowList)
+	if n == 0 {
+		return
+	}
+	soff := make([]int, n+1)
+	srows := 0
+	for i, e := range m.shadowList {
+		soff[i] = srows
+		srows += len(m.shadowRefs[e])
+	}
+	soff[n] = srows
+	m.shadowOff = soff
+	if srows == 0 {
+		return
+	}
+	in := tensor.New(srows, x.Shape[1])
+	row := 0
+	for _, e := range m.shadowList {
+		for _, ref := range m.shadowRefs[e] {
+			copy(in.Row(row), x.Row(ref.token))
+			row++
+		}
+	}
+	y, st := m.shadowGroup.Forward(in, soff)
+	m.shadowSt = st
+	for i, e := range m.shadowList {
+		if soff[i+1] > soff[i] {
+			m.shadowOuts[e] = y.RowsView(soff[i], soff[i+1])
+		}
+	}
+}
+
+// Backward runs the reverse round trip: output gradients travel to the
 // expert owners (two-phase under overlap, mirroring the forward
-// dispatch — expert backward for local-phase rows runs while
+// dispatch — expert backward for local-leg rows runs while
 // cross-supernode gradients are in flight), expert backward produces
 // input gradients, and those return to the token owners. Gate
 // gradients stay local.
 func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tokens, d := dout.Shape[0], dout.Shape[1]
-	p := m.comm.Size()
-	overlap := m.overlapOn()
 
 	// Combine-weight gradients for the gate, and ŵ-scaled output
-	// gradients for the experts, staged flat per destination.
+	// gradients for the experts.
 	dWeights := make([][]float32, tokens)
 	for t := range dWeights {
 		dWeights[t] = make([]float32, len(m.perTok[t]))
 	}
-	counts := make([]int, p)
-	for dst := 0; dst < p; dst++ {
-		counts[dst] = len(m.sendOrder[dst]) * d
-	}
-	dsb := mpi.NewSendBuf(counts)
-	for dst := 0; dst < p; dst++ {
-		chunk := dsb.Chunk(dst)
-		for i, ref := range m.sendOrder[dst] {
-			s := m.perTok[ref.token][ref.k]
-			y := m.combRow(dst, i, d)
-			g := dout.Row(ref.token)
-			var dw float64
-			dyRow := chunk[i*d : (i+1)*d]
-			for j := range g {
-				dw += float64(g[j]) * float64(y[j])
-				dyRow[j] = s.weight * g[j]
+	stage := func(sb *mpi.SendBuf) {
+		for dst, refs := range m.sendOrder {
+			chunk := sb.Chunk(dst)
+			for i, ref := range refs {
+				s := m.perTok[ref.token][ref.k]
+				y := m.legRow(&m.comb, dst, i, d)
+				g := dout.Row(ref.token)
+				var dw float64
+				dyRow := chunk[i*d : (i+1)*d]
+				for j := range g {
+					dw += float64(g[j]) * float64(y[j])
+					dyRow[j] = s.weight * g[j]
+				}
+				dWeights[ref.token][ref.k] = float32(dw)
 			}
-			dWeights[ref.token][ref.k] = float32(dw)
 		}
 	}
 	// Shadow assignments: combine-weight grads from the cached local
@@ -705,96 +483,28 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	// Reverse dispatch of output gradients (the combine's backward).
-	t0 := time.Now()
-	var ex *mpi.Exchange
-	var dyLocal, dyRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		dyLocal = m.comm.AllToAllvBruck(dsb)
-	} else {
-		ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex, dsb)
-		ex.Flush()
-		tl := time.Now()
-		if overlap {
-			dyLocal = ex.RecvLocal()
-		} else {
-			dyLocal = ex.RecvAll()
-		}
-		m.Time.CombineLocal += time.Since(tl).Seconds()
-	}
-	dsb.Release()
-	m.Time.Combine += time.Since(t0).Seconds()
-
-	// Expert backward per phase; input grads are scattered into the
-	// flat return buffer at their dispatch positions.
-	rcounts := make([]int, p)
-	for s := 0; s < p; s++ {
-		rcounts[s] = m.recvCount[s] * d
-	}
-	rsb := mpi.NewSendBuf(rcounts)
-	backPhase := func(rb *mpi.RecvBuf, ord [][]rowRef, st *nn.GroupState) {
-		if st == nil {
-			return
-		}
-		// Flat dy in the forward pack order (expert-major), one
-		// grouped backward call, then input grads scatter back to
-		// their dispatch positions.
-		dy := tensor.New(st.Rows(), d)
-		row := 0
-		for _, refs := range ord {
-			for _, ref := range refs {
-				copy(dy.Row(row), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
-				row++
-			}
-		}
-		dx := m.group.Backward(dy, st)
-		row = 0
-		for _, refs := range ord {
-			for _, ref := range refs {
-				copy(rsb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], dx.Row(row))
-				row++
-			}
-		}
-	}
-	t0 = time.Now()
-	backPhase(dyLocal, m.ordLocal, m.stLocal)
-	m.chargeCompute(phaseRows(m.ordLocal), true)
-	m.Time.Expert += time.Since(t0).Seconds()
-	if overlap {
-		t0 = time.Now()
-		dyRemote = ex.RecvRemote()
-		dt := time.Since(t0).Seconds()
-		m.Time.CombineRemote += dt
-		m.Time.Combine += dt
-		t0 = time.Now()
-		backPhase(dyRemote, m.ordRemote, m.stRemote)
-		m.chargeCompute(phaseRows(m.ordRemote), true)
-		m.Time.Expert += time.Since(t0).Seconds()
-	}
-	dyLocal.Release()
-	if dyRemote != nil {
-		dyRemote.Release()
-	}
-
-	// Return input gradients to token owners (the dispatch's
-	// backward); the next layer needs every row, so this leg blocks.
-	t0 = time.Now()
-	ret := m.exchangeBlocking(rsb)
-	rsb.Release()
-	m.Time.Dispatch += time.Since(t0).Seconds()
+	ret, rt := m.roundTrip(trip{
+		sendOrder: m.sendOrder,
+		stage:     stage,
+		ord:       &m.ord,
+		backward:  true,
+		compute: func(l int, dy *tensor.Tensor, _ []int) *tensor.Tensor {
+			return m.group.Backward(dy, m.st[l])
+		},
+	})
+	m.Time = m.Time.Add(rt.mirrored())
 
 	dx := tensor.New(tokens, d)
-	for dst := 0; dst < p; dst++ {
-		for i, ref := range m.sendOrder[dst] {
-			src := ret.Chunk(dst)[i*d : (i+1)*d]
+	for dst, refs := range m.sendOrder {
+		for i, ref := range refs {
+			src := m.legRow(&ret, dst, i, d)
 			row := dx.Row(ref.token)
 			for j := range row {
 				row[j] += src[j]
 			}
 		}
 	}
-	ret.Release()
+	releaseLegs(&ret)
 
 	// Shadow replicas: grouped local backward, then gradients reduced
 	// to the expert's owner.
@@ -816,7 +526,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 
 	tensor.AddInPlace(dx, m.Gate.Backward(dWeights))
-	m.releaseCombine()
+	releaseLegs(&m.comb)
 	return dx
 }
 

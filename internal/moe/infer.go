@@ -71,12 +71,6 @@ func (g *Gate) InferRoute(x *tensor.Tensor) [][]Assignment {
 	return assign
 }
 
-// inferExpert applies expert f to the gathered rows, with the
-// inference (batch-invariant, no-cache) forward.
-func inferExpert(f *nn.FeedForward, in *tensor.Tensor) *tensor.Tensor {
-	return f.Infer(in)
-}
-
 // Infer runs the local MoE in inference mode. Stats are recorded with
 // Charged=false: the caller owns pricing of single-rank expert
 // compute.
@@ -108,7 +102,7 @@ func (m *LocalMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 		for i, t := range toks {
 			copy(in.Row(i), x.Row(t))
 		}
-		outs[e] = inferExpert(m.Experts[e], in)
+		outs[e] = m.Experts[e].Infer(in)
 	}
 
 	out := tensor.New(tokens, d)
@@ -164,132 +158,44 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 
-	counts := make([]int, p)
-	for dst := 0; dst < p; dst++ {
-		counts[dst] = len(sendOrder[dst]) * d
-	}
-	sb := mpi.NewSendBuf(counts)
-	for dst := 0; dst < p; dst++ {
-		for _, ref := range sendOrder[dst] {
-			sb.Append(dst, x.Row(ref.token))
-			sb.AppendMeta(dst, m.slotOf[assign[ref.token][ref.k].Expert])
-		}
-	}
-
-	overlap := m.overlapOn()
-	var ex *mpi.Exchange
-	var dispLocal, dispRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		dispLocal = m.comm.AllToAllvBruck(sb)
-	} else {
-		ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex, sb)
-		ex.Flush()
-		if overlap {
-			dispLocal = ex.RecvLocal()
-		} else {
-			dispLocal = ex.RecvAll()
-		}
-	}
-	sb.Release()
-
-	ordLocal := m.groupRows(dispLocal, d)
-	outLocal := m.inferExperts(dispLocal, ordLocal, d)
-	rows := phaseRows(ordLocal)
-	m.chargeCompute(rows, false)
-
-	var ordRemote [][]rowRef
-	var outRemote []*tensor.Tensor
-	if overlap {
-		dispRemote = ex.RecvRemote()
-		ordRemote = m.groupRows(dispRemote, d)
-		outRemote = m.inferExperts(dispRemote, ordRemote, d)
-		r := phaseRows(ordRemote)
-		m.chargeCompute(r, false)
-		rows += r
-	}
-
-	// Rows received per source, for combine sizing.
-	recvCount := make([]int, p)
-	for _, src := range dispLocal.Srcs() {
-		recvCount[src] = len(dispLocal.Meta(src))
-	}
-	if dispRemote != nil {
-		for _, src := range dispRemote.Srcs() {
-			recvCount[src] = len(dispRemote.Meta(src))
-		}
-	}
-
-	ccounts := make([]int, p)
-	for s := 0; s < p; s++ {
-		ccounts[s] = recvCount[s] * d
-	}
-	csb := mpi.NewSendBuf(ccounts)
-	fill := func(ord [][]rowRef, outs []*tensor.Tensor) {
-		for le, refs := range ord {
-			for i, ref := range refs {
-				copy(csb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], outs[le].Row(i))
+	var ord [2][][]rowRef
+	ret, _ := m.roundTrip(trip{
+		sendOrder: sendOrder,
+		stage:     func(sb *mpi.SendBuf) { m.stageTokens(sb, x, sendOrder, assign) },
+		ord:       &ord,
+		compute: func(_ int, in *tensor.Tensor, off []int) *tensor.Tensor {
+			// Per-expert inference forward (batch-invariant, no backward
+			// state) over the packed blocks.
+			y := tensor.New(in.Shape[0], d)
+			for le, f := range m.Experts {
+				if lo, hi := off[le], off[le+1]; hi > lo {
+					copy(y.RowsView(lo, hi).Data, f.Infer(in.RowsView(lo, hi)).Data)
+				}
 			}
-		}
-	}
-	fill(ordLocal, outLocal)
-	if outRemote != nil {
-		fill(ordRemote, outRemote)
-	}
-	dispLocal.Release()
-	if dispRemote != nil {
-		dispRemote.Release()
-	}
-
-	var combLocal, combRemote *mpi.RecvBuf
-	if m.Algo == Bruck {
-		combLocal = m.comm.AllToAllvBruck(csb)
-	} else {
-		ex2 := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-		m.postRemoteFirst(ex2, csb)
-		ex2.Flush()
-		if overlap {
-			combLocal = ex2.RecvLocal()
-			combRemote = ex2.RecvRemote()
-		} else {
-			combLocal = ex2.RecvAll()
-		}
-	}
-	csb.Release()
-	row := func(src, pos int) []float32 {
-		rb := combLocal
-		if combRemote != nil && !m.localSN[src] {
-			rb = combRemote
-		}
-		return rb.Chunk(src)[pos*d : (pos+1)*d]
-	}
+			return y
+		},
+	})
 
 	// Combine. Iterating dst then position gives each token a
 	// per-token accumulation order fixed by its own experts' owners —
 	// independent of batch composition, so decode == prefill bitwise.
 	out := tensor.New(tokens, d)
-	for dst := 0; dst < p; dst++ {
-		for i, ref := range sendOrder[dst] {
+	for dst, refs := range sendOrder {
+		for i, ref := range refs {
 			a := assign[ref.token][ref.k]
-			y := row(dst, i)
+			y := m.legRow(&ret, dst, i, d)
 			o := out.Row(ref.token)
 			for j := range o {
 				o[j] += a.Weight * y[j]
 			}
 		}
 	}
-	combLocal.Release()
-	if combRemote != nil {
-		combRemote.Release()
-	}
+	releaseLegs(&ret)
 
+	rows := phaseRows(ord[0]) + phaseRows(ord[1])
 	active := 0
 	for le := 0; le < m.LocalExperts; le++ {
-		busy := len(ordLocal[le]) > 0
-		if !busy && ordRemote != nil {
-			busy = len(ordRemote[le]) > 0
-		}
-		if busy {
+		if len(ord[0][le]) > 0 || (ord[1] != nil && len(ord[1][le]) > 0) {
 			active++
 		}
 	}
@@ -300,23 +206,6 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 		Charged:       m.SimRate > 0,
 	}
 	return out
-}
-
-// inferExperts applies the local experts to one received leg with the
-// inference forward (no backward state).
-func (m *DistMoE) inferExperts(rb *mpi.RecvBuf, ord [][]rowRef, d int) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, m.LocalExperts)
-	for le, refs := range ord {
-		if len(refs) == 0 {
-			continue
-		}
-		in := tensor.New(len(refs), d)
-		for i, ref := range refs {
-			copy(in.Row(i), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
-		}
-		outs[le] = inferExpert(m.Experts[le], in)
-	}
-	return outs
 }
 
 // LastInferStats returns the expert-work stats of the last Infer call.

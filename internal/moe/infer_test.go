@@ -55,50 +55,68 @@ func TestInferRouteMatchesTrainingGate(t *testing.T) {
 
 // DistMoE.Infer must agree with LocalMoE.Infer built from the same
 // seed (same gate, same experts, different placement), for every wire
-// configuration, and record self-charged stats when SimRate is set.
+// configuration and every refactor-sensitive batch shape, and record
+// self-charged stats when SimRate is set. Each shape's virtual clocks
+// and wire counters stay at the values pinned before Infer moved onto
+// the shared round-trip driver.
 func TestDistMoEInferMatchesLocal(t *testing.T) {
-	const P, tokens, d, hidden = 4, 6, 8, 16
+	const P, d, hidden = 4, 8, 16
 	cfg := gateCfg(d, 8, 2)
-	for _, cc := range []CommConfig{
-		{Codec: mpi.FP32Wire},
-		{Codec: mpi.FP32Wire, Overlap: true},
-		{Codec: mpi.FP16Wire, Overlap: true},
-	} {
-		local := NewLocalMoE("moe", tensor.NewRNG(21), cfg, hidden)
-		outs := make([]*tensor.Tensor, P)
-		want := make([]*tensor.Tensor, P)
-		stats := make([]InferStats, P)
-		w := mpi.NewWorld(P, distTestTopo())
-		w.Run(func(c *mpi.Comm) {
-			m := NewDistMoEComm("moe", tensor.NewRNG(21), cfg, hidden, c, Hierarchical, cc)
-			m.SimRate = 1e9
-			x := tensor.Randn(tensor.NewRNG(100+uint64(c.Rank())), 1, tokens, d)
-			outs[c.Rank()] = m.Infer(x)
-			stats[c.Rank()] = m.LastInferStats()
+	pinned := map[string]uint64{
+		"uniform":          0x9a7f0dc28fa3d811,
+		"skewed":           0x36856d794c708cde,
+		"zero-token-rank":  0x509c915fa9b468e9,
+		"single-supernode": 0x4e5c81f2ebb48dc0,
+	}
+	for _, tc := range tripCases {
+		if tc.shadow != nil {
+			continue // Infer never consults shadow replicas
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			var sig tripSig
+			for _, cc := range []CommConfig{
+				{Codec: mpi.FP32Wire},
+				{Codec: mpi.FP32Wire, Overlap: true},
+				{Codec: mpi.FP16Wire, Overlap: true},
+			} {
+				local := NewLocalMoE("moe", tensor.NewRNG(21), cfg, hidden)
+				outs := make([]*tensor.Tensor, P)
+				stats := make([]InferStats, P)
+				now := make([]float64, P)
+				wire := make([]mpi.WireStats, P)
+				w := mpi.NewWorld(P, tc.topo())
+				w.Run(func(c *mpi.Comm) {
+					m := NewDistMoEComm("moe", tensor.NewRNG(21), cfg, hidden, c, Hierarchical, cc)
+					m.SimRate = 1e9
+					outs[c.Rank()] = m.Infer(tc.input(0, c.Rank(), d))
+					stats[c.Rank()] = m.LastInferStats()
+					now[c.Rank()] = c.Now()
+					wire[c.Rank()] = m.WireStats()
+				})
+				sig.add(cc.String(), now, wire)
+				tol := float32(1e-5)
+				if cc.Codec == mpi.FP16Wire {
+					tol = 2e-2 // fp16 wire rounds cross-supernode payloads
+				}
+				totalRows, wantRows := 0, 0
+				for rank := range outs {
+					// Reference pass outside the world: the shared LocalMoE is
+					// not safe for concurrent Infer (it records per-call stats).
+					if want := local.Infer(tc.input(0, rank, d)); !outs[rank].AllClose(want, tol) {
+						t.Fatalf("%v rank %d: dist infer differs from local infer", cc, rank)
+					}
+					if !stats[rank].Charged {
+						t.Fatalf("%v rank %d: SimRate set but stats not marked charged", cc, rank)
+					}
+					totalRows += stats[rank].Rows
+					wantRows += tc.tokens(rank) * cfg.TopK
+				}
+				if totalRows != wantRows {
+					t.Fatalf("%v: expert rows %d, want %d", cc, totalRows, wantRows)
+				}
+			}
+			sig.check(t, pinned[tc.name])
 		})
-		// Reference pass outside the world: the shared LocalMoE is not
-		// safe for concurrent Infer (it records per-call stats).
-		for rank := 0; rank < P; rank++ {
-			x := tensor.Randn(tensor.NewRNG(100+uint64(rank)), 1, tokens, d)
-			want[rank] = local.Infer(x)
-		}
-		tol := float32(1e-5)
-		if cc.Codec == mpi.FP16Wire {
-			tol = 2e-2 // fp16 wire rounds cross-supernode payloads
-		}
-		totalRows := 0
-		for rank := range outs {
-			if !outs[rank].AllClose(want[rank], tol) {
-				t.Fatalf("%v rank %d: dist infer differs from local infer", cc, rank)
-			}
-			if !stats[rank].Charged {
-				t.Fatalf("%v rank %d: SimRate set but stats not marked charged", cc, rank)
-			}
-			totalRows += stats[rank].Rows
-		}
-		if totalRows != P*tokens*cfg.TopK {
-			t.Fatalf("%v: expert rows %d, want %d", cc, totalRows, P*tokens*cfg.TopK)
-		}
 	}
 }
 

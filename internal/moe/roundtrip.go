@@ -1,0 +1,257 @@
+package moe
+
+import (
+	"fmt"
+	"time"
+
+	"bagualu/internal/mpi"
+	"bagualu/internal/tensor"
+)
+
+// The MoE round trip: rows leave for their experts' owners, the owners
+// compute, and the results return positionally aligned with the rows
+// that were sent. Forward (tokens out, expert outputs back), Backward
+// (output gradients out, input gradients back) and Infer are the same
+// sequence around a different compute callback; roundTrip is its only
+// implementation.
+
+// legFn computes one received leg. in holds the leg's rows packed
+// expert-major ([rows, d]; local expert le owns rows off[le]..off[le+1],
+// in dispatch order) and the result has the same shape and row order.
+// l is 0 for the local leg — self plus same-supernode sources, or every
+// source when the exchange blocks — and 1 for the cross-supernode leg.
+// Legs that received no rows are skipped.
+type legFn func(l int, in *tensor.Tensor, off []int) *tensor.Tensor
+
+// trip describes one round trip.
+type trip struct {
+	// sendOrder lists, per destination rank, the (token, k) behind each
+	// outbound row; it sizes the outbound buffer, and the returned legs
+	// are aligned with it.
+	sendOrder [][]sendRef
+	// stage fills the outbound buffer (rows, plus expert-slot metadata
+	// in the token direction).
+	stage func(sb *mpi.SendBuf)
+	// ord is the per-leg, per-local-expert grouping of received rows:
+	// written from the slot metadata in the token direction, read back
+	// in the gradient direction (gradient rows carry no metadata; they
+	// arrive exactly where the forward's rows did).
+	ord *[2][][]rowRef
+	// backward marks the gradient direction: cached grouping, double
+	// the compute charge, and a blocking return leg (the next layer
+	// needs every row).
+	backward bool
+	compute  legFn
+	// window, when set, runs after the local leg's compute, still inside
+	// the cross-supernode flight time (shadow experts).
+	window func()
+}
+
+// roundTrip runs tr and hands back the returned rows: ret[0] alone when
+// the return leg blocked, ret[0] local and ret[1] cross-supernode
+// sources when it ran two-phase (read them through legRow). The caller
+// releases them. t is the host-time breakdown in the token orientation:
+// Dispatch* is the outbound exchange, Combine* the return.
+func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
+	d, p := m.Cfg.Dim, m.comm.Size()
+	counts := make([]int, p)
+	for dst, refs := range tr.sendOrder {
+		counts[dst] = len(refs) * d
+	}
+	sb := mpi.NewSendBuf(counts)
+	tr.stage(sb)
+
+	// Outbound. With overlap on, only the cheap leg is awaited here;
+	// the cross-supernode leg stays in flight under the local compute.
+	legs := 1
+	if m.CommCfg.Overlap {
+		legs = 2
+	}
+	t0 := time.Now()
+	ex := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
+	m.postRemoteFirst(ex, sb)
+	ex.Flush()
+	var in [2]*mpi.RecvBuf
+	tl := time.Now()
+	if legs == 2 {
+		in[0] = ex.RecvLocal()
+	} else {
+		in[0] = ex.RecvAll()
+	}
+	t.DispatchLocal = time.Since(tl).Seconds()
+	sb.Release()
+	t.Dispatch = time.Since(t0).Seconds()
+
+	if !tr.backward {
+		*tr.ord = [2][][]rowRef{}
+	}
+	var outs [2]*tensor.Tensor
+	for l := 0; l < legs; l++ {
+		if l == 1 {
+			t0 = time.Now()
+			in[1] = ex.RecvRemote()
+			t.DispatchRemote = time.Since(t0).Seconds()
+			t.Dispatch += t.DispatchRemote
+		}
+		if !tr.backward {
+			tr.ord[l] = m.groupRows(in[l], d)
+		}
+		t0 = time.Now()
+		if rows := phaseRows(tr.ord[l]); rows > 0 {
+			packed, off := packLeg(in[l], tr.ord[l], rows, d)
+			outs[l] = tr.compute(l, packed, off)
+			m.chargeCompute(rows, tr.backward)
+		}
+		if l == 0 && tr.window != nil {
+			tr.window()
+		}
+		t.Expert += time.Since(t0).Seconds()
+	}
+
+	// Return: every computed row goes back to its source at the
+	// position it arrived in.
+	back := make([]int, p)
+	for l := 0; l < legs; l++ {
+		for _, src := range in[l].Srcs() {
+			back[src] = in[l].Count(src)
+		}
+	}
+	rsb := mpi.NewSendBuf(back)
+	for l := 0; l < legs; l++ {
+		row := 0
+		for _, refs := range tr.ord[l] {
+			for _, ref := range refs {
+				copy(rsb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d], outs[l].Row(row))
+				row++
+			}
+		}
+	}
+	releaseLegs(&in)
+
+	t0 = time.Now()
+	ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
+	m.postRemoteFirst(ex, rsb)
+	ex.Flush()
+	if legs == 2 && !tr.backward {
+		tl = time.Now()
+		ret[0] = ex.RecvLocal()
+		t.CombineLocal = time.Since(tl).Seconds()
+		tl = time.Now()
+		ret[1] = ex.RecvRemote()
+		t.CombineRemote = time.Since(tl).Seconds()
+	} else {
+		ret[0] = ex.RecvAll()
+	}
+	rsb.Release()
+	t.Combine = time.Since(t0).Seconds()
+	return ret, t
+}
+
+// hierWire decides the wire-layer algorithm for Algo.
+func (m *DistMoE) hierWire() bool {
+	switch m.Algo {
+	case Hierarchical:
+		return true
+	case Direct:
+		return false
+	default:
+		return m.comm.SpansSupernodes() && m.comm.Size() >= 4
+	}
+}
+
+// postRemoteFirst posts every chunk of sb, cross-supernode
+// destinations first so their (expensive, high-latency) messages are
+// injected before the cheap local ones and spend the local compute
+// window in flight.
+func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
+	p := m.comm.Size()
+	for dst := 0; dst < p; dst++ {
+		if !m.localSN[dst] {
+			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
+		}
+	}
+	for dst := 0; dst < p; dst++ {
+		if m.localSN[dst] {
+			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
+		}
+	}
+}
+
+// groupRows assigns each row of a received leg to its target local
+// expert using the expert-slot metadata that rode in the messages.
+// Counts are exact under dropless routing, so each source's
+// variable-length framing is asserted (payload a whole number of
+// d-wide rows, one slot id per row) before rows are attributed.
+func (m *DistMoE) groupRows(rb *mpi.RecvBuf, d int) [][]rowRef {
+	ord := make([][]rowRef, m.LocalExperts)
+	for _, src := range rb.Srcs() {
+		rb.Rows(src, d)
+		for pos, le := range rb.Meta(src) {
+			if le < 0 || le >= m.LocalExperts {
+				panic(fmt.Sprintf("moe: received slot %d out of range (local experts %d)", le, m.LocalExperts))
+			}
+			ord[le] = append(ord[le], rowRef{src, pos})
+		}
+	}
+	return ord
+}
+
+func phaseRows(ord [][]rowRef) int {
+	n := 0
+	for _, refs := range ord {
+		n += len(refs)
+	}
+	return n
+}
+
+// packLeg copies a leg's rows into one flat matrix, expert-major, so a
+// single grouped FFN call sees the leg's total FLOPs; off delimits each
+// local expert's block.
+func packLeg(rb *mpi.RecvBuf, ord [][]rowRef, rows, d int) (*tensor.Tensor, []int) {
+	off := make([]int, len(ord)+1)
+	in := tensor.New(rows, d)
+	row := 0
+	for le, refs := range ord {
+		off[le] = row
+		for _, ref := range refs {
+			copy(in.Row(row), rb.Chunk(ref.src)[ref.pos*d:(ref.pos+1)*d])
+			row++
+		}
+	}
+	off[len(ord)] = row
+	return in, off
+}
+
+// chargeCompute advances the virtual clock by the expert GEMM time at
+// SimRate FLOP/s (two d×hidden matmuls per row forward, double that
+// backward). No-op when SimRate is unset.
+func (m *DistMoE) chargeCompute(rows int, backward bool) {
+	if m.SimRate <= 0 {
+		return
+	}
+	f := expertFlops(rows, m.Cfg.Dim, m.hidden)
+	if backward {
+		f *= 2
+	}
+	m.comm.Compute(f / m.SimRate)
+}
+
+// legRow returns row pos of the chunk src returned, from whichever leg
+// of bufs src arrived on.
+func (m *DistMoE) legRow(bufs *[2]*mpi.RecvBuf, src, pos, d int) []float32 {
+	rb := bufs[0]
+	if bufs[1] != nil && !m.localSN[src] {
+		rb = bufs[1]
+	}
+	return rb.Chunk(src)[pos*d : (pos+1)*d]
+}
+
+// releaseLegs returns both legs' buffers to the pool.
+func releaseLegs(bufs *[2]*mpi.RecvBuf) {
+	for i, rb := range bufs {
+		if rb != nil {
+			rb.Release()
+			bufs[i] = nil
+		}
+	}
+}

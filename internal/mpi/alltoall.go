@@ -303,24 +303,3 @@ func (c *Comm) AllToAllBruck(chunks [][]float32) [][]float32 {
 	}
 	return out
 }
-
-// AllToAllInts performs a direct all-to-all of int payloads; used for
-// exchanging MoE routing metadata (token counts per expert).
-func (c *Comm) AllToAllInts(chunks [][]int) [][]int {
-	if len(chunks) != c.Size() {
-		panic(fmt.Sprintf("mpi: AllToAllInts with %d chunks on a size-%d communicator", len(chunks), c.Size()))
-	}
-	seq := c.nextSeq()
-	tag := collTag(c.id, seq, 0)
-	p := c.Size()
-	out := make([][]int, p)
-	out[c.rank] = append([]int(nil), chunks[c.rank]...)
-	for s := 1; s < p; s++ {
-		dst := (c.rank + s) % p
-		src := (c.rank - s + p) % p
-		c.sendStep(dst, tag, nil, chunks[dst])
-		m := c.recvStep(src, tag)
-		out[src] = m.ints
-	}
-	return out
-}

@@ -464,22 +464,6 @@ func TestAllToAllHierFasterWhenLatencyBound(t *testing.T) {
 	}
 }
 
-func TestAllToAllInts(t *testing.T) {
-	w := NewWorld(4, nil)
-	w.Run(func(c *Comm) {
-		chunks := make([][]int, 4)
-		for d := range chunks {
-			chunks[d] = []int{c.Rank()*10 + d}
-		}
-		got := c.AllToAllInts(chunks)
-		for s := 0; s < 4; s++ {
-			if got[s][0] != s*10+c.Rank() {
-				t.Errorf("rank %d from %d: %v", c.Rank(), s, got[s])
-			}
-		}
-	})
-}
-
 func TestSplit(t *testing.T) {
 	w := NewWorld(8, nil)
 	w.Run(func(c *Comm) {
@@ -696,72 +680,4 @@ func TestAllToAllBruckFasterForTinyPayloads(t *testing.T) {
 	if bruck >= pair {
 		t.Fatalf("bruck %v !< pairwise %v for tiny payloads", bruck, pair)
 	}
-}
-
-func TestScatter(t *testing.T) {
-	for _, p := range []int{1, 3, 4} {
-		w := NewWorld(p, nil)
-		w.Run(func(c *Comm) {
-			var chunks [][]float32
-			if c.Rank() == 0 {
-				chunks = make([][]float32, p)
-				for r := range chunks {
-					chunks[r] = []float32{float32(r * 10), float32(r)}
-				}
-			}
-			got := c.Scatter(0, chunks)
-			if len(got) != 2 || got[0] != float32(c.Rank()*10) || got[1] != float32(c.Rank()) {
-				t.Errorf("p=%d rank=%d: Scatter = %v", p, c.Rank(), got)
-			}
-		})
-	}
-}
-
-func TestAllGatherV(t *testing.T) {
-	w := NewWorld(4, nil)
-	w.Run(func(c *Comm) {
-		// Rank r contributes r+1 copies of its rank id.
-		mine := make([]float32, c.Rank()+1)
-		for i := range mine {
-			mine[i] = float32(c.Rank())
-		}
-		all, offsets := c.AllGatherV(mine)
-		if offsets[4] != 1+2+3+4 {
-			t.Errorf("total length %d", offsets[4])
-			return
-		}
-		for r := 0; r < 4; r++ {
-			if offsets[r+1]-offsets[r] != r+1 {
-				t.Errorf("rank %d segment length %d", r, offsets[r+1]-offsets[r])
-			}
-			for _, v := range all[offsets[r]:offsets[r+1]] {
-				if v != float32(r) {
-					t.Errorf("segment %d contains %v", r, v)
-				}
-			}
-		}
-	})
-}
-
-func TestScanInclusive(t *testing.T) {
-	w := NewWorld(5, nil)
-	w.Run(func(c *Comm) {
-		got := c.Scan([]float32{float32(c.Rank() + 1)}, OpSum)
-		want := float32((c.Rank() + 1) * (c.Rank() + 2) / 2)
-		if got[0] != want {
-			t.Errorf("rank %d: Scan = %v, want %v", c.Rank(), got[0], want)
-		}
-	})
-}
-
-func TestExclusiveScanInts(t *testing.T) {
-	w := NewWorld(4, nil)
-	w.Run(func(c *Comm) {
-		// Each rank holds 3 tokens; exclusive scan yields contiguous
-		// disjoint global offsets.
-		off := c.ExclusiveScanInts(3)
-		if off != c.Rank()*3 {
-			t.Errorf("rank %d: offset %d, want %d", c.Rank(), off, c.Rank()*3)
-		}
-	})
 }

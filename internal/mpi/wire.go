@@ -13,14 +13,14 @@ import (
 // Wire-format layer: flattened all-to-allv over pooled buffers.
 //
 // The legacy AllToAll* collectives exchange one allocated []float32
-// per rank pair and need a separate AllToAllInts round for routing
-// metadata. This layer replaces both with a single framed exchange:
+// per rank pair and carry no routing metadata. This layer replaces
+// them with a single framed exchange:
 //
 //   - SendBuf / RecvBuf hold one contiguous pooled payload (counts
 //     header + offsets) instead of P slices, so a MoE dispatch stages
 //     and absorbs all tokens with two pool hits total.
 //   - Per-destination int metadata (MoE expert-slot ids) rides inside
-//     the data messages, eliminating the extra metadata round.
+//     the data messages, so no separate metadata round is needed.
 //   - An optional FP16 codec encodes payloads that cross supernodes
 //     (simnet.MachineLevel — the expensive links) as raw half bit
 //     patterns, halving bytes on exactly the legs that dominate the
@@ -902,38 +902,4 @@ func (c *Comm) allToAllv(sb *SendBuf, codec Codec, hier bool) *RecvBuf {
 	e.PostAll(sb)
 	e.Flush()
 	return e.RecvAll()
-}
-
-// AllToAllvBruck routes a flattened exchange through the log-P Bruck
-// algorithm, kept as the latency-optimal baseline. FP32 only —
-// multi-hop relaying precludes per-level coding — and metadata goes
-// in a companion int all-to-all, as before the wire layer existed.
-func (c *Comm) AllToAllvBruck(sb *SendBuf) *RecvBuf {
-	p := c.Size()
-	chunks := make([][]float32, p)
-	metaIn := make([][]int, p)
-	for d := 0; d < p; d++ {
-		chunks[d] = sb.Chunk(d)
-		metaIn[d] = sb.Meta(d)
-	}
-	out := c.AllToAllBruck(chunks)
-	metaOut := c.AllToAllInts(metaIn)
-	b := &RecvBuf{
-		counts: make([]int, p),
-		offs:   make([]int, p),
-		meta:   metaOut,
-		srcs:   make([]int, p),
-	}
-	total := 0
-	for s := 0; s < p; s++ {
-		b.srcs[s] = s
-		b.offs[s] = total
-		b.counts[s] = len(out[s])
-		total += len(out[s])
-	}
-	b.data = tensor.GetSlice(total)
-	for s := 0; s < p; s++ {
-		copy(b.data[b.offs[s]:b.offs[s]+b.counts[s]], out[s])
-	}
-	return b
 }

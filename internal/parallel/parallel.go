@@ -163,13 +163,11 @@ func (m ModelConfig) Validate() error {
 // StepStats aggregates one engine step across ranks.
 type StepStats struct {
 	Step      int
-	Loss      float32 // world-mean cross-entropy
-	AuxLoss   float32 // world-mean auxiliary loss
-	Overflow  int     // total dropped assignments (CapacityDrop mode only; 0 when dropless)
-	GradNorm  float32 // local (post-sync) gradient norm at rank 0
-	WallFwd   float64 // seconds, rank-local
-	WallBwd   float64
-	WallSync  float64
+	Loss      float32    // world-mean cross-entropy
+	AuxLoss   float32    // world-mean auxiliary loss
+	Overflow  int        // total dropped assignments (CapacityDrop mode only; 0 when dropless)
+	GradNorm  float32    // local (post-sync) gradient norm at rank 0
+	WallFwd   float64    // seconds, rank-local
 	MoE       moe.Timing // accumulated MoE phase breakdown
 	SimTime   float64    // virtual seconds elapsed on this rank
 	TokensPer float64    // tokens/virtual-second across the world (0 if no sim time)

@@ -2,11 +2,8 @@ package parallel
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"bagualu/internal/nn"
-	"bagualu/internal/train"
 )
 
 // RebalanceExperts runs the load-aware expert migration loop once:
@@ -52,48 +49,4 @@ func (e *Engine) refreshParams() {
 		}
 	}
 	e.Trainer.RefreshParams()
-}
-
-// SaveSharded writes a distributed checkpoint into dir: one
-// dense.ckpt (written by world rank 0, covering every replicated
-// parameter) plus one expert shard file per expert-parallel slot
-// (written by the data-parallel-rank-0 replica of that slot). This is
-// how a 174T-parameter model checkpoints without any node ever
-// holding the full state.
-func (e *Engine) SaveSharded(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	step := int64(e.Trainer.StepCount())
-	if e.Comm.Rank() == 0 {
-		if err := train.SaveFile(filepath.Join(dir, "dense.ckpt"), train.Header{Step: step}, e.denseParams); err != nil {
-			return err
-		}
-	}
-	if e.DP.Rank() == 0 && len(e.expertParams) > 0 {
-		name := fmt.Sprintf("expert-ep%04d.ckpt", e.EP.Rank())
-		if err := train.SaveFile(filepath.Join(dir, name), train.Header{Step: step}, e.expertParams); err != nil {
-			return err
-		}
-	}
-	// Make completion globally visible before anyone proceeds.
-	e.Comm.Barrier()
-	return nil
-}
-
-// LoadSharded restores a checkpoint written by SaveSharded. The grid
-// shape and expert placement must match the saving run (shard files
-// are keyed by expert-parallel rank).
-func (e *Engine) LoadSharded(dir string) error {
-	if _, err := train.LoadFile(filepath.Join(dir, "dense.ckpt"), e.denseParams); err != nil {
-		return err
-	}
-	if len(e.expertParams) > 0 {
-		name := fmt.Sprintf("expert-ep%04d.ckpt", e.EP.Rank())
-		if _, err := train.LoadFile(filepath.Join(dir, name), e.expertParams); err != nil {
-			return err
-		}
-	}
-	e.Comm.Barrier()
-	return nil
 }

@@ -20,23 +20,24 @@ import (
 // whatever parameter list the caller owns (a rank passes only its
 // local params).
 //
-// Version 2 makes the stream sufficient for *bit-exact* resume: the
-// header carries the dynamic loss-scale state, the optimizer update
-// count (Adam/LAMB bias correction depends on it), and the data-order
-// RNG position, while the tensor list includes optimizer moments and
-// FP32 masters (see Trainer.CheckpointParams). Every tensor record
-// ends with a CRC32 of its payload so silent corruption is detected
-// at load time and attributed to a specific tensor.
+// The stream is sufficient for *bit-exact* resume: the header carries
+// the dynamic loss-scale state, the optimizer update count (Adam/LAMB
+// bias correction depends on it), and the data-order RNG position,
+// while the tensor list includes optimizer moments and FP32 masters
+// (see Trainer.CheckpointParams). Every tensor record ends with a
+// CRC32 of its payload so silent corruption is detected at load time
+// and attributed to a specific tensor.
 //
-// Version 3 makes every record a *range* of a logical tensor: after
-// the full shape it carries [lo, hi) flat offsets and only hi-lo
-// payload floats. Full tensors write lo=0, hi=N. This is what lets a
-// ZeRO-sharded optimizer checkpoint restore across layouts — each
-// rank writes its moment shard as a range record under the same name
-// the unsharded optimizer uses, and restore assembles whatever ranges
-// the streams provide into whatever views the reader owns (Coverage
-// tracks completeness). Version 1 (weights only, no checksums) and
-// version 2 streams remain readable.
+// Every record is a *range* of a logical tensor: after the full shape
+// it carries [lo, hi) flat offsets and only hi-lo payload floats. Full
+// tensors write lo=0, hi=N. This is what lets a ZeRO-sharded optimizer
+// checkpoint restore across layouts — each rank writes its moment
+// shard as a range record under the same name the unsharded optimizer
+// uses, and restore assembles whatever ranges the streams provide into
+// whatever views the reader owns (Coverage tracks completeness).
+//
+// This is format version 3, the only one read: a stream with any other
+// version word is rejected with a versionError rather than misread.
 const (
 	ckptMagic   = 0xBA60A1 // "BaGuaLu"
 	ckptVersion = 3
@@ -44,18 +45,20 @@ const (
 
 // Header carries run metadata stored alongside the weights.
 type Header struct {
-	Step      int64
-	LossScale float32
-
-	// Version 2 fields (zero when reading a version 1 stream).
+	Step         int64
+	LossScale    float32
 	GoodSteps    int32  // loss-scale growth progress
 	SkippedSteps int32  // overflow-skipped step count
 	OptSteps     int64  // optimizer updates applied (bias correction)
 	RNGState     uint64 // data-order RNG position
+}
 
-	// Version is the format version the stream was read with; it is
-	// ignored by Save (which always writes the current version).
-	Version int
+// versionError rejects a stream whose format version this build does
+// not read.
+type versionError struct{ got uint32 }
+
+func (e *versionError) Error() string {
+	return fmt.Sprintf("train: unsupported checkpoint version %d (this build reads version %d)", e.got, ckptVersion)
 }
 
 // CorruptError reports a tensor record whose payload checksum does
@@ -69,10 +72,9 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("train: checkpoint tensor %q corrupted (crc %08x, want %08x)", e.Tensor, e.Got, e.Want)
 }
 
-// Save writes a version-3 checkpoint of params to w. A param whose
-// FullShape is set is written as a range record [ShardLo,
-// ShardLo+len) of the logical tensor; ordinary params cover their
-// whole tensor.
+// Save writes a checkpoint of params to w. A param whose FullShape is
+// set is written as a range record [ShardLo, ShardLo+len) of the
+// logical tensor; ordinary params cover their whole tensor.
 func Save(w io.Writer, hdr Header, params []*nn.Param) error {
 	bw := bufio.NewWriter(w)
 	for _, v := range []any{
@@ -178,10 +180,10 @@ func (cv *Coverage) Covers(name string, lo, hi int) bool {
 
 // LoadIntoCov restores a checkpoint stream into the given name-indexed
 // parameter set, recording every restored range in cov. Each record
-// covers a flat range [lo, hi) of its logical tensor (full tensors in
-// v1/v2 streams cover everything); the overlap of that range with each
-// destination param's own view ([ShardLo, ShardLo+len)) is copied, so
-// sharded streams restore into unsharded params and vice versa.
+// covers a flat range [lo, hi) of its logical tensor; the overlap of
+// that range with each destination param's own view ([ShardLo,
+// ShardLo+len)) is copied, so sharded streams restore into unsharded
+// params and vice versa.
 // Tensors absent from byName are skipped (checksums still verified);
 // params absent from the stream are left untouched.
 func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Header, error) {
@@ -197,22 +199,14 @@ func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Heade
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return hdr, err
 	}
-	if version < 1 || version > ckptVersion {
-		return hdr, fmt.Errorf("train: unsupported checkpoint version %d", version)
+	if version != ckptVersion {
+		return hdr, &versionError{got: version}
 	}
-	hdr.Version = int(version)
-	fields := []any{&hdr.Step, &hdr.LossScale}
-	if version >= 2 {
-		fields = append(fields, &hdr.GoodSteps, &hdr.SkippedSteps, &hdr.OptSteps, &hdr.RNGState)
-	}
-	for _, f := range fields {
+	var count uint32
+	for _, f := range []any{&hdr.Step, &hdr.LossScale, &hdr.GoodSteps, &hdr.SkippedSteps, &hdr.OptSteps, &hdr.RNGState, &count} {
 		if err := binary.Read(br, binary.LittleEndian, f); err != nil {
 			return hdr, err
 		}
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return hdr, err
 	}
 	for i := uint32(0); i < count; i++ {
 		name, err := readString(br)
@@ -233,31 +227,26 @@ func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Heade
 			shape[j] = int(d)
 			full *= int(d)
 		}
-		lo, hi := 0, full
-		if version >= 3 {
-			var l, h uint64
-			for _, f := range []*uint64{&l, &h} {
-				if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-					return hdr, err
-				}
+		var l, h uint64
+		for _, f := range []*uint64{&l, &h} {
+			if err := binary.Read(br, binary.LittleEndian, f); err != nil {
+				return hdr, err
 			}
-			lo, hi = int(l), int(h)
-			if lo < 0 || hi < lo || hi > full {
-				return hdr, fmt.Errorf("train: checkpoint tensor %q has range [%d,%d) of %d", name, lo, hi, full)
-			}
+		}
+		lo, hi := int(l), int(h)
+		if lo < 0 || hi < lo || hi > full {
+			return hdr, fmt.Errorf("train: checkpoint tensor %q has range [%d,%d) of %d", name, lo, hi, full)
 		}
 		buf := make([]float32, hi-lo)
 		if err := binary.Read(br, binary.LittleEndian, buf); err != nil {
 			return hdr, err
 		}
-		if version >= 2 {
-			var want uint32
-			if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-				return hdr, err
-			}
-			if got := tensorCRC(buf); got != want {
-				return hdr, &CorruptError{Tensor: name, Want: want, Got: got}
-			}
+		var want uint32
+		if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+			return hdr, err
+		}
+		if got := tensorCRC(buf); got != want {
+			return hdr, &CorruptError{Tensor: name, Want: want, Got: got}
 		}
 		p := byName[name]
 		if p == nil {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bagualu/internal/nn"
 	"bagualu/internal/sunway"
 )
 
@@ -80,45 +79,57 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	}
 }
 
-// writeV1 emits the legacy (pre-fault-tolerance) stream layout.
-func writeV1(buf *bytes.Buffer, hdr Header, params []*nn.Param) {
-	binary.Write(buf, binary.LittleEndian, uint32(ckptMagic))
-	binary.Write(buf, binary.LittleEndian, uint32(1))
-	binary.Write(buf, binary.LittleEndian, hdr.Step)
-	binary.Write(buf, binary.LittleEndian, hdr.LossScale)
-	binary.Write(buf, binary.LittleEndian, uint32(len(params)))
-	for _, p := range params {
-		writeString(buf, p.Name)
-		binary.Write(buf, binary.LittleEndian, uint32(len(p.W.Shape)))
-		for _, d := range p.W.Shape {
-			binary.Write(buf, binary.LittleEndian, uint32(d))
+// A stream written in a retired format (version 1 or 2) or a future
+// one must be rejected with a versionError before any tensor is read,
+// never misread as the current layout.
+func TestCheckpointRejectsOtherVersions(t *testing.T) {
+	tr := newCkptTrainer(t, 13)
+	var buf bytes.Buffer
+	if err := tr.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	before := tr.Params()[0].W.Clone()
+	for _, v := range []uint32{1, 2, ckptVersion + 1} {
+		binary.LittleEndian.PutUint32(raw[4:8], v)
+		err := tr.LoadCheckpoint(bytes.NewReader(raw))
+		var ve *versionError
+		if !errors.As(err, &ve) || ve.got != v {
+			t.Fatalf("version %d: want versionError, got %v", v, err)
 		}
-		binary.Write(buf, binary.LittleEndian, p.W.Data)
+	}
+	for j, w := range tr.Params()[0].W.Data {
+		if w != before.Data[j] {
+			t.Fatalf("rejected stream modified weight %d", j)
+		}
 	}
 }
 
-// A version-1 stream (weights only, no checksums) must still restore:
-// weights load, header scalars apply, optimizer moments re-warm.
-func TestCheckpointV1Compat(t *testing.T) {
+// A weights-only stream (no optimizer moments, no masters) must still
+// restore into a Mixed trainer: weights load, header scalars apply,
+// masters re-snapshot from the loaded weights, moments re-warm.
+func TestWeightsOnlyStreamRestores(t *testing.T) {
 	tr := newCkptTrainer(t, 13)
 	tr.Step()
 	var buf bytes.Buffer
-	writeV1(&buf, Header{Step: 7, LossScale: 512}, tr.Params())
+	if err := Save(&buf, Header{Step: 7, LossScale: 512}, tr.Params()); err != nil {
+		t.Fatal(err)
+	}
 
 	tr2 := newCkptTrainer(t, 14)
 	if err := tr2.LoadCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if tr2.StepCount() != 7 {
-		t.Fatalf("v1 restore StepCount = %d, want 7", tr2.StepCount())
+		t.Fatalf("restore StepCount = %d, want 7", tr2.StepCount())
 	}
 	if tr2.MP.Scale != 512 {
-		t.Fatalf("v1 restore Scale = %v, want 512", tr2.MP.Scale)
+		t.Fatalf("restore Scale = %v, want 512", tr2.MP.Scale)
 	}
 	for i, p := range tr2.Params() {
 		for j := range p.W.Data {
 			if p.W.Data[j] != tr.Params()[i].W.Data[j] {
-				t.Fatalf("v1 restore weight mismatch at %s[%d]", p.Name, j)
+				t.Fatalf("restore weight mismatch at %s[%d]", p.Name, j)
 			}
 		}
 	}

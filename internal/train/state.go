@@ -198,21 +198,17 @@ func (t *Trainer) SaveCheckpoint(w io.Writer) error {
 // applyHeader restores the trainer's scalar state from a header.
 func (t *Trainer) applyHeader(hdr Header) {
 	t.step = int(hdr.Step)
-	if hdr.Version >= 2 {
-		t.MP.SetScaleState(hdr.LossScale, int(hdr.GoodSteps), int(hdr.SkippedSteps))
-		if so, ok := t.Opt.(StatefulOptimizer); ok {
-			so.SetStepCount(int(hdr.OptSteps))
-		}
-		t.Corpus.SetRNGState(hdr.RNGState)
-	} else if hdr.LossScale > 0 {
-		t.MP.Scale = hdr.LossScale
+	t.MP.SetScaleState(hdr.LossScale, int(hdr.GoodSteps), int(hdr.SkippedSteps))
+	if so, ok := t.Opt.(StatefulOptimizer); ok {
+		so.SetStepCount(int(hdr.OptSteps))
 	}
+	t.Corpus.SetRNGState(hdr.RNGState)
 }
 
 // LoadCheckpoint restores trainer state from a stream written by
 // SaveCheckpoint. All model weights must be present; optimizer state
-// and masters are restored when the stream has them (a version 1
-// stream has not), so a v1 resume is correct but re-warms the
+// and masters are restored when the stream has them (a weights-only
+// stream has not), so resuming from one is correct but re-warms the
 // moments. In Mixed mode the working weights are re-quantized from
 // the restored masters.
 func (t *Trainer) LoadCheckpoint(r io.Reader) error {
@@ -241,8 +237,8 @@ func (t *Trainer) LoadCheckpoint(r io.Reader) error {
 
 // afterRestore re-derives the working weights after tensors changed
 // underneath the precision policy. If the masters were restored they
-// are authoritative; otherwise (v1 stream) they re-snapshot from the
-// just-loaded weights.
+// are authoritative; otherwise (a weights-only stream) they
+// re-snapshot from the just-loaded weights.
 func (t *Trainer) afterRestore(restored map[string]bool) {
 	if t.MP.masters == nil {
 		return

@@ -60,25 +60,6 @@ type Metrics struct {
 	// matching phase breakdown.
 	Wire mpi.WireStats
 	Comm moe.Timing
-
-	// Fault-tolerance phases, in virtual seconds attributed to this
-	// step by the recovery loop: parameter snapshot cost, checkpoint
-	// flush stall, and rollback/re-form/restore time after a failure
-	// (metrics.PhaseCkptSnapshot etc. in the phase meter).
-	CkptSnapshot float64
-	CkptFlush    float64
-	Recovery     float64
-
-	// Graceful-degradation telemetry attributed to this step by the
-	// fault-tolerant loop (metrics.PhaseRetransmit / PhaseMitigation in
-	// the phase meter): frames this rank retransmitted, the virtual
-	// seconds its sends spent in ack timeouts and backoff, the virtual
-	// seconds spent resharding experts away from degraded ranks, and
-	// the number of world ranks currently classified degraded.
-	Retransmits   int64
-	RetransmitSim float64
-	MitigationSim float64
-	DegradedRanks int
 }
 
 // Trainer runs synchronous next-token pretraining of a GPT model on a

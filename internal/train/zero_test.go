@@ -301,54 +301,3 @@ func flatBase(params []*nn.Param, stateName string) int {
 	}
 	panic("unknown state tensor " + stateName)
 }
-
-// TestCheckpointV2StreamStillLoads pins backward compatibility: a
-// hand-written version-2 stream (full records, no range fields) loads
-// through the v3 reader.
-func TestCheckpointV2StreamStillLoads(t *testing.T) {
-	params := zeroTestParams(0.7)
-	var buf bytes.Buffer
-	if err := Save(&buf, Header{Step: 9}, params); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the version word to 2 and strip the per-record range
-	// fields (16 bytes after each shape) to reconstruct a v2 stream.
-	raw := buf.Bytes()
-	v2 := append([]byte(nil), raw[:4]...)
-	v2 = append(v2, 2, 0, 0, 0)
-	// header body: Step(8) LossScale(4) Good(4) Skipped(4) OptSteps(8) RNG(8) count(4) = 40
-	i := 8
-	v2 = append(v2, raw[i:i+40]...)
-	i += 40
-	for rec := 0; rec < len(params); rec++ {
-		nameLen := int(uint32(raw[i]) | uint32(raw[i+1])<<8 | uint32(raw[i+2])<<16 | uint32(raw[i+3])<<24)
-		v2 = append(v2, raw[i:i+4+nameLen]...)
-		i += 4 + nameLen
-		rank := int(uint32(raw[i]) | uint32(raw[i+1])<<8)
-		v2 = append(v2, raw[i:i+4+4*rank]...)
-		i += 4 + 4*rank
-		n := 1
-		for d := 0; d < rank; d++ {
-			base := len(v2) - 4*rank + 4*d
-			n *= int(uint32(v2[base]) | uint32(v2[base+1])<<8)
-		}
-		i += 16 // skip lo/hi
-		v2 = append(v2, raw[i:i+4*n+4]...)
-		i += 4*n + 4
-	}
-	restored := zeroTestParams(0)
-	hdr, err := Load(bytes.NewReader(v2), restored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Version != 2 || hdr.Step != 9 {
-		t.Fatalf("header %+v", hdr)
-	}
-	for i, p := range restored {
-		for j := range p.W.Data {
-			if p.W.Data[j] != params[i].W.Data[j] {
-				t.Fatalf("param %d[%d] = %v want %v", i, j, p.W.Data[j], params[i].W.Data[j])
-			}
-		}
-	}
-}
