@@ -1,16 +1,7 @@
-// Command bagualu-pipe runs the R19 experiment: pipeline parallelism
-// vs the flat MoDa grid across model depth. At a fixed rank budget it
-// measures token-fair short runs (same tokens per optimizer step) of
-// the best flat DP×EP layouts against folded [pp, dp, ep] layouts on
-// the virtual clock, alongside the analytic perfmodel prediction, and
-// marks each depth's measured winner. Output is a pure function of
-// the flags: same seed, byte-identical tables.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 
 	"bagualu/internal/autotune"
 	"bagualu/internal/data"
@@ -24,12 +15,12 @@ import (
 	"bagualu/internal/train"
 )
 
-// layout is one point of the depth sweep.
-type layout struct {
+// pipeLayout is one point of the R19 depth sweep.
+type pipeLayout struct {
 	dp, ep, pp, vpp int
 }
 
-func (l layout) String() string {
+func (l pipeLayout) String() string {
 	s := fmt.Sprintf("dp%dxep%d", l.dp, l.ep)
 	if l.pp > 1 {
 		s += fmt.Sprintf("xpp%d", l.pp)
@@ -40,17 +31,19 @@ func (l layout) String() string {
 	return s
 }
 
-func main() {
-	var (
-		batch = flag.Int("batch", 2, "sequences per rank per micro-batch")
-		steps = flag.Int("steps", 4, "measured steps per run")
-		eff   = flag.Float64("efficiency", 0.3, "sustained fraction of node peak")
-		seed  = flag.Uint64("seed", 42, "model-init and corpus seed")
-		csv   = flag.Bool("csv", false, "emit CSV")
+// expR19: pipeline parallelism vs the flat MoDa grid across model
+// depth. At a fixed rank budget it measures token-fair short runs
+// (same tokens per optimizer step) of the best flat DP×EP layouts
+// against folded [pp, dp, ep] layouts on the virtual clock, alongside
+// the analytic perfmodel prediction, and marks each depth's measured
+// winner.
+func expR19(o *options) []*metrics.Table {
+	const (
+		batch        = 2   // sequences per rank per micro-batch
+		steps        = 4   // measured steps per run
+		eff          = 0.3 // sustained fraction of node peak
+		ranksPerNode = 2
 	)
-	flag.Parse()
-
-	const ranksPerNode = 2
 	machine := sunway.TestMachine(2, 2) // 4 nodes, 8 ranks
 	ranks := machine.Nodes() * ranksPerNode
 
@@ -62,7 +55,7 @@ func main() {
 		spec := autotune.SearchSpec()
 		spec.Layers = layers
 
-		layouts := []layout{
+		layouts := []pipeLayout{
 			{dp: ranks, ep: 1}, {dp: ranks / 2, ep: 2}, {dp: ranks / 4, ep: 4},
 		}
 		for _, pp := range []int{2, 4} {
@@ -70,14 +63,14 @@ func main() {
 				continue
 			}
 			per := ranks / pp
-			layouts = append(layouts, layout{dp: per, ep: 1, pp: pp}, layout{dp: per / 2, ep: 2, pp: pp})
+			layouts = append(layouts, pipeLayout{dp: per, ep: 1, pp: pp}, pipeLayout{dp: per / 2, ep: 2, pp: pp})
 			if layers%(pp*2) == 0 {
-				layouts = append(layouts, layout{dp: per, ep: 1, pp: pp, vpp: 2})
+				layouts = append(layouts, pipeLayout{dp: per, ep: 1, pp: pp, vpp: 2})
 			}
 		}
 
 		type row struct {
-			l          layout
+			l          pipeLayout
 			pred, meas float64
 		}
 		rows := make([]row, 0, len(layouts))
@@ -87,29 +80,25 @@ func main() {
 				Machine: machine, RanksPerNode: ranksPerNode,
 				DataParallel: l.dp, ExpertParallel: l.ep,
 				PipelineParallel: l.pp, VirtualStages: l.vpp,
-				BatchPerRank: *batch, Precision: sunway.FP32,
-				Efficiency: *eff, A2A: perfmodel.A2AHierarchical,
+				BatchPerRank: batch, Precision: sunway.FP32,
+				Efficiency: eff, A2A: perfmodel.A2AHierarchical,
 			}
 			if l.pp > 1 {
 				// The pipeline runner replays stage-local blocks on
 				// the backward pass; price and run recompute-all.
 				d.ZeRO, d.RecomputeFraction = true, 1
 			}
-			pred, err := d.PredictStep(spec, perfmodel.FaultModel{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bagualu-pipe: L=%d %s: %v\n", layers, l, err)
-				os.Exit(1)
-			}
+			pred := must(d.PredictStep(spec, perfmodel.FaultModel{}))
 
 			strat := parallel.Strategy{DataParallel: l.dp, ExpertParallel: l.ep,
 				Pipeline: l.pp, Virtual: l.vpp}
-			tc := train.Config{Batch: *batch, Precision: sunway.FP32}
+			tc := train.Config{Batch: batch, Precision: sunway.FP32}
 			rcEvery := 0
 			if l.pp > 1 {
 				tc.Accum = l.pp
 				rcEvery = 1
 			}
-			res, err := parallel.ShortRun(parallel.ShortRunConfig{
+			res := must(parallel.ShortRun(parallel.ShortRunConfig{
 				Machine: machine, RanksPerNode: ranksPerNode,
 				Strategy: strat,
 				Model: parallel.ModelConfig{
@@ -128,15 +117,11 @@ func main() {
 				},
 				Train:      tc,
 				OptFor:     train.OptimizerFactory(l.pp > 1, 0),
-				Steps:      *steps,
+				Steps:      steps,
 				Warmup:     1,
-				Seed:       *seed,
-				Efficiency: *eff,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bagualu-pipe: L=%d %s: %v\n", layers, l, err)
-				os.Exit(1)
-			}
+				Seed:       o.seed,
+				Efficiency: eff,
+			}))
 			rows = append(rows, row{l, pred.StepTime, res.SimPerStep})
 			if best < 0 || res.SimPerStep < rows[best].meas {
 				best = len(rows) - 1
@@ -144,7 +129,7 @@ func main() {
 		}
 		// Tokens per optimizer step are layout-invariant (token-fair):
 		// perStage ranks × batch × M micros at PP equals ranks × batch flat.
-		tokens := float64(ranks * *batch * spec.SeqLen)
+		tokens := float64(ranks * batch * spec.SeqLen)
 		for i, r := range rows {
 			mark := ""
 			if i == best {
@@ -155,15 +140,5 @@ func main() {
 				fmt.Sprintf("%.4g", tokens/r.meas), mark)
 		}
 	}
-
-	var err error
-	if *csv {
-		err = table.WriteCSV(os.Stdout)
-	} else {
-		err = table.WriteText(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bagualu-pipe: %v\n", err)
-		os.Exit(1)
-	}
+	return []*metrics.Table{table}
 }

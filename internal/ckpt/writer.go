@@ -52,15 +52,6 @@ func (t Timing) Add(o Timing) Timing {
 	}
 }
 
-// Sub returns t - o, field-wise.
-func (t Timing) Sub(o Timing) Timing {
-	return Timing{
-		Snapshot: t.Snapshot - o.Snapshot,
-		Flush:    t.Flush - o.Flush,
-		Recovery: t.Recovery - o.Recovery,
-	}
-}
-
 // Writer is one rank's end of the sharded checkpoint protocol.
 type Writer struct {
 	cfg  Config

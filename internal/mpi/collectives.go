@@ -49,13 +49,6 @@ func (c *Comm) Bcast(root int, data []float32) []float32 {
 	return d
 }
 
-// BcastInts is Bcast for int payloads.
-func (c *Comm) BcastInts(root int, xs []int) []int {
-	seq := c.nextSeq()
-	_, out := c.bcastTree(seq, 0, root, nil, xs)
-	return out
-}
-
 // bcastTree runs a binomial-tree broadcast rooted at root, using tag
 // steps starting at stepBase. It is shared by Bcast and the
 // hierarchical collectives.
@@ -358,55 +351,6 @@ func (c *Comm) AllGatherInts(xs []int) []int {
 		copy(out[recvChunk*n:], m.ints)
 	}
 	return out
-}
-
-// Gather collects each rank's data (arbitrary lengths) on root, in
-// rank order. Non-root ranks receive nil.
-func (c *Comm) Gather(root int, data []float32) [][]float32 {
-	seq := c.nextSeq()
-	tag := collTag(c.id, seq, 0)
-	if c.rank != root {
-		c.sendStep(root, tag, data, nil)
-		return nil
-	}
-	out := make([][]float32, c.Size())
-	out[root] = append([]float32(nil), data...)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		m := c.recvStep(r, tag)
-		out[r] = m.data
-	}
-	return out
-}
-
-// ReduceScatter reduces data elementwise across ranks and leaves
-// chunk r (the r-th of P equal-boundary chunks) on rank r. It is the
-// first half of the ring all-reduce.
-func (c *Comm) ReduceScatter(data []float32, op ReduceOp) []float32 {
-	seq := c.nextSeq()
-	p := c.Size()
-	acc := append([]float32(nil), data...)
-	n := len(acc)
-	bounds := make([]int, p+1)
-	for i := 0; i <= p; i++ {
-		bounds[i] = i * n / p
-	}
-	if p == 1 {
-		return acc
-	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	tag := collTag(c.id, seq, 0)
-	for s := 0; s < p-1; s++ {
-		sendChunk := (c.rank - s - 1 + 2*p) % p
-		recvChunk := (c.rank - s - 2 + 2*p) % p
-		c.sendStep(next, tag, acc[bounds[sendChunk]:bounds[sendChunk+1]], nil)
-		m := c.recvStep(prev, tag)
-		op(acc[bounds[recvChunk]:bounds[recvChunk+1]], m.data)
-	}
-	return append([]float32(nil), acc[bounds[c.rank]:bounds[c.rank+1]]...)
 }
 
 // levelOfComm is a debugging helper reporting the worst level any

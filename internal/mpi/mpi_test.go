@@ -165,20 +165,6 @@ func TestBcastAllSizes(t *testing.T) {
 	}
 }
 
-func TestBcastInts(t *testing.T) {
-	w := NewWorld(5, nil)
-	w.Run(func(c *Comm) {
-		var xs []int
-		if c.Rank() == 2 {
-			xs = []int{1, 2, 3}
-		}
-		got := c.BcastInts(2, xs)
-		if len(got) != 3 || got[1] != 2 {
-			t.Errorf("BcastInts = %v", got)
-		}
-	})
-}
-
 func TestReduce(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 6, 8} {
 		w := NewWorld(p, nil)
@@ -320,52 +306,6 @@ func TestAllGatherInts(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestGather(t *testing.T) {
-	w := NewWorld(4, nil)
-	w.Run(func(c *Comm) {
-		data := make([]float32, c.Rank()+1) // variable lengths
-		for i := range data {
-			data[i] = float32(c.Rank())
-		}
-		got := c.Gather(2, data)
-		if c.Rank() == 2 {
-			for r := 0; r < 4; r++ {
-				if len(got[r]) != r+1 || (r > 0 && got[r][0] != float32(r)) {
-					t.Errorf("Gather[%d] = %v", r, got[r])
-				}
-			}
-		} else if got != nil {
-			t.Error("non-root got data")
-		}
-	})
-}
-
-func TestReduceScatter(t *testing.T) {
-	for _, p := range []int{2, 3, 4, 8} {
-		n := 24
-		w := NewWorld(p, nil)
-		w.Run(func(c *Comm) {
-			data := make([]float32, n)
-			for i := range data {
-				data[i] = float32(i)
-			}
-			got := c.ReduceScatter(data, OpSum)
-			lo, hi := c.Rank()*n/p, (c.Rank()+1)*n/p
-			if len(got) != hi-lo {
-				t.Errorf("p=%d rank=%d: chunk len %d want %d", p, c.Rank(), len(got), hi-lo)
-				return
-			}
-			for i := range got {
-				want := float32((lo + i) * p)
-				if got[i] != want {
-					t.Errorf("p=%d rank=%d: got[%d]=%v want %v", p, c.Rank(), i, got[i], want)
-					return
-				}
-			}
-		})
-	}
 }
 
 func checkAllToAll(t *testing.T, name string, p int, topo *simnet.Topology, f func(c *Comm, chunks [][]float32) [][]float32) {

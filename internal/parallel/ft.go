@@ -350,7 +350,6 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 	// replicas never diverge and mitigation needs no extra agreement
 	// round). handled remembers which degraded slot-sets were already
 	// drained; both reset after a recovery, which rebuilds placement.
-	ts := w.Transport()
 	var hcfg health.Config
 	var mon *health.Monitor
 	if pol != nil && pol.Escalation != train.EscalateRollback && w.Size() > 1 {
@@ -395,15 +394,6 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			return
 		}
 		var stats StepStats
-		t0 := ckpt.Timing{}
-		if wr != nil {
-			t0 = wr.Timing()
-		}
-		var retr0 int64
-		var back0 float64
-		if ts != nil {
-			retr0, back0 = ts.RetransmitsOf(my), ts.BackoffSimOf(my)
-		}
 		perr := mpi.Protect(func() {
 			// The step-0 save is the bootstrap checkpoint: it guarantees
 			// every later failure has a committed state to roll back to.
@@ -434,10 +424,6 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 				lastCredit, pending = pending, 0
 			}
 			stats = eng.Step()
-			if ts != nil {
-				stats.Retransmits = ts.RetransmitsOf(my) - retr0
-				stats.RetransmitSim = ts.BackoffSimOf(my) - back0
-			}
 			// Tier 2: fold this step's link telemetry into the health
 			// monitor. CollectScores is a collective, so it doubles as
 			// the agreement round — every rank sees the same scores and
@@ -445,7 +431,6 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			if mon != nil && comm.Size() > 1 {
 				mon.Observe(collectHealth(w, comm))
 				deg := mon.Degraded()
-				stats.Degraded = len(deg)
 				if mitigate && len(deg) > 0 {
 					// Degraded world ranks map to expert-parallel slots;
 					// every EP group drains the same slots so placement
@@ -471,9 +456,8 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 								st.err = merr
 								return
 							}
-							stats.MitigationSim = comm.Now() - m0
 							st.mitigations++
-							st.mitigationSim += stats.MitigationSim
+							st.mitigationSim += comm.Now() - m0
 						}
 					}
 				}
@@ -484,10 +468,6 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			return
 		}
 		if perr == nil {
-			if wr != nil {
-				d := wr.Timing().Sub(t0)
-				stats.CkptSnapshot, stats.CkptFlush, stats.Recovery = d.Snapshot, d.Flush, d.Recovery
-			}
 			pending += stats.SimTime
 			st.finalLoss = stats.Loss
 			continue

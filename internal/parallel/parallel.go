@@ -176,25 +176,6 @@ type StepStats struct {
 	// codec vs raw, split by network tier (see mpi.WireStats).
 	Wire mpi.WireStats
 
-	// Fault-tolerance phase time the fault-tolerant loop attributed
-	// to this step, in virtual seconds (zero outside RunFaultTolerant):
-	// parameter snapshot cost, checkpoint flush (or stall), and
-	// rollback/re-form/restore after a failure.
-	CkptSnapshot float64
-	CkptFlush    float64
-	Recovery     float64
-
-	// Graceful-degradation telemetry for this step (zero outside
-	// RunFaultTolerant with a retransmit tier armed): frames this rank
-	// retransmitted, virtual seconds its sends spent in ack timeouts
-	// and backoff, virtual seconds spent migrating experts away from
-	// degraded ranks, and how many world ranks the health monitor
-	// currently classifies degraded.
-	Retransmits   int64
-	RetransmitSim float64
-	MitigationSim float64
-	Degraded      int
-
 	// Memory-capacity phase time for this step, in virtual seconds
 	// (see metrics.PhaseGradSync etc.): gradient sync (reduce-scatter
 	// or all-reduce), the local shard update under ZeRO, the parameter

@@ -296,7 +296,7 @@ func TestZeROCrashRecoveryBitExact(t *testing.T) {
 
 // benchEngineStep measures one hybrid-parallel training step's host
 // wall time over a 4-rank world (engine construction is amortized
-// over b.N; virtual-clock phase costs are reported by bagualu-bench).
+// over b.N; virtual-clock phase costs are reported by `bagualu exp R16`).
 func benchEngineStep(b *testing.B, optFor func() train.Optimizer) {
 	strat := Strategy{DataParallel: 4, ExpertParallel: 1}
 	topo := simnet.New(sunway.TestMachine(2, 2), 1)

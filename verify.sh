@@ -1,8 +1,10 @@
 #!/bin/sh
 # Repo verification gate: build, vet, the whole suite under the race
-# detector, every replay / bit-exact gate twice in one process
-# (-count=2 catches state leaking from one run into the next), and each
-# deterministic table CLI run twice with byte-identical output.
+# detector (which also diffs the fast R-tables against their goldens,
+# cmd/bagualu TestGoldens), every replay / bit-exact gate twice in one
+# process (-count=2 catches state leaking from one run into the next),
+# and the slower deterministic R-tables regenerated and compared with
+# their goldens — a compare that also fails on run-to-run drift.
 set -eux
 
 go build ./...
@@ -12,9 +14,11 @@ go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasured
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin/" ./cmd/bagualu-serve ./cmd/bagualu-plan ./cmd/bagualu-pipe
-for cli in 'bagualu-serve -fleet-only -replicas 4 -mtbf 30' 'bagualu-plan -seed 7' 'bagualu-pipe'; do
-	"$bin"/$cli -csv > "$bin/a.csv"
-	"$bin"/$cli -csv > "$bin/b.csv"
-	cmp "$bin/a.csv" "$bin/b.csv"
+go build -o "$bin/bagualu" ./cmd/bagualu
+# Through a file, so a failing exit status stops the script too. R14b
+# (half a minute) is the one golden no gate regenerates
+# (cmd/bagualu/main_test.go byHand).
+for id in R2 R3 R4 R5 R8 R13 R16 R17 R18 R19; do
+	"$bin/bagualu" exp $id -csv > "$bin/$id.csv"
+	cmp "$bin/$id.csv" cmd/bagualu/testdata/$id.csv
 done
