@@ -181,6 +181,6 @@ func saveCheckpoint(e *parallel.Engine, c *mpi.Comm, strat parallel.Strategy, di
 		Virtual:        strat.Virtual,
 	}
 	t := e.Trainer
-	check(wr.Save(int64(t.StepCount()), t.CheckpointHeader(), t.CheckpointParams(), lay))
+	check(wr.Save(int64(t.StepCount()), t.CheckpointHeader(), e.CheckpointShard(), lay))
 	check(wr.WaitIdle())
 }

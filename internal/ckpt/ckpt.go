@@ -2,10 +2,18 @@
 // checkpointing for the simulated training stack. Every rank writes
 // its own shard — BaGuaLu's 174T-parameter checkpoints only work
 // because no single node ever sees the whole model — and a manifest
-// records the parallel layout so a *different* layout can restore:
-// tensors are matched by name across all shards, dense replicas
-// deduplicate naturally, and each surviving rank picks up exactly the
-// expert tensors its new placement assigns it.
+// records the parallel layout plus an index of every tensor record, so
+// a *different* layout can restore: each rank resolves the tensors its
+// new placement assigns it against the index and reads exactly those
+// records, from whichever shards hold them.
+//
+// Who writes what is the caller's choice of parameter list. The engine
+// passes parallel.Engine.CheckpointShard: a tensor replicated over R
+// ranks is written as R range records, one slice per replica, so the
+// shards together hold each logical byte once. A caller that passes a
+// replicated tensor whole from every rank (the writer does not know
+// what is replicated) gets R identical records; a restore then reads
+// one of them, rotating the choice by rank.
 //
 // Commit protocol: each shard is written to a temp file and renamed;
 // the manifest is written (also temp+rename) only after the LAST
@@ -13,14 +21,20 @@
 // single commit point — a crash anywhere mid-checkpoint leaves the
 // previous committed checkpoint untouched and the new step invisible
 // to Latest. A rank that dies mid-checkpoint simply means its step's
-// manifest never appears.
+// manifest never appears. After the rename the committer removes every
+// file of the step directory the manifest does not list: shards and
+// temp files a larger, since-shrunk world left behind when it tried the
+// same step.
 package ckpt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,6 +61,33 @@ type Manifest struct {
 	Shards int      `json:"shards"`
 	Layout Layout   `json:"layout"`
 	Files  []string `json:"files"` // shard file names in rank order
+	// Index lists every tensor record of every shard, in file order.
+	// Restore reads records through it and never scans a shard.
+	Index []Record `json:"index"`
+}
+
+// Record locates one range record: elements [Lo, Hi) of the logical
+// tensor Name (Full elements long) sit in Files[File], the payload
+// starting at byte Offset and followed by its CRC32.
+type Record struct {
+	Name   string `json:"name"`
+	Full   int    `json:"full"`
+	Lo     int    `json:"lo"`
+	Hi     int    `json:"hi"`
+	File   int    `json:"file"`
+	Offset int64  `json:"offset"`
+}
+
+// NoIndexError rejects a manifest that carries no record index — one
+// written before restores became indexed reads. There is no scanning
+// fallback; such a checkpoint has to be re-saved.
+type NoIndexError struct {
+	Dir  string
+	Step int64
+}
+
+func (e *NoIndexError) Error() string {
+	return fmt.Sprintf("ckpt: manifest of step %d in %s has no record index (written by an older build); re-save the checkpoint", e.Step, e.Dir)
 }
 
 const manifestName = "MANIFEST.json"
@@ -104,10 +145,11 @@ func ReadManifest(dir string, step int64) (Manifest, error) {
 }
 
 // writeManifest commits a step: temp file + rename, the single
-// atomic commit point of the whole sharded checkpoint.
+// atomic commit point of the whole sharded checkpoint. It then prunes
+// the step directory down to the manifest and the files it lists.
 func writeManifest(dir string, m Manifest) error {
 	sd := StepDir(dir, m.Step)
-	raw, err := json.MarshalIndent(m, "", "  ")
+	raw, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
@@ -125,66 +167,184 @@ func writeManifest(dir string, m Manifest) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(sd, manifestName))
+	if err := os.Rename(tmp, filepath.Join(sd, manifestName)); err != nil {
+		return err
+	}
+	ents, err := os.ReadDir(sd)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if n := e.Name(); n != manifestName && !slices.Contains(m.Files, n) {
+			if err := os.Remove(filepath.Join(sd, n)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RestoreResult reports what a Restore read.
 type RestoreResult struct {
 	Header    train.Header
-	BytesRead int64 // total shard bytes scanned (drives recovery-time pricing)
+	BytesRead int64 // shard bytes actually read (drives recovery-time pricing)
 	Shards    int
+}
+
+// shardFile is what Restore needs of an open shard.
+type shardFile interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// shardReader reads a step's shard files by index position, opening
+// each on first use and counting every byte requested.
+type shardReader struct {
+	dir   string
+	names []string
+	open  func(path string) (shardFile, error)
+	files map[int]shardFile
+	bytes int64
+}
+
+// file returns shard i as a ReaderAt that adds to the byte count.
+func (s *shardReader) file(i int) (io.ReaderAt, error) {
+	if i < 0 || i >= len(s.names) {
+		return nil, fmt.Errorf("ckpt: index names shard %d of %d", i, len(s.names))
+	}
+	f := s.files[i]
+	if f == nil {
+		var err error
+		if f, err = s.open(filepath.Join(s.dir, s.names[i])); err != nil {
+			return nil, fmt.Errorf("ckpt: committed checkpoint missing shard: %w", err)
+		}
+		s.files[i] = f
+	}
+	return countingReaderAt{f, &s.bytes}, nil
+}
+
+func (s *shardReader) close() {
+	for _, f := range s.files {
+		f.Close()
+	}
+}
+
+type countingReaderAt struct {
+	r io.ReaderAt
+	n *int64
+}
+
+func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	*c.n += int64(len(p))
+	return c.r.ReadAt(p, off)
 }
 
 // Restore reassembles a rank's state from a committed checkpoint,
 // possibly written under a different layout. params is the full set
 // of tensors this rank needs under its NEW layout (weights, optimizer
-// state, masters); every shard is scanned and tensors are matched by
-// name, so expert state finds its new owner no matter which dead or
-// re-ranked node wrote it. The returned header is adopted from shard
-// (shard mod Shards) — the scalar state (step, scale, RNG position)
-// is identical across shards of a consistent checkpoint, and the
-// deterministic rule keeps all survivors agreeing.
+// state, masters). Each view is resolved against the manifest's index
+// and only the records overlapping it are read, one ReadAt per record,
+// so expert state finds its new owner no matter which dead or re-ranked
+// node wrote it and a rank reads about as many bytes as it restores —
+// not the world's. When several records cover the same elements
+// (replicas saved whole), one is read, chosen by shard so concurrent
+// restorers spread over the files. The returned header is adopted from
+// shard (shard mod Shards) — the scalar state (step, scale, RNG
+// position) is identical across shards of a consistent checkpoint, and
+// the deterministic rule keeps all survivors agreeing.
 //
-// An error is returned if any required tensor is missing or any
-// scanned record is corrupt.
+// An error is returned if any part of a requested view is in no record,
+// or a record that was read fails its CRC (*train.CorruptError, naming
+// the tensor). Records nobody asks for are not read, so damage to them
+// goes unnoticed by this restore.
 func Restore(dir string, step int64, shard int, params []*nn.Param) (RestoreResult, error) {
-	var res RestoreResult
 	m, err := ReadManifest(dir, step)
+	if err != nil {
+		return RestoreResult{}, err
+	}
+	return restore(dir, m, shard, params, openShard)
+}
+
+func openShard(path string) (shardFile, error) { return os.Open(path) }
+
+// restore is Restore over a manifest already read, opening shards
+// through open.
+func restore(dir string, m Manifest, shard int, params []*nn.Param, open func(string) (shardFile, error)) (res RestoreResult, err error) {
+	step := m.Step
+	if len(m.Index) == 0 {
+		return res, &NoIndexError{Dir: dir, Step: step}
+	}
+	if m.Shards < 1 || len(m.Files) != m.Shards {
+		return res, fmt.Errorf("ckpt: manifest of step %d lists %d files for %d shards", step, len(m.Files), m.Shards)
+	}
+	res.Shards = m.Shards
+	src := &shardReader{dir: StepDir(dir, step), names: m.Files, open: open, files: map[int]shardFile{}}
+	defer src.close()
+	defer func() { res.BytesRead = src.bytes }()
+
+	adopt := ((shard % m.Shards) + m.Shards) % m.Shards
+	f, err := src.file(adopt)
 	if err != nil {
 		return res, err
 	}
-	res.Shards = m.Shards
-	byName := make(map[string]*nn.Param, len(params))
-	for _, p := range params {
-		byName[p.Name] = p
+	prologue := make([]byte, train.HeaderSize)
+	if _, err := f.ReadAt(prologue, 0); err != nil {
+		return res, fmt.Errorf("ckpt: shard %s: %w", m.Files[adopt], err)
 	}
-	adopt := ((shard % m.Shards) + m.Shards) % m.Shards
-	cov := train.NewCoverage()
-	for i, name := range m.Files {
-		path := filepath.Join(StepDir(dir, step), name)
-		f, err := os.Open(path)
-		if err != nil {
-			return res, fmt.Errorf("ckpt: committed checkpoint missing shard: %w", err)
-		}
-		hdr, err := train.LoadIntoCov(f, byName, cov)
-		if st, serr := f.Stat(); serr == nil {
-			res.BytesRead += st.Size()
-		}
-		f.Close()
-		if err != nil {
-			return res, fmt.Errorf("ckpt: shard %s: %w", name, err)
-		}
-		if i == adopt {
-			res.Header = hdr
-		}
+	if res.Header, err = train.ReadHeader(bytes.NewReader(prologue)); err != nil {
+		return res, fmt.Errorf("ckpt: shard %s: %w", m.Files[adopt], err)
 	}
-	// Completeness is per flat range, not per name: a ZeRO checkpoint
-	// holds each optimizer moment as range records scattered across
-	// shard files, and a restoring rank may itself own only a view.
+
+	byName := make(map[string][]Record, len(params))
+	for _, r := range m.Index {
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	var covering []Record
 	for _, p := range params {
-		if !cov.Covers(p.Name, p.ShardLo, p.ShardLo+p.W.Len()) {
-			return res, fmt.Errorf("ckpt: tensor %q range [%d,%d) not covered by any shard of step %d",
-				p.Name, p.ShardLo, p.ShardLo+p.W.Len(), step)
+		vLo, vHi := p.ShardLo, p.ShardLo+p.W.Len()
+		// Walk the view left to right; at each point take the record that
+		// reaches furthest, and among equals (replicas) the shard-th.
+		for at := vLo; at < vHi; {
+			covering = covering[:0]
+			for _, r := range byName[p.Name] {
+				if r.Lo > at || at >= r.Hi {
+					continue
+				}
+				if len(covering) > 0 && r.Hi > covering[0].Hi {
+					covering = covering[:0]
+				}
+				if len(covering) == 0 || r.Hi == covering[0].Hi {
+					covering = append(covering, r)
+				}
+			}
+			if len(covering) == 0 {
+				return res, fmt.Errorf("ckpt: tensor %q range [%d,%d) not covered by any shard of step %d",
+					p.Name, p.ShardLo, p.ShardLo+p.W.Len(), step)
+			}
+			r := covering[adopt%len(covering)]
+			if r.Full != p.FullLen() || r.Lo < 0 || r.Hi > r.Full {
+				return res, fmt.Errorf("ckpt: checkpoint tensor %q has range [%d,%d) of %d elements, param has %d",
+					p.Name, r.Lo, r.Hi, r.Full, p.FullLen())
+			}
+			f, err := src.file(r.File)
+			if err != nil {
+				return res, err
+			}
+			// A record inside the view decodes straight into the param;
+			// one that sticks out is read whole (the CRC covers all of
+			// it) and its overlap copied.
+			dst := p.W.Data[max(r.Lo, vLo)-vLo : min(r.Hi, vHi)-vLo]
+			whole := dst
+			if len(dst) != r.Hi-r.Lo {
+				whole = make([]float32, r.Hi-r.Lo)
+			}
+			if err := train.ReadPayload(f, r.Offset, p.Name, whole); err != nil {
+				return res, fmt.Errorf("ckpt: shard %s: %w", m.Files[r.File], err)
+			}
+			if len(dst) != len(whole) {
+				copy(dst, whole[max(r.Lo, vLo)-r.Lo:])
+			}
+			at = r.Hi
 		}
 	}
 	return res, nil

@@ -1,9 +1,12 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -201,5 +204,177 @@ func TestAsyncBackpressure(t *testing.T) {
 	})
 	if s, _ := flushStall.Load().(float64); s <= 0 {
 		t.Fatalf("no flush stall recorded under a saturated disk (got %v)", flushStall.Load())
+	}
+}
+
+// countingFile wraps a shard and records every ReadAt length, the
+// independent tally RestoreResult.BytesRead is checked against.
+type countingFile struct {
+	shardFile
+	total *atomic.Int64
+}
+
+func (c countingFile) ReadAt(p []byte, off int64) (int, error) {
+	c.total.Add(int64(len(p)))
+	return c.shardFile.ReadAt(p, off)
+}
+
+// A restore reads what it restores: BytesRead equals the bytes a
+// counting reader saw requested, and stays near the rank's own state
+// however many ranks wrote whole replicas of the dense tensor.
+func TestRestoreBytesAreBytesRead(t *testing.T) {
+	for _, ranks := range []int{2, 4, 8} {
+		dir := t.TempDir()
+		saveWorld(t, dir, ranks, 8, 3, Config{Dir: dir})
+		params := rankParams(1, 2, 8) // dense.w + experts 4..7
+		var own int64
+		for _, p := range params {
+			own += 4 * int64(len(p.W.Data))
+		}
+		var seen atomic.Int64
+		m, err := ReadManifest(dir, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := restore(dir, m, 1, params, func(path string) (shardFile, error) {
+			f, err := os.Open(path)
+			return countingFile{f, &seen}, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BytesRead != seen.Load() {
+			t.Fatalf("%d ranks: BytesRead %d, reader saw %d", ranks, res.BytesRead, seen.Load())
+		}
+		// Header prologue plus one CRC per record on top of the payload.
+		if want := own + train.HeaderSize + 4*int64(len(params)); res.BytesRead != want {
+			t.Fatalf("%d ranks: read %d bytes for %d bytes of state, want %d", ranks, res.BytesRead, own, want)
+		}
+	}
+}
+
+// flipByte damages one byte of a shard file in place.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[off] ^= 0x40
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Corruption is detected in what a restore reads and only there: a
+// flipped byte in a needed record is a *train.CorruptError naming the
+// tensor; the same damage in a record this rank does not ask for passes
+// unnoticed, where the scan-every-shard restore used to fail on it.
+func TestRestoreVerifiesOnlyWhatItReads(t *testing.T) {
+	dir := t.TempDir()
+	saveWorld(t, dir, 2, 4, 1, Config{Dir: dir})
+	m, err := ReadManifest(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	find := func(name string, file int) Record {
+		for _, r := range m.Index {
+			if r.Name == name && r.File == file {
+				return r
+			}
+		}
+		t.Fatalf("no record %s in shard %d", name, file)
+		return Record{}
+	}
+	// Rank 0 of 2 owns experts 0 and 1 and reads dense.w from shard 0.
+	params := rankParams(0, 2, 4)
+
+	foreign := find("expert.3.w", 1)
+	flipByte(t, filepath.Join(StepDir(dir, 1), m.Files[1]), foreign.Offset+2)
+	if _, err := Restore(dir, 1, 0, params); err != nil {
+		t.Fatalf("damage in a record this rank does not read failed its restore: %v", err)
+	}
+	// The rank that does need expert 3 sees it.
+	var ce *train.CorruptError
+	if _, err := Restore(dir, 1, 1, rankParams(1, 2, 4)); !errors.As(err, &ce) || ce.Tensor != "expert.3.w" {
+		t.Fatalf("restore of the damaged tensor: %v; want CorruptError naming expert.3.w", err)
+	}
+
+	needed := find("expert.1.w", 0)
+	flipByte(t, filepath.Join(StepDir(dir, 1), m.Files[0]), needed.Offset+5)
+	if _, err := Restore(dir, 1, 0, params); !errors.As(err, &ce) || ce.Tensor != "expert.1.w" {
+		t.Fatalf("restore over a damaged needed record: %v; want CorruptError naming expert.1.w", err)
+	}
+}
+
+// A manifest without a record index is refused with a typed error:
+// there is no scanning fallback to read it through.
+func TestRestoreRejectsIndexlessManifest(t *testing.T) {
+	dir := t.TempDir()
+	saveWorld(t, dir, 2, 4, 1, Config{Dir: dir})
+	m, err := ReadManifest(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Index = nil
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	var ne *NoIndexError
+	if _, err := Restore(dir, 1, 0, rankParams(0, 2, 4)); !errors.As(err, &ne) || ne.Step != 1 {
+		t.Fatalf("restore of an index-less manifest: %v; want *NoIndexError for step 1", err)
+	}
+	if _, _, err := LoadForInference(dir, rankParams(0, 2, 4)); !errors.As(err, &ne) {
+		t.Fatalf("LoadForInference of an index-less manifest: %v; want *NoIndexError", err)
+	}
+}
+
+// An 8-rank attempt at a step that never commits (one rank's stream
+// dies, another leaves a temp file) and is re-taken by a 6-rank world
+// must leave nothing of the larger world behind: the commit prunes the
+// step directory to the manifest and the shards it lists.
+func TestCommitPrunesUnlistedFiles(t *testing.T) {
+	dir := t.TempDir()
+	const step = 10
+	w := mpi.NewWorld(8, nil)
+	w.Run(func(c *mpi.Comm) {
+		cfg := Config{Dir: dir}
+		if c.Rank() == 7 {
+			cfg.InjectWriteErrAfterBytes = 64
+		}
+		wr := NewWriter(cfg, c)
+		wr.Save(step, train.Header{Step: step}, rankParams(c.Rank(), 8, 24), Layout{WorldSize: 8})
+		wr.WaitIdle()
+	})
+	sd := StepDir(dir, step)
+	if err := os.WriteFile(filepath.Join(sd, ShardFile(7)+".tmp123"), []byte("half a shard"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if latest, _ := Latest(dir); latest != -1 {
+		t.Fatalf("aborted 8-rank attempt committed: Latest = %d", latest)
+	}
+
+	saveWorld(t, dir, 6, 24, step, Config{Dir: dir})
+	m, err := ReadManifest(dir, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{manifestName}, m.Files...)
+	ents, err := os.ReadDir(sd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("step directory after the 6-rank commit holds %v, want %v", got, want)
+	}
+	for r := 0; r < 6; r++ {
+		if _, err := Restore(dir, step, r, rankParams(r, 6, 24)); err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
 }

@@ -19,7 +19,8 @@ func SaveForInference(dir string, step int64, params []*nn.Param) error {
 	if err := os.MkdirAll(sd, 0o755); err != nil {
 		return err
 	}
-	if err := writeShard(sd, 0, train.Header{Step: step, LossScale: 1}, params, 0); err != nil {
+	recs, err := writeShard(sd, 0, train.Header{Step: step, LossScale: 1}, params, 0)
+	if err != nil {
 		return err
 	}
 	return writeManifest(dir, Manifest{
@@ -27,6 +28,7 @@ func SaveForInference(dir string, step int64, params []*nn.Param) error {
 		Shards: 1,
 		Layout: Layout{WorldSize: 1, DataParallel: 1, ExpertParallel: 1},
 		Files:  []string{ShardFile(0)},
+		Index:  recs,
 	})
 }
 
@@ -34,11 +36,11 @@ func SaveForInference(dir string, step int64, params []*nn.Param) error {
 // in dir into params, matching tensors by name across layouts: the
 // checkpoint may have been written by any DP×EP training world (one
 // shard per rank) while params describe a single inference process
-// with its own expert placement. Restore already scans every shard,
-// so the only inference-specific work is picking the step and
-// ignoring the training layout entirely. Optimizer moments and FP32
-// masters present in the shards are skipped by name; weights missing
-// from every shard are an error.
+// with its own expert placement. Restore reads whatever records the
+// requested tensors resolve to in the manifest's index, so the only
+// inference-specific work is picking the step and ignoring the
+// training layout entirely. Optimizer moments and FP32 masters in the
+// shards are never read; weights missing from the index are an error.
 func LoadForInference(dir string, params []*nn.Param) (Manifest, train.Header, error) {
 	step, err := Latest(dir)
 	if err != nil {
@@ -51,7 +53,7 @@ func LoadForInference(dir string, params []*nn.Param) (Manifest, train.Header, e
 	if err != nil {
 		return Manifest{}, train.Header{}, err
 	}
-	res, err := Restore(dir, step, 0, params)
+	res, err := restore(dir, man, 0, params, openShard)
 	if err != nil {
 		return Manifest{}, train.Header{}, err
 	}

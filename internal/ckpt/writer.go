@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
@@ -140,12 +141,13 @@ func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout L
 		secs := float64(bytes) / w.bw
 		w.comm.Compute(secs)
 		w.timing.Flush += secs
-		if err := writeShard(sd, rank, hdr, params, w.cfg.InjectWriteErrAfterBytes); err != nil {
+		recs, err := writeShard(sd, rank, hdr, params, w.cfg.InjectWriteErrAfterBytes)
+		if err != nil {
 			pend.abort()
 			w.setErr(err)
 			return err
 		}
-		return pend.shardDone()
+		return pend.shardDone(rank, recs)
 	}
 
 	// Async: pay memcpy for the snapshot, stall only if the previous
@@ -179,7 +181,7 @@ func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout L
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		err := writeShard(sd, rank, hdr, snapParams, w.cfg.InjectWriteErrAfterBytes)
+		recs, err := writeShard(sd, rank, hdr, snapParams, w.cfg.InjectWriteErrAfterBytes)
 		for _, p := range snapParams {
 			tensor.PutSlice(p.W.Data)
 		}
@@ -188,7 +190,7 @@ func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout L
 			w.setErr(err)
 			return
 		}
-		if err := pend.shardDone(); err != nil {
+		if err := pend.shardDone(rank, recs); err != nil {
 			w.setErr(err)
 		}
 	}()
@@ -214,28 +216,36 @@ func (f *failWriter) Write(p []byte) (int, error) {
 	return f.w.Write(p)
 }
 
-// writeShard streams one rank's tensors to a temp file and renames it
-// into place.
-func writeShard(sd string, rank int, hdr train.Header, params []*nn.Param, failAfter int64) error {
+// writeShard streams one rank's tensors to a temp file, renames it
+// into place and returns the index entries of its records.
+func writeShard(sd string, rank int, hdr train.Header, params []*nn.Param, failAfter int64) ([]Record, error) {
 	f, err := os.CreateTemp(sd, ShardFile(rank)+".tmp*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tmp := f.Name()
 	var dst io.Writer = f
 	if failAfter > 0 {
 		dst = &failWriter{w: f, budget: failAfter}
 	}
-	if err := train.Save(dst, hdr, params); err != nil {
+	offsets, err := train.SaveIndexed(dst, hdr, params)
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return nil, err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return err
+		return nil, err
 	}
-	return os.Rename(tmp, filepath.Join(sd, ShardFile(rank)))
+	if err := os.Rename(tmp, filepath.Join(sd, ShardFile(rank))); err != nil {
+		return nil, err
+	}
+	recs := make([]Record, len(params))
+	for i, p := range params {
+		recs[i] = Record{Name: p.Name, Full: p.FullLen(), Lo: p.ShardLo, Hi: p.ShardLo + len(p.W.Data), File: rank, Offset: offsets[i]}
+	}
+	return recs, nil
 }
 
 // pendingCommit coordinates the "last shard writes the manifest"
@@ -250,6 +260,7 @@ type pendingCommit struct {
 	done    int
 	aborted bool
 	m       Manifest
+	recs    [][]Record // per shard, joined in rank order at commit
 }
 
 var (
@@ -285,23 +296,28 @@ func getCoord(dir string, step int64, shards int, layout Layout) *pendingCommit 
 		dir:  dir,
 		need: shards,
 		m:    Manifest{Step: step, Shards: shards, Layout: layout, Files: files},
+		recs: make([][]Record, shards),
 	}
 	coords[key] = p
 	return p
 }
 
-// shardDone records one landed shard; the last one commits the
-// manifest and retires the coordinator. The registry lock is taken
-// only after releasing p.mu — getCoord acquires them in the opposite
-// order, so nesting them here would deadlock.
-func (p *pendingCommit) shardDone() error {
+// shardDone records one landed shard and its index entries; the last
+// one commits the manifest and retires the coordinator. The registry
+// lock is taken only after releasing p.mu — getCoord acquires them in
+// the opposite order, so nesting them here would deadlock.
+func (p *pendingCommit) shardDone(rank int, recs []Record) error {
 	p.mu.Lock()
 	if p.aborted {
 		p.mu.Unlock()
 		return nil
 	}
+	p.recs[rank] = recs
 	p.done++
 	commit := p.done == p.need
+	if commit {
+		p.m.Index = slices.Concat(p.recs...)
+	}
 	p.mu.Unlock()
 	if !commit {
 		return nil

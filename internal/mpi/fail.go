@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -254,27 +255,37 @@ func releaseStaged(m *message) {
 	}
 }
 
-// payloadCRC hashes every payload kind of a message.
+// payloadCRC hashes every payload kind of a message: the little-endian
+// bytes of data, then u16, then ints (as 64-bit), encoded a chunk at a
+// time so crc32.Update runs its bulk kernel.
 func payloadCRC(m *message) uint32 {
-	h := crc32.NewIEEE()
-	var b [8]byte
-	for _, v := range m.data {
-		u := math.Float32bits(v)
-		b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
-		h.Write(b[:4])
-	}
-	for _, v := range m.u16 {
-		b[0], b[1] = byte(v), byte(v>>8)
-		h.Write(b[:2])
-	}
-	for _, v := range m.ints {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(u >> (8 * i))
+	var crc uint32
+	var buf [4096]byte
+	for data := m.data; len(data) > 0; {
+		n := min(len(data), len(buf)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 		}
-		h.Write(b[:8])
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:4*n])
+		data = data[n:]
 	}
-	return h.Sum32()
+	for u16 := m.u16; len(u16) > 0; {
+		n := min(len(u16), len(buf)/2)
+		for i, v := range u16[:n] {
+			binary.LittleEndian.PutUint16(buf[2*i:], v)
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:2*n])
+		u16 = u16[n:]
+	}
+	for ints := m.ints; len(ints) > 0; {
+		n := min(len(ints), len(buf)/8)
+		for i, v := range ints[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:8*n])
+		ints = ints[n:]
+	}
+	return crc
 }
 
 // Abandon declares this rank failed — the simulated crash. The caller
@@ -320,6 +331,10 @@ func (w *World) shrinkID(parent int64, keep []int) int64 {
 	return id
 }
 
+// wireEpochBits is the width of the per-epoch part of a sender's wire
+// sequence number; ShrinkTo bumps the bits above it.
+const wireEpochBits = 32
+
 // ShrinkTo builds a communicator over a subset of this one's ranks
 // WITHOUT any collective call — the dead cannot participate in their
 // own exclusion. keep lists the global ranks to retain (any order; it
@@ -352,6 +367,12 @@ func (c *Comm) ShrinkTo(keep []int) *Comm {
 		panic("mpi: ShrinkTo excludes the calling rank")
 	}
 	id := c.proc.w.shrinkID(c.id, ks)
+	// A shrink starts this sender's next wire-sequence epoch: how many
+	// frames it posted inside the collective the failure aborted depends
+	// on goroutine scheduling, and the seeded fault schedule after the
+	// recovery must not.
+	seq := &c.proc.w.wireSeq[c.proc.global]
+	seq.Store((seq.Load()>>wireEpochBits + 1) << wireEpochBits)
 	return &Comm{
 		proc:        c.proc,
 		group:       group,

@@ -411,7 +411,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 					Pipeline:       strat.Pipeline,
 					Virtual:        strat.Virtual,
 				}
-				if serr := wr.Save(int64(step), hdr, eng.Trainer.CheckpointParams(), lay); serr != nil {
+				if serr := wr.Save(int64(step), hdr, eng.CheckpointShard(), lay); serr != nil {
 					st.err = serr
 					return
 				}
@@ -582,14 +582,20 @@ func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat
 		return serr
 	}
 
+	// No survivor scans for the rollback point until every survivor has
+	// drained: otherwise whether a checkpoint whose last shard is another
+	// survivor's counts as committed depends on whose flush goroutine the
+	// host ran first, and the run rolls back one interval further on some
+	// executions than on others.
+	newComm.Barrier()
 	latest, lerr := ckpt.Latest(pol.Dir)
 	if lerr != nil {
 		return lerr
 	}
-	// Survivors may disagree on Latest if a manifest committed while
-	// some had already scanned the directory; the min over the shrunk
-	// communicator is committed everywhere. This collective doubles as
-	// the recovery barrier.
+	// Survivors can still disagree on Latest when a rank that peers
+	// declared failed (it exits without draining) commits a manifest
+	// late; the min over the shrunk communicator is committed
+	// everywhere.
 	var agreed int64
 	if aerr := mpi.Protect(func() {
 		red := newComm.AllReduce([]float32{-float32(latest)}, mpi.OpMax)
@@ -618,7 +624,8 @@ func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat
 		return rerr
 	}
 	eng.Trainer.ApplyRestored(res.Header)
-	// Price the restore as disk reads plus the detour since the shrink.
+	// Price the restore as the bytes this rank read back plus the detour
+	// since the shrink.
 	nw.ChargeRecovery(nw.RestoreSeconds(res.BytesRead) + (newComm.Now() - recoverStart))
 
 	st.timing = st.timing.Add((*wr).Timing()) // retire the old writer's meter

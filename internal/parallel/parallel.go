@@ -536,6 +536,27 @@ func (e *Engine) chunkAux(g int) (aux float32, overflow int) {
 	return aux, overflow
 }
 
+// replicaGroups names the engine's two replication groups: dense
+// parameters are identical on every rank of the dense communicator,
+// expert parameters on every rank of the data-parallel one. Gradients
+// reduce over them, ZeRO shards moments over them, and checkpoints
+// deduplicate over them.
+func (e *Engine) replicaGroups() []train.ShardGroup {
+	return []train.ShardGroup{
+		{Comm: e.denseComm(), Params: e.denseParams},
+		{Comm: e.DP, Params: e.expertParams},
+	}
+}
+
+// CheckpointShard returns the tensors this rank writes to a sharded
+// checkpoint: its 1/R slice of every tensor it shares with R-1
+// replicas (weights, moments, masters), so the world's shards hold each
+// logical byte once. Restore takes Trainer.CheckpointParams — the full
+// set — and reads the slices back from whichever shards hold them.
+func (e *Engine) CheckpointShard() []*nn.Param {
+	return e.Trainer.CheckpointShard(e.replicaGroups()...)
+}
+
 // installSync binds the gradient-synchronization path matching the
 // optimizer. A *train.ShardedAdam gets the ZeRO path: its moment
 // shards are (re)partitioned over the dense (world) and expert
@@ -544,10 +565,7 @@ func (e *Engine) chunkAux(g int) (aux float32, overflow int) {
 // re-partition over the surviving layout.
 func (e *Engine) installSync(opt train.Optimizer) {
 	if z, ok := opt.(*train.ShardedAdam); ok {
-		z.Bind(
-			train.ShardGroup{Comm: e.denseComm(), Params: e.denseParams},
-			train.ShardGroup{Comm: e.DP, Params: e.expertParams},
-		)
+		z.Bind(e.replicaGroups()...)
 		z.Observer = e.phases.Observe
 		if e.computeRate > 0 {
 			z.UpdateRate = e.computeRate / adamFlopsPerElem

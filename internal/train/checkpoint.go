@@ -34,7 +34,12 @@ import (
 // checkpoint restore across layouts — each rank writes its moment
 // shard as a range record under the same name the unsharded optimizer
 // uses, and restore assembles whatever ranges the streams provide into
-// whatever views the reader owns (Coverage tracks completeness).
+// whatever views the reader owns (Coverage tracks completeness). The
+// same mechanism deduplicates replicated state: R replicas each write a
+// 1/R range of a tensor they all hold (Trainer.CheckpointShard), and
+// because every record carries its own CRC a reader that knows where a
+// record's payload starts (SaveIndexed) can fetch and verify it alone
+// (ReadPayload) instead of scanning the stream.
 //
 // This is format version 3, the only one read: a stream with any other
 // version word is rejected with a versionError rather than misread.
@@ -72,10 +77,25 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("train: checkpoint tensor %q corrupted (crc %08x, want %08x)", e.Tensor, e.Got, e.Want)
 }
 
+// HeaderSize is the byte length of the stream prologue: magic, version,
+// the Header fields and the record count. Record offsets count from the
+// start of the stream, so the first record begins here.
+const HeaderSize = 48
+
 // Save writes a checkpoint of params to w. A param whose FullShape is
 // set is written as a range record [ShardLo, ShardLo+len) of the
 // logical tensor; ordinary params cover their whole tensor.
 func Save(w io.Writer, hdr Header, params []*nn.Param) error {
+	_, err := SaveIndexed(w, hdr, params)
+	return err
+}
+
+// SaveIndexed is Save that also reports where each record's payload
+// starts: offsets[i] is the byte offset, from the start of the stream,
+// of params[i]'s first payload float. The payload is followed by its
+// CRC32, so ReadPayload can fetch and verify one record on its own —
+// what lets a sharded restore read only the records it needs.
+func SaveIndexed(w io.Writer, hdr Header, params []*nn.Param) (offsets []int64, err error) {
 	bw := bufio.NewWriter(w)
 	for _, v := range []any{
 		uint32(ckptMagic), uint32(ckptVersion),
@@ -84,10 +104,12 @@ func Save(w io.Writer, hdr Header, params []*nn.Param) error {
 		uint32(len(params)),
 	} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for _, p := range params {
+	offsets = make([]int64, len(params))
+	at := int64(HeaderSize)
+	for i, p := range params {
 		shape := p.W.Shape
 		if p.FullShape != nil {
 			shape = p.FullShape
@@ -95,44 +117,73 @@ func Save(w io.Writer, hdr Header, params []*nn.Param) error {
 		lo := p.ShardLo
 		hi := lo + len(p.W.Data)
 		if lo < 0 || hi > p.FullLen() {
-			return fmt.Errorf("train: param %q shard [%d,%d) exceeds full length %d", p.Name, lo, hi, p.FullLen())
+			return nil, fmt.Errorf("train: param %q shard [%d,%d) exceeds full length %d", p.Name, lo, hi, p.FullLen())
 		}
 		if err := writeString(bw, p.Name); err != nil {
-			return err
+			return nil, err
 		}
 		if err := binary.Write(bw, binary.LittleEndian, uint32(len(shape))); err != nil {
-			return err
+			return nil, err
 		}
 		for _, d := range shape {
 			if err := binary.Write(bw, binary.LittleEndian, uint32(d)); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		for _, v := range []uint64{uint64(lo), uint64(hi)} {
 			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
+				return nil, err
 			}
 		}
+		// name length + name, rank + dims, lo + hi.
+		at += 4 + int64(len(p.Name)) + 4 + 4*int64(len(shape)) + 16
+		offsets[i] = at
 		if err := binary.Write(bw, binary.LittleEndian, p.W.Data); err != nil {
-			return err
+			return nil, err
 		}
 		if err := binary.Write(bw, binary.LittleEndian, tensorCRC(p.W.Data)); err != nil {
-			return err
+			return nil, err
 		}
+		at += 4*int64(len(p.W.Data)) + 4
 	}
-	return bw.Flush()
+	return offsets, bw.Flush()
 }
 
 // tensorCRC checksums a tensor payload exactly as it sits on disk
-// (little-endian float32 bytes).
+// (little-endian float32 bytes), a chunk of bytes per crc32.Update so
+// the table-driven bulk kernel runs instead of four bytes per call.
 func tensorCRC(data []float32) uint32 {
-	h := crc32.NewIEEE()
-	var b [4]byte
-	for _, v := range data {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		h.Write(b[:])
+	var crc uint32
+	var buf [4096]byte
+	for len(data) > 0 {
+		n := min(len(data), len(buf)/4)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:4*n])
+		data = data[n:]
 	}
-	return h.Sum32()
+	return crc
+}
+
+// ReadPayload reads one record's payload — len(dst) floats at byte
+// offset off of r, as SaveIndexed reported it — into dst and verifies
+// the CRC32 that follows it. name only labels the CorruptError. It
+// issues exactly one ReadAt of 4*len(dst)+4 bytes.
+func ReadPayload(r io.ReaderAt, off int64, name string, dst []float32) error {
+	raw := make([]byte, 4*len(dst)+4)
+	if _, err := r.ReadAt(raw, off); err != nil {
+		return fmt.Errorf("train: checkpoint tensor %q at offset %d: %w", name, off, err)
+	}
+	body := raw[:4*len(dst)]
+	want := binary.LittleEndian.Uint32(raw[len(body):])
+	if got := crc32.ChecksumIEEE(body); got != want {
+		return &CorruptError{Tensor: name, Want: want, Got: got}
+	}
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[4*i:]))
+	}
+	return nil
 }
 
 // Coverage accumulates which flat ranges of each named logical tensor
@@ -178,6 +229,35 @@ func (cv *Coverage) Covers(name string, lo, hi int) bool {
 	return at >= hi
 }
 
+// ReadHeader parses the HeaderSize-byte prologue of a stream and
+// returns its run metadata, rejecting a foreign magic or version.
+func ReadHeader(r io.Reader) (Header, error) {
+	hdr, _, err := readHeader(r)
+	return hdr, err
+}
+
+func readHeader(r io.Reader) (hdr Header, count uint32, err error) {
+	var magic, version uint32
+	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+		return hdr, 0, err
+	}
+	if magic != ckptMagic {
+		return hdr, 0, fmt.Errorf("train: bad checkpoint magic %#x", magic)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
+		return hdr, 0, err
+	}
+	if version != ckptVersion {
+		return hdr, 0, &versionError{got: version}
+	}
+	for _, f := range []any{&hdr.Step, &hdr.LossScale, &hdr.GoodSteps, &hdr.SkippedSteps, &hdr.OptSteps, &hdr.RNGState, &count} {
+		if err := binary.Read(r, binary.LittleEndian, f); err != nil {
+			return hdr, 0, err
+		}
+	}
+	return hdr, count, nil
+}
+
 // LoadIntoCov restores a checkpoint stream into the given name-indexed
 // parameter set, recording every restored range in cov. Each record
 // covers a flat range [lo, hi) of its logical tensor; the overlap of
@@ -188,25 +268,9 @@ func (cv *Coverage) Covers(name string, lo, hi int) bool {
 // params absent from the stream are left untouched.
 func LoadIntoCov(r io.Reader, byName map[string]*nn.Param, cov *Coverage) (Header, error) {
 	br := bufio.NewReader(r)
-	var hdr Header
-	var magic, version uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+	hdr, count, err := readHeader(br)
+	if err != nil {
 		return hdr, err
-	}
-	if magic != ckptMagic {
-		return hdr, fmt.Errorf("train: bad checkpoint magic %#x", magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return hdr, err
-	}
-	if version != ckptVersion {
-		return hdr, &versionError{got: version}
-	}
-	var count uint32
-	for _, f := range []any{&hdr.Step, &hdr.LossScale, &hdr.GoodSteps, &hdr.SkippedSteps, &hdr.OptSteps, &hdr.RNGState, &count} {
-		if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-			return hdr, err
-		}
 	}
 	for i := uint32(0); i < count; i++ {
 		name, err := readString(br)

@@ -145,6 +145,56 @@ func (t *Trainer) CheckpointParams() []*nn.Param {
 	return out
 }
 
+// CheckpointShard returns this rank's share of CheckpointParams when
+// every rank of a replication group saves: each group names parameters
+// that are bit-identical on all ranks of its communicator (the groups
+// gradients are reduced over), and so are their optimizer moments and
+// FP32 masters. The group's replicated tensors are laid end to end and
+// rank r of R keeps the r-th of R equal flat ranges, as range-record
+// views (FullShape/ShardLo) that share the live tensors' memory; the
+// union over the group is every tensor exactly once. State that is
+// already rank-exclusive — ZeRO moment shards — passes through. A
+// restore still asks for the full CheckpointParams.
+func (t *Trainer) CheckpointShard(groups ...ShardGroup) []*nn.Param {
+	masters := map[*nn.Param]*nn.Param{}
+	for i, m := range t.MP.MasterParams() {
+		masters[t.MP.params[i]] = m
+	}
+	so, _ := t.Opt.(StatefulOptimizer)
+	var out []*nn.Param
+	for _, g := range groups {
+		all := append([]*nn.Param(nil), g.Params...)
+		if so != nil {
+			all = append(all, so.StateTensors(g.Params)...)
+		}
+		for _, p := range g.Params {
+			if m := masters[p]; m != nil {
+				all = append(all, m)
+			}
+		}
+		n := 0
+		for _, p := range all {
+			if p.FullShape == nil {
+				n += len(p.W.Data)
+			}
+		}
+		my := g.Comm.MyShard(n)
+		off := 0
+		for _, p := range all {
+			if p.FullShape != nil {
+				out = append(out, p)
+				continue
+			}
+			lo, hi := max(my.Lo-off, 0), min(my.Hi-off, len(p.W.Data))
+			if lo < hi {
+				out = append(out, rangeView(p.Name, p.W.Data[lo:hi], p.W.Shape, lo))
+			}
+			off += len(p.W.Data)
+		}
+	}
+	return out
+}
+
 // WeightParams returns only the model weights — the serving export.
 // Unlike CheckpointParams it carries no optimizer moments and no FP32
 // masters: an inference process restores by tensor name and needs

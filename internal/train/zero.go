@@ -244,29 +244,42 @@ func (z *ShardedAdam) SetStepCount(n int) { z.step = n }
 // and its flat offset. Checkpoints therefore restore across layouts:
 // shard files union into full tensors (or differently-cut shards) via
 // coverage, and an unsharded checkpoint restores into shard views by
-// overlap. The params argument is ignored.
-func (z *ShardedAdam) StateTensors(_ []*nn.Param) []*nn.Param {
+// overlap. Only moments of the given params are returned.
+func (z *ShardedAdam) StateTensors(params []*nn.Param) []*nn.Param {
+	want := make(map[*nn.Param]bool, len(params))
+	for _, p := range params {
+		want[p] = true
+	}
 	var out []*nn.Param
 	for _, g := range z.groups {
 		for j, p := range g.params {
+			if !want[p] {
+				continue
+			}
 			off := g.offs[j]
 			oLo := max(g.my.Lo, off)
 			oHi := min(g.my.Hi, off+len(p.W.Data))
 			if oLo >= oHi {
 				continue
 			}
-			view := func(slot string, data []float32) *nn.Param {
-				return &nn.Param{
-					Name:      p.Name + slot,
-					W:         &tensor.Tensor{Data: data[oLo-g.my.Lo : oHi-g.my.Lo], Shape: []int{oHi - oLo}},
-					FullShape: append([]int(nil), p.W.Shape...),
-					ShardLo:   oLo - off,
-				}
-			}
-			out = append(out, view(".adam.m", g.m), view(".adam.v", g.v))
+			out = append(out,
+				rangeView(p.Name+".adam.m", g.m[oLo-g.my.Lo:oHi-g.my.Lo], p.W.Shape, oLo-off),
+				rangeView(p.Name+".adam.v", g.v[oLo-g.my.Lo:oHi-g.my.Lo], p.W.Shape, oLo-off))
 		}
 	}
 	return out
+}
+
+// rangeView wraps data as the range record [lo, lo+len(data)) of the
+// logical tensor name of shape full — the pseudo-parameter the
+// checkpoint codec writes as a partial record and restores by overlap.
+func rangeView(name string, data []float32, full []int, lo int) *nn.Param {
+	return &nn.Param{
+		Name:      name,
+		W:         &tensor.Tensor{Data: data, Shape: []int{len(data)}},
+		FullShape: append([]int(nil), full...),
+		ShardLo:   lo,
+	}
 }
 
 // CombineF64Sum sums one float64 per rank of c, in rank order, with

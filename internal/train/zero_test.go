@@ -203,7 +203,7 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 			z.Step(nil, 0.01)
 		}
 		var buf bytes.Buffer
-		all := append(append([]*nn.Param(nil), params...), z.StateTensors(nil)...)
+		all := append(append([]*nn.Param(nil), params...), z.StateTensors(params)...)
 		if err := Save(&buf, Header{Step: 3, OptSteps: 3}, all); err != nil {
 			t.Errorf("rank %d: save: %v", c.Rank(), err)
 		}
@@ -255,7 +255,7 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 		params2 := zeroTestParams(0)
 		z := NewShardedAdam(0)
 		z.Bind(ShardGroup{Comm: c, Params: params2})
-		views := append(append([]*nn.Param(nil), params2...), z.StateTensors(nil)...)
+		views := append(append([]*nn.Param(nil), params2...), z.StateTensors(params2)...)
 		byName2 := map[string]*nn.Param{}
 		for _, q := range views {
 			byName2[q.Name] = q

@@ -10,7 +10,7 @@ set -eux
 go build ./...
 go vet ./...
 go test -race ./...
-go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec' ./internal/...
+go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes' ./internal/...
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
