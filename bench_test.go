@@ -11,114 +11,13 @@ import (
 
 	"bagualu"
 	"bagualu/internal/data"
+	"bagualu/internal/half"
 	"bagualu/internal/moe"
-	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
-	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
 	"bagualu/internal/train"
 )
-
-// BenchmarkAllToAll measures the flattened alltoallv wire path: FP32
-// vs FP16 codec, blocking vs two-phase overlapped receive. The
-// overlap variants charge a fixed compute window in both modes (after
-// the exchange when blocking, between the receive legs when
-// overlapped) so simsec isolates the hidden flight time; interSN-
-// bytes shows the codec cut. Results recorded in BENCH_2.json.
-func BenchmarkAllToAll(b *testing.B) {
-	machine := sunway.TestMachine(4, 4)
-	topo := simnet.New(machine, 2)
-	const ranks, elems = 32, 1024
-	const window = 25e-6 // seconds of local-expert compute per step
-	for _, codec := range []mpi.Codec{mpi.FP32Wire, mpi.FP16Wire} {
-		for _, overlap := range []bool{false, true} {
-			mode := "blocking"
-			if overlap {
-				mode = "overlap"
-			}
-			b.Run(fmt.Sprintf("%s/%s", codec, mode), func(b *testing.B) {
-				var sim float64
-				var interSN int64
-				for i := 0; i < b.N; i++ {
-					w := mpi.NewWorld(ranks, topo)
-					w.Run(func(c *mpi.Comm) {
-						counts := make([]int, ranks)
-						for d := range counts {
-							counts[d] = elems
-						}
-						sb := mpi.NewSendBuf(counts)
-						row := make([]float32, elems)
-						for d := 0; d < ranks; d++ {
-							sb.Append(d, row)
-						}
-						var local, remote *mpi.RecvBuf
-						if overlap {
-							ex := c.BeginExchange(true, codec)
-							ex.PostAll(sb)
-							ex.Flush()
-							local = ex.RecvLocal()
-							c.Compute(window)
-							remote = ex.RecvRemote()
-						} else {
-							local = c.AllToAllvHier(sb, codec)
-							c.Compute(window)
-						}
-						local.Release()
-						if remote != nil {
-							remote.Release()
-						}
-						sb.Release()
-					})
-					sim += w.MaxTime()
-					interSN = w.Stats().BytesAt(simnet.MachineLevel)
-				}
-				b.ReportMetric(sim/float64(b.N), "simsec")
-				b.ReportMetric(float64(interSN), "interSN-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkDistMoEStep measures a full DistMoE forward+backward step
-// under every wire configuration, with expert compute charged to the
-// virtual clock (SimRate) so overlap shows in simsec/step.
-func BenchmarkDistMoEStep(b *testing.B) {
-	topo := simnet.New(sunway.TestMachine(2, 2), 1) // 4 ranks, 2 supernodes
-	const P, tokens, d, hidden = 4, 16, 32, 64
-	for _, mode := range []moe.RouteMode{moe.TokenChoice, moe.CapacityDrop} {
-		for _, cc := range []moe.CommConfig{
-			{Codec: mpi.FP32Wire, Overlap: false},
-			{Codec: mpi.FP32Wire, Overlap: true},
-			{Codec: mpi.FP16Wire, Overlap: false},
-			{Codec: mpi.FP16Wire, Overlap: true},
-		} {
-			b.Run(mode.String()+"/"+cc.String(), func(b *testing.B) {
-				var sim float64
-				var interSN int64
-				for i := 0; i < b.N; i++ {
-					w := mpi.NewWorld(P, topo)
-					w.Run(func(c *mpi.Comm) {
-						r := tensor.NewRNG(5)
-						m := moe.NewDistMoEComm("moe", r, moe.GateConfig{
-							Dim: d, NumExperts: 8, TopK: 2, CapacityFactor: 1.5,
-							Mode: mode, AuxLossWeight: 0.01,
-						}, hidden, c, moe.Hierarchical, cc)
-						m.SimRate = 2e9
-						xr := tensor.NewRNG(500 + uint64(c.Rank()))
-						x := tensor.Randn(xr, 1, tokens, d)
-						m.Forward(x)
-						m.Backward(tensor.Ones(tokens, d))
-					})
-					sim += w.MaxTime()
-					interSN = w.Stats().BytesAt(simnet.MachineLevel)
-				}
-				b.ReportMetric(sim/float64(b.N), "simsec/step")
-				b.ReportMetric(float64(interSN), "interSN-bytes")
-			})
-		}
-	}
-}
 
 // BenchmarkGroupedExpertFFN compares the grouped expert kernel (one
 // batched GEMM per layer over all expert row blocks) against the
@@ -245,6 +144,35 @@ func BenchmarkMatMulTransB(b *testing.B) {
 				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 			})
 		}
+	}
+}
+
+// BenchmarkAxpy measures the one inner loop every GEMM variant with an
+// outer reduction index shares, at the row widths the workloads use
+// (a head, a model row, an FFN row) and one off a multiple of 8.
+func BenchmarkAxpy(b *testing.B) {
+	for _, n := range []int{16, 67, 128, 512} {
+		r := tensor.NewRNG(44)
+		x := tensor.Uniform(r, -1, 1, n).Data
+		dst := tensor.Uniform(r, -1, 1, n).Data
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(8 * n)) // x read, dst read and written once
+			for i := 0; i < b.N; i++ {
+				tensor.Axpy(dst, x, 1e-3)
+			}
+		})
+	}
+}
+
+// BenchmarkQuantizeSliceFast measures the FP16 round trip the mixed-
+// precision trainer applies to every weight and gradient each step.
+func BenchmarkQuantizeSliceFast(b *testing.B) {
+	src := tensor.Uniform(tensor.NewRNG(45), -4, 4, 1<<14).Data
+	x := make([]float32, len(src))
+	b.SetBytes(int64(4 * len(x)))
+	for i := 0; i < b.N; i++ {
+		copy(x, src)
+		half.QuantizeSliceFast(x)
 	}
 }
 

@@ -288,6 +288,36 @@ func TestQuantizeSliceFastMatchesSlow(t *testing.T) {
 			t.Fatalf("element %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+
+	// The ends of float32's range: finite values above 3.4e38 overflow
+	// FP16 like any other (the fast path once took them for ±Inf and
+	// stayed silent), ±Inf itself does not count as overflow, and 65520
+	// is the smallest value that rounds up to Inf. Each value is tried
+	// alone at lengths 1, 8 and 9 so it meets the scalar tail and,
+	// where there is one, the vector body.
+	inf := float32(math.Inf(1))
+	for _, v := range []float32{
+		math.MaxFloat32, math.Nextafter32(math.MaxFloat32, 0), 3.4e38, math.Nextafter32(3.4e38, inf),
+		3.3e38, inf, 65504, 65519.996, 65520, 1,
+	} {
+		for _, v := range []float32{v, -v} {
+			for _, n := range []int{1, 8, 9} {
+				for at := 0; at < n; at += 7 {
+					slow, fast := make([]float32, n), make([]float32, n)
+					slow[at], fast[at] = v, v
+					so, fo := QuantizeSlice(slow), QuantizeSliceFast(fast)
+					if so != fo {
+						t.Fatalf("%v at %d of %d: overflow slow %v, fast %v", v, at, n, so, fo)
+					}
+					for i := range slow {
+						if math.Float32bits(slow[i]) != math.Float32bits(fast[i]) {
+							t.Fatalf("%v at %d of %d: element %d slow %v, fast %v", v, at, n, i, slow[i], fast[i])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkDecodeSlow(b *testing.B) {

@@ -1,6 +1,9 @@
 package half
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Table-driven FP16 decode: all 65,536 encodings are precomputed on
 // first use, turning per-element decode into a single indexed load —
@@ -34,29 +37,32 @@ func DecodeFast(dst []float32, src []Float16) {
 	}
 }
 
-// QuantizeSliceFast rounds every element of x through FP16 in place
-// using the table for the decode half, and reports overflow like
-// QuantizeSlice.
+// QuantizeSliceFast rounds every element of x through FP16 in place,
+// eight at a time in hardware where the CPU has F16C and through
+// FromFloat32 and the decode table otherwise (bit-identical either
+// way), and reports overflow like QuantizeSlice.
 func QuantizeSliceFast(x []float32) (overflow bool) {
+	n, overflow := quantizeVec(x)
 	decodeOnce.Do(buildDecodeTable)
-	for i, v := range x {
+	for i, v := range x[n:] {
 		h := FromFloat32(v)
 		if h&0x7fff == 0x7c00 && !isInf32(v) {
 			overflow = true
 		}
-		x[i] = decodeTable[h]
+		x[n+i] = decodeTable[h]
 	}
 	return overflow
 }
 
-func isInf32(v float32) bool { return v > 3.4e38 || v < -3.4e38 }
+func isInf32(v float32) bool { return v > math.MaxFloat32 || v < -math.MaxFloat32 }
 
 // EncodeSlice converts src to raw FP16 bit patterns in dst. This is
 // the on-the-wire representation used by the mpi codec layer: a bare
 // []uint16 payload priced at 2 bytes per element.
 func EncodeSlice(dst []uint16, src []float32) {
-	for i, v := range src {
-		dst[i] = uint16(FromFloat32(v))
+	n := encodeVec(dst, src)
+	for i, v := range src[n:] {
+		dst[n+i] = uint16(FromFloat32(v))
 	}
 }
 

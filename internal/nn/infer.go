@@ -160,6 +160,12 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 	scale := float32(1 / math.Sqrt(float64(hd)))
 
 	ctx := tensor.New(x.Shape[0], d)
+	// One scores buffer for the whole call, cut to each row's prefix.
+	maxPrefix := 0
+	for _, r := range runs {
+		maxPrefix = max(maxPrefix, r.Cache.Len+r.Rows)
+	}
+	scoreBuf := make([]float32, maxPrefix)
 	row := 0
 	for _, r := range runs {
 		base := r.Cache.Len
@@ -174,7 +180,7 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 			or := ctx.Row(row)
 			for h := 0; h < nh; h++ {
 				qh := qr[h*hd : (h+1)*hd]
-				scores := make([]float32, n)
+				scores := scoreBuf[:n]
 				for t := 0; t < n; t++ {
 					kh := kc.Row(t)[h*hd : (h+1)*hd]
 					var s float32
@@ -200,11 +206,7 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 				inv := float32(1 / sum)
 				oh := or[h*hd : (h+1)*hd]
 				for t := 0; t < n; t++ {
-					p := scores[t] * inv
-					vh := vc.Row(t)[h*hd : (h+1)*hd]
-					for j := range oh {
-						oh[j] += p * vh[j]
-					}
+					tensor.Axpy(oh, vc.Row(t)[h*hd:(h+1)*hd], scores[t]*inv)
 				}
 			}
 			row++

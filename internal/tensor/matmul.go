@@ -119,10 +119,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 				if av == 0 {
 					continue
 				}
-				orow := out.Data[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				Axpy(out.Data[i*n:(i+1)*n], brow, av)
 			}
 		}
 	})
@@ -170,22 +167,31 @@ func mmTransBDims(a, b *Tensor) (m, k, n int) {
 // caller). i-k-j loop order streams b rows through the cache; the
 // row-panel parallelism gives each worker a disjoint out region.
 func matmulInto(out, a, b []float32, m, k, n int) {
-	ParallelRows(m, func(s, e int) {
-		for i := s; i < e; i++ {
-			arow := a[i*k : (i+1)*k]
-			orow := out[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+	ParallelRows(m, func(s, e int) { matmulRows(out, a, b, s, e, k, n) })
+}
+
+// matmulRows accumulates rows [s,e) of a@b into the same rows of out:
+// the unblocked kernel every naive path shares, one Axpy per non-zero
+// element of a.
+func matmulRows(out, a, b []float32, s, e, k, n int) {
+	for i := s; i < e; i++ {
+		arow := a[i*k : (i+1)*k]
+		orow := out[i*n : (i+1)*n]
+		for p, av := range arow {
+			if av == 0 {
+				continue
 			}
+			Axpy(orow, b[p*n:(p+1)*n], av)
 		}
-	})
+	}
+}
+
+// axpyGeneric is Axpy in portable Go: the only path off amd64 or
+// without AVX2, and the oracle the assembly is tested against.
+func axpyGeneric(orow, brow []float32, av float32) {
+	for j, bv := range brow {
+		orow[j] += av * bv
+	}
 }
 
 // BatchMatMul multiplies two rank-3 tensors batch-wise: a [B,m,k] @
@@ -208,20 +214,7 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 				matmulTiledInto(ob, ab, bb, m, k, n, false)
 				continue
 			}
-			for i := 0; i < m; i++ {
-				arow := ab[i*k : (i+1)*k]
-				orow := ob[i*n : (i+1)*n]
-				for p := 0; p < k; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := bb[p*n : (p+1)*n]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
+			matmulRows(ob, ab, bb, 0, m, k, n)
 		}
 	})
 	return out

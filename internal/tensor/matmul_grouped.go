@@ -62,7 +62,7 @@ func groupUnits(off []int, groups int) *[]gUnit {
 	units := (*up)[:0]
 	for g := 0; g < groups; g++ {
 		for i0 := off[g]; i0 < off[g+1]; i0 += tileM {
-			units = append(units, gUnit{g, i0, min(i0 + tileM, off[g+1])})
+			units = append(units, gUnit{g, i0, min(i0+tileM, off[g+1])})
 		}
 	}
 	*up = units
@@ -101,27 +101,13 @@ func GroupedMatMulInto(out, a *Tensor, off []int, bs []*Tensor) {
 		groupedTiled(out.Data, a.Data, off, bs, m, k, n, packB, n)
 		return
 	}
-	// Naive path: per-row arithmetic identical to matmulInto, with a
-	// running group pointer selecting the weight block.
+	// Naive path: matmulInto's per-row arithmetic, each group's share of
+	// the worker's rows against that group's weight block.
 	ParallelRows(m, func(s, e int) {
-		g := groupOf(off, s)
-		for i := s; i < e; i++ {
-			for i >= off[g+1] {
-				g++
-			}
-			b := bs[g].Data
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := b[p*n : (p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
+		for g := groupOf(off, s); s < e; g++ {
+			hi := min(e, off[g+1])
+			matmulRows(out.Data, a.Data, bs[g].Data, s, hi, k, n)
+			s = max(s, hi)
 		}
 	})
 }
@@ -239,10 +225,7 @@ func GroupedMatMulTransAInto(outs []*Tensor, a, b *Tensor, off []int) {
 					if av == 0 {
 						continue
 					}
-					orow := o[i*n : (i+1)*n]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
+					Axpy(o[i*n:(i+1)*n], brow, av)
 				}
 			}
 		}

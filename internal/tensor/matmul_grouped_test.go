@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -38,8 +39,8 @@ func bitwiseEq(t *testing.T, name string, got, want []float32) {
 		t.Fatalf("%s: len %d vs %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: element %d differs bitwise: %v vs %v", name, i, got[i], want[i])
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+			t.Fatalf("%s: element %d differs bitwise: %v (%#08x) vs %v (%#08x)", name, i, got[i], g, want[i], w)
 		}
 	}
 }

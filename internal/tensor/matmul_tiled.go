@@ -8,13 +8,25 @@ import "sync"
 // staging a tile in CPE local store), and a register micro-kernel
 // accumulates each micro-tile. On cache hierarchies this is the same
 // optimization the paper's hand-written kernels perform with DMA.
+//
+// The blocking is also a numerical contract. Every output element of a
+// paired row is computed as c = 0; c += a·b over one panel's depth;
+// out += c, panel after panel in p0 order; the odd trailing row of a
+// macro-tile adds each a·b to out directly. Which of the two an
+// element gets depends on tileM, tileK, the 2-row pairing and
+// gemmTiledMin, so none of them is a tuning knob: goldens, digests and
+// the inference path's batch invariance (DESIGN.md) are pinned to
+// them. How many columns one micro-kernel call covers is not part of
+// the contract — columns never mix — which is what lets the amd64
+// kernel (simd_amd64.s) run 32 of them per call, eight to a ymm
+// register, and still match the scalar kernels below bit for bit.
 
 const (
 	tileM  = 64  // rows per macro-tile (per-worker unit)
 	tileN  = 64  // cols per macro-tile
 	tileK  = 128 // reduction panel depth
-	microR = 2   // micro-kernel rows: 2x4 keeps all 8 accumulators
-	microC = 4   // micro-kernel cols: in amd64's 16 vector registers
+	microR = 2   // rows per micro-kernel call, vector and scalar alike
+	microC = 4   // cols per scalar micro-kernel call
 )
 
 // panelPool recycles the per-worker packed B panels so repeated GEMMs
@@ -133,7 +145,7 @@ func macroKernel(out, a, panel []float32, i0, i1, j0, j1, p0, p1, k, n int) {
 	kd := p1 - p0
 	i := i0
 	for ; i+microR <= i1; i += microR {
-		j := 0
+		j := gemm2Rows(out, a, panel, i, j0, p0, kd, k, n, w)
 		for ; j+microC <= w; j += microC {
 			microKernel2x4(out, a, panel, i, j0+j, j, kd, k, n, w, p0)
 		}
@@ -158,18 +170,16 @@ func macroKernel(out, a, panel []float32, i0, i1, j0, j1, p0, p1, k, n int) {
 			if av == 0 {
 				continue
 			}
-			prow := panel[p*w : (p+1)*w]
-			for j, pv := range prow {
-				orow[j] += av * pv
-			}
+			Axpy(orow, panel[p*w:(p+1)*w], av)
 		}
 	}
 }
 
-// microKernel2x4 accumulates a 2x4 output block held in registers.
-// The 8 accumulators plus loop temporaries fit amd64's 16 vector
-// registers (a 4x4 block spills); the three-index subslices pin
-// lengths so the compiler drops bounds checks from the inner loop.
+// microKernel2x4 accumulates a 2x4 output block in eight scalar
+// accumulators: the whole kernel where there is no vector one, the
+// columns past the last multiple of 8 where there is. The three-index
+// subslices pin lengths so the compiler drops bounds checks from the
+// inner loop.
 func microKernel2x4(out, a, panel []float32, i, jAbs, j, kd, k, n, w, p0 int) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32

@@ -95,9 +95,7 @@ func ScaleInPlace(a *Tensor, c float32) {
 func AXPY(alpha float32, x, y *Tensor) {
 	checkSame("AXPY", x, y)
 	Parallel(len(x.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			y.Data[i] += alpha * x.Data[i]
-		}
+		Axpy(y.Data[s:e], x.Data[s:e], alpha)
 	})
 }
 

@@ -3,14 +3,21 @@
 # detector (which also diffs the fast R-tables against their goldens,
 # cmd/bagualu TestGoldens), every replay / bit-exact gate twice in one
 # process (-count=2 catches state leaking from one run into the next),
-# and the slower deterministic R-tables regenerated and compared with
-# their goldens — a compare that also fails on run-to-run drift.
+# the kernel packages without their assembly, and the slower
+# deterministic R-tables regenerated and compared with their goldens —
+# a compare that also fails on run-to-run drift.
 set -eux
 
 go build ./...
 go vet ./...
 go test -race ./...
 go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes' ./internal/...
+# The amd64 assembly kernels promise the portable Go loops' bits: the
+# kernel packages and the fast goldens again with the assembly compiled
+# out, and the portable files type-checked for an architecture that has
+# no assembly at all (vet's asmdecl checked the amd64 frames above).
+go test -tags purego ./internal/tensor ./internal/half ./cmd/bagualu
+GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
