@@ -147,6 +147,26 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulTransA measures the weight-gradient kernel xᵀ@dy at
+// the four shapes the dense benchmark workload runs it at (512 token
+// rows; attention, FFN-up and FFN-down weights) and one small one.
+func BenchmarkMatMulTransA(b *testing.B) {
+	for _, sh := range []struct{ k, m, n int }{
+		{512, 128, 512}, {512, 512, 128}, {512, 128, 128}, {64, 64, 64},
+	} {
+		r := tensor.NewRNG(46)
+		a := tensor.Uniform(r, -1, 1, sh.k, sh.m)
+		bb := tensor.Uniform(r, -1, 1, sh.k, sh.n)
+		b.Run(fmt.Sprintf("k%d_m%d_n%d", sh.k, sh.m, sh.n), func(b *testing.B) {
+			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulTransA(a, bb)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
+	}
+}
+
 // BenchmarkAxpy measures the one inner loop every GEMM variant with an
 // outer reduction index shares, at the row widths the workloads use
 // (a head, a model row, an FFN row) and one off a multiple of 8.
@@ -201,23 +221,68 @@ func BenchmarkTrainStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr.Step() // warm optimizer state and pools before measuring
+	// Allocation regression gate: the steady-state step must stay
+	// within 5% of the PR 6 zero-allocation baseline (2354 allocs/op).
+	// The pipeline engine's boundary-activation sends ride the pooled
+	// SendBuf/RecvBuf framing, so adding PP must not move this.
+	gatedLoop(b, "train step", 2354, func() { tr.Step() })
+}
+
+// gatedLoop is a benchmark's timed loop with an allocation regression
+// gate: after one untimed warm-up call (optimizer state, pools) it
+// runs step b.N times and fails the benchmark if that took more than
+// baseline allocations per call plus 5%.
+func gatedLoop(b *testing.B, what string, baseline float64, step func()) {
+	step()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < b.N; i++ {
-		tr.Step()
+		step()
 	}
 	runtime.ReadMemStats(&ms1)
-	// Allocation regression gate: the steady-state step must stay
-	// within 5% of the PR 6 zero-allocation baseline (2354 allocs/op).
-	// The pipeline engine's boundary-activation sends ride the pooled
-	// SendBuf/RecvBuf framing, so adding PP must not move this.
-	const baseline, slack = 2354, 1.05
+	const slack = 1.05
 	if avg := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N); avg > baseline*slack {
-		b.Fatalf("train step allocates %.0f objects/op, above the gate %.0f (baseline %d +5%%)",
-			avg, baseline*slack, baseline)
+		b.Fatalf("%s allocates %.0f objects/op, above the gate %.0f (baseline %.0f +5%%)",
+			what, avg, baseline*slack, baseline)
+	}
+}
+
+// BenchmarkInferStep measures the serving forward pass at the prefill
+// benchmark workload's model shape: one 64-row prefill into an empty
+// cache, and one single-row decode step over a 96-token context. The
+// cache is rewound between iterations, so allocs/op is the step's own
+// and is gated like BenchmarkTrainStep's.
+func BenchmarkInferStep(b *testing.B) {
+	model := nn.NewGPT(nn.GPTConfig{
+		Vocab: 64, Dim: 64, Heads: 4, Layers: 2, SeqLen: 104, FFNHidden: 128,
+	}, tensor.NewRNG(18), nil)
+	r := tensor.NewRNG(19)
+	tokens := make([]int, 96)
+	for i := range tokens {
+		tokens[i] = r.Intn(64)
+	}
+	for _, c := range []struct {
+		name          string
+		context, rows int
+	}{
+		{"prefill64", 0, 64},
+		{"decode1_ctx96", 96, 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cache := model.NewKVCache()
+			if c.context > 0 {
+				model.InferStep(tokens[:c.context], []nn.InferRun{{Cache: cache, Rows: c.context}})
+			}
+			// 142 allocs/op measured for either shape: the count follows
+			// the layer calls, not the rows.
+			gatedLoop(b, "infer step", 142, func() {
+				model.InferStep(tokens[:c.rows], []nn.InferRun{{Cache: cache, Rows: c.rows}})
+				cache.Len = c.context
+			})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*c.rows), "us/tok")
+		})
 	}
 }
 

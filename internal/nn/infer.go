@@ -50,13 +50,18 @@ func (f *FeedForward) Infer(x *tensor.Tensor) *tensor.Tensor {
 	return InferLinear(f.Down, tensor.GELU(h))
 }
 
-// KVCache holds the per-layer attention key/value rows of one sequence.
-// Rows are stored at absolute positions 0..Len-1; MaxLen is bounded by
-// the model's learned position-embedding table (SeqLen).
+// KVCache holds the per-layer attention keys and values of one
+// sequence at absolute positions 0..Len-1; MaxLen is bounded by the
+// model's learned position-embedding table (SeqLen). Values are stored
+// a position to a row. Keys are stored transposed, a position to a
+// column, and only so: a query's scores against the whole prefix are
+// then sums over rows of kT, which tensor.AxpyN runs with one prefix
+// position per lane.
 type KVCache struct {
 	MaxLen int
 	Len    int
-	k, v   []*tensor.Tensor // per layer, [MaxLen, Dim]
+	kT     []*tensor.Tensor // per layer, [Dim, MaxLen]
+	v      []*tensor.Tensor // per layer, [MaxLen, Dim]
 }
 
 // NewKVCache allocates an empty cache sized for the model's context
@@ -64,7 +69,7 @@ type KVCache struct {
 func (g *GPT) NewKVCache() *KVCache {
 	c := &KVCache{MaxLen: g.Cfg.SeqLen}
 	for range g.Blocks {
-		c.k = append(c.k, tensor.New(g.Cfg.SeqLen, g.Cfg.Dim))
+		c.kT = append(c.kT, tensor.New(g.Cfg.Dim, g.Cfg.SeqLen))
 		c.v = append(c.v, tensor.New(g.Cfg.SeqLen, g.Cfg.Dim))
 	}
 	return c
@@ -73,7 +78,7 @@ func (g *GPT) NewKVCache() *KVCache {
 // Bytes reports the cache's key/value storage footprint.
 func (c *KVCache) Bytes() int {
 	n := 0
-	for _, t := range c.k {
+	for _, t := range c.kT {
 		n += 4 * t.Len()
 	}
 	return 2 * n
@@ -169,9 +174,12 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 	row := 0
 	for _, r := range runs {
 		base := r.Cache.Len
-		kc, vc := r.Cache.k[bi], r.Cache.v[bi]
+		kT, vc := r.Cache.kT[bi].Data, r.Cache.v[bi]
+		maxLen := r.Cache.MaxLen
 		for i := 0; i < r.Rows; i++ {
-			copy(kc.Row(base+i), kNew.Row(row+i))
+			for c, kv := range kNew.Row(row + i) {
+				kT[c*maxLen+base+i] = kv
+			}
 			copy(vc.Row(base+i), vNew.Row(row+i))
 		}
 		for i := 0; i < r.Rows; i++ {
@@ -179,15 +187,13 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 			qr := q.Row(row)
 			or := ctx.Row(row)
 			for h := 0; h < nh; h++ {
-				qh := qr[h*hd : (h+1)*hd]
+				// scores[t] = q_h·k_h[t], each summed from zero over
+				// the head dimension in order.
 				scores := scoreBuf[:n]
-				for t := 0; t < n; t++ {
-					kh := kc.Row(t)[h*hd : (h+1)*hd]
-					var s float32
-					for j, qv := range qh {
-						s += qv * kh[j]
-					}
-					scores[t] = s * scale
+				clear(scores)
+				tensor.AxpyN(scores, qr[h*hd:(h+1)*hd], 1, kT[h*hd*maxLen:], maxLen, hd, false)
+				for t := range scores {
+					scores[t] *= scale
 				}
 				// Inline softmax in the same max/float64-sum style as
 				// the batched kernel so prefill and decode agree bitwise.
@@ -204,10 +210,10 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 					sum += ev
 				}
 				inv := float32(1 / sum)
-				oh := or[h*hd : (h+1)*hd]
-				for t := 0; t < n; t++ {
-					tensor.Axpy(oh, vc.Row(t)[h*hd:(h+1)*hd], scores[t]*inv)
+				for t := range scores {
+					scores[t] *= inv
 				}
+				tensor.AxpyN(or[h*hd:(h+1)*hd], scores, 1, vc.Data[h*hd:], d, n, false)
 			}
 			row++
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"bagualu/internal/tensor"
@@ -13,30 +14,38 @@ func inferTestModel(t *testing.T) *GPT {
 	return NewGPT(cfg, r, nil)
 }
 
+// inferModelWithHeadDim is inferTestModel with two heads of the given
+// width.
+func inferModelWithHeadDim(hd int) *GPT {
+	cfg := GPTConfig{Vocab: 32, Dim: 2 * hd, Heads: 2, Layers: 2, SeqLen: 24, FFNHidden: 32}
+	return NewGPT(cfg, tensor.NewRNG(7), nil)
+}
+
+// inferHeadDims are the head widths the bit-exactness tests run at:
+// below, at, off and twice one vector of the attention kernels' lanes.
+var inferHeadDims = []int{4, 8, 12, 16}
+
 // Decode must produce bitwise the same logits as re-forwarding the
 // whole prefix at every step.
 func TestKVDecodeBitExactVsReforward(t *testing.T) {
-	g := inferTestModel(t)
 	seq := []int{3, 10, 9, 28, 1, 1, 17, 5, 22, 0, 31, 14}
+	for _, hd := range inferHeadDims {
+		g := inferModelWithHeadDim(hd)
+		cache := g.NewKVCache()
+		g.InferStep(seq[:4], []InferRun{{Cache: cache, Rows: 4}})
+		for step, tok := range seq[4:] {
+			dec := g.InferStep([]int{tok}, []InferRun{{Cache: cache, Rows: 1}}).Row(0)
 
-	cache := g.NewKVCache()
-	var dec []float32
-	logits := g.InferStep(seq[:4], []InferRun{{Cache: cache, Rows: 4}})
-	dec = append([]float32(nil), logits.Row(3)...)
-	for step, tok := range seq[4:] {
-		logits = g.InferStep([]int{tok}, []InferRun{{Cache: cache, Rows: 1}})
-		dec = logits.Row(0)
-
-		ref := g.NewKVCache()
-		full := g.InferStep(seq[:4+step+1], []InferRun{{Cache: ref, Rows: 4 + step + 1}})
-		want := full.Row(full.Shape[0] - 1)
-		for j := range want {
-			if dec[j] != want[j] {
-				t.Fatalf("step %d logit %d: decode %v != reforward %v", step, j, dec[j], want[j])
+			ref := g.NewKVCache()
+			full := g.InferStep(seq[:4+step+1], []InferRun{{Cache: ref, Rows: 4 + step + 1}})
+			want := full.Row(full.Shape[0] - 1)
+			for j := range want {
+				if math.Float32bits(dec[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("hd %d step %d logit %d: decode %v != reforward %v", hd, step, j, dec[j], want[j])
+				}
 			}
 		}
 	}
-	_ = dec
 }
 
 // The promoted satellite test: greedy generation through the KV cache
@@ -70,46 +79,128 @@ func TestGenerateKVSeededReplay(t *testing.T) {
 	}
 }
 
-// Continuous-batching correctness: decoding two sequences joined in
-// one mixed batch must be bitwise identical to decoding each alone.
-// This is the property that lets the serving engine admit requests at
-// any step without perturbing in-flight sequences.
+// Continuous-batching correctness: a mixed batch — prefill runs of
+// different lengths next to single decode rows over caches of
+// different depths — must be bitwise identical to running each
+// sequence alone. This is the property that lets the serving engine
+// admit requests at any step without perturbing in-flight sequences.
 func TestJointBatchDecodeMatchesSeparate(t *testing.T) {
-	g := inferTestModel(t)
-	seqA := []int{4, 7, 2, 9, 11}
-	seqB := []int{30, 1, 6}
+	seqs := [][]int{
+		{4, 7, 2, 9, 11},
+		{30, 1, 6},
+		{8, 8, 21, 0, 3, 17, 29, 5, 12, 2, 19},
+		{15},
+	}
+	next := [][]int{{12, 3}, {13, 31}, {14, 0}, {16, 9}} // two decode steps each
+	for _, hd := range inferHeadDims {
+		g := inferModelWithHeadDim(hd)
+		// Alone: prefill, then two decode steps; keep every last row.
+		want := make([][][]float32, len(seqs))
+		for i, seq := range seqs {
+			c := g.NewKVCache()
+			l := g.InferStep(seq, []InferRun{{Cache: c, Rows: len(seq)}})
+			want[i] = append(want[i], append([]float32(nil), l.Row(len(seq)-1)...))
+			for _, tok := range next[i] {
+				l = g.InferStep([]int{tok}, []InferRun{{Cache: c, Rows: 1}})
+				want[i] = append(want[i], append([]float32(nil), l.Row(0)...))
+			}
+		}
+		cmp := func(name string, i, step int, got []float32) {
+			t.Helper()
+			for j, w := range want[i][step] {
+				if math.Float32bits(got[j]) != math.Float32bits(w) {
+					t.Fatalf("hd %d %s seq %d logit %d: joint %v != separate %v", hd, name, i, j, got[j], w)
+				}
+			}
+		}
 
-	// Separate decode.
-	ca := g.NewKVCache()
-	la := g.InferStep(seqA, []InferRun{{Cache: ca, Rows: len(seqA)}})
-	wantA := append([]float32(nil), la.Row(la.Shape[0]-1)...)
-	cb := g.NewKVCache()
-	lb := g.InferStep(seqB, []InferRun{{Cache: cb, Rows: len(seqB)}})
-	wantB := append([]float32(nil), lb.Row(lb.Shape[0]-1)...)
-	la = g.InferStep([]int{12}, []InferRun{{Cache: ca, Rows: 1}})
-	wantA2 := append([]float32(nil), la.Row(0)...)
-	lb = g.InferStep([]int{13}, []InferRun{{Cache: cb, Rows: 1}})
-	wantB2 := append([]float32(nil), lb.Row(0)...)
+		// Joint, staggered: sequences 0 and 1 prefill together; then 2
+		// and 3 prefill in the batch that decodes 0 and 1; then all four
+		// decode, 0 and 1 a step ahead.
+		caches := make([]*KVCache, len(seqs))
+		for i := range caches {
+			caches[i] = g.NewKVCache()
+		}
+		l := g.InferStep(append(append([]int(nil), seqs[0]...), seqs[1]...),
+			[]InferRun{{Cache: caches[0], Rows: len(seqs[0])}, {Cache: caches[1], Rows: len(seqs[1])}})
+		cmp("prefill", 0, 0, l.Row(len(seqs[0])-1))
+		cmp("prefill", 1, 0, l.Row(len(seqs[0])+len(seqs[1])-1))
 
-	// Joint: prefill both in one call, then decode both in one call.
-	ja, jb := g.NewKVCache(), g.NewKVCache()
-	tokens := append(append([]int(nil), seqA...), seqB...)
-	l := g.InferStep(tokens, []InferRun{{Cache: ja, Rows: len(seqA)}, {Cache: jb, Rows: len(seqB)}})
-	gotA := l.Row(len(seqA) - 1)
-	gotB := l.Row(len(seqA) + len(seqB) - 1)
-	cmp := func(name string, got, want []float32) {
-		t.Helper()
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("%s logit %d: joint %v != separate %v", name, j, got[j], want[j])
+		tokens := []int{next[0][0]}
+		tokens = append(tokens, seqs[2]...)
+		tokens = append(tokens, next[1][0])
+		tokens = append(tokens, seqs[3]...)
+		l = g.InferStep(tokens, []InferRun{
+			{Cache: caches[0], Rows: 1}, {Cache: caches[2], Rows: len(seqs[2])},
+			{Cache: caches[1], Rows: 1}, {Cache: caches[3], Rows: len(seqs[3])}})
+		cmp("decode beside prefill", 0, 1, l.Row(0))
+		cmp("prefill beside decode", 2, 0, l.Row(len(seqs[2])))
+		cmp("decode beside prefill", 1, 1, l.Row(len(seqs[2])+1))
+		cmp("prefill beside decode", 3, 0, l.Row(len(seqs[2])+1+len(seqs[3])))
+
+		l = g.InferStep([]int{next[0][1], next[1][1], next[2][0], next[3][0]}, []InferRun{
+			{Cache: caches[0], Rows: 1}, {Cache: caches[1], Rows: 1}, {Cache: caches[2], Rows: 1}, {Cache: caches[3], Rows: 1}})
+		cmp("decode", 0, 2, l.Row(0))
+		cmp("decode", 1, 2, l.Row(1))
+		cmp("decode", 2, 1, l.Row(2))
+		cmp("decode", 3, 1, l.Row(3))
+	}
+}
+
+// The cached attention keeps its keys transposed and runs both of its
+// reductions through tensor.AxpyN; what it must return is older than
+// that layout: per (row, head), scores summed from zero over the head
+// dimension in order and scaled, the max/float64-sum softmax, then the
+// value rows added in position order, each times its float32 weight.
+func TestInferAttentionMatchesScalarLoops(t *testing.T) {
+	for _, hd := range inferHeadDims {
+		g := inferModelWithHeadDim(hd)
+		blk, at := g.Blocks[1], g.Blocks[1].Attn
+		d, rows := at.Dim, 13
+		x := tensor.Randn(tensor.NewRNG(uint64(hd)), 1, rows, d)
+		got := g.inferAttention(blk, 1, x, []InferRun{{Cache: g.NewKVCache(), Rows: rows}})
+
+		q, k, v := InferLinear(at.QProj, x), InferLinear(at.KProj, x), InferLinear(at.VProj, x)
+		scale := float32(1 / math.Sqrt(float64(hd)))
+		ctx := tensor.New(rows, d)
+		for i := 0; i < rows; i++ {
+			for h := 0; h < at.Heads; h++ {
+				scores := make([]float32, i+1)
+				for t := range scores {
+					var s float32
+					for j := h * hd; j < (h+1)*hd; j++ {
+						s += q.Row(i)[j] * k.Row(t)[j]
+					}
+					scores[t] = s * scale
+				}
+				m := scores[0]
+				for _, s := range scores[1:] {
+					if s > m {
+						m = s
+					}
+				}
+				var sum float64
+				for t, s := range scores {
+					ev := math.Exp(float64(s - m))
+					scores[t] = float32(ev)
+					sum += ev
+				}
+				inv := float32(1 / sum)
+				for t, s := range scores {
+					w := s * inv
+					for j := h * hd; j < (h+1)*hd; j++ {
+						ctx.Row(i)[j] += w * v.Row(t)[j]
+					}
+				}
+			}
+		}
+		want := InferLinear(at.OProj, ctx)
+		for j := range want.Data {
+			if math.Float32bits(got.Data[j]) != math.Float32bits(want.Data[j]) {
+				t.Fatalf("hd %d element %d: %v != scalar reference %v", hd, j, got.Data[j], want.Data[j])
 			}
 		}
 	}
-	cmp("A prefill", gotA, wantA)
-	cmp("B prefill", gotB, wantB)
-	l = g.InferStep([]int{12, 13}, []InferRun{{Cache: ja, Rows: 1}, {Cache: jb, Rows: 1}})
-	cmp("A decode", l.Row(0), wantA2)
-	cmp("B decode", l.Row(1), wantB2)
 }
 
 // The inference path and the training forward share weights but not

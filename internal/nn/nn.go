@@ -211,7 +211,7 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 		l.inv = l.inv[:rows]
 	}
 	out := tensor.Scratch(rows, cols)
-	tensor.Parallel(rows, func(s, e int) {
+	tensor.ParallelWork(rows, cols, func(s, e int) {
 		for i := s; i < e; i++ {
 			src := x.Row(i)
 			var mu float64

@@ -764,6 +764,15 @@ func (e *Engine) syncGradientsZeRO([]*nn.Param) {
 // it, rescales, and unpacks — the gradient-bucketing optimization
 // every large-scale trainer applies to avoid per-tensor latency.
 func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
+	if c.Size() == 1 {
+		// Nothing to reduce with; a unit scale leaves every bit alone.
+		if scale != 1 {
+			for _, p := range params {
+				tensor.ScaleInPlace(p.G, scale)
+			}
+		}
+		return
+	}
 	if len(params) == 0 {
 		return
 	}
@@ -777,9 +786,7 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
 		copy(buf[off:], p.G.Data)
 		off += p.G.Len()
 	}
-	if c.Size() > 1 {
-		buf = c.AllReduce(buf, mpi.OpSum)
-	}
+	buf = c.AllReduce(buf, mpi.OpSum)
 	off = 0
 	for _, p := range params {
 		copy(p.G.Data, buf[off:off+p.G.Len()])

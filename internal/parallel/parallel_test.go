@@ -12,6 +12,7 @@ import (
 	"bagualu/internal/nn"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
+	"bagualu/internal/tensor"
 	"bagualu/internal/trace"
 	"bagualu/internal/train"
 )
@@ -67,6 +68,35 @@ func TestStrategyValidate(t *testing.T) {
 	if (Strategy{DataParallel: 2, ExpertParallel: 3}).Size() != 6 {
 		t.Fatal("Size wrong")
 	}
+}
+
+// A one-member communicator has nothing to reduce: at unit scale the
+// gradients keep every bit (dp = 1 stages under PP, the single-rank
+// engine), otherwise they are scaled where they lie; either way no
+// virtual time passes.
+func TestAllReduceBucketedSingleMember(t *testing.T) {
+	vals := []float32{1.5, float32(math.Copysign(0, -1)), 1e-40, float32(math.Inf(-1)), -3}
+	mpi.NewWorld(1, nil).Run(func(c *mpi.Comm) {
+		p, q := nn.NewParam("p", tensor.New(3)), nn.NewParam("q", tensor.New(2))
+		copy(p.G.Data, vals[:3])
+		copy(q.G.Data, vals[3:])
+		t0 := c.Now()
+		allReduceBucketed(c, []*nn.Param{p, q}, 1)
+		for i, v := range append(append([]float32(nil), p.G.Data...), q.G.Data...) {
+			if math.Float32bits(v) != math.Float32bits(vals[i]) {
+				t.Errorf("unit scale moved gradient %d: %v -> %v", i, vals[i], v)
+			}
+		}
+		allReduceBucketed(c, []*nn.Param{p, q}, 0.5)
+		for i, v := range append(append([]float32(nil), p.G.Data...), q.G.Data...) {
+			if want := vals[i] * 0.5; math.Float32bits(v) != math.Float32bits(want) {
+				t.Errorf("gradient %d scaled to %v, want %v", i, v, want)
+			}
+		}
+		if c.Now() != t0 {
+			t.Errorf("virtual clock moved %v -> %v", t0, c.Now())
+		}
+	})
 }
 
 func TestEngineTrainsMoDa(t *testing.T) {

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Matrix-multiply kernels. These are the hot loops of the whole
 // reproduction; they use register-blocked inner kernels over
@@ -79,24 +82,15 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 }
 
 // MatMulTransBNaive is the unblocked a@bᵀ kernel, kept as the
-// benchmark baseline for the tiled variant.
+// benchmark baseline for the tiled variant. Each output element is
+// the dot product summed from zero in p order; b is transposed once
+// so that eight of them, one per lane, advance together.
 func MatMulTransBNaive(a, b *Tensor) *Tensor {
 	m, k, n := mmTransBDims(a, b)
 	out := Scratch(m, n)
-	ParallelRows(m, func(s, e int) {
-		for i := s; i < e; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.Data[j*k : (j+1)*k]
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += arow[p] * brow[p]
-				}
-				orow[j] = sum
-			}
-		}
-	})
+	bT := transposed(b.Data, n, k)
+	ParallelRows(m, func(s, e int) { matmulRows(out.Data, a.Data, *bT, s, e, k, n, false) })
+	transPool.Put(bT)
 	return out
 }
 
@@ -110,20 +104,38 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	out := Scratch(m, n)
 	// Parallelize over output rows (columns of a); each worker owns a
 	// disjoint slice of out so no synchronization is needed.
-	ParallelRows(m, func(s, e int) {
-		for p := 0; p < k; p++ {
-			arow := a.Data[p*m : (p+1)*m]
-			brow := b.Data[p*n : (p+1)*n]
+	ParallelRows(m, func(s, e int) { matmulTransARows(out.Data, a.Data, b.Data, 0, k, m, n, s, e) })
+	return out
+}
+
+// transAK is how many reduction steps matmulTransARows packs and runs
+// at a time. Unlike tileK it is free to tune: the kernel adds straight
+// into out, which round-trips through memory exactly between blocks,
+// so every element sees the same additions in the same order at any
+// depth.
+const transAK = 128
+
+// matmulTransARows accumulates rows [s,e) of a[pLo:pHi]ᵀ@b[pLo:pHi]
+// into out for a [·,m], b [·,n], out [m,n]: out[i,j] += a[p,i]·b[p,j]
+// in ascending p, zero a[p,i] skipped. One AxpyN per (row, 64-column
+// strip) holds the strip in registers over a block of the reduction,
+// its multipliers a column of a. The block of b's strip is packed
+// first, as in the tiled kernel: in place its rows sit a whole row of
+// b apart and alias into a fraction of L1.
+func matmulTransARows(out, a, b []float32, pLo, pHi, m, n, s, e int) {
+	bp := panelPool.Get().(*[]float32)
+	panel := *bp
+	for p0 := pLo; p0 < pHi; p0 += transAK {
+		p1 := min(p0+transAK, pHi)
+		for j0 := 0; j0 < n; j0 += tileN {
+			j1 := min(j0+tileN, n)
+			packB(panel, b, p0, p1, j0, j1, n)
 			for i := s; i < e; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				Axpy(out.Data[i*n:(i+1)*n], brow, av)
+				AxpyN(out[i*n+j0:i*n+j1], a[p0*m+i:], m, panel, j1-j0, p1-p0, true)
 			}
 		}
-	})
-	return out
+	}
+	panelPool.Put(bp)
 }
 
 // MatVec returns a@x for a [m,k] and x [k].
@@ -167,23 +179,62 @@ func mmTransBDims(a, b *Tensor) (m, k, n int) {
 // caller). i-k-j loop order streams b rows through the cache; the
 // row-panel parallelism gives each worker a disjoint out region.
 func matmulInto(out, a, b []float32, m, k, n int) {
-	ParallelRows(m, func(s, e int) { matmulRows(out, a, b, s, e, k, n) })
+	ParallelRows(m, func(s, e int) { matmulRows(out, a, b, s, e, k, n, true) })
 }
 
 // matmulRows accumulates rows [s,e) of a@b into the same rows of out:
-// the unblocked kernel every naive path shares, one Axpy per non-zero
-// element of a.
-func matmulRows(out, a, b []float32, s, e, k, n int) {
+// the unblocked kernel every naive path shares, each output row one
+// AxpyN over the whole reduction. skipZero keeps the a == 0 skip of
+// the a@b loops; the a@bᵀ paths, whose dot-product loops had none,
+// pass b transposed and false.
+func matmulRows(out, a, b []float32, s, e, k, n int, skipZero bool) {
 	for i := s; i < e; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for p, av := range arow {
-			if av == 0 {
-				continue
+		AxpyN(out[i*n:(i+1)*n], a[i*k:(i+1)*k], 1, b, n, k, skipZero)
+	}
+}
+
+// transposeInto writes the transpose of the r-by-c block at src (row
+// stride ls) to dst (row stride ld): dst[j*ld+i] = src[i*ls+j]. Four
+// source rows go at a time, so each destination row takes four
+// adjacent stores, over at most 128 columns, so the destination lines
+// they land in stay in L1 until the next four rows come round.
+func transposeInto(dst []float32, ld int, src []float32, ls, r, c int) {
+	const bs = 128
+	for j0 := 0; j0 < c; j0 += bs {
+		w := min(bs, c-j0)
+		i := 0
+		for ; i+4 <= r; i += 4 {
+			r0 := src[i*ls+j0:][:w]
+			r1 := src[(i+1)*ls+j0:][:w]
+			r2 := src[(i+2)*ls+j0:][:w]
+			r3 := src[(i+3)*ls+j0:][:w]
+			for j := range r0 {
+				d := dst[(j0+j)*ld+i:][:4]
+				d[0], d[1], d[2], d[3] = r0[j], r1[j], r2[j], r3[j]
 			}
-			Axpy(orow, b[p*n:(p+1)*n], av)
+		}
+		for ; i < r; i++ {
+			for j, v := range src[i*ls+j0:][:w] {
+				dst[(j0+j)*ld+i] = v
+			}
 		}
 	}
+}
+
+// transPool recycles the panels transposed fills.
+var transPool = sync.Pool{New: func() any { return new([]float32) }}
+
+// transposed returns b, an [n,k] matrix, as [k,n] in a pooled buffer:
+// the layout in which the a@bᵀ naive paths can hand their dot products
+// to matmulRows. Return the buffer with transPool.Put.
+func transposed(b []float32, n, k int) *[]float32 {
+	tp := transPool.Get().(*[]float32)
+	if cap(*tp) < k*n {
+		*tp = make([]float32, k*n)
+	}
+	*tp = (*tp)[:k*n]
+	transposeInto(*tp, n, b, k, n, k)
+	return tp
 }
 
 // axpyGeneric is Axpy in portable Go: the only path off amd64 or
@@ -191,6 +242,18 @@ func matmulRows(out, a, b []float32, s, e, k, n int) {
 func axpyGeneric(orow, brow []float32, av float32) {
 	for j, bv := range brow {
 		orow[j] += av * bv
+	}
+}
+
+// axpyNGeneric is AxpyN as the loop of Axpy calls it stands for: the
+// portable path and the oracle for the strip kernel.
+func axpyNGeneric(dst, as []float32, sa int, b []float32, sb, kd int, skipZero bool) {
+	for p := 0; p < kd; p++ {
+		a := as[p*sa]
+		if skipZero && a == 0 {
+			continue
+		}
+		Axpy(dst, b[p*sb:p*sb+len(dst)], a)
 	}
 }
 
@@ -214,7 +277,7 @@ func BatchMatMul(a, b *Tensor) *Tensor {
 				matmulTiledInto(ob, ab, bb, m, k, n, false)
 				continue
 			}
-			matmulRows(ob, ab, bb, 0, m, k, n)
+			matmulRows(ob, ab, bb, 0, m, k, n, true)
 		}
 	})
 	return out
@@ -239,18 +302,9 @@ func BatchMatMulTransB(a, b *Tensor) *Tensor {
 				matmulTransBTiledInto(ob, ab, bb, m, k, n, false)
 				continue
 			}
-			for i := 0; i < m; i++ {
-				arow := ab[i*k : (i+1)*k]
-				orow := ob[i*n : (i+1)*n]
-				for j := 0; j < n; j++ {
-					brow := bb[j*k : (j+1)*k]
-					var sum float32
-					for p := 0; p < k; p++ {
-						sum += arow[p] * brow[p]
-					}
-					orow[j] = sum
-				}
-			}
+			bT := transposed(bb, n, k)
+			matmulRows(ob, ab, *bT, 0, m, k, n, false)
+			transPool.Put(bT)
 		}
 	})
 	return out

@@ -106,7 +106,7 @@ func GroupedMatMulInto(out, a *Tensor, off []int, bs []*Tensor) {
 	ParallelRows(m, func(s, e int) {
 		for g := groupOf(off, s); s < e; g++ {
 			hi := min(e, off[g+1])
-			matmulRows(out.Data, a.Data, bs[g].Data, s, hi, k, n)
+			matmulRows(out.Data, a.Data, bs[g].Data, s, hi, k, n, true)
 			s = max(s, hi)
 		}
 	})
@@ -136,22 +136,15 @@ func GroupedMatMulTransBInto(out, a *Tensor, off []int, bs []*Tensor) {
 		groupedTiled(out.Data, a.Data, off, bs, m, k, n, packBT, k)
 		return
 	}
+	// Naive path: MatMulTransBNaive's per-row arithmetic, each group's
+	// weight block transposed as the worker reaches it.
 	ParallelRows(m, func(s, e int) {
-		g := groupOf(off, s)
-		for i := s; i < e; i++ {
-			for i >= off[g+1] {
-				g++
-			}
-			b := bs[g].Data
-			arow := a.Data[i*k : (i+1)*k]
-			orow := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b[j*k : (j+1)*k]
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += arow[p] * brow[p]
-				}
-				orow[j] = sum
+		for g := groupOf(off, s); s < e; g++ {
+			if hi := min(e, off[g+1]); hi > s {
+				bT := transposed(bs[g].Data, n, k)
+				matmulRows(out.Data, a.Data, *bT, s, hi, k, n, false)
+				transPool.Put(bT)
+				s = hi
 			}
 		}
 	})
@@ -215,19 +208,8 @@ func GroupedMatMulTransAInto(outs []*Tensor, a, b *Tensor, off []int) {
 	// worker owns a disjoint row range of all outputs, streaming every
 	// group's activation rows once.
 	ParallelRows(din, func(s, e int) {
-		for g := range outs {
-			o := outs[g].Data
-			for p := off[g]; p < off[g+1]; p++ {
-				arow := a.Data[p*din : (p+1)*din]
-				brow := b.Data[p*n : (p+1)*n]
-				for i := s; i < e; i++ {
-					av := arow[i]
-					if av == 0 {
-						continue
-					}
-					Axpy(o[i*n:(i+1)*n], brow, av)
-				}
-			}
+		for g, o := range outs {
+			matmulTransARows(o.Data, a.Data, b.Data, off[g], off[g+1], din, n, s, e)
 		}
 	})
 }

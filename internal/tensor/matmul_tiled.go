@@ -127,16 +127,7 @@ func packB(panel, b []float32, p0, p1, j0, j1, n int) {
 // panel layout packB produces, so the macro kernel is shared between
 // the normal and the ᵀ variants.
 func packBT(panel, b []float32, p0, p1, j0, j1, k int) {
-	w := j1 - j0
-	kd := p1 - p0
-	for jj := 0; jj < w; jj++ {
-		row := b[(j0+jj)*k+p0 : (j0+jj)*k+p1]
-		off := jj
-		for p := 0; p < kd; p++ {
-			panel[off] = row[p]
-			off += w
-		}
-	}
+	transposeInto(panel, j1-j0, b[j0*k+p0:], k, j1-j0, p1-p0)
 }
 
 // macroKernel updates out[i0:i1, j0:j1] += A[i0:i1, p0:p1] @ panel.
@@ -163,15 +154,7 @@ func macroKernel(out, a, panel []float32, i0, i1, j0, j1, p0, p1, k, n int) {
 	}
 	// Row remainder.
 	for ; i < i1; i++ {
-		arow := a[i*k+p0:]
-		orow := out[i*n+j0 : i*n+j1]
-		for p := 0; p < kd; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			Axpy(orow, panel[p*w:(p+1)*w], av)
-		}
+		AxpyN(out[i*n+j0:i*n+j1], a[i*k+p0:i*k+p1], 1, panel, w, kd, true)
 	}
 }
 

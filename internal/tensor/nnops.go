@@ -17,7 +17,7 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	}
 	r, c := a.Shape[0], a.Shape[1]
 	out := Scratch(r, c)
-	Parallel(r, func(s, e int) {
+	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			softmaxRow(out.Data[i*c:(i+1)*c], a.Data[i*c:(i+1)*c])
 		}
@@ -51,7 +51,7 @@ func LogSoftmaxRows(a *Tensor) *Tensor {
 	}
 	r, c := a.Shape[0], a.Shape[1]
 	out := Scratch(r, c)
-	Parallel(r, func(s, e int) {
+	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			src := a.Data[i*c : (i+1)*c]
 			dst := out.Data[i*c : (i+1)*c]
@@ -86,7 +86,7 @@ func LayerNormRows(a, gamma, beta *Tensor, eps float32) *Tensor {
 		panic(fmt.Sprintf("tensor: LayerNormRows gamma/beta length %d/%d, want %d", gamma.Len(), beta.Len(), c))
 	}
 	out := Scratch(r, c)
-	Parallel(r, func(s, e int) {
+	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			src := a.Data[i*c : (i+1)*c]
 			dst := out.Data[i*c : (i+1)*c]

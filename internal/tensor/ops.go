@@ -182,7 +182,7 @@ func ArgMaxRows(a *Tensor) []int {
 	}
 	rows := a.Shape[0]
 	out := make([]int, rows)
-	Parallel(rows, func(s, e int) {
+	ParallelWork(rows, a.Shape[1], func(s, e int) {
 		for r := s; r < e; r++ {
 			row := a.Row(r)
 			best, bi := row[0], 0
@@ -271,27 +271,10 @@ func Transpose(a *Tensor) *Tensor {
 	}
 	r, c := a.Shape[0], a.Shape[1]
 	out := Scratch(c, r)
-	// Blocked transpose for cache friendliness.
-	const bs = 32
+	const bs = 32 // rows per unit of fan-out
 	ParallelRows((r+bs-1)/bs, func(s, e int) {
-		for bi := s; bi < e; bi++ {
-			i0 := bi * bs
-			i1 := i0 + bs
-			if i1 > r {
-				i1 = r
-			}
-			for j0 := 0; j0 < c; j0 += bs {
-				j1 := j0 + bs
-				if j1 > c {
-					j1 = c
-				}
-				for i := i0; i < i1; i++ {
-					for j := j0; j < j1; j++ {
-						out.Data[j*r+i] = a.Data[i*c+j]
-					}
-				}
-			}
-		}
+		i0, i1 := s*bs, min(e*bs, r)
+		transposeInto(out.Data[i0:], r, a.Data[i0*c:], c, i1-i0, c)
 	})
 	return out
 }
@@ -321,7 +304,7 @@ func SumCols(a *Tensor) *Tensor {
 	}
 	r, c := a.Shape[0], a.Shape[1]
 	out := Scratch(r)
-	Parallel(r, func(s, e int) {
+	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			var sum float64
 			for _, v := range a.Data[i*c : (i+1)*c] {
@@ -340,7 +323,7 @@ func AddRowVector(a, v *Tensor) {
 		panic(fmt.Sprintf("tensor: AddRowVector shapes %v, %v", a.Shape, v.Shape))
 	}
 	r, c := a.Shape[0], a.Shape[1]
-	Parallel(r, func(s, e int) {
+	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			row := a.Data[i*c : (i+1)*c]
 			for j := range row {
@@ -357,7 +340,7 @@ func MulRowVector(a, v *Tensor) {
 		panic(fmt.Sprintf("tensor: MulRowVector shapes %v, %v", a.Shape, v.Shape))
 	}
 	r, c := a.Shape[0], a.Shape[1]
-	Parallel(r, func(s, e int) {
+	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			row := a.Data[i*c : (i+1)*c]
 			for j := range row {

@@ -105,17 +105,20 @@ func dispatch(n, w int, fn func(start, end int)) {
 // Parallel splits [0,n) into contiguous chunks and runs fn on each
 // chunk, using up to Workers() persistent workers. fn is called with
 // half-open ranges [start,end). It runs serially when n is small.
-func Parallel(n int, fn func(start, end int)) {
+func Parallel(n int, fn func(start, end int)) { ParallelWork(n, 1, fn) }
+
+// ParallelWork is Parallel for a loop whose n iterations each run per
+// inner iterations — the rows of a matrix, per its width. Whether to
+// fan out is decided on the n*per total, so a 512×512 row-wise kernel
+// is not mistaken for 512 iterations of work.
+func ParallelWork(n, per int, fn func(start, end int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers()
-	if w <= 1 || n < minParallel {
+	w := min(Workers(), n)
+	if w <= 1 || n*per < minParallel {
 		fn(0, n)
 		return
-	}
-	if w > n {
-		w = n
 	}
 	dispatch(n, w, fn)
 }

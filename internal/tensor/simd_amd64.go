@@ -13,17 +13,44 @@ func axpyAVX2(dst, x []float32, a float32)
 
 func gemm2RowsAVX2(o0, o1, a0, a1, panel []float32, w int)
 
+func axpyNAVX2(dst, as []float32, sa int, b []float32, sb, kd int, skipZero bool)
+
 // Axpy computes dst[j] += a*x[j] for every j < len(x), one float32
 // multiply and one float32 add per element (never fused), so the
-// result does not depend on which path runs. It is the inner loop of
-// every GEMM variant whose reduction index is the outer loop; callers
-// that skip zero multipliers keep that test themselves.
+// result does not depend on which path runs. GEMM loops go through
+// AxpyN, which is a run of these with dst kept in registers.
 func Axpy(dst, x []float32, a float32) {
 	if useAVX2 {
 		axpyAVX2(dst[:len(x)], x, a)
 		return
 	}
 	axpyGeneric(dst, x, a)
+}
+
+// AxpyN accumulates kd scaled rows of b into dst: for every
+// j < len(dst)
+//
+//	acc = dst[j]
+//	for p < kd: a = as[p*sa]; if skipZero && a == 0 { continue }; acc += a * b[p*sb+j]
+//	dst[j] = acc
+//
+// exactly what kd consecutive Axpy(dst, b[p*sb:], as[p*sa]) calls
+// leave in dst (axpyNGeneric is that loop), but dst is loaded and
+// stored once instead of once per p. It is the inner kernel of every
+// GEMM loop outside the paired rows of the tiled kernel: p strictly
+// ascending and, where the scalar loop it replaced had it, the a == 0
+// skip are part of the numerical contract; how callers block p or cut
+// dst into strips is not, because dst round-trips through memory
+// exactly.
+func AxpyN(dst, as []float32, sa int, b []float32, sb, kd int, skipZero bool) {
+	if !useAVX2 || kd <= 0 || len(dst) == 0 {
+		axpyNGeneric(dst, as, sa, b, sb, kd, skipZero)
+		return
+	}
+	// The assembly checks no bounds: touch the last element of each
+	// operand here.
+	_, _ = as[(kd-1)*sa], b[(kd-1)*sb+len(dst)-1]
+	axpyNAVX2(dst, as, sa, b, sb, kd, skipZero)
 }
 
 // gemm2Rows runs the vector micro-kernel over the leading columns of

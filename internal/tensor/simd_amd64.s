@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// Both kernels vectorise across the output column index only: lane j
+// Every kernel here vectorises across the output column index only: lane j
 // performs exactly the scalar sequence of element j, one VMULPS then
 // one VADDPS per multiply-add. No fused multiply-add anywhere — its
 // single rounding would change every result the generic Go loops (and
@@ -231,5 +231,230 @@ gemmDepth8:
 	VMOVUPS Y4, (SI)
 
 gemmDone:
+	VZEROUPPER
+	RET
+
+// Lane masks for a last strip narrower than 8 columns: the 8 dwords
+// starting (8-r)*4 bytes in have exactly their first r set.
+DATA axpyNMask<>+0(SB)/8, $0xffffffffffffffff
+DATA axpyNMask<>+8(SB)/8, $0xffffffffffffffff
+DATA axpyNMask<>+16(SB)/8, $0xffffffffffffffff
+DATA axpyNMask<>+24(SB)/8, $0xffffffffffffffff
+DATA axpyNMask<>+32(SB)/8, $0
+DATA axpyNMask<>+40(SB)/8, $0
+DATA axpyNMask<>+48(SB)/8, $0
+DATA axpyNMask<>+56(SB)/8, $0
+GLOBL axpyNMask<>(SB), RODATA|NOPTR, $64
+
+// The multiplier test of one reduction step of axpyNAVX2: a == 0 in
+// float32 is "all bits but the sign are clear" (so both zeros and no
+// NaN), and R13 holds 1 when zeros are to be multiplied like any other
+// value. Leaves ZF set exactly when step p is to be skipped.
+#define SKIPTEST \
+	MOVL (SI), AX; \
+	SHLL $1, AX;   \
+	ORL  R13, AX
+
+#define NEXTP(loop) \
+	ADDQ R9, SI;  \
+	ADDQ R11, BX; \
+	DECQ DX;      \
+	JNZ  loop
+
+// func axpyNAVX2(dst, as []float32, sa int, b []float32, sb, kd int, skipZero bool)
+//
+// The strip-accumulate kernel behind AxpyN. For every column
+// j < len(dst):
+//
+//	acc = dst[j]
+//	for p < kd: a = as[p*sa]; if skipZero && a == 0 { continue }; acc += a * b[p*sb+j]
+//	dst[j] = acc
+//
+// which is kd consecutive axpyAVX2 calls on the same dst with the
+// loads and stores of dst between them removed: a strip of dst stays
+// in ymm registers while p runs over the whole reduction. Strips are
+// 64 columns (8 accumulators) while that many remain, then 32, 16, 8
+// and one masked strip for the last len%8, whose dead lanes load as
+// zero, are free to compute anything and are never stored. The caller
+// guarantees kd >= 1, len(dst) >= 1 and that as and b cover every
+// index above.
+TEXT ·axpyNAVX2(SB), NOSPLIT, $0-97
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), CX  // columns left
+	MOVQ    as_base+24(FP), R8
+	MOVQ    sa+48(FP), R9
+	MOVQ    b_base+56(FP), R10 // first row of b at the current strip
+	MOVQ    sb+80(FP), R11
+	MOVQ    kd+88(FP), R12
+	MOVBLZX skipZero+96(FP), R13
+	XORL    $1, R13
+	SHLQ    $2, R9             // strides in bytes
+	SHLQ    $2, R11
+	CMPQ    CX, $64
+	JLT     axpyNCols32
+
+	PCALIGN $32
+axpyNCols64:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	MOVQ    R8, SI
+	MOVQ    R10, BX
+	MOVQ    R12, DX
+
+	PCALIGN $32
+axpyNDepth64:
+	SKIPTEST
+	JZ           axpyNNext64
+	VBROADCASTSS (SI), Y8
+	VMULPS       (BX), Y8, Y9
+	VMULPS       32(BX), Y8, Y10
+	VMULPS       64(BX), Y8, Y11
+	VMULPS       96(BX), Y8, Y12
+	VADDPS       Y9, Y0, Y0
+	VADDPS       Y10, Y1, Y1
+	VADDPS       Y11, Y2, Y2
+	VADDPS       Y12, Y3, Y3
+	VMULPS       128(BX), Y8, Y9
+	VMULPS       160(BX), Y8, Y10
+	VMULPS       192(BX), Y8, Y11
+	VMULPS       224(BX), Y8, Y12
+	VADDPS       Y9, Y4, Y4
+	VADDPS       Y10, Y5, Y5
+	VADDPS       Y11, Y6, Y6
+	VADDPS       Y12, Y7, Y7
+
+axpyNNext64:
+	NEXTP(axpyNDepth64)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, R10
+	SUBQ    $64, CX
+	CMPQ    CX, $64
+	JGE     axpyNCols64
+
+axpyNCols32:
+	CMPQ    CX, $32
+	JLT     axpyNCols16
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	MOVQ    R8, SI
+	MOVQ    R10, BX
+	MOVQ    R12, DX
+
+	PCALIGN $32
+axpyNDepth32:
+	SKIPTEST
+	JZ           axpyNNext32
+	VBROADCASTSS (SI), Y8
+	VMULPS       (BX), Y8, Y9
+	VMULPS       32(BX), Y8, Y10
+	VMULPS       64(BX), Y8, Y11
+	VMULPS       96(BX), Y8, Y12
+	VADDPS       Y9, Y0, Y0
+	VADDPS       Y10, Y1, Y1
+	VADDPS       Y11, Y2, Y2
+	VADDPS       Y12, Y3, Y3
+
+axpyNNext32:
+	NEXTP(axpyNDepth32)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, R10
+	SUBQ    $32, CX
+
+axpyNCols16:
+	CMPQ    CX, $16
+	JLT     axpyNCols8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	MOVQ    R8, SI
+	MOVQ    R10, BX
+	MOVQ    R12, DX
+
+	PCALIGN $32
+axpyNDepth16:
+	SKIPTEST
+	JZ           axpyNNext16
+	VBROADCASTSS (SI), Y8
+	VMULPS       (BX), Y8, Y9
+	VMULPS       32(BX), Y8, Y10
+	VADDPS       Y9, Y0, Y0
+	VADDPS       Y10, Y1, Y1
+
+axpyNNext16:
+	NEXTP(axpyNDepth16)
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, R10
+	SUBQ    $16, CX
+
+axpyNCols8:
+	CMPQ    CX, $8
+	JLT     axpyNTail
+	VMOVUPS (DI), Y0
+	MOVQ    R8, SI
+	MOVQ    R10, BX
+	MOVQ    R12, DX
+
+	PCALIGN $32
+axpyNDepth8:
+	SKIPTEST
+	JZ           axpyNNext8
+	VBROADCASTSS (SI), Y8
+	VMULPS       (BX), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+
+axpyNNext8:
+	NEXTP(axpyNDepth8)
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R10
+	SUBQ    $8, CX
+
+axpyNTail:
+	TESTQ      CX, CX
+	JZ         axpyNDone
+	LEAQ       axpyNMask<>+32(SB), AX
+	SHLQ       $2, CX
+	SUBQ       CX, AX
+	VMOVDQU    (AX), Y13
+	VMASKMOVPS (DI), Y13, Y0
+	MOVQ       R8, SI
+	MOVQ       R10, BX
+	MOVQ       R12, DX
+
+	PCALIGN $32
+axpyNDepthTail:
+	SKIPTEST
+	JZ           axpyNNextTail
+	VBROADCASTSS (SI), Y8
+	VMASKMOVPS   (BX), Y13, Y9
+	VMULPS       Y9, Y8, Y9
+	VADDPS       Y9, Y0, Y0
+
+axpyNNextTail:
+	NEXTP(axpyNDepthTail)
+	VMASKMOVPS Y0, Y13, (DI)
+
+axpyNDone:
 	VZEROUPPER
 	RET

@@ -30,29 +30,6 @@ func requireAVX2(t *testing.T) {
 	}
 }
 
-// awkward fills a tensor with unit-scale values salted with the inputs
-// a vector kernel is most likely to treat differently from a scalar
-// one: exact zeros of both signs (the call sites skip a == 0),
-// subnormals, and magnitudes whose products leave float32's range.
-func awkward(r *RNG, shape ...int) *Tensor {
-	t := Uniform(r, -1, 1, shape...)
-	for i := range t.Data {
-		switch r.Intn(16) {
-		case 0:
-			t.Data[i] = 0
-		case 1:
-			t.Data[i] = float32(math.Copysign(0, -1))
-		case 2:
-			t.Data[i] *= 1e-40 // subnormal
-		case 3:
-			t.Data[i] *= 1e30
-		case 4:
-			t.Data[i] *= 1e-30
-		}
-	}
-	return t
-}
-
 func TestAxpyBitIdentical(t *testing.T) {
 	requireAVX2(t)
 	r := NewRNG(7)
@@ -66,6 +43,56 @@ func TestAxpyBitIdentical(t *testing.T) {
 				Axpy(got, x, a)
 				axpyGeneric(want, x, a)
 				bitwiseEq(t, fmt.Sprintf("Axpy n=%d off=%d a=%v", n, off, a), got, want)
+			}
+		}
+	}
+}
+
+// hwNaN is the NaN x86 produces for an invalid operation. Salting with
+// this one keeps every NaN in a run the same bit pattern: which of two
+// different NaNs an add or multiply propagates depends on operand
+// order, and Go's own scalar loops do not agree on that among
+// themselves.
+var hwNaN = math.Float32frombits(0xFFC00000)
+
+// TestAxpyNBitIdentical checks the strip kernel against the loop of
+// Axpy calls it replaces: every strip-width combination (len 0…200),
+// depths up to and around any block a caller might choose, strided
+// multipliers, rows padded past len, unaligned starts, both skip
+// modes. Inputs are awkward's, so most columns stay finite and a fused
+// multiply-add or a reordered p shows in their low bits; the salted
+// variants then put ±0, NaN and ±Inf where the skip rule decides the
+// result — a skipped 0·Inf leaves dst alone, an unskipped one turns it
+// to NaN, and a NaN multiplier is never skipped.
+func TestAxpyNBitIdentical(t *testing.T) {
+	requireAVX2(t)
+	r := NewRNG(19)
+	kds := []int{0, 1, 2, 3, 7, 8, 15, 16, 17, 63, 64, 65, 127, 128, 129, 130}
+	for n := 0; n <= 200; n++ {
+		for _, kd := range []int{kds[n%len(kds)], r.Intn(131)} {
+			for _, sa := range []int{1, 3} {
+				off, sb := r.Intn(4), n+5*r.Intn(2)
+				as := awkward(r, kd*sa+off).Data[off:]
+				b := awkward(r, kd*sb+n+off).Data[off:]
+				base := awkward(r, n+off).Data[off:]
+				for salt := 0; salt < 2; salt++ {
+					if salt == 1 && kd > 0 {
+						p, q := r.Intn(kd), r.Intn(kd)
+						as[p*sa] = []float32{0, float32(math.Copysign(0, -1)), hwNaN}[r.Intn(3)]
+						as[q*sa] = float32(math.Copysign(0, -1))
+						if n > 0 {
+							b[p*sb+r.Intn(n)] = float32(math.Inf(1 - 2*r.Intn(2)))
+							b[q*sb+r.Intn(n)] = float32(math.Inf(-1))
+						}
+					}
+					for _, skip := range []bool{true, false} {
+						got := append([]float32(nil), base...)
+						want := append([]float32(nil), base...)
+						AxpyN(got, as, sa, b, sb, kd, skip)
+						generic(func() { AxpyN(want, as, sa, b, sb, kd, skip) })
+						bitwiseEq(t, fmt.Sprintf("AxpyN n=%d kd=%d sa=%d sb=%d off=%d salt=%d skip=%v", n, kd, sa, sb, off, salt, skip), got, want)
+					}
+				}
 			}
 		}
 	}
@@ -100,9 +127,11 @@ func TestGEMMBitIdentical(t *testing.T) {
 			f    func() *Tensor
 		}{
 			{"MatMul", func() *Tensor { return MatMul(a, b) }},
+			{"MatMulNaive", func() *Tensor { return MatMulNaive(a, b) }},
 			{"MatMulInto", func() *Tensor { out := Full(3, m, n); MatMulInto(out, a, b); return out }},
 			{"MatMulTiled", func() *Tensor { return MatMulTiled(a, b) }},
 			{"MatMulTransB", func() *Tensor { return MatMulTransB(a, bt) }},
+			{"MatMulTransBNaive", func() *Tensor { return MatMulTransBNaive(a, bt) }},
 			{"MatMulTransBTiled", func() *Tensor { return MatMulTransBTiled(a, bt) }},
 			{"MatMulTransA", func() *Tensor { return MatMulTransA(at, b) }},
 		}

@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -577,6 +579,51 @@ func TestParallelRowsCoversRange(t *testing.T) {
 	}
 	if total != int64(n) {
 		t.Fatalf("total = %d", total)
+	}
+}
+
+// ParallelWork decides on rows × cols, so a wide matrix of few rows
+// fans out where the bare row count would not, and the row-wise
+// kernels built on it return the same bits however they are chunked.
+func TestParallelWorkDecidesOnTotal(t *testing.T) {
+	prev := SetMaxWorkers(4)
+	defer SetMaxWorkers(prev)
+	chunks := func(run func(fn func(s, e int))) int32 {
+		var n atomic.Int32
+		run(func(s, e int) { n.Add(1) })
+		return n.Load()
+	}
+	if n := chunks(func(fn func(s, e int)) { ParallelWork(8, minParallel/8-1, fn) }); n != 1 {
+		t.Fatalf("below the threshold ran in %d chunks", n)
+	}
+	if n := chunks(func(fn func(s, e int)) { ParallelWork(8, minParallel/8, fn) }); n != 4 {
+		t.Fatalf("8 rows of %d ran in %d chunks, want 4", minParallel/8, n)
+	}
+	if n := chunks(func(fn func(s, e int)) { ParallelWork(1, 1<<20, fn) }); n != 1 {
+		t.Fatalf("one row ran in %d chunks", n)
+	}
+
+	r := NewRNG(33)
+	a, g, b := Randn(r, 1, 9, 600), Randn(r, 1, 600), Randn(r, 1, 600)
+	kernels := []func() []float32{
+		func() []float32 { return LayerNormRows(a, g, b, 1e-5).Data },
+		func() []float32 { return SoftmaxRows(a).Data },
+		func() []float32 { return LogSoftmaxRows(a).Data },
+		func() []float32 { return SumCols(a).Data },
+		func() []float32 { c := a.Clone(); AddRowVector(c, g); MulRowVector(c, b); return c.Data },
+		func() []float32 {
+			var idx []float32
+			for _, i := range ArgMaxRows(a) {
+				idx = append(idx, float32(i))
+			}
+			return idx
+		},
+	}
+	for i, k := range kernels {
+		SetMaxWorkers(4)
+		fanned := k()
+		SetMaxWorkers(1)
+		bitwiseEq(t, fmt.Sprintf("row-wise kernel %d", i), fanned, k())
 	}
 }
 

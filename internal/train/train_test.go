@@ -233,6 +233,42 @@ func TestTrainerLossDecreases(t *testing.T) {
 	}
 }
 
+// Who reports the gradient norm: the trainer, unless clipping is off
+// and a sync hook is installed — then the hook's owner does (the
+// parallel engine's distributed norm) and the trainer must not spend a
+// pass over every gradient on a number nobody reads. The update itself
+// is the same either way.
+func TestGradNormLeftToSyncHook(t *testing.T) {
+	step := func(hook bool) (Metrics, []float32) {
+		model, corpus := tinyModel(3)
+		tr, err := NewTrainer(model, corpus, NewAdam(0), Config{Batch: 4, Precision: sunway.FP32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hook {
+			tr.PostBackward = func([]*nn.Param) {}
+		}
+		m := tr.Step()
+		return m, append([]float32(nil), tr.Params()[0].W.Data...)
+	}
+	plain, wPlain := step(false)
+	hooked, wHooked := step(true)
+	if plain.GradNorm <= 0 {
+		t.Fatalf("plain trainer reports grad norm %v", plain.GradNorm)
+	}
+	if hooked.GradNorm != 0 {
+		t.Fatalf("trainer with a sync hook and no clipping computed grad norm %v", hooked.GradNorm)
+	}
+	if plain.Loss != hooked.Loss {
+		t.Fatalf("loss %v vs %v", plain.Loss, hooked.Loss)
+	}
+	for i := range wPlain {
+		if wPlain[i] != wHooked[i] {
+			t.Fatalf("weight %d: %v vs %v", i, wPlain[i], wHooked[i])
+		}
+	}
+}
+
 func TestTrainerMixedPrecisionTrains(t *testing.T) {
 	model, corpus := tinyModel(2)
 	tr, err := NewTrainer(model, corpus, NewAdam(0), Config{

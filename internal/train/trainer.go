@@ -47,7 +47,7 @@ type Metrics struct {
 	Step     int
 	Loss     float32 // cross-entropy (excludes aux)
 	AuxLoss  float32 // summed MoE balance loss
-	GradNorm float32
+	GradNorm float32 // pre-clip global norm; 0 when a PostBackward hook is installed and ClipNorm is 0
 	LR       float32
 	Skipped  bool // step dropped by loss-scale overflow
 	Overflow int  // MoE capacity overflow count (CapacityDrop mode only; 0 when dropless)
@@ -258,9 +258,12 @@ func (t *Trainer) finishStep(m Metrics) Metrics {
 	if t.PostBackward != nil {
 		t.PostBackward(t.params)
 	}
+	// With clipping off and a sync hook installed the hook owns the
+	// norm (the parallel engine computes the distributed one and clips
+	// there); a local pass over every gradient would be read by nobody.
 	if t.Cfg.ClipNorm > 0 {
 		m.GradNorm = ClipGradNorm(t.params, t.Cfg.ClipNorm)
-	} else {
+	} else if t.PostBackward == nil {
 		m.GradNorm = GlobalGradNorm(t.params)
 	}
 	m.LR = t.Cfg.Schedule.LR(t.step)

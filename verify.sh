@@ -13,11 +13,13 @@ go vet ./...
 go test -race ./...
 go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes' ./internal/...
 # The amd64 assembly kernels promise the portable Go loops' bits: the
-# kernel packages and the fast goldens again with the assembly compiled
-# out, and the portable files type-checked for an architecture that has
-# no assembly at all (vet's asmdecl checked the amd64 frames above).
-go test -tags purego ./internal/tensor ./internal/half ./cmd/bagualu
-GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half
+# kernel packages, the inference path built on them (transposed key
+# cache, serve and fleet token checks) and the fast goldens again with
+# the assembly compiled out, and the portable files type-checked for an
+# architecture that has no assembly at all (vet's asmdecl checked the
+# amd64 frames above).
+go test -tags purego ./internal/tensor ./internal/half ./internal/nn ./internal/serve/... ./cmd/bagualu
+GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half ./internal/nn
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
