@@ -221,15 +221,16 @@ func NewTrainer(model *GPT, corpus *Corpus, opt Optimizer, cfg TrainConfig) (*Tr
 	return train.NewTrainer(model, corpus, opt, cfg)
 }
 
-// SaveCheckpoint writes params to path.
+// SaveCheckpoint writes params as a one-shard checkpoint step under
+// the directory path.
 func SaveCheckpoint(path string, step int64, params []*Param) error {
-	return train.SaveFile(path, train.Header{Step: step}, params)
+	return ckpt.SaveForInference(path, step, params)
 }
 
-// LoadCheckpoint restores params from path and returns the saved
-// step.
+// LoadCheckpoint restores params from the latest step under the
+// directory path and returns the saved step.
 func LoadCheckpoint(path string, params []*Param) (int64, error) {
-	hdr, err := train.LoadFile(path, params)
+	_, hdr, err := ckpt.LoadForInference(path, params)
 	return hdr.Step, err
 }
 

@@ -84,7 +84,8 @@ var registry = []experiment{
 	{id: "R17", title: "deployment autotuning", run: expR17, recorded: planSearch},
 	{id: "R18", title: "serving fleet goodput under replica faults", run: expR18, recorded: serveShape},
 	{id: "R19", title: "pipeline folding vs flat MoDa across depth", run: expR19, recorded: options{seed: 42}},
-	{id: "R20", title: "ablations: recompute, Adam vs LAMB, learned vs random routing", unstable: hostTimed, run: expR20},
+	{id: "R20", title: "ablations, step cost: recompute, Adam vs LAMB", unstable: hostTimed, run: expR20},
+	{id: "R20-loss", title: "ablations, final loss: Adam vs LAMB, learned vs random routing", run: expR20loss},
 }
 
 // expFlags declares the exp flags over o, whose shared fields hold the

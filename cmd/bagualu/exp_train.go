@@ -1,10 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"time"
 
+	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
 	"bagualu/internal/metrics"
 	"bagualu/internal/moe"
@@ -56,33 +58,62 @@ func expR5(*options) []*metrics.Table {
 	return []*metrics.Table{tab}
 }
 
-// expR10: save+load round trip of a dense GPT through the binary
-// tensor format, in memory.
+// expR10: save+restore round trip of a dense GPT through a one-shard
+// checkpoint step on local disk — ckpt.Save then ckpt.Restore, the
+// indexed bulk-CRC path every training, recovery and serving restore
+// takes.
 func expR10(*options) []*metrics.Table {
 	const trips = 3
-	tab := metrics.NewTable(fmt.Sprintf("R10: checkpoint save+load round trip (in memory, mean of %d)", trips),
+	tab := metrics.NewTable(fmt.Sprintf("R10: checkpoint save+restore round trip (one-shard step on local disk, mean of %d)", trips),
 		"dim", "params", "bytes", "ms/trip", "MB/s")
+	dir := must(os.MkdirTemp("", "bagualu-r10"))
+	defer os.RemoveAll(dir)
 	for _, dim := range []int{32, 128} {
 		model := nn.NewGPT(nn.GPTConfig{
 			Vocab: 256, Dim: dim, Heads: 4, Layers: 2, SeqLen: 16, FFNHidden: 4 * dim,
 		}, tensor.NewRNG(1), nil)
 		params := model.Params()
-		var buf bytes.Buffer
 		t0 := time.Now()
 		for i := 0; i < trips; i++ {
-			buf.Reset()
-			check(train.Save(&buf, train.Header{Step: int64(i)}, params))
-			must(train.Load(bytes.NewReader(buf.Bytes()), params))
+			check(ckpt.Save(dir, 0, ckpt.Header{}, params))
+			must(ckpt.Restore(dir, 0, 0, params))
 		}
 		per := time.Since(t0).Seconds() / trips
-		tab.AddRow(dim, model.NumParams(), buf.Len(), fmt.Sprintf("%.2f", per*1e3),
-			fmt.Sprintf("%.0f", float64(buf.Len())/per/1e6))
+		size := must(os.Stat(filepath.Join(ckpt.StepDir(dir, 0), ckpt.ShardFile(0)))).Size()
+		tab.AddRow(dim, model.NumParams(), size, fmt.Sprintf("%.2f", per*1e3),
+			fmt.Sprintf("%.0f", float64(size)/per/1e6))
 	}
 	return []*metrics.Table{tab}
 }
 
-// expR20: the three trained ablations of the DESIGN.md
-// design-decision list.
+// r20Steps is how long the R20b/R20c ablations train.
+const r20Steps = 5
+
+// trainR20 steps tr r20Steps times and returns the mean wall time per
+// step and the last loss.
+func trainR20(tr *train.Trainer) (ms float64, loss float32) {
+	t0 := time.Now()
+	for i := 0; i < r20Steps; i++ {
+		loss = tr.Step().Loss
+	}
+	return time.Since(t0).Seconds() / r20Steps * 1e3, loss
+}
+
+// r20Optimizers runs R20b — Adam vs LAMB under an accumulated (large
+// effective) batch — and hands each run to row. R20 prints the step
+// cost, R20-loss where the loss ends.
+func r20Optimizers(row func(name string, ms float64, loss float32)) {
+	for _, o := range []struct {
+		name string
+		opt  train.Optimizer
+	}{{"adam", train.NewAdam(0.01)}, {"lamb", train.NewLAMB(0.01)}} {
+		ms, loss := trainR20(tinyLM(3, 6, nil, o.opt, train.Config{Batch: 4, Precision: sunway.FP32, Accum: 4}))
+		row(o.name, ms, loss)
+	}
+}
+
+// expR20: the wall-clock half of the DESIGN.md design-decision
+// ablations.
 func expR20(*options) []*metrics.Table {
 	// R20a: the wall-time cost of activation checkpointing (the
 	// memory/compute trade) on a 4-layer dense GPT.
@@ -111,33 +142,27 @@ func expR20(*options) []*metrics.Table {
 		rc.AddRow(mode, fmt.Sprintf("%.1f", time.Since(t0).Seconds()/rcSteps*1e3))
 	}
 
-	// R20b: Adam vs LAMB step cost and convergence under an
-	// accumulated (large effective) batch. R20c: learned top-k routing
-	// vs the uniform-random baseline on the same loss surface.
-	const steps = 5
-	trainFor := func(tr *train.Trainer) (ms float64, loss float32) {
-		t0 := time.Now()
-		for i := 0; i < steps; i++ {
-			loss = tr.Step().Loss
-		}
-		return time.Since(t0).Seconds() / steps * 1e3, loss
-	}
-	opt := metrics.NewTable(fmt.Sprintf("R20b: Adam vs LAMB (accum=4, %d steps)", steps),
-		"optimizer", "ms/step", "final-loss")
-	for _, o := range []struct {
-		name string
-		opt  train.Optimizer
-	}{{"adam", train.NewAdam(0.01)}, {"lamb", train.NewLAMB(0.01)}} {
-		ms, loss := trainFor(tinyLM(3, 6, nil, o.opt, train.Config{Batch: 4, Precision: sunway.FP32, Accum: 4}))
-		opt.AddRow(o.name, fmt.Sprintf("%.1f", ms), fmt.Sprintf("%.3f", loss))
-	}
-	rt := metrics.NewTable(fmt.Sprintf("R20c: learned vs random routing (%d steps)", steps),
+	opt := metrics.NewTable(fmt.Sprintf("R20b: Adam vs LAMB step cost (accum=4, mean of %d steps)", r20Steps),
+		"optimizer", "ms/step")
+	r20Optimizers(func(name string, ms float64, _ float32) { opt.AddRow(name, fmt.Sprintf("%.1f", ms)) })
+	return []*metrics.Table{rc, opt}
+}
+
+// expR20loss: the deterministic half of R20b/R20c — where the loss
+// ends after a fixed number of steps from fixed seeds.
+func expR20loss(*options) []*metrics.Table {
+	opt := metrics.NewTable(fmt.Sprintf("R20b: Adam vs LAMB (accum=4, %d steps)", r20Steps),
+		"optimizer", "final-loss")
+	r20Optimizers(func(name string, _ float64, loss float32) { opt.AddRow(name, fmt.Sprintf("%.3f", loss)) })
+	// R20c: learned top-k routing vs the uniform-random baseline on the
+	// same loss surface.
+	rt := metrics.NewTable(fmt.Sprintf("R20c: learned vs random routing (%d steps)", r20Steps),
 		"routing", "final-loss")
 	for _, mode := range []string{"learned", "random"} {
 		gate := tinyGate
 		gate.RandomRouting = mode == "random"
-		_, loss := trainFor(tinyLM(7, 8, &gate, train.NewAdam(0.01), train.Config{Batch: 8, Precision: sunway.FP32}))
+		_, loss := trainR20(tinyLM(7, 8, &gate, train.NewAdam(0.01), train.Config{Batch: 8, Precision: sunway.FP32}))
 		rt.AddRow(mode, fmt.Sprintf("%.3f", loss))
 	}
-	return []*metrics.Table{rc, opt, rt}
+	return []*metrics.Table{opt, rt}
 }

@@ -74,7 +74,7 @@ func TestRegistryMatchesExperimentsMD(t *testing.T) {
 // slower ones. Regenerate any golden with
 //
 //	go run ./cmd/bagualu exp <id> -csv > cmd/bagualu/testdata/<id>.csv
-var tier1 = []string{"R1", "R2-proj", "R6", "R6b", "R7", "R7b", "R15"}
+var tier1 = []string{"R1", "R2-proj", "R6", "R6b", "R7", "R7b", "R15", "R20-loss"}
 
 // byHand lists the goldens NO gate regenerates: R14b takes half a
 // minute, which verify.sh's time budget does not hold. Diff it by hand

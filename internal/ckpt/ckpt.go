@@ -7,6 +7,10 @@
 // new placement assigns it against the index and reads exactly those
 // records, from whichever shards hold them.
 //
+// This is the only package that knows checkpoint bytes: codec.go holds
+// the shard format, Restore is the only reader, and a single-file
+// checkpoint is simply a one-shard step (Save).
+//
 // Who writes what is the caller's choice of parameter list. The engine
 // passes parallel.Engine.CheckpointShard: a tensor replicated over R
 // ranks is written as R range records, one slice per replica, so the
@@ -28,19 +32,16 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
 	"bagualu/internal/nn"
-	"bagualu/internal/train"
 )
 
 // Layout records the parallel configuration a checkpoint was written
@@ -186,7 +187,7 @@ func writeManifest(dir string, m Manifest) error {
 
 // RestoreResult reports what a Restore read.
 type RestoreResult struct {
-	Header    train.Header
+	Header    Header
 	BytesRead int64 // shard bytes actually read (drives recovery-time pricing)
 	Shards    int
 }
@@ -254,7 +255,7 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // the deterministic rule keeps all survivors agreeing.
 //
 // An error is returned if any part of a requested view is in no record,
-// or a record that was read fails its CRC (*train.CorruptError, naming
+// or a record that was read fails its CRC (*CorruptError, naming
 // the tensor). Records nobody asks for are not read, so damage to them
 // goes unnoticed by this restore.
 func Restore(dir string, step int64, shard int, params []*nn.Param) (RestoreResult, error) {
@@ -287,11 +288,11 @@ func restore(dir string, m Manifest, shard int, params []*nn.Param, open func(st
 	if err != nil {
 		return res, err
 	}
-	prologue := make([]byte, train.HeaderSize)
+	prologue := make([]byte, headerSize)
 	if _, err := f.ReadAt(prologue, 0); err != nil {
 		return res, fmt.Errorf("ckpt: shard %s: %w", m.Files[adopt], err)
 	}
-	if res.Header, err = train.ReadHeader(bytes.NewReader(prologue)); err != nil {
+	if res.Header, err = decodeHeader(prologue); err != nil {
 		return res, fmt.Errorf("ckpt: shard %s: %w", m.Files[adopt], err)
 	}
 
@@ -338,7 +339,7 @@ func restore(dir string, m Manifest, shard int, params []*nn.Param, open func(st
 			if len(dst) != r.Hi-r.Lo {
 				whole = make([]float32, r.Hi-r.Lo)
 			}
-			if err := train.ReadPayload(f, r.Offset, p.Name, whole); err != nil {
+			if err := readPayload(f, r.Offset, p.Name, whole); err != nil {
 				return res, fmt.Errorf("ckpt: shard %s: %w", m.Files[r.File], err)
 			}
 			if len(dst) != len(whole) {
@@ -348,30 +349,4 @@ func restore(dir string, m Manifest, shard int, params []*nn.Param, open func(st
 		}
 	}
 	return res, nil
-}
-
-// Steps lists the committed steps under dir, ascending.
-func Steps(dir string) ([]int64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []int64
-	for _, e := range ents {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "step-") {
-			continue
-		}
-		step, err := strconv.ParseInt(strings.TrimPrefix(e.Name(), "step-"), 10, 64)
-		if err != nil {
-			continue
-		}
-		if _, err := os.Stat(filepath.Join(dir, e.Name(), manifestName)); err == nil {
-			out = append(out, step)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
 }

@@ -15,7 +15,6 @@ import (
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
-	"bagualu/internal/train"
 )
 
 // rankParams builds a rank's tensor set under a given layout: a dense
@@ -49,7 +48,7 @@ func saveWorld(t *testing.T, dir string, ranks, experts int, step int64, cfg Con
 	w.Run(func(c *mpi.Comm) {
 		wr := NewWriter(cfg, c)
 		params := rankParams(c.Rank(), ranks, experts)
-		hdr := train.Header{Step: step, LossScale: 1024, RNGState: 99}
+		hdr := Header{Step: step, LossScale: 1024, RNGState: 99}
 		if err := wr.Save(step, hdr, params, Layout{WorldSize: ranks, ExpertParallel: ranks, DataParallel: 1}); err != nil {
 			firstErr.Store(err)
 		}
@@ -112,13 +111,12 @@ func TestCrashMidWriteKeepsPreviousCheckpoint(t *testing.T) {
 	w := mpi.NewWorld(2, nil)
 	var sawErr atomic.Bool
 	w.Run(func(c *mpi.Comm) {
-		cfg := Config{Dir: dir}
+		wr := NewWriter(Config{Dir: dir}, c)
 		if c.Rank() == 1 {
-			cfg.InjectWriteErrAfterBytes = 64 // inside the first tensor record
+			wr.failAfter = 64 // inside the first tensor record
 		}
-		wr := NewWriter(cfg, c)
 		params := rankParams(c.Rank(), 2, 4)
-		err := wr.Save(6, train.Header{Step: 6}, params, Layout{WorldSize: 2, ExpertParallel: 2, DataParallel: 1})
+		err := wr.Save(6, Header{Step: 6}, params, Layout{WorldSize: 2, ExpertParallel: 2, DataParallel: 1})
 		if c.Rank() == 1 && err != nil {
 			sawErr.Store(true)
 		}
@@ -127,7 +125,6 @@ func TestCrashMidWriteKeepsPreviousCheckpoint(t *testing.T) {
 	if !sawErr.Load() {
 		t.Fatal("injected write failure not surfaced")
 	}
-	AbandonPending(dir)
 
 	latest, err := Latest(dir)
 	if err != nil {
@@ -162,7 +159,7 @@ func TestAsyncCheaperThanSync(t *testing.T) {
 			params = append(params, &nn.Param{Name: "big", W: tensor.New(1 << 16)})
 			for step := int64(1); step <= 3; step++ {
 				c.Compute(1e-3) // a "training step" between checkpoints
-				if err := wr.Save(step, train.Header{Step: step}, params, Layout{WorldSize: 2}); err != nil {
+				if err := wr.Save(step, Header{Step: step}, params, Layout{WorldSize: 2}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -197,8 +194,8 @@ func TestAsyncBackpressure(t *testing.T) {
 		params := []*nn.Param{{Name: "w", W: tensor.New(1 << 18)}}
 		// Back-to-back checkpoints with no compute between them: the
 		// second must stall on the first's flush.
-		wr.Save(1, train.Header{Step: 1}, params, Layout{WorldSize: 1})
-		wr.Save(2, train.Header{Step: 2}, params, Layout{WorldSize: 1})
+		wr.Save(1, Header{Step: 1}, params, Layout{WorldSize: 1})
+		wr.Save(2, Header{Step: 2}, params, Layout{WorldSize: 1})
 		wr.WaitIdle()
 		flushStall.Store(wr.Timing().Flush)
 	})
@@ -247,7 +244,7 @@ func TestRestoreBytesAreBytesRead(t *testing.T) {
 			t.Fatalf("%d ranks: BytesRead %d, reader saw %d", ranks, res.BytesRead, seen.Load())
 		}
 		// Header prologue plus one CRC per record on top of the payload.
-		if want := own + train.HeaderSize + 4*int64(len(params)); res.BytesRead != want {
+		if want := own + headerSize + 4*int64(len(params)); res.BytesRead != want {
 			t.Fatalf("%d ranks: read %d bytes for %d bytes of state, want %d", ranks, res.BytesRead, own, want)
 		}
 	}
@@ -267,7 +264,7 @@ func flipByte(t *testing.T, path string, off int64) {
 }
 
 // Corruption is detected in what a restore reads and only there: a
-// flipped byte in a needed record is a *train.CorruptError naming the
+// flipped byte in a needed record is a *CorruptError naming the
 // tensor; the same damage in a record this rank does not ask for passes
 // unnoticed, where the scan-every-shard restore used to fail on it.
 func TestRestoreVerifiesOnlyWhatItReads(t *testing.T) {
@@ -295,7 +292,7 @@ func TestRestoreVerifiesOnlyWhatItReads(t *testing.T) {
 		t.Fatalf("damage in a record this rank does not read failed its restore: %v", err)
 	}
 	// The rank that does need expert 3 sees it.
-	var ce *train.CorruptError
+	var ce *CorruptError
 	if _, err := Restore(dir, 1, 1, rankParams(1, 2, 4)); !errors.As(err, &ce) || ce.Tensor != "expert.3.w" {
 		t.Fatalf("restore of the damaged tensor: %v; want CorruptError naming expert.3.w", err)
 	}
@@ -338,12 +335,11 @@ func TestCommitPrunesUnlistedFiles(t *testing.T) {
 	const step = 10
 	w := mpi.NewWorld(8, nil)
 	w.Run(func(c *mpi.Comm) {
-		cfg := Config{Dir: dir}
+		wr := NewWriter(Config{Dir: dir}, c)
 		if c.Rank() == 7 {
-			cfg.InjectWriteErrAfterBytes = 64
+			wr.failAfter = 64
 		}
-		wr := NewWriter(cfg, c)
-		wr.Save(step, train.Header{Step: step}, rankParams(c.Rank(), 8, 24), Layout{WorldSize: 8})
+		wr.Save(step, Header{Step: step}, rankParams(c.Rank(), 8, 24), Layout{WorldSize: 8})
 		wr.WaitIdle()
 	})
 	sd := StepDir(dir, step)

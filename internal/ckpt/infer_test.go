@@ -10,7 +10,6 @@ import (
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
-	"bagualu/internal/train"
 )
 
 func inferTestGPT(seed uint64, ffn nn.FFNFactory) *nn.GPT {
@@ -50,7 +49,7 @@ func TestLoadForInferenceCrossLayout(t *testing.T) {
 			stamp(p)
 		}
 		wr := NewWriter(Config{Dir: dir}, c)
-		hdr := train.Header{Step: 42, LossScale: 512, RNGState: 7}
+		hdr := Header{Step: 42, LossScale: 512, RNGState: 7}
 		lay := Layout{WorldSize: 4, DataParallel: 2, ExpertParallel: 2}
 		if err := wr.Save(42, hdr, model.Params(), lay); err != nil {
 			firstErr.Store(err)

@@ -6,14 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/simnet"
 	"bagualu/internal/tensor"
-	"bagualu/internal/train"
 )
 
 // Config drives one rank's checkpoint writer.
@@ -29,10 +27,6 @@ type Config struct {
 	// previous flush is still (virtually) in flight. Sync charges the
 	// full disk write to the rank's clock.
 	Async bool
-	// InjectWriteErrAfterBytes makes shard writes fail once this many
-	// bytes have been emitted — a test hook that simulates a writer
-	// dying mid-stream, between or inside tensor records.
-	InjectWriteErrAfterBytes int64
 }
 
 // Timing breaks down fault-tolerance time on the virtual clock, in
@@ -67,6 +61,11 @@ type Writer struct {
 	// err records the first shard-write failure (surfaced by WaitIdle
 	// and the next Save so a sick disk is not silently ignored).
 	err error
+
+	// failAfter, when positive, makes shard writes fail once that many
+	// bytes have been emitted: the in-package tests' stand-in for a
+	// writer dying mid-stream, between or inside tensor records.
+	failAfter int64
 }
 
 // NewWriter builds a writer for the rank owning c.
@@ -122,7 +121,7 @@ func (w *Writer) WaitIdle() error {
 // manifest). In async mode the disk write happens in the background
 // and Save returns after the virtual-cost accounting; call WaitIdle
 // before reading the checkpoint back or ending the run.
-func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout Layout) error {
+func (w *Writer) Save(step int64, hdr Header, params []*nn.Param, layout Layout) error {
 	if err := w.Err(); err != nil {
 		return err
 	}
@@ -141,7 +140,7 @@ func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout L
 		secs := float64(bytes) / w.bw
 		w.comm.Compute(secs)
 		w.timing.Flush += secs
-		recs, err := writeShard(sd, rank, hdr, params, w.cfg.InjectWriteErrAfterBytes)
+		recs, err := writeShard(sd, rank, hdr, params, w.failAfter)
 		if err != nil {
 			pend.abort()
 			w.setErr(err)
@@ -181,7 +180,7 @@ func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout L
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
-		recs, err := writeShard(sd, rank, hdr, snapParams, w.cfg.InjectWriteErrAfterBytes)
+		recs, err := writeShard(sd, rank, hdr, snapParams, w.failAfter)
 		for _, p := range snapParams {
 			tensor.PutSlice(p.W.Data)
 		}
@@ -195,6 +194,29 @@ func (w *Writer) Save(step int64, hdr train.Header, params []*nn.Param, layout L
 		}
 	}()
 	return nil
+}
+
+// Save writes params as a committed one-shard step under dir, without
+// a communicator: the shard lands by temp+rename, then the manifest
+// does, exactly as a one-rank Writer would leave them. This is what a
+// single-file checkpoint is — Restore and LoadForInference read it like
+// any other step.
+func Save(dir string, step int64, hdr Header, params []*nn.Param) error {
+	sd := StepDir(dir, step)
+	if err := os.MkdirAll(sd, 0o755); err != nil {
+		return err
+	}
+	recs, err := writeShard(sd, 0, hdr, params, 0)
+	if err != nil {
+		return err
+	}
+	return writeManifest(dir, Manifest{
+		Step:   step,
+		Shards: 1,
+		Layout: Layout{WorldSize: 1, DataParallel: 1, ExpertParallel: 1},
+		Files:  []string{ShardFile(0)},
+		Index:  recs,
+	})
 }
 
 // failWriter errors once its byte budget is exhausted (test hook).
@@ -218,7 +240,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 // writeShard streams one rank's tensors to a temp file, renames it
 // into place and returns the index entries of its records.
-func writeShard(sd string, rank int, hdr train.Header, params []*nn.Param, failAfter int64) ([]Record, error) {
+func writeShard(sd string, rank int, hdr Header, params []*nn.Param, failAfter int64) ([]Record, error) {
 	f, err := os.CreateTemp(sd, ShardFile(rank)+".tmp*")
 	if err != nil {
 		return nil, err
@@ -228,7 +250,7 @@ func writeShard(sd string, rank int, hdr train.Header, params []*nn.Param, failA
 	if failAfter > 0 {
 		dst = &failWriter{w: f, budget: failAfter}
 	}
-	offsets, err := train.SaveIndexed(dst, hdr, params)
+	offsets, err := encodeShard(dst, hdr, params)
 	if err != nil {
 		f.Close()
 		os.Remove(tmp)
@@ -338,18 +360,4 @@ func (p *pendingCommit) abort() {
 	p.mu.Lock()
 	p.aborted = true
 	p.mu.Unlock()
-}
-
-// AbandonPending aborts every in-flight commit under dir. The
-// recovery path calls it after a failure: a checkpoint the dead rank
-// never contributed its shard to must not linger half-open.
-func AbandonPending(dir string) {
-	coordMu.Lock()
-	defer coordMu.Unlock()
-	for key, p := range coords {
-		if strings.HasPrefix(key, dir+"\x00") {
-			p.abort()
-			delete(coords, key)
-		}
-	}
 }

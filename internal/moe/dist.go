@@ -257,16 +257,6 @@ func (m *DistMoE) Placement() *Placement { return m.place }
 // drained rank hosts none).
 func (m *DistMoE) PerExpertParams() int { return m.perExpert }
 
-// SetCapacityFactor changes the gate capacity factor for subsequent
-// forward passes — the degraded-mode knob that tightens per-expert
-// capacity so the all-to-all stops waiting on overloaded hosts. All
-// ranks gating the same tokens must apply the same factor; changing
-// it alters routing and therefore the loss trajectory.
-func (m *DistMoE) SetCapacityFactor(f float32) {
-	m.Cfg.CapacityFactor = f
-	m.Gate.Cfg.CapacityFactor = f
-}
-
 // ownerOf returns the rank hosting expert e.
 func (m *DistMoE) ownerOf(e int) int { return m.place.Owner[e] }
 

@@ -99,7 +99,7 @@ func (c *Comm) AllToAllHier(chunks [][]float32) [][]float32 {
 	seq := c.nextSeq()
 	p := c.Size()
 	members, leaderIdx, myLeader := c.supernodeGroup()
-	leaders := c.leaders(nil)
+	leaders := c.leaders()
 
 	tagLocal := collTag(c.id, seq, 0)
 	tagUp := collTag(c.id, seq, 1)

@@ -45,14 +45,13 @@ func (c *Comm) Barrier() {
 // and returns it. Non-root ranks may pass nil.
 func (c *Comm) Bcast(root int, data []float32) []float32 {
 	seq := c.nextSeq()
-	d, _ := c.bcastTree(seq, 0, root, data, nil)
-	return d
+	return c.bcastTree(seq, 0, root, data)
 }
 
 // bcastTree runs a binomial-tree broadcast rooted at root, using tag
 // steps starting at stepBase. It is shared by Bcast and the
 // hierarchical collectives.
-func (c *Comm) bcastTree(seq int64, stepBase, root int, data []float32, ints []int) ([]float32, []int) {
+func (c *Comm) bcastTree(seq int64, stepBase, root int, data []float32) []float32 {
 	p := c.Size()
 	// Work in a rotated space where the root is rank 0.
 	vrank := (c.rank - root + p) % p
@@ -60,8 +59,7 @@ func (c *Comm) bcastTree(seq int64, stepBase, root int, data []float32, ints []i
 	if vrank != 0 {
 		// Receive from parent: clear the lowest set bit.
 		parent := (vrank&(vrank-1) + root) % p
-		m := c.recvStep(parent, tag)
-		data, ints = m.data, m.ints
+		data = c.recvStep(parent, tag).data
 	}
 	// Forward to children: set each bit above the lowest set bit...
 	// Children of vrank v are v | (1<<k) for k above v's highest set
@@ -72,10 +70,10 @@ func (c *Comm) bcastTree(seq int64, stepBase, root int, data []float32, ints []i
 		}
 		child := vrank | k
 		if child < p {
-			c.sendStep((child+root)%p, tag, data, ints)
+			c.sendStep((child+root)%p, tag, data, nil)
 		}
 	}
-	return data, ints
+	return data
 }
 
 // Reduce combines each rank's data with op, leaving the result on
@@ -213,7 +211,7 @@ func (c *Comm) AllReduceHier(data []float32, op ReduceOp) []float32 {
 	// Phase 2 (step 1): ring all-reduce among leaders.
 	if c.rank == myLeader {
 		me := leaderIdx[c.rank]
-		leaders := c.leaders(members)
+		leaders := c.leaders()
 		local = c.allReduceRing(seq, 1, me, len(leaders), func(i int) int { return leaders[i] }, local, op)
 	}
 
@@ -246,7 +244,7 @@ func (c *Comm) supernodeGroup() (members []int, leaderIdx map[int]int, myLeader 
 
 // leaders lists all leader comm ranks in first-appearance order,
 // served from the comm's cached topology maps.
-func (c *Comm) leaders(_ []int) []int {
+func (c *Comm) leaders() []int {
 	_, list := c.leaderMaps()
 	return list
 }

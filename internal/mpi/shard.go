@@ -119,7 +119,7 @@ func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([
 		m := c.recvStep(myLeader, tag2)
 		return append([]float32(nil), m.data...), my
 	}
-	leaders := c.leaders(members)
+	leaders := c.leaders()
 	L := len(leaders)
 	lb := ringBounds(n, L)
 	tag1 := collTag(c.id, seq, 1)
@@ -193,7 +193,7 @@ func (c *Comm) allGatherShardHier(seq int64, shard []float32, n int) []float32 {
 		}
 		copy(full[s.Lo:s.Hi], m.data)
 	}
-	leaders := c.leaders(members)
+	leaders := c.leaders()
 	L := len(leaders)
 	tag1 := collTag(c.id, seq, 1)
 	c.ringAllGather(tag1, leaderIdx[c.rank], L, func(i int) int { return leaders[i] }, full, ringBounds(n, L))

@@ -86,9 +86,6 @@ type TransportStats struct {
 	exhausted atomic.Int64
 }
 
-// RetransmitsOf returns the frames rank global retransmitted.
-func (s *TransportStats) RetransmitsOf(global int) int64 { return s.retrans[global].Load() }
-
 // Retransmits totals retransmitted frames across all senders.
 func (s *TransportStats) Retransmits() int64 {
 	var t int64
@@ -96,12 +93,6 @@ func (s *TransportStats) Retransmits() int64 {
 		t += s.retrans[i].Load()
 	}
 	return t
-}
-
-// BackoffSimOf returns the virtual seconds rank global spent in ack
-// timeouts and backoff.
-func (s *TransportStats) BackoffSimOf(global int) float64 {
-	return math.Float64frombits(s.backoff[global].Load())
 }
 
 // BackoffSim totals timeout+backoff virtual seconds across senders.

@@ -43,9 +43,8 @@ func TestReliableTransportAbsorbsDrop(t *testing.T) {
 	if len(faulty) != 3 || faulty[0] != 1 || faulty[2] != 3 {
 		t.Fatalf("payload after retransmit: %v (clean %v)", faulty, clean)
 	}
-	if stats.Retransmits() != 1 || stats.RetransmitsOf(0) != 1 || stats.Recovered() != 1 {
-		t.Fatalf("retransmit accounting: total=%d of(0)=%d recovered=%d",
-			stats.Retransmits(), stats.RetransmitsOf(0), stats.Recovered())
+	if stats.Retransmits() != 1 || stats.Recovered() != 1 {
+		t.Fatalf("retransmit accounting: total=%d recovered=%d", stats.Retransmits(), stats.Recovered())
 	}
 	if cleanStats.Retransmits() != 0 {
 		t.Fatalf("clean run retransmitted %d frames", cleanStats.Retransmits())
@@ -59,8 +58,8 @@ func TestReliableTransportAbsorbsDrop(t *testing.T) {
 	if min := cfg.backoffDelay(0); faultyAt-cleanAt < min {
 		t.Fatalf("retransmit delay %v < timeout+backoff %v", faultyAt-cleanAt, min)
 	}
-	if stats.BackoffSim() <= 0 || stats.BackoffSimOf(0) != stats.BackoffSim() {
-		t.Fatalf("backoff accounting: total=%v of(0)=%v", stats.BackoffSim(), stats.BackoffSimOf(0))
+	if stats.BackoffSim() <= 0 {
+		t.Fatalf("backoff accounting: total=%v", stats.BackoffSim())
 	}
 }
 

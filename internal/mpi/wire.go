@@ -400,7 +400,7 @@ func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
 	if hier {
 		e.members, e.leaderIdx, e.myLeader = c.supernodeGroup()
 		e.isLeader = c.rank == e.myLeader
-		e.leaders = c.leaders(nil)
+		e.leaders = c.leaders()
 		e.inSN = make([]bool, c.Size())
 		for _, m := range e.members {
 			e.inSN[m] = true

@@ -60,11 +60,9 @@ func (e *Engine) repartitionParams() {
 // because every EP group must install the same placement for the
 // data-parallel gradient exchange of expert shards to stay symmetric.
 // Weights AND optimizer state move (moe.MigrateOpt), so the loss
-// trajectory is unchanged. capacityMult in (0, 1) additionally
-// tightens the gate capacity factor — a lossy knob, off by default.
-// Returns without acting when every slot is flagged (nowhere to move
-// work) or none is.
-func (e *Engine) Mitigate(degradedSlots []bool, capacityMult float32) error {
+// trajectory is unchanged. Returns without acting when every slot is
+// flagged (nowhere to move work) or none is.
+func (e *Engine) Mitigate(degradedSlots []bool) error {
 	if len(degradedSlots) != e.EP.Size() {
 		return fmt.Errorf("parallel: %d degraded slots for EP=%d", len(degradedSlots), e.EP.Size())
 	}
@@ -93,9 +91,6 @@ func (e *Engine) Mitigate(degradedSlots []bool, capacityMult float32) error {
 		plan := m.Placement().DrainRanks(counts, degradedSlots)
 		if err := m.MigrateOpt(plan, carrier); err != nil {
 			return err
-		}
-		if capacityMult > 0 && capacityMult < 1 {
-			m.SetCapacityFactor(m.Cfg.CapacityFactor * capacityMult)
 		}
 	}
 	e.repartitionParams()

@@ -245,11 +245,7 @@ func RunFaultTolerant(w *mpi.World, cfg FTConfig, inj *fault.Injector) (*FTResul
 	// reliable transport, so transient wire faults are absorbed by
 	// retransmission instead of triggering a recovery cycle.
 	if pol := cfg.Policy; pol != nil && pol.Escalation != train.EscalateRollback {
-		tc := mpi.TransportConfig{}
-		if pol.Transport != nil {
-			tc = *pol.Transport
-		}
-		w.EnableReliableTransport(tc)
+		w.EnableReliableTransport(mpi.TransportConfig{})
 	}
 	states := make([]rankState, w.Size())
 	w.Run(func(c *mpi.Comm) {
@@ -350,13 +346,9 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 	// replicas never diverge and mitigation needs no extra agreement
 	// round). handled remembers which degraded slot-sets were already
 	// drained; both reset after a recovery, which rebuilds placement.
-	var hcfg health.Config
 	var mon *health.Monitor
 	if pol != nil && pol.Escalation != train.EscalateRollback && w.Size() > 1 {
-		if pol.Health != nil {
-			hcfg = *pol.Health
-		}
-		mon = health.NewMonitor(w.Size(), hcfg)
+		mon = health.NewMonitor(w.Size(), health.Config{})
 	}
 	mitigate := pol != nil && pol.Escalation == train.EscalateTiered
 	handled := map[string]bool{}
@@ -452,7 +444,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 						if !handled[sig] {
 							handled[sig] = true
 							m0 := comm.Now()
-							if merr := eng.Mitigate(slots, pol.MitigateCapacity); merr != nil {
+							if merr := eng.Mitigate(slots); merr != nil {
 								st.err = merr
 								return
 							}
@@ -516,7 +508,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 				// meaningless for the survivors.
 				if mon != nil {
 					if comm.Size() > 1 {
-						mon = health.NewMonitor(w.Size(), hcfg)
+						mon = health.NewMonitor(w.Size(), health.Config{})
 					} else {
 						mon = nil
 					}

@@ -227,7 +227,7 @@ func TestZeRORejectsExpertMigration(t *testing.T) {
 		if _, err := e.RebalanceExperts(); err == nil {
 			t.Error("RebalanceExperts accepted under ZeRO")
 		}
-		if err := e.Mitigate([]bool{true, false}, 0); err == nil {
+		if err := e.Mitigate([]bool{true, false}); err == nil {
 			t.Error("Mitigate accepted under ZeRO")
 		}
 	})

@@ -36,6 +36,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"bagualu/internal/ckpt"
 	"bagualu/internal/fault"
 	"bagualu/internal/health"
 	"bagualu/internal/metrics"
@@ -387,7 +388,7 @@ func (f *fleet) prepareReference() error {
 	one.Run(func(c *mpi.Comm) {
 		m := f.cfg.NewModel(c)
 		if f.cfg.CkptDir != "" {
-			if _, _, err := loadWeights(f.cfg.CkptDir, m); err != nil {
+			if _, _, err := ckpt.LoadForInference(f.cfg.CkptDir, m.Params()); err != nil {
 				prepErr = err
 				return
 			}
@@ -418,7 +419,7 @@ func (f *fleet) prepareReference() error {
 	w.Run(func(c *mpi.Comm) {
 		m := f.cfg.NewModel(c)
 		if f.cfg.CkptDir != "" {
-			if _, _, err := loadWeights(f.cfg.CkptDir, m); err != nil {
+			if _, _, err := ckpt.LoadForInference(f.cfg.CkptDir, m.Params()); err != nil {
 				if c.Rank() == 0 {
 					prepErr = err
 				}

@@ -6,9 +6,7 @@ import (
 	"bagualu/internal/ckpt"
 	"bagualu/internal/fault"
 	"bagualu/internal/mpi"
-	"bagualu/internal/nn"
 	"bagualu/internal/serve"
-	"bagualu/internal/train"
 )
 
 // command is one instruction from the router to a replica rank. The
@@ -112,11 +110,6 @@ func (f *fleet) spawn(rep *replica, startAt float64) {
 	}()
 }
 
-// loadWeights restores model weights from an inference checkpoint.
-func loadWeights(dir string, m *nn.GPT) (ckpt.Manifest, train.Header, error) {
-	return ckpt.LoadForInference(dir, m.Params())
-}
-
 // rankMain is one replica rank's life: build the model (restoring
 // weights when configured), then execute router commands until told to
 // stop, crash, or killed by a wire fault the reliable transport could
@@ -124,7 +117,7 @@ func loadWeights(dir string, m *nn.GPT) (ckpt.Manifest, train.Header, error) {
 func rankMain(c *mpi.Comm, f *fleet, cmds <-chan command, reports chan<- rankReport) {
 	model := f.cfg.NewModel(c)
 	if f.cfg.CkptDir != "" {
-		if _, _, err := loadWeights(f.cfg.CkptDir, model); err != nil {
+		if _, _, err := ckpt.LoadForInference(f.cfg.CkptDir, model.Params()); err != nil {
 			panic(err) // configuration error: no checkpoint to serve from
 		}
 	}

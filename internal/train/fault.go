@@ -1,11 +1,6 @@
 package train
 
-import (
-	"fmt"
-
-	"bagualu/internal/health"
-	"bagualu/internal/mpi"
-)
+import "fmt"
 
 // Escalation selects how the fault-tolerant loop responds to faults
 // below fail-stop severity — the tiered graceful-degradation policy.
@@ -58,9 +53,9 @@ func ParseEscalation(s string) (Escalation, error) {
 // parallel engine's RunFaultTolerant): where sharded checkpoints go,
 // how often they are taken, whether the flush overlaps training on
 // the virtual clock, and how many in-run recoveries to attempt before
-// giving up. It lives in train (not internal/ckpt) so the Trainer can
-// carry it without an import cycle — train is below ckpt in the
-// dependency order because ckpt reuses the stream codec.
+// giving up, and which degradation tiers act before a rollback. It
+// lives in train beside Escalation; internal/ckpt knows bytes and
+// files, not policy.
 type FaultPolicy struct {
 	// Dir is the checkpoint root; shards land in Dir/step-N/.
 	Dir string
@@ -81,19 +76,6 @@ type FaultPolicy struct {
 	// Escalation selects the graceful-degradation tiers; the zero
 	// value keeps the PR 3 always-rollback behavior.
 	Escalation Escalation
-	// Transport overrides the reliable-transport tuning when a
-	// retransmit tier is active; nil takes the defaults.
-	Transport *mpi.TransportConfig
-	// Health overrides the straggler classifier tuning; nil takes the
-	// defaults.
-	Health *health.Config
-	// MitigateCapacity, when in (0, 1), additionally multiplies the
-	// gate capacity factor by this value on the first mitigation,
-	// tightening per-expert capacity so the all-to-all stops waiting
-	// on overloaded hosts. Off by default because it changes routing
-	// and therefore the loss trajectory; expert resharding alone is
-	// bit-exact.
-	MitigateCapacity float32
 }
 
 // Enabled reports whether the policy actually checkpoints.

@@ -1,9 +1,7 @@
 package train
 
 import (
-	"fmt"
-	"io"
-
+	"bagualu/internal/ckpt"
 	"bagualu/internal/nn"
 	"bagualu/internal/tensor"
 )
@@ -195,19 +193,12 @@ func (t *Trainer) CheckpointShard(groups ...ShardGroup) []*nn.Param {
 	return out
 }
 
-// WeightParams returns only the model weights — the serving export.
-// Unlike CheckpointParams it carries no optimizer moments and no FP32
-// masters: an inference process restores by tensor name and needs
-// nothing else, so a weights-only checkpoint is roughly a third the
-// bytes of a resume checkpoint under Adam.
-func (t *Trainer) WeightParams() []*nn.Param {
-	return append([]*nn.Param(nil), t.params...)
-}
-
-// checkpointHeader snapshots the trainer's scalar state.
-func (t *Trainer) checkpointHeader() Header {
+// CheckpointHeader snapshots the trainer's scalar state (step, loss
+// scale, optimizer step count, data-order RNG position); a checkpoint
+// saves it alongside each rank's tensors.
+func (t *Trainer) CheckpointHeader() ckpt.Header {
 	scale, good, skipped := t.MP.ScaleState()
-	hdr := Header{
+	hdr := ckpt.Header{
 		Step:         int64(t.step),
 		LossScale:    scale,
 		GoodSteps:    int32(good),
@@ -220,92 +211,22 @@ func (t *Trainer) checkpointHeader() Header {
 	return hdr
 }
 
-// CheckpointHeader snapshots the trainer's scalar state (step, loss
-// scale, optimizer step count, data-order RNG position) for a
-// checkpoint taken outside SaveCheckpoint — the sharded writer saves
-// it alongside each rank's tensors.
-func (t *Trainer) CheckpointHeader() Header { return t.checkpointHeader() }
-
-// ApplyRestored finalizes a restore performed outside LoadCheckpoint
-// (the sharded path, where ckpt.Restore fills the tensors directly and
-// guarantees every requested tensor was found): it applies the scalar
-// header and re-derives the working weights from the restored masters.
-func (t *Trainer) ApplyRestored(hdr Header) {
-	seen := make(map[string]bool)
-	for _, p := range t.CheckpointParams() {
-		seen[p.Name] = true
-	}
-	t.applyHeader(hdr)
-	t.afterRestore(seen)
-}
-
-// SaveCheckpoint writes everything needed for a bit-exact resume of
-// this trainer to w.
-func (t *Trainer) SaveCheckpoint(w io.Writer) error {
-	return Save(w, t.checkpointHeader(), t.CheckpointParams())
-}
-
-// applyHeader restores the trainer's scalar state from a header.
-func (t *Trainer) applyHeader(hdr Header) {
+// ApplyRestored finalizes a restore: ckpt.Restore has filled
+// CheckpointParams (it fails unless every requested tensor was found),
+// and this applies the scalar header and, in Mixed mode, re-derives the
+// working weights from the restored masters.
+func (t *Trainer) ApplyRestored(hdr ckpt.Header) {
 	t.step = int(hdr.Step)
 	t.MP.SetScaleState(hdr.LossScale, int(hdr.GoodSteps), int(hdr.SkippedSteps))
 	if so, ok := t.Opt.(StatefulOptimizer); ok {
 		so.SetStepCount(int(hdr.OptSteps))
 	}
 	t.Corpus.SetRNGState(hdr.RNGState)
-}
-
-// LoadCheckpoint restores trainer state from a stream written by
-// SaveCheckpoint. All model weights must be present; optimizer state
-// and masters are restored when the stream has them (a weights-only
-// stream has not), so resuming from one is correct but re-warms the
-// moments. In Mixed mode the working weights are re-quantized from
-// the restored masters.
-func (t *Trainer) LoadCheckpoint(r io.Reader) error {
-	all := t.CheckpointParams()
-	byName := make(map[string]*nn.Param, len(all))
-	for _, p := range all {
-		byName[p.Name] = p
-	}
-	hdr, loaded, err := LoadInto(r, byName)
-	if err != nil {
-		return err
-	}
-	seen := make(map[string]bool, len(loaded))
-	for _, n := range loaded {
-		seen[n] = true
-	}
-	for _, p := range t.params {
-		if !seen[p.Name] {
-			return fmt.Errorf("train: checkpoint missing tensor %q", p.Name)
-		}
-	}
-	t.applyHeader(hdr)
-	t.afterRestore(seen)
-	return nil
-}
-
-// afterRestore re-derives the working weights after tensors changed
-// underneath the precision policy. If the masters were restored they
-// are authoritative; otherwise (a weights-only stream) they
-// re-snapshot from the just-loaded weights.
-func (t *Trainer) afterRestore(restored map[string]bool) {
 	if t.MP.masters == nil {
 		return
 	}
-	mastersLoaded := false
-	for _, p := range t.params {
-		if restored[p.Name+".master"] {
-			mastersLoaded = true
-			break
-		}
-	}
 	for i, p := range t.params {
-		if mastersLoaded {
-			copy(p.W.Data, t.MP.masters[i])
-		} else {
-			copy(t.MP.masters[i], p.W.Data)
-		}
+		copy(p.W.Data, t.MP.masters[i])
 	}
 	t.MP.quantizeWeights()
 }

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -300,82 +299,6 @@ func TestTrainerValidatesConfig(t *testing.T) {
 	badCorpus, _ := data.NewSynthetic(data.CorpusConfig{Vocab: 32, SeqLen: 4, Seed: 1})
 	if _, err := NewTrainer(model, badCorpus, NewSGD(0), Config{Batch: 1}); err == nil {
 		t.Fatal("mismatched seq len accepted")
-	}
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	model, _ := tinyModel(4)
-	params := model.Params()
-	var buf bytes.Buffer
-	if err := Save(&buf, Header{Step: 42, LossScale: 2048}, params); err != nil {
-		t.Fatal(err)
-	}
-	// Perturb, then restore.
-	orig := make([][]float32, len(params))
-	for i, p := range params {
-		orig[i] = append([]float32(nil), p.W.Data...)
-		for j := range p.W.Data {
-			p.W.Data[j] += 1
-		}
-	}
-	hdr, err := Load(bytes.NewReader(buf.Bytes()), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Step != 42 || hdr.LossScale != 2048 {
-		t.Fatalf("header %+v", hdr)
-	}
-	for i, p := range params {
-		for j := range p.W.Data {
-			if p.W.Data[j] != orig[i][j] {
-				t.Fatalf("param %s not restored", p.Name)
-			}
-		}
-	}
-}
-
-func TestCheckpointMissingTensor(t *testing.T) {
-	model, _ := tinyModel(5)
-	params := model.Params()
-	var buf bytes.Buffer
-	if err := Save(&buf, Header{}, params[:len(params)-1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bytes.NewReader(buf.Bytes()), params); err == nil {
-		t.Fatal("missing tensor not reported")
-	}
-}
-
-func TestCheckpointBadMagic(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}), nil); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestCheckpointShapeMismatch(t *testing.T) {
-	p := quadParam(1, 2)
-	var buf bytes.Buffer
-	if err := Save(&buf, Header{}, []*nn.Param{p}); err != nil {
-		t.Fatal(err)
-	}
-	p2 := quadParam(1, 2, 3) // same name, different shape
-	if _, err := Load(bytes.NewReader(buf.Bytes()), []*nn.Param{p2}); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	p := quadParam(7)
-	path := t.TempDir() + "/ckpt.bin"
-	if err := SaveFile(path, Header{Step: 1}, []*nn.Param{p}); err != nil {
-		t.Fatal(err)
-	}
-	p.W.Data[0] = 0
-	if _, err := LoadFile(path, []*nn.Param{p}); err != nil {
-		t.Fatal(err)
-	}
-	if p.W.Data[0] != 7 {
-		t.Fatal("file round trip failed")
 	}
 }
 

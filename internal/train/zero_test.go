@@ -1,10 +1,10 @@
 package train
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
+	"bagualu/internal/ckpt"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/tensor"
@@ -155,9 +155,9 @@ func TestShardedNormSqMatchesExchange(t *testing.T) {
 // optimizer, and a full-tensor checkpoint restores into shard views.
 func TestShardedCheckpointCrossLayout(t *testing.T) {
 	const p = 4
-	// Run a few sharded steps, then snapshot each rank's
-	// CheckpointParams-style state views.
-	shardStreams := make([]*bytes.Buffer, p)
+	// Run a few sharded steps, then checkpoint each rank's
+	// CheckpointParams-style state views as one shard of a step.
+	shardedDir := t.TempDir()
 	var wantM, wantV []float32 // full reference moments via unsharded Adam
 	{
 		wr := mpi.NewWorld(p, nil)
@@ -202,32 +202,20 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 			z.SyncGradients(1 / float32(p))
 			z.Step(nil, 0.01)
 		}
-		var buf bytes.Buffer
 		all := append(append([]*nn.Param(nil), params...), z.StateTensors(params)...)
-		if err := Save(&buf, Header{Step: 3, OptSteps: 3}, all); err != nil {
+		wr := ckpt.NewWriter(ckpt.Config{Dir: shardedDir}, c)
+		if err := wr.Save(3, ckpt.Header{Step: 3, OptSteps: 3}, all, ckpt.Layout{WorldSize: p, DataParallel: p, ExpertParallel: 1}); err != nil {
 			t.Errorf("rank %d: save: %v", c.Rank(), err)
 		}
-		shardStreams[c.Rank()] = &buf
 	})
 
-	// Direction 1: union all shard streams into an unsharded Adam.
+	// Direction 1: assemble all shards' ranges into an unsharded Adam
+	// (Restore fails unless every element of every view is covered).
 	params := zeroTestParams(0)
 	full := NewAdam(0)
 	all := append(append([]*nn.Param(nil), params...), full.StateTensors(params)...)
-	byName := map[string]*nn.Param{}
-	for _, q := range all {
-		byName[q.Name] = q
-	}
-	cov := NewCoverage()
-	for r := 0; r < p; r++ {
-		if _, err := LoadIntoCov(bytes.NewReader(shardStreams[r].Bytes()), byName, cov); err != nil {
-			t.Fatalf("shard %d: %v", r, err)
-		}
-	}
-	for _, q := range all {
-		if !cov.Covers(q.Name, q.ShardLo, q.ShardLo+len(q.W.Data)) {
-			t.Fatalf("tensor %q not fully covered", q.Name)
-		}
+	if _, err := ckpt.Restore(shardedDir, 3, 0, all); err != nil {
+		t.Fatal(err)
 	}
 	var gotM, gotV []float32
 	for _, sp := range full.StateTensors(params) {
@@ -246,8 +234,8 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 
 	// Direction 2: save the unsharded optimizer and restore it into a
 	// different shard layout (2 ranks instead of 4).
-	var fullBuf bytes.Buffer
-	if err := Save(&fullBuf, Header{Step: 3, OptSteps: 3}, all); err != nil {
+	fullDir := t.TempDir()
+	if err := ckpt.Save(fullDir, 3, ckpt.Header{Step: 3, OptSteps: 3}, all); err != nil {
 		t.Fatal(err)
 	}
 	w2 := mpi.NewWorld(2, nil)
@@ -256,19 +244,9 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 		z := NewShardedAdam(0)
 		z.Bind(ShardGroup{Comm: c, Params: params2})
 		views := append(append([]*nn.Param(nil), params2...), z.StateTensors(params2)...)
-		byName2 := map[string]*nn.Param{}
-		for _, q := range views {
-			byName2[q.Name] = q
-		}
-		cov2 := NewCoverage()
-		if _, err := LoadIntoCov(bytes.NewReader(fullBuf.Bytes()), byName2, cov2); err != nil {
+		if _, err := ckpt.Restore(fullDir, 3, c.Rank(), views); err != nil {
 			t.Errorf("rank %d: %v", c.Rank(), err)
 			return
-		}
-		for _, q := range views {
-			if !cov2.Covers(q.Name, q.ShardLo, q.ShardLo+len(q.W.Data)) {
-				t.Errorf("rank %d: view %q [%d,%d) not covered", c.Rank(), q.Name, q.ShardLo, q.ShardLo+len(q.W.Data))
-			}
 		}
 		// Spot-check: every restored moment-shard element matches the
 		// unsharded reference at its flat offset.

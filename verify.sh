@@ -10,6 +10,11 @@ set -eux
 
 go build ./...
 go vet ./...
+# Layering: internal/ckpt is the one package that knows checkpoint
+# bytes and sits below train, and serving links neither the trainer nor
+# the corpus.
+if go list -deps ./internal/ckpt | grep -x 'bagualu/internal/train'; then exit 1; fi
+if go list -deps ./internal/serve/... | grep -xE 'bagualu/internal/(train|data)'; then exit 1; fi
 go test -race ./...
 go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes' ./internal/...
 # The amd64 assembly kernels promise the portable Go loops' bits: the
