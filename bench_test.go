@@ -6,6 +6,7 @@ package bagualu_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -193,6 +194,103 @@ func BenchmarkQuantizeSliceFast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(x, src)
 		half.QuantizeSliceFast(x)
+	}
+}
+
+// perElem runs op over a step arena drained every iteration (the
+// steady state inside a training step: outputs come from the pool) and
+// reports ns per element.
+func perElem(b *testing.B, elems int, op func()) {
+	arena := tensor.NewArena()
+	defer tensor.SetStepArena(tensor.SetStepArena(arena))
+	op()
+	arena.Drain()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+		arena.Drain()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+}
+
+// The scalar sides of the three benchmarks below are the loops the
+// vector transcendental kernels replaced (and still match bit for
+// bit), written out here because the package exports no switch: one
+// math.Tanh or math.Exp call per element.
+func geluRef(x float32) float32 {
+	const c = 0.7978845608028654
+	xf := float64(x)
+	return float32(0.5 * xf * (1 + math.Tanh(c*(xf+0.044715*xf*xf*xf))))
+}
+
+func geluGradRef(x float32) float32 {
+	const c = 0.7978845608028654
+	xf := float64(x)
+	t := math.Tanh(c * (xf + 0.044715*xf*xf*xf))
+	return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*(c*(1+3*0.044715*xf*xf)))
+}
+
+func softmaxRowsRef(a *tensor.Tensor) *tensor.Tensor {
+	out := tensor.Scratch(a.Shape...)
+	for i := 0; i < a.Shape[0]; i++ {
+		src, dst := a.Row(i), out.Row(i)
+		m := src[0]
+		for _, v := range src[1:] {
+			if v > m {
+				m = v
+			}
+		}
+		var sum float64
+		for j, v := range src {
+			ev := math.Exp(float64(v - m))
+			dst[j] = float32(ev)
+			sum += ev
+		}
+		inv := float32(1 / sum)
+		for j := range dst {
+			dst[j] *= inv
+		}
+	}
+	return out
+}
+
+// BenchmarkGELU and BenchmarkGELUGrad time the FFN activation and its
+// derivative over 4096 pre-activations of the spread a trained FFN
+// sees, so all three tanh branches are in play.
+func BenchmarkGELU(b *testing.B) {
+	x := tensor.Randn(tensor.NewRNG(46), 1.5, 4096)
+	b.Run("kernel", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.GELU(x) }) })
+	b.Run("scalar", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.Apply(x, geluRef) }) })
+}
+
+func BenchmarkGELUGrad(b *testing.B) {
+	x := tensor.Randn(tensor.NewRNG(47), 1.5, 4096)
+	b.Run("kernel", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.GELUGrad(x) }) })
+	b.Run("scalar", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.Apply(x, geluGradRef) }) })
+}
+
+// BenchmarkSoftmaxRows times the row softmax (max, exp-and-sum, scale)
+// on the shapes the workloads give it: one head's causally masked
+// 64x64 score block as MultiHeadAttention.Forward builds it, a single
+// 96-long decode row, and unmasked 128-wide rows.
+func BenchmarkSoftmaxRows(b *testing.B) {
+	r := tensor.NewRNG(48)
+	masked := tensor.Randn(r, 1, 64, 64)
+	for i := 0; i < 64; i++ {
+		for j := i + 1; j < 64; j++ {
+			masked.Data[i*64+j] = float32(math.Inf(-1))
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a    *tensor.Tensor
+	}{
+		{"causal64x64", masked},
+		{"decode1x96", tensor.Randn(r, 1, 1, 96)},
+		{"rows32x128", tensor.Randn(r, 1, 32, 128)},
+	} {
+		b.Run(c.name+"/kernel", func(b *testing.B) { perElem(b, c.a.Len(), func() { tensor.SoftmaxRows(c.a) }) })
+		b.Run(c.name+"/scalar", func(b *testing.B) { perElem(b, c.a.Len(), func() { softmaxRowsRef(c.a) }) })
 	}
 }
 

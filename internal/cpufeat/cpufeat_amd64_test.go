@@ -39,4 +39,7 @@ func TestMatchesKernelReport(t *testing.T) {
 	if got, want := F16C(), flags["avx"] && flags["avx2"] && flags["f16c"]; got != want {
 		t.Errorf("F16C() = %v, /proc/cpuinfo says %v", got, want)
 	}
+	if got, want := FMA(), flags["avx"] && flags["fma"]; got != want {
+		t.Errorf("FMA() = %v, /proc/cpuinfo says %v", got, want)
+	}
 }

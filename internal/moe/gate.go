@@ -220,19 +220,10 @@ func (g *Gate) Forward(x *tensor.Tensor) *Routing {
 	g.lse = nil
 	if cfg.ZLossWeight > 0 {
 		g.lse = make([]float32, tokens)
+		exps := make([]float32, cfg.NumExperts) // SoftmaxRow's output, unused
 		var zsum float64
 		for t := 0; t < tokens; t++ {
-			row := logits.Row(t)
-			m := row[0]
-			for _, v := range row[1:] {
-				if v > m {
-					m = v
-				}
-			}
-			var sum float64
-			for _, v := range row {
-				sum += math.Exp(float64(v - m))
-			}
+			m, sum := tensor.SoftmaxRow(exps, logits.Row(t))
 			l := float32(math.Log(sum)) + m
 			g.lse[t] = l
 			zsum += float64(l) * float64(l)
@@ -484,7 +475,7 @@ func (g *Gate) Backward(dWeights [][]float32) *tensor.Tensor {
 
 	// Softmax jacobian: dlogit_m = p_m (dp_m - Σ_n dp_n p_n).
 	dlogits := tensor.Scratch(tokens, cfg.NumExperts)
-	tensor.Parallel(tokens, func(lo, hi int) {
+	tensor.ParallelWork(tokens, cfg.NumExperts, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			p := g.probs.Row(t)
 			dp := dprobs.Row(t)

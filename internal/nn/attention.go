@@ -42,7 +42,7 @@ func NewMultiHeadAttention(name string, r *tensor.RNG, dim, heads, seqLen int) *
 func (m *MultiHeadAttention) splitHeads(x *tensor.Tensor, batch int) *tensor.Tensor {
 	s, h, hd := m.SeqLen, m.Heads, m.HeadDim
 	out := tensor.Scratch(batch*h, s, hd)
-	tensor.Parallel(batch*h, func(lo, hi int) {
+	tensor.ParallelWork(batch*h, s*hd, func(lo, hi int) {
 		for bh := lo; bh < hi; bh++ {
 			b, head := bh/h, bh%h
 			for t := 0; t < s; t++ {
@@ -59,7 +59,7 @@ func (m *MultiHeadAttention) splitHeads(x *tensor.Tensor, batch int) *tensor.Ten
 func (m *MultiHeadAttention) mergeHeads(x *tensor.Tensor, batch int) *tensor.Tensor {
 	s, h, hd := m.SeqLen, m.Heads, m.HeadDim
 	out := tensor.Scratch(batch*s, m.Dim)
-	tensor.Parallel(batch*h, func(lo, hi int) {
+	tensor.ParallelWork(batch*h, s*hd, func(lo, hi int) {
 		for bh := lo; bh < hi; bh++ {
 			b, head := bh/h, bh%h
 			for t := 0; t < s; t++ {
@@ -90,7 +90,7 @@ func (m *MultiHeadAttention) Forward(x *tensor.Tensor) *tensor.Tensor {
 	scores := tensor.BatchMatMulTransB(m.q, m.k)
 	scale := float32(1 / sqrt(float64(m.HeadDim)))
 	bh := batch * m.Heads
-	tensor.Parallel(bh, func(lo, hi int) {
+	tensor.ParallelWork(bh, s*s, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for ti := 0; ti < s; ti++ {
 				row := scores.Data[(i*s+ti)*s : (i*s+ti+1)*s]
@@ -135,7 +135,7 @@ func (m *MultiHeadAttention) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// receive no gradient automatically).
 	dscores := tensor.Scratch(bh, s, s)
 	scale := float32(1 / sqrt(float64(hd)))
-	tensor.Parallel(bh, func(lo, hi int) {
+	tensor.ParallelWork(bh, s*s, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for ti := 0; ti < s; ti++ {
 				p := m.probs.Data[(i*s+ti)*s : (i*s+ti+1)*s]

@@ -195,24 +195,7 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 				for t := range scores {
 					scores[t] *= scale
 				}
-				// Inline softmax in the same max/float64-sum style as
-				// the batched kernel so prefill and decode agree bitwise.
-				m := scores[0]
-				for _, v := range scores[1:] {
-					if v > m {
-						m = v
-					}
-				}
-				var sum float64
-				for t, v := range scores {
-					ev := math.Exp(float64(v - m))
-					scores[t] = float32(ev)
-					sum += ev
-				}
-				inv := float32(1 / sum)
-				for t := range scores {
-					scores[t] *= inv
-				}
+				tensor.SoftmaxRow(scores, scores)
 				tensor.AxpyN(or[h*hd:(h+1)*hd], scores, 1, vc.Data[h*hd:], d, n, false)
 			}
 			row++

@@ -19,29 +19,51 @@ func SoftmaxRows(a *Tensor) *Tensor {
 	out := Scratch(r, c)
 	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
-			softmaxRow(out.Data[i*c:(i+1)*c], a.Data[i*c:(i+1)*c])
+			SoftmaxRow(out.Data[i*c:(i+1)*c], a.Data[i*c:(i+1)*c])
 		}
 	})
 	return out
 }
 
-func softmaxRow(dst, src []float32) {
-	m := src[0]
+// SoftmaxRow writes the numerically stable softmax of src to dst (the
+// two may be the same slice) and returns the row's maximum m and
+// sum = Σ exp(src[j]-m), accumulated in float64 in index order — the
+// pieces of its log-sum-exp. It is the one softmax in the tree:
+// SoftmaxRows, the KV-cache attention of internal/nn and the router
+// z-loss all call it, which is why a decode row and the same row of a
+// batched forward agree bitwise.
+func SoftmaxRow(dst, src []float32) (m float32, sum float64) {
+	m, sum = expRow(dst, src)
+	inv := float32(1 / sum)
+	for j := range dst[:len(src)] {
+		dst[j] *= inv
+	}
+	return m, sum
+}
+
+// expRow is SoftmaxRow before normalisation: dst[j] =
+// float32(exp(src[j]-m)).
+func expRow(dst, src []float32) (m float32, sum float64) {
+	m = src[0]
 	for _, v := range src[1:] {
 		if v > m {
 			m = v
 		}
 	}
-	var sum float64
+	return m, softmaxExp(dst, src, m)
+}
+
+// softmaxExpScalar is the exp-and-sum pass in portable Go: the body on
+// machines without the vector kernel, its tail and out-of-range path
+// where there is one, and the oracle it is tested against. It
+// continues a running sum so the kernel can hand over mid-row.
+func softmaxExpScalar(dst, src []float32, m float32, sum float64) float64 {
 	for j, v := range src {
 		ev := math.Exp(float64(v - m))
 		dst[j] = float32(ev)
 		sum += ev
 	}
-	inv := float32(1 / sum)
-	for j := range dst {
-		dst[j] *= inv
-	}
+	return sum
 }
 
 // LogSoftmaxRows applies log-softmax to every row of a rank-2 tensor.
@@ -55,16 +77,8 @@ func LogSoftmaxRows(a *Tensor) *Tensor {
 		for i := s; i < e; i++ {
 			src := a.Data[i*c : (i+1)*c]
 			dst := out.Data[i*c : (i+1)*c]
-			m := src[0]
-			for _, v := range src[1:] {
-				if v > m {
-					m = v
-				}
-			}
-			var sum float64
-			for _, v := range src {
-				sum += math.Exp(float64(v - m))
-			}
+			// dst holds the exponentials only until lse is known.
+			m, sum := expRow(dst, src)
 			lse := float32(math.Log(sum)) + m
 			for j, v := range src {
 				dst[j] = v - lse
@@ -112,9 +126,14 @@ func LayerNormRows(a, gamma, beta *Tensor, eps float32) *Tensor {
 // GELU applies the Gaussian error linear unit (tanh approximation)
 // elementwise.
 func GELU(a *Tensor) *Tensor {
-	return Apply(a, geluScalar)
+	out := Scratch(a.Shape...)
+	Parallel(len(a.Data), func(s, e int) { gelu(out.Data[s:e], a.Data[s:e]) })
+	return out
 }
 
+// geluScalar and geluGradScalar are the portable definitions: tail,
+// fallback and oracle of the vector kernels, which perform the same
+// float64 operations in the same order.
 func geluScalar(x float32) float32 {
 	const c = 0.7978845608028654 // sqrt(2/pi)
 	xf := float64(x)
@@ -123,14 +142,18 @@ func geluScalar(x float32) float32 {
 
 // GELUGrad returns d/dx GELU(x) evaluated elementwise at a.
 func GELUGrad(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		const c = 0.7978845608028654
-		xf := float64(x)
-		inner := c * (xf + 0.044715*xf*xf*xf)
-		t := math.Tanh(inner)
-		dinner := c * (1 + 3*0.044715*xf*xf)
-		return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*dinner)
-	})
+	out := Scratch(a.Shape...)
+	Parallel(len(a.Data), func(s, e int) { geluGrad(out.Data[s:e], a.Data[s:e]) })
+	return out
+}
+
+func geluGradScalar(x float32) float32 {
+	const c = 0.7978845608028654
+	xf := float64(x)
+	inner := c * (xf + 0.044715*xf*xf*xf)
+	t := math.Tanh(inner)
+	dinner := c * (1 + 3*0.044715*xf*xf)
+	return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*dinner)
 }
 
 // ReLU applies max(0,x) elementwise.

@@ -3,7 +3,8 @@
 # detector (which also diffs the fast R-tables against their goldens,
 # cmd/bagualu TestGoldens), every replay / bit-exact gate twice in one
 # process (-count=2 catches state leaking from one run into the next),
-# the kernel packages without their assembly, and the slower
+# the kernel packages without their assembly, the transcendental
+# kernels on every float32 there is, and the slower
 # deterministic R-tables regenerated and compared with their goldens —
 # a compare that also fails on run-to-run drift.
 set -eux
@@ -23,8 +24,12 @@ go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasured
 # the assembly compiled out, and the portable files type-checked for an
 # architecture that has no assembly at all (vet's asmdecl checked the
 # amd64 frames above).
-go test -tags purego ./internal/tensor ./internal/half ./internal/nn ./internal/serve/... ./cmd/bagualu
-GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half ./internal/nn
+go test -tags purego ./internal/tensor ./internal/half ./internal/nn ./internal/moe ./internal/serve/... ./cmd/bagualu
+GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half ./internal/nn ./internal/moe
+# The softmax and GELU kernels transcribe math.Exp and math.Tanh; their
+# inputs are float32, so "same bits" is checked on all 2^32 of them
+# (tier-1 visits every 509th). A few minutes.
+go test -run TestVMathSweep ./internal/tensor -vmath.stride=1
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
