@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
 	"bagualu/internal/fault"
 	"bagualu/internal/metrics"
@@ -59,6 +60,14 @@ func ftRun(m machineFlags, cfg parallel.FTConfig, inj *fault.Injector) *parallel
 	return must(parallel.RunFaultTolerant(mpi.NewWorld(m.ranks, m.topo()), cfg, inj))
 }
 
+// observeRecovery adds one run's recovery time and its disk / interconnect
+// sub-totals to a phase meter.
+func observeRecovery(phases *metrics.PhaseMeter, t ckpt.Timing) {
+	phases.Observe(metrics.PhaseRecovery, t.Recovery)
+	phases.Observe(metrics.PhaseRecoveryRead, t.RecoveryRead)
+	phases.Observe(metrics.PhaseRecoveryGather, t.RecoveryGather)
+}
+
 func phaseTable(title string, phases *metrics.PhaseMeter) *metrics.Table {
 	t := metrics.NewTable(title, "phase", "seconds")
 	for _, name := range phases.Names() {
@@ -77,7 +86,8 @@ func expR11(o *options) []*metrics.Table {
 
 	goodput := metrics.NewTable("R11a: goodput vs checkpoint interval x MTBF (async ckpt)",
 		"mtbf-steps", "ckpt-interval", "crashes", "recoveries", "completed", "goodput", "useful-sim-s", "total-sim-s")
-	phases := metrics.NewPhaseMeter(metrics.PhaseCkptSnapshot, metrics.PhaseCkptFlush, metrics.PhaseRecovery)
+	phases := metrics.NewPhaseMeter(metrics.PhaseCkptSnapshot, metrics.PhaseCkptFlush,
+		metrics.PhaseRecovery, metrics.PhaseRecoveryRead, metrics.PhaseRecoveryGather)
 	for _, mtbf := range []float64{16, 48} {
 		for _, interval := range []int{2, 5, 10} {
 			inj := must(fault.New(fault.Config{
@@ -89,7 +99,7 @@ func expR11(o *options) []*metrics.Table {
 				fmt.Sprintf("%.3f", res.Goodput), fmt.Sprintf("%.4f", res.UsefulSim), fmt.Sprintf("%.4f", res.TotalSim))
 			phases.Observe(metrics.PhaseCkptSnapshot, res.Timing.Snapshot)
 			phases.Observe(metrics.PhaseCkptFlush, res.Timing.Flush)
-			phases.Observe(metrics.PhaseRecovery, res.Timing.Recovery)
+			observeRecovery(phases, res.Timing)
 		}
 	}
 
@@ -149,7 +159,8 @@ func expR12(o *options) []*metrics.Table {
 		fmt.Sprintf("R12: throughput vs drop-prob x escalation policy (%d stragglers at x%g)", len(ev), float64(r12StragX)),
 		"drop-prob", "policy", "completed", "rollbacks", "retransmits", "recovered", "mitigations",
 		"steps", "total-sim-s", "steps-per-sim", "rel-throughput", "final-loss", "bitexact")
-	phases := metrics.NewPhaseMeter(metrics.PhaseRetransmit, metrics.PhaseMitigation)
+	phases := metrics.NewPhaseMeter(metrics.PhaseRetransmit, metrics.PhaseMitigation,
+		metrics.PhaseRecovery, metrics.PhaseRecoveryRead, metrics.PhaseRecoveryGather)
 	for _, dp := range []float64{0, r12Drop, r12Drop * 10} {
 		for _, esc := range []train.Escalation{train.EscalateRollback, train.EscalateRetransmit, train.EscalateTiered} {
 			inj := must(fault.Scripted(fault.Config{Seed: o.seed, Ranks: ranks, Steps: r12Steps, DropProb: dp}, ev))
@@ -164,6 +175,7 @@ func expR12(o *options) []*metrics.Table {
 				fmt.Sprintf("%.3f", rel), fmt.Sprintf("%.5f", res.FinalLoss), res.FinalLoss == ff.FinalLoss)
 			phases.Observe(metrics.PhaseRetransmit, res.BackoffSim)
 			phases.Observe(metrics.PhaseMitigation, res.MitigationSim)
+			observeRecovery(phases, res.Timing)
 		}
 	}
 	return []*metrics.Table{r12,

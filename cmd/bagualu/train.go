@@ -117,9 +117,9 @@ func runTrain(args []string, out io.Writer) {
 		for s := 0; s < *steps; s++ {
 			st := e.Step()
 			if c.Rank() == 0 && (s%logEvery == 0 || s == *steps-1) {
-				fmt.Fprintf(out, "step %3d  loss %.4f  aux %.4f  overflow %4d  gnorm %.3f  simtime %.3gs  tok/s(sim) %.3g  sync %.2gs  gather %.2gs\n",
+				fmt.Fprintf(out, "step %3d  loss %.4f  aux %.4f  overflow %4d  gnorm %.3f  simtime %.3gs  tok/s(sim) %.3g  sync %.2gs  compute %.2gs  gather %.2gs\n",
 					st.Step, st.Loss, st.AuxLoss, st.Overflow, st.GradNorm, st.SimTime, st.TokensPer,
-					st.GradSync, st.ParamGather)
+					st.GradSync, st.ComputeSim, st.ParamGather)
 			}
 			if *rebalance > 0 && s > 0 && s%*rebalance == 0 && len(e.MoELayers()) > 0 {
 				l := e.MoELayers()[0]

@@ -69,8 +69,8 @@ func main() {
 	fmt.Printf("failures:    %d rank(s) lost, %d recovery(ies), world %d -> %d\n",
 		res.Failures, res.Recoveries, ranks, res.FinalWorld)
 	fmt.Printf("goodput:     %.3f (useful %.4fs of %.4fs virtual)\n", res.Goodput, res.UsefulSim, res.TotalSim)
-	fmt.Printf("phases:      snapshot %.5fs  flush %.5fs  recovery %.5fs\n",
-		res.Timing.Snapshot, res.Timing.Flush, res.Timing.Recovery)
+	fmt.Printf("phases:      snapshot %.5fs  flush %.5fs  recovery %.5fs (disk read %.5fs, replica all-gather %.5fs)\n",
+		res.Timing.Snapshot, res.Timing.Flush, res.Timing.Recovery, res.Timing.RecoveryRead, res.Timing.RecoveryGather)
 
 	latest, err := bagualu.CkptLatest(dir)
 	if err != nil {

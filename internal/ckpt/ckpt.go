@@ -11,13 +11,17 @@
 // the shard format, Restore is the only reader, and a single-file
 // checkpoint is simply a one-shard step (Save).
 //
-// Who writes what is the caller's choice of parameter list. The engine
-// passes parallel.Engine.CheckpointShard: a tensor replicated over R
-// ranks is written as R range records, one slice per replica, so the
-// shards together hold each logical byte once. A caller that passes a
-// replicated tensor whole from every rank (the writer does not know
-// what is replicated) gets R identical records; a restore then reads
-// one of them, rotating the choice by rank.
+// Who writes what — and who reads what — is the caller's choice of
+// parameter list. The engine passes parallel.Engine.CheckpointShard: a
+// tensor replicated over R ranks is written as R range records, one
+// slice per replica, so the shards together hold each logical byte
+// once, and parallel.Engine.Restore reads the same slices back and lets
+// the replica group all-gather the rest, so each byte leaves the disk
+// once as well. A single rank restoring on its own asks for its whole
+// state. A caller that passes a replicated tensor whole from every rank
+// (the writer does not know what is replicated) gets R identical
+// records; a restore then reads one of them, rotating the choice by
+// rank.
 //
 // Commit protocol: each shard is written to a temp file and renamed;
 // the manifest is written (also temp+rename) only after the LAST
@@ -241,18 +245,19 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // Restore reassembles a rank's state from a committed checkpoint,
-// possibly written under a different layout. params is the full set
-// of tensors this rank needs under its NEW layout (weights, optimizer
-// state, masters). Each view is resolved against the manifest's index
-// and only the records overlapping it are read, one ReadAt per record,
-// so expert state finds its new owner no matter which dead or re-ranked
-// node wrote it and a rank reads about as many bytes as it restores —
-// not the world's. When several records cover the same elements
-// (replicas saved whole), one is read, chosen by shard so concurrent
-// restorers spread over the files. The returned header is adopted from
-// shard (shard mod Shards) — the scalar state (step, scale, RNG
-// position) is identical across shards of a consistent checkpoint, and
-// the deterministic rule keeps all survivors agreeing.
+// possibly written under a different layout. params is the set of
+// views this rank wants filled under its NEW layout (weights, optimizer
+// state, masters — all of its state, or the slices of it that
+// parallel.Engine.Restore asks for). Each view is resolved against the
+// manifest's index and only the records overlapping it are read, one
+// ReadAt per record, so expert state finds its new owner no matter
+// which dead or re-ranked node wrote it and a rank reads about as many
+// bytes as it restores — not the world's. When several records cover
+// the same elements (replicas saved whole), one is read, chosen by shard
+// so concurrent restorers spread over the files. The returned header is
+// adopted from shard (shard mod Shards) — the scalar state (step, scale,
+// RNG position) is identical across shards of a consistent checkpoint,
+// and the deterministic rule keeps all survivors agreeing.
 //
 // An error is returned if any part of a requested view is in no record,
 // or a record that was read fails its CRC (*CorruptError, naming

@@ -34,7 +34,16 @@ type Config struct {
 type Timing struct {
 	Snapshot float64 // copying params into pooled buffers (async)
 	Flush    float64 // disk write (sync) or stall on a busy disk (async)
-	Recovery float64 // rollback + restore after a failure
+	// Recovery is the detour after a failure, from the shrink to the
+	// survivors' common restart (the fault-tolerant loop books it; a
+	// Writer meters only its own Snapshot and Flush). RecoveryRead and
+	// RecoveryGather are sub-totals of it: this rank's disk read of its
+	// own slice of the state, and the replica-group all-gathers that
+	// rebuild the rest over the interconnect. The remainder is re-forming
+	// the grid and waiting for the slowest survivor.
+	Recovery       float64
+	RecoveryRead   float64
+	RecoveryGather float64
 }
 
 // Add returns t + o, field-wise (accumulating across writers when the
@@ -44,6 +53,9 @@ func (t Timing) Add(o Timing) Timing {
 		Snapshot: t.Snapshot + o.Snapshot,
 		Flush:    t.Flush + o.Flush,
 		Recovery: t.Recovery + o.Recovery,
+
+		RecoveryRead:   t.RecoveryRead + o.RecoveryRead,
+		RecoveryGather: t.RecoveryGather + o.RecoveryGather,
 	}
 }
 
@@ -79,13 +91,6 @@ func NewWriter(cfg Config, c *mpi.Comm) *Writer {
 
 // Timing returns the cumulative virtual-time breakdown.
 func (w *Writer) Timing() Timing { return w.timing }
-
-// ChargeRecovery prices recovery work (rollback, shard scans, state
-// rebuild) on the rank's virtual clock.
-func (w *Writer) ChargeRecovery(seconds float64) {
-	w.comm.Compute(seconds)
-	w.timing.Recovery += seconds
-}
 
 // RestoreSeconds converts a Restore's byte volume to virtual disk
 // time under this writer's bandwidth model.

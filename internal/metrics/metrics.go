@@ -205,11 +205,13 @@ func (m *ByteMeter) Reset() { *m = ByteMeter{} }
 // train.Metrics, the recovery loop, and the CLI tables so checkpoint
 // overhead is attributed consistently everywhere it is displayed.
 const (
-	PhaseCkptSnapshot = "ckpt-snapshot" // copying params into pooled buffers
-	PhaseCkptFlush    = "ckpt-flush"    // disk write (or stall on a pending one)
-	PhaseRecovery     = "recovery"      // rollback + re-form + restore after a failure
-	PhaseRetransmit   = "retransmit"    // ack timeouts + backoff of the reliable transport
-	PhaseMitigation   = "mitigation"    // expert resharding away from degraded ranks
+	PhaseCkptSnapshot   = "ckpt-snapshot"   // copying params into pooled buffers
+	PhaseCkptFlush      = "ckpt-flush"      // disk write (or stall on a pending one)
+	PhaseRecovery       = "recovery"        // rollback + re-form + restore after a failure
+	PhaseRecoveryRead   = "recovery-read"   // of which: a survivor's disk read of its own slice of the state
+	PhaseRecoveryGather = "recovery-gather" // of which: replica groups all-gathering the rest
+	PhaseRetransmit     = "retransmit"      // ack timeouts + backoff of the reliable transport
+	PhaseMitigation     = "mitigation"      // expert resharding away from degraded ranks
 )
 
 // Canonical phase names for the serving fleet, shared by the fleet
@@ -230,12 +232,17 @@ const (
 	PhaseOffload        = "offload"         // optimizer-state traffic to/from host memory
 )
 
-// Canonical phase names for the pipeline-parallel engine.
+// Canonical phase names for the parallel engine's step.
 const (
 	// PhaseBubble is virtual time a pipeline stage spends stalled
 	// waiting for a boundary activation or gradient to arrive — the
 	// pipeline bubble, including the blocking transfer's wire latency.
 	PhaseBubble = "pipe-bubble"
+	// PhaseCompute is virtual time the engine charged for model FLOPs:
+	// the flat grid's dense lump and recompute replay, or the pipeline
+	// runner's chunk passes. Expert GEMMs that MoE layers price inline
+	// are metered by the layers (moe.Timing.ExpertSim).
+	PhaseCompute = "compute"
 )
 
 // PhaseMeter accumulates seconds into named phases in a fixed

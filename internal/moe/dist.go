@@ -141,6 +141,10 @@ type Timing struct {
 
 	DispatchLocal, DispatchRemote float64
 	CombineLocal, CombineRemote   float64
+
+	// ExpertSim is the one virtual-clock entry: seconds of expert GEMM
+	// the layer charged to its rank's clock at SimRate (0 when unset).
+	ExpertSim float64
 }
 
 // Reset zeroes the accumulators.
@@ -157,6 +161,7 @@ func (t Timing) Add(o Timing) Timing {
 	t.DispatchRemote += o.DispatchRemote
 	t.CombineLocal += o.CombineLocal
 	t.CombineRemote += o.CombineRemote
+	t.ExpertSim += o.ExpertSim
 	return t
 }
 
@@ -171,6 +176,7 @@ func (t Timing) Sub(o Timing) Timing {
 	t.DispatchRemote -= o.DispatchRemote
 	t.CombineLocal -= o.CombineLocal
 	t.CombineRemote -= o.CombineRemote
+	t.ExpertSim -= o.ExpertSim
 	return t
 }
 

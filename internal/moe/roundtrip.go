@@ -234,6 +234,7 @@ func (m *DistMoE) chargeCompute(rows int, backward bool) {
 		f *= 2
 	}
 	m.comm.Compute(f / m.SimRate)
+	m.Time.ExpertSim += f / m.SimRate
 }
 
 // legRow returns row pos of the chunk src returned, from whichever leg

@@ -133,15 +133,17 @@ func TestDedupCheckpointCrossLayout(t *testing.T) {
 			saves[key] = sv
 		}
 		t.Run(fmt.Sprintf("%v_to_%v_%v", src, dst, prec), func(t *testing.T) {
+			logical, biggest := logicalBytes(t, sv.dedup, 2)
+			read := make([]int64, dst.strat.Size())
 			onLayout(t, dst, prec, func(c *mpi.Comm, e *Engine) {
 				params := e.Trainer.CheckpointParams()
-				restoreBits := func(dir string) ([][]uint32, ckpt.RestoreResult) {
+				restoreBits := func(restore func() (int64, error)) ([][]uint32, int64) {
 					for _, p := range params {
 						for i := range p.W.Data {
 							p.W.Data[i] = float32(math.NaN()) // restore must overwrite everything
 						}
 					}
-					res, err := ckpt.Restore(dir, 2, c.Rank(), params)
+					n, err := restore()
 					if err != nil {
 						t.Error(err)
 						panic(err)
@@ -153,38 +155,95 @@ func TestDedupCheckpointCrossLayout(t *testing.T) {
 							bits[k][i] = math.Float32bits(v)
 						}
 					}
-					return bits, res
+					return bits, n
 				}
-				want, _ := restoreBits(sv.ref)
-				got, res := restoreBits(sv.dedup)
+				full := func(dir string) func() (int64, error) {
+					return func() (int64, error) {
+						res, err := ckpt.Restore(dir, 2, c.Rank(), params)
+						return res.BytesRead, err
+					}
+				}
+				want, _ := restoreBits(full(sv.ref))
+				got, fullRead := restoreBits(full(sv.dedup))
+				// The engine's own restore: each rank reads its slice, the
+				// replica groups all-gather the rest.
+				viaGroup, sliceRead := restoreBits(func() (int64, error) {
+					rs, err := e.Restore(sv.dedup, 2, func(int64) float64 { return 0 })
+					return rs.BytesRead, err
+				})
 				for k, p := range params {
 					for i := range want[k] {
-						if got[k][i] != want[k][i] {
-							t.Errorf("rank %d: %s[%d] = %08x from deduplicated shards, %08x from the reference",
-								c.Rank(), p.Name, i, got[k][i], want[k][i])
+						if got[k][i] != want[k][i] || viaGroup[k][i] != want[k][i] {
+							t.Errorf("rank %d: %s[%d] = %08x from deduplicated shards, %08x through Engine.Restore, %08x from the reference",
+								c.Rank(), p.Name, i, got[k][i], viaGroup[k][i], want[k][i])
 							return
 						}
 					}
 				}
-				// A ZeRO reader's moment views start and end inside saved
-				// records, and a record is read whole (its CRC covers all
-				// of it): allow the two boundary records of each of its
-				// four moment ranges (m and v, dense and expert group).
+				// A view that starts or ends inside a saved record reads that
+				// record whole (its CRC covers all of it). A ZeRO reader has
+				// four moment ranges (m and v, dense and expert group), two
+				// boundaries each; a slice of a group's concat has two per
+				// group.
 				limit := 1.05 * float64(stateBytes(params))
 				if dst.zero {
-					var biggest int
-					for _, p := range params {
-						biggest = max(biggest, p.FullLen())
-					}
-					limit += 8 * 4 * float64(biggest)
+					limit += 8 * float64(biggest)
 				}
-				if float64(res.BytesRead) > limit {
+				if float64(fullRead) > limit {
 					t.Errorf("rank %d of %v read %d bytes to restore %d bytes of state (limit %.0f)",
-						c.Rank(), dst, res.BytesRead, stateBytes(params), limit)
+						c.Rank(), dst, fullRead, stateBytes(params), limit)
+				}
+				read[c.Rank()] = sliceRead
+				slice := stateBytes(e.CheckpointShard())
+				if limit := 1.05*float64(slice) + boundarySlack(dst, biggest); float64(sliceRead) > limit {
+					t.Errorf("rank %d of %v: Engine.Restore read %d bytes for its %d-byte slice (limit %.0f)",
+						c.Rank(), dst, sliceRead, slice, limit)
 				}
 			})
+			// Each logical byte leaves the disk once, whatever the size of
+			// the world that reads it back.
+			var sum int64
+			for _, n := range read {
+				sum += n
+			}
+			if limit := 1.05*float64(logical) + float64(len(read))*boundarySlack(dst, biggest); float64(sum) > limit {
+				t.Errorf("%v: Engine.Restore read %d bytes over the world for %d bytes of logical state (limit %.0f)",
+					dst, sum, logical, limit)
+			}
 		})
 	}
+}
+
+// boundarySlack is the most one rank's Engine.Restore may read beyond
+// its own slice: one whole record at either end of each of its flat
+// ranges — the slice of the dense and of the expert group's concat, and
+// under ZeRO the four moment ranges as well.
+func boundarySlack(l ckptLayout, biggestRecord int64) float64 {
+	ranges := 2
+	if l.zero {
+		ranges += 4
+	}
+	return float64(2*ranges) * float64(biggestRecord)
+}
+
+// logicalBytes returns the payload bytes of every (tensor, element) the
+// checkpoint of step under dir holds, counted once, and of its largest
+// record.
+func logicalBytes(t *testing.T, dir string, step int64) (logical, biggest int64) {
+	t.Helper()
+	m, err := ckpt.ReadManifest(dir, step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := map[string]int{}
+	for _, r := range m.Index {
+		full[r.Name] = r.Full
+		biggest = max(biggest, 4*int64(r.Hi-r.Lo))
+	}
+	for _, n := range full {
+		logical += 4 * int64(n)
+	}
+	return logical, biggest
 }
 
 // checkStoredOnce asserts the deduplicated checkpoint's payload bytes
@@ -192,27 +251,22 @@ func TestDedupCheckpointCrossLayout(t *testing.T) {
 // reference holds, counted once.
 func checkStoredOnce(t *testing.T, dedupDir, refDir string) {
 	t.Helper()
-	payload := func(dir string) (stored int64, logical int64) {
+	stored := func(dir string) (n int64) {
 		m, err := ckpt.ReadManifest(dir, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := map[string]int{}
 		for _, r := range m.Index {
-			stored += 4 * int64(r.Hi-r.Lo)
-			full[r.Name] = r.Full
+			n += 4 * int64(r.Hi-r.Lo)
 		}
-		for _, n := range full {
-			logical += 4 * int64(n)
-		}
-		return stored, logical
+		return n
 	}
-	stored, _ := payload(dedupDir)
-	refStored, logical := payload(refDir)
-	if float64(stored) > 1.05*float64(logical) {
-		t.Errorf("deduplicated shards hold %d payload bytes for %d bytes of logical state (reference: %d)", stored, logical, refStored)
+	logical, _ := logicalBytes(t, refDir, 2)
+	dedup := stored(dedupDir)
+	if float64(dedup) > 1.05*float64(logical) {
+		t.Errorf("deduplicated shards hold %d payload bytes for %d bytes of logical state (reference: %d)", dedup, logical, stored(refDir))
 	}
-	if stored < logical {
-		t.Errorf("deduplicated shards hold %d payload bytes, fewer than the %d of logical state", stored, logical)
+	if dedup < logical {
+		t.Errorf("deduplicated shards hold %d payload bytes, fewer than the %d of logical state", dedup, logical)
 	}
 }

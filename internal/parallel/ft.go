@@ -20,6 +20,8 @@ package parallel
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
@@ -550,7 +552,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 
 // recoverRank runs one recovery round for a survivor: abandon
 // half-open checkpoints, agree on the rollback step, shrink the
-// communicator, re-form the engine, restore, and price the whole
+// communicator, re-form the engine, restore, and meter the whole
 // detour on the virtual clock. comm/strat/wr/lastCkpt are updated in
 // place on success. Communication failures (another rank dying
 // mid-recovery) return typed mpi errors for the caller to retry on.
@@ -611,16 +613,24 @@ func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat
 	if rerr := eng.Reform(newComm, newStrat, cfg.OptFor()); rerr != nil {
 		return rerr
 	}
-	res, rerr := ckpt.Restore(pol.Dir, agreed, newComm.Rank(), eng.Trainer.CheckpointParams())
+	rs, rerr := eng.Restore(pol.Dir, agreed, nw.RestoreSeconds)
 	if rerr != nil {
 		return rerr
 	}
-	eng.Trainer.ApplyRestored(res.Header)
-	// Price the restore as the bytes this rank read back plus the detour
-	// since the shrink.
-	nw.ChargeRecovery(nw.RestoreSeconds(res.BytesRead) + (newComm.Now() - recoverStart))
-
-	st.timing = st.timing.Add((*wr).Timing()) // retire the old writer's meter
+	// Survivors leave recovery together: nobody resumes before the slowest
+	// one's finish time (exact integer nanoseconds, as serve.Run agrees on
+	// its idle jump). The skew a gather tree leaves between leaders and
+	// members is then recovery's, not the first useful step's; what is
+	// left is the exchange's own propagation, a few small-message hops.
+	done := newComm.AllGatherInts([]int{int(math.Ceil(newComm.Now() * 1e9))})
+	newComm.AdvanceTo(float64(slices.Max(done)) * 1e-9)
+	// The clock paid for the detour as it went (re-form, disk, gather,
+	// wait); the meter only records it.
+	st.timing = st.timing.Add(ckpt.Timing{
+		Recovery:       newComm.Now() - recoverStart,
+		RecoveryRead:   rs.ReadSim,
+		RecoveryGather: rs.GatherSim,
+	}).Add((*wr).Timing()) // and retires the old writer's meter
 	*comm, *strat, *wr, *lastCkpt = newComm, newStrat, nw, agreed
 	return nil
 }

@@ -198,3 +198,47 @@ func TestGoodputAccounting(t *testing.T) {
 		t.Fatalf("async checkpoints charged no snapshot time: %+v", res.Timing)
 	}
 }
+
+// After a crash a survivor reads back only its own slice of the
+// replicated state and the replica group all-gathers the rest. The meter
+// splits recovery into its disk and interconnect parts, the disk part is
+// the slice's, not the state's, and the whole detour — re-form, read,
+// gather, wait for the slowest — costs less than reading the full state
+// once did.
+func TestRecoveryReadsSliceGathersRest(t *testing.T) {
+	dir := t.TempDir()
+	const diskGiBs = 0.5
+	pol := &train.FaultPolicy{Dir: dir, Interval: 3, Async: true, DiskBWGiBs: diskGiBs, MaxRecoveries: 2}
+	inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: 12},
+		[]fault.Event{{Kind: fault.EventCrash, Rank: 1, Step: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mpi.NewWorld(4, simnet.New(sunway.TestMachine(2, 2), 1))
+	cfg := ftConfig(Strategy{DataParallel: 4, ExpertParallel: 1}, 12, pol)
+	cfg.ComputeFLOPS = 1e9
+	res, err := RunFaultTolerant(w, cfg, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Recoveries != 1 || res.FinalWorld != 3 {
+		t.Fatalf("expected one recovery onto 3 ranks: %+v", res)
+	}
+	logical, biggest := logicalBytes(t, dir, 6)
+	fullRead := float64(logical) / (diskGiBs * (1 << 30))
+	tm := res.Timing
+	t.Logf("recovery %.3g s = read %.3g + gather %.3g + re-form and wait; a full-state read is %.3g s", tm.Recovery, tm.RecoveryRead, tm.RecoveryGather, fullRead)
+	if tm.RecoveryRead <= 0 || tm.RecoveryGather <= 0 {
+		t.Fatalf("recovery meter has no read/gather split: %+v", tm)
+	}
+	if tm.RecoveryRead+tm.RecoveryGather > tm.Recovery {
+		t.Fatalf("read %v + gather %v exceed the recovery they are part of (%v)", tm.RecoveryRead, tm.RecoveryGather, tm.Recovery)
+	}
+	// A third of the state each, plus whole records at the slice's ends.
+	if limit := (1.05*float64(logical)/3 + boundarySlack(ckptLayout{}, biggest)) / (diskGiBs * (1 << 30)); tm.RecoveryRead > limit {
+		t.Fatalf("survivor spent %v s reading; its slice is worth %v s", tm.RecoveryRead, limit)
+	}
+	if tm.Recovery >= fullRead {
+		t.Fatalf("recovery took %v s, no less than one full-state read (%v s)", tm.Recovery, fullRead)
+	}
+}

@@ -32,6 +32,7 @@ import (
 
 	"bagualu/internal/trace"
 
+	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
 	"bagualu/internal/metrics"
 	"bagualu/internal/moe"
@@ -191,6 +192,13 @@ type StepStats struct {
 	// stalled on boundary activation/gradient receives during the step
 	// (metrics.PhaseBubble; zero when Pipeline <= 1).
 	BubbleSim float64
+
+	// ComputeSim is virtual time this rank's clock was charged for model
+	// FLOPs during the step: the dense lump and recompute replay (or the
+	// pipeline runner's chunk passes) plus the expert GEMMs MoE layers
+	// price inline. Zero unless a compute rate is set. It is metered
+	// beside the charges, not by another clock operation.
+	ComputeSim float64
 }
 
 // Engine is the per-rank training engine. Construct one inside
@@ -356,7 +364,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	e.phases = metrics.NewPhaseMeter(
 		metrics.PhaseGradSync, metrics.PhaseOptimizerShard,
 		metrics.PhaseParamGather, metrics.PhaseRecompute,
-		metrics.PhaseOffload, metrics.PhaseBubble)
+		metrics.PhaseOffload, metrics.PhaseBubble, metrics.PhaseCompute)
 	e.phasePrev = map[string]float64{}
 	if strat.PP() > 1 {
 		// The optimizer, precision policy, and checkpoints operate on
@@ -551,10 +559,42 @@ func (e *Engine) replicaGroups() []train.ShardGroup {
 // CheckpointShard returns the tensors this rank writes to a sharded
 // checkpoint: its 1/R slice of every tensor it shares with R-1
 // replicas (weights, moments, masters), so the world's shards hold each
-// logical byte once. Restore takes Trainer.CheckpointParams — the full
-// set — and reads the slices back from whichever shards hold them.
+// logical byte once. Restore reads the same slices back.
 func (e *Engine) CheckpointShard() []*nn.Param {
 	return e.Trainer.CheckpointShard(e.replicaGroups()...)
+}
+
+// RestoreStats reports what one rank's Engine.Restore cost.
+type RestoreStats struct {
+	BytesRead int64   // shard bytes this rank read from disk
+	ReadSim   float64 // virtual seconds the disk took to deliver them
+	GatherSim float64 // virtual seconds in the replica-group all-gathers
+}
+
+// Restore loads the committed checkpoint of step under dir into the
+// engine — the mirror image of saving CheckpointShard. Each rank reads
+// only its own 1/R slice views (they alias the live weights, moments
+// and masters, so the read lands in place; ZeRO moment shards are
+// rank-exclusive and arrive whole), pays diskSeconds of virtual time
+// for the bytes it read, and then every replica group all-gathers its
+// flat concat over the interconnect, so each logical byte leaves the
+// disk once however many replicas need it. The checkpoint may have
+// been written under a different layout: a slice boundary that falls
+// inside a saved record reads that record whole. Collective over the
+// engine's communicator; after a shrink, call it right after Reform.
+func (e *Engine) Restore(dir string, step int64, diskSeconds func(bytes int64) float64) (RestoreStats, error) {
+	t0 := e.Comm.Now()
+	res, err := ckpt.Restore(dir, step, e.Comm.Rank(), e.CheckpointShard())
+	st := RestoreStats{BytesRead: res.BytesRead}
+	if err != nil {
+		return st, err
+	}
+	e.Comm.Compute(diskSeconds(res.BytesRead))
+	t1 := e.Comm.Now()
+	e.Trainer.GatherShards(e.replicaGroups()...)
+	st.ReadSim, st.GatherSim = t1-t0, e.Comm.Now()-t1
+	e.Trainer.ApplyRestored(res.Header)
+	return st, nil
 }
 
 // installSync binds the gradient-synchronization path matching the
@@ -619,8 +659,9 @@ func (e *Engine) OptStateBytes() int64 {
 	return 8 * int64(nn.NumParams(e.denseParams)+nn.NumParams(e.expertParams))
 }
 
-// Phases returns the engine's cumulative memory-capacity phase meter
-// (grad-sync, optimizer-shard, param-gather, recompute, offload).
+// Phases returns the engine's cumulative step-phase meter (grad-sync,
+// optimizer-shard, param-gather, recompute, offload, pipe-bubble,
+// compute).
 func (e *Engine) Phases() *metrics.PhaseMeter { return e.phases }
 
 // phaseDelta returns the phase's accumulation since the last call.
@@ -826,6 +867,7 @@ func (e *Engine) Step() StepStats {
 			flops -= e.expertFlops()
 		}
 		e.Comm.Compute(flops / e.computeRate)
+		e.phases.Observe(metrics.PhaseCompute, flops/e.computeRate)
 		// Recomputation replays the forward pass of the checkpointed
 		// blocks during backward: charge that fraction of the step's
 		// forward FLOPs (one third of fwd+bwd) on top. Self-charging
@@ -835,6 +877,7 @@ func (e *Engine) Step() StepStats {
 			secs := frac * flops / 3 / e.computeRate
 			e.Comm.Compute(secs)
 			e.phases.Observe(metrics.PhaseRecompute, secs)
+			e.phases.Observe(metrics.PhaseCompute, secs)
 		}
 	}
 	if e.offloadBW > 0 {
@@ -873,6 +916,7 @@ func (e *Engine) Step() StepStats {
 	st.RecomputeSim = e.phaseDelta(metrics.PhaseRecompute)
 	st.OffloadSim = e.phaseDelta(metrics.PhaseOffload)
 	st.BubbleSim = e.phaseDelta(metrics.PhaseBubble)
+	st.ComputeSim = e.phaseDelta(metrics.PhaseCompute)
 	// Aggregate loss/aux/overflow across the world. The divisor is the
 	// replica count (== world on the flat grid): under PP the loss
 	// lives only on last-chunk ranks and the aux loss is spread over a
@@ -886,6 +930,7 @@ func (e *Engine) Step() StepStats {
 	// The trainer already computed per-step comm deltas over the MoE
 	// layers (phase time per layer, wire bytes deduped per comm).
 	st.MoE = local.Comm
+	st.ComputeSim += st.MoE.ExpertSim
 	st.Wire = local.Wire
 	st.WallFwd = wallStep // fwd+bwd+update; finer split comes from MoE timing
 	st.SimTime = e.Comm.Now() - simStart

@@ -471,3 +471,50 @@ func TestEngineTraceRecordsTimeline(t *testing.T) {
 		t.Fatal("empty chrome trace")
 	}
 }
+
+// StepStats.ComputeSim meters the model-FLOP charges beside the clock,
+// at all three sites. Where every rank charges the same dense lump (flat
+// grid, recompute on) it is exactly what the step got slower by; with
+// MoE layers pricing their GEMMs inline, and on a pipelined grid whose
+// runner charges per chunk pass, it is positive and inside the step.
+func TestComputeSimMetersEveryCharge(t *testing.T) {
+	const rate = 1e9
+	step := func(strat Strategy, mc ModelConfig, tc train.Config, rate float64) StepStats {
+		var st StepStats
+		w := mpi.NewWorld(strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1))
+		w.Run(func(c *mpi.Comm) {
+			e, err := NewEngine(c, strat, mc, tinyCorpusCfg(), tc, train.NewAdam(0), 11)
+			if err != nil {
+				t.Error(err)
+				panic(err)
+			}
+			e.SetComputeRate(rate)
+			if s := e.Step(); c.Rank() == 0 {
+				st = s
+			}
+		})
+		return st
+	}
+	flat := Strategy{DataParallel: 2, ExpertParallel: 2}
+	mc := tinyModelCfg(1)
+	mc.RecomputeEvery = 2
+	free, priced := step(flat, mc, tinyTrainCfg(), 0), step(flat, mc, tinyTrainCfg(), rate)
+	if free.ComputeSim != 0 {
+		t.Fatalf("ComputeSim %v with no compute rate set", free.ComputeSim)
+	}
+	if priced.RecomputeSim <= 0 || priced.ComputeSim <= priced.RecomputeSim {
+		t.Fatalf("ComputeSim %v should hold the dense lump on top of the recompute replay %v", priced.ComputeSim, priced.RecomputeSim)
+	}
+	if paid := priced.SimTime - free.SimTime; math.Abs(paid-priced.ComputeSim) > 1e-9*priced.SimTime {
+		t.Fatalf("clock paid %v for compute, ComputeSim says %v", paid, priced.ComputeSim)
+	}
+
+	mc = tinyModelCfg(1)
+	mc.MoESimFLOPS = rate
+	if st := step(flat, mc, tinyTrainCfg(), rate); st.MoE.ExpertSim <= 0 || st.ComputeSim <= st.MoE.ExpertSim || st.ComputeSim >= st.SimTime {
+		t.Fatalf("inline expert charges: ExpertSim %v, ComputeSim %v, step %v", st.MoE.ExpertSim, st.ComputeSim, st.SimTime)
+	}
+	if st := step(Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 2}, pipeModelCfg(4), pipeTrainCfg(2), rate); st.ComputeSim <= 0 || st.ComputeSim >= st.SimTime {
+		t.Fatalf("pipelined grid: ComputeSim %v, step %v", st.ComputeSim, st.SimTime)
+	}
+}

@@ -52,7 +52,8 @@ type Runner struct {
 	AuxOf func(g int) (float32, int)
 
 	// Meter, when non-nil, receives bubble time (metrics.PhaseBubble):
-	// virtual seconds this stage spent blocked on boundary recvs.
+	// virtual seconds this stage spent blocked on boundary recvs, and
+	// the chunk compute charged through FwdSeconds (metrics.PhaseCompute).
 	Meter *metrics.PhaseMeter
 
 	loss nn.SoftmaxCrossEntropy
@@ -136,6 +137,9 @@ func (r *Runner) charge(g int, passes float64) {
 	}
 	if s := r.FwdSeconds(g); s > 0 {
 		r.Comm.Compute(s * passes)
+		if r.Meter != nil {
+			r.Meter.Observe(metrics.PhaseCompute, s*passes)
+		}
 	}
 }
 

@@ -1,13 +1,16 @@
 package train
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"bagualu/internal/ckpt"
+	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
+	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 )
 
@@ -138,5 +141,52 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	p2 := quadParam(1, 2, 3) // same name, different element count
 	if _, err := ckpt.Restore(dir, 0, 0, []*nn.Param{p2}); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+}
+
+// GatherShards is CheckpointShard's inverse: with nothing but its own
+// slice views valid, every replica ends up holding the weights, moments
+// and masters whole, bit for bit — over a ring (3 ranks) and over the
+// hierarchical path that shares one buffer inside a supernode (5 ranks,
+// uneven shards, two supernodes).
+func TestGatherShardsInvertsCheckpointShard(t *testing.T) {
+	for _, p := range []int{3, 5} {
+		w := mpi.NewWorld(p, simnet.New(sunway.TestMachine(2, 4), 1))
+		w.Run(func(c *mpi.Comm) {
+			tr := newCkptTrainer(t, 11) // same seed: replicas
+			tr.Unpooled = true          // one trainer per rank goroutine
+			tr.Step()
+			tr.Step()
+			all := tr.CheckpointParams()
+			want := make([][]uint32, len(all))
+			for k, q := range all {
+				for _, v := range q.W.Data {
+					want[k] = append(want[k], math.Float32bits(v))
+				}
+			}
+			group := ShardGroup{Comm: c, Params: tr.params}
+			views := tr.CheckpointShard(group)
+			mine := make([][]float32, len(views))
+			for k, v := range views {
+				mine[k] = append([]float32(nil), v.W.Data...)
+			}
+			for _, q := range all {
+				for i := range q.W.Data {
+					q.W.Data[i] = float32(math.NaN())
+				}
+			}
+			for k, v := range views {
+				copy(v.W.Data, mine[k])
+			}
+			tr.GatherShards(group)
+			for k, q := range all {
+				for i, v := range q.W.Data {
+					if math.Float32bits(v) != want[k][i] {
+						t.Errorf("p=%d rank %d: %s[%d] = %08x after the gather, want %08x", p, c.Rank(), q.Name, i, math.Float32bits(v), want[k][i])
+						return
+					}
+				}
+			}
+		})
 	}
 }

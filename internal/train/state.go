@@ -2,6 +2,7 @@ package train
 
 import (
 	"bagualu/internal/ckpt"
+	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/tensor"
 )
@@ -152,15 +153,63 @@ func (t *Trainer) CheckpointParams() []*nn.Param {
 // views (FullShape/ShardLo) that share the live tensors' memory; the
 // union over the group is every tensor exactly once. State that is
 // already rank-exclusive — ZeRO moment shards — passes through. A
-// restore still asks for the full CheckpointParams.
+// group restore reads the same views back and GatherShards rebuilds the
+// whole tensors from them.
 func (t *Trainer) CheckpointShard(groups ...ShardGroup) []*nn.Param {
+	var out []*nn.Param
+	for _, g := range t.groupShards(groups) {
+		out = append(out, g.views...)
+	}
+	return out
+}
+
+// GatherShards is CheckpointShard's inverse over the interconnect: on
+// entry every rank holds valid data in its CheckpointShard views (a
+// restore has just filled them in place), on return every rank of every
+// group holds the group's replicated tensors whole. One AllGatherShard
+// per group moves the flat concat, cut by the same mpi.ShardBounds the
+// views were. Collective over each group's communicator.
+func (t *Trainer) GatherShards(groups ...ShardGroup) {
+	for _, g := range t.groupShards(groups) {
+		if g.comm.Size() == 1 || g.n == 0 {
+			continue
+		}
+		shard := make([]float32, 0, g.my.Len())
+		for _, v := range g.slices {
+			shard = append(shard, v.W.Data...)
+		}
+		// The gathered buffer may be shared inside a supernode: copy out.
+		full := g.comm.AllGatherShard(shard, g.n)
+		off := 0
+		for _, p := range g.repl {
+			off += copy(p.W.Data, full[off:])
+		}
+	}
+}
+
+// groupShard is one replication group's replicated tensors laid end to
+// end — weights, then optimizer state, then FP32 masters; n elements in
+// all — with this rank's mpi.ShardBounds range my cut out of the concat:
+// slices are range views sharing the tensors' memory, one per tensor the
+// range touches. views is what the rank saves and restores: the slices,
+// with state that is already rank-exclusive (it carries a FullShape and
+// is not part of the concat) passed through in place.
+type groupShard struct {
+	comm          *mpi.Comm
+	repl          []*nn.Param
+	n             int
+	my            mpi.Shard
+	slices, views []*nn.Param
+}
+
+func (t *Trainer) groupShards(groups []ShardGroup) []groupShard {
 	masters := map[*nn.Param]*nn.Param{}
 	for i, m := range t.MP.MasterParams() {
 		masters[t.MP.params[i]] = m
 	}
 	so, _ := t.Opt.(StatefulOptimizer)
-	var out []*nn.Param
-	for _, g := range groups {
+	out := make([]groupShard, len(groups))
+	for k, g := range groups {
 		all := append([]*nn.Param(nil), g.Params...)
 		if so != nil {
 			all = append(all, so.StateTensors(g.Params)...)
@@ -170,25 +219,29 @@ func (t *Trainer) CheckpointShard(groups ...ShardGroup) []*nn.Param {
 				all = append(all, m)
 			}
 		}
-		n := 0
+		gs := groupShard{comm: g.Comm}
 		for _, p := range all {
 			if p.FullShape == nil {
-				n += len(p.W.Data)
+				gs.repl = append(gs.repl, p)
+				gs.n += len(p.W.Data)
 			}
 		}
-		my := g.Comm.MyShard(n)
+		gs.my = g.Comm.MyShard(gs.n)
 		off := 0
 		for _, p := range all {
 			if p.FullShape != nil {
-				out = append(out, p)
+				gs.views = append(gs.views, p)
 				continue
 			}
-			lo, hi := max(my.Lo-off, 0), min(my.Hi-off, len(p.W.Data))
+			lo, hi := max(gs.my.Lo-off, 0), min(gs.my.Hi-off, len(p.W.Data))
 			if lo < hi {
-				out = append(out, rangeView(p.Name, p.W.Data[lo:hi], p.W.Shape, lo))
+				v := rangeView(p.Name, p.W.Data[lo:hi], p.W.Shape, lo)
+				gs.slices = append(gs.slices, v)
+				gs.views = append(gs.views, v)
 			}
 			off += len(p.W.Data)
 		}
+		out[k] = gs
 	}
 	return out
 }
@@ -211,10 +264,11 @@ func (t *Trainer) CheckpointHeader() ckpt.Header {
 	return hdr
 }
 
-// ApplyRestored finalizes a restore: ckpt.Restore has filled
-// CheckpointParams (it fails unless every requested tensor was found),
-// and this applies the scalar header and, in Mixed mode, re-derives the
-// working weights from the restored masters.
+// ApplyRestored finalizes a restore: every tensor of CheckpointParams
+// holds its restored value (ckpt.Restore fails unless every requested
+// range was found; after a group restore GatherShards has completed the
+// replicated ones), and this applies the scalar header and, in Mixed
+// mode, re-derives the working weights from the restored masters.
 func (t *Trainer) ApplyRestored(hdr ckpt.Header) {
 	t.step = int(hdr.Step)
 	t.MP.SetScaleState(hdr.LossScale, int(hdr.GoodSteps), int(hdr.SkippedSteps))
