@@ -76,14 +76,9 @@ func TestRegistryMatchesExperimentsMD(t *testing.T) {
 //	go run ./cmd/bagualu exp <id> -csv > cmd/bagualu/testdata/<id>.csv
 var tier1 = []string{"R1", "R2-proj", "R6", "R6b", "R7", "R7b", "R15", "R20-loss"}
 
-// byHand lists the goldens NO gate regenerates: R14b takes half a
-// minute, which verify.sh's time budget does not hold. Diff it by hand
-// after touching routing, the engine or the corpus.
-var byHand = []string{"R14b"}
-
 // TestGoldens pins the deterministic tables: every deterministic
 // entry has a golden, nothing else does, each is compared by exactly
-// one of tier1, verify.sh's loop and byHand, and the tier-1 entries
+// one of tier1 and verify.sh's loop, and the tier-1 entries
 // regenerate to the same bytes (which also fails on nondeterminism).
 func TestGoldens(t *testing.T) {
 	sh, err := os.ReadFile("../../verify.sh")
@@ -95,7 +90,7 @@ func TestGoldens(t *testing.T) {
 		t.Fatal("verify.sh: no `for id in ...; do` golden loop")
 	}
 	gates := map[string]int{}
-	for _, id := range slices.Concat(tier1, byHand, strings.Fields(string(loop[1]))) {
+	for _, id := range slices.Concat(tier1, strings.Fields(string(loop[1]))) {
 		gates[id]++
 	}
 	want := map[string]bool{}
@@ -103,7 +98,7 @@ func TestGoldens(t *testing.T) {
 		if e.unstable == "" {
 			want[e.id+".csv"] = true
 			if gates[e.id] != 1 {
-				t.Errorf("%s: listed %d times across tier1, verify.sh and byHand, want once", e.id, gates[e.id])
+				t.Errorf("%s: listed %d times across tier1 and verify.sh, want once", e.id, gates[e.id])
 			}
 		} else if gates[e.id] != 0 {
 			t.Errorf("%s is %s but listed in a golden gate", e.id, e.unstable)

@@ -107,8 +107,12 @@ func (c *Comm) reduceTree(seq int64, stepBase, root int, data []float32, op Redu
 }
 
 // AllReduce combines data across all ranks with op and returns the
-// result on every rank. It selects the hierarchical algorithm when
-// the communicator spans multiple supernodes, and the ring otherwise.
+// result on every rank. It selects the hierarchical algorithm — the
+// rail schedule of AllReduceHier, which beats the flat ring at every
+// buffer size once the ring would cross supernodes (R8) — when the
+// communicator spans multiple supernodes and has at least 4 ranks, and
+// the ring otherwise. ShardBounds, ReduceScatterShard and
+// AllGatherShard follow the same rule.
 func (c *Comm) AllReduce(data []float32, op ReduceOp) []float32 {
 	if c.spansSupernodes() && c.Size() >= 4 {
 		return c.AllReduceHier(data, op)
@@ -134,22 +138,16 @@ func (c *Comm) spansSupernodes() bool {
 // moving ~2·n/P bytes each.
 func (c *Comm) AllReduceRing(data []float32, op ReduceOp) []float32 {
 	seq := c.nextSeq()
-	return c.allReduceRing(seq, 0, c.rank, c.Size(), func(r int) int { return r }, data, op)
-}
-
-// allReduceRing runs a ring all-reduce over a virtual group of size p
-// in which this rank has index me; toComm maps a virtual index to a
-// comm rank. The indirection lets the hierarchical algorithm reuse it
-// over the leader subset.
-func (c *Comm) allReduceRing(seq int64, stepBase, me, p int, toComm func(int) int, data []float32, op ReduceOp) []float32 {
 	acc := append([]float32(nil), data...)
+	p := c.Size()
 	if p == 1 {
 		return acc
 	}
 	bounds := ringBounds(len(acc), p)
-	tag := collTag(c.id, seq, stepBase)
-	c.ringReduceScatter(tag, me, p, toComm, acc, bounds, op)
-	c.ringAllGather(tag, me, p, toComm, acc, bounds)
+	tag := collTag(c.id, seq, 0)
+	self := func(r int) int { return r }
+	c.ringReduceScatter(tag, c.rank, p, self, acc, bounds, op)
+	c.ringAllGather(tag, c.rank, p, self, acc, bounds)
 	return acc
 }
 
@@ -195,28 +193,170 @@ func (c *Comm) ringAllGather(tag int, me, p int, toComm func(int) int, acc []flo
 	}
 }
 
-// AllReduceHier is the topology-aware all-reduce: reduce to a leader
-// within each supernode, ring all-reduce among supernode leaders
-// (the only traffic crossing the expensive level), then broadcast
-// back within each supernode.
+// AllReduceHier is the topology-aware all-reduce. Every rank carries a
+// rail: with S supernodes (first-appearance order), R the smallest
+// supernode's member count and piece (c, r) the r-th of R equal
+// sub-slices of leader chunk c = ringBounds(n, S)[c], rail r is the S
+// pieces (·, r) and belongs, in each supernode, to the member at
+// position r. The schedule is
+//
+//	A  local reduce-scatter: every member sends each rail to its local
+//	   owner, who sums the contributions in binomial-tree association;
+//	B  R parallel ring reduce-scatters across supernodes, one per rail,
+//	   over the S owners of that rail;
+//	C  the ring all-gather on the same rails;
+//	D  local all-gather: owners send their rail to every local member,
+//	   each of which assembles its own result.
+//
+// Every rank's uplink carries 1/R of what a single supernode leader
+// would, and each element is still accumulated in ring order over
+// supernodes, starting at its leader chunk, of tree-ordered local sums.
+// ReduceScatterShard's hierarchical path is A B and AllGatherShard's is
+// C D. The returned slice is exclusively owned by the caller.
 func (c *Comm) AllReduceHier(data []float32, op ReduceOp) []float32 {
 	seq := c.nextSeq()
-	members, leaderIdx, myLeader := c.supernodeGroup()
-
-	// Phase 1 (steps 0): reduce to the local leader, sequential
-	// binomial over the local member list.
-	acc := append([]float32(nil), data...)
-	local := c.localReduce(seq, 0, members, acc, op)
-
-	// Phase 2 (step 1): ring all-reduce among leaders.
-	if c.rank == myLeader {
-		me := leaderIdx[c.rank]
-		leaders := c.leaders()
-		local = c.allReduceRing(seq, 1, me, len(leaders), func(i int) int { return leaders[i] }, local, op)
+	g := c.rails()
+	lb := ringBounds(len(data), len(g.sn))
+	rail := c.railReduceScatter(seq, g, lb, data, op)
+	if g.owner() {
+		c.ringAllGather(collTag(c.id, seq, 1), g.j, len(g.sn), g.peer, rail, g.railBounds(lb, g.pos))
 	}
+	return c.railAllGather(seq, g, lb, rail, len(data))
+}
 
-	// Phase 3 (step 2): broadcast within the supernode group.
-	return c.localBcast(seq, 2, members, myLeader, local)
+// rails is the rail schedule's geometry for one communicator, from
+// this rank's point of view; it depends only on group and topology.
+type rails struct {
+	sn  [][]int // comm ranks per supernode, ascending; supernodes in first-appearance order
+	j   int     // this rank's supernode
+	pos int     // this rank's position in sn[j]
+	r   int     // rail count: the smallest supernode's member count
+}
+
+// rails returns the communicator's cached rail geometry.
+func (c *Comm) rails() *rails {
+	if c.rail == nil {
+		t := c.Topology()
+		g := &rails{}
+		idx := map[int]int{} // supernode id -> index in g.sn
+		for q := 0; q < c.Size(); q++ {
+			sn := t.Supernode(c.group[q])
+			j, ok := idx[sn]
+			if !ok {
+				j = len(g.sn)
+				idx[sn] = j
+				g.sn = append(g.sn, nil)
+			}
+			if q == c.rank {
+				g.j, g.pos = j, len(g.sn[j])
+			}
+			g.sn[j] = append(g.sn[j], q)
+		}
+		g.r = len(g.sn[0])
+		for _, ms := range g.sn {
+			g.r = min(g.r, len(ms))
+		}
+		c.rail = g
+	}
+	return c.rail
+}
+
+// owner reports whether this rank owns a rail (rail g.pos).
+func (g *rails) owner() bool { return g.pos < g.r }
+
+// peer maps a supernode index to the comm rank owning this rank's rail
+// there: the rail ring's toComm.
+func (g *rails) peer(i int) int { return g.sn[i][g.pos] }
+
+// piece returns the bounds of piece (ch, r): the r-th of g.r equal
+// sub-slices of leader chunk ch.
+func (g *rails) piece(lb []int, ch, r int) Shard {
+	return subSlice(lb, ch, r, g.r)
+}
+
+// railBounds returns the chunk boundaries of rail r laid out compactly,
+// pieces (0, r) … (S-1, r) end to end: what the ring passes take as
+// bounds when they run over a rail buffer.
+func (g *rails) railBounds(lb []int, r int) []int {
+	rb := make([]int, len(g.sn)+1)
+	for ch := range g.sn {
+		rb[ch+1] = rb[ch] + g.piece(lb, ch, r).Len()
+	}
+	return rb
+}
+
+// pack copies rail r out of a full vector into a fresh compact buffer.
+func (g *rails) pack(data []float32, lb []int, r int) []float32 {
+	rail := make([]float32, 0, len(data)/g.r+len(g.sn))
+	for ch := range g.sn {
+		p := g.piece(lb, ch, r)
+		rail = append(rail, data[p.Lo:p.Hi]...)
+	}
+	return rail
+}
+
+// unpack copies a compact rail r into its places in a full vector.
+func (g *rails) unpack(out, rail []float32, lb []int, r int) {
+	for ch := range g.sn {
+		p := g.piece(lb, ch, r)
+		rail = rail[copy(out[p.Lo:p.Hi], rail):]
+	}
+}
+
+// railReduceScatter runs phases A and B. An owner returns its compact
+// rail buffer, in which piece ((g.j+1) mod S, g.pos) is fully reduced
+// (the rest hold partial sums); other ranks return nil. data is only
+// read, and only before the first receive.
+func (c *Comm) railReduceScatter(seq int64, g *rails, lb []int, data []float32, op ReduceOp) []float32 {
+	ms := g.sn[g.j]
+	tag := collTag(c.id, seq, 0)
+	// A: sends are staggered so that no owner is every member's first
+	// destination.
+	for i := 1; i <= g.r; i++ {
+		if r := (g.pos + i) % g.r; r != g.pos {
+			c.sendStep(ms[r], tag, g.pack(data, lb, r), nil)
+		}
+	}
+	if !g.owner() {
+		return nil
+	}
+	v := make([][]float32, len(ms))
+	for q, m := range ms {
+		if q == g.pos {
+			v[q] = g.pack(data, lb, g.pos)
+		} else {
+			v[q] = c.recvStep(m, tag).data
+		}
+	}
+	// The association a binomial reduce onto position 0 would produce.
+	for k := 1; k < len(ms); k <<= 1 {
+		for q := 0; q+k < len(ms); q += 2 * k {
+			op(v[q], v[q+k])
+		}
+	}
+	c.ringReduceScatter(collTag(c.id, seq, 1), g.j, len(g.sn), g.peer, v[0], g.railBounds(lb, g.pos), op)
+	return v[0]
+}
+
+// railAllGather runs phase D: owners pass in their complete rail, and
+// every rank returns a freshly assembled vector of n elements.
+func (c *Comm) railAllGather(seq int64, g *rails, lb []int, rail []float32, n int) []float32 {
+	ms := g.sn[g.j]
+	tag := collTag(c.id, seq, 2)
+	if g.owner() {
+		for i := 1; i < len(ms); i++ {
+			c.sendStep(ms[(g.pos+i)%len(ms)], tag, rail, nil)
+		}
+	}
+	out := make([]float32, n)
+	for r := 0; r < g.r; r++ {
+		from := rail
+		if r != g.pos {
+			from = c.recvStep(ms[r], tag).data
+		}
+		g.unpack(out, from, lb, r)
+	}
+	return out
 }
 
 // supernodeGroup computes, for this rank, the comm ranks sharing its
@@ -247,58 +387,6 @@ func (c *Comm) supernodeGroup() (members []int, leaderIdx map[int]int, myLeader 
 func (c *Comm) leaders() []int {
 	_, list := c.leaderMaps()
 	return list
-}
-
-// localReduce reduces acc over the members list onto its first
-// element (the leader) with a binomial tree over member positions.
-func (c *Comm) localReduce(seq int64, stepBase int, members []int, acc []float32, op ReduceOp) []float32 {
-	pos := indexOf(members, c.rank)
-	p := len(members)
-	tag := collTag(c.id, seq, stepBase)
-	for k := 1; k < p; k <<= 1 {
-		if pos&k != 0 {
-			c.sendStep(members[pos^k], tag, acc, nil)
-			return acc
-		}
-		if pos|k < p {
-			m := c.recvStep(members[pos|k], tag)
-			op(acc, m.data)
-		}
-	}
-	return acc
-}
-
-// localBcast broadcasts data from leader (a comm rank in members) to
-// all members with a binomial tree.
-func (c *Comm) localBcast(seq int64, stepBase int, members []int, leader int, data []float32) []float32 {
-	pos := indexOf(members, c.rank)
-	rootPos := indexOf(members, leader)
-	p := len(members)
-	v := (pos - rootPos + p) % p
-	tag := collTag(c.id, seq, stepBase)
-	if v != 0 {
-		parent := members[((v&(v-1))+rootPos)%p]
-		m := c.recvStep(parent, tag)
-		data = m.data
-	}
-	for k := 1; k < p; k <<= 1 {
-		if v&k != 0 {
-			break
-		}
-		if v|k < p {
-			c.sendStep(members[((v|k)+rootPos)%p], tag, data, nil)
-		}
-	}
-	return data
-}
-
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("mpi: rank %d not in group %v", v, xs))
 }
 
 // AllGather concatenates each rank's equal-length data in rank order

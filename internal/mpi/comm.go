@@ -37,9 +37,11 @@ type Comm struct {
 	// Lazily built topology caches (group and topology are fixed for
 	// the comm's lifetime; a Comm is owned by one rank's goroutine, so
 	// no locking is needed). snLeader maps supernode id -> leader comm
-	// rank; leaderList holds leaders in first-appearance order.
+	// rank; leaderList holds leaders in first-appearance order; rail is
+	// the hierarchical collectives' geometry.
 	snLeader   map[int]int
 	leaderList []int
+	rail       *rails
 }
 
 func newWorldComm(w *World, rank int) *Comm {

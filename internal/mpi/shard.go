@@ -22,10 +22,13 @@ func (s Shard) Len() int { return s.Hi - s.Lo }
 // all-reduce leaves fully reduced on rank r.
 //
 // Hierarchical layout (the communicator spans supernodes and has at
-// least 4 ranks, matching AllReduce's algorithm choice): supernode
-// leaders in first-appearance order run the leader ring, so leader j
-// of L owns leader chunk (j+1) mod L; that chunk is then split equally
-// among the supernode's members by member position.
+// least 4 ranks, matching AllReduce's algorithm choice): supernode j of
+// S, in first-appearance order, owns leader chunk (j+1) mod S of
+// ringBounds(n, S) — the chunk the cross-supernode rail rings leave
+// fully reduced there — split equally among the supernode's members by
+// member position. With equal supernodes that split IS the rail
+// schedule's pieces (see AllReduceHier), so a rail owner's reduced
+// piece is its shard as it stands.
 func (c *Comm) ShardBounds(n int) []Shard {
 	p := c.Size()
 	out := make([]Shard, p)
@@ -41,29 +44,22 @@ func (c *Comm) ShardBounds(n int) []Shard {
 		}
 		return out
 	}
-	t := c.Topology()
-	var snOrder []int            // supernode ids in first-appearance order
-	snMembers := map[int][]int{} // supernode id -> comm ranks, ascending
-	for r := 0; r < p; r++ {
-		sn := t.Supernode(c.group[r])
-		if _, ok := snMembers[sn]; !ok {
-			snOrder = append(snOrder, sn)
-		}
-		snMembers[sn] = append(snMembers[sn], r)
-	}
-	L := len(snOrder)
-	lb := ringBounds(n, L)
-	for j, sn := range snOrder {
-		lo, hi := lb[(j+1)%L], lb[(j+1)%L+1]
-		ms := snMembers[sn]
+	g := c.rails()
+	S := len(g.sn)
+	lb := ringBounds(n, S)
+	for j, ms := range g.sn {
 		for q, r := range ms {
-			out[r] = Shard{
-				Lo: lo + q*(hi-lo)/len(ms),
-				Hi: lo + (q+1)*(hi-lo)/len(ms),
-			}
+			out[r] = subSlice(lb, (j+1)%S, q, len(ms))
 		}
 	}
 	return out
+}
+
+// subSlice returns the q-th of k equal sub-slices of chunk ch of the
+// chunk boundaries lb.
+func subSlice(lb []int, ch, q, k int) Shard {
+	lo, w := lb[ch], lb[ch+1]-lb[ch]
+	return Shard{lo + q*w/k, lo + (q+1)*w/k}
 }
 
 // MyShard returns this rank's ShardBounds entry.
@@ -73,9 +69,8 @@ func (c *Comm) MyShard(n int) Shard { return c.ShardBounds(n)[c.rank] }
 // returns only this rank's owned range (per ShardBounds) of the
 // result, bitwise identical to AllReduce(data, op)[s.Lo:s.Hi]: the
 // ring path IS the reduce-scatter half of the ring all-reduce, and the
-// hierarchical path reuses the local-reduce + leader-ring schedule of
-// AllReduceHier, so reduction order — and therefore float rounding —
-// matches exactly.
+// hierarchical path IS phases A and B of AllReduceHier's rail schedule,
+// so reduction order — and therefore float rounding — matches exactly.
 //
 // data is copied before any send is posted, so callers may recycle it
 // (e.g. into the tensor pool) as soon as the call returns. The
@@ -98,40 +93,77 @@ func (c *Comm) ReduceScatterShard(data []float32, op ReduceOp) ([]float32, Shard
 	return append([]float32(nil), acc[s.Lo:s.Hi]...), s
 }
 
-// reduceScatterShardHier is the supernode-aware reduce-scatter:
-// binomial reduce onto the supernode leader (step 0, shared with
-// AllReduceHier), ring reduce-scatter among leaders (step 1, the only
-// traffic crossing the expensive level), then the leader scatters each
-// member's sub-range of its leader chunk (step 2). Inter-supernode
-// bytes equal AllReduceHier's reduce-scatter half exactly; the
-// intra-supernode scatter adds ~n/L cheap local bytes.
+// reduceScatterShardHier is phases A and B of the rail schedule (see
+// AllReduceHier): afterwards owner r of supernode j holds piece
+// ((j+1) mod S, r) fully reduced, and the supernode's pieces together
+// are the leader chunk ShardBounds assigns it. Inter-supernode bytes
+// equal the reduce-scatter half of AllReduceHier exactly, and so do the
+// local ones unless the supernode has more members than rails.
 func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([]float32, Shard) {
-	members, leaderIdx, myLeader := c.supernodeGroup()
-	n := len(data)
-	shards := c.ShardBounds(n)
-	my := shards[c.rank]
-
-	acc := append([]float32(nil), data...)
-	local := c.localReduce(seq, 0, members, acc, op)
-
-	tag2 := collTag(c.id, seq, 2)
-	if c.rank != myLeader {
-		m := c.recvStep(myLeader, tag2)
-		return append([]float32(nil), m.data...), my
+	g := c.rails()
+	lb := ringBounds(len(data), len(g.sn))
+	rail := c.railReduceScatter(seq, g, lb, data, op)
+	pieces, shards := g.localSplits(lb)
+	var piece []float32
+	if g.owner() {
+		rb := g.railBounds(lb, g.pos)
+		ch := (g.j + 1) % len(g.sn)
+		piece = rail[rb[ch]:rb[ch+1]]
 	}
-	leaders := c.leaders()
-	L := len(leaders)
-	lb := ringBounds(n, L)
-	tag1 := collTag(c.id, seq, 1)
-	c.ringReduceScatter(tag1, leaderIdx[c.rank], L, func(i int) int { return leaders[i] }, local, lb, op)
-	for _, r := range members {
-		if r == c.rank {
+	return c.reslice(seq, g, pieces, shards, piece), shards[g.pos]
+}
+
+// localSplits returns the two partitions of this supernode's leader
+// chunk, both indexed by member position: the rail pieces (empty beyond
+// the last rail owner) and ShardBounds' per-member ranges. They
+// coincide unless the supernode has more members than rails.
+func (g *rails) localSplits(lb []int) (pieces, shards []Shard) {
+	L, ch := len(g.sn[g.j]), (g.j+1)%len(g.sn)
+	pieces, shards = make([]Shard, L), make([]Shard, L)
+	for q := range shards {
+		if q < g.r {
+			pieces[q] = g.piece(lb, ch, q)
+		}
+		shards[q] = subSlice(lb, ch, q, L)
+	}
+	return pieces, shards
+}
+
+// reslice redistributes the supernode's leader chunk among its members:
+// member q enters holding range from[q] (this rank's in src) and leaves
+// holding to[q], returned freshly allocated. Only non-empty overlaps
+// travel, so between equal partitions nothing does; this is the bridge
+// between rail pieces and ShardBounds in a supernode with more members
+// than rails (a shrunk world: 4 + 3).
+func (c *Comm) reslice(seq int64, g *rails, from, to []Shard, src []float32) []float32 {
+	ms := g.sn[g.j]
+	tag := collTag(c.id, seq, 3)
+	have, want := from[g.pos], to[g.pos]
+	for i := 1; i < len(ms); i++ {
+		q := (g.pos + i) % len(ms)
+		if o := overlap(have, to[q]); o.Len() > 0 {
+			c.sendStep(ms[q], tag, src[o.Lo-have.Lo:o.Hi-have.Lo], nil)
+		}
+	}
+	dst := make([]float32, want.Len())
+	for q, m := range ms {
+		o := overlap(from[q], want)
+		if o.Len() <= 0 {
 			continue
 		}
-		s := shards[r]
-		c.sendStep(r, tag2, local[s.Lo:s.Hi], nil)
+		if q == g.pos {
+			copy(dst[o.Lo-want.Lo:], src[o.Lo-have.Lo:o.Hi-have.Lo])
+		} else {
+			copy(dst[o.Lo-want.Lo:], c.recvStep(m, tag).data)
+		}
 	}
-	return append([]float32(nil), local[my.Lo:my.Hi]...), my
+	return dst
+}
+
+// overlap intersects two ranges; the result has Len() <= 0 when they
+// are disjoint.
+func overlap(a, b Shard) Shard {
+	return Shard{max(a.Lo, b.Lo), min(a.Hi, b.Hi)}
 }
 
 // AllGatherShard is the inverse of ReduceScatterShard: every rank
@@ -140,12 +172,10 @@ func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([
 // vector. Combined with a local update of the owned range, it
 // completes the sharded-optimizer schedule
 // reduce-scatter → shard update → all-gather with the same total bytes
-// as a ring all-reduce on the ring path.
+// as the all-reduce AllReduce would have picked, on either path.
 //
-// The returned slice may share backing storage with other ranks of the
-// same supernode on the hierarchical path (the broadcast forwards one
-// buffer, exactly like AllReduce); treat it as read-only or copy out.
-// The shard argument itself is safe to recycle once the call returns.
+// The returned slice is freshly allocated and exclusively owned, and
+// the shard argument is safe to recycle once the call returns.
 func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 	seq := c.nextSeq()
 	p := c.Size()
@@ -166,36 +196,22 @@ func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 	return out
 }
 
-// allGatherShardHier gathers member shards onto the supernode leader
-// (step 0), runs the leader ring all-gather (step 1, bytes equal to
-// AllReduceHier's all-gather half), then broadcasts the full vector
-// within the supernode (step 2, shared with AllReduceHier).
+// allGatherShardHier is phases C and D of the rail schedule (see
+// AllReduceHier): each owner places its piece of the supernode's leader
+// chunk in an otherwise empty rail, the rail rings all-gather across
+// supernodes, and owners hand their rails to every local member.
 func (c *Comm) allGatherShardHier(seq int64, shard []float32, n int) []float32 {
-	members, leaderIdx, myLeader := c.supernodeGroup()
-	shards := c.ShardBounds(n)
-
-	tag0 := collTag(c.id, seq, 0)
-	if c.rank != myLeader {
-		c.sendStep(myLeader, tag0, shard, nil)
-		return c.localBcast(seq, 2, members, myLeader, nil)
+	g := c.rails()
+	S := len(g.sn)
+	lb := ringBounds(n, S)
+	pieces, shards := g.localSplits(lb)
+	piece := c.reslice(seq, g, shards, pieces, shard)
+	var rail []float32
+	if g.owner() {
+		rb := g.railBounds(lb, g.pos)
+		rail = make([]float32, rb[S])
+		copy(rail[rb[(g.j+1)%S]:], piece)
+		c.ringAllGather(collTag(c.id, seq, 1), g.j, S, g.peer, rail, rb)
 	}
-	full := make([]float32, n)
-	my := shards[c.rank]
-	copy(full[my.Lo:my.Hi], shard)
-	for _, r := range members {
-		if r == c.rank {
-			continue
-		}
-		m := c.recvStep(r, tag0)
-		s := shards[r]
-		if len(m.data) != s.Len() {
-			panic(fmt.Sprintf("mpi: AllGatherShard rank %d: member %d sent %d elems, owns %d", c.rank, r, len(m.data), s.Len()))
-		}
-		copy(full[s.Lo:s.Hi], m.data)
-	}
-	leaders := c.leaders()
-	L := len(leaders)
-	tag1 := collTag(c.id, seq, 1)
-	c.ringAllGather(tag1, leaderIdx[c.rank], L, func(i int) int { return leaders[i] }, full, ringBounds(n, L))
-	return c.localBcast(seq, 2, members, myLeader, full)
+	return c.railAllGather(seq, g, lb, rail, n)
 }

@@ -138,7 +138,7 @@ func TestTieredEscalationBeatsAlternatives(t *testing.T) {
 		{Kind: fault.EventStraggler, Rank: 3, Mult: 4},
 	}
 	mk := func() *fault.Injector {
-		inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: steps, Seed: 9, DropProb: 1e-3}, ev)
+		inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: steps, Seed: 10, DropProb: 1e-3}, ev)
 		if err != nil {
 			t.Fatal(err)
 		}

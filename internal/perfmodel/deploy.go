@@ -289,74 +289,54 @@ func levelOfDistance(t *simnet.Topology, dist int) simnet.Level {
 	}
 }
 
-// allReduceStridedCost prices a ring all-reduce over a strided group
-// (data-parallel peers of an expert shard sit stride = ExpertParallel
-// ranks apart). A strided group spans (p-1)·stride ranks, so its ring
-// hops travel at the tier that distance reaches — for any non-trivial
-// EP that is the inter-supernode fabric, which contiguous-group
-// pricing would miss entirely.
-func (d Deployment) allReduceStridedCost(t *simnet.Topology, p, stride int, bytes float64) float64 {
-	if p <= 1 || bytes == 0 {
+// allReduceCost prices the gradient all-reduce over p ranks that sit
+// stride ranks apart (data-parallel peers of an expert shard are
+// ExpertParallel apart; stride 1 is a contiguous group), following what
+// mpi.Comm.AllReduce executes. The group has L members in each of the S
+// supernodes it touches. Inside one supernode it is a flat ring:
+// 2·(p-1)/p·bytes at the tier the group's span reaches. Across
+// supernodes it is the rail schedule (mpi.Comm.AllReduceHier): a local
+// reduce-scatter and all-gather move 2·(L-1)/L·bytes, and every rank
+// runs its own cross-supernode ring over 1/L of the buffer,
+// 2·(S-1)/S·bytes/L, each rank priced its own inter-supernode link
+// thinned by BisectionOversub. L = 1 — a stride of a supernode or
+// more — leaves only that ring, over the whole buffer.
+func (d Deployment) allReduceCost(t *simnet.Topology, p, stride int, bytes float64) float64 {
+	if bytes == 0 {
 		return 0
 	}
-	if stride <= 1 {
-		return d.allReduceCost(t, p, bytes)
-	}
-	lvl := levelOfDistance(t, (p-1)*stride)
-	c := 2 * float64(p-1) / float64(p) * t.CostAtLevel(lvl, int(bytes))
-	if lvl == simnet.MachineLevel {
-		c *= d.Machine.BisectionOversub
-	}
-	return c
+	return d.allReduceSchedule(t, p, stride, bytes)
 }
 
 // allReduceLatency is the phase-startup (α-only) share of one
-// hierarchical all-reduce over p ranks — what an extra collective
-// costs regardless of payload. ZeRO replaces each fused all-reduce
-// with a reduce-scatter + all-gather pair: identical bytes, twice the
-// collective phases, so PredictStep charges one extra latency per
-// sharded group.
-func (d Deployment) allReduceLatency(t *simnet.Topology, p int) float64 {
+// all-reduce — what an extra collective costs regardless of payload.
+// ZeRO replaces each fused all-reduce with a reduce-scatter +
+// all-gather pair: identical bytes, twice the collective phases, so
+// PredictStep charges one extra latency per sharded group.
+func (d Deployment) allReduceLatency(t *simnet.Topology, p, stride int) float64 {
+	return d.allReduceSchedule(t, p, stride, 0)
+}
+
+// allReduceSchedule is the one derivation behind both: the schedule's
+// cost at the given payload, its phase startups alone at zero bytes.
+func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes float64) float64 {
 	if p <= 1 {
 		return 0
 	}
 	rsn := t.RanksPerSupernode()
-	if p <= rsn {
-		return 2 * float64(p-1) / float64(p) * t.Alpha[simnet.SupernodeLevel]
+	L := min(p, (rsn+stride-1)/stride)
+	S := (p + L - 1) / L
+	if S > 1 && p < 4 {
+		// Comm.AllReduce keeps the flat ring below four ranks.
+		L, S = 1, p
 	}
-	supernodes := (p + rsn - 1) / rsn
-	return 2*t.Alpha[simnet.SupernodeLevel] +
-		2*float64(supernodes-1)/float64(supernodes)*t.Alpha[simnet.MachineLevel]
-}
-
-// allReduceStridedLatency is the α-only share of a strided-group ring
-// (see allReduceStridedCost).
-func (d Deployment) allReduceStridedLatency(t *simnet.Topology, p, stride int) float64 {
-	if p <= 1 {
-		return 0
+	local := simnet.SupernodeLevel
+	if stride > 1 {
+		local = levelOfDistance(t, (L-1)*stride)
 	}
-	if stride <= 1 {
-		return d.allReduceLatency(t, p)
+	c := 2 * float64(L-1) / float64(L) * t.CostAtLevel(local, int(bytes))
+	if S > 1 {
+		c += 2 * float64(S-1) / float64(S) * t.CostAtLevel(simnet.MachineLevel, int(bytes/float64(L))) * d.Machine.BisectionOversub
 	}
-	lvl := levelOfDistance(t, (p-1)*stride)
-	return 2 * float64(p-1) / float64(p) * t.Alpha[lvl]
-}
-
-// allReduceCost prices a hierarchical ring all-reduce of n bytes over
-// p ranks: intra-supernode reduce + leader ring + broadcast.
-func (d Deployment) allReduceCost(t *simnet.Topology, p int, bytes float64) float64 {
-	if p <= 1 || bytes == 0 {
-		return 0
-	}
-	rsn := t.RanksPerSupernode()
-	if p <= rsn {
-		// Ring within a supernode: 2·(p-1)/p·bytes at supernode links.
-		return 2 * float64(p-1) / float64(p) * t.CostAtLevel(simnet.SupernodeLevel, int(bytes)) / 1
-	}
-	supernodes := (p + rsn - 1) / rsn
-	// Local reduce + broadcast move the full buffer twice over
-	// supernode links; the leader ring crosses the bisection.
-	local := 2 * t.CostAtLevel(simnet.SupernodeLevel, int(bytes))
-	ring := 2 * float64(supernodes-1) / float64(supernodes) * t.CostAtLevel(simnet.MachineLevel, int(bytes)) * d.Machine.BisectionOversub
-	return local + ring
+	return c
 }

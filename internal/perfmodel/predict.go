@@ -139,14 +139,14 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	// that shrinks with depth and makes PP win on deep stacks.
 	gradBytes := func(n int64) float64 { return float64(n) * bytesPerElem(d.Precision) }
 	denseB := gradBytes(spec.DenseParams()) / float64(S)
-	p.Sync = d.allReduceCost(topo, perStage, denseB)
+	p.Sync = d.allReduceCost(topo, perStage, 1, denseB)
 	p.SyncBytes = ringBytes(perStage, denseB)
 	if d.DataParallel > 1 && spec.MoEEvery > 0 {
 		// Data-parallel peers of an expert shard sit ExpertParallel
 		// ranks apart (contiguous EP groups, strided DP groups), so
 		// their ring runs over the tier that stride reaches.
 		shardB := gradBytes(spec.ExpertParamsTotal() / int64(d.ExpertParallel) / int64(S))
-		p.Sync += d.allReduceStridedCost(topo, d.DataParallel, d.ExpertParallel, shardB)
+		p.Sync += d.allReduceCost(topo, d.DataParallel, d.ExpertParallel, shardB)
 		p.SyncBytes += ringBytes(d.DataParallel, shardB)
 	}
 	if d.ZeRO {
@@ -154,9 +154,9 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		// reduce-scatter + all-gather pair (train.ShardedAdam): the
 		// bytes are pinned equal, but every sharded group pays one
 		// extra collective's worth of phase startups.
-		p.Sync += d.allReduceLatency(topo, perStage)
+		p.Sync += d.allReduceLatency(topo, perStage, 1)
 		if d.DataParallel > 1 && spec.MoEEvery > 0 {
-			p.Sync += d.allReduceStridedLatency(topo, d.DataParallel, d.ExpertParallel)
+			p.Sync += d.allReduceLatency(topo, d.DataParallel, d.ExpertParallel)
 		}
 	}
 

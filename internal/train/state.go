@@ -178,7 +178,6 @@ func (t *Trainer) GatherShards(groups ...ShardGroup) {
 		for _, v := range g.slices {
 			shard = append(shard, v.W.Data...)
 		}
-		// The gathered buffer may be shared inside a supernode: copy out.
 		full := g.comm.AllGatherShard(shard, g.n)
 		off := 0
 		for _, p := range g.repl {

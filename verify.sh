@@ -17,7 +17,7 @@ go vet ./...
 if go list -deps ./internal/ckpt | grep -x 'bagualu/internal/train'; then exit 1; fi
 if go list -deps ./internal/serve/... | grep -xE 'bagualu/internal/(train|data)'; then exit 1; fi
 go test -race ./...
-go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice' ./internal/...
+go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier' ./internal/...
 # The amd64 assembly kernels promise the portable Go loops' bits: the
 # kernel packages, the inference path built on them (transposed key
 # cache, serve and fleet token checks) and the fast goldens again with
@@ -34,10 +34,8 @@ go test -run TestVMathSweep ./internal/tensor -vmath.stride=1
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
 go build -o "$bin/bagualu" ./cmd/bagualu
-# Through a file, so a failing exit status stops the script too. R14b
-# (half a minute) is the one golden no gate regenerates
-# (cmd/bagualu/main_test.go byHand).
-for id in R2 R3 R4 R5 R8 R13 R16 R17 R18 R19; do
+# Through a file, so a failing exit status stops the script too.
+for id in R2 R3 R4 R5 R8 R13 R14b R16 R17 R18 R19; do
 	"$bin/bagualu" exp $id -csv > "$bin/$id.csv"
 	cmp "$bin/$id.csv" cmd/bagualu/testdata/$id.csv
 done
