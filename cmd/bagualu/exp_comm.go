@@ -9,15 +9,27 @@ import (
 	"bagualu/internal/simnet"
 )
 
-// a2aRun times one all-to-all of elems floats per pair and counts the
-// inter-supernode messages it sent.
-func a2aRun(ranks int, topo *simnet.Topology, elems int, f func(*mpi.Comm, [][]float32) [][]float32) (float64, int64) {
+// evenSendBuf stages elems zeros for each of ranks destinations.
+func evenSendBuf(ranks, elems int) *mpi.SendBuf {
+	counts := make([]int, ranks)
+	for d := range counts {
+		counts[d] = elems
+	}
+	sb := mpi.NewSendBuf(counts)
+	row := make([]float32, elems)
+	for d := 0; d < ranks; d++ {
+		sb.Append(d, row)
+	}
+	return sb
+}
+
+// a2aRun times one FP32 all-to-allv of elems floats per pair and counts
+// the inter-supernode messages it sent.
+func a2aRun(ranks int, topo *simnet.Topology, elems int, f func(*mpi.Comm, *mpi.SendBuf, mpi.Codec) *mpi.RecvBuf) (float64, int64) {
 	w := onWorld(ranks, topo, func(c *mpi.Comm) {
-		chunks := make([][]float32, ranks)
-		for d := range chunks {
-			chunks[d] = make([]float32, elems)
-		}
-		f(c, chunks)
+		sb := evenSendBuf(ranks, elems)
+		f(c, sb, mpi.FP32Wire).Release()
+		sb.Release()
 	})
 	return w.MaxTime(), w.Stats().MsgsAt(simnet.MachineLevel)
 }
@@ -29,15 +41,15 @@ func expR4(o *options) []*metrics.Table {
 	m := o.machine
 	ranks, topo := m.ranks, m.topo()
 
-	// R4: all-to-all algorithm comparison across message sizes.
+	// R4: the two exchanges MoE dispatch runs (moe.Direct and
+	// moe.Hierarchical) across message sizes.
 	a2a := metrics.NewTable("R4: all-to-all virtual time (s) by algorithm",
-		"bytes/rank", "direct", "pairwise", "hierarchical", "interSN-msgs-flat", "interSN-msgs-hier")
+		"bytes/rank", "direct", "hierarchical", "interSN-msgs-direct", "interSN-msgs-hier")
 	for kb := 1; kb <= o.maxKB; kb *= 4 {
 		elems := max(kb*1024/4/ranks, 1)
-		td, _ := a2aRun(ranks, topo, elems, (*mpi.Comm).AllToAllDirect)
-		tp, mf := a2aRun(ranks, topo, elems, (*mpi.Comm).AllToAllPairwise)
-		th, mh := a2aRun(ranks, topo, elems, (*mpi.Comm).AllToAllHier)
-		a2a.AddRow(kb*1024, td, tp, th, mf, mh)
+		td, md := a2aRun(ranks, topo, elems, (*mpi.Comm).AllToAllvDirect)
+		th, mh := a2aRun(ranks, topo, elems, (*mpi.Comm).AllToAllvHier)
+		a2a.AddRow(kb*1024, td, th, md, mh)
 	}
 
 	// R4c: the flattened MoE dispatch exchange — FP16 wire codec and
@@ -58,15 +70,7 @@ func expR4(o *options) []*metrics.Table {
 		window := 100 * float64(elems) / 1e9
 		run := func(codec mpi.Codec, over bool) (float64, int64) {
 			w := onWorld(ranks, topo, func(c *mpi.Comm) {
-				counts := make([]int, ranks)
-				for d := range counts {
-					counts[d] = elems
-				}
-				sb := mpi.NewSendBuf(counts)
-				row := make([]float32, elems)
-				for d := 0; d < ranks; d++ {
-					sb.Append(d, row)
-				}
+				sb := evenSendBuf(ranks, elems)
 				var local, remote *mpi.RecvBuf
 				if over {
 					ex := c.BeginExchange(true, codec)
@@ -98,13 +102,13 @@ func expR4(o *options) []*metrics.Table {
 
 	// R4b: all-to-all scaling with rank count at fixed payload.
 	sc := metrics.NewTable("R4b: all-to-all time vs ranks (64 KiB/rank)",
-		"ranks", "pairwise", "hierarchical", "speedup")
+		"ranks", "direct", "hierarchical", "speedup")
 	for p := 8; p <= ranks; p *= 2 {
 		_, tp2 := topoFor(p, m.perSN, m.rpn)
 		elems := max(64*1024/4/p, 1)
-		tpw, _ := a2aRun(p, tp2, elems, (*mpi.Comm).AllToAllPairwise)
-		thi, _ := a2aRun(p, tp2, elems, (*mpi.Comm).AllToAllHier)
-		sc.AddRow(p, tpw, thi, tpw/thi)
+		tdi, _ := a2aRun(p, tp2, elems, (*mpi.Comm).AllToAllvDirect)
+		thi, _ := a2aRun(p, tp2, elems, (*mpi.Comm).AllToAllvHier)
+		sc.AddRow(p, tdi, thi, tdi/thi)
 	}
 	return []*metrics.Table{a2a, wt, sc}
 }

@@ -39,21 +39,11 @@ func CollectScores(c *mpi.Comm, row []float64) []float64 {
 		return []float64{1}
 	}
 	me := c.Rank()
-	topo := c.Topology()
 
-	// Supernode membership and leaders, derived identically everywhere
-	// from the topology: a supernode's leader is its lowest comm rank.
-	sn := make([]int, n)
-	leaderOf := map[int]int{}
-	var leaders []int
-	for q := 0; q < n; q++ {
-		sn[q] = topo.Supernode(c.Global(q))
-		if _, ok := leaderOf[sn[q]]; !ok {
-			leaderOf[sn[q]] = q
-			leaders = append(leaders, q)
-		}
-	}
-	myLeader := leaderOf[sn[me]]
+	// A supernode's leader is its lowest comm rank, groups[j][0].
+	groups, of := c.Supernodes()
+	mine := groups[of[me]]
+	myLeader := mine[0]
 
 	matrix := make([]float64, n*n)
 	fill := func(r int, vals []float32) {
@@ -78,34 +68,26 @@ func CollectScores(c *mpi.Comm, row []float64) []float64 {
 	// Leader: gather member rows (ascending member order keeps the
 	// exchange schedule deterministic).
 	fill(me, row32)
-	var members []int
-	for q := 0; q < n; q++ {
-		if sn[q] == sn[me] && q != me {
-			members = append(members, q)
-		}
-	}
+	members := mine[1:]
 	for _, q := range members {
 		r, _ := c.RecvMsg(q, tagRow)
 		fill(q, r)
 	}
 
 	// Leaders exchange their supernode's block of rows.
-	block := make([]float32, 0, (len(members)+1)*n)
-	ints := make([]int, 0, len(members)+1)
-	for q := 0; q < n; q++ {
-		if sn[q] == sn[me] {
-			ints = append(ints, q)
-			for s := 0; s < n; s++ {
-				block = append(block, float32(matrix[q*n+s]))
-			}
+	block := make([]float32, 0, len(mine)*n)
+	for _, q := range mine {
+		for s := 0; s < n; s++ {
+			block = append(block, float32(matrix[q*n+s]))
 		}
 	}
-	for _, l := range leaders {
-		if l != me {
-			c.SendMsg(l, tagBlock, block, ints)
+	for _, g := range groups {
+		if l := g[0]; l != me {
+			c.SendMsg(l, tagBlock, block, mine)
 		}
 	}
-	for _, l := range leaders {
+	for _, g := range groups {
+		l := g[0]
 		if l == me {
 			continue
 		}

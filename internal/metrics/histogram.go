@@ -14,15 +14,15 @@ import (
 // independent at the cost of bounded relative error (the growth
 // factor).
 type Histogram struct {
-	lo      float64
-	growth  float64
-	logG    float64
-	counts  []int64
-	under   int64 // values below lo
-	n       int64
-	sum     float64
-	min     float64
-	max     float64
+	lo     float64
+	growth float64
+	logG   float64
+	counts []int64
+	under  int64 // values below lo
+	n      int64
+	sum    float64
+	min    float64
+	max    float64
 }
 
 // NewHistogram builds a histogram with the given lowest bucket edge,

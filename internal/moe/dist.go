@@ -10,8 +10,8 @@ import (
 )
 
 // A2AAlgo selects the all-to-all algorithm used for MoE dispatch and
-// combine; Auto picks hierarchically when the communicator spans
-// supernodes.
+// combine; Auto takes the hierarchical one when the communicator's
+// Hierarchical reports true.
 type A2AAlgo int
 
 const (
@@ -113,8 +113,6 @@ type DistMoE struct {
 
 	// Time accumulates the per-phase wall-clock breakdown.
 	Time Timing
-
-	localSN []bool // comm rank -> in this rank's supernode
 
 	inferStats InferStats // last Infer call; see infer.go
 
@@ -234,12 +232,6 @@ func NewDistMoEComm(name string, r *tensor.RNG, cfg GateConfig, hidden int, comm
 		}
 	}
 	m.rebuildLookups()
-	t := comm.Topology()
-	mySN := t.Supernode(comm.Global(comm.Rank()))
-	m.localSN = make([]bool, comm.Size())
-	for q := 0; q < comm.Size(); q++ {
-		m.localSN[q] = t.Supernode(comm.Global(q)) == mySN
-	}
 	return m
 }
 

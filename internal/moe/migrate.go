@@ -177,13 +177,6 @@ func (m *DistMoE) ReshardTo(newComm *mpi.Comm, newPlace *Placement) error {
 		}
 		m.Experts = append(m.Experts, ex)
 	}
-	// Supernode locality is a property of the new communicator.
-	t := newComm.Topology()
-	mySN := t.Supernode(newComm.Global(newComm.Rank()))
-	m.localSN = make([]bool, newComm.Size())
-	for q := 0; q < newComm.Size(); q++ {
-		m.localSN[q] = t.Supernode(newComm.Global(q)) == mySN
-	}
 	// Drop shadows (placement-dependent) and every forward cache.
 	m.shadows = nil
 	m.shadowList = nil

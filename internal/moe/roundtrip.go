@@ -155,8 +155,15 @@ func (m *DistMoE) hierWire() bool {
 	case Direct:
 		return false
 	default:
-		return m.comm.SpansSupernodes() && m.comm.Size() >= 4
+		return m.comm.Hierarchical()
 	}
+}
+
+// sameSupernode reports whether comm rank q shares this rank's
+// supernode.
+func (m *DistMoE) sameSupernode(q int) bool {
+	_, of := m.comm.Supernodes()
+	return of[q] == of[m.comm.Rank()]
 }
 
 // postRemoteFirst posts every chunk of sb, cross-supernode
@@ -166,12 +173,12 @@ func (m *DistMoE) hierWire() bool {
 func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
 	p := m.comm.Size()
 	for dst := 0; dst < p; dst++ {
-		if !m.localSN[dst] {
+		if !m.sameSupernode(dst) {
 			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
 		}
 	}
 	for dst := 0; dst < p; dst++ {
-		if m.localSN[dst] {
+		if m.sameSupernode(dst) {
 			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
 		}
 	}
@@ -241,7 +248,7 @@ func (m *DistMoE) chargeCompute(rows int, backward bool) {
 // of bufs src arrived on.
 func (m *DistMoE) legRow(bufs *[2]*mpi.RecvBuf, src, pos, d int) []float32 {
 	rb := bufs[0]
-	if bufs[1] != nil && !m.localSN[src] {
+	if bufs[1] != nil && !m.sameSupernode(src) {
 		rb = bufs[1]
 	}
 	return rb.Chunk(src)[pos*d : (pos+1)*d]

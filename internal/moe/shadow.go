@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/tensor"
 )
@@ -93,20 +94,13 @@ func (m *DistMoE) reduceShadowGrads() {
 		owner := m.place.Owner[e]
 		replica := m.shadows[e]
 		for _, p := range replica.Params() {
-			red := m.comm.Reduce(owner, p.G.Data, OpSumSlice)
+			red := m.comm.Reduce(owner, p.G.Data, mpi.OpSum)
 			if m.comm.Rank() == owner {
 				copy(p.G.Data, red)
 			} else {
 				p.G.Zero()
 			}
 		}
-	}
-}
-
-// OpSumSlice adapts mpi.OpSum's signature for Reduce calls here.
-func OpSumSlice(dst, src []float32) {
-	for i := range dst {
-		dst[i] += src[i]
 	}
 }
 

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-
-	"bagualu/internal/simnet"
-)
+import "fmt"
 
 // ReduceOp combines src into dst elementwise. dst and src have equal
 // length.
@@ -107,30 +103,15 @@ func (c *Comm) reduceTree(seq int64, stepBase, root int, data []float32, op Redu
 }
 
 // AllReduce combines data across all ranks with op and returns the
-// result on every rank. It selects the hierarchical algorithm — the
-// rail schedule of AllReduceHier, which beats the flat ring at every
-// buffer size once the ring would cross supernodes (R8) — when the
-// communicator spans multiple supernodes and has at least 4 ranks, and
-// the ring otherwise. ShardBounds, ReduceScatterShard and
-// AllGatherShard follow the same rule.
+// result on every rank. It takes the rail schedule of AllReduceHier,
+// which beats the flat ring at every buffer size once the ring would
+// cross supernodes (R8), when Hierarchical reports true, and the ring
+// otherwise.
 func (c *Comm) AllReduce(data []float32, op ReduceOp) []float32 {
-	if c.spansSupernodes() && c.Size() >= 4 {
+	if c.Hierarchical() {
 		return c.AllReduceHier(data, op)
 	}
 	return c.AllReduceRing(data, op)
-}
-
-// spansSupernodes reports whether the communicator's members live in
-// more than one supernode.
-func (c *Comm) spansSupernodes() bool {
-	t := c.Topology()
-	first := t.Supernode(c.group[0])
-	for _, g := range c.group[1:] {
-		if t.Supernode(g) != first {
-			return true
-		}
-	}
-	return false
 }
 
 // AllReduceRing implements the bandwidth-optimal ring all-reduce:
@@ -215,80 +196,43 @@ func (c *Comm) ringAllGather(tag int, me, p int, toComm func(int) int, acc []flo
 // C D. The returned slice is exclusively owned by the caller.
 func (c *Comm) AllReduceHier(data []float32, op ReduceOp) []float32 {
 	seq := c.nextSeq()
-	g := c.rails()
-	lb := ringBounds(len(data), len(g.sn))
+	g := c.supernodes()
+	lb := ringBounds(len(data), len(g.groups))
 	rail := c.railReduceScatter(seq, g, lb, data, op)
 	if g.owner() {
-		c.ringAllGather(collTag(c.id, seq, 1), g.j, len(g.sn), g.peer, rail, g.railBounds(lb, g.pos))
+		c.ringAllGather(collTag(c.id, seq, 1), g.j, len(g.groups), g.peer, rail, g.railBounds(lb, g.pos))
 	}
 	return c.railAllGather(seq, g, lb, rail, len(data))
 }
 
-// rails is the rail schedule's geometry for one communicator, from
-// this rank's point of view; it depends only on group and topology.
-type rails struct {
-	sn  [][]int // comm ranks per supernode, ascending; supernodes in first-appearance order
-	j   int     // this rank's supernode
-	pos int     // this rank's position in sn[j]
-	r   int     // rail count: the smallest supernode's member count
-}
-
-// rails returns the communicator's cached rail geometry.
-func (c *Comm) rails() *rails {
-	if c.rail == nil {
-		t := c.Topology()
-		g := &rails{}
-		idx := map[int]int{} // supernode id -> index in g.sn
-		for q := 0; q < c.Size(); q++ {
-			sn := t.Supernode(c.group[q])
-			j, ok := idx[sn]
-			if !ok {
-				j = len(g.sn)
-				idx[sn] = j
-				g.sn = append(g.sn, nil)
-			}
-			if q == c.rank {
-				g.j, g.pos = j, len(g.sn[j])
-			}
-			g.sn[j] = append(g.sn[j], q)
-		}
-		g.r = len(g.sn[0])
-		for _, ms := range g.sn {
-			g.r = min(g.r, len(ms))
-		}
-		c.rail = g
-	}
-	return c.rail
-}
-
 // owner reports whether this rank owns a rail (rail g.pos).
-func (g *rails) owner() bool { return g.pos < g.r }
+func (g *supernodes) owner() bool { return g.pos < g.r }
 
 // peer maps a supernode index to the comm rank owning this rank's rail
 // there: the rail ring's toComm.
-func (g *rails) peer(i int) int { return g.sn[i][g.pos] }
+func (g *supernodes) peer(i int) int { return g.groups[i][g.pos] }
 
 // piece returns the bounds of piece (ch, r): the r-th of g.r equal
 // sub-slices of leader chunk ch.
-func (g *rails) piece(lb []int, ch, r int) Shard {
+func (g *supernodes) piece(lb []int, ch, r int) Shard {
 	return subSlice(lb, ch, r, g.r)
 }
 
 // railBounds returns the chunk boundaries of rail r laid out compactly,
 // pieces (0, r) … (S-1, r) end to end: what the ring passes take as
 // bounds when they run over a rail buffer.
-func (g *rails) railBounds(lb []int, r int) []int {
-	rb := make([]int, len(g.sn)+1)
-	for ch := range g.sn {
+func (g *supernodes) railBounds(lb []int, r int) []int {
+	rb := make([]int, len(g.groups)+1)
+	for ch := range g.groups {
 		rb[ch+1] = rb[ch] + g.piece(lb, ch, r).Len()
 	}
 	return rb
 }
 
 // pack copies rail r out of a full vector into a fresh compact buffer.
-func (g *rails) pack(data []float32, lb []int, r int) []float32 {
-	rail := make([]float32, 0, len(data)/g.r+len(g.sn))
-	for ch := range g.sn {
+func (g *supernodes) pack(data []float32, lb []int, r int) []float32 {
+	rail := make([]float32, 0, len(data)/g.r+len(g.groups))
+	for ch := range g.groups {
 		p := g.piece(lb, ch, r)
 		rail = append(rail, data[p.Lo:p.Hi]...)
 	}
@@ -296,8 +240,8 @@ func (g *rails) pack(data []float32, lb []int, r int) []float32 {
 }
 
 // unpack copies a compact rail r into its places in a full vector.
-func (g *rails) unpack(out, rail []float32, lb []int, r int) {
-	for ch := range g.sn {
+func (g *supernodes) unpack(out, rail []float32, lb []int, r int) {
+	for ch := range g.groups {
 		p := g.piece(lb, ch, r)
 		rail = rail[copy(out[p.Lo:p.Hi], rail):]
 	}
@@ -307,8 +251,8 @@ func (g *rails) unpack(out, rail []float32, lb []int, r int) {
 // rail buffer, in which piece ((g.j+1) mod S, g.pos) is fully reduced
 // (the rest hold partial sums); other ranks return nil. data is only
 // read, and only before the first receive.
-func (c *Comm) railReduceScatter(seq int64, g *rails, lb []int, data []float32, op ReduceOp) []float32 {
-	ms := g.sn[g.j]
+func (c *Comm) railReduceScatter(seq int64, g *supernodes, lb []int, data []float32, op ReduceOp) []float32 {
+	ms := g.groups[g.j]
 	tag := collTag(c.id, seq, 0)
 	// A: sends are staggered so that no owner is every member's first
 	// destination.
@@ -334,14 +278,14 @@ func (c *Comm) railReduceScatter(seq int64, g *rails, lb []int, data []float32, 
 			op(v[q], v[q+k])
 		}
 	}
-	c.ringReduceScatter(collTag(c.id, seq, 1), g.j, len(g.sn), g.peer, v[0], g.railBounds(lb, g.pos), op)
+	c.ringReduceScatter(collTag(c.id, seq, 1), g.j, len(g.groups), g.peer, v[0], g.railBounds(lb, g.pos), op)
 	return v[0]
 }
 
 // railAllGather runs phase D: owners pass in their complete rail, and
 // every rank returns a freshly assembled vector of n elements.
-func (c *Comm) railAllGather(seq int64, g *rails, lb []int, rail []float32, n int) []float32 {
-	ms := g.sn[g.j]
+func (c *Comm) railAllGather(seq int64, g *supernodes, lb []int, rail []float32, n int) []float32 {
+	ms := g.groups[g.j]
 	tag := collTag(c.id, seq, 2)
 	if g.owner() {
 		for i := 1; i < len(ms); i++ {
@@ -357,36 +301,6 @@ func (c *Comm) railAllGather(seq int64, g *rails, lb []int, rail []float32, n in
 		g.unpack(out, from, lb, r)
 	}
 	return out
-}
-
-// supernodeGroup computes, for this rank, the comm ranks sharing its
-// supernode (members, sorted ascending), a map from leader comm rank
-// to its index among all leaders, and this rank's leader.
-func (c *Comm) supernodeGroup() (members []int, leaderIdx map[int]int, myLeader int) {
-	t := c.Topology()
-	mySN := t.Supernode(c.group[c.rank])
-	leaderIdx = make(map[int]int)
-	seen := make(map[int]int) // supernode -> leader comm rank
-	nLeaders := 0
-	for r := 0; r < c.Size(); r++ {
-		sn := t.Supernode(c.group[r])
-		if _, ok := seen[sn]; !ok {
-			seen[sn] = r
-			leaderIdx[r] = nLeaders
-			nLeaders++
-		}
-		if sn == mySN {
-			members = append(members, r)
-		}
-	}
-	return members, leaderIdx, seen[mySN]
-}
-
-// leaders lists all leader comm ranks in first-appearance order,
-// served from the comm's cached topology maps.
-func (c *Comm) leaders() []int {
-	_, list := c.leaderMaps()
-	return list
 }
 
 // AllGather concatenates each rank's equal-length data in rank order
@@ -437,19 +351,4 @@ func (c *Comm) AllGatherInts(xs []int) []int {
 		copy(out[recvChunk*n:], m.ints)
 	}
 	return out
-}
-
-// levelOfComm is a debugging helper reporting the worst level any
-// pair of this communicator's ranks crosses.
-func (c *Comm) levelOfComm() simnet.Level {
-	t := c.Topology()
-	worst := simnet.SelfLevel
-	for i := 0; i < len(c.group); i++ {
-		for j := i + 1; j < len(c.group); j++ {
-			if l := t.LevelOf(c.group[i], c.group[j]); l > worst {
-				worst = l
-			}
-		}
-	}
-	return worst
 }

@@ -34,14 +34,69 @@ type Comm struct {
 
 	wire WireStats // flattened-exchange traffic staged by this comm
 
-	// Lazily built topology caches (group and topology are fixed for
-	// the comm's lifetime; a Comm is owned by one rank's goroutine, so
-	// no locking is needed). snLeader maps supernode id -> leader comm
-	// rank; leaderList holds leaders in first-appearance order; rail is
-	// the hierarchical collectives' geometry.
-	snLeader   map[int]int
-	leaderList []int
-	rail       *rails
+	// sn is the supernode geometry, built on first use (group and
+	// topology are fixed for the comm's lifetime; a Comm is owned by one
+	// rank's goroutine, so no locking is needed).
+	sn *supernodes
+}
+
+// supernodes is a communicator's supernode geometry from this rank's
+// point of view: the one place comm ranks are grouped by supernode.
+// Every hierarchical algorithm reads it; a supernode's leader is its
+// lowest comm rank, groups[j][0].
+type supernodes struct {
+	groups [][]int // comm ranks per supernode, ascending; supernodes in first-appearance order
+	of     []int   // comm rank -> index into groups
+	j      int     // this rank's supernode, of[rank]
+	pos    int     // this rank's position in groups[j]
+	r      int     // rail count: the smallest supernode's member count
+}
+
+// supernodes returns the communicator's cached supernode geometry.
+func (c *Comm) supernodes() *supernodes {
+	if c.sn == nil {
+		t := c.Topology()
+		g := &supernodes{of: make([]int, c.Size())}
+		idx := map[int]int{} // supernode id -> index in g.groups
+		for q := 0; q < c.Size(); q++ {
+			sn := t.Supernode(c.group[q])
+			j, ok := idx[sn]
+			if !ok {
+				j = len(g.groups)
+				idx[sn] = j
+				g.groups = append(g.groups, nil)
+			}
+			if q == c.rank {
+				g.j, g.pos = j, len(g.groups[j])
+			}
+			g.of[q] = j
+			g.groups[j] = append(g.groups[j], q)
+		}
+		g.r = len(g.groups[0])
+		for _, ms := range g.groups {
+			g.r = min(g.r, len(ms))
+		}
+		c.sn = g
+	}
+	return c.sn
+}
+
+// Supernodes returns the communicator's ranks grouped by supernode:
+// groups[j] lists the comm ranks in supernode j ascending, supernodes in
+// order of first appearance (so groups[j][0], the supernode's leader,
+// ascends with j), and of[q] is the group of comm rank q. Both slices
+// are shared and must not be modified.
+func (c *Comm) Supernodes() (groups [][]int, of []int) {
+	g := c.supernodes()
+	return g.groups, g.of
+}
+
+// Hierarchical reports whether the communicator's collectives take
+// their topology-aware paths: it spans more than one supernode and has
+// at least 4 ranks. AllReduce, ShardBounds, ReduceScatterShard,
+// AllGatherShard and AllToAllv all decide by it.
+func (c *Comm) Hierarchical() bool {
+	return len(c.supernodes().groups) > 1 && c.Size() >= 4
 }
 
 func newWorldComm(w *World, rank int) *Comm {

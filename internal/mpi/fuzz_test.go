@@ -60,53 +60,48 @@ func TestPropAllReduceMatchesSerialSum(t *testing.T) {
 	}
 }
 
+// TestPropAllToAllAlgorithmsAgreeFuzz runs algorithmsAgree on
+// random world sizes, per-pair counts (zero included), payloads,
+// metadata and codecs.
 func TestPropAllToAllAlgorithmsAgreeFuzz(t *testing.T) {
-	f := func(seed uint64, pRaw uint8) bool {
+	f := func(seed uint64, pRaw, codecRaw uint8) bool {
 		p := int(pRaw)%8 + 1
+		codec := []Codec{FP32Wire, FP16Wire}[codecRaw%2]
 		r := tensor.NewRNG(seed)
-		// Random variable-length chunk matrix.
-		chunks := make([][][]float32, p) // [src][dst]
+		counts := make([][]int, p) // [src][dst]
+		vals := make([][][]float32, p)
+		metas := make([][][]int, p)
 		for s := 0; s < p; s++ {
-			chunks[s] = make([][]float32, p)
+			counts[s] = make([]int, p)
+			vals[s] = make([][]float32, p)
+			metas[s] = make([][]int, p)
 			for d := 0; d < p; d++ {
-				n := r.Intn(5)
-				chunks[s][d] = make([]float32, n)
-				for i := range chunks[s][d] {
-					chunks[s][d][i] = float32(s*1000 + d*10 + i)
+				counts[s][d] = r.Intn(5)
+				vals[s][d] = make([]float32, counts[s][d])
+				for i := range vals[s][d] {
+					vals[s][d][i] = r.Float32()*2 - 1
+				}
+				metas[s][d] = make([]int, r.Intn(3))
+				for i := range metas[s][d] {
+					metas[s][d][i] = r.Intn(1000)
 				}
 			}
 		}
-		algos := []func(c *Comm, ch [][]float32) [][]float32{
-			func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllDirect(ch) },
-			func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) },
-			func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) },
-			func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) },
-		}
-		ok := true
-		for _, algo := range algos {
-			w := NewWorld(p, fuzzTopo(p))
-			w.Run(func(c *Comm) {
-				mine := make([][]float32, p)
-				for d := 0; d < p; d++ {
-					mine[d] = chunks[c.Rank()][d]
+		fill := func(rank int) *SendBuf {
+			sb := NewSendBuf(counts[rank])
+			for d := 0; d < p; d++ {
+				sb.Append(d, vals[rank][d])
+				for _, v := range metas[rank][d] {
+					sb.AppendMeta(d, v)
 				}
-				got := algo(c, mine)
-				for s := 0; s < p; s++ {
-					want := chunks[s][c.Rank()]
-					if len(got[s]) != len(want) {
-						ok = false
-						return
-					}
-					for i := range want {
-						if got[s][i] != want[i] {
-							ok = false
-							return
-						}
-					}
-				}
-			})
+			}
+			return sb
 		}
-		return ok
+		if err := algorithmsAgree(p, fuzzTopo(p), codec, fill); err != nil {
+			t.Logf("p=%d codec=%v: %v", p, codec, err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -147,8 +142,8 @@ func TestPropAllToAllvFramingRoundTrip(t *testing.T) {
 	f := func(seed uint64, pRaw, mode uint8) bool {
 		p := int(pRaw)%8 + 1
 		r := tensor.NewRNG(seed)
-		counts := make([][]int, p)   // [src][dst] floats
-		metas := make([][][]int, p)  // [src][dst] metadata
+		counts := make([][]int, p)  // [src][dst] floats
+		metas := make([][][]int, p) // [src][dst] metadata
 		vals := make([][][]float32, p)
 		for s := 0; s < p; s++ {
 			counts[s] = make([]int, p)
@@ -274,11 +269,9 @@ func TestPropVirtualTimeMonotone(t *testing.T) {
 				func() { c.AllReduce([]float32{1, 2}, OpSum) },
 				func() { c.AllGather([]float32{float32(c.Rank())}) },
 				func() {
-					chunks := make([][]float32, p)
-					for d := range chunks {
-						chunks[d] = []float32{1}
-					}
-					c.AllToAll(chunks)
+					sb := buildSendBuf(c.Rank(), p, func(int) int { return 1 })
+					c.AllToAllv(sb, FP32Wire).Release()
+					sb.Release()
 				},
 			}
 			for _, s := range steps {

@@ -308,102 +308,6 @@ func TestAllGatherInts(t *testing.T) {
 	})
 }
 
-func checkAllToAll(t *testing.T, name string, p int, topo *simnet.Topology, f func(c *Comm, chunks [][]float32) [][]float32) {
-	t.Helper()
-	w := NewWorld(p, topo)
-	w.Run(func(c *Comm) {
-		chunks := make([][]float32, p)
-		for d := 0; d < p; d++ {
-			// Variable-length payload identifying (src, dst).
-			n := (c.Rank()+d)%3 + 1
-			chunks[d] = make([]float32, n)
-			for i := range chunks[d] {
-				chunks[d][i] = float32(c.Rank()*100 + d)
-			}
-		}
-		got := f(c, chunks)
-		if len(got) != p {
-			t.Errorf("%s p=%d: %d results", name, p, len(got))
-			return
-		}
-		for s := 0; s < p; s++ {
-			wantN := (s+c.Rank())%3 + 1
-			if len(got[s]) != wantN {
-				t.Errorf("%s p=%d rank=%d: from %d len %d want %d", name, p, c.Rank(), s, len(got[s]), wantN)
-				return
-			}
-			for _, v := range got[s] {
-				if v != float32(s*100+c.Rank()) {
-					t.Errorf("%s p=%d rank=%d: from %d value %v", name, p, c.Rank(), s, v)
-					return
-				}
-			}
-		}
-	})
-}
-
-func TestAllToAllAlgorithmsAgree(t *testing.T) {
-	topo := testTopo()
-	for _, p := range []int{1, 2, 4, 8} {
-		tp := topo
-		if p < 8 {
-			tp = nil
-		}
-		checkAllToAll(t, "direct", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllDirect(ch) })
-		checkAllToAll(t, "pairwise", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-		checkAllToAll(t, "hier", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
-		checkAllToAll(t, "auto", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAll(ch) })
-	}
-}
-
-func TestAllToAllHierReducesInterSupernodeMessages(t *testing.T) {
-	topo := testTopo()
-	run := func(f func(c *Comm, ch [][]float32) [][]float32) int64 {
-		w := NewWorld(8, topo)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 8)
-			for d := range chunks {
-				chunks[d] = make([]float32, 16)
-			}
-			f(c, chunks)
-		})
-		return w.Stats().MsgsAt(simnet.MachineLevel)
-	}
-	flat := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	hier := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
-	// Flat: each of 8 ranks sends 4 cross-SN messages = 32. Hier:
-	// 2 leaders exchange 1 message each way = 2.
-	if hier >= flat {
-		t.Fatalf("hier inter-SN msgs %d !< flat %d", hier, flat)
-	}
-	if hier != 2 {
-		t.Fatalf("hier inter-SN msgs = %d, want 2", hier)
-	}
-}
-
-func TestAllToAllHierFasterWhenLatencyBound(t *testing.T) {
-	// Many ranks, small chunks: alpha-dominated regime where
-	// hierarchical aggregation must win in virtual time.
-	m := sunway.TestMachine(4, 4)
-	topo := simnet.New(m, 1) // 16 ranks, 4 supernodes
-	run := func(f func(c *Comm, ch [][]float32) [][]float32) float64 {
-		w := NewWorld(16, topo)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 16)
-			for d := range chunks {
-				chunks[d] = make([]float32, 4) // tiny: latency-bound
-			}
-			f(c, chunks)
-		})
-		return w.MaxTime()
-	}
-	flat := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	hier := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllHier(ch) })
-	if hier >= flat {
-		t.Fatalf("hier %v !< flat %v in latency-bound regime", hier, flat)
-	}
-}
-
 func TestSplit(t *testing.T) {
 	w := NewWorld(8, nil)
 	w.Run(func(c *Comm) {
@@ -519,16 +423,11 @@ func TestManyRanksSmoke(t *testing.T) {
 		if sum[0] != 64 {
 			t.Errorf("allreduce = %v", sum[0])
 		}
-		chunks := make([][]float32, 64)
-		for d := range chunks {
-			chunks[d] = []float32{float32(c.Rank())}
-		}
-		got := c.AllToAll(chunks)
-		for s := range got {
-			if got[s][0] != float32(s) {
-				t.Errorf("a2a from %d = %v", s, got[s])
-			}
-		}
+		sb := buildSendBuf(c.Rank(), c.Size(), func(int) int { return 1 })
+		rb := c.AllToAllv(sb, FP32Wire)
+		sb.Release()
+		checkRecvBuf(t, c.Rank(), rb, func(int, int) int { return 1 }, allRanks(c.Size()))
+		rb.Release()
 	})
 }
 
@@ -560,64 +459,4 @@ func ExampleComm_AllReduce() {
 		}
 	})
 	// Output: 6
-}
-
-func TestAllToAllBruckAgreesWithDirect(t *testing.T) {
-	topo := testTopo()
-	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
-		tp := topo
-		if p != 8 {
-			tp = nil
-		}
-		checkAllToAll(t, "bruck", p, tp, func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) })
-	}
-}
-
-func TestAllToAllBruckMessageCount(t *testing.T) {
-	// Bruck sends ceil(log2 P) messages per rank vs P-1 for pairwise.
-	count := func(f func(c *Comm, ch [][]float32) [][]float32) int64 {
-		w := NewWorld(16, nil)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 16)
-			for d := range chunks {
-				chunks[d] = []float32{float32(c.Rank())}
-			}
-			f(c, chunks)
-		})
-		var total int64
-		for l := simnet.SelfLevel; l <= simnet.MachineLevel; l++ {
-			total += w.Stats().MsgsAt(l)
-		}
-		return total
-	}
-	pair := count(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	bruck := count(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) })
-	if pair != 16*15 {
-		t.Fatalf("pairwise msgs = %d, want 240", pair)
-	}
-	if bruck != 16*4 {
-		t.Fatalf("bruck msgs = %d, want 64", bruck)
-	}
-}
-
-func TestAllToAllBruckFasterForTinyPayloads(t *testing.T) {
-	// With high per-message latency and tiny payloads Bruck's log-P
-	// message count must win over pairwise in virtual time.
-	topo := simnet.Uniform(10e-6, 100)
-	run := func(f func(c *Comm, ch [][]float32) [][]float32) float64 {
-		w := NewWorld(32, topo)
-		w.Run(func(c *Comm) {
-			chunks := make([][]float32, 32)
-			for d := range chunks {
-				chunks[d] = []float32{1}
-			}
-			f(c, chunks)
-		})
-		return w.MaxTime()
-	}
-	pair := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllPairwise(ch) })
-	bruck := run(func(c *Comm, ch [][]float32) [][]float32 { return c.AllToAllBruck(ch) })
-	if bruck >= pair {
-		t.Fatalf("bruck %v !< pairwise %v for tiny payloads", bruck, pair)
-	}
 }

@@ -234,7 +234,7 @@ func poison(xs []float32) {
 	}
 }
 
-// r8World is R8's machine: 32 ranks, 2 per node, 4 supernodes.
+// r8World is R4's and R8's machine: 32 ranks, 2 per node, 4 supernodes.
 func r8World() *World { return NewWorld(32, simnet.New(sunway.TestMachine(4, 4), 2)) }
 
 // TestRailTraffic pins what the rail schedule puts on the

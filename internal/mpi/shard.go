@@ -17,13 +17,12 @@ func (s Shard) Len() int { return s.Hi - s.Lo }
 // (and offline tools like checkpoint restore) can compute the full map
 // without communication. Ranges are disjoint and cover [0, n).
 //
-// Ring layout (single supernode or size < 4): rank r owns ring chunk
-// (r+1) mod P — the chunk the reduce-scatter half of the ring
-// all-reduce leaves fully reduced on rank r.
+// Ring layout (Hierarchical false): rank r owns ring chunk (r+1) mod P
+// — the chunk the reduce-scatter half of the ring all-reduce leaves
+// fully reduced on rank r.
 //
-// Hierarchical layout (the communicator spans supernodes and has at
-// least 4 ranks, matching AllReduce's algorithm choice): supernode j of
-// S, in first-appearance order, owns leader chunk (j+1) mod S of
+// Hierarchical layout (Hierarchical true, matching AllReduce's
+// algorithm choice): group j of Supernodes owns leader chunk (j+1) mod S of
 // ringBounds(n, S) — the chunk the cross-supernode rail rings leave
 // fully reduced there — split equally among the supernode's members by
 // member position. With equal supernodes that split IS the rail
@@ -36,7 +35,7 @@ func (c *Comm) ShardBounds(n int) []Shard {
 		out[0] = Shard{0, n}
 		return out
 	}
-	if !(c.spansSupernodes() && p >= 4) {
+	if !c.Hierarchical() {
 		bounds := ringBounds(n, p)
 		for r := 0; r < p; r++ {
 			ch := (r + 1) % p
@@ -44,10 +43,10 @@ func (c *Comm) ShardBounds(n int) []Shard {
 		}
 		return out
 	}
-	g := c.rails()
-	S := len(g.sn)
+	g := c.supernodes()
+	S := len(g.groups)
 	lb := ringBounds(n, S)
-	for j, ms := range g.sn {
+	for j, ms := range g.groups {
 		for q, r := range ms {
 			out[r] = subSlice(lb, (j+1)%S, q, len(ms))
 		}
@@ -81,7 +80,7 @@ func (c *Comm) ReduceScatterShard(data []float32, op ReduceOp) ([]float32, Shard
 	if p == 1 {
 		return append([]float32(nil), data...), Shard{0, len(data)}
 	}
-	if c.spansSupernodes() && p >= 4 {
+	if c.Hierarchical() {
 		return c.reduceScatterShardHier(seq, data, op)
 	}
 	acc := append([]float32(nil), data...)
@@ -100,14 +99,14 @@ func (c *Comm) ReduceScatterShard(data []float32, op ReduceOp) ([]float32, Shard
 // equal the reduce-scatter half of AllReduceHier exactly, and so do the
 // local ones unless the supernode has more members than rails.
 func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([]float32, Shard) {
-	g := c.rails()
-	lb := ringBounds(len(data), len(g.sn))
+	g := c.supernodes()
+	lb := ringBounds(len(data), len(g.groups))
 	rail := c.railReduceScatter(seq, g, lb, data, op)
 	pieces, shards := g.localSplits(lb)
 	var piece []float32
 	if g.owner() {
 		rb := g.railBounds(lb, g.pos)
-		ch := (g.j + 1) % len(g.sn)
+		ch := (g.j + 1) % len(g.groups)
 		piece = rail[rb[ch]:rb[ch+1]]
 	}
 	return c.reslice(seq, g, pieces, shards, piece), shards[g.pos]
@@ -117,8 +116,8 @@ func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([
 // chunk, both indexed by member position: the rail pieces (empty beyond
 // the last rail owner) and ShardBounds' per-member ranges. They
 // coincide unless the supernode has more members than rails.
-func (g *rails) localSplits(lb []int) (pieces, shards []Shard) {
-	L, ch := len(g.sn[g.j]), (g.j+1)%len(g.sn)
+func (g *supernodes) localSplits(lb []int) (pieces, shards []Shard) {
+	L, ch := len(g.groups[g.j]), (g.j+1)%len(g.groups)
 	pieces, shards = make([]Shard, L), make([]Shard, L)
 	for q := range shards {
 		if q < g.r {
@@ -135,8 +134,8 @@ func (g *rails) localSplits(lb []int) (pieces, shards []Shard) {
 // travel, so between equal partitions nothing does; this is the bridge
 // between rail pieces and ShardBounds in a supernode with more members
 // than rails (a shrunk world: 4 + 3).
-func (c *Comm) reslice(seq int64, g *rails, from, to []Shard, src []float32) []float32 {
-	ms := g.sn[g.j]
+func (c *Comm) reslice(seq int64, g *supernodes, from, to []Shard, src []float32) []float32 {
+	ms := g.groups[g.j]
 	tag := collTag(c.id, seq, 3)
 	have, want := from[g.pos], to[g.pos]
 	for i := 1; i < len(ms); i++ {
@@ -186,7 +185,7 @@ func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 	if p == 1 {
 		return append([]float32(nil), shard...)
 	}
-	if c.spansSupernodes() && p >= 4 {
+	if c.Hierarchical() {
 		return c.allGatherShardHier(seq, shard, n)
 	}
 	out := make([]float32, n)
@@ -201,8 +200,8 @@ func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 // chunk in an otherwise empty rail, the rail rings all-gather across
 // supernodes, and owners hand their rails to every local member.
 func (c *Comm) allGatherShardHier(seq int64, shard []float32, n int) []float32 {
-	g := c.rails()
-	S := len(g.sn)
+	g := c.supernodes()
+	S := len(g.groups)
 	lb := ringBounds(n, S)
 	pieces, shards := g.localSplits(lb)
 	piece := c.reslice(seq, g, shards, pieces, shard)

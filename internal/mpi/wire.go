@@ -10,11 +10,9 @@ import (
 	"bagualu/internal/tensor"
 )
 
-// Wire-format layer: flattened all-to-allv over pooled buffers.
-//
-// The legacy AllToAll* collectives exchange one allocated []float32
-// per rank pair and carry no routing metadata. This layer replaces
-// them with a single framed exchange:
+// Wire-format layer: the all-to-allv, flattened over pooled buffers.
+// It is the package's one all-to-all — what MoE dispatch and combine
+// run — and one framed exchange:
 //
 //   - SendBuf / RecvBuf hold one contiguous pooled payload (counts
 //     header + offsets) instead of P slices, so a MoE dispatch stages
@@ -57,18 +55,6 @@ func (c Codec) String() string {
 		return "fp16"
 	default:
 		return fmt.Sprintf("Codec(%d)", int(c))
-	}
-}
-
-// ParseCodec maps a flag string ("fp32" or "fp16") to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "fp32":
-		return FP32Wire, nil
-	case "fp16":
-		return FP16Wire, nil
-	default:
-		return FP32Wire, fmt.Errorf("mpi: unknown wire codec %q (want fp32 or fp16)", s)
 	}
 }
 
@@ -175,11 +161,6 @@ func (w WireStats) IntraBytes() int64 {
 // WireStats returns a snapshot of this communicator's flattened-
 // exchange counters.
 func (c *Comm) WireStats() WireStats { return c.wire }
-
-// SpansSupernodes reports whether the communicator's ranks live in
-// more than one supernode, i.e. whether hierarchical aggregation and
-// the FP16 machine-level codec have any traffic to act on.
-func (c *Comm) SpansSupernodes() bool { return c.spansSupernodes() }
 
 func (c *Comm) accountWire(level simnet.Level, wire, raw int) {
 	c.wire.Wire[level] += int64(wire)
@@ -371,13 +352,9 @@ type Exchange struct {
 	upData []float32
 	upMeta []int
 
-	// Hierarchical identity (nil/empty in flat mode).
-	isLeader  bool
-	myLeader  int
-	members   []int
-	inSN      []bool
-	leaders   []int
-	leaderIdx map[int]int
+	// The communicator's supernode geometry: in hierarchical mode it
+	// names the leaders, in both modes it splits local from remote.
+	sn *supernodes
 }
 
 // BeginExchange opens a flattened all-to-allv on the communicator.
@@ -387,35 +364,23 @@ type Exchange struct {
 // comm must call BeginExchange with the same arguments, in the same
 // collective order.
 func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
-	if hier && !c.spansSupernodes() {
-		hier = false
-	}
-	e := &Exchange{
+	g := c.supernodes()
+	return &Exchange{
 		c:      c,
 		codec:  codec,
-		hier:   hier,
+		hier:   hier && len(g.groups) > 1,
 		seq:    c.nextSeq(),
 		posted: make([]bool, c.Size()),
+		sn:     g,
 	}
-	if hier {
-		e.members, e.leaderIdx, e.myLeader = c.supernodeGroup()
-		e.isLeader = c.rank == e.myLeader
-		e.leaders = c.leaders()
-		e.inSN = make([]bool, c.Size())
-		for _, m := range e.members {
-			e.inSN[m] = true
-		}
-	} else {
-		// Flat mode: "local" still means same-supernode so RecvLocal/
-		// RecvRemote split identically for both algorithms.
-		e.members, _, _ = c.supernodeGroup()
-		e.inSN = make([]bool, c.Size())
-		for _, m := range e.members {
-			e.inSN[m] = true
-		}
-	}
-	return e
 }
+
+// local reports whether comm rank q shares this rank's supernode: the
+// split between RecvLocal and RecvRemote in both modes.
+func (e *Exchange) local(q int) bool { return e.sn.of[q] == e.sn.j }
+
+// leader returns the leader (lowest comm rank) of supernode j.
+func (e *Exchange) leader(j int) int { return e.sn.groups[j][0] }
 
 // Post stages the chunk destined to dst and, unless it is buffered
 // for the hierarchical up-leg, sends it immediately. The caller keeps
@@ -440,7 +405,7 @@ func (e *Exchange) Post(dst int, data []float32, meta []int) {
 		e.c.accountWire(simnet.SelfLevel, 4*len(data)+8*len(meta), 4*len(data)+8*len(meta))
 		return
 	}
-	if e.hier && !e.inSN[dst] {
+	if e.hier && !e.local(dst) {
 		e.upHdr = append(e.upHdr, dst, len(data), len(meta))
 		e.upData = append(e.upData, data...)
 		e.upMeta = append(e.upMeta, meta...)
@@ -493,8 +458,9 @@ func (e *Exchange) Flush() {
 		}
 	}
 	e.flushed = true
-	if e.hier && !e.isLeader {
+	if e.hier && e.sn.pos != 0 {
 		c := e.c
+		ldr := e.leader(e.sn.j)
 		k := len(e.upHdr) / 3
 		ints := make([]int, 1+len(e.upHdr)+len(e.upMeta))
 		ints[0] = k
@@ -503,9 +469,9 @@ func (e *Exchange) Flush() {
 		s := tensor.GetSlice(len(e.upData))
 		copy(s, e.upData)
 		m := message{tag: collTag(c.id, e.seq, stepUp), ints: ints, data: s, staged: true}
-		level := c.Topology().LevelOf(c.group[c.rank], c.group[e.myLeader])
+		level := c.Topology().LevelOf(c.group[c.rank], c.group[ldr])
 		c.accountWire(level, m.nbytes(), m.nbytes())
-		c.proc.post(c.group[e.myLeader], m)
+		c.proc.post(c.group[ldr], m)
 	}
 }
 
@@ -573,12 +539,12 @@ func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 }
 
 // localSrcs / remoteSrcs partition the comm by this rank's supernode.
-func (e *Exchange) localSrcs() []int { return append([]int(nil), e.members...) }
+func (e *Exchange) localSrcs() []int { return append([]int(nil), e.sn.groups[e.sn.j]...) }
 
 func (e *Exchange) remoteSrcs() []int {
 	var srcs []int
 	for s := 0; s < e.c.Size(); s++ {
-		if !e.inSN[s] {
+		if !e.local(s) {
 			srcs = append(srcs, s)
 		}
 	}
@@ -593,7 +559,7 @@ func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 		rel.f32 = append(rel.f32, e.selfData)
 		e.selfData = nil
 	}
-	for _, s := range e.members {
+	for _, s := range e.sn.groups[e.sn.j] {
 		if s == e.c.rank {
 			continue
 		}
@@ -616,8 +582,8 @@ func (e *Exchange) collectRemote(segs []seg, rel *relList) {
 		}
 		return
 	}
-	if !e.isLeader {
-		m := c.recvStep(e.myLeader, collTag(c.id, e.seq, stepDown))
+	if e.sn.pos != 0 {
+		m := c.recvStep(e.leader(e.sn.j), collTag(c.id, e.seq, stepDown))
 		parseScatter(m, c.rank, segs, rel)
 		return
 	}
@@ -667,7 +633,8 @@ type leaderAgg struct {
 // keep this rank's own share in segs.
 func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	c := e.c
-	nl := len(e.leaders)
+	members := e.sn.groups[e.sn.j]
+	nl := len(e.sn.groups)
 	aggs := make([]leaderAgg, nl)
 
 	absorb := func(src, k int, hdr, meta []int, data []float32) {
@@ -677,8 +644,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 			if n < 0 || nm < 0 || offD+n > len(data) || offM+nm > len(meta) {
 				panic("mpi: wire framing corrupt: up-leg entry out of bounds")
 			}
-			li := e.leaderIdx[c.leaderOf(dst)]
-			a := &aggs[li]
+			a := &aggs[e.sn.of[dst]]
 			a.hdr = append(a.hdr, src, dst, n, nm)
 			a.data = append(a.data, data[offD:offD+n]...)
 			a.meta = append(a.meta, meta[offM:offM+nm]...)
@@ -689,7 +655,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 
 	// Own cross-supernode chunks were buffered at Post time.
 	absorb(c.rank, len(e.upHdr)/3, e.upHdr, e.upMeta, e.upData)
-	for _, mb := range e.members {
+	for _, mb := range members {
 		if mb == c.rank {
 			continue
 		}
@@ -708,14 +674,14 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	}
 
 	// Pairwise aggregate exchange between leaders.
-	me := e.leaderIdx[c.rank]
+	me := e.sn.j
 	recvAgg := make([]leaderAgg, nl)
 	tagX := collTag(c.id, e.seq, stepX)
 	for s := 1; s < nl; s++ {
 		dst := (me + s) % nl
 		src := (me - s + nl) % nl
-		e.sendX(e.leaders[dst], &aggs[dst], tagX)
-		m := c.recvStep(e.leaders[src], tagX)
+		e.sendX(e.leader(dst), &aggs[dst], tagX)
+		m := c.recvStep(e.leader(src), tagX)
 		recvAgg[src] = e.parseX(m, rel)
 	}
 	recvAgg[me] = aggs[me] // chunks between members of this supernode never reach the X-leg; kept for symmetry
@@ -737,7 +703,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 			offM += nm
 		}
 	}
-	for _, mb := range e.members {
+	for _, mb := range members {
 		if mb == c.rank {
 			continue
 		}
@@ -880,11 +846,10 @@ func (e *Exchange) RecvAll() *RecvBuf {
 	return e.assemble(segs, srcs, &rel)
 }
 
-// AllToAllv runs a blocking flattened exchange with the algorithm
-// best matching the topology (hierarchical when the comm spans
-// supernodes), mirroring AllToAll's selection.
+// AllToAllv runs a blocking flattened exchange, hierarchical when
+// Hierarchical reports true and direct otherwise.
 func (c *Comm) AllToAllv(sb *SendBuf, codec Codec) *RecvBuf {
-	return c.allToAllv(sb, codec, c.spansSupernodes() && c.Size() >= 4)
+	return c.allToAllv(sb, codec, c.Hierarchical())
 }
 
 // AllToAllvDirect runs the blocking flat exchange.

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bagualu/internal/half"
@@ -68,29 +69,151 @@ func checkRecvBuf(t *testing.T, rank int, rb *RecvBuf, counts func(s, d int) int
 	}
 }
 
+// allRanks lists comm ranks 0..p-1.
+func allRanks(p int) []int {
+	all := make([]int, p)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// TestAllToAllvAlgorithmsAgree runs the direct, hierarchical and
+// auto-selected exchanges on worlds of 1 to 8 ranks, priced by the
+// 2x2x2 machine (one to two supernodes) and by no topology at all; every
+// rank must receive exactly what each source addressed to it.
 func TestAllToAllvAlgorithmsAgree(t *testing.T) {
 	counts := func(s, d int) int { return (s*7+d*3)%5 + 1 }
-	for _, algo := range []string{"direct", "hier"} {
-		t.Run(algo, func(t *testing.T) {
-			w := NewWorld(8, wireTestTopo())
-			w.Run(func(c *Comm) {
-				sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
-				var rb *RecvBuf
-				switch algo {
-				case "direct":
-					rb = c.AllToAllvDirect(sb, FP32Wire)
-				case "hier":
-					rb = c.AllToAllvHier(sb, FP32Wire)
+	for _, algo := range []struct {
+		name string
+		f    func(*Comm, *SendBuf, Codec) *RecvBuf
+	}{{"direct", (*Comm).AllToAllvDirect}, {"hier", (*Comm).AllToAllvHier}, {"auto", (*Comm).AllToAllv}} {
+		t.Run(algo.name, func(t *testing.T) {
+			for _, p := range []int{1, 2, 4, 8} {
+				for _, topo := range []*simnet.Topology{nil, wireTestTopo()} {
+					w := NewWorld(p, topo)
+					w.Run(func(c *Comm) {
+						sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
+						rb := algo.f(c, sb, FP32Wire)
+						sb.Release()
+						checkRecvBuf(t, c.Rank(), rb, counts, allRanks(p))
+						rb.Release()
+					})
 				}
-				sb.Release()
-				all := make([]int, c.Size())
-				for i := range all {
-					all[i] = i
-				}
-				checkRecvBuf(t, c.Rank(), rb, counts, all)
-				rb.Release()
-			})
+			}
 		})
+	}
+}
+
+// a2aRun is what one all-to-all leaves behind: every rank's received
+// sources, chunks and metadata, whether the comm is hierarchical, the
+// world clock, and the inter-supernode message count.
+type a2aRun struct {
+	srcs   [][]int       // [rank]
+	chunks [][][]float32 // [rank][src]
+	metas  [][][]int     // [rank][src]
+	hier   bool
+	clock  float64
+	msgs   int64
+}
+
+// runAllToAll runs f on a fresh world of p ranks, rank r sending
+// fill(r), and snapshots what it leaves behind.
+func runAllToAll(p int, topo *simnet.Topology, codec Codec, fill func(rank int) *SendBuf, f func(*Comm, *SendBuf, Codec) *RecvBuf) a2aRun {
+	out := a2aRun{srcs: make([][]int, p), chunks: make([][][]float32, p), metas: make([][][]int, p)}
+	w := NewWorld(p, topo)
+	w.Run(func(c *Comm) {
+		r := c.Rank()
+		if r == 0 {
+			out.hier = c.Hierarchical()
+		}
+		sb := fill(r)
+		rb := f(c, sb, codec)
+		sb.Release()
+		out.srcs[r] = append([]int(nil), rb.Srcs()...)
+		out.chunks[r] = make([][]float32, p)
+		out.metas[r] = make([][]int, p)
+		for _, s := range rb.Srcs() {
+			out.chunks[r][s] = append([]float32(nil), rb.Chunk(s)...)
+			out.metas[r][s] = append([]int(nil), rb.Meta(s)...)
+		}
+		rb.Release()
+	})
+	out.clock = w.MaxTime()
+	out.msgs = w.Stats().MsgsAt(simnet.MachineLevel)
+	return out
+}
+
+// algorithmsAgree runs the direct, hierarchical and auto-selected
+// exchanges on the same input and checks them against each other:
+// direct and hierarchical deliver identical buffers, and AllToAllv is
+// exactly the exchange Hierarchical selects — same buffers, same clock,
+// same inter-supernode messages.
+func algorithmsAgree(p int, topo *simnet.Topology, codec Codec, fill func(rank int) *SendBuf) error {
+	direct := runAllToAll(p, topo, codec, fill, (*Comm).AllToAllvDirect)
+	hier := runAllToAll(p, topo, codec, fill, (*Comm).AllToAllvHier)
+	auto := runAllToAll(p, topo, codec, fill, (*Comm).AllToAllv)
+	if !reflect.DeepEqual(direct.srcs, hier.srcs) || !reflect.DeepEqual(direct.chunks, hier.chunks) || !reflect.DeepEqual(direct.metas, hier.metas) {
+		return fmt.Errorf("direct and hierarchical deliver different buffers")
+	}
+	chosen := direct
+	if auto.hier {
+		chosen = hier
+	}
+	if !reflect.DeepEqual(auto, chosen) {
+		return fmt.Errorf("AllToAllv (hierarchical=%v) differs from the exchange it selects: clock %v vs %v, inter-supernode msgs %d vs %d",
+			auto.hier, auto.clock, chosen.clock, auto.msgs, chosen.msgs)
+	}
+	return nil
+}
+
+// TestAllToAllAlgorithmsAgree checks the exchanges against each other on
+// worlds of 1 to 8 ranks, with and without a topology, in both codecs,
+// with some rank pairs exchanging nothing.
+func TestAllToAllAlgorithmsAgree(t *testing.T) {
+	for _, p := range []int{1, 2, 4, 8} {
+		for _, topo := range []*simnet.Topology{nil, wireTestTopo()} {
+			for _, codec := range []Codec{FP32Wire, FP16Wire} {
+				fill := func(rank int) *SendBuf {
+					return buildSendBuf(rank, p, func(d int) int { return (rank + 2*d) % 4 })
+				}
+				if err := algorithmsAgree(p, topo, codec, fill); err != nil {
+					t.Errorf("p=%d topology=%v codec=%v: %v", p, topo != nil, codec, err)
+				}
+			}
+		}
+	}
+}
+
+// TestAllToAllHierReducesInterSupernodeMessages pins the hierarchical
+// exchange at S·(S-1) inter-supernode messages — one aggregate per
+// ordered pair of supernode leaders — against the direct exchange's one
+// per cross-supernode rank pair: 2 vs 32 on two supernodes of four
+// ranks, 12 vs 768 on R4's world of four supernodes of eight.
+func TestAllToAllHierReducesInterSupernodeMessages(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		world        func() *World
+		hier, direct int64
+	}{
+		{"2x2x2", func() *World { return NewWorld(8, wireTestTopo()) }, 2, 32},
+		{"R4", r8World, 12, 768},
+	} {
+		msgs := func(f func(*Comm, *SendBuf, Codec) *RecvBuf) int64 {
+			w := tc.world()
+			w.Run(func(c *Comm) {
+				sb := buildSendBuf(c.Rank(), c.Size(), func(int) int { return 16 })
+				f(c, sb, FP32Wire).Release()
+				sb.Release()
+			})
+			return w.Stats().MsgsAt(simnet.MachineLevel)
+		}
+		if got := msgs((*Comm).AllToAllvHier); got != tc.hier {
+			t.Errorf("%s: hierarchical inter-supernode messages %d, want %d", tc.name, got, tc.hier)
+		}
+		if got := msgs((*Comm).AllToAllvDirect); got != tc.direct {
+			t.Errorf("%s: direct inter-supernode messages %d, want %d", tc.name, got, tc.direct)
+		}
 	}
 }
 

@@ -394,4 +394,3 @@ func (p *proc) recv(src, tag int, group []int, born int64) message {
 	}
 	return m
 }
-

@@ -43,7 +43,7 @@ func TestShrinkStrategy(t *testing.T) {
 	}{
 		{Strategy{DataParallel: 2, ExpertParallel: 4}, 4, 24, true, Strategy{DataParallel: 1, ExpertParallel: 4}, false}, // EP preserved
 		{Strategy{DataParallel: 1, ExpertParallel: 4}, 3, 12, true, Strategy{DataParallel: 1, ExpertParallel: 3}, false}, // degenerate to pure EP
-		{Strategy{DataParallel: 1, ExpertParallel: 4}, 3, 8, true, Strategy{}, true},       // 8 % 3 != 0: unrecoverable
+		{Strategy{DataParallel: 1, ExpertParallel: 4}, 3, 8, true, Strategy{}, true},                                     // 8 % 3 != 0: unrecoverable
 		{Strategy{DataParallel: 2, ExpertParallel: 2}, 3, 8, false, Strategy{DataParallel: 3, ExpertParallel: 1}, false}, // dense: any DP
 		{Strategy{DataParallel: 1, ExpertParallel: 3}, 2, 12, true, Strategy{DataParallel: 1, ExpertParallel: 2}, false}, // second shrink
 	}

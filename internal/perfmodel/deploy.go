@@ -11,7 +11,7 @@ import (
 type A2AStrategy int
 
 const (
-	// A2AFlat prices the pairwise exchange: every rank exchanges
+	// A2AFlat prices the direct exchange: every rank exchanges
 	// directly with every other rank.
 	A2AFlat A2AStrategy = iota
 	// A2AHierarchical prices the paper's supernode-leader
@@ -263,7 +263,7 @@ func (d Deployment) a2aCost(t *simnet.Topology, p int, intraBytes, machineBytes 
 	}
 }
 
-// flatCost prices direct pairwise exchange given peer counts per
+// flatCost prices the direct exchange given peer counts per
 // level; machine-level peers carry perPeerMachine (post-codec) bytes.
 func (d Deployment) flatCost(t *simnet.Topology, nodePeers, snPeers, machinePeers, perPeer, perPeerMachine float64) float64 {
 	c := nodePeers * t.CostAtLevel(simnet.NodeLevel, int(perPeer))

@@ -238,65 +238,3 @@ func TestWeakScalingImprovesThroughput(t *testing.T) {
 		t.Fatalf("weak scaling regressed: %v -> %v tokens/s", small.TokensPerSec, big.TokensPerSec)
 	}
 }
-
-func TestSweepExpertsMoEScalingClaim(t *testing.T) {
-	// MoE's core promise: 16x more experts => ~16x more parameters at
-	// nearly flat compute time.
-	m := sunway.TestMachine(4, 16)
-	d := Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 4, ExpertParallel: 16,
-		BatchPerRank: 2, Precision: sunway.Mixed, Efficiency: 0.4,
-		A2A: A2AHierarchical, ZeRO: true,
-	}
-	spec := tinySpec()
-	reports, err := SweepExperts(d, spec, []int{16, 64, 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paramGrowth := float64(reports[2].Spec.TotalParams()) / float64(reports[0].Spec.TotalParams())
-	computeGrowth := reports[2].ComputeTime / reports[0].ComputeTime
-	if paramGrowth < 8 {
-		t.Fatalf("param growth %v too small for 16x experts", paramGrowth)
-	}
-	// Compute grows only via the gate (d x E); must stay well below
-	// the parameter growth.
-	if computeGrowth > paramGrowth/2 {
-		t.Fatalf("compute grew %vx vs params %vx — MoE claim violated", computeGrowth, paramGrowth)
-	}
-}
-
-func TestSweepExpertsRejectsDenseSpec(t *testing.T) {
-	d := fullDeployment(A2AHierarchical)
-	spec := tinySpec()
-	spec.MoEEvery = 0
-	if _, err := SweepExperts(d, spec, []int{96000}); err == nil {
-		t.Fatal("dense spec accepted")
-	}
-}
-
-func TestSweepBatchAmortizesLatency(t *testing.T) {
-	m := sunway.TestMachine(4, 16)
-	d := Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 4, ExpertParallel: 16,
-		BatchPerRank: 1, Precision: sunway.Mixed, Efficiency: 0.4,
-		A2A: A2AHierarchical, ZeRO: true,
-	}
-	spec := tinySpec()
-	spec.NumExperts = 16
-	reports, err := SweepBatch(d, spec, []int{1, 4, 16, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tokens/s must improve with batch (latency amortized), and
-	// compute fraction must rise monotonically.
-	for i := 1; i < len(reports); i++ {
-		if reports[i].TokensPerSec <= reports[i-1].TokensPerSec {
-			t.Fatalf("batch %d did not improve throughput", i)
-		}
-		fPrev := reports[i-1].ComputeTime / reports[i-1].StepTime
-		fCur := reports[i].ComputeTime / reports[i].StepTime
-		if fCur < fPrev-1e-9 {
-			t.Fatalf("compute fraction regressed: %v -> %v", fPrev, fCur)
-		}
-	}
-}

@@ -271,14 +271,14 @@ type fleet struct {
 	mon  *health.Monitor
 	reps []*replica
 
-	nextArr  int
-	routerQ  []serve.Request
-	flights  map[int]*flight
-	events   []event
-	e2e      []float64 // sorted completion latencies (p99 estimate)
-	perTok   []float64 // last normalized step duration per replica
-	window   int       // max dispatched requests per replica (0 = unlimited)
-	maxT     float64
+	nextArr   int
+	routerQ   []serve.Request
+	flights   map[int]*flight
+	events    []event
+	e2e       []float64 // sorted completion latencies (p99 estimate)
+	perTok    []float64 // last normalized step duration per replica
+	window    int       // max dispatched requests per replica (0 = unlimited)
+	maxT      float64
 	accounted int
 
 	probePrompt []int

@@ -6,8 +6,8 @@
 // The mpi package moves real bytes between goroutines but charges
 // *virtual time* according to this model, so collective-algorithm
 // experiments reproduce the topology effects the paper exploits
-// (e.g. hierarchical all-to-all beating pairwise exchange once
-// traffic crosses supernodes) without the actual network.
+// (e.g. the hierarchical all-reduce beating the flat ring once traffic
+// crosses supernodes) without the actual network.
 package simnet
 
 import (
@@ -130,14 +130,6 @@ func (t *Topology) Cost(a, b int, nbytes int) float64 {
 // CostAtLevel prices nbytes at a given level directly.
 func (t *Topology) CostAtLevel(l Level, nbytes int) float64 {
 	return t.Alpha[l] + float64(nbytes)*t.Beta[l]
-}
-
-// LeaderOfSupernode returns the lowest rank in the same supernode as
-// rank, given the world size. Hierarchical collectives use it as the
-// aggregation point.
-func (t *Topology) LeaderOfSupernode(rank int) int {
-	ranksPerSN := t.RanksPerNode * t.NodesPerSupernode
-	return (rank / ranksPerSN) * ranksPerSN
 }
 
 // RanksPerSupernode returns the number of ranks grouped under one

@@ -43,12 +43,6 @@ func TestNodeAndSupernodeMapping(t *testing.T) {
 	if tp.RanksPerSupernode() != 4 {
 		t.Fatalf("RanksPerSupernode = %d", tp.RanksPerSupernode())
 	}
-	if tp.LeaderOfSupernode(6) != 4 {
-		t.Fatalf("LeaderOfSupernode(6) = %d", tp.LeaderOfSupernode(6))
-	}
-	if tp.LeaderOfSupernode(0) != 0 {
-		t.Fatalf("LeaderOfSupernode(0) = %d", tp.LeaderOfSupernode(0))
-	}
 }
 
 func TestCostMonotoneInHierarchy(t *testing.T) {

@@ -227,15 +227,6 @@ func Apply(a *Tensor, f func(float32) float32) *Tensor {
 	return out
 }
 
-// ApplyInPlace applies f elementwise to a in place.
-func ApplyInPlace(a *Tensor, f func(float32) float32) {
-	Parallel(len(a.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			a.Data[i] = f(a.Data[i])
-		}
-	})
-}
-
 // Exp returns e^a elementwise.
 func Exp(a *Tensor) *Tensor {
 	return Apply(a, func(v float32) float32 { return float32(math.Exp(float64(v))) })

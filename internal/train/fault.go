@@ -36,19 +36,6 @@ func (e Escalation) String() string {
 	return fmt.Sprintf("Escalation(%d)", int(e))
 }
 
-// ParseEscalation maps the CLI spelling to an Escalation.
-func ParseEscalation(s string) (Escalation, error) {
-	switch s {
-	case "rollback":
-		return EscalateRollback, nil
-	case "retransmit":
-		return EscalateRetransmit, nil
-	case "tiered":
-		return EscalateTiered, nil
-	}
-	return 0, fmt.Errorf("train: unknown escalation policy %q (want rollback|retransmit|tiered)", s)
-}
-
 // FaultPolicy configures the fault-tolerant training loop (the
 // parallel engine's RunFaultTolerant): where sharded checkpoints go,
 // how often they are taken, whether the flush overlaps training on

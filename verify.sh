@@ -11,13 +11,19 @@ set -eux
 
 go build ./...
 go vet ./...
+# Formatting: every tracked Go file is gofmt-clean (tracked only, so the
+# benchmark's .bench_build/ module cache is never scanned).
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then exit 1; fi
 # Layering: internal/ckpt is the one package that knows checkpoint
-# bytes and sits below train, and serving links neither the trainer nor
-# the corpus.
+# bytes and sits below train, serving links neither the trainer nor
+# the corpus, and a communicator's supernode grouping is derived in mpi
+# alone (Comm.Supernodes) — no other program code asks the topology.
 if go list -deps ./internal/ckpt | grep -x 'bagualu/internal/train'; then exit 1; fi
 if go list -deps ./internal/serve/... | grep -xE 'bagualu/internal/(train|data)'; then exit 1; fi
+if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
 go test -race ./...
-go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier' ./internal/...
+go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry' ./internal/...
 # The amd64 assembly kernels promise the portable Go loops' bits: the
 # kernel packages, the inference path built on them (transposed key
 # cache, serve and fleet token checks) and the fast goldens again with
