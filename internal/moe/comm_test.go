@@ -119,25 +119,27 @@ func runDistCC(t *testing.T, tc tripCase, algo A2AAlgo, cc CommConfig, simRate f
 // TestDistMoEOverlapMatchesBlocking: the two-phase exchange must be a
 // pure scheduling change — identical outputs, input grads, and
 // parameter grads (up to summation-order rounding in dW) — on every
-// refactor-sensitive shape, and each shape's virtual clocks and wire
-// counters stay at the values pinned before Forward, Backward and Infer
-// were folded onto one round-trip driver.
+// refactor-sensitive shape. Each shape's virtual clocks and wire
+// counters are pinned in two digests, blocking rows then overlap rows:
+// the blocking ones are the values pinned before Forward, Backward and
+// Infer were folded onto one round-trip driver, the overlap ones those
+// of the cross-supernode leg running as an mpi request.
 func TestDistMoEOverlapMatchesBlocking(t *testing.T) {
-	pinned := map[string]uint64{
-		"uniform":          0xb81f7ef96bb93786,
-		"skewed":           0x11fdb53a98f23e6a,
-		"zero-token-rank":  0x9975cff30108d8b2,
-		"shadowed":         0x018d294d4d351105,
-		"single-supernode": 0xa55d4ad2c2057af5,
+	pinned := map[string][2]uint64{
+		"uniform":          {0x874931d8d2989a72, 0xcfaabd87db5e29e1},
+		"skewed":           {0xe243ffc4799a2f6a, 0x364bfc2feb6d1e71},
+		"zero-token-rank":  {0xfb7f6eb53d00820f, 0xf5a5f7a3b2fe8f48},
+		"shadowed":         {0x3238116b94d0f122, 0x4fa160a502418bf2},
+		"single-supernode": {0xb001fc78a4665d30, 0x5e4805faf1676bac},
 	}
 	for _, tc := range tripCases {
 		t.Run(tc.name, func(t *testing.T) {
-			var sig tripSig
+			var sig [2]tripSig // blocking, overlap
 			for _, algo := range []A2AAlgo{Direct, Hierarchical, Auto} {
 				b := runDistCC(t, tc, algo, CommConfig{Codec: mpi.FP32Wire, Overlap: false}, 2e9, 11)
 				o := runDistCC(t, tc, algo, CommConfig{Codec: mpi.FP32Wire, Overlap: true}, 2e9, 11)
-				sig.add(algo.String()+"/blocking", b.now, b.wire)
-				sig.add(algo.String()+"/overlap", o.now, o.wire)
+				sig[0].add(algo.String()+"/blocking", b.now, b.wire)
+				sig[1].add(algo.String()+"/overlap", o.now, o.wire)
 				for rank := range b.outs {
 					if !o.outs[rank].AllClose(b.outs[rank], 1e-5) {
 						t.Fatalf("%v rank %d: overlap forward differs from blocking", algo, rank)
@@ -152,7 +154,8 @@ func TestDistMoEOverlapMatchesBlocking(t *testing.T) {
 					}
 				}
 			}
-			sig.check(t, pinned[tc.name])
+			sig[0].check(t, pinned[tc.name][0])
+			sig[1].check(t, pinned[tc.name][1])
 		})
 	}
 }

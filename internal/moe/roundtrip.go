@@ -42,8 +42,8 @@ type trip struct {
 	// needs every row).
 	backward bool
 	compute  legFn
-	// window, when set, runs after the local leg's compute, still inside
-	// the cross-supernode flight time (shadow experts).
+	// window, when set, runs after the local leg's compute, before the
+	// cross-supernode leg is joined (shadow experts).
 	window func()
 }
 
@@ -61,8 +61,10 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	sb := mpi.NewSendBuf(counts)
 	tr.stage(sb)
 
-	// Outbound. With overlap on, only the cheap leg is awaited here;
-	// the cross-supernode leg stays in flight under the local compute.
+	// Outbound. With overlap on, the cross-supernode leg — a leader's
+	// aggregate exchange included — is a request started right after the
+	// cheap leg arrives, joined before its rows are computed: it runs
+	// under the local compute.
 	legs := 1
 	if m.CommCfg.Overlap {
 		legs = 2
@@ -72,13 +74,20 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	m.postRemoteFirst(ex, sb)
 	ex.Flush()
 	var in [2]*mpi.RecvBuf
+	var remote *mpi.Request
 	tl := time.Now()
 	if legs == 2 {
 		in[0] = ex.RecvLocal()
+		t.DispatchLocal = time.Since(tl).Seconds()
+		remote = m.comm.Start(func() {
+			tl = time.Now()
+			in[1] = ex.RecvRemote()
+			t.DispatchRemote = time.Since(tl).Seconds()
+		})
 	} else {
 		in[0] = ex.RecvAll()
+		t.DispatchLocal = time.Since(tl).Seconds()
 	}
-	t.DispatchLocal = time.Since(tl).Seconds()
 	sb.Release()
 	t.Dispatch = time.Since(t0).Seconds()
 
@@ -88,10 +97,7 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	var outs [2]*tensor.Tensor
 	for l := 0; l < legs; l++ {
 		if l == 1 {
-			t0 = time.Now()
-			in[1] = ex.RecvRemote()
-			t.DispatchRemote = time.Since(t0).Seconds()
-			t.Dispatch += t.DispatchRemote
+			remote.Wait()
 		}
 		if !tr.backward {
 			tr.ord[l] = m.groupRows(in[l], d)

@@ -99,7 +99,7 @@ func (c *Comm) Hierarchical() bool {
 	return len(c.supernodes().groups) > 1 && c.Size() >= 4
 }
 
-func newWorldComm(w *World, rank int) *Comm {
+func newWorldComm(w *World, rank int, born int64) *Comm {
 	group := make([]int, w.size)
 	for i := range group {
 		group[i] = i
@@ -109,7 +109,7 @@ func newWorldComm(w *World, rank int) *Comm {
 		group:       group,
 		rank:        rank,
 		id:          0,
-		born:        w.failCount.Load(),
+		born:        born,
 		nextChildID: 1,
 	}
 }
@@ -129,7 +129,8 @@ func (c *Comm) World() *World { return c.proc.w }
 // Topology returns the pricing topology.
 func (c *Comm) Topology() *simnet.Topology { return c.proc.w.topo }
 
-// Now returns this rank's virtual clock in seconds.
+// Now returns this rank's virtual clock in seconds — inside a request
+// body (Start), the request's clock.
 func (c *Comm) Now() float64 { return c.proc.now }
 
 // Compute charges local computation time to the virtual clock. The
@@ -142,6 +143,7 @@ func (c *Comm) Compute(seconds float64) {
 	if seconds < 0 {
 		panic("mpi: negative compute time")
 	}
+	c.proc.inBody("Compute")
 	c.proc.now += seconds * c.proc.w.computeDelay(c.proc.global)
 }
 
@@ -151,6 +153,7 @@ func (c *Comm) Compute(seconds float64) {
 // wall-clock instant — an arrival, a restore deadline — takes the same
 // time on a slow node as on a fast one.
 func (c *Comm) AdvanceTo(t float64) {
+	c.proc.inBody("AdvanceTo")
 	if t > c.proc.now {
 		c.proc.now = t
 	}

@@ -115,10 +115,19 @@ func (w *World) MarkFailed(global int) {
 	if global < 0 || global >= w.size {
 		panic(fmt.Sprintf("mpi: MarkFailed(%d) out of range", global))
 	}
-	if w.failed[global].Swap(true) {
+	// The count moves before the flag shows, so whoever sees a rank
+	// failed also sees it counted — the birth stamp of a communicator
+	// shrunk around it included.
+	w.failMu.Lock()
+	already := w.failed[global].Load()
+	if !already {
+		w.failCount.Add(1)
+		w.failed[global].Store(true)
+	}
+	w.failMu.Unlock()
+	if already {
 		return
 	}
-	w.failCount.Add(1)
 	for _, b := range w.boxes {
 		b.mu.Lock()
 		b.mu.Unlock() //nolint:staticcheck // pairing orders the flag before the wakeup

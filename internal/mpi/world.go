@@ -8,7 +8,9 @@
 // Bytes move for real between rank goroutines; *time* is virtual.
 // Every rank carries a logical clock, each message is priced by the
 // simnet α–β hierarchy, and a receive advances the receiver's clock
-// to the message's arrival time. Collective algorithms therefore
+// to the message's arrival time. A sender's injection is booked on its
+// rank's ports, so communication started as concurrent requests
+// (Comm.Start) shares them honestly. Collective algorithms therefore
 // exhibit the same relative costs as on the modeled machine, while
 // the data path stays fully testable.
 package mpi
@@ -70,6 +72,15 @@ type mailbox struct {
 	pending []message
 	closed  bool
 
+	// The owner's wait, for the world's quiescence rule (see take):
+	// waiting while it is blocked with nothing deliverable, group and
+	// born the communicator it waits on, and stuck once the world was
+	// found quiescent during that wait.
+	waiting bool
+	group   []int
+	born    int64
+	stuck   bool
+
 	w    *World // for failure detection inside the wait loop
 	self int    // global rank this mailbox belongs to
 }
@@ -83,64 +94,129 @@ func newMailbox(w *World, self int) *mailbox {
 func (b *mailbox) put(m message) {
 	b.mu.Lock()
 	b.pending = append(b.pending, m)
+	b.wake()
 	b.mu.Unlock()
 	b.cond.Signal()
+}
+
+// wake takes the owner off the world's blocked count: something changed
+// that it must look at. Called with b.mu held.
+func (b *mailbox) wake() {
+	if b.waiting {
+		b.waiting = false
+		b.w.ranks.Add(-1)
+	}
 }
 
 // take blocks until a message matching (src, tag) is available and
 // removes it. src may be AnySource.
 //
-// take is also the failure-detection point: if any rank of the
-// communicator group this receive belongs to has been marked failed
-// (and no matching message is already pending), or this rank itself
-// has been declared failed by its peers, the wait raises a typed
-// *RankFailedError instead of hanging forever. Checking the whole
-// group — not just the awaited source — is what makes detection
-// *propagate*: a survivor that aborts a collective mid-way stops
-// sending, and the ranks waiting on it would otherwise hang even
-// though they never touch the dead rank directly. Pending messages
-// are always drained before the failure check, so data that arrived
-// before the crash is still delivered.
+// take is also the failure-detection point, and detection does not
+// depend on goroutine scheduling. Pending messages are always drained
+// first, so data that arrived before a crash is still delivered. Then
+// this rank declared failed by its peers, or an awaited source that has
+// failed, raises a typed *RankFailedError at once: that message can
+// never come. A live source on a communicator a failure has touched
+// (see lost) may still send, or may have abandoned the collective for
+// recovery, so the wait holds until the whole world is quiescent —
+// every running rank blocked with nothing deliverable — and only then
+// fails. Every rank thus gets as far as its messages allow before it
+// learns of the failure, whatever order the host ran the ranks in.
+// (An AnySource receive has no source to wait for and fails at once.)
 func (b *mailbox) take(src, tag int, group []int, born int64) message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	w := b.w
 	for {
 		for i := range b.pending {
 			m := &b.pending[i]
 			if (src == AnySource || m.src == src) && m.tag == tag {
 				got := *m
 				b.pending = append(b.pending[:i], b.pending[i+1:]...)
+				b.stuck = false
 				return got
 			}
 		}
 		if b.closed {
 			panic(closedWorldPanic(fmt.Sprintf("mpi: Recv(src=%d, tag=%d) on closed world", src, tag)))
 		}
-		if b.w != nil {
-			if b.w.isFailed(b.self) {
-				panic(&RankFailedError{Rank: b.self, Detector: b.self})
-			}
-			if src != AnySource && b.w.isFailed(src) {
-				panic(&RankFailedError{Rank: src, Detector: b.self})
-			}
-			if b.w.failCount.Load() > 0 {
-				for _, g := range group {
-					if b.w.isFailed(g) {
-						panic(&RankFailedError{Rank: g, Detector: b.self})
-					}
-				}
-				// Implicit revocation (the transitive arm): the failure
-				// struck a rank OUTSIDE this receive's group, but the
-				// communicator predates it, so a group peer may have
-				// abandoned this very collective for recovery. Only
-				// communicators created after the failure (ShrinkTo and
-				// its children) may keep blocking.
-				if b.w.failCount.Load() > born {
-					panic(&RevokedError{Detector: b.self})
-				}
+		if w.isFailed(b.self) {
+			panic(&RankFailedError{Rank: b.self, Detector: b.self})
+		}
+		if src != AnySource && w.isFailed(src) {
+			panic(&RankFailedError{Rank: src, Detector: b.self})
+		}
+		if b.stuck || src == AnySource {
+			b.stuck = false
+			if err := w.lost(group, born, b.self); err != nil {
+				panic(err)
 			}
 		}
-		b.cond.Wait()
+		b.waiting, b.group, b.born = true, group, born
+		if w.countRanks(1) {
+			// wakeStuck takes every box in turn, this one included.
+			b.mu.Unlock()
+			w.wakeStuck()
+			b.mu.Lock()
+		}
+		if b.waiting { // nothing arrived and nothing stuck this wait meanwhile
+			b.cond.Wait()
+		}
+		b.wake()
+	}
+}
+
+// lost returns the error a receive on a communicator (group, born at
+// failure count born) raises once nothing more can arrive on it: a
+// failed member, or else — the transitive arm, ULFM's implicit revoke —
+// a failure anywhere since the communicator was created, after which a
+// peer may have abandoned the collective for recovery. Communicators
+// created after the failure (ShrinkTo and its children) are untouched.
+func (w *World) lost(group []int, born int64, self int) error {
+	if w.failCount.Load() == 0 {
+		return nil
+	}
+	for _, g := range group {
+		if w.isFailed(g) {
+			return &RankFailedError{Rank: g, Detector: self}
+		}
+	}
+	if w.failCount.Load() > born {
+		return &RevokedError{Detector: self}
+	}
+	return nil
+}
+
+// The world's rank counters, packed into one word so that every change
+// returns a consistent snapshot: running rank goroutines above, those
+// blocked in take with nothing deliverable below.
+const runningOne = 1 << 32
+
+// countRanks applies delta to the rank counters and reports whether
+// the world is now quiescent with a failure on record: every running
+// rank blocked, so nobody can send any more, and some of those waits
+// may be hopeless. The caller then ends them with wakeStuck, holding no
+// mailbox lock.
+func (w *World) countRanks(delta int64) bool {
+	v := w.ranks.Add(delta)
+	running := v >> 32
+	return running > 0 && v&(runningOne-1) == running && w.failCount.Load() > 0
+}
+
+// wakeStuck wakes, with stuck set, every rank blocked on a communicator
+// a failure has touched. Nothing can reach those waits any more: every
+// other rank was blocked too, and a rank it wakes only leaves the
+// collective it was in. Waits on communicators born since are left
+// alone.
+func (w *World) wakeStuck() {
+	for _, b := range w.boxes {
+		b.mu.Lock()
+		if b.waiting && w.lost(b.group, b.born, b.self) != nil {
+			b.stuck = true
+			b.wake()
+			b.cond.Broadcast()
+		}
+		b.mu.Unlock()
 	}
 }
 
@@ -203,6 +279,7 @@ type World struct {
 	// survivor of a shrink the same fresh communicator id.
 	failed    []atomic.Bool
 	delayBits []atomic.Uint64 // per-rank link delay multiplier (float64 bits; 0 = 1.0)
+	failMu    sync.Mutex      // orders failCount before failed in MarkFailed
 	failCount atomic.Int64
 	wireFault func(src, dst int, seq int64) WireFault
 	wireSeq   []atomic.Int64
@@ -212,6 +289,10 @@ type World struct {
 	shrinkMu   sync.Mutex
 	shrinkIDs  map[string]int64
 	nextShrink int64
+
+	// Quiescence (see mailbox.take): the packed running/blocked rank
+	// counters.
+	ranks atomic.Int64
 }
 
 // NewWorld creates a world of size ranks priced by topo. A nil topo
@@ -267,10 +348,19 @@ func (w *World) MaxTime() float64 {
 func (w *World) Run(fn func(c *Comm)) {
 	var wg sync.WaitGroup
 	panics := make([]any, w.size)
+	w.ranks.Add(int64(w.size) * runningOne)
+	// Every rank's world communicator is born now, however late its
+	// goroutine starts.
+	born := w.failCount.Load()
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			defer func() {
+				if w.countRanks(-runningOne) {
+					w.wakeStuck()
+				}
+			}()
 			defer func() {
 				if p := recover(); p != nil {
 					panics[rank] = p
@@ -278,7 +368,7 @@ func (w *World) Run(fn func(c *Comm)) {
 					w.closeAll()
 				}
 			}()
-			c := newWorldComm(w, rank)
+			c := newWorldComm(w, rank, born)
 			fn(c)
 			w.timeMu.Lock()
 			if c.proc.now > w.maxTime {
@@ -315,12 +405,26 @@ func (w *World) closeAll() {
 	}
 }
 
-// proc is the per-goroutine state of a rank: its global id and
-// virtual clock. All communicators of the same rank share it.
+// proc is the per-goroutine state of a rank: its global id, virtual
+// clock and injection ports. All communicators of the same rank share
+// it. While a request body runs (see request.go), now is the request's
+// clock and lane the request.
 type proc struct {
 	w      *World
 	global int
 	now    float64
+	lane   *Request
+	ports  [2]port
+}
+
+// floor is the earliest clock any send from now on can start at: the
+// rank's own clock, or while a request body runs the clock it started
+// from.
+func (p *proc) floor() float64 {
+	if p.lane != nil {
+		return p.lane.start
+	}
+	return p.now
 }
 
 // send moves a payload to dst (global rank), charging virtual time.
@@ -346,13 +450,22 @@ func (p *proc) post(dst int, m message) {
 		alpha *= mult
 	}
 	start := p.now
-	// The sender is occupied while injecting the message; the wire
-	// adds latency on top. Retransmissions (below) replay from the NIC
-	// buffer and do not re-occupy the host.
-	p.now += float64(n) * beta
+	// The sender is occupied while its port injects the message; the
+	// wire adds latency on top. Retransmissions (below) replay from the
+	// NIC buffer and occupy neither.
+	inject := float64(n) * beta
+	if end, idle := p.ports[portOf(level)].reserve(start, inject, p.floor()); idle {
+		p.now += inject
+		m.arrive = start + alpha + inject
+	} else {
+		// Queued behind another request's bytes: the link itself is no
+		// slower, so telemetry sees the injection as starting late.
+		p.now = end
+		m.arrive = end + alpha
+		start = end - inject
+	}
 	m.start = start
 	m.nominal = p.w.topo.Alpha[level] + float64(n)*p.w.topo.Beta[level]
-	m.arrive = start + alpha + float64(n)*beta
 	p.w.stats.Msgs[level].Add(1)
 	p.w.stats.Bytes[level].Add(int64(n))
 	// Sends to a failed rank vanish: the node is gone, nobody will

@@ -729,15 +729,21 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 func (e *Engine) syncGradients([]*nn.Param) {
 	group := float32(e.perStage())
 	t0 := e.Comm.Now()
-	// Dense parameters: bucketed all-reduce over the replication group
-	// (the world on the flat grid, the stage under PP).
-	allReduceBucketed(e.denseComm(), e.denseParams, 1/group)
+	// The two all-reduces are independent and share only this rank's
+	// ports, so they are issued together, dense first. Dense
+	// parameters: bucketed all-reduce over the replication group (the
+	// world on the flat grid, the stage under PP).
+	dense := e.Comm.Start(func() { allReduceBucketed(e.denseComm(), e.denseParams, 1/group) })
 	// Expert parameters: all-reduce over the data-parallel group;
 	// the sum then covers every replica's tokens, so normalize by the
 	// replica count to match the dense average-loss scaling.
-	if e.DP.Size() > 1 || group > 1 {
-		allReduceBucketed(e.DP, e.expertParams, 1/group)
-	}
+	expert := e.Comm.Start(func() {
+		if e.DP.Size() > 1 || group > 1 {
+			allReduceBucketed(e.DP, e.expertParams, 1/group)
+		}
+	})
+	dense.Wait()
+	expert.Wait()
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
 	// Distributed global gradient norm: the dense part is identical

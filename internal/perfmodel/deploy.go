@@ -301,9 +301,9 @@ func levelOfDistance(t *simnet.Topology, dist int) simnet.Level {
 // 2·(S-1)/S·bytes/L, each rank priced its own inter-supernode link
 // thinned by BisectionOversub. L = 1 — a stride of a supernode or
 // more — leaves only that ring, over the whole buffer.
-func (d Deployment) allReduceCost(t *simnet.Topology, p, stride int, bytes float64) float64 {
+func (d Deployment) allReduceCost(t *simnet.Topology, p, stride int, bytes float64) arCost {
 	if bytes == 0 {
-		return 0
+		return arCost{}
 	}
 	return d.allReduceSchedule(t, p, stride, bytes)
 }
@@ -314,14 +314,21 @@ func (d Deployment) allReduceCost(t *simnet.Topology, p, stride int, bytes float
 // all-gather pair: identical bytes, twice the collective phases, so
 // PredictStep charges one extra latency per sharded group.
 func (d Deployment) allReduceLatency(t *simnet.Topology, p, stride int) float64 {
-	return d.allReduceSchedule(t, p, stride, 0)
+	return d.allReduceSchedule(t, p, stride, 0).total
 }
+
+// arCost is one all-reduce schedule's price: its total, and the two
+// shares a second all-reduce issued beside it contends for — the phase
+// startups (lat, the total at zero bytes) and the injection time on the
+// rank's NIC (nic: the n·β of its supernode- and machine-level phases;
+// intra-node phases inject through shared memory, mpi's copy port).
+type arCost struct{ total, lat, nic float64 }
 
 // allReduceSchedule is the one derivation behind both: the schedule's
 // cost at the given payload, its phase startups alone at zero bytes.
-func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes float64) float64 {
+func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes float64) arCost {
 	if p <= 1 {
-		return 0
+		return arCost{}
 	}
 	rsn := t.RanksPerSupernode()
 	L := min(p, (rsn+stride-1)/stride)
@@ -334,9 +341,26 @@ func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes f
 	if stride > 1 {
 		local = levelOfDistance(t, (L-1)*stride)
 	}
-	c := 2 * float64(L-1) / float64(L) * t.CostAtLevel(local, int(bytes))
+	kl := 2 * float64(L-1) / float64(L)
+	c := arCost{total: kl * t.CostAtLevel(local, int(bytes)), lat: kl * t.Alpha[local]}
+	if local >= simnet.SupernodeLevel {
+		c.nic = kl * float64(int(bytes)) * t.Beta[local]
+	}
 	if S > 1 {
-		c += 2 * float64(S-1) / float64(S) * t.CostAtLevel(simnet.MachineLevel, int(bytes/float64(L))) * d.Machine.BisectionOversub
+		ks := 2 * float64(S-1) / float64(S)
+		over := d.Machine.BisectionOversub
+		c.total += ks * t.CostAtLevel(simnet.MachineLevel, int(bytes/float64(L))) * over
+		c.lat += ks * t.Alpha[simnet.MachineLevel] * over
+		c.nic += ks * float64(int(bytes/float64(L))) * t.Beta[simnet.MachineLevel] * over
 	}
 	return c
+}
+
+// concurrentSync prices two all-reduces issued together, as the engine
+// issues the dense and expert gradient sync (mpi.Comm.Start): each runs
+// its own schedule, but every byte either sends leaves through the
+// rank's one NIC. The pair takes the longer of the two schedules,
+// floored by their summed NIC injection plus the longer latency.
+func concurrentSync(a, b arCost) float64 {
+	return max(a.total, b.total, a.nic+b.nic+max(a.lat, b.lat))
 }

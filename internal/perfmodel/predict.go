@@ -139,14 +139,16 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	// that shrinks with depth and makes PP win on deep stacks.
 	gradBytes := func(n int64) float64 { return float64(n) * bytesPerElem(d.Precision) }
 	denseB := gradBytes(spec.DenseParams()) / float64(S)
-	p.Sync = d.allReduceCost(topo, perStage, 1, denseB)
+	dense := d.allReduceCost(topo, perStage, 1, denseB)
+	p.Sync = dense.total
 	p.SyncBytes = ringBytes(perStage, denseB)
 	if d.DataParallel > 1 && spec.MoEEvery > 0 {
 		// Data-parallel peers of an expert shard sit ExpertParallel
 		// ranks apart (contiguous EP groups, strided DP groups), so
-		// their ring runs over the tier that stride reaches.
+		// their ring runs over the tier that stride reaches. The engine
+		// issues it together with the dense one.
 		shardB := gradBytes(spec.ExpertParamsTotal() / int64(d.ExpertParallel) / int64(S))
-		p.Sync += d.allReduceCost(topo, d.DataParallel, d.ExpertParallel, shardB)
+		p.Sync = concurrentSync(dense, d.allReduceCost(topo, d.DataParallel, d.ExpertParallel, shardB))
 		p.SyncBytes += ringBytes(d.DataParallel, shardB)
 	}
 	if d.ZeRO {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 )
 
@@ -165,5 +166,63 @@ func TestSyncBytesMatchRingFormula(t *testing.T) {
 		float64(spec.ExpertParamsTotal()/int64(d.ExpertParallel)) * 4
 	if math.Abs(p.SyncBytes-want) > 1e-6*want {
 		t.Fatalf("sync bytes %v, want %v", p.SyncBytes, want)
+	}
+}
+
+// TestSyncPricesDenseAndExpertConcurrently: the engine issues the dense
+// and expert gradient all-reduces together, so on W2's dp2×ep4 shape
+// (four supernodes of one two-rank node) Sync is the longer schedule,
+// floored by both schedules' NIC injection plus the longer latency —
+// spelled out here from the machine constants. With one data-parallel
+// replica there is no expert all-reduce, and Sync is the dense
+// schedule's old single-group value to the bit.
+func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
+	spec := ModelSpec{
+		Name: "w2", Vocab: 256, Dim: 128, Heads: 4, Layers: 2, SeqLen: 32,
+		FFNHidden: 256, NumExperts: 16, MoEHidden: 256, MoEEvery: 1, TopK: 2,
+	}
+	d := Deployment{
+		Machine: sunway.TestMachine(4, 1), RanksPerNode: 2,
+		DataParallel: 2, ExpertParallel: 4,
+		BatchPerRank: 4, Precision: sunway.Mixed, Efficiency: 0.3,
+	}
+	topo := simnet.New(d.Machine, d.RanksPerNode)
+	a, b, over := topo.Alpha, topo.Beta, d.Machine.BisectionOversub
+	const sn, m = simnet.SupernodeLevel, simnet.MachineLevel
+	denseB := 2 * float64(spec.DenseParams())                                // half-precision gradients
+	expertB := 2 * float64(spec.ExpertParamsTotal()/int64(d.ExpertParallel)) // one shard
+	// Dense: eight ranks, two per supernode — a local pair, then four
+	// supernodes' rails over half the buffer each.
+	dense := arCost{
+		total: a[sn] + denseB*b[sn] + 1.5*(a[m]+denseB/2*b[m])*over,
+		lat:   a[sn] + 1.5*a[m]*over,
+		nic:   denseB*b[sn] + 1.5*denseB/2*b[m]*over,
+	}
+	// Expert: the two replicas of a shard, in different supernodes.
+	expert := arCost{total: (a[m] + expertB*b[m]) * over, lat: a[m] * over, nic: expertB * b[m] * over}
+	want := max(dense.total, expert.total, dense.nic+expert.nic+max(dense.lat, expert.lat))
+
+	p, err := d.PredictStep(spec, FaultModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("dp2×ep4: dense %+v, expert %+v, Sync %v", dense, expert, p.Sync)
+	if math.Abs(p.Sync-want) > 1e-12*want {
+		t.Fatalf("dp2×ep4 Sync %v, concurrent formula %v (dense %+v, expert %+v)", p.Sync, want, dense, expert)
+	}
+	if p.Sync >= dense.total+expert.total {
+		t.Fatalf("dp2×ep4 Sync %v is no better than the serial %v", p.Sync, dense.total+expert.total)
+	}
+
+	d.DataParallel, d.ExpertParallel = 1, 8
+	p, err = d.PredictStep(spec, FaultModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const L, S = 2, 4
+	single := 2*float64(L-1)/float64(L)*topo.CostAtLevel(sn, int(denseB)) +
+		2*float64(S-1)/float64(S)*topo.CostAtLevel(m, int(denseB/float64(L)))*over
+	if p.Sync != single {
+		t.Fatalf("dp1×ep8 Sync %v, want the single-group value %v", p.Sync, single)
 	}
 }

@@ -122,33 +122,43 @@ func (z *ShardedAdam) StateBytes() int64 {
 // rank's reduced, scale-multiplied shard (scale is the data-parallel
 // averaging factor). It replaces the full-tensor all-reduce of the
 // unsharded path; parameters' G tensors are left untouched (they hold
-// local, unreduced gradients afterwards).
+// local, unreduced gradients afterwards). The groups' reduce-scatters
+// are issued together (mpi.Comm.Start) and joined before it returns.
 func (z *ShardedAdam) SyncGradients(scale float32) {
 	if z.groups == nil {
 		panic("train: ShardedAdam.SyncGradients before Bind")
 	}
-	for _, g := range z.groups {
-		flat := tensor.GetSlice(g.n)
-		for i, p := range g.params {
-			copy(flat[g.offs[i]:], p.G.Data)
-		}
-		if g.comm.Size() > 1 {
-			shard, s := g.comm.ReduceScatterShard(flat[:g.n], mpi.OpSum)
-			if s != g.my {
-				panic(fmt.Sprintf("train: shard %+v != bound %+v", s, g.my))
-			}
-			copy(g.grad, shard)
-		} else {
-			copy(g.grad, flat[g.my.Lo:g.my.Hi])
-		}
-		tensor.PutSlice(flat)
-		if scale != 1 {
-			for i := range g.grad {
-				g.grad[i] *= scale
-			}
-		}
-		g.synced = true
+	reqs := make([]*mpi.Request, len(z.groups))
+	for k, g := range z.groups {
+		reqs[k] = g.comm.Start(func() { g.reduceScatter(scale) })
 	}
+	for _, r := range reqs {
+		r.Wait()
+	}
+}
+
+// reduceScatter is one group's share of SyncGradients.
+func (g *shardGroup) reduceScatter(scale float32) {
+	flat := tensor.GetSlice(g.n)
+	for i, p := range g.params {
+		copy(flat[g.offs[i]:], p.G.Data)
+	}
+	if g.comm.Size() > 1 {
+		shard, s := g.comm.ReduceScatterShard(flat[:g.n], mpi.OpSum)
+		if s != g.my {
+			panic(fmt.Sprintf("train: shard %+v != bound %+v", s, g.my))
+		}
+		copy(g.grad, shard)
+	} else {
+		copy(g.grad, flat[g.my.Lo:g.my.Hi])
+	}
+	tensor.PutSlice(flat)
+	if scale != 1 {
+		for i := range g.grad {
+			g.grad[i] *= scale
+		}
+	}
+	g.synced = true
 }
 
 // GroupNormSq returns the global gradient-norm² of group i, combined
