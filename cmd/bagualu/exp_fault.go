@@ -77,29 +77,41 @@ func phaseTable(title string, phases *metrics.PhaseMeter) *metrics.Table {
 }
 
 // expR11: training goodput (useful virtual time / total virtual time)
-// under injected rank failures, swept over the checkpoint interval
-// and the machine MTBF, plus the per-step cost of synchronous versus
-// asynchronous sharded checkpointing on a failure-free run.
+// under injected rank failures, swept over the checkpoint interval,
+// the machine MTBF and where the optimizer state lives — replicated
+// Adam, which survivors still hold after a crash (the run rolls
+// forward), or ZeRO moment shards, which are rank-exclusive (the run
+// rolls back to the last checkpoint) — plus the per-step cost of
+// synchronous versus asynchronous sharded checkpointing on a
+// failure-free run.
 func expR11(o *options) []*metrics.Table {
 	m := o.machine
 	ranks := m.ranks
 
-	goodput := metrics.NewTable("R11a: goodput vs checkpoint interval x MTBF (async ckpt)",
-		"mtbf-steps", "ckpt-interval", "crashes", "recoveries", "completed", "goodput", "useful-sim-s", "total-sim-s")
+	goodput := metrics.NewTable("R11a: goodput vs checkpoint interval x MTBF x optimizer state (async ckpt)",
+		"mtbf-steps", "ckpt-interval", "opt-state", "crashes", "recoveries", "rolled-fwd", "completed", "goodput", "useful-sim-s", "total-sim-s")
 	phases := metrics.NewPhaseMeter(metrics.PhaseCkptSnapshot, metrics.PhaseCkptFlush,
 		metrics.PhaseRecovery, metrics.PhaseRecoveryRead, metrics.PhaseRecoveryGather)
 	for _, mtbf := range []float64{16, 48} {
 		for _, interval := range []int{2, 5, 10} {
-			inj := must(fault.New(fault.Config{
-				Seed: o.seed, Ranks: ranks, Steps: r11Steps, MTBFSteps: mtbf, MaxCrashes: ranks - 2,
-			}))
-			pol := &train.FaultPolicy{Interval: interval, Async: true, DiskBWGiBs: ftDiskBW, MaxRecoveries: ranks}
-			res := ftRun(m, ftConfig(ranks, r11Steps, pol), inj)
-			goodput.AddRow(mtbf, interval, res.Failures, res.Recoveries, res.Completed,
-				fmt.Sprintf("%.3f", res.Goodput), fmt.Sprintf("%.4f", res.UsefulSim), fmt.Sprintf("%.4f", res.TotalSim))
-			phases.Observe(metrics.PhaseCkptSnapshot, res.Timing.Snapshot)
-			phases.Observe(metrics.PhaseCkptFlush, res.Timing.Flush)
-			observeRecovery(phases, res.Timing)
+			for _, zero := range []bool{false, true} {
+				inj := must(fault.New(fault.Config{
+					Seed: o.seed, Ranks: ranks, Steps: r11Steps, MTBFSteps: mtbf, MaxCrashes: ranks - 2,
+				}))
+				pol := &train.FaultPolicy{Interval: interval, Async: true, DiskBWGiBs: ftDiskBW, MaxRecoveries: ranks}
+				cfg := ftConfig(ranks, r11Steps, pol)
+				cfg.OptFor = train.OptimizerFactory(zero, 0)
+				state := "replicated"
+				if zero {
+					state = "exclusive"
+				}
+				res := ftRun(m, cfg, inj)
+				goodput.AddRow(mtbf, interval, state, res.Failures, res.Recoveries, res.RolledForward, res.Completed,
+					fmt.Sprintf("%.3f", res.Goodput), fmt.Sprintf("%.4f", res.UsefulSim), fmt.Sprintf("%.4f", res.TotalSim))
+				phases.Observe(metrics.PhaseCkptSnapshot, res.Timing.Snapshot)
+				phases.Observe(metrics.PhaseCkptFlush, res.Timing.Flush)
+				observeRecovery(phases, res.Timing)
+			}
 		}
 	}
 
@@ -169,7 +181,7 @@ func expR12(o *options) []*metrics.Table {
 			if ff.StepsPerSim > 0 {
 				rel = res.StepsPerSim / ff.StepsPerSim
 			}
-			r12.AddRow(fmt.Sprintf("%g", dp), esc.String(), res.Completed, res.Recoveries,
+			r12.AddRow(fmt.Sprintf("%g", dp), esc.String(), res.Completed, res.Recoveries-res.RolledForward,
 				res.Retransmits, res.RecoveredFrames, res.Mitigations, res.Steps,
 				fmt.Sprintf("%.4f", res.TotalSim), fmt.Sprintf("%.3f", res.StepsPerSim),
 				fmt.Sprintf("%.3f", rel), fmt.Sprintf("%.5f", res.FinalLoss), res.FinalLoss == ff.FinalLoss)

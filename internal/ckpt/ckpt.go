@@ -255,9 +255,12 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // bytes as it restores — not the world's. When several records cover
 // the same elements (replicas saved whole), one is read, chosen by shard
 // so concurrent restorers spread over the files. The returned header is
-// adopted from shard (shard mod Shards) — the scalar state (step, scale,
-// RNG position) is identical across shards of a consistent checkpoint,
-// and the deterministic rule keeps all survivors agreeing.
+// adopted from shard (shard mod Shards). Its step, loss scale and
+// optimizer step count are identical across the shards of a consistent
+// checkpoint; its RNG position is not — it is that shard's own data
+// stream, one per data-parallel index — so the shard a caller passes also
+// names the stream it resumes (parallel.Engine.Restore passes the rank's
+// new index, as a fresh world restarted from the checkpoint would).
 //
 // An error is returned if any part of a requested view is in no record,
 // or a record that was read fails its CRC (*CorruptError, naming

@@ -29,6 +29,7 @@ import (
 	"bagualu/internal/health"
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
+	"bagualu/internal/nn"
 	"bagualu/internal/parallel/pipe"
 	"bagualu/internal/train"
 )
@@ -46,16 +47,21 @@ type FTConfig struct {
 	// any failure ends the run (Unrecoverable).
 	Policy *train.FaultPolicy
 
-	// OptFor builds a fresh optimizer. Called once per rank at engine
-	// construction and again on every recovery: optimizer state is
-	// restored from the checkpoint, not migrated, so the instance must
-	// start empty.
+	// OptFor builds the optimizer, once per rank at engine construction.
+	// A recovery keeps that instance: a roll-forward continues its state
+	// as it is (Adam moments are keyed by *nn.Param, which Reform keeps),
+	// and a restore from disk overwrites all of it (ZeRO moment shards
+	// re-partition over the shrunk groups first).
 	OptFor func() train.Optimizer
 
 	// ComputeFLOPS, when positive, charges each step's analytic FLOPs
 	// to the virtual clock at this per-rank rate, so goodput reflects
 	// compute as well as communication and checkpoint overhead.
 	ComputeFLOPS float64
+
+	// afterRecovery, when set, runs on every survivor after each
+	// successful recovery, with whether it rolled forward (tests).
+	afterRecovery func(e *Engine, rolledForward bool)
 }
 
 // FTResult summarizes a fault-tolerant run, reported from the lowest-
@@ -65,6 +71,7 @@ type FTResult struct {
 	Unrecoverable bool // a failure could not be recovered from
 	Steps         int  // global step counter at exit
 	Recoveries    int  // in-run recoveries performed
+	RolledForward int  // of those, recoveries that kept the live state (no rollback)
 	Failures      int  // ranks lost over the run
 	FinalWorld    int  // surviving world size
 	FinalLoss     float32
@@ -148,14 +155,14 @@ func ShrinkStrategy(old Strategy, newSize, numExperts int, hasMoE bool) (Strateg
 }
 
 // Reform rebinds the engine to a shrunk communicator and a new process
-// grid without moving weights: MoE layers reshard in place (checkpoint
-// restore repopulates them), the corpus shard is rebuilt under the NEW
-// rank index so a reformed run is step-identical to a fresh run on a
-// same-size world, and the optimizer is replaced by an empty one whose
-// state the restore fills. Callers restore from a checkpoint
-// immediately after; until then the model's expert weights are
-// meaningless.
-func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy, opt train.Optimizer) error {
+// grid without moving weights: MoE layers reshard in place, keeping
+// every expert the rank still hosts and creating the ones it gains, and
+// the live optimizer, FP32 masters and corpus are kept — Adam moments
+// by *nn.Param identity. Callers call Restore immediately after: it
+// either keeps that live state (every survivor still holds it) or
+// overwrites all of it from a checkpoint; until then a gained expert or
+// layer is meaningless.
+func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	if err := strat.Validate(); err != nil {
 		return err
 	}
@@ -191,25 +198,14 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy, opt train.Optimizer) 
 	}
 	// Re-partition parameters under the new shards and chunk ownership.
 	e.repartitionParams()
-	cc := e.corpusCfg
-	cc.Seed = e.corpusCfg.Seed + uint64(e.decorrIndex())*1_000_003
-	corpus, err := data.NewSynthetic(cc)
-	if err != nil {
-		return err
-	}
-	e.Trainer.Corpus = corpus
-	e.Trainer.Opt = opt
+	e.Trainer.ReformParams(e.ownedParams())
 	if strat.PP() > 1 {
-		e.Trainer.RefreshParams()
-		e.Trainer.RestrictParams(e.ownedParams())
 		e.buildRunner()
-	} else {
-		e.Trainer.RefreshParams()
 	}
-	// Re-bind the sync path: under ZeRO the fresh optimizer's moment
-	// shards re-partition over the NEW communicators, and the
-	// checkpoint restore fills them through range-record coverage.
-	e.installSync(opt)
+	// Re-bind the sync path: under ZeRO the moment shards re-partition
+	// (zeroed) over the NEW communicators, and the checkpoint restore
+	// fills them through range-record coverage.
+	e.installSync(e.Trainer.Opt)
 	return nil
 }
 
@@ -220,6 +216,7 @@ type rankState struct {
 	completed     bool
 	unrecoverable bool
 	recoveries    int
+	rolledForward int
 	checkpoints   int
 	finalLoss     float32
 	steps         int
@@ -273,6 +270,7 @@ func RunFaultTolerant(w *mpi.World, cfg FTConfig, inj *fault.Injector) (*FTResul
 	res.Unrecoverable = st.unrecoverable
 	res.Steps = st.steps
 	res.Recoveries = st.recoveries
+	res.RolledForward = st.rolledForward
 	res.Checkpoints = st.checkpoints
 	res.FinalLoss = st.finalLoss
 	res.FinalWorld = w.Size() - res.Failures
@@ -330,18 +328,14 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 		eng.SetComputeRate(cfg.ComputeFLOPS)
 	}
 	pol := cfg.Policy
-	var wr *ckpt.Writer
+	lp := &ftLoop{comm: c, strat: cfg.Strategy, lastCkpt: -1}
 	if pol.Enabled() {
-		wr = ckpt.NewWriter(ckpt.Config{Dir: pol.Dir, DiskBWGiBs: pol.DiskBWGiBs, Async: pol.Async}, c)
+		lp.wr = ckpt.NewWriter(ckpt.Config{Dir: pol.Dir, DiskBWGiBs: pol.DiskBWGiBs, Async: pol.Async}, c)
 	}
 	maxRec := 1
 	if pol != nil && pol.MaxRecoveries > 0 {
 		maxRec = pol.MaxRecoveries
 	}
-	comm := c
-	strat := cfg.Strategy
-	lastCkpt := int64(-1)
-	var pending, lastCredit float64 // sim-time not yet durable; credit of the last checkpoint
 
 	// Tier 2 state: each rank runs an identical replica of the health
 	// monitor (CollectScores hands every rank the same scores, so the
@@ -356,12 +350,12 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 	handled := map[string]bool{}
 
 	finish := func() {
-		st.useful += pending // work after the last checkpoint still ran to completion
-		if wr != nil {
-			if werr := wr.WaitIdle(); werr != nil && st.err == nil {
+		st.useful += lp.pending // work after the last checkpoint still ran to completion
+		if lp.wr != nil {
+			if werr := lp.wr.WaitIdle(); werr != nil && st.err == nil {
 				st.err = werr
 			}
-			st.timing = st.timing.Add(wr.Timing())
+			st.timing = st.timing.Add(lp.wr.Timing())
 		}
 		st.steps = eng.Trainer.StepCount()
 		st.completed = st.err == nil
@@ -379,14 +373,19 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			// so an issued flush is durably ordered before any peer can
 			// observe the failure. This keeps the set of committed
 			// checkpoints deterministic for a given schedule.
-			if wr != nil {
-				wr.WaitIdle()
+			if lp.wr != nil {
+				lp.wr.WaitIdle()
 			}
-			comm.Abandon()
+			lp.comm.Abandon()
 			st.crashed = true
 			st.steps = step
 			return
 		}
+		// The scalars a failed step may already have moved (the batch is
+		// drawn, PrepareGrads runs before the gradient sync) — all a
+		// roll-forward needs besides the tensors, which no survivor can
+		// update without the whole group.
+		start := eng.Trainer.CheckpointHeader()
 		var stats StepStats
 		perr := mpi.Protect(func() {
 			// The step-0 save is the bootstrap checkpoint: it guarantees
@@ -396,62 +395,61 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			// do not match the block placement Reform rebuilds, so a
 			// post-mitigation crash must roll back to the last checkpoint
 			// written under block placement and replay from there.
-			if wr != nil && step%pol.Interval == 0 && int64(step) != lastCkpt && len(handled) == 0 {
-				hdr := eng.Trainer.CheckpointHeader()
+			if lp.wr != nil && step%pol.Interval == 0 && int64(step) != lp.lastCkpt && len(handled) == 0 {
 				lay := ckpt.Layout{
-					WorldSize:      comm.Size(),
-					DataParallel:   strat.DataParallel,
-					ExpertParallel: strat.ExpertParallel,
-					Pipeline:       strat.Pipeline,
-					Virtual:        strat.Virtual,
+					WorldSize:      lp.comm.Size(),
+					DataParallel:   lp.strat.DataParallel,
+					ExpertParallel: lp.strat.ExpertParallel,
+					Pipeline:       lp.strat.Pipeline,
+					Virtual:        lp.strat.Virtual,
 				}
-				if serr := wr.Save(int64(step), hdr, eng.CheckpointShard(), lay); serr != nil {
+				if serr := lp.wr.Save(int64(step), start, eng.CheckpointShard(), lay); serr != nil {
 					st.err = serr
 					return
 				}
-				lastCkpt = int64(step)
+				lp.lastCkpt = int64(step)
 				st.checkpoints++
 				// Credit the sim-time behind this checkpoint as useful.
 				// If the checkpoint later aborts (async flush racing a
 				// crash), the rollback path takes the credit back.
-				st.useful += pending
-				lastCredit, pending = pending, 0
+				st.useful += lp.pending
+				lp.lastCredit, lp.pending = lp.pending, 0
 			}
 			stats = eng.Step()
 			// Tier 2: fold this step's link telemetry into the health
 			// monitor. CollectScores is a collective, so it doubles as
 			// the agreement round — every rank sees the same scores and
 			// the monitor replicas evolve in lockstep.
-			if mon != nil && comm.Size() > 1 {
-				mon.Observe(collectHealth(w, comm))
+			if mon != nil && lp.comm.Size() > 1 {
+				mon.Observe(collectHealth(w, lp.comm))
 				deg := mon.Degraded()
 				if mitigate && len(deg) > 0 {
 					// Degraded world ranks map to expert-parallel slots;
 					// every EP group drains the same slots so placement
 					// stays DP-symmetric.
-					slots := make([]bool, strat.ExpertParallel)
+					slots := make([]bool, lp.strat.ExpertParallel)
 					flagged := 0
 					for _, g := range deg {
-						for q := 0; q < comm.Size(); q++ {
-							if comm.Global(q) == g {
-								if s := q % strat.ExpertParallel; !slots[s] {
+						for q := 0; q < lp.comm.Size(); q++ {
+							if lp.comm.Global(q) == g {
+								if s := q % lp.strat.ExpertParallel; !slots[s] {
 									slots[s] = true
 									flagged++
 								}
 							}
 						}
 					}
-					if flagged > 0 && flagged < strat.ExpertParallel {
+					if flagged > 0 && flagged < lp.strat.ExpertParallel {
 						sig := fmt.Sprint(slots)
 						if !handled[sig] {
 							handled[sig] = true
-							m0 := comm.Now()
+							m0 := lp.comm.Now()
 							if merr := eng.Mitigate(slots); merr != nil {
 								st.err = merr
 								return
 							}
 							st.mitigations++
-							st.mitigationSim += comm.Now() - m0
+							st.mitigationSim += lp.comm.Now() - m0
 						}
 					}
 				}
@@ -462,7 +460,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			return
 		}
 		if perr == nil {
-			pending += stats.SimTime
+			lp.pending += stats.SimTime
 			st.finalLoss = stats.Loss
 			continue
 		}
@@ -485,9 +483,12 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			st.steps = eng.Trainer.StepCount()
 			return
 		}
-		pending = 0
+		// What the rank trained when the step failed, before any re-form
+		// changes it; a drained placement is not the block placement the
+		// re-form rebuilds, so it always restores from disk.
+		ss := &stepStart{hdr: start, held: eng.replicated(), live: len(handled) == 0}
 		for {
-			if wr == nil || st.recoveries >= maxRec {
+			if lp.wr == nil || st.recoveries >= maxRec {
 				st.unrecoverable = true
 				finish()
 				st.completed = false
@@ -500,7 +501,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			// feeds the retry below instead of killing the goroutine.
 			var rerr error
 			if perr := mpi.Protect(func() {
-				rerr = recoverRank(w, eng, cfg, &comm, &strat, &wr, &lastCkpt, &lastCredit, st)
+				rerr = recoverRank(eng, cfg, lp, ss, st)
 			}); perr != nil {
 				rerr = perr
 			}
@@ -509,7 +510,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 				// placement, and EWMAs over the pre-shrink world are
 				// meaningless for the survivors.
 				if mon != nil {
-					if comm.Size() > 1 {
+					if lp.comm.Size() > 1 {
 						mon = health.NewMonitor(w.Size(), health.Config{})
 					} else {
 						mon = nil
@@ -550,14 +551,47 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 	finish()
 }
 
-// recoverRank runs one recovery round for a survivor: abandon
-// half-open checkpoints, agree on the rollback step, shrink the
-// communicator, re-form the engine, restore, and meter the whole
-// detour on the virtual clock. comm/strat/wr/lastCkpt are updated in
+// ftLoop is the part of one rank's fault-tolerant loop state that a
+// recovery updates in place.
+type ftLoop struct {
+	comm       *mpi.Comm
+	strat      Strategy
+	wr         *ckpt.Writer
+	lastCkpt   int64   // the last checkpoint this rank credited
+	pending    float64 // sim-time of completed steps no checkpoint has credited yet
+	lastCredit float64 // the credit lastCkpt took
+}
+
+// stepStart is what a survivor keeps, from the moment a step fails, to
+// roll forward to the start of that step.
+type stepStart struct {
+	hdr  ckpt.Header        // the trainer's scalars at the top of the step
+	held map[*nn.Param]bool // the replicated tensors the rank trained then
+	live bool               // held is still the step-start state: no drain, no restore since
+}
+
+// recoveryVote is a recovery's one agreement round: an all-reduce (max)
+// of [-latest committed step, step count, -step count, cannot roll
+// forward]. It returns the rollback step every survivor can read (the
+// min of their Latest) and whether the run rolls forward: every
+// survivor still holds its step-start state and all stand at the same
+// step, so nobody applied the interrupted step's update.
+func recoveryVote(c *mpi.Comm, latest int64, steps int, live bool) (agreed int64, rollForward bool) {
+	cannot := float32(1)
+	if live {
+		cannot = 0
+	}
+	red := c.AllReduce([]float32{-float32(latest), float32(steps), -float32(steps), cannot}, mpi.OpMax)
+	return -int64(red[0]), red[1] == -red[2] && red[3] == 0
+}
+
+// recoverRank runs one recovery round for a survivor: drain its
+// checkpoint flushes, shrink the communicator, re-form the engine, vote
+// on the path, restore — from live memory or from the agreed checkpoint —
+// and meter the whole detour on the virtual clock. lp is updated in
 // place on success. Communication failures (another rank dying
 // mid-recovery) return typed mpi errors for the caller to retry on.
-func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat *Strategy,
-	wr **ckpt.Writer, lastCkpt *int64, lastCredit *float64, st *rankState) error {
+func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankState) error {
 	pol := cfg.Policy
 	// Drain this rank's own background flushes so every shard it issued
 	// is on disk (possibly committing a checkpoint) before the rollback
@@ -566,11 +600,10 @@ func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat
 	// would then wrongly abort. A checkpoint the dead rank never
 	// contributed to simply never commits — its stale coordinator is
 	// replaced when the shrunk world re-saves that step.
-	(*wr).WaitIdle()
+	lp.wr.WaitIdle()
 
-	keep := (*comm).Survivors()
-	newComm := (*comm).ShrinkTo(keep)
-	newStrat, serr := ShrinkStrategy(*strat, newComm.Size(), cfg.Model.NumExperts, cfg.Model.MoEEvery > 0)
+	newComm := lp.comm.ShrinkTo(lp.comm.Survivors())
+	newStrat, serr := ShrinkStrategy(lp.strat, newComm.Size(), cfg.Model.NumExperts, cfg.Model.MoEEvery > 0)
 	if serr != nil {
 		st.unrecoverable = true
 		return serr
@@ -586,34 +619,48 @@ func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat
 	if lerr != nil {
 		return lerr
 	}
+
+	nw := ckpt.NewWriter(ckpt.Config{Dir: pol.Dir, DiskBWGiBs: pol.DiskBWGiBs, Async: pol.Async}, newComm)
+	recoverStart := newComm.Now()
+	if rerr := eng.Reform(newComm, newStrat); rerr != nil {
+		return rerr
+	}
+	// Roll forward only if this rank's live state is provably the step
+	// start under the new layout: no restore touched it, the step's
+	// update was not applied, the optimizer keeps nothing rank-exclusive
+	// (ZeRO moment shards belong to one rank), and the re-form handed it
+	// no tensor it did not already train.
+	live := ss.live && eng.zero == nil && eng.Trainer.StepCount() == int(ss.hdr.Step) && eng.holdsOnly(ss.held)
 	// Survivors can still disagree on Latest when a rank that peers
 	// declared failed (it exits without draining) commits a manifest
 	// late; the min over the shrunk communicator is committed
 	// everywhere.
 	var agreed int64
+	var forward bool
 	if aerr := mpi.Protect(func() {
-		red := newComm.AllReduce([]float32{-float32(latest)}, mpi.OpMax)
-		agreed = -int64(red[0])
+		agreed, forward = recoveryVote(newComm, latest, eng.Trainer.StepCount(), live)
 	}); aerr != nil {
 		return aerr
 	}
-	if agreed < 0 {
-		st.unrecoverable = true
-		return fmt.Errorf("parallel: failure before any committed checkpoint")
+	var hdr *ckpt.Header
+	if forward {
+		// Nothing is lost: the completed steps stay credited (pending
+		// included) and the interrupted step, never credited, runs once.
+		hdr = &ss.hdr
+	} else {
+		ss.live = false // the restore below overwrites the live state
+		if agreed < 0 {
+			st.unrecoverable = true
+			return fmt.Errorf("parallel: failure before any committed checkpoint")
+		}
+		if agreed != lp.lastCkpt {
+			// The last checkpoint this rank credited never committed
+			// world-wide; its sim-time was lost in the rollback after all.
+			st.useful -= lp.lastCredit
+		}
+		lp.lastCredit, lp.pending = 0, 0
 	}
-	if agreed != *lastCkpt {
-		// The last checkpoint this rank credited never committed
-		// world-wide; its sim-time was lost in the rollback after all.
-		st.useful -= *lastCredit
-	}
-	*lastCredit = 0
-
-	nw := ckpt.NewWriter(ckpt.Config{Dir: pol.Dir, DiskBWGiBs: pol.DiskBWGiBs, Async: pol.Async}, newComm)
-	recoverStart := newComm.Now()
-	if rerr := eng.Reform(newComm, newStrat, cfg.OptFor()); rerr != nil {
-		return rerr
-	}
-	rs, rerr := eng.Restore(pol.Dir, agreed, nw.RestoreSeconds)
+	rs, rerr := eng.Restore(pol.Dir, agreed, hdr, nw.RestoreSeconds)
 	if rerr != nil {
 		return rerr
 	}
@@ -630,7 +677,15 @@ func recoverRank(w *mpi.World, eng *Engine, cfg FTConfig, comm **mpi.Comm, strat
 		Recovery:       newComm.Now() - recoverStart,
 		RecoveryRead:   rs.ReadSim,
 		RecoveryGather: rs.GatherSim,
-	}).Add((*wr).Timing()) // and retires the old writer's meter
-	*comm, *strat, *wr, *lastCkpt = newComm, newStrat, nw, agreed
+	}).Add(lp.wr.Timing()) // and retires the old writer's meter
+	lp.comm, lp.strat, lp.wr = newComm, newStrat, nw
+	if forward {
+		st.rolledForward++
+	} else {
+		lp.lastCkpt = agreed
+	}
+	if cfg.afterRecovery != nil {
+		cfg.afterRecovery(eng, forward)
+	}
 	return nil
 }

@@ -226,7 +226,6 @@ type Engine struct {
 	moeLayers    []*moe.DistMoE
 	denseParams  []*nn.Param
 	expertParams []*nn.Param
-	corpusCfg    data.CorpusConfig // pre-decorrelation config (Reform rebuilds shards from it)
 	batch        int
 	clipNorm     float32
 	lastGradNorm float32
@@ -287,7 +286,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		}
 	}
 
-	e := &Engine{corpusCfg: corpusCfg, batch: tc.Batch, clipNorm: tc.ClipNorm, micro: micro}
+	e := &Engine{batch: tc.Batch, clipNorm: tc.ClipNorm, micro: micro}
 	// The engine clips by the *distributed* global norm after the
 	// gradient sync; the trainer's local clip would use a norm that
 	// differs across ranks (expert shards differ) and desynchronize
@@ -571,30 +570,76 @@ type RestoreStats struct {
 	GatherSim float64 // virtual seconds in the replica-group all-gathers
 }
 
-// Restore loads the committed checkpoint of step under dir into the
-// engine — the mirror image of saving CheckpointShard. Each rank reads
-// only its own 1/R slice views (they alias the live weights, moments
-// and masters, so the read lands in place; ZeRO moment shards are
-// rank-exclusive and arrive whole), pays diskSeconds of virtual time
-// for the bytes it read, and then every replica group all-gathers its
-// flat concat over the interconnect, so each logical byte leaves the
-// disk once however many replicas need it. The checkpoint may have
-// been written under a different layout: a slice boundary that falls
-// inside a saved record reads that record whole. Collective over the
-// engine's communicator; after a shrink, call it right after Reform.
-func (e *Engine) Restore(dir string, step int64, diskSeconds func(bytes int64) float64) (RestoreStats, error) {
-	t0 := e.Comm.Now()
-	res, err := ckpt.Restore(dir, step, e.Comm.Rank(), e.CheckpointShard())
-	st := RestoreStats{BytesRead: res.BytesRead}
-	if err != nil {
-		return st, err
+// Restore brings the engine to the start of a step — after a shrink,
+// call it right after Reform. Collective over the engine's communicator.
+//
+// With live non-nil the survivors agreed that each still holds, in
+// memory, every tensor of its CheckpointShard groups at the start of
+// the step a failure interrupted (the recovery vote in ft.go): the
+// tensors stay as they are and only *live, this rank's step-start
+// header, is applied. Nothing is read and nothing is gathered.
+//
+// Otherwise it loads the committed checkpoint of step under dir — the
+// mirror image of saving CheckpointShard. Each rank reads only its own
+// 1/R slice views (they alias the live weights, moments and masters, so
+// the read lands in place; ZeRO moment shards are rank-exclusive and
+// arrive whole), pays diskSeconds of virtual time for the bytes it
+// read, and then every replica group all-gathers its flat concat over
+// the interconnect, so each logical byte leaves the disk once however
+// many replicas need it. The checkpoint may have been written under a
+// different layout: a slice boundary that falls inside a saved record
+// reads that record whole. Rank r adopts the header of shard r.
+//
+// Either way a pipeline column then continues its stage-0 member's data
+// stream, so every stage of the column scores the batch stage 0 feeds.
+func (e *Engine) Restore(dir string, step int64, live *ckpt.Header, diskSeconds func(bytes int64) float64) (RestoreStats, error) {
+	var st RestoreStats
+	hdr := live
+	if hdr == nil {
+		t0 := e.Comm.Now()
+		res, err := ckpt.Restore(dir, step, e.Comm.Rank(), e.CheckpointShard())
+		st.BytesRead = res.BytesRead
+		if err != nil {
+			return st, err
+		}
+		e.Comm.Compute(diskSeconds(res.BytesRead))
+		t1 := e.Comm.Now()
+		e.Trainer.GatherShards(e.replicaGroups()...)
+		st.ReadSim, st.GatherSim = t1-t0, e.Comm.Now()-t1
+		hdr = &res.Header
 	}
-	e.Comm.Compute(diskSeconds(res.BytesRead))
-	t1 := e.Comm.Now()
-	e.Trainer.GatherShards(e.replicaGroups()...)
-	st.ReadSim, st.GatherSim = t1-t0, e.Comm.Now()-t1
-	e.Trainer.ApplyRestored(res.Header)
+	e.Trainer.ApplyRestored(*hdr)
+	if e.PPComm != nil && e.PPComm.Size() > 1 {
+		streams := e.PPComm.AllGatherInts([]int{int(e.Trainer.Corpus.RNGState())})
+		e.Trainer.Corpus.SetRNGState(uint64(streams[0]))
+	}
 	return st, nil
+}
+
+// holdsOnly reports whether every parameter of the rank's replica
+// groups is in held — after Reform, whether the new layout handed this
+// rank no tensor (a fresh expert, a newly owned layer) it did not train
+// before.
+func (e *Engine) holdsOnly(held map[*nn.Param]bool) bool {
+	for _, g := range e.replicaGroups() {
+		for _, p := range g.Params {
+			if !held[p] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// replicated returns the set of parameters in the rank's replica groups.
+func (e *Engine) replicated() map[*nn.Param]bool {
+	held := map[*nn.Param]bool{}
+	for _, g := range e.replicaGroups() {
+		for _, p := range g.Params {
+			held[p] = true
+		}
+	}
+	return held
 }
 
 // installSync binds the gradient-synchronization path matching the

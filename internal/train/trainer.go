@@ -130,6 +130,26 @@ func (t *Trainer) RefreshParams() {
 	t.MP = NewMixedPrecision(t.Cfg.Precision, t.params)
 }
 
+// ReformParams adopts ps as the trainable set after the parallel engine
+// re-forms over a shrunk world (the whole model on a flat grid, the
+// stage-owned subset under PP) and rebuilds the precision state over it.
+// The FP32 master of every parameter the trainer already trained is kept
+// by identity, so a survivor that rolls forward continues from its
+// masters; a checkpoint restore overwrites them like any other tensor.
+func (t *Trainer) ReformParams(ps []*nn.Param) {
+	kept := map[*nn.Param][]float32{}
+	for i, m := range t.MP.masters {
+		kept[t.MP.params[i]] = m
+	}
+	t.params = ps
+	t.MP = NewMixedPrecision(t.Cfg.Precision, ps)
+	for i, p := range ps {
+		if m := kept[p]; m != nil {
+			t.MP.masters[i] = m
+		}
+	}
+}
+
 // RestrictParams narrows the trainer's trainable-parameter set to
 // owned — the pipeline engine passes the stage-owned subset so the
 // optimizer, gradient zeroing, precision policy, and checkpoints all
