@@ -127,24 +127,15 @@ func BenchmarkMatMulTransB(b *testing.B) {
 		r := tensor.NewRNG(43)
 		a := tensor.Uniform(r, -1, 1, sh.m, sh.k)
 		bb := tensor.Uniform(r, -1, 1, sh.n, sh.k)
-		kernels := []struct {
-			name string
-			f    func(x, y *tensor.Tensor) *tensor.Tensor
-		}{
-			{"naive", tensor.MatMulTransBNaive},
-			{"dispatch", tensor.MatMulTransB},
-		}
-		for _, kn := range kernels {
-			b.Run(fmt.Sprintf("%s/%s", kn.name, sh.name), func(b *testing.B) {
-				b.ReportAllocs()
-				flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					kn.f(a, bb)
-				}
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			})
-		}
+		b.Run("dispatch/"+sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulTransB(a, bb)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
 	}
 }
 

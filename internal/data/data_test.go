@@ -1,9 +1,6 @@
 package data
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func cfg() CorpusConfig {
 	return CorpusConfig{Vocab: 64, SeqLen: 16, Zipf: 1.0, Determinism: 0.8, Seed: 1}
@@ -178,6 +175,9 @@ func TestTextCorpusBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if c.Len() != len(text) || c.Config().Vocab != ByteVocab || c.Config().SeqLen != 8 {
+		t.Fatalf("Len %d, config %+v", c.Len(), c.Config())
+	}
 	ids, targets := c.Batch(3)
 	if len(ids) != 24 || len(targets) != 24 {
 		t.Fatalf("lengths %d/%d", len(ids), len(targets))
@@ -195,19 +195,6 @@ func TestTextCorpusBatches(t *testing.T) {
 		if id < 0 || id >= ByteVocab {
 			t.Fatalf("id %d out of byte vocab", id)
 		}
-	}
-}
-
-func TestTextCorpusFromReader(t *testing.T) {
-	c, err := NewTextCorpus(strings.NewReader("hello world, hello world, hello"), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 31 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	if c.Config().Vocab != ByteVocab || c.Config().SeqLen != 4 {
-		t.Fatalf("config %+v", c.Config())
 	}
 }
 

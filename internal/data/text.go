@@ -2,7 +2,6 @@ package data
 
 import (
 	"fmt"
-	"io"
 
 	"bagualu/internal/tensor"
 )
@@ -20,15 +19,6 @@ type TextCorpus struct {
 
 // ByteVocab is the vocabulary size of byte-level text corpora.
 const ByteVocab = 256
-
-// NewTextCorpus reads all of r and serves random seqLen windows.
-func NewTextCorpus(r io.Reader, seqLen int, seed uint64) (*TextCorpus, error) {
-	text, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewTextCorpusFromBytes(text, seqLen, seed)
-}
 
 // NewTextCorpusFromBytes wraps an in-memory buffer.
 func NewTextCorpusFromBytes(text []byte, seqLen int, seed uint64) (*TextCorpus, error) {

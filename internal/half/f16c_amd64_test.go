@@ -8,7 +8,7 @@ import (
 )
 
 // The F16C kernels promise FromFloat32's bits, the decode table's
-// bits and QuantizeSlice's overflow flag. FromFloat32 is the oracle;
+// bits and quantizeSlice's overflow flag. FromFloat32 is the oracle;
 // the flag is also compared against the generic path by forcing
 // useF16C off.
 

@@ -117,22 +117,6 @@ func (h BFloat16) Float32() float32 {
 	return math.Float32frombits(uint32(h) << 16)
 }
 
-// Encode converts src to FP16 into dst; dst must be at least as long
-// as src.
-func Encode(dst []Float16, src []float32) {
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-}
-
-// Decode converts src from FP16 into dst; dst must be at least as
-// long as src.
-func Decode(dst []float32, src []Float16) {
-	for i, v := range src {
-		dst[i] = v.Float32()
-	}
-}
-
 // RoundTrip32 returns f after a float32->FP16->float32 round trip.
 // The trainer uses it to emulate FP16 storage of activations and
 // gradients without changing slice types.
@@ -141,19 +125,6 @@ func RoundTrip32(f float32) float32 { return FromFloat32(f).Float32() }
 // BRoundTrip32 returns f after a float32->bfloat16->float32 round
 // trip.
 func BRoundTrip32(f float32) float32 { return BFromFloat32(f).Float32() }
-
-// QuantizeSlice rounds every element of x through FP16 in place and
-// reports whether any element overflowed to ±Inf.
-func QuantizeSlice(x []float32) (overflow bool) {
-	for i, v := range x {
-		h := FromFloat32(v)
-		if h.IsInf() && !math.IsInf(float64(v), 0) {
-			overflow = true
-		}
-		x[i] = h.Float32()
-	}
-	return overflow
-}
 
 // BQuantizeSlice rounds every element of x through bfloat16 in place.
 func BQuantizeSlice(x []float32) {

@@ -185,24 +185,38 @@ func TestBFloat16WideRange(t *testing.T) {
 
 func TestEncodeDecode(t *testing.T) {
 	src := []float32{1, 2, 3.5, -0.25}
-	enc := make([]Float16, len(src))
-	Encode(enc, src)
+	enc := make([]uint16, len(src))
+	EncodeSlice(enc, src)
 	dec := make([]float32, len(src))
-	Decode(dec, enc)
+	DecodeSlice(dec, enc)
 	for i := range src {
 		if dec[i] != src[i] {
-			t.Fatalf("Encode/Decode[%d] = %v, want %v", i, dec[i], src[i])
+			t.Fatalf("EncodeSlice/DecodeSlice[%d] = %v, want %v", i, dec[i], src[i])
 		}
 	}
 }
 
+// quantizeSlice rounds every element of x through FP16 in place one
+// FromFloat32 and Float32 at a time and reports whether any finite
+// element overflowed to ±Inf: the oracle of QuantizeSliceFast.
+func quantizeSlice(x []float32) (overflow bool) {
+	for i, v := range x {
+		h := FromFloat32(v)
+		if h.IsInf() && !math.IsInf(float64(v), 0) {
+			overflow = true
+		}
+		x[i] = h.Float32()
+	}
+	return overflow
+}
+
 func TestQuantizeSliceOverflowDetection(t *testing.T) {
 	x := []float32{1, 2, 3}
-	if QuantizeSlice(x) {
+	if QuantizeSliceFast(x) {
 		t.Fatal("false overflow")
 	}
 	y := []float32{1, 1e6}
-	if !QuantizeSlice(y) {
+	if !QuantizeSliceFast(y) {
 		t.Fatal("missed overflow")
 	}
 	if !math.IsInf(float64(y[1]), 1) {
@@ -224,17 +238,6 @@ func BenchmarkFromFloat32(b *testing.B) {
 	}
 }
 
-func BenchmarkQuantizeSlice(b *testing.B) {
-	x := make([]float32, 4096)
-	for i := range x {
-		x[i] = float32(i) * 0.01
-	}
-	b.SetBytes(4096 * 4)
-	for i := 0; i < b.N; i++ {
-		QuantizeSlice(x)
-	}
-}
-
 func TestFastFloat32MatchesExact(t *testing.T) {
 	for i := 0; i < 1<<16; i++ {
 		h := Float16(i)
@@ -252,18 +255,17 @@ func TestFastFloat32MatchesExact(t *testing.T) {
 	}
 }
 
+// The table decode (DecodeSlice) against the exact conversion.
 func TestDecodeFastMatchesDecode(t *testing.T) {
-	src := make([]Float16, 256)
+	src := make([]uint16, 256)
 	for i := range src {
-		src[i] = FromFloat32(float32(i)*0.37 - 40)
+		src[i] = uint16(FromFloat32(float32(i)*0.37 - 40))
 	}
-	a := make([]float32, len(src))
-	b := make([]float32, len(src))
-	Decode(a, src)
-	DecodeFast(b, src)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("DecodeFast[%d] = %v, want %v", i, b[i], a[i])
+	got := make([]float32, len(src))
+	DecodeSlice(got, src)
+	for i, h := range src {
+		if want := Float16(h).Float32(); got[i] != want {
+			t.Fatalf("DecodeSlice[%d] = %v, want %v", i, got[i], want)
 		}
 	}
 }
@@ -278,7 +280,7 @@ func TestQuantizeSliceFastMatchesSlow(t *testing.T) {
 		return x
 	}
 	a, b := mk(), mk()
-	oa := QuantizeSlice(a)
+	oa := quantizeSlice(a)
 	ob := QuantizeSliceFast(b)
 	if oa != ob {
 		t.Fatalf("overflow flags differ: %v vs %v", oa, ob)
@@ -305,7 +307,7 @@ func TestQuantizeSliceFastMatchesSlow(t *testing.T) {
 				for at := 0; at < n; at += 7 {
 					slow, fast := make([]float32, n), make([]float32, n)
 					slow[at], fast[at] = v, v
-					so, fo := QuantizeSlice(slow), QuantizeSliceFast(fast)
+					so, fo := quantizeSlice(slow), QuantizeSliceFast(fast)
 					if so != fo {
 						t.Fatalf("%v at %d of %d: overflow slow %v, fast %v", v, at, n, so, fo)
 					}
@@ -320,28 +322,16 @@ func TestQuantizeSliceFastMatchesSlow(t *testing.T) {
 	}
 }
 
-func BenchmarkDecodeSlow(b *testing.B) {
-	src := make([]Float16, 4096)
+func BenchmarkDecodeSlice(b *testing.B) {
+	src := make([]uint16, 4096)
 	dst := make([]float32, 4096)
 	for i := range src {
-		src[i] = Float16(i * 13)
-	}
-	b.SetBytes(4096 * 2)
-	for i := 0; i < b.N; i++ {
-		Decode(dst, src)
-	}
-}
-
-func BenchmarkDecodeFast(b *testing.B) {
-	src := make([]Float16, 4096)
-	dst := make([]float32, 4096)
-	for i := range src {
-		src[i] = Float16(i * 13)
+		src[i] = uint16(i * 13)
 	}
 	Float16(0).FastFloat32() // build table outside the timer
 	b.SetBytes(4096 * 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DecodeFast(dst, src)
+		DecodeSlice(dst, src)
 	}
 }

@@ -28,19 +28,10 @@ func (h Float16) FastFloat32() float32 {
 	return decodeTable[h]
 }
 
-// DecodeFast converts src to float32 via the table; dst must be at
-// least as long as src.
-func DecodeFast(dst []float32, src []Float16) {
-	decodeOnce.Do(buildDecodeTable)
-	for i, v := range src {
-		dst[i] = decodeTable[v]
-	}
-}
-
 // QuantizeSliceFast rounds every element of x through FP16 in place,
 // eight at a time in hardware where the CPU has F16C and through
 // FromFloat32 and the decode table otherwise (bit-identical either
-// way), and reports overflow like QuantizeSlice.
+// way), and reports whether any finite element overflowed to ±Inf.
 func QuantizeSliceFast(x []float32) (overflow bool) {
 	n, overflow := quantizeVec(x)
 	decodeOnce.Do(buildDecodeTable)

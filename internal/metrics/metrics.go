@@ -1,49 +1,14 @@
 // Package metrics provides the small measurement plumbing shared by
-// the benchmark harness and the command-line tools: stopwatches,
-// moving averages, and an aligned table/CSV emitter for experiment
-// output.
+// the benchmark harness and the command-line tools: moving averages,
+// histograms, byte and phase meters, and an aligned table/CSV emitter
+// for experiment output.
 package metrics
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
-
-// Stopwatch accumulates wall-clock time across Start/Stop intervals.
-type Stopwatch struct {
-	total   time.Duration
-	started time.Time
-	running bool
-}
-
-// Start begins an interval; nested starts panic.
-func (s *Stopwatch) Start() {
-	if s.running {
-		panic("metrics: Stopwatch started twice")
-	}
-	s.running = true
-	s.started = time.Now()
-}
-
-// Stop ends the current interval.
-func (s *Stopwatch) Stop() {
-	if !s.running {
-		panic("metrics: Stopwatch stopped while idle")
-	}
-	s.total += time.Since(s.started)
-	s.running = false
-}
-
-// Total returns accumulated time.
-func (s *Stopwatch) Total() time.Duration { return s.total }
-
-// Seconds returns accumulated time in seconds.
-func (s *Stopwatch) Seconds() float64 { return s.total.Seconds() }
-
-// Reset zeroes the accumulator.
-func (s *Stopwatch) Reset() { *s = Stopwatch{} }
 
 // EWMA is an exponentially weighted moving average.
 type EWMA struct {

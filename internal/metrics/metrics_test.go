@@ -3,49 +3,7 @@ package metrics
 import (
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestStopwatchAccumulates(t *testing.T) {
-	var s Stopwatch
-	s.Start()
-	time.Sleep(time.Millisecond)
-	s.Stop()
-	first := s.Total()
-	if first <= 0 {
-		t.Fatal("no time accumulated")
-	}
-	s.Start()
-	time.Sleep(time.Millisecond)
-	s.Stop()
-	if s.Total() <= first {
-		t.Fatal("second interval not accumulated")
-	}
-	s.Reset()
-	if s.Total() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
-func TestStopwatchPanicsOnMisuse(t *testing.T) {
-	var s Stopwatch
-	s.Start()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("double Start not caught")
-			}
-		}()
-		s.Start()
-	}()
-	s.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Error("Stop while idle not caught")
-		}
-	}()
-	s.Stop()
-}
 
 func TestEWMA(t *testing.T) {
 	e := EWMA{Alpha: 0.5}

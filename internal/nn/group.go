@@ -10,10 +10,10 @@ import (
 // row blocks of one flat activation matrix with grouped GEMM calls:
 // the whole group's up-projection is one batched kernel, likewise the
 // activation, down-projection, and every backward GEMM. This replaces
-// the per-expert Forward loop of the MoE layers — the tiled-vs-naive
+// the per-expert Forward loop of the MoE layers — the tiled-vs-strip
 // kernel decision is made on the group's total FLOPs, so cold experts
 // with a handful of tokens ride the tiled kernel alongside the hot
-// ones (see tensor.GroupedUsesTiled).
+// ones (see tensor.GroupedMatMulInto).
 //
 // The group caches the members' weight and gradient tensor slices so
 // steady-state Forward/Backward calls allocate only the step-scoped

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -51,7 +52,7 @@ func TestGroupedMatMulBitwiseTiledRegime(t *testing.T) {
 	// kernel — bitwise equality proves tiles never span groups.
 	rows := []int{17, 0, 1, 22}
 	a, off, bs := groupedFixture(1, rows, 64, 64, false)
-	if !GroupedUsesTiled(off[len(rows)], 64, 64) {
+	if !useTiled(off[len(rows)], 64, 64) {
 		t.Fatal("fixture should clear the tiled threshold")
 	}
 	out := New(off[len(rows)], 64)
@@ -71,7 +72,7 @@ func TestGroupedMatMulBitwiseNaiveRegime(t *testing.T) {
 	// must match the unblocked i-k-j loop per block.
 	rows := []int{2, 3, 0, 1}
 	a, off, bs := groupedFixture(2, rows, 8, 8, false)
-	if GroupedUsesTiled(off[len(rows)], 8, 8) {
+	if useTiled(off[len(rows)], 8, 8) {
 		t.Fatal("fixture should stay under the tiled threshold")
 	}
 	out := New(off[len(rows)], 8)
@@ -94,7 +95,7 @@ func TestGroupedMatMulTransBBitwise(t *testing.T) {
 	GroupedMatMulTransBInto(out, a, off, bs)
 	for g := range bs {
 		blk := a.RowsView(off[g], off[g+1])
-		want := MatMulTransBTiled(blk, bs[g])
+		want := matMulTransBOn(blk, bs[g], tiledOnly)
 		bitwiseEq(t, fmt.Sprintf("tiled group %d", g), out.RowsView(off[g], off[g+1]).Data, want.Data)
 	}
 
@@ -105,7 +106,7 @@ func TestGroupedMatMulTransBBitwise(t *testing.T) {
 	GroupedMatMulTransBInto(out, a, off, bs)
 	for g := range bs {
 		blk := a.RowsView(off[g], off[g+1])
-		want := MatMulTransBNaive(blk, bs[g])
+		want := matMulTransBOn(blk, bs[g], stripsOnly)
 		bitwiseEq(t, fmt.Sprintf("naive group %d", g), out.RowsView(off[g], off[g+1]).Data, want.Data)
 	}
 }
@@ -159,16 +160,18 @@ func TestGroupedMatMulTransABitwiseAccumulate(t *testing.T) {
 
 func TestGroupedSkewedBatchStaysTiled(t *testing.T) {
 	// Regression for the dispatch decision the grouped kernel exists
-	// for: one hot expert plus many one-row cold experts. Per-expert
-	// dispatch would run every cold block through the naive loop
-	// (1*64*64 < gemmTiledMin); the grouped call decides on the total
+	// for: one hot expert plus many few-row cold experts. Per-expert
+	// dispatch would run every cold block through the strips
+	// (3*192*64 < gemmTiledMin); the grouped call decides on the total
 	// and runs everything — cold rows included — through the tiled
-	// kernel, bitwise matching the forced tiled kernel per block.
-	rows := []int{120, 1, 1, 1, 1, 1, 1, 1, 1}
-	k, n := 64, 64
+	// kernel, bitwise matching the forced tiled kernel per block. The
+	// two differ in the bits only where rows pair and k spans more than
+	// one panel, so the cold experts hold 2 and 3 rows and k is 192.
+	rows := []int{120, 1, 2, 3, 2, 1, 2, 3, 2}
+	k, n := 192, 64
 	a, off, bs := groupedFixture(6, rows, k, n, false)
 
-	if !GroupedUsesTiled(off[len(rows)], k, n) {
+	if !useTiled(off[len(rows)], k, n) {
 		t.Fatal("skewed batch total must clear the tiled threshold")
 	}
 	for g := 1; g < len(rows); g++ {
@@ -200,7 +203,7 @@ func TestGroupedKernelDeterministicReplay(t *testing.T) {
 		dx := New(off[len(rows)], 64)
 		tb := make([]*Tensor, len(bs))
 		for g := range tb {
-			tb[g] = Transpose(bs[g])
+			tb[g] = transpose(bs[g])
 		}
 		GroupedMatMulTransBInto(dx, dout, off, tb)
 
@@ -236,4 +239,41 @@ func TestGroupedEmptyAndSingleGroup(t *testing.T) {
 	GroupedMatMulInto(out, a, []int{0, 40}, []*Tensor{b})
 	want := MatMul(a, b)
 	bitwiseEq(t, "single group", out.Data, want.Data)
+}
+
+// Every group's weight must be as wide as the first. A wider or
+// narrower one is refused by name whichever comes first, on the strip
+// driver (4 rows) and the tiled one (200), a@b and a@bᵀ alike; unchecked,
+// the kernels read the first weight at the other's stride, or index
+// past its end.
+func TestGroupedRejectsMixedWidths(t *testing.T) {
+	for _, rows := range []int{4, 200} {
+		for _, transB := range []bool{false, true} {
+			for _, widths := range [][2]int{{64, 3}, {3, 64}} {
+				a, off := New(rows, 8), []int{0, rows / 2, rows}
+				bs := make([]*Tensor, 2)
+				for g, w := range widths {
+					if transB {
+						bs[g] = New(w, 8)
+					} else {
+						bs[g] = New(8, w)
+					}
+				}
+				out := New(rows, widths[1])
+				name := fmt.Sprintf("rows=%d transB=%v widths=%v", rows, transB, widths)
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "output width") {
+							t.Errorf("%s: panic %q, want the output-width check", name, msg)
+						}
+					}()
+					if transB {
+						GroupedMatMulTransBInto(out, a, off, bs)
+					} else {
+						GroupedMatMulInto(out, a, off, bs)
+					}
+				}()
+			}
+		}
+	}
 }

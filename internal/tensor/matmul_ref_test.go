@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -82,7 +84,13 @@ func refTransB(out, a, b []float32, m, k, n int) {
 	}
 }
 
-// transposeInto feeds those paths (and packBT, and Transpose): row
+// matMulTransBOn returns a@bᵀ on the driver kn pins, as MatMulTiled
+// and MatMulNaive pin a@b.
+func matMulTransBOn(a, b *Tensor, kn kernel) *Tensor {
+	return matmul("MatMulTransB", a, b, true, kn, Scratch)
+}
+
+// transposeInto feeds those paths (and packBT): row
 // counts off its 4-row step, widths either side of its column block,
 // both strides wider than the block.
 func TestTransposeInto(t *testing.T) {
@@ -139,7 +147,7 @@ func TestNaiveKernelsMatchScalarLoops(t *testing.T) {
 		if !math.IsNaN(float64(want[0])) {
 			t.Fatalf("%s: reference a@bᵀ skipped 0·Inf", name)
 		}
-		bitwiseEq(t, "MatMulTransBNaive "+name, MatMulTransBNaive(a, bt).Data, want)
+		bitwiseEq(t, "MatMulTransB on strips "+name, matMulTransBOn(a, bt, stripsOnly).Data, want)
 		if !useTiled(m, k, n) {
 			bitwiseEq(t, "MatMulTransB "+name, MatMulTransB(a, bt).Data, want)
 		}
@@ -192,7 +200,7 @@ func TestGroupedKernelsMatchScalarLoops(t *testing.T) {
 			bs[g], bts[g] = awkward(r, c.k, c.n), awkward(r, c.n, c.k)
 		}
 
-		if !GroupedUsesTiled(m, c.k, c.n) {
+		if !useTiled(m, c.k, c.n) {
 			want, wantT := make([]float32, m*c.n), make([]float32, m*c.n)
 			for g := range bs {
 				lo, rows := off[g], c.rows[g]
@@ -215,5 +223,120 @@ func TestGroupedKernelsMatchScalarLoops(t *testing.T) {
 		}
 		GroupedMatMulTransAInto(outs, a, dout, off)
 		bitwiseEq(t, "GroupedMatMulTransAInto "+name, all.Data, want.Data)
+	}
+}
+
+// gemmBitsDigest is the FNV-64a hash of every output bit
+// TestGEMMBitsPinned produces.
+const gemmBitsDigest = 0x2d502b1efaea7f37
+
+// TestGEMMBitsPinned runs all ten GEMM entry points over shapes on
+// either side of every number the rounding sequence depends on —
+// gemmTiledMin, tileM, tileN, tileK, the 2-row pairing and the
+// 4-column scalar remainder — plus batched shapes whose elements
+// stay under the threshold while their total clears it, and grouped
+// calls with empty, one-row and skewed groups, and hashes every output
+// bit. The weights carry one ±Inf each, so where a zero multiplier is
+// skipped shows too. The digest is the same with and without the
+// assembly (-tags purego).
+func TestGEMMBitsPinned(t *testing.T) {
+	r := NewRNG(41)
+	var buf []byte
+	put := func(name string, out *Tensor) {
+		buf = append(buf, name...)
+		for _, v := range out.Data {
+			bits := math.Float32bits(v)
+			if v != v {
+				bits = 0x7fc00000 // which NaN is not part of the contract
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, bits)
+		}
+	}
+	weight := func(shape ...int) *Tensor {
+		w := awkward(r, shape...)
+		if len(w.Data) > 0 {
+			w.Data[r.Intn(len(w.Data))] = float32(math.Inf(1 - 2*r.Intn(2)))
+		}
+		return w
+	}
+
+	shapes := [][3]int{
+		{1, 1, 1}, {2, 1, 8}, {3, 7, 5}, {15, 64, 64}, {16, 64, 64}, {63, 32, 32}, {64, 32, 32},
+		{1, 255, 256}, {1, 256, 256}, {65, 130, 67}, {64, 128, 64}, {65, 129, 65}, {129, 257, 65},
+		{3, 129, 5}, {2, 300, 9}, {33, 129, 9},
+	}
+	ms := []int{1, 2, 3, 5, 15, 16, 17, 63, 64, 65, 129}
+	ks := []int{1, 7, 64, 127, 128, 129, 257}
+	ns := []int{1, 3, 4, 5, 8, 33, 63, 64, 65, 67, 129}
+	for len(shapes) < 28 {
+		shapes = append(shapes, [3]int{ms[r.Intn(len(ms))], ks[r.Intn(len(ks))], ns[r.Intn(len(ns))]})
+	}
+	for _, sh := range shapes {
+		m, k, n := sh[0], sh[1], sh[2]
+		a, at, b, bt := awkward(r, m, k), awkward(r, k, m), weight(k, n), weight(n, k)
+		name := fmt.Sprintf("%dx%dx%d", m, k, n)
+		put("MatMul "+name, MatMul(a, b))
+		put("MatMulNaive "+name, MatMulNaive(a, b))
+		put("MatMulTiled "+name, MatMulTiled(a, b))
+		put("MatMulTransB "+name, MatMulTransB(a, bt))
+		put("MatMulTransA "+name, MatMulTransA(at, b))
+	}
+
+	// [B, m, k, n]: the last two are under gemmTiledMin per element and
+	// over it in total, with k past one panel.
+	for _, sh := range [][4]int{
+		{3, 1, 8, 5}, {4, 32, 32, 8}, {2, 33, 33, 16}, {2, 17, 9, 23}, {2, 64, 64, 16}, {1, 65, 72, 40},
+		{3, 4, 129, 64}, {2, 16, 129, 31},
+	} {
+		bs, m, k, n := sh[0], sh[1], sh[2], sh[3]
+		a, b, bt := awkward(r, bs, m, k), weight(bs, k, n), weight(bs, n, k)
+		put(fmt.Sprintf("BatchMatMul %v", sh), BatchMatMul(a, b))
+		put(fmt.Sprintf("BatchMatMulTransB %v", sh), BatchMatMulTransB(a, bt))
+	}
+
+	for _, c := range []struct {
+		rows []int
+		k, n int
+	}{
+		{[]int{0, 0, 3}, 8, 9},
+		{[]int{17, 0, 1, 22}, 64, 64},
+		{[]int{65, 2, 0, 129}, 130, 67},
+		{[]int{1, 1, 1, 1}, 129, 200},
+		{[]int{5, 64, 7}, 7, 33},
+		{[]int{0}, 16, 16},
+		{[]int{120, 2, 3, 0, 2}, 160, 40}, // tiled on the total, every cold group naive alone
+		{[]int{3, 2, 4}, 257, 24},
+	} {
+		groups := len(c.rows)
+		off := make([]int, groups+1)
+		for g, rows := range c.rows {
+			off[g+1] = off[g] + rows
+		}
+		m := off[groups]
+		a, dout := awkward(r, m, c.k), awkward(r, m, c.n)
+		bs, bts := make([]*Tensor, groups), make([]*Tensor, groups)
+		for g := range bs {
+			bs[g], bts[g] = weight(c.k, c.n), weight(c.n, c.k)
+		}
+		name := fmt.Sprintf("rows=%v k=%d n=%d", c.rows, c.k, c.n)
+		out := Full(3, m, c.n)
+		GroupedMatMulInto(out, a, off, bs)
+		put("GroupedMatMulInto "+name, out)
+		out = Full(3, m, c.n)
+		GroupedMatMulTransBInto(out, a, off, bts)
+		put("GroupedMatMulTransBInto "+name, out)
+		all := Full(0.5, groups*c.k, c.n)
+		outs := make([]*Tensor, groups)
+		for g := range outs {
+			outs[g] = all.RowsView(g*c.k, (g+1)*c.k)
+		}
+		GroupedMatMulTransAInto(outs, a, dout, off)
+		put("GroupedMatMulTransAInto "+name, all)
+	}
+
+	h := fnv.New64a()
+	h.Write(buf)
+	if got := h.Sum64(); got != gemmBitsDigest {
+		t.Fatalf("GEMM output digest %#016x, want %#016x", got, uint64(gemmBitsDigest))
 	}
 }

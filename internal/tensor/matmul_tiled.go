@@ -12,9 +12,11 @@ import "sync"
 // The blocking is also a numerical contract. Every output element of a
 // paired row is computed as c = 0; c += a·b over one panel's depth;
 // out += c, panel after panel in p0 order; the odd trailing row of a
-// macro-tile adds each a·b to out directly. Which of the two an
-// element gets depends on tileM, tileK, the 2-row pairing and
-// gemmTiledMin, so none of them is a tuning knob: goldens, digests and
+// macro-tile adds each a·b to out directly, as the strip driver does
+// for every row. Which of the two an element gets depends on tileM,
+// tileK, the 2-row pairing, units that never span a group, and which
+// driver a call runs (gemmTiledMin and where each caller decides, see
+// matmul.go), so none of them is a tuning knob: goldens, digests and
 // the inference path's batch invariance (DESIGN.md) are pinned to
 // them. How many columns one micro-kernel call covers is not part of
 // the contract — columns never mix — which is what lets the amd64
@@ -36,82 +38,57 @@ var panelPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// MatMulTiled returns a@b for a [m,k] and b [k,n] using the tiled
-// kernel. It is numerically equivalent to MatMul up to float
-// reassociation and considerably faster for large matrices.
-func MatMulTiled(a, b *Tensor) *Tensor {
-	m, k, n := mmDims("MatMulTiled", a, b)
-	out := Scratch(m, n)
-	matmulTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-	return out
+// gUnit is one row macro-tile of the tiled driver: rows [i0,i1) of the
+// flat activation matrix, all belonging to group g.
+type gUnit struct{ g, i0, i1 int }
+
+// tiled is the tiled driver. Each group's rows are cut into tileM-row
+// units, in group order, so a worker's contiguous range of units meets
+// each group at most once per (j,p) panel: it packs that panel of the
+// group's weight when it reaches the group's first unit and reuses it
+// across the rest. With one group this is the classic blocked GEMM,
+// and because no unit spans a group, each group's rows are bitwise
+// what that block alone would get.
+func (g *gemm) tiled() {
+	g.units = g.units[:0]
+	for gi := range g.bs {
+		for i0 := g.off[gi]; i0 < g.off[gi+1]; i0 += tileM {
+			g.units = append(g.units, gUnit{gi, i0, min(i0+tileM, g.off[gi+1])})
+		}
+	}
+	ParallelRows(len(g.units), g.tiledFn)
 }
 
-// MatMulTransBTiled returns a@bᵀ for a [m,k] and b [n,k] using the
-// tiled kernel; the backward-pass layout of MatMulTransB.
-func MatMulTransBTiled(a, b *Tensor) *Tensor {
-	m, k, n := mmTransBDims(a, b)
-	out := Scratch(m, n)
-	matmulTransBTiledInto(out.Data, a.Data, b.Data, m, k, n, true)
-	return out
+// tiledRange runs units [lo,hi) of the descriptor on tiledUnits.
+func (g *gemm) tiledRange(lo, hi int) {
+	tiledUnits(g.out, g.a, g.bs, g.units[lo:hi], g.k, g.n, g.transB)
 }
 
-// matmulTiledInto accumulates a@b into out (pre-zeroed by the
-// caller). Each worker owns a disjoint range of row macro-tiles and
-// packs each (p,j) panel of B once, reusing it across all of its row
-// tiles.
-func matmulTiledInto(out, a, b []float32, m, k, n int, parallel bool) {
-	mTiles := (m + tileM - 1) / tileM
-	body := func(lo, hi int) {
-		bp := panelPool.Get().(*[]float32)
-		panel := *bp
-		for j0 := 0; j0 < n; j0 += tileN {
-			j1 := min(j0+tileN, n)
-			for p0 := 0; p0 < k; p0 += tileK {
-				p1 := min(p0+tileK, k)
-				packB(panel, b, p0, p1, j0, j1, n)
-				for ti := lo; ti < hi; ti++ {
-					i0 := ti * tileM
-					i1 := min(i0+tileM, m)
-					macroKernel(out, a, panel, i0, i1, j0, j1, p0, p1, k, n)
+// tiledUnits runs units over every (j,p) panel. ᵀB weights are
+// transposed into the panel as it is packed (packBT), so the macro
+// kernel is the same for both layouts.
+func tiledUnits(out, a []float32, bs [][]float32, units []gUnit, k, n int, transB bool) {
+	pack, stride := packB, n
+	if transB {
+		pack, stride = packBT, k
+	}
+	bp := panelPool.Get().(*[]float32)
+	panel := *bp
+	for j0 := 0; j0 < n; j0 += tileN {
+		j1 := min(j0+tileN, n)
+		for p0 := 0; p0 < k; p0 += tileK {
+			p1 := min(p0+tileK, k)
+			cur := -1
+			for _, u := range units {
+				if u.g != cur {
+					pack(panel, bs[u.g], p0, p1, j0, j1, stride)
+					cur = u.g
 				}
+				macroKernel(out, a, panel, u.i0, u.i1, j0, j1, p0, p1, k, n)
 			}
 		}
-		panelPool.Put(bp)
 	}
-	if parallel {
-		ParallelRows(mTiles, body)
-	} else {
-		body(0, mTiles)
-	}
-}
-
-// matmulTransBTiledInto accumulates a@bᵀ into out (pre-zeroed) for
-// a [m,k], b [n,k]. Identical blocking to matmulTiledInto; only the
-// packing differs (B tiles are transposed into the panel).
-func matmulTransBTiledInto(out, a, b []float32, m, k, n int, parallel bool) {
-	mTiles := (m + tileM - 1) / tileM
-	body := func(lo, hi int) {
-		bp := panelPool.Get().(*[]float32)
-		panel := *bp
-		for j0 := 0; j0 < n; j0 += tileN {
-			j1 := min(j0+tileN, n)
-			for p0 := 0; p0 < k; p0 += tileK {
-				p1 := min(p0+tileK, k)
-				packBT(panel, b, p0, p1, j0, j1, k)
-				for ti := lo; ti < hi; ti++ {
-					i0 := ti * tileM
-					i1 := min(i0+tileM, m)
-					macroKernel(out, a, panel, i0, i1, j0, j1, p0, p1, k, n)
-				}
-			}
-		}
-		panelPool.Put(bp)
-	}
-	if parallel {
-		ParallelRows(mTiles, body)
-	} else {
-		body(0, mTiles)
-	}
+	panelPool.Put(bp)
 }
 
 // packB copies B[p0:p1, j0:j1] into a contiguous row-major panel with

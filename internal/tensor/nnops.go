@@ -66,28 +66,6 @@ func softmaxExpScalar(dst, src []float32, m float32, sum float64) float64 {
 	return sum
 }
 
-// LogSoftmaxRows applies log-softmax to every row of a rank-2 tensor.
-func LogSoftmaxRows(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: LogSoftmaxRows on shape %v", a.Shape))
-	}
-	r, c := a.Shape[0], a.Shape[1]
-	out := Scratch(r, c)
-	ParallelWork(r, c, func(s, e int) {
-		for i := s; i < e; i++ {
-			src := a.Data[i*c : (i+1)*c]
-			dst := out.Data[i*c : (i+1)*c]
-			// dst holds the exponentials only until lse is known.
-			m, sum := expRow(dst, src)
-			lse := float32(math.Log(sum)) + m
-			for j, v := range src {
-				dst[j] = v - lse
-			}
-		}
-	})
-	return out
-}
-
 // LayerNormRows normalizes every row to zero mean and unit variance,
 // then applies elementwise gain and bias. gamma and beta have shape
 // [cols]; eps guards the variance.

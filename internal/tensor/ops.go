@@ -99,17 +99,6 @@ func AXPY(alpha float32, x, y *Tensor) {
 	})
 }
 
-// AddScalar returns a + c.
-func AddScalar(a *Tensor, c float32) *Tensor {
-	out := Scratch(a.Shape...)
-	Parallel(len(a.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			out.Data[i] = a.Data[i] + c
-		}
-	})
-	return out
-}
-
 // Neg returns -a.
 func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
 
@@ -131,48 +120,6 @@ func Mean(a *Tensor) float32 {
 		return 0
 	}
 	return Sum(a) / float32(len(a.Data))
-}
-
-// Max returns the maximum element. It panics on empty tensors.
-func Max(a *Tensor) float32 {
-	if len(a.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := a.Data[0]
-	for _, v := range a.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. It panics on empty tensors.
-func Min(a *Tensor) float32 {
-	if len(a.Data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := a.Data[0]
-	for _, v := range a.Data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// ArgMax returns the flat index of the maximum element.
-func ArgMax(a *Tensor) int {
-	if len(a.Data) == 0 {
-		panic("tensor: ArgMax of empty tensor")
-	}
-	best, bi := a.Data[0], 0
-	for i, v := range a.Data[1:] {
-		if v > best {
-			best, bi = v, i+1
-		}
-	}
-	return bi
 }
 
 // ArgMaxRows returns, for a rank-2 tensor, the argmax of each row.
@@ -237,39 +184,6 @@ func Log(a *Tensor) *Tensor {
 	return Apply(a, func(v float32) float32 { return float32(math.Log(float64(v))) })
 }
 
-// Sqrt returns sqrt(a) elementwise.
-func Sqrt(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
-}
-
-// Clip returns a with every element clamped to [lo, hi].
-func Clip(a *Tensor, lo, hi float32) *Tensor {
-	return Apply(a, func(v float32) float32 {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	})
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: Transpose on shape %v", a.Shape))
-	}
-	r, c := a.Shape[0], a.Shape[1]
-	out := Scratch(c, r)
-	const bs = 32 // rows per unit of fan-out
-	ParallelRows((r+bs-1)/bs, func(s, e int) {
-		i0, i1 := s*bs, min(e*bs, r)
-		transposeInto(out.Data[i0:], r, a.Data[i0*c:], c, i1-i0, c)
-	})
-	return out
-}
-
 // SumRows returns the column-wise sum of a rank-2 tensor: out[j] =
 // sum_i a[i,j], shape [cols].
 func SumRows(a *Tensor) *Tensor {
@@ -319,23 +233,6 @@ func AddRowVector(a, v *Tensor) {
 			row := a.Data[i*c : (i+1)*c]
 			for j := range row {
 				row[j] += v.Data[j]
-			}
-		}
-	})
-}
-
-// MulRowVector multiplies every row of a rank-2 tensor by vector v in
-// place.
-func MulRowVector(a, v *Tensor) {
-	if len(a.Shape) != 2 || len(v.Shape) != 1 || a.Shape[1] != v.Shape[0] {
-		panic(fmt.Sprintf("tensor: MulRowVector shapes %v, %v", a.Shape, v.Shape))
-	}
-	r, c := a.Shape[0], a.Shape[1]
-	ParallelWork(r, c, func(s, e int) {
-		for i := s; i < e; i++ {
-			row := a.Data[i*c : (i+1)*c]
-			for j := range row {
-				row[j] *= v.Data[j]
 			}
 		}
 	})

@@ -15,24 +15,11 @@ import (
 // worker) degrades to inline execution instead of deadlocking.
 
 // maxWorkers caps kernel parallelism. It defaults to GOMAXPROCS and
-// can be lowered in tests via SetMaxWorkers.
+// can be lowered in tests (setMaxWorkers).
 var (
 	workerMu   sync.RWMutex
 	maxWorkers = runtime.GOMAXPROCS(0)
 )
-
-// SetMaxWorkers bounds the number of goroutines used by parallel
-// kernels. n < 1 resets to GOMAXPROCS. It returns the previous value.
-func SetMaxWorkers(n int) int {
-	workerMu.Lock()
-	defer workerMu.Unlock()
-	prev := maxWorkers
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	maxWorkers = n
-	return prev
-}
 
 // Workers returns the current kernel parallelism bound.
 func Workers() int {
@@ -61,7 +48,7 @@ var (
 
 // startWorkers spins up the persistent workers, once, on first
 // parallel dispatch. The pool size is GOMAXPROCS at that moment;
-// SetMaxWorkers only bounds how many chunks a call fans out, so a
+// setMaxWorkers only bounds how many chunks a call fans out, so a
 // lower bound simply leaves workers parked.
 func startWorkers() {
 	n := runtime.GOMAXPROCS(0)

@@ -90,10 +90,3 @@ func XavierInit(r *RNG, fanIn, fanOut int, shape ...int) *Tensor {
 	limit := float32(math.Sqrt(6 / float64(fanIn+fanOut)))
 	return Uniform(r, -limit, limit, shape...)
 }
-
-// KaimingInit fills a weight tensor with N(0, 2/fanIn) samples, the
-// initialization used for ReLU/GELU expert FFNs.
-func KaimingInit(r *RNG, fanIn int, shape ...int) *Tensor {
-	std := float32(math.Sqrt(2 / float64(fanIn)))
-	return Randn(r, std, shape...)
-}

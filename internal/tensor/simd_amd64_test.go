@@ -128,11 +128,10 @@ func TestGEMMBitIdentical(t *testing.T) {
 		}{
 			{"MatMul", func() *Tensor { return MatMul(a, b) }},
 			{"MatMulNaive", func() *Tensor { return MatMulNaive(a, b) }},
-			{"MatMulInto", func() *Tensor { out := Full(3, m, n); MatMulInto(out, a, b); return out }},
 			{"MatMulTiled", func() *Tensor { return MatMulTiled(a, b) }},
 			{"MatMulTransB", func() *Tensor { return MatMulTransB(a, bt) }},
-			{"MatMulTransBNaive", func() *Tensor { return MatMulTransBNaive(a, bt) }},
-			{"MatMulTransBTiled", func() *Tensor { return MatMulTransBTiled(a, bt) }},
+			{"MatMulTransB on strips", func() *Tensor { return matMulTransBOn(a, bt, stripsOnly) }},
+			{"MatMulTransB tiled", func() *Tensor { return matMulTransBOn(a, bt, tiledOnly) }},
 			{"MatMulTransA", func() *Tensor { return MatMulTransA(at, b) }},
 		}
 		for _, op := range ops {

@@ -358,9 +358,45 @@ func TestBF16HugeGradientsDoNotOverflow(t *testing.T) {
 	}
 }
 
+// evalResult summarizes a forward-only evaluation pass.
+type evalResult struct {
+	Loss       float64 // mean cross-entropy per token
+	Perplexity float64 // exp(Loss)
+	Accuracy   float64 // next-token top-1 accuracy
+	Tokens     int
+}
+
+// evaluate runs the model forward on `batches` fresh batches from the
+// corpus (no gradients, no updates) and reports loss, perplexity and
+// top-1 next-token accuracy: the held-out yardstick of the training
+// tests below.
+func evaluate(model *nn.GPT, corpus *data.Corpus, batches, batchSize int) evalResult {
+	var res evalResult
+	var lossSum float64
+	correct := 0
+	for b := 0; b < batches; b++ {
+		ids, targets := corpus.Batch(batchSize)
+		logits := model.Forward(ids)
+		var ce nn.SoftmaxCrossEntropy
+		lossSum += float64(ce.Forward(logits, targets)) * float64(len(targets))
+		for i, p := range tensor.ArgMaxRows(logits) {
+			if p == targets[i] {
+				correct++
+			}
+		}
+		res.Tokens += len(targets)
+	}
+	if res.Tokens > 0 {
+		res.Loss = lossSum / float64(res.Tokens)
+		res.Perplexity = math.Exp(res.Loss)
+		res.Accuracy = float64(correct) / float64(res.Tokens)
+	}
+	return res
+}
+
 func TestEvaluateUntrainedNearUniform(t *testing.T) {
 	model, corpus := tinyModel(90)
-	res := Evaluate(model, corpus, 4, 4)
+	res := evaluate(model, corpus, 4, 4)
 	if res.Tokens != 4*4*8 {
 		t.Fatalf("tokens = %d", res.Tokens)
 	}
@@ -387,14 +423,14 @@ func TestEvaluateImprovesWithTraining(t *testing.T) {
 	evalCorpus, _ := data.NewSynthetic(data.CorpusConfig{
 		Vocab: 32, SeqLen: 8, Zipf: 0.5, Determinism: 0.9, Seed: 999,
 	})
-	before := Evaluate(model, evalCorpus, 4, 4)
+	before := evaluate(model, evalCorpus, 4, 4)
 	for i := 0; i < 60; i++ {
 		tr.Step()
 	}
 	evalCorpus2, _ := data.NewSynthetic(data.CorpusConfig{
 		Vocab: 32, SeqLen: 8, Zipf: 0.5, Determinism: 0.9, Seed: 999,
 	})
-	after := Evaluate(model, evalCorpus2, 4, 4)
+	after := evaluate(model, evalCorpus2, 4, 4)
 	if after.Loss >= before.Loss {
 		t.Fatalf("held-out loss did not improve: %v -> %v", before.Loss, after.Loss)
 	}
