@@ -83,20 +83,16 @@ func expR19(o *options) []*metrics.Table {
 				BatchPerRank: batch, Precision: sunway.FP32,
 				Efficiency: eff, A2A: perfmodel.A2AHierarchical,
 			}
-			if l.pp > 1 {
-				// The pipeline runner replays stage-local blocks on
-				// the backward pass; price and run recompute-all.
-				d.ZeRO, d.RecomputeFraction = true, 1
-			}
+			// Folds run the ZeRO-sharded optimizer; every layout keeps
+			// its activations (no block recomputes).
+			d.ZeRO = l.pp > 1
 			pred := must(d.PredictStep(spec, perfmodel.FaultModel{}))
 
 			strat := parallel.Strategy{DataParallel: l.dp, ExpertParallel: l.ep,
 				Pipeline: l.pp, Virtual: l.vpp}
 			tc := train.Config{Batch: batch, Precision: sunway.FP32}
-			rcEvery := 0
 			if l.pp > 1 {
 				tc.Accum = l.pp
-				rcEvery = 1
 			}
 			res := must(parallel.ShortRun(parallel.ShortRunConfig{
 				Machine: machine, RanksPerNode: ranksPerNode,
@@ -109,8 +105,7 @@ func expR19(o *options) []*metrics.Table {
 					NumExperts: spec.NumExperts, TopK: spec.TopK,
 					MoEHidden: spec.MoEHidden, MoEEvery: spec.MoEEvery,
 					CapacityFactor: 1.25, AuxLossWeight: 0.01,
-					Comm:           moe.CommConfig{Codec: mpi.FP32Wire},
-					RecomputeEvery: rcEvery,
+					Comm: moe.CommConfig{Codec: mpi.FP32Wire},
 				},
 				Corpus: data.CorpusConfig{
 					Vocab: spec.Vocab, SeqLen: spec.SeqLen, Zipf: 1, Determinism: 0.8,

@@ -302,18 +302,6 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 			vpps = []int{1, 2}
 		}
 		perStage := cfg.Ranks / pp
-		levers := memoryLevers
-		if pp > 1 {
-			// The pipeline runner replays every stage-local block on
-			// the backward pass (recompute-all), so only the rc1
-			// levers describe layouts the runtime can actually run.
-			levers = nil
-			for _, lv := range memoryLevers {
-				if lv.rcEvery == 1 {
-					levers = append(levers, lv)
-				}
-			}
-		}
 		for _, vpp := range vpps {
 			if cfg.Spec.Layers%(pp*vpp) != 0 {
 				continue
@@ -326,7 +314,7 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 					for _, overlap := range []bool{false, true} {
 						for _, route := range cfg.Routes {
 							for _, batch := range cfg.Batches {
-								for _, lv := range levers {
+								for _, lv := range memoryLevers {
 									for _, ck := range cfg.CkptIntervals {
 										total++
 										c := Candidate{

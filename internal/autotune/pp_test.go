@@ -48,7 +48,7 @@ func TestPredictStepTracksMeasuredSimsecWithPP(t *testing.T) {
 
 // TestEnumerateSpaceSweepsPP checks the divisor-pruned pipeline axis:
 // stage counts divide both the rank set and the layer stack, pipelined
-// candidates carry the recompute-all lever the runtime forces, and
+// candidates carry every memory lever the flat ones do, and
 // interleaving only appears where the layer count fills V·PP chunks.
 func TestEnumerateSpaceSweepsPP(t *testing.T) {
 	cfg, err := testConfig().withDefaults()
@@ -63,13 +63,17 @@ func TestEnumerateSpaceSweepsPP(t *testing.T) {
 	}
 	seenPP := map[int]bool{}
 	seenVPP := map[int]bool{}
+	type lever struct {
+		zero    bool
+		rcEvery int
+		offload bool
+	}
+	ppLevers := map[lever]bool{}
 	for _, c := range feasible {
 		seenPP[c.PP] = true
 		if c.PP > 1 {
 			seenVPP[c.VPP] = true
-			if c.RecomputeEvery != 1 {
-				t.Fatalf("pipelined candidate %s without recompute-all (rc%d)", c, c.RecomputeEvery)
-			}
+			ppLevers[lever{c.ZeRO, c.RecomputeEvery, c.Offload}] = true
 			if cfg.Spec.Layers%(c.PP*max(c.VPP, 1)) != 0 {
 				t.Fatalf("candidate %s does not chunk %d layers evenly", c, cfg.Spec.Layers)
 			}
@@ -88,6 +92,9 @@ func TestEnumerateSpaceSweepsPP(t *testing.T) {
 	}
 	if !seenVPP[2] {
 		t.Fatal("interleaved (V=2) candidates missing: 4 layers fill pp2 x v2")
+	}
+	if len(ppLevers) != len(memoryLevers) {
+		t.Fatalf("pipelined candidates carry %d of the %d memory levers: %v", len(ppLevers), len(memoryLevers), ppLevers)
 	}
 }
 

@@ -277,11 +277,71 @@ func (m *DistMoE) Comm() *mpi.Comm { return m.comm }
 // the shard under them.
 func (m *DistMoE) dropForwardCaches() {
 	m.group = nil
-	m.perTok = nil
-	m.sendOrder = nil
-	m.ord = [2][][]rowRef{}
-	m.st = [2]*nn.GroupState{}
+	m.dropPass()
+}
+
+// dropPass releases the combine legs and drops the exchange caches.
+func (m *DistMoE) dropPass() {
+	m.perTok, m.sendOrder = nil, nil
+	m.ord, m.st = [2][][]rowRef{}, [2]*nn.GroupState{}
 	releaseLegs(&m.comb)
+}
+
+// distStash is what DistMoE.Forward leaves for Backward. The combine
+// legs' pooled receive buffers travel with it and are released by the
+// backward that reads them; the experts' GELU outputs are rebuilt on
+// restore.
+type distStash struct {
+	gate       gateStash
+	perTok     [][]slot
+	sendOrder  [][]sendRef
+	ord        [2][][]rowRef
+	st         [2]*nn.GroupState
+	comb       [2]*mpi.RecvBuf
+	shadowRefs map[int][]sendRef
+	shadowOuts map[int]*tensor.Tensor
+	shadowSt   *nn.GroupState
+	shadowOff  []int
+}
+
+// groupStates lists the pass's grouped FFN states, nil entries
+// included.
+func (s *distStash) groupStates() [3]*nn.GroupState {
+	return [3]*nn.GroupState{s.st[0], s.st[1], s.shadowSt}
+}
+
+// Stash, Restore and Forget make DistMoE an nn.Stasher.
+func (m *DistMoE) Stash() any {
+	s := &distStash{
+		gate: m.Gate.stash(), perTok: m.perTok, sendOrder: m.sendOrder, ord: m.ord, st: m.st, comb: m.comb,
+		shadowRefs: m.shadowRefs, shadowOuts: m.shadowOuts, shadowSt: m.shadowSt, shadowOff: m.shadowOff,
+	}
+	for _, st := range s.groupStates() {
+		if st != nil {
+			st.DropAct()
+		}
+	}
+	m.comb = [2]*mpi.RecvBuf{} // the legs leave with the stash, not for the pool
+	m.Forget()
+	return s
+}
+
+func (m *DistMoE) Restore(st any, x *tensor.Tensor) {
+	s := st.(*distStash)
+	for _, gs := range s.groupStates() {
+		if gs != nil {
+			gs.RebuildAct()
+		}
+	}
+	m.Gate.restore(s.gate, x)
+	m.perTok, m.sendOrder, m.ord, m.st, m.comb = s.perTok, s.sendOrder, s.ord, s.st, s.comb
+	m.shadowRefs, m.shadowOuts, m.shadowSt, m.shadowOff = s.shadowRefs, s.shadowOuts, s.shadowSt, s.shadowOff
+}
+
+func (m *DistMoE) Forget() {
+	m.Gate.forget()
+	m.shadowRefs, m.shadowOuts, m.shadowSt, m.shadowOff = nil, nil, nil, nil
+	m.dropPass()
 }
 
 // stageTokens fills the dispatch buffer: x's routed rows per

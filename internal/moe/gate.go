@@ -192,6 +192,33 @@ func NewGate(name string, r *tensor.RNG, cfg GateConfig) *Gate {
 // Params returns the gate projection parameters.
 func (g *Gate) Params() []*nn.Param { return g.Proj.Params() }
 
+// gateStash is what Gate.Forward leaves for Backward besides its input
+// (the projection's cache).
+type gateStash struct {
+	probs   *tensor.Tensor
+	routing *Routing
+	top1Cnt []int
+	lse     []float32
+}
+
+func (g *Gate) stash() gateStash {
+	s := gateStash{g.probs, g.routing, g.top1Cnt, g.lse}
+	g.forget()
+	return s
+}
+
+// restore takes a stash back with x, the input of the forward that
+// left it.
+func (g *Gate) restore(s gateStash, x *tensor.Tensor) {
+	g.probs, g.routing, g.top1Cnt, g.lse = s.probs, s.routing, s.top1Cnt, s.lse
+	g.Proj.Restore(x)
+}
+
+func (g *Gate) forget() {
+	g.probs, g.routing, g.top1Cnt, g.lse = nil, nil, nil, nil
+	g.Proj.Forget()
+}
+
 // SetGradScale sets the multiplier applied to the auxiliary-loss
 // gradient in Backward (loss scale × micro-batch weight).
 func (g *Gate) SetGradScale(s float32) { g.gradScale = s }

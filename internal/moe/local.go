@@ -20,21 +20,18 @@ type LocalMoE struct {
 	// see nn.ExpertGroup. Built lazily on first Forward.
 	group *nn.ExpertGroup
 
-	// Cached per forward call.
+	// Cached per forward call; see localStash.
 	routing *Routing
-	x       *tensor.Tensor
 	perTok  [][]slot         // mirror of routing with expert-batch positions
 	outputs []*tensor.Tensor // views into the grouped output, per expert
 	gst     *nn.GroupState
-	dout    *tensor.Tensor
-
-	// Reused flat backing storage for the per-token slices above;
-	// nothing here escapes the layer, so it recycles across steps.
-	slotBuf []slot
-	dwBuf   []float32
-	dwPtrs  [][]float32
+	slotBuf []slot  // flat backing storage of perTok
 	gather  [][]int // expert -> token indices, forward order
 	off     []int   // expert block offsets in the flat grouped batch
+
+	// Reused backward scratch; nothing here escapes the layer.
+	dwBuf  []float32
+	dwPtrs [][]float32
 
 	inferStats InferStats // last Infer call; see infer.go
 }
@@ -64,7 +61,6 @@ func NewLocalMoE(name string, r *tensor.RNG, cfg GateConfig, hidden int) *LocalM
 // Forward routes tokens to experts and combines their outputs.
 func (m *LocalMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tokens, d := x.Shape[0], x.Shape[1]
-	m.x = x
 	m.routing = m.Gate.Forward(x)
 
 	// Gather token rows per expert, in token order. The per-token
@@ -161,7 +157,6 @@ func (m *LocalMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Backward propagates gradients to experts, gate, and input.
 func (m *LocalMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tokens, d := dout.Shape[0], dout.Shape[1]
-	m.dout = dout
 
 	// Gradient w.r.t. combine weights, for the gate; flat reused
 	// backing storage, consumed synchronously by Gate.Backward.
@@ -219,6 +214,41 @@ func (m *LocalMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Gate backward adds its input-gradient contribution.
 	tensor.AddInPlace(dx, m.Gate.Backward(dWeights))
 	return dx
+}
+
+// localStash is what LocalMoE.Forward leaves for Backward. The
+// per-forward buffers the layer reuses travel with it, so the next
+// Forward cannot overwrite them; the experts' GELU output is rebuilt on
+// restore.
+type localStash struct {
+	gate    gateStash
+	perTok  [][]slot
+	outputs []*tensor.Tensor
+	gst     *nn.GroupState
+	slotBuf []slot
+	gather  [][]int
+	off     []int
+}
+
+// Stash, Restore and Forget make LocalMoE an nn.Stasher.
+func (m *LocalMoE) Stash() any {
+	m.gst.DropAct()
+	s := &localStash{m.Gate.stash(), m.perTok, m.outputs, m.gst, m.slotBuf, m.gather, m.off}
+	m.Forget()
+	return s
+}
+
+func (m *LocalMoE) Restore(st any, x *tensor.Tensor) {
+	s := st.(*localStash)
+	m.Gate.restore(s.gate, x)
+	m.routing = s.gate.routing
+	m.perTok, m.outputs, m.gst, m.slotBuf, m.gather, m.off = s.perTok, s.outputs, s.gst, s.slotBuf, s.gather, s.off
+	m.gst.RebuildAct()
+}
+
+func (m *LocalMoE) Forget() {
+	m.Gate.forget()
+	m.routing, m.perTok, m.outputs, m.gst, m.slotBuf, m.gather, m.off = nil, nil, nil, nil, nil, nil, nil
 }
 
 // Params returns gate plus all expert parameters.

@@ -170,6 +170,33 @@ func (m *MultiHeadAttention) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// attnStash is what MultiHeadAttention.Forward leaves for Backward
+// besides its input (the q, k and v projections' shared cache): the
+// split heads, the attention weights, and the merged context the
+// output projection read.
+type attnStash struct {
+	q, k, v, probs, ctx *tensor.Tensor
+	batch               int
+}
+
+func (m *MultiHeadAttention) stash() attnStash {
+	s := attnStash{m.q, m.k, m.v, m.probs, m.OProj.x, m.batch}
+	m.forget()
+	return s
+}
+
+// restore takes a stash back with x, the input of the forward that
+// left it.
+func (m *MultiHeadAttention) restore(s attnStash, x *tensor.Tensor) {
+	m.q, m.k, m.v, m.probs, m.batch = s.q, s.k, s.v, s.probs, s.batch
+	m.QProj.x, m.KProj.x, m.VProj.x, m.OProj.x = x, x, x, s.ctx
+}
+
+func (m *MultiHeadAttention) forget() {
+	m.q, m.k, m.v, m.probs = nil, nil, nil, nil
+	m.QProj.x, m.KProj.x, m.VProj.x, m.OProj.x = nil, nil, nil, nil
+}
+
 // Params returns the four projections' parameters.
 func (m *MultiHeadAttention) Params() []*Param {
 	ps := m.QProj.Params()
@@ -210,6 +237,35 @@ func (b *TransformerBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (b *TransformerBlock) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dh := tensor.Add(dout, b.LN2.Backward(b.FFN.Backward(dout)))
 	return tensor.Add(dh, b.LN1.Backward(b.Attn.Backward(dh)))
+}
+
+// blockStash is what a block's forward leaves for its backward. The
+// block's backward reads nothing of its input, and the two norms'
+// outputs — the attention's and the FFN's inputs — are rebuilt on
+// restore.
+type blockStash struct {
+	ln1, ln2 normStash
+	attn     attnStash
+	ffn      any
+}
+
+func (b *TransformerBlock) stash() *blockStash {
+	return &blockStash{
+		ln1: b.LN1.stash(), attn: b.Attn.stash(),
+		ln2: b.LN2.stash(), ffn: stasher(b.FFN).Stash(),
+	}
+}
+
+func (b *TransformerBlock) restore(s *blockStash) {
+	b.Attn.restore(s.attn, b.LN1.restore(s.ln1))
+	stasher(b.FFN).Restore(s.ffn, b.LN2.restore(s.ln2))
+}
+
+func (b *TransformerBlock) forget() {
+	b.LN1.forget()
+	b.Attn.forget()
+	b.LN2.forget()
+	stasher(b.FFN).Forget()
 }
 
 // Params returns all block parameters.

@@ -41,6 +41,12 @@ type GroupState struct {
 // Rows returns the total row count of the pass.
 func (st *GroupState) Rows() int { return st.Off[len(st.Off)-1] }
 
+// DropAct frees the activation while the pass waits for its backward;
+// RebuildAct recomputes it from the pre-activation with Forward's own
+// kernel, so the bits are the same.
+func (st *GroupState) DropAct()    { st.Act = nil }
+func (st *GroupState) RebuildAct() { st.Act = tensor.GELU(st.Up) }
+
 // NewExpertGroup builds a grouped view over the given experts. All
 // members must share in/out/hidden dimensions. An empty member list is
 // allowed (a drained rank); Forward then only accepts zero rows.

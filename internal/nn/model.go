@@ -79,14 +79,14 @@ type GPT struct {
 	FinalLN  *LayerNorm
 	Head     *Linear
 
-	// Recompute enables activation checkpointing: each block's input
-	// is stored during Forward and the block is re-run during
-	// Backward to regenerate its internal activations. This is the
-	// paper's memory strategy — at brain scale, storing every
-	// intermediate activation is impossible — traded for ~1/3 more
-	// compute. Gradients are bit-identical either way (tested).
-	// Requires deterministic layers: disable MoE gate noise, which
-	// would re-randomize routing on the recompute pass.
+	// Recompute enables activation checkpointing: a block keeps only
+	// its input through Forward, frees its caches, and is re-run
+	// during Backward to regenerate them. This is the paper's memory
+	// strategy — at brain scale, storing every intermediate activation
+	// is impossible — traded for ~1/3 more compute. Gradients are
+	// bit-identical either way (tested). Requires deterministic
+	// layers: disable MoE gate noise, which would re-randomize routing
+	// on the recompute pass.
 	Recompute bool
 
 	// RecomputePolicy, when non-nil, selects per block whether that
@@ -95,8 +95,7 @@ type GPT struct {
 	// policy means Recompute governs every block uniformly.
 	RecomputePolicy []bool
 
-	batch       int
-	blockInputs []*tensor.Tensor
+	pass Pass // Forward's, for Backward
 }
 
 // recomputes reports whether block i runs under activation
@@ -108,17 +107,111 @@ func (g *GPT) recomputes(i int) bool {
 	return g.Recompute
 }
 
-// anyRecompute reports whether at least one block recomputes.
-func (g *GPT) anyRecompute() bool {
-	if g.RecomputePolicy != nil {
-		for _, r := range g.RecomputePolicy {
-			if r {
-				return true
-			}
+// A Pass is what one forward pass over a run of blocks left for its
+// backward. A block the recompute policy marks keeps only its input
+// and replays its forward in BackwardPass. Any other block keeps its
+// caches: in its layers while the pass is the only one in flight (as
+// in Forward), or moved out into the Pass by Stash while other passes
+// run (as in a pipeline).
+type Pass struct {
+	lo     int
+	blocks []blockPass
+	ids    []int      // the embedding's, stashed when the run starts the model
+	head   *normStash // the final norm's, stashed when the run ends the model
+}
+
+type blockPass struct {
+	in *tensor.Tensor // a marked block's input
+	st *blockStash    // an unmarked block's caches, once stashed
+}
+
+// Replays returns how many of the pass's blocks replay their forward.
+func (p *Pass) Replays() int {
+	n := 0
+	for _, b := range p.blocks {
+		if b.in != nil {
+			n++
 		}
-		return false
 	}
-	return g.Recompute
+	return n
+}
+
+// startsModel and endsModel report whether the pass's run of blocks
+// is preceded by the embedding or followed by the head.
+func (g *GPT) startsModel(p *Pass) bool { return p.lo == 0 }
+func (g *GPT) endsModel(p *Pass) bool   { return p.lo+len(p.blocks) == len(g.Blocks) }
+
+// ForwardBlocks runs blocks [lo, hi) on x, recording the pass in p:
+// a block the recompute policy marks keeps its input and frees its
+// caches, any other block leaves its caches in its layers.
+func (g *GPT) ForwardBlocks(p *Pass, lo, hi int, x *tensor.Tensor) *tensor.Tensor {
+	p.lo, p.blocks = lo, p.blocks[:0]
+	for i := lo; i < hi; i++ {
+		var bp blockPass
+		if g.recomputes(i) {
+			bp.in = x
+		}
+		x = g.Blocks[i].Forward(x)
+		if bp.in != nil {
+			g.Blocks[i].forget()
+		}
+		p.blocks = append(p.blocks, bp)
+	}
+	return x
+}
+
+// Stash moves the caches the pass left in the layers out into p, so
+// another pass can run: those of its unmarked blocks, plus the
+// embedding's when the run starts the model and the final norm's and
+// head's when it ends it (the runner ran those around ForwardBlocks).
+func (g *GPT) Stash(p *Pass) {
+	for i := range p.blocks {
+		if p.blocks[i].in == nil {
+			p.blocks[i].st = g.Blocks[p.lo+i].stash()
+		}
+	}
+	if g.startsModel(p) {
+		p.ids, g.TokEmbed.ids = g.TokEmbed.ids, nil
+	}
+	if g.endsModel(p) {
+		st := g.FinalLN.stash()
+		p.head = &st
+		g.Head.Forget()
+	}
+}
+
+// BackwardPass propagates d back through everything pass p ran — the
+// head first when the run ends the model (d is then the logits
+// gradient), each block after restoring or replaying it, and the
+// embeddings when the run starts the model — and returns the gradient
+// flowing into the run's first block. p is empty afterwards.
+func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor) *tensor.Tensor {
+	if g.endsModel(p) {
+		if p.head != nil {
+			g.Head.Restore(g.FinalLN.restore(*p.head))
+			p.head = nil
+		}
+		d = g.FinalLN.Backward(g.Head.Backward(d))
+	}
+	for i := len(p.blocks) - 1; i >= 0; i-- {
+		b, bp := g.Blocks[p.lo+i], p.blocks[i]
+		switch {
+		case bp.in != nil:
+			b.Forward(bp.in)
+		case bp.st != nil:
+			b.restore(bp.st)
+		}
+		d = b.Backward(d)
+	}
+	clear(p.blocks)
+	p.blocks = p.blocks[:0]
+	if g.startsModel(p) {
+		if p.ids != nil {
+			g.TokEmbed.ids, p.ids = p.ids, nil
+		}
+		g.embedBackward(d)
+	}
+	return d
 }
 
 // RecomputedFraction returns the fraction of blocks running under
@@ -169,7 +262,6 @@ func (g *GPT) EmbedForward(ids []int) *tensor.Tensor {
 	if len(ids)%g.Cfg.SeqLen != 0 {
 		panic(fmt.Sprintf("nn: %d ids not a multiple of seq len %d", len(ids), g.Cfg.SeqLen))
 	}
-	g.batch = len(ids) / g.Cfg.SeqLen
 	x := g.TokEmbed.ForwardIDs(ids)
 	// Add positional embeddings per sequence position.
 	for i := range ids {
@@ -183,11 +275,9 @@ func (g *GPT) EmbedForward(ids []int) *tensor.Tensor {
 	return x
 }
 
-// EmbedBackward accumulates the input segment's gradients from dx,
-// the gradient flowing into the first block. The token embedding's
-// backward reads the ids cached by the matching EmbedForward (replay
-// EmbedForward first if another micro-batch overwrote it).
-func (g *GPT) EmbedBackward(dx *tensor.Tensor) {
+// embedBackward accumulates the input segment's gradients from dx,
+// the gradient flowing into the first block.
+func (g *GPT) embedBackward(dx *tensor.Tensor) {
 	rows := dx.Shape[0]
 	for i := 0; i < rows; i++ {
 		pos := i % g.Cfg.SeqLen
@@ -206,47 +296,17 @@ func (g *GPT) HeadForward(x *tensor.Tensor) *tensor.Tensor {
 	return g.Head.Forward(g.FinalLN.Forward(x))
 }
 
-// HeadBackward propagates d(loss)/d(logits) through the output
-// segment, returning the gradient flowing into the last block.
-func (g *GPT) HeadBackward(dlogits *tensor.Tensor) *tensor.Tensor {
-	return g.FinalLN.Backward(g.Head.Backward(dlogits))
-}
-
 // Forward maps token ids (length batch*seq) to logits
 // [batch*seq, vocab].
 func (g *GPT) Forward(ids []int) *tensor.Tensor {
 	x := g.EmbedForward(ids)
-	if g.anyRecompute() {
-		g.blockInputs = g.blockInputs[:0]
-	}
-	for i, b := range g.Blocks {
-		if g.anyRecompute() {
-			// Indexed per block; nil marks blocks that keep their
-			// activation caches and need no replay.
-			in := x
-			if !g.recomputes(i) {
-				in = nil
-			}
-			g.blockInputs = append(g.blockInputs, in)
-		}
-		x = b.Forward(x)
-	}
-	return g.HeadForward(x)
+	return g.HeadForward(g.ForwardBlocks(&g.pass, 0, len(g.Blocks), x))
 }
 
 // Backward propagates d(loss)/d(logits) through the model,
 // accumulating all parameter gradients.
 func (g *GPT) Backward(dlogits *tensor.Tensor) {
-	dx := g.HeadBackward(dlogits)
-	for i := len(g.Blocks) - 1; i >= 0; i-- {
-		if g.anyRecompute() && g.blockInputs[i] != nil {
-			// Re-run the block on its stored input to regenerate the
-			// activation caches its backward needs.
-			g.Blocks[i].Forward(g.blockInputs[i])
-		}
-		dx = g.Blocks[i].Backward(dx)
-	}
-	g.EmbedBackward(dx)
+	g.BackwardPass(&g.pass, dlogits)
 }
 
 // Generate extends prompt by n tokens using temperature sampling

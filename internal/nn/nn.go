@@ -4,10 +4,11 @@
 // backward passes.
 //
 // Layers cache whatever the backward pass needs during Forward, so
-// the usage contract is strictly Forward-then-Backward per step (the
-// pattern of synchronous pretraining). The autograd package provides
-// an independent implementation that the tests in this package use as
-// ground truth for every layer's gradients.
+// the usage contract is Forward-then-Backward. The caches are single
+// slot; a pipeline that keeps several passes in flight moves them out
+// of the layers and back (Stasher, GPT.Stash). The autograd package
+// provides an independent implementation that the tests in this
+// package use as ground truth for every layer's gradients.
 package nn
 
 import (
@@ -63,6 +64,29 @@ type Layer interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Backward(dout *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
+}
+
+// Stasher is a layer whose single-slot forward caches can leave it
+// while other passes run, as every layer that can sit in a block's FFN
+// slot must. Stash hands out what the last Forward left for Backward,
+// except its input, and empties the layer; Restore takes a Stash
+// result back together with the input of the Forward that left it.
+// Ownership moves and nothing is copied, so a stash is restored at
+// most once. Forget empties the layer and releases what it held: the
+// next Backward needs another Forward first.
+type Stasher interface {
+	Stash() any
+	Restore(st any, x *tensor.Tensor)
+	Forget()
+}
+
+// stasher returns the FFN slot's layer as a Stasher.
+func stasher(l Layer) Stasher {
+	s, ok := l.(Stasher)
+	if !ok {
+		panic(fmt.Sprintf("nn: FFN %T does not implement Stasher", l))
+	}
+	return s
 }
 
 // NumParams sums the weight counts of a parameter list.
@@ -124,6 +148,11 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	return tensor.MatMulTransB(dout, l.Weight.W)
 }
+
+// Restore and Forget move Linear's one cache, its input, in and out
+// for a layer that stashes it (moe.Gate's projection).
+func (l *Linear) Restore(x *tensor.Tensor) { l.x = x }
+func (l *Linear) Forget()                  { l.x = nil }
 
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Param {
@@ -227,16 +256,53 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 			iv := 1 / sqrt(vs/float64(cols)+float64(l.Eps))
 			l.inv[i] = float32(iv)
 			nRow := l.norm.Row(i)
-			oRow := out.Row(i)
 			for j, v := range src {
-				n := float32((float64(v) - mu) * iv)
-				nRow[j] = n
-				oRow[j] = n*l.Gamma.W.Data[j] + l.Beta.W.Data[j]
+				nRow[j] = float32((float64(v) - mu) * iv)
 			}
+			l.affine(out.Row(i), nRow)
 		}
 	})
 	return out
 }
+
+// affine writes gamma·n + beta into o: the one expression a LayerNorm
+// output is made of, so an output rebuilt from the normalized rows has
+// the forward's bits.
+func (l *LayerNorm) affine(o, n []float32) {
+	g, b := l.Gamma.W.Data, l.Beta.W.Data
+	for j, v := range n {
+		o[j] = v*g[j] + b[j]
+	}
+}
+
+// normStash is what LayerNorm.Forward leaves for Backward. Its output
+// is not kept: restore rebuilds it from the normalized rows.
+type normStash struct {
+	norm *tensor.Tensor
+	inv  []float32
+}
+
+func (l *LayerNorm) stash() normStash {
+	s := normStash{l.norm, l.inv}
+	l.forget()
+	return s
+}
+
+// restore takes a stash back and returns the output of the forward
+// that left it, rebuilt from the normalized rows.
+func (l *LayerNorm) restore(s normStash) *tensor.Tensor {
+	l.norm, l.inv = s.norm, s.inv
+	rows, cols := l.norm.Shape[0], l.norm.Shape[1]
+	out := tensor.Scratch(rows, cols)
+	tensor.ParallelWork(rows, cols, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			l.affine(out.Row(i), l.norm.Row(i))
+		}
+	})
+	return out
+}
+
+func (l *LayerNorm) forget() { l.norm, l.inv = nil, nil }
 
 // Backward computes the layer-norm gradient.
 func (l *LayerNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
@@ -315,6 +381,24 @@ func (f *FeedForward) Forward(x *tensor.Tensor) *tensor.Tensor {
 func (f *FeedForward) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return f.Up.Backward(f.Act.Backward(f.Down.Backward(dout)))
 }
+
+// Stash hands out the pre-activation (a *tensor.Tensor): the GELU's
+// input. Its output, the down projection's input, is not kept.
+func (f *FeedForward) Stash() any {
+	up := f.Act.x
+	f.Forget()
+	return up
+}
+
+// Restore takes back a Stash result, rebuilding the GELU output from
+// the pre-activation with the forward's own kernel.
+func (f *FeedForward) Restore(st any, x *tensor.Tensor) {
+	up := st.(*tensor.Tensor)
+	f.Up.x, f.Act.x, f.Down.x = x, up, tensor.GELU(up)
+}
+
+// Forget empties the three layers' caches.
+func (f *FeedForward) Forget() { f.Up.x, f.Act.x, f.Down.x = nil, nil, nil }
 
 // Params returns all MLP parameters.
 func (f *FeedForward) Params() []*Param {

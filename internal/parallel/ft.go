@@ -382,9 +382,9 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			return
 		}
 		// The scalars a failed step may already have moved (the batch is
-		// drawn, PrepareGrads runs before the gradient sync) — all a
-		// roll-forward needs besides the tensors, which no survivor can
-		// update without the whole group.
+		// drawn before the gradient sync) — all a roll-forward needs
+		// besides the tensors, which no survivor can update without the
+		// whole group.
 		start := eng.Trainer.CheckpointHeader()
 		var stats StepStats
 		perr := mpi.Protect(func() {

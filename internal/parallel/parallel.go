@@ -271,10 +271,10 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		micro = 1
 	}
 	if strat.PP() > 1 {
-		// Dynamic loss scaling makes its skip decision from local
-		// gradients; under PP those are stage-local and the decision
-		// would diverge across stages. Pipeline runs use a static
-		// precision.
+		// Pipeline runs use a static precision. Dynamic loss scaling
+		// skips on the synchronized gradient norm, which the pipeline
+		// column combines too, but no pipelined run has been checked
+		// under it.
 		if tc.Precision == sunway.Mixed || tc.Precision == sunway.FP16 {
 			return nil, fmt.Errorf("parallel: pipeline parallelism requires static precision (FP32/FP64), not %v", tc.Precision)
 		}
@@ -770,8 +770,10 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 // clipping. The norm uses the same canonical shard-ordered float64
 // partial sums as the ZeRO path (train.ShardedNormSq /
 // train.CombineF64Sum), so both modes see bitwise-identical norms and
-// make identical clip decisions.
-func (e *Engine) syncGradients([]*nn.Param) {
+// make identical clip decisions. It returns the norm: a rank whose
+// gradients overflowed still syncs, and its Inf reaches every rank's
+// norm, so every rank skips the step together.
+func (e *Engine) syncGradients([]*nn.Param) float32 {
 	group := float32(e.perStage())
 	t0 := e.Comm.Now()
 	// The two all-reduces are independent and share only this rank's
@@ -791,26 +793,7 @@ func (e *Engine) syncGradients([]*nn.Param) {
 	expert.Wait()
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
-	// Distributed global gradient norm: the dense part is identical
-	// on every rank of the replication group; the expert shards are
-	// distinct within an expert-parallel group (and replicated across
-	// data-parallel peers), so summing shard norms over the EP
-	// communicator yields the stage norm; under PP the stages' partial
-	// norms then combine over the pipeline column, identically on
-	// every rank.
-	denseSq := train.ShardedNormSq(e.denseComm(), e.denseParams)
-	expertSq := train.ShardedNormSq(e.DP, e.expertParams)
-	totalSq := denseSq
-	if e.EP.Size() > 1 {
-		totalSq += train.CombineF64Sum(e.EP, expertSq)
-	} else {
-		totalSq += expertSq
-	}
-	if e.PPComm != nil && e.PPComm.Size() > 1 {
-		totalSq = train.CombineF64Sum(e.PPComm, totalSq)
-	}
-	norm := float32(math.Sqrt(totalSq))
-	e.lastGradNorm = norm
+	norm := e.globalNorm(train.ShardedNormSq(e.denseComm(), e.denseParams), train.ShardedNormSq(e.DP, e.expertParams))
 	if e.clipNorm > 0 && norm > e.clipNorm {
 		scale := e.clipNorm / norm
 		for _, p := range e.denseParams {
@@ -820,6 +803,7 @@ func (e *Engine) syncGradients([]*nn.Param) {
 			tensor.ScaleInPlace(p.G, scale)
 		}
 	}
+	return norm
 }
 
 // syncGradientsZeRO replaces the full-tensor all-reduce with the
@@ -828,14 +812,28 @@ func (e *Engine) syncGradients([]*nn.Param) {
 // all-reduce); the optimizer later updates that shard and all-gathers
 // the parameters. Norm and clip use the identical canonical partial
 // sums as the legacy path, applied to the shards.
-func (e *Engine) syncGradientsZeRO([]*nn.Param) {
+func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
 	group := float32(e.perStage())
 	t0 := e.Comm.Now()
 	e.zero.SyncGradients(1 / group)
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
-	denseSq := e.zero.GroupNormSq(0)
-	expertSq := e.zero.GroupNormSq(1)
+	norm := e.globalNorm(e.zero.GroupNormSq(0), e.zero.GroupNormSq(1))
+	if e.clipNorm > 0 && norm > e.clipNorm {
+		e.zero.ScaleGradShards(e.clipNorm / norm)
+	}
+	return norm
+}
+
+// globalNorm combines this rank's dense and expert squared-norm
+// partials into the distributed global gradient norm, identically on
+// every rank: the dense part is identical on every rank of the
+// replication group; the expert shards are distinct within an
+// expert-parallel group (and replicated across data-parallel peers), so
+// summing shard norms over the EP communicator yields the stage norm;
+// under PP the stages' partial norms then combine over the pipeline
+// column.
+func (e *Engine) globalNorm(denseSq, expertSq float64) float32 {
 	totalSq := denseSq
 	if e.EP.Size() > 1 {
 		totalSq += train.CombineF64Sum(e.EP, expertSq)
@@ -845,11 +843,8 @@ func (e *Engine) syncGradientsZeRO([]*nn.Param) {
 	if e.PPComm != nil && e.PPComm.Size() > 1 {
 		totalSq = train.CombineF64Sum(e.PPComm, totalSq)
 	}
-	norm := float32(math.Sqrt(totalSq))
-	e.lastGradNorm = norm
-	if e.clipNorm > 0 && norm > e.clipNorm {
-		e.zero.ScaleGradShards(e.clipNorm / norm)
-	}
+	e.lastGradNorm = float32(math.Sqrt(totalSq))
+	return e.lastGradNorm
 }
 
 // allReduceBucketed concatenates gradients into one buffer, reduces

@@ -3,7 +3,9 @@ package parallel
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
@@ -313,6 +315,76 @@ func TestEngineBF16Trains(t *testing.T) {
 	})
 	if last >= first {
 		t.Fatalf("bf16 distributed training did not reduce loss: %v -> %v", first, last)
+	}
+}
+
+// TestMixedOverflowSkipsEverywhere: under Mixed precision an FP16
+// overflow on one rank alone must not leave that rank out of its peers'
+// gradient sync. It joins the sync, its Inf reaches every rank's norm,
+// every rank skips the step and halves its loss scale, and the next
+// step trains. The world runs under a timeout: the desynchronized
+// collectives this guards against may hang instead of panicking.
+func TestMixedOverflowSkipsEverywhere(t *testing.T) {
+	tc := tinyTrainCfg()
+	tc.Precision = sunway.Mixed
+	strat := Strategy{DataParallel: 2, ExpertParallel: 2}
+	type rankRec struct {
+		init, afterSkip, afterGood float32
+		skips                      [2]int
+		weightsKept, weightsMoved  bool
+		loss                       float32
+	}
+	recs := make([]rankRec, strat.Size())
+	w := mpi.NewWorld(strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1))
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		w.Run(func(c *mpi.Comm) {
+			e, err := NewEngine(c, strat, tinyModelCfg(1), tinyCorpusCfg(), tc, train.NewAdam(0), 11)
+			if err != nil {
+				panic(err)
+			}
+			rec := &recs[c.Rank()]
+			mp := e.Trainer.MP
+			rec.init = mp.Scale
+			if c.Rank() == 0 {
+				mp.Scale = 1e12 // this rank's gradients overflow FP16
+			}
+			w0 := append([]float32(nil), e.Model.Head.Weight.W.Data...)
+			e.Step()
+			rec.afterSkip, rec.skips[0] = mp.Scale, mp.SkippedSteps()
+			rec.weightsKept = slices.Equal(w0, e.Model.Head.Weight.W.Data)
+			mp.Scale = rec.init / 2 // rank 0 rejoins its peers' scale
+			st := e.Step()
+			rec.afterGood, rec.skips[1], rec.loss = mp.Scale, mp.SkippedSteps(), st.Loss
+			rec.weightsMoved = !slices.Equal(w0, e.Model.Head.Weight.W.Data)
+		})
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("world failed after a one-rank overflow: %v", p)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("world hung after a one-rank overflow")
+	}
+	for r, rec := range recs {
+		want := rec.init / 2
+		if r == 0 {
+			want = 1e12 / 2
+		}
+		switch {
+		case rec.skips != [2]int{1, 1}:
+			t.Fatalf("rank %d: skipped steps after each step %v, want [1 1]", r, rec.skips)
+		case rec.afterSkip != want:
+			t.Fatalf("rank %d: scale %v after the skip, want %v", r, rec.afterSkip, want)
+		case !rec.weightsKept:
+			t.Fatalf("rank %d: the skipped step moved weights", r)
+		case rec.afterGood != recs[0].afterGood:
+			t.Fatalf("rank %d: scale %v after the good step, rank 0 has %v", r, rec.afterGood, recs[0].afterGood)
+		case !rec.weightsMoved || math.IsNaN(float64(rec.loss)) || math.IsInf(float64(rec.loss), 0):
+			t.Fatalf("rank %d: the step after the skip did not train (loss %v)", r, rec.loss)
+		}
 	}
 }
 

@@ -12,11 +12,11 @@
 // schedule (V>1) shrinks the pipeline bubble by a further factor of V
 // at the cost of more boundary traffic.
 //
-// Activations are stashed per (chunk, micro-batch) and the chunk's
-// forward is replayed at backward time — the same mechanism as
-// activation recomputation (nn.GPT.Recompute), which the engine
-// already proves bit-exact. Replay is what makes in-flight
-// micro-batches safe with the single-slot layer caches.
+// Each (chunk, micro-batch) forward moves its layers' single-slot
+// caches out into a stash (nn.GPT.Stash) and its backward restores
+// them, so in-flight micro-batches never replay their forward. Only
+// the blocks the model's recompute policy marks keep just their input
+// and replay — the one recompute mechanism the flat path runs too.
 package pipe
 
 import "fmt"
@@ -53,7 +53,7 @@ type OpKind uint8
 const (
 	// Fwd runs a chunk's forward pass for one micro-batch.
 	Fwd OpKind = iota
-	// Bwd replays the chunk forward and runs its backward pass.
+	// Bwd restores the chunk's stashed pass and runs its backward.
 	Bwd
 )
 

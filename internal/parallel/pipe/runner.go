@@ -19,8 +19,8 @@ type MicroBatch struct {
 }
 
 // Runner executes a pipeline schedule for one rank. It owns the
-// per-(chunk, micro-batch) activation stash, the pooled boundary
-// send/recv buffers, and the last stage's loss head. Build one per
+// per-(chunk, micro-batch) stash of in-flight passes, the boundary
+// sends in flight, and the last stage's loss head. Build one per
 // engine; Step is called once per optimizer step.
 type Runner struct {
 	// Grid shape: S pipeline stages, V virtual chunks per stage, M
@@ -43,8 +43,9 @@ type Runner struct {
 
 	// FwdSeconds, when non-nil, returns the virtual seconds to charge
 	// for one executed forward pass of global chunk g (backward
-	// charges twice that, replay once more). The engine prices dense
-	// FLOPs here; self-charging MoE layers price their own GEMMs.
+	// charges twice that; a replay, the share of the chunk's blocks
+	// the recompute policy marks). The engine prices dense FLOPs here;
+	// self-charging MoE layers price their own GEMMs.
 	FwdSeconds func(g int) float64
 
 	// AuxOf, when non-nil, returns the auxiliary loss and overflow
@@ -58,11 +59,14 @@ type Runner struct {
 
 	loss nn.SoftmaxCrossEntropy
 
-	// Reused across steps: activation stash [V][M], dlogits stash [M]
-	// (last stage only), and the grad recv scratch.
-	acts    [][]*tensor.Tensor
+	// passes[v][mb] is the stash of (chunk v, micro-batch mb) between
+	// its forward and its backward, nil otherwise. dlogits[mb] is the
+	// last stage's logits gradient, computed at forward time; dgrad the
+	// gradient recv buffer; sends the boundary sends of this step.
+	passes  [][]*nn.Pass
 	dlogits []*tensor.Tensor
 	dgrad   *tensor.Tensor
+	sends   []*mpi.Request
 	sched   []Op
 }
 
@@ -89,16 +93,9 @@ func (r *Runner) init() {
 	if len(r.Part) != r.Stages*r.Virtual {
 		panic(fmt.Sprintf("pipe: %d chunks for %d stages x %d virtual", len(r.Part), r.Stages, r.Virtual))
 	}
-	dim := r.Model.Cfg.Dim
-	r.acts = make([][]*tensor.Tensor, r.Virtual)
-	for v := range r.acts {
-		r.acts[v] = make([]*tensor.Tensor, r.Micro)
-		if r.global(v) == 0 {
-			continue // first chunk stashes ids, not activations
-		}
-		for m := range r.acts[v] {
-			r.acts[v][m] = tensor.New(r.Rows, dim)
-		}
+	r.passes = make([][]*nn.Pass, r.Virtual)
+	for v := range r.passes {
+		r.passes[v] = make([]*nn.Pass, r.Micro)
 	}
 	if r.ownsLast() {
 		r.dlogits = make([]*tensor.Tensor, r.Micro)
@@ -106,18 +103,31 @@ func (r *Runner) init() {
 			r.dlogits[m] = tensor.New(r.Rows, r.Model.Cfg.Vocab)
 		}
 	}
-	r.dgrad = tensor.New(r.Rows, dim)
+	r.dgrad = tensor.New(r.Rows, r.Model.Cfg.Dim)
 	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
 }
 
-func (r *Runner) ownsFirst() bool { return r.Stage == 0 }
-func (r *Runner) ownsLast() bool  { return r.lastGlobal()%r.Stages == r.Stage }
+func (r *Runner) ownsLast() bool { return r.lastGlobal()%r.Stages == r.Stage }
 
 // Schedule returns the op sequence this runner executes (for tests
 // and the deterministic-replay gate).
 func (r *Runner) ScheduleOps() []Op {
 	r.init()
 	return r.sched
+}
+
+// Stashed returns how many (chunk, micro-batch) passes are between
+// their forward and their backward: zero outside Step.
+func (r *Runner) Stashed() int {
+	n := 0
+	for _, row := range r.passes {
+		for _, p := range row {
+			if p != nil {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // recvInto blocks for a boundary tensor and charges the wait to the
@@ -128,6 +138,12 @@ func (r *Runner) recvInto(dst []float32, src, tag int) {
 	if r.Meter != nil {
 		r.Meter.Observe(metrics.PhaseBubble, r.Comm.Now()-t0)
 	}
+}
+
+// send starts a boundary send as a request: its bytes leave on the
+// rank's ports while the rank computes on, and Step joins it.
+func (r *Runner) send(dst, tag int, data []float32) {
+	r.sends = append(r.sends, r.Comm.Start(func() { r.Comm.SendPooled(dst, tag, data) }))
 }
 
 // charge prices seconds of chunk compute on the virtual clock.
@@ -143,34 +159,26 @@ func (r *Runner) charge(g int, passes float64) {
 	}
 }
 
-// forwardChunk runs chunk v's blocks on x and returns the output.
-func (r *Runner) forwardChunk(v int, x *tensor.Tensor) *tensor.Tensor {
-	c := r.Part[r.global(v)]
-	for i := c.Lo; i < c.Hi; i++ {
-		x = r.Model.Blocks[i].Forward(x)
-	}
-	return x
-}
-
 // runForward executes F(v, mb): obtain the chunk input (embed, or
-// recv from the previous chunk's stage), stash it, run the blocks,
-// and either hand the output to the loss (last chunk) or send it
-// downstream. Returns the micro-batch's loss contribution (last
-// chunk only).
+// recv from the previous chunk's stage), run the blocks, either hand
+// the output to the loss (last chunk) or send it downstream, and stash
+// the pass. Returns the micro-batch's loss contribution (last chunk
+// only).
 func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32) (loss, aux float32, overflow int) {
 	g := r.global(v)
+	c := r.Part[g]
 	var x *tensor.Tensor
 	if g == 0 {
 		x = r.Model.EmbedForward(batches[mb].IDs)
 	} else {
-		src := (g - 1) % r.Stages
-		r.recvInto(r.acts[v][mb].Data, src, bTag(0, g, mb))
-		x = r.acts[v][mb]
+		x = tensor.Scratch(r.Rows, r.Model.Cfg.Dim)
+		r.recvInto(x.Data, (g-1)%r.Stages, bTag(0, g, mb))
 	}
-	out := r.forwardChunk(v, x)
+	p := new(nn.Pass)
+	out := r.Model.ForwardBlocks(p, c.Lo, c.Hi, x)
+	r.charge(g, 1)
 	if g == r.lastGlobal() {
 		logits := r.Model.HeadForward(out)
-		r.charge(g, 1)
 		loss = r.loss.Forward(logits, batches[mb].Targets)
 		// The loss layer is single-slot: compute the scaled logits
 		// gradient now, before another micro-batch's forward clobbers
@@ -181,53 +189,37 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32) 
 		}
 		r.dlogits[mb].CopyFrom(d)
 	} else {
-		r.charge(g, 1)
-		r.Comm.SendPooled((g+1)%r.Stages, bTag(0, g+1, mb), out.Data)
+		r.send((g+1)%r.Stages, bTag(0, g+1, mb), out.Data)
 	}
 	if r.AuxOf != nil {
 		aux, overflow = r.AuxOf(g)
 	}
+	r.Model.Stash(p)
+	r.passes[v][mb] = p
 	return loss, aux, overflow
 }
 
-// runBackward executes B(v, mb): replay the chunk forward from the
-// stash (repopulating every single-slot layer cache — the same replay
-// the recompute path proves bit-exact), then run the blocks backward
-// and route the input gradient upstream (or into the embeddings).
-func (r *Runner) runBackward(v, mb int, batches []MicroBatch) {
+// runBackward executes B(v, mb): the chunk's stashed pass comes back
+// (a block the recompute policy marks replays its forward — the replay
+// priced by the marked share of the chunk), the blocks run backward,
+// and the input gradient goes upstream (or into the embeddings).
+func (r *Runner) runBackward(v, mb int) {
 	g := r.global(v)
-	// Replay forward.
-	var x *tensor.Tensor
-	if g == 0 {
-		x = r.Model.EmbedForward(batches[mb].IDs)
-	} else {
-		x = r.acts[v][mb]
+	p := r.passes[v][mb]
+	r.passes[v][mb] = nil
+	if n := p.Replays(); n > 0 {
+		r.charge(g, float64(n)/float64(r.Part[g].Blocks()))
 	}
-	out := r.forwardChunk(v, x)
-
-	// Obtain the output gradient.
-	var dx *tensor.Tensor
+	d := r.dgrad
 	if g == r.lastGlobal() {
-		r.Model.HeadForward(out) // repopulate head + final-LN caches
-		r.charge(g, 1)           // replay
-		dx = r.Model.HeadBackward(r.dlogits[mb])
+		d = r.dlogits[mb]
 	} else {
-		r.charge(g, 1) // replay
-		dst := (g + 1) % r.Stages
-		r.recvInto(r.dgrad.Data, dst, bTag(1, g, mb))
-		dx = r.dgrad
+		r.recvInto(d.Data, (g+1)%r.Stages, bTag(1, g, mb))
 	}
-
-	// Backward through the chunk's blocks.
-	c := r.Part[g]
-	for i := c.Hi - 1; i >= c.Lo; i-- {
-		dx = r.Model.Blocks[i].Backward(dx)
-	}
+	dx := r.Model.BackwardPass(p, d)
 	r.charge(g, 2)
-	if g == 0 {
-		r.Model.EmbedBackward(dx)
-	} else {
-		r.Comm.SendPooled((g-1)%r.Stages, bTag(1, g-1, mb), dx.Data)
+	if g != 0 {
+		r.send((g-1)%r.Stages, bTag(1, g-1, mb), dx.Data)
 	}
 }
 
@@ -237,23 +229,31 @@ func (r *Runner) runBackward(v, mb int, batches []MicroBatch) {
 // engine combines across the world). lossScale multiplies the logits
 // gradient of every micro-batch (loss scale times the 1/M
 // accumulation weight), matching the non-PP trainer's micro-step
-// scaling exactly.
+// scaling exactly. The step's boundary sends are joined before it
+// returns.
 func (r *Runner) Step(batches []MicroBatch, lossScale float32) (loss, aux float32, overflow int) {
 	r.init()
 	if len(batches) != r.Micro {
 		panic(fmt.Sprintf("pipe: %d micro-batches for schedule of %d", len(batches), r.Micro))
 	}
-	inv := 1 / float32(r.Micro)
+	// Averaged as the trainer's accumulation loop does, so the reported
+	// loss has the flat run's bits at any M.
+	m := float32(r.Micro)
 	for _, op := range r.sched {
 		switch op.Kind {
 		case Fwd:
 			l, a, o := r.runForward(op.Chunk, op.MB, batches, lossScale)
-			loss += l * inv
-			aux += a * inv
+			loss += l / m
+			aux += a / m
 			overflow += o
 		case Bwd:
-			r.runBackward(op.Chunk, op.MB, batches)
+			r.runBackward(op.Chunk, op.MB)
 		}
 	}
+	for _, s := range r.sends {
+		s.Wait()
+	}
+	clear(r.sends)
+	r.sends = r.sends[:0]
 	return loss, aux, overflow
 }

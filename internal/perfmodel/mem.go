@@ -63,13 +63,14 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	opt := denseOpt + expertOpt
 
 	// Live activation elements per token per layer: ~6·d with full
-	// caching, 1·d (the block input) for a recomputed block.
+	// caching, 1·d (the block input) for a recomputed block. Each rank
+	// holds the passes its schedule has in flight, each over one chunk
+	// of Layers/(PP·VPP) layers: on the flat grid one pass of every
+	// layer.
 	f := d.RecomputeFraction
 	tokensPerRank := float64(d.BatchPerRank * spec.SeqLen)
-	// Under 1F1B each rank holds Layers/PP layers but keeps up to PP
-	// micro-batches in flight, so the activation footprint is the same
-	// product as the flat case — spec.Layers stays unscaled here.
-	act := tokensPerRank * float64(spec.Dim) * float64(spec.Layers) * weightB * (6*(1-f) + 1*f)
+	layers := float64(d.peakPasses()) * float64(spec.Layers) / float64(d.PP()*d.VPP())
+	act := tokensPerRank * float64(spec.Dim) * layers * weightB * (6*(1-f) + 1*f)
 
 	var hostOpt float64
 	if d.OffloadOptState {
@@ -84,6 +85,20 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	mb.TotalGiB = mb.Params + mb.OptState + mb.Activations
 	mb.Fits = mb.TotalGiB <= d.Machine.NodeMemGiB && mb.HostOptState <= d.Machine.HostMemGiB
 	return mb, nil
+}
+
+// peakPasses is the most chunk passes any stage's schedule holds
+// between their forward and their backward: stage 0's warmup forwards
+// plus the one its steady state adds before the first backward, capped
+// by the passes there are. That is S under 1F1B with M ≥ S, and one
+// on the flat grid.
+func (d Deployment) peakPasses() int {
+	S, V, M := d.PP(), d.VPP(), d.Micro()
+	warmup := S - 1
+	if V > 1 {
+		warmup = 2*(S-1) + (V-1)*S
+	}
+	return min(warmup+1, M*V)
 }
 
 // MaxTrainableParams bisects the largest model (scaling the width of

@@ -3,6 +3,8 @@ package perfmodel
 import (
 	"math"
 	"testing"
+
+	"bagualu/internal/parallel/pipe"
 )
 
 // ppDeployment folds a pipeline into the standard test deployment:
@@ -128,6 +130,57 @@ func TestPPMemorySharding(t *testing.T) {
 	}
 	if math.Abs(pp.Params-flat.Params/4) > 1e-12*flat.Params {
 		t.Fatalf("pp4 weights %v not 1/4 of flat %v", pp.Params, flat.Params)
+	}
+}
+
+// TestMemoryCountsScheduledPasses pins the pipeline activation term to
+// the schedule the runner executes: a rank holds the most chunk passes
+// any stage's pipe.Schedule has between a forward and its backward,
+// each over Layers/(S·V) layers. Under 1F1B that is the flat product;
+// stage 0 of S=4, V=2, M=8 holds 11 passes of L/8 layers, 1.375 layer
+// stacks.
+func TestMemoryCountsScheduledPasses(t *testing.T) {
+	for S := 1; S <= 5; S++ {
+		for V := 1; V <= 3; V++ {
+			for M := 1; M <= 12; M++ {
+				if V > 1 && (S == 1 || M%S != 0) {
+					continue
+				}
+				peak := 0
+				for stage := 0; stage < S; stage++ {
+					live := 0
+					for _, op := range pipe.Schedule(stage, S, V, M) {
+						if op.Kind == pipe.Fwd {
+							live++
+						} else {
+							live--
+						}
+						peak = max(peak, live)
+					}
+				}
+				d := Deployment{PipelineParallel: S, VirtualStages: V, MicroBatches: M}
+				if got := d.peakPasses(); got != peak {
+					t.Fatalf("S=%d V=%d M=%d: model counts %d passes in flight, the schedule holds %d", S, V, M, got, peak)
+				}
+			}
+		}
+	}
+	spec := ppSpec()
+	act := func(d Deployment) float64 {
+		mb, err := d.Memory(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mb.Activations
+	}
+	flat := act(ppDeployment(1, 1, 1))
+	for _, c := range []struct {
+		s, v, m int
+		stacks  float64
+	}{{2, 1, 2, 1}, {4, 1, 4, 1}, {4, 1, 2, 0.5}, {4, 2, 8, 1.375}, {2, 2, 4, 1.25}} {
+		if got := act(ppDeployment(c.s, c.v, c.m)) / flat; math.Abs(got-c.stacks) > 1e-12 {
+			t.Fatalf("S=%d V=%d M=%d: activations %v layer stacks, want %v", c.s, c.v, c.m, got, c.stacks)
+		}
 	}
 }
 

@@ -98,14 +98,6 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	}
 	p.DenseCompute = totalCompute - p.ExpertCompute
 
-	// Pipelined backward replays every chunk's forward from its stashed
-	// input (recompute-all: fwd + replay + 2·fwd backward), so the
-	// recompute fraction is pinned to 1 whenever a pipeline exists.
-	recompute := d.RecomputeFraction
-	if S > 1 {
-		recompute = 1
-	}
-
 	// Communication: 4 all-to-alls per MoE layer per step (dispatch
 	// and combine, forward and backward), each moving
 	// tokensPerRank·TopK·Dim elements per rank. The FP16 wire codec
@@ -123,8 +115,8 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		// Recomputed blocks replay their forward pass during backward,
 		// dispatch/combine exchanges included: the forward half of the
 		// a2a bill (2 of the 4 exchanges) repeats for that fraction.
-		p.A2A *= 1 + recompute/2
-		p.A2ABytes *= 1 + recompute/2
+		p.A2A *= 1 + d.RecomputeFraction/2
+		p.A2ABytes *= 1 + d.RecomputeFraction/2
 	}
 
 	// Gradient sync: dense params all-reduced over the world (ring:
@@ -165,7 +157,7 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	// Selective recomputation replays the forward pass of the
 	// recomputed blocks during backward: that fraction of the forward
 	// share (one third of fwd+bwd) is extra compute.
-	p.Recompute = recompute * totalCompute / 3
+	p.Recompute = d.RecomputeFraction * totalCompute / 3
 
 	// Memory: the full per-node breakdown (ZeRO sharding, recompute
 	// policy, host offload).

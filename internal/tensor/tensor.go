@@ -213,19 +213,6 @@ func (t *Tensor) AllClose(o *Tensor, tol float32) bool {
 	return true
 }
 
-// HasNaN reports whether any element is NaN or Inf. It is used by the
-// mixed-precision trainer to detect overflow and back off the loss
-// scale.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.Data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders small tensors fully and large ones as a summary.
 func (t *Tensor) String() string {
 	if len(t.Data) <= 16 {

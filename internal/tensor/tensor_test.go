@@ -448,21 +448,6 @@ func TestGELUGradNumerically(t *testing.T) {
 	}
 }
 
-func TestHasNaN(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	if a.HasNaN() {
-		t.Fatal("false positive")
-	}
-	a.Data[1] = float32(math.NaN())
-	if !a.HasNaN() {
-		t.Fatal("missed NaN")
-	}
-	a.Data[1] = float32(math.Inf(1))
-	if !a.HasNaN() {
-		t.Fatal("missed Inf")
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(123), NewRNG(123)
 	for i := 0; i < 100; i++ {

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"math"
+
 	"bagualu/internal/half"
 	"bagualu/internal/nn"
 	"bagualu/internal/sunway"
@@ -13,11 +15,11 @@ import (
 // Per step:
 //  1. the loss gradient is scaled by Scale before backward;
 //  2. after backward, gradients are rounded through FP16 (emulating
-//     FP16 gradient storage) and checked for overflow;
-//  3. on overflow the step is skipped and Scale halves; otherwise
-//     gradients are unscaled, the optimizer updates the FP32 masters,
-//     and the working weights are refreshed as FP16 roundings of the
-//     masters;
+//     FP16 gradient storage; an overflow becomes Inf) and unscaled;
+//  3. if the global gradient norm is not finite the step is skipped
+//     and Scale halves; otherwise the optimizer updates the FP32
+//     masters, and the working weights are refreshed as FP16
+//     roundings of the masters;
 //  4. after GrowthInterval consecutive good steps Scale doubles.
 type MixedPrecision struct {
 	Mode sunway.Precision
@@ -82,47 +84,44 @@ func (mp *MixedPrecision) quantizeWeights() {
 }
 
 // PrepareGrads post-processes gradients after backward: quantizes
-// them per the mode and reports whether the step must be skipped
-// because of overflow. On a good step the gradients are left
-// unscaled (divided by the loss scale), ready for the optimizer.
-func (mp *MixedPrecision) PrepareGrads() (ok bool) {
+// them per the mode and, under loss scaling, divides the loss scale
+// back out. It decides nothing: an overflow shows up as a non-finite
+// gradient, and Overflowed rules on the norm once it is known.
+func (mp *MixedPrecision) PrepareGrads() {
 	switch mp.Mode {
-	case sunway.FP32, sunway.FP64:
-		return true
 	case sunway.BF16:
-		// bfloat16 gradients: round, no overflow handling needed
-		// (the exponent range matches FP32).
+		// bfloat16 gradients: round, no scaling (the exponent range
+		// matches FP32).
 		for _, p := range mp.params {
 			half.BQuantizeSlice(p.G.Data)
-			if p.G.HasNaN() {
-				mp.skipped++
-				return false
-			}
 		}
-		return true
 	case sunway.FP16, sunway.Mixed:
-		overflow := false
 		for _, p := range mp.params {
-			if half.QuantizeSliceFast(p.G.Data) {
-				overflow = true
-			}
-			if p.G.HasNaN() {
-				overflow = true
-			}
-		}
-		if overflow {
-			mp.skipped++
-			mp.goodSteps = 0
-			if mp.Scale > 1 {
-				mp.Scale /= 2
-			}
-			return false
+			half.QuantizeSliceFast(p.G.Data)
 		}
 		ScaleGrads(mp.params, 1/mp.Scale)
-		return true
-	default:
-		return true
 	}
+}
+
+// Overflowed reports whether the step whose gradients have global norm
+// norm must be skipped: under a low-precision mode, a NaN or Inf
+// gradient. A skip is counted and, under FP16 loss scaling, halves
+// Scale. Ranks that pass the same synchronized norm decide alike.
+func (mp *MixedPrecision) Overflowed(norm float32) bool {
+	if mp.Mode != sunway.BF16 && mp.Mode != sunway.FP16 && mp.Mode != sunway.Mixed {
+		return false
+	}
+	if f := float64(norm); !math.IsNaN(f) && !math.IsInf(f, 0) {
+		return false
+	}
+	mp.skipped++
+	if mp.Mode != sunway.BF16 {
+		mp.goodSteps = 0
+		if mp.Scale > 1 {
+			mp.Scale /= 2
+		}
+	}
+	return true
 }
 
 // Apply runs the optimizer against the right weight copy and refreshes

@@ -119,7 +119,8 @@ func TestMixedPrecisionOverflowSkipsAndHalves(t *testing.T) {
 	mp := NewMixedPrecision(sunway.Mixed, []*nn.Param{p})
 	mp.Scale = 1024
 	p.G.Data[0] = 1e7 // overflows FP16
-	if mp.PrepareGrads() {
+	mp.PrepareGrads()
+	if !mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 		t.Fatal("overflow not detected")
 	}
 	if mp.Scale != 512 {
@@ -127,6 +128,32 @@ func TestMixedPrecisionOverflowSkipsAndHalves(t *testing.T) {
 	}
 	if mp.SkippedSteps() != 1 {
 		t.Fatalf("skipped = %d", mp.SkippedSteps())
+	}
+}
+
+// TestOverflowedSkipsNonFinite: a low-precision mode skips on a NaN or
+// Inf gradient norm, and only FP16 loss scaling halves its scale; FP32
+// never skips.
+func TestOverflowedSkipsNonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, c := range []struct {
+		mode       sunway.Precision
+		norm       float32
+		skip       bool
+		scaleAfter float32
+	}{
+		{sunway.Mixed, 3, false, 1024},
+		{sunway.Mixed, nan, true, 512},
+		{sunway.FP16, inf, true, 512},
+		{sunway.BF16, inf, true, 1024},
+		{sunway.BF16, nan, true, 1024},
+		{sunway.FP32, nan, false, 1024},
+	} {
+		mp := NewMixedPrecision(c.mode, []*nn.Param{quadParam(1)})
+		if got := mp.Overflowed(c.norm); got != c.skip || mp.Scale != c.scaleAfter || mp.SkippedSteps() != map[bool]int{false: 0, true: 1}[c.skip] {
+			t.Fatalf("%v norm %v: skip %v scale %v skipped %d, want skip %v scale %v",
+				c.mode, c.norm, got, mp.Scale, mp.SkippedSteps(), c.skip, c.scaleAfter)
+		}
 	}
 }
 
@@ -138,7 +165,8 @@ func TestMixedPrecisionGrowth(t *testing.T) {
 	opt := NewSGD(0)
 	for i := 0; i < 3; i++ {
 		p.G.Data[0] = 4 // pretend scaled grad
-		if !mp.PrepareGrads() {
+		mp.PrepareGrads()
+		if mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 			t.Fatal("spurious overflow")
 		}
 		mp.Apply(opt, 0)
@@ -153,9 +181,7 @@ func TestMixedPrecisionUnscales(t *testing.T) {
 	mp := NewMixedPrecision(sunway.Mixed, []*nn.Param{p})
 	mp.Scale = 8
 	p.G.Data[0] = 16 // scaled gradient
-	if !mp.PrepareGrads() {
-		t.Fatal("overflow?")
-	}
+	mp.PrepareGrads()
 	if p.G.Data[0] != 2 {
 		t.Fatalf("unscaled grad = %v, want 2", p.G.Data[0])
 	}
@@ -187,7 +213,8 @@ func TestFP32ModeIsPassthrough(t *testing.T) {
 		t.Fatalf("fp32 loss scale %v", mp.LossScale())
 	}
 	p.G.Data[0] = 1e7
-	if !mp.PrepareGrads() {
+	mp.PrepareGrads()
+	if mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 		t.Fatal("fp32 must not overflow-skip")
 	}
 }
@@ -232,11 +259,10 @@ func TestTrainerLossDecreases(t *testing.T) {
 	}
 }
 
-// Who reports the gradient norm: the trainer, unless clipping is off
-// and a sync hook is installed — then the hook's owner does (the
-// parallel engine's distributed norm) and the trainer must not spend a
-// pass over every gradient on a number nobody reads. The update itself
-// is the same either way.
+// Who reports the gradient norm: the trainer, unless a sync hook is
+// installed — then the hook does (the parallel engine's distributed
+// norm) and the trainer must not spend a pass over every gradient on a
+// number nobody reads. The update itself is the same either way.
 func TestGradNormLeftToSyncHook(t *testing.T) {
 	step := func(hook bool) (Metrics, []float32) {
 		model, corpus := tinyModel(3)
@@ -245,7 +271,7 @@ func TestGradNormLeftToSyncHook(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hook {
-			tr.PostBackward = func([]*nn.Param) {}
+			tr.PostBackward = func([]*nn.Param) float32 { return 0 }
 		}
 		m := tr.Step()
 		return m, append([]float32(nil), tr.Params()[0].W.Data...)
@@ -350,7 +376,8 @@ func TestBF16HugeGradientsDoNotOverflow(t *testing.T) {
 	p := quadParam(1)
 	mp := NewMixedPrecision(sunway.BF16, []*nn.Param{p})
 	p.G.Data[0] = 1e30 // far beyond FP16 range, fine for bf16
-	if !mp.PrepareGrads() {
+	mp.PrepareGrads()
+	if mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 		t.Fatal("bf16 spuriously skipped a large-gradient step")
 	}
 	if mp.SkippedSteps() != 0 {

@@ -47,7 +47,7 @@ type Metrics struct {
 	Step     int
 	Loss     float32 // cross-entropy (excludes aux)
 	AuxLoss  float32 // summed MoE balance loss
-	GradNorm float32 // pre-clip global norm; 0 when a PostBackward hook is installed and ClipNorm is 0
+	GradNorm float32 // pre-clip global norm; the PostBackward hook's when one is installed
 	LR       float32
 	Skipped  bool // step dropped by loss-scale overflow
 	Overflow int  // MoE capacity overflow count (CapacityDrop mode only; 0 when dropless)
@@ -78,8 +78,12 @@ type Trainer struct {
 
 	// PostBackward, when non-nil, runs after gradients are computed
 	// and before the optimizer step; the parallel engine injects the
-	// gradient all-reduce here.
-	PostBackward func(params []*nn.Param)
+	// gradient all-reduce here. It owns clipping (Config.ClipNorm then
+	// does nothing) and returns the global gradient norm, identical on
+	// every rank, which decides whether a step is skipped: one rank's
+	// overflow reaches every rank through the sync, so all skip
+	// together.
+	PostBackward func(params []*nn.Param) float32
 
 	// Unpooled disables the step arena. The ambient arena is
 	// process-global, so it is only safe when exactly one trainer steps
@@ -269,22 +273,20 @@ func (t *Trainer) microStep(ids, targets []int, weight float32) (loss, aux float
 // finishStep runs the precision policy, gradient sync hook, clipping,
 // and the optimizer.
 func (t *Trainer) finishStep(m Metrics) Metrics {
-	if !t.MP.PrepareGrads() {
+	t.MP.PrepareGrads()
+	switch {
+	case t.PostBackward != nil:
+		m.GradNorm = t.PostBackward(t.params)
+	case t.Cfg.ClipNorm > 0:
+		m.GradNorm = ClipGradNorm(t.params, t.Cfg.ClipNorm)
+	default:
+		m.GradNorm = GlobalGradNorm(t.params)
+	}
+	if t.MP.Overflowed(m.GradNorm) {
 		m.Skipped = true
 		m.Scale = t.MP.LossScale()
 		t.step++
 		return m
-	}
-	if t.PostBackward != nil {
-		t.PostBackward(t.params)
-	}
-	// With clipping off and a sync hook installed the hook owns the
-	// norm (the parallel engine computes the distributed one and clips
-	// there); a local pass over every gradient would be read by nobody.
-	if t.Cfg.ClipNorm > 0 {
-		m.GradNorm = ClipGradNorm(t.params, t.Cfg.ClipNorm)
-	} else if t.PostBackward == nil {
-		m.GradNorm = GlobalGradNorm(t.params)
 	}
 	m.LR = t.Cfg.Schedule.LR(t.step)
 	t.MP.Apply(t.Opt, m.LR)
