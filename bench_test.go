@@ -326,13 +326,42 @@ func BenchmarkTrainStep(b *testing.B) {
 // rank's allocations counted: 57.4 k per step (73.1 k when the backward
 // replayed every chunk's forward), gated at that plus 5%.
 func BenchmarkPipelineStep(b *testing.B) {
-	strat := parallel.Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 4, Virtual: 2}
-	mc := parallel.ModelConfig{
-		GPT:        nn.GPTConfig{Vocab: 64, Dim: 16, Heads: 2, Layers: 8, SeqLen: 8, FFNHidden: 32},
-		NumExperts: 2, TopK: 1, AuxLossWeight: 0.01, MoEHidden: 32, MoEEvery: 2, MoESimFLOPS: 1e9,
-	}
-	tc := train.Config{Batch: 1, Precision: sunway.FP32, Schedule: train.ConstantLR(1e-2), ClipNorm: 1, Accum: 8}
-	cc := data.CorpusConfig{Vocab: 64, SeqLen: 8, Zipf: 1, Determinism: 0.85, Seed: 17}
+	engineStepLoop(b, "pipelined engine step", 57400,
+		parallel.Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 4, Virtual: 2},
+		sunway.TestMachine(2, 2), 2,
+		parallel.ModelConfig{
+			GPT:        nn.GPTConfig{Vocab: 64, Dim: 16, Heads: 2, Layers: 8, SeqLen: 8, FFNHidden: 32},
+			NumExperts: 2, TopK: 1, AuxLossWeight: 0.01, MoEHidden: 32, MoEEvery: 2, MoESimFLOPS: 1e9,
+		},
+		train.Config{Batch: 1, Precision: sunway.FP32, Schedule: train.ConstantLR(1e-2), ClipNorm: 1, Accum: 8},
+		1, func() train.Optimizer { return train.NewShardedAdam(0) })
+}
+
+// BenchmarkEngineStep measures one engine step of the MoDa benchmark
+// workload's layout (train_moe_ep8: dp2 × ep4 over four one-node
+// supernodes, Mixed precision, FP16 wire with overlap) at the tiny model
+// size, every rank's allocations counted: 16.3 k per step (16,315 at
+// -cpu 1 and 16,388 at -cpu 2 before the flat grid ran through the
+// schedule runner, the same since), gated at that plus 5%.
+func BenchmarkEngineStep(b *testing.B) {
+	engineStepLoop(b, "flat engine step", 16388,
+		parallel.Strategy{DataParallel: 2, ExpertParallel: 4},
+		sunway.TestMachine(4, 1), 2,
+		parallel.ModelConfig{
+			GPT:        nn.GPTConfig{Vocab: 64, Dim: 16, Heads: 2, Layers: 2, SeqLen: 8, FFNHidden: 32},
+			NumExperts: 16, TopK: 2, AuxLossWeight: 0.01, MoEHidden: 32, MoEEvery: 1, MoESimFLOPS: 1e9,
+			Algo: moe.Auto, Comm: moe.CommConfig{Codec: mpi.FP16Wire, Overlap: true},
+		},
+		train.Config{Batch: 2, Precision: sunway.Mixed, Schedule: train.ConstantLR(1e-2), ClipNorm: 1},
+		1.2, func() train.Optimizer { return train.NewAdam(0) })
+}
+
+// engineStepLoop runs gatedLoop over one parallel.Engine step of strat
+// on every rank of a world on machine, at a compute rate of 1 GFLOP/s
+// per rank; zipf shapes the synthetic corpus.
+func engineStepLoop(b *testing.B, what string, baseline float64, strat parallel.Strategy, machine *sunway.Machine,
+	ranksPerNode int, mc parallel.ModelConfig, tc train.Config, zipf float64, opt func() train.Optimizer) {
+	cc := data.CorpusConfig{Vocab: mc.GPT.Vocab, SeqLen: mc.GPT.SeqLen, Zipf: zipf, Determinism: 0.85, Seed: 17}
 	ranks := strat.Size()
 	start := make([]chan bool, ranks)
 	for r := range start {
@@ -342,8 +371,8 @@ func BenchmarkPipelineStep(b *testing.B) {
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
-		mpi.NewWorld(ranks, simnet.New(sunway.TestMachine(2, 2), 2)).Run(func(c *mpi.Comm) {
-			e, err := parallel.NewEngine(c, strat, mc, cc, tc, train.NewShardedAdam(0), 1)
+		mpi.NewWorld(ranks, simnet.New(machine, ranksPerNode)).Run(func(c *mpi.Comm) {
+			e, err := parallel.NewEngine(c, strat, mc, cc, tc, opt(), 1)
 			if err == nil {
 				e.SetComputeRate(1e9)
 			}
@@ -361,7 +390,7 @@ func BenchmarkPipelineStep(b *testing.B) {
 		}
 		<-exited
 	}()
-	gatedLoop(b, "pipelined engine step", 57400, func() {
+	gatedLoop(b, what, baseline, func() {
 		for _, s := range start {
 			s <- true
 		}

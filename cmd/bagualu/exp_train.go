@@ -124,7 +124,9 @@ func expR20(*options) []*metrics.Table {
 		g := nn.NewGPT(nn.GPTConfig{
 			Vocab: 128, Dim: 64, Heads: 4, Layers: 4, SeqLen: 32, FFNHidden: 256,
 		}, tensor.NewRNG(1), nil)
-		g.Recompute = mode == "recompute"
+		if mode == "recompute" {
+			g.RecomputePolicy = []bool{true, true, true, true}
+		}
 		ids := make([]int, 4*32)
 		targets := make([]int, len(ids))
 		dr := tensor.NewRNG(2)

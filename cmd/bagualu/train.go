@@ -14,7 +14,6 @@ import (
 	"bagualu/internal/parallel"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
-	"bagualu/internal/trace"
 	"bagualu/internal/train"
 )
 
@@ -33,13 +32,11 @@ func runTrain(args []string, out io.Writer) {
 		route     = fs.String("route", "token-choice", "routing mode: token-choice|capacity-drop|expert-choice")
 		precision = fs.String("precision", "fp32", "fp32|fp16|mixed|bf16")
 		accum     = fs.Int("accum", 1, "gradient-accumulation micro-batches per step")
-		recompute = fs.Bool("recompute", false, "activation checkpointing (recompute in backward)")
 		recEvery  = fs.Int("recompute-every", 0, "selective recomputation: recompute every N-th block (0 = off)")
 		zero      = fs.Bool("zero", false, "ZeRO-shard Adam optimizer states across data-parallel peers")
 		offload   = fs.Bool("offload", false, "offload optimizer state to the host-memory tier (priced on the virtual clock)")
 		ckptDir   = fs.String("checkpoint", "", "directory for the final sharded checkpoint (`exp R13 -ckpt` serves it)")
 		rebalance = fs.Int("rebalance", 0, "migrate experts to balance load every N steps (0 = off)")
-		traceOut  = fs.String("trace", "", "write a Chrome trace timeline to this path")
 		m         = modelDims{vocab: 256, dim: 64, heads: 4, layers: 2, seq: 32, experts: 8, topk: 2}
 		seed      = uint64(42)
 	)
@@ -76,7 +73,6 @@ func runTrain(args []string, out io.Writer) {
 		MoEHidden:      m.hidden,
 		MoEEvery:       1,
 		Algo:           moe.Auto,
-		Recompute:      *recompute,
 		RecomputeEvery: *recEvery,
 	}
 	cc := data.CorpusConfig{
@@ -98,14 +94,9 @@ func runTrain(args []string, out io.Writer) {
 	fmt.Fprintf(out, "BaGuaLu-sim training: %d ranks (dp=%d x ep=%d), %d experts/layer, precision=%s\n",
 		strat.Size(), *dp, *ep, m.experts, prec)
 
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.New()
-	}
 	var phases *metrics.PhaseMeter
 	world := onWorld(strat.Size(), topo, func(c *mpi.Comm) {
 		e := must(parallel.NewEngine(c, strat, mc, cc, tc, optFor(), seed))
-		e.Trace = rec
 		if *offload {
 			e.EnableOffload(machine.HostMemBWGiBs)
 		}
@@ -141,11 +132,6 @@ func runTrain(args []string, out io.Writer) {
 	})
 	if *ckptDir != "" {
 		fmt.Fprintf(out, "checkpoint written to %s (%d shards)\n", *ckptDir, strat.Size())
-	}
-
-	if rec != nil {
-		check(rec.WriteFile(*traceOut))
-		fmt.Fprintf(out, "trace written to %s (%d events)\n", *traceOut, rec.Len())
 	}
 
 	if phases != nil && phases.Total() > 0 {

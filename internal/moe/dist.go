@@ -145,9 +145,6 @@ type Timing struct {
 	ExpertSim float64
 }
 
-// Reset zeroes the accumulators.
-func (t *Timing) Reset() { *t = Timing{} }
-
 // Add returns the fieldwise sum of two breakdowns (aggregating over
 // the MoE layers of a model).
 func (t Timing) Add(o Timing) Timing {

@@ -241,6 +241,18 @@ func (c *Comm) recvStep(src int, tag int) message {
 	return c.proc.recv(g, tag, c.group, c.born)
 }
 
+// Self returns a one-rank communicator holding only the caller, without
+// communicating: its collectives return at once and it carries no
+// message, so it shares c's id and takes none of c's child ids.
+func (c *Comm) Self() *Comm {
+	return &Comm{
+		proc:  c.proc,
+		group: []int{c.proc.global},
+		id:    c.id,
+		born:  c.proc.w.failCount.Load(),
+	}
+}
+
 // Split partitions the communicator by color; ranks passing the same
 // color form a new communicator ordered by (key, rank). Every rank of
 // c must call Split. Ranks passing a negative color receive nil.

@@ -79,32 +79,25 @@ type GPT struct {
 	FinalLN  *LayerNorm
 	Head     *Linear
 
-	// Recompute enables activation checkpointing: a block keeps only
-	// its input through Forward, frees its caches, and is re-run
-	// during Backward to regenerate them. This is the paper's memory
-	// strategy — at brain scale, storing every intermediate activation
-	// is impossible — traded for ~1/3 more compute. Gradients are
-	// bit-identical either way (tested). Requires deterministic
-	// layers: disable MoE gate noise, which would re-randomize routing
-	// on the recompute pass.
-	Recompute bool
-
-	// RecomputePolicy, when non-nil, selects per block whether that
-	// block recomputes (selective activation recomputation). It
-	// overrides Recompute and must have one entry per block. A nil
-	// policy means Recompute governs every block uniformly.
+	// RecomputePolicy selects per block whether that block runs under
+	// activation checkpointing: a marked block keeps only its input
+	// through its forward, frees its caches, and is re-run during
+	// backward to regenerate them. This is the paper's memory strategy —
+	// at brain scale, storing every intermediate activation is
+	// impossible — traded for up to 1/3 more compute. Gradients are
+	// bit-identical either way (tested). Requires deterministic layers:
+	// disable MoE gate noise, which would re-randomize routing on the
+	// recompute pass. nil marks no block; otherwise it has one entry per
+	// block.
 	RecomputePolicy []bool
 
 	pass Pass // Forward's, for Backward
 }
 
 // recomputes reports whether block i runs under activation
-// checkpointing this step.
+// checkpointing.
 func (g *GPT) recomputes(i int) bool {
-	if g.RecomputePolicy != nil {
-		return g.RecomputePolicy[i]
-	}
-	return g.Recompute
+	return g.RecomputePolicy != nil && g.RecomputePolicy[i]
 }
 
 // A Pass is what one forward pass over a run of blocks left for its
@@ -212,23 +205,6 @@ func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor) *tensor.Tensor {
 		g.embedBackward(d)
 	}
 	return d
-}
-
-// RecomputedFraction returns the fraction of blocks running under
-// activation checkpointing — the share of forward FLOPs replayed
-// during backward, which the parallel engine charges to the virtual
-// clock.
-func (g *GPT) RecomputedFraction() float64 {
-	if len(g.Blocks) == 0 {
-		return 0
-	}
-	n := 0
-	for i := range g.Blocks {
-		if g.recomputes(i) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(g.Blocks))
 }
 
 // NewGPT constructs the model. ffn may be nil for dense FFN blocks.

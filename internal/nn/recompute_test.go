@@ -20,7 +20,9 @@ func TestRecomputeGradsIdentical(t *testing.T) {
 
 	grads := func(recompute bool) map[string]*tensor.Tensor {
 		g := build()
-		g.Recompute = recompute
+		if recompute {
+			g.RecomputePolicy = []bool{true, true, true}
+		}
 		var loss SoftmaxCrossEntropy
 		loss.Forward(g.Forward(ids), targets)
 		ZeroGrads(g.Params())
@@ -43,7 +45,7 @@ func TestRecomputeGradsIdentical(t *testing.T) {
 func TestRecomputeTrains(t *testing.T) {
 	r := tensor.NewRNG(42)
 	g := NewGPT(GPTConfig{Vocab: 16, Dim: 16, Heads: 2, Layers: 2, SeqLen: 4, FFNHidden: 32}, r, nil)
-	g.Recompute = true
+	g.RecomputePolicy = []bool{true, true}
 	params := g.Params()
 	data := tensor.NewRNG(1)
 	var first, last float32

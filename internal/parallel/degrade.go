@@ -14,7 +14,6 @@ import (
 	"bagualu/internal/health"
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
-	"bagualu/internal/nn"
 )
 
 // collectHealth runs one telemetry round over comm and returns
@@ -32,26 +31,6 @@ func collectHealth(w *mpi.World, comm *mpi.Comm) []float64 {
 		out[comm.Global(q)] = s
 	}
 	return out
-}
-
-// repartitionParams rebuilds the dense/expert parameter split from the
-// MoE layers' current shards (used after any resharding: Reform after
-// a shrink, Mitigate after a drain migration).
-func (e *Engine) repartitionParams() {
-	sharded := map[*nn.Param]bool{}
-	for _, m := range e.moeLayers {
-		for _, p := range m.ShardedParams() {
-			sharded[p] = true
-		}
-	}
-	e.denseParams, e.expertParams = nil, nil
-	for _, p := range e.ownedParams() {
-		if sharded[p] {
-			e.expertParams = append(e.expertParams, p)
-		} else {
-			e.denseParams = append(e.denseParams, p)
-		}
-	}
 }
 
 // Mitigate drains experts away from the flagged expert-parallel slots
@@ -94,6 +73,5 @@ func (e *Engine) Mitigate(degradedSlots []bool) error {
 		}
 	}
 	e.repartitionParams()
-	e.Trainer.RefreshParams()
 	return nil
 }

@@ -172,24 +172,21 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	if len(e.moeLayers) > 0 && e.moeLayers[0].Cfg.NumExperts%strat.ExpertParallel != 0 {
 		return fmt.Errorf("parallel: %d experts not divisible by EP=%d", e.moeLayers[0].Cfg.NumExperts, strat.ExpertParallel)
 	}
-	if strat.VPP() > 1 && e.micro%strat.PP() != 0 {
-		return fmt.Errorf("parallel: interleaved schedule needs %d micro-batches divisible by Pipeline=%d", e.micro, strat.PP())
-	}
-	if err := e.splitGrid(newComm, strat); err != nil {
-		return err
+	if micro := len(e.batches); strat.VPP() > 1 && micro%strat.PP() != 0 {
+		return fmt.Errorf("parallel: interleaved schedule needs %d micro-batches divisible by Pipeline=%d", micro, strat.PP())
 	}
 	// Re-chunk the layers for the new pipeline depth (possibly 1 —
 	// restore-into-fewer-stages lands here after a shrink). Ownership
 	// and the schedule runner follow the new partition; checkpoint
 	// restore re-scatters weights and moments by name afterwards.
-	e.part, e.runner, e.chunkFwdFlops = nil, nil, nil
-	if strat.PP() > 1 {
-		part, perr := pipe.PartitionLayers(len(e.Model.Blocks), strat.PP()*strat.VPP())
-		if perr != nil {
-			return perr
-		}
-		e.part = part
+	part, err := pipe.PartitionLayers(len(e.Model.Blocks), strat.PP()*strat.VPP())
+	if err != nil {
+		return err
 	}
+	if err := e.splitGrid(newComm, strat); err != nil {
+		return err
+	}
+	e.part = part
 	for _, m := range e.moeLayers {
 		place := moe.NewBlockPlacement(m.Cfg.NumExperts, e.EP.Size())
 		if err := m.ReshardTo(e.EP, place); err != nil {
@@ -198,10 +195,7 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	}
 	// Re-partition parameters under the new shards and chunk ownership.
 	e.repartitionParams()
-	e.Trainer.ReformParams(e.ownedParams())
-	if strat.PP() > 1 {
-		e.buildRunner()
-	}
+	e.buildRunner()
 	// Re-bind the sync path: under ZeRO the moment shards re-partition
 	// (zeroed) over the NEW communicators, and the checkpoint restore
 	// fills them through range-record coverage.

@@ -3,34 +3,30 @@
 // trains on its own token shard) and an expert-parallel worker (it
 // hosts a shard of every MoE layer's expert pool).
 //
-// The process grid is DataParallel × ExpertParallel. Expert-parallel
-// groups are contiguous rank ranges, so MoE all-to-all traffic stays
-// as low in the network hierarchy as the machine allows; data-
-// parallel groups stride across them. Gradient synchronization is
-// two-tier:
+// The process grid is the folded [pp, dp, ep] layout of
+// internal/parallel/layout; depth 1 (the default) is the MoDa grid
+// itself. Expert-parallel groups are contiguous rank ranges, so MoE
+// all-to-all traffic stays as low in the network hierarchy as the
+// machine allows; data-parallel groups stride across them. Gradient
+// synchronization is two-tier:
 //
 //   - dense parameters (attention, layer norms, embeddings, gates)
-//     are replicated on every rank and all-reduced over the world;
+//     are replicated on every rank of a stage (the world at depth 1)
+//     and all-reduced over it;
 //   - expert parameters are replicated only across the ranks holding
 //     the same shard (one per expert-parallel group) and all-reduced
 //     over that data-parallel communicator.
 //
-// With Strategy.Pipeline > 1 the grid folds a third axis in front:
-// [pp, dp, ep] with pipeline stages as contiguous rank blocks (see
-// internal/parallel/layout). Each stage owns a contiguous chunk of the
-// model's layers and runs the 1F1B or interleaved schedule from
-// internal/parallel/pipe; gradient synchronization then happens within
-// each stage's folded sub-grid (dense over the whole stage, experts
-// over the stage's data-parallel groups) and only the global gradient
-// norm crosses stage boundaries.
+// Pipeline stages are contiguous rank blocks. Each owns a contiguous
+// chunk of the model's layers, and every step runs the 1F1B or
+// interleaved schedule of internal/parallel/pipe over them — at depth 1
+// one chunk holding every layer, where the schedule is plain gradient
+// accumulation. Only the global gradient norm crosses stage boundaries.
 package parallel
 
 import (
 	"fmt"
 	"math"
-	"time"
-
-	"bagualu/internal/trace"
 
 	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
@@ -50,10 +46,9 @@ type Strategy struct {
 	DataParallel   int
 	ExpertParallel int
 
-	// Pipeline is the pipeline-parallel depth (stage count). 0 or 1
-	// keeps the flat DP×EP MoDa grid; above 1 the grid becomes
-	// [pp, dp, ep] with stages as contiguous rank blocks and the
-	// engine runs the pipe schedules over the model's layer chunks.
+	// Pipeline is the pipeline-parallel depth (stage count) of the
+	// [pp, dp, ep] fold. 0 or 1 is depth 1: one stage, the flat DP×EP
+	// MoDa grid.
 	Pipeline int
 
 	// Virtual is the number of virtual stages (model chunks) per
@@ -129,22 +124,17 @@ type ModelConfig struct {
 	// compute to the virtual clock at this rate (FLOP/s per rank), so
 	// overlap shows up in simulated step time. It charges expert GEMMs
 	// inline inside the exchange window. It composes with
-	// SetComputeRate: when both are set, Step subtracts the analytic
-	// expert share from the step's FLOPs before charging, so dense
-	// compute is priced after the fact and expert compute inline,
-	// without double-pricing either.
+	// SetComputeRate: when both are set, the per-chunk charge leaves the
+	// expert share out, so dense compute is priced per chunk pass and
+	// expert compute inline, without double-pricing either.
 	MoESimFLOPS float64
 
-	// Recompute enables activation checkpointing (see nn.GPT). The
-	// MoE all-to-alls re-run during backward, doubling dispatch
-	// traffic — the real memory/communication trade at scale.
-	Recompute bool
-
-	// RecomputeEvery, when positive, enables *selective* activation
-	// recomputation: only every n-th block discards its activations
-	// and replays forward during backward (1 = all blocks, equivalent
-	// to Recompute). It overrides Recompute with a per-layer policy so
-	// the memory/compute trade is tunable per layer.
+	// RecomputeEvery, when positive, enables activation recomputation:
+	// every n-th block (1 = all) discards its activations and replays
+	// its forward during backward (see nn.GPT.RecomputePolicy). A
+	// replayed MoE layer re-runs its all-to-alls, so dispatch traffic
+	// grows with the marked share — the real memory/communication trade
+	// at scale.
 	RecomputeEvery int
 }
 
@@ -168,7 +158,6 @@ type StepStats struct {
 	AuxLoss   float32    // world-mean auxiliary loss
 	Overflow  int        // total dropped assignments (CapacityDrop mode only; 0 when dropless)
 	GradNorm  float32    // local (post-sync) gradient norm at rank 0
-	WallFwd   float64    // seconds, rank-local
 	MoE       moe.Timing // accumulated MoE phase breakdown
 	SimTime   float64    // virtual seconds elapsed on this rank
 	TokensPer float64    // tokens/virtual-second across the world (0 if no sim time)
@@ -190,14 +179,14 @@ type StepStats struct {
 
 	// BubbleSim is virtual time this rank's pipeline stage spent
 	// stalled on boundary activation/gradient receives during the step
-	// (metrics.PhaseBubble; zero when Pipeline <= 1).
+	// (metrics.PhaseBubble; zero at depth 1).
 	BubbleSim float64
 
 	// ComputeSim is virtual time this rank's clock was charged for model
-	// FLOPs during the step: the dense lump and recompute replay (or the
-	// pipeline runner's chunk passes) plus the expert GEMMs MoE layers
-	// price inline. Zero unless a compute rate is set. It is metered
-	// beside the charges, not by another clock operation.
+	// FLOPs during the step: the runner's chunk passes (recompute replays
+	// included) plus the expert GEMMs MoE layers price inline. Zero unless
+	// a compute rate is set. It is metered beside the charges, not by
+	// another clock operation.
 	ComputeSim float64
 }
 
@@ -207,20 +196,19 @@ type Engine struct {
 	Comm     *mpi.Comm
 	EP       *mpi.Comm // expert-parallel group (contiguous ranks)
 	DP       *mpi.Comm // data-parallel group (strided ranks)
-	Stage    *mpi.Comm // stage-local folded grid (nil when Pipeline <= 1)
-	PPComm   *mpi.Comm // pipeline column, comm rank == stage (nil when Pipeline <= 1)
+	Stage    *mpi.Comm // the stage's folded grid, the dense replication group (Comm at depth 1)
+	PPComm   *mpi.Comm // pipeline column, comm rank == stage (one rank at depth 1)
 	Strategy Strategy
 	Model    *nn.GPT
 	Trainer  *train.Trainer
 
-	// Pipeline state (all zero when Strategy.Pipeline <= 1): the folded
-	// layout pair, the per-rank schedule runner, the global chunk
-	// partition, micro-batches per step, and per-chunk analytic forward
-	// FLOPs the runner prices on the virtual clock.
-	fold          *layout.Folded
+	// The folded layout pair, the per-rank schedule runner, the global
+	// chunk partition, this step's micro-batches, and per-chunk analytic
+	// forward FLOPs the runner prices on the virtual clock.
+	fold          layout.Folded
 	runner        *pipe.Runner
 	part          []pipe.Chunk
-	micro         int
+	batches       []pipe.MicroBatch
 	chunkFwdFlops []float64
 
 	moeLayers    []*moe.DistMoE
@@ -241,13 +229,6 @@ type Engine struct {
 
 	phases    *metrics.PhaseMeter
 	phasePrev map[string]float64 // last snapshot, for per-step deltas
-
-	// Trace, when non-nil, receives a per-rank timeline of step and
-	// MoE phase spans (export with trace.WriteChromeTrace).
-	Trace *trace.Recorder
-
-	wallBase time.Time
-	wallSet  bool
 }
 
 // NewEngine builds the model, communicators, corpus shard, and
@@ -266,10 +247,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	if mc.MoEEvery > 0 && mc.NumExperts%strat.ExpertParallel != 0 {
 		return nil, fmt.Errorf("parallel: %d experts not divisible by EP=%d", mc.NumExperts, strat.ExpertParallel)
 	}
-	micro := tc.Accum
-	if micro < 1 {
-		micro = 1
-	}
+	micro := max(tc.Accum, 1)
 	if strat.PP() > 1 {
 		// Pipeline runs use a static precision. Dynamic loss scaling
 		// skips on the synchronized gradient norm, which the pipeline
@@ -281,12 +259,14 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		if strat.VPP() > 1 && micro%strat.PP() != 0 {
 			return nil, fmt.Errorf("parallel: interleaved schedule needs Accum (%d) divisible by Pipeline (%d)", micro, strat.PP())
 		}
-		if mc.GPT.Layers < strat.PP()*strat.VPP() {
-			return nil, fmt.Errorf("parallel: %d layers cannot fill %d pipeline chunks", mc.GPT.Layers, strat.PP()*strat.VPP())
-		}
 	}
 
-	e := &Engine{batch: tc.Batch, clipNorm: tc.ClipNorm, micro: micro}
+	part, err := pipe.PartitionLayers(mc.GPT.Layers, strat.PP()*strat.VPP())
+	if err != nil {
+		return nil, err
+	}
+
+	e := &Engine{part: part, batch: tc.Batch, clipNorm: tc.ClipNorm, batches: make([]pipe.MicroBatch, micro)}
 	// The engine clips by the *distributed* global norm after the
 	// gradient sync; the trainer's local clip would use a norm that
 	// differs across ranks (expert shards differ) and desynchronize
@@ -319,7 +299,6 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		}
 	}
 	e.Model = nn.NewGPT(mc.GPT, r, ffn)
-	e.Model.Recompute = mc.Recompute
 	if mc.RecomputeEvery > 0 {
 		pol := make([]bool, mc.GPT.Layers)
 		for i := range pol {
@@ -328,23 +307,12 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		e.Model.RecomputePolicy = pol
 	}
 
-	// Under PP the layer chunking must precede the parameter
-	// partition: the partition then covers only stage-owned chunks.
-	if strat.PP() > 1 {
-		part, perr := pipe.PartitionLayers(mc.GPT.Layers, strat.PP()*strat.VPP())
-		if perr != nil {
-			return nil, perr
-		}
-		e.part = part
-	}
-	// Partition parameters into expert-sharded and dense/replicated.
-	e.repartitionParams()
-
-	// Per-rank corpus shard: decorrelate by rank (by within-stage index
-	// under PP — every rank of a pipeline column draws the identical
-	// token stream, so activations are the only cross-stage traffic).
+	// Per-rank corpus shard: decorrelate by within-stage index (the
+	// global rank at depth 1) — every rank of a pipeline column draws the
+	// identical token stream, so activations are the only cross-stage
+	// traffic.
 	cc := corpusCfg
-	cc.Seed = corpusCfg.Seed + uint64(e.decorrIndex())*1_000_003
+	cc.Seed = corpusCfg.Seed + uint64(e.fold.Within(c.Rank()))*1_000_003
 	corpus, err := data.NewSynthetic(cc)
 	if err != nil {
 		return nil, err
@@ -365,81 +333,46 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		metrics.PhaseParamGather, metrics.PhaseRecompute,
 		metrics.PhaseOffload, metrics.PhaseBubble, metrics.PhaseCompute)
 	e.phasePrev = map[string]float64{}
-	if strat.PP() > 1 {
-		// The optimizer, precision policy, and checkpoints operate on
-		// the stage-owned parameter subset; the runner executes the
-		// pipeline schedule inside Trainer.StepWith.
-		tr.RestrictParams(e.ownedParams())
-		e.buildRunner()
-	}
+	// The optimizer, precision policy, and checkpoints operate on the
+	// stage-owned parameter subset; the runner executes the schedule
+	// inside Trainer.StepWith.
+	e.repartitionParams()
+	e.buildRunner()
 	e.installSync(opt)
 	return e, nil
 }
 
-// splitGrid builds the communicators for strat over c. Pipeline <= 1
-// reproduces the seed MoDa split exactly; above 1 the folded layout
-// pair from internal/parallel/layout drives the stage, intra-stage,
-// and pipeline-column splits. Collective: every rank of c must call
-// it with the same strategy.
+// splitGrid builds the communicators for strat over c from the folded
+// layout pair of internal/parallel/layout. Inside a stage the MoDa grid
+// appears (contiguous EP groups, strided DP groups); the pipeline column
+// links the same fold coordinate across stages, so the column comm's
+// rank equals the pipeline stage. At depth 1 the stage is c and the
+// column is the rank alone, so neither needs a Split. Collective: every
+// rank of c must call it with the same strategy.
 func (e *Engine) splitGrid(c *mpi.Comm, strat Strategy) error {
-	e.Comm, e.Strategy = c, strat
-	if strat.PP() <= 1 {
-		e.fold, e.Stage, e.PPComm = nil, nil, nil
-		// Contiguous expert-parallel groups; strided data-parallel groups.
-		e.EP = c.Split(c.Rank()/strat.ExpertParallel, c.Rank())
-		e.DP = c.Split(c.Rank()%strat.ExpertParallel, c.Rank())
-		return nil
-	}
 	fold, err := layout.Fold(c.Size(), strat.PP(), strat.DataParallel, strat.ExpertParallel)
 	if err != nil {
 		return err
 	}
-	e.fold = &fold
+	e.Comm, e.Strategy, e.fold = c, strat, fold
 	rank := c.Rank()
 	within := fold.Within(rank)
-	// The stage is a contiguous rank block; inside it the MoDa grid
-	// reappears (contiguous EP groups, strided DP groups). The pipeline
-	// column links the same fold coordinate across stages, so the
-	// column comm's rank equals the pipeline stage.
-	e.Stage = c.Split(fold.StageColor(rank), rank)
+	e.Stage, e.PPComm = c, c.Self()
+	if fold.PP > 1 {
+		e.Stage = c.Split(fold.StageColor(rank), rank)
+	}
 	e.EP = e.Stage.Split(fold.ExpertColor(within), within)
 	e.DP = e.Stage.Split(fold.DataColor(within), within)
-	e.PPComm = c.Split(fold.PipeColor(rank), rank)
+	if fold.PP > 1 {
+		e.PPComm = c.Split(fold.PipeColor(rank), rank)
+	}
 	return nil
 }
 
-// decorrIndex is the corpus-decorrelation index: the global rank on
-// the flat grid, the within-stage index under PP (every rank of a
-// pipeline column must draw the identical token stream).
-func (e *Engine) decorrIndex() int {
-	if e.fold != nil {
-		return e.fold.Within(e.Comm.Rank())
-	}
-	return e.Comm.Rank()
-}
-
-// denseComm is the communicator dense gradients synchronize over: the
-// world on the flat grid, the stage under PP.
-func (e *Engine) denseComm() *mpi.Comm {
-	if e.Stage != nil {
-		return e.Stage
-	}
-	return e.Comm
-}
-
-// perStage is the number of ranks that together consume one step's
-// distinct token streams — the loss/gradient averaging denominator.
-// Equals the world size on the flat grid.
-func (e *Engine) perStage() int { return e.denseComm().Size() }
-
-// ownedParams returns the parameters this rank trains: the whole
-// model on the flat grid, or the stage-owned chunk subset under PP
-// (embeddings ride with the first chunk, the final norm and head with
-// the last), in model order.
+// ownedParams returns the parameters this rank trains: the stage-owned
+// chunk subset (embeddings ride with the first chunk, the final norm and
+// head with the last) in model order — the whole model at depth 1.
 func (e *Engine) ownedParams() []*nn.Param {
-	if e.fold == nil {
-		return e.Model.Params()
-	}
 	stage := e.fold.Stage(e.Comm.Rank())
 	var ps []*nn.Param
 	for v := 0; v < e.Strategy.VPP(); v++ {
@@ -459,14 +392,39 @@ func (e *Engine) ownedParams() []*nn.Param {
 	return ps
 }
 
-// buildRunner (re)creates the pipeline schedule runner and the
-// per-chunk analytic forward-FLOP table for the current partition.
+// repartitionParams splits the owned parameters into expert-sharded and
+// dense/replicated by the MoE layers' current shards, and moves the
+// trainer onto them (train.Trainer.ReformParams keeps FP32 masters and
+// the loss-scale state). Every re-partition goes through it: NewEngine,
+// Reform after a shrink, Mitigate and RebalanceExperts after a
+// migration.
+func (e *Engine) repartitionParams() {
+	sharded := map[*nn.Param]bool{}
+	for _, m := range e.moeLayers {
+		for _, p := range m.ShardedParams() {
+			sharded[p] = true
+		}
+	}
+	owned := e.ownedParams()
+	e.denseParams, e.expertParams = nil, nil
+	for _, p := range owned {
+		if sharded[p] {
+			e.expertParams = append(e.expertParams, p)
+		} else {
+			e.denseParams = append(e.denseParams, p)
+		}
+	}
+	e.Trainer.ReformParams(owned)
+}
+
+// buildRunner (re)creates the schedule runner and the per-chunk
+// analytic forward-FLOP table for the current partition.
 func (e *Engine) buildRunner() {
 	e.chunkFwdFlops = e.chunkForwardFlops()
 	e.runner = &pipe.Runner{
 		Stages:  e.fold.PP,
 		Virtual: e.Strategy.VPP(),
-		Micro:   e.micro,
+		Micro:   len(e.batches),
 		Stage:   e.fold.Stage(e.Comm.Rank()),
 		Comm:    e.PPComm,
 		Model:   e.Model,
@@ -484,10 +442,10 @@ func (e *Engine) buildRunner() {
 }
 
 // chunkForwardFlops prices one micro-batch forward pass of each global
-// chunk, mirroring stepFlops' analytic convention (2 FLOPs per active
-// parameter per token forward plus the attention quadratic term). The
-// expert share is included only when the MoE layers do not self-charge
-// their GEMMs inline on the virtual clock.
+// chunk: 2 FLOPs per active parameter per token plus the attention
+// quadratic term (a backward is twice that). The expert share is
+// included only when the MoE layers do not self-charge their GEMMs
+// inline on the virtual clock.
 func (e *Engine) chunkForwardFlops() []float64 {
 	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
 	self := e.moeSelfCharges()
@@ -544,13 +502,13 @@ func (e *Engine) chunkAux(g int) (aux float32, overflow int) {
 }
 
 // replicaGroups names the engine's two replication groups: dense
-// parameters are identical on every rank of the dense communicator,
-// expert parameters on every rank of the data-parallel one. Gradients
+// parameters are identical on every rank of the stage, expert
+// parameters on every rank of the data-parallel communicator. Gradients
 // reduce over them, ZeRO shards moments over them, and checkpoints
 // deduplicate over them.
 func (e *Engine) replicaGroups() []train.ShardGroup {
 	return []train.ShardGroup{
-		{Comm: e.denseComm(), Params: e.denseParams},
+		{Comm: e.Stage, Params: e.denseParams},
 		{Comm: e.DP, Params: e.expertParams},
 	}
 }
@@ -609,10 +567,8 @@ func (e *Engine) Restore(dir string, step int64, live *ckpt.Header, diskSeconds 
 		hdr = &res.Header
 	}
 	e.Trainer.ApplyRestored(*hdr)
-	if e.PPComm != nil && e.PPComm.Size() > 1 {
-		streams := e.PPComm.AllGatherInts([]int{int(e.Trainer.Corpus.RNGState())})
-		e.Trainer.Corpus.SetRNGState(uint64(streams[0]))
-	}
+	streams := e.PPComm.AllGatherInts([]int{int(e.Trainer.Corpus.RNGState())})
+	e.Trainer.Corpus.SetRNGState(uint64(streams[0]))
 	return st, nil
 }
 
@@ -644,7 +600,7 @@ func (e *Engine) replicated() map[*nn.Param]bool {
 
 // installSync binds the gradient-synchronization path matching the
 // optimizer. A *train.ShardedAdam gets the ZeRO path: its moment
-// shards are (re)partitioned over the dense (world) and expert
+// shards are (re)partitioned over the dense (stage) and expert
 // (data-parallel) groups and PostBackward reduce-scatters instead of
 // all-reducing. Reform calls this again after a shrink so the shards
 // re-partition over the surviving layout.
@@ -668,10 +624,11 @@ func (e *Engine) installSync(opt train.Optimizer) {
 // to price the shard update when a compute rate is set.
 const adamFlopsPerElem = 12
 
-// SetComputeRate makes Step charge simulated compute time (the
-// step's analytic FLOPs divided by rate) to the rank's virtual clock,
-// so virtual-time throughput reflects compute as well as
-// communication. rate is sustained FLOP/s per rank; 0 disables.
+// SetComputeRate makes the runner charge simulated compute time (each
+// chunk pass's analytic FLOPs divided by rate) to the rank's virtual
+// clock as the pass runs, so virtual-time throughput reflects compute
+// as well as communication. rate is sustained FLOP/s per rank; 0
+// disables.
 func (e *Engine) SetComputeRate(rate float64) {
 	e.computeRate = rate
 	if e.zero != nil {
@@ -717,34 +674,6 @@ func (e *Engine) phaseDelta(name string) float64 {
 	return d
 }
 
-// stepFlops estimates forward+backward FLOPs for one local batch:
-// 6 FLOPs per active parameter per token plus the attention
-// quadratic term.
-func (e *Engine) stepFlops() float64 {
-	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
-	active := float64(nn.NumParams(e.denseParams))
-	for _, m := range e.moeLayers {
-		// Per-expert size comes from the layer, not the local shard: a
-		// drained rank hosts zero experts but still routes tokens.
-		active += float64(m.Cfg.TopK) * float64(m.PerExpertParams())
-	}
-	quad := 12 * float64(e.Model.Cfg.Layers) * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
-	return tokens * (6*active + quad)
-}
-
-// expertFlops estimates the expert share of stepFlops — the FLOPs the
-// MoE layers charge inline (per routed row) when their SimRate is set.
-// In dropless routing every token keeps exactly TopK assignments, so
-// the analytic count matches the inline charge in expectation.
-func (e *Engine) expertFlops() float64 {
-	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
-	var per float64
-	for _, m := range e.moeLayers {
-		per += float64(m.Cfg.TopK) * float64(m.PerExpertParams())
-	}
-	return tokens * 6 * per
-}
-
 // moeSelfCharges reports whether the MoE layers price their expert
 // GEMMs inline on the virtual clock.
 func (e *Engine) moeSelfCharges() bool {
@@ -759,7 +688,7 @@ func (e *Engine) moeSelfCharges() bool {
 // MoELayers returns this rank's distributed MoE layers.
 func (e *Engine) MoELayers() []*moe.DistMoE { return e.moeLayers }
 
-// DenseParams returns the world-replicated parameters.
+// DenseParams returns the stage-replicated parameters.
 func (e *Engine) DenseParams() []*nn.Param { return e.denseParams }
 
 // ExpertParams returns this rank's expert shard parameters.
@@ -774,13 +703,12 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 // gradients overflowed still syncs, and its Inf reaches every rank's
 // norm, so every rank skips the step together.
 func (e *Engine) syncGradients([]*nn.Param) float32 {
-	group := float32(e.perStage())
+	group := float32(e.Stage.Size())
 	t0 := e.Comm.Now()
 	// The two all-reduces are independent and share only this rank's
 	// ports, so they are issued together, dense first. Dense
-	// parameters: bucketed all-reduce over the replication group (the
-	// world on the flat grid, the stage under PP).
-	dense := e.Comm.Start(func() { allReduceBucketed(e.denseComm(), e.denseParams, 1/group) })
+	// parameters: bucketed all-reduce over the stage.
+	dense := e.Comm.Start(func() { allReduceBucketed(e.Stage, e.denseParams, 1/group) })
 	// Expert parameters: all-reduce over the data-parallel group;
 	// the sum then covers every replica's tokens, so normalize by the
 	// replica count to match the dense average-loss scaling.
@@ -793,7 +721,7 @@ func (e *Engine) syncGradients([]*nn.Param) float32 {
 	expert.Wait()
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
-	norm := e.globalNorm(train.ShardedNormSq(e.denseComm(), e.denseParams), train.ShardedNormSq(e.DP, e.expertParams))
+	norm := e.globalNorm(train.ShardedNormSq(e.Stage, e.denseParams), train.ShardedNormSq(e.DP, e.expertParams))
 	if e.clipNorm > 0 && norm > e.clipNorm {
 		scale := e.clipNorm / norm
 		for _, p := range e.denseParams {
@@ -813,7 +741,7 @@ func (e *Engine) syncGradients([]*nn.Param) float32 {
 // the parameters. Norm and clip use the identical canonical partial
 // sums as the legacy path, applied to the shards.
 func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
-	group := float32(e.perStage())
+	group := float32(e.Stage.Size())
 	t0 := e.Comm.Now()
 	e.zero.SyncGradients(1 / group)
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
@@ -831,18 +759,9 @@ func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
 // replication group; the expert shards are distinct within an
 // expert-parallel group (and replicated across data-parallel peers), so
 // summing shard norms over the EP communicator yields the stage norm;
-// under PP the stages' partial norms then combine over the pipeline
-// column.
+// the stages' partial norms then combine over the pipeline column.
 func (e *Engine) globalNorm(denseSq, expertSq float64) float32 {
-	totalSq := denseSq
-	if e.EP.Size() > 1 {
-		totalSq += train.CombineF64Sum(e.EP, expertSq)
-	} else {
-		totalSq += expertSq
-	}
-	if e.PPComm != nil && e.PPComm.Size() > 1 {
-		totalSq = train.CombineF64Sum(e.PPComm, totalSq)
-	}
+	totalSq := train.CombineF64Sum(e.PPComm, denseSq+train.CombineF64Sum(e.EP, expertSq))
 	e.lastGradNorm = float32(math.Sqrt(totalSq))
 	return e.lastGradNorm
 }
@@ -882,77 +801,18 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
 	}
 }
 
-// Step runs one synchronous training step and returns world-level
-// statistics (identical on every rank).
+// Step runs one synchronous training step — the trainer's update
+// around the runner's schedule — and returns world-level statistics
+// (identical on every rank).
 func (e *Engine) Step() StepStats {
-	for _, m := range e.moeLayers {
-		m.Time.Reset()
-	}
 	simStart := e.Comm.Now()
-	if !e.wallSet {
-		e.wallBase = time.Now()
-		e.wallSet = true
-	}
-	t0 := time.Now()
-	var local train.Metrics
-	if e.runner != nil {
-		local = e.stepPipelined()
-	} else {
-		local = e.Trainer.Step()
-	}
-	wallStep := time.Since(t0).Seconds()
-	// The pipeline runner prices compute inline per chunk pass (fwd,
-	// replay, bwd), so the post-hoc charge below applies only to the
-	// flat grid.
-	if e.computeRate > 0 && e.runner == nil {
-		flops := e.stepFlops()
-		if e.moeSelfCharges() {
-			// The MoE layers already charged the expert GEMMs inline
-			// (inside the exchange window, where overlap can hide
-			// them); charge only the dense remainder here.
-			flops -= e.expertFlops()
-		}
-		e.Comm.Compute(flops / e.computeRate)
-		e.phases.Observe(metrics.PhaseCompute, flops/e.computeRate)
-		// Recomputation replays the forward pass of the checkpointed
-		// blocks during backward: charge that fraction of the step's
-		// forward FLOPs (one third of fwd+bwd) on top. Self-charging
-		// MoE layers price their own replayed GEMMs inline, so the
-		// already-adjusted flops excludes them here too.
-		if frac := e.Model.RecomputedFraction(); frac > 0 {
-			secs := frac * flops / 3 / e.computeRate
-			e.Comm.Compute(secs)
-			e.phases.Observe(metrics.PhaseRecompute, secs)
-			e.phases.Observe(metrics.PhaseCompute, secs)
-		}
-	}
+	local := e.Trainer.StepWith(e.runMicroBatches)
 	if e.offloadBW > 0 {
 		// Offloaded optimizer state streams host→device and back once
 		// per step (read moments, write updated moments).
 		secs := 2 * float64(e.OptStateBytes()) / e.offloadBW
 		e.Comm.Compute(secs)
 		e.phases.Observe(metrics.PhaseOffload, secs)
-	}
-	if e.Trace != nil {
-		start := t0.Sub(e.wallBase).Seconds()
-		e.Trace.Span("step", e.Comm.Rank(), start, start+wallStep)
-		// MoE phases laid out sequentially inside the step span
-		// (their per-step deltas were reset at the top of Step).
-		cursor := start
-		for _, phase := range []struct {
-			name string
-			dur  float64
-		}{
-			{"moe-gate", e.sumMoE(func(t moe.Timing) float64 { return t.Gate })},
-			{"moe-dispatch", e.sumMoE(func(t moe.Timing) float64 { return t.Dispatch })},
-			{"moe-expert", e.sumMoE(func(t moe.Timing) float64 { return t.Expert })},
-			{"moe-combine", e.sumMoE(func(t moe.Timing) float64 { return t.Combine })},
-		} {
-			if phase.dur > 0 {
-				e.Trace.Span(phase.name, e.Comm.Rank(), cursor, cursor+phase.dur)
-				cursor += phase.dur
-			}
-		}
 	}
 
 	st := StepStats{Step: local.Step, GradNorm: e.lastGradNorm}
@@ -964,12 +824,11 @@ func (e *Engine) Step() StepStats {
 	st.BubbleSim = e.phaseDelta(metrics.PhaseBubble)
 	st.ComputeSim = e.phaseDelta(metrics.PhaseCompute)
 	// Aggregate loss/aux/overflow across the world. The divisor is the
-	// replica count (== world on the flat grid): under PP the loss
-	// lives only on last-chunk ranks and the aux loss is spread over a
-	// column's stages, so the world sum counts each of the perStage
-	// token streams exactly once.
+	// stage size: the loss lives only on last-chunk ranks and the aux loss
+	// is spread over a column's stages, so the world sum counts each of
+	// the stage's token streams exactly once.
 	agg := e.Comm.AllReduce([]float32{local.Loss, local.AuxLoss, float32(local.Overflow)}, mpi.OpSum)
-	group := float32(e.perStage())
+	group := float32(e.Stage.Size())
 	st.Loss = agg[0] / group
 	st.AuxLoss = agg[1] / group
 	st.Overflow = int(agg[2])
@@ -978,86 +837,46 @@ func (e *Engine) Step() StepStats {
 	st.MoE = local.Comm
 	st.ComputeSim += st.MoE.ExpertSim
 	st.Wire = local.Wire
-	st.WallFwd = wallStep // fwd+bwd+update; finer split comes from MoE timing
 	st.SimTime = e.Comm.Now() - simStart
 	if st.SimTime > 0 {
-		tokens := float64(e.batch*e.Model.Cfg.SeqLen) * float64(e.Comm.Size())
-		if e.runner != nil {
-			// M micro-batches per step over perStage distinct streams.
-			tokens = float64(e.batch*e.Model.Cfg.SeqLen) * float64(e.micro*e.perStage())
-		}
-		st.TokensPer = tokens / st.SimTime
+		st.TokensPer = float64(e.GlobalBatchTokens()) / st.SimTime
 	}
 	return st
 }
 
-// stepPipelined runs one optimizer step through the pipeline schedule:
-// the trainer wraps the runner's micro-batch loop with its usual
-// gradient zeroing, sync hook, and optimizer update. Every rank of a
+// runMicroBatches is a step's forward/backward phase: it draws the
+// step's micro-batches and runs the schedule over them. Every rank of a
 // pipeline column draws the same micro-batches (same corpus seed), so
 // the stream stays aligned for checkpointed RNG state on all stages.
-func (e *Engine) stepPipelined() train.Metrics {
-	return e.Trainer.StepWith(func() (float32, float32, int) {
-		scale := e.Trainer.MP.LossScale() / float32(e.micro)
-		for _, b := range e.Model.Blocks {
-			if g, ok := b.FFN.(gradScaler); ok {
-				g.SetGradScale(scale)
-			}
-		}
-		batches := make([]pipe.MicroBatch, e.micro)
-		for i := range batches {
-			ids, targets := e.Trainer.Corpus.Batch(e.batch)
-			batches[i] = pipe.MicroBatch{IDs: ids, Targets: targets}
-		}
-		return e.runner.Step(batches, scale)
-	})
-}
-
-// gradScaler mirrors train's unexported hook for MoE layers whose
-// internally injected aux-loss gradient must track the micro-batch
-// weight.
-type gradScaler interface{ SetGradScale(float32) }
-
-// sumMoE folds a Timing accessor over this rank's MoE layers.
-func (e *Engine) sumMoE(f func(moe.Timing) float64) float64 {
-	var total float64
+func (e *Engine) runMicroBatches() (loss, aux float32, overflow int) {
+	// The loss scale times the micro-batch weight, as the trainer's
+	// accumulation loop applies it; the MoE layers' injected aux-loss
+	// gradient tracks it too.
+	scale := e.Trainer.MP.LossScale() * (1 / float32(len(e.batches)))
 	for _, m := range e.moeLayers {
-		total += f(m.Time)
+		m.SetGradScale(scale)
 	}
-	return total
+	for i := range e.batches {
+		e.batches[i].IDs, e.batches[i].Targets = e.Trainer.Corpus.Batch(e.batch)
+	}
+	return e.runner.Step(e.batches, scale)
 }
 
-// GlobalBatchTokens returns tokens consumed per step across all ranks.
+// GlobalBatchTokens returns tokens consumed per step across all ranks:
+// one micro-batch per rank of a stage, times the micro-batch count.
 func (e *Engine) GlobalBatchTokens() int {
-	if e.runner != nil {
-		return e.batch * e.Model.Cfg.SeqLen * e.micro * e.perStage()
-	}
-	return e.batch * e.Model.Cfg.SeqLen * e.Comm.Size()
+	return e.batch * e.Model.Cfg.SeqLen * len(e.batches) * e.Stage.Size()
 }
 
-// NumParamsGlobal estimates the global parameter count: dense params
-// once plus each rank's expert shard summed over expert-parallel
-// ranks. Under PP the local dense/expert sets cover only this rank's
-// stage, so the count is rebuilt from the whole (replicated) model.
+// NumParamsGlobal estimates the global parameter count: the model's
+// dense params once plus this rank's expert shard times the
+// expert-parallel width. The owned dense/expert sets cover only this
+// rank's stage, so the count comes from the whole (replicated) model.
 func (e *Engine) NumParamsGlobal() int {
-	if e.fold != nil {
-		shardedLocal := 0
-		for _, m := range e.moeLayers {
-			shardedLocal += nn.NumParams(m.ShardedParams())
-		}
-		dense := e.Model.NumParams() - shardedLocal
-		return dense + shardedLocal*e.Strategy.ExpertParallel
+	shardedLocal := 0
+	for _, m := range e.moeLayers {
+		shardedLocal += nn.NumParams(m.ShardedParams())
 	}
-	dense := nn.NumParams(e.denseParams)
-	expertLocal := nn.NumParams(e.expertParams)
-	return dense + expertLocal*e.Strategy.ExpertParallel
+	dense := e.Model.NumParams() - shardedLocal
+	return dense + shardedLocal*e.Strategy.ExpertParallel
 }
-
-// Fold returns the folded layout pair (nil when Pipeline <= 1).
-func (e *Engine) Fold() *layout.Folded { return e.fold }
-
-// PipelineRunner returns the schedule runner (nil when Pipeline <= 1).
-func (e *Engine) PipelineRunner() *pipe.Runner { return e.runner }
-
-// MicroBatches returns the micro-batch count per optimizer step.
-func (e *Engine) MicroBatches() int { return e.micro }

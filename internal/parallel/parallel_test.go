@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -15,7 +15,6 @@ import (
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
-	"bagualu/internal/trace"
 	"bagualu/internal/train"
 )
 
@@ -251,14 +250,14 @@ func TestA2AAlgosTrainIdentically(t *testing.T) {
 func TestEngineRecomputeMatchesPlain(t *testing.T) {
 	// Distributed training with activation checkpointing must follow
 	// the exact same trajectory as without it (deterministic layers).
-	run := func(recompute bool) float32 {
+	run := func(every int) float32 {
 		mc := tinyModelCfg(1)
-		mc.Recompute = recompute
+		mc.RecomputeEvery = every
 		stats := runEngine(t, Strategy{DataParallel: 2, ExpertParallel: 2}, mc, 5)
 		return stats[4].Loss
 	}
-	plain := run(false)
-	ckpt := run(true)
+	plain := run(0)
+	ckpt := run(1)
 	if math.Abs(float64(plain-ckpt)) > 1e-5 {
 		t.Fatalf("recompute changed the training trajectory: %v vs %v", plain, ckpt)
 	}
@@ -267,9 +266,9 @@ func TestEngineRecomputeMatchesPlain(t *testing.T) {
 func TestEngineRecomputeDoublesDispatchTraffic(t *testing.T) {
 	// The recompute pass re-runs the MoE forward all-to-alls, so
 	// total traffic must grow noticeably.
-	traffic := func(recompute bool) int64 {
+	traffic := func(every int) int64 {
 		mc := tinyModelCfg(1)
-		mc.Recompute = recompute
+		mc.RecomputeEvery = every
 		strat := Strategy{DataParallel: 1, ExpertParallel: 4}
 		topo := simnet.New(sunway.TestMachine(2, 2), 1)
 		w := mpi.NewWorld(4, topo)
@@ -284,8 +283,8 @@ func TestEngineRecomputeDoublesDispatchTraffic(t *testing.T) {
 		})
 		return w.Stats().TotalBytes()
 	}
-	plain := traffic(false)
-	ckpt := traffic(true)
+	plain := traffic(0)
+	ckpt := traffic(1)
 	if float64(ckpt) < float64(plain)*1.2 {
 		t.Fatalf("recompute traffic %d not above plain %d", ckpt, plain)
 	}
@@ -512,38 +511,6 @@ func TestShardedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEngineTraceRecordsTimeline(t *testing.T) {
-	rec := trace.New()
-	strat := Strategy{DataParallel: 1, ExpertParallel: 2}
-	w := mpi.NewWorld(2, nil)
-	w.Run(func(c *mpi.Comm) {
-		e, err := NewEngine(c, strat, tinyModelCfg(1), tinyCorpusCfg(), tinyTrainCfg(), train.NewSGD(0), 23)
-		if err != nil {
-			panic(err)
-		}
-		e.Trace = rec
-		for s := 0; s < 3; s++ {
-			e.Step()
-		}
-	})
-	if rec.Len() == 0 {
-		t.Fatal("no trace events recorded")
-	}
-	sum := rec.Summary()
-	for _, phase := range []string{"step", "moe-dispatch", "moe-expert"} {
-		if sum[phase] <= 0 {
-			t.Fatalf("phase %q missing from trace summary %v", phase, sum)
-		}
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty chrome trace")
-	}
-}
-
 // StepStats.ComputeSim meters the model-FLOP charges beside the clock,
 // at all three sites. Where every rank charges the same dense lump (flat
 // grid, recompute on) it is exactly what the step got slower by; with
@@ -588,5 +555,159 @@ func TestComputeSimMetersEveryCharge(t *testing.T) {
 	}
 	if st := step(Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 2}, pipeModelCfg(4), pipeTrainCfg(2), rate); st.ComputeSim <= 0 || st.ComputeSim >= st.SimTime {
 		t.Fatalf("pipelined grid: ComputeSim %v, step %v", st.ComputeSim, st.SimTime)
+	}
+}
+
+// TestDepthOneEngineMatchesTrainer holds the engine to an oracle that
+// shares none of its step code: a one-rank depth-1 engine — every step
+// through the schedule runner — must follow a bare train.Trainer.Step
+// on the same model, tokens and optimizer bit for bit: loss, gradient
+// norm and every weight, at FP32 and Mixed, with and without gradient
+// accumulation.
+func TestDepthOneEngineMatchesTrainer(t *testing.T) {
+	const (
+		steps = 4
+		seed  = 5
+	)
+	mc := tinyModelCfg(0)
+	for _, prec := range []sunway.Precision{sunway.FP32, sunway.Mixed} {
+		for _, accum := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%v_accum%d", prec, accum), func(t *testing.T) {
+				tc := tinyTrainCfg()
+				tc.Precision, tc.Accum = prec, accum
+
+				model := nn.NewGPT(mc.GPT, tensor.NewRNG(seed), nil)
+				corpus, err := data.NewSynthetic(tinyCorpusCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := train.NewTrainer(model, corpus, train.NewAdam(0), tc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := make([]train.Metrics, steps)
+				for s := range want {
+					want[s] = tr.Step()
+				}
+
+				got := make([]StepStats, steps)
+				var params []*nn.Param
+				mpi.NewWorld(1, nil).Run(func(c *mpi.Comm) {
+					e, err := NewEngine(c, Strategy{DataParallel: 1, ExpertParallel: 1}, mc, tinyCorpusCfg(), tc, train.NewAdam(0), seed)
+					if err != nil {
+						panic(err)
+					}
+					for s := range got {
+						got[s] = e.Step()
+					}
+					params = e.Trainer.Params()
+				})
+				for s := range got {
+					if math.Float32bits(got[s].Loss) != math.Float32bits(want[s].Loss) ||
+						math.Float32bits(got[s].GradNorm) != math.Float32bits(want[s].GradNorm) {
+						t.Fatalf("step %d: engine loss %v gnorm %v, trainer %v / %v",
+							s, got[s].Loss, got[s].GradNorm, want[s].Loss, want[s].GradNorm)
+					}
+				}
+				ref := tr.Params()
+				if len(params) != len(ref) {
+					t.Fatalf("engine trains %d params, trainer %d", len(params), len(ref))
+				}
+				for i, p := range params {
+					for j, v := range p.W.Data {
+						if math.Float32bits(v) != math.Float32bits(ref[i].W.Data[j]) {
+							t.Fatalf("weight %s[%d]: engine %v, trainer %v", p.Name, j, v, ref[i].W.Data[j])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFlatTokensCountAccum: on the flat grid every rank draws Accum
+// micro-batches a step, so the global batch and the virtual throughput
+// count all of them.
+func TestFlatTokensCountAccum(t *testing.T) {
+	tc := tinyTrainCfg()
+	tc.Accum = 3
+	strat := Strategy{DataParallel: 2, ExpertParallel: 1}
+	mpi.NewWorld(strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1)).Run(func(c *mpi.Comm) {
+		e, err := NewEngine(c, strat, tinyModelCfg(0), tinyCorpusCfg(), tc, train.NewAdam(0), 3)
+		if err != nil {
+			panic(err)
+		}
+		st := e.Step()
+		const want = 2 * 4 * 3 * 2 // batch × seq × accum × ranks
+		if c.Rank() != 0 {
+			return
+		}
+		if got := e.GlobalBatchTokens(); got != want {
+			t.Errorf("GlobalBatchTokens = %d, want %d", got, want)
+		}
+		if got := st.TokensPer * st.SimTime; math.Abs(got-want) > 1e-9*want {
+			t.Errorf("TokensPer × SimTime = %v tokens, want %d", got, want)
+		}
+	})
+}
+
+// TestRepartitionKeepsPrecisionState: re-partitioning the parameters —
+// here RebalanceExperts mid-run under Mixed precision — moves nothing
+// the precision policy trained: the loss-scale state and the FP32 master
+// of every parameter the rank still trains are what they were.
+func TestRepartitionKeepsPrecisionState(t *testing.T) {
+	tc := tinyTrainCfg()
+	tc.Precision = sunway.Mixed
+	strat := Strategy{DataParallel: 2, ExpertParallel: 2}
+	errs := make([]error, strat.Size())
+	mpi.NewWorld(strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1)).Run(func(c *mpi.Comm) {
+		e, err := NewEngine(c, strat, tinyModelCfg(1), tinyCorpusCfg(), tc, train.NewAdam(0), 13)
+		if err != nil {
+			panic(err)
+		}
+		for s := 0; s < 4; s++ {
+			e.Step()
+		}
+		scale, good, skipped := e.Trainer.MP.ScaleState()
+		masters := map[string][]float32{}
+		for _, m := range e.Trainer.MP.MasterParams() {
+			masters[m.Name] = append([]float32(nil), m.W.Data...)
+		}
+		if _, err := e.RebalanceExperts(); err != nil {
+			panic(err)
+		}
+		fail := func(format string, args ...any) {
+			if errs[c.Rank()] == nil {
+				errs[c.Rank()] = fmt.Errorf(format, args...)
+			}
+		}
+		if s, g, k := e.Trainer.MP.ScaleState(); s != scale || g != good || k != skipped {
+			fail("scale state (%v, %d, %d) after the rebalance, (%v, %d, %d) before", s, g, k, scale, good, skipped)
+		}
+		kept := 0
+		for _, m := range e.Trainer.MP.MasterParams() {
+			was, ok := masters[m.Name]
+			if !ok {
+				continue // an expert that moved here
+			}
+			kept++
+			for i, v := range m.W.Data {
+				if math.Float32bits(v) != math.Float32bits(was[i]) {
+					fail("master %s[%d] %v after the rebalance, %v before", m.Name, i, v, was[i])
+					break
+				}
+			}
+		}
+		if kept == 0 {
+			fail("no parameter kept its master")
+		}
+		if st := e.Step(); math.IsNaN(float64(st.Loss)) {
+			fail("the step after the rebalance lost the loss")
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
 }

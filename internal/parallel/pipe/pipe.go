@@ -14,9 +14,12 @@
 //
 // Each (chunk, micro-batch) forward moves its layers' single-slot
 // caches out into a stash (nn.GPT.Stash) and its backward restores
-// them, so in-flight micro-batches never replay their forward. Only
+// them, so in-flight micro-batches never replay their forward; a
+// forward whose backward is the next op leaves them in the layers. Only
 // the blocks the model's recompute policy marks keep just their input
-// and replay — the one recompute mechanism the flat path runs too.
+// and replay. With one stage the schedule is F B F B …, plain gradient
+// accumulation: the parallel engine runs every step, flat or
+// pipelined, through a Runner.
 package pipe
 
 import "fmt"

@@ -29,7 +29,8 @@ type Runner struct {
 	Stage                  int
 
 	// Comm is the pipeline communicator: Stages ranks, comm rank ==
-	// stage, shared by all boundary traffic of this rank's column.
+	// stage, shared by all boundary traffic of this rank's column. Chunk
+	// compute is charged to its clock.
 	Comm *mpi.Comm
 
 	// Model is the full GPT (every rank builds it identically); Part
@@ -41,30 +42,35 @@ type Runner struct {
 	// Rows is batch·seq — the activation row count per micro-batch.
 	Rows int
 
-	// FwdSeconds, when non-nil, returns the virtual seconds to charge
-	// for one executed forward pass of global chunk g (backward
-	// charges twice that; a replay, the share of the chunk's blocks
-	// the recompute policy marks). The engine prices dense FLOPs here;
-	// self-charging MoE layers price their own GEMMs.
+	// FwdSeconds returns the virtual seconds to charge for one executed
+	// forward pass of global chunk g (backward charges twice that; a
+	// replay, the share of the chunk's blocks the recompute policy
+	// marks). The engine prices dense FLOPs here; self-charging MoE
+	// layers price their own GEMMs.
 	FwdSeconds func(g int) float64
 
-	// AuxOf, when non-nil, returns the auxiliary loss and overflow
-	// collected from global chunk g's MoE layers after a forward.
+	// AuxOf returns the auxiliary loss and overflow collected from
+	// global chunk g's MoE layers after a forward.
 	AuxOf func(g int) (float32, int)
 
-	// Meter, when non-nil, receives bubble time (metrics.PhaseBubble):
-	// virtual seconds this stage spent blocked on boundary recvs, and
-	// the chunk compute charged through FwdSeconds (metrics.PhaseCompute).
+	// Meter receives bubble time (metrics.PhaseBubble): virtual seconds
+	// this stage spent blocked on boundary recvs, and the chunk compute
+	// charged through FwdSeconds (metrics.PhaseCompute; replays also as
+	// metrics.PhaseRecompute).
 	Meter *metrics.PhaseMeter
 
 	loss nn.SoftmaxCrossEntropy
 
-	// passes[v][mb] is the stash of (chunk v, micro-batch mb) between
-	// its forward and its backward, nil otherwise. dlogits[mb] is the
-	// last stage's logits gradient, computed at forward time; dgrad the
-	// gradient recv buffer; sends the boundary sends of this step.
+	// passes[v][mb] is the pass of (chunk v, micro-batch mb) between its
+	// forward and its backward, nil otherwise; spare holds passes a
+	// backward emptied. dlogits[mb] is the last stage's logits gradient,
+	// computed at forward time, and kept[mb] the copy it lives in while
+	// other passes run; dgrad is the gradient recv buffer; sends the
+	// boundary sends of this step.
 	passes  [][]*nn.Pass
+	spare   []*nn.Pass
 	dlogits []*tensor.Tensor
+	kept    []*tensor.Tensor
 	dgrad   *tensor.Tensor
 	sends   []*mpi.Request
 	sched   []Op
@@ -97,17 +103,11 @@ func (r *Runner) init() {
 	for v := range r.passes {
 		r.passes[v] = make([]*nn.Pass, r.Micro)
 	}
-	if r.ownsLast() {
-		r.dlogits = make([]*tensor.Tensor, r.Micro)
-		for m := range r.dlogits {
-			r.dlogits[m] = tensor.New(r.Rows, r.Model.Cfg.Vocab)
-		}
-	}
+	r.dlogits = make([]*tensor.Tensor, r.Micro)
+	r.kept = make([]*tensor.Tensor, r.Micro)
 	r.dgrad = tensor.New(r.Rows, r.Model.Cfg.Dim)
 	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
 }
-
-func (r *Runner) ownsLast() bool { return r.lastGlobal()%r.Stages == r.Stage }
 
 // Schedule returns the op sequence this runner executes (for tests
 // and the deterministic-replay gate).
@@ -135,9 +135,7 @@ func (r *Runner) Stashed() int {
 func (r *Runner) recvInto(dst []float32, src, tag int) {
 	t0 := r.Comm.Now()
 	r.Comm.RecvPooledInto(dst, src, tag)
-	if r.Meter != nil {
-		r.Meter.Observe(metrics.PhaseBubble, r.Comm.Now()-t0)
-	}
+	r.Meter.Observe(metrics.PhaseBubble, r.Comm.Now()-t0)
 }
 
 // send starts a boundary send as a request: its bytes leave on the
@@ -146,25 +144,25 @@ func (r *Runner) send(dst, tag int, data []float32) {
 	r.sends = append(r.sends, r.Comm.Start(func() { r.Comm.SendPooled(dst, tag, data) }))
 }
 
-// charge prices seconds of chunk compute on the virtual clock.
-func (r *Runner) charge(g int, passes float64) {
-	if r.FwdSeconds == nil {
-		return
-	}
+// charge prices passes forward passes of chunk g on the virtual clock
+// and meters them under each of phases.
+func (r *Runner) charge(g int, passes float64, phases ...string) {
 	if s := r.FwdSeconds(g); s > 0 {
 		r.Comm.Compute(s * passes)
-		if r.Meter != nil {
-			r.Meter.Observe(metrics.PhaseCompute, s*passes)
+		for _, ph := range phases {
+			r.Meter.Observe(ph, s*passes)
 		}
 	}
 }
 
 // runForward executes F(v, mb): obtain the chunk input (embed, or
 // recv from the previous chunk's stage), run the blocks, either hand
-// the output to the loss (last chunk) or send it downstream, and stash
-// the pass. Returns the micro-batch's loss contribution (last chunk
-// only).
-func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32) (loss, aux float32, overflow int) {
+// the output to the loss (last chunk) or send it downstream. Unless
+// hot — the pass's backward is the next op, as in plain gradient
+// accumulation — other passes run in between, so the layers' caches
+// and the logits gradient are stashed. Returns the micro-batch's loss
+// contribution (last chunk only).
+func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32, hot bool) (loss, aux float32, overflow int) {
 	g := r.global(v)
 	c := r.Part[g]
 	var x *tensor.Tensor
@@ -174,50 +172,63 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32) 
 		x = tensor.Scratch(r.Rows, r.Model.Cfg.Dim)
 		r.recvInto(x.Data, (g-1)%r.Stages, bTag(0, g, mb))
 	}
-	p := new(nn.Pass)
+	var p *nn.Pass
+	if n := len(r.spare); n > 0 {
+		p, r.spare = r.spare[n-1], r.spare[:n-1]
+	} else {
+		p = new(nn.Pass)
+	}
 	out := r.Model.ForwardBlocks(p, c.Lo, c.Hi, x)
-	r.charge(g, 1)
+	r.charge(g, 1, metrics.PhaseCompute)
 	if g == r.lastGlobal() {
 		logits := r.Model.HeadForward(out)
 		loss = r.loss.Forward(logits, batches[mb].Targets)
 		// The loss layer is single-slot: compute the scaled logits
 		// gradient now, before another micro-batch's forward clobbers
-		// it, and stash it for this micro-batch's backward.
+		// it, and keep it for this micro-batch's backward.
 		d := r.loss.Backward()
 		if lossScale != 1 {
 			tensor.ScaleInPlace(d, lossScale)
 		}
-		r.dlogits[mb].CopyFrom(d)
+		if !hot {
+			if r.kept[mb] == nil {
+				r.kept[mb] = tensor.New(r.Rows, r.Model.Cfg.Vocab)
+			}
+			r.kept[mb].CopyFrom(d)
+			d = r.kept[mb]
+		}
+		r.dlogits[mb] = d
 	} else {
 		r.send((g+1)%r.Stages, bTag(0, g+1, mb), out.Data)
 	}
-	if r.AuxOf != nil {
-		aux, overflow = r.AuxOf(g)
+	aux, overflow = r.AuxOf(g)
+	if !hot {
+		r.Model.Stash(p)
 	}
-	r.Model.Stash(p)
 	r.passes[v][mb] = p
 	return loss, aux, overflow
 }
 
-// runBackward executes B(v, mb): the chunk's stashed pass comes back
-// (a block the recompute policy marks replays its forward — the replay
-// priced by the marked share of the chunk), the blocks run backward,
-// and the input gradient goes upstream (or into the embeddings).
+// runBackward executes B(v, mb): the chunk's pass comes back (a block
+// the recompute policy marks replays its forward — the replay priced by
+// the marked share of the chunk), the blocks run backward, and the
+// input gradient goes upstream (or into the embeddings).
 func (r *Runner) runBackward(v, mb int) {
 	g := r.global(v)
 	p := r.passes[v][mb]
 	r.passes[v][mb] = nil
 	if n := p.Replays(); n > 0 {
-		r.charge(g, float64(n)/float64(r.Part[g].Blocks()))
+		r.charge(g, float64(n)/float64(r.Part[g].Blocks()), metrics.PhaseCompute, metrics.PhaseRecompute)
 	}
 	d := r.dgrad
 	if g == r.lastGlobal() {
-		d = r.dlogits[mb]
+		d, r.dlogits[mb] = r.dlogits[mb], nil
 	} else {
 		r.recvInto(d.Data, (g+1)%r.Stages, bTag(1, g, mb))
 	}
 	dx := r.Model.BackwardPass(p, d)
-	r.charge(g, 2)
+	r.spare = append(r.spare, p)
+	r.charge(g, 2, metrics.PhaseCompute)
 	if g != 0 {
 		r.send((g-1)%r.Stages, bTag(1, g-1, mb), dx.Data)
 	}
@@ -239,10 +250,11 @@ func (r *Runner) Step(batches []MicroBatch, lossScale float32) (loss, aux float3
 	// Averaged as the trainer's accumulation loop does, so the reported
 	// loss has the flat run's bits at any M.
 	m := float32(r.Micro)
-	for _, op := range r.sched {
+	for i, op := range r.sched {
 		switch op.Kind {
 		case Fwd:
-			l, a, o := r.runForward(op.Chunk, op.MB, batches, lossScale)
+			hot := i+1 < len(r.sched) && r.sched[i+1] == Op{Bwd, op.Chunk, op.MB}
+			l, a, o := r.runForward(op.Chunk, op.MB, batches, lossScale, hot)
 			loss += l / m
 			aux += a / m
 			overflow += o

@@ -72,7 +72,7 @@ func analyticCompute(e *Engine, rate float64) float64 {
 			}
 		}
 		passes := 3 + float64(marked)/float64(c.Blocks())
-		secs += float64(e.micro) * passes * e.chunkFwdFlops[g] / rate
+		secs += float64(len(e.batches)) * passes * e.chunkFwdFlops[g] / rate
 	}
 	return secs
 }
@@ -138,7 +138,7 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 							fail("step %d: %d pooled buffers outstanding after the step, %d before", s, after, before)
 						}
 					}
-					if n := e.PipelineRunner().Stashed(); n != 0 {
+					if n := e.runner.Stashed(); n != 0 {
 						fail("step %d: %d passes still stashed", s, n)
 					}
 					if want := analyticCompute(e, rate); math.Abs(st.ComputeSim-want) > 1e-12*want {

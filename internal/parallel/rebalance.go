@@ -1,16 +1,12 @@
 package parallel
 
-import (
-	"fmt"
-
-	"bagualu/internal/nn"
-)
+import "fmt"
 
 // RebalanceExperts runs the load-aware expert migration loop once:
 // for every MoE layer it gathers global per-expert token counts (from
 // the most recent step), plans a balanced placement, migrates expert
-// weights within the expert-parallel group, and refreshes the
-// engine's and trainer's parameter partitions. It is a collective —
+// weights within the expert-parallel group, and re-partitions the
+// engine's and trainer's parameters. It is a collective —
 // every rank must call it at the same point. Returns the total number
 // of experts that moved.
 func (e *Engine) RebalanceExperts() (int, error) {
@@ -26,27 +22,6 @@ func (e *Engine) RebalanceExperts() (int, error) {
 			return moves, err
 		}
 	}
-	e.refreshParams()
+	e.repartitionParams()
 	return moves, nil
-}
-
-// refreshParams rebuilds the dense/expert parameter partitions and
-// the trainer's view after expert migration.
-func (e *Engine) refreshParams() {
-	sharded := map[*nn.Param]bool{}
-	for _, m := range e.moeLayers {
-		for _, p := range m.ShardedParams() {
-			sharded[p] = true
-		}
-	}
-	e.denseParams = e.denseParams[:0]
-	e.expertParams = e.expertParams[:0]
-	for _, p := range e.Model.Params() {
-		if sharded[p] {
-			e.expertParams = append(e.expertParams, p)
-		} else {
-			e.denseParams = append(e.denseParams, p)
-		}
-	}
-	e.Trainer.RefreshParams()
 }

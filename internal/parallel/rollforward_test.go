@@ -324,10 +324,7 @@ func TestRecoveryPathGenerated(t *testing.T) {
 				mu.Lock()
 				defer mu.Unlock()
 				paths[forward]++
-				key := e.Comm.Global(e.Comm.Rank())
-				if e.PPComm != nil {
-					key = e.PPComm.Global(0)
-				}
+				key := e.PPComm.Global(0)
 				columns[key] = append(columns[key], e.Trainer.Corpus.RNGState())
 			}
 			res, err := RunFaultTolerant(mpi.NewWorld(n, nil), cfg, inj)

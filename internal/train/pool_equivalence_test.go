@@ -33,10 +33,11 @@ func moeModel(seed uint64) (*nn.GPT, *data.Corpus) {
 // TestPooledStepMatchesUnpooled trains two identical MoE models for
 // several steps — one through Step (which installs the step arena, so
 // all intermediates come from recycled pool buffers), one through
-// StepOn (which never pools) — and requires identical losses and
-// final weights. Any buffer-recycling bug (stale data surviving a
-// drain, aliased scratch buffers, a missed zero-fill) shows up as a
-// divergence, typically from step 2 onward when reuse begins.
+// StepOn on an Unpooled trainer (which never pools) — and requires
+// identical losses and final weights. Any buffer-recycling bug (stale
+// data surviving a drain, aliased scratch buffers, a missed zero-fill)
+// shows up as a divergence, typically from step 2 onward when reuse
+// begins.
 func TestPooledStepMatchesUnpooled(t *testing.T) {
 	const seed = 7
 	const steps = 6
@@ -51,6 +52,7 @@ func TestPooledStepMatchesUnpooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trRef.Unpooled = true
 
 	for i := 0; i < steps; i++ {
 		mp := trPool.Step()
@@ -106,6 +108,7 @@ func TestPooledStepGradientsMatchUnpooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trRef.Unpooled = true
 
 	// Warm up the pool, then take the comparison step on reused
 	// buffers. The reference consumes its corpus in lockstep.

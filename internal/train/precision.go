@@ -43,20 +43,34 @@ func NewMixedPrecision(mode sunway.Precision, params []*nn.Param) *MixedPrecisio
 		Scale:          1024,
 		GrowthInterval: 100,
 		MaxScale:       65536,
-		params:         params,
 	}
-	if mode == sunway.BF16 {
-		mp.quantizeWeights()
-	}
-	if mode == sunway.Mixed {
-		for _, p := range params {
-			m := make([]float32, len(p.W.Data))
-			copy(m, p.W.Data)
-			mp.masters = append(mp.masters, m)
-		}
-		mp.quantizeWeights()
-	}
+	mp.cover(params)
 	return mp
+}
+
+// cover moves the policy onto params, keeping its loss-scale state and,
+// by identity, the FP32 master of every parameter it already covered. A
+// parameter new to it gets a master snapshotted from its weights under
+// Mixed, and its weights rounded to the working format under Mixed or
+// BF16 (idempotent on weights already rounded).
+func (mp *MixedPrecision) cover(params []*nn.Param) {
+	if mp.Mode == sunway.Mixed {
+		kept := make(map[*nn.Param][]float32, len(mp.masters))
+		for i, m := range mp.masters {
+			kept[mp.params[i]] = m
+		}
+		masters := make([][]float32, len(params))
+		for i, p := range params {
+			if masters[i] = kept[p]; masters[i] == nil {
+				masters[i] = append([]float32(nil), p.W.Data...)
+			}
+		}
+		mp.masters = masters
+	}
+	mp.params = params
+	if mp.Mode == sunway.Mixed || mp.Mode == sunway.BF16 {
+		mp.quantizeWeights()
+	}
 }
 
 // LossScale returns the current loss scale (1 when scaling is off).

@@ -124,44 +124,18 @@ func NewTrainer(model *nn.GPT, corpus *data.Corpus, opt Optimizer, cfg Config) (
 // Params returns the trainable parameters.
 func (t *Trainer) Params() []*nn.Param { return t.params }
 
-// RefreshParams re-collects the model's parameter list after a
-// structural change (e.g. expert migration) and rebuilds the
-// precision state. Mixed-precision master copies are re-snapshotted
-// from the current weights; optimizer moments for unchanged
-// parameters survive (they are keyed by parameter identity).
-func (t *Trainer) RefreshParams() {
-	t.params = t.Model.Params()
-	t.MP = NewMixedPrecision(t.Cfg.Precision, t.params)
-}
-
-// ReformParams adopts ps as the trainable set after the parallel engine
-// re-forms over a shrunk world (the whole model on a flat grid, the
-// stage-owned subset under PP) and rebuilds the precision state over it.
-// The FP32 master of every parameter the trainer already trained is kept
-// by identity, so a survivor that rolls forward continues from its
-// masters; a checkpoint restore overwrites them like any other tensor.
+// ReformParams adopts ps as the trainable set — the parallel engine
+// passes the parameters a rank owns (the stage's chunks of a pipelined
+// model, the whole model at depth 1) whenever it re-partitions them. The
+// optimizer, gradient zeroing, precision policy, and checkpoints then
+// operate on ps while the model itself stays whole on every rank. The
+// precision policy keeps its loss-scale state and, by identity, the FP32
+// master of every parameter it already covered, so a re-partition moves
+// no trained bit; a checkpoint restore overwrites them like any other
+// tensor. The slice is adopted, not copied.
 func (t *Trainer) ReformParams(ps []*nn.Param) {
-	kept := map[*nn.Param][]float32{}
-	for i, m := range t.MP.masters {
-		kept[t.MP.params[i]] = m
-	}
 	t.params = ps
-	t.MP = NewMixedPrecision(t.Cfg.Precision, ps)
-	for i, p := range ps {
-		if m := kept[p]; m != nil {
-			t.MP.masters[i] = m
-		}
-	}
-}
-
-// RestrictParams narrows the trainer's trainable-parameter set to
-// owned — the pipeline engine passes the stage-owned subset so the
-// optimizer, gradient zeroing, precision policy, and checkpoints all
-// operate stage-locally while the model itself stays whole on every
-// rank. The slice is adopted, not copied.
-func (t *Trainer) RestrictParams(owned []*nn.Param) {
-	t.params = owned
-	t.MP = NewMixedPrecision(t.Cfg.Precision, t.params)
+	t.MP.cover(ps)
 }
 
 // StepCount returns the number of Step calls so far.
@@ -169,19 +143,36 @@ func (t *Trainer) StepCount() int { return t.step }
 
 // Step draws Accum micro-batches, accumulates their gradients, and
 // applies one optimizer update.
-//
-// Step owns the buffer-pool fast path: it installs the trainer's
-// step arena as the ambient tensor arena for the duration of the
-// step, so every intermediate the forward/backward passes allocate is
-// recycled when the arena drains on return. The ambient arena is
-// process-global, so Step must not run concurrently with another
-// arena-installing Step; trainers stepping concurrently (one per rank
-// goroutine in the parallel engine) must set Unpooled.
 func (t *Trainer) Step() Metrics {
-	accum := t.Cfg.Accum
-	if accum < 1 {
-		accum = 1
-	}
+	return t.StepWith(func() (loss, aux float32, overflow int) {
+		accum := max(t.Cfg.Accum, 1)
+		for micro := 0; micro < accum; micro++ {
+			ids, targets := t.Corpus.Batch(t.Cfg.Batch)
+			l, a, o := t.microStep(ids, targets, 1/float32(accum))
+			loss += l / float32(accum)
+			aux += a / float32(accum)
+			overflow += o
+		}
+		return loss, aux, overflow
+	})
+}
+
+// StepWith runs one optimizer step whose forward/backward phase is
+// driven by the caller: run computes gradients into the trainable
+// parameter set (Step's accumulation loop, or the parallel engine's
+// schedule runner) and returns the micro-averaged loss, auxiliary loss,
+// and overflow count. Everything around it — gradient zeroing, the
+// precision policy, the PostBackward sync hook, clipping, and the
+// optimizer — is one update rule for every caller.
+//
+// StepWith owns the buffer-pool fast path: unless Unpooled is set it
+// installs the trainer's step arena as the ambient tensor arena for the
+// duration of the step, so every intermediate the forward/backward
+// passes allocate is recycled when the arena drains on return. The
+// ambient arena is process-global, so an arena-installing step must not
+// run concurrently with another; trainers stepping concurrently (one per
+// rank goroutine in the parallel engine) must set Unpooled.
+func (t *Trainer) StepWith(run func() (loss, aux float32, overflow int)) Metrics {
 	if !t.Unpooled {
 		if t.arena == nil {
 			t.arena = tensor.NewArena()
@@ -195,32 +186,6 @@ func (t *Trainer) Step() Metrics {
 	nn.ZeroGrads(t.params)
 	m := Metrics{Step: t.step}
 	wire0, comm0 := t.commSnapshot()
-	for micro := 0; micro < accum; micro++ {
-		ids, targets := t.Corpus.Batch(t.Cfg.Batch)
-		loss, aux, over := t.microStep(ids, targets, 1/float32(accum))
-		m.Loss += loss / float32(accum)
-		m.AuxLoss += aux / float32(accum)
-		m.Overflow += over
-	}
-	m = t.finishStep(m)
-	t.fillComm(&m, wire0, comm0)
-	return m
-}
-
-// StepWith runs one optimizer step whose forward/backward phase is
-// driven by the caller: run computes gradients into the restricted
-// parameter set (the pipeline engine executes its micro-batch
-// schedule here) and returns the micro-averaged loss, auxiliary loss,
-// and overflow count. Everything around it — gradient zeroing, the
-// precision policy, the PostBackward sync hook, clipping, and the
-// optimizer — is the exact finishStep path Step uses, so a pipelined
-// step and a gradient-accumulation step share one update rule.
-// StepWith never installs a step arena (the pipeline engine always
-// runs multi-rank, where the ambient arena is off-limits).
-func (t *Trainer) StepWith(run func() (loss, aux float32, overflow int)) Metrics {
-	nn.ZeroGrads(t.params)
-	m := Metrics{Step: t.step}
-	wire0, comm0 := t.commSnapshot()
 	m.Loss, m.AuxLoss, m.Overflow = run()
 	m = t.finishStep(m)
 	t.fillComm(&m, wire0, comm0)
@@ -229,17 +194,8 @@ func (t *Trainer) StepWith(run func() (loss, aux float32, overflow int)) Metrics
 
 // StepOn runs one cycle on caller-provided tokens. Gradient
 // accumulation is not applied here; use Step for that.
-//
-// StepOn never installs a step arena, making it the pooling-free
-// reference path (see Unpooled for the equivalent Step behaviour).
 func (t *Trainer) StepOn(ids, targets []int) Metrics {
-	nn.ZeroGrads(t.params)
-	m := Metrics{Step: t.step}
-	wire0, comm0 := t.commSnapshot()
-	m.Loss, m.AuxLoss, m.Overflow = t.microStep(ids, targets, 1)
-	m = t.finishStep(m)
-	t.fillComm(&m, wire0, comm0)
-	return m
+	return t.StepWith(func() (float32, float32, int) { return t.microStep(ids, targets, 1) })
 }
 
 // gradScaler is implemented by MoE layers whose internally injected
