@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bagualu"
+	"bagualu/internal/perfmodel"
 )
 
 // TestFacadeEndToEnd drives the whole public API the way a downstream
@@ -103,11 +104,11 @@ func TestFacadeProjection(t *testing.T) {
 		BatchPerRank: 4, Precision: bagualu.Mixed, Efficiency: 0.35,
 		A2A: bagualu.ProjA2AHierarchical, ZeRO: true, OverlapSync: true,
 	}
-	rep, err := d.Project(specs[2])
+	rep, err := d.PredictStep(specs[2], perfmodel.FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Fits {
+	if !rep.Mem.Fits {
 		t.Fatal("headline config must fit")
 	}
 	// Reproduction target: the paper's ~1.18 EFLOPS headline within

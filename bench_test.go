@@ -191,18 +191,13 @@ func BenchmarkQuantizeSliceFast(b *testing.B) {
 	}
 }
 
-// perElem runs op over a step arena drained every iteration (the
-// steady state inside a training step: outputs come from the pool) and
-// reports ns per element.
+// perElem runs op b.N times after one untimed warm-up call and reports
+// ns per element.
 func perElem(b *testing.B, elems int, op func()) {
-	arena := tensor.NewArena()
-	defer tensor.SetStepArena(tensor.SetStepArena(arena))
 	op()
-	arena.Drain()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op()
-		arena.Drain()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
 }
@@ -225,7 +220,7 @@ func geluGradRef(x float32) float32 {
 }
 
 func softmaxRowsRef(a *tensor.Tensor) *tensor.Tensor {
-	out := tensor.Scratch(a.Shape...)
+	out := tensor.New(a.Shape...)
 	for i := 0; i < a.Shape[0]; i++ {
 		src, dst := a.Row(i), out.Row(i)
 		m := src[0]
@@ -289,9 +284,8 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 }
 
 // BenchmarkTrainStep measures the steady-state training step of a
-// small MoE transformer — the hot loop the buffer pool, persistent
-// worker pool, and GEMM dispatch target. allocs/op is the headline
-// acceptance metric for the zero-allocation work.
+// small MoE transformer — the hot loop the persistent worker pool and
+// GEMM dispatch target — gated on allocs/op.
 func BenchmarkTrainStep(b *testing.B) {
 	r := tensor.NewRNG(17)
 	model := nn.NewGPT(nn.GPTConfig{
@@ -313,11 +307,16 @@ func BenchmarkTrainStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Allocation regression gate: the steady-state step must stay
-	// within 5% of the PR 6 zero-allocation baseline (2354 allocs/op).
-	// The pipeline engine's boundary-activation sends ride the pooled
-	// SendBuf/RecvBuf framing, so adding PP must not move this.
-	gatedLoop(b, "train step", 2354, func() { tr.Step() })
+	// Allocation regression gate: 3170 allocs/op at -cpu 1 and 3190 at
+	// -cpu 2, plus 5%. Every tensor is a plain allocation, as it is on
+	// the multi-rank engine and serving paths; the process-global step
+	// arena that recycled this benchmark's activations (2316 allocs and
+	// 110 KB/op, now 10.8 MB/op) is gone. Its end-to-end worth, measured
+	// on train_dense_1rank over 10 alternating pairs of 14 s runs on
+	// 2 vCPU (medians): without it peak RSS falls 113 -> 79 MB, host
+	// tokens/s moves -1.7% (7293 -> 7167) and setup_s +17% (0.158 ->
+	// 0.184 s: the heap re-grows after each set-up's forced GC).
+	gatedLoop(b, "train step", 3190, func() { tr.Step() })
 }
 
 // BenchmarkPipelineStep measures one engine step of the pipelined

@@ -51,13 +51,13 @@ func expR7(*options) []*metrics.Table {
 			ep := gcd(machine.Nodes(), spec.NumExperts)
 			d := fullMachine(machine, machine.Nodes()/ep, ep)
 			d.Precision = prec
-			rep := must(d.Project(spec))
+			rep := must(d.PredictStep(spec, perfmodel.FaultModel{}))
 			proj.AddRow(spec.Name, prec.String(),
-				rep.StepTime, rep.ComputeTime, rep.A2ATime, rep.SyncTime,
+				rep.StepTime, rep.DenseCompute+rep.ExpertCompute, rep.A2A, rep.Sync,
 				fmt.Sprintf("%.3g", rep.TokensPerSec),
 				fmt.Sprintf("%.3g FLOPS (%.2f EFLOPS)", rep.SustainedFlops, rep.SustainedFlops/1e18),
 				fmt.Sprintf("%.1f%%", 100*rep.PeakFraction),
-				fmt.Sprintf("%.1f", rep.MemPerNodeGiB), rep.Fits)
+				fmt.Sprintf("%.1f", rep.Mem.TotalGiB), rep.Mem.Fits)
 		}
 	}
 	return []*metrics.Table{proj}
@@ -71,8 +71,8 @@ func expR7b(*options) []*metrics.Table {
 	for _, a := range []perfmodel.A2AStrategy{perfmodel.A2AFlat, perfmodel.A2AHierarchical} {
 		d := fullMachine(machine, 1, machine.Nodes())
 		d.A2A = a
-		rep := must(d.Project(perfmodel.BrainScaleSpecs()[2]))
-		abl.AddRow(a.String(), rep.StepTime, rep.A2ATime, rep.SustainedFlops/1e18)
+		rep := must(d.PredictStep(perfmodel.BrainScaleSpecs()[2], perfmodel.FaultModel{}))
+		abl.AddRow(a.String(), rep.StepTime, rep.A2A, rep.SustainedFlops/1e18)
 	}
 	return []*metrics.Table{abl}
 }
@@ -89,7 +89,7 @@ func expR2proj(*options) []*metrics.Table {
 		m := sunway.NewGenerationSunway()
 		m.Supernodes = nodes / m.NodesPerSupernode
 		spec.NumExperts = nodes // one expert per node: experts ∝ machine
-		rep := must(fullMachine(m, 1, nodes).Project(spec))
+		rep := must(fullMachine(m, 1, nodes).PredictStep(spec, perfmodel.FaultModel{}))
 		perNode := rep.TokensPerSec / float64(nodes)
 		if base == 0 {
 			base = perNode
@@ -135,7 +135,7 @@ func expR15(*options) []*metrics.Table {
 		}
 		n, best, err := dd.MaxTrainableParams(spec)
 		check(err)
-		rep := must(dd.Project(best))
+		rep := must(dd.PredictStep(best, perfmodel.FaultModel{}))
 		if base == 0 {
 			base = float64(n)
 		}

@@ -75,8 +75,8 @@ func autotunePlan(b planBudget, o *options) *autotune.Plan {
 		Ranks: o.machine.ranks, RanksPerNode: o.machine.rpn, NodesPerSN: o.machine.perSN,
 		Target: target, TargetSpec: spec,
 		PPMax:     b.ppMax,
-		MTBFSteps: b.mtbf, TargetMTBFSteps: b.mtbf,
-		Seed: o.seed,
+		MTBFSteps: b.mtbf,
+		Seed:      o.seed,
 	}
 	if o.model.layers > 0 {
 		cfg.Spec = autotune.SearchSpec()

@@ -32,9 +32,6 @@ type Node struct {
 	graph    *Graph
 	requires bool
 	back     func() // propagates this node's Grad into its parents
-
-	leaf     bool // Input/Param node; its Value is caller-owned
-	poolable bool // op output that exclusively owns its storage
 }
 
 // RequiresGrad reports whether gradients flow through this node.
@@ -49,22 +46,11 @@ type Graph struct {
 // NewGraph returns an empty tape.
 func NewGraph() *Graph { return &Graph{} }
 
-// Len returns the number of recorded nodes.
-func (g *Graph) Len() int { return len(g.nodes) }
-
 // Input records a constant input (no gradient).
-func (g *Graph) Input(t *tensor.Tensor) *Node {
-	n := g.add(t, false, nil)
-	n.leaf = true
-	return n
-}
+func (g *Graph) Input(t *tensor.Tensor) *Node { return g.add(t, false, nil) }
 
 // Param records a trainable parameter (gradient is accumulated).
-func (g *Graph) Param(t *tensor.Tensor) *Node {
-	n := g.add(t, true, nil)
-	n.leaf = true
-	return n
-}
+func (g *Graph) Param(t *tensor.Tensor) *Node { return g.add(t, true, nil) }
 
 func (g *Graph) add(t *tensor.Tensor, requires bool, back func()) *Node {
 	n := &Node{Value: t, graph: g, requires: requires, back: back}
@@ -85,11 +71,7 @@ func (g *Graph) op(t *tensor.Tensor, back func(), parents ...*Node) *Node {
 	if !requires {
 		back = nil
 	}
-	n := g.add(t, requires, back)
-	// Op outputs exclusively own their storage and can be recycled by
-	// Release; views (Reshape) clear this flag.
-	n.poolable = true
-	return n
+	return g.add(t, requires, back)
 }
 
 // accum adds delta into n.Grad, allocating it on first touch.
@@ -125,39 +107,6 @@ func (g *Graph) ZeroGrad() {
 	for _, n := range g.nodes {
 		n.Grad = nil
 	}
-}
-
-// Release recycles the tape's intermediate tensors into the buffer
-// pool and resets the tape, returning the number of tensors released.
-// Leaf nodes (Input/Param) keep their Values and Grads — caller-owned
-// parameters and their gradients survive — but every op output's
-// Value and every intermediate Grad is returned to the pool, so no
-// Node obtained from this graph may be used afterwards except leaves.
-//
-// When an ambient step arena is installed (tensor.SetStepArena), op
-// Values are arena-owned and will be recycled by the arena's Drain;
-// Release then only resets the tape, to avoid double-releasing.
-func (g *Graph) Release() int {
-	freed := 0
-	ownValues := !tensor.HasStepArena()
-	for _, n := range g.nodes {
-		if n.leaf {
-			continue
-		}
-		if n.Grad != nil {
-			tensor.Release(n.Grad)
-			n.Grad = nil
-			freed++
-		}
-		if n.poolable && ownValues {
-			tensor.Release(n.Value)
-			freed++
-		}
-		n.Value = nil
-		n.back = nil
-	}
-	g.nodes = g.nodes[:0]
-	return freed
 }
 
 // ---- Arithmetic ----
@@ -229,7 +178,6 @@ func (g *Graph) MatMul(a, b *Node) *Node {
 // reshaped back).
 func (g *Graph) Reshape(a *Node, shape ...int) *Node {
 	out := g.op(a.Value.Reshape(shape...), nil, a)
-	out.poolable = false // view: shares the parent's storage
 	out.back = func() {
 		a.accum(out.Grad.Reshape(a.Value.Shape...))
 	}

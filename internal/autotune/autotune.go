@@ -9,7 +9,7 @@
 // The pipeline is deliberately staged from cheap to expensive:
 //
 //  1. EnumerateSpace walks every DP×EP layout, wire codec, overlap
-//     setting, route mode, batch size, memory lever (ZeRO, selective
+//     setting, batch size, memory lever (ZeRO, selective
 //     recompute, host offload) and checkpoint interval, pruning
 //     points the typed perfmodel validation or the per-node memory
 //     budget rejects.
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
@@ -60,18 +59,14 @@ type Config struct {
 	TargetSpec perfmodel.ModelSpec
 	Target     *sunway.Machine
 
-	TargetRanksPerNode int              // default 1 (one expert host per node)
-	TargetPrecision    sunway.Precision // default sunway.Mixed
-
 	Precision  sunway.Precision // search-scale training precision; default FP32
 	Efficiency float64          // sustained fraction of peak; default 0.3
 
 	// Search axes. Zero-valued slices get defaults; layouts (DP×EP),
 	// codecs, overlap and memory levers are always enumerated in
 	// full.
-	Batches       []int           // default {2, 4}
-	CkptIntervals []int           // default {8, 32}
-	Routes        []moe.RouteMode // default {TokenChoice}
+	Batches       []int // default {2, 4}
+	CkptIntervals []int // default {8, 32}
 
 	// PPMax caps the pipeline-parallel axis. Stage counts sweep the
 	// divisors of Ranks up to PPMax that also divide Spec.Layers
@@ -79,20 +74,15 @@ type Config struct {
 	// the search flat.
 	PPMax int
 
-	// Fault model: expected steps between failures at search scale
-	// and at the target (defaults 200 and the search value).
-	MTBFSteps       float64
-	TargetMTBFSteps float64
+	// Fault model: expected steps between failures, at search scale
+	// and at the target alike (default 200).
+	MTBFSteps float64
 
 	// Validation: how many analytically-ranked candidates to measure
 	// and how long each measurement runs.
 	TopK          int // default 5
 	ValidateSteps int // default 4
 	Warmup        int // default 1
-
-	// MaxCandidates caps the scored set; larger spaces are sampled
-	// without replacement using the run's seeded RNG. Default 2048.
-	MaxCandidates int
 
 	Seed uint64 // default 1; drives sampling and validation runs
 }
@@ -131,12 +121,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Target == nil {
 		cfg.Target = sunway.NewGenerationSunway()
 	}
-	if cfg.TargetRanksPerNode == 0 {
-		cfg.TargetRanksPerNode = 1
-	}
-	if cfg.TargetPrecision == 0 {
-		cfg.TargetPrecision = sunway.Mixed
-	}
 	if cfg.Precision == 0 {
 		cfg.Precision = sunway.FP32
 	}
@@ -149,14 +133,8 @@ func (cfg Config) withDefaults() (Config, error) {
 	if len(cfg.CkptIntervals) == 0 {
 		cfg.CkptIntervals = []int{8, 32}
 	}
-	if len(cfg.Routes) == 0 {
-		cfg.Routes = []moe.RouteMode{moe.TokenChoice}
-	}
 	if cfg.MTBFSteps == 0 {
 		cfg.MTBFSteps = 200
-	}
-	if cfg.TargetMTBFSteps == 0 {
-		cfg.TargetMTBFSteps = cfg.MTBFSteps
 	}
 	if cfg.TopK == 0 {
 		cfg.TopK = 5
@@ -166,9 +144,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Warmup == 0 {
 		cfg.Warmup = 1
-	}
-	if cfg.MaxCandidates == 0 {
-		cfg.MaxCandidates = 2048
 	}
 	if cfg.PPMax == 0 {
 		cfg.PPMax = 1
@@ -200,7 +175,6 @@ type Candidate struct {
 
 	Codec   mpi.Codec // MoE wire codec (fp32 / fp16 inter-supernode)
 	Overlap bool      // two-phase comm/compute overlap
-	Route   moe.RouteMode
 
 	// Memory levers.
 	ZeRO           bool
@@ -222,9 +196,6 @@ func (c Candidate) String() string {
 	s := fmt.Sprintf("%s b%d %s", grid, c.Batch, c.Codec)
 	if c.Overlap {
 		s += "+ov"
-	}
-	if c.Route != moe.TokenChoice {
-		s += " " + c.Route.String()
 	}
 	if c.ZeRO {
 		s += " zero"
@@ -312,25 +283,23 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 				}
 				for _, codec := range codecs {
 					for _, overlap := range []bool{false, true} {
-						for _, route := range cfg.Routes {
-							for _, batch := range cfg.Batches {
-								for _, lv := range memoryLevers {
-									for _, ck := range cfg.CkptIntervals {
-										total++
-										c := Candidate{
-											DP: perStage / ep, EP: ep, PP: pp, VPP: vpp, Batch: batch,
-											Codec: codec, Overlap: overlap, Route: route,
-											ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload,
-											CkptEvery: ck,
-										}
-										d := cfg.deployment(c)
-										mb, err := d.Memory(cfg.Spec)
-										if err != nil || !mb.Fits {
-											pruned++
-											continue
-										}
-										feasible = append(feasible, c)
+						for _, batch := range cfg.Batches {
+							for _, lv := range memoryLevers {
+								for _, ck := range cfg.CkptIntervals {
+									total++
+									c := Candidate{
+										DP: perStage / ep, EP: ep, PP: pp, VPP: vpp, Batch: batch,
+										Codec: codec, Overlap: overlap,
+										ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload,
+										CkptEvery: ck,
 									}
+									d := cfg.deployment(c)
+									mb, err := d.Memory(cfg.Spec)
+									if err != nil || !mb.Fits {
+										pruned++
+										continue
+									}
+									feasible = append(feasible, c)
 								}
 							}
 						}

@@ -17,6 +17,16 @@ import (
 	"bagualu/internal/tensor"
 )
 
+// The full-scale target runs one rank per node (one expert host per
+// node) at the paper's mixed precision; a search scores at most
+// maxCandidates points, sampling larger spaces without replacement with
+// the run's seeded RNG.
+const (
+	targetRanksPerNode = 1
+	targetPrecision    = sunway.Mixed
+	maxCandidates      = 2048
+)
+
 // Projection is the winner extrapolated to the full-scale machine.
 type Projection struct {
 	Machine *sunway.Machine
@@ -65,7 +75,7 @@ func Run(cfg Config) (*Plan, error) {
 	if len(feasible) == 0 {
 		return nil, fmt.Errorf("autotune: no feasible candidate in a space of %d (all %d pruned)", total, pruned)
 	}
-	feasible = sampleCandidates(feasible, cfg.MaxCandidates, rng)
+	feasible = sampleCandidates(feasible, maxCandidates, rng)
 	scored, err := Score(cfg, feasible)
 	if err != nil {
 		return nil, err
@@ -114,12 +124,12 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 		return Projection{}, err
 	}
 	m, spec := cfg.Target, cfg.TargetSpec
-	ranks := m.Nodes() * cfg.TargetRanksPerNode
+	ranks := m.Nodes() * targetRanksPerNode
 	ep := gcd(ranks, spec.NumExperts)
 	dep := perfmodel.Deployment{
-		Machine: m, RanksPerNode: cfg.TargetRanksPerNode,
+		Machine: m, RanksPerNode: targetRanksPerNode,
 		DataParallel: ranks / ep, ExpertParallel: ep,
-		BatchPerRank: winner.Batch, Precision: cfg.TargetPrecision,
+		BatchPerRank: winner.Batch, Precision: targetPrecision,
 		Efficiency:        cfg.Efficiency,
 		A2A:               perfmodel.A2AHierarchical,
 		ZeRO:              winner.ZeRO,
@@ -157,7 +167,7 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 	proj := Projection{Machine: m, Spec: spec, Dep: dep, Escalated: escalated}
 	for iv := 1; iv <= 1<<16; iv *= 2 {
 		p, err := dep.PredictStep(spec, perfmodel.FaultModel{
-			MTBFSteps: cfg.TargetMTBFSteps, CkptEverySteps: iv, Async: true,
+			MTBFSteps: cfg.MTBFSteps, CkptEverySteps: iv, Async: true,
 		})
 		if err != nil {
 			return Projection{}, err

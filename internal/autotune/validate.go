@@ -64,7 +64,6 @@ func (cfg Config) shortRunConfig(c Candidate, seed uint64) parallel.ShortRunConf
 			NumExperts: s.NumExperts, TopK: s.TopK,
 			MoEHidden: s.MoEHidden, MoEEvery: s.MoEEvery,
 			CapacityFactor: 1.25, AuxLossWeight: 0.01,
-			RouteMode:      c.Route,
 			Comm:           moe.CommConfig{Codec: c.Codec, Overlap: c.Overlap},
 			RecomputeEvery: c.RecomputeEvery,
 		},

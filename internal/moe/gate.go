@@ -450,9 +450,9 @@ func (g *Gate) Backward(dWeights [][]float32) *tensor.Tensor {
 	if cfg.RandomRouting {
 		// Random routing is not differentiable and carries no
 		// parameters' worth of gradient; input gradient is zero.
-		return tensor.Scratch(tokens, cfg.Dim)
+		return tensor.New(tokens, cfg.Dim)
 	}
-	dprobs := tensor.Scratch(tokens, cfg.NumExperts)
+	dprobs := tensor.New(tokens, cfg.NumExperts)
 
 	if cfg.Mode == ExpertChoice {
 		// ŵ = p_{t,e} directly (no normalization), so the weight
@@ -501,7 +501,7 @@ func (g *Gate) Backward(dWeights [][]float32) *tensor.Tensor {
 	}
 
 	// Softmax jacobian: dlogit_m = p_m (dp_m - Σ_n dp_n p_n).
-	dlogits := tensor.Scratch(tokens, cfg.NumExperts)
+	dlogits := tensor.New(tokens, cfg.NumExperts)
 	tensor.ParallelWork(tokens, cfg.NumExperts, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			p := g.probs.Row(t)

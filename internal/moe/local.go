@@ -112,7 +112,7 @@ func (m *LocalMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 		rows += len(g)
 	}
 	offs[m.Cfg.NumExperts] = rows
-	in := tensor.Scratch(rows, d)
+	in := tensor.New(rows, d)
 	tensor.ParallelRows(m.Cfg.NumExperts, func(lo, hi int) {
 		for e := lo; e < hi; e++ {
 			base := offs[e]
@@ -138,7 +138,7 @@ func (m *LocalMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 
 	// Combine: out[t] = Σ ŵ_i · y_{e_i}.
-	out := tensor.Scratch(tokens, d)
+	out := tensor.New(tokens, d)
 	for t := 0; t < tokens; t++ {
 		row := out.Row(t)
 		for _, s := range m.perTok[t] {
@@ -177,7 +177,7 @@ func (m *LocalMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// matrix for the grouped expert backward (row offs[e]+pos mirrors
 	// the forward gather order).
 	offs := m.gst.Off
-	dy := tensor.Scratch(m.gst.Rows(), d)
+	dy := tensor.New(m.gst.Rows(), d)
 	for t := 0; t < tokens; t++ {
 		dWeights[t] = m.dwBuf[off : off+len(m.perTok[t]) : off+len(m.perTok[t])]
 		off += len(m.perTok[t])
@@ -198,7 +198,7 @@ func (m *LocalMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 
 	// Grouped expert backward, scattering input grads back to tokens.
-	dx := tensor.Scratch(tokens, d)
+	dx := tensor.New(tokens, d)
 	dxFlat := m.group.Backward(dy, m.gst)
 	for e, g := range m.gather {
 		base := offs[e]

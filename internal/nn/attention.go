@@ -41,7 +41,7 @@ func NewMultiHeadAttention(name string, r *tensor.RNG, dim, heads, seqLen int) *
 // splitHeads reshapes [B*S, d] into [B*H, S, hd].
 func (m *MultiHeadAttention) splitHeads(x *tensor.Tensor, batch int) *tensor.Tensor {
 	s, h, hd := m.SeqLen, m.Heads, m.HeadDim
-	out := tensor.Scratch(batch*h, s, hd)
+	out := tensor.New(batch*h, s, hd)
 	tensor.ParallelWork(batch*h, s*hd, func(lo, hi int) {
 		for bh := lo; bh < hi; bh++ {
 			b, head := bh/h, bh%h
@@ -58,7 +58,7 @@ func (m *MultiHeadAttention) splitHeads(x *tensor.Tensor, batch int) *tensor.Ten
 // mergeHeads is the inverse of splitHeads.
 func (m *MultiHeadAttention) mergeHeads(x *tensor.Tensor, batch int) *tensor.Tensor {
 	s, h, hd := m.SeqLen, m.Heads, m.HeadDim
-	out := tensor.Scratch(batch*s, m.Dim)
+	out := tensor.New(batch*s, m.Dim)
 	tensor.ParallelWork(batch*h, s*hd, func(lo, hi int) {
 		for bh := lo; bh < hi; bh++ {
 			b, head := bh/h, bh%h
@@ -121,7 +121,7 @@ func (m *MultiHeadAttention) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// ctx = probs @ v  =>  dprobs = dctx @ vᵀ ; dv = probsᵀ @ dctx
 	dprobs := tensor.BatchMatMulTransB(dctx, m.v) // [B*H, S, S]
-	dv := tensor.Scratch(bh, s, hd)
+	dv := tensor.New(bh, s, hd)
 	tensor.ParallelRows(bh, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			p := tensor.FromSlice(m.probs.Data[i*s*s:(i+1)*s*s], s, s)
@@ -133,7 +133,7 @@ func (m *MultiHeadAttention) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// Softmax backward per row (masked entries have prob 0, so they
 	// receive no gradient automatically).
-	dscores := tensor.Scratch(bh, s, s)
+	dscores := tensor.New(bh, s, s)
 	scale := float32(1 / sqrt(float64(hd)))
 	tensor.ParallelWork(bh, s*s, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -154,7 +154,7 @@ func (m *MultiHeadAttention) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// scores = q @ kᵀ  =>  dq = dscores @ k ; dk = dscoresᵀ @ q
 	dq := tensor.BatchMatMul(dscores, m.k)
-	dk := tensor.Scratch(bh, s, hd)
+	dk := tensor.New(bh, s, hd)
 	tensor.ParallelRows(bh, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ds := tensor.FromSlice(dscores.Data[i*s*s:(i+1)*s*s], s, s)

@@ -16,8 +16,8 @@ import (
 // ones (see tensor.GroupedMatMulInto).
 //
 // The group caches the members' weight and gradient tensor slices so
-// steady-state Forward/Backward calls allocate only the step-scoped
-// activations (via tensor.Scratch). Rebuild the group (NewExpertGroup)
+// steady-state Forward/Backward calls allocate only the step's
+// activations. Rebuild the group (NewExpertGroup)
 // whenever the member set changes, e.g. after expert migration.
 type ExpertGroup struct {
 	Members []*FeedForward
@@ -88,11 +88,11 @@ func NewExpertGroup(members []*FeedForward) *ExpertGroup {
 // calls decide tiled-vs-naive on the group total.
 func (g *ExpertGroup) Forward(x *tensor.Tensor, off []int) (*tensor.Tensor, *GroupState) {
 	rows := x.Shape[0]
-	up := tensor.Scratch(rows, g.hidden)
+	up := tensor.New(rows, g.hidden)
 	tensor.GroupedMatMulInto(up, x, off, g.upW)
 	g.addBias(up, off, g.upB)
 	act := tensor.GELU(up)
-	out := tensor.Scratch(rows, g.dim)
+	out := tensor.New(rows, g.dim)
 	tensor.GroupedMatMulInto(out, act, off, g.downW)
 	g.addBias(out, off, g.downB)
 	return out, &GroupState{X: x, Up: up, Act: act, Off: off}
@@ -105,12 +105,12 @@ func (g *ExpertGroup) Backward(dout *tensor.Tensor, st *GroupState) *tensor.Tens
 	off := st.Off
 	tensor.GroupedMatMulTransAInto(g.downG, st.Act, dout, off)
 	g.addBiasGrad(dout, off, g.downBG)
-	dact := tensor.Scratch(rows, g.hidden)
+	dact := tensor.New(rows, g.hidden)
 	tensor.GroupedMatMulTransBInto(dact, dout, off, g.downW)
 	dup := tensor.Mul(dact, tensor.GELUGrad(st.Up))
 	tensor.GroupedMatMulTransAInto(g.upG, st.X, dup, off)
 	g.addBiasGrad(dup, off, g.upBG)
-	dx := tensor.Scratch(rows, g.dim)
+	dx := tensor.New(rows, g.dim)
 	tensor.GroupedMatMulTransBInto(dx, dup, off, g.upW)
 	return dx
 }

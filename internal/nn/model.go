@@ -34,7 +34,7 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, targets []int) floa
 
 // Backward returns d(loss)/d(logits).
 func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
-	d := tensor.Scratch(l.probs.Shape...)
+	d := tensor.New(l.probs.Shape...)
 	d.CopyFrom(l.probs)
 	scale := 1 / float32(len(l.targets))
 	for i, t := range l.targets {

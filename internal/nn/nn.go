@@ -181,7 +181,7 @@ func NewEmbedding(name string, r *tensor.RNG, vocab, dim int) *Embedding {
 // ForwardIDs gathers rows for each id.
 func (e *Embedding) ForwardIDs(ids []int) *tensor.Tensor {
 	e.ids = ids
-	out := tensor.Scratch(len(ids), e.Dim)
+	out := tensor.New(len(ids), e.Dim)
 	for i, id := range ids {
 		if id < 0 || id >= e.Vocab {
 			panic(fmt.Sprintf("nn: embedding id %d out of vocab %d", id, e.Vocab))
@@ -233,13 +233,13 @@ func (l *LayerNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if cols != l.Dim {
 		panic(fmt.Sprintf("nn: LayerNorm input %v, want [_, %d]", x.Shape, l.Dim))
 	}
-	l.norm = tensor.Scratch(rows, cols)
+	l.norm = tensor.New(rows, cols)
 	if cap(l.inv) < rows {
 		l.inv = make([]float32, rows)
 	} else {
 		l.inv = l.inv[:rows]
 	}
-	out := tensor.Scratch(rows, cols)
+	out := tensor.New(rows, cols)
 	tensor.ParallelWork(rows, cols, func(s, e int) {
 		for i := s; i < e; i++ {
 			src := x.Row(i)
@@ -293,7 +293,7 @@ func (l *LayerNorm) stash() normStash {
 func (l *LayerNorm) restore(s normStash) *tensor.Tensor {
 	l.norm, l.inv = s.norm, s.inv
 	rows, cols := l.norm.Shape[0], l.norm.Shape[1]
-	out := tensor.Scratch(rows, cols)
+	out := tensor.New(rows, cols)
 	tensor.ParallelWork(rows, cols, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			l.affine(out.Row(i), l.norm.Row(i))
@@ -307,9 +307,9 @@ func (l *LayerNorm) forget() { l.norm, l.inv = nil, nil }
 // Backward computes the layer-norm gradient.
 func (l *LayerNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	rows, cols := dout.Shape[0], dout.Shape[1]
-	dx := tensor.Scratch(rows, cols)
-	dgamma := tensor.Scratch(cols)
-	dbeta := tensor.Scratch(cols)
+	dx := tensor.New(rows, cols)
+	dgamma := tensor.New(cols)
+	dbeta := tensor.New(cols)
 	dn := make([]float64, cols)
 	for i := 0; i < rows; i++ {
 		g := dout.Row(i)

@@ -65,7 +65,6 @@ func onLayout(t *testing.T, l ckptLayout, prec sunway.Precision, fn func(c *mpi.
 			t.Error(err)
 			panic(err)
 		}
-		e.Trainer.Unpooled = true
 		fn(c, e)
 	})
 }

@@ -597,11 +597,6 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 	lp.wr.WaitIdle()
 
 	newComm := lp.comm.ShrinkTo(lp.comm.Survivors())
-	newStrat, serr := ShrinkStrategy(lp.strat, newComm.Size(), cfg.Model.NumExperts, cfg.Model.MoEEvery > 0)
-	if serr != nil {
-		st.unrecoverable = true
-		return serr
-	}
 
 	// No survivor scans for the rollback point until every survivor has
 	// drained: otherwise whether a checkpoint whose last shard is another
@@ -609,6 +604,17 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 	// host ran first, and the run rolls back one interval further on some
 	// executions than on others.
 	newComm.Barrier()
+	// Only now is the survivor set one every member agreed on. A rank can
+	// list the survivors while a second victim of the same step is still
+	// alive; that set may have no grid, but the barrier fails on it and
+	// the retry shrinks again. Judging the grid before the barrier let
+	// such a rank exit unrecoverable alone, and its peers wait for it at
+	// this barrier forever.
+	newStrat, serr := ShrinkStrategy(lp.strat, newComm.Size(), cfg.Model.NumExperts, cfg.Model.MoEEvery > 0)
+	if serr != nil {
+		st.unrecoverable = true
+		return serr
+	}
 	latest, lerr := ckpt.Latest(pol.Dir)
 	if lerr != nil {
 		return lerr

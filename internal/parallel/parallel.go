@@ -322,11 +322,6 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	if err != nil {
 		return nil, err
 	}
-	// One trainer steps per rank goroutine, concurrently: the global
-	// step arena is off-limits (a rank draining it mid-step — normally
-	// at the barrierless tail of its step, or early when a wire fault
-	// aborts the step — would recycle tensors its peers still hold).
-	tr.Unpooled = c.Size() > 1
 	e.Trainer = tr
 	e.phases = metrics.NewPhaseMeter(
 		metrics.PhaseGradSync, metrics.PhaseOptimizerShard,

@@ -169,7 +169,7 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32, 
 	if g == 0 {
 		x = r.Model.EmbedForward(batches[mb].IDs)
 	} else {
-		x = tensor.Scratch(r.Rows, r.Model.Cfg.Dim)
+		x = tensor.New(r.Rows, r.Model.Cfg.Dim)
 		r.recvInto(x.Data, (g-1)%r.Stages, bTag(0, g, mb))
 	}
 	var p *nn.Pass

@@ -32,7 +32,6 @@ func runPipelineSegment(t *testing.T, strat Strategy, mc ModelConfig, tc train.C
 			t.Error(err)
 			panic(err)
 		}
-		e.Trainer.Unpooled = true
 		if restoreDir != "" {
 			rr, rerr := ckpt.Restore(restoreDir, restoreStep, c.Rank(), e.Trainer.CheckpointParams())
 			if rerr != nil {

@@ -119,7 +119,6 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 				if err != nil {
 					panic(err)
 				}
-				e.Trainer.Unpooled = true
 				e.SetComputeRate(rate)
 				fail := func(format string, args ...any) {
 					if errs[comm.Rank()] == nil {

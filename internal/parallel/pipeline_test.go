@@ -37,7 +37,6 @@ func runPipeline(t *testing.T, strat Strategy, mc ModelConfig, tc train.Config,
 			t.Error(err)
 			panic(err)
 		}
-		e.Trainer.Unpooled = true
 		for s := 0; s < steps; s++ {
 			st := e.Step()
 			if c.Rank() == 0 {

@@ -83,14 +83,14 @@ type Deployment struct {
 	// RecomputeFraction is the share of blocks under selective
 	// activation recomputation, in [0,1]: a recomputed block keeps
 	// only its input alive (1·d per token instead of ~6·d) and replays
-	// its forward during backward, which Project prices as extra
+	// its forward during backward, which PredictStep prices as extra
 	// compute.
 	RecomputeFraction float64
 
 	// OffloadOptState parks the (post-ZeRO) optimizer state in the
 	// host-memory tier: it stops counting against NodeMemGiB and
 	// instead streams out and back every step at HostMemBWGiBs,
-	// which Project adds to the step time.
+	// which PredictStep adds to the step time.
 	OffloadOptState bool
 
 	// WireFP16 models the FP16 on-the-wire codec of the MoE exchange:
@@ -104,12 +104,6 @@ type Deployment struct {
 	// so the visible MoE phase is max(a2a, expert compute) instead of
 	// their sum.
 	OverlapA2A bool
-
-	// ExpertMigration marks load-aware expert migration as enabled.
-	// It has no analytic cost here, but validation rejects it under
-	// ZeRO — the runtime refuses that combination (moment ranges span
-	// ranks), so the model must refuse to price it.
-	ExpertMigration bool
 }
 
 // Ranks returns the total rank count.
@@ -140,29 +134,6 @@ func (d Deployment) Micro() int {
 	return d.PP()
 }
 
-// Report is the projected behaviour of one training step.
-type Report struct {
-	Spec  ModelSpec
-	Ranks int
-	Eff   float64
-
-	ComputeTime   float64 // seconds
-	A2ATime       float64
-	SyncTime      float64
-	RecomputeTime float64 // forward replay of recomputed blocks
-	OffloadTime   float64 // optimizer-state traffic to/from the host tier
-	StepTime      float64
-
-	TokensPerStep  float64
-	TokensPerSec   float64
-	SustainedFlops float64
-	PeakFraction   float64
-
-	MemPerNodeGiB float64
-	Fits          bool
-	Mem           MemBreakdown // full per-node memory accounting
-}
-
 // bytesPerElem is the wire size of an activation element in the given
 // precision (half-precision activations in FP16/Mixed).
 func bytesPerElem(p sunway.Precision) float64 {
@@ -174,34 +145,6 @@ func bytesPerElem(p sunway.Precision) float64 {
 	default:
 		return 4
 	}
-}
-
-// Project computes the analytic report for one synchronous training
-// step of spec under this deployment. It is a view over PredictStep —
-// the unified cost model — kept for the R7-era callers that tabulate
-// component times.
-func (d Deployment) Project(spec ModelSpec) (Report, error) {
-	p, err := d.PredictStep(spec, FaultModel{})
-	if err != nil {
-		return Report{}, err
-	}
-	r := Report{
-		Spec: spec, Ranks: d.Ranks(), Eff: d.Efficiency,
-		ComputeTime:    p.DenseCompute + p.ExpertCompute,
-		A2ATime:        p.A2A,
-		SyncTime:       p.Sync,
-		RecomputeTime:  p.Recompute,
-		OffloadTime:    p.Offload,
-		StepTime:       p.StepTime,
-		TokensPerStep:  p.TokensPerStep,
-		TokensPerSec:   p.TokensPerSec,
-		SustainedFlops: p.SustainedFlops,
-		PeakFraction:   p.PeakFraction,
-		MemPerNodeGiB:  p.Mem.TotalGiB,
-		Fits:           p.Mem.Fits,
-		Mem:            p.Mem,
-	}
-	return r, nil
 }
 
 // a2aCost prices one all-to-all over an expert-parallel group of p
@@ -274,21 +217,6 @@ func (d Deployment) flatCost(t *simnet.Topology, nodePeers, snPeers, machinePeer
 	return c
 }
 
-// levelOfDistance maps a rank distance onto the network tier a
-// message between those ranks travels.
-func levelOfDistance(t *simnet.Topology, dist int) simnet.Level {
-	switch {
-	case dist <= 0:
-		return simnet.SelfLevel
-	case dist < t.RanksPerNode:
-		return simnet.NodeLevel
-	case dist < t.RanksPerSupernode():
-		return simnet.SupernodeLevel
-	default:
-		return simnet.MachineLevel
-	}
-}
-
 // allReduceCost prices the gradient all-reduce over p ranks that sit
 // stride ranks apart (data-parallel peers of an expert shard are
 // ExpertParallel apart; stride 1 is a contiguous group), following what
@@ -339,7 +267,7 @@ func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes f
 	}
 	local := simnet.SupernodeLevel
 	if stride > 1 {
-		local = levelOfDistance(t, (L-1)*stride)
+		local = t.LevelOf(0, (L-1)*stride)
 	}
 	kl := 2 * float64(L-1) / float64(L)
 	c := arCost{total: kl * t.CostAtLevel(local, int(bytes)), lat: kl * t.Alpha[local]}

@@ -35,7 +35,7 @@ type MemBreakdown struct {
 //     by (1-f) + f/6;
 //   - OffloadOptState parks whatever optimizer state remains after
 //     ZeRO in the host tier, trading NodeMemGiB capacity for
-//     HostMemBWGiBs-priced traffic every step (priced in Project).
+//     HostMemBWGiBs-priced traffic every step (priced in PredictStep).
 func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	var mb MemBreakdown
 	if err := d.ValidateFor(spec); err != nil {

@@ -38,13 +38,13 @@ func TestMemoryBreakdownConsistent(t *testing.T) {
 	if mb.HostOptState != 0 {
 		t.Fatalf("host tier populated without offload: %+v", mb)
 	}
-	// Project must agree with the standalone breakdown.
-	rep, err := d.Project(memSpec())
+	// PredictStep must agree with the standalone breakdown.
+	rep, err := d.PredictStep(memSpec(), FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.MemPerNodeGiB != mb.TotalGiB || rep.Mem != mb {
-		t.Fatalf("Project memory %v disagrees with Memory() %v", rep.Mem, mb)
+	if rep.Mem != mb {
+		t.Fatalf("PredictStep memory %v disagrees with Memory() %v", rep.Mem, mb)
 	}
 }
 
@@ -103,32 +103,32 @@ func TestMemoryLeversMonotone(t *testing.T) {
 func TestRecomputeAndOffloadTrades(t *testing.T) {
 	d := memDeployment()
 	spec := memSpec()
-	plain, err := d.Project(spec)
+	plain, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dr := d
 	dr.RecomputeFraction = 1
-	rec, err := dr.Project(spec)
+	rec, err := dr.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Mem.Activations >= plain.Mem.Activations {
 		t.Fatalf("recompute did not shrink activations: %v vs %v", rec.Mem.Activations, plain.Mem.Activations)
 	}
-	if rec.RecomputeTime <= 0 || rec.StepTime <= plain.StepTime {
+	if rec.Recompute <= 0 || rec.StepTime <= plain.StepTime {
 		t.Fatalf("recompute time not priced: %+v", rec)
 	}
 	do := d
 	do.OffloadOptState = true
-	off, err := do.Project(spec)
+	off, err := do.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off.Mem.OptState != 0 || off.Mem.HostOptState != plain.Mem.OptState {
 		t.Fatalf("offload did not move state to host: %+v", off.Mem)
 	}
-	if off.OffloadTime <= 0 || off.StepTime <= plain.StepTime {
+	if off.Offload <= 0 || off.StepTime <= plain.StepTime {
 		t.Fatalf("offload traffic not priced: %+v", off)
 	}
 }

@@ -98,12 +98,12 @@ func fullDeployment(a2a A2AStrategy) Deployment {
 func TestProjectFullMachine174T(t *testing.T) {
 	spec := BrainScaleSpecs()[2] // 96,000 experts: one per rank
 	d := fullDeployment(A2AHierarchical)
-	rep, err := d.Project(spec)
+	rep, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Fits {
-		t.Fatalf("174T config does not fit: %.1f GiB/node", rep.MemPerNodeGiB)
+	if !rep.Mem.Fits {
+		t.Fatalf("174T config does not fit: %.1f GiB/node", rep.Mem.TotalGiB)
 	}
 	// The paper's headline is ~1.18 EFLOPS mixed precision; the
 	// reproduction should land in the same order of magnitude.
@@ -123,16 +123,16 @@ func TestHierarchicalA2ABeatsFlatAtScale(t *testing.T) {
 	dFlat := fullDeployment(A2AFlat)
 	dHier := fullDeployment(A2AHierarchical)
 	spec.NumExperts = dFlat.ExpertParallel
-	rf, err := dFlat.Project(spec)
+	rf, err := dFlat.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := dHier.Project(spec)
+	rh, err := dHier.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rh.A2ATime >= rf.A2ATime {
-		t.Fatalf("hierarchical a2a %.3g !< flat %.3g at full scale", rh.A2ATime, rf.A2ATime)
+	if rh.A2A >= rf.A2A {
+		t.Fatalf("hierarchical a2a %.3g !< flat %.3g at full scale", rh.A2A, rf.A2A)
 	}
 }
 
@@ -145,30 +145,30 @@ func TestMemoryGateRejectsOversizedModel(t *testing.T) {
 		BatchPerRank: 1, Precision: sunway.Mixed, Efficiency: 0.35,
 	}
 	spec.NumExperts = 4 * 1000 // divisible by EP, still huge
-	rep, err := d.Project(spec)
+	rep, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Fits {
-		t.Fatalf("trillion-parameter model reported as fitting on 4 nodes (%.1f GiB)", rep.MemPerNodeGiB)
+	if rep.Mem.Fits {
+		t.Fatalf("trillion-parameter model reported as fitting on 4 nodes (%.1f GiB)", rep.Mem.TotalGiB)
 	}
 }
 
 func TestValidationErrors(t *testing.T) {
 	d := fullDeployment(A2AFlat)
 	d.Efficiency = 0
-	if _, err := d.Project(tinySpec()); err == nil {
+	if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
 		t.Fatal("zero efficiency accepted")
 	}
 	d = fullDeployment(A2AFlat)
 	d.DataParallel = 7 // grid mismatch
-	if _, err := d.Project(tinySpec()); err == nil {
+	if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
 	d = fullDeployment(A2AFlat)
 	spec := tinySpec()
 	spec.NumExperts = 7 // not divisible by EP
-	if _, err := d.Project(spec); err == nil {
+	if _, err := d.PredictStep(spec, FaultModel{}); err == nil {
 		t.Fatal("indivisible experts accepted")
 	}
 }
@@ -180,17 +180,18 @@ func TestComputeScalesWithBatch(t *testing.T) {
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.5,
 	}
 	spec := tinySpec()
-	r1, err := base.Project(spec)
+	r1, err := base.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.BatchPerRank = 4
-	r2, err := base.Project(spec)
+	r2, err := base.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r2.ComputeTime/r1.ComputeTime-2) > 1e-9 {
-		t.Fatalf("compute time did not double: %v vs %v", r1.ComputeTime, r2.ComputeTime)
+	c1, c2 := r1.DenseCompute+r1.ExpertCompute, r2.DenseCompute+r2.ExpertCompute
+	if math.Abs(c2/c1-2) > 1e-9 {
+		t.Fatalf("compute time did not double: %v vs %v", c1, c2)
 	}
 }
 
@@ -201,12 +202,12 @@ func TestMixedPrecisionFasterThanFP32(t *testing.T) {
 		Machine: m, RanksPerNode: 1, DataParallel: 16, ExpertParallel: 4,
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
-	r32, err := d.Project(spec)
+	r32, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Precision = sunway.Mixed
-	rmx, err := d.Project(spec)
+	rmx, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +220,14 @@ func TestWeakScalingImprovesThroughput(t *testing.T) {
 	// Doubling the machine (at fixed per-rank batch) must increase
 	// aggregate tokens/s.
 	spec := tinySpec()
-	mk := func(nodes int) Report {
+	mk := func(nodes int) StepPrediction {
 		m := sunway.TestMachine(nodes/16, 16)
 		d := Deployment{
 			Machine: m, RanksPerNode: 1, DataParallel: nodes / 4, ExpertParallel: 4,
 			BatchPerRank: 2, Precision: sunway.Mixed, Efficiency: 0.4,
 			A2A: A2AHierarchical,
 		}
-		r, err := d.Project(spec)
+		r, err := d.PredictStep(spec, FaultModel{})
 		if err != nil {
 			t.Fatal(err)
 		}

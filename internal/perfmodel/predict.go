@@ -2,9 +2,9 @@ package perfmodel
 
 // PredictStep is the unified analytic cost model of one synchronous
 // training step. It is the single place the component formulas live:
-// Project (the R7 full-machine reports) and the deployment autotuner
-// (internal/autotune) both consume it, so the scores the autotuner
-// ranks by and the projections the experiment tables print cannot
+// the full-machine experiment tables (R2-proj, R7, R15) and the
+// deployment autotuner (internal/autotune) both read it, so the scores
+// the autotuner ranks by and the projections the tables print cannot
 // drift apart.
 
 import (
@@ -201,7 +201,7 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		// at whatever tier perStage ranks of distance reach.
 		rows := float64(d.BatchPerRank * spec.SeqLen)
 		sendBytes := rows * float64(spec.Dim) * bytesPerElem(d.Precision)
-		lvl := levelOfDistance(topo, perStage)
+		lvl := topo.LevelOf(0, perStage)
 		one := topo.CostAtLevel(lvl, int(sendBytes))
 		if lvl == simnet.MachineLevel {
 			one *= d.Machine.BisectionOversub

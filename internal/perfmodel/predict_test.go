@@ -8,29 +8,20 @@ import (
 	"bagualu/internal/sunway"
 )
 
-// TestProjectMatchesPredictStep pins that Project is a pure view over
-// the unified PredictStep cost model — the formulas cannot fork again.
-func TestProjectMatchesPredictStep(t *testing.T) {
+// TestFaultFreePredictionHasUnitGoodput pins the zero FaultModel the
+// experiment tables project with: no failures and no checkpoints, so
+// the effective step is the fault-free one.
+func TestFaultFreePredictionHasUnitGoodput(t *testing.T) {
 	d := validDeployment()
 	d.A2A = A2AHierarchical
 	d.ZeRO = true
-	spec := tinySpec()
-	rep, err := d.Project(spec)
+	p, err := d.PredictStep(tinySpec(), FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := d.PredictStep(spec, FaultModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StepTime != p.StepTime || rep.A2ATime != p.A2A || rep.SyncTime != p.Sync {
-		t.Fatalf("Project diverged from PredictStep: %+v vs %+v", rep, p)
-	}
-	if got := p.DenseCompute + p.ExpertCompute; math.Abs(got-rep.ComputeTime) > 1e-12*rep.ComputeTime {
-		t.Fatalf("compute split %v != total %v", got, rep.ComputeTime)
-	}
-	if p.Goodput != 1 || p.EffStepTime != p.StepTime {
-		t.Fatalf("fault-free prediction has goodput %v", p.Goodput)
+	if p.Goodput != 1 || p.EffStepTime != p.StepTime || p.CkptOverhead != 0 {
+		t.Fatalf("fault-free prediction has goodput %v, effective step %v of %v, checkpoint overhead %v",
+			p.Goodput, p.EffStepTime, p.StepTime, p.CkptOverhead)
 	}
 }
 

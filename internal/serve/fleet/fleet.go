@@ -120,18 +120,19 @@ type Config struct {
 	// HedgeMinSamples is the completions needed before the p99
 	// estimate is trusted (default 8).
 	HedgeMinSamples int
-	// RetryBackoff is the base re-dispatch delay after a crash,
-	// doubling per attempt (default 1ms).
-	RetryBackoff float64
 	// WindowPerRank caps dispatched-but-unfinished requests per
 	// replica at WindowPerRank x Ranks; excess waits at the router
 	// where shedding applies (0 = unlimited).
 	WindowPerRank int
-	// Health tunes the replica health monitor.
-	Health health.Config
-	// ProbeTokens is the warm-up probe decode length (default 4).
-	ProbeTokens int
 }
+
+const (
+	// retryBackoff is the base re-dispatch delay after a crash in
+	// seconds, doubling per attempt.
+	retryBackoff = 1e-3
+	// probeTokens is the warm-up probe's decode length.
+	probeTokens = 4
+)
 
 // Result is the fleet-level outcome. Counters partition the request
 // stream exactly: Requests == Completed + Shed + Dropped + Rejected.
@@ -299,12 +300,6 @@ func (c Config) withDefaults() Config {
 	if c.HedgeMinSamples <= 0 {
 		c.HedgeMinSamples = 8
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 1e-3
-	}
-	if c.ProbeTokens <= 0 {
-		c.ProbeTokens = 4
-	}
 	// The router owns backpressure and shedding; a replica engine that
 	// second-guessed it would break the accounting partition.
 	c.Engine.QueueCap = 0
@@ -338,7 +333,7 @@ func Run(cfg Config) (Result, error) {
 		cfg:     cfg,
 		ecfg:    cfg.Engine,
 		inj:     inj,
-		mon:     health.NewMonitor(cfg.Replicas, cfg.Health),
+		mon:     health.NewMonitor(cfg.Replicas, health.Config{}),
 		flights: make(map[int]*flight),
 		perTok:  make([]float64, cfg.Replicas),
 		window:  cfg.WindowPerRank * cfg.Ranks,
@@ -400,8 +395,8 @@ func (f *fleet) prepareReference() error {
 		// Probe prompt: fixed tokens derived from the sample seed, short
 		// enough for any context.
 		n := 4
-		if n > m.Cfg.SeqLen-f.cfg.ProbeTokens {
-			n = m.Cfg.SeqLen - f.cfg.ProbeTokens
+		if n > m.Cfg.SeqLen-probeTokens {
+			n = m.Cfg.SeqLen - probeTokens
 		}
 		rng := serve.SampleRNG(f.cfg.Engine.SampleSeed, -1)
 		f.probePrompt = make([]int, n)
@@ -441,7 +436,7 @@ func probeDecodes(f *fleet, m *nn.GPT) [][]int {
 	var out [][]int
 	for r := 0; r < f.cfg.Replicas; r++ {
 		id := probeID(r)
-		toks := m.GenerateKV(f.probePrompt, f.cfg.ProbeTokens,
+		toks := m.GenerateKV(f.probePrompt, probeTokens,
 			f.cfg.Engine.Temperature, serve.SampleRNG(f.cfg.Engine.SampleSeed, id))
 		out = append(out, toks[len(f.probePrompt):])
 	}

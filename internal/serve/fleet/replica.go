@@ -278,7 +278,7 @@ func (f *fleet) crash(rep *replica, t float64) {
 		}
 		fl.attempts++
 		f.res.Retries++
-		back := f.cfg.RetryBackoff * float64(int(1)<<uint(fl.attempts-1))
+		back := retryBackoff * float64(int(1)<<uint(fl.attempts-1))
 		f.pushEvent(event{t: t + back, kind: evRetry, id: id, req: fl.req})
 	}
 	rep.inflight = 0
@@ -308,7 +308,7 @@ func (f *fleet) rejoin(rep *replica, t float64) {
 	probe := serve.Request{
 		ID: id, Arrival: t,
 		Prompt: append([]int(nil), f.probePrompt...),
-		MaxNew: f.cfg.ProbeTokens,
+		MaxNew: probeTokens,
 	}
 	f.flights[id] = &flight{req: probe, primary: -1, hedge: -1}
 	f.dispatch(probe, rep, t, false)

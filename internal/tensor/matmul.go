@@ -41,22 +41,22 @@ func useTiled(m, k, n int) bool {
 }
 
 // MatMul returns a@b for a [m,k] and b [k,n].
-func MatMul(a, b *Tensor) *Tensor { return matmul("MatMul", a, b, false, byTotal, Scratch) }
+func MatMul(a, b *Tensor) *Tensor { return matmul("MatMul", a, b, false, byTotal) }
 
 // MatMulNaive returns a@b on the strip driver whatever the shape. Its
 // rows do not depend on how many there are, which is what
 // nn.InferLinear's batch invariance rests on, and it is the baseline
 // the tiled kernel is benchmarked against.
-func MatMulNaive(a, b *Tensor) *Tensor { return matmul("MatMulNaive", a, b, false, stripsOnly, New) }
+func MatMulNaive(a, b *Tensor) *Tensor { return matmul("MatMulNaive", a, b, false, stripsOnly) }
 
 // MatMulTiled returns a@b on the tiled driver whatever the shape. It is
 // numerically equivalent to MatMul up to float reassociation.
-func MatMulTiled(a, b *Tensor) *Tensor { return matmul("MatMulTiled", a, b, false, tiledOnly, Scratch) }
+func MatMulTiled(a, b *Tensor) *Tensor { return matmul("MatMulTiled", a, b, false, tiledOnly) }
 
 // MatMulTransB returns a@bᵀ for a [m,k] and b [n,k]: the backward pass
 // w.r.t. inputs when weights are stored [out,in]. The tiled driver
 // packs b transposed, so no transposed weight is materialized.
-func MatMulTransB(a, b *Tensor) *Tensor { return matmul("MatMulTransB", a, b, true, byTotal, Scratch) }
+func MatMulTransB(a, b *Tensor) *Tensor { return matmul("MatMulTransB", a, b, true, byTotal) }
 
 // BatchMatMul multiplies two rank-3 tensors batch-wise: a [B,m,k] @
 // b [B,k,n] -> [B,m,n]. Used by multi-head attention; the driver is
@@ -90,7 +90,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes %v, %v", a.Shape, b.Shape))
 	}
 	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	out := Scratch(m, n)
+	out := New(m, n)
 	// Parallelize over output rows (columns of a); each worker owns a
 	// disjoint slice of out so no synchronization is needed.
 	ParallelRows(m, func(s, e int) { matmulTransARows(out.Data, a.Data, b.Data, 0, k, m, n, s, e) })
@@ -131,9 +131,9 @@ func GroupedMatMulTransAInto(outs []*Tensor, a, b *Tensor, off []int) {
 }
 
 // matmul runs a plain product: one group.
-func matmul(op string, a, b *Tensor, transB bool, kn kernel, alloc func(...int) *Tensor) *Tensor {
+func matmul(op string, a, b *Tensor, transB bool, kn kernel) *Tensor {
 	m, k, n := gemmDims(op, a, transB, b)
-	out := alloc(m, n)
+	out := New(m, n)
 	newGemm(out.Data, a.Data, k, n, transB, kn).group(m, b.Data).run()
 	return out
 }
@@ -148,7 +148,7 @@ func batchMatMul(op string, a, b *Tensor, transB bool) *Tensor {
 		panic(fmt.Sprintf("tensor: %s shapes %v, %v", op, a.Shape, b.Shape))
 	}
 	batch, m, k, n := a.Shape[0], a.Shape[1], a.Shape[2], b.Shape[outer]
-	out := Scratch(batch, m, n)
+	out := New(batch, m, n)
 	g := newGemm(out.Data, a.Data, k, n, transB, byGroup)
 	for i := 0; i < batch; i++ {
 		g.group(m, b.Data[i*k*n:(i+1)*k*n])

@@ -87,7 +87,7 @@ func refTransB(out, a, b []float32, m, k, n int) {
 // matMulTransBOn returns a@bᵀ on the driver kn pins, as MatMulTiled
 // and MatMulNaive pin a@b.
 func matMulTransBOn(a, b *Tensor, kn kernel) *Tensor {
-	return matmul("MatMulTransB", a, b, true, kn, Scratch)
+	return matmul("MatMulTransB", a, b, true, kn)
 }
 
 // transposeInto feeds those paths (and packBT): row

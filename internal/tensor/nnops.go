@@ -16,7 +16,7 @@ func SoftmaxRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SoftmaxRows on shape %v", a.Shape))
 	}
 	r, c := a.Shape[0], a.Shape[1]
-	out := Scratch(r, c)
+	out := New(r, c)
 	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			SoftmaxRow(out.Data[i*c:(i+1)*c], a.Data[i*c:(i+1)*c])
@@ -77,7 +77,7 @@ func LayerNormRows(a, gamma, beta *Tensor, eps float32) *Tensor {
 	if gamma.Len() != c || beta.Len() != c {
 		panic(fmt.Sprintf("tensor: LayerNormRows gamma/beta length %d/%d, want %d", gamma.Len(), beta.Len(), c))
 	}
-	out := Scratch(r, c)
+	out := New(r, c)
 	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			src := a.Data[i*c : (i+1)*c]
@@ -104,7 +104,7 @@ func LayerNormRows(a, gamma, beta *Tensor, eps float32) *Tensor {
 // GELU applies the Gaussian error linear unit (tanh approximation)
 // elementwise.
 func GELU(a *Tensor) *Tensor {
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) { gelu(out.Data[s:e], a.Data[s:e]) })
 	return out
 }
@@ -120,7 +120,7 @@ func geluScalar(x float32) float32 {
 
 // GELUGrad returns d/dx GELU(x) evaluated elementwise at a.
 func GELUGrad(a *Tensor) *Tensor {
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) { geluGrad(out.Data[s:e], a.Data[s:e]) })
 	return out
 }

@@ -15,7 +15,7 @@ func checkSame(op string, a, b *Tensor) {
 // Add returns a + b elementwise.
 func Add(a, b *Tensor) *Tensor {
 	checkSame("Add", a, b)
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = a.Data[i] + b.Data[i]
@@ -27,7 +27,7 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a - b elementwise.
 func Sub(a, b *Tensor) *Tensor {
 	checkSame("Sub", a, b)
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = a.Data[i] - b.Data[i]
@@ -39,7 +39,7 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSame("Mul", a, b)
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = a.Data[i] * b.Data[i]
@@ -51,7 +51,7 @@ func Mul(a, b *Tensor) *Tensor {
 // Div returns a / b elementwise.
 func Div(a, b *Tensor) *Tensor {
 	checkSame("Div", a, b)
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = a.Data[i] / b.Data[i]
@@ -72,7 +72,7 @@ func AddInPlace(a, b *Tensor) {
 
 // Scale returns a*c.
 func Scale(a *Tensor, c float32) *Tensor {
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = a.Data[i] * c
@@ -165,7 +165,7 @@ func Norm2(a *Tensor) float32 {
 
 // Apply returns f applied elementwise to a.
 func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := Scratch(a.Shape...)
+	out := New(a.Shape...)
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = f(a.Data[i])
@@ -191,7 +191,7 @@ func SumRows(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SumRows on shape %v", a.Shape))
 	}
 	r, c := a.Shape[0], a.Shape[1]
-	out := Scratch(c)
+	out := New(c)
 	for i := 0; i < r; i++ {
 		row := a.Data[i*c : (i+1)*c]
 		for j, v := range row {
@@ -208,7 +208,7 @@ func SumCols(a *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: SumCols on shape %v", a.Shape))
 	}
 	r, c := a.Shape[0], a.Shape[1]
-	out := Scratch(r)
+	out := New(r)
 	ParallelWork(r, c, func(s, e int) {
 		for i := s; i < e; i++ {
 			var sum float64

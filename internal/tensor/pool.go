@@ -6,31 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Buffer pooling for the training hot path. The paper's analogue is
-// node memory-capacity management on SW26010-Pro: activations and
-// scratch buffers are recycled instead of re-reserved, because at
-// brain scale the allocator (there: the OS; here: the Go GC) must be
-// kept off the critical path.
-//
-// Three layers:
-//
-//   - Get/Release: a global, size-classed, sync.Pool-backed tensor
-//     pool. Get returns a zero-filled tensor; Release recycles both
-//     the data buffer and the Tensor header. A released tensor must
-//     never be used again (its Data is nil-ed so stale uses fail
-//     loudly, and double Release panics).
-//   - Arena: a collection of pooled tensors released together. The
-//     training loop drains one arena per step, which is what makes
-//     every per-op Release call unnecessary.
-//   - SetStepArena: installs an ambient arena that all tensor-op
-//     output allocations (via Scratch) are recorded into. Install
-//     from ONE training goroutine at a time; the multi-rank engine
-//     deliberately leaves it nil because rank goroutines interleave
-//     steps and a shared arena would recycle buffers another rank
-//     still holds.
-//
-// Views are never pooled: Release must only be called on tensors that
-// exclusively own their storage (everything Get/Arena.Get returns).
+// A size-classed pool of raw []float32 buffers for code that stages
+// data rather than holding tensors: the mpi wire layer's message
+// payloads and flattened receive buffers (which the distributed MoE
+// exchange legs carry), the sharded optimizer's flat buffers and
+// checkpoint snapshots. Tensors themselves are plain Go allocations.
 
 const (
 	// Size classes are powers of two from 1<<minClassBits floats up
@@ -41,7 +21,6 @@ const (
 
 var (
 	classPools [maxClassBits + 1]sync.Pool
-	headerPool = sync.Pool{New: func() any { return new(Tensor) }}
 
 	poolGets     atomic.Int64 // pooled-buffer hits
 	poolMisses   atomic.Int64 // class-pool empty, fresh make
@@ -64,71 +43,8 @@ func classFor(n int) int {
 	return c
 }
 
-// Get returns a zero-filled pooled tensor with the given shape. It is
-// safe for concurrent use. The caller owns the tensor until it is
-// passed to Release (directly or via an Arena).
-func Get(shape ...int) *Tensor {
-	n := numel(shape)
-	t := headerPool.Get().(*Tensor)
-	t.Shape = append(t.Shape[:0], shape...)
-	c := classFor(n)
-	if c < 0 {
-		// Out of class range (huge or empty): plain allocation, but
-		// the header is still recycled.
-		t.Data = make([]float32, n)
-		t.pooled = nil
-		return t
-	}
-	if v := classPools[c].Get(); v != nil {
-		buf := v.(*[]float32)
-		t.pooled = buf
-		t.Data = (*buf)[:n]
-		clear(t.Data)
-		poolGets.Add(1)
-		return t
-	}
-	s := make([]float32, 1<<c)
-	t.pooled = &s
-	t.Data = s[:n]
-	poolMisses.Add(1)
-	return t
-}
-
-// Release recycles a tensor obtained from Get (or New: exact
-// power-of-two buffers are adopted into the pool, others are left to
-// the GC). The tensor must not be used afterwards, and no view of it
-// may be live. Releasing the same tensor twice panics.
-func Release(t *Tensor) {
-	if t == nil {
-		return
-	}
-	if t.Data == nil && len(t.Shape) == 0 {
-		panic("tensor: double Release")
-	}
-	buf := t.pooled
-	if buf == nil && t.Data != nil {
-		// Adopt exactly class-sized buffers from New.
-		if c := cap(t.Data); c >= 1<<minClassBits && c&(c-1) == 0 {
-			s := t.Data[:c]
-			buf = &s
-		}
-	}
-	if buf != nil {
-		if c := classFor(cap(*buf)); c >= 0 && cap(*buf) == 1<<c {
-			classPools[c].Put(buf)
-			poolReleases.Add(1)
-		}
-	}
-	t.pooled = nil
-	t.Data = nil
-	t.Shape = t.Shape[:0]
-	headerPool.Put(t)
-}
-
-// GetSlice returns a zero-filled pooled []float32 of length n without
-// a Tensor header. It is the raw-buffer analogue of Get, used by the
-// mpi wire layer to stage message payloads and assemble flattened
-// receive buffers. Return it with PutSlice when done.
+// GetSlice returns a zero-filled pooled []float32 of length n. It is
+// safe for concurrent use. Return it with PutSlice when done.
 func GetSlice(n int) []float32 {
 	c := classFor(n)
 	if c < 0 {
@@ -160,72 +76,4 @@ func PutSlice(s []float32) {
 // allocations on pool miss, and releases back to the pool.
 func PoolStats() (gets, misses, releases int64) {
 	return poolGets.Load(), poolMisses.Load(), poolReleases.Load()
-}
-
-// Arena tracks pooled tensors so they can be released together; the
-// training loop drains one arena at the end of every step. Get is safe
-// for concurrent use (parallel kernels allocate from worker
-// goroutines); Drain must not race with Get.
-type Arena struct {
-	mu sync.Mutex
-	ts []*Tensor
-}
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
-
-// Get allocates from the pool and records the tensor for Drain.
-func (a *Arena) Get(shape ...int) *Tensor {
-	t := Get(shape...)
-	a.mu.Lock()
-	a.ts = append(a.ts, t)
-	a.mu.Unlock()
-	return t
-}
-
-// Len returns the number of tensors awaiting Drain.
-func (a *Arena) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.ts)
-}
-
-// Drain releases every recorded tensor back to the pool. All of them
-// (and any views over them) must be dead to the caller by now.
-func (a *Arena) Drain() {
-	a.mu.Lock()
-	ts := a.ts
-	a.ts = a.ts[:0]
-	a.mu.Unlock()
-	for i, t := range ts {
-		Release(t)
-		ts[i] = nil
-	}
-}
-
-// stepArena is the ambient arena Scratch consults.
-var stepArena atomic.Pointer[Arena]
-
-// SetStepArena installs (or, with nil, removes) the ambient step
-// arena and returns the previous one. Only one training goroutine may
-// have an arena installed at a time; see the package comment above.
-func SetStepArena(a *Arena) (prev *Arena) {
-	return stepArena.Swap(a)
-}
-
-// HasStepArena reports whether an ambient step arena is installed.
-// Code that releases tensors itself (e.g. the autograd tape) checks
-// this to avoid double-releasing arena-owned buffers.
-func HasStepArena() bool { return stepArena.Load() != nil }
-
-// Scratch allocates a step-scoped intermediate: from the ambient
-// arena when one is installed, otherwise a plain New. Every tensor-op
-// output in this package is allocated through it, which is what lets
-// the trainer recycle the whole forward/backward working set between
-// steps without per-op Release calls.
-func Scratch(shape ...int) *Tensor {
-	if a := stepArena.Load(); a != nil {
-		return a.Get(shape...)
-	}
-	return New(shape...)
 }

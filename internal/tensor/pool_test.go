@@ -6,169 +6,77 @@ import (
 )
 
 func TestPoolGetZeroFilledAndShaped(t *testing.T) {
-	a := Get(3, 5)
-	if a.Rank() != 2 || a.Dim(0) != 3 || a.Dim(1) != 5 || a.Len() != 15 {
-		t.Fatalf("Get(3,5) shape %v len %d", a.Shape, a.Len())
+	a := GetSlice(15)
+	if len(a) != 15 || cap(a) != 1<<minClassBits {
+		t.Fatalf("GetSlice(15) len %d cap %d", len(a), cap(a))
 	}
-	for i, v := range a.Data {
+	for i, v := range a {
 		if v != 0 {
-			t.Fatalf("Get not zero-filled at %d: %v", i, v)
+			t.Fatalf("GetSlice not zero-filled at %d: %v", i, v)
 		}
 	}
-	a.Fill(7)
-	Release(a)
+	for i := range a {
+		a[i] = 7
+	}
+	PutSlice(a)
 
 	// The recycled buffer must come back zeroed.
-	b := Get(3, 5)
-	for i, v := range b.Data {
+	b := GetSlice(15)
+	for i, v := range b {
 		if v != 0 {
-			t.Fatalf("recycled Get not zero-filled at %d: %v", i, v)
+			t.Fatalf("recycled GetSlice not zero-filled at %d: %v", i, v)
 		}
 	}
-	Release(b)
-}
-
-func TestPoolReleaseInvalidatesTensor(t *testing.T) {
-	a := Get(4, 4)
-	Release(a)
-	// A released tensor must not expose the (possibly recycled)
-	// buffer: stale uses should fail loudly, not read someone else's
-	// data.
-	if a.Data != nil {
-		t.Fatalf("released tensor still has Data (len %d)", len(a.Data))
-	}
-	if len(a.Shape) != 0 {
-		t.Fatalf("released tensor still has Shape %v", a.Shape)
-	}
-}
-
-func TestPoolDoubleReleasePanics(t *testing.T) {
-	a := Get(8)
-	Release(a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Release did not panic")
-		}
-	}()
-	Release(a)
+	PutSlice(b)
 }
 
 func TestPoolNoAliasingWithLiveTensor(t *testing.T) {
-	// A released buffer must never be reachable through a tensor the
+	// A returned buffer must never be reachable through a slice the
 	// caller still holds.
-	live := Get(16, 16)
-	live.Fill(42)
-	scratch := Get(16, 16)
-	Release(scratch)
-	// The next same-class Get may reuse scratch's buffer; writing to
-	// it must not disturb live.
-	reused := Get(16, 16)
-	if &reused.Data[0] == &live.Data[0] {
-		t.Fatal("pool handed out a buffer still owned by a live tensor")
+	live := GetSlice(256)
+	for i := range live {
+		live[i] = 42
 	}
-	reused.Fill(-1)
-	for i, v := range live.Data {
+	scratch := GetSlice(256)
+	PutSlice(scratch)
+	// The next same-class GetSlice may reuse scratch's buffer; writing
+	// to it must not disturb live.
+	reused := GetSlice(256)
+	if &reused[0] == &live[0] {
+		t.Fatal("pool handed out a buffer still owned by a live slice")
+	}
+	for i := range reused {
+		reused[i] = -1
+	}
+	for i, v := range live {
 		if v != 42 {
-			t.Fatalf("live tensor corrupted at %d: %v", i, v)
+			t.Fatalf("live slice corrupted at %d: %v", i, v)
 		}
 	}
-	Release(reused)
-	Release(live)
-}
-
-func TestPoolReshapeViewSharesStorage(t *testing.T) {
-	a := Get(4, 8)
-	v := a.Reshape(8, 4)
-	if v.pooled != nil {
-		t.Fatal("view carries pool ownership; only the parent may be released")
-	}
-	v.Data[0] = 9
-	if a.Data[0] != 9 {
-		t.Fatal("reshape view does not share storage")
-	}
-	// Releasing the owner retires the view's storage with it; the view
-	// must be dead to the caller by now.
-	Release(a)
+	PutSlice(reused)
+	PutSlice(live)
 }
 
 func TestPoolOutOfClassFallsBack(t *testing.T) {
-	// Scalar requests round up to the smallest class; zero-sized
-	// requests fall outside the classes but must still work.
-	z := Get()
-	if z.Len() != 1 {
-		t.Fatalf("scalar Get len %d", z.Len())
+	// Requests below the smallest class round up to it; empty requests
+	// fall outside the classes but must still work, and a slice whose
+	// capacity is no size class is left to the GC.
+	if s := GetSlice(1); len(s) != 1 || cap(s) != 1<<minClassBits {
+		t.Fatalf("GetSlice(1) len %d cap %d", len(s), cap(s))
 	}
-	Release(z)
-	e := Get(0, 5)
-	if e.Len() != 0 {
-		t.Fatalf("empty Get len %d", e.Len())
+	if e := GetSlice(0); len(e) != 0 {
+		t.Fatalf("empty GetSlice len %d", len(e))
 	}
-	Release(e)
-}
-
-func TestArenaDrainRecycles(t *testing.T) {
-	a := NewArena()
-	t1 := a.Get(32, 32)
-	t2 := a.Get(64)
-	if a.Len() != 2 {
-		t.Fatalf("arena Len %d, want 2", a.Len())
-	}
-	t1.Fill(1)
-	t2.Fill(2)
-	a.Drain()
-	if a.Len() != 0 {
-		t.Fatalf("arena Len %d after Drain", a.Len())
-	}
-	if t1.Data != nil || t2.Data != nil {
-		t.Fatal("Drain did not invalidate arena tensors")
-	}
-}
-
-func TestScratchUsesAmbientArena(t *testing.T) {
-	a := NewArena()
-	prev := SetStepArena(a)
-	defer SetStepArena(prev)
-	s := Scratch(10, 10)
-	if a.Len() != 1 {
-		t.Fatalf("Scratch did not record into ambient arena (Len %d)", a.Len())
-	}
-	SetStepArena(prev)
-	plain := Scratch(10, 10)
-	if a.Len() != 1 {
-		t.Fatal("Scratch recorded into arena after removal")
-	}
-	_ = plain
-	s.Fill(1)
-	a.Drain()
-}
-
-func TestPoolOpsProduceCorrectValues(t *testing.T) {
-	// End-to-end: run ops through an installed arena across several
-	// "steps" and check results match arena-less execution despite
-	// buffer recycling.
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := FromSlice([]float32{6, 5, 4, 3, 2, 1}, 3, 2)
-	want := MatMul(x, y)
-
-	a := NewArena()
-	prev := SetStepArena(a)
-	defer SetStepArena(prev)
-	for step := 0; step < 4; step++ {
-		got := MatMul(x, y)
-		if !got.AllClose(want, 1e-6) {
-			t.Fatalf("step %d: pooled MatMul %v, want %v", step, got.Data, want.Data)
-		}
-		sum := Add(got, got)
-		if sum.At(0, 0) != 2*want.At(0, 0) {
-			t.Fatalf("step %d: pooled Add wrong", step)
-		}
-		a.Drain()
+	_, _, r0 := PoolStats()
+	PutSlice(make([]float32, 100))
+	if _, _, r1 := PoolStats(); r1 != r0 {
+		t.Fatalf("PutSlice pooled a %d-float buffer, which is no size class", 100)
 	}
 }
 
 func TestPoolConcurrentGetRelease(t *testing.T) {
-	// Exercised with -race by verify.sh: concurrent Get/Release on
-	// overlapping size classes must not hand the same buffer to two
+	// Exercised with -race by verify.sh: concurrent GetSlice/PutSlice
+	// on overlapping size classes must not hand the same buffer to two
 	// goroutines.
 	const workers = 8
 	const iters = 500
@@ -178,54 +86,30 @@ func TestPoolConcurrentGetRelease(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				n := 1 + (seed+i)%100
-				tt := Get(n, 7)
-				for j := range tt.Data {
-					tt.Data[j] = float32(seed)
+				s := GetSlice(7 * (1 + (seed+i)%100))
+				for j := range s {
+					s[j] = float32(seed)
 				}
-				for j := range tt.Data {
-					if tt.Data[j] != float32(seed) {
+				for j := range s {
+					if s[j] != float32(seed) {
 						t.Errorf("buffer shared across goroutines")
 						return
 					}
 				}
-				Release(tt)
+				PutSlice(s)
 			}
 		}(w)
 	}
 	wg.Wait()
 }
 
-func TestArenaConcurrentGet(t *testing.T) {
-	// Parallel kernels allocate from worker goroutines; Arena.Get must
-	// be safe under concurrency (Drain runs after the join).
-	a := NewArena()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				a.Get(16)
-			}
-		}()
-	}
-	wg.Wait()
-	if a.Len() != 8*200 {
-		t.Fatalf("arena Len %d, want %d", a.Len(), 8*200)
-	}
-	a.Drain()
-}
-
 func TestPoolStatsAdvance(t *testing.T) {
 	g0, m0, r0 := PoolStats()
-	x := Get(128)
-	Release(x)
-	y := Get(128)
-	Release(y)
+	PutSlice(GetSlice(128))
+	PutSlice(GetSlice(128))
 	g1, m1, r1 := PoolStats()
-	// Every in-class Get is either a hit or a miss (a GC can empty a
-	// sync.Pool, so hits alone are not guaranteed).
+	// Every in-class GetSlice is either a hit or a miss (a GC can empty
+	// a sync.Pool, so hits alone are not guaranteed).
 	if g1+m1 < g0+m0+2 {
 		t.Fatalf("pool gets did not advance: %d+%d -> %d+%d", g0, m0, g1, m1)
 	}

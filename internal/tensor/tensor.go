@@ -20,11 +20,6 @@ import (
 type Tensor struct {
 	Data  []float32
 	Shape []int
-
-	// pooled points at the full size-class buffer backing Data when
-	// the tensor came from the buffer pool (see pool.go); nil for
-	// plain New allocations and views.
-	pooled *[]float32
 }
 
 // New returns a zero-filled tensor with the given shape.
@@ -157,8 +152,7 @@ func (t *Tensor) Row(i int) []float32 {
 }
 
 // RowsView returns a view of rows [lo, hi) of a rank-2 tensor. The
-// data is shared, not copied; like all views it must never be passed
-// to Release.
+// data is shared, not copied.
 func (t *Tensor) RowsView(lo, hi int) *Tensor {
 	if len(t.Shape) != 2 {
 		panic(fmt.Sprintf("tensor: RowsView on tensor of shape %v", t.Shape))

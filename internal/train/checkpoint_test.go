@@ -154,7 +154,6 @@ func TestGatherShardsInvertsCheckpointShard(t *testing.T) {
 		w := mpi.NewWorld(p, simnet.New(sunway.TestMachine(2, 4), 1))
 		w.Run(func(c *mpi.Comm) {
 			tr := newCkptTrainer(t, 11) // same seed: replicas
-			tr.Unpooled = true          // one trainer per rank goroutine
 			tr.Step()
 			tr.Step()
 			all := tr.CheckpointParams()

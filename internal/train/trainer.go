@@ -84,21 +84,6 @@ type Trainer struct {
 	// overflow reaches every rank through the sync, so all skip
 	// together.
 	PostBackward func(params []*nn.Param) float32
-
-	// Unpooled disables the step arena. The ambient arena is
-	// process-global, so it is only safe when exactly one trainer steps
-	// at a time; the parallel engine sets this whenever its
-	// communicator spans more than one rank — concurrent rank
-	// goroutines would record allocations into each other's arenas, and
-	// a rank whose step aborts early (wire fault, peer failure) would
-	// drain buffers its neighbours still hold.
-	Unpooled bool
-
-	// arena holds the step-scoped tensor working set (activations,
-	// attention caches, backward intermediates). Step installs it as
-	// the ambient tensor arena and drains it after the optimizer
-	// update, recycling the whole forward/backward allocation volume.
-	arena *tensor.Arena
 }
 
 // NewTrainer wires a model, corpus, and optimizer together.
@@ -164,25 +149,7 @@ func (t *Trainer) Step() Metrics {
 // and overflow count. Everything around it — gradient zeroing, the
 // precision policy, the PostBackward sync hook, clipping, and the
 // optimizer — is one update rule for every caller.
-//
-// StepWith owns the buffer-pool fast path: unless Unpooled is set it
-// installs the trainer's step arena as the ambient tensor arena for the
-// duration of the step, so every intermediate the forward/backward
-// passes allocate is recycled when the arena drains on return. The
-// ambient arena is process-global, so an arena-installing step must not
-// run concurrently with another; trainers stepping concurrently (one per
-// rank goroutine in the parallel engine) must set Unpooled.
 func (t *Trainer) StepWith(run func() (loss, aux float32, overflow int)) Metrics {
-	if !t.Unpooled {
-		if t.arena == nil {
-			t.arena = tensor.NewArena()
-		}
-		prev := tensor.SetStepArena(t.arena)
-		defer func() {
-			tensor.SetStepArena(prev)
-			t.arena.Drain()
-		}()
-	}
 	nn.ZeroGrads(t.params)
 	m := Metrics{Step: t.step}
 	wire0, comm0 := t.commSnapshot()
