@@ -25,11 +25,54 @@ var testSupport = map[string]string{
 	"bagualu/internal/half.BRoundTrip32": "train TestBF16WeightsAreRepresentable",
 }
 
+// methodSupport names the exported methods under internal/ that no
+// non-test selector names: by bare name the ones the runtime calls
+// through an interface, by "import/path.Type" every method of a type
+// that exists for tests, and by "import/path.Type.Method" the ones only
+// tests call, each with the test that needs it.
+var methodSupport = map[string]string{
+	"Error": "the error interface: fmt and errors call it",
+
+	"bagualu/internal/autograd.Graph":                    "nn TestLinearMatchesAutograd and the autograd tests: the tape is the layers' gradient oracle",
+	"bagualu/internal/autograd.Node.RequiresGrad":        "autograd TestNoGradThroughInputs",
+	"bagualu/internal/data.Corpus.TextVocab":             "data TestImageTokensAppear",
+	"bagualu/internal/data.Corpus.TokenHistogram":        "data TestZipfSkewControlsConcentration",
+	"bagualu/internal/fault.Injector.CrashAt":            "fault TestCrashScheduleShape",
+	"bagualu/internal/half.Float16.FastFloat32":          "half TestFastFloat32MatchesExact",
+	"bagualu/internal/half.Float16.IsInf":                "half TestOverflowToInf",
+	"bagualu/internal/half.Float16.IsNaN":                "half TestNaN",
+	"bagualu/internal/health.Monitor.Score":              "health TestMonitorIgnoresTransientSpike",
+	"bagualu/internal/metrics.Histogram.Mean":            "metrics TestHistogramQuantileBounds",
+	"bagualu/internal/metrics.Histogram.Min":             "metrics TestHistogramQuantileBounds",
+	"bagualu/internal/metrics.Histogram.Merge":           "metrics TestHistogramMergeEqualsCombined",
+	"bagualu/internal/metrics.Histogram.Sum":             "metrics TestHistogramMergeEqualsCombined",
+	"bagualu/internal/moe.DistMoE.ReplicatedParams":      "moe TestDistMoEParamPartition",
+	"bagualu/internal/moe.DistMoE.ShadowWorthwhile":      "moe TestShadowWorthwhile",
+	"bagualu/internal/moe.DistMoE.Shadows":               "moe TestSetShadowsValidation",
+	"bagualu/internal/mpi.Comm.Send":                     "mpi TestWireFaultDetection, and the fault and health tests' plain point-to-point traffic",
+	"bagualu/internal/mpi.Comm.SendInts":                 "mpi TestSendRecvIntsAndAnySource",
+	"bagualu/internal/mpi.Comm.RecvInts":                 "mpi TestSendRecvIntsAndAnySource",
+	"bagualu/internal/mpi.Comm.Shrink":                   "mpi TestShrinkAfterFailure",
+	"bagualu/internal/mpi.WireStats.IntraBytes":          "mpi TestWireStatsTracksCodecGap",
+	"bagualu/internal/parallel.Engine.ExpertParams":      "parallel TestReplicasStayInSync",
+	"bagualu/internal/parallel/layout.Folded.PerStage":   "layout TestFoldSharesRankSet",
+	"bagualu/internal/parallel/layout.Layout.Group":      "layout TestGroupsAndColors",
+	"bagualu/internal/parallel/layout.Layout.GroupColor": "layout TestGroupsAndColors",
+	"bagualu/internal/parallel/pipe.Runner.Stashed":      "parallel TestPipelineGeneratedEquivalence: no pass outlives its step",
+	"bagualu/internal/simnet.Topology.Cost":              "simnet TestCostAlphaBetaStructure",
+	"bagualu/internal/sunway.Machine.CoresPerNode":       "sunway TestFullMachineShape",
+	"bagualu/internal/sunway.Machine.PeakFlopsFP32":      "sunway TestPeakFlopsOrdering",
+	"bagualu/internal/trace.Recorder.FormatSummary":      "trace TestSummary",
+	"bagualu/internal/trace.Recorder.Span":               "trace TestSpanConvertsSecondsToMicros",
+	"bagualu/internal/train.LAMB.TrustRatio":             "train TestLAMBTrustRatioCapped",
+}
+
 // TestNoUncalledExports fails when an exported top-level function
 // declared in a non-test file under internal/ is referenced by no
 // non-test code: neither qualified from another package of the module
 // (benchmark/, cmd/, examples/ and the facade count) nor unqualified
-// from its own. Methods are not scanned.
+// from its own. An exported method is matched by name: some non-test
+// selector anywhere in the module must name it.
 func TestNoUncalledExports(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // non-test files by import path
@@ -58,7 +101,8 @@ func TestNoUncalledExports(t *testing.T) {
 	}
 
 	declared := map[string]token.Pos{} // by "import/path.Name"
-	r := refs{used: map[string]bool{}}
+	methods := map[string]token.Pos{}  // by "import/path.Type.Method"
+	r := refs{used: map[string]bool{}, selected: map[string]bool{}}
 	for ip, pkgFiles := range files {
 		r.pkg = ip
 		for _, f := range pkgFiles {
@@ -80,8 +124,12 @@ func TestNoUncalledExports(t *testing.T) {
 					r.walk(d)
 					continue
 				}
-				if fd.Recv == nil && fd.Name.IsExported() && strings.HasPrefix(ip, "bagualu/internal/") {
-					declared[ip+"."+fd.Name.Name] = fd.Pos()
+				if fd.Name.IsExported() && strings.HasPrefix(ip, "bagualu/internal/") {
+					if fd.Recv == nil {
+						declared[ip+"."+fd.Name.Name] = fd.Pos()
+					} else {
+						methods[ip+"."+recvType(fd.Recv)+"."+fd.Name.Name] = fd.Pos()
+					}
 				}
 				if fd.Recv != nil {
 					r.walk(fd.Recv)
@@ -107,19 +155,66 @@ func TestNoUncalledExports(t *testing.T) {
 			bad = append(bad, fn+" is allowlisted but program code calls it")
 		}
 	}
+	needed := map[string]bool{} // methodSupport entries some method needs
+	for m, pos := range methods {
+		typ := m[:strings.LastIndex(m, ".")]
+		name := m[len(typ)+1:]
+		if r.selected[name] {
+			continue
+		}
+		if k := supportEntry(m, typ, name); k != "" {
+			needed[k] = true
+			continue
+		}
+		bad = append(bad, fmt.Sprintf("%s: method %s is named by no non-test selector", fset.Position(pos), m))
+	}
+	for k := range methodSupport {
+		if !needed[k] {
+			bad = append(bad, k+" is allowlisted but covers no method that program code leaves unnamed")
+		}
+	}
 	sort.Strings(bad)
 	for _, b := range bad {
 		t.Error(b)
 	}
 }
 
+// recvType is the receiver's type name, pointer and type parameters
+// stripped.
+func recvType(recv *ast.FieldList) string {
+	x := recv.List[0].Type
+	if s, ok := x.(*ast.StarExpr); ok {
+		x = s.X
+	}
+	switch t := x.(type) {
+	case *ast.IndexExpr:
+		x = t.X
+	case *ast.IndexListExpr:
+		x = t.X
+	}
+	return x.(*ast.Ident).Name
+}
+
+// supportEntry returns the methodSupport key covering method m of type
+// typ called name — its own, its type's or its bare name's — or "".
+func supportEntry(m, typ, name string) string {
+	for _, k := range []string{m, typ, name} {
+		if methodSupport[k] != "" {
+			return k
+		}
+	}
+	return ""
+}
+
 // refs collects the function references of one package's files: a
 // pkg.Name through an import, or a bare identifier naming something
-// of the package itself.
+// of the package itself; and the right-hand side of every other
+// selector, which may name a method.
 type refs struct {
-	pkg     string
-	imports map[string]string // local name -> import path
-	used    map[string]bool   // "import/path.Name"
+	pkg      string
+	imports  map[string]string // local name -> import path
+	used     map[string]bool   // "import/path.Name"
+	selected map[string]bool   // selector names
 }
 
 func (r *refs) walk(n ast.Node) { ast.Inspect(n, r.visit) }
@@ -136,6 +231,7 @@ func (r *refs) visit(n ast.Node) bool {
 				return false
 			}
 		}
+		r.selected[n.Sel.Name] = true
 		r.walk(n.X)
 		return false
 	case *ast.Field:

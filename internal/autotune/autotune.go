@@ -59,8 +59,7 @@ type Config struct {
 	TargetSpec perfmodel.ModelSpec
 	Target     *sunway.Machine
 
-	Precision  sunway.Precision // search-scale training precision; default FP32
-	Efficiency float64          // sustained fraction of peak; default 0.3
+	Efficiency float64 // sustained fraction of peak; default 0.3
 
 	// Search axes. Zero-valued slices get defaults; layouts (DP×EP),
 	// codecs, overlap and memory levers are always enumerated in
@@ -120,9 +119,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Target == nil {
 		cfg.Target = sunway.NewGenerationSunway()
-	}
-	if cfg.Precision == 0 {
-		cfg.Precision = sunway.FP32
 	}
 	if cfg.Efficiency == 0 {
 		cfg.Efficiency = 0.3
@@ -231,7 +227,7 @@ func (cfg Config) deployment(c Candidate) perfmodel.Deployment {
 		Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode,
 		DataParallel: c.DP, ExpertParallel: c.EP,
 		PipelineParallel: c.PP, VirtualStages: c.VPP,
-		BatchPerRank: c.Batch, Precision: cfg.Precision,
+		BatchPerRank: c.Batch, Precision: searchPrecision,
 		Efficiency:        cfg.Efficiency,
 		A2A:               perfmodel.A2AHierarchical,
 		ZeRO:              c.ZeRO,

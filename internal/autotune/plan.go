@@ -20,10 +20,15 @@ import (
 // The full-scale target runs one rank per node (one expert host per
 // node) at the paper's mixed precision; a search scores at most
 // maxCandidates points, sampling larger spaces without replacement with
-// the run's seeded RNG.
+// the run's seeded RNG. The search scale measures and prices at FP32:
+// at Mixed the analytic model prices the all-to-all, the gradient sync
+// and the stage-boundary sends at 2 bytes an element, where the engine
+// sends all three as float32, so the two would disagree on exactly the
+// traffic the search ranks layouts by.
 const (
 	targetRanksPerNode = 1
 	targetPrecision    = sunway.Mixed
+	searchPrecision    = sunway.FP32
 	maxCandidates      = 2048
 )
 

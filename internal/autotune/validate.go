@@ -44,7 +44,7 @@ func (cfg Config) measuredKey(c Candidate) Candidate {
 func (cfg Config) shortRunConfig(c Candidate, seed uint64) parallel.ShortRunConfig {
 	s := cfg.Spec
 	strat := parallel.Strategy{DataParallel: c.DP, ExpertParallel: c.EP}
-	tc := train.Config{Batch: c.Batch, Precision: cfg.Precision}
+	tc := train.Config{Batch: c.Batch, Precision: searchPrecision}
 	if c.PP > 1 {
 		strat.Pipeline = c.PP
 		if c.VPP > 1 {

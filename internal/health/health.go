@@ -188,11 +188,6 @@ func (m *Monitor) Reset(r int) {
 // State returns a rank's current classification.
 func (m *Monitor) State(r int) State { return m.state[r] }
 
-// States returns a copy of all classifications.
-func (m *Monitor) States() []State {
-	return append([]State(nil), m.state...)
-}
-
 // Score returns a rank's current EWMA slowness multiplier (1 = nominal).
 func (m *Monitor) Score(r int) float64 {
 	if !m.seen[r] {

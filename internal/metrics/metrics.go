@@ -116,56 +116,6 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return err
 }
 
-// ByteMeter accumulates bytes-on-the-wire across training steps,
-// split by network tier. Inter-supernode volume is tracked twice:
-// as actually sent (Inter) and as an FP32 wire would have sent it
-// (RawInter), so the saving from a lossy wire codec is visible
-// directly. Feed it per-step deltas of simnet.Traffic snapshots (or
-// mpi.WireStats for the raw figure).
-type ByteMeter struct {
-	Steps    int64
-	Intra    int64 // bytes on intra-supernode links (node + supernode)
-	Inter    int64 // bytes on inter-supernode links, as sent
-	RawInter int64 // inter-supernode bytes before codec compression
-}
-
-// AddStep folds in one step's byte deltas. Pass rawInter == inter
-// when no codec is in play.
-func (m *ByteMeter) AddStep(intra, inter, rawInter int64) {
-	m.Steps++
-	m.Intra += intra
-	m.Inter += inter
-	m.RawInter += rawInter
-}
-
-// PerStepIntra returns mean intra-supernode bytes per step.
-func (m *ByteMeter) PerStepIntra() float64 {
-	if m.Steps == 0 {
-		return 0
-	}
-	return float64(m.Intra) / float64(m.Steps)
-}
-
-// PerStepInter returns mean inter-supernode bytes per step.
-func (m *ByteMeter) PerStepInter() float64 {
-	if m.Steps == 0 {
-		return 0
-	}
-	return float64(m.Inter) / float64(m.Steps)
-}
-
-// Saved returns the fraction of the raw inter-supernode volume the
-// wire codec removed (0 when uncompressed or no traffic).
-func (m *ByteMeter) Saved() float64 {
-	if m.RawInter == 0 {
-		return 0
-	}
-	return 1 - float64(m.Inter)/float64(m.RawInter)
-}
-
-// Reset zeroes the meter.
-func (m *ByteMeter) Reset() { *m = ByteMeter{} }
-
 // Canonical phase names for the fault-tolerance subsystem, shared by
 // train.Metrics, the recovery loop, and the CLI tables so checkpoint
 // overhead is attributed consistently everywhere it is displayed.

@@ -54,28 +54,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestByteMeter(t *testing.T) {
-	var m ByteMeter
-	if m.Saved() != 0 || m.PerStepInter() != 0 {
-		t.Fatal("zero meter not neutral")
-	}
-	m.AddStep(100, 50, 100) // codec halved the inter tier
-	m.AddStep(300, 150, 300)
-	if m.Steps != 2 || m.Intra != 400 || m.Inter != 200 || m.RawInter != 400 {
-		t.Fatalf("accumulators = %+v", m)
-	}
-	if m.PerStepIntra() != 200 || m.PerStepInter() != 100 {
-		t.Fatalf("per-step = %v / %v", m.PerStepIntra(), m.PerStepInter())
-	}
-	if got := m.Saved(); got != 0.5 {
-		t.Fatalf("Saved = %v, want 0.5", got)
-	}
-	m.Reset()
-	if m.Steps != 0 || m.Saved() != 0 {
-		t.Fatal("Reset failed")
-	}
-}
-
 func TestPhaseMeter(t *testing.T) {
 	p := NewPhaseMeter("dispatch", "expert", "combine")
 	p.Observe("dispatch", 1)

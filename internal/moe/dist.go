@@ -132,13 +132,9 @@ type DistMoE struct {
 // Timing accumulates wall-clock seconds per MoE phase across steps;
 // the communication/computation breakdown experiment (R9) reads it.
 // Dispatch/Combine include both training directions (forward traffic
-// and its backward mirror); the *Local/*Remote fields split out the
-// blocked receive time of each leg when overlap mode is on.
+// and its backward mirror).
 type Timing struct {
 	Gate, Dispatch, Expert, Combine float64
-
-	DispatchLocal, DispatchRemote float64
-	CombineLocal, CombineRemote   float64
 
 	// ExpertSim is the one virtual-clock entry: seconds of expert GEMM
 	// the layer charged to its rank's clock at SimRate (0 when unset).
@@ -152,10 +148,6 @@ func (t Timing) Add(o Timing) Timing {
 	t.Dispatch += o.Dispatch
 	t.Expert += o.Expert
 	t.Combine += o.Combine
-	t.DispatchLocal += o.DispatchLocal
-	t.DispatchRemote += o.DispatchRemote
-	t.CombineLocal += o.CombineLocal
-	t.CombineRemote += o.CombineRemote
 	t.ExpertSim += o.ExpertSim
 	return t
 }
@@ -167,10 +159,6 @@ func (t Timing) Sub(o Timing) Timing {
 	t.Dispatch -= o.Dispatch
 	t.Expert -= o.Expert
 	t.Combine -= o.Combine
-	t.DispatchLocal -= o.DispatchLocal
-	t.DispatchRemote -= o.DispatchRemote
-	t.CombineLocal -= o.CombineLocal
-	t.CombineRemote -= o.CombineRemote
 	t.ExpertSim -= o.ExpertSim
 	return t
 }
@@ -180,8 +168,6 @@ func (t Timing) Sub(o Timing) Timing {
 // the dispatch's.
 func (t Timing) mirrored() Timing {
 	t.Dispatch, t.Combine = t.Combine, t.Dispatch
-	t.DispatchLocal, t.CombineLocal = t.CombineLocal, t.DispatchLocal
-	t.DispatchRemote, t.CombineRemote = t.CombineRemote, t.DispatchRemote
 	return t
 }
 

@@ -75,18 +75,11 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	ex.Flush()
 	var in [2]*mpi.RecvBuf
 	var remote *mpi.Request
-	tl := time.Now()
 	if legs == 2 {
 		in[0] = ex.RecvLocal()
-		t.DispatchLocal = time.Since(tl).Seconds()
-		remote = m.comm.Start(func() {
-			tl = time.Now()
-			in[1] = ex.RecvRemote()
-			t.DispatchRemote = time.Since(tl).Seconds()
-		})
+		remote = m.comm.Start(func() { in[1] = ex.RecvRemote() })
 	} else {
 		in[0] = ex.RecvAll()
-		t.DispatchLocal = time.Since(tl).Seconds()
 	}
 	sb.Release()
 	t.Dispatch = time.Since(t0).Seconds()
@@ -139,12 +132,8 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	m.postRemoteFirst(ex, rsb)
 	ex.Flush()
 	if legs == 2 && !tr.backward {
-		tl = time.Now()
 		ret[0] = ex.RecvLocal()
-		t.CombineLocal = time.Since(tl).Seconds()
-		tl = time.Now()
 		ret[1] = ex.RecvRemote()
-		t.CombineRemote = time.Since(tl).Seconds()
 	} else {
 		ret[0] = ex.RecvAll()
 	}

@@ -123,9 +123,6 @@ func (c *Comm) Size() int { return len(c.group) }
 // Global returns the global (world) rank of comm rank r.
 func (c *Comm) Global(r int) int { return c.group[r] }
 
-// World returns the underlying world.
-func (c *Comm) World() *World { return c.proc.w }
-
 // Topology returns the pricing topology.
 func (c *Comm) Topology() *simnet.Topology { return c.proc.w.topo }
 

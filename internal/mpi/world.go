@@ -244,7 +244,7 @@ func (s *Stats) TotalBytes() int64 {
 
 // Snapshot copies the counters into an immutable simnet.Traffic
 // value; subtract two snapshots to attribute traffic to a step or
-// phase (metrics.ByteMeter consumes the deltas).
+// phase.
 func (s *Stats) Snapshot() simnet.Traffic {
 	var t simnet.Traffic
 	for i := range s.Msgs {

@@ -172,7 +172,7 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	if len(e.moeLayers) > 0 && e.moeLayers[0].Cfg.NumExperts%strat.ExpertParallel != 0 {
 		return fmt.Errorf("parallel: %d experts not divisible by EP=%d", e.moeLayers[0].Cfg.NumExperts, strat.ExpertParallel)
 	}
-	if micro := len(e.batches); strat.VPP() > 1 && micro%strat.PP() != 0 {
+	if micro := e.Trainer.Runner.Micro; strat.VPP() > 1 && micro%strat.PP() != 0 {
 		return fmt.Errorf("parallel: interleaved schedule needs %d micro-batches divisible by Pipeline=%d", micro, strat.PP())
 	}
 	// Re-chunk the layers for the new pipeline depth (possibly 1 —

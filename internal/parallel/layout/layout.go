@@ -70,9 +70,6 @@ func (l *Layout) Name() string { return l.name }
 // Size returns the total rank count.
 func (l *Layout) Size() int { return l.size }
 
-// Axes returns the ordered axis list.
-func (l *Layout) Axes() []Axis { return l.axes }
-
 // AxisIndex returns the position of the named axis, or -1.
 func (l *Layout) AxisIndex(name string) int {
 	for i, a := range l.axes {
@@ -81,15 +78,6 @@ func (l *Layout) AxisIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// AxisSize returns the named axis's size (1 if absent, so callers can
-// query axes a layout may not carry).
-func (l *Layout) AxisSize(name string) int {
-	if i := l.AxisIndex(name); i >= 0 {
-		return l.axes[i].Size
-	}
-	return 1
 }
 
 // Coord maps a rank to its coordinate along each axis.

@@ -36,7 +36,6 @@ import (
 	"bagualu/internal/nn"
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/parallel/pipe"
-	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
 	"bagualu/internal/train"
 )
@@ -202,13 +201,11 @@ type Engine struct {
 	Model    *nn.GPT
 	Trainer  *train.Trainer
 
-	// The folded layout pair, the per-rank schedule runner, the global
-	// chunk partition, this step's micro-batches, and per-chunk analytic
-	// forward FLOPs the runner prices on the virtual clock.
+	// The folded layout pair, the global chunk partition, and per-chunk
+	// analytic forward FLOPs the stage's runner prices on the virtual
+	// clock.
 	fold          layout.Folded
-	runner        *pipe.Runner
 	part          []pipe.Chunk
-	batches       []pipe.MicroBatch
 	chunkFwdFlops []float64
 
 	moeLayers    []*moe.DistMoE
@@ -247,18 +244,8 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	if mc.MoEEvery > 0 && mc.NumExperts%strat.ExpertParallel != 0 {
 		return nil, fmt.Errorf("parallel: %d experts not divisible by EP=%d", mc.NumExperts, strat.ExpertParallel)
 	}
-	micro := max(tc.Accum, 1)
-	if strat.PP() > 1 {
-		// Pipeline runs use a static precision. Dynamic loss scaling
-		// skips on the synchronized gradient norm, which the pipeline
-		// column combines too, but no pipelined run has been checked
-		// under it.
-		if tc.Precision == sunway.Mixed || tc.Precision == sunway.FP16 {
-			return nil, fmt.Errorf("parallel: pipeline parallelism requires static precision (FP32/FP64), not %v", tc.Precision)
-		}
-		if strat.VPP() > 1 && micro%strat.PP() != 0 {
-			return nil, fmt.Errorf("parallel: interleaved schedule needs Accum (%d) divisible by Pipeline (%d)", micro, strat.PP())
-		}
+	if micro := max(tc.Accum, 1); strat.VPP() > 1 && micro%strat.PP() != 0 {
+		return nil, fmt.Errorf("parallel: interleaved schedule needs Accum (%d) divisible by Pipeline (%d)", micro, strat.PP())
 	}
 
 	part, err := pipe.PartitionLayers(mc.GPT.Layers, strat.PP()*strat.VPP())
@@ -266,7 +253,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		return nil, err
 	}
 
-	e := &Engine{part: part, batch: tc.Batch, clipNorm: tc.ClipNorm, batches: make([]pipe.MicroBatch, micro)}
+	e := &Engine{part: part, batch: tc.Batch, clipNorm: tc.ClipNorm}
 	// The engine clips by the *distributed* global norm after the
 	// gradient sync; the trainer's local clip would use a norm that
 	// differs across ranks (expert shards differ) and desynchronize
@@ -329,8 +316,8 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		metrics.PhaseOffload, metrics.PhaseBubble, metrics.PhaseCompute)
 	e.phasePrev = map[string]float64{}
 	// The optimizer, precision policy, and checkpoints operate on the
-	// stage-owned parameter subset; the runner executes the schedule
-	// inside Trainer.StepWith.
+	// stage-owned parameter subset; the trainer's step runs the stage's
+	// schedule.
 	e.repartitionParams()
 	e.buildRunner()
 	e.installSync(opt)
@@ -412,14 +399,16 @@ func (e *Engine) repartitionParams() {
 	e.Trainer.ReformParams(owned)
 }
 
-// buildRunner (re)creates the schedule runner and the per-chunk
-// analytic forward-FLOP table for the current partition.
+// buildRunner installs the stage's schedule runner for the current
+// partition into the trainer, with the micro-batch count the trainer was
+// built with, and (re)builds the per-chunk analytic forward-FLOP table
+// it prices.
 func (e *Engine) buildRunner() {
 	e.chunkFwdFlops = e.chunkForwardFlops()
-	e.runner = &pipe.Runner{
+	e.Trainer.Runner = &pipe.Runner{
 		Stages:  e.fold.PP,
 		Virtual: e.Strategy.VPP(),
-		Micro:   len(e.batches),
+		Micro:   e.Trainer.Runner.Micro,
 		Stage:   e.fold.Stage(e.Comm.Rank()),
 		Comm:    e.PPComm,
 		Model:   e.Model,
@@ -431,7 +420,6 @@ func (e *Engine) buildRunner() {
 			}
 			return e.chunkFwdFlops[g] / e.computeRate
 		},
-		AuxOf: e.chunkAux,
 		Meter: e.phases,
 	}
 }
@@ -478,22 +466,6 @@ func (e *Engine) chunkForwardFlops() []float64 {
 		out[g] = tokens * (2*active + quad)
 	}
 	return out
-}
-
-// chunkAux collects the auxiliary loss and overflow count from the MoE
-// layers inside global chunk g (the runner calls it after each chunk
-// forward, before another micro-batch overwrites the gates).
-func (e *Engine) chunkAux(g int) (aux float32, overflow int) {
-	c := e.part[g]
-	for i := c.Lo; i < c.Hi; i++ {
-		if l, ok := e.Model.Blocks[i].FFN.(train.AuxLossLayer); ok {
-			aux += l.AuxLoss()
-			if r := l.LastRouting(); r != nil {
-				overflow += r.Overflow
-			}
-		}
-	}
-	return aux, overflow
 }
 
 // replicaGroups names the engine's two replication groups: dense
@@ -796,12 +768,12 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
 	}
 }
 
-// Step runs one synchronous training step — the trainer's update
-// around the runner's schedule — and returns world-level statistics
+// Step runs one synchronous training step — the trainer's step, which
+// runs the stage's schedule — and returns world-level statistics
 // (identical on every rank).
 func (e *Engine) Step() StepStats {
 	simStart := e.Comm.Now()
-	local := e.Trainer.StepWith(e.runMicroBatches)
+	local := e.Trainer.Step()
 	if e.offloadBW > 0 {
 		// Offloaded optimizer state streams host→device and back once
 		// per step (read moments, write updated moments).
@@ -839,28 +811,10 @@ func (e *Engine) Step() StepStats {
 	return st
 }
 
-// runMicroBatches is a step's forward/backward phase: it draws the
-// step's micro-batches and runs the schedule over them. Every rank of a
-// pipeline column draws the same micro-batches (same corpus seed), so
-// the stream stays aligned for checkpointed RNG state on all stages.
-func (e *Engine) runMicroBatches() (loss, aux float32, overflow int) {
-	// The loss scale times the micro-batch weight, as the trainer's
-	// accumulation loop applies it; the MoE layers' injected aux-loss
-	// gradient tracks it too.
-	scale := e.Trainer.MP.LossScale() * (1 / float32(len(e.batches)))
-	for _, m := range e.moeLayers {
-		m.SetGradScale(scale)
-	}
-	for i := range e.batches {
-		e.batches[i].IDs, e.batches[i].Targets = e.Trainer.Corpus.Batch(e.batch)
-	}
-	return e.runner.Step(e.batches, scale)
-}
-
 // GlobalBatchTokens returns tokens consumed per step across all ranks:
 // one micro-batch per rank of a stage, times the micro-batch count.
 func (e *Engine) GlobalBatchTokens() int {
-	return e.batch * e.Model.Cfg.SeqLen * len(e.batches) * e.Stage.Size()
+	return e.batch * e.Model.Cfg.SeqLen * e.Trainer.Runner.Micro * e.Stage.Size()
 }
 
 // NumParamsGlobal estimates the global parameter count: the model's

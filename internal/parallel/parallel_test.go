@@ -320,70 +320,97 @@ func TestEngineBF16Trains(t *testing.T) {
 // TestMixedOverflowSkipsEverywhere: under Mixed precision an FP16
 // overflow on one rank alone must not leave that rank out of its peers'
 // gradient sync. It joins the sync, its Inf reaches every rank's norm,
-// every rank skips the step and halves its loss scale, and the next
-// step trains. The world runs under a timeout: the desynchronized
+// every rank skips the step, halves its loss scale and keeps its owned
+// weights, and the next step trains. On the flat grid the overflow is
+// planted on rank 0; on pp2×ep2 once on a first-stage rank (its gates'
+// aux-loss gradient overflows) and once on a head-stage rank (its logits
+// gradient does), where the column's norm carries it across the stage
+// boundary. The world runs under a timeout: the desynchronized
 // collectives this guards against may hang instead of panicking.
 func TestMixedOverflowSkipsEverywhere(t *testing.T) {
-	tc := tinyTrainCfg()
-	tc.Precision = sunway.Mixed
-	strat := Strategy{DataParallel: 2, ExpertParallel: 2}
-	type rankRec struct {
-		init, afterSkip, afterGood float32
-		skips                      [2]int
-		weightsKept, weightsMoved  bool
-		loss                       float32
-	}
-	recs := make([]rankRec, strat.Size())
-	w := mpi.NewWorld(strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1))
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		w.Run(func(c *mpi.Comm) {
-			e, err := NewEngine(c, strat, tinyModelCfg(1), tinyCorpusCfg(), tc, train.NewAdam(0), 11)
-			if err != nil {
-				panic(err)
+	for _, row := range []struct {
+		name  string
+		strat Strategy
+		mc    ModelConfig
+		accum int
+		plant int // the rank whose scale overflows
+		stage int // and its pipeline stage
+	}{
+		{"dp2xep2", Strategy{DataParallel: 2, ExpertParallel: 2}, tinyModelCfg(1), 0, 0, 0},
+		{"pp2xep2_first_stage", Strategy{DataParallel: 1, ExpertParallel: 2, Pipeline: 2}, pipeModelCfg(4), 2, 0, 0},
+		{"pp2xep2_head_stage", Strategy{DataParallel: 1, ExpertParallel: 2, Pipeline: 2}, pipeModelCfg(4), 2, 3, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tc := tinyTrainCfg()
+			tc.Precision, tc.Accum = sunway.Mixed, row.accum
+			type rankRec struct {
+				init, afterSkip, afterGood float32
+				skips                      [2]int
+				weightsKept, weightsMoved  bool
+				loss                       float32
 			}
-			rec := &recs[c.Rank()]
-			mp := e.Trainer.MP
-			rec.init = mp.Scale
-			if c.Rank() == 0 {
-				mp.Scale = 1e12 // this rank's gradients overflow FP16
+			recs := make([]rankRec, row.strat.Size())
+			w := mpi.NewWorld(row.strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1))
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				w.Run(func(c *mpi.Comm) {
+					e, err := NewEngine(c, row.strat, row.mc, tinyCorpusCfg(), tc, train.NewAdam(0), 11)
+					if err != nil {
+						panic(err)
+					}
+					rec := &recs[c.Rank()]
+					mp := e.Trainer.MP
+					rec.init = mp.Scale
+					if c.Rank() == row.plant {
+						if s := e.fold.Stage(c.Rank()); s != row.stage {
+							panic(fmt.Sprintf("rank %d is on stage %d, not %d", c.Rank(), s, row.stage))
+						}
+						mp.Scale = 1e12 // this rank's gradients overflow FP16
+					}
+					owned := func() (w []float32) {
+						for _, p := range e.Trainer.Params() {
+							w = append(w, p.W.Data...)
+						}
+						return w
+					}
+					w0 := owned()
+					e.Step()
+					rec.afterSkip, rec.skips[0] = mp.Scale, mp.SkippedSteps()
+					rec.weightsKept = slices.Equal(w0, owned())
+					mp.Scale = rec.init / 2 // the planted rank rejoins its peers' scale
+					st := e.Step()
+					rec.afterGood, rec.skips[1], rec.loss = mp.Scale, mp.SkippedSteps(), st.Loss
+					rec.weightsMoved = !slices.Equal(w0, owned())
+				})
+			}()
+			select {
+			case p := <-done:
+				if p != nil {
+					t.Fatalf("world failed after a one-rank overflow: %v", p)
+				}
+			case <-time.After(time.Minute):
+				t.Fatal("world hung after a one-rank overflow")
 			}
-			w0 := append([]float32(nil), e.Model.Head.Weight.W.Data...)
-			e.Step()
-			rec.afterSkip, rec.skips[0] = mp.Scale, mp.SkippedSteps()
-			rec.weightsKept = slices.Equal(w0, e.Model.Head.Weight.W.Data)
-			mp.Scale = rec.init / 2 // rank 0 rejoins its peers' scale
-			st := e.Step()
-			rec.afterGood, rec.skips[1], rec.loss = mp.Scale, mp.SkippedSteps(), st.Loss
-			rec.weightsMoved = !slices.Equal(w0, e.Model.Head.Weight.W.Data)
+			for r, rec := range recs {
+				want := rec.init / 2
+				if r == row.plant {
+					want = 1e12 / 2
+				}
+				switch {
+				case rec.skips != [2]int{1, 1}:
+					t.Fatalf("rank %d: skipped steps after each step %v, want [1 1]", r, rec.skips)
+				case rec.afterSkip != want:
+					t.Fatalf("rank %d: scale %v after the skip, want %v", r, rec.afterSkip, want)
+				case !rec.weightsKept:
+					t.Fatalf("rank %d: the skipped step moved weights", r)
+				case rec.afterGood != recs[0].afterGood:
+					t.Fatalf("rank %d: scale %v after the good step, rank 0 has %v", r, rec.afterGood, recs[0].afterGood)
+				case !rec.weightsMoved || math.IsNaN(float64(rec.loss)) || math.IsInf(float64(rec.loss), 0):
+					t.Fatalf("rank %d: the step after the skip did not train (loss %v)", r, rec.loss)
+				}
+			}
 		})
-	}()
-	select {
-	case p := <-done:
-		if p != nil {
-			t.Fatalf("world failed after a one-rank overflow: %v", p)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("world hung after a one-rank overflow")
-	}
-	for r, rec := range recs {
-		want := rec.init / 2
-		if r == 0 {
-			want = 1e12 / 2
-		}
-		switch {
-		case rec.skips != [2]int{1, 1}:
-			t.Fatalf("rank %d: skipped steps after each step %v, want [1 1]", r, rec.skips)
-		case rec.afterSkip != want:
-			t.Fatalf("rank %d: scale %v after the skip, want %v", r, rec.afterSkip, want)
-		case !rec.weightsKept:
-			t.Fatalf("rank %d: the skipped step moved weights", r)
-		case rec.afterGood != recs[0].afterGood:
-			t.Fatalf("rank %d: scale %v after the good step, rank 0 has %v", r, rec.afterGood, recs[0].afterGood)
-		case !rec.weightsMoved || math.IsNaN(float64(rec.loss)) || math.IsInf(float64(rec.loss), 0):
-			t.Fatalf("rank %d: the step after the skip did not train (loss %v)", r, rec.loss)
-		}
 	}
 }
 
@@ -558,12 +585,14 @@ func TestComputeSimMetersEveryCharge(t *testing.T) {
 	}
 }
 
-// TestDepthOneEngineMatchesTrainer holds the engine to an oracle that
-// shares none of its step code: a one-rank depth-1 engine — every step
-// through the schedule runner — must follow a bare train.Trainer.Step
-// on the same model, tokens and optimizer bit for bit: loss, gradient
-// norm and every weight, at FP32 and Mixed, with and without gradient
-// accumulation.
+// TestDepthOneEngineMatchesTrainer holds what the engine adds around
+// the trainer's step — the runner it installs, the one-rank gradient
+// sync, the distributed norm and clip — to a bare train.Trainer.Step
+// with its own one-stage runner: a one-rank depth-1 engine must follow
+// it on the same model, tokens and optimizer bit for bit: loss,
+// gradient norm and every weight, at FP32 and Mixed, with and without
+// gradient accumulation. (The trainer's step is held to the direct
+// Forward/Backward loop in internal/train.)
 func TestDepthOneEngineMatchesTrainer(t *testing.T) {
 	const (
 		steps = 4

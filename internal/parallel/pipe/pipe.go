@@ -18,8 +18,9 @@
 // forward whose backward is the next op leaves them in the layers. Only
 // the blocks the model's recompute policy marks keep just their input
 // and replay. With one stage the schedule is F B F B …, plain gradient
-// accumulation: the parallel engine runs every step, flat or
-// pipelined, through a Runner.
+// accumulation: train.Trainer runs every step through a Runner, the
+// one-stage runner it builds or the stage's the parallel engine
+// installs.
 package pipe
 
 import "fmt"

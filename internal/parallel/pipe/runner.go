@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bagualu/internal/metrics"
+	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/tensor"
@@ -18,10 +19,21 @@ type MicroBatch struct {
 	Targets []int
 }
 
+// AuxLossLayer is implemented by MoE layers: they contribute an
+// auxiliary load-balancing loss, whose gradient they inject themselves
+// scaled by SetGradScale, and report their routing.
+type AuxLossLayer interface {
+	AuxLoss() float32
+	LastRouting() *moe.Routing
+	SetGradScale(float32)
+}
+
 // Runner executes a pipeline schedule for one rank. It owns the
 // per-(chunk, micro-batch) stash of in-flight passes, the boundary
-// sends in flight, and the last stage's loss head. Build one per
-// engine; Step is called once per optimizer step.
+// sends in flight, and the last stage's loss head. It is the one
+// forward/backward driver: a trainer builds the one-stage runner, and
+// the parallel engine installs its stage's in its place; Step is called
+// once per optimizer step.
 type Runner struct {
 	// Grid shape: S pipeline stages, V virtual chunks per stage, M
 	// micro-batches per step (M % S == 0 when V > 1).
@@ -30,7 +42,8 @@ type Runner struct {
 
 	// Comm is the pipeline communicator: Stages ranks, comm rank ==
 	// stage, shared by all boundary traffic of this rank's column. Chunk
-	// compute is charged to its clock.
+	// compute is charged to its clock. A one-stage runner pricing no
+	// compute needs none.
 	Comm *mpi.Comm
 
 	// Model is the full GPT (every rank builds it identically); Part
@@ -46,12 +59,8 @@ type Runner struct {
 	// forward pass of global chunk g (backward charges twice that; a
 	// replay, the share of the chunk's blocks the recompute policy
 	// marks). The engine prices dense FLOPs here; self-charging MoE
-	// layers price their own GEMMs.
+	// layers price their own GEMMs. Nil charges nothing.
 	FwdSeconds func(g int) float64
-
-	// AuxOf returns the auxiliary loss and overflow collected from
-	// global chunk g's MoE layers after a forward.
-	AuxOf func(g int) (float32, int)
 
 	// Meter receives bubble time (metrics.PhaseBubble): virtual seconds
 	// this stage spent blocked on boundary recvs, and the chunk compute
@@ -109,13 +118,6 @@ func (r *Runner) init() {
 	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
 }
 
-// Schedule returns the op sequence this runner executes (for tests
-// and the deterministic-replay gate).
-func (r *Runner) ScheduleOps() []Op {
-	r.init()
-	return r.sched
-}
-
 // Stashed returns how many (chunk, micro-batch) passes are between
 // their forward and their backward: zero outside Step.
 func (r *Runner) Stashed() int {
@@ -147,6 +149,9 @@ func (r *Runner) send(dst, tag int, data []float32) {
 // charge prices passes forward passes of chunk g on the virtual clock
 // and meters them under each of phases.
 func (r *Runner) charge(g int, passes float64, phases ...string) {
+	if r.FwdSeconds == nil {
+		return
+	}
 	if s := r.FwdSeconds(g); s > 0 {
 		r.Comm.Compute(s * passes)
 		for _, ph := range phases {
@@ -201,12 +206,27 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32, 
 	} else {
 		r.send((g+1)%r.Stages, bTag(0, g+1, mb), out.Data)
 	}
-	aux, overflow = r.AuxOf(g)
+	aux, overflow = r.aux(c)
 	if !hot {
 		r.Model.Stash(p)
 	}
 	r.passes[v][mb] = p
 	return loss, aux, overflow
+}
+
+// aux sums the auxiliary loss and overflow count of chunk c's MoE
+// layers, read after its forward before another micro-batch overwrites
+// the gates.
+func (r *Runner) aux(c Chunk) (aux float32, overflow int) {
+	for i := c.Lo; i < c.Hi; i++ {
+		if l, ok := r.Model.Blocks[i].FFN.(AuxLossLayer); ok {
+			aux += l.AuxLoss()
+			if rt := l.LastRouting(); rt != nil {
+				overflow += rt.Overflow
+			}
+		}
+	}
+	return aux, overflow
 }
 
 // runBackward executes B(v, mb): the chunk's pass comes back (a block
@@ -237,18 +257,26 @@ func (r *Runner) runBackward(v, mb int) {
 // Step executes one full pipeline schedule over the micro-batches and
 // returns the micro-averaged loss, auxiliary loss, and overflow count
 // (loss is nonzero only on the stage owning the final chunk; the
-// engine combines across the world). lossScale multiplies the logits
-// gradient of every micro-batch (loss scale times the 1/M
-// accumulation weight), matching the non-PP trainer's micro-step
-// scaling exactly. The step's boundary sends are joined before it
+// engine combines across the world). lossScale — the loss scale times
+// the 1/M accumulation weight — multiplies the logits gradient of every
+// micro-batch and the aux-loss gradient the MoE layers of this stage's
+// chunks inject. The step's boundary sends are joined before it
 // returns.
 func (r *Runner) Step(batches []MicroBatch, lossScale float32) (loss, aux float32, overflow int) {
 	r.init()
 	if len(batches) != r.Micro {
 		panic(fmt.Sprintf("pipe: %d micro-batches for schedule of %d", len(batches), r.Micro))
 	}
-	// Averaged as the trainer's accumulation loop does, so the reported
-	// loss has the flat run's bits at any M.
+	for v := 0; v < r.Virtual; v++ {
+		c := r.Part[r.global(v)]
+		for i := c.Lo; i < c.Hi; i++ {
+			if l, ok := r.Model.Blocks[i].FFN.(AuxLossLayer); ok {
+				l.SetGradScale(lossScale)
+			}
+		}
+	}
+	// Averaged per micro-batch, so the reported loss has the one-stage
+	// run's bits at any depth.
 	m := float32(r.Micro)
 	for i, op := range r.sched {
 		switch op.Kind {

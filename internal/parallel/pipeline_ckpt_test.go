@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"testing"
 
 	"bagualu/internal/ckpt"
@@ -152,8 +153,16 @@ func TestPipelineZeROCrossLayoutRestore(t *testing.T) {
 // collapses the pipeline to a flat dp=3 grid and the stage-sharded
 // step-4 checkpoint restores into it — fewer stages than it was
 // written under. The recovered trajectory must exactly equal a fresh
-// 3-rank flat run restarted from the same checkpoint.
+// 3-rank flat run restarted from the same checkpoint, at FP32 and under
+// Mixed, where the FP32 masters and the loss-scale state cross the
+// shrink too.
 func TestPipelineCrashShrinkRestore(t *testing.T) {
+	for _, prec := range []sunway.Precision{sunway.FP32, sunway.Mixed} {
+		t.Run(fmt.Sprint(prec), func(t *testing.T) { pipelineCrashShrinkRestore(t, prec) })
+	}
+}
+
+func pipelineCrashShrinkRestore(t *testing.T, prec sunway.Precision) {
 	dir := t.TempDir()
 	const steps = 10
 	mc := ftModelCfg()
@@ -161,6 +170,7 @@ func TestPipelineCrashShrinkRestore(t *testing.T) {
 	tc := tinyTrainCfg()
 	tc.ClipNorm = 0
 	tc.Accum = 2 // M = S micro-batches while the pipeline is alive
+	tc.Precision = prec
 
 	pol := &train.FaultPolicy{Dir: dir, Interval: 4, MaxRecoveries: 2}
 	inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: steps},

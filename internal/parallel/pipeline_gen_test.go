@@ -16,8 +16,12 @@ import (
 type pipeCase struct {
 	S, V, M, layers, moeEvery, dp, ep, rcEvery int
 	zero                                       bool
+	prec                                       sunway.Precision
 }
 
+// String names the case's subtest. The precision is left out, so the
+// names stayed those of the cases drawn before precision was; a failure
+// reports it.
 func (c pipeCase) String() string {
 	return fmt.Sprintf("S%dV%dM%d_L%d_moe%d_dp%dxep%d_rc%d_zero%v",
 		c.S, c.V, c.M, c.layers, c.moeEvery, c.dp, c.ep, c.rcEvery, c.zero)
@@ -26,8 +30,10 @@ func (c pipeCase) String() string {
 // samplePipeCases draws n cases from a seed: S ∈ {2,3,4}, V ∈ {1,2}, a
 // micro-batch count the schedule accepts, enough layers for S·V chunks
 // and up to two more, MoE on every block, every other block or none,
-// a dp×ep grid, ZeRO on or off, and a recompute policy marking no
-// block, every block or every other one. A stage's grid has at most
+// a dp×ep grid, ZeRO on or off, a recompute policy marking no block,
+// every block or every other one, and — drawn after every case's other
+// fields, so those are what they were before precision was drawn —
+// FP32, Mixed or FP16. A stage's grid has at most
 // two ranks: the gradient all-reduce picks its algorithm by payload,
 // a stage syncs 1/S of the flat run's, and over four or more ranks the
 // two algorithms associate the sum differently (dp4 and dp2×ep2 folds
@@ -52,6 +58,9 @@ func samplePipeCases(seed uint64, n int) []pipeCase {
 		c.zero = r.Intn(2) == 1
 		out[i] = c
 	}
+	for i := range out {
+		out[i].prec = []sunway.Precision{sunway.FP32, sunway.Mixed, sunway.FP16}[r.Intn(3)]
+	}
 	return out
 }
 
@@ -72,7 +81,7 @@ func analyticCompute(e *Engine, rate float64) float64 {
 			}
 		}
 		passes := 3 + float64(marked)/float64(c.Blocks())
-		secs += float64(len(e.batches)) * passes * e.chunkFwdFlops[g] / rate
+		secs += float64(e.Trainer.Runner.Micro) * passes * e.chunkFwdFlops[g] / rate
 	}
 	return secs
 }
@@ -85,7 +94,7 @@ func poolOutstanding() int64 {
 
 // TestPipelineGeneratedEquivalence samples pipelines from a seed and
 // holds each to three checks against a flat gradient-accumulation run
-// of the same model, tokens and optimizer:
+// of the same model, tokens, optimizer and precision:
 //
 //  1. every step's loss and every owned weight after the last step are
 //     bitwise the flat run's; the gradient norm is within two ulps of
@@ -106,6 +115,8 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 			mc.MoEEvery = c.moeEvery
 			mc.RecomputeEvery = c.rcEvery
 			tc := pipeTrainCfg(c.M)
+			tc.Precision = c.prec
+			t.Logf("precision %v", c.prec)
 			opt := train.OptimizerFactory(c.zero, 0)
 			ref := runPipeline(t, Strategy{DataParallel: c.dp, ExpertParallel: c.ep}, mc, tc, steps, opt)
 
@@ -137,7 +148,7 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 							fail("step %d: %d pooled buffers outstanding after the step, %d before", s, after, before)
 						}
 					}
-					if n := e.runner.Stashed(); n != 0 {
+					if n := e.Trainer.Runner.Stashed(); n != 0 {
 						fail("step %d: %d passes still stashed", s, n)
 					}
 					if want := analyticCompute(e, rate); math.Abs(st.ComputeSim-want) > 1e-12*want {
@@ -152,7 +163,7 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 			})
 			for r, err := range errs {
 				if err != nil {
-					t.Fatalf("rank %d: %v", r, err)
+					t.Fatalf("%v, rank %d: %v", c.prec, r, err)
 				}
 			}
 			for _, snap := range perRank {
@@ -163,19 +174,19 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 			for s, st := range got.stats {
 				want := ref.stats[s]
 				if math.Float32bits(st.Loss) != math.Float32bits(want.Loss) {
-					t.Fatalf("step %d: loss %v, flat run %v", s, st.Loss, want.Loss)
+					t.Fatalf("%v step %d: loss %v, flat run %v", c.prec, s, st.Loss, want.Loss)
 				}
 				if !withinULPs(st.GradNorm, want.GradNorm, 2) {
-					t.Fatalf("step %d: grad norm %v, flat run %v", s, st.GradNorm, want.GradNorm)
+					t.Fatalf("%v step %d: grad norm %v, flat run %v", c.prec, s, st.GradNorm, want.GradNorm)
 				}
 			}
 			if len(got.weights) != len(ref.weights) {
-				t.Fatalf("%d owned weights across the fold, %d in the flat run", len(got.weights), len(ref.weights))
+				t.Fatalf("%v: %d owned weights across the fold, %d in the flat run", c.prec, len(got.weights), len(ref.weights))
 			}
 			for name, w := range got.weights {
 				for i, v := range w {
 					if math.Float32bits(v) != math.Float32bits(ref.weights[name][i]) {
-						t.Fatalf("weight %s[%d]: %v, flat run %v", name, i, v, ref.weights[name][i])
+						t.Fatalf("%v: weight %s[%d]: %v, flat run %v", c.prec, name, i, v, ref.weights[name][i])
 					}
 				}
 			}

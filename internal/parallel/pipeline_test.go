@@ -202,8 +202,8 @@ func TestPipelineDeterministicReplay(t *testing.T) {
 }
 
 // TestPipelineRejectsBadShapes pins the construction-time validation:
-// dynamic loss scaling, non-divisible interleaving, and overdeep
-// pipelines fail fast instead of desynchronizing mid-run.
+// non-divisible interleaving and overdeep pipelines fail fast instead of
+// desynchronizing mid-run.
 func TestPipelineRejectsBadShapes(t *testing.T) {
 	if (Strategy{DataParallel: 1, ExpertParallel: 1, Virtual: 2}).Validate() == nil {
 		t.Fatal("virtual stages without a pipeline accepted")
@@ -224,11 +224,6 @@ func TestPipelineRejectsBadShapes(t *testing.T) {
 		return err
 	}
 	mc := pipeModelCfg(4)
-	tcMixed := pipeTrainCfg(2)
-	tcMixed.Precision = sunway.Mixed
-	if build(Strategy{DataParallel: 1, ExpertParallel: 1, Pipeline: 2}, mc, tcMixed) == nil {
-		t.Fatal("mixed precision + PP accepted")
-	}
 	tcOdd := pipeTrainCfg(3) // 3 % 2 != 0
 	if build(Strategy{DataParallel: 1, ExpertParallel: 1, Pipeline: 2, Virtual: 2}, mc, tcOdd) == nil {
 		t.Fatal("interleaved with non-divisible micro count accepted")

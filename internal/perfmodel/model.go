@@ -85,17 +85,6 @@ func (s ModelSpec) DenseParams() int64 {
 	return p
 }
 
-// GateParams counts the gate projections, the one dense component
-// that scales with the expert count (d·E per MoE layer). At 96,000
-// experts it dominates replicated memory, which is why the memory
-// model shards its optimizer state.
-func (s ModelSpec) GateParams() int64 {
-	if s.MoEEvery <= 0 {
-		return 0
-	}
-	return int64(s.MoELayers()) * int64(s.Dim) * int64(s.NumExperts)
-}
-
 // ExpertParamsTotal counts all expert parameters across all MoE
 // layers — the part of the model that scales to trillions.
 func (s ModelSpec) ExpertParamsTotal() int64 {

@@ -120,9 +120,6 @@ func (e *Engine) Pending() int { return len(e.queue) + len(e.active) }
 // ActiveCount counts resident sequences.
 func (e *Engine) ActiveCount() int { return len(e.active) }
 
-// KVInUse reports reserved KV-cache tokens.
-func (e *Engine) KVInUse() int { return e.kvInUse }
-
 // Admit moves queued requests into the resident batch, bounded by
 // MaxBatch and the KV budget, reserving each request's full KV
 // footprint. The caller applies the batching policy (Serial/Static

@@ -141,8 +141,7 @@ func (t *Topology) RanksPerSupernode() int {
 // Traffic is an immutable per-level snapshot of message and byte
 // counters. simnet owns the level vocabulary, so the snapshot type
 // the byte meters pass around lives here; the mpi runtime produces
-// them (World.Stats().Snapshot()) and metrics.ByteMeter consumes the
-// intra/inter split.
+// them (World.Stats().Snapshot()).
 type Traffic struct {
 	Msgs  [4]int64 // indexed by Level
 	Bytes [4]int64
@@ -165,10 +164,6 @@ func (t Traffic) Sub(o Traffic) Traffic {
 	}
 	return t
 }
-
-// IntraBytes sums the bytes that stayed inside a supernode (node and
-// supernode links; self copies excluded).
-func (t Traffic) IntraBytes() int64 { return t.Bytes[NodeLevel] + t.Bytes[SupernodeLevel] }
 
 // InterBytes returns the bytes that crossed supernodes — the tier the
 // FP16 wire codec targets.

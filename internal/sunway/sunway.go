@@ -154,11 +154,6 @@ func (m *Machine) PeakFlopsFP32() float64 {
 	return float64(m.CoreGroups()) * m.CGGflopsFP32 * 1e9
 }
 
-// PeakFlopsFP64 returns the machine-wide double-precision peak in FLOP/s.
-func (m *Machine) PeakFlopsFP64() float64 {
-	return float64(m.CoreGroups()) * m.CGGflopsFP64 * 1e9
-}
-
 // TotalMemGiB returns aggregate node memory.
 func (m *Machine) TotalMemGiB() float64 {
 	return float64(m.Nodes()) * m.NodeMemGiB

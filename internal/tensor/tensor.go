@@ -177,13 +177,6 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	clear(t.Data)

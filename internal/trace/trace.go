@@ -29,26 +29,15 @@ type Event struct {
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
-	on     bool
 }
 
-// New returns an enabled recorder.
-func New() *Recorder { return &Recorder{on: true} }
-
-// SetEnabled toggles recording; Add is a no-op while disabled.
-func (r *Recorder) SetEnabled(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.on = on
-}
+// New returns an empty recorder.
+func New() *Recorder { return &Recorder{} }
 
 // Add records a completed span. Safe for concurrent use.
 func (r *Recorder) Add(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.on {
-		return
-	}
 	r.events = append(r.events, e)
 }
 

@@ -31,20 +31,6 @@ func TestSpanConvertsSecondsToMicros(t *testing.T) {
 	}
 }
 
-func TestDisabledRecorderDropsEvents(t *testing.T) {
-	r := New()
-	r.SetEnabled(false)
-	r.Add(Event{Name: "x"})
-	if r.Len() != 0 {
-		t.Fatal("disabled recorder stored an event")
-	}
-	r.SetEnabled(true)
-	r.Add(Event{Name: "x"})
-	if r.Len() != 1 {
-		t.Fatal("re-enabled recorder dropped an event")
-	}
-}
-
 func TestConcurrentAdds(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup

@@ -101,9 +101,9 @@ func TestGradAccumulationMatchesManualAverage(t *testing.T) {
 	manual := mk()
 	nn.ZeroGrads(manual.params)
 	ids1, tg1 := manual.Corpus.Batch(2)
-	manual.microStep(ids1, tg1, 0.5)
+	oracleMicroStep(manual, ids1, tg1, 0.5)
 	ids2, tg2 := manual.Corpus.Batch(2)
-	manual.microStep(ids2, tg2, 0.5)
+	oracleMicroStep(manual, ids2, tg2, 0.5)
 
 	for i := range auto.params {
 		if !auto.params[i].G.AllClose(manual.params[i].G, 1e-6) {

@@ -7,16 +7,9 @@ import (
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
+	"bagualu/internal/parallel/pipe"
 	"bagualu/internal/sunway"
-	"bagualu/internal/tensor"
 )
-
-// AuxLossLayer is implemented by MoE layers that contribute an
-// auxiliary load-balancing loss.
-type AuxLossLayer interface {
-	AuxLoss() float32
-	LastRouting() *moe.Routing
-}
 
 // CommReporter is implemented by layers that account their wire
 // traffic and exchange-phase time (the distributed MoE layer). Both
@@ -71,10 +64,18 @@ type Trainer struct {
 	Opt    Optimizer
 	Cfg    Config
 
-	MP     *MixedPrecision
-	params []*nn.Param
-	loss   nn.SoftmaxCrossEntropy
-	step   int
+	MP *MixedPrecision
+
+	// Runner drives every step's forward and backward passes. NewTrainer
+	// builds the one-stage runner — one chunk holding every layer, Accum
+	// micro-batches: plain gradient accumulation. The parallel engine
+	// installs its stage's runner, with the same micro-batch count, in
+	// its place.
+	Runner *pipe.Runner
+
+	params  []*nn.Param
+	batches []pipe.MicroBatch
+	step    int
 
 	// PostBackward, when non-nil, runs after gradients are computed
 	// and before the optimizer step; the parallel engine injects the
@@ -100,7 +101,13 @@ func NewTrainer(model *nn.GPT, corpus *data.Corpus, opt Optimizer, cfg Config) (
 	if cfg.Schedule == nil {
 		cfg.Schedule = ConstantLR(1e-3)
 	}
-	t := &Trainer{Model: model, Corpus: corpus, Opt: opt, Cfg: cfg}
+	part, err := pipe.PartitionLayers(len(model.Blocks), 1)
+	if err != nil {
+		return nil, err
+	}
+	micro := max(cfg.Accum, 1)
+	t := &Trainer{Model: model, Corpus: corpus, Opt: opt, Cfg: cfg, batches: make([]pipe.MicroBatch, micro)}
+	t.Runner = &pipe.Runner{Stages: 1, Virtual: 1, Micro: micro, Model: model, Part: part, Rows: cfg.Batch * model.Cfg.SeqLen}
 	t.params = model.Params()
 	t.MP = NewMixedPrecision(cfg.Precision, t.params)
 	return t, nil
@@ -126,71 +133,24 @@ func (t *Trainer) ReformParams(ps []*nn.Param) {
 // StepCount returns the number of Step calls so far.
 func (t *Trainer) StepCount() int { return t.step }
 
-// Step draws Accum micro-batches, accumulates their gradients, and
-// applies one optimizer update.
+// Step draws the step's micro-batches, runs the runner's schedule over
+// them — accumulating their gradients into the trainable parameter set
+// — and applies one optimizer update: the precision policy, the
+// PostBackward sync hook or local clipping, and the optimizer. Every
+// rank of a pipeline column draws the same micro-batches (its corpus is
+// seeded alike), so the stream stays aligned on every stage.
 func (t *Trainer) Step() Metrics {
-	return t.StepWith(func() (loss, aux float32, overflow int) {
-		accum := max(t.Cfg.Accum, 1)
-		for micro := 0; micro < accum; micro++ {
-			ids, targets := t.Corpus.Batch(t.Cfg.Batch)
-			l, a, o := t.microStep(ids, targets, 1/float32(accum))
-			loss += l / float32(accum)
-			aux += a / float32(accum)
-			overflow += o
-		}
-		return loss, aux, overflow
-	})
-}
-
-// StepWith runs one optimizer step whose forward/backward phase is
-// driven by the caller: run computes gradients into the trainable
-// parameter set (Step's accumulation loop, or the parallel engine's
-// schedule runner) and returns the micro-averaged loss, auxiliary loss,
-// and overflow count. Everything around it — gradient zeroing, the
-// precision policy, the PostBackward sync hook, clipping, and the
-// optimizer — is one update rule for every caller.
-func (t *Trainer) StepWith(run func() (loss, aux float32, overflow int)) Metrics {
 	nn.ZeroGrads(t.params)
 	m := Metrics{Step: t.step}
 	wire0, comm0 := t.commSnapshot()
-	m.Loss, m.AuxLoss, m.Overflow = run()
+	for i := range t.batches {
+		t.batches[i].IDs, t.batches[i].Targets = t.Corpus.Batch(t.Cfg.Batch)
+	}
+	scale := t.MP.LossScale() * (1 / float32(len(t.batches)))
+	m.Loss, m.AuxLoss, m.Overflow = t.Runner.Step(t.batches, scale)
 	m = t.finishStep(m)
 	t.fillComm(&m, wire0, comm0)
 	return m
-}
-
-// StepOn runs one cycle on caller-provided tokens. Gradient
-// accumulation is not applied here; use Step for that.
-func (t *Trainer) StepOn(ids, targets []int) Metrics {
-	return t.StepWith(func() (float32, float32, int) { return t.microStep(ids, targets, 1) })
-}
-
-// gradScaler is implemented by MoE layers whose internally injected
-// gradients (the aux loss) must track the loss scale and micro-batch
-// weight.
-type gradScaler interface{ SetGradScale(float32) }
-
-// microStep accumulates one micro-batch's gradients (scaled by
-// weight) without touching the optimizer.
-func (t *Trainer) microStep(ids, targets []int, weight float32) (loss, aux float32, overflow int) {
-	scale := t.MP.LossScale() * weight
-	for _, b := range t.Model.Blocks {
-		if g, ok := b.FFN.(gradScaler); ok {
-			g.SetGradScale(scale)
-		}
-	}
-	logits := t.Model.Forward(ids)
-	loss = t.loss.Forward(logits, targets)
-	aux, overflow = t.collectAux()
-
-	dlogits := t.loss.Backward()
-	if s := t.MP.LossScale() * weight; s != 1 {
-		tensor.ScaleInPlace(dlogits, s)
-	}
-	t.Model.Backward(dlogits)
-	// Note: the MoE aux-loss gradient is injected inside the gate
-	// backward (already part of Model.Backward).
-	return loss, aux, overflow
 }
 
 // finishStep runs the precision policy, gradient sync hook, clipping,
@@ -245,18 +205,4 @@ func (t *Trainer) fillComm(m *Metrics, wire0 mpi.WireStats, comm0 moe.Timing) {
 	ws, tm := t.commSnapshot()
 	m.Wire = ws.Sub(wire0)
 	m.Comm = tm.Sub(comm0)
-}
-
-// collectAux sums auxiliary losses and overflow counts over the
-// model's MoE layers.
-func (t *Trainer) collectAux() (aux float32, overflow int) {
-	for _, b := range t.Model.Blocks {
-		if l, ok := b.FFN.(AuxLossLayer); ok {
-			aux += l.AuxLoss()
-			if r := l.LastRouting(); r != nil {
-				overflow += r.Overflow
-			}
-		}
-	}
-	return aux, overflow
 }

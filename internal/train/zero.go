@@ -102,12 +102,6 @@ func (z *ShardedAdam) Bind(groups ...ShardGroup) {
 	}
 }
 
-// Groups returns the number of bound shard groups.
-func (z *ShardedAdam) Groups() int { return len(z.groups) }
-
-// GroupShard returns this rank's owned flat range of group i.
-func (z *ShardedAdam) GroupShard(i int) mpi.Shard { return z.groups[i].my }
-
 // StateBytes returns the bytes of optimizer state (moment shards)
 // this rank holds — the quantity ZeRO divides by the group size.
 func (z *ShardedAdam) StateBytes() int64 {

@@ -17,13 +17,16 @@ unformatted=$(git ls-files '*.go' | xargs gofmt -l)
 if [ -n "$unformatted" ]; then exit 1; fi
 # Layering: internal/ckpt is the one package that knows checkpoint
 # bytes and sits below train, serving links neither the trainer nor
-# the corpus, and a communicator's supernode grouping is derived in mpi
-# alone (Comm.Supernodes) — no other program code asks the topology.
+# the corpus, the pipeline runner sits below the trainer that drives it
+# (train imports pipe, never the reverse) and below the engine, and a
+# communicator's supernode grouping is derived in mpi alone
+# (Comm.Supernodes) — no other program code asks the topology.
 if go list -deps ./internal/ckpt | grep -x 'bagualu/internal/train'; then exit 1; fi
 if go list -deps ./internal/serve/... | grep -xE 'bagualu/internal/(train|data)'; then exit 1; fi
+if go list -deps ./internal/parallel/pipe | grep -xE 'bagualu/internal/(train|parallel)'; then exit 1; fi
 if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
 go test -race ./...
-go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState' ./internal/...
+go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled' ./internal/...
 # The layer stash and the pipeline runner move caches between passes in
 # flight, and trainers on concurrent goroutines must share no step
 # state: twice more under the race detector.
