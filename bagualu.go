@@ -86,7 +86,7 @@ type (
 	TrainConfig = train.Config
 	// Trainer is the single-rank training loop.
 	Trainer = train.Trainer
-	// Strategy is the DataParallel × ExpertParallel grid.
+	// Strategy is the folded [pp, dp, ep] process grid.
 	Strategy = parallel.Strategy
 	// ModelConfig describes the distributed MoE transformer.
 	ModelConfig = parallel.ModelConfig

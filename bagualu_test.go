@@ -100,7 +100,7 @@ func TestFacadeProjection(t *testing.T) {
 	}
 	m := bagualu.NewGenerationSunway()
 	d := bagualu.Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 1, ExpertParallel: m.Nodes(),
+		Machine: m, RanksPerNode: 1, Grid: bagualu.Strategy{DataParallel: 1, ExpertParallel: m.Nodes()},
 		BatchPerRank: 4, Precision: bagualu.Mixed, Efficiency: 0.35,
 		A2A: bagualu.ProjA2AHierarchical, ZeRO: true, OverlapSync: true,
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bagualu/internal/metrics"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
 )
@@ -20,7 +21,7 @@ const (
 // mixed precision, hierarchical a2a, ZeRO, sync overlapped.
 func fullMachine(machine *sunway.Machine, dp, ep int) perfmodel.Deployment {
 	return perfmodel.Deployment{
-		Machine: machine, RanksPerNode: 1, DataParallel: dp, ExpertParallel: ep,
+		Machine: machine, RanksPerNode: 1, Grid: layout.Grid{DataParallel: dp, ExpertParallel: ep},
 		BatchPerRank: perfBatch, Precision: sunway.Mixed, Efficiency: perfEfficiency,
 		A2A: perfmodel.A2AHierarchical, ZeRO: true, OverlapSync: true,
 	}
@@ -108,7 +109,7 @@ func expR2proj(*options) []*metrics.Table {
 func expR15(*options) []*metrics.Table {
 	dep := perfmodel.Deployment{
 		Machine: sunway.TestMachine(1, 64), RanksPerNode: 1,
-		DataParallel: 64, ExpertParallel: 1,
+		Grid:         layout.Grid{DataParallel: 64, ExpertParallel: 1},
 		BatchPerRank: perfBatch, Precision: sunway.Mixed, Efficiency: perfEfficiency,
 		A2A: perfmodel.A2AHierarchical,
 	}

@@ -15,22 +15,6 @@ import (
 	"bagualu/internal/train"
 )
 
-// pipeLayout is one point of the R19 depth sweep.
-type pipeLayout struct {
-	dp, ep, pp, vpp int
-}
-
-func (l pipeLayout) String() string {
-	s := fmt.Sprintf("dp%dxep%d", l.dp, l.ep)
-	if l.pp > 1 {
-		s += fmt.Sprintf("xpp%d", l.pp)
-		if l.vpp > 1 {
-			s += fmt.Sprintf("v%d", l.vpp)
-		}
-	}
-	return s
-}
-
 // expR19: pipeline parallelism vs the flat MoDa grid across model
 // depth. At a fixed rank budget it measures token-fair short runs
 // (same tokens per optimizer step) of the best flat DP×EP layouts
@@ -55,48 +39,48 @@ func expR19(o *options) []*metrics.Table {
 		spec := autotune.SearchSpec()
 		spec.Layers = layers
 
-		layouts := []pipeLayout{
-			{dp: ranks, ep: 1}, {dp: ranks / 2, ep: 2}, {dp: ranks / 4, ep: 4},
+		grids := []parallel.Strategy{
+			{DataParallel: ranks, ExpertParallel: 1},
+			{DataParallel: ranks / 2, ExpertParallel: 2},
+			{DataParallel: ranks / 4, ExpertParallel: 4},
 		}
 		for _, pp := range []int{2, 4} {
 			if layers%pp != 0 || ranks%pp != 0 {
 				continue
 			}
 			per := ranks / pp
-			layouts = append(layouts, pipeLayout{dp: per, ep: 1, pp: pp}, pipeLayout{dp: per / 2, ep: 2, pp: pp})
+			grids = append(grids,
+				parallel.Strategy{DataParallel: per, ExpertParallel: 1, Pipeline: pp},
+				parallel.Strategy{DataParallel: per / 2, ExpertParallel: 2, Pipeline: pp})
 			if layers%(pp*2) == 0 {
-				layouts = append(layouts, pipeLayout{dp: per, ep: 1, pp: pp, vpp: 2})
+				grids = append(grids, parallel.Strategy{DataParallel: per, ExpertParallel: 1, Pipeline: pp, Virtual: 2})
 			}
 		}
 
 		type row struct {
-			l          pipeLayout
+			g          parallel.Strategy
 			pred, meas float64
 		}
-		rows := make([]row, 0, len(layouts))
+		rows := make([]row, 0, len(grids))
 		best := -1
-		for _, l := range layouts {
+		for _, g := range grids {
 			d := perfmodel.Deployment{
-				Machine: machine, RanksPerNode: ranksPerNode,
-				DataParallel: l.dp, ExpertParallel: l.ep,
-				PipelineParallel: l.pp, VirtualStages: l.vpp,
+				Machine: machine, RanksPerNode: ranksPerNode, Grid: g,
 				BatchPerRank: batch, Precision: sunway.FP32,
 				Efficiency: eff, A2A: perfmodel.A2AHierarchical,
 			}
 			// Folds run the ZeRO-sharded optimizer; every layout keeps
 			// its activations (no block recomputes).
-			d.ZeRO = l.pp > 1
+			d.ZeRO = g.PP() > 1
 			pred := must(d.PredictStep(spec, perfmodel.FaultModel{}))
 
-			strat := parallel.Strategy{DataParallel: l.dp, ExpertParallel: l.ep,
-				Pipeline: l.pp, Virtual: l.vpp}
 			tc := train.Config{Batch: batch, Precision: sunway.FP32}
-			if l.pp > 1 {
-				tc.Accum = l.pp
+			if g.PP() > 1 {
+				tc.Accum = g.PP()
 			}
 			res := must(parallel.ShortRun(parallel.ShortRunConfig{
 				Machine: machine, RanksPerNode: ranksPerNode,
-				Strategy: strat,
+				Strategy: g,
 				Model: parallel.ModelConfig{
 					GPT: nn.GPTConfig{
 						Vocab: spec.Vocab, Dim: spec.Dim, Heads: spec.Heads,
@@ -111,13 +95,13 @@ func expR19(o *options) []*metrics.Table {
 					Vocab: spec.Vocab, SeqLen: spec.SeqLen, Zipf: 1, Determinism: 0.8,
 				},
 				Train:      tc,
-				OptFor:     train.OptimizerFactory(l.pp > 1, 0),
+				OptFor:     train.OptimizerFactory(g.PP() > 1, 0),
 				Steps:      steps,
 				Warmup:     1,
 				Seed:       o.seed,
 				Efficiency: eff,
 			}))
-			rows = append(rows, row{l, pred.StepTime, res.SimPerStep})
+			rows = append(rows, row{g, pred.StepTime, res.SimPerStep})
 			if best < 0 || res.SimPerStep < rows[best].meas {
 				best = len(rows) - 1
 			}
@@ -130,7 +114,7 @@ func expR19(o *options) []*metrics.Table {
 			if i == best {
 				mark = "<-- best"
 			}
-			table.AddRow(layers, r.l.String(),
+			table.AddRow(layers, r.g.String(),
 				fmt.Sprintf("%.6g", r.pred), fmt.Sprintf("%.6g", r.meas),
 				fmt.Sprintf("%.4g", tokens/r.meas), mark)
 		}

@@ -127,7 +127,7 @@ func runTrain(args []string, out io.Writer) {
 			phases = e.Phases()
 		}
 		if *ckptDir != "" {
-			saveCheckpoint(e, c, strat, *ckptDir)
+			saveCheckpoint(e, *ckptDir)
 		}
 	})
 	if *ckptDir != "" {
@@ -157,16 +157,9 @@ func runTrain(args []string, out io.Writer) {
 // under one committed manifest. The layout record is the one the
 // fault-tolerant loop writes, so ckpt.Restore and LoadForInference
 // read the result like any in-run checkpoint.
-func saveCheckpoint(e *parallel.Engine, c *mpi.Comm, strat parallel.Strategy, dir string) {
-	wr := ckpt.NewWriter(ckpt.Config{Dir: dir}, c)
-	lay := ckpt.Layout{
-		WorldSize:      c.Size(),
-		DataParallel:   strat.DataParallel,
-		ExpertParallel: strat.ExpertParallel,
-		Pipeline:       strat.Pipeline,
-		Virtual:        strat.Virtual,
-	}
+func saveCheckpoint(e *parallel.Engine, dir string) {
+	wr := ckpt.NewWriter(ckpt.Config{Dir: dir}, e.Comm)
 	t := e.Trainer
-	check(wr.Save(int64(t.StepCount()), t.CheckpointHeader(), e.CheckpointShard(), lay))
+	check(wr.Save(int64(t.StepCount()), t.CheckpointHeader(), e.CheckpointShard(), e.CheckpointLayout()))
 	check(wr.WaitIdle())
 }

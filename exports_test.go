@@ -33,38 +33,35 @@ var testSupport = map[string]string{
 var methodSupport = map[string]string{
 	"Error": "the error interface: fmt and errors call it",
 
-	"bagualu/internal/autograd.Graph":                    "nn TestLinearMatchesAutograd and the autograd tests: the tape is the layers' gradient oracle",
-	"bagualu/internal/autograd.Node.RequiresGrad":        "autograd TestNoGradThroughInputs",
-	"bagualu/internal/data.Corpus.TextVocab":             "data TestImageTokensAppear",
-	"bagualu/internal/data.Corpus.TokenHistogram":        "data TestZipfSkewControlsConcentration",
-	"bagualu/internal/fault.Injector.CrashAt":            "fault TestCrashScheduleShape",
-	"bagualu/internal/half.Float16.FastFloat32":          "half TestFastFloat32MatchesExact",
-	"bagualu/internal/half.Float16.IsInf":                "half TestOverflowToInf",
-	"bagualu/internal/half.Float16.IsNaN":                "half TestNaN",
-	"bagualu/internal/health.Monitor.Score":              "health TestMonitorIgnoresTransientSpike",
-	"bagualu/internal/metrics.Histogram.Mean":            "metrics TestHistogramQuantileBounds",
-	"bagualu/internal/metrics.Histogram.Min":             "metrics TestHistogramQuantileBounds",
-	"bagualu/internal/metrics.Histogram.Merge":           "metrics TestHistogramMergeEqualsCombined",
-	"bagualu/internal/metrics.Histogram.Sum":             "metrics TestHistogramMergeEqualsCombined",
-	"bagualu/internal/moe.DistMoE.ReplicatedParams":      "moe TestDistMoEParamPartition",
-	"bagualu/internal/moe.DistMoE.ShadowWorthwhile":      "moe TestShadowWorthwhile",
-	"bagualu/internal/moe.DistMoE.Shadows":               "moe TestSetShadowsValidation",
-	"bagualu/internal/mpi.Comm.Send":                     "mpi TestWireFaultDetection, and the fault and health tests' plain point-to-point traffic",
-	"bagualu/internal/mpi.Comm.SendInts":                 "mpi TestSendRecvIntsAndAnySource",
-	"bagualu/internal/mpi.Comm.RecvInts":                 "mpi TestSendRecvIntsAndAnySource",
-	"bagualu/internal/mpi.Comm.Shrink":                   "mpi TestShrinkAfterFailure",
-	"bagualu/internal/mpi.WireStats.IntraBytes":          "mpi TestWireStatsTracksCodecGap",
-	"bagualu/internal/parallel.Engine.ExpertParams":      "parallel TestReplicasStayInSync",
-	"bagualu/internal/parallel/layout.Folded.PerStage":   "layout TestFoldSharesRankSet",
-	"bagualu/internal/parallel/layout.Layout.Group":      "layout TestGroupsAndColors",
-	"bagualu/internal/parallel/layout.Layout.GroupColor": "layout TestGroupsAndColors",
-	"bagualu/internal/parallel/pipe.Runner.Stashed":      "parallel TestPipelineGeneratedEquivalence: no pass outlives its step",
-	"bagualu/internal/simnet.Topology.Cost":              "simnet TestCostAlphaBetaStructure",
-	"bagualu/internal/sunway.Machine.CoresPerNode":       "sunway TestFullMachineShape",
-	"bagualu/internal/sunway.Machine.PeakFlopsFP32":      "sunway TestPeakFlopsOrdering",
-	"bagualu/internal/trace.Recorder.FormatSummary":      "trace TestSummary",
-	"bagualu/internal/trace.Recorder.Span":               "trace TestSpanConvertsSecondsToMicros",
-	"bagualu/internal/train.LAMB.TrustRatio":             "train TestLAMBTrustRatioCapped",
+	"bagualu/internal/autograd.Graph":               "nn TestLinearMatchesAutograd and the autograd tests: the tape is the layers' gradient oracle",
+	"bagualu/internal/autograd.Node.RequiresGrad":   "autograd TestNoGradThroughInputs",
+	"bagualu/internal/data.Corpus.TextVocab":        "data TestImageTokensAppear",
+	"bagualu/internal/data.Corpus.TokenHistogram":   "data TestZipfSkewControlsConcentration",
+	"bagualu/internal/fault.Injector.CrashAt":       "fault TestCrashScheduleShape",
+	"bagualu/internal/half.Float16.FastFloat32":     "half TestFastFloat32MatchesExact",
+	"bagualu/internal/half.Float16.IsInf":           "half TestOverflowToInf",
+	"bagualu/internal/half.Float16.IsNaN":           "half TestNaN",
+	"bagualu/internal/health.Monitor.Score":         "health TestMonitorIgnoresTransientSpike",
+	"bagualu/internal/metrics.Histogram.Mean":       "metrics TestHistogramQuantileBounds",
+	"bagualu/internal/metrics.Histogram.Min":        "metrics TestHistogramQuantileBounds",
+	"bagualu/internal/metrics.Histogram.Merge":      "metrics TestHistogramMergeEqualsCombined",
+	"bagualu/internal/metrics.Histogram.Sum":        "metrics TestHistogramMergeEqualsCombined",
+	"bagualu/internal/moe.DistMoE.ReplicatedParams": "moe TestDistMoEParamPartition",
+	"bagualu/internal/moe.DistMoE.ShadowWorthwhile": "moe TestShadowWorthwhile",
+	"bagualu/internal/moe.DistMoE.Shadows":          "moe TestSetShadowsValidation",
+	"bagualu/internal/mpi.Comm.Send":                "mpi TestWireFaultDetection, and the fault and health tests' plain point-to-point traffic",
+	"bagualu/internal/mpi.Comm.SendInts":            "mpi TestSendRecvIntsAndAnySource",
+	"bagualu/internal/mpi.Comm.RecvInts":            "mpi TestSendRecvIntsAndAnySource",
+	"bagualu/internal/mpi.Comm.Shrink":              "mpi TestShrinkAfterFailure",
+	"bagualu/internal/mpi.WireStats.IntraBytes":     "mpi TestWireStatsTracksCodecGap",
+	"bagualu/internal/parallel.Engine.ExpertParams": "parallel TestReplicasStayInSync",
+	"bagualu/internal/parallel/pipe.Runner.Stashed": "parallel TestPipelineGeneratedEquivalence: no pass outlives its step",
+	"bagualu/internal/simnet.Topology.Cost":         "simnet TestCostAlphaBetaStructure",
+	"bagualu/internal/sunway.Machine.CoresPerNode":  "sunway TestFullMachineShape",
+	"bagualu/internal/sunway.Machine.PeakFlopsFP32": "sunway TestPeakFlopsOrdering",
+	"bagualu/internal/trace.Recorder.FormatSummary": "trace TestSummary",
+	"bagualu/internal/trace.Recorder.Span":          "trace TestSpanConvertsSecondsToMicros",
+	"bagualu/internal/train.LAMB.TrustRatio":        "train TestLAMBTrustRatioCapped",
 }
 
 // TestNoUncalledExports fails when an exported top-level function

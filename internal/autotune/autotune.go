@@ -35,6 +35,7 @@ import (
 	"sort"
 
 	"bagualu/internal/mpi"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
@@ -164,10 +165,8 @@ func SearchSpec() perfmodel.ModelSpec {
 
 // Candidate is one point of the deployment search space.
 type Candidate struct {
-	DP, EP int
-	PP     int // pipeline stages (0/1 = flat MoDa layout)
-	VPP    int // interleaving factor (0/1 = plain 1F1B)
-	Batch  int // sequences per rank per step
+	layout.Grid
+	Batch int // sequences per rank per step
 
 	Codec   mpi.Codec // MoE wire codec (fp32 / fp16 inter-supernode)
 	Overlap bool      // two-phase comm/compute overlap
@@ -182,14 +181,7 @@ type Candidate struct {
 
 // String is the stable label candidates are reported under.
 func (c Candidate) String() string {
-	grid := fmt.Sprintf("dp%dxep%d", c.DP, c.EP)
-	if c.PP > 1 {
-		grid += fmt.Sprintf("xpp%d", c.PP)
-		if c.VPP > 1 {
-			grid += fmt.Sprintf("v%d", c.VPP)
-		}
-	}
-	s := fmt.Sprintf("%s b%d %s", grid, c.Batch, c.Codec)
+	s := fmt.Sprintf("%s b%d %s", c.Grid, c.Batch, c.Codec)
 	if c.Overlap {
 		s += "+ov"
 	}
@@ -224,9 +216,7 @@ func recomputeFraction(every, layers int) float64 {
 // deployment maps a candidate onto the analytic model at search scale.
 func (cfg Config) deployment(c Candidate) perfmodel.Deployment {
 	return perfmodel.Deployment{
-		Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode,
-		DataParallel: c.DP, ExpertParallel: c.EP,
-		PipelineParallel: c.PP, VirtualStages: c.VPP,
+		Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode, Grid: c.Grid,
 		BatchPerRank: c.Batch, Precision: searchPrecision,
 		Efficiency:        cfg.Efficiency,
 		A2A:               perfmodel.A2AHierarchical,
@@ -284,7 +274,8 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 								for _, ck := range cfg.CkptIntervals {
 									total++
 									c := Candidate{
-										DP: perStage / ep, EP: ep, PP: pp, VPP: vpp, Batch: batch,
+										Grid:  layout.Grid{DataParallel: perStage / ep, ExpertParallel: ep, Pipeline: pp, Virtual: vpp},
+										Batch: batch,
 										Codec: codec, Overlap: overlap,
 										ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload,
 										CkptEvery: ck,

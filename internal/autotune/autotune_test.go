@@ -6,6 +6,7 @@ import (
 
 	"bagualu/internal/mpi"
 	"bagualu/internal/parallel"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/tensor"
 )
@@ -49,12 +50,12 @@ func TestPredictStepTracksMeasuredSimsec(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []Candidate{
-		{DP: 8, EP: 1, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 4, EP: 2, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 2, EP: 4, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 1, EP: 8, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 1, EP: 8, Batch: 2, Codec: mpi.FP16Wire, CkptEvery: 16},
-		{DP: 1, EP: 8, Batch: 2, Codec: mpi.FP16Wire, Overlap: true, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, Overlap: true, CkptEvery: 16},
 	}
 	pred := make([]float64, len(cands))
 	meas := make([]float64, len(cands))
@@ -92,8 +93,8 @@ func TestEnumerateSpacePrunesInfeasible(t *testing.T) {
 		t.Fatal("indivisible expert layouts were not pruned")
 	}
 	for _, c := range feasible {
-		if c.EP != 1 {
-			t.Fatalf("feasible candidate %s has EP %d not dividing 7 experts", c, c.EP)
+		if c.ExpertParallel != 1 {
+			t.Fatalf("feasible candidate %s has EP %d not dividing 7 experts", c, c.ExpertParallel)
 		}
 		if err := cfg.deployment(c).ValidateFor(cfg.Spec); err != nil {
 			t.Fatalf("feasible candidate %s fails validation: %v", c, err)
@@ -200,7 +201,7 @@ func TestRunProducesValidatedRankingAndProjection(t *testing.T) {
 // needed) and carry a finite goodput.
 func TestExtrapolate174TFitsFullMachine(t *testing.T) {
 	winner := Candidate{
-		DP: 1, EP: 8, Batch: 2, Codec: mpi.FP16Wire, Overlap: true,
+		Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, Overlap: true,
 		ZeRO: true, RecomputeEvery: 1, CkptEvery: 16,
 	}
 	proj, err := Extrapolate(testConfig(), winner)

@@ -12,6 +12,7 @@ import (
 
 	"bagualu/internal/metrics"
 	"bagualu/internal/mpi"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
@@ -133,7 +134,7 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 	ep := gcd(ranks, spec.NumExperts)
 	dep := perfmodel.Deployment{
 		Machine: m, RanksPerNode: targetRanksPerNode,
-		DataParallel: ranks / ep, ExpertParallel: ep,
+		Grid:         layout.Grid{DataParallel: ranks / ep, ExpertParallel: ep},
 		BatchPerRank: winner.Batch, Precision: targetPrecision,
 		Efficiency:        cfg.Efficiency,
 		A2A:               perfmodel.A2AHierarchical,

@@ -5,6 +5,7 @@ import (
 
 	"bagualu/internal/mpi"
 	"bagualu/internal/parallel"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 )
 
@@ -19,12 +20,12 @@ func TestPredictStepTracksMeasuredSimsecWithPP(t *testing.T) {
 	}
 	cfg.Spec.Layers = 4 // deep enough for pp ∈ {2, 4} layer chunks
 	cands := []Candidate{
-		{DP: 8, EP: 1, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 4, EP: 2, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 2, EP: 4, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{DP: 2, EP: 2, PP: 2, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
-		{DP: 4, EP: 1, PP: 2, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
-		{DP: 1, EP: 2, PP: 4, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 2, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 1, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 2, Pipeline: 4}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
 	}
 	pred := make([]float64, len(cands))
 	meas := make([]float64, len(cands))
@@ -70,11 +71,11 @@ func TestEnumerateSpaceSweepsPP(t *testing.T) {
 	}
 	ppLevers := map[lever]bool{}
 	for _, c := range feasible {
-		seenPP[c.PP] = true
-		if c.PP > 1 {
-			seenVPP[c.VPP] = true
+		seenPP[c.PP()] = true
+		if c.PP() > 1 {
+			seenVPP[c.VPP()] = true
 			ppLevers[lever{c.ZeRO, c.RecomputeEvery, c.Offload}] = true
-			if cfg.Spec.Layers%(c.PP*max(c.VPP, 1)) != 0 {
+			if cfg.Spec.Layers%(c.PP()*c.VPP()) != 0 {
 				t.Fatalf("candidate %s does not chunk %d layers evenly", c, cfg.Spec.Layers)
 			}
 		}
@@ -121,7 +122,7 @@ func TestAutotunePicksPPAtDepth(t *testing.T) {
 		}
 	}
 	t.Logf("measured best: %s (%.6g simsec/step)", best.Candidate, best.Measured.SimPerStep)
-	if best.PP <= 1 {
+	if best.PP() <= 1 {
 		for _, v := range p.Validated {
 			t.Logf("validated %-34s pred %.6g meas %.6g", v.Candidate, v.Pred.StepTime, v.Measured.SimPerStep)
 		}

@@ -32,7 +32,7 @@ type Validated struct {
 // only touch cross-supernode payloads.
 func (cfg Config) measuredKey(c Candidate) Candidate {
 	c.CkptEvery = 0
-	if c.EP <= cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
+	if c.ExpertParallel <= cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
 		c.Codec, c.Overlap = mpi.FP32Wire, false
 	}
 	return c
@@ -43,19 +43,14 @@ func (cfg Config) measuredKey(c Candidate) Candidate {
 // step, matching the analytic model's default M = S.
 func (cfg Config) shortRunConfig(c Candidate, seed uint64) parallel.ShortRunConfig {
 	s := cfg.Spec
-	strat := parallel.Strategy{DataParallel: c.DP, ExpertParallel: c.EP}
 	tc := train.Config{Batch: c.Batch, Precision: searchPrecision}
-	if c.PP > 1 {
-		strat.Pipeline = c.PP
-		if c.VPP > 1 {
-			strat.Virtual = c.VPP
-		}
-		tc.Accum = c.PP
+	if c.PP() > 1 {
+		tc.Accum = c.PP()
 	}
 	return parallel.ShortRunConfig{
 		Machine:      cfg.Machine,
 		RanksPerNode: cfg.RanksPerNode,
-		Strategy:     strat,
+		Strategy:     c.Grid,
 		Model: parallel.ModelConfig{
 			GPT: nn.GPTConfig{
 				Vocab: s.Vocab, Dim: s.Dim, Heads: s.Heads,

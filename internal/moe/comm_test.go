@@ -110,7 +110,7 @@ func runDistCC(t *testing.T, tc tripCase, algo A2AAlgo, cc CommConfig, simRate f
 		}
 		run.grads[c.Rank()] = g
 		run.now[c.Rank()] = c.Now()
-		run.wire[c.Rank()] = m.WireStats()
+		run.wire[c.Rank()] = c.WireStats()
 	})
 	run.simTime = w.MaxTime()
 	return run
@@ -249,10 +249,10 @@ func TestDistMoEWireStatsPerStep(t *testing.T) {
 		m := NewDistMoEComm("moe", r, gateCfg(d, 8, 2), 32, c, Hierarchical, CommConfig{Codec: mpi.FP16Wire})
 		xr := tensor.NewRNG(900 + uint64(c.Rank()))
 		x := tensor.Randn(xr, 1, tokens, d)
-		before := m.WireStats()
+		before := c.WireStats()
 		m.Forward(x)
 		m.Backward(tensor.Ones(tokens, d))
-		agg[c.Rank()] = m.WireStats().Sub(before)
+		agg[c.Rank()] = c.WireStats().Sub(before)
 	})
 	var total mpi.WireStats
 	for _, s := range agg {

@@ -241,19 +241,6 @@ func (m *DistMoE) PerExpertParams() int { return m.perExpert }
 // ownerOf returns the rank hosting expert e.
 func (m *DistMoE) ownerOf(e int) int { return m.place.Owner[e] }
 
-// WireStats returns the communicator's cumulative flattened-exchange
-// byte counters; snapshot around steps for per-phase deltas.
-func (m *DistMoE) WireStats() mpi.WireStats { return m.comm.WireStats() }
-
-// PhaseTiming returns the cumulative per-phase breakdown (the Time
-// field, behind a method so train.CommReporter can reach it through
-// the nn.Layer interface).
-func (m *DistMoE) PhaseTiming() Timing { return m.Time }
-
-// Comm returns the expert-parallel communicator. Wire counters are
-// per-comm, so aggregators must dedupe layers sharing one comm.
-func (m *DistMoE) Comm() *mpi.Comm { return m.comm }
-
 // dropForwardCaches forgets everything Forward left for Backward,
 // including the grouped-GEMM view over the expert shard (it caches
 // weight tensor slices). Called when migration or resharding changes

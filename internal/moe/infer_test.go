@@ -93,7 +93,7 @@ func TestDistMoEInferMatchesLocal(t *testing.T) {
 					outs[c.Rank()] = m.Infer(tc.input(0, c.Rank(), d))
 					stats[c.Rank()] = m.LastInferStats()
 					now[c.Rank()] = c.Now()
-					wire[c.Rank()] = m.WireStats()
+					wire[c.Rank()] = c.WireStats()
 				})
 				if cc.Overlap {
 					sig[1].add(cc.String(), now, wire)

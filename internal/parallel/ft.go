@@ -163,17 +163,12 @@ func ShrinkStrategy(old Strategy, newSize, numExperts int, hasMoE bool) (Strateg
 // overwrites all of it from a checkpoint; until then a gained expert or
 // layer is meaningless.
 func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
-	if err := strat.Validate(); err != nil {
+	experts := 0
+	if len(e.moeLayers) > 0 {
+		experts = e.moeLayers[0].Cfg.NumExperts
+	}
+	if err := strat.Check(newComm.Size(), experts, e.Trainer.Runner.Micro); err != nil {
 		return err
-	}
-	if strat.Size() != newComm.Size() {
-		return fmt.Errorf("parallel: reform strategy needs %d ranks, communicator has %d", strat.Size(), newComm.Size())
-	}
-	if len(e.moeLayers) > 0 && e.moeLayers[0].Cfg.NumExperts%strat.ExpertParallel != 0 {
-		return fmt.Errorf("parallel: %d experts not divisible by EP=%d", e.moeLayers[0].Cfg.NumExperts, strat.ExpertParallel)
-	}
-	if micro := e.Trainer.Runner.Micro; strat.VPP() > 1 && micro%strat.PP() != 0 {
-		return fmt.Errorf("parallel: interleaved schedule needs %d micro-batches divisible by Pipeline=%d", micro, strat.PP())
 	}
 	// Re-chunk the layers for the new pipeline depth (possibly 1 —
 	// restore-into-fewer-stages lands here after a shrink). Ownership
@@ -183,9 +178,7 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	if err != nil {
 		return err
 	}
-	if err := e.splitGrid(newComm, strat); err != nil {
-		return err
-	}
+	e.splitGrid(newComm, strat)
 	e.part = part
 	for _, m := range e.moeLayers {
 		place := moe.NewBlockPlacement(m.Cfg.NumExperts, e.EP.Size())
@@ -203,22 +196,13 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	return nil
 }
 
-// rankState is one rank's exit report.
+// rankState is one rank's exit report: its view of the run's result
+// (the world-level fields are filled in by RunFaultTolerant), and
+// whether it failed or crashed.
 type rankState struct {
-	err           error
-	crashed       bool
-	completed     bool
-	unrecoverable bool
-	recoveries    int
-	rolledForward int
-	checkpoints   int
-	finalLoss     float32
-	steps         int
-	useful        float64
-	timing        ckpt.Timing
-	mitigations   int
-	mitigationSim float64
-	degraded      []int
+	FTResult
+	err     error
+	crashed bool
 }
 
 // RunFaultTolerant trains cfg.Steps steps on w, surviving the
@@ -245,7 +229,6 @@ func RunFaultTolerant(w *mpi.World, cfg FTConfig, inj *fault.Injector) (*FTResul
 		runRankFT(w, c, cfg, inj, &states[c.Rank()])
 	})
 
-	res := &FTResult{TotalSim: w.MaxTime(), Failures: len(w.Failed())}
 	report := -1
 	for r := range states {
 		if states[r].err != nil {
@@ -256,23 +239,11 @@ func RunFaultTolerant(w *mpi.World, cfg FTConfig, inj *fault.Injector) (*FTResul
 		}
 	}
 	if report < 0 {
-		res.Unrecoverable = true
-		return res, nil
+		return &FTResult{Unrecoverable: true, TotalSim: w.MaxTime(), Failures: len(w.Failed())}, nil
 	}
-	st := &states[report]
-	res.Completed = st.completed
-	res.Unrecoverable = st.unrecoverable
-	res.Steps = st.steps
-	res.Recoveries = st.recoveries
-	res.RolledForward = st.rolledForward
-	res.Checkpoints = st.checkpoints
-	res.FinalLoss = st.finalLoss
+	res := &states[report].FTResult
+	res.TotalSim, res.Failures = w.MaxTime(), len(w.Failed())
 	res.FinalWorld = w.Size() - res.Failures
-	res.UsefulSim = st.useful
-	res.Timing = st.timing
-	res.Mitigations = st.mitigations
-	res.MitigationSim = st.mitigationSim
-	res.DegradedRanks = st.degraded
 	if ts := w.Transport(); ts != nil {
 		res.Retransmits = ts.Retransmits()
 		res.RecoveredFrames = ts.Recovered()
@@ -344,17 +315,17 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 	handled := map[string]bool{}
 
 	finish := func() {
-		st.useful += lp.pending // work after the last checkpoint still ran to completion
+		st.UsefulSim += lp.pending // work after the last checkpoint still ran to completion
 		if lp.wr != nil {
 			if werr := lp.wr.WaitIdle(); werr != nil && st.err == nil {
 				st.err = werr
 			}
-			st.timing = st.timing.Add(lp.wr.Timing())
+			st.Timing = st.Timing.Add(lp.wr.Timing())
 		}
-		st.steps = eng.Trainer.StepCount()
-		st.completed = st.err == nil
+		st.Steps = eng.Trainer.StepCount()
+		st.Completed = st.err == nil
 		if mon != nil {
-			st.degraded = mon.Degraded()
+			st.DegradedRanks = mon.Degraded()
 		}
 	}
 
@@ -372,7 +343,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			}
 			lp.comm.Abandon()
 			st.crashed = true
-			st.steps = step
+			st.Steps = step
 			return
 		}
 		// The scalars a failed step may already have moved (the batch is
@@ -390,23 +361,16 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			// post-mitigation crash must roll back to the last checkpoint
 			// written under block placement and replay from there.
 			if lp.wr != nil && step%pol.Interval == 0 && int64(step) != lp.lastCkpt && len(handled) == 0 {
-				lay := ckpt.Layout{
-					WorldSize:      lp.comm.Size(),
-					DataParallel:   lp.strat.DataParallel,
-					ExpertParallel: lp.strat.ExpertParallel,
-					Pipeline:       lp.strat.Pipeline,
-					Virtual:        lp.strat.Virtual,
-				}
-				if serr := lp.wr.Save(int64(step), start, eng.CheckpointShard(), lay); serr != nil {
+				if serr := lp.wr.Save(int64(step), start, eng.CheckpointShard(), eng.CheckpointLayout()); serr != nil {
 					st.err = serr
 					return
 				}
 				lp.lastCkpt = int64(step)
-				st.checkpoints++
+				st.Checkpoints++
 				// Credit the sim-time behind this checkpoint as useful.
 				// If the checkpoint later aborts (async flush racing a
 				// crash), the rollback path takes the credit back.
-				st.useful += lp.pending
+				st.UsefulSim += lp.pending
 				lp.lastCredit, lp.pending = lp.pending, 0
 			}
 			stats = eng.Step()
@@ -442,8 +406,8 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 								st.err = merr
 								return
 							}
-							st.mitigations++
-							st.mitigationSim += lp.comm.Now() - m0
+							st.Mitigations++
+							st.MitigationSim += lp.comm.Now() - m0
 						}
 					}
 				}
@@ -455,7 +419,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 		}
 		if perr == nil {
 			lp.pending += stats.SimTime
-			st.finalLoss = stats.Loss
+			st.FinalLoss = stats.Loss
 			continue
 		}
 
@@ -474,7 +438,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			// Peers declared this rank failed (it sent a faulted
 			// payload); it must exit like a crashed rank.
 			st.crashed = true
-			st.steps = eng.Trainer.StepCount()
+			st.Steps = eng.Trainer.StepCount()
 			return
 		}
 		// What the rank trained when the step failed, before any re-form
@@ -482,13 +446,13 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 		// re-form rebuilds, so it always restores from disk.
 		ss := &stepStart{hdr: start, held: eng.replicated(), live: len(handled) == 0}
 		for {
-			if lp.wr == nil || st.recoveries >= maxRec {
-				st.unrecoverable = true
+			if lp.wr == nil || st.Recoveries >= maxRec {
+				st.Unrecoverable = true
 				finish()
-				st.completed = false
+				st.Completed = false
 				return
 			}
-			st.recoveries++
+			st.Recoveries++
 			// recoverRank communicates throughout (shrink agreement,
 			// re-form splits, restore); Protect the whole round so a
 			// further fault mid-recovery surfaces as a typed error and
@@ -528,16 +492,16 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 				}
 				continue // another rank died during recovery; go again
 			default:
-				if st.unrecoverable {
+				if st.Unrecoverable {
 					// A verdict, not a malfunction: no committed
 					// checkpoint, or no viable grid over the survivors.
 					finish()
-					st.completed = false
+					st.Completed = false
 					return
 				}
 				st.err = rerr
 				finish()
-				st.completed = false
+				st.Completed = false
 				return
 			}
 		}
@@ -612,7 +576,7 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 	// this barrier forever.
 	newStrat, serr := ShrinkStrategy(lp.strat, newComm.Size(), cfg.Model.NumExperts, cfg.Model.MoEEvery > 0)
 	if serr != nil {
-		st.unrecoverable = true
+		st.Unrecoverable = true
 		return serr
 	}
 	latest, lerr := ckpt.Latest(pol.Dir)
@@ -650,13 +614,13 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 	} else {
 		ss.live = false // the restore below overwrites the live state
 		if agreed < 0 {
-			st.unrecoverable = true
+			st.Unrecoverable = true
 			return fmt.Errorf("parallel: failure before any committed checkpoint")
 		}
 		if agreed != lp.lastCkpt {
 			// The last checkpoint this rank credited never committed
 			// world-wide; its sim-time was lost in the rollback after all.
-			st.useful -= lp.lastCredit
+			st.UsefulSim -= lp.lastCredit
 		}
 		lp.lastCredit, lp.pending = 0, 0
 	}
@@ -673,14 +637,14 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 	newComm.AdvanceTo(float64(slices.Max(done)) * 1e-9)
 	// The clock paid for the detour as it went (re-form, disk, gather,
 	// wait); the meter only records it.
-	st.timing = st.timing.Add(ckpt.Timing{
+	st.Timing = st.Timing.Add(ckpt.Timing{
 		Recovery:       newComm.Now() - recoverStart,
 		RecoveryRead:   rs.ReadSim,
 		RecoveryGather: rs.GatherSim,
 	}).Add(lp.wr.Timing()) // and retires the old writer's meter
 	lp.comm, lp.strat, lp.wr = newComm, newStrat, nw
 	if forward {
-		st.rolledForward++
+		st.RolledForward++
 	} else {
 		lp.lastCkpt = agreed
 	}

@@ -1,224 +1,143 @@
-// Package layout describes process-grid layouts: an ordered list of
-// named axes whose sizes multiply to the rank count, with rank ↔
-// coordinate maps and per-axis group/color helpers. It generalizes
-// the hard-coded DP×EP split of the MoDa grid to arbitrary axis
-// stacks (pp × dp × ep today) and is the single source of truth the
-// engine, checkpointing, fault recovery, the perf model, and the
-// autotuner consume.
+// Package layout is the folded [pp, dp, ep] process grid: one value
+// type, Grid, that states the grid's shape and the fold order every
+// consumer reads. The engine splits its communicators by Grid's colors,
+// the analytic cost model (internal/perfmodel) prices each group at the
+// size and stride Grid's table gives it, and the autotuner searches
+// grids by value.
 //
-// The key construct is the *folded pair* (Fold): attention/dense
-// layers and MoE layers use *different* layouts over the same rank
-// set — "MoE Parallel Folding". Dense layers see [pp, data] where the
-// data axis folds dp·ep ranks into one replication group per stage;
-// MoE layers see [pp, dp, ep] where the innermost ep axis keeps
-// all-to-all partners contiguous (lowest network tier) and dp strides
-// across them. At pp=1 both reduce exactly to the MoDa grid.
+// The fold order is the table in Grid.Group: ep is contiguous, dp
+// strides by EP, and pp is outermost. A stage is then a contiguous
+// block of DP·EP ranks — the dense replication group — and all-to-all
+// partners sit as low in the network hierarchy as the machine allows.
+// At depth 1 the grid is BaGuaLu's MoDa grid: contiguous expert-parallel
+// groups, strided data-parallel groups.
 package layout
 
 import "fmt"
 
-// Axis is one named dimension of a process grid.
-type Axis struct {
-	Name string
-	Size int
-}
-
-// Layout is an ordered axis stack over ranks 0..Size()-1, row-major:
-// the last axis varies fastest (its groups are contiguous rank
-// ranges), the first slowest.
-type Layout struct {
-	name    string
-	axes    []Axis
-	strides []int // rank stride of each axis
-	size    int
-}
-
-// New builds a layout from an ordered axis list.
-func New(name string, axes ...Axis) (*Layout, error) {
-	if len(axes) == 0 {
-		return nil, fmt.Errorf("layout %s: no axes", name)
-	}
-	l := &Layout{name: name, axes: append([]Axis(nil), axes...), size: 1}
-	for _, a := range axes {
-		if a.Size < 1 {
-			return nil, fmt.Errorf("layout %s: axis %s size %d", name, a.Name, a.Size)
-		}
-		if a.Name == "" {
-			return nil, fmt.Errorf("layout %s: unnamed axis", name)
-		}
-		l.size *= a.Size
-	}
-	l.strides = make([]int, len(axes))
-	stride := 1
-	for i := len(axes) - 1; i >= 0; i-- {
-		l.strides[i] = stride
-		stride *= axes[i].Size
-	}
-	seen := map[string]bool{}
-	for _, a := range axes {
-		if seen[a.Name] {
-			return nil, fmt.Errorf("layout %s: duplicate axis %s", name, a.Name)
-		}
-		seen[a.Name] = true
-	}
-	return l, nil
-}
-
-// Name returns the layout's name.
-func (l *Layout) Name() string { return l.name }
-
-// Size returns the total rank count.
-func (l *Layout) Size() int { return l.size }
-
-// AxisIndex returns the position of the named axis, or -1.
-func (l *Layout) AxisIndex(name string) int {
-	for i, a := range l.axes {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Coord maps a rank to its coordinate along each axis.
-func (l *Layout) Coord(rank int) []int {
-	if rank < 0 || rank >= l.size {
-		panic(fmt.Sprintf("layout %s: rank %d out of %d", l.name, rank, l.size))
-	}
-	c := make([]int, len(l.axes))
-	for i := range l.axes {
-		c[i] = (rank / l.strides[i]) % l.axes[i].Size
-	}
-	return c
-}
-
-// Rank maps a coordinate back to its rank.
-func (l *Layout) Rank(coord []int) int {
-	if len(coord) != len(l.axes) {
-		panic(fmt.Sprintf("layout %s: coord has %d axes, want %d", l.name, len(coord), len(l.axes)))
-	}
-	r := 0
-	for i, c := range coord {
-		if c < 0 || c >= l.axes[i].Size {
-			panic(fmt.Sprintf("layout %s: coord %d out of axis %s size %d", l.name, c, l.axes[i].Name, l.axes[i].Size))
-		}
-		r += c * l.strides[i]
-	}
-	return r
-}
-
-// AxisCoord returns rank's coordinate along the named axis (0 if the
-// layout does not carry it).
-func (l *Layout) AxisCoord(rank int, axis string) int {
-	i := l.AxisIndex(axis)
-	if i < 0 {
-		return 0
-	}
-	return (rank / l.strides[i]) % l.axes[i].Size
-}
-
-// GroupColor returns a color identifying rank's group along the named
-// axis: all ranks whose coordinates agree on every *other* axis share
-// a color. Feeding the color to mpi.Comm.Split (with the rank as key)
-// yields one communicator per group, ordered by axis coordinate.
-func (l *Layout) GroupColor(rank int, axis string) int {
-	i := l.AxisIndex(axis)
-	if i < 0 {
-		panic(fmt.Sprintf("layout %s: no axis %s", l.name, axis))
-	}
-	coord := l.Coord(rank)
-	color, mult := 0, 1
-	for j := len(l.axes) - 1; j >= 0; j-- {
-		if j == i {
-			continue
-		}
-		color += coord[j] * mult
-		mult *= l.axes[j].Size
-	}
-	return color
-}
-
-// Group returns the ranks of rank's group along the named axis, in
-// axis-coordinate order.
-func (l *Layout) Group(rank int, axis string) []int {
-	i := l.AxisIndex(axis)
-	if i < 0 {
-		panic(fmt.Sprintf("layout %s: no axis %s", l.name, axis))
-	}
-	coord := l.Coord(rank)
-	out := make([]int, l.axes[i].Size)
-	for c := range out {
-		coord[i] = c
-		out[c] = l.Rank(coord)
-	}
-	return out
-}
-
-// Canonical axis names of the folded 4D grid.
+// Axis names of Grid's fold table. The group along an axis is the set
+// of ranks whose coordinates differ along that axis only.
 const (
-	AxisPipe   = "pp"   // pipeline stage (contiguous blocks of ranks)
-	AxisData   = "dp"   // data replication (strided within a stage)
-	AxisExpert = "ep"   // expert shards / all-to-all partners (contiguous)
-	AxisFold   = "data" // the dense layouts' folded dp·ep axis
+	AxisExpert = "ep"    // all-to-all partners: an expert pool's shards
+	AxisData   = "dp"    // an expert shard's replicas
+	AxisStage  = "stage" // a stage's dp·ep ranks: the dense replication group
+	AxisPipe   = "pp"    // the pipeline column: one rank per stage
 )
 
-// Folded is the heterogeneous parallel-folding pair: two layouts over
-// the same rank set. Dense (attention/embedding/norm/head) layers
-// replicate across a stage's whole dp·ep fold; MoE layers split the
-// same fold into dp replication × ep expert sharding. The pipeline
-// axis is shared and outermost, so a stage is a contiguous rank block
-// and every intra-stage collective stays as low in the network
-// hierarchy as the machine allows.
-type Folded struct {
-	Dense *Layout // [pp, data] with data = dp·ep
-	MoE   *Layout // [pp, dp, ep]
+// Grid is the process-grid shape.
+type Grid struct {
+	DataParallel   int
+	ExpertParallel int
 
-	PP, DP, EP int
+	// Pipeline is the pipeline-parallel depth (stage count). 0 or 1 is
+	// depth 1: one stage, the flat DP×EP MoDa grid.
+	Pipeline int
+
+	// Virtual is the number of virtual stages (model chunks) per
+	// pipeline stage. 0 or 1 selects 1F1B; above 1 the interleaved
+	// schedule, which requires the micro-batch count to be divisible by
+	// Pipeline.
+	Virtual int
 }
 
-// Fold builds the folded layout pair for a world of pp·dp·ep ranks.
-func Fold(world, pp, dp, ep int) (Folded, error) {
-	if pp < 1 || dp < 1 || ep < 1 {
-		return Folded{}, fmt.Errorf("layout: non-positive fold pp=%d dp=%d ep=%d", pp, dp, ep)
+// PP returns the effective pipeline depth (>= 1).
+func (g Grid) PP() int { return max(g.Pipeline, 1) }
+
+// VPP returns the effective virtual-stage count per stage (>= 1).
+func (g Grid) VPP() int { return max(g.Virtual, 1) }
+
+// Size returns the total rank count.
+func (g Grid) Size() int { return g.DataParallel * g.ExpertParallel * g.PP() }
+
+// String is the grid's label: dp2xep4, dp2xep1xpp4v2.
+func (g Grid) String() string {
+	s := fmt.Sprintf("dp%dxep%d", g.DataParallel, g.ExpertParallel)
+	if g.PP() > 1 {
+		s += fmt.Sprintf("xpp%d", g.PP())
+		if g.VPP() > 1 {
+			s += fmt.Sprintf("v%d", g.VPP())
+		}
 	}
-	if pp*dp*ep != world {
-		return Folded{}, fmt.Errorf("layout: pp%d x dp%d x ep%d = %d ranks, world has %d", pp, dp, ep, pp*dp*ep, world)
-	}
-	dense, err := New("dense", Axis{AxisPipe, pp}, Axis{AxisFold, dp * ep})
-	if err != nil {
-		return Folded{}, err
-	}
-	moe, err := New("moe", Axis{AxisPipe, pp}, Axis{AxisData, dp}, Axis{AxisExpert, ep})
-	if err != nil {
-		return Folded{}, err
-	}
-	return Folded{Dense: dense, MoE: moe, PP: pp, DP: dp, EP: ep}, nil
+	return s
 }
 
-// Stage returns rank's pipeline stage.
-func (f Folded) Stage(rank int) int { return f.MoE.AxisCoord(rank, AxisPipe) }
+// Group returns the size of the group along axis and the rank stride
+// between its consecutive members. This is the fold order: ep
+// contiguous, dp strided by EP, the stage a contiguous dp·ep block, the
+// pipeline column strided by the stage size.
+func (g Grid) Group(axis string) (size, stride int) {
+	dp, ep := g.DataParallel, g.ExpertParallel
+	switch axis {
+	case AxisExpert:
+		return ep, 1
+	case AxisData:
+		return dp, ep
+	case AxisStage:
+		return dp * ep, 1
+	case AxisPipe:
+		return g.PP(), dp * ep
+	}
+	panic("layout: no axis " + axis)
+}
 
-// Within returns rank's index inside its stage (the dense layouts'
-// folded data coordinate), 0..dp·ep-1.
-func (f Folded) Within(rank int) int { return f.Dense.AxisCoord(rank, AxisFold) }
+// Coord returns rank's position in its group along axis: its stage for
+// AxisPipe, its index inside the stage for AxisStage.
+func (g Grid) Coord(axis string, rank int) int {
+	size, stride := g.Group(axis)
+	return rank / stride % size
+}
 
-// PerStage returns ranks per stage.
-func (f Folded) PerStage() int { return f.DP * f.EP }
+// Color returns the lowest rank of rank's group along axis. Ranks share
+// a color exactly when they share that group, so splitting a
+// communicator whose ranks are the grid's by it yields one communicator
+// per group.
+func (g Grid) Color(axis string, rank int) int {
+	_, stride := g.Group(axis)
+	return rank - g.Coord(axis, rank)*stride
+}
 
-// StageColor colors ranks by stage: the dense replication group.
-// Splitting the world by it yields the stage communicator both dense
-// gradient sync and the MoE sub-grid live on.
-func (f Folded) StageColor(rank int) int { return f.Stage(rank) }
+// Validate checks the grid's shape on its own.
+func (g Grid) Validate() error {
+	switch {
+	case g.DataParallel < 1:
+		return &gridError{AxisData, fmt.Sprintf("grid %s: data-parallel width below 1", g)}
+	case g.ExpertParallel < 1:
+		return &gridError{AxisExpert, fmt.Sprintf("grid %s: expert-parallel width below 1", g)}
+	case g.Pipeline < 0 || g.Virtual < 0:
+		return &gridError{AxisPipe, fmt.Sprintf("negative pipeline knobs pp=%d v=%d", g.Pipeline, g.Virtual)}
+	case g.VPP() > 1 && g.PP() < 2:
+		return &gridError{AxisPipe, fmt.Sprintf("virtual stages (V=%d) require a pipeline (PP=%d)", g.VPP(), g.PP())}
+	}
+	return nil
+}
 
-// ExpertColor colors a stage's ranks into all-to-all groups (vary ep,
-// fix dp): contiguous within-stage rank ranges.
-func (f Folded) ExpertColor(within int) int { return within / f.EP }
+// Check validates the grid for a run on ranks ranks with micro
+// micro-batches per step and, when experts > 0, an expert pool of that
+// many experts per MoE layer: the interleaved schedule needs micro
+// divisible by the depth, the grid must cover the ranks exactly, and
+// the pool must shard evenly over EP. A rejection's error has an
+// Axis() string method naming the axis at fault ("" when the grid does
+// not cover the ranks).
+func (g Grid) Check(ranks, experts, micro int) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if g.VPP() > 1 && micro%g.PP() != 0 {
+		return &gridError{AxisPipe, fmt.Sprintf("interleaving needs M=%d divisible by PP=%d", micro, g.PP())}
+	}
+	if g.Size() != ranks {
+		return &gridError{"", fmt.Sprintf("DP=%d x EP=%d x PP=%d != %d ranks", g.DataParallel, g.ExpertParallel, g.PP(), ranks)}
+	}
+	if experts > 0 && experts%g.ExpertParallel != 0 {
+		return &gridError{AxisExpert, fmt.Sprintf("%d experts not divisible by EP=%d", experts, g.ExpertParallel)}
+	}
+	return nil
+}
 
-// DataColor colors a stage's ranks into MoE replication groups (vary
-// dp, fix ep): strided within-stage ranks.
-func (f Folded) DataColor(within int) int { return within % f.EP }
+// gridError is a rejection by Validate or Check.
+type gridError struct{ axis, msg string }
 
-// PipeColor colors ranks by within-stage index: the pipeline
-// communicator (one rank per stage, same fold coordinate) boundary
-// activations travel over.
-func (f Folded) PipeColor(rank int) int { return f.Within(rank) }
+func (e *gridError) Error() string { return "layout: " + e.msg }
+
+// Axis names the axis whose knob the rejection is about.
+func (e *gridError) Axis() string { return e.axis }

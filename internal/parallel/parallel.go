@@ -3,9 +3,9 @@
 // trains on its own token shard) and an expert-parallel worker (it
 // hosts a shard of every MoE layer's expert pool).
 //
-// The process grid is the folded [pp, dp, ep] layout of
-// internal/parallel/layout; depth 1 (the default) is the MoDa grid
-// itself. Expert-parallel groups are contiguous rank ranges, so MoE
+// The process grid is the folded [pp, dp, ep] layout.Grid, whose fold
+// table decides every group the engine splits; depth 1 (the default)
+// is the MoDa grid itself. Expert-parallel groups are contiguous rank ranges, so MoE
 // all-to-all traffic stays as low in the network hierarchy as the
 // machine allows; data-parallel groups stride across them. Gradient
 // synchronization is two-tier:
@@ -40,55 +40,8 @@ import (
 	"bagualu/internal/train"
 )
 
-// Strategy is the process-grid shape.
-type Strategy struct {
-	DataParallel   int
-	ExpertParallel int
-
-	// Pipeline is the pipeline-parallel depth (stage count) of the
-	// [pp, dp, ep] fold. 0 or 1 is depth 1: one stage, the flat DP×EP
-	// MoDa grid.
-	Pipeline int
-
-	// Virtual is the number of virtual stages (model chunks) per
-	// pipeline stage. 0 or 1 selects 1F1B; above 1 the interleaved
-	// schedule, which requires the micro-batch count (train.Config.
-	// Accum) to be divisible by Pipeline.
-	Virtual int
-}
-
-// PP returns the effective pipeline depth (>= 1).
-func (s Strategy) PP() int {
-	if s.Pipeline < 1 {
-		return 1
-	}
-	return s.Pipeline
-}
-
-// VPP returns the effective virtual-stage count per stage (>= 1).
-func (s Strategy) VPP() int {
-	if s.Virtual < 1 {
-		return 1
-	}
-	return s.Virtual
-}
-
-// Size returns the total rank count.
-func (s Strategy) Size() int { return s.DataParallel * s.ExpertParallel * s.PP() }
-
-// Validate checks the grid.
-func (s Strategy) Validate() error {
-	if s.DataParallel < 1 || s.ExpertParallel < 1 {
-		return fmt.Errorf("parallel: invalid strategy %+v", s)
-	}
-	if s.Pipeline < 0 || s.Virtual < 0 {
-		return fmt.Errorf("parallel: invalid strategy %+v", s)
-	}
-	if s.VPP() > 1 && s.PP() < 2 {
-		return fmt.Errorf("parallel: virtual stages (%d) need Pipeline > 1", s.Virtual)
-	}
-	return nil
-}
+// Strategy is the process grid: the folded [pp, dp, ep] layout.Grid.
+type Strategy = layout.Grid
 
 // ModelConfig describes the MoE transformer to build.
 type ModelConfig struct {
@@ -201,10 +154,8 @@ type Engine struct {
 	Model    *nn.GPT
 	Trainer  *train.Trainer
 
-	// The folded layout pair, the global chunk partition, and per-chunk
-	// analytic forward FLOPs the stage's runner prices on the virtual
-	// clock.
-	fold          layout.Folded
+	// The global chunk partition and per-chunk analytic forward FLOPs
+	// the stage's runner prices on the virtual clock.
 	part          []pipe.Chunk
 	chunkFwdFlops []float64
 
@@ -232,20 +183,15 @@ type Engine struct {
 // trainer for this rank. seed must match across ranks; the corpus is
 // automatically decorrelated per rank.
 func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.CorpusConfig, tc train.Config, opt train.Optimizer, seed uint64) (*Engine, error) {
-	if err := strat.Validate(); err != nil {
-		return nil, err
-	}
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	if strat.Size() != c.Size() {
-		return nil, fmt.Errorf("parallel: strategy needs %d ranks, world has %d", strat.Size(), c.Size())
+	experts := 0
+	if mc.MoEEvery > 0 {
+		experts = mc.NumExperts
 	}
-	if mc.MoEEvery > 0 && mc.NumExperts%strat.ExpertParallel != 0 {
-		return nil, fmt.Errorf("parallel: %d experts not divisible by EP=%d", mc.NumExperts, strat.ExpertParallel)
-	}
-	if micro := max(tc.Accum, 1); strat.VPP() > 1 && micro%strat.PP() != 0 {
-		return nil, fmt.Errorf("parallel: interleaved schedule needs Accum (%d) divisible by Pipeline (%d)", micro, strat.PP())
+	if err := strat.Check(c.Size(), experts, max(tc.Accum, 1)); err != nil {
+		return nil, err
 	}
 
 	part, err := pipe.PartitionLayers(mc.GPT.Layers, strat.PP()*strat.VPP())
@@ -259,9 +205,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	// differs across ranks (expert shards differ) and desynchronize
 	// the dense replicas.
 	tc.ClipNorm = 0
-	if err := e.splitGrid(c, strat); err != nil {
-		return nil, err
-	}
+	e.splitGrid(c, strat)
 
 	r := tensor.NewRNG(seed)
 	var ffn nn.FFNFactory
@@ -299,7 +243,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	// identical token stream, so activations are the only cross-stage
 	// traffic.
 	cc := corpusCfg
-	cc.Seed = corpusCfg.Seed + uint64(e.fold.Within(c.Rank()))*1_000_003
+	cc.Seed = corpusCfg.Seed + uint64(strat.Coord(layout.AxisStage, c.Rank()))*1_000_003
 	corpus, err := data.NewSynthetic(cc)
 	if err != nil {
 		return nil, err
@@ -324,41 +268,36 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 	return e, nil
 }
 
-// splitGrid builds the communicators for strat over c from the folded
-// layout pair of internal/parallel/layout. Inside a stage the MoDa grid
-// appears (contiguous EP groups, strided DP groups); the pipeline column
-// links the same fold coordinate across stages, so the column comm's
-// rank equals the pipeline stage. At depth 1 the stage is c and the
-// column is the rank alone, so neither needs a Split. Collective: every
-// rank of c must call it with the same strategy.
-func (e *Engine) splitGrid(c *mpi.Comm, strat Strategy) error {
-	fold, err := layout.Fold(c.Size(), strat.PP(), strat.DataParallel, strat.ExpertParallel)
-	if err != nil {
-		return err
-	}
-	e.Comm, e.Strategy, e.fold = c, strat, fold
+// splitGrid builds the communicators for strat over c, one Split per
+// group of the grid's fold table. Inside a stage the MoDa grid appears
+// (contiguous EP groups, strided DP groups); the pipeline column links
+// the same within-stage index across stages, so the column comm's rank
+// equals the pipeline stage. At depth 1 the stage is c and the column is
+// the rank alone, so neither needs a Split. Collective: every rank of c
+// must call it with the same strategy, which Check accepted for c.
+func (e *Engine) splitGrid(c *mpi.Comm, strat Strategy) {
+	e.Comm, e.Strategy = c, strat
 	rank := c.Rank()
-	within := fold.Within(rank)
+	within := strat.Coord(layout.AxisStage, rank)
 	e.Stage, e.PPComm = c, c.Self()
-	if fold.PP > 1 {
-		e.Stage = c.Split(fold.StageColor(rank), rank)
+	if strat.PP() > 1 {
+		e.Stage = c.Split(strat.Color(layout.AxisStage, rank), rank)
 	}
-	e.EP = e.Stage.Split(fold.ExpertColor(within), within)
-	e.DP = e.Stage.Split(fold.DataColor(within), within)
-	if fold.PP > 1 {
-		e.PPComm = c.Split(fold.PipeColor(rank), rank)
+	e.EP = e.Stage.Split(strat.Color(layout.AxisExpert, rank), within)
+	e.DP = e.Stage.Split(strat.Color(layout.AxisData, rank), within)
+	if strat.PP() > 1 {
+		e.PPComm = c.Split(strat.Color(layout.AxisPipe, rank), rank)
 	}
-	return nil
 }
 
 // ownedParams returns the parameters this rank trains: the stage-owned
 // chunk subset (embeddings ride with the first chunk, the final norm and
 // head with the last) in model order — the whole model at depth 1.
 func (e *Engine) ownedParams() []*nn.Param {
-	stage := e.fold.Stage(e.Comm.Rank())
+	stage := e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank())
 	var ps []*nn.Param
 	for v := 0; v < e.Strategy.VPP(); v++ {
-		g := v*e.fold.PP + stage
+		g := v*e.Strategy.PP() + stage
 		if g == 0 {
 			ps = append(ps, e.Model.TokEmbed.Table, e.Model.PosEmbed)
 		}
@@ -406,10 +345,10 @@ func (e *Engine) repartitionParams() {
 func (e *Engine) buildRunner() {
 	e.chunkFwdFlops = e.chunkForwardFlops()
 	e.Trainer.Runner = &pipe.Runner{
-		Stages:  e.fold.PP,
+		Stages:  e.Strategy.PP(),
 		Virtual: e.Strategy.VPP(),
 		Micro:   e.Trainer.Runner.Micro,
-		Stage:   e.fold.Stage(e.Comm.Rank()),
+		Stage:   e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank()),
 		Comm:    e.PPComm,
 		Model:   e.Model,
 		Part:    e.part,
@@ -486,6 +425,19 @@ func (e *Engine) replicaGroups() []train.ShardGroup {
 // logical byte once. Restore reads the same slices back.
 func (e *Engine) CheckpointShard() []*nn.Param {
 	return e.Trainer.CheckpointShard(e.replicaGroups()...)
+}
+
+// CheckpointLayout is the manifest's record of the grid this rank's
+// CheckpointShard was cut under.
+func (e *Engine) CheckpointLayout() ckpt.Layout {
+	g := e.Strategy
+	return ckpt.Layout{
+		WorldSize:      e.Comm.Size(),
+		DataParallel:   g.DataParallel,
+		ExpertParallel: g.ExpertParallel,
+		Pipeline:       g.Pipeline,
+		Virtual:        g.Virtual,
+	}
 }
 
 // RestoreStats reports what one rank's Engine.Restore cost.
@@ -773,6 +725,7 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
 // (identical on every rank).
 func (e *Engine) Step() StepStats {
 	simStart := e.Comm.Now()
+	moe0, wire0 := e.moeTime(), e.EP.WireStats()
 	local := e.Trainer.Step()
 	if e.offloadBW > 0 {
 		// Offloaded optimizer state streams host→device and back once
@@ -799,16 +752,25 @@ func (e *Engine) Step() StepStats {
 	st.Loss = agg[0] / group
 	st.AuxLoss = agg[1] / group
 	st.Overflow = int(agg[2])
-	// The trainer already computed per-step comm deltas over the MoE
-	// layers (phase time per layer, wire bytes deduped per comm).
-	st.MoE = local.Comm
+	// Every MoE layer exchanges over e.EP, so its wire counter is the
+	// step's whole MoE traffic.
+	st.MoE = e.moeTime().Sub(moe0)
 	st.ComputeSim += st.MoE.ExpertSim
-	st.Wire = local.Wire
+	st.Wire = e.EP.WireStats().Sub(wire0)
 	st.SimTime = e.Comm.Now() - simStart
 	if st.SimTime > 0 {
 		st.TokensPer = float64(e.GlobalBatchTokens()) / st.SimTime
 	}
 	return st
+}
+
+// moeTime sums the MoE layers' cumulative phase breakdowns.
+func (e *Engine) moeTime() moe.Timing {
+	var tm moe.Timing
+	for _, m := range e.moeLayers {
+		tm = tm.Add(m.Time)
+	}
+	return tm
 }
 
 // GlobalBatchTokens returns tokens consumed per step across all ranks:

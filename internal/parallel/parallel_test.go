@@ -12,6 +12,7 @@ import (
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
@@ -363,7 +364,7 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 					mp := e.Trainer.MP
 					rec.init = mp.Scale
 					if c.Rank() == row.plant {
-						if s := e.fold.Stage(c.Rank()); s != row.stage {
+						if s := e.Strategy.Coord(layout.AxisPipe, c.Rank()); s != row.stage {
 							panic(fmt.Sprintf("rank %d is on stage %d, not %d", c.Rank(), s, row.stage))
 						}
 						mp.Scale = 1e12 // this rank's gradients overflow FP16

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bagualu/internal/mpi"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
@@ -69,10 +70,10 @@ func samplePipeCases(seed uint64, n int) []pipeCase {
 // chunk and micro-batch one forward, a backward of twice that, and a
 // replay of the chunk's policy-marked share.
 func analyticCompute(e *Engine, rate float64) float64 {
-	stage := e.fold.Stage(e.Comm.Rank())
+	stage := e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank())
 	var secs float64
 	for v := 0; v < e.Strategy.VPP(); v++ {
-		g := v*e.fold.PP + stage
+		g := v*e.Strategy.PP() + stage
 		c := e.part[g]
 		marked := 0
 		for i := c.Lo; i < c.Hi; i++ {

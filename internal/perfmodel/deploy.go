@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"math"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 )
@@ -32,25 +33,14 @@ type Deployment struct {
 	Machine      *sunway.Machine
 	RanksPerNode int // MPI ranks per node (1 per core group = 6 on SW26010-Pro)
 
-	// Grid: DataParallel × ExpertParallel × pipeline depth must equal
-	// the rank count.
-	DataParallel   int
-	ExpertParallel int
-
-	// PipelineParallel folds a pipeline axis into the grid (parallel
-	// folding): the machine becomes PipelineParallel stages of
-	// contiguous DP×EP sub-grids, each stage holding Layers/(S·V)
-	// contiguous blocks. 0 or 1 = no pipeline. Per-stage compute,
-	// dense parameters, and dense gradient sync all scale by 1/S; the
-	// price is the fill/drain bubble and the stage-boundary
-	// activation sends, both modeled in PredictStep.
-	PipelineParallel int
-
-	// VirtualStages is the interleaving factor V (model chunks per
-	// stage, the interleaved 1F1B schedule): the bubble fraction
-	// (S-1)/(M·V) shrinks with V while boundary sends grow with it.
-	// 0 or 1 = plain 1F1B.
-	VirtualStages int
+	// Grid folds the ranks into [pp, dp, ep] and must cover them
+	// exactly; its fold table gives every group PredictStep prices its
+	// size and rank stride. Each of the PP stages holds V chunks of
+	// Layers/(PP·V) contiguous blocks, so per-stage compute, dense
+	// parameters, and dense gradient sync all scale by 1/PP; the price
+	// is the fill/drain bubble, whose fraction (S-1)/(M·V) shrinks with
+	// V, and the stage-boundary activation sends, which grow with V.
+	layout.Grid
 
 	// MicroBatches is the in-flight micro-batch count M; 0 defaults
 	// to the pipeline depth (the token-fair choice the runtime uses:
@@ -109,22 +99,6 @@ type Deployment struct {
 // Ranks returns the total rank count.
 func (d Deployment) Ranks() int { return d.Machine.Nodes() * d.RanksPerNode }
 
-// PP returns the effective pipeline depth (1 = no pipeline).
-func (d Deployment) PP() int {
-	if d.PipelineParallel < 1 {
-		return 1
-	}
-	return d.PipelineParallel
-}
-
-// VPP returns the effective virtual-stage factor (1 = plain 1F1B).
-func (d Deployment) VPP() int {
-	if d.VirtualStages < 1 {
-		return 1
-	}
-	return d.VirtualStages
-}
-
 // Micro returns the effective micro-batch count M: the configured
 // value, or the token-fair default M = S.
 func (d Deployment) Micro() int {
@@ -148,19 +122,23 @@ func bytesPerElem(p sunway.Precision) float64 {
 }
 
 // a2aCost prices one all-to-all over an expert-parallel group of p
-// ranks. intraBytes is the rank's total contribution at the training
-// wire width; machineBytes is the same element volume at the
-// inter-supernode wire width (smaller under the FP16 codec). It
-// returns the cost in seconds and the rank's post-codec wire bytes.
-func (d Deployment) a2aCost(t *simnet.Topology, p int, intraBytes, machineBytes float64) (float64, float64) {
+// ranks that sit stride ranks apart. intraBytes is the rank's total
+// contribution at the training wire width; machineBytes is the same
+// element volume at the inter-supernode wire width (smaller under the
+// FP16 codec). It returns the cost in seconds and the rank's post-codec
+// wire bytes.
+func (d Deployment) a2aCost(t *simnet.Topology, p, stride int, intraBytes, machineBytes float64) (float64, float64) {
 	if p <= 1 {
 		return 0, 0
 	}
 	perPeer := intraBytes / float64(p-1)
 	perPeerMachine := machineBytes / float64(p-1)
-	// Count peers of rank 0 at each level within a contiguous group.
-	nodePeers := float64(min(p-1, t.RanksPerNode-1))
-	snPeers := float64(min(p-1, t.RanksPerSupernode()-1)) - nodePeers
+	// Count rank 0's peers at each level: a node or supernode of n
+	// ranks holds ceil(n/stride) members of the group.
+	perNode := (t.RanksPerNode + stride - 1) / stride
+	perSN := (t.RanksPerSupernode() + stride - 1) / stride
+	nodePeers := float64(min(p, perNode) - 1)
+	snPeers := float64(min(p, perSN)-1) - nodePeers
 	machinePeers := float64(p-1) - nodePeers - snPeers
 	if machinePeers < 0 {
 		machinePeers = 0
@@ -180,8 +158,7 @@ func (d Deployment) a2aCost(t *simnet.Topology, p int, intraBytes, machineBytes 
 		// bytes are unchanged (plus staging copies), but the number
 		// of inter-supernode messages collapses from machinePeers to
 		// supernodes-1.
-		rsn := float64(t.RanksPerSupernode())
-		supernodes := math.Ceil(float64(p) / rsn)
+		supernodes := math.Ceil(float64(p) / float64(perSN))
 		// Staging inside a supernode moves pre-codec (full-width)
 		// payloads; only the bisection crossing travels at the
 		// (possibly FP16) inter-supernode wire width.
@@ -218,8 +195,7 @@ func (d Deployment) flatCost(t *simnet.Topology, nodePeers, snPeers, machinePeer
 }
 
 // allReduceCost prices the gradient all-reduce over p ranks that sit
-// stride ranks apart (data-parallel peers of an expert shard are
-// ExpertParallel apart; stride 1 is a contiguous group), following what
+// stride ranks apart (stride 1 is a contiguous group), following what
 // mpi.Comm.AllReduce executes. The group has L members in each of the S
 // supernodes it touches. Inside one supernode it is a flat ring:
 // 2·(p-1)/p·bytes at the tier the group's span reaches. Across

@@ -5,7 +5,11 @@ package perfmodel
 // memory-wall levers (ZeRO-sharded optimizer state, selective
 // activation recomputation, host-memory offload) pushes the wall.
 
-import "fmt"
+import (
+	"fmt"
+
+	"bagualu/internal/parallel/layout"
+)
 
 // MemBreakdown is the per-node memory model, in GiB. Params and
 // OptState are per-rank model state scaled to the node; Activations
@@ -41,7 +45,6 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	if err := d.ValidateFor(spec); err != nil {
 		return mb, err
 	}
-	ranks := float64(d.Ranks())
 	weightB := bytesPerElem(d.Precision)
 	optB := d.Precision.BytesPerParam() - weightB
 
@@ -55,10 +58,12 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	denseOpt := dense * optB
 	expertOpt := expertShard * optB
 	if d.ZeRO {
-		// ZeRO shards within the stage-local sync group (the whole
-		// world at PP=1); dense is already divided by PP above.
-		denseOpt /= ranks / float64(d.PP())
-		expertOpt /= float64(d.DataParallel)
+		// ZeRO shards over the sync groups: dense state over the stage
+		// (the whole world at PP=1), expert state over the dp group.
+		stage, _ := d.Group(layout.AxisStage)
+		dp, _ := d.Group(layout.AxisData)
+		denseOpt /= float64(stage)
+		expertOpt /= float64(dp)
 	}
 	opt := denseOpt + expertOpt
 

@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"testing"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/sunway"
 )
 
@@ -10,7 +11,7 @@ import (
 func memDeployment() Deployment {
 	m := sunway.TestMachine(1, 4)
 	return Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 4, ExpertParallel: 1,
+		Machine: m, RanksPerNode: 1, Grid: layout.Grid{DataParallel: 4, ExpertParallel: 1},
 		BatchPerRank: 4, Precision: sunway.Mixed, Efficiency: 0.35,
 		A2A: A2AHierarchical,
 	}

@@ -6,6 +6,7 @@ import (
 
 	"bagualu/internal/moe"
 	"bagualu/internal/nn"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
 )
@@ -83,15 +84,14 @@ func fullDeployment(a2a A2AStrategy) Deployment {
 	// six core groups, experts sharded over the whole machine.
 	m := sunway.NewGenerationSunway()
 	return Deployment{
-		Machine:        m,
-		RanksPerNode:   1,
-		DataParallel:   1,
-		ExpertParallel: m.Nodes(),
-		BatchPerRank:   4,
-		Precision:      sunway.Mixed,
-		Efficiency:     0.35,
-		A2A:            a2a,
-		ZeRO:           true,
+		Machine:      m,
+		RanksPerNode: 1,
+		Grid:         layout.Grid{DataParallel: 1, ExpertParallel: m.Nodes()},
+		BatchPerRank: 4,
+		Precision:    sunway.Mixed,
+		Efficiency:   0.35,
+		A2A:          a2a,
+		ZeRO:         true,
 	}
 }
 
@@ -141,7 +141,7 @@ func TestMemoryGateRejectsOversizedModel(t *testing.T) {
 	spec := BrainScaleSpecs()[2]
 	m := sunway.TestMachine(1, 4)
 	d := Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 1, ExpertParallel: 4,
+		Machine: m, RanksPerNode: 1, Grid: layout.Grid{DataParallel: 1, ExpertParallel: 4},
 		BatchPerRank: 1, Precision: sunway.Mixed, Efficiency: 0.35,
 	}
 	spec.NumExperts = 4 * 1000 // divisible by EP, still huge
@@ -176,7 +176,7 @@ func TestValidationErrors(t *testing.T) {
 func TestComputeScalesWithBatch(t *testing.T) {
 	m := sunway.TestMachine(2, 8)
 	base := Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 4, ExpertParallel: 4,
+		Machine: m, RanksPerNode: 1, Grid: layout.Grid{DataParallel: 4, ExpertParallel: 4},
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.5,
 	}
 	spec := tinySpec()
@@ -199,7 +199,7 @@ func TestMixedPrecisionFasterThanFP32(t *testing.T) {
 	m := sunway.TestMachine(4, 16)
 	spec := tinySpec()
 	d := Deployment{
-		Machine: m, RanksPerNode: 1, DataParallel: 16, ExpertParallel: 4,
+		Machine: m, RanksPerNode: 1, Grid: layout.Grid{DataParallel: 16, ExpertParallel: 4},
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
 	r32, err := d.PredictStep(spec, FaultModel{})
@@ -223,7 +223,7 @@ func TestWeakScalingImprovesThroughput(t *testing.T) {
 	mk := func(nodes int) StepPrediction {
 		m := sunway.TestMachine(nodes/16, 16)
 		d := Deployment{
-			Machine: m, RanksPerNode: 1, DataParallel: nodes / 4, ExpertParallel: 4,
+			Machine: m, RanksPerNode: 1, Grid: layout.Grid{DataParallel: nodes / 4, ExpertParallel: 4},
 			BatchPerRank: 2, Precision: sunway.Mixed, Efficiency: 0.4,
 			A2A: A2AHierarchical,
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/parallel/pipe"
 )
 
@@ -13,8 +14,8 @@ func ppDeployment(s, v, m int) Deployment {
 	d := validDeployment()
 	d.DataParallel = 16 / s / 4
 	d.ExpertParallel = 4
-	d.PipelineParallel = s
-	d.VirtualStages = v
+	d.Pipeline = s
+	d.Virtual = v
 	d.MicroBatches = m
 	return d
 }
@@ -27,12 +28,12 @@ func ppSpec() ModelSpec {
 
 // TestPPReducesToFlatAtOneStage pins the folding identity: every PP
 // term must vanish at S=1 and leave the seed formulas bit-identical —
-// a PipelineParallel=1 deployment IS the flat MoDa deployment.
+// a Pipeline=1 deployment IS the flat MoDa deployment.
 func TestPPReducesToFlatAtOneStage(t *testing.T) {
 	spec := ppSpec()
 	flat := validDeployment()
 	folded := flat
-	folded.PipelineParallel = 1
+	folded.Pipeline = 1
 	folded.MicroBatches = 1
 	a, err := flat.PredictStep(spec, FaultModel{})
 	if err != nil {
@@ -158,7 +159,7 @@ func TestMemoryCountsScheduledPasses(t *testing.T) {
 						peak = max(peak, live)
 					}
 				}
-				d := Deployment{PipelineParallel: S, VirtualStages: V, MicroBatches: M}
+				d := Deployment{Grid: layout.Grid{Pipeline: S, Virtual: V}, MicroBatches: M}
 				if got := d.peakPasses(); got != peak {
 					t.Fatalf("S=%d V=%d M=%d: model counts %d passes in flight, the schedule holds %d", S, V, M, got, peak)
 				}
@@ -190,11 +191,11 @@ func TestPPValidation(t *testing.T) {
 	spec := ppSpec()
 
 	d := validDeployment()
-	d.PipelineParallel = -1
+	d.Pipeline = -1
 	wantConfigError(t, d.Validate(), "pipeline")
 
 	d = validDeployment()
-	d.VirtualStages = 2 // V without a pipeline
+	d.Virtual = 2 // V without a pipeline
 	wantConfigError(t, d.Validate(), "pipeline")
 
 	d = ppDeployment(2, 2, 3) // M=3 not divisible by PP=2

@@ -10,6 +10,7 @@ package perfmodel
 import (
 	"math"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
 )
 
@@ -71,14 +72,16 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		return p, err
 	}
 	topo := simnet.New(d.Machine, d.RanksPerNode)
-	ranks := d.Ranks()
-	// Pipeline shape: S contiguous stages of perStage = ranks/S ranks,
+	// Pipeline shape: S contiguous stages of perStage ranks,
 	// V chunks per stage, M micro-batches in flight. BatchPerRank is
 	// the per-micro-batch size; the token-fair default M = S keeps the
 	// global fresh-token count equal to the flat grid's (the pipeline
 	// columns all process the same tokens).
 	S, V, M := d.PP(), d.VPP(), d.Micro()
-	perStage := ranks / S
+	perStage, stageStride := d.Group(layout.AxisStage)
+	epSize, epStride := d.Group(layout.AxisExpert)
+	dpSize, dpStride := d.Group(layout.AxisData)
+	_, ppStride := d.Group(layout.AxisPipe)
 	tokensPerRank := float64(d.BatchPerRank * spec.SeqLen)
 	// flow = M/S: each rank runs its 1/S layer share over M
 	// micro-batches; at the token-fair M = S this is exactly the flat
@@ -102,11 +105,11 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	// and combine, forward and backward), each moving
 	// tokensPerRank·TopK·Dim elements per rank. The FP16 wire codec
 	// shrinks only the elements that cross supernodes.
-	if spec.MoEEvery > 0 && d.ExpertParallel > 1 {
+	if spec.MoEEvery > 0 && epSize > 1 {
 		elems := tokensPerRank * float64(spec.TopK) * float64(spec.Dim)
 		intraBytes := elems * bytesPerElem(d.Precision)
 		machineBytes := elems * d.wireBytesPerElem()
-		one, oneBytes := d.a2aCost(topo, d.ExpertParallel, intraBytes, machineBytes)
+		one, oneBytes := d.a2aCost(topo, epSize, epStride, intraBytes, machineBytes)
 		// Each rank's chunk carries MoELayers/S expert layers and runs
 		// them M times (once per micro-batch): flow = M/S exchanges per
 		// layer relative to the flat grid.
@@ -127,30 +130,29 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	// ring all-reduce (pinned by TestZeROSyncBytesNoWorse), so sync
 	// cost does not depend on the ZeRO lever.
 	// Under a pipeline each stage syncs only its own 1/S of the dense
-	// parameters, over its contiguous perStage sub-grid — the term
-	// that shrinks with depth and makes PP win on deep stacks.
+	// parameters, over its perStage sub-grid — the term that shrinks
+	// with depth and makes PP win on deep stacks.
 	gradBytes := func(n int64) float64 { return float64(n) * bytesPerElem(d.Precision) }
 	denseB := gradBytes(spec.DenseParams()) / float64(S)
-	dense := d.allReduceCost(topo, perStage, 1, denseB)
+	dense := d.allReduceCost(topo, perStage, stageStride, denseB)
 	p.Sync = dense.total
 	p.SyncBytes = ringBytes(perStage, denseB)
-	if d.DataParallel > 1 && spec.MoEEvery > 0 {
-		// Data-parallel peers of an expert shard sit ExpertParallel
-		// ranks apart (contiguous EP groups, strided DP groups), so
-		// their ring runs over the tier that stride reaches. The engine
+	if dpSize > 1 && spec.MoEEvery > 0 {
+		// An expert shard's replicas form the data-parallel group, so
+		// their ring runs over the tier its stride reaches. The engine
 		// issues it together with the dense one.
-		shardB := gradBytes(spec.ExpertParamsTotal() / int64(d.ExpertParallel) / int64(S))
-		p.Sync = concurrentSync(dense, d.allReduceCost(topo, d.DataParallel, d.ExpertParallel, shardB))
-		p.SyncBytes += ringBytes(d.DataParallel, shardB)
+		shardB := gradBytes(spec.ExpertParamsTotal() / int64(epSize) / int64(S))
+		p.Sync = concurrentSync(dense, d.allReduceCost(topo, dpSize, dpStride, shardB))
+		p.SyncBytes += ringBytes(dpSize, shardB)
 	}
 	if d.ZeRO {
 		// The sharded optimizer turns each fused all-reduce into a
 		// reduce-scatter + all-gather pair (train.ShardedAdam): the
 		// bytes are pinned equal, but every sharded group pays one
 		// extra collective's worth of phase startups.
-		p.Sync += d.allReduceLatency(topo, perStage, 1)
-		if d.DataParallel > 1 && spec.MoEEvery > 0 {
-			p.Sync += d.allReduceLatency(topo, d.DataParallel, d.ExpertParallel)
+		p.Sync += d.allReduceLatency(topo, perStage, stageStride)
+		if dpSize > 1 && spec.MoEEvery > 0 {
+			p.Sync += d.allReduceLatency(topo, dpSize, dpStride)
 		}
 	}
 
@@ -198,10 +200,10 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		// Stage-boundary activation traffic: each micro-batch crosses
 		// every chunk boundary once forward and once backward — 2·M·V
 		// sends per rank of a [rows × Dim] activation block, traveling
-		// at whatever tier perStage ranks of distance reach.
+		// at whatever tier the pipeline column's stride reaches.
 		rows := float64(d.BatchPerRank * spec.SeqLen)
 		sendBytes := rows * float64(spec.Dim) * bytesPerElem(d.Precision)
-		lvl := topo.LevelOf(0, perStage)
+		lvl := topo.LevelOf(0, ppStride)
 		one := topo.CostAtLevel(lvl, int(sendBytes))
 		if lvl == simnet.MachineLevel {
 			one *= d.Machine.BisectionOversub

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 )
@@ -30,7 +31,7 @@ func TestFP16WireCutsA2ABytesAndTime(t *testing.T) {
 	// get cheaper (and lighter on the wire) with the FP16 codec.
 	d := Deployment{
 		Machine: sunway.TestMachine(4, 2), RanksPerNode: 1,
-		DataParallel: 1, ExpertParallel: 8,
+		Grid:         layout.Grid{DataParallel: 1, ExpertParallel: 8},
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
 	spec := tinySpec()
@@ -70,7 +71,7 @@ func TestFP16WireCutsA2ABytesAndTime(t *testing.T) {
 func TestOverlapA2AHidesExpertCompute(t *testing.T) {
 	d := Deployment{
 		Machine: sunway.TestMachine(4, 2), RanksPerNode: 1,
-		DataParallel: 1, ExpertParallel: 8,
+		Grid:         layout.Grid{DataParallel: 1, ExpertParallel: 8},
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
 	spec := tinySpec()
@@ -174,7 +175,7 @@ func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 	}
 	d := Deployment{
 		Machine: sunway.TestMachine(4, 1), RanksPerNode: 2,
-		DataParallel: 2, ExpertParallel: 4,
+		Grid:         layout.Grid{DataParallel: 2, ExpertParallel: 4},
 		BatchPerRank: 4, Precision: sunway.Mixed, Efficiency: 0.3,
 	}
 	topo := simnet.New(d.Machine, d.RanksPerNode)

@@ -8,8 +8,10 @@ package perfmodel
 // the machine cannot run.
 
 import (
+	"errors"
 	"fmt"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/sunway"
 )
 
@@ -41,22 +43,11 @@ func (d Deployment) Validate() error {
 		return badConfig("deployment", "non-positive ranks/node=%d or batch/rank=%d",
 			d.RanksPerNode, d.BatchPerRank)
 	}
-	if d.PipelineParallel < 0 || d.VirtualStages < 0 || d.MicroBatches < 0 {
-		return badConfig("pipeline", "negative pipeline knobs pp=%d v=%d m=%d",
-			d.PipelineParallel, d.VirtualStages, d.MicroBatches)
+	if d.MicroBatches < 0 {
+		return badConfig("pipeline", "negative micro-batch count %d", d.MicroBatches)
 	}
-	if d.VPP() > 1 && d.PP() < 2 {
-		return badConfig("pipeline", "virtual stages (V=%d) require a pipeline (PP=%d)",
-			d.VPP(), d.PP())
-	}
-	if d.VPP() > 1 && d.Micro()%d.PP() != 0 {
-		// The interleaved schedule needs the micro count divisible by
-		// the stage count — the same shape the runtime engine rejects.
-		return badConfig("pipeline", "interleaving needs M=%d divisible by PP=%d", d.Micro(), d.PP())
-	}
-	if d.DataParallel*d.ExpertParallel*d.PP() != d.Ranks() {
-		return badConfig("grid", "DP=%d x EP=%d x PP=%d != %d ranks",
-			d.DataParallel, d.ExpertParallel, d.PP(), d.Ranks())
+	if err := d.checkGrid(0); err != nil {
+		return err
 	}
 	if d.Efficiency <= 0 || d.Efficiency > 1 {
 		return badConfig("efficiency", "%v out of (0,1]", d.Efficiency)
@@ -79,13 +70,35 @@ func (d Deployment) ValidateFor(spec ModelSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if spec.MoEEvery > 0 && spec.NumExperts%d.ExpertParallel != 0 {
-		return badConfig("expert-parallel",
-			"%d experts not divisible by EP=%d", spec.NumExperts, d.ExpertParallel)
+	if spec.MoEEvery > 0 {
+		if err := d.checkGrid(spec.NumExperts); err != nil {
+			return err
+		}
 	}
 	if chunks := d.PP() * d.VPP(); spec.Layers < chunks {
 		return badConfig("pipeline", "%d layers cannot fill %d pipeline chunks (PP=%d x V=%d)",
 			spec.Layers, chunks, d.PP(), d.VPP())
 	}
 	return nil
+}
+
+// checkGrid runs the engine's grid check, layout.Grid.Check, on this
+// deployment's ranks and micro-batch count, and names the rejection's
+// field by the axis at fault.
+func (d Deployment) checkGrid(experts int) error {
+	err := d.Check(d.Ranks(), experts, d.Micro())
+	if err == nil {
+		return nil
+	}
+	field := "grid"
+	var at interface{ Axis() string }
+	if errors.As(err, &at) {
+		switch at.Axis() {
+		case layout.AxisPipe:
+			field = "pipeline"
+		case layout.AxisExpert:
+			field = "expert-parallel"
+		}
+	}
+	return badConfig(field, "%v", err)
 }

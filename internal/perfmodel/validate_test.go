@@ -4,13 +4,14 @@ import (
 	"errors"
 	"testing"
 
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/sunway"
 )
 
 func validDeployment() Deployment {
 	return Deployment{
 		Machine: sunway.TestMachine(2, 8), RanksPerNode: 1,
-		DataParallel: 4, ExpertParallel: 4,
+		Grid:         layout.Grid{DataParallel: 4, ExpertParallel: 4},
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
 }
@@ -34,6 +35,18 @@ func TestValidateRejectsGridMismatch(t *testing.T) {
 	d := validDeployment()
 	d.DataParallel = 7
 	wantConfigError(t, d.Validate(), "grid")
+	// Widths below one are rejected even when their product covers the
+	// ranks: a -2 x -4 grid on 8 ranks once priced its all-to-all at 0.
+	for _, g := range []layout.Grid{{DataParallel: -2, ExpertParallel: -4}, {}} {
+		d := Deployment{
+			Machine: sunway.TestMachine(2, 2), RanksPerNode: 2, Grid: g,
+			BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
+		}
+		wantConfigError(t, d.Validate(), "grid")
+		if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
+			t.Fatalf("PredictStep priced grid %+v", g)
+		}
+	}
 }
 
 func TestValidateRejectsNonPositiveDeployment(t *testing.T) {

@@ -4,22 +4,10 @@ import (
 	"fmt"
 
 	"bagualu/internal/data"
-	"bagualu/internal/moe"
-	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/parallel/pipe"
 	"bagualu/internal/sunway"
 )
-
-// CommReporter is implemented by layers that account their wire
-// traffic and exchange-phase time (the distributed MoE layer). Both
-// methods return cumulative counters; the trainer snapshots them
-// around each step and reports the deltas in Metrics.
-type CommReporter interface {
-	WireStats() mpi.WireStats
-	PhaseTiming() moe.Timing
-	Comm() *mpi.Comm
-}
 
 // Config drives a single-rank training run.
 type Config struct {
@@ -45,14 +33,6 @@ type Metrics struct {
 	Skipped  bool // step dropped by loss-scale overflow
 	Overflow int  // MoE capacity overflow count (CapacityDrop mode only; 0 when dropless)
 	Scale    float32
-
-	// Wire traffic and exchange-phase time of this step's MoE
-	// dispatch/combine exchanges (zero when the model has no
-	// CommReporter layers or runs on a single rank). Wire is the
-	// per-step delta of the layers' cumulative counters; Comm is the
-	// matching phase breakdown.
-	Wire mpi.WireStats
-	Comm moe.Timing
 }
 
 // Trainer runs synchronous next-token pretraining of a GPT model on a
@@ -142,15 +122,12 @@ func (t *Trainer) StepCount() int { return t.step }
 func (t *Trainer) Step() Metrics {
 	nn.ZeroGrads(t.params)
 	m := Metrics{Step: t.step}
-	wire0, comm0 := t.commSnapshot()
 	for i := range t.batches {
 		t.batches[i].IDs, t.batches[i].Targets = t.Corpus.Batch(t.Cfg.Batch)
 	}
 	scale := t.MP.LossScale() * (1 / float32(len(t.batches)))
 	m.Loss, m.AuxLoss, m.Overflow = t.Runner.Step(t.batches, scale)
-	m = t.finishStep(m)
-	t.fillComm(&m, wire0, comm0)
-	return m
+	return t.finishStep(m)
 }
 
 // finishStep runs the precision policy, gradient sync hook, clipping,
@@ -176,33 +153,4 @@ func (t *Trainer) finishStep(m Metrics) Metrics {
 	m.Scale = t.MP.LossScale()
 	t.step++
 	return m
-}
-
-// commSnapshot sums the cumulative wire and phase counters over the
-// model's CommReporter layers.
-// Layers sharing one communicator share one wire counter, so those
-// are deduped by comm identity; phase time is per-layer and summed
-// directly.
-func (t *Trainer) commSnapshot() (mpi.WireStats, moe.Timing) {
-	var ws mpi.WireStats
-	var tm moe.Timing
-	seen := map[*mpi.Comm]bool{}
-	for _, b := range t.Model.Blocks {
-		if l, ok := b.FFN.(CommReporter); ok {
-			tm = tm.Add(l.PhaseTiming())
-			if c := l.Comm(); !seen[c] {
-				seen[c] = true
-				ws.Add(l.WireStats())
-			}
-		}
-	}
-	return ws, tm
-}
-
-// fillComm records the step's comm deltas against a pre-step
-// snapshot.
-func (t *Trainer) fillComm(m *Metrics, wire0 mpi.WireStats, comm0 moe.Timing) {
-	ws, tm := t.commSnapshot()
-	m.Wire = ws.Sub(wire0)
-	m.Comm = tm.Sub(comm0)
 }

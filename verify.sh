@@ -20,10 +20,14 @@ if [ -n "$unformatted" ]; then exit 1; fi
 # the corpus, the pipeline runner sits below the trainer that drives it
 # (train imports pipe, never the reverse) and below the engine, and a
 # communicator's supernode grouping is derived in mpi alone
-# (Comm.Supernodes) — no other program code asks the topology.
+# (Comm.Supernodes) — no other program code asks the topology. The
+# process grid (internal/parallel/layout) stands on nothing else of the
+# repo, so the analytic model reads it without linking the engine.
 if go list -deps ./internal/ckpt | grep -x 'bagualu/internal/train'; then exit 1; fi
 if go list -deps ./internal/serve/... | grep -xE 'bagualu/internal/(train|data)'; then exit 1; fi
 if go list -deps ./internal/parallel/pipe | grep -xE 'bagualu/internal/(train|parallel)'; then exit 1; fi
+if go list -deps ./internal/parallel/layout | grep '^bagualu/internal/' | grep -vx 'bagualu/internal/parallel/layout'; then exit 1; fi
+if go list -deps ./internal/perfmodel | grep -x 'bagualu/internal/parallel'; then exit 1; fi
 if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
 go test -race ./...
 go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled' ./internal/...
