@@ -57,7 +57,7 @@ func BenchmarkGroupedExpertFFN(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				out, st := eg.Forward(x, off)
-				eg.Backward(dout, st)
+				eg.Backward(dout, st, nil)
 				_ = out
 			}
 		})

@@ -156,7 +156,7 @@ func expR14a(*options) []*metrics.Table {
 		eg := nn.NewExpertGroup(ffns)
 		grouped := bestOf(reps, func() {
 			_, st := eg.Forward(x, off)
-			eg.Backward(dout, st)
+			eg.Backward(dout, st, nil)
 		})
 		looped := bestOf(reps, func() {
 			for e := range ffns {

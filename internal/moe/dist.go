@@ -127,6 +127,8 @@ type DistMoE struct {
 	// Combine results (y rows per source), kept until Backward needs
 	// them for combine-weight gradients.
 	comb [2]*mpi.RecvBuf
+
+	wg *nn.WeightGrads // see DeferWeightGrads
 }
 
 // Timing accumulates wall-clock seconds per MoE phase across steps;
@@ -507,7 +509,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		ord:       &m.ord,
 		backward:  true,
 		compute: func(l int, dy *tensor.Tensor, _ []int) *tensor.Tensor {
-			return m.group.Backward(dy, m.st[l])
+			return m.group.Backward(dy, m.st[l], m.expertWG())
 		},
 	})
 	m.Time = m.Time.Add(rt.mirrored())
@@ -527,7 +529,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Shadow replicas: grouped local backward, then gradients reduced
 	// to the expert's owner.
 	if shadowDy != nil {
-		dxe := m.shadowGroup.Backward(shadowDy, m.shadowSt)
+		dxe := m.shadowGroup.Backward(shadowDy, m.shadowSt, nil)
 		for i, e := range m.shadowList {
 			base := m.shadowOff[i]
 			for j, ref := range m.shadowRefs[e] {
@@ -546,6 +548,25 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tensor.AddInPlace(dx, m.Gate.Backward(dWeights))
 	releaseLegs(&m.comb)
 	return dx
+}
+
+// DeferWeightGrads makes Backward record the gate projection's and
+// the experts' weight-gradient products into w (nil: run them), and
+// leave the weight half of the expert backward's virtual-clock charge
+// for when they run.
+func (m *DistMoE) DeferWeightGrads(w *nn.WeightGrads) {
+	m.wg = w
+	m.Gate.Proj.DeferWeightGrads(w)
+}
+
+// expertWG is where the expert backward's weight products go: nowhere
+// deferred while shadow replicas are on, since their gradients reduce
+// onto the owners inside Backward, after every product has run.
+func (m *DistMoE) expertWG() *nn.WeightGrads {
+	if len(m.shadowList) > 0 {
+		return nil
+	}
+	return m.wg
 }
 
 // Params returns the gate and the *local* expert shard. Gate

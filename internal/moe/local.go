@@ -34,6 +34,8 @@ type LocalMoE struct {
 	dwPtrs [][]float32
 
 	inferStats InferStats // last Infer call; see infer.go
+
+	wg *nn.WeightGrads // see DeferWeightGrads
 }
 
 // slot records where a token's copy landed inside an expert batch.
@@ -199,7 +201,7 @@ func (m *LocalMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 	// Grouped expert backward, scattering input grads back to tokens.
 	dx := tensor.New(tokens, d)
-	dxFlat := m.group.Backward(dy, m.gst)
+	dxFlat := m.group.Backward(dy, m.gst, m.wg)
 	for e, g := range m.gather {
 		base := offs[e]
 		for i, t := range g {
@@ -249,6 +251,13 @@ func (m *LocalMoE) Restore(st any, x *tensor.Tensor) {
 func (m *LocalMoE) Forget() {
 	m.Gate.forget()
 	m.routing, m.perTok, m.outputs, m.gst, m.slotBuf, m.gather, m.off = nil, nil, nil, nil, nil, nil, nil
+}
+
+// DeferWeightGrads makes Backward record the gate projection's and
+// the experts' weight-gradient products into w (nil: run them).
+func (m *LocalMoE) DeferWeightGrads(w *nn.WeightGrads) {
+	m.wg = w
+	m.Gate.Proj.DeferWeightGrads(w)
 }
 
 // Params returns gate plus all expert parameters.

@@ -225,18 +225,28 @@ func packLeg(rb *mpi.RecvBuf, ord [][]rowRef, rows, d int) (*tensor.Tensor, []in
 }
 
 // chargeCompute advances the virtual clock by the expert GEMM time at
-// SimRate FLOP/s (two d×hidden matmuls per row forward, double that
-// backward). No-op when SimRate is unset.
+// SimRate FLOP/s: two d×hidden matmuls per row forward, double that
+// backward, whose weight-gradient half is charged when the products it
+// deferred run (see DeferWeightGrads). No-op when SimRate is unset.
 func (m *DistMoE) chargeCompute(rows int, backward bool) {
 	if m.SimRate <= 0 {
 		return
 	}
-	f := expertFlops(rows, m.Cfg.Dim, m.hidden)
+	s := expertFlops(rows, m.Cfg.Dim, m.hidden) / m.SimRate
 	if backward {
-		f *= 2
+		if wg := m.expertWG(); wg != nil {
+			wg.Then(func() { m.charge(s) })
+		} else {
+			s *= 2
+		}
 	}
-	m.comm.Compute(f / m.SimRate)
-	m.Time.ExpertSim += f / m.SimRate
+	m.charge(s)
+}
+
+// charge advances the rank's clock by s seconds of expert GEMM.
+func (m *DistMoE) charge(s float64) {
+	m.comm.Compute(s)
+	m.Time.ExpertSim += s
 }
 
 // legRow returns row pos of the chunk src returned, from whichever leg

@@ -197,6 +197,13 @@ func (m *MultiHeadAttention) forget() {
 	m.QProj.x, m.KProj.x, m.VProj.x, m.OProj.x = nil, nil, nil, nil
 }
 
+// DeferWeightGrads points the four projections' dW at w.
+func (m *MultiHeadAttention) DeferWeightGrads(w *WeightGrads) {
+	for _, l := range []*Linear{m.QProj, m.KProj, m.VProj, m.OProj} {
+		l.DeferWeightGrads(w)
+	}
+}
+
 // Params returns the four projections' parameters.
 func (m *MultiHeadAttention) Params() []*Param {
 	ps := m.QProj.Params()
@@ -259,6 +266,15 @@ func (b *TransformerBlock) stash() *blockStash {
 func (b *TransformerBlock) restore(s *blockStash) {
 	b.Attn.restore(s.attn, b.LN1.restore(s.ln1))
 	stasher(b.FFN).Restore(s.ffn, b.LN2.restore(s.ln2))
+}
+
+// deferWeightGrads points the block's weight-gradient products at w:
+// the attention projections' and, when it can defer, the FFN slot's.
+func (b *TransformerBlock) deferWeightGrads(w *WeightGrads) {
+	b.Attn.DeferWeightGrads(w)
+	if d, ok := b.FFN.(WeightGradDeferrer); ok {
+		d.DeferWeightGrads(w)
+	}
 }
 
 func (b *TransformerBlock) forget() {

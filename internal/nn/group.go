@@ -99,16 +99,17 @@ func (g *ExpertGroup) Forward(x *tensor.Tensor, off []int) (*tensor.Tensor, *Gro
 }
 
 // Backward accumulates every member's parameter gradients for the
-// pass captured in st and returns the flat input gradient.
-func (g *ExpertGroup) Backward(dout *tensor.Tensor, st *GroupState) *tensor.Tensor {
+// pass captured in st — the weight products into wg when it is non-nil
+// (see WeightGrads) — and returns the flat input gradient.
+func (g *ExpertGroup) Backward(dout *tensor.Tensor, st *GroupState, wg *WeightGrads) *tensor.Tensor {
 	rows := dout.Shape[0]
 	off := st.Off
-	tensor.GroupedMatMulTransAInto(g.downG, st.Act, dout, off)
+	wg.addGroupedTransA(g.downG, st.Act, dout, off)
 	g.addBiasGrad(dout, off, g.downBG)
 	dact := tensor.New(rows, g.hidden)
 	tensor.GroupedMatMulTransBInto(dact, dout, off, g.downW)
 	dup := tensor.Mul(dact, tensor.GELUGrad(st.Up))
-	tensor.GroupedMatMulTransAInto(g.upG, st.X, dup, off)
+	wg.addGroupedTransA(g.upG, st.X, dup, off)
 	g.addBiasGrad(dup, off, g.upBG)
 	dx := tensor.New(rows, g.dim)
 	tensor.GroupedMatMulTransBInto(dx, dup, off, g.upW)

@@ -62,7 +62,7 @@ func runGroupVsLoop(t *testing.T, d, hidden int, rows []int) {
 	dout := tensor.Randn(r, 1, total, d)
 
 	out, st := eg.Forward(x, off)
-	dx := eg.Backward(dout, st)
+	dx := eg.Backward(dout, st, nil)
 
 	dxWant := tensor.New(total, d)
 	for e := range looped {
@@ -112,7 +112,7 @@ func TestExpertGroupEmptyBlocksAndReuse(t *testing.T) {
 
 	for pass := 0; pass < 2; pass++ {
 		out, st := eg.Forward(x, off)
-		eg.Backward(dout, st)
+		eg.Backward(dout, st, nil)
 		if out.Shape[0] != 6 {
 			t.Fatalf("out rows %d, want 6", out.Shape[0])
 		}

@@ -105,12 +105,14 @@ func (g *GPT) recomputes(i int) bool {
 // and replays its forward in BackwardPass. Any other block keeps its
 // caches: in its layers while the pass is the only one in flight (as
 // in Forward), or moved out into the Pass by Stash while other passes
-// run (as in a pipeline).
+// run (as in a pipeline). A backward split by BackwardInput leaves its
+// weight-gradient products in the Pass for BackwardWeights.
 type Pass struct {
 	lo     int
 	blocks []blockPass
 	ids    []int      // the embedding's, stashed when the run starts the model
 	head   *normStash // the final norm's, stashed when the run ends the model
+	wgrads WeightGrads
 }
 
 type blockPass struct {
@@ -179,6 +181,25 @@ func (g *GPT) Stash(p *Pass) {
 // embeddings when the run starts the model — and returns the gradient
 // flowing into the run's first block. p is empty afterwards.
 func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor) *tensor.Tensor {
+	return g.backward(p, d, nil)
+}
+
+// BackwardInput is BackwardPass with every weight-gradient product
+// recorded in p instead of run (see WeightGrads): the input gradient
+// is ready without them. p, and the tensors the products read — d
+// included — must stay untouched until BackwardWeights(p) runs them.
+func (g *GPT) BackwardInput(p *Pass, d *tensor.Tensor) *tensor.Tensor {
+	return g.backward(p, d, &p.wgrads)
+}
+
+// BackwardWeights runs the weight-gradient products BackwardInput
+// recorded in p, in the order it recorded them. p is empty afterwards.
+func (g *GPT) BackwardWeights(p *Pass) { p.wgrads.Run() }
+
+func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads) *tensor.Tensor {
+	if wg != nil {
+		g.deferWeightGrads(p, wg)
+	}
 	if g.endsModel(p) {
 		if p.head != nil {
 			g.Head.Restore(g.FinalLN.restore(*p.head))
@@ -196,15 +217,29 @@ func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor) *tensor.Tensor {
 		}
 		d = b.Backward(d)
 	}
-	clear(p.blocks)
-	p.blocks = p.blocks[:0]
 	if g.startsModel(p) {
 		if p.ids != nil {
 			g.TokEmbed.ids, p.ids = p.ids, nil
 		}
 		g.embedBackward(d)
 	}
+	if wg != nil {
+		g.deferWeightGrads(p, nil)
+	}
+	clear(p.blocks)
+	p.blocks = p.blocks[:0]
 	return d
+}
+
+// deferWeightGrads points the weight-gradient products of every layer
+// pass p ran at w, the head's included when the run ends the model.
+func (g *GPT) deferWeightGrads(p *Pass, w *WeightGrads) {
+	for _, b := range g.Blocks[p.lo : p.lo+len(p.blocks)] {
+		b.deferWeightGrads(w)
+	}
+	if g.endsModel(p) {
+		g.Head.DeferWeightGrads(w)
+	}
 }
 
 // NewGPT constructs the model. ffn may be nil for dense FFN blocks.

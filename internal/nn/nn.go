@@ -111,7 +111,8 @@ type Linear struct {
 	Weight  *Param
 	Bias    *Param // nil when constructed without bias
 
-	x *tensor.Tensor // cached input
+	x  *tensor.Tensor // cached input
+	wg *WeightGrads   // where Backward's dW goes; nil runs it at once
 }
 
 // NewLinear constructs a Xavier-initialized dense layer.
@@ -139,10 +140,10 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW = xᵀ@dout, db = Σrows(dout) and returns
-// dx = dout@Wᵀ.
+// Backward accumulates dW = xᵀ@dout (or records it, see
+// DeferWeightGrads), db = Σrows(dout) and returns dx = dout@Wᵀ.
 func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	tensor.AddInPlace(l.Weight.G, tensor.MatMulTransA(l.x, dout))
+	l.wg.addTransA(l.Weight.G, l.x, dout)
 	if l.Bias != nil {
 		tensor.AddInPlace(l.Bias.G, tensor.SumRows(dout))
 	}
@@ -153,6 +154,9 @@ func (l *Linear) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // for a layer that stashes it (moe.Gate's projection).
 func (l *Linear) Restore(x *tensor.Tensor) { l.x = x }
 func (l *Linear) Forget()                  { l.x = nil }
+
+// DeferWeightGrads makes Backward record dW into w (nil: run it).
+func (l *Linear) DeferWeightGrads(w *WeightGrads) { l.wg = w }
 
 // Params returns the layer's parameters.
 func (l *Linear) Params() []*Param {
@@ -400,6 +404,12 @@ func (f *FeedForward) Restore(st any, x *tensor.Tensor) {
 // Forget empties the three layers' caches.
 func (f *FeedForward) Forget() { f.Up.x, f.Act.x, f.Down.x = nil, nil, nil }
 
+// DeferWeightGrads points both projections' dW at w.
+func (f *FeedForward) DeferWeightGrads(w *WeightGrads) {
+	f.Up.DeferWeightGrads(w)
+	f.Down.DeferWeightGrads(w)
+}
+
 // Params returns all MLP parameters.
 func (f *FeedForward) Params() []*Param {
 	return append(f.Up.Params(), f.Down.Params()...)
@@ -433,15 +443,16 @@ func (f *FeedForward) ForwardState(x *tensor.Tensor) (*tensor.Tensor, *FFNState)
 }
 
 // BackwardState accumulates parameter gradients for the pass captured
-// in st and returns the input gradient.
+// in st (the weight products where the projections' Backward puts
+// theirs) and returns the input gradient.
 func (f *FeedForward) BackwardState(dout *tensor.Tensor, st *FFNState) *tensor.Tensor {
-	tensor.AddInPlace(f.Down.Weight.G, tensor.MatMulTransA(st.act, dout))
+	f.Down.wg.addTransA(f.Down.Weight.G, st.act, dout)
 	if f.Down.Bias != nil {
 		tensor.AddInPlace(f.Down.Bias.G, tensor.SumRows(dout))
 	}
 	dact := tensor.MatMulTransB(dout, f.Down.Weight.W)
 	dup := tensor.Mul(dact, tensor.GELUGrad(st.up))
-	tensor.AddInPlace(f.Up.Weight.G, tensor.MatMulTransA(st.x, dup))
+	f.Up.wg.addTransA(f.Up.Weight.G, st.x, dup)
 	if f.Up.Bias != nil {
 		tensor.AddInPlace(f.Up.Bias.G, tensor.SumRows(dup))
 	}

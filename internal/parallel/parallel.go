@@ -154,10 +154,11 @@ type Engine struct {
 	Model    *nn.GPT
 	Trainer  *train.Trainer
 
-	// The global chunk partition and per-chunk analytic forward FLOPs
-	// the stage's runner prices on the virtual clock.
-	part          []pipe.Chunk
-	chunkFwdFlops []float64
+	// The global chunk partition and per-chunk analytic forward and
+	// weight-gradient FLOPs the stage's runner prices on the virtual
+	// clock.
+	part                           []pipe.Chunk
+	chunkFwdFlops, chunkWGradFlops []float64
 
 	moeLayers    []*moe.DistMoE
 	denseParams  []*nn.Param
@@ -340,10 +341,10 @@ func (e *Engine) repartitionParams() {
 
 // buildRunner installs the stage's schedule runner for the current
 // partition into the trainer, with the micro-batch count the trainer was
-// built with, and (re)builds the per-chunk analytic forward-FLOP table
-// it prices.
+// built with, and (re)builds the per-chunk analytic FLOP tables it
+// prices.
 func (e *Engine) buildRunner() {
-	e.chunkFwdFlops = e.chunkForwardFlops()
+	e.chunkFwdFlops, e.chunkWGradFlops = e.chunkFlops()
 	e.Trainer.Runner = &pipe.Runner{
 		Stages:  e.Strategy.PP(),
 		Virtual: e.Strategy.VPP(),
@@ -359,16 +360,24 @@ func (e *Engine) buildRunner() {
 			}
 			return e.chunkFwdFlops[g] / e.computeRate
 		},
+		WGradSeconds: func(g int) float64 {
+			if e.computeRate <= 0 {
+				return 0
+			}
+			return e.chunkWGradFlops[g] / e.computeRate
+		},
 		Meter: e.phases,
 	}
 }
 
-// chunkForwardFlops prices one micro-batch forward pass of each global
-// chunk: 2 FLOPs per active parameter per token plus the attention
-// quadratic term (a backward is twice that). The expert share is
+// chunkFlops prices one micro-batch forward pass of each global chunk:
+// 2 FLOPs per active parameter per token plus the attention quadratic
+// term (a backward is twice that), and the weight-gradient share of
+// the backward, 2 FLOPs per active parameter per token (the input
+// half keeps the quadratic term's backward). The expert share is
 // included only when the MoE layers do not self-charge their GEMMs
 // inline on the virtual clock.
-func (e *Engine) chunkForwardFlops() []float64 {
+func (e *Engine) chunkFlops() (fwd, wgrad []float64) {
 	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
 	self := e.moeSelfCharges()
 	sharded := map[*nn.Param]bool{}
@@ -377,7 +386,7 @@ func (e *Engine) chunkForwardFlops() []float64 {
 			sharded[p] = true
 		}
 	}
-	out := make([]float64, len(e.part))
+	fwd, wgrad = make([]float64, len(e.part)), make([]float64, len(e.part))
 	for g, c := range e.part {
 		var active float64
 		var ps []*nn.Param
@@ -402,9 +411,10 @@ func (e *Engine) chunkForwardFlops() []float64 {
 		}
 		active += float64(nn.NumParams(ps))
 		quad := 4 * float64(c.Blocks()) * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
-		out[g] = tokens * (2*active + quad)
+		fwd[g] = tokens * (2*active + quad)
+		wgrad[g] = tokens * 2 * active
 	}
-	return out
+	return fwd, wgrad
 }
 
 // replicaGroups names the engine's two replication groups: dense

@@ -57,8 +57,12 @@ type OpKind uint8
 const (
 	// Fwd runs a chunk's forward pass for one micro-batch.
 	Fwd OpKind = iota
-	// Bwd restores the chunk's stashed pass and runs its backward.
+	// Bwd restores the chunk's stashed pass and runs its backward. On
+	// a chunk with an upstream boundary it is the input half only (B):
+	// the input gradient goes upstream before any weight-gradient GEMM.
 	Bwd
+	// WGrad runs the weight-gradient GEMMs its chunk's Bwd deferred (W).
+	WGrad
 )
 
 // Op is one schedule entry: run Kind on local chunk Chunk (0..V-1)
@@ -70,11 +74,7 @@ type Op struct {
 }
 
 func (o Op) String() string {
-	k := "F"
-	if o.Kind == Bwd {
-		k = "B"
-	}
-	return fmt.Sprintf("%s(c%d,m%d)", k, o.Chunk, o.MB)
+	return fmt.Sprintf("%c(c%d,m%d)", "FBW"[o.Kind], o.Chunk, o.MB)
 }
 
 // Schedule1F1B returns the classic one-forward-one-backward schedule
@@ -149,11 +149,30 @@ func ScheduleInterleaved(stage, stages, virtual, micro int) []Op {
 	return ops
 }
 
-// Schedule picks the schedule for the stage: 1F1B when virtual == 1,
-// interleaved otherwise.
+// Schedule picks the schedule for the stage — 1F1B when virtual == 1,
+// interleaved otherwise — and splits the backward of every chunk with
+// an upstream boundary (global chunk > 0): W(c,m) runs right after
+// B(c,m), once the input gradient is on its way upstream, so the
+// upstream stage no longer waits for this one's weight GEMMs. Global
+// chunk 0 sends nothing upstream and keeps its backward fused, as does
+// every one-stage schedule.
 func Schedule(stage, stages, virtual, micro int) []Op {
+	var ops []Op
 	if virtual <= 1 {
-		return Schedule1F1B(stage, stages, micro)
+		ops = Schedule1F1B(stage, stages, micro)
+	} else {
+		ops = ScheduleInterleaved(stage, stages, virtual, micro)
 	}
-	return ScheduleInterleaved(stage, stages, virtual, micro)
+	out := make([]Op, 0, 3*len(ops)/2)
+	for _, op := range ops {
+		out = append(out, op)
+		if op.Kind == Bwd && splits(op.Chunk*stages+stage) {
+			out = append(out, Op{WGrad, op.Chunk, op.MB})
+		}
+	}
+	return out
 }
+
+// splits reports whether global chunk g's backward runs as B then W:
+// every chunk with an upstream boundary.
+func splits(g int) bool { return g > 0 }

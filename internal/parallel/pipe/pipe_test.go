@@ -35,11 +35,17 @@ func TestPartitionLayers(t *testing.T) {
 func simulate(t *testing.T, stages, virtual, micro int) {
 	t.Helper()
 	scheds := make([][]Op, stages)
+	remaining := 0
 	for s := range scheds {
 		scheds[s] = Schedule(s, stages, virtual, micro)
-		if len(scheds[s]) != 2*virtual*micro {
-			t.Fatalf("stage %d: %d ops, want %d", s, len(scheds[s]), 2*virtual*micro)
+		want := 3 * virtual * micro // F, B and W of every pass …
+		if s == 0 {
+			want -= micro // … but global chunk 0's, which has no W
 		}
+		if len(scheds[s]) != want {
+			t.Fatalf("stage %d: %d ops, want %d", s, len(scheds[s]), want)
+		}
+		remaining += want
 	}
 	last := stages*virtual - 1
 	type key struct {
@@ -49,8 +55,11 @@ func simulate(t *testing.T, stages, virtual, micro int) {
 	done := map[key]bool{}
 	ready := func(stage int, op Op) bool {
 		g := op.Chunk*stages + stage
-		if op.Kind == Fwd {
+		switch op.Kind {
+		case Fwd:
 			return g == 0 || done[key{Fwd, g - 1, op.MB}]
+		case WGrad:
+			return done[key{Bwd, g, op.MB}]
 		}
 		if !done[key{Fwd, g, op.MB}] {
 			return false
@@ -58,7 +67,6 @@ func simulate(t *testing.T, stages, virtual, micro int) {
 		return g == last || done[key{Bwd, g + 1, op.MB}]
 	}
 	pos := make([]int, stages)
-	remaining := 2 * virtual * micro * stages
 	for remaining > 0 {
 		progressed := false
 		for s := 0; s < stages; s++ {
@@ -83,10 +91,11 @@ func simulate(t *testing.T, stages, virtual, micro int) {
 			t.Fatalf("deadlock: S=%d V=%d M=%d, %d ops remaining", stages, virtual, micro, remaining)
 		}
 	}
-	// Completeness: every (chunk, mb) ran forward and backward once.
+	// Completeness: every (chunk, mb) ran forward and backward once,
+	// and its W when the chunk is not global chunk 0.
 	for g := 0; g <= last; g++ {
 		for m := 0; m < micro; m++ {
-			if !done[key{Fwd, g, m}] || !done[key{Bwd, g, m}] {
+			if !done[key{Fwd, g, m}] || !done[key{Bwd, g, m}] || done[key{WGrad, g, m}] != (g > 0) {
 				t.Fatalf("chunk %d mb %d incomplete", g, m)
 			}
 		}
@@ -139,6 +148,64 @@ func TestBackwardAscendingPerChunk(t *testing.T) {
 	check(2, 2, 4)
 	check(4, 2, 8)
 	check(3, 2, 6)
+}
+
+// TestScheduleSplitsBackward checks, for every S ≤ 5, V ≤ 3 and valid
+// M, that each (chunk, micro-batch) has exactly one F and one B, that
+// each chunk with global index > 0 has exactly one W per micro-batch,
+// right after its B (global chunk 0 has none: its backward stays
+// fused), and that a chunk's W ops run in ascending micro-batch order —
+// the order its fused backwards added gradients in.
+func TestScheduleSplitsBackward(t *testing.T) {
+	for S := 1; S <= 5; S++ {
+		for V := 1; V <= 3; V++ {
+			for M := 1; M <= 12; M++ {
+				if V > 1 && (S == 1 || M%S != 0) {
+					continue
+				}
+				for stage := 0; stage < S; stage++ {
+					ops := Schedule(stage, S, V, M)
+					count := map[Op]int{}
+					lastW := make([]int, V)
+					for v := range lastW {
+						lastW[v] = -1
+					}
+					for i, op := range ops {
+						count[op]++
+						if op.Kind != WGrad {
+							continue
+						}
+						if i == 0 || ops[i-1] != (Op{Bwd, op.Chunk, op.MB}) {
+							t.Fatalf("S=%d V=%d M=%d stage %d: %v does not follow its B", S, V, M, stage, op)
+						}
+						if op.MB <= lastW[op.Chunk] {
+							t.Fatalf("S=%d V=%d M=%d stage %d: %v after W of mb %d", S, V, M, stage, op, lastW[op.Chunk])
+						}
+						lastW[op.Chunk] = op.MB
+					}
+					for v := 0; v < V; v++ {
+						split := v*S+stage > 0
+						for m := 0; m < M; m++ {
+							w := 0
+							if split {
+								w = 1
+							}
+							if count[Op{Fwd, v, m}] != 1 || count[Op{Bwd, v, m}] != 1 || count[Op{WGrad, v, m}] != w {
+								t.Fatalf("S=%d V=%d M=%d stage %d chunk %d mb %d: %d F, %d B, %d W",
+									S, V, M, stage, v, m, count[Op{Fwd, v, m}], count[Op{Bwd, v, m}], count[Op{WGrad, v, m}])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := (Op{WGrad, 1, 3}).String(); got != "W(c1,m3)" {
+		t.Fatalf("W op prints %q", got)
+	}
+	if got := (Op{Bwd, 0, 2}).String(); got != "B(c0,m2)" {
+		t.Fatalf("B op prints %q", got)
+	}
 }
 
 // TestScheduleWarmupDepth pins the 1F1B memory bound: the number of

@@ -58,9 +58,12 @@ type Runner struct {
 	// FwdSeconds returns the virtual seconds to charge for one executed
 	// forward pass of global chunk g (backward charges twice that; a
 	// replay, the share of the chunk's blocks the recompute policy
-	// marks). The engine prices dense FLOPs here; self-charging MoE
-	// layers price their own GEMMs. Nil charges nothing.
-	FwdSeconds func(g int) float64
+	// marks). WGradSeconds returns the share of that backward its
+	// weight-gradient GEMMs take: a split backward charges it in W and
+	// the rest in B. The engine prices dense FLOPs here; self-charging
+	// MoE layers price their own GEMMs. Nil charges nothing.
+	FwdSeconds   func(g int) float64
+	WGradSeconds func(g int) float64
 
 	// Meter receives bubble time (metrics.PhaseBubble): virtual seconds
 	// this stage spent blocked on boundary recvs, and the chunk compute
@@ -71,16 +74,15 @@ type Runner struct {
 	loss nn.SoftmaxCrossEntropy
 
 	// passes[v][mb] is the pass of (chunk v, micro-batch mb) between its
-	// forward and its backward, nil otherwise; spare holds passes a
-	// backward emptied. dlogits[mb] is the last stage's logits gradient,
-	// computed at forward time, and kept[mb] the copy it lives in while
-	// other passes run; dgrad is the gradient recv buffer; sends the
+	// forward and its backward — its W, when the backward is split —
+	// nil otherwise; spare holds passes a backward emptied. dlogits[mb]
+	// is the last stage's logits gradient, computed at forward time, and
+	// kept[mb] the copy it lives in while other passes run; sends the
 	// boundary sends of this step.
 	passes  [][]*nn.Pass
 	spare   []*nn.Pass
 	dlogits []*tensor.Tensor
 	kept    []*tensor.Tensor
-	dgrad   *tensor.Tensor
 	sends   []*mpi.Request
 	sched   []Op
 }
@@ -114,12 +116,12 @@ func (r *Runner) init() {
 	}
 	r.dlogits = make([]*tensor.Tensor, r.Micro)
 	r.kept = make([]*tensor.Tensor, r.Micro)
-	r.dgrad = tensor.New(r.Rows, r.Model.Cfg.Dim)
 	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
 }
 
 // Stashed returns how many (chunk, micro-batch) passes are between
-// their forward and their backward: zero outside Step.
+// their forward and their backward, or still waiting for their W:
+// zero outside Step.
 func (r *Runner) Stashed() int {
 	n := 0
 	for _, row := range r.passes {
@@ -146,17 +148,27 @@ func (r *Runner) send(dst, tag int, data []float32) {
 	r.sends = append(r.sends, r.Comm.Start(func() { r.Comm.SendPooled(dst, tag, data) }))
 }
 
-// charge prices passes forward passes of chunk g on the virtual clock
-// and meters them under each of phases.
-func (r *Runner) charge(g int, passes float64, phases ...string) {
-	if r.FwdSeconds == nil {
+// seconds prices chunk g: one forward pass, and the weight-gradient
+// share of its backward.
+func (r *Runner) seconds(g int) (fwd, wgrad float64) {
+	if r.FwdSeconds != nil {
+		fwd = r.FwdSeconds(g)
+	}
+	if r.WGradSeconds != nil {
+		wgrad = r.WGradSeconds(g)
+	}
+	return fwd, wgrad
+}
+
+// charge advances the virtual clock by s seconds of chunk compute and
+// meters them under each of phases.
+func (r *Runner) charge(s float64, phases ...string) {
+	if s <= 0 {
 		return
 	}
-	if s := r.FwdSeconds(g); s > 0 {
-		r.Comm.Compute(s * passes)
-		for _, ph := range phases {
-			r.Meter.Observe(ph, s*passes)
-		}
+	r.Comm.Compute(s)
+	for _, ph := range phases {
+		r.Meter.Observe(ph, s)
 	}
 }
 
@@ -184,7 +196,8 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32, 
 		p = new(nn.Pass)
 	}
 	out := r.Model.ForwardBlocks(p, c.Lo, c.Hi, x)
-	r.charge(g, 1, metrics.PhaseCompute)
+	fwd, _ := r.seconds(g)
+	r.charge(fwd, metrics.PhaseCompute)
 	if g == r.lastGlobal() {
 		logits := r.Model.HeadForward(out)
 		loss = r.loss.Forward(logits, batches[mb].Targets)
@@ -232,26 +245,47 @@ func (r *Runner) aux(c Chunk) (aux float32, overflow int) {
 // runBackward executes B(v, mb): the chunk's pass comes back (a block
 // the recompute policy marks replays its forward — the replay priced by
 // the marked share of the chunk), the blocks run backward, and the
-// input gradient goes upstream (or into the embeddings).
+// input gradient goes upstream (or into the embeddings). A split
+// backward records its weight-gradient GEMMs in the pass, which stays
+// until W runs them.
 func (r *Runner) runBackward(v, mb int) {
 	g := r.global(v)
+	split := splits(g)
 	p := r.passes[v][mb]
-	r.passes[v][mb] = nil
+	fwd, wgrad := r.seconds(g)
 	if n := p.Replays(); n > 0 {
-		r.charge(g, float64(n)/float64(r.Part[g].Blocks()), metrics.PhaseCompute, metrics.PhaseRecompute)
+		r.charge(fwd*(float64(n)/float64(r.Part[g].Blocks())), metrics.PhaseCompute, metrics.PhaseRecompute)
 	}
-	d := r.dgrad
+	var d *tensor.Tensor
 	if g == r.lastGlobal() {
 		d, r.dlogits[mb] = r.dlogits[mb], nil
 	} else {
+		// A tensor of its own: a split backward's W reads it after
+		// later receives.
+		d = tensor.New(r.Rows, r.Model.Cfg.Dim)
 		r.recvInto(d.Data, (g+1)%r.Stages, bTag(1, g, mb))
 	}
-	dx := r.Model.BackwardPass(p, d)
-	r.spare = append(r.spare, p)
-	r.charge(g, 2, metrics.PhaseCompute)
-	if g != 0 {
-		r.send((g-1)%r.Stages, bTag(1, g-1, mb), dx.Data)
+	if !split {
+		r.passes[v][mb] = nil
+		r.Model.BackwardPass(p, d)
+		r.spare = append(r.spare, p)
+		r.charge(fwd*2, metrics.PhaseCompute)
+		return
 	}
+	dx := r.Model.BackwardInput(p, d)
+	r.charge(fwd*2-wgrad, metrics.PhaseCompute)
+	r.send((g-1)%r.Stages, bTag(1, g-1, mb), dx.Data)
+}
+
+// runWeights executes W(v, mb): the weight-gradient GEMMs the chunk's
+// split backward recorded, in recording order.
+func (r *Runner) runWeights(v, mb int) {
+	p := r.passes[v][mb]
+	r.passes[v][mb] = nil
+	r.Model.BackwardWeights(p)
+	r.spare = append(r.spare, p)
+	_, wgrad := r.seconds(r.global(v))
+	r.charge(wgrad, metrics.PhaseCompute)
 }
 
 // Step executes one full pipeline schedule over the micro-batches and
@@ -288,6 +322,8 @@ func (r *Runner) Step(batches []MicroBatch, lossScale float32) (loss, aux float3
 			overflow += o
 		case Bwd:
 			r.runBackward(op.Chunk, op.MB)
+		case WGrad:
+			r.runWeights(op.Chunk, op.MB)
 		}
 	}
 	for _, s := range r.sends {

@@ -18,7 +18,7 @@ import (
 type MemBreakdown struct {
 	Params       float64 // working weights: dense replicated + expert shard
 	OptState     float64 // device-resident masters + Adam moments
-	Activations  float64 // live activations under the recompute policy
+	Activations  float64 // live activations under the recompute policy, plus held output gradients
 	HostOptState float64 // optimizer state offloaded to the host tier
 
 	TotalGiB float64 // device-resident total (Params+OptState+Activations)
@@ -36,7 +36,8 @@ type MemBreakdown struct {
 //   - activations are the recompute lever: a block that recomputes
 //     keeps only its input (1·d per token) instead of its ~6·d of
 //     intermediates, so RecomputeFraction f scales the standard count
-//     by (1-f) + f/6;
+//     by (1-f) + f/6; a pipelined pass whose backward is split also
+//     holds its ~6·d of output gradients between its B and its W;
 //   - OffloadOptState parks whatever optimizer state remains after
 //     ZeRO in the host tier, trading NodeMemGiB capacity for
 //     HostMemBWGiBs-priced traffic every step (priced in PredictStep).
@@ -68,14 +69,15 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	opt := denseOpt + expertOpt
 
 	// Live activation elements per token per layer: ~6·d with full
-	// caching, 1·d (the block input) for a recomputed block. Each rank
-	// holds the passes its schedule has in flight, each over one chunk
-	// of Layers/(PP·VPP) layers: on the flat grid one pass of every
-	// layer.
+	// caching, 1·d (the block input) for a recomputed block, and ~6·d
+	// more of output gradients (one per weight-gradient GEMM) while a
+	// split backward waits for its W. Each rank holds the passes its
+	// schedule has in flight, each over one chunk of Layers/(PP·VPP)
+	// layers: on the flat grid one pass of every layer.
 	f := d.RecomputeFraction
 	tokensPerRank := float64(d.BatchPerRank * spec.SeqLen)
-	layers := float64(d.peakPasses()) * float64(spec.Layers) / float64(d.PP()*d.VPP())
-	act := tokensPerRank * float64(spec.Dim) * layers * weightB * (6*(1-f) + 1*f)
+	layers := float64(spec.Layers) / float64(d.PP()*d.VPP())
+	act := tokensPerRank * float64(spec.Dim) * layers * weightB * d.peakPasses(6*(1-f)+1*f, 6)
 
 	var hostOpt float64
 	if d.OffloadOptState {
@@ -92,18 +94,29 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	return mb, nil
 }
 
-// peakPasses is the most chunk passes any stage's schedule holds
-// between their forward and their backward: stage 0's warmup forwards
-// plus the one its steady state adds before the first backward, capped
-// by the passes there are. That is S under 1F1B with M ≥ S, and one
-// on the flat grid.
-func (d Deployment) peakPasses() int {
+// peakPasses is the most the chunk passes of any stage's schedule
+// weigh at one moment, a pass weighing act between its forward and its
+// backward and act+dy between a split backward's B and its W. A stage
+// holds the most passes — its warmup forwards plus the one its steady
+// state adds, capped by the passes there are: S under 1F1B with M ≥ S,
+// one on the flat grid — at its first backward, and that backward is
+// split on every stage but the flat grid's and 1F1B's stage 0 (whose
+// one chunk is global chunk 0); no later moment holds more.
+func (d Deployment) peakPasses(act, dy float64) float64 {
 	S, V, M := d.PP(), d.VPP(), d.Micro()
-	warmup := S - 1
-	if V > 1 {
-		warmup = 2*(S-1) + (V-1)*S
+	peak := 0.0
+	for stage := 0; stage < S; stage++ {
+		warmup := S - 1 - stage
+		if V > 1 {
+			warmup = 2*(S-1-stage) + (V-1)*S
+		}
+		w := float64(min(warmup+1, M*V)) * act
+		if stage > 0 || V > 1 {
+			w += dy
+		}
+		peak = max(peak, w)
 	}
-	return min(warmup+1, M*V)
+	return peak
 }
 
 // MaxTrainableParams bisects the largest model (scaling the width of

@@ -135,11 +135,12 @@ func TestPPMemorySharding(t *testing.T) {
 }
 
 // TestMemoryCountsScheduledPasses pins the pipeline activation term to
-// the schedule the runner executes: a rank holds the most chunk passes
-// any stage's pipe.Schedule has between a forward and its backward,
-// each over Layers/(S·V) layers. Under 1F1B that is the flat product;
-// stage 0 of S=4, V=2, M=8 holds 11 passes of L/8 layers, 1.375 layer
-// stacks.
+// the schedule the runner executes: a rank holds the heaviest moment of
+// any stage's pipe.Schedule, a pass weighing its activations between
+// its forward and its backward and its held output gradients too
+// between a split backward's B and its W, each over Layers/(S·V)
+// layers. Stage 0 of S=4, V=2, M=8 holds 11 passes of L/8 layers and
+// one pass's output gradients: 1.5 layer stacks.
 func TestMemoryCountsScheduledPasses(t *testing.T) {
 	for S := 1; S <= 5; S++ {
 		for V := 1; V <= 3; V++ {
@@ -147,21 +148,33 @@ func TestMemoryCountsScheduledPasses(t *testing.T) {
 				if V > 1 && (S == 1 || M%S != 0) {
 					continue
 				}
-				peak := 0
-				for stage := 0; stage < S; stage++ {
-					live := 0
-					for _, op := range pipe.Schedule(stage, S, V, M) {
-						if op.Kind == pipe.Fwd {
-							live++
-						} else {
-							live--
-						}
-						peak = max(peak, live)
-					}
-				}
 				d := Deployment{Grid: layout.Grid{Pipeline: S, Virtual: V}, MicroBatches: M}
-				if got := d.peakPasses(); got != peak {
-					t.Fatalf("S=%d V=%d M=%d: model counts %d passes in flight, the schedule holds %d", S, V, M, got, peak)
+				for _, w := range []struct{ act, dy float64 }{{1, 0}, {0, 1}, {6, 6}, {3.5, 6}} {
+					peak := 0.0
+					for stage := 0; stage < S; stage++ {
+						live, held := 0, 0
+						for _, op := range pipe.Schedule(stage, S, V, M) {
+							split := op.Chunk*S+stage > 0
+							switch {
+							case op.Kind == pipe.Fwd:
+								live++
+							case op.Kind == pipe.Bwd && split:
+								held++
+							case op.Kind == pipe.Bwd:
+								live--
+							default: // W
+								live--
+								held--
+							}
+							peak = max(peak, float64(live)*w.act+float64(held)*w.dy)
+						}
+						if live != 0 || held != 0 {
+							t.Fatalf("S=%d V=%d M=%d stage %d: %d passes, %d held gradients left", S, V, M, stage, live, held)
+						}
+					}
+					if got := d.peakPasses(w.act, w.dy); got != peak {
+						t.Fatalf("S=%d V=%d M=%d weights %v: model counts %v, the schedule holds %v", S, V, M, w, got, peak)
+					}
 				}
 			}
 		}
@@ -178,7 +191,7 @@ func TestMemoryCountsScheduledPasses(t *testing.T) {
 	for _, c := range []struct {
 		s, v, m int
 		stacks  float64
-	}{{2, 1, 2, 1}, {4, 1, 4, 1}, {4, 1, 2, 0.5}, {4, 2, 8, 1.375}, {2, 2, 4, 1.25}} {
+	}{{2, 1, 2, 1}, {4, 1, 4, 1}, {4, 1, 2, 0.75}, {4, 2, 8, 1.5}, {2, 2, 4, 1.5}} {
 		if got := act(ppDeployment(c.s, c.v, c.m)) / flat; math.Abs(got-c.stacks) > 1e-12 {
 			t.Fatalf("S=%d V=%d M=%d: activations %v layer stacks, want %v", c.s, c.v, c.m, got, c.stacks)
 		}

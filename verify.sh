@@ -32,8 +32,11 @@ if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!inter
 go test -race ./...
 go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled' ./internal/...
 # The layer stash and the pipeline runner move caches between passes in
-# flight, and trainers on concurrent goroutines must share no step
-# state: twice more under the race detector.
+# flight — a split backward's B leaves tensors for its W
+# (TestSplitBackwardKeepsItsGradient; its clock,
+# TestSplitBackwardSendsBeforeWeights) — and trainers on concurrent
+# goroutines must share no step state: twice more under the race
+# detector.
 go test -race -count=2 ./internal/nn ./internal/parallel/pipe
 go test -race -count=2 -run TestConcurrentTrainersMatchSequential ./internal/train
 # The amd64 assembly kernels promise the portable Go loops' bits: the
