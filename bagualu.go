@@ -72,8 +72,6 @@ type (
 	GPT = nn.GPT
 	// GateConfig shapes MoE routing.
 	GateConfig = moe.GateConfig
-	// LocalMoE is the single-rank MoE layer.
-	LocalMoE = moe.LocalMoE
 )
 
 // Training.
@@ -211,7 +209,7 @@ func EncodeText(s string) []int   { return data.Encode(s) }
 func DecodeText(ids []int) string { return data.Decode(ids) }
 
 // NewLocalMoE builds a single-rank MoE layer with all experts local.
-func NewLocalMoE(name string, r *RNG, cfg GateConfig, hidden int) *LocalMoE {
+func NewLocalMoE(name string, r *RNG, cfg GateConfig, hidden int) Layer {
 	return moe.NewLocalMoE(name, r, cfg, hidden)
 }
 

@@ -315,7 +315,9 @@ func BenchmarkTrainStep(b *testing.B) {
 	// on train_dense_1rank over 10 alternating pairs of 14 s runs on
 	// 2 vCPU (medians): without it peak RSS falls 113 -> 79 MB, host
 	// tokens/s moves -1.7% (7293 -> 7167) and setup_s +17% (0.158 ->
-	// 0.184 s: the heap re-grows after each set-up's forced GC).
+	// 0.184 s: the heap re-grows after each set-up's forced GC). The
+	// MoE blocks are one-rank DistMoE layers, whose self-copy exchanges
+	// bring the step to about 3,300 allocs/op (2 vCPU), under the gate.
 	gatedLoop(b, "train step", 3190, func() { tr.Step() })
 }
 

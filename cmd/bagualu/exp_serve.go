@@ -56,9 +56,6 @@ func (s serveSetup) workload(o *options, rate float64, tiers []float64) []serve.
 // model builds one rank's replica of the served model.
 func (s serveSetup) model(c *mpi.Comm, codec mpi.Codec) *nn.GPT {
 	return nn.NewGPT(s.gpt, tensor.NewRNG(s.seed), func(_ int, name string, r *tensor.RNG) nn.Layer {
-		if c.Size() == 1 {
-			return moe.NewLocalMoE(name, r, s.gate, s.gpt.FFNHidden)
-		}
 		m := moe.NewDistMoEComm(name, r, s.gate, s.gpt.FFNHidden, c, moe.Hierarchical,
 			moe.CommConfig{Codec: codec, Overlap: true})
 		m.SimRate = serveFLOPS

@@ -58,11 +58,12 @@ func (c CommConfig) String() string {
 	return c.Codec.String() + "/" + mode
 }
 
-// DistMoE is the distributed expert-parallel MoE layer: the total
+// DistMoE is the MoE layer, expert-parallel at every size: the total
 // expert pool is sharded evenly over the ranks of an expert-parallel
 // communicator, and tokens travel to their experts (and back) through
 // an all-to-all exchange each step. It implements nn.Layer for the
-// local token batch.
+// local token batch. A single rank runs it on a one-rank communicator
+// (NewLocalMoE), where the exchange is a self copy.
 //
 // Dispatch and combine run on the mpi wire layer: one flattened,
 // pooled buffer per direction, expert-slot metadata riding inside the
@@ -116,8 +117,8 @@ type DistMoE struct {
 
 	inferStats InferStats // last Infer call; see infer.go
 
-	// Forward caches for backward; see dropForwardCaches.
-	perTok    [][]slot    // slot.pos = index into sendOrder[dst]
+	// Forward caches for backward; see dropForwardCaches. The gate's
+	// routing holds each (token, k)'s combine weight.
 	sendOrder [][]sendRef // per dst rank: which (token, k) produced row i
 	// Per receive leg of the forward round trip (leg 1 is empty unless
 	// overlap is on): the rows each local expert computed, and the
@@ -176,6 +177,13 @@ func (t Timing) mirrored() Timing {
 type sendRef struct{ token, k int }
 
 type rowRef struct{ src, pos int } // src rank chunk, row position
+
+// NewLocalMoE builds the layer for a single rank: every expert is
+// local, on a one-rank communicator of its own (mpi.NewSelf), so
+// dispatch and combine are self copies on no clock.
+func NewLocalMoE(name string, r *tensor.RNG, cfg GateConfig, hidden int) *DistMoE {
+	return NewDistMoE(name, r, cfg, hidden, mpi.NewSelf(), Auto)
+}
 
 // NewDistMoE shards cfg.NumExperts experts over comm with the default
 // wire configuration (FP32, blocking). NumExperts must be divisible
@@ -254,7 +262,7 @@ func (m *DistMoE) dropForwardCaches() {
 
 // dropPass releases the combine legs and drops the exchange caches.
 func (m *DistMoE) dropPass() {
-	m.perTok, m.sendOrder = nil, nil
+	m.sendOrder = nil
 	m.ord, m.st = [2][][]rowRef{}, [2]*nn.GroupState{}
 	releaseLegs(&m.comb)
 }
@@ -265,7 +273,6 @@ func (m *DistMoE) dropPass() {
 // restore.
 type distStash struct {
 	gate       gateStash
-	perTok     [][]slot
 	sendOrder  [][]sendRef
 	ord        [2][][]rowRef
 	st         [2]*nn.GroupState
@@ -285,7 +292,7 @@ func (s *distStash) groupStates() [3]*nn.GroupState {
 // Stash, Restore and Forget make DistMoE an nn.Stasher.
 func (m *DistMoE) Stash() any {
 	s := &distStash{
-		gate: m.Gate.stash(), perTok: m.perTok, sendOrder: m.sendOrder, ord: m.ord, st: m.st, comb: m.comb,
+		gate: m.Gate.stash(), sendOrder: m.sendOrder, ord: m.ord, st: m.st, comb: m.comb,
 		shadowRefs: m.shadowRefs, shadowOuts: m.shadowOuts, shadowSt: m.shadowSt, shadowOff: m.shadowOff,
 	}
 	for _, st := range s.groupStates() {
@@ -306,7 +313,7 @@ func (m *DistMoE) Restore(st any, x *tensor.Tensor) {
 		}
 	}
 	m.Gate.restore(s.gate, x)
-	m.perTok, m.sendOrder, m.ord, m.st, m.comb = s.perTok, s.sendOrder, s.ord, s.st, s.comb
+	m.sendOrder, m.ord, m.st, m.comb = s.sendOrder, s.ord, s.st, s.comb
 	m.shadowRefs, m.shadowOuts, m.shadowSt, m.shadowOff = s.shadowRefs, s.shadowOuts, s.shadowSt, s.shadowOff
 }
 
@@ -318,13 +325,21 @@ func (m *DistMoE) Forget() {
 
 // stageTokens fills the dispatch buffer: x's routed rows per
 // destination in sendOrder order, each tagged with its expert's slot at
-// the owner.
+// the owner (one allocation holds every destination's tags).
 func (m *DistMoE) stageTokens(sb *mpi.SendBuf, x *tensor.Tensor, sendOrder [][]sendRef, assign [][]Assignment) {
+	n := 0
+	for _, refs := range sendOrder {
+		n += len(refs)
+	}
+	slots := make([]int, n)
 	for dst, refs := range sendOrder {
-		for _, ref := range refs {
+		meta := slots[:len(refs):len(refs)]
+		slots = slots[len(refs):]
+		for i, ref := range refs {
 			sb.Append(dst, x.Row(ref.token))
-			sb.AppendMeta(dst, m.slotOf[assign[ref.token][ref.k].Expert])
+			meta[i] = m.slotOf[assign[ref.token][ref.k].Expert]
 		}
+		sb.SetMeta(dst, meta)
 	}
 }
 
@@ -335,7 +350,6 @@ func (m *DistMoE) stageTokens(sb *mpi.SendBuf, x *tensor.Tensor, sendOrder [][]s
 // cross-supernode leg is still in flight.
 func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	tokens, d := x.Shape[0], x.Shape[1]
-	p := m.comm.Size()
 	releaseLegs(&m.comb)
 	if len(m.shadowList) > 0 {
 		m.refreshShadows()
@@ -345,26 +359,17 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	m.Time.Gate += time.Since(t0).Seconds()
 
 	// Route: per-destination row lists; shadowed experts stay local.
-	m.sendOrder = make([][]sendRef, p)
-	m.shadowRefs = make(map[int][]sendRef)
-	m.perTok = make([][]slot, tokens)
-	for t := 0; t < tokens; t++ {
-		as := routing.Assign[t]
-		m.perTok[t] = make([]slot, len(as))
-		for i, a := range as {
-			s := slot{expert: a.Expert, weight: a.Weight, dropped: a.Dropped}
-			if !a.Dropped {
-				if m.isShadowed(a.Expert) {
-					s.shadow = true
-					s.pos = len(m.shadowRefs[a.Expert])
-					m.shadowRefs[a.Expert] = append(m.shadowRefs[a.Expert], sendRef{t, i})
-				} else {
-					dst := m.ownerOf(a.Expert)
-					s.pos = len(m.sendOrder[dst])
-					m.sendOrder[dst] = append(m.sendOrder[dst], sendRef{t, i})
+	assign := routing.Assign
+	m.sendOrder = m.sendLists(assign, func(a Assignment) bool { return !a.Dropped && !m.isShadowed(a.Expert) })
+	m.shadowRefs = nil
+	if len(m.shadowList) > 0 {
+		m.shadowRefs = make(map[int][]sendRef)
+		for t, as := range assign {
+			for k, a := range as {
+				if !a.Dropped && m.isShadowed(a.Expert) {
+					m.shadowRefs[a.Expert] = append(m.shadowRefs[a.Expert], sendRef{t, k})
 				}
 			}
-			m.perTok[t][i] = s
 		}
 	}
 
@@ -372,7 +377,7 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	var rt Timing
 	m.comb, rt = m.roundTrip(trip{
 		sendOrder: m.sendOrder,
-		stage:     func(sb *mpi.SendBuf) { m.stageTokens(sb, x, m.sendOrder, routing.Assign) },
+		stage:     func(sb *mpi.SendBuf) { m.stageTokens(sb, x, m.sendOrder, assign) },
 		ord:       &m.ord,
 		compute: func(l int, in *tensor.Tensor, off []int) *tensor.Tensor {
 			if m.group == nil {
@@ -389,23 +394,53 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(tokens, d)
 	for dst, refs := range m.sendOrder {
 		for i, ref := range refs {
-			s := m.perTok[ref.token][ref.k]
-			y := m.legRow(&m.comb, dst, i, d)
-			row := out.Row(ref.token)
-			for j := range row {
-				row[j] += s.weight * y[j]
-			}
+			tensor.Axpy(out.Row(ref.token), m.legRow(&m.comb, dst, i, d), assign[ref.token][ref.k].Weight)
 		}
 	}
 	for _, e := range m.shadowList {
 		for i, ref := range m.shadowRefs[e] {
-			s := m.perTok[ref.token][ref.k]
-			y := m.shadowOuts[e].Row(i)
-			row := out.Row(ref.token)
-			for j := range row {
-				row[j] += s.weight * y[j]
+			tensor.Axpy(out.Row(ref.token), m.shadowOuts[e].Row(i), assign[ref.token][ref.k].Weight)
+		}
+	}
+	return out
+}
+
+// sendLists lists, per destination rank, the (token, k) of every
+// assignment keep accepts, in token order, each list sized exactly and
+// cut from one allocation.
+func (m *DistMoE) sendLists(assign [][]Assignment, keep func(Assignment) bool) [][]sendRef {
+	rows := make([]int, m.comm.Size())
+	for _, as := range assign {
+		for _, a := range as {
+			if keep(a) {
+				rows[m.ownerOf(a.Expert)]++
 			}
 		}
+	}
+	lists := carve[sendRef](rows)
+	for t, as := range assign {
+		for k, a := range as {
+			if keep(a) {
+				dst := m.ownerOf(a.Expert)
+				lists[dst] = append(lists[dst], sendRef{t, k})
+			}
+		}
+	}
+	return lists
+}
+
+// carve returns one empty slice of capacity sizes[i] per entry, all cut
+// from one backing array.
+func carve[T any](sizes []int) [][]T {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	flat := make([]T, total)
+	out := make([][]T, len(sizes))
+	for i, n := range sizes {
+		out[i] = flat[:0:n]
+		flat = flat[n:]
 	}
 	return out
 }
@@ -414,12 +449,12 @@ func (m *DistMoE) Forward(x *tensor.Tensor) *tensor.Tensor {
 // to them, as their own grouped FFN call in shadowList order. It runs
 // inside the dispatch's in-flight window and involves no all-to-all.
 func (m *DistMoE) forwardShadows(x *tensor.Tensor) {
-	m.shadowOuts = make(map[int]*tensor.Tensor, len(m.shadowList))
-	m.shadowSt = nil
+	m.shadowOuts, m.shadowSt = nil, nil
 	n := len(m.shadowList)
 	if n == 0 {
 		return
 	}
+	m.shadowOuts = make(map[int]*tensor.Tensor, n)
 	soff := make([]int, n+1)
 	srows := 0
 	for i, e := range m.shadowList {
@@ -457,24 +492,30 @@ func (m *DistMoE) forwardShadows(x *tensor.Tensor) {
 func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	tokens, d := dout.Shape[0], dout.Shape[1]
 
-	// Combine-weight gradients for the gate, and ŵ-scaled output
-	// gradients for the experts.
+	// Combine-weight gradients for the gate, per token over one flat
+	// buffer, and ŵ-scaled output gradients for the experts.
+	assign := m.Gate.routing.Assign
+	n := 0
+	for _, as := range assign {
+		n += len(as)
+	}
+	flat := make([]float32, n)
 	dWeights := make([][]float32, tokens)
-	for t := range dWeights {
-		dWeights[t] = make([]float32, len(m.perTok[t]))
+	for t, as := range assign {
+		dWeights[t], flat = flat[:len(as):len(as)], flat[len(as):]
 	}
 	stage := func(sb *mpi.SendBuf) {
 		for dst, refs := range m.sendOrder {
 			chunk := sb.Chunk(dst)
 			for i, ref := range refs {
-				s := m.perTok[ref.token][ref.k]
+				w := assign[ref.token][ref.k].Weight
 				y := m.legRow(&m.comb, dst, i, d)
 				g := dout.Row(ref.token)
 				var dw float64
 				dyRow := chunk[i*d : (i+1)*d]
 				for j := range g {
 					dw += float64(g[j]) * float64(y[j])
-					dyRow[j] = s.weight * g[j]
+					dyRow[j] = w * g[j]
 				}
 				dWeights[ref.token][ref.k] = float32(dw)
 			}
@@ -489,14 +530,14 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		for i, e := range m.shadowList {
 			base := m.shadowOff[i]
 			for j, ref := range m.shadowRefs[e] {
-				s := m.perTok[ref.token][ref.k]
+				w := assign[ref.token][ref.k].Weight
 				y := m.shadowOuts[e].Row(j)
 				g := dout.Row(ref.token)
 				var dw float64
 				dyRow := shadowDy.Row(base + j)
 				for c := range g {
 					dw += float64(g[c]) * float64(y[c])
-					dyRow[c] = s.weight * g[c]
+					dyRow[c] = w * g[c]
 				}
 				dWeights[ref.token][ref.k] = float32(dw)
 			}
@@ -517,11 +558,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	dx := tensor.New(tokens, d)
 	for dst, refs := range m.sendOrder {
 		for i, ref := range refs {
-			src := m.legRow(&ret, dst, i, d)
-			row := dx.Row(ref.token)
-			for j := range row {
-				row[j] += src[j]
-			}
+			tensor.Axpy(dx.Row(ref.token), m.legRow(&ret, dst, i, d), 1)
 		}
 	}
 	releaseLegs(&ret)
@@ -533,11 +570,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		for i, e := range m.shadowList {
 			base := m.shadowOff[i]
 			for j, ref := range m.shadowRefs[e] {
-				row := dx.Row(ref.token)
-				src := dxe.Row(base + j)
-				for c := range row {
-					row[c] += src[c]
-				}
+				tensor.Axpy(dx.Row(ref.token), dxe.Row(base+j), 1)
 			}
 		}
 	}

@@ -9,11 +9,11 @@ import (
 // Inference dispatch path. Serving routes top-k like training but
 // drops everything training-only: no gate noise, no capacity limit
 // (no token is ever dropped at inference), no auxiliary losses, no
-// backward caches, no shadow replicas. The distributed variant still
-// rides the two-phase flattened Exchange — FP16 codec on
-// inter-supernode legs, local experts overlapped with the remote
-// receive — because that wire layer is exactly what an MoE serving
-// engine needs per decode step.
+// backward caches, no shadow replicas. It still rides the two-phase
+// flattened Exchange — FP16 codec on inter-supernode legs, local
+// experts overlapped with the remote receive — because that wire layer
+// is exactly what an MoE serving engine needs per decode step; on one
+// rank the exchange is a self copy.
 //
 // Numerics are batch-invariant end to end: the gate projection uses
 // the naive kernel, softmax and top-k are per-row, expert FFNs run
@@ -27,7 +27,7 @@ import (
 // local rank, for the serving engine's cost model.
 type InferStats struct {
 	// Rows is the number of token-assignment rows the local experts
-	// processed (post-dispatch on the distributed layer).
+	// processed (post-dispatch).
 	Rows int
 	// ActiveExperts is how many local experts saw at least one row —
 	// the number of expert weight sets the step had to touch.
@@ -36,8 +36,8 @@ type InferStats struct {
 	// row: d->hidden, hidden->d).
 	Flops float64
 	// Charged reports whether Flops was already priced onto the
-	// rank's virtual clock (DistMoE does this itself when SimRate is
-	// set; LocalMoE leaves pricing to the caller).
+	// rank's virtual clock: the layer does so itself when SimRate is
+	// set, and leaves it to the caller when SimRate is unset.
 	Charged bool
 }
 
@@ -71,71 +71,7 @@ func (g *Gate) InferRoute(x *tensor.Tensor) [][]Assignment {
 	return assign
 }
 
-// Infer runs the local MoE in inference mode. Stats are recorded with
-// Charged=false: the caller owns pricing of single-rank expert
-// compute.
-func (m *LocalMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
-	tokens, d := x.Shape[0], x.Shape[1]
-	assign := m.Gate.InferRoute(x)
-
-	gather := make([][]int, m.Cfg.NumExperts) // expert -> token rows
-	pos := make([][]int, tokens)              // token,k -> row in expert batch
-	rows := 0
-	for t := 0; t < tokens; t++ {
-		pos[t] = make([]int, len(assign[t]))
-		for k, a := range assign[t] {
-			pos[t][k] = len(gather[a.Expert])
-			gather[a.Expert] = append(gather[a.Expert], t)
-			rows++
-		}
-	}
-
-	outs := make([]*tensor.Tensor, m.Cfg.NumExperts)
-	active := 0
-	hidden := m.Experts[0].Up.Out
-	for e, toks := range gather {
-		if len(toks) == 0 {
-			continue
-		}
-		active++
-		in := tensor.New(len(toks), d)
-		for i, t := range toks {
-			copy(in.Row(i), x.Row(t))
-		}
-		outs[e] = m.Experts[e].Infer(in)
-	}
-
-	out := tensor.New(tokens, d)
-	for t := 0; t < tokens; t++ {
-		row := out.Row(t)
-		for k, a := range assign[t] {
-			y := outs[a.Expert].Row(pos[t][k])
-			for j := range row {
-				row[j] += a.Weight * y[j]
-			}
-		}
-	}
-	m.inferStats = InferStats{Rows: rows, ActiveExperts: active, Flops: expertFlops(rows, d, hidden), Charged: false}
-	return out
-}
-
-// LastInferStats returns the expert-work stats of the last Infer call.
-func (m *LocalMoE) LastInferStats() InferStats { return m.inferStats }
-
-// NumLocalExperts returns how many experts live on this rank (all of
-// them, for the local layer).
-func (m *LocalMoE) NumLocalExperts() int { return len(m.Experts) }
-
-// PerExpertParams returns the parameter count of one expert FFN.
-func (m *LocalMoE) PerExpertParams() int {
-	n := 0
-	for _, p := range m.Experts[0].Params() {
-		n += p.W.Len()
-	}
-	return n
-}
-
-// Infer runs the distributed MoE in inference mode: gate locally,
+// Infer runs the MoE layer in inference mode: gate locally,
 // dispatch token rows to expert owners over the two-phase flattened
 // exchange, run local experts (overlapped with the remote leg when
 // configured), and combine the returned outputs. Ranks with zero
@@ -146,17 +82,10 @@ func (m *LocalMoE) PerExpertParams() int {
 // recorded stats have Charged=true.
 func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 	tokens, d := x.Shape[0], x.Shape[1]
-	p := m.comm.Size()
 	assign := m.Gate.InferRoute(x)
 
 	// Route per destination, in token order. No drops, no shadows.
-	sendOrder := make([][]sendRef, p)
-	for t := 0; t < tokens; t++ {
-		for k, a := range assign[t] {
-			dst := m.ownerOf(a.Expert)
-			sendOrder[dst] = append(sendOrder[dst], sendRef{t, k})
-		}
-	}
+	sendOrder := m.sendLists(assign, func(Assignment) bool { return true })
 
 	var ord [2][][]rowRef
 	ret, _ := m.roundTrip(trip{
@@ -165,14 +94,14 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 		ord:       &ord,
 		compute: func(_ int, in *tensor.Tensor, off []int) *tensor.Tensor {
 			// Per-expert inference forward (batch-invariant, no backward
-			// state) over the packed blocks.
-			y := tensor.New(in.Shape[0], d)
+			// state) over the packed blocks, each block's output written
+			// over the rows it read.
 			for le, f := range m.Experts {
 				if lo, hi := off[le], off[le+1]; hi > lo {
-					copy(y.RowsView(lo, hi).Data, f.Infer(in.RowsView(lo, hi)).Data)
+					copy(in.Data[lo*d:], f.Infer(in.RowsView(lo, hi)).Data)
 				}
 			}
-			return y
+			return in
 		},
 	})
 
@@ -182,12 +111,7 @@ func (m *DistMoE) Infer(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(tokens, d)
 	for dst, refs := range sendOrder {
 		for i, ref := range refs {
-			a := assign[ref.token][ref.k]
-			y := m.legRow(&ret, dst, i, d)
-			o := out.Row(ref.token)
-			for j := range o {
-				o[j] += a.Weight * y[j]
-			}
+			tensor.Axpy(out.Row(ref.token), m.legRow(&ret, dst, i, d), assign[ref.token][ref.k].Weight)
 		}
 	}
 	releaseLegs(&ret)

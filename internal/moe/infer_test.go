@@ -53,8 +53,8 @@ func TestInferRouteMatchesTrainingGate(t *testing.T) {
 	}
 }
 
-// DistMoE.Infer must agree with LocalMoE.Infer built from the same
-// seed (same gate, same experts, different placement), for every wire
+// DistMoE.Infer must agree with the per-token reference built from the
+// same seed (same gate, same experts, all local), for every wire
 // configuration and every refactor-sensitive batch shape, and record
 // self-charged stats when SimRate is set. Each shape's virtual clocks
 // and wire counters are pinned in two digests: the blocking row at the
@@ -81,7 +81,7 @@ func TestDistMoEInferMatchesLocal(t *testing.T) {
 				{Codec: mpi.FP32Wire, Overlap: true},
 				{Codec: mpi.FP16Wire, Overlap: true},
 			} {
-				local := NewLocalMoE("moe", tensor.NewRNG(21), cfg, hidden)
+				ref := newRefMoE("moe", tensor.NewRNG(21), cfg, hidden)
 				outs := make([]*tensor.Tensor, P)
 				stats := make([]InferStats, P)
 				now := make([]float64, P)
@@ -106,10 +106,8 @@ func TestDistMoEInferMatchesLocal(t *testing.T) {
 				}
 				totalRows, wantRows := 0, 0
 				for rank := range outs {
-					// Reference pass outside the world: the shared LocalMoE is
-					// not safe for concurrent Infer (it records per-call stats).
-					if want := local.Infer(tc.input(0, rank, d)); !outs[rank].AllClose(want, tol) {
-						t.Fatalf("%v rank %d: dist infer differs from local infer", cc, rank)
+					if want := ref.forward(tc.input(0, rank, d), true); !outs[rank].AllClose(want, tol) {
+						t.Fatalf("%v rank %d: dist infer differs from the reference", cc, rank)
 					}
 					if !stats[rank].Charged {
 						t.Fatalf("%v rank %d: SimRate set but stats not marked charged", cc, rank)

@@ -286,60 +286,99 @@ func runDist(t *testing.T, algo A2AAlgo, seed uint64) (outs, dxs []*tensor.Tenso
 	return outs, dxs
 }
 
-func TestDistMoEMatchesLocal(t *testing.T) {
-	const P, tokens, d = 4, 6, 8
-	seed := uint64(42)
-	outs, dxs := runDist(t, Auto, seed)
-
-	// Reference: per-rank LocalMoE with the same construction seed
-	// holds all experts with identical weights, so outputs and input
-	// gradients must match exactly.
-	expertGradSum := map[string]*tensor.Tensor{}
-	for rank := 0; rank < P; rank++ {
-		r := tensor.NewRNG(seed)
-		cfg := gateCfg(d, 8, 2)
-		local := NewLocalMoE("moe", r, cfg, 16)
-		xr := tensor.NewRNG(seed + 100 + uint64(rank))
-		x := tensor.Randn(xr, 1, tokens, d)
-		out := local.Forward(x)
-		dx := local.Backward(tensor.Ones(tokens, d))
-		if !outs[rank].AllClose(out, 1e-4) {
-			t.Fatalf("rank %d: DistMoE forward differs from LocalMoE", rank)
+// epRun runs blocks token blocks through the layer sharded over an
+// ep-rank world, rank r taking blocks r, r+ep, ... one pass each, and
+// returns every block's output and input gradient and every expert
+// parameter's accumulated gradient by name.
+func epRun(ep int, algo A2AAlgo, cfg GateConfig, hidden, tokens, blocks int, seed uint64) (outs, dxs []*tensor.Tensor, grads map[string]*tensor.Tensor) {
+	outs = make([]*tensor.Tensor, blocks)
+	dxs = make([]*tensor.Tensor, blocks)
+	shards := make([][]*nn.Param, ep)
+	mpi.NewWorld(ep, distTestTopo()).Run(func(c *mpi.Comm) {
+		m := NewDistMoE("moe", tensor.NewRNG(seed), cfg, hidden, c, algo)
+		for b := c.Rank(); b < blocks; b += ep {
+			outs[b] = m.Forward(epBlock(seed, b, tokens, cfg.Dim))
+			dxs[b] = m.Backward(tensor.Ones(tokens, cfg.Dim))
 		}
-		if !dxs[rank].AllClose(dx, 1e-4) {
-			t.Fatalf("rank %d: DistMoE input grad differs from LocalMoE", rank)
-		}
-		for _, p := range local.Params() {
-			if acc, ok := expertGradSum[p.Name]; ok {
-				tensor.AddInPlace(acc, p.G)
-			} else {
-				expertGradSum[p.Name] = p.G.Clone()
-			}
+		shards[c.Rank()] = m.ShardedParams()
+	})
+	grads = map[string]*tensor.Tensor{}
+	for _, ps := range shards {
+		for _, p := range ps {
+			grads[p.Name] = p.G
 		}
 	}
+	return outs, dxs, grads
+}
 
-	// Expert gradients in the distributed run must equal the sum of
-	// the per-rank local gradients (each expert sees all its tokens).
-	w := mpi.NewWorld(P, distTestTopo())
-	w.Run(func(c *mpi.Comm) {
-		r := tensor.NewRNG(seed)
-		cfg := gateCfg(d, 8, 2)
-		m := NewDistMoE("moe", r, cfg, 16, c, Auto)
-		xr := tensor.NewRNG(seed + 100 + uint64(c.Rank()))
-		x := tensor.Randn(xr, 1, tokens, d)
-		m.Forward(x)
-		m.Backward(tensor.Ones(tokens, d))
-		for _, p := range m.ShardedParams() {
-			want := expertGradSum[p.Name]
-			if want == nil {
-				t.Errorf("no reference grad for %s", p.Name)
-				continue
+// epBlock is token block b of an ep sweep.
+func epBlock(seed uint64, b, tokens, d int) *tensor.Tensor {
+	return tensor.Randn(tensor.NewRNG(seed+100+uint64(b)), 1, tokens, d)
+}
+
+// TestDistMoEEPSweepBitExact: how many ranks share the experts changes
+// no bit the layer computes for a token. At ep 1, 2 and 4, under Direct
+// and Hierarchical dispatch, every token block's output and input
+// gradient equal ep 1's bitwise, and the outputs are within 1e-4 of the
+// per-token reference. Expert weight gradients sum one expert's rows
+// in a different order at each ep (one GEMM over every block's rows at
+// ep 4, one per block at ep 1), so they agree within 1e-4. The second
+// shape puts the grouped expert GEMMs above the tiled-kernel threshold
+// (rows·d·hidden ≥ 2^16).
+func TestDistMoEEPSweepBitExact(t *testing.T) {
+	const blocks, seed = 4, 42
+	for _, sh := range []struct {
+		name                       string
+		tokens, d, experts, hidden int
+	}{
+		{"small", 6, 8, 8, 16},
+		{"tiled", 64, 32, 8, 64},
+	} {
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := gateCfg(sh.d, sh.experts, 2)
+			ref := newRefMoE("moe", tensor.NewRNG(seed), cfg, sh.hidden)
+			outs1, dxs1, grads1 := epRun(1, Direct, cfg, sh.hidden, sh.tokens, blocks, seed)
+			for b, out := range outs1 {
+				if want := ref.forward(epBlock(seed, b, sh.tokens, sh.d), false); !out.AllClose(want, 1e-4) {
+					t.Fatalf("block %d: output differs from the per-token reference", b)
+				}
 			}
-			if !p.G.AllClose(want, 1e-3) {
-				t.Errorf("rank %d: %s grad differs from summed local reference", c.Rank(), p.Name)
+			for _, ep := range []int{1, 2, 4} {
+				for _, algo := range []A2AAlgo{Direct, Hierarchical} {
+					outs, dxs, grads := epRun(ep, algo, cfg, sh.hidden, sh.tokens, blocks, seed)
+					for b := range outs {
+						if !bitEqual(outs[b], outs1[b]) {
+							t.Fatalf("ep %d %v block %d: output differs from ep 1", ep, algo, b)
+						}
+						if !bitEqual(dxs[b], dxs1[b]) {
+							t.Fatalf("ep %d %v block %d: input gradient differs from ep 1", ep, algo, b)
+						}
+					}
+					if len(grads) != len(grads1) {
+						t.Fatalf("ep %d %v: %d expert parameters, ep 1 has %d", ep, algo, len(grads), len(grads1))
+					}
+					for name, g := range grads {
+						if !g.AllClose(grads1[name], 1e-4) {
+							t.Fatalf("ep %d %v: %s gradient differs from ep 1", ep, algo, name)
+						}
+					}
+				}
 			}
+		})
+	}
+}
+
+// bitEqual reports whether a and b hold the same float bits.
+func bitEqual(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
 		}
-	})
+	}
+	return true
 }
 
 func TestDistMoEAlgorithmsAgree(t *testing.T) {

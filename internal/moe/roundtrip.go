@@ -54,7 +54,10 @@ type trip struct {
 // Dispatch* is the outbound exchange, Combine* the return.
 func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	d, p := m.Cfg.Dim, m.comm.Size()
-	counts := make([]int, p)
+	// The outbound and return counts share one allocation (NewSendBuf
+	// copies them).
+	ints := make([]int, 2*p)
+	counts, back := ints[:p], ints[p:]
 	for dst, refs := range tr.sendOrder {
 		counts[dst] = len(refs) * d
 	}
@@ -109,7 +112,6 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 
 	// Return: every computed row goes back to its source at the
 	// position it arrived in.
-	back := make([]int, p)
 	for l := 0; l < legs; l++ {
 		for _, src := range in[l].Srcs() {
 			back[src] = in[l].Count(src)
@@ -185,13 +187,19 @@ func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
 // variable-length framing is asserted (payload a whole number of
 // d-wide rows, one slot id per row) before rows are attributed.
 func (m *DistMoE) groupRows(rb *mpi.RecvBuf, d int) [][]rowRef {
-	ord := make([][]rowRef, m.LocalExperts)
+	rows := make([]int, m.LocalExperts)
 	for _, src := range rb.Srcs() {
 		rb.Rows(src, d)
-		for pos, le := range rb.Meta(src) {
+		for _, le := range rb.Meta(src) {
 			if le < 0 || le >= m.LocalExperts {
 				panic(fmt.Sprintf("moe: received slot %d out of range (local experts %d)", le, m.LocalExperts))
 			}
+			rows[le]++
+		}
+	}
+	ord := carve[rowRef](rows)
+	for _, src := range rb.Srcs() {
+		for pos, le := range rb.Meta(src) {
 			ord[le] = append(ord[le], rowRef{src, pos})
 		}
 	}

@@ -59,10 +59,10 @@ func stashGrads(newFFN func(name string, r *tensor.RNG) nn.Layer, policy []bool,
 }
 
 // TestStashedPassesMatchSequential: passes kept in flight through the
-// stash give every gradient bit the sequential passes give, for both
-// MoE layers in the FFN slot — DistMoE with its combine legs split
-// across supernodes and a shadowed expert — with no block, every other
-// block or every block under recompute.
+// stash give every gradient bit the sequential passes give, for the MoE
+// layer in the FFN slot on one rank and on four — there with its combine
+// legs split across supernodes and a shadowed expert — with no block,
+// every other block or every block under recompute.
 func TestStashedPassesMatchSequential(t *testing.T) {
 	gc := GateConfig{Dim: 8, NumExperts: 4, TopK: 2, AuxLossWeight: 0.01, ZLossWeight: 0.001}
 	policies := [][]bool{nil, {true, false, true}, {true, true, true}}

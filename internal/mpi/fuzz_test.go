@@ -91,9 +91,7 @@ func TestPropAllToAllAlgorithmsAgreeFuzz(t *testing.T) {
 			sb := NewSendBuf(counts[rank])
 			for d := 0; d < p; d++ {
 				sb.Append(d, vals[rank][d])
-				for _, v := range metas[rank][d] {
-					sb.AppendMeta(d, v)
-				}
+				sb.SetMeta(d, metas[rank][d])
 			}
 			return sb
 		}
@@ -200,9 +198,7 @@ func TestPropAllToAllvFramingRoundTrip(t *testing.T) {
 					sb := NewSendBuf(counts[c.Rank()])
 					for d := 0; d < p; d++ {
 						sb.Append(d, vals[c.Rank()][d])
-						for _, v := range metas[c.Rank()][d] {
-							sb.AppendMeta(d, v)
-						}
+						sb.SetMeta(d, metas[c.Rank()][d])
 					}
 					switch mode % 2 {
 					case 0: // blocking

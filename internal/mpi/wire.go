@@ -171,11 +171,11 @@ func (c *Comm) accountWire(level simnet.Level, wire, raw int) {
 // SendBuf is the flattened send side of an all-to-allv exchange: one
 // pooled contiguous payload holding counts[d] floats destined to each
 // rank d, plus optional per-destination int metadata that rides in
-// the same messages. Build with NewSendBuf + Append, hand to an
-// Exchange (or a blocking AllToAllv*), then Release.
+// the same messages. Build with NewSendBuf + Append (+ SetMeta), hand
+// to an Exchange (or a blocking AllToAllv*), then Release.
 type SendBuf struct {
 	data   []float32 // pooled, len = sum(counts)
-	counts []int
+	counts []int     // counts, offs and fill share one allocation
 	offs   []int
 	fill   []int // append cursor per destination
 	meta   [][]int
@@ -184,22 +184,19 @@ type SendBuf struct {
 // NewSendBuf sizes a send buffer for counts[d] floats per destination
 // over one pooled backing slice.
 func NewSendBuf(counts []int) *SendBuf {
-	offs := make([]int, len(counts))
+	p := len(counts)
+	ints := make([]int, 3*p)
+	b := &SendBuf{counts: ints[:p:p], offs: ints[p : 2*p : 2*p], fill: ints[2*p:], meta: make([][]int, p)}
 	total := 0
 	for d, n := range counts {
 		if n < 0 {
 			panic(fmt.Sprintf("mpi: negative send count %d for dst %d", n, d))
 		}
-		offs[d] = total
+		b.counts[d], b.offs[d] = n, total
 		total += n
 	}
-	return &SendBuf{
-		data:   tensor.GetSlice(total),
-		counts: append([]int(nil), counts...),
-		offs:   offs,
-		fill:   make([]int, len(counts)),
-		meta:   make([][]int, len(counts)),
-	}
+	b.data = tensor.GetSlice(total)
+	return b
 }
 
 // Append copies row into the next free slot of dst's region.
@@ -213,11 +210,9 @@ func (b *SendBuf) Append(dst int, row []float32) {
 	b.fill[dst] += len(row)
 }
 
-// AppendMeta records one metadata int for dst; metadata rides in the
-// same message as dst's payload.
-func (b *SendBuf) AppendMeta(dst int, v int) {
-	b.meta[dst] = append(b.meta[dst], v)
-}
+// SetMeta records dst's metadata, which rides in the same message as
+// dst's payload. The buffer keeps meta until Release; Post copies it.
+func (b *SendBuf) SetMeta(dst int, meta []int) { b.meta[dst] = meta }
 
 // Chunk returns the full payload region destined to dst (a view into
 // the flat buffer; valid until Release).
@@ -508,12 +503,15 @@ func absorbDirect(m message, rel *relList) seg {
 }
 
 // assemble copies/decodes segs (for the listed sources, ascending)
-// into one flat pooled RecvBuf, then releases all staging buffers.
+// into one flat pooled RecvBuf, then releases all staging buffers; a
+// leg whose whole payload is one staged FP32 buffer (the self chunk of
+// a one-rank exchange, for one) takes that buffer over uncopied.
 func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 	p := e.c.Size()
+	ints := make([]int, 2*p)
 	b := &RecvBuf{
-		counts: make([]int, p),
-		offs:   make([]int, p),
+		counts: ints[:p:p],
+		offs:   ints[p:],
 		meta:   make([][]int, p),
 		srcs:   srcs,
 	}
@@ -521,7 +519,16 @@ func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 	for _, s := range srcs {
 		b.offs[s] = total
 		b.counts[s] = segs[s].n
+		b.meta[s] = segs[s].meta
 		total += segs[s].n
+	}
+	if len(rel.f32) == 1 && len(rel.u16) == 0 && len(rel.f32[0]) == total && total > 0 {
+		for _, s := range srcs {
+			if f := segs[s].f32; len(f) == total && &f[0] == &rel.f32[0][0] {
+				b.data, rel.f32 = f, nil
+				return b
+			}
+		}
 	}
 	b.data = tensor.GetSlice(total)
 	for _, s := range srcs {
@@ -532,7 +539,6 @@ func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 		case segs[s].f32 != nil:
 			copy(dst, segs[s].f32)
 		}
-		b.meta[s] = segs[s].meta
 	}
 	rel.release()
 	return b

@@ -33,9 +33,11 @@ func buildSendBuf(rank, p int, counts func(d int) int) *SendBuf {
 			row[i] = float32(rank*1000 + d*100 + i)
 		}
 		sb.Append(d, row)
+		var meta []int
 		for k := 0; k < (rank+d)%3; k++ {
-			sb.AppendMeta(d, rank*100+d*10+k)
+			meta = append(meta, rank*100+d*10+k)
 		}
+		sb.SetMeta(d, meta)
 	}
 	return sb
 }
@@ -403,10 +405,12 @@ func TestRecvBufRows(t *testing.T) {
 		}
 		sb := NewSendBuf(cs)
 		for dst := range cs {
-			for i := 0; i < rows; i++ {
+			meta := make([]int, rows)
+			for i := range meta {
 				sb.Append(dst, []float32{1, 2, 3, 4})
-				sb.AppendMeta(dst, i)
+				meta[i] = i
 			}
+			sb.SetMeta(dst, meta)
 		}
 		rb := c.AllToAllvDirect(sb, FP32Wire)
 		sb.Release()

@@ -323,6 +323,12 @@ func NewWorld(size int, topo *simnet.Topology) *World {
 	return w
 }
 
+// NewSelf returns the world communicator of a new one-rank world
+// priced as NewWorld(1, nil) prices it, for single-rank code that never
+// calls World.Run. Its exchanges are self copies that send no message
+// and charge no clock. Like every Comm it belongs to one goroutine.
+func NewSelf() *Comm { return newWorldComm(NewWorld(1, nil), 0, 0) }
+
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 

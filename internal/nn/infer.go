@@ -23,7 +23,7 @@ import (
 
 // InferLayer is implemented by FFN layers that support an inference
 // forward: no activation caching, no aux losses, batch-invariant
-// numerics. LocalMoE and DistMoE implement it in package moe.
+// numerics. moe.DistMoE implements it.
 type InferLayer interface {
 	Infer(x *tensor.Tensor) *tensor.Tensor
 }

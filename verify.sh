@@ -3,7 +3,8 @@
 # detector (which also diffs the fast R-tables against their goldens,
 # cmd/bagualu TestGoldens), every replay / bit-exact gate twice in one
 # process (-count=2 catches state leaking from one run into the next),
-# the kernel packages without their assembly, the transcendental
+# the step benchmarks' allocation gates, the kernel packages without
+# their assembly, the transcendental
 # kernels on every float32 there is, and the slower
 # deterministic R-tables regenerated and compared with their goldens —
 # a compare that also fails on run-to-run drift.
@@ -31,6 +32,9 @@ if go list -deps ./internal/perfmodel | grep -x 'bagualu/internal/parallel'; the
 if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
 go test -race ./...
 go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled' ./internal/...
+# The allocation gates: each step benchmark fails when its step
+# allocates more than its recorded baseline plus 5% (gatedLoop).
+go test -run '^$' -bench 'BenchmarkTrainStep$|BenchmarkPipelineStep$|BenchmarkEngineStep$|BenchmarkInferStep' -benchtime 3x .
 # The layer stash and the pipeline runner move caches between passes in
 # flight — a split backward's B leaves tensors for its W
 # (TestSplitBackwardKeepsItsGradient; its clock,
