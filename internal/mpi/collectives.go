@@ -108,27 +108,49 @@ func (c *Comm) reduceTree(seq int64, stepBase, root int, data []float32, op Redu
 // cross supernodes (R8), when Hierarchical reports true, and the ring
 // otherwise.
 func (c *Comm) AllReduce(data []float32, op ReduceOp) []float32 {
+	return c.allReduce(data, op, GradWire{})
+}
+
+// AllReduceGrads sums data across all ranks on the wire w, by
+// AllReduce's algorithm choice: with the zero GradWire it is
+// AllReduce(data, OpSum) bit for bit, with a 16-bit one its result
+// rounded once to the FP16 grid at w.Scale (see GradWire).
+func (c *Comm) AllReduceGrads(data []float32, w GradWire) []float32 {
+	return c.allReduce(data, OpSum, w)
+}
+
+func (c *Comm) allReduce(data []float32, op ReduceOp, w GradWire) []float32 {
 	if c.Hierarchical() {
-		return c.AllReduceHier(data, op)
+		return c.allReduceHier(data, op, w)
 	}
-	return c.AllReduceRing(data, op)
+	return c.allReduceRing(data, op, w)
 }
 
 // AllReduceRing implements the bandwidth-optimal ring all-reduce:
 // a reduce-scatter pass followed by an all-gather pass, 2(P-1) steps
 // moving ~2·n/P bytes each.
 func (c *Comm) AllReduceRing(data []float32, op ReduceOp) []float32 {
+	return c.allReduceRing(data, op, GradWire{})
+}
+
+func (c *Comm) allReduceRing(data []float32, op ReduceOp, w GradWire) []float32 {
 	seq := c.nextSeq()
-	acc := append([]float32(nil), data...)
 	p := c.Size()
 	if p == 1 {
-		return acc
+		return append([]float32(nil), data...)
 	}
+	acc := make([]float32, len(data))
+	w.toWire(acc, data)
 	bounds := ringBounds(len(acc), p)
 	tag := collTag(c.id, seq, 0)
 	self := func(r int) int { return r }
-	c.ringReduceScatter(tag, c.rank, p, self, acc, bounds, op)
-	c.ringAllGather(tag, c.rank, p, self, acc, bounds)
+	c.ringReduceScatter(tag, c.rank, p, self, acc, bounds, op, w, true)
+	c.ringAllGather(tag, c.rank, p, self, acc, bounds, w)
+	if w.half() {
+		// Only a 16-bit wire may rewrite acc here: a float32 hop sends a
+		// view of it, and the next rank may still be reading the last.
+		w.fromWire(acc, acc)
+	}
 	return acc
 }
 
@@ -146,31 +168,34 @@ func ringBounds(n, p int) []int {
 // all-reduce in place: after step s this rank holds the partial sum of
 // chunk (me-s) reduced over s+1 contributors, so on return it owns the
 // fully reduced chunk (me+1)%p. All ring messages under one tag ride
-// FIFO per (src,tag) ordering.
-func (c *Comm) ringReduceScatter(tag int, me, p int, toComm func(int) int, acc []float32, bounds []int, op ReduceOp) {
+// FIFO per (src,tag) ordering. On a 16-bit wire the first hop goes out
+// narrow when acc is this rank's own contribution (raw), the later hops
+// carry partial sums at float32, and the owned chunk is rounded once.
+func (c *Comm) ringReduceScatter(tag int, me, p int, toComm func(int) int, acc []float32, bounds []int, op ReduceOp, w GradWire, raw bool) {
 	next := toComm((me + 1) % p)
 	prev := toComm((me - 1 + p) % p)
 	for s := 0; s < p-1; s++ {
 		sendChunk := (me - s + p) % p
 		recvChunk := (me - s - 1 + p) % p
-		c.sendStep(next, tag, acc[bounds[sendChunk]:bounds[sendChunk+1]], nil)
-		m := c.recvStep(prev, tag)
-		op(acc[bounds[recvChunk]:bounds[recvChunk+1]], m.data)
+		c.sendSum(next, tag, acc[bounds[sendChunk]:bounds[sendChunk+1]], w, raw && s == 0)
+		c.recvSumInto(prev, tag, acc[bounds[recvChunk]:bounds[recvChunk+1]], op)
 	}
+	own := (me + 1) % p
+	w.round(acc[bounds[own]:bounds[own+1]])
 }
 
 // ringAllGather runs the all-gather half of the ring all-reduce:
 // each rank enters owning chunk (me+1)%p (the reduce-scatter result)
-// and circulates chunks until every rank holds all of acc.
-func (c *Comm) ringAllGather(tag int, me, p int, toComm func(int) int, acc []float32, bounds []int) {
+// and circulates chunks until every rank holds all of acc. Every hop
+// carries finished sums, so on a 16-bit wire every hop is narrow.
+func (c *Comm) ringAllGather(tag int, me, p int, toComm func(int) int, acc []float32, bounds []int, w GradWire) {
 	next := toComm((me + 1) % p)
 	prev := toComm((me - 1 + p) % p)
 	for s := 0; s < p-1; s++ {
 		sendChunk := (me + 1 - s + p) % p
 		recvChunk := (me - s + p) % p
-		c.sendStep(next, tag, acc[bounds[sendChunk]:bounds[sendChunk+1]], nil)
-		m := c.recvStep(prev, tag)
-		copy(acc[bounds[recvChunk]:bounds[recvChunk+1]], m.data)
+		c.sendSum(next, tag, acc[bounds[sendChunk]:bounds[sendChunk+1]], w, true)
+		c.recvSumInto(prev, tag, acc[bounds[recvChunk]:bounds[recvChunk+1]], nil)
 	}
 }
 
@@ -193,16 +218,22 @@ func (c *Comm) ringAllGather(tag int, me, p int, toComm func(int) int, acc []flo
 // would, and each element is still accumulated in ring order over
 // supernodes, starting at its leader chunk, of tree-ordered local sums.
 // ReduceScatterShard's hierarchical path is A B and AllGatherShard's is
-// C D. The returned slice is exclusively owned by the caller.
+// C D. On a 16-bit wire phases A, C and D are narrow and B, whose hops
+// carry local sums, is float32 unless every supernode holds one member.
+// The returned slice is exclusively owned by the caller.
 func (c *Comm) AllReduceHier(data []float32, op ReduceOp) []float32 {
+	return c.allReduceHier(data, op, GradWire{})
+}
+
+func (c *Comm) allReduceHier(data []float32, op ReduceOp, w GradWire) []float32 {
 	seq := c.nextSeq()
 	g := c.supernodes()
 	lb := ringBounds(len(data), len(g.groups))
-	rail := c.railReduceScatter(seq, g, lb, data, op)
+	rail := c.railReduceScatter(seq, g, lb, data, op, w)
 	if g.owner() {
-		c.ringAllGather(collTag(c.id, seq, 1), g.j, len(g.groups), g.peer, rail, g.railBounds(lb, g.pos))
+		c.ringAllGather(collTag(c.id, seq, 1), g.j, len(g.groups), g.peer, rail, g.railBounds(lb, g.pos), w)
 	}
-	return c.railAllGather(seq, g, lb, rail, len(data))
+	return c.railAllGather(seq, g, lb, rail, len(data), w)
 }
 
 // owner reports whether this rank owns a rail (rail g.pos).
@@ -229,21 +260,29 @@ func (g *supernodes) railBounds(lb []int, r int) []int {
 	return rb
 }
 
-// pack copies rail r out of a full vector into a fresh compact buffer.
-func (g *supernodes) pack(data []float32, lb []int, r int) []float32 {
-	rail := make([]float32, 0, len(data)/g.r+len(g.groups))
+// pack copies rail r out of a full vector into a fresh compact buffer,
+// in w's units.
+func (g *supernodes) pack(data []float32, lb []int, r int, w GradWire) []float32 {
+	n := 0
+	for ch := range g.groups {
+		n += g.piece(lb, ch, r).Len()
+	}
+	rail, off := make([]float32, n), 0
 	for ch := range g.groups {
 		p := g.piece(lb, ch, r)
-		rail = append(rail, data[p.Lo:p.Hi]...)
+		w.toWire(rail[off:off+p.Len()], data[p.Lo:p.Hi])
+		off += p.Len()
 	}
 	return rail
 }
 
-// unpack copies a compact rail r into its places in a full vector.
-func (g *supernodes) unpack(out, rail []float32, lb []int, r int) {
+// unpack copies a compact rail r, in w's units, into its places in a
+// full vector.
+func (g *supernodes) unpack(out, rail []float32, lb []int, r int, w GradWire) {
 	for ch := range g.groups {
 		p := g.piece(lb, ch, r)
-		rail = rail[copy(out[p.Lo:p.Hi], rail):]
+		w.fromWire(out[p.Lo:p.Hi], rail[:p.Len()])
+		rail = rail[p.Len():]
 	}
 }
 
@@ -251,14 +290,14 @@ func (g *supernodes) unpack(out, rail []float32, lb []int, r int) {
 // rail buffer, in which piece ((g.j+1) mod S, g.pos) is fully reduced
 // (the rest hold partial sums); other ranks return nil. data is only
 // read, and only before the first receive.
-func (c *Comm) railReduceScatter(seq int64, g *supernodes, lb []int, data []float32, op ReduceOp) []float32 {
+func (c *Comm) railReduceScatter(seq int64, g *supernodes, lb []int, data []float32, op ReduceOp, w GradWire) []float32 {
 	ms := g.groups[g.j]
 	tag := collTag(c.id, seq, 0)
 	// A: sends are staggered so that no owner is every member's first
 	// destination.
 	for i := 1; i <= g.r; i++ {
 		if r := (g.pos + i) % g.r; r != g.pos {
-			c.sendStep(ms[r], tag, g.pack(data, lb, r), nil)
+			c.sendSum(ms[r], tag, g.pack(data, lb, r, w), w, true)
 		}
 	}
 	if !g.owner() {
@@ -267,9 +306,9 @@ func (c *Comm) railReduceScatter(seq int64, g *supernodes, lb []int, data []floa
 	v := make([][]float32, len(ms))
 	for q, m := range ms {
 		if q == g.pos {
-			v[q] = g.pack(data, lb, g.pos)
+			v[q] = g.pack(data, lb, g.pos, w)
 		} else {
-			v[q] = c.recvStep(m, tag).data
+			v[q] = c.recvSum(m, tag)
 		}
 	}
 	// The association a binomial reduce onto position 0 would produce.
@@ -278,27 +317,27 @@ func (c *Comm) railReduceScatter(seq int64, g *supernodes, lb []int, data []floa
 			op(v[q], v[q+k])
 		}
 	}
-	c.ringReduceScatter(collTag(c.id, seq, 1), g.j, len(g.groups), g.peer, v[0], g.railBounds(lb, g.pos), op)
+	c.ringReduceScatter(collTag(c.id, seq, 1), g.j, len(g.groups), g.peer, v[0], g.railBounds(lb, g.pos), op, w, len(ms) == 1)
 	return v[0]
 }
 
 // railAllGather runs phase D: owners pass in their complete rail, and
 // every rank returns a freshly assembled vector of n elements.
-func (c *Comm) railAllGather(seq int64, g *supernodes, lb []int, rail []float32, n int) []float32 {
+func (c *Comm) railAllGather(seq int64, g *supernodes, lb []int, rail []float32, n int, w GradWire) []float32 {
 	ms := g.groups[g.j]
 	tag := collTag(c.id, seq, 2)
 	if g.owner() {
 		for i := 1; i < len(ms); i++ {
-			c.sendStep(ms[(g.pos+i)%len(ms)], tag, rail, nil)
+			c.sendSum(ms[(g.pos+i)%len(ms)], tag, rail, w, true)
 		}
 	}
 	out := make([]float32, n)
 	for r := 0; r < g.r; r++ {
 		from := rail
 		if r != g.pos {
-			from = c.recvStep(ms[r], tag).data
+			from = c.recvSum(ms[r], tag)
 		}
-		g.unpack(out, from, lb, r)
+		g.unpack(out, from, lb, r, w)
 	}
 	return out
 }

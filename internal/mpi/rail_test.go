@@ -182,7 +182,7 @@ func TestRailScheduleMatchesReference(t *testing.T) {
 					x := result{in: in()}
 					x.hier = c.AllReduceHier(x.in, o.op)
 					x.auto = c.AllReduce(in(), o.op)
-					shard, s := c.ReduceScatterShard(x.in, o.op)
+					shard, s := c.reduceScatterShard(x.in, o.op, GradWire{})
 					if s != c.MyShard(n) || len(shard) != s.Len() {
 						t.Errorf("%s rank %d: shard %+v len %d, MyShard %+v", name, c.Rank(), s, len(shard), c.MyShard(n))
 						return

@@ -100,7 +100,7 @@ func (op laneOp) run(c *Comm, g int) []float32 {
 	case laneAllReduce:
 		return c.AllReduce(laneInput(g, 0, op.n), OpSum)
 	case laneReduceScatter:
-		s, _ := c.ReduceScatterShard(laneInput(g, 1, op.n), OpSum)
+		s, _ := c.ReduceScatterShard(laneInput(g, 1, op.n), GradWire{})
 		return s
 	case laneAllGather:
 		return c.AllGatherShard(laneInput(g, 2, c.MyShard(op.n).Len()), op.n)

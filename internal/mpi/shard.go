@@ -64,32 +64,40 @@ func subSlice(lb []int, ch, q, k int) Shard {
 // MyShard returns this rank's ShardBounds entry.
 func (c *Comm) MyShard(n int) Shard { return c.ShardBounds(n)[c.rank] }
 
-// ReduceScatterShard reduces data elementwise across all ranks and
-// returns only this rank's owned range (per ShardBounds) of the
-// result, bitwise identical to AllReduce(data, op)[s.Lo:s.Hi]: the
+// ReduceScatterShard sums data elementwise across all ranks on the wire
+// w and returns only this rank's owned range (per ShardBounds) of the
+// result, bitwise identical to AllReduceGrads(data, w)[s.Lo:s.Hi]: the
 // ring path IS the reduce-scatter half of the ring all-reduce, and the
 // hierarchical path IS phases A and B of AllReduceHier's rail schedule,
-// so reduction order — and therefore float rounding — matches exactly.
+// so reduction order — and therefore float rounding, the owner's one
+// rounding on a 16-bit wire included — matches exactly.
 //
 // data is copied before any send is posted, so callers may recycle it
 // (e.g. into the tensor pool) as soon as the call returns. The
 // returned slice is freshly allocated and exclusively owned.
-func (c *Comm) ReduceScatterShard(data []float32, op ReduceOp) ([]float32, Shard) {
+func (c *Comm) ReduceScatterShard(data []float32, w GradWire) ([]float32, Shard) {
+	return c.reduceScatterShard(data, OpSum, w)
+}
+
+func (c *Comm) reduceScatterShard(data []float32, op ReduceOp, w GradWire) ([]float32, Shard) {
 	seq := c.nextSeq()
 	p := c.Size()
 	if p == 1 {
 		return append([]float32(nil), data...), Shard{0, len(data)}
 	}
 	if c.Hierarchical() {
-		return c.reduceScatterShardHier(seq, data, op)
+		return c.reduceScatterShardHier(seq, data, op, w)
 	}
-	acc := append([]float32(nil), data...)
+	acc := make([]float32, len(data))
+	w.toWire(acc, data)
 	bounds := ringBounds(len(acc), p)
 	tag := collTag(c.id, seq, 0)
-	c.ringReduceScatter(tag, c.rank, p, func(r int) int { return r }, acc, bounds, op)
+	c.ringReduceScatter(tag, c.rank, p, func(r int) int { return r }, acc, bounds, op, w, true)
 	ch := (c.rank + 1) % p
 	s := Shard{bounds[ch], bounds[ch+1]}
-	return append([]float32(nil), acc[s.Lo:s.Hi]...), s
+	shard := make([]float32, s.Len())
+	w.fromWire(shard, acc[s.Lo:s.Hi])
+	return shard, s
 }
 
 // reduceScatterShardHier is phases A and B of the rail schedule (see
@@ -98,10 +106,10 @@ func (c *Comm) ReduceScatterShard(data []float32, op ReduceOp) ([]float32, Shard
 // are the leader chunk ShardBounds assigns it. Inter-supernode bytes
 // equal the reduce-scatter half of AllReduceHier exactly, and so do the
 // local ones unless the supernode has more members than rails.
-func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([]float32, Shard) {
+func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp, w GradWire) ([]float32, Shard) {
 	g := c.supernodes()
 	lb := ringBounds(len(data), len(g.groups))
-	rail := c.railReduceScatter(seq, g, lb, data, op)
+	rail := c.railReduceScatter(seq, g, lb, data, op, w)
 	pieces, shards := g.localSplits(lb)
 	var piece []float32
 	if g.owner() {
@@ -109,7 +117,9 @@ func (c *Comm) reduceScatterShardHier(seq int64, data []float32, op ReduceOp) ([
 		ch := (g.j + 1) % len(g.groups)
 		piece = rail[rb[ch]:rb[ch+1]]
 	}
-	return c.reslice(seq, g, pieces, shards, piece), shards[g.pos]
+	shard := c.reslice(seq, g, pieces, shards, piece, w)
+	w.fromWire(shard, shard)
+	return shard, shards[g.pos]
 }
 
 // localSplits returns the two partitions of this supernode's leader
@@ -133,15 +143,16 @@ func (g *supernodes) localSplits(lb []int) (pieces, shards []Shard) {
 // holding to[q], returned freshly allocated. Only non-empty overlaps
 // travel, so between equal partitions nothing does; this is the bridge
 // between rail pieces and ShardBounds in a supernode with more members
-// than rails (a shrunk world: 4 + 3).
-func (c *Comm) reslice(seq int64, g *supernodes, from, to []Shard, src []float32) []float32 {
+// than rails (a shrunk world: 4 + 3). The ranges hold finished sums, so
+// on a 16-bit wire they travel narrow.
+func (c *Comm) reslice(seq int64, g *supernodes, from, to []Shard, src []float32, w GradWire) []float32 {
 	ms := g.groups[g.j]
 	tag := collTag(c.id, seq, 3)
 	have, want := from[g.pos], to[g.pos]
 	for i := 1; i < len(ms); i++ {
 		q := (g.pos + i) % len(ms)
 		if o := overlap(have, to[q]); o.Len() > 0 {
-			c.sendStep(ms[q], tag, src[o.Lo-have.Lo:o.Hi-have.Lo], nil)
+			c.sendSum(ms[q], tag, src[o.Lo-have.Lo:o.Hi-have.Lo], w, true)
 		}
 	}
 	dst := make([]float32, want.Len())
@@ -153,7 +164,7 @@ func (c *Comm) reslice(seq int64, g *supernodes, from, to []Shard, src []float32
 		if q == g.pos {
 			copy(dst[o.Lo-want.Lo:], src[o.Lo-have.Lo:o.Hi-have.Lo])
 		} else {
-			copy(dst[o.Lo-want.Lo:], c.recvStep(m, tag).data)
+			c.recvSumInto(m, tag, dst[o.Lo-want.Lo:o.Hi-want.Lo], nil)
 		}
 	}
 	return dst
@@ -191,7 +202,7 @@ func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 	out := make([]float32, n)
 	copy(out[my.Lo:my.Hi], shard)
 	tag := collTag(c.id, seq, 0)
-	c.ringAllGather(tag, c.rank, p, func(r int) int { return r }, out, ringBounds(n, p))
+	c.ringAllGather(tag, c.rank, p, func(r int) int { return r }, out, ringBounds(n, p), GradWire{})
 	return out
 }
 
@@ -204,13 +215,13 @@ func (c *Comm) allGatherShardHier(seq int64, shard []float32, n int) []float32 {
 	S := len(g.groups)
 	lb := ringBounds(n, S)
 	pieces, shards := g.localSplits(lb)
-	piece := c.reslice(seq, g, shards, pieces, shard)
+	piece := c.reslice(seq, g, shards, pieces, shard, GradWire{})
 	var rail []float32
 	if g.owner() {
 		rb := g.railBounds(lb, g.pos)
 		rail = make([]float32, rb[S])
 		copy(rail[rb[(g.j+1)%S]:], piece)
-		c.ringAllGather(collTag(c.id, seq, 1), g.j, S, g.peer, rail, rb)
+		c.ringAllGather(collTag(c.id, seq, 1), g.j, S, g.peer, rail, rb, GradWire{})
 	}
-	return c.railAllGather(seq, g, lb, rail, n)
+	return c.railAllGather(seq, g, lb, rail, n, GradWire{})
 }

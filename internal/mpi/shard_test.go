@@ -71,7 +71,7 @@ func runShardVsAllReduce(t *testing.T, topo *simnet.Topology, p, n int) {
 	w.Run(func(c *Comm) {
 		data := shardTestData(c.Rank(), n)
 		want := c.AllReduce(append([]float32(nil), data...), OpSum)
-		shard, s := c.ReduceScatterShard(data, OpSum)
+		shard, s := c.ReduceScatterShard(data, GradWire{})
 		if len(shard) != s.Len() {
 			t.Errorf("rank %d: shard len %d != %d", c.Rank(), len(shard), s.Len())
 			return
@@ -140,7 +140,7 @@ func TestShardedSyncBytesMatchRing(t *testing.T) {
 		c.AllReduce(data, OpSum)
 	})
 	sharded := total(func(c *Comm, data []float32) {
-		shard, _ := c.ReduceScatterShard(data, OpSum)
+		shard, _ := c.ReduceScatterShard(data, GradWire{})
 		c.AllGatherShard(shard, n)
 	})
 	if sharded != allReduce {
@@ -167,7 +167,7 @@ func TestShardedSyncBytesHier(t *testing.T) {
 			c.AllReduce(data, OpSum)
 		})
 		sharded := run(func(c *Comm, data []float32) {
-			shard, _ := c.ReduceScatterShard(data, OpSum)
+			shard, _ := c.ReduceScatterShard(data, GradWire{})
 			c.AllGatherShard(shard, tc.n)
 		})
 		if sharded != allReduce {

@@ -623,31 +623,19 @@ func (e *Engine) DenseParams() []*nn.Param { return e.denseParams }
 // ExpertParams returns this rank's expert shard parameters.
 func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 
-// syncGradients is the legacy two-tier gradient synchronization
-// (full-tensor all-reduce) followed by distributed gradient-norm
-// clipping. The norm uses the same canonical shard-ordered float64
-// partial sums as the ZeRO path (train.ShardedNormSq /
-// train.CombineF64Sum), so both modes see bitwise-identical norms and
-// make identical clip decisions. It returns the norm: a rank whose
-// gradients overflowed still syncs, and its Inf reaches every rank's
-// norm, so every rank skips the step together.
+// syncGradients is the replicated path's gradient synchronization:
+// the dense and expert gradients are all-reduced whole, on the wire the
+// precision policy names (16-bit under FP16 and Mixed, see
+// mpi.GradWire), then clipped by the distributed gradient norm. The
+// norm uses the same canonical shard-ordered float64 partial sums as
+// the ZeRO path (train.ShardedNormSq / train.CombineF64Sum), so both
+// modes see bitwise-identical norms and make identical clip decisions.
+// It returns the norm: a rank whose gradients overflowed still syncs,
+// and its Inf — or a sum that overflows FP16 on the wire — reaches
+// every rank's norm, so every rank skips the step together.
 func (e *Engine) syncGradients([]*nn.Param) float32 {
-	group := float32(e.Stage.Size())
 	t0 := e.Comm.Now()
-	// The two all-reduces are independent and share only this rank's
-	// ports, so they are issued together, dense first. Dense
-	// parameters: bucketed all-reduce over the stage.
-	dense := e.Comm.Start(func() { allReduceBucketed(e.Stage, e.denseParams, 1/group) })
-	// Expert parameters: all-reduce over the data-parallel group;
-	// the sum then covers every replica's tokens, so normalize by the
-	// replica count to match the dense average-loss scaling.
-	expert := e.Comm.Start(func() {
-		if e.DP.Size() > 1 || group > 1 {
-			allReduceBucketed(e.DP, e.expertParams, 1/group)
-		}
-	})
-	dense.Wait()
-	expert.Wait()
+	e.allReduceGrads()
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
 	norm := e.globalNorm(train.ShardedNormSq(e.Stage, e.denseParams), train.ShardedNormSq(e.DP, e.expertParams))
@@ -663,6 +651,26 @@ func (e *Engine) syncGradients([]*nn.Param) float32 {
 	return norm
 }
 
+// allReduceGrads all-reduces the dense and expert gradients. The two
+// all-reduces are independent and share only this rank's ports, so
+// they are issued together, dense first.
+func (e *Engine) allReduceGrads() {
+	group := float32(e.Stage.Size())
+	wire := e.Trainer.MP.GradWire()
+	// Dense parameters: bucketed all-reduce over the stage.
+	dense := e.Comm.Start(func() { allReduceBucketed(e.Stage, e.denseParams, 1/group, wire) })
+	// Expert parameters: all-reduce over the data-parallel group;
+	// the sum then covers every replica's tokens, so normalize by the
+	// replica count to match the dense average-loss scaling.
+	expert := e.Comm.Start(func() {
+		if e.DP.Size() > 1 || group > 1 {
+			allReduceBucketed(e.DP, e.expertParams, 1/group, wire)
+		}
+	})
+	dense.Wait()
+	expert.Wait()
+}
+
 // syncGradientsZeRO replaces the full-tensor all-reduce with the
 // sharded path: reduce-scatter leaves each rank holding only its owned
 // range of the reduced gradients (the same bytes on the wire as a ring
@@ -672,7 +680,7 @@ func (e *Engine) syncGradients([]*nn.Param) float32 {
 func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
 	group := float32(e.Stage.Size())
 	t0 := e.Comm.Now()
-	e.zero.SyncGradients(1 / group)
+	e.zero.SyncGradients(1/group, e.Trainer.MP.GradWire())
 	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
 	norm := e.globalNorm(e.zero.GroupNormSq(0), e.zero.GroupNormSq(1))
@@ -695,10 +703,11 @@ func (e *Engine) globalNorm(denseSq, expertSq float64) float32 {
 	return e.lastGradNorm
 }
 
-// allReduceBucketed concatenates gradients into one buffer, reduces
-// it, rescales, and unpacks — the gradient-bucketing optimization
-// every large-scale trainer applies to avoid per-tensor latency.
-func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
+// allReduceBucketed concatenates gradients into one buffer, sums it on
+// the wire w, rescales, and unpacks — the gradient-bucketing
+// optimization every large-scale trainer applies to avoid per-tensor
+// latency.
+func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.GradWire) {
 	if c.Size() == 1 {
 		// Nothing to reduce with; a unit scale leaves every bit alone.
 		if scale != 1 {
@@ -721,7 +730,7 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32) {
 		copy(buf[off:], p.G.Data)
 		off += p.G.Len()
 	}
-	buf = c.AllReduce(buf, mpi.OpSum)
+	buf = c.AllReduceGrads(buf, w)
 	off = 0
 	for _, p := range params {
 		copy(p.G.Data, buf[off:off+p.G.Len()])

@@ -83,13 +83,13 @@ func TestAllReduceBucketedSingleMember(t *testing.T) {
 		copy(p.G.Data, vals[:3])
 		copy(q.G.Data, vals[3:])
 		t0 := c.Now()
-		allReduceBucketed(c, []*nn.Param{p, q}, 1)
+		allReduceBucketed(c, []*nn.Param{p, q}, 1, mpi.GradWire{})
 		for i, v := range append(append([]float32(nil), p.G.Data...), q.G.Data...) {
 			if math.Float32bits(v) != math.Float32bits(vals[i]) {
 				t.Errorf("unit scale moved gradient %d: %v -> %v", i, vals[i], v)
 			}
 		}
-		allReduceBucketed(c, []*nn.Param{p, q}, 0.5)
+		allReduceBucketed(c, []*nn.Param{p, q}, 0.5, mpi.GradWire{})
 		for i, v := range append(append([]float32(nil), p.G.Data...), q.G.Data...) {
 			if want := vals[i] * 0.5; math.Float32bits(v) != math.Float32bits(want) {
 				t.Errorf("gradient %d scaled to %v, want %v", i, v, want)
@@ -326,20 +326,25 @@ func TestEngineBF16Trains(t *testing.T) {
 // planted on rank 0; on pp2×ep2 once on a first-stage rank (its gates'
 // aux-loss gradient overflows) and once on a head-stage rank (its logits
 // gradient does), where the column's norm carries it across the stage
-// boundary. The world runs under a timeout: the desynchronized
-// collectives this guards against may hang instead of panicking.
+// boundary. In the wire row no rank overflows alone: two ranks' finite
+// FP16 gradients sum past 65504 at the loss scale, the 16-bit sync's
+// owner rounds the sum to Inf, and every rank sees an Inf norm. The
+// world runs under a timeout: the desynchronized collectives this
+// guards against may hang instead of panicking.
 func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 	for _, row := range []struct {
 		name  string
 		strat Strategy
 		mc    ModelConfig
 		accum int
-		plant int // the rank whose scale overflows
-		stage int // and its pipeline stage
+		plant int   // the rank whose scale overflows, or -1
+		stage int   // and its pipeline stage
+		sum   []int // the ranks whose gradients overflow only summed
 	}{
-		{"dp2xep2", Strategy{DataParallel: 2, ExpertParallel: 2}, tinyModelCfg(1), 0, 0, 0},
-		{"pp2xep2_first_stage", Strategy{DataParallel: 1, ExpertParallel: 2, Pipeline: 2}, pipeModelCfg(4), 2, 0, 0},
-		{"pp2xep2_head_stage", Strategy{DataParallel: 1, ExpertParallel: 2, Pipeline: 2}, pipeModelCfg(4), 2, 3, 1},
+		{"dp2xep2", Strategy{DataParallel: 2, ExpertParallel: 2}, tinyModelCfg(1), 0, 0, 0, nil},
+		{"pp2xep2_first_stage", Strategy{DataParallel: 1, ExpertParallel: 2, Pipeline: 2}, pipeModelCfg(4), 2, 0, 0, nil},
+		{"pp2xep2_head_stage", Strategy{DataParallel: 1, ExpertParallel: 2, Pipeline: 2}, pipeModelCfg(4), 2, 3, 1, nil},
+		{"dp2xep2_wire", Strategy{DataParallel: 2, ExpertParallel: 2}, tinyModelCfg(1), 0, -1, 0, []int{1, 2}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			tc := tinyTrainCfg()
@@ -348,7 +353,7 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 				init, afterSkip, afterGood float32
 				skips                      [2]int
 				weightsKept, weightsMoved  bool
-				loss                       float32
+				loss, norm                 float32
 			}
 			recs := make([]rankRec, row.strat.Size())
 			w := mpi.NewWorld(row.strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1))
@@ -368,6 +373,18 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 							panic(fmt.Sprintf("rank %d is on stage %d, not %d", c.Rank(), s, row.stage))
 						}
 						mp.Scale = 1e12 // this rank's gradients overflow FP16
+					}
+					sync := e.Trainer.PostBackward
+					e.Trainer.PostBackward = func(ps []*nn.Param) float32 {
+						if slices.Contains(row.sum, c.Rank()) && e.Trainer.StepCount() == 0 {
+							// Finite at the scale, past 65504 once two meet.
+							e.DenseParams()[0].G.Data[0] = 40000 / mp.Scale
+						}
+						norm := sync(ps)
+						if e.Trainer.StepCount() == 0 {
+							rec.norm = norm
+						}
+						return norm
 					}
 					owned := func() (w []float32) {
 						for _, p := range e.Trainer.Params() {
@@ -399,6 +416,8 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 					want = 1e12 / 2
 				}
 				switch {
+				case row.sum != nil && !math.IsInf(float64(rec.norm), 1):
+					t.Fatalf("rank %d: norm %v after the planted sum, want +Inf", r, rec.norm)
 				case rec.skips != [2]int{1, 1}:
 					t.Fatalf("rank %d: skipped steps after each step %v, want [1 1]", r, rec.skips)
 				case rec.afterSkip != want:

@@ -18,7 +18,13 @@ import (
 func runEngineOpt(t *testing.T, strat Strategy, mc ModelConfig, tc train.Config,
 	steps int, optFor func() train.Optimizer) []StepStats {
 	t.Helper()
-	topo := simnet.New(sunway.TestMachine(2, 2), 1)
+	return runEngineOn(t, simnet.New(sunway.TestMachine(2, 2), 1), strat, mc, tc, steps, optFor)
+}
+
+// runEngineOn is runEngineOpt on the given topology.
+func runEngineOn(t *testing.T, topo *simnet.Topology, strat Strategy, mc ModelConfig, tc train.Config,
+	steps int, optFor func() train.Optimizer) []StepStats {
+	t.Helper()
 	w := mpi.NewWorld(strat.Size(), topo)
 	stats := make([]StepStats, steps)
 	w.Run(func(c *mpi.Comm) {
@@ -42,18 +48,26 @@ func runEngineOpt(t *testing.T, strat Strategy, mc ModelConfig, tc train.Config,
 // bit, every step — across grid shapes, route modes, and precision.
 // The sharded reduce-scatter produces bitwise the all-reduce values on
 // each owned range and both modes share the canonical norm combine, so
-// any inequality here is a real divergence, not float noise.
+// any inequality here is a real divergence, not float noise. Under
+// Mixed both sync at 16 bits (mpi.GradWire): dp4-mixed is a four-rank
+// ring with float32 middle hops, dp2xep4-mixed W2's rail schedule over
+// four supernodes, and the owner's one rounding must agree.
 func TestZeROBitExactVsUnsharded(t *testing.T) {
 	cases := []struct {
 		name  string
 		strat Strategy
 		route moe.RouteMode
 		prec  sunway.Precision
+		topo  *simnet.Topology // nil: two supernodes of two one-rank nodes
 	}{
-		{"dp4", Strategy{DataParallel: 4, ExpertParallel: 1}, moe.TokenChoice, sunway.FP32},
-		{"dp2xep2", Strategy{DataParallel: 2, ExpertParallel: 2}, moe.TokenChoice, sunway.FP32},
-		{"dp2xep2-capdrop", Strategy{DataParallel: 2, ExpertParallel: 2}, moe.CapacityDrop, sunway.FP32},
-		{"dp2xep2-mixed", Strategy{DataParallel: 2, ExpertParallel: 2}, moe.TokenChoice, sunway.Mixed},
+		{"dp4", Strategy{DataParallel: 4, ExpertParallel: 1}, moe.TokenChoice, sunway.FP32, nil},
+		{"dp2xep2", Strategy{DataParallel: 2, ExpertParallel: 2}, moe.TokenChoice, sunway.FP32, nil},
+		{"dp2xep2-capdrop", Strategy{DataParallel: 2, ExpertParallel: 2}, moe.CapacityDrop, sunway.FP32, nil},
+		{"dp2xep2-mixed", Strategy{DataParallel: 2, ExpertParallel: 2}, moe.TokenChoice, sunway.Mixed, nil},
+		{"dp4-mixed", Strategy{DataParallel: 4, ExpertParallel: 1}, moe.TokenChoice, sunway.Mixed,
+			simnet.New(sunway.TestMachine(1, 4), 1)},
+		{"dp2xep4-mixed", Strategy{DataParallel: 2, ExpertParallel: 4}, moe.TokenChoice, sunway.Mixed,
+			simnet.New(sunway.TestMachine(4, 1), 2)},
 	}
 	const steps = 6
 	for _, cse := range cases {
@@ -62,9 +76,13 @@ func TestZeROBitExactVsUnsharded(t *testing.T) {
 			mc.RouteMode = cse.route
 			tc := tinyTrainCfg()
 			tc.Precision = cse.prec
-			ref := runEngineOpt(t, cse.strat, mc, tc, steps,
+			topo := cse.topo
+			if topo == nil {
+				topo = simnet.New(sunway.TestMachine(2, 2), 1)
+			}
+			ref := runEngineOn(t, topo, cse.strat, mc, tc, steps,
 				func() train.Optimizer { return train.NewAdam(0) })
-			got := runEngineOpt(t, cse.strat, mc, tc, steps,
+			got := runEngineOn(t, topo, cse.strat, mc, tc, steps,
 				func() train.Optimizer { return train.NewShardedAdam(0) })
 			for s := 0; s < steps; s++ {
 				if ref[s].Loss != got[s].Loss {

@@ -194,22 +194,23 @@ func (d Deployment) flatCost(t *simnet.Topology, nodePeers, snPeers, machinePeer
 	return c
 }
 
-// allReduceCost prices the gradient all-reduce over p ranks that sit
-// stride ranks apart (stride 1 is a contiguous group), following what
-// mpi.Comm.AllReduce executes. The group has L members in each of the S
-// supernodes it touches. Inside one supernode it is a flat ring:
-// 2·(p-1)/p·bytes at the tier the group's span reaches. Across
-// supernodes it is the rail schedule (mpi.Comm.AllReduceHier): a local
-// reduce-scatter and all-gather move 2·(L-1)/L·bytes, and every rank
-// runs its own cross-supernode ring over 1/L of the buffer,
-// 2·(S-1)/S·bytes/L, each rank priced its own inter-supernode link
-// thinned by BisectionOversub. L = 1 — a stride of a supernode or
-// more — leaves only that ring, over the whole buffer.
-func (d Deployment) allReduceCost(t *simnet.Topology, p, stride int, bytes float64) arCost {
-	if bytes == 0 {
+// allReduceCost prices the gradient all-reduce of elems elements over p
+// ranks that sit stride ranks apart (stride 1 is a contiguous group),
+// following what mpi.Comm.AllReduceGrads executes. The group has L
+// members in each of the S supernodes it touches. Inside one supernode
+// it is a flat ring: 2·(p-1)/p of the buffer at the tier the group's
+// span reaches. Across supernodes it is the rail schedule
+// (mpi.Comm.AllReduceHier): a local reduce-scatter and all-gather move
+// 2·(L-1)/L of the buffer, and every rank runs its own cross-supernode
+// ring over 1/L of it, 2·(S-1)/S·1/L, each rank priced its own
+// inter-supernode link thinned by BisectionOversub. L = 1 — a stride of
+// a supernode or more — leaves only that ring, over the whole buffer.
+// Each phase moves its elements at the widths of syncWire.
+func (d Deployment) allReduceCost(t *simnet.Topology, p, stride int, elems float64) arCost {
+	if elems == 0 {
 		return arCost{}
 	}
-	return d.allReduceSchedule(t, p, stride, bytes)
+	return d.allReduceSchedule(t, p, stride, elems)
 }
 
 // allReduceLatency is the phase-startup (α-only) share of one
@@ -225,12 +226,44 @@ func (d Deployment) allReduceLatency(t *simnet.Topology, p, stride int) float64 
 // shares a second all-reduce issued beside it contends for — the phase
 // startups (lat, the total at zero bytes) and the injection time on the
 // rank's NIC (nic: the n·β of its supernode- and machine-level phases;
-// intra-node phases inject through shared memory, mpi's copy port).
-type arCost struct{ total, lat, nic float64 }
+// intra-node phases inject through shared memory, mpi's copy port) —
+// and the bytes it sends per rank.
+type arCost struct{ total, lat, nic, bytes float64 }
+
+// syncWire is the width in bytes of one element on a gradient-sync
+// hop: raw on a hop that carries one rank's own contribution, partial
+// on one that carries a partial sum, and gather on an all-gather hop.
+// Under FP16 and Mixed the engine sends raw contributions and finished
+// sums at 2 B and partial sums at 4 B (mpi.GradWire); ZeRO's all-gather
+// carries float32 parameters. Every other precision sends everything at
+// its training width.
+type syncWire struct{ raw, partial, gather float64 }
+
+func (d Deployment) syncWire() syncWire {
+	w := bytesPerElem(d.Precision)
+	sw := syncWire{raw: w, partial: w, gather: w}
+	if d.Precision == sunway.FP16 || d.Precision == sunway.Mixed {
+		sw = syncWire{raw: 2, partial: 4, gather: 2}
+	}
+	if d.ZeRO {
+		sw.gather = sw.partial
+	}
+	return sw
+}
+
+// ring is the mean element width over the 2·(k-1) hops of a ring
+// all-reduce over k ranks: its first reduce-scatter hop at first, the
+// k-2 after it at partial, and its k-1 all-gather hops at gather.
+func (w syncWire) ring(k int, first float64) float64 {
+	if k <= 1 {
+		return w.gather
+	}
+	return (first + float64(k-2)*w.partial + float64(k-1)*w.gather) / float64(2*(k-1))
+}
 
 // allReduceSchedule is the one derivation behind both: the schedule's
-// cost at the given payload, its phase startups alone at zero bytes.
-func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes float64) arCost {
+// cost at the given payload, its phase startups alone at zero elements.
+func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, elems float64) arCost {
 	if p <= 1 {
 		return arCost{}
 	}
@@ -245,17 +278,32 @@ func (d Deployment) allReduceSchedule(t *simnet.Topology, p, stride int, bytes f
 	if stride > 1 {
 		local = t.LevelOf(0, (L-1)*stride)
 	}
+	// A flat ring's first hop carries raw contributions; the rail
+	// schedule's local reduce-scatter carries raw contributions and its
+	// local all-gather finished values, and its cross-supernode ring
+	// starts from local sums unless each supernode holds one member.
+	w := d.syncWire()
+	lw, first := w.ring(L, w.raw), w.partial
+	if S > 1 {
+		lw = (w.raw + w.gather) / 2
+	}
+	if L == 1 {
+		first = w.raw
+	}
+	bytes := elems * lw
 	kl := 2 * float64(L-1) / float64(L)
-	c := arCost{total: kl * t.CostAtLevel(local, int(bytes)), lat: kl * t.Alpha[local]}
+	c := arCost{total: kl * t.CostAtLevel(local, int(bytes)), lat: kl * t.Alpha[local], bytes: kl * bytes}
 	if local >= simnet.SupernodeLevel {
 		c.nic = kl * float64(int(bytes)) * t.Beta[local]
 	}
 	if S > 1 {
 		ks := 2 * float64(S-1) / float64(S)
 		over := d.Machine.BisectionOversub
-		c.total += ks * t.CostAtLevel(simnet.MachineLevel, int(bytes/float64(L))) * over
+		xb := elems * w.ring(S, first) / float64(L)
+		c.total += ks * t.CostAtLevel(simnet.MachineLevel, int(xb)) * over
 		c.lat += ks * t.Alpha[simnet.MachineLevel] * over
-		c.nic += ks * float64(int(bytes/float64(L))) * t.Beta[simnet.MachineLevel] * over
+		c.nic += ks * float64(int(xb)) * t.Beta[simnet.MachineLevel] * over
+		c.bytes += ks * xb
 	}
 	return c
 }

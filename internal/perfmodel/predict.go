@@ -123,27 +123,27 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	}
 
 	// Gradient sync: dense params all-reduced over the world (ring:
-	// 2·(P-1)/P·bytes at the worst link), expert params over the
-	// data-parallel group. Gradients travel at wire precision (the
-	// paper communicates half-precision gradients in mixed mode).
-	// ZeRO's reduce-scatter + all-gather moves the same bytes as the
-	// ring all-reduce (pinned by TestZeROSyncBytesNoWorse), so sync
-	// cost does not depend on the ZeRO lever.
+	// 2·(P-1)/P of the buffer at the worst link), expert params over the
+	// data-parallel group, each hop at the width the engine sends it
+	// (syncWire: half-precision gradients under FP16 and Mixed, except
+	// on hops that carry partial sums). ZeRO's reduce-scatter +
+	// all-gather runs the ring all-reduce's hops (pinned by
+	// TestZeROSyncBytesNoWorse); its all-gather carries float32
+	// parameters, which syncWire prices.
 	// Under a pipeline each stage syncs only its own 1/S of the dense
 	// parameters, over its perStage sub-grid — the term that shrinks
 	// with depth and makes PP win on deep stacks.
-	gradBytes := func(n int64) float64 { return float64(n) * bytesPerElem(d.Precision) }
-	denseB := gradBytes(spec.DenseParams()) / float64(S)
-	dense := d.allReduceCost(topo, perStage, stageStride, denseB)
+	denseN := float64(spec.DenseParams()) / float64(S)
+	dense := d.allReduceCost(topo, perStage, stageStride, denseN)
 	p.Sync = dense.total
-	p.SyncBytes = ringBytes(perStage, denseB)
+	p.SyncBytes = dense.bytes
 	if dpSize > 1 && spec.MoEEvery > 0 {
 		// An expert shard's replicas form the data-parallel group, so
 		// their ring runs over the tier its stride reaches. The engine
 		// issues it together with the dense one.
-		shardB := gradBytes(spec.ExpertParamsTotal() / int64(epSize) / int64(S))
-		p.Sync = concurrentSync(dense, d.allReduceCost(topo, dpSize, dpStride, shardB))
-		p.SyncBytes += ringBytes(dpSize, shardB)
+		expert := d.allReduceCost(topo, dpSize, dpStride, float64(spec.ExpertParamsTotal()/int64(epSize)/int64(S)))
+		p.Sync = concurrentSync(dense, expert)
+		p.SyncBytes += expert.bytes
 	}
 	if d.ZeRO {
 		// The sharded optimizer turns each fused all-reduce into a
@@ -229,16 +229,6 @@ func (d Deployment) wireBytesPerElem() float64 {
 		return 2
 	}
 	return bytesPerElem(d.Precision)
-}
-
-// ringBytes is the per-rank send volume of a ring all-reduce (or the
-// byte-identical reduce-scatter + all-gather pair) of n bytes over p
-// ranks.
-func ringBytes(p int, n float64) float64 {
-	if p <= 1 {
-		return 0
-	}
-	return 2 * float64(p-1) / float64(p) * n
 }
 
 // goodput projects the useful-work fraction under the fault model:

@@ -181,14 +181,18 @@ func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 	topo := simnet.New(d.Machine, d.RanksPerNode)
 	a, b, over := topo.Alpha, topo.Beta, d.Machine.BisectionOversub
 	const sn, m = simnet.SupernodeLevel, simnet.MachineLevel
-	denseB := 2 * float64(spec.DenseParams())                                // half-precision gradients
-	expertB := 2 * float64(spec.ExpertParamsTotal()/int64(d.ExpertParallel)) // one shard
-	// Dense: eight ranks, two per supernode — a local pair, then four
-	// supernodes' rails over half the buffer each.
+	denseN := float64(spec.DenseParams())
+	expertB := 2 * float64(spec.ExpertParamsTotal()/int64(d.ExpertParallel)) // one shard, every hop 2 B
+	// Dense: eight ranks, two per supernode — a local pair at 2 B an
+	// element, then four supernodes' rails over half the buffer each.
+	// A rail ring starts from local sums: its three reduce-scatter hops
+	// carry partial sums at 4 B and its three all-gather hops 2 B, 3 B
+	// an element on average.
+	denseB, railB := 2*denseN, 3*denseN/2
 	dense := arCost{
-		total: a[sn] + denseB*b[sn] + 1.5*(a[m]+denseB/2*b[m])*over,
+		total: a[sn] + denseB*b[sn] + 1.5*(a[m]+railB*b[m])*over,
 		lat:   a[sn] + 1.5*a[m]*over,
-		nic:   denseB*b[sn] + 1.5*denseB/2*b[m]*over,
+		nic:   denseB*b[sn] + 1.5*railB*b[m]*over,
 	}
 	// Expert: the two replicas of a shard, in different supernodes.
 	expert := arCost{total: (a[m] + expertB*b[m]) * over, lat: a[m] * over, nic: expertB * b[m] * over}
@@ -213,7 +217,7 @@ func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 	}
 	const L, S = 2, 4
 	single := 2*float64(L-1)/float64(L)*topo.CostAtLevel(sn, int(denseB)) +
-		2*float64(S-1)/float64(S)*topo.CostAtLevel(m, int(denseB/float64(L)))*over
+		2*float64(S-1)/float64(S)*topo.CostAtLevel(m, int(railB))*over
 	if p.Sync != single {
 		t.Fatalf("dp1×ep8 Sync %v, want the single-group value %v", p.Sync, single)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"bagualu/internal/half"
+	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/sunway"
 )
@@ -80,6 +81,17 @@ func (mp *MixedPrecision) LossScale() float32 {
 		return mp.Scale
 	}
 	return 1
+}
+
+// GradWire is the wire the gradient sync sends under this policy. Under
+// FP16 and Mixed, PrepareGrads leaves every gradient on the FP16 grid
+// at the loss scale, so the sync sends 16-bit values at that scale; FP32
+// and BF16 gradients travel as float32.
+func (mp *MixedPrecision) GradWire() mpi.GradWire {
+	if mp.Mode == sunway.FP16 || mp.Mode == sunway.Mixed {
+		return mpi.GradWire{Scale: mp.Scale}
+	}
+	return mpi.GradWire{}
 }
 
 // SkippedSteps reports how many steps were dropped due to overflow.

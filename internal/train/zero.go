@@ -112,19 +112,20 @@ func (z *ShardedAdam) StateBytes() int64 {
 	return b
 }
 
-// SyncGradients reduce-scatters each group's gradients and stores this
-// rank's reduced, scale-multiplied shard (scale is the data-parallel
-// averaging factor). It replaces the full-tensor all-reduce of the
-// unsharded path; parameters' G tensors are left untouched (they hold
-// local, unreduced gradients afterwards). The groups' reduce-scatters
+// SyncGradients reduce-scatters each group's gradients on the wire w
+// (mpi.Comm.ReduceScatterShard) and stores this rank's reduced,
+// scale-multiplied shard (scale is the data-parallel averaging factor).
+// It replaces the full-tensor all-reduce of the unsharded path;
+// parameters' G tensors are left untouched (they hold local, unreduced
+// gradients afterwards). The groups' reduce-scatters
 // are issued together (mpi.Comm.Start) and joined before it returns.
-func (z *ShardedAdam) SyncGradients(scale float32) {
+func (z *ShardedAdam) SyncGradients(scale float32, w mpi.GradWire) {
 	if z.groups == nil {
 		panic("train: ShardedAdam.SyncGradients before Bind")
 	}
 	reqs := make([]*mpi.Request, len(z.groups))
 	for k, g := range z.groups {
-		reqs[k] = g.comm.Start(func() { g.reduceScatter(scale) })
+		reqs[k] = g.comm.Start(func() { g.reduceScatter(scale, w) })
 	}
 	for _, r := range reqs {
 		r.Wait()
@@ -132,13 +133,13 @@ func (z *ShardedAdam) SyncGradients(scale float32) {
 }
 
 // reduceScatter is one group's share of SyncGradients.
-func (g *shardGroup) reduceScatter(scale float32) {
+func (g *shardGroup) reduceScatter(scale float32, w mpi.GradWire) {
 	flat := tensor.GetSlice(g.n)
 	for i, p := range g.params {
 		copy(flat[g.offs[i]:], p.G.Data)
 	}
 	if g.comm.Size() > 1 {
-		shard, s := g.comm.ReduceScatterShard(flat[:g.n], mpi.OpSum)
+		shard, s := g.comm.ReduceScatterShard(flat[:g.n], w)
 		if s != g.my {
 			panic(fmt.Sprintf("train: shard %+v != bound %+v", s, g.my))
 		}

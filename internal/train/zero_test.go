@@ -63,7 +63,7 @@ func TestShardedAdamBitExact(t *testing.T) {
 			z.Bind(ShardGroup{Comm: c, Params: params})
 			for s := 0; s < steps; s++ {
 				setGrads(params, c.Rank(), s)
-				z.SyncGradients(1 / float32(p))
+				z.SyncGradients(1/float32(p), mpi.GradWire{})
 				z.Step(nil, 0.01)
 			}
 			var flat []float32
@@ -128,7 +128,7 @@ func TestShardedNormSqMatchesExchange(t *testing.T) {
 		setGrads(params, c.Rank(), 3)
 		z := NewShardedAdam(0)
 		z.Bind(ShardGroup{Comm: c, Params: params})
-		z.SyncGradients(1)
+		z.SyncGradients(1, mpi.GradWire{})
 
 		// Reference: all-reduce the grads in place, then the local
 		// canonical sum.
@@ -199,7 +199,7 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 		z.Bind(ShardGroup{Comm: c, Params: params})
 		for s := 0; s < 3; s++ {
 			setGrads(params, c.Rank(), s)
-			z.SyncGradients(1 / float32(p))
+			z.SyncGradients(1/float32(p), mpi.GradWire{})
 			z.Step(nil, 0.01)
 		}
 		all := append(append([]*nn.Param(nil), params...), z.StateTensors(params)...)
