@@ -53,7 +53,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if last >= first {
 		t.Fatalf("facade training did not reduce loss: %v -> %v", first, last)
 	}
-	if world.Stats().TotalBytes() == 0 {
+	if world.Stats().Snapshot().TotalBytes() == 0 {
 		t.Fatal("no traffic recorded")
 	}
 }

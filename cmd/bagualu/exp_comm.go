@@ -31,7 +31,7 @@ func a2aRun(ranks int, topo *simnet.Topology, elems int, f func(*mpi.Comm, *mpi.
 		f(c, sb, mpi.FP32Wire).Release()
 		sb.Release()
 	})
-	return w.MaxTime(), w.Stats().MsgsAt(simnet.MachineLevel)
+	return w.MaxTime(), w.Stats().Snapshot().Msgs[simnet.MachineLevel]
 }
 
 // expR4 and expR8, the collective micro-benchmarks, sweep the per-rank
@@ -77,11 +77,11 @@ func expR4(o *options) []*metrics.Table {
 					ex.PostAll(sb)
 					ex.Flush()
 					local = ex.RecvLocal()
-					c.Compute(window)
+					c.Compute(window, metrics.PhaseCompute)
 					remote = ex.RecvRemote()
 				} else {
 					local = c.AllToAllvHier(sb, codec)
-					c.Compute(window)
+					c.Compute(window, metrics.PhaseCompute)
 				}
 				local.Release()
 				if remote != nil {
@@ -89,7 +89,7 @@ func expR4(o *options) []*metrics.Table {
 				}
 				sb.Release()
 			})
-			return w.MaxTime(), w.Stats().BytesAt(simnet.MachineLevel)
+			return w.MaxTime(), w.Stats().Snapshot().Bytes[simnet.MachineLevel]
 		}
 		base, baseBytes := run(mpi.FP32Wire, false)
 		tc, cBytes := run(cfg.Codec, cfg.Overlap)
@@ -122,7 +122,7 @@ func expR8(o *options) []*metrics.Table {
 	for kb := 1; kb <= o.maxKB; kb *= 4 {
 		run := func(f func(c *mpi.Comm, d []float32) []float32) (float64, int64) {
 			w := onWorld(m.ranks, topo, func(c *mpi.Comm) { f(c, make([]float32, kb*1024/4)) })
-			return w.MaxTime(), w.Stats().BytesAt(simnet.MachineLevel)
+			return w.MaxTime(), w.Stats().Snapshot().Bytes[simnet.MachineLevel]
 		}
 		tr, br := run(func(c *mpi.Comm, d []float32) []float32 { return c.AllReduceRing(d, mpi.OpSum) })
 		th, bh := run(func(c *mpi.Comm, d []float32) []float32 { return c.AllReduceHier(d, mpi.OpSum) })

@@ -116,7 +116,7 @@ func expR6b(*options) []*metrics.Table {
 				m.Backward(tensor.Ones(64, 8))
 			}
 		})
-		return w.Stats().BytesAt(simnet.MachineLevel)
+		return w.Stats().Snapshot().Bytes[simnet.MachineLevel]
 	}
 	sh.AddRow("owner only", bytes(false, true)-bytes(false, false))
 	sh.AddRow("shadowed on every rank", bytes(true, true)-bytes(true, false))

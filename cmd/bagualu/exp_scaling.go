@@ -168,7 +168,7 @@ func expR16(*options) []*metrics.Table {
 		if zero {
 			name = "zero (sharded)"
 		}
-		tab.AddRow(name, ranks, fmt.Sprintf("%.1f", float64(w.Stats().TotalBytes())/scalingSteps/(1<<10)),
+		tab.AddRow(name, ranks, fmt.Sprintf("%.1f", float64(w.Stats().Snapshot().TotalBytes())/scalingSteps/(1<<10)),
 			fmt.Sprintf("%.1f", float64(optBytes)/(1<<10)), sim/scalingSteps)
 	}
 	return []*metrics.Table{tab}

@@ -101,7 +101,7 @@ func expR13(o *options) []*metrics.Table {
 			r.TTFT.Quantile(0.5), r.TTFT.Quantile(0.99),
 			r.TPOT.Quantile(0.5), r.TPOT.Quantile(0.99),
 			r.E2E.Quantile(0.5), r.E2E.Quantile(0.99),
-			r.Completed, r.Rejected, float64(w.Stats().BytesAt(simnet.MachineLevel))/(1<<20))
+			r.Completed, r.Rejected, float64(w.Stats().Snapshot().Bytes[simnet.MachineLevel])/(1<<20))
 	}
 
 	r13 := metrics.NewTable("R13: serving throughput vs offered load (fp16 wire)", cols...)

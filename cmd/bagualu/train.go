@@ -124,7 +124,7 @@ func runTrain(args []string, out io.Writer) {
 			}
 		}
 		if c.Rank() == 0 {
-			phases = e.Phases()
+			phases = c.Phases()
 		}
 		if *ckptDir != "" {
 			saveCheckpoint(e, *ckptDir)
@@ -135,7 +135,7 @@ func runTrain(args []string, out io.Writer) {
 	}
 
 	if phases != nil && phases.Total() > 0 {
-		fmt.Fprintf(out, "\nmemory-capacity phases (rank 0, virtual seconds):")
+		fmt.Fprintf(out, "\nphases (rank 0, virtual seconds):")
 		for _, name := range phases.Names() {
 			if s := phases.Seconds(name); s > 0 {
 				fmt.Fprintf(out, "  %s %.3g", name, s)
@@ -144,11 +144,11 @@ func runTrain(args []string, out io.Writer) {
 		fmt.Fprintln(out)
 	}
 
-	st := world.Stats()
+	tr := world.Stats().Snapshot()
 	fmt.Fprintf(out, "\ntraffic: node %.1f MiB / sn %.1f MiB / machine %.1f MiB; virtual makespan %.3gs\n",
-		float64(st.BytesAt(simnet.NodeLevel))/(1<<20),
-		float64(st.BytesAt(simnet.SupernodeLevel))/(1<<20),
-		float64(st.BytesAt(simnet.MachineLevel))/(1<<20),
+		float64(tr.Bytes[simnet.NodeLevel])/(1<<20),
+		float64(tr.Bytes[simnet.SupernodeLevel])/(1<<20),
+		float64(tr.Bytes[simnet.MachineLevel])/(1<<20),
 		world.MaxTime())
 }
 

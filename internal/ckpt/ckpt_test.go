@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/simnet"
@@ -158,7 +159,7 @@ func TestAsyncCheaperThanSync(t *testing.T) {
 			// Pad to make disk time dominate alpha.
 			params = append(params, &nn.Param{Name: "big", W: tensor.New(1 << 16)})
 			for step := int64(1); step <= 3; step++ {
-				c.Compute(1e-3) // a "training step" between checkpoints
+				c.Compute(1e-3, metrics.PhaseCompute) // a "training step" between checkpoints
 				if err := wr.Save(step, Header{Step: step}, params, Layout{WorldSize: 2}); err != nil {
 					t.Error(err)
 				}
@@ -197,7 +198,7 @@ func TestAsyncBackpressure(t *testing.T) {
 		wr.Save(1, Header{Step: 1}, params, Layout{WorldSize: 1})
 		wr.Save(2, Header{Step: 2}, params, Layout{WorldSize: 1})
 		wr.WaitIdle()
-		flushStall.Store(wr.Timing().Flush)
+		flushStall.Store(c.Phases().Seconds(metrics.PhaseCkptFlush))
 	})
 	if s, _ := flushStall.Load().(float64); s <= 0 {
 		t.Fatalf("no flush stall recorded under a saturated disk (got %v)", flushStall.Load())

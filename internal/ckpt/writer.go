@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/simnet"
@@ -30,13 +31,14 @@ type Config struct {
 }
 
 // Timing breaks down fault-tolerance time on the virtual clock, in
-// seconds. Cumulative; subtract snapshots to attribute per step.
+// seconds: one rank's cumulative checkpoint and recovery phases, read
+// from its phase record by TimingOf.
 type Timing struct {
 	Snapshot float64 // copying params into pooled buffers (async)
 	Flush    float64 // disk write (sync) or stall on a busy disk (async)
 	// Recovery is the detour after a failure, from the shrink to the
 	// survivors' common restart (the fault-tolerant loop books it; a
-	// Writer meters only its own Snapshot and Flush). RecoveryRead and
+	// Writer books only Snapshot and Flush). RecoveryRead and
 	// RecoveryGather are sub-totals of it: this rank's disk read of its
 	// own slice of the state, and the replica-group all-gathers that
 	// rebuild the rest over the interconnect. The remainder is re-forming
@@ -46,26 +48,26 @@ type Timing struct {
 	RecoveryGather float64
 }
 
-// Add returns t + o, field-wise (accumulating across writers when the
-// recovery path rebinds to a shrunk communicator).
-func (t Timing) Add(o Timing) Timing {
+// TimingOf reads the checkpoint and recovery phases of a rank's record.
+func TimingOf(rec *metrics.PhaseMeter) Timing {
 	return Timing{
-		Snapshot: t.Snapshot + o.Snapshot,
-		Flush:    t.Flush + o.Flush,
-		Recovery: t.Recovery + o.Recovery,
-
-		RecoveryRead:   t.RecoveryRead + o.RecoveryRead,
-		RecoveryGather: t.RecoveryGather + o.RecoveryGather,
+		Snapshot:       rec.Seconds(metrics.PhaseCkptSnapshot),
+		Flush:          rec.Seconds(metrics.PhaseCkptFlush),
+		Recovery:       rec.Seconds(metrics.PhaseRecovery),
+		RecoveryRead:   rec.Seconds(metrics.PhaseRecoveryRead),
+		RecoveryGather: rec.Seconds(metrics.PhaseRecoveryGather),
 	}
 }
 
-// Writer is one rank's end of the sharded checkpoint protocol.
+// Writer is one rank's end of the sharded checkpoint protocol. Its
+// virtual-time charges book metrics.PhaseCkptSnapshot and
+// metrics.PhaseCkptFlush on the rank's phase record, so they outlive
+// the writer.
 type Writer struct {
 	cfg  Config
 	comm *mpi.Comm
 	bw   float64 // modeled disk bytes/second
 
-	timing   Timing
 	diskFree float64 // virtual time the disk finishes the pending flush
 
 	wg sync.WaitGroup
@@ -88,9 +90,6 @@ func NewWriter(cfg Config, c *mpi.Comm) *Writer {
 	}
 	return &Writer{cfg: cfg, comm: c, bw: bw * (1 << 30)}
 }
-
-// Timing returns the cumulative virtual-time breakdown.
-func (w *Writer) Timing() Timing { return w.timing }
 
 // RestoreSeconds converts a Restore's byte volume to virtual disk
 // time under this writer's bandwidth model.
@@ -142,9 +141,7 @@ func (w *Writer) Save(step int64, hdr Header, params []*nn.Param, layout Layout)
 	pend := getCoord(w.cfg.Dir, step, shards, layout)
 
 	if !w.cfg.Async {
-		secs := float64(bytes) / w.bw
-		w.comm.Compute(secs)
-		w.timing.Flush += secs
+		w.comm.Compute(float64(bytes)/w.bw, metrics.PhaseCkptFlush)
 		recs, err := writeShard(sd, rank, hdr, params, w.failAfter)
 		if err != nil {
 			pend.abort()
@@ -159,12 +156,9 @@ func (w *Writer) Save(step int64, hdr Header, params []*nn.Param, layout Layout)
 	// background flusher.
 	topo := w.comm.Topology()
 	snap := topo.Alpha[simnet.SelfLevel] + float64(bytes)*topo.Beta[simnet.SelfLevel]
-	w.comm.Compute(snap)
-	w.timing.Snapshot += snap
+	w.comm.Compute(snap, metrics.PhaseCkptSnapshot)
 	if now := w.comm.Now(); now < w.diskFree {
-		stall := w.diskFree - now
-		w.comm.Compute(stall)
-		w.timing.Flush += stall
+		w.comm.Compute(w.diskFree-now, metrics.PhaseCkptFlush)
 	}
 	w.diskFree = w.comm.Now() + float64(bytes)/w.bw
 

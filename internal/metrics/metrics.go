@@ -140,7 +140,7 @@ const (
 // sharded optimizer, selective recomputation, host-memory offload),
 // shared by the parallel engine and the CLI step report.
 const (
-	PhaseGradSync       = "grad-sync"       // gradient reduce-scatter (or legacy all-reduce)
+	PhaseGradSync       = "grad-sync"       // gradient all-reduce (replicated) or reduce-scatter (ZeRO)
 	PhaseOptimizerShard = "optimizer-shard" // local Adam update of the owned moment shard
 	PhaseParamGather    = "param-gather"    // all-gather of updated parameters
 	PhaseRecompute      = "recompute"       // activation-recomputation forward replay
@@ -153,16 +153,18 @@ const (
 	// waiting for a boundary activation or gradient to arrive — the
 	// pipeline bubble, including the blocking transfer's wire latency.
 	PhaseBubble = "pipe-bubble"
-	// PhaseCompute is virtual time the engine charged for model FLOPs:
-	// the flat grid's dense lump and recompute replay, or the pipeline
-	// runner's chunk passes. Expert GEMMs that MoE layers price inline
-	// are metered by the layers (moe.Timing.ExpertSim).
+	// PhaseCompute is virtual time charged for model FLOPs: the
+	// pipeline runner's chunk passes (their recompute replays are
+	// PhaseRecompute), the expert GEMMs MoE layers price inline, and
+	// serving steps.
 	PhaseCompute = "compute"
 )
 
 // PhaseMeter accumulates seconds into named phases in a fixed
-// presentation order — the exchange-phase breakdown (dispatch-local,
-// dispatch-remote, ...) a step report renders as one table row.
+// presentation order. Each simulated rank owns one (mpi.Comm.Phases):
+// the record of where its virtual time went, booked where the clock is
+// charged. A report builds its own to render a sweep's totals as one
+// table. The zero value is an empty meter, ready to use.
 type PhaseMeter struct {
 	names []string
 	idx   map[string]int
@@ -171,11 +173,10 @@ type PhaseMeter struct {
 
 // NewPhaseMeter fixes the phase set and its display order.
 func NewPhaseMeter(names ...string) *PhaseMeter {
-	p := &PhaseMeter{names: names, idx: make(map[string]int, len(names))}
-	for i, n := range names {
-		p.idx[n] = i
+	p := &PhaseMeter{}
+	for _, n := range names {
+		p.Observe(n, 0)
 	}
-	p.secs = make([]float64, len(names))
 	return p
 }
 
@@ -184,6 +185,9 @@ func NewPhaseMeter(names ...string) *PhaseMeter {
 func (p *PhaseMeter) Observe(name string, secs float64) {
 	i, ok := p.idx[name]
 	if !ok {
+		if p.idx == nil {
+			p.idx = map[string]int{}
+		}
 		i = len(p.names)
 		p.names = append(p.names, name)
 		p.idx[name] = i

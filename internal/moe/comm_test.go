@@ -207,7 +207,7 @@ func TestDistMoEFP16CutsInterSupernodeBytes(t *testing.T) {
 			m.Forward(x)
 			m.Backward(tensor.Ones(tokens, d))
 		})
-		return w.Stats().BytesAt(simnet.MachineLevel)
+		return w.Stats().Snapshot().Bytes[simnet.MachineLevel]
 	}
 	fp32 := inter(mpi.FP32Wire)
 	fp16 := inter(mpi.FP16Wire)

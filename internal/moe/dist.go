@@ -135,13 +135,11 @@ type DistMoE struct {
 // Timing accumulates wall-clock seconds per MoE phase across steps;
 // the communication/computation breakdown experiment (R9) reads it.
 // Dispatch/Combine include both training directions (forward traffic
-// and its backward mirror).
+// and its backward mirror). The expert GEMM time a layer charges to the
+// virtual clock at SimRate is booked on its rank's phase record
+// (metrics.PhaseCompute).
 type Timing struct {
 	Gate, Dispatch, Expert, Combine float64
-
-	// ExpertSim is the one virtual-clock entry: seconds of expert GEMM
-	// the layer charged to its rank's clock at SimRate (0 when unset).
-	ExpertSim float64
 }
 
 // Add returns the fieldwise sum of two breakdowns (aggregating over
@@ -151,7 +149,6 @@ func (t Timing) Add(o Timing) Timing {
 	t.Dispatch += o.Dispatch
 	t.Expert += o.Expert
 	t.Combine += o.Combine
-	t.ExpertSim += o.ExpertSim
 	return t
 }
 
@@ -162,7 +159,6 @@ func (t Timing) Sub(o Timing) Timing {
 	t.Dispatch -= o.Dispatch
 	t.Expert -= o.Expert
 	t.Combine -= o.Combine
-	t.ExpertSim -= o.ExpertSim
 	return t
 }
 

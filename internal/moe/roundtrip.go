@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/mpi"
 	"bagualu/internal/tensor"
 )
@@ -233,9 +234,10 @@ func packLeg(rb *mpi.RecvBuf, ord [][]rowRef, rows, d int) (*tensor.Tensor, []in
 }
 
 // chargeCompute advances the virtual clock by the expert GEMM time at
-// SimRate FLOP/s: two d×hidden matmuls per row forward, double that
-// backward, whose weight-gradient half is charged when the products it
-// deferred run (see DeferWeightGrads). No-op when SimRate is unset.
+// SimRate FLOP/s, booked as metrics.PhaseCompute: two d×hidden matmuls
+// per row forward, double that backward, whose weight-gradient half is
+// charged when the products it deferred run (see DeferWeightGrads).
+// No-op when SimRate is unset.
 func (m *DistMoE) chargeCompute(rows int, backward bool) {
 	if m.SimRate <= 0 {
 		return
@@ -243,18 +245,12 @@ func (m *DistMoE) chargeCompute(rows int, backward bool) {
 	s := expertFlops(rows, m.Cfg.Dim, m.hidden) / m.SimRate
 	if backward {
 		if wg := m.expertWG(); wg != nil {
-			wg.Then(func() { m.charge(s) })
+			wg.Then(func() { m.comm.Compute(s, metrics.PhaseCompute) })
 		} else {
 			s *= 2
 		}
 	}
-	m.charge(s)
-}
-
-// charge advances the rank's clock by s seconds of expert GEMM.
-func (m *DistMoE) charge(s float64) {
-	m.comm.Compute(s)
-	m.Time.ExpertSim += s
+	m.comm.Compute(s, metrics.PhaseCompute)
 }
 
 // legRow returns row pos of the chunk src returned, from whichever leg

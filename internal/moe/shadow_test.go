@@ -83,7 +83,7 @@ func TestShadowAllExperts(t *testing.T) {
 		})
 		var total int64
 		for l := simnet.SelfLevel; l <= simnet.MachineLevel; l++ {
-			total += w.Stats().BytesAt(l)
+			total += w.Stats().Snapshot().Bytes[l]
 		}
 		return total
 	}
@@ -103,6 +103,7 @@ func TestShadowReducesDispatchBytesForHotExpert(t *testing.T) {
 	topo := distTestTopo()
 	run := func(shadow bool) int64 {
 		w := mpi.NewWorld(P, topo)
+		var base simnet.Traffic
 		w.Run(func(c *mpi.Comm) {
 			r := tensor.NewRNG(94)
 			cfg := gateCfg(d, 4, 1)
@@ -116,13 +117,20 @@ func TestShadowReducesDispatchBytesForHotExpert(t *testing.T) {
 					panic(err)
 				}
 			}
-			w.Stats().Reset()
+			// Count from here on: every rank has sent its replicas when
+			// the first (zero-byte) barrier ends, and none starts its
+			// forward before the second.
+			c.Barrier()
+			if c.Rank() == 0 {
+				base = w.Stats().Snapshot()
+			}
+			c.Barrier()
 			xr := tensor.NewRNG(95 + uint64(c.Rank()))
 			x := tensor.Uniform(xr, 0.5, 1.5, tokens, d)
 			m.Forward(x)
 			m.Backward(tensor.Ones(tokens, d))
 		})
-		return w.Stats().BytesAt(simnet.MachineLevel)
+		return w.Stats().Snapshot().Sub(base).Bytes[simnet.MachineLevel]
 	}
 	plain := run(false)
 	shadowed := run(true)

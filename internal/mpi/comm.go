@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/simnet"
 )
 
@@ -105,7 +106,7 @@ func newWorldComm(w *World, rank int, born int64) *Comm {
 		group[i] = i
 	}
 	return &Comm{
-		proc:        &proc{w: w, global: rank},
+		proc:        &proc{w: w, global: rank, phases: &w.phases[rank]},
 		group:       group,
 		rank:        rank,
 		id:          0,
@@ -130,18 +131,29 @@ func (c *Comm) Topology() *simnet.Topology { return c.proc.w.topo }
 // body (Start), the request's clock.
 func (c *Comm) Now() float64 { return c.proc.now }
 
-// Compute charges local computation time to the virtual clock. The
-// trainer uses it to account simulated GEMM time so that compute/
-// communication overlap and breakdowns are meaningful. A straggler
-// rank's charges are stretched by its delay multiplier: a slow node
-// computes slowly, not just its links (this is what makes migrating
-// work OFF a straggler worthwhile).
-func (c *Comm) Compute(seconds float64) {
+// Phases returns this rank's phase record: the virtual seconds booked
+// per phase (metrics.Phase*) since the world was created. Every
+// communicator of the rank shares it — Split, Self and ShrinkTo
+// children included — and only the rank's goroutine may use it.
+// Compute books what it charges; a site that measures a clock delta
+// (a blocking receive, a collective, a recovery) Observes it here.
+func (c *Comm) Phases() *metrics.PhaseMeter { return c.proc.phases }
+
+// Compute charges local computation time to the virtual clock and books
+// the seconds charged under phase in the rank's record. The trainer
+// uses it to account simulated GEMM time so that compute/communication
+// overlap and breakdowns are meaningful. A straggler rank's charges are
+// stretched by its delay multiplier: a slow node computes slowly, not
+// just its links (this is what makes migrating work OFF a straggler
+// worthwhile).
+func (c *Comm) Compute(seconds float64, phase string) {
 	if seconds < 0 {
 		panic("mpi: negative compute time")
 	}
 	c.proc.inBody("Compute")
-	c.proc.now += seconds * c.proc.w.computeDelay(c.proc.global)
+	d := seconds * c.proc.w.computeDelay(c.proc.global)
+	c.proc.now += d
+	c.proc.phases.Observe(phase, d)
 }
 
 // AdvanceTo moves this rank's virtual clock forward to absolute time t

@@ -109,7 +109,7 @@ func TestGradWireRoundsOnce(t *testing.T) {
 	bytes := func(sync func(c *Comm, in []float32)) int64 {
 		w := NewWorld(2, nil)
 		w.Run(func(c *Comm) { sync(c, gradInput(tensor.NewRNG(uint64(c.Rank())), 1001, 0, 1024, false)) })
-		return w.Stats().TotalBytes()
+		return w.Stats().Snapshot().TotalBytes()
 	}
 	fp32 := bytes(func(c *Comm, in []float32) { c.AllReduce(in, OpSum) })
 	fp16 := bytes(func(c *Comm, in []float32) { c.AllReduceGrads(in, GradWire{Scale: 1024}) })

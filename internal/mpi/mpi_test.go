@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 )
@@ -92,10 +93,68 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	}
 }
 
+// TestPhaseRecordPerRank: a rank has one phase record. Its world
+// communicator, a Split, Self and a ShrinkTo survivor communicator all
+// reach it; a booking made inside a request body lands in it (the
+// reliable transport books a retransmit's backoff on the sender); and
+// what Compute books is exactly what it advanced the clock by, a
+// straggler's stretch included.
+func TestPhaseRecordPerRank(t *testing.T) {
+	const n = 4
+	w := NewWorld(n, testTopo())
+	w.SetRankDelay(3, 2.5)
+	w.SetWireFaultFn(func(src, dst int, seq int64) WireFault {
+		if src == 0 && seq == 0 {
+			return WireDrop // rank 0's first frame: the request's send below
+		}
+		return WireOK
+	})
+	w.EnableReliableTransport(TransportConfig{})
+	clocks := make([]float64, n)
+	w.Run(func(c *Comm) {
+		rec := c.Phases()
+		// From clock 0, so the clock is the sum of the charges.
+		c.Compute(1e-3, metrics.PhaseCompute)
+		c.Self().Compute(2e-3, metrics.PhaseCompute)
+		clocks[c.Rank()] = c.Now()
+		switch c.Rank() {
+		case 0:
+			c.Start(func() { c.Send(1, 7, []float32{1, 2}) }).Wait()
+		case 1:
+			c.Recv(0, 7)
+		}
+		comms := map[string]*Comm{"world": c, "split": c.Split(c.Rank()%2, c.Rank()), "self": c.Self()}
+		if c.Rank() < 3 {
+			comms["shrink"] = c.ShrinkTo([]int{0, 1, 2})
+		}
+		for name, cc := range comms {
+			if cc.Phases() != rec || w.Phases(c.Rank()) != rec {
+				t.Errorf("rank %d: the %s communicator reaches another record", c.Rank(), name)
+			}
+		}
+	})
+	for r := 0; r < n; r++ {
+		rec := w.Phases(r)
+		if got := rec.Seconds(metrics.PhaseCompute); got != clocks[r] || got <= 0 {
+			t.Errorf("rank %d: Compute booked %v, the clock advanced %v", r, got, clocks[r])
+		}
+		want := 0.0
+		if r == 0 {
+			want = TransportConfig{}.withDefaults().backoffDelay(0)
+		}
+		if got := rec.Seconds(metrics.PhaseRetransmit); got != want {
+			t.Errorf("rank %d: retransmit backoff %v, want %v", r, got, want)
+		}
+	}
+	if clocks[3] <= clocks[0] {
+		t.Errorf("straggler's charges not stretched: %v vs %v", clocks[3], clocks[0])
+	}
+}
+
 func TestComputeCharging(t *testing.T) {
 	w := NewWorld(1, nil)
 	w.Run(func(c *Comm) {
-		c.Compute(1.5)
+		c.Compute(1.5, metrics.PhaseCompute)
 		if c.Now() != 1.5 {
 			t.Errorf("Now = %v", c.Now())
 		}
@@ -268,7 +327,7 @@ func TestHierReducesInterSupernodeTraffic(t *testing.T) {
 			d := make([]float32, n)
 			f(c, d)
 		})
-		return w.Stats().MsgsAt(simnet.MachineLevel), w.MaxTime()
+		return w.Stats().Snapshot().Msgs[simnet.MachineLevel], w.MaxTime()
 	}
 	ringMsgs, _ := run(func(c *Comm, d []float32) []float32 { return c.AllReduceRing(d, OpSum) })
 	hierMsgs, _ := run(func(c *Comm, d []float32) []float32 { return c.AllReduceHier(d, OpSum) })
@@ -386,15 +445,11 @@ func TestStatsCountsBytes(t *testing.T) {
 			c.Recv(0, 0)
 		}
 	})
-	if got := w.Stats().BytesAt(simnet.NodeLevel); got != 400 {
+	if got := w.Stats().Snapshot().Bytes[simnet.NodeLevel]; got != 400 {
 		t.Fatalf("bytes = %d, want 400", got)
 	}
-	if got := w.Stats().MsgsAt(simnet.NodeLevel); got != 1 {
+	if got := w.Stats().Snapshot().Msgs[simnet.NodeLevel]; got != 1 {
 		t.Fatalf("msgs = %d, want 1", got)
-	}
-	w.Stats().Reset()
-	if w.Stats().TotalBytes() != 0 {
-		t.Fatal("Reset did not zero counters")
 	}
 }
 

@@ -246,7 +246,7 @@ func TestRailTraffic(t *testing.T) {
 	const S, R = 4, 8
 	w := r8World()
 	w.Run(func(c *Comm) { c.AllReduce(make([]float32, 4<<20/4), OpSum) })
-	if got := w.Stats().BytesAt(simnet.MachineLevel); got != 25165824 {
+	if got := w.Stats().Snapshot().Bytes[simnet.MachineLevel]; got != 25165824 {
 		t.Fatalf("4 MiB: inter-supernode bytes %d, want 25165824", got)
 	}
 
@@ -263,7 +263,8 @@ func TestRailTraffic(t *testing.T) {
 		return WireOK
 	})
 	w.Run(func(c *Comm) { c.AllReduce(make([]float32, n), OpSum) })
-	if msgs, bytes := w.Stats().MsgsAt(simnet.MachineLevel), w.Stats().BytesAt(simnet.MachineLevel); msgs*piece != bytes {
+	tr := w.Stats().Snapshot()
+	if msgs, bytes := tr.Msgs[simnet.MachineLevel], tr.Bytes[simnet.MachineLevel]; msgs*piece != bytes {
 		t.Fatalf("inter-supernode messages are not all one %d-byte piece: %d messages, %d bytes", piece, msgs, bytes)
 	}
 	for r := range sent {

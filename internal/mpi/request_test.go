@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/tensor"
@@ -422,7 +423,7 @@ func TestRequestFailureInFlight(t *testing.T) {
 // panics with a message that says so.
 func TestRequestBodyRules(t *testing.T) {
 	for name, body := range map[string]func(c *Comm){
-		"Compute":   func(c *Comm) { c.Compute(1e-6) },
+		"Compute":   func(c *Comm) { c.Compute(1e-6, metrics.PhaseCompute) },
 		"AdvanceTo": func(c *Comm) { c.AdvanceTo(1) },
 		"Start":     func(c *Comm) { c.Start(func() {}) },
 	} {

@@ -132,7 +132,7 @@ func TestShardedSyncBytesMatchRing(t *testing.T) {
 		})
 		var sum int64
 		for l := simnet.SelfLevel; l <= simnet.MachineLevel; l++ {
-			sum += w.Stats().BytesAt(l)
+			sum += w.Stats().Snapshot().Bytes[l]
 		}
 		return sum
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/simnet"
 )
 
@@ -78,10 +79,10 @@ func (c TransportConfig) backoffDelay(attempt int) float64 {
 // TransportStats counts the retransmit engine's work. Per-sender
 // counters are written only by that sender's goroutine; totals may be
 // read from any goroutine once the world has quiesced (or for
-// monotonic monitoring mid-run).
+// monotonic monitoring mid-run). The timeout+backoff seconds are booked
+// on the sender's phase record (metrics.PhaseRetransmit).
 type TransportStats struct {
-	retrans   []atomic.Int64  // retransmitted frames, by sender
-	backoff   []atomic.Uint64 // float64 bits: timeout+backoff seconds, by sender
+	retrans   []atomic.Int64 // retransmitted frames, by sender
 	recovered atomic.Int64
 	exhausted atomic.Int64
 }
@@ -95,25 +96,11 @@ func (s *TransportStats) Retransmits() int64 {
 	return t
 }
 
-// BackoffSim totals timeout+backoff virtual seconds across senders.
-func (s *TransportStats) BackoffSim() float64 {
-	var t float64
-	for i := range s.backoff {
-		t += math.Float64frombits(s.backoff[i].Load())
-	}
-	return t
-}
-
 // Recovered counts frames delivered intact after >= 1 retransmission.
 func (s *TransportStats) Recovered() int64 { return s.recovered.Load() }
 
 // Exhausted counts frames that ran out of retries and escalated.
 func (s *TransportStats) Exhausted() int64 { return s.exhausted.Load() }
-
-func (s *TransportStats) addBackoff(global int, d float64) {
-	b := &s.backoff[global]
-	b.Store(math.Float64bits(math.Float64frombits(b.Load()) + d))
-}
 
 // transport is the world's retransmit engine state.
 type transport struct {
@@ -127,7 +114,6 @@ type transport struct {
 func (w *World) EnableReliableTransport(cfg TransportConfig) {
 	t := &transport{cfg: cfg.withDefaults()}
 	t.stats.retrans = make([]atomic.Int64, w.size)
-	t.stats.backoff = make([]atomic.Uint64, w.size)
 	w.transport = t
 }
 
@@ -172,7 +158,7 @@ func (w *World) deliverReliable(m *message, dst, n int, level simnet.Level, atte
 		delay := t.cfg.backoffDelay(attempt)
 		m.arrive += delay + attemptCost
 		t.stats.retrans[m.src].Add(1)
-		t.stats.addBackoff(m.src, delay)
+		w.phases[m.src].Observe(metrics.PhaseRetransmit, delay)
 		// The retransmission occupies the wire again.
 		w.stats.Msgs[level].Add(1)
 		w.stats.Bytes[level].Add(int64(n))

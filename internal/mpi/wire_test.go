@@ -142,7 +142,7 @@ func runAllToAll(p int, topo *simnet.Topology, codec Codec, fill func(rank int) 
 		rb.Release()
 	})
 	out.clock = w.MaxTime()
-	out.msgs = w.Stats().MsgsAt(simnet.MachineLevel)
+	out.msgs = w.Stats().Snapshot().Msgs[simnet.MachineLevel]
 	return out
 }
 
@@ -208,7 +208,7 @@ func TestAllToAllHierReducesInterSupernodeMessages(t *testing.T) {
 				f(c, sb, FP32Wire).Release()
 				sb.Release()
 			})
-			return w.Stats().MsgsAt(simnet.MachineLevel)
+			return w.Stats().Snapshot().Msgs[simnet.MachineLevel]
 		}
 		if got := msgs((*Comm).AllToAllvHier); got != tc.hier {
 			t.Errorf("%s: hierarchical inter-supernode messages %d, want %d", tc.name, got, tc.hier)
@@ -302,7 +302,7 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 					sb.Release()
 					rb.Release()
 				})
-				return w.Stats().BytesAt(simnet.MachineLevel)
+				return w.Stats().Snapshot().Bytes[simnet.MachineLevel]
 			}
 			fp32 := inter(FP32Wire)
 			fp16 := inter(FP16Wire)

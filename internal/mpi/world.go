@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bagualu/internal/metrics"
 	"bagualu/internal/simnet"
 )
 
@@ -221,25 +222,11 @@ func (w *World) wakeStuck() {
 }
 
 // Stats aggregates traffic counters across the run, split by
-// hierarchy level. All fields are updated atomically.
+// hierarchy level. All fields are updated atomically; read them through
+// Snapshot.
 type Stats struct {
 	Msgs  [4]atomic.Int64 // indexed by simnet.Level
 	Bytes [4]atomic.Int64
-}
-
-// MsgsAt returns the message count at a level.
-func (s *Stats) MsgsAt(l simnet.Level) int64 { return s.Msgs[l].Load() }
-
-// BytesAt returns the byte count at a level.
-func (s *Stats) BytesAt(l simnet.Level) int64 { return s.Bytes[l].Load() }
-
-// TotalBytes sums bytes over all levels.
-func (s *Stats) TotalBytes() int64 {
-	var t int64
-	for i := range s.Bytes {
-		t += s.Bytes[i].Load()
-	}
-	return t
 }
 
 // Snapshot copies the counters into an immutable simnet.Traffic
@@ -254,20 +241,16 @@ func (s *Stats) Snapshot() simnet.Traffic {
 	return t
 }
 
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	for i := range s.Msgs {
-		s.Msgs[i].Store(0)
-		s.Bytes[i].Store(0)
-	}
-}
-
 // World is a set of communicating ranks sharing a topology.
 type World struct {
 	size  int
 	topo  *simnet.Topology
 	boxes []*mailbox
 	stats Stats
+
+	// phases is each rank's record of where its virtual time went,
+	// indexed by global rank and written only by that rank's goroutine.
+	phases []metrics.PhaseMeter
 
 	timeMu   sync.Mutex
 	maxTime  float64
@@ -308,6 +291,7 @@ func NewWorld(size int, topo *simnet.Topology) *World {
 		size:       size,
 		topo:       topo,
 		boxes:      make([]*mailbox, size),
+		phases:     make([]metrics.PhaseMeter, size),
 		failed:     make([]atomic.Bool, size),
 		delayBits:  make([]atomic.Uint64, size),
 		wireSeq:    make([]atomic.Int64, size),
@@ -337,6 +321,10 @@ func (w *World) Topology() *simnet.Topology { return w.topo }
 
 // Stats returns the traffic counters.
 func (w *World) Stats() *Stats { return &w.stats }
+
+// Phases returns a rank's phase record (see Comm.Phases). Read it from
+// that rank's goroutine, or after Run returns.
+func (w *World) Phases(global int) *metrics.PhaseMeter { return &w.phases[global] }
 
 // MaxTime returns the largest virtual completion time across ranks,
 // valid after Run returns. This is the simulated makespan.
@@ -412,13 +400,14 @@ func (w *World) closeAll() {
 }
 
 // proc is the per-goroutine state of a rank: its global id, virtual
-// clock and injection ports. All communicators of the same rank share
-// it. While a request body runs (see request.go), now is the request's
-// clock and lane the request.
+// clock, phase record and injection ports. All communicators of the
+// same rank share it. While a request body runs (see request.go), now
+// is the request's clock and lane the request.
 type proc struct {
 	w      *World
 	global int
 	now    float64
+	phases *metrics.PhaseMeter
 	lane   *Request
 	ports  [2]port
 }

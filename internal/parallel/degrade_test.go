@@ -1,10 +1,17 @@
 package parallel
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"bagualu/internal/fault"
+	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
@@ -191,5 +198,97 @@ func TestEscalationDeterministicReplay(t *testing.T) {
 	b := run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("escalation replay diverged:\n  first  %+v\n  second %+v", a, b)
+	}
+}
+
+// TestMitigateKeepsMovedState: a drain moves an expert whole. With Adam
+// at FP32 and at Mixed, every expert tensor — FP32 master, working
+// weights and both moments — has the same bits by name after the
+// drain as before it, wherever it now lives. LAMB cannot ship its
+// state with an expert, so Mitigate refuses it.
+func TestMitigateKeepsMovedState(t *testing.T) {
+	const ranks = 4
+	type tensors map[string][]uint32 // IEEE bits by name
+	// run trains dp1 x ep4 three steps, drains slot 0, and returns every
+	// rank's expert tensors before and after, and where each lived.
+	run := func(prec sunway.Precision, opt func() train.Optimizer) (before, after tensors, moved int, err error) {
+		before, after = tensors{}, tensors{}
+		owner := map[string]int{}
+		var mu sync.Mutex
+		errs := make([]error, ranks)
+		collect := func(e *Engine, into tensors, rank int) {
+			expert := map[string]bool{}
+			add := func(name string, v []float32) {
+				mu.Lock()
+				bits := make([]uint32, len(v))
+				for i, x := range v {
+					bits[i] = math.Float32bits(x)
+				}
+				into[name] = bits
+				if o, ok := owner[name]; ok && o != rank {
+					moved++
+				}
+				owner[name] = rank
+				mu.Unlock()
+			}
+			for _, p := range e.ExpertParams() {
+				expert[p.Name] = true
+				add(p.Name, p.W.Data)
+				if c, ok := e.Trainer.Opt.(moe.OptStateCarrier); ok {
+					for k, s := range c.State(p) {
+						add(fmt.Sprintf("%s.state%d", p.Name, k), s)
+					}
+				}
+			}
+			for _, m := range e.Trainer.MP.MasterParams() {
+				if expert[strings.TrimSuffix(m.Name, ".master")] {
+					add(m.Name, m.W.Data)
+				}
+			}
+		}
+		w := mpi.NewWorld(ranks, simnet.New(sunway.TestMachine(2, 2), 1))
+		w.Run(func(c *mpi.Comm) {
+			tc := tinyTrainCfg()
+			tc.Precision = prec
+			e, err := NewEngine(c, Strategy{DataParallel: 1, ExpertParallel: ranks}, tinyModelCfg(1), tinyCorpusCfg(), tc, opt(), 11)
+			if err != nil {
+				t.Error(err)
+				panic(err)
+			}
+			for s := 0; s < 3; s++ {
+				e.Step()
+			}
+			collect(e, before, c.Rank())
+			c.Barrier()
+			if errs[c.Rank()] = e.Mitigate([]bool{true, false, false, false}); errs[c.Rank()] == nil {
+				collect(e, after, c.Rank())
+			}
+		})
+		return before, after, moved, errors.Join(errs...)
+	}
+	adam := func() train.Optimizer { return train.NewAdam(0) }
+	for _, prec := range []sunway.Precision{sunway.FP32, sunway.Mixed} {
+		before, after, moved, err := run(prec, adam)
+		if err != nil {
+			t.Fatalf("%v: %v", prec, err)
+		}
+		if moved == 0 {
+			t.Fatalf("%v: draining slot 0 moved nothing", prec)
+		}
+		masters := 0
+		for name, v := range before {
+			if strings.HasSuffix(name, ".master") {
+				masters++
+			}
+			if got, ok := after[name]; !ok || !slices.Equal(got, v) {
+				t.Errorf("%v: %s changed across the drain", prec, name)
+			}
+		}
+		if len(after) != len(before) || (prec == sunway.Mixed) != (masters > 0) {
+			t.Fatalf("%v: %d tensors before, %d after, %d masters", prec, len(before), len(after), masters)
+		}
+	}
+	if _, _, _, err := run(sunway.FP32, func() train.Optimizer { return train.NewLAMB(0) }); err == nil {
+		t.Fatal("Mitigate moved experts under LAMB, whose moments cannot travel with them")
 	}
 }

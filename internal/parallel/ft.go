@@ -27,6 +27,7 @@ import (
 	"bagualu/internal/data"
 	"bagualu/internal/fault"
 	"bagualu/internal/health"
+	"bagualu/internal/metrics"
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
@@ -86,15 +87,17 @@ type FTResult struct {
 	Goodput   float64
 
 	// Timing is the reporting rank's cumulative checkpoint/recovery
-	// phase breakdown on the virtual clock.
+	// phase breakdown on the virtual clock, read from its phase record.
 	Timing ckpt.Timing
 
 	// Graceful-degradation summary (zero under EscalateRollback).
 	// Retransmits/RecoveredFrames/ExhaustedFrames/BackoffSim aggregate
-	// the reliable transport's work across the whole world;
+	// the reliable transport's work across the whole world (BackoffSim
+	// sums every rank's metrics.PhaseRetransmit in global-rank order);
 	// Mitigations and MitigationSim count the reporting rank's expert
-	// drain migrations; DegradedRanks is the health monitor's degraded
-	// set at exit (reporting rank's view, global rank ids).
+	// drain migrations (MitigationSim is its metrics.PhaseMitigation);
+	// DegradedRanks is the health monitor's degraded set at exit
+	// (reporting rank's view, global rank ids).
 	Retransmits     int64
 	RecoveredFrames int64
 	ExhaustedFrames int64
@@ -244,11 +247,16 @@ func RunFaultTolerant(w *mpi.World, cfg FTConfig, inj *fault.Injector) (*FTResul
 	res := &states[report].FTResult
 	res.TotalSim, res.Failures = w.MaxTime(), len(w.Failed())
 	res.FinalWorld = w.Size() - res.Failures
+	rec := w.Phases(report)
+	res.Timing = ckpt.TimingOf(rec)
+	res.MitigationSim = rec.Seconds(metrics.PhaseMitigation)
 	if ts := w.Transport(); ts != nil {
 		res.Retransmits = ts.Retransmits()
 		res.RecoveredFrames = ts.Recovered()
 		res.ExhaustedFrames = ts.Exhausted()
-		res.BackoffSim = ts.BackoffSim()
+		for r := 0; r < w.Size(); r++ {
+			res.BackoffSim += w.Phases(r).Seconds(metrics.PhaseRetransmit)
+		}
 	}
 	if res.TotalSim > 0 {
 		res.Goodput = res.UsefulSim / res.TotalSim
@@ -320,7 +328,6 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			if werr := lp.wr.WaitIdle(); werr != nil && st.err == nil {
 				st.err = werr
 			}
-			st.Timing = st.Timing.Add(lp.wr.Timing())
 		}
 		st.Steps = eng.Trainer.StepCount()
 		st.Completed = st.err == nil
@@ -407,7 +414,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 								return
 							}
 							st.Mitigations++
-							st.MitigationSim += lp.comm.Now() - m0
+							lp.comm.Phases().Observe(metrics.PhaseMitigation, lp.comm.Now()-m0)
 						}
 					}
 				}
@@ -624,8 +631,7 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 		}
 		lp.lastCredit, lp.pending = 0, 0
 	}
-	rs, rerr := eng.Restore(pol.Dir, agreed, hdr, nw.RestoreSeconds)
-	if rerr != nil {
+	if _, rerr := eng.Restore(pol.Dir, agreed, hdr, nw.RestoreSeconds); rerr != nil {
 		return rerr
 	}
 	// Survivors leave recovery together: nobody resumes before the slowest
@@ -636,12 +642,8 @@ func recoverRank(eng *Engine, cfg FTConfig, lp *ftLoop, ss *stepStart, st *rankS
 	done := newComm.AllGatherInts([]int{int(math.Ceil(newComm.Now() * 1e9))})
 	newComm.AdvanceTo(float64(slices.Max(done)) * 1e-9)
 	// The clock paid for the detour as it went (re-form, disk, gather,
-	// wait); the meter only records it.
-	st.Timing = st.Timing.Add(ckpt.Timing{
-		Recovery:       newComm.Now() - recoverStart,
-		RecoveryRead:   rs.ReadSim,
-		RecoveryGather: rs.GatherSim,
-	}).Add(lp.wr.Timing()) // and retires the old writer's meter
+	// wait); the record only books it.
+	newComm.Phases().Observe(metrics.PhaseRecovery, newComm.Now()-recoverStart)
 	lp.comm, lp.strat, lp.wr = newComm, newStrat, nw
 	if forward {
 		st.RolledForward++

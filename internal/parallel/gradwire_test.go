@@ -77,7 +77,7 @@ func TestMixedSyncBytesMatchModel(t *testing.T) {
 						e.allReduceGrads()
 					}
 				})
-				return w.Stats().TotalBytes()
+				return w.Stats().Snapshot().TotalBytes()
 			}
 			got := float64(bytes(true)-bytes(false)) / float64(row.grid.Size())
 			t.Logf("%s: %.1f sync bytes per rank, model %.1f", row.name, got, pred.SyncBytes)

@@ -122,7 +122,8 @@ type StepStats struct {
 	// (see metrics.PhaseGradSync etc.): gradient sync (reduce-scatter
 	// or all-reduce), the local shard update under ZeRO, the parameter
 	// all-gather, the recomputation forward replay, and optimizer-state
-	// offload traffic.
+	// offload traffic. Every phase field is this step's delta of the
+	// rank's phase record (mpi.Comm.Phases).
 	GradSync       float64
 	OptimizerShard float64
 	ParamGather    float64
@@ -135,10 +136,10 @@ type StepStats struct {
 	BubbleSim float64
 
 	// ComputeSim is virtual time this rank's clock was charged for model
-	// FLOPs during the step: the runner's chunk passes (recompute replays
-	// included) plus the expert GEMMs MoE layers price inline. Zero unless
-	// a compute rate is set. It is metered beside the charges, not by
-	// another clock operation.
+	// FLOPs during the step: the runner's chunk passes, recompute replays
+	// included (metrics.PhaseCompute plus metrics.PhaseRecompute), and
+	// the expert GEMMs MoE layers price inline. Zero unless a compute
+	// rate is set.
 	ComputeSim float64
 }
 
@@ -176,8 +177,13 @@ type Engine struct {
 	zero      *train.ShardedAdam
 	offloadBW float64 // host-memory bytes/s for optimizer-state offload; 0 = resident
 
-	phases    *metrics.PhaseMeter
-	phasePrev map[string]float64 // last snapshot, for per-step deltas
+	phasePrev [len(stepPhases)]float64 // the record's stepPhases at the last step's end
+}
+
+// stepPhases are the record phases StepStats reports per step.
+var stepPhases = [...]string{
+	metrics.PhaseGradSync, metrics.PhaseOptimizerShard, metrics.PhaseParamGather,
+	metrics.PhaseRecompute, metrics.PhaseOffload, metrics.PhaseBubble, metrics.PhaseCompute,
 }
 
 // NewEngine builds the model, communicators, corpus shard, and
@@ -255,11 +261,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		return nil, err
 	}
 	e.Trainer = tr
-	e.phases = metrics.NewPhaseMeter(
-		metrics.PhaseGradSync, metrics.PhaseOptimizerShard,
-		metrics.PhaseParamGather, metrics.PhaseRecompute,
-		metrics.PhaseOffload, metrics.PhaseBubble, metrics.PhaseCompute)
-	e.phasePrev = map[string]float64{}
+	e.phaseDeltas()
 	// The optimizer, precision policy, and checkpoints operate on the
 	// stage-owned parameter subset; the trainer's step runs the stage's
 	// schedule.
@@ -366,7 +368,6 @@ func (e *Engine) buildRunner() {
 			}
 			return e.chunkWGradFlops[g] / e.computeRate
 		},
-		Meter: e.phases,
 	}
 }
 
@@ -450,13 +451,6 @@ func (e *Engine) CheckpointLayout() ckpt.Layout {
 	}
 }
 
-// RestoreStats reports what one rank's Engine.Restore cost.
-type RestoreStats struct {
-	BytesRead int64   // shard bytes this rank read from disk
-	ReadSim   float64 // virtual seconds the disk took to deliver them
-	GatherSim float64 // virtual seconds in the replica-group all-gathers
-}
-
 // Restore brings the engine to the start of a step — after a shrink,
 // call it right after Reform. Collective over the engine's communicator.
 //
@@ -471,34 +465,35 @@ type RestoreStats struct {
 // 1/R slice views (they alias the live weights, moments and masters, so
 // the read lands in place; ZeRO moment shards are rank-exclusive and
 // arrive whole), pays diskSeconds of virtual time for the bytes it
-// read, and then every replica group all-gathers its flat concat over
-// the interconnect, so each logical byte leaves the disk once however
-// many replicas need it. The checkpoint may have been written under a
-// different layout: a slice boundary that falls inside a saved record
-// reads that record whole. Rank r adopts the header of shard r.
+// read (booked as metrics.PhaseRecoveryRead), and then every replica
+// group all-gathers its flat concat over the interconnect
+// (metrics.PhaseRecoveryGather), so each logical byte leaves the disk
+// once however many replicas need it. The checkpoint may have been
+// written under a different layout: a slice boundary that falls inside
+// a saved record reads that record whole. Rank r adopts the header of
+// shard r. It returns the shard bytes this rank read from disk.
 //
 // Either way a pipeline column then continues its stage-0 member's data
 // stream, so every stage of the column scores the batch stage 0 feeds.
-func (e *Engine) Restore(dir string, step int64, live *ckpt.Header, diskSeconds func(bytes int64) float64) (RestoreStats, error) {
-	var st RestoreStats
+func (e *Engine) Restore(dir string, step int64, live *ckpt.Header, diskSeconds func(bytes int64) float64) (int64, error) {
+	var bytesRead int64
 	hdr := live
 	if hdr == nil {
-		t0 := e.Comm.Now()
 		res, err := ckpt.Restore(dir, step, e.Comm.Rank(), e.CheckpointShard())
-		st.BytesRead = res.BytesRead
 		if err != nil {
-			return st, err
+			return res.BytesRead, err
 		}
-		e.Comm.Compute(diskSeconds(res.BytesRead))
-		t1 := e.Comm.Now()
+		bytesRead = res.BytesRead
+		e.Comm.Compute(diskSeconds(res.BytesRead), metrics.PhaseRecoveryRead)
+		t0 := e.Comm.Now()
 		e.Trainer.GatherShards(e.replicaGroups()...)
-		st.ReadSim, st.GatherSim = t1-t0, e.Comm.Now()-t1
+		e.Comm.Phases().Observe(metrics.PhaseRecoveryGather, e.Comm.Now()-t0)
 		hdr = &res.Header
 	}
 	e.Trainer.ApplyRestored(*hdr)
 	streams := e.PPComm.AllGatherInts([]int{int(e.Trainer.Corpus.RNGState())})
 	e.Trainer.Corpus.SetRNGState(uint64(streams[0]))
-	return st, nil
+	return bytesRead, nil
 }
 
 // holdsOnly reports whether every parameter of the rank's replica
@@ -536,7 +531,6 @@ func (e *Engine) replicated() map[*nn.Param]bool {
 func (e *Engine) installSync(opt train.Optimizer) {
 	if z, ok := opt.(*train.ShardedAdam); ok {
 		z.Bind(e.replicaGroups()...)
-		z.Observer = e.phases.Observe
 		if e.computeRate > 0 {
 			z.UpdateRate = e.computeRate / adamFlopsPerElem
 		}
@@ -590,16 +584,14 @@ func (e *Engine) OptStateBytes() int64 {
 	return 8 * int64(nn.NumParams(e.denseParams)+nn.NumParams(e.expertParams))
 }
 
-// Phases returns the engine's cumulative step-phase meter (grad-sync,
-// optimizer-shard, param-gather, recompute, offload, pipe-bubble,
-// compute).
-func (e *Engine) Phases() *metrics.PhaseMeter { return e.phases }
-
-// phaseDelta returns the phase's accumulation since the last call.
-func (e *Engine) phaseDelta(name string) float64 {
-	cur := e.phases.Seconds(name)
-	d := cur - e.phasePrev[name]
-	e.phasePrev[name] = cur
+// phaseDeltas returns what the rank's record booked under each of
+// stepPhases since the last call (since NewEngine for the first).
+func (e *Engine) phaseDeltas() (d [len(stepPhases)]float64) {
+	rec := e.Comm.Phases()
+	for i, name := range stepPhases {
+		cur := rec.Seconds(name)
+		d[i], e.phasePrev[i] = cur-e.phasePrev[i], cur
+	}
 	return d
 }
 
@@ -636,7 +628,7 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 func (e *Engine) syncGradients([]*nn.Param) float32 {
 	t0 := e.Comm.Now()
 	e.allReduceGrads()
-	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
+	e.Comm.Phases().Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
 	norm := e.globalNorm(train.ShardedNormSq(e.Stage, e.denseParams), train.ShardedNormSq(e.DP, e.expertParams))
 	if e.clipNorm > 0 && norm > e.clipNorm {
@@ -676,12 +668,12 @@ func (e *Engine) allReduceGrads() {
 // range of the reduced gradients (the same bytes on the wire as a ring
 // all-reduce); the optimizer later updates that shard and all-gathers
 // the parameters. Norm and clip use the identical canonical partial
-// sums as the legacy path, applied to the shards.
+// sums as the replicated path (syncGradients), applied to the shards.
 func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
 	group := float32(e.Stage.Size())
 	t0 := e.Comm.Now()
 	e.zero.SyncGradients(1/group, e.Trainer.MP.GradWire())
-	e.phases.Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
+	e.Comm.Phases().Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
 	norm := e.globalNorm(e.zero.GroupNormSq(0), e.zero.GroupNormSq(1))
 	if e.clipNorm > 0 && norm > e.clipNorm {
@@ -749,19 +741,14 @@ func (e *Engine) Step() StepStats {
 	if e.offloadBW > 0 {
 		// Offloaded optimizer state streams host→device and back once
 		// per step (read moments, write updated moments).
-		secs := 2 * float64(e.OptStateBytes()) / e.offloadBW
-		e.Comm.Compute(secs)
-		e.phases.Observe(metrics.PhaseOffload, secs)
+		e.Comm.Compute(2*float64(e.OptStateBytes())/e.offloadBW, metrics.PhaseOffload)
 	}
 
 	st := StepStats{Step: local.Step, GradNorm: e.lastGradNorm}
-	st.GradSync = e.phaseDelta(metrics.PhaseGradSync)
-	st.OptimizerShard = e.phaseDelta(metrics.PhaseOptimizerShard)
-	st.ParamGather = e.phaseDelta(metrics.PhaseParamGather)
-	st.RecomputeSim = e.phaseDelta(metrics.PhaseRecompute)
-	st.OffloadSim = e.phaseDelta(metrics.PhaseOffload)
-	st.BubbleSim = e.phaseDelta(metrics.PhaseBubble)
-	st.ComputeSim = e.phaseDelta(metrics.PhaseCompute)
+	d := e.phaseDeltas()
+	st.GradSync, st.OptimizerShard, st.ParamGather = d[0], d[1], d[2]
+	st.RecomputeSim, st.OffloadSim, st.BubbleSim = d[3], d[4], d[5]
+	st.ComputeSim = d[6] + st.RecomputeSim
 	// Aggregate loss/aux/overflow across the world. The divisor is the
 	// stage size: the loss lives only on last-chunk ranks and the aux loss
 	// is spread over a column's stages, so the world sum counts each of
@@ -774,7 +761,6 @@ func (e *Engine) Step() StepStats {
 	// Every MoE layer exchanges over e.EP, so its wire counter is the
 	// step's whole MoE traffic.
 	st.MoE = e.moeTime().Sub(moe0)
-	st.ComputeSim += st.MoE.ExpertSim
 	st.Wire = e.EP.WireStats().Sub(wire0)
 	st.SimTime = e.Comm.Now() - simStart
 	if st.SimTime > 0 {

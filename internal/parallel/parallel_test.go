@@ -9,6 +9,7 @@ import (
 
 	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
+	"bagualu/internal/metrics"
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
@@ -282,7 +283,7 @@ func TestEngineRecomputeDoublesDispatchTraffic(t *testing.T) {
 				e.Step()
 			}
 		})
-		return w.Stats().TotalBytes()
+		return w.Stats().Snapshot().TotalBytes()
 	}
 	plain := traffic(0)
 	ckpt := traffic(1)
@@ -565,8 +566,11 @@ func TestShardedCheckpointRoundTrip(t *testing.T) {
 // runner charges per chunk pass, it is positive and inside the step.
 func TestComputeSimMetersEveryCharge(t *testing.T) {
 	const rate = 1e9
-	step := func(strat Strategy, mc ModelConfig, tc train.Config, rate float64) StepStats {
+	// step runs one step and returns rank 0's stats and the compute its
+	// phase record booked.
+	step := func(strat Strategy, mc ModelConfig, tc train.Config, rate float64) (StepStats, float64) {
 		var st StepStats
+		var booked float64
 		w := mpi.NewWorld(strat.Size(), simnet.New(sunway.TestMachine(2, 2), 1))
 		w.Run(func(c *mpi.Comm) {
 			e, err := NewEngine(c, strat, mc, tinyCorpusCfg(), tc, train.NewAdam(0), 11)
@@ -576,15 +580,16 @@ func TestComputeSimMetersEveryCharge(t *testing.T) {
 			}
 			e.SetComputeRate(rate)
 			if s := e.Step(); c.Rank() == 0 {
-				st = s
+				st, booked = s, c.Phases().Seconds(metrics.PhaseCompute)
 			}
 		})
-		return st
+		return st, booked
 	}
 	flat := Strategy{DataParallel: 2, ExpertParallel: 2}
 	mc := tinyModelCfg(1)
 	mc.RecomputeEvery = 2
-	free, priced := step(flat, mc, tinyTrainCfg(), 0), step(flat, mc, tinyTrainCfg(), rate)
+	free, _ := step(flat, mc, tinyTrainCfg(), 0)
+	priced, _ := step(flat, mc, tinyTrainCfg(), rate)
 	if free.ComputeSim != 0 {
 		t.Fatalf("ComputeSim %v with no compute rate set", free.ComputeSim)
 	}
@@ -595,12 +600,15 @@ func TestComputeSimMetersEveryCharge(t *testing.T) {
 		t.Fatalf("clock paid %v for compute, ComputeSim says %v", paid, priced.ComputeSim)
 	}
 
+	// With no engine rate the record's compute is the MoE layers' inline
+	// expert GEMMs alone.
 	mc = tinyModelCfg(1)
 	mc.MoESimFLOPS = rate
-	if st := step(flat, mc, tinyTrainCfg(), rate); st.MoE.ExpertSim <= 0 || st.ComputeSim <= st.MoE.ExpertSim || st.ComputeSim >= st.SimTime {
-		t.Fatalf("inline expert charges: ExpertSim %v, ComputeSim %v, step %v", st.MoE.ExpertSim, st.ComputeSim, st.SimTime)
+	_, expertSim := step(flat, mc, tinyTrainCfg(), 0)
+	if st, _ := step(flat, mc, tinyTrainCfg(), rate); expertSim <= 0 || st.ComputeSim <= expertSim || st.ComputeSim >= st.SimTime {
+		t.Fatalf("inline expert charges: ExpertSim %v, ComputeSim %v, step %v", expertSim, st.ComputeSim, st.SimTime)
 	}
-	if st := step(Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 2}, pipeModelCfg(4), pipeTrainCfg(2), rate); st.ComputeSim <= 0 || st.ComputeSim >= st.SimTime {
+	if st, _ := step(Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 2}, pipeModelCfg(4), pipeTrainCfg(2), rate); st.ComputeSim <= 0 || st.ComputeSim >= st.SimTime {
 		t.Fatalf("pipelined grid: ComputeSim %v, step %v", st.ComputeSim, st.SimTime)
 	}
 }

@@ -61,15 +61,12 @@ type Runner struct {
 	// marks). WGradSeconds returns the share of that backward its
 	// weight-gradient GEMMs take: a split backward charges it in W and
 	// the rest in B. The engine prices dense FLOPs here; self-charging
-	// MoE layers price their own GEMMs. Nil charges nothing.
+	// MoE layers price their own GEMMs. Nil charges nothing. The
+	// charges book metrics.PhaseCompute on the rank's record, replays
+	// metrics.PhaseRecompute, and the time this stage spends blocked on
+	// boundary receives metrics.PhaseBubble.
 	FwdSeconds   func(g int) float64
 	WGradSeconds func(g int) float64
-
-	// Meter receives bubble time (metrics.PhaseBubble): virtual seconds
-	// this stage spent blocked on boundary recvs, and the chunk compute
-	// charged through FwdSeconds (metrics.PhaseCompute; replays also as
-	// metrics.PhaseRecompute).
-	Meter *metrics.PhaseMeter
 
 	loss nn.SoftmaxCrossEntropy
 
@@ -139,7 +136,7 @@ func (r *Runner) Stashed() int {
 func (r *Runner) recvInto(dst []float32, src, tag int) {
 	t0 := r.Comm.Now()
 	r.Comm.RecvPooledInto(dst, src, tag)
-	r.Meter.Observe(metrics.PhaseBubble, r.Comm.Now()-t0)
+	r.Comm.Phases().Observe(metrics.PhaseBubble, r.Comm.Now()-t0)
 }
 
 // send starts a boundary send as a request: its bytes leave on the
@@ -160,15 +157,11 @@ func (r *Runner) seconds(g int) (fwd, wgrad float64) {
 	return fwd, wgrad
 }
 
-// charge advances the virtual clock by s seconds of chunk compute and
-// meters them under each of phases.
-func (r *Runner) charge(s float64, phases ...string) {
-	if s <= 0 {
-		return
-	}
-	r.Comm.Compute(s)
-	for _, ph := range phases {
-		r.Meter.Observe(ph, s)
+// charge advances the virtual clock by s seconds of chunk compute,
+// booked under phase.
+func (r *Runner) charge(s float64, phase string) {
+	if s > 0 {
+		r.Comm.Compute(s, phase)
 	}
 }
 
@@ -254,7 +247,7 @@ func (r *Runner) runBackward(v, mb int) {
 	p := r.passes[v][mb]
 	fwd, wgrad := r.seconds(g)
 	if n := p.Replays(); n > 0 {
-		r.charge(fwd*(float64(n)/float64(r.Part[g].Blocks())), metrics.PhaseCompute, metrics.PhaseRecompute)
+		r.charge(fwd*(float64(n)/float64(r.Part[g].Blocks())), metrics.PhaseRecompute)
 	}
 	var d *tensor.Tensor
 	if g == r.lastGlobal() {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bagualu/internal/metrics"
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
@@ -57,7 +56,6 @@ func tinyRunner(c *mpi.Comm, model *nn.GPT, virtual, micro int) *Runner {
 	return &Runner{
 		Stages: stages, Virtual: virtual, Micro: micro, Stage: c.Rank(),
 		Comm: c, Model: model, Part: part, Rows: tinyBatch * tinyCfg.SeqLen,
-		Meter: metrics.NewPhaseMeter(metrics.PhaseBubble, metrics.PhaseCompute, metrics.PhaseRecompute),
 	}
 }
 

@@ -123,8 +123,7 @@ func ShortRun(cfg ShortRunConfig) (ShortRunResult, error) {
 	if runErr != nil {
 		return res, runErr
 	}
-	st := w.Stats()
-	res.TotalBytes = st.TotalBytes()
-	res.InterSNBytes = st.Snapshot().InterBytes()
+	tr := w.Stats().Snapshot()
+	res.TotalBytes, res.InterSNBytes = tr.TotalBytes(), tr.InterBytes()
 	return res, nil
 }

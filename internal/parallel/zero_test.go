@@ -133,7 +133,7 @@ func TestZeROSyncBytesNoWorse(t *testing.T) {
 				e.Step()
 			}
 		})
-		return w.Stats().TotalBytes()
+		return w.Stats().Snapshot().TotalBytes()
 	}
 	legacy := traffic(func() train.Optimizer { return train.NewAdam(0) })
 	zero := traffic(func() train.Optimizer { return train.NewShardedAdam(0) })

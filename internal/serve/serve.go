@@ -193,7 +193,7 @@ func (cm costModel) charge(c *mpi.Comm, cfg Config, g *nn.GPT, rows, attnTokens 
 		secs += f / cfg.FLOPS
 	}
 	if secs > 0 {
-		c.Compute(secs)
+		c.Compute(secs, metrics.PhaseCompute)
 	}
 }
 

@@ -74,6 +74,17 @@ func (mp *MixedPrecision) cover(params []*nn.Param) {
 	}
 }
 
+// LoadMasters copies each covered parameter's FP32 master over its
+// working weights (Mixed only; there are no masters otherwise). The
+// next cover rounds them again, which reproduces the working weights
+// bitwise and snapshots the master of a parameter new to it from the
+// unrounded values — so an expert migrated in between moves whole.
+func (mp *MixedPrecision) LoadMasters() {
+	for i, m := range mp.masters {
+		copy(mp.params[i].W.Data, m)
+	}
+}
+
 // LossScale returns the current loss scale (1 when scaling is off).
 // BF16 keeps the FP32 exponent range and needs no scaling.
 func (mp *MixedPrecision) LossScale() float32 {

@@ -45,20 +45,12 @@ type ShardedAdam struct {
 	// group communicator's virtual clock at this rate (elements per
 	// second) — under ZeRO each rank updates n/P elements instead of n,
 	// and the saved optimizer compute should show in simulated time.
+	// The charge books metrics.PhaseOptimizerShard on the rank's phase
+	// record, the parameter all-gather metrics.PhaseParamGather.
 	UpdateRate float64
-	// Observer, when non-nil, receives virtual-seconds phase samples
-	// from the sharded path under the canonical metrics phase names
-	// (metrics.PhaseOptimizerShard, metrics.PhaseParamGather).
-	Observer func(phase string, seconds float64)
 
 	step   int
 	groups []*shardGroup
-}
-
-func (z *ShardedAdam) observe(phase string, secs float64) {
-	if z.Observer != nil {
-		z.Observer(phase, secs)
-	}
 }
 
 type shardGroup struct {
@@ -220,15 +212,13 @@ func (z *ShardedAdam) Step(_ []*nn.Param, lr float32) {
 			}
 		}
 		if z.UpdateRate > 0 {
-			secs := float64(g.my.Len()) / z.UpdateRate
-			g.comm.Compute(secs)
-			z.observe(metrics.PhaseOptimizerShard, secs)
+			g.comm.Compute(float64(g.my.Len())/z.UpdateRate, metrics.PhaseOptimizerShard)
 		}
 		full := upd[:g.my.Len()]
 		if g.comm.Size() > 1 {
 			t0 := g.comm.Now()
 			full = g.comm.AllGatherShard(upd[:g.my.Len()], g.n)
-			z.observe(metrics.PhaseParamGather, g.comm.Now()-t0)
+			g.comm.Phases().Observe(metrics.PhaseParamGather, g.comm.Now()-t0)
 		}
 		for j, p := range g.params {
 			copy(p.W.Data, full[g.offs[j]:g.offs[j]+len(p.W.Data)])
