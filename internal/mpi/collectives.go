@@ -22,44 +22,25 @@ func OpMax(dst, src []float32) {
 	}
 }
 
-// Barrier blocks until every rank of the communicator has entered it.
-// It uses the dissemination algorithm: ceil(log2 P) rounds of
-// point-to-point messages.
+// Barrier blocks until every rank of the communicator has entered it:
+// the zero-length gather, ceil(log2 P) rounds of empty messages.
 func (c *Comm) Barrier() {
-	seq := c.nextSeq()
-	p := c.Size()
-	for k, step := 1, 0; k < p; k, step = k<<1, step+1 {
-		dst := (c.rank + k) % p
-		src := (c.rank - k + p) % p
-		tag := collTag(c.id, seq, step)
-		c.sendStep(dst, tag, nil, nil)
-		c.recvStep(src, tag)
-	}
+	gather[int](c, nil)
 }
 
 // Bcast distributes root's data to every rank using a binomial tree
 // and returns it. Non-root ranks may pass nil.
 func (c *Comm) Bcast(root int, data []float32) []float32 {
-	seq := c.nextSeq()
-	return c.bcastTree(seq, 0, root, data)
-}
-
-// bcastTree runs a binomial-tree broadcast rooted at root, using tag
-// steps starting at stepBase. It is shared by Bcast and the
-// hierarchical collectives.
-func (c *Comm) bcastTree(seq int64, stepBase, root int, data []float32) []float32 {
 	p := c.Size()
 	// Work in a rotated space where the root is rank 0.
 	vrank := (c.rank - root + p) % p
-	tag := collTag(c.id, seq, stepBase)
+	tag := collTag(c.id, c.nextSeq(), 0)
 	if vrank != 0 {
 		// Receive from parent: clear the lowest set bit.
 		parent := (vrank&(vrank-1) + root) % p
 		data = c.recvStep(parent, tag).data
 	}
-	// Forward to children: set each bit above the lowest set bit...
-	// Children of vrank v are v | (1<<k) for k above v's highest set
-	// bit. Standard binomial: for k from lowest free bit upward.
+	// Forward to children v | k for each bit k below v's lowest set bit.
 	for k := 1; k < p; k <<= 1 {
 		if vrank&k != 0 {
 			break
@@ -76,15 +57,10 @@ func (c *Comm) bcastTree(seq int64, stepBase, root int, data []float32) []float3
 // root. All ranks receive the reduced slice only on root (others get
 // nil). data is not modified.
 func (c *Comm) Reduce(root int, data []float32, op ReduceOp) []float32 {
-	seq := c.nextSeq()
-	return c.reduceTree(seq, 0, root, data, op)
-}
-
-func (c *Comm) reduceTree(seq int64, stepBase, root int, data []float32, op ReduceOp) []float32 {
 	p := c.Size()
 	vrank := (c.rank - root + p) % p
 	acc := append([]float32(nil), data...)
-	tag := collTag(c.id, seq, stepBase)
+	tag := collTag(c.id, c.nextSeq(), 0)
 	// Mirror image of the binomial bcast: receive from children
 	// first (highest bit down), then send to parent.
 	for k := 1; k < p; k <<= 1 {
@@ -343,51 +319,48 @@ func (c *Comm) railAllGather(seq int64, g *supernodes, lb []int, rail []float32,
 }
 
 // AllGather concatenates each rank's equal-length data in rank order
-// and returns the full slice on every rank (ring algorithm).
-func (c *Comm) AllGather(data []float32) []float32 {
-	seq := c.nextSeq()
-	p := c.Size()
-	n := len(data)
-	out := make([]float32, n*p)
-	copy(out[c.rank*n:], data)
-	if p == 1 {
-		return out
-	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	tag := collTag(c.id, seq, 0)
-	for s := 0; s < p-1; s++ {
-		sendChunk := (c.rank - s + p) % p
-		recvChunk := (c.rank - s - 1 + p) % p
-		c.sendStep(next, tag, out[sendChunk*n:(sendChunk+1)*n], nil)
-		m := c.recvStep(prev, tag)
-		if len(m.data) != n {
-			panic(fmt.Sprintf("mpi: AllGather length mismatch: %d vs %d", len(m.data), n))
-		}
-		copy(out[recvChunk*n:], m.data)
-	}
-	return out
-}
+// and returns the full slice on every rank (see gather).
+func (c *Comm) AllGather(data []float32) []float32 { return gather(c, data) }
 
 // AllGatherInts concatenates equal-length int payloads in rank order.
-func (c *Comm) AllGatherInts(xs []int) []int {
+func (c *Comm) AllGatherInts(xs []int) []int { return gather(c, xs) }
+
+// gather is the dissemination all-gather (Bruck's algorithm with
+// Barrier's partners) behind Barrier, AllGather and AllGatherInts. buf
+// block j holds the data of rank me-j. In round k, with d = 2^k, each
+// rank sends its first min(d, P-d) blocks to me+d and appends as many
+// from me-d at block d, so after ceil(log2 P) rounds it holds all P;
+// the blocks are then laid out in rank order. Every rank moves n(P-1)
+// elements in ceil(log2 P) messages, against the ring's P-1, and the
+// callers pass a handful of elements each, so no size rule picks
+// another algorithm. A round sends a view of blocks no later write
+// touches.
+func gather[T float32 | int](c *Comm, xs []T) []T {
 	seq := c.nextSeq()
-	p := c.Size()
-	n := len(xs)
-	out := make([]int, n*p)
-	copy(out[c.rank*n:], xs)
-	if p == 1 {
-		return out
+	p, n, me := c.Size(), len(xs), c.rank
+	buf := make([]T, n*p)
+	copy(buf, xs)
+	for k, d := 0, 1; d < p; k, d = k+1, d<<1 {
+		cnt := min(d, p-d)
+		tag := collTag(c.id, seq, k)
+		blk := any(buf[:cnt*n])
+		data, _ := blk.([]float32)
+		ints, _ := blk.([]int)
+		c.sendStep((me+d)%p, tag, data, ints)
+		m := c.recvStep((me-d+p)%p, tag)
+		got, ok := any(m.data).([]T)
+		if !ok {
+			got = any(m.ints).([]T)
+		}
+		if len(got) != cnt*n {
+			panic(fmt.Sprintf("mpi: gather length mismatch: %d vs %d", len(got), cnt*n))
+		}
+		copy(buf[d*n:], got)
 	}
-	next := (c.rank + 1) % p
-	prev := (c.rank - 1 + p) % p
-	tag := collTag(c.id, seq, 0)
-	for s := 0; s < p-1; s++ {
-		sendChunk := (c.rank - s + p) % p
-		recvChunk := (c.rank - s - 1 + p) % p
-		c.sendStep(next, tag, nil, out[sendChunk*n:(sendChunk+1)*n])
-		m := c.recvStep(prev, tag)
-		copy(out[recvChunk*n:], m.ints)
+	out := make([]T, n*p)
+	for j := 0; j < p; j++ {
+		r := (me - j + p) % p
+		copy(out[r*n:(r+1)*n], buf[j*n:(j+1)*n])
 	}
 	return out
 }

@@ -620,7 +620,7 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 // precision policy names (16-bit under FP16 and Mixed, see
 // mpi.GradWire), then clipped by the distributed gradient norm. The
 // norm uses the same canonical shard-ordered float64 partial sums as
-// the ZeRO path (train.ShardedNormSq / train.CombineF64Sum), so both
+// the ZeRO path (train.ShardedNormSq / train.CombineF64Sums), so both
 // modes see bitwise-identical norms and make identical clip decisions.
 // It returns the norm: a rank whose gradients overflowed still syncs,
 // and its Inf — or a sum that overflows FP16 on the wire — reaches
@@ -690,7 +690,7 @@ func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
 // summing shard norms over the EP communicator yields the stage norm;
 // the stages' partial norms then combine over the pipeline column.
 func (e *Engine) globalNorm(denseSq, expertSq float64) float32 {
-	totalSq := train.CombineF64Sum(e.PPComm, denseSq+train.CombineF64Sum(e.EP, expertSq))
+	totalSq := train.CombineF64Sums(e.PPComm, denseSq+train.CombineF64Sums(e.EP, expertSq)[0])[0]
 	e.lastGradNorm = float32(math.Sqrt(totalSq))
 	return e.lastGradNorm
 }
@@ -749,14 +749,15 @@ func (e *Engine) Step() StepStats {
 	st.GradSync, st.OptimizerShard, st.ParamGather = d[0], d[1], d[2]
 	st.RecomputeSim, st.OffloadSim, st.BubbleSim = d[3], d[4], d[5]
 	st.ComputeSim = d[6] + st.RecomputeSim
-	// Aggregate loss/aux/overflow across the world. The divisor is the
-	// stage size: the loss lives only on last-chunk ranks and the aux loss
-	// is spread over a column's stages, so the world sum counts each of
-	// the stage's token streams exactly once.
-	agg := e.Comm.AllReduce([]float32{local.Loss, local.AuxLoss, float32(local.Overflow)}, mpi.OpSum)
-	group := float32(e.Stage.Size())
-	st.Loss = agg[0] / group
-	st.AuxLoss = agg[1] / group
+	// Aggregate loss/aux/overflow across the world, summed in float64
+	// in rank order and rounded once. The divisor is the stage size: the
+	// loss lives only on last-chunk ranks and the aux loss is spread over
+	// a column's stages, so the world sum counts each of the stage's
+	// token streams exactly once.
+	agg := train.CombineF64Sums(e.Comm, float64(local.Loss), float64(local.AuxLoss), float64(local.Overflow))
+	group := float64(e.Stage.Size())
+	st.Loss = float32(agg[0] / group)
+	st.AuxLoss = float32(agg[1] / group)
 	st.Overflow = int(agg[2])
 	// Every MoE layer exchanges over e.EP, so its wire counter is the
 	// step's whole MoE traffic.

@@ -97,7 +97,7 @@ func TestBubbleShrinksWithMicroBatches(t *testing.T) {
 }
 
 // TestPPSendScalesWithMicroBatches pins the stage-boundary activation
-// traffic: 2·M·V boundary transfers per rank per step.
+// traffic: M·V boundary transfers to each neighbouring stage per step.
 func TestPPSendScalesWithMicroBatches(t *testing.T) {
 	spec := ppSpec()
 	p2, err := ppDeployment(2, 1, 2).PredictStep(spec, FaultModel{})

@@ -9,6 +9,7 @@ package perfmodel
 
 import (
 	"math"
+	"slices"
 
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
@@ -31,7 +32,8 @@ type StepPrediction struct {
 	MoEPhase    float64 // visible dispatch+expert+combine time (OverlapA2A applied)
 	VisibleSync float64 // Sync minus the share hidden behind backward (OverlapSync)
 	Bubble      float64 // pipeline fill/drain idle: (S-1)/(M·V) of the busy span
-	PPSend      float64 // stage-boundary activation/gradient sends (2·M·V per rank)
+	PPSend      float64 // the busiest stage's boundary sends: injection only, M·V per neighbour
+	PPLatency   float64 // boundary wire latency the fill and drain cross: 2·Σα over V·S-1 chunk boundaries
 	StepTime    float64 // fault-free visible step time
 
 	SyncBytes float64 // per-rank gradient-sync wire bytes
@@ -197,21 +199,32 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		// part of the bubbled span.
 		p.Bubble = float64(S-1) / (float64(M) * float64(V)) *
 			(p.DenseCompute + p.MoEPhase + p.Recompute)
-		// Stage-boundary activation traffic: each micro-batch crosses
-		// every chunk boundary once forward and once backward — 2·M·V
-		// sends per rank of a [rows × Dim] activation block, traveling
-		// at whatever tier the pipeline column's stride reaches.
+		// Stage-boundary traffic: each of the V·S-1 chunk boundaries
+		// carries every micro-batch's [rows × Dim] activation block
+		// forward and its gradient back, at the tier its two stages
+		// reach. A send occupies its sender only while it injects
+		// (mpi's post), and the step waits for the busiest stage. The
+		// wire latency shows where nothing overlaps it: the first
+		// micro-batch's forward and the last one's backward cross every
+		// boundary in turn.
 		rows := float64(d.BatchPerRank * spec.SeqLen)
-		sendBytes := rows * float64(spec.Dim) * bytesPerElem(d.Precision)
-		lvl := topo.LevelOf(0, ppStride)
-		one := topo.CostAtLevel(lvl, int(sendBytes))
-		if lvl == simnet.MachineLevel {
-			one *= d.Machine.BisectionOversub
+		sendBytes := float64(int(rows * float64(spec.Dim) * bytesPerElem(d.Precision)))
+		busy := make([]float64, S)
+		for c := 0; c+1 < V*S; c++ {
+			a, b := c%S, (c+1)%S
+			lvl := topo.LevelOf(a*ppStride, b*ppStride)
+			inject := float64(M) * sendBytes * topo.Beta[lvl]
+			if lvl == simnet.MachineLevel {
+				inject *= d.Machine.BisectionOversub
+			}
+			busy[a] += inject
+			busy[b] += inject
+			p.PPLatency += 2 * topo.Alpha[lvl]
 		}
-		p.PPSend = 2 * float64(M) * float64(V) * one
+		p.PPSend = slices.Max(busy)
 	}
 
-	p.StepTime = p.DenseCompute + p.MoEPhase + p.Recompute + p.VisibleSync + p.Offload + p.Bubble + p.PPSend
+	p.StepTime = p.DenseCompute + p.MoEPhase + p.Recompute + p.VisibleSync + p.Offload + p.Bubble + p.PPSend + p.PPLatency
 	p.TokensPerSec = p.TokensPerStep / p.StepTime
 	p.SustainedFlops = p.TokensPerStep * spec.FlopsPerToken() / p.StepTime
 	p.PeakFraction = p.SustainedFlops / (d.Machine.NodeFlops(d.Precision) * float64(d.Machine.Nodes()))

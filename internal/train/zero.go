@@ -160,7 +160,7 @@ func (z *ShardedAdam) GroupNormSq(i int) float64 {
 	for _, v := range g.grad {
 		local += float64(v) * float64(v)
 	}
-	return CombineF64Sum(g.comm, local)
+	return CombineF64Sums(g.comm, local)[0]
 }
 
 // ScaleGradShards multiplies every reduced gradient shard by s (the
@@ -277,22 +277,30 @@ func rangeView(name string, data []float32, full []int, lo int) *nn.Param {
 	}
 }
 
-// CombineF64Sum sums one float64 per rank of c, in rank order, with
-// full float64 fidelity: values travel as raw bit patterns through
-// AllGatherInts, so every rank computes the bitwise-identical total.
-// Both gradient-sync modes use it to combine norm partials, which is
-// what keeps clip decisions — and therefore whole trajectories —
-// identical between the sharded and unsharded optimizers.
-func CombineF64Sum(c *mpi.Comm, x float64) float64 {
+// CombineF64Sums sums each of k float64 values per rank of c, in rank
+// order, with full float64 fidelity: the values travel as raw bit
+// patterns through AllGatherInts, so every rank computes the
+// bitwise-identical totals, which depend on nothing but the per-rank
+// values and their order. Both gradient-sync modes combine their norm
+// partials with it, which is what keeps clip decisions — and therefore
+// whole trajectories — identical between the sharded and unsharded
+// optimizers.
+func CombineF64Sums(c *mpi.Comm, xs ...float64) []float64 {
 	if c.Size() == 1 {
-		return x
+		return xs
 	}
-	bits := c.AllGatherInts([]int{int(math.Float64bits(x))})
-	var sum float64
-	for _, b := range bits {
-		sum += math.Float64frombits(uint64(b))
+	bits := make([]int, len(xs))
+	for i, x := range xs {
+		bits[i] = int(math.Float64bits(x))
 	}
-	return sum
+	all := c.AllGatherInts(bits)
+	sums := make([]float64, len(xs))
+	for r := 0; r < c.Size(); r++ {
+		for i := range sums {
+			sums[i] += math.Float64frombits(uint64(all[r*len(xs)+i]))
+		}
+	}
+	return sums
 }
 
 // ShardedNormSq computes the canonical distributed gradient-norm² of
