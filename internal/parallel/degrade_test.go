@@ -134,6 +134,57 @@ func TestStragglerMitigationImprovesMakespan(t *testing.T) {
 	}
 }
 
+// TestHealthScoresOncePerStep pins the health window: the engine runs
+// the telemetry round as a request under each step's gradient sync, so
+// on TestStragglerMitigationImprovesMakespan's run every rank's monitor
+// folds in exactly one set of scores per completed step, in step order,
+// the same set on every rank, and flags the straggler.
+func TestHealthScoresOncePerStep(t *testing.T) {
+	const steps, ranks = 12, 4
+	inj, err := fault.Scripted(fault.Config{Ranks: ranks, Steps: steps, Seed: 3},
+		[]fault.Event{{Kind: fault.EventStraggler, Rank: 3, Mult: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &train.FaultPolicy{Dir: t.TempDir(), Interval: 4, MaxRecoveries: 8, Escalation: train.EscalateTiered}
+	cfg := degradeCfg(Strategy{DataParallel: 1, ExpertParallel: ranks}, steps, pol)
+	var mu sync.Mutex
+	seen := make([][][]float64, ranks) // per rank, the scores of each observation in order
+	flagged := -1                      // the first step after which rank 0's monitor holds rank 3 degraded
+	cfg.observed = func(rank, step int, scores []float64, degraded []int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if step != len(seen[rank]) {
+			t.Errorf("rank %d: scores of step %d arrive as observation %d", rank, step, len(seen[rank]))
+		}
+		seen[rank] = append(seen[rank], scores)
+		if rank == 0 && flagged < 0 && slices.Contains(degraded, 3) {
+			flagged = step
+		}
+	}
+	res, err := RunFaultTolerant(mpi.NewWorld(ranks, degradeTopo()), cfg, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || res.Steps != steps || res.Recoveries != 0 {
+		t.Fatalf("straggler run did not complete cleanly: %+v", res)
+	}
+	for r := range seen {
+		if len(seen[r]) != steps {
+			t.Fatalf("rank %d observed %d sets of scores over %d steps", r, len(seen[r]), steps)
+		}
+		for s, sc := range seen[r] {
+			if len(sc) != ranks || !slices.Equal(sc, seen[0][s]) {
+				t.Fatalf("rank %d step %d: scores %v, rank 0 saw %v", r, s, sc, seen[0][s])
+			}
+		}
+	}
+	if flagged < 0 {
+		t.Fatal("the monitor never flagged the straggler")
+	}
+	t.Logf("straggler first flagged after step %d", flagged)
+}
+
 // The acceptance scenario: DropProb=3e-3 plus two stragglers at x4.
 // The tiered policy must complete with zero rollbacks, reach the
 // fault-free loss bit-exactly, and deliver strictly higher throughput

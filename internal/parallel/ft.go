@@ -63,6 +63,10 @@ type FTConfig struct {
 	// afterRecovery, when set, runs on every survivor after each
 	// successful recovery, with whether it rolled forward (tests).
 	afterRecovery func(e *Engine, rolledForward bool)
+
+	// observed, when set, sees each set of health scores a rank's monitor
+	// folds in, with its step and the degraded set after it (tests).
+	observed func(rank, step int, scores []float64, degraded []int)
 }
 
 // FTResult summarizes a fault-tolerant run, reported from the lowest-
@@ -313,11 +317,14 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 	// Tier 2 state: each rank runs an identical replica of the health
 	// monitor (CollectScores hands every rank the same scores, so the
 	// replicas never diverge and mitigation needs no extra agreement
-	// round). handled remembers which degraded slot-sets were already
-	// drained; both reset after a recovery, which rebuilds placement.
+	// round). The engine runs the telemetry round as a request under each
+	// step's gradient sync and returns its scores with the step's stats.
+	// handled remembers which degraded slot-sets were already drained;
+	// both reset after a recovery, which rebuilds placement.
 	var mon *health.Monitor
 	if pol != nil && pol.Escalation != train.EscalateRollback && w.Size() > 1 {
 		mon = health.NewMonitor(w.Size(), health.Config{})
+		eng.health = func() []float64 { return collectHealth(w, lp.comm) }
 	}
 	mitigate := pol != nil && pol.Escalation == train.EscalateTiered
 	handled := map[string]bool{}
@@ -381,13 +388,13 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 				lp.lastCredit, lp.pending = lp.pending, 0
 			}
 			stats = eng.Step()
-			// Tier 2: fold this step's link telemetry into the health
-			// monitor. CollectScores is a collective, so it doubles as
-			// the agreement round — every rank sees the same scores and
-			// the monitor replicas evolve in lockstep.
-			if mon != nil && lp.comm.Size() > 1 {
-				mon.Observe(collectHealth(w, lp.comm))
+			// Tier 2: fold the step's link telemetry into the health monitor.
+			if mon != nil {
+				mon.Observe(stats.health)
 				deg := mon.Degraded()
+				if cfg.observed != nil {
+					cfg.observed(my, stats.Step, stats.health, deg)
+				}
 				if mitigate && len(deg) > 0 {
 					// Degraded world ranks map to expert-parallel slots;
 					// every EP group drains the same slots so placement
@@ -478,7 +485,7 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 					if lp.comm.Size() > 1 {
 						mon = health.NewMonitor(w.Size(), health.Config{})
 					} else {
-						mon = nil
+						mon, eng.health = nil, nil
 					}
 					handled = map[string]bool{}
 				}

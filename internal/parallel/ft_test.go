@@ -59,65 +59,90 @@ func TestShrinkStrategy(t *testing.T) {
 }
 
 // The acceptance criterion for the whole subsystem: a rank crash
-// mid-run is detected, the survivors restore from the last committed
-// sharded checkpoint onto the shrunk world, and the final loss is
-// EXACTLY the loss of an uninterrupted run that starts from the same
-// checkpoint on a same-size world.
+// mid-run is detected, the survivors restore onto the shrunk world, and
+// the final loss is EXACTLY the loss of an uninterrupted run that starts
+// from the same state on a same-size world.
 func TestCrashRecoveryMatchesRestart(t *testing.T) {
-	dir := t.TempDir()
 	const steps = 10
-
-	// Run A: 4 ranks, checkpoint every 4 steps, rank 2 dies entering
-	// step 6 -> rollback to the step-4 checkpoint on 3 survivors.
-	pol := &train.FaultPolicy{Dir: dir, Interval: 4, MaxRecoveries: 2}
-	inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: steps},
-		[]fault.Event{{Kind: fault.EventCrash, Rank: 2, Step: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := mpi.NewWorld(4, nil)
-	res, err := RunFaultTolerant(w, ftConfig(Strategy{DataParallel: 1, ExpertParallel: 4}, steps, pol), inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || res.Unrecoverable {
-		t.Fatalf("run did not complete: %+v", res)
-	}
-	if res.Recoveries != 1 || res.Failures != 1 || res.FinalWorld != 3 || res.Steps != steps {
-		t.Fatalf("recovery shape wrong: %+v", res)
-	}
-
-	// Run B: a fresh 3-rank world restores the SAME step-4 checkpoint
-	// and trains to the same step count with no faults.
-	wb := mpi.NewWorld(3, nil)
-	var refLoss float32
-	var bErr error
-	wb.Run(func(c *mpi.Comm) {
-		eng, err := NewEngine(c, Strategy{DataParallel: 1, ExpertParallel: 3}, ftModelCfg(),
-			tinyCorpusCfg(), tinyTrainCfg(), train.NewAdam(0), 11)
+	t.Run("dp1xep4", func(t *testing.T) {
+		// Run A: 4 ranks, checkpoint every 4 steps, rank 2 dies entering
+		// step 6 -> rollback to the step-4 checkpoint on 3 survivors.
+		dir := t.TempDir()
+		pol := &train.FaultPolicy{Dir: dir, Interval: 4, MaxRecoveries: 2}
+		inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: steps},
+			[]fault.Event{{Kind: fault.EventCrash, Rank: 2, Step: 6}})
 		if err != nil {
-			bErr = err
-			return
+			t.Fatal(err)
 		}
-		rr, err := ckpt.Restore(dir, 4, c.Rank(), eng.Trainer.CheckpointParams())
+		w := mpi.NewWorld(4, nil)
+		res, err := RunFaultTolerant(w, ftConfig(Strategy{DataParallel: 1, ExpertParallel: 4}, steps, pol), inj)
 		if err != nil {
-			bErr = err
-			return
+			t.Fatal(err)
 		}
-		eng.Trainer.ApplyRestored(rr.Header)
-		for eng.Trainer.StepCount() < steps {
-			st := eng.Step()
-			if c.Rank() == 0 {
-				refLoss = st.Loss
+		if !res.Completed || res.Unrecoverable {
+			t.Fatalf("run did not complete: %+v", res)
+		}
+		if res.Recoveries != 1 || res.Failures != 1 || res.FinalWorld != 3 || res.Steps != steps {
+			t.Fatalf("recovery shape wrong: %+v", res)
+		}
+
+		// Run B: a fresh 3-rank world restores the SAME step-4 checkpoint
+		// and trains to the same step count with no faults.
+		wb := mpi.NewWorld(3, nil)
+		var refLoss float32
+		var bErr error
+		wb.Run(func(c *mpi.Comm) {
+			eng, err := NewEngine(c, Strategy{DataParallel: 1, ExpertParallel: 3}, ftModelCfg(),
+				tinyCorpusCfg(), tinyTrainCfg(), train.NewAdam(0), 11)
+			if err != nil {
+				bErr = err
+				return
 			}
+			rr, err := ckpt.Restore(dir, 4, c.Rank(), eng.Trainer.CheckpointParams())
+			if err != nil {
+				bErr = err
+				return
+			}
+			eng.Trainer.ApplyRestored(rr.Header)
+			for eng.Trainer.StepCount() < steps {
+				st := eng.Step()
+				if c.Rank() == 0 {
+					refLoss = st.Loss
+				}
+			}
+		})
+		if bErr != nil {
+			t.Fatal(bErr)
+		}
+		if res.FinalLoss != refLoss {
+			t.Fatalf("recovered run diverged: final loss %v, uninterrupted restart %v", res.FinalLoss, refLoss)
 		}
 	})
-	if bErr != nil {
-		t.Fatal(bErr)
-	}
-	if res.FinalLoss != refLoss {
-		t.Fatalf("recovered run diverged: final loss %v, uninterrupted restart %v", res.FinalLoss, refLoss)
-	}
+
+	// A dense dp4 world under tiered escalation: the survivors' first
+	// collective after rank 2's boundary crash is the statistics request
+	// the sync hook starts (the health round follows it), so the failure
+	// surfaces inside a request. Every survivor still holds the step-6
+	// state and rolls forward; the restart starts from that state.
+	t.Run("dense_dp4_tiered", func(t *testing.T) {
+		c := rfCase{"dense_dp4", Strategy{DataParallel: 4, ExpertParallel: 1}, Strategy{DataParallel: 3, ExpertParallel: 1}, []int{2}, 6, sunway.FP32, true}
+		inj, err := fault.Scripted(fault.Config{Ranks: 4, Steps: steps}, []fault.Event{{Kind: fault.EventCrash, Rank: 2, Step: 6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := rfConfig(c, steps, t.TempDir())
+		cfg.Policy.Escalation = train.EscalateTiered
+		res, err := RunFaultTolerant(mpi.NewWorld(4, nil), cfg, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed || res.Recoveries != 1 || res.RolledForward != 1 || res.FinalWorld != 3 || res.Steps != steps {
+			t.Fatalf("expected one roll-forward onto 3 ranks: %+v", res)
+		}
+		if refLoss, _, _ := restartReference(t, c, steps); res.FinalLoss != refLoss {
+			t.Fatalf("recovered run ends at loss %v, the restart at %v", res.FinalLoss, refLoss)
+		}
+	})
 }
 
 // Two crashes at different steps force two shrinks (4 -> 3 -> 2) with

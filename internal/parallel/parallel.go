@@ -109,7 +109,7 @@ type StepStats struct {
 	Loss      float32    // world-mean cross-entropy
 	AuxLoss   float32    // world-mean auxiliary loss
 	Overflow  int        // total dropped assignments (CapacityDrop mode only; 0 when dropless)
-	GradNorm  float32    // local (post-sync) gradient norm at rank 0
+	GradNorm  float32    // global pre-clip gradient norm, the same on every rank
 	MoE       moe.Timing // accumulated MoE phase breakdown
 	SimTime   float64    // virtual seconds elapsed on this rank
 	TokensPer float64    // tokens/virtual-second across the world (0 if no sim time)
@@ -141,6 +141,8 @@ type StepStats struct {
 	// the expert GEMMs MoE layers price inline. Zero unless a compute
 	// rate is set.
 	ComputeSim float64
+
+	health []float64 // the step's per-global-rank slowness scores, when the engine runs a health round
 }
 
 // Engine is the per-rank training engine. Construct one inside
@@ -178,6 +180,12 @@ type Engine struct {
 	offloadBW float64 // host-memory bytes/s for optimizer-state offload; 0 = resident
 
 	phasePrev [len(stepPhases)]float64 // the record's stepPhases at the last step's end
+
+	// health, when non-nil, is the fault-tolerant loop's telemetry round
+	// over Comm; startScalars runs it beside the statistics gather.
+	health       func() []float64
+	scalars      []*mpi.Request
+	sums, scores []float64
 }
 
 // stepPhases are the record phases StepStats reports per step.
@@ -625,7 +633,8 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 // It returns the norm: a rank whose gradients overflowed still syncs,
 // and its Inf — or a sum that overflows FP16 on the wire — reaches
 // every rank's norm, so every rank skips the step together.
-func (e *Engine) syncGradients([]*nn.Param) float32 {
+func (e *Engine) syncGradients(m train.Metrics) float32 {
+	e.startScalars(m)
 	t0 := e.Comm.Now()
 	e.allReduceGrads()
 	e.Comm.Phases().Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
@@ -669,7 +678,8 @@ func (e *Engine) allReduceGrads() {
 // all-reduce); the optimizer later updates that shard and all-gathers
 // the parameters. Norm and clip use the identical canonical partial
 // sums as the replicated path (syncGradients), applied to the shards.
-func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
+func (e *Engine) syncGradientsZeRO(m train.Metrics) float32 {
+	e.startScalars(m)
 	group := float32(e.Stage.Size())
 	t0 := e.Comm.Now()
 	e.zero.SyncGradients(1/group, e.Trainer.MP.GradWire())
@@ -680,6 +690,20 @@ func (e *Engine) syncGradientsZeRO([]*nn.Param) float32 {
 		e.zero.ScaleGradShards(e.clipNorm / norm)
 	}
 	return norm
+}
+
+// startScalars starts the step's scalar exchanges as requests before the
+// gradient sync, so their few bytes travel under it: the world gather of
+// each rank's loss, aux loss and overflow, summed in float64 in rank
+// order, and the health round when the engine runs one. Neither needs
+// the sync and the optimizer reads neither; Step joins both after it.
+func (e *Engine) startScalars(m train.Metrics) {
+	e.scalars = append(e.scalars[:0], e.Comm.Start(func() {
+		e.sums = train.CombineF64Sums(e.Comm, float64(m.Loss), float64(m.AuxLoss), float64(m.Overflow))
+	}))
+	if e.health != nil {
+		e.scalars = append(e.scalars, e.Comm.Start(func() { e.scores = e.health() }))
+	}
 }
 
 // globalNorm combines this rank's dense and expert squared-norm
@@ -733,32 +757,36 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.Gra
 
 // Step runs one synchronous training step — the trainer's step, which
 // runs the stage's schedule — and returns world-level statistics
-// (identical on every rank).
+// (identical on every rank). The sync hook started the step's scalar
+// exchanges as requests (startScalars); Step joins them after the
+// optimizer.
 func (e *Engine) Step() StepStats {
 	simStart := e.Comm.Now()
 	moe0, wire0 := e.moeTime(), e.EP.WireStats()
-	local := e.Trainer.Step()
+	step := e.Trainer.Step().Step
 	if e.offloadBW > 0 {
 		// Offloaded optimizer state streams host→device and back once
 		// per step (read moments, write updated moments).
 		e.Comm.Compute(2*float64(e.OptStateBytes())/e.offloadBW, metrics.PhaseOffload)
 	}
 
-	st := StepStats{Step: local.Step, GradNorm: e.lastGradNorm}
+	st := StepStats{Step: step, GradNorm: e.lastGradNorm}
 	d := e.phaseDeltas()
 	st.GradSync, st.OptimizerShard, st.ParamGather = d[0], d[1], d[2]
 	st.RecomputeSim, st.OffloadSim, st.BubbleSim = d[3], d[4], d[5]
 	st.ComputeSim = d[6] + st.RecomputeSim
-	// Aggregate loss/aux/overflow across the world, summed in float64
-	// in rank order and rounded once. The divisor is the stage size: the
+	for _, r := range e.scalars {
+		r.Wait()
+	}
+	// The world sums are rounded once. The divisor is the stage size: the
 	// loss lives only on last-chunk ranks and the aux loss is spread over
 	// a column's stages, so the world sum counts each of the stage's
 	// token streams exactly once.
-	agg := train.CombineF64Sums(e.Comm, float64(local.Loss), float64(local.AuxLoss), float64(local.Overflow))
 	group := float64(e.Stage.Size())
-	st.Loss = float32(agg[0] / group)
-	st.AuxLoss = float32(agg[1] / group)
-	st.Overflow = int(agg[2])
+	st.Loss = float32(e.sums[0] / group)
+	st.AuxLoss = float32(e.sums[1] / group)
+	st.Overflow = int(e.sums[2])
+	st.health, e.scores = e.scores, nil
 	// Every MoE layer exchanges over e.EP, so its wire counter is the
 	// step's whole MoE traffic.
 	st.MoE = e.moeTime().Sub(moe0)

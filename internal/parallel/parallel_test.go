@@ -376,12 +376,12 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 						mp.Scale = 1e12 // this rank's gradients overflow FP16
 					}
 					sync := e.Trainer.PostBackward
-					e.Trainer.PostBackward = func(ps []*nn.Param) float32 {
+					e.Trainer.PostBackward = func(m train.Metrics) float32 {
 						if slices.Contains(row.sum, c.Rank()) && e.Trainer.StepCount() == 0 {
 							// Finite at the scale, past 65504 once two meet.
 							e.DenseParams()[0].G.Data[0] = 40000 / mp.Scale
 						}
-						norm := sync(ps)
+						norm := sync(m)
 						if e.Trainer.StepCount() == 0 {
 							rec.norm = norm
 						}

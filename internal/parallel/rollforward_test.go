@@ -24,6 +24,7 @@ type rfCase struct {
 	victims []int
 	crash   int
 	prec    sunway.Precision
+	dense   bool // no MoE layers
 }
 
 // rfConfig is the fault-tolerant run of a roll-forward case: compute and
@@ -34,6 +35,9 @@ type rfCase struct {
 func rfConfig(c rfCase, steps int, dir string) FTConfig {
 	cfg := ftConfig(c.strat, steps, &train.FaultPolicy{Dir: dir, Interval: 4, MaxRecoveries: 2})
 	cfg.Train.Precision = c.prec
+	if c.dense {
+		cfg.Model.MoEEvery = 0
+	}
 	cfg.Model.MoESimFLOPS = 1e9
 	cfg.ComputeFLOPS = 1e9
 	return cfg
@@ -133,9 +137,9 @@ func restartReference(t *testing.T, c rfCase, steps int) (float32, []rfResult, f
 func TestRollForwardMatchesRestart(t *testing.T) {
 	const steps = 10
 	for _, c := range []rfCase{
-		{"dp4", Strategy{DataParallel: 4, ExpertParallel: 1}, Strategy{DataParallel: 3, ExpertParallel: 1}, []int{2}, 6, sunway.FP32},
-		{"dp4_mixed", Strategy{DataParallel: 4, ExpertParallel: 1}, Strategy{DataParallel: 3, ExpertParallel: 1}, []int{1}, 5, sunway.Mixed},
-		{"dp3xep2", Strategy{DataParallel: 3, ExpertParallel: 2}, Strategy{DataParallel: 2, ExpertParallel: 2}, []int{2, 3}, 6, sunway.FP32},
+		{"dp4", Strategy{DataParallel: 4, ExpertParallel: 1}, Strategy{DataParallel: 3, ExpertParallel: 1}, []int{2}, 6, sunway.FP32, false},
+		{"dp4_mixed", Strategy{DataParallel: 4, ExpertParallel: 1}, Strategy{DataParallel: 3, ExpertParallel: 1}, []int{1}, 5, sunway.Mixed, false},
+		{"dp3xep2", Strategy{DataParallel: 3, ExpertParallel: 2}, Strategy{DataParallel: 2, ExpertParallel: 2}, []int{2, 3}, 6, sunway.FP32, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var ev []fault.Event

@@ -271,7 +271,7 @@ func TestGradNormLeftToSyncHook(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hook {
-			tr.PostBackward = func([]*nn.Param) float32 { return 0 }
+			tr.PostBackward = func(Metrics) float32 { return 0 }
 		}
 		m := tr.Step()
 		return m, append([]float32(nil), tr.Params()[0].W.Data...)

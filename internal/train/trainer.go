@@ -58,13 +58,13 @@ type Trainer struct {
 	step    int
 
 	// PostBackward, when non-nil, runs after gradients are computed
-	// and before the optimizer step; the parallel engine injects the
-	// gradient all-reduce here. It owns clipping (Config.ClipNorm then
-	// does nothing) and returns the global gradient norm, identical on
-	// every rank, which decides whether a step is skipped: one rank's
-	// overflow reaches every rank through the sync, so all skip
-	// together.
-	PostBackward func(params []*nn.Param) float32
+	// and before the optimizer step, with the step's local metrics; the
+	// parallel engine injects the gradient all-reduce here. It owns
+	// clipping (Config.ClipNorm then does nothing) and returns the global
+	// gradient norm, identical on every rank, which decides whether a
+	// step is skipped: one rank's overflow reaches every rank through the
+	// sync, so all skip together.
+	PostBackward func(m Metrics) float32
 }
 
 // NewTrainer wires a model, corpus, and optimizer together.
@@ -136,7 +136,7 @@ func (t *Trainer) finishStep(m Metrics) Metrics {
 	t.MP.PrepareGrads()
 	switch {
 	case t.PostBackward != nil:
-		m.GradNorm = t.PostBackward(t.params)
+		m.GradNorm = t.PostBackward(m)
 	case t.Cfg.ClipNorm > 0:
 		m.GradNorm = ClipGradNorm(t.params, t.Cfg.ClipNorm)
 	default:
