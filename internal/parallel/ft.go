@@ -67,6 +67,10 @@ type FTConfig struct {
 	// observed, when set, sees each set of health scores a rank's monitor
 	// folds in, with its step and the degraded set after it (tests).
 	observed func(rank, step int, scores []float64, degraded []int)
+
+	// stepped, when set, sees every step a rank completes, with its
+	// engine and the step's stats (tests).
+	stepped func(rank int, e *Engine, st StepStats)
 }
 
 // FTResult summarizes a fault-tolerant run, reported from the lowest-
@@ -432,6 +436,9 @@ func runRankFT(w *mpi.World, c *mpi.Comm, cfg FTConfig, inj *fault.Injector, st 
 			return
 		}
 		if perr == nil {
+			if cfg.stepped != nil {
+				cfg.stepped(my, eng, stats)
+			}
 			lp.pending += stats.SimTime
 			st.FinalLoss = stats.Loss
 			continue
