@@ -40,8 +40,10 @@ func (a A2AAlgo) String() string {
 
 // CommConfig selects the wire behavior of dispatch and combine.
 type CommConfig struct {
-	// Codec is the on-the-wire element encoding for payloads that
-	// cross supernodes (mpi.FP32Wire or mpi.FP16Wire).
+	// Codec is the on-the-wire element encoding of token rows bound
+	// for another supernode (mpi.FP32Wire or mpi.FP16Wire). Under
+	// FP16Wire such a row is rounded once, where it is posted, and
+	// travels at 16 bits on every leg of the exchange.
 	Codec mpi.Codec
 	// Overlap splits every dispatch-direction exchange into two
 	// receive legs so local + shadowed expert compute runs while

@@ -57,49 +57,63 @@ func TestInferRouteMatchesTrainingGate(t *testing.T) {
 // same seed (same gate, same experts, all local), for every wire
 // configuration and every refactor-sensitive batch shape, and record
 // self-charged stats when SimRate is set. Each shape's virtual clocks
-// and wire counters are pinned in two digests: the blocking row at the
-// value pinned before Infer moved onto the shared round-trip driver,
-// the overlap rows at that of the cross-supernode leg running as an mpi
-// request.
+// and wire counters are pinned in one digest per configuration: the
+// blocking row at the value pinned before Infer moved onto the shared
+// round-trip driver, the FP32 overlap row at that of the cross-supernode
+// leg running as an mpi request, and the FP16 overlap row at that of
+// each cross-supernode row travelling at 16 bits from its source. Under
+// FP16 the direct exchange must return the hierarchical one's bits.
 func TestDistMoEInferMatchesLocal(t *testing.T) {
 	const P, d, hidden = 4, 8, 16
 	cfg := gateCfg(d, 8, 2)
-	pinned := map[string][2]uint64{
-		"uniform":          {0x228959d5efdb8614, 0xc6924375b721cc3e},
-		"skewed":           {0xfe1cd9640c5b9088, 0x57ff7cf36238bf0d},
-		"zero-token-rank":  {0xd725fdb271fb05ef, 0x54dd11730a5b2812},
-		"single-supernode": {0x99a21d1f15568d4c, 0x6cb50bab06831bc9},
+	configs := []CommConfig{
+		{Codec: mpi.FP32Wire},
+		{Codec: mpi.FP32Wire, Overlap: true},
+		{Codec: mpi.FP16Wire, Overlap: true},
+	}
+	pinned := map[string][3]uint64{ // one clock/wire digest per config
+		"uniform":          {0x228959d5efdb8614, 0x124e1ee54e0e66ac, 0xbd7d9c6b36e0a2b9},
+		"skewed":           {0xfe1cd9640c5b9088, 0x950fe5bb302a6769, 0x888e62f873fc424d},
+		"zero-token-rank":  {0xd725fdb271fb05ef, 0x626ce5a86086d375, 0x89bd0488b04288ed},
+		"single-supernode": {0x99a21d1f15568d4c, 0x87d0866b5900e810, 0x81f21ca0ad08d304},
 	}
 	for _, tc := range tripCases {
 		if tc.shadow != nil {
 			continue // Infer never consults shadow replicas
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			var sig [2]tripSig // blocking, overlap
-			for _, cc := range []CommConfig{
-				{Codec: mpi.FP32Wire},
-				{Codec: mpi.FP32Wire, Overlap: true},
-				{Codec: mpi.FP16Wire, Overlap: true},
-			} {
-				ref := newRefMoE("moe", tensor.NewRNG(21), cfg, hidden)
-				outs := make([]*tensor.Tensor, P)
-				stats := make([]InferStats, P)
-				now := make([]float64, P)
-				wire := make([]mpi.WireStats, P)
-				w := mpi.NewWorld(P, tc.topo())
-				w.Run(func(c *mpi.Comm) {
-					m := NewDistMoEComm("moe", tensor.NewRNG(21), cfg, hidden, c, Hierarchical, cc)
-					m.SimRate = 1e9
-					outs[c.Rank()] = m.Infer(tc.input(0, c.Rank(), d))
-					stats[c.Rank()] = m.LastInferStats()
-					now[c.Rank()] = c.Now()
-					wire[c.Rank()] = c.WireStats()
-				})
-				if cc.Overlap {
-					sig[1].add(cc.String(), now, wire)
-				} else {
-					sig[0].add(cc.String(), now, wire)
+			for i, cc := range configs {
+				infer := func(algo A2AAlgo) ([]*tensor.Tensor, []InferStats, tripSig) {
+					outs := make([]*tensor.Tensor, P)
+					stats := make([]InferStats, P)
+					now := make([]float64, P)
+					wire := make([]mpi.WireStats, P)
+					w := mpi.NewWorld(P, tc.topo())
+					w.Run(func(c *mpi.Comm) {
+						m := NewDistMoEComm("moe", tensor.NewRNG(21), cfg, hidden, c, algo, cc)
+						m.SimRate = 1e9
+						outs[c.Rank()] = m.Infer(tc.input(0, c.Rank(), d))
+						stats[c.Rank()] = m.LastInferStats()
+						now[c.Rank()] = c.Now()
+						wire[c.Rank()] = c.WireStats()
+					})
+					var sig tripSig
+					sig.add(cc.String(), now, wire)
+					return outs, stats, sig
 				}
+				outs, stats, sig := infer(Hierarchical)
+				sig.check(t, pinned[tc.name][i])
+				if cc.Codec == mpi.FP16Wire {
+					// Each cross-supernode row rounds once, at its source,
+					// whichever legs it then takes.
+					direct, _, _ := infer(Direct)
+					for rank := range outs {
+						if !bitEqual(outs[rank], direct[rank]) {
+							t.Fatalf("%v rank %d: hierarchical and direct infer differ", cc, rank)
+						}
+					}
+				}
+				ref := newRefMoE("moe", tensor.NewRNG(21), cfg, hidden)
 				tol := float32(1e-5)
 				if cc.Codec == mpi.FP16Wire {
 					tol = 2e-2 // fp16 wire rounds cross-supernode payloads
@@ -119,8 +133,6 @@ func TestDistMoEInferMatchesLocal(t *testing.T) {
 					t.Fatalf("%v: expert rows %d, want %d", cc, totalRows, wantRows)
 				}
 			}
-			sig[0].check(t, pinned[tc.name][0])
-			sig[1].check(t, pinned[tc.name][1])
 		})
 	}
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"bagualu/internal/half"
@@ -19,10 +20,13 @@ import (
 //     and absorbs all tokens with two pool hits total.
 //   - Per-destination int metadata (MoE expert-slot ids) rides inside
 //     the data messages, so no separate metadata round is needed.
-//   - An optional FP16 codec encodes payloads that cross supernodes
-//     (simnet.MachineLevel — the expensive links) as raw half bit
-//     patterns, halving bytes on exactly the legs that dominate the
-//     paper's cost model. Intra-supernode legs stay FP32.
+//   - An optional FP16 codec encodes each chunk bound for another
+//     supernode as raw half bit patterns once, where Post stages it. The
+//     chunk then travels at 16 bits on every leg — the direct message,
+//     or the member up-leg, leader X-leg and down-leg of the
+//     hierarchical path, where leaders aggregate and scatter the bits
+//     as they are — and is decoded once, in assemble. Chunks that stay
+//     in their supernode travel as FP32.
 //   - Exchange splits the collective into Post/Flush (eager sends) and
 //     RecvLocal/RecvRemote, so the caller can run local expert compute
 //     while cross-supernode traffic is in flight.
@@ -33,16 +37,18 @@ import (
 // never retain references to in-flight buffers, and callers may reuse
 // their SendBuf the moment Flush returns.
 
-// Codec selects the on-the-wire element encoding for payloads that
-// cross supernodes. Intra-supernode and self traffic is always FP32.
+// Codec selects the on-the-wire element encoding of chunks bound for
+// another supernode. Chunks that stay in their supernode, self traffic
+// included, always travel as FP32.
 type Codec int
 
 const (
 	// FP32Wire sends full-width float32 everywhere.
 	FP32Wire Codec = iota
-	// FP16Wire encodes inter-supernode payloads as raw FP16 bit
-	// patterns (2 bytes/element), the paper's mixed-precision wire
-	// format. Values round through half precision exactly once.
+	// FP16Wire sends a chunk bound for another supernode as raw FP16
+	// bit patterns (2 bytes/element) on every leg it takes, the paper's
+	// mixed-precision wire format. Its values round through half
+	// precision exactly once, at the source.
 	FP16Wire
 )
 
@@ -111,8 +117,10 @@ func putU16(s []uint16) {
 // WireStats counts flattened-exchange traffic staged by one
 // communicator, indexed by simnet.Level. Wire is what actually
 // crossed the network after codec; Raw is what an all-FP32 wire would
-// have carried for the same exchange. The gap at MachineLevel is the
-// codec's saving. Unlike World.Stats (global, atomic), WireStats is
+// have carried for the same exchange. The gap is the codec's saving:
+// 2 bytes per cross-supernode element at MachineLevel, and on the
+// hierarchical up- and down-legs that carry such elements at node and
+// supernode level. Unlike World.Stats (global, atomic), WireStats is
 // per-comm and owned by the comm's goroutine.
 type WireStats struct {
 	Wire [4]int64 // bytes after codec
@@ -284,30 +292,95 @@ func (b *RecvBuf) Release() {
 	b.data = nil
 }
 
+// payload is a run of exchanged elements in one wire width: float32,
+// or FP16 bit patterns for a chunk bound for another supernode under
+// FP16Wire. At most one of the slices is set.
+type payload struct {
+	f32 []float32
+	u16 []uint16
+}
+
+// newPayload returns n pooled elements, FP16 when fp16 is set.
+func newPayload(n int, fp16 bool) payload {
+	if fp16 {
+		return payload{u16: getU16(n)}
+	}
+	return payload{f32: tensor.GetSlice(n)}
+}
+
+func (p payload) len() int { return len(p.f32) + len(p.u16) }
+
+// grow extends p by n elements, FP16 when fp16 is set, and returns
+// them as a view.
+func (p *payload) grow(n int, fp16 bool) payload {
+	if fp16 {
+		p.u16 = slices.Grow(p.u16, n)[:len(p.u16)+n]
+		return payload{u16: p.u16[len(p.u16)-n:]}
+	}
+	p.f32 = slices.Grow(p.f32, n)[:len(p.f32)+n]
+	return payload{f32: p.f32[len(p.f32)-n:]}
+}
+
+// sub returns elements [lo, lo+n) of p as a view.
+func (p payload) sub(lo, n int) payload {
+	if p.u16 != nil {
+		return payload{u16: p.u16[lo : lo+n]}
+	}
+	return payload{f32: p.f32[lo : lo+n]}
+}
+
+// append adds q's elements to p, in q's width.
+func (p *payload) append(q payload) {
+	p.f32 = append(p.f32, q.f32...)
+	p.u16 = append(p.u16, q.u16...)
+}
+
+// pooled returns a copy of p in pooled buffers, for a staged message.
+func (p payload) pooled() payload {
+	q := newPayload(p.len(), p.u16 != nil)
+	copy(q.f32, p.f32)
+	copy(q.u16, p.u16)
+	return q
+}
+
+// release returns p's buffers to their pools.
+func (p payload) release() {
+	if p.f32 != nil {
+		tensor.PutSlice(p.f32)
+	}
+	if p.u16 != nil {
+		putU16(p.u16)
+	}
+}
+
+// payload returns the message's elements, in the width they travel.
+func (m *message) payload() payload { return payload{f32: m.data, u16: m.u16} }
+
 // seg is one absorbed source segment awaiting assembly into a
-// RecvBuf: exactly one of f32/u16 is set (or neither for n==0).
+// RecvBuf.
 type seg struct {
-	n    int
-	f32  []float32
-	u16  []uint16
+	n int
+	payload
 	meta []int
 }
 
 // relList collects staged message buffers to return to their pools
 // once a RecvBuf has been assembled from views into them.
-type relList struct {
-	f32 [][]float32
-	u16 [][]uint16
+type relList []payload
+
+// add queues p's buffers for release; a message that is not staged
+// owns nothing to release.
+func (r *relList) add(p payload, staged bool) {
+	if staged && (p.f32 != nil || p.u16 != nil) {
+		*r = append(*r, p)
+	}
 }
 
 func (r *relList) release() {
-	for _, s := range r.f32 {
-		tensor.PutSlice(s)
+	for _, p := range *r {
+		p.release()
 	}
-	for _, s := range r.u16 {
-		putU16(s)
-	}
-	r.f32, r.u16 = nil, nil
+	*r = nil
 }
 
 // Exchange is an in-flight flattened all-to-allv. The protocol is:
@@ -338,13 +411,12 @@ type Exchange struct {
 	remoteDone bool
 
 	// Self chunk, staged at Post so the caller's buffer is free.
-	selfData []float32 // pooled
-	selfMeta []int
+	self seg // pooled payload
 
 	// Hierarchical mode: cross-supernode chunks buffered for the
-	// up-leg, framed as (dst, n, nmeta) triples.
+	// up-leg in their wire width, framed as (dst, n, nmeta) triples.
 	upHdr  []int
-	upData []float32
+	up     payload
 	upMeta []int
 
 	// The communicator's supernode geometry: in hierarchical mode it
@@ -378,9 +450,10 @@ func (e *Exchange) local(q int) bool { return e.sn.of[q] == e.sn.j }
 func (e *Exchange) leader(j int) int { return e.sn.groups[j][0] }
 
 // Post stages the chunk destined to dst and, unless it is buffered
-// for the hierarchical up-leg, sends it immediately. The caller keeps
-// ownership of data and meta (Post copies). Each destination may be
-// posted at most once per exchange.
+// for the hierarchical up-leg, sends it immediately. Under FP16Wire a
+// chunk bound for another supernode is encoded here, the exchange's
+// one encode site. The caller keeps ownership of data and meta (Post
+// copies). Each destination may be posted at most once per exchange.
 func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	if e.flushed {
 		panic("mpi: Exchange.Post after Flush")
@@ -393,20 +466,29 @@ func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	}
 	e.posted[dst] = true
 
-	if dst == e.c.rank {
-		e.selfData = tensor.GetSlice(len(data))
-		copy(e.selfData, data)
-		e.selfMeta = append([]int(nil), meta...)
+	up := e.hier && !e.local(dst)
+	fp16 := e.codec == FP16Wire && !e.local(dst)
+	var p payload
+	if up {
+		p = e.up.grow(len(data), fp16)
+	} else {
+		p = newPayload(len(data), fp16)
+	}
+	if fp16 {
+		half.EncodeSlice(p.u16, data)
+	} else {
+		copy(p.f32, data)
+	}
+	switch {
+	case dst == e.c.rank:
+		e.self = seg{n: len(data), payload: p, meta: append([]int(nil), meta...)}
 		e.c.accountWire(simnet.SelfLevel, 4*len(data)+8*len(meta), 4*len(data)+8*len(meta))
-		return
-	}
-	if e.hier && !e.local(dst) {
+	case up:
 		e.upHdr = append(e.upHdr, dst, len(data), len(meta))
-		e.upData = append(e.upData, data...)
 		e.upMeta = append(e.upMeta, meta...)
-		return
+	default:
+		e.sendDirect(dst, p, meta)
 	}
-	e.sendDirect(dst, data, meta)
 }
 
 // PostAll posts every destination chunk of a SendBuf.
@@ -416,25 +498,21 @@ func (e *Exchange) PostAll(sb *SendBuf) {
 	}
 }
 
-// sendDirect frames one chunk as [n, nmeta, meta...] and posts it,
-// encoding to FP16 when the codec applies to this link level.
-func (e *Exchange) sendDirect(dst int, data []float32, meta []int) {
-	c := e.c
+// sendDirect frames one staged chunk as [n, nmeta, meta...] and posts
+// it; the message takes over p's buffer.
+func (e *Exchange) sendDirect(dst int, p payload, meta []int) {
 	ints := make([]int, 2+len(meta))
-	ints[0], ints[1] = len(data), len(meta)
+	ints[0], ints[1] = p.len(), len(meta)
 	copy(ints[2:], meta)
-	level := c.Topology().LevelOf(c.group[c.rank], c.group[dst])
-	m := message{tag: collTag(c.id, e.seq, stepDirect), ints: ints, staged: true}
-	if e.codec == FP16Wire && level == simnet.MachineLevel {
-		u := getU16(len(data))
-		half.EncodeSlice(u, data)
-		m.u16 = u
-	} else {
-		s := tensor.GetSlice(len(data))
-		copy(s, data)
-		m.data = s
-	}
-	c.accountWire(level, m.nbytes(), 4*len(data)+8*len(ints))
+	e.post(dst, collTag(e.c.id, e.seq, stepDirect), ints, p)
+}
+
+// post sends one leg's message carrying the pooled payload p and books
+// it: Wire is what p occupies on the link, Raw what FP32 would.
+func (e *Exchange) post(dst, tag int, ints []int, p payload) {
+	c := e.c
+	m := message{tag: tag, ints: ints, data: p.f32, u16: p.u16, staged: true}
+	c.accountWire(c.Topology().LevelOf(c.group[c.rank], c.group[dst]), m.nbytes(), 4*p.len()+8*len(ints))
 	c.proc.post(c.group[dst], m)
 }
 
@@ -454,20 +532,19 @@ func (e *Exchange) Flush() {
 	}
 	e.flushed = true
 	if e.hier && e.sn.pos != 0 {
-		c := e.c
-		ldr := e.leader(e.sn.j)
-		k := len(e.upHdr) / 3
-		ints := make([]int, 1+len(e.upHdr)+len(e.upMeta))
-		ints[0] = k
-		copy(ints[1:], e.upHdr)
-		copy(ints[1+len(e.upHdr):], e.upMeta)
-		s := tensor.GetSlice(len(e.upData))
-		copy(s, e.upData)
-		m := message{tag: collTag(c.id, e.seq, stepUp), ints: ints, data: s, staged: true}
-		level := c.Topology().LevelOf(c.group[c.rank], c.group[ldr])
-		c.accountWire(level, m.nbytes(), m.nbytes())
-		c.proc.post(c.group[ldr], m)
+		ints := frame(len(e.upHdr)/3, e.upHdr, e.upMeta)
+		e.post(e.leader(e.sn.j), collTag(e.c.id, e.seq, stepUp), ints, e.up.pooled())
 	}
+}
+
+// frame lays out an aggregated leg's ints: [k, hdr..., meta...], k
+// entries of hdr followed by their concatenated metadata.
+func frame(k int, hdr, meta []int) []int {
+	ints := make([]int, 1+len(hdr)+len(meta))
+	ints[0] = k
+	copy(ints[1:], hdr)
+	copy(ints[1+len(hdr):], meta)
+	return ints
 }
 
 // absorbDirect parses a [n, nmeta, meta...]-framed message into a seg
@@ -480,32 +557,19 @@ func absorbDirect(m message, rel *relList) seg {
 	if nmeta < 0 || len(m.ints) != 2+nmeta {
 		panic(fmt.Sprintf("mpi: wire framing corrupt: meta count %d vs header %d", nmeta, len(m.ints)))
 	}
-	s := seg{n: n, meta: m.ints[2 : 2+nmeta]}
-	switch {
-	case m.u16 != nil:
-		if len(m.u16) != n {
-			panic(fmt.Sprintf("mpi: wire framing corrupt: fp16 payload %d vs count %d", len(m.u16), n))
-		}
-		s.u16 = m.u16
-		if m.staged {
-			rel.u16 = append(rel.u16, m.u16)
-		}
-	default:
-		if len(m.data) != n {
-			panic(fmt.Sprintf("mpi: wire framing corrupt: payload %d vs count %d", len(m.data), n))
-		}
-		s.f32 = m.data
-		if m.staged {
-			rel.f32 = append(rel.f32, m.data)
-		}
+	p := m.payload()
+	if p.len() != n {
+		panic(fmt.Sprintf("mpi: wire framing corrupt: payload %d vs count %d", p.len(), n))
 	}
-	return s
+	rel.add(p, m.staged)
+	return seg{n: n, payload: p, meta: m.ints[2 : 2+nmeta]}
 }
 
-// assemble copies/decodes segs (for the listed sources, ascending)
-// into one flat pooled RecvBuf, then releases all staging buffers; a
-// leg whose whole payload is one staged FP32 buffer (the self chunk of
-// a one-rank exchange, for one) takes that buffer over uncopied.
+// assemble copies segs (for the listed sources, ascending) into one
+// flat pooled RecvBuf, decoding FP16 ones — the exchange's one decode
+// site — then releases all staging buffers; a leg whose whole payload
+// is one staged FP32 buffer (the self chunk of a one-rank exchange, for
+// one) takes that buffer over uncopied.
 func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 	p := e.c.Size()
 	ints := make([]int, 2*p)
@@ -522,10 +586,10 @@ func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 		b.meta[s] = segs[s].meta
 		total += segs[s].n
 	}
-	if len(rel.f32) == 1 && len(rel.u16) == 0 && len(rel.f32[0]) == total && total > 0 {
+	if r := *rel; len(r) == 1 && len(r[0].f32) == total && total > 0 {
 		for _, s := range srcs {
-			if f := segs[s].f32; len(f) == total && &f[0] == &rel.f32[0][0] {
-				b.data, rel.f32 = f, nil
+			if f := segs[s].f32; len(f) == total && &f[0] == &r[0].f32[0] {
+				b.data, *rel = f, nil
 				return b
 			}
 		}
@@ -560,11 +624,9 @@ func (e *Exchange) remoteSrcs() []int {
 // collectLocal blocks for the cheap leg: the self chunk plus every
 // direct message from a same-supernode source.
 func (e *Exchange) collectLocal(segs []seg, rel *relList) {
-	segs[e.c.rank] = seg{n: len(e.selfData), f32: e.selfData, meta: e.selfMeta}
-	if e.selfData != nil {
-		rel.f32 = append(rel.f32, e.selfData)
-		e.selfData = nil
-	}
+	segs[e.c.rank] = e.self
+	rel.add(e.self.payload, true)
+	e.self = seg{}
 	for _, s := range e.sn.groups[e.sn.j] {
 		if s == e.c.rank {
 			continue
@@ -576,9 +638,9 @@ func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 
 // collectRemote blocks for the cross-supernode leg. In flat mode that
 // is a direct message per remote source; in hierarchical mode the
-// leader absorbs member up-legs, runs the leader-to-leader exchange
-// (where the FP16 codec applies), and scatters down-legs, while
-// non-leaders receive one down-leg from their leader.
+// leader absorbs member up-legs, runs the leader-to-leader exchange,
+// and scatters down-legs, while non-leaders receive one down-leg from
+// their leader. Every payload keeps the width Post gave it.
 func (e *Exchange) collectRemote(segs []seg, rel *relList) {
 	c := e.c
 	if !e.hier {
@@ -596,9 +658,9 @@ func (e *Exchange) collectRemote(segs []seg, rel *relList) {
 	e.leaderExchange(segs, rel)
 }
 
-// parseScatter decodes a down-leg framed [k, (src, n, nmeta)×k,
-// meta...] into segs; all payloads are FP32 views into one staged
-// buffer, released once after assembly.
+// parseScatter splits a down-leg framed [k, (src, n, nmeta)×k,
+// meta...] into segs; all payloads are views into one staged buffer,
+// FP16 under FP16Wire, released once after assembly.
 func parseScatter(m message, me int, segs []seg, rel *relList) {
 	if len(m.ints) < 1 {
 		panic("mpi: wire framing corrupt: scatter header missing")
@@ -609,50 +671,49 @@ func parseScatter(m message, me int, segs []seg, rel *relList) {
 	}
 	hdr := m.ints[1 : 1+3*k]
 	meta := m.ints[1+3*k:]
+	p := m.payload()
 	offD, offM := 0, 0
 	for i := 0; i < k; i++ {
 		src, n, nm := hdr[3*i], hdr[3*i+1], hdr[3*i+2]
-		if n < 0 || nm < 0 || offD+n > len(m.data) || offM+nm > len(meta) {
+		if n < 0 || nm < 0 || offD+n > p.len() || offM+nm > len(meta) {
 			panic("mpi: wire framing corrupt: scatter entry out of bounds")
 		}
-		segs[src] = seg{n: n, f32: m.data[offD : offD+n], meta: meta[offM : offM+nm]}
+		segs[src] = seg{n: n, payload: p.sub(offD, n), meta: meta[offM : offM+nm]}
 		offD += n
 		offM += nm
 	}
-	if m.staged && m.data != nil {
-		rel.f32 = append(rel.f32, m.data)
-	}
+	rel.add(p, m.staged)
 }
 
 // leaderAgg accumulates chunks bound for one destination supernode,
 // framed as (src, dst, n, nmeta) quads.
 type leaderAgg struct {
 	hdr  []int
-	data []float32
+	data payload
 	meta []int
 }
 
 // leaderExchange runs the leader side of the hierarchical protocol:
 // absorb up-legs (own buffered + members'), exchange aggregates
-// pairwise with peer leaders (FP16-coded when selected — these are
-// the machine-level links), then scatter down-legs to members and
-// keep this rank's own share in segs.
+// pairwise with peer leaders, then scatter down-legs to members and
+// keep this rank's own share in segs. Payloads are moved in the width
+// they arrived in; nothing is decoded or re-encoded here.
 func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	c := e.c
 	members := e.sn.groups[e.sn.j]
 	nl := len(e.sn.groups)
 	aggs := make([]leaderAgg, nl)
 
-	absorb := func(src, k int, hdr, meta []int, data []float32) {
+	absorb := func(src, k int, hdr, meta []int, data payload) {
 		offD, offM := 0, 0
 		for i := 0; i < k; i++ {
 			dst, n, nm := hdr[3*i], hdr[3*i+1], hdr[3*i+2]
-			if n < 0 || nm < 0 || offD+n > len(data) || offM+nm > len(meta) {
+			if n < 0 || nm < 0 || offD+n > data.len() || offM+nm > len(meta) {
 				panic("mpi: wire framing corrupt: up-leg entry out of bounds")
 			}
 			a := &aggs[e.sn.of[dst]]
 			a.hdr = append(a.hdr, src, dst, n, nm)
-			a.data = append(a.data, data[offD:offD+n]...)
+			a.data.append(data.sub(offD, n))
 			a.meta = append(a.meta, meta[offM:offM+nm]...)
 			offD += n
 			offM += nm
@@ -660,7 +721,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	}
 
 	// Own cross-supernode chunks were buffered at Post time.
-	absorb(c.rank, len(e.upHdr)/3, e.upHdr, e.upMeta, e.upData)
+	absorb(c.rank, len(e.upHdr)/3, e.upHdr, e.upMeta, e.up)
 	for _, mb := range members {
 		if mb == c.rank {
 			continue
@@ -673,9 +734,9 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 		if k < 0 || len(m.ints) < 1+3*k {
 			panic(fmt.Sprintf("mpi: wire framing corrupt: up-leg k=%d len=%d", k, len(m.ints)))
 		}
-		absorb(mb, k, m.ints[1:1+3*k], m.ints[1+3*k:], m.data)
-		if m.staged && m.data != nil {
-			tensor.PutSlice(m.data)
+		absorb(mb, k, m.ints[1:1+3*k], m.ints[1+3*k:], m.payload())
+		if m.staged {
+			m.payload().release()
 		}
 	}
 
@@ -686,7 +747,8 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	for s := 1; s < nl; s++ {
 		dst := (me + s) % nl
 		src := (me - s + nl) % nl
-		e.sendX(e.leader(dst), &aggs[dst], tagX)
+		a := &aggs[dst]
+		e.post(e.leader(dst), tagX, frame(len(a.hdr)/4, a.hdr, a.meta), a.data.pooled())
 		m := c.recvStep(e.leader(src), tagX)
 		recvAgg[src] = e.parseX(m, rel)
 	}
@@ -695,7 +757,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	// Scatter: regroup received aggregates per destination member.
 	p := c.Size()
 	downHdr := make([][]int, p)
-	downData := make([][]float32, p)
+	downData := make([]payload, p)
 	downMeta := make([][]int, p)
 	for li := range recvAgg {
 		a := &recvAgg[li]
@@ -703,7 +765,7 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 		for i := 0; i < len(a.hdr); i += 4 {
 			src, dst, n, nm := a.hdr[i], a.hdr[i+1], a.hdr[i+2], a.hdr[i+3]
 			downHdr[dst] = append(downHdr[dst], src, n, nm)
-			downData[dst] = append(downData[dst], a.data[offD:offD+n]...)
+			downData[dst].append(a.data.sub(offD, n))
 			downMeta[dst] = append(downMeta[dst], a.meta[offM:offM+nm]...)
 			offD += n
 			offM += nm
@@ -713,17 +775,8 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 		if mb == c.rank {
 			continue
 		}
-		k := len(downHdr[mb]) / 3
-		ints := make([]int, 1+len(downHdr[mb])+len(downMeta[mb]))
-		ints[0] = k
-		copy(ints[1:], downHdr[mb])
-		copy(ints[1+len(downHdr[mb]):], downMeta[mb])
-		s := tensor.GetSlice(len(downData[mb]))
-		copy(s, downData[mb])
-		m := message{tag: collTag(c.id, e.seq, stepDown), ints: ints, data: s, staged: true}
-		level := c.Topology().LevelOf(c.group[c.rank], c.group[mb])
-		c.accountWire(level, m.nbytes(), m.nbytes())
-		c.proc.post(c.group[mb], m)
+		ints := frame(len(downHdr[mb])/3, downHdr[mb], downMeta[mb])
+		e.post(mb, collTag(c.id, e.seq, stepDown), ints, downData[mb].pooled())
 	}
 	// Own share stays local.
 	hdr := downHdr[c.rank]
@@ -732,38 +785,14 @@ func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
 	od, om := 0, 0
 	for i := 0; i < len(hdr); i += 3 {
 		src, n, nm := hdr[i], hdr[i+1], hdr[i+2]
-		segs[src] = seg{n: n, f32: data[od : od+n], meta: meta[om : om+nm]}
+		segs[src] = seg{n: n, payload: data.sub(od, n), meta: meta[om : om+nm]}
 		od += n
 		om += nm
 	}
 }
 
-// sendX ships one leader aggregate, framed [k, (src, dst, n, nmeta)
-// ×k, meta...], FP16-coded when the codec is enabled (leader pairs
-// always sit in different supernodes).
-func (e *Exchange) sendX(dstLeader int, a *leaderAgg, tag int) {
-	c := e.c
-	k := len(a.hdr) / 4
-	ints := make([]int, 1+len(a.hdr)+len(a.meta))
-	ints[0] = k
-	copy(ints[1:], a.hdr)
-	copy(ints[1+len(a.hdr):], a.meta)
-	level := c.Topology().LevelOf(c.group[c.rank], c.group[dstLeader])
-	m := message{tag: tag, ints: ints, staged: true}
-	if e.codec == FP16Wire && level == simnet.MachineLevel {
-		u := getU16(len(a.data))
-		half.EncodeSlice(u, a.data)
-		m.u16 = u
-	} else {
-		s := tensor.GetSlice(len(a.data))
-		copy(s, a.data)
-		m.data = s
-	}
-	c.accountWire(level, m.nbytes(), 4*len(a.data)+8*len(ints))
-	c.proc.post(c.group[dstLeader], m)
-}
-
-// parseX decodes a received leader aggregate back to FP32.
+// parseX frames a received leader aggregate as views into its staged
+// payload.
 func (e *Exchange) parseX(m message, rel *relList) leaderAgg {
 	if len(m.ints) < 1 {
 		panic("mpi: wire framing corrupt: X-leg header missing")
@@ -772,30 +801,15 @@ func (e *Exchange) parseX(m message, rel *relList) leaderAgg {
 	if k < 0 || len(m.ints) < 1+4*k {
 		panic(fmt.Sprintf("mpi: wire framing corrupt: X-leg k=%d len=%d", k, len(m.ints)))
 	}
-	a := leaderAgg{hdr: m.ints[1 : 1+4*k], meta: m.ints[1+4*k:]}
+	a := leaderAgg{hdr: m.ints[1 : 1+4*k], data: m.payload(), meta: m.ints[1+4*k:]}
 	total := 0
 	for i := 0; i < k; i++ {
 		total += a.hdr[4*i+2]
 	}
-	if m.u16 != nil {
-		if len(m.u16) != total {
-			panic(fmt.Sprintf("mpi: wire framing corrupt: X fp16 payload %d vs %d", len(m.u16), total))
-		}
-		a.data = tensor.GetSlice(total)
-		half.DecodeSlice(a.data, m.u16)
-		if m.staged {
-			putU16(m.u16)
-		}
-		rel.f32 = append(rel.f32, a.data)
-		return a
+	if a.data.len() != total {
+		panic(fmt.Sprintf("mpi: wire framing corrupt: X payload %d vs %d", a.data.len(), total))
 	}
-	if len(m.data) != total {
-		panic(fmt.Sprintf("mpi: wire framing corrupt: X payload %d vs %d", len(m.data), total))
-	}
-	a.data = m.data
-	if m.staged {
-		rel.f32 = append(rel.f32, m.data)
-	}
+	rel.add(a.data, m.staged)
 	return a
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -264,28 +265,6 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 	// floats per token row); tiny chunks would let the uncompressed
 	// framing header mask the codec's saving.
 	counts := func(s, d int) int { return 256 }
-	run := func(codec Codec, hier bool) WireStats {
-		var stats WireStats
-		w := NewWorld(8, wireTestTopo())
-		w.Run(func(c *Comm) {
-			sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
-			before := c.WireStats()
-			var rb *RecvBuf
-			if hier {
-				rb = c.AllToAllvHier(sb, codec)
-			} else {
-				rb = c.AllToAllvDirect(sb, codec)
-			}
-			sb.Release()
-			rb.Release()
-			if c.Rank() == 0 {
-				stats = c.WireStats().Sub(before)
-			}
-		})
-		// Sum over all ranks instead: WireStats is per-comm/per-rank, so
-		// rank 0 alone under-reports hier (leaders carry the X-leg).
-		return stats
-	}
 	for _, hier := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hier=%v", hier), func(t *testing.T) {
 			// Use the world-level counters, which see every rank.
@@ -316,37 +295,64 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 			}
 		})
 	}
-	_ = run // WireStats variant exercised in TestWireStatsTracksCodecGap
 }
 
-// TestWireStatsTracksCodecGap checks the per-comm Raw/Wire split: at
-// machine level Raw-Wire equals the codec saving, and intra-level
-// traffic is untouched by the codec.
+// TestWireStatsTracksCodecGap pins the per-comm Raw/Wire split of the
+// hierarchical exchange exactly. Raw, the message counts, and FP32's
+// Wire are the same under both codecs; under FP16Wire each element
+// bound for another supernode saves 2 bytes on every leg it takes — the
+// member's up-leg (node or supernode level), the leaders' X-leg
+// (machine level) and the down-leg to its member — and nothing else
+// moves.
 func TestWireStatsTracksCodecGap(t *testing.T) {
-	w := NewWorld(8, wireTestTopo())
-	total := make([]WireStats, 8)
-	w.Run(func(c *Comm) {
-		sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return 32 })
-		rb := c.AllToAllvHier(sb, FP16Wire)
-		sb.Release()
-		rb.Release()
-		total[c.Rank()] = c.WireStats()
-	})
-	var agg WireStats
-	for _, s := range total {
-		agg.Add(s)
+	counts := func(s, d int) int { return 32 + (3*s+d)%5 }
+	run := func(codec Codec) WireStats {
+		w := NewWorld(8, wireTestTopo())
+		total := make([]WireStats, 8)
+		w.Run(func(c *Comm) {
+			sb := buildSendBuf(c.Rank(), c.Size(), func(d int) int { return counts(c.Rank(), d) })
+			rb := c.AllToAllvHier(sb, codec)
+			sb.Release()
+			rb.Release()
+			total[c.Rank()] = c.WireStats()
+		})
+		var agg WireStats
+		for _, s := range total {
+			agg.Add(s)
+		}
+		return agg
 	}
-	if agg.Wire[simnet.MachineLevel] >= agg.Raw[simnet.MachineLevel] {
-		t.Fatalf("fp16 wire bytes %d not below raw %d at machine level",
-			agg.Wire[simnet.MachineLevel], agg.Raw[simnet.MachineLevel])
-	}
-	for _, l := range []simnet.Level{simnet.NodeLevel, simnet.SupernodeLevel} {
-		if agg.Wire[l] != agg.Raw[l] {
-			t.Fatalf("codec altered level %v: wire %d != raw %d", l, agg.Wire[l], agg.Raw[l])
+	fp32, fp16 := run(FP32Wire), run(FP16Wire)
+
+	// The legs each cross-supernode element rides, from the geometry.
+	topo := wireTestTopo()
+	leader := func(q int) int { return q - q%4 } // four ranks per supernode
+	var gap [4]int64
+	for s := 0; s < 8; s++ {
+		for d := 0; d < 8; d++ {
+			if topo.Supernode(s) == topo.Supernode(d) {
+				continue
+			}
+			n := int64(2 * counts(s, d))
+			if s != leader(s) {
+				gap[topo.LevelOf(s, leader(s))] += n
+			}
+			gap[simnet.MachineLevel] += n
+			if d != leader(d) {
+				gap[topo.LevelOf(leader(d), d)] += n
+			}
 		}
 	}
-	if agg.InterBytes() == 0 || agg.IntraBytes() == 0 {
-		t.Fatalf("expected traffic at both tiers: inter=%d intra=%d", agg.InterBytes(), agg.IntraBytes())
+	if fp32.Raw != fp16.Raw || fp32.Msgs != fp16.Msgs || fp32.Wire != fp32.Raw {
+		t.Fatalf("codec moved Raw or message counts, or FP32 is not raw: fp32 %+v fp16 %+v", fp32, fp16)
+	}
+	for l := range gap {
+		if got := fp16.Raw[l] - fp16.Wire[l]; got != gap[l] {
+			t.Errorf("level %v: fp16 saves %d bytes, want 2 B × %d cross-supernode elements", simnet.Level(l), got, gap[l]/2)
+		}
+	}
+	if gap[simnet.NodeLevel] == 0 || gap[simnet.SupernodeLevel] == 0 {
+		t.Fatalf("geometry sends no cross-supernode element over a node or supernode leg: %v", gap)
 	}
 }
 
@@ -387,6 +393,115 @@ func TestFP16WireValuesRoundTrip(t *testing.T) {
 		}
 		rb.Release()
 	})
+}
+
+// TestExchangeRoundsCrossSupernodeOnce is generated: on every machine
+// of 2–4 supernodes × 1–2 nodes × 1–3 ranks per node, each rank sends
+// random-length chunks (empty ones included) of values spread over
+// FP16's range and past it, with random metadata, through the direct
+// and hierarchical exchanges, blocking and two-phase, under both codecs.
+// Under FP16Wire an element that crossed supernodes must arrive as the
+// FP16 round trip of what was sent — rounded once, whatever legs it
+// took — and every other element exactly; metadata arrives exactly; and
+// the hierarchical exchange delivers the direct one's buffers bit for
+// bit.
+func TestExchangeRoundsCrossSupernodeOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type delivery struct {
+		bits  [][][]uint32 // [rank][src]
+		metas [][][]int
+	}
+	for sns := 2; sns <= 4; sns++ {
+		for nps := 1; nps <= 2; nps++ {
+			for rpn := 1; rpn <= 3; rpn++ {
+				topo := simnet.New(sunway.TestMachine(sns, nps), rpn)
+				p := sns * nps * rpn
+				vals := make([][][]float32, p) // [src][dst]
+				metas := make([][][]int, p)
+				for s := range vals {
+					vals[s], metas[s] = make([][]float32, p), make([][]int, p)
+					for d := range vals[s] {
+						n := 0
+						if rng.Intn(4) != 0 {
+							n = 1 + rng.Intn(6)
+						}
+						for range n {
+							vals[s][d] = append(vals[s][d], float32(rng.NormFloat64()*math.Ldexp(1, rng.Intn(40)-20)))
+						}
+						for range rng.Intn(3) {
+							metas[s][d] = append(metas[s][d], rng.Intn(1000))
+						}
+					}
+				}
+				for _, codec := range []Codec{FP32Wire, FP16Wire} {
+					run := func(hier, twoPhase bool) delivery {
+						out := delivery{bits: make([][][]uint32, p), metas: make([][][]int, p)}
+						NewWorld(p, topo).Run(func(c *Comm) {
+							r := c.Rank()
+							cs := make([]int, p)
+							for d := range cs {
+								cs[d] = len(vals[r][d])
+							}
+							sb := NewSendBuf(cs)
+							for d := range cs {
+								sb.Append(d, vals[r][d])
+								sb.SetMeta(d, metas[r][d])
+							}
+							var parts []*RecvBuf
+							if twoPhase {
+								ex := c.BeginExchange(hier, codec)
+								ex.PostAll(sb)
+								ex.Flush()
+								parts = []*RecvBuf{ex.RecvLocal(), ex.RecvRemote()}
+							} else {
+								parts = []*RecvBuf{c.allToAllv(sb, codec, hier)}
+							}
+							sb.Release()
+							out.bits[r], out.metas[r] = make([][]uint32, p), make([][]int, p)
+							for _, rb := range parts {
+								for _, s := range rb.Srcs() {
+									out.bits[r][s] = []uint32{}
+									for _, v := range rb.Chunk(s) {
+										out.bits[r][s] = append(out.bits[r][s], math.Float32bits(v))
+									}
+									out.metas[r][s] = append([]int{}, rb.Meta(s)...)
+								}
+								rb.Release()
+							}
+						})
+						return out
+					}
+					var direct delivery
+					for _, path := range []struct{ hier, twoPhase bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
+						name := fmt.Sprintf("%dsn×%dnode×%d %v hier=%v two-phase=%v", sns, nps, rpn, codec, path.hier, path.twoPhase)
+						got := run(path.hier, path.twoPhase)
+						for d := 0; d < p; d++ {
+							for s := 0; s < p; s++ {
+								cross := topo.Supernode(s) != topo.Supernode(d)
+								if len(got.bits[d][s]) != len(vals[s][d]) || !reflect.DeepEqual(got.metas[d][s], append([]int{}, metas[s][d]...)) {
+									t.Fatalf("%s: rank %d from %d: %d elements, meta %v; sent %d, %v", name, d, s, len(got.bits[d][s]), got.metas[d][s], len(vals[s][d]), metas[s][d])
+								}
+								for i, v := range vals[s][d] {
+									if codec == FP16Wire && cross {
+										v = half.RoundTrip32(v)
+									}
+									if got.bits[d][s][i] != math.Float32bits(v) {
+										t.Fatalf("%s: rank %d from %d elem %d: got %v, want %v (cross=%v)", name, d, s, i,
+											math.Float32frombits(got.bits[d][s][i]), v, cross)
+									}
+								}
+							}
+						}
+						if !path.hier {
+							direct = got
+						} else if !reflect.DeepEqual(got, direct) {
+							t.Fatalf("%s: hierarchical delivery differs from direct", name)
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestRecvBufRows pins the variable-length framing assert the

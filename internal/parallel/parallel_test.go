@@ -232,20 +232,58 @@ func TestMoEBreakdownPopulated(t *testing.T) {
 	}
 }
 
+// TestA2AAlgosTrainIdentically runs W2's shape — dp2×ep4 over four
+// supernodes of one two-rank node, so every expert-parallel group spans
+// two supernodes — under the direct, hierarchical and auto-selected
+// exchanges. Every step's loss and gradient norm must agree bit for bit,
+// under FP32Wire and under FP16Wire with Mixed precision and overlap:
+// the algorithm moves bytes, never values.
 func TestA2AAlgosTrainIdentically(t *testing.T) {
-	// Training trajectories must be identical regardless of the
-	// all-to-all algorithm (pure data-path equivalence).
-	run := func(algo moe.A2AAlgo) float32 {
-		mc := tinyModelCfg(1)
-		mc.Algo = algo
-		stats := runEngine(t, Strategy{DataParallel: 2, ExpertParallel: 2}, mc, 5)
-		return stats[4].Loss
-	}
-	direct := run(moe.Direct)
-	for _, algo := range []moe.A2AAlgo{moe.Hierarchical, moe.Auto} {
-		if got := run(algo); math.Abs(float64(got-direct)) > 1e-4 {
-			t.Fatalf("loss under %v differs from direct: %v vs %v", algo, got, direct)
-		}
+	const steps = 5
+	for _, row := range []struct {
+		name string
+		comm moe.CommConfig
+		prec sunway.Precision
+	}{
+		{"fp32", moe.CommConfig{Codec: mpi.FP32Wire}, sunway.FP32},
+		{"fp16-mixed", moe.CommConfig{Codec: mpi.FP16Wire, Overlap: true}, sunway.Mixed},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			run := func(algo moe.A2AAlgo) []StepStats {
+				mc := tinyModelCfg(1)
+				mc.Algo, mc.Comm = algo, row.comm
+				tc := tinyTrainCfg()
+				tc.Precision = row.prec
+				stats := make([]StepStats, steps)
+				w := mpi.NewWorld(8, simnet.New(sunway.TestMachine(4, 1), 2))
+				w.Run(func(c *mpi.Comm) {
+					e, err := NewEngine(c, Strategy{DataParallel: 2, ExpertParallel: 4}, mc, tinyCorpusCfg(), tc, train.NewAdam(0), 11)
+					if err != nil {
+						t.Error(err)
+						panic(err)
+					}
+					for s := range stats {
+						st := e.Step()
+						if c.Rank() == 0 {
+							stats[s] = st
+						}
+					}
+				})
+				return stats
+			}
+			direct := run(moe.Direct)
+			if direct[0].Wire.Raw[simnet.MachineLevel] == 0 {
+				t.Fatal("no exchange crossed supernodes: the shape tests nothing")
+			}
+			for _, algo := range []moe.A2AAlgo{moe.Hierarchical, moe.Auto} {
+				for s, st := range run(algo) {
+					d := direct[s]
+					if math.Float32bits(st.Loss) != math.Float32bits(d.Loss) || math.Float32bits(st.GradNorm) != math.Float32bits(d.GradNorm) {
+						t.Fatalf("step %d under %v: loss %v gnorm %v, direct %v %v", s, algo, st.Loss, st.GradNorm, d.Loss, d.GradNorm)
+					}
+				}
+			}
+		})
 	}
 }
 

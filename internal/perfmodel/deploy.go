@@ -84,9 +84,11 @@ type Deployment struct {
 	OffloadOptState bool
 
 	// WireFP16 models the FP16 on-the-wire codec of the MoE exchange:
-	// inter-supernode all-to-all payloads travel as 2-byte elements
-	// while intra-supernode legs stay at the training wire width —
-	// the analytic twin of mpi.FP16Wire.
+	// elements bound for another supernode travel as 2 bytes on every
+	// leg they take — the direct message, or the hierarchical staging
+	// through node and supernode links and the leaders' crossing —
+	// while elements that stay in their supernode keep the training
+	// wire width. The analytic twin of mpi.FP16Wire.
 	WireFP16 bool
 
 	// OverlapA2A models the two-phase exchange (moe.CommConfig.Overlap):
@@ -159,11 +161,12 @@ func (d Deployment) a2aCost(t *simnet.Topology, p, stride int, intraBytes, machi
 		// of inter-supernode messages collapses from machinePeers to
 		// supernodes-1.
 		supernodes := math.Ceil(float64(p) / float64(perSN))
-		// Staging inside a supernode moves pre-codec (full-width)
-		// payloads; only the bisection crossing travels at the
-		// (possibly FP16) inter-supernode wire width.
+		// Elements bound for another supernode travel at the
+		// inter-supernode wire width (FP16 under the codec) on every
+		// leg: the staging through node and supernode links as well as
+		// the bisection crossing.
 		xsnBytes := machinePeers * perPeerMachine
-		crossNodeBytes := (snPeers + machinePeers) * perPeer
+		crossNodeBytes := snPeers*perPeer + xsnBytes
 
 		// Gather to node level and final scatter from node level.
 		stage := 2 * t.CostAtLevel(simnet.NodeLevel, int(crossNodeBytes))
@@ -171,7 +174,7 @@ func (d Deployment) a2aCost(t *simnet.Topology, p, stride int, intraBytes, machi
 		// staging of the cross-SN aggregate through supernode links.
 		local := nodePeers*t.CostAtLevel(simnet.NodeLevel, int(perPeer)) +
 			snPeers*t.CostAtLevel(simnet.SupernodeLevel, int(perPeer))
-		stage += 2 * t.CostAtLevel(simnet.SupernodeLevel, int(machinePeers*perPeer))
+		stage += 2 * t.CostAtLevel(simnet.SupernodeLevel, int(xsnBytes))
 		// Inter-supernode: supernodes-1 aggregated messages carrying
 		// this rank's share of the machine-level bytes, over the
 		// oversubscribed bisection.

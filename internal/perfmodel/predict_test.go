@@ -68,6 +68,35 @@ func TestFP16WireCutsA2ABytesAndTime(t *testing.T) {
 	}
 }
 
+// TestHierA2AStagesAtCodecWidth pins the hierarchical exchange's price
+// for an FP32 deployment with the FP16 codec: an element bound for
+// another supernode is 2 bytes on every leg, so against the same
+// exchange at 4 bytes the codec saves exactly those bytes on the node
+// gather and scatter, on the supernode staging both ways, and on the
+// bisection crossing — and nothing on traffic that stays in a
+// supernode.
+func TestHierA2AStagesAtCodecWidth(t *testing.T) {
+	d := Deployment{
+		Machine: sunway.TestMachine(4, 2), RanksPerNode: 2,
+		Grid:      layout.Grid{DataParallel: 1, ExpertParallel: 16},
+		Precision: sunway.FP32, A2A: A2AHierarchical, WireFP16: true,
+	}
+	topo := simnet.New(d.Machine, d.RanksPerNode)
+	const p, perPeer = 16, 4096.0 // 1 node peer, 2 supernode peers, 12 remote
+	intra := (p - 1) * perPeer
+	full, fullBytes := d.a2aCost(topo, p, 1, intra, intra)
+	half, halfBytes := d.a2aCost(topo, p, 1, intra, intra/2)
+	saved := 12 * perPeer / 2
+	want := saved * (2*topo.Beta[simnet.NodeLevel] + 2*topo.Beta[simnet.SupernodeLevel] +
+		topo.Beta[simnet.MachineLevel]*d.Machine.BisectionOversub)
+	if got := full - half; math.Abs(got-want) > 1e-12*full {
+		t.Fatalf("codec saves %.9g s on the hierarchical exchange, want %.9g (%.0f bytes on each of five legs)", got, want, saved)
+	}
+	if fullBytes-halfBytes != saved {
+		t.Fatalf("codec saves %v wire bytes per rank, want %v", fullBytes-halfBytes, saved)
+	}
+}
+
 func TestOverlapA2AHidesExpertCompute(t *testing.T) {
 	d := Deployment{
 		Machine: sunway.TestMachine(4, 2), RanksPerNode: 1,
