@@ -2,12 +2,15 @@ package parallel
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"bagualu/internal/fault"
@@ -88,18 +91,68 @@ func (g *goldenRecord) step(label string, st StepStats) {
 	fmt.Fprintf(&g.clock, "%s step %d simtime %016x (%.9g)\n", label, st.Step, math.Float64bits(st.SimTime), st.SimTime)
 }
 
+// momentKey names one element of a rank-exclusive optimizer-state
+// range by its tensor and logical offset.
+type momentKey struct {
+	name string
+	off  int
+}
+
 // weightsHash hashes the bits of every tensor a bit-exact resume needs
-// (weights, optimizer state, FP32 masters), in checkpoint order.
+// (weights, optimizer state, FP32 masters) that the rank holds whole,
+// in checkpoint order. Rank-exclusive ranges (ZeRO's moment shards) are
+// left to moments: where a range is cut is not a trained value.
 func weightsHash(e *Engine) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
 	for _, p := range e.Trainer.CheckpointParams() {
+		if p.FullShape != nil {
+			continue
+		}
 		h.Write([]byte(p.Name))
 		for _, v := range p.W.Data {
 			u := math.Float32bits(v)
 			b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
 			h.Write(b[:])
 		}
+	}
+	return h.Sum64()
+}
+
+// moments adds the bits of every element of the rank's rank-exclusive
+// state ranges to m, keyed by (name, logical offset).
+func moments(e *Engine, m map[momentKey]uint32) {
+	for _, p := range e.Trainer.CheckpointParams() {
+		if p.FullShape == nil {
+			continue
+		}
+		for i, v := range p.W.Data {
+			m[momentKey{p.Name, p.ShardLo + i}] = math.Float32bits(v)
+		}
+	}
+}
+
+// momentsHash hashes the world's rank-exclusive state elements in
+// (name, offset) order, so it reads the same however the ranges are cut.
+func momentsHash(m map[momentKey]uint32) uint64 {
+	keys := make([]momentKey, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b momentKey) int {
+		return cmp.Or(strings.Compare(a.name, b.name), cmp.Compare(a.off, b.off))
+	})
+	h := fnv.New64a()
+	var b [4]byte
+	name := ""
+	for _, k := range keys {
+		if k.name != name {
+			name = k.name
+			h.Write([]byte(name))
+		}
+		u := m[k]
+		b[0], b[1], b[2], b[3] = byte(u), byte(u>>8), byte(u>>16), byte(u>>24)
+		h.Write(b[:])
 	}
 	return h.Sum64()
 }
@@ -119,6 +172,7 @@ func (s goldenShape) run(t *testing.T, seed uint64, g *goldenRecord) {
 	label := fmt.Sprintf("%s seed %d", s.name, seed)
 	hashes := make([]uint64, ranks)
 	done := make([]bool, ranks)
+	held := make([]map[momentKey]uint32, ranks)
 	steps := make([]StepStats, 0, s.steps)
 	record := func(rank int, e *Engine, st StepStats) {
 		if rank == 0 {
@@ -126,6 +180,8 @@ func (s goldenShape) run(t *testing.T, seed uint64, g *goldenRecord) {
 		}
 		if e.Trainer.StepCount() == s.steps {
 			hashes[rank], done[rank] = weightsHash(e), true
+			held[rank] = map[momentKey]uint32{}
+			moments(e, held[rank])
 		}
 	}
 
@@ -176,17 +232,29 @@ func (s goldenShape) run(t *testing.T, seed uint64, g *goldenRecord) {
 	for _, st := range steps {
 		g.step(label, st)
 	}
+	world := map[momentKey]uint32{}
 	for r, h := range hashes {
-		if done[r] {
-			fmt.Fprintf(&g.bits, "%s rank %d weights %016x\n", label, r, h)
+		if !done[r] {
+			continue
 		}
+		fmt.Fprintf(&g.bits, "%s rank %d weights %016x\n", label, r, h)
+		for k, v := range held[r] {
+			if w, ok := world[k]; ok && w != v {
+				t.Errorf("%s: ranks disagree on %s[%d]: %08x vs %08x", label, k.name, k.off, w, v)
+			}
+			world[k] = v
+		}
+	}
+	if len(world) > 0 {
+		fmt.Fprintf(&g.bits, "%s moments %016x (%d elements)\n", label, momentsHash(world), len(world))
 	}
 }
 
 // TestBitsGolden pins the training bits of the W2, W3 and W4 shapes at
 // seeds 1 and 2: every step's loss, aux loss and gradient norm bit
-// patterns (rank 0's view) and a hash of every surviving rank's
-// checkpointable tensors after the last step. A change to how bytes
+// patterns (rank 0's view), a hash of every surviving rank's
+// checkpointable tensors after the last step, and one hash of the
+// world's rank-exclusive optimizer state by name and logical offset. A change to how bytes
 // travel — a codec site moved, a schedule reordered — must leave
 // testdata/bits.golden byte-identical. Per-step virtual seconds go to
 // testdata/clock.golden, which such a change may move on purpose.
