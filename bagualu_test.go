@@ -102,7 +102,7 @@ func TestFacadeProjection(t *testing.T) {
 	d := bagualu.Deployment{
 		Machine: m, RanksPerNode: 1, Grid: bagualu.Strategy{DataParallel: 1, ExpertParallel: m.Nodes()},
 		BatchPerRank: 4, Precision: bagualu.Mixed, Efficiency: 0.35,
-		A2A: bagualu.ProjA2AHierarchical, ZeRO: true, OverlapSync: true,
+		A2A: bagualu.ProjA2AHierarchical, ZeRO: true,
 	}
 	rep, err := d.PredictStep(specs[2], perfmodel.FaultModel{})
 	if err != nil {

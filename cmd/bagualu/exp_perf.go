@@ -18,12 +18,12 @@ const (
 )
 
 // fullMachine deploys on every node of machine at one rank per node:
-// mixed precision, hierarchical a2a, ZeRO, sync overlapped.
+// mixed precision, hierarchical a2a, ZeRO.
 func fullMachine(machine *sunway.Machine, dp, ep int) perfmodel.Deployment {
 	return perfmodel.Deployment{
 		Machine: machine, RanksPerNode: 1, Grid: layout.Grid{DataParallel: dp, ExpertParallel: ep},
 		BatchPerRank: perfBatch, Precision: sunway.Mixed, Efficiency: perfEfficiency,
-		A2A: perfmodel.A2AHierarchical, ZeRO: true, OverlapSync: true,
+		A2A: perfmodel.A2AHierarchical, ZeRO: true,
 	}
 }
 

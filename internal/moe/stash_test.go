@@ -48,7 +48,7 @@ func stashGrads(newFFN func(name string, r *tensor.RNG) nn.Layer, policy []bool,
 	}
 	if inFlight {
 		for i, p := range passes {
-			g.BackwardPass(p, dlogits[i])
+			g.BackwardPass(p, dlogits[i], nil)
 		}
 	}
 	out := map[string][]float32{}

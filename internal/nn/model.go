@@ -175,13 +175,24 @@ func (g *GPT) Stash(p *Pass) {
 	}
 }
 
+// EmbedUnit names the embeddings among the model's units, the stretches
+// of the backward whose gradients it finishes one after another: the
+// head (final norm and LM head) is unit HeadUnit(), block i is unit i,
+// and the embeddings come last.
+const EmbedUnit = -1
+
+// HeadUnit names the head among the model's units.
+func (g *GPT) HeadUnit() int { return len(g.Blocks) }
+
 // BackwardPass propagates d back through everything pass p ran — the
 // head first when the run ends the model (d is then the logits
 // gradient), each block after restoring or replaying it, and the
 // embeddings when the run starts the model — and returns the gradient
-// flowing into the run's first block. p is empty afterwards.
-func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor) *tensor.Tensor {
-	return g.backward(p, d, nil)
+// flowing into the run's first block. finished, when non-nil, is called
+// with each unit (see EmbedUnit) as soon as its gradients are added, in
+// that order. p is empty afterwards.
+func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor, finished func(unit int)) *tensor.Tensor {
+	return g.backward(p, d, nil, finished)
 }
 
 // BackwardInput is BackwardPass with every weight-gradient product
@@ -189,16 +200,19 @@ func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor) *tensor.Tensor {
 // is ready without them. p, and the tensors the products read — d
 // included — must stay untouched until BackwardWeights(p) runs them.
 func (g *GPT) BackwardInput(p *Pass, d *tensor.Tensor) *tensor.Tensor {
-	return g.backward(p, d, &p.wgrads)
+	return g.backward(p, d, &p.wgrads, nil)
 }
 
 // BackwardWeights runs the weight-gradient products BackwardInput
 // recorded in p, in the order it recorded them. p is empty afterwards.
 func (g *GPT) BackwardWeights(p *Pass) { p.wgrads.Run() }
 
-func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads) *tensor.Tensor {
+func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads, finished func(int)) *tensor.Tensor {
 	if wg != nil {
 		g.deferWeightGrads(p, wg)
+	}
+	if finished == nil {
+		finished = func(int) {}
 	}
 	if g.endsModel(p) {
 		if p.head != nil {
@@ -206,6 +220,7 @@ func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads) *tensor.Tenso
 			p.head = nil
 		}
 		d = g.FinalLN.Backward(g.Head.Backward(d))
+		finished(g.HeadUnit())
 	}
 	for i := len(p.blocks) - 1; i >= 0; i-- {
 		b, bp := g.Blocks[p.lo+i], p.blocks[i]
@@ -216,12 +231,14 @@ func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads) *tensor.Tenso
 			b.restore(bp.st)
 		}
 		d = b.Backward(d)
+		finished(p.lo + i)
 	}
 	if g.startsModel(p) {
 		if p.ids != nil {
 			g.TokEmbed.ids, p.ids = p.ids, nil
 		}
 		g.embedBackward(d)
+		finished(EmbedUnit)
 	}
 	if wg != nil {
 		g.deferWeightGrads(p, nil)
@@ -317,7 +334,7 @@ func (g *GPT) Forward(ids []int) *tensor.Tensor {
 // Backward propagates d(loss)/d(logits) through the model,
 // accumulating all parameter gradients.
 func (g *GPT) Backward(dlogits *tensor.Tensor) {
-	g.BackwardPass(&g.pass, dlogits)
+	g.BackwardPass(&g.pass, dlogits, nil)
 }
 
 // Generate extends prompt by n tokens using temperature sampling

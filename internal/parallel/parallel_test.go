@@ -413,12 +413,18 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 						}
 						mp.Scale = 1e12 // this rank's gradients overflow FP16
 					}
+					finished := e.Trainer.Runner.Finished
+					e.Trainer.Runner.Finished = func(u int) {
+						if u == nn.EmbedUnit && slices.Contains(row.sum, c.Rank()) && e.Trainer.StepCount() == 0 {
+							// The embeddings complete the bucket holding the
+							// first dense gradient, whose sync starts now:
+							// finite at the scale, past 65504 once two meet.
+							e.DenseParams()[0].G.Data[0] = 40000
+						}
+						finished(u)
+					}
 					sync := e.Trainer.PostBackward
 					e.Trainer.PostBackward = func(m train.Metrics) float32 {
-						if slices.Contains(row.sum, c.Rank()) && e.Trainer.StepCount() == 0 {
-							// Finite at the scale, past 65504 once two meet.
-							e.DenseParams()[0].G.Data[0] = 40000 / mp.Scale
-						}
 						norm := sync(m)
 						if e.Trainer.StepCount() == 0 {
 							rec.norm = norm

@@ -69,20 +69,32 @@ func (s ModelSpec) expertParams() int64 {
 // attention, layer norms, dense FFNs, gates, head. The formulas
 // mirror nn.NewGPT exactly and are verified against it in tests.
 func (s ModelSpec) DenseParams() int64 {
-	d := int64(s.Dim)
-	p := int64(s.Vocab)*d + int64(s.SeqLen)*d // embeddings
+	p := s.embedParams() + s.headParams()
 	for b := 0; b < s.Layers; b++ {
-		p += 2 * (2 * d)                    // two layer norms (gamma+beta)
-		p += 4 * linearParams(s.Dim, s.Dim) // q,k,v,o
-		if s.MoEEvery > 0 && b%s.MoEEvery == 0 {
-			p += int64(s.Dim) * int64(s.NumExperts) // gate projection (no bias)
-		} else {
-			p += linearParams(s.Dim, s.FFNHidden) + linearParams(s.FFNHidden, s.Dim)
-		}
+		p += s.blockDenseParams(b)
 	}
-	p += 2 * d                         // final layer norm
-	p += int64(s.Dim) * int64(s.Vocab) // LM head (no bias)
 	return p
+}
+
+// embedParams counts the token and positional embeddings.
+func (s ModelSpec) embedParams() int64 {
+	return int64(s.Vocab)*int64(s.Dim) + int64(s.SeqLen)*int64(s.Dim)
+}
+
+// headParams counts the final layer norm and the LM head (no bias).
+func (s ModelSpec) headParams() int64 {
+	return 2*int64(s.Dim) + int64(s.Dim)*int64(s.Vocab)
+}
+
+// blockDenseParams counts block b's replicated parameters: two layer
+// norms (gamma+beta), q/k/v/o, and the gate projection (no bias) of an
+// expert block or the dense FFN of any other.
+func (s ModelSpec) blockDenseParams(b int) int64 {
+	p := 2*(2*int64(s.Dim)) + 4*linearParams(s.Dim, s.Dim)
+	if s.MoEEvery > 0 && b%s.MoEEvery == 0 {
+		return p + int64(s.Dim)*int64(s.NumExperts)
+	}
+	return p + linearParams(s.Dim, s.FFNHidden) + linearParams(s.FFNHidden, s.Dim)
 }
 
 // ExpertParamsTotal counts all expert parameters across all MoE

@@ -120,11 +120,16 @@ func NewGenerationSunway() *Machine {
 }
 
 // TestMachine returns a tiny configuration with the same shape
-// constants, convenient for unit tests and in-process simulation.
+// constants, convenient for unit tests and in-process simulation. Its
+// inter-supernode links carry no bisection taper: the simulated network
+// (internal/simnet) gives every rank its own link and has no shared
+// uplink to thin, so the analytic model prices test machines as the
+// simulator runs them.
 func TestMachine(supernodes, nodesPerSN int) *Machine {
 	m := NewGenerationSunway()
 	m.Supernodes = supernodes
 	m.NodesPerSupernode = nodesPerSN
+	m.BisectionOversub = 1
 	return m
 }
 

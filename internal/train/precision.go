@@ -120,23 +120,26 @@ func (mp *MixedPrecision) quantizeWeights() {
 	}
 }
 
-// PrepareGrads post-processes gradients after backward: quantizes
-// them per the mode and, under loss scaling, divides the loss scale
-// back out. It decides nothing: an overflow shows up as a non-finite
-// gradient, and Overflowed rules on the norm once it is known.
-func (mp *MixedPrecision) PrepareGrads() {
+// PrepareGrads post-processes the gradients of ps once backward has
+// finished them: quantizes them per the mode and, under loss scaling,
+// divides the loss scale back out. Each gradient is prepared once per
+// step — all at once by the trainer, or bucket by bucket by the
+// parallel engine's sync. It decides nothing: an overflow shows up as a
+// non-finite gradient, and Overflowed rules on the norm once it is
+// known.
+func (mp *MixedPrecision) PrepareGrads(ps []*nn.Param) {
 	switch mp.Mode {
 	case sunway.BF16:
 		// bfloat16 gradients: round, no scaling (the exponent range
 		// matches FP32).
-		for _, p := range mp.params {
+		for _, p := range ps {
 			half.BQuantizeSlice(p.G.Data)
 		}
 	case sunway.FP16, sunway.Mixed:
-		for _, p := range mp.params {
+		for _, p := range ps {
 			half.QuantizeSliceFast(p.G.Data)
 		}
-		ScaleGrads(mp.params, 1/mp.Scale)
+		ScaleGrads(ps, 1/mp.Scale)
 	}
 }
 

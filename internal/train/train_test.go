@@ -119,7 +119,7 @@ func TestMixedPrecisionOverflowSkipsAndHalves(t *testing.T) {
 	mp := NewMixedPrecision(sunway.Mixed, []*nn.Param{p})
 	mp.Scale = 1024
 	p.G.Data[0] = 1e7 // overflows FP16
-	mp.PrepareGrads()
+	mp.PrepareGrads([]*nn.Param{p})
 	if !mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 		t.Fatal("overflow not detected")
 	}
@@ -165,7 +165,7 @@ func TestMixedPrecisionGrowth(t *testing.T) {
 	opt := NewSGD(0)
 	for i := 0; i < 3; i++ {
 		p.G.Data[0] = 4 // pretend scaled grad
-		mp.PrepareGrads()
+		mp.PrepareGrads([]*nn.Param{p})
 		if mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 			t.Fatal("spurious overflow")
 		}
@@ -181,7 +181,7 @@ func TestMixedPrecisionUnscales(t *testing.T) {
 	mp := NewMixedPrecision(sunway.Mixed, []*nn.Param{p})
 	mp.Scale = 8
 	p.G.Data[0] = 16 // scaled gradient
-	mp.PrepareGrads()
+	mp.PrepareGrads([]*nn.Param{p})
 	if p.G.Data[0] != 2 {
 		t.Fatalf("unscaled grad = %v, want 2", p.G.Data[0])
 	}
@@ -197,7 +197,7 @@ func TestMixedPrecisionMastersKeepPrecision(t *testing.T) {
 	opt := NewSGD(0)
 	for i := 0; i < 1000; i++ {
 		p.G.Data[0] = 1e-4 // below FP16 ulp at 1.0 (≈ 5e-4... close)
-		mp.PrepareGrads()
+		mp.PrepareGrads([]*nn.Param{p})
 		mp.Apply(opt, 1)
 	}
 	// Master should have moved by ~0.1.
@@ -213,7 +213,7 @@ func TestFP32ModeIsPassthrough(t *testing.T) {
 		t.Fatalf("fp32 loss scale %v", mp.LossScale())
 	}
 	p.G.Data[0] = 1e7
-	mp.PrepareGrads()
+	mp.PrepareGrads([]*nn.Param{p})
 	if mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 		t.Fatal("fp32 must not overflow-skip")
 	}
@@ -376,7 +376,7 @@ func TestBF16HugeGradientsDoNotOverflow(t *testing.T) {
 	p := quadParam(1)
 	mp := NewMixedPrecision(sunway.BF16, []*nn.Param{p})
 	p.G.Data[0] = 1e30 // far beyond FP16 range, fine for bf16
-	mp.PrepareGrads()
+	mp.PrepareGrads([]*nn.Param{p})
 	if mp.Overflowed(GlobalGradNorm([]*nn.Param{p})) {
 		t.Fatal("bf16 spuriously skipped a large-gradient step")
 	}

@@ -59,8 +59,10 @@ type Trainer struct {
 
 	// PostBackward, when non-nil, runs after gradients are computed
 	// and before the optimizer step, with the step's local metrics; the
-	// parallel engine injects the gradient all-reduce here. It owns
-	// clipping (Config.ClipNorm then does nothing) and returns the global
+	// parallel engine finishes its gradient sync here. It owns the
+	// precision policy's gradient preparation (MP.PrepareGrads, which the
+	// engine runs per bucket as the backward finishes each) and clipping
+	// (Config.ClipNorm then does nothing), and returns the global
 	// gradient norm, identical on every rank, which decides whether a
 	// step is skipped: one rank's overflow reaches every rank through the
 	// sync, so all skip together.
@@ -133,7 +135,9 @@ func (t *Trainer) Step() Metrics {
 // finishStep runs the precision policy, gradient sync hook, clipping,
 // and the optimizer.
 func (t *Trainer) finishStep(m Metrics) Metrics {
-	t.MP.PrepareGrads()
+	if t.PostBackward == nil {
+		t.MP.PrepareGrads(t.params)
+	}
 	switch {
 	case t.PostBackward != nil:
 		m.GradNorm = t.PostBackward(m)

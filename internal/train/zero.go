@@ -62,6 +62,10 @@ type shardGroup struct {
 	m, v   []float32 // owned moment shards
 	grad   []float32 // owned shard of this step's reduced gradients
 	synced bool
+
+	// upd is the updated owned shard (pooled) and full the gathered
+	// parameters, between Step's update and its all-gather.
+	upd, full []float32
 }
 
 // NewShardedAdam constructs the sharded optimizer with the
@@ -104,27 +108,23 @@ func (z *ShardedAdam) StateBytes() int64 {
 	return b
 }
 
-// SyncGradients reduce-scatters each group's gradients on the wire w
-// (mpi.Comm.ReduceScatterShard) and stores this rank's reduced,
-// scale-multiplied shard (scale is the data-parallel averaging factor).
-// It replaces the full-tensor all-reduce of the unsharded path;
-// parameters' G tensors are left untouched (they hold local, unreduced
-// gradients afterwards). The groups' reduce-scatters
-// are issued together (mpi.Comm.Start) and joined before it returns.
-func (z *ShardedAdam) SyncGradients(scale float32, w mpi.GradWire) {
+// StartSync starts group i's reduce-scatter on the wire w
+// (mpi.Comm.ReduceScatterShard) as a request and returns it: once
+// joined, this rank holds its reduced, scale-multiplied shard (scale is
+// the data-parallel averaging factor). It replaces the full-tensor
+// all-reduce of the unsharded path; the parameters' G tensors are left
+// untouched (they hold local, unreduced gradients afterwards). The
+// parallel engine starts each gradient bucket's groups as the backward
+// finishes the bucket.
+func (z *ShardedAdam) StartSync(i int, scale float32, w mpi.GradWire) *mpi.Request {
 	if z.groups == nil {
-		panic("train: ShardedAdam.SyncGradients before Bind")
+		panic("train: ShardedAdam.StartSync before Bind")
 	}
-	reqs := make([]*mpi.Request, len(z.groups))
-	for k, g := range z.groups {
-		reqs[k] = g.comm.Start(func() { g.reduceScatter(scale, w) })
-	}
-	for _, r := range reqs {
-		r.Wait()
-	}
+	g := z.groups[i]
+	return g.comm.Start(func() { g.reduceScatter(scale, w) })
 }
 
-// reduceScatter is one group's share of SyncGradients.
+// reduceScatter is the body of group g's StartSync.
 func (g *shardGroup) reduceScatter(scale float32, w mpi.GradWire) {
 	flat := tensor.GetSlice(g.n)
 	for i, p := range g.params {
@@ -148,19 +148,30 @@ func (g *shardGroup) reduceScatter(scale float32, w mpi.GradWire) {
 	g.synced = true
 }
 
-// GroupNormSq returns the global gradient-norm² of group i, combined
-// over the group communicator: each rank contributes the float64 sum
-// of squares of its owned shard, and partials are summed in rank
-// order — the canonical order ShardedNormSq reproduces locally in the
-// unsharded path, keeping clip decisions mode-independent and
+// NormSq returns the gradient-norm² of the groups bound over c,
+// combined over c in one exchange: each rank contributes the float64
+// sum of squares of its owned shard of each group, the partials are
+// summed per group in rank order, and the group sums in bind order —
+// the canonical order ShardedNormSq reproduces locally in the unsharded
+// path, group by group, keeping clip decisions mode-independent and
 // bit-exact.
-func (z *ShardedAdam) GroupNormSq(i int) float64 {
-	g := z.groups[i]
-	var local float64
-	for _, v := range g.grad {
-		local += float64(v) * float64(v)
+func (z *ShardedAdam) NormSq(c *mpi.Comm) float64 {
+	var local []float64
+	for _, g := range z.groups {
+		if g.comm != c {
+			continue
+		}
+		var sq float64
+		for _, v := range g.grad {
+			sq += float64(v) * float64(v)
+		}
+		local = append(local, sq)
 	}
-	return CombineF64Sums(g.comm, local)[0]
+	var sum float64
+	for _, s := range CombineF64Sums(c, local...) {
+		sum += s
+	}
+	return sum
 }
 
 // ScaleGradShards multiplies every reduced gradient shard by s (the
@@ -174,7 +185,10 @@ func (z *ShardedAdam) ScaleGradShards(s float32) {
 }
 
 // Step applies one Adam update to the owned shard of every group and
-// all-gathers the updated parameters. The params argument is ignored
+// all-gathers the updated parameters: each group's all-gather starts as
+// a request once its shard is updated, so it travels while the next
+// group updates, and the wait for the last of them is booked as
+// metrics.PhaseParamGather. The params argument is ignored
 // (the bound groups partition the same underlying parameters); under
 // Mixed precision the policy has swapped FP32 masters into p.W, so the
 // shard update reads and writes master values transparently.
@@ -183,9 +197,10 @@ func (z *ShardedAdam) Step(_ []*nn.Param, lr float32) {
 	bc1 := 1 - float32(math.Pow(float64(z.Beta1), float64(z.step)))
 	bc2 := 1 - float32(math.Pow(float64(z.Beta2), float64(z.step)))
 	b1, b2, eps, wd := z.Beta1, z.Beta2, z.Eps, z.WeightDecay
+	reqs := make([]*mpi.Request, 0, len(z.groups))
 	for _, g := range z.groups {
 		if !g.synced {
-			panic("train: ShardedAdam.Step before SyncGradients")
+			panic("train: ShardedAdam.Step before StartSync")
 		}
 		g.synced = false
 		upd := tensor.GetSlice(g.my.Len())
@@ -214,16 +229,30 @@ func (z *ShardedAdam) Step(_ []*nn.Param, lr float32) {
 		if z.UpdateRate > 0 {
 			g.comm.Compute(float64(g.my.Len())/z.UpdateRate, metrics.PhaseOptimizerShard)
 		}
-		full := upd[:g.my.Len()]
+		g.upd = upd
 		if g.comm.Size() > 1 {
-			t0 := g.comm.Now()
-			full = g.comm.AllGatherShard(upd[:g.my.Len()], g.n)
-			g.comm.Phases().Observe(metrics.PhaseParamGather, g.comm.Now()-t0)
+			// The shard's all-gather leaves while the next group updates.
+			reqs = append(reqs, g.comm.Start(func() { g.full = g.comm.AllGatherShard(g.upd[:g.my.Len()], g.n) }))
+		}
+	}
+	if len(reqs) > 0 {
+		c := z.groups[0].comm
+		t0 := c.Now()
+		for _, r := range reqs {
+			r.Wait()
+		}
+		c.Phases().Observe(metrics.PhaseParamGather, c.Now()-t0)
+	}
+	for _, g := range z.groups {
+		full := g.upd[:g.my.Len()]
+		if g.full != nil {
+			full = g.full
 		}
 		for j, p := range g.params {
 			copy(p.W.Data, full[g.offs[j]:g.offs[j]+len(p.W.Data)])
 		}
-		tensor.PutSlice(upd)
+		tensor.PutSlice(g.upd)
+		g.upd, g.full = nil, nil
 	}
 }
 
@@ -306,7 +335,7 @@ func CombineF64Sums(c *mpi.Comm, xs ...float64) []float64 {
 // ShardedNormSq computes the canonical distributed gradient-norm² of
 // params over c's shard layout from fully reduced gradients held
 // locally: float64 partial sums per shard range, added in rank order.
-// It returns bitwise the value ShardedAdam.GroupNormSq computes by
+// It returns bitwise the value ShardedAdam.NormSq computes by
 // exchanging partials, so the unsharded engine path reports (and
 // clips on) identical norms.
 func ShardedNormSq(c *mpi.Comm, params []*nn.Param) float64 {

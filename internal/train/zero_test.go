@@ -63,7 +63,7 @@ func TestShardedAdamBitExact(t *testing.T) {
 			z.Bind(ShardGroup{Comm: c, Params: params})
 			for s := 0; s < steps; s++ {
 				setGrads(params, c.Rank(), s)
-				z.SyncGradients(1/float32(p), mpi.GradWire{})
+				z.StartSync(0, 1/float32(p), mpi.GradWire{}).Wait()
 				z.Step(nil, 0.01)
 			}
 			var flat []float32
@@ -128,7 +128,7 @@ func TestShardedNormSqMatchesExchange(t *testing.T) {
 		setGrads(params, c.Rank(), 3)
 		z := NewShardedAdam(0)
 		z.Bind(ShardGroup{Comm: c, Params: params})
-		z.SyncGradients(1, mpi.GradWire{})
+		z.StartSync(0, 1, mpi.GradWire{}).Wait()
 
 		// Reference: all-reduce the grads in place, then the local
 		// canonical sum.
@@ -143,9 +143,9 @@ func TestShardedNormSqMatchesExchange(t *testing.T) {
 			k += len(q.G.Data)
 		}
 		want := ShardedNormSq(c, params)
-		got := z.GroupNormSq(0)
+		got := z.NormSq(c)
 		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Errorf("rank %d: ShardedNormSq %v != GroupNormSq %v", c.Rank(), want, got)
+			t.Errorf("rank %d: ShardedNormSq %v != NormSq %v", c.Rank(), want, got)
 		}
 	})
 }
@@ -199,7 +199,7 @@ func TestShardedCheckpointCrossLayout(t *testing.T) {
 		z.Bind(ShardGroup{Comm: c, Params: params})
 		for s := 0; s < 3; s++ {
 			setGrads(params, c.Rank(), s)
-			z.SyncGradients(1/float32(p), mpi.GradWire{})
+			z.StartSync(0, 1/float32(p), mpi.GradWire{}).Wait()
 			z.Step(nil, 0.01)
 		}
 		all := append(append([]*nn.Param(nil), params...), z.StateTensors(params)...)
