@@ -12,9 +12,9 @@ import (
 )
 
 // TestStepScalarsUnderSync pins where the step's scalar exchanges run:
-// the sync hook starts the world statistics gather (and, when the engine
-// runs one, the health round) as requests before the gradient sync, and
-// Step joins them after the optimizer.
+// the step's first gradient bucket starts the world statistics gather
+// (and, when the engine runs one, the health round) as requests ahead of
+// its sync, and Step joins them after the optimizer.
 //
 // On W2's shape (dp2×ep4, Mixed, four supernodes of one two-rank node,
 // here with capacity-drop routing) and W4's (dp8, FP32, two supernodes of two two-rank nodes, with a
