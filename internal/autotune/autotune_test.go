@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"bagualu/internal/mpi"
@@ -74,6 +75,64 @@ func TestPredictStepTracksMeasuredSimsec(t *testing.T) {
 	if tau := KendallTau(pred, meas); tau < 0.6 {
 		t.Fatalf("analytic ranking does not track measured simsec: tau %.3f < 0.6\npred %v\nmeas %v",
 			tau, pred, meas)
+	}
+}
+
+// TestZeROSurchargeFlatInDepth pins why PredictStep charges ZeRO's
+// extra phase startups once per communicator although the engine binds
+// one shard group per gradient bucket: the buckets' reduce-scatters
+// leave under the backward and the parameter all-gathers leave
+// together, so a model with three times the buckets measures about the
+// same surcharge over the replicated sync. Should the simulator start
+// charging a per-message gap, the measured surcharge grows with depth
+// and PredictStep must charge it per bucket.
+func TestZeROSurchargeFlatInDepth(t *testing.T) {
+	cfg, err := testConfig().withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Candidate{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16}
+	var pred, meas [2]float64
+	for i, layers := range []int{2, 8} {
+		cfg.Spec.Layers = layers
+		for _, zero := range []bool{false, true} {
+			c.ZeRO = zero
+			p, err := cfg.deployment(c).PredictStep(cfg.Spec, perfmodel.FaultModel{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := parallel.ShortRun(cfg.shortRunConfig(c, 42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sign := -1.0
+			if zero {
+				sign = 1
+			}
+			pred[i] += sign * p.StepTime
+			meas[i] += sign * res.SimPerStep
+		}
+		t.Logf("L=%d: ZeRO surcharge predicted %.3g s, measured %.3g s", layers, pred[i], meas[i])
+	}
+	if math.Abs(pred[1]-pred[0]) > 1e-9*pred[0] {
+		t.Fatalf("predicted ZeRO surcharge moved with depth: %.6g -> %.6g s", pred[0], pred[1])
+	}
+	if meas[0] <= 0 || meas[1] > 1.5*meas[0] {
+		t.Fatalf("measured ZeRO surcharge %.6g s at 2 layers, %.6g s at 8: it scales with the buckets now", meas[0], meas[1])
+	}
+}
+
+// TestExtrapolateDecidesOverlapAtTarget: a search-scale winner without
+// the exchange overlap still projects with it, since the target's
+// expert group spans supernodes and prices it faster.
+func TestExtrapolateDecidesOverlapAtTarget(t *testing.T) {
+	winner := Candidate{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16}
+	proj, err := Extrapolate(testConfig(), winner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !proj.Dep.OverlapA2A {
+		t.Fatal("projection left the exchange overlap off at a target whose expert group spans supernodes")
 	}
 }
 

@@ -130,3 +130,26 @@ func TestAutotunePicksPPAtDepth(t *testing.T) {
 			best.Candidate, cfg.Spec.Layers)
 	}
 }
+
+// TestPlanAtDepthTracksMeasurement gates the search that `bagualu plan
+// -pp-max 4 -layers 8` runs, at its defaults: its validated set must
+// rank with tau >= 0.6 against the measurement and put a pipelined
+// candidate first on both clocks.
+func TestPlanAtDepthTracksMeasurement(t *testing.T) {
+	cfg := Config{PPMax: 4, Spec: SearchSpec()}
+	cfg.Spec.Layers = 8
+	p, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range p.Validated {
+		t.Logf("validated %-34s pred %.6g meas %.6g", v.Candidate, v.Pred.StepTime, v.Measured.SimPerStep)
+	}
+	if p.Tau < 0.6 {
+		t.Fatalf("plan at depth 8 ranks %d candidates with tau %.3f < 0.6", len(p.Validated), p.Tau)
+	}
+	if !p.TopMatch || p.Validated[0].PP() <= 1 {
+		t.Fatalf("analytic best %s (top-1 match %v); want a pipelined candidate measured first",
+			p.Validated[0].Candidate, p.TopMatch)
+	}
+}
