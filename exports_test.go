@@ -49,6 +49,7 @@ var methodSupport = map[string]string{
 	"bagualu/internal/moe.DistMoE.ReplicatedParams": "moe TestDistMoEParamPartition",
 	"bagualu/internal/moe.DistMoE.ShadowWorthwhile": "moe TestShadowWorthwhile",
 	"bagualu/internal/moe.DistMoE.Shadows":          "moe TestSetShadowsValidation",
+	"bagualu/internal/mpi.Comm.Deferred":            "parallel TestCrashRecoveryMatchesRestart: no deferred body outlives the step a failure abandons",
 	"bagualu/internal/mpi.Comm.Send":                "mpi TestWireFaultDetection, and the fault and health tests' plain point-to-point traffic",
 	"bagualu/internal/mpi.Comm.SendInts":            "mpi TestSendRecvIntsAndAnySource",
 	"bagualu/internal/mpi.Comm.RecvInts":            "mpi TestSendRecvIntsAndAnySource",

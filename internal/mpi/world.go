@@ -9,10 +9,10 @@
 // Every rank carries a logical clock, each message is priced by the
 // simnet α–β hierarchy, and a receive advances the receiver's clock
 // to the message's arrival time. A sender's injection is booked on its
-// rank's ports, so communication started as concurrent requests
-// (Comm.Start) shares them honestly. Collective algorithms therefore
-// exhibit the same relative costs as on the modeled machine, while
-// the data path stays fully testable.
+// rank's ports, so communication issued as concurrent requests
+// (Comm.Start, Comm.Defer) shares them honestly. Collective algorithms
+// therefore exhibit the same relative costs as on the modeled machine,
+// while the data path stays fully testable.
 package mpi
 
 import (
@@ -402,24 +402,30 @@ func (w *World) closeAll() {
 // proc is the per-goroutine state of a rank: its global id, virtual
 // clock, phase record and injection ports. All communicators of the
 // same rank share it. While a request body runs (see request.go), now
-// is the request's clock and lane the request.
+// is the request's clock and lane the request; deferred holds the
+// deferred requests not yet joined, in the order they were issued.
 type proc struct {
-	w      *World
-	global int
-	now    float64
-	phases *metrics.PhaseMeter
-	lane   *Request
-	ports  [2]port
+	w        *World
+	global   int
+	now      float64
+	phases   *metrics.PhaseMeter
+	lane     *Request
+	ports    [2]port
+	deferred []*Request
 }
 
 // floor is the earliest clock any send from now on can start at: the
 // rank's own clock, or while a request body runs the clock it started
-// from.
+// from — and never past the start of a deferred body still to run.
 func (p *proc) floor() float64 {
+	f := p.now
 	if p.lane != nil {
-		return p.lane.start
+		f = p.lane.start
 	}
-	return p.now
+	if len(p.deferred) > 0 {
+		f = min(f, p.deferred[0].start)
+	}
+	return f
 }
 
 // send moves a payload to dst (global rank), charging virtual time.
@@ -486,6 +492,9 @@ func (p *proc) post(dst int, m message) {
 // message the fault injector destroyed surfaces as a typed
 // *PayloadFaultError panic (catch with Protect).
 func (p *proc) recv(src, tag int, group []int, born int64) message {
+	if len(p.deferred) > 0 {
+		defer p.dropDeferred()
+	}
 	m := p.w.boxes[p.global].take(src, tag, group, born)
 	if m.arrive > p.now {
 		p.now = m.arrive

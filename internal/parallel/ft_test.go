@@ -1,6 +1,9 @@
 package parallel
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"bagualu/internal/ckpt"
@@ -141,6 +144,59 @@ func TestCrashRecoveryMatchesRestart(t *testing.T) {
 		}
 		if refLoss, _, _ := restartReference(t, c, steps); res.FinalLoss != refLoss {
 			t.Fatalf("recovered run ends at loss %v, the restart at %v", res.FinalLoss, refLoss)
+		}
+	})
+
+	// The same world, but rank 2 dies inside step 6 as it enters the sync
+	// hook: its statistics request has completed, so the survivors' first
+	// collective that needs it is a bucket sync deferred to the hook's
+	// join, and the failure escapes Wait from inside that body. The step's
+	// other deferred bodies are dropped — none runs when joined, none is
+	// left pending to hold the port floor — and every survivor still rolls
+	// forward from its step-6 state.
+	t.Run("dense_dp4_deferred_sync", func(t *testing.T) {
+		c := rfCase{"dense_dp4", Strategy{DataParallel: 4, ExpertParallel: 1}, Strategy{DataParallel: 3, ExpertParallel: 1}, []int{2}, 6, sunway.FP32, true}
+		refLoss, _, _ := restartReference(t, c, steps)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			cfg := rfConfig(c, steps, t.TempDir())
+			cfg.stepped = func(rank int, e *Engine, st StepStats) {
+				if rank == 2 && st.Step == c.crash-1 {
+					e.Trainer.PostBackward = func(train.Metrics) float32 {
+						e.Comm.Abandon()
+						panic(&mpi.RankFailedError{Rank: 2, Detector: 2})
+					}
+				}
+			}
+			var mu sync.Mutex
+			var bad []string
+			cfg.afterRecovery = func(e *Engine, _ bool) {
+				t0 := e.Comm.Now()
+				pending := e.Comm.Deferred()
+				for _, r := range e.syncs {
+					r.Wait()
+				}
+				if len(e.syncs) == 0 || pending != 0 || e.Comm.Now() != t0 {
+					mu.Lock()
+					bad = append(bad, fmt.Sprintf("rank %d: %d abandoned syncs, %d bodies pending, joining them moved the clock %v -> %v",
+						e.Comm.Rank(), len(e.syncs), pending, t0, e.Comm.Now()))
+					mu.Unlock()
+				}
+			}
+			res, err := RunFaultTolerant(mpi.NewWorld(4, nil), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range bad {
+				t.Errorf("GOMAXPROCS %d: %s", procs, b)
+			}
+			if !res.Completed || res.Recoveries != 1 || res.RolledForward != 1 || res.FinalWorld != 3 || res.Steps != steps {
+				t.Fatalf("GOMAXPROCS %d: expected one roll-forward onto 3 ranks: %+v", procs, res)
+			}
+			if res.FinalLoss != refLoss {
+				t.Fatalf("GOMAXPROCS %d: recovered run ends at loss %v, the restart at %v", procs, res.FinalLoss, refLoss)
+			}
 		}
 	})
 }

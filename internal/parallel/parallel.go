@@ -171,9 +171,10 @@ type Engine struct {
 	expertParams []*nn.Param
 
 	// buckets cut the owned gradients into the stretches of the backward
-	// whose syncs start as it finishes each, in finishing order;
+	// whose syncs are issued as it finishes each, in finishing order;
 	// bucketOf[u+1] is the bucket unit u completes, or -1. syncs are the
-	// step's bucket syncs in flight, started counts the buckets started.
+	// step's bucket syncs not yet joined, started counts the buckets
+	// issued.
 	buckets  []gradBucket
 	bucketOf []int
 	syncs    []*mpi.Request
@@ -717,8 +718,8 @@ func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 
 // unitFinished is the runner's report that the step's backward has
 // made unit u's gradients final. When u completes a bucket, the bucket's
-// sync starts (startBucket); the first bucket of the step starts the
-// step's scalar exchanges ahead of it.
+// sync is issued (startBucket); the first bucket of the step starts the
+// step's scalar exchanges, which go ahead of every bucket's bytes.
 func (e *Engine) unitFinished(u int) {
 	k := e.bucketOf[u+1]
 	if k < 0 {
@@ -734,9 +735,11 @@ func (e *Engine) unitFinished(u int) {
 }
 
 // startBucket prepares bucket k's gradients under the precision policy
-// and starts its sync as requests, under the rest of the backward:
-// all-reduces on the wire the policy names (16-bit under FP16 and Mixed,
-// see mpi.GradWire), or ZeRO's reduce-scatters.
+// and defers its sync as requests (mpi.Comm.Defer): all-reduces on the
+// wire the policy names (16-bit under FP16 and Mixed, see mpi.GradWire),
+// or ZeRO's reduce-scatters. Their clocks start now, and their bytes are
+// booked when syncGradients joins them, into the port time the rest of
+// the backward — its MoE exchanges above all — left idle.
 func (e *Engine) startBucket(k int) {
 	b := e.buckets[k]
 	scale, wire := 1/float32(e.Stage.Size()), e.Trainer.MP.GradWire()
@@ -749,14 +752,14 @@ func (e *Engine) startBucket(k int) {
 		// Expert gradients sum over the data-parallel group, which covers
 		// every replica's tokens, so they too are normalized by the stage
 		// size to match the dense average-loss scaling.
-		e.syncs = append(e.syncs, e.Comm.Start(func() { allReduceBucketed(g.Comm, g.Params, scale, wire) }))
+		e.syncs = append(e.syncs, e.Comm.Defer(func() { allReduceBucketed(g.Comm, g.Params, scale, wire) }))
 	}
 	e.started++
 }
 
-// syncGradients is the sync hook. The buckets' syncs and the step's
-// statistics left as the backward finished the buckets, so it joins the
-// syncs — what it waits is the exposed sync — and clips by the
+// syncGradients is the sync hook. The buckets' syncs were issued as the
+// backward finished the buckets, so it joins them, which runs their
+// bodies — what it waits is the exposed sync — and clips by the
 // distributed gradient norm. Both paths compute the norm from the same
 // canonical float64 partial sums, per bucket and shard in rank order
 // (train.ShardedNormSq over the reduced gradients,
@@ -878,14 +881,15 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.Gra
 }
 
 // Step runs one synchronous training step — the trainer's step, which
-// runs the stage's schedule and starts each gradient bucket's sync as
+// runs the stage's schedule and issues each gradient bucket's sync as
 // the backward finishes it — and returns world-level statistics
 // (identical on every rank). The sync hook started the step's scalar
 // exchanges as requests (startScalars); Step joins them after the
 // optimizer.
 func (e *Engine) Step() StepStats {
 	simStart := e.Comm.Now()
-	// A failure abandons a step's bucket syncs where it struck.
+	// A failure abandons a step's bucket syncs where it struck; mpi has
+	// dropped the bodies that had not run.
 	clear(e.syncs)
 	e.syncs, e.started = e.syncs[:0], 0
 	moe0, wire0 := e.moeTime(), e.EP.WireStats()

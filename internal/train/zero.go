@@ -108,20 +108,20 @@ func (z *ShardedAdam) StateBytes() int64 {
 	return b
 }
 
-// StartSync starts group i's reduce-scatter on the wire w
-// (mpi.Comm.ReduceScatterShard) as a request and returns it: once
-// joined, this rank holds its reduced, scale-multiplied shard (scale is
-// the data-parallel averaging factor). It replaces the full-tensor
-// all-reduce of the unsharded path; the parameters' G tensors are left
-// untouched (they hold local, unreduced gradients afterwards). The
-// parallel engine starts each gradient bucket's groups as the backward
-// finishes the bucket.
+// StartSync issues group i's reduce-scatter on the wire w
+// (mpi.Comm.ReduceScatterShard) as a deferred request and returns it:
+// its body runs when it is joined, and afterwards this rank holds its
+// reduced, scale-multiplied shard (scale is the data-parallel averaging
+// factor). It replaces the full-tensor all-reduce of the unsharded path;
+// the parameters' G tensors are left untouched (they hold local,
+// unreduced gradients afterwards). The parallel engine issues each
+// gradient bucket's groups as the backward finishes the bucket.
 func (z *ShardedAdam) StartSync(i int, scale float32, w mpi.GradWire) *mpi.Request {
 	if z.groups == nil {
 		panic("train: ShardedAdam.StartSync before Bind")
 	}
 	g := z.groups[i]
-	return g.comm.Start(func() { g.reduceScatter(scale, w) })
+	return g.comm.Defer(func() { g.reduceScatter(scale, w) })
 }
 
 // reduceScatter is the body of group g's StartSync.
