@@ -132,6 +132,11 @@ type DistMoE struct {
 	comb [2]*mpi.RecvBuf
 
 	wg *nn.WeightGrads // see DeferWeightGrads
+
+	// report, when set, is told unit once the next backward has made the
+	// experts' gradients final (see ReportExperts).
+	report func(unit int)
+	unit   int
 }
 
 // Timing accumulates wall-clock seconds per MoE phase across steps;
@@ -550,6 +555,7 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		compute: func(l int, dy *tensor.Tensor, _ []int) *tensor.Tensor {
 			return m.group.Backward(dy, m.st[l], m.expertWG())
 		},
+		final: len(m.shadowList) == 0,
 	})
 	m.Time = m.Time.Add(rt.mirrored())
 
@@ -573,12 +579,33 @@ func (m *DistMoE) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	if len(m.shadowList) > 0 {
+		// The owners' expert gradients are final once the replicas'
+		// have reached them.
 		m.reduceShadowGrads()
+		m.expertsDone()
 	}
 
 	tensor.AddInPlace(dx, m.Gate.Backward(dWeights))
 	releaseLegs(&m.comb)
 	return dx
+}
+
+// ReportExperts makes DistMoE an nn.ExpertReporter. Its expert
+// gradients are final right after the reverse round trip's expert
+// compute, before the blocking return leg and the gate's backward — or,
+// with shadow replicas, once their gradients have reached the owners.
+// Under DeferWeightGrads they are final only when the recorded products
+// run, so a split backward's caller reports them itself.
+func (m *DistMoE) ReportExperts(report func(unit int), unit int) {
+	m.report, m.unit = report, unit
+}
+
+// expertsDone makes the report ReportExperts armed, once.
+func (m *DistMoE) expertsDone() {
+	if r := m.report; r != nil {
+		m.report = nil
+		r(m.unit)
+	}
 }
 
 // DeferWeightGrads makes Backward record the gate projection's and

@@ -46,6 +46,9 @@ type trip struct {
 	// window, when set, runs after the local leg's compute, before the
 	// cross-supernode leg is joined (shadow experts).
 	window func()
+	// final marks a compute loop that leaves the experts' gradients
+	// final: the layer reports them (expertsDone) before the return leg.
+	final bool
 }
 
 // roundTrip runs tr and hands back the returned rows: ret[0] alone when
@@ -109,6 +112,9 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 			tr.window()
 		}
 		t.Expert += time.Since(t0).Seconds()
+	}
+	if tr.final {
+		m.expertsDone()
 	}
 
 	// Return: every computed row goes back to its source at the

@@ -177,12 +177,29 @@ func (g *GPT) Stash(p *Pass) {
 
 // EmbedUnit names the embeddings among the model's units, the stretches
 // of the backward whose gradients it finishes one after another: the
-// head (final norm and LM head) is unit HeadUnit(), block i is unit i,
-// and the embeddings come last.
+// head (final norm and LM head) is unit HeadUnit(), block i is unit i —
+// preceded by ExpertUnit(i) when its FFN is an ExpertReporter — and the
+// embeddings come last.
 const EmbedUnit = -1
 
 // HeadUnit names the head among the model's units.
 func (g *GPT) HeadUnit() int { return len(g.Blocks) }
+
+// ExpertUnit names block i's expert parameters among the model's units:
+// an ExpertReporter FFN finishes their gradients inside the block's
+// backward, before the rest of the block.
+func (g *GPT) ExpertUnit(i int) int { return len(g.Blocks) + 1 + i }
+
+// Units bounds the unit names: every unit u has 0 <= u+1 < Units().
+func (g *GPT) Units() int { return 2*len(g.Blocks) + 2 }
+
+// An ExpertReporter is an FFN layer whose backward makes its experts'
+// gradients final before it returns, ahead of the rest of its block.
+// ReportExperts(report, unit) arms its next backward to call
+// report(unit) once, at that moment.
+type ExpertReporter interface {
+	ReportExperts(report func(unit int), unit int)
+}
 
 // BackwardPass propagates d back through everything pass p ran — the
 // head first when the run ends the model (d is then the logits
@@ -190,7 +207,8 @@ func (g *GPT) HeadUnit() int { return len(g.Blocks) }
 // embeddings when the run starts the model — and returns the gradient
 // flowing into the run's first block. finished, when non-nil, is called
 // with each unit (see EmbedUnit) as soon as its gradients are added, in
-// that order. p is empty afterwards.
+// that order: a block's expert unit from inside its FFN's backward. p
+// is empty afterwards.
 func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor, finished func(unit int)) *tensor.Tensor {
 	return g.backward(p, d, nil, finished)
 }
@@ -229,6 +247,9 @@ func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads, finished func
 			b.Forward(bp.in)
 		case bp.st != nil:
 			b.restore(bp.st)
+		}
+		if er, ok := b.FFN.(ExpertReporter); ok {
+			er.ReportExperts(finished, g.ExpertUnit(p.lo+i))
 		}
 		d = b.Backward(d)
 		finished(p.lo + i)

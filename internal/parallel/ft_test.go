@@ -3,6 +3,7 @@ package parallel
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -199,6 +200,99 @@ func TestCrashRecoveryMatchesRestart(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("dp3xep2_expert_sync_mid_backward", func(t *testing.T) { testCrashInExpertSync(t, steps) })
+}
+
+// issuedMidBackward reports whether e's i-th sync of the step is a group
+// its MoE block's expert unit issued, from inside the block's backward.
+func issuedMidBackward(e *Engine, i int) bool {
+	g := e.syncGroup[i]
+	for _, b := range e.buckets {
+		if j := g - b.first; j >= 0 && j < len(b.groups) {
+			return b.at[j] != b.last
+		}
+	}
+	return false
+}
+
+// testCrashInExpertSync is a subtest of TestCrashRecoveryMatchesRestart.
+// On dp3×ep2, ranks 2 and 3 — a whole
+// data-parallel row — die inside step 6 as they reach the first expert
+// group their sync hook joins, after the head's and block 1's dense
+// groups: the survivors first meet the crash inside that expert group's
+// sync, which block 1's expert unit issued from inside the MoE layer's
+// backward. They roll forward onto dp2×ep2 to the bits of a fresh
+// restart from their step-6 state, at GOMAXPROCS 1 and 4, and the
+// abandoned step leaves nothing behind: joining its syncs runs nothing
+// and moves no clock, no deferred body is pending.
+func testCrashInExpertSync(t *testing.T, steps int) {
+	c := rfCase{"dp3xep2", Strategy{DataParallel: 3, ExpertParallel: 2}, Strategy{DataParallel: 2, ExpertParallel: 2}, []int{2, 3}, 6, sunway.FP32, false}
+	refLoss, _, _ := restartReference(t, c, steps)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		cfg := rfConfig(c, steps, t.TempDir())
+		var mu sync.Mutex
+		var bad []string
+		report := func(format string, args ...any) {
+			mu.Lock()
+			bad = append(bad, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		met := make([]bool, c.strat.Size())
+		cfg.stepped = func(rank int, e *Engine, st StepStats) {
+			if st.Step != c.crash-1 {
+				return
+			}
+			hook := e.Trainer.PostBackward
+			e.Trainer.PostBackward = func(m train.Metrics) float32 {
+				for i, r := range e.syncs {
+					early := issuedMidBackward(e, i)
+					if early && slices.Contains(c.victims, rank) {
+						e.Comm.Abandon()
+						panic(&mpi.RankFailedError{Rank: rank, Detector: rank})
+					}
+					// A survivor joins one sync at a time, so a failure
+					// escaping Wait says which sync met it.
+					met[rank] = early
+					r.Wait()
+				}
+				return hook(m)
+			}
+		}
+		var survivors []int
+		for r := range c.strat.Size() {
+			if !slices.Contains(c.victims, r) {
+				survivors = append(survivors, r)
+			}
+		}
+		cfg.afterRecovery = func(e *Engine, _ bool) {
+			t0 := e.Comm.Now()
+			pending := e.Comm.Deferred()
+			for _, r := range e.syncs {
+				r.Wait()
+			}
+			old := survivors[e.Comm.Rank()]
+			if len(e.syncs) == 0 || pending != 0 || e.Comm.Now() != t0 || !met[old] {
+				report("rank %d: %d abandoned syncs, %d bodies pending, joining them moved the clock %v -> %v, crash met in an expert sync %v",
+					old, len(e.syncs), pending, t0, e.Comm.Now(), met[old])
+			}
+		}
+		res, err := RunFaultTolerant(mpi.NewWorld(c.strat.Size(), nil), cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bad {
+			t.Errorf("GOMAXPROCS %d: %s", procs, b)
+		}
+		if !res.Completed || res.Recoveries != 1 || res.RolledForward != 1 || res.FinalWorld != c.shrunk.Size() || res.Steps != steps {
+			t.Fatalf("GOMAXPROCS %d: expected one roll-forward onto %d ranks: %+v", procs, c.shrunk.Size(), res)
+		}
+		if res.FinalLoss != refLoss {
+			t.Fatalf("GOMAXPROCS %d: recovered run ends at loss %v, the restart at %v", procs, res.FinalLoss, refLoss)
+		}
+	}
 }
 
 // Two crashes at different steps force two shrinks (4 -> 3 -> 2) with

@@ -70,8 +70,10 @@ func TestMixedSyncBytesMatchModel(t *testing.T) {
 					if !sync {
 						return
 					}
-					for k := range e.buckets {
-						e.startBucket(k)
+					for k, b := range e.buckets {
+						for _, u := range b.at {
+							e.startBucket(k, u)
+						}
 					}
 					for _, r := range e.syncs {
 						r.Wait()

@@ -27,6 +27,7 @@ package parallel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bagualu/internal/ckpt"
 	"bagualu/internal/data"
@@ -172,13 +173,15 @@ type Engine struct {
 
 	// buckets cut the owned gradients into the stretches of the backward
 	// whose syncs are issued as it finishes each, in finishing order;
-	// bucketOf[u+1] is the bucket unit u completes, or -1. syncs are the
-	// step's bucket syncs not yet joined, started counts the buckets
-	// issued.
-	buckets  []gradBucket
-	bucketOf []int
-	syncs    []*mpi.Request
-	started  int
+	// bucketOf[u+1] is the bucket whose groups unit u completes, or -1.
+	// groups counts the buckets' groups, and syncs are the step's group
+	// syncs not yet joined, in group order; syncGroup[i] is syncs[i]'s
+	// group.
+	buckets   []gradBucket
+	bucketOf  []int
+	groups    int
+	syncs     []*mpi.Request
+	syncGroup []int
 
 	batch        int
 	clipNorm     float32
@@ -370,11 +373,15 @@ func (e *Engine) shardedSet() map[*nn.Param]bool {
 // soon as the backward finishes it on the step's last micro-batch: the
 // head's, one block's, or block 0's with the embeddings'. Its groups are
 // its dense part, reduced over the stage, and its expert part, reduced
-// over the data-parallel communicator; an empty part is left out.
+// over the data-parallel communicator; an empty part is left out. Each
+// group leaves when its own unit finishes: the dense part with the
+// bucket, an MoE block's expert part with the block's expert unit
+// (nn.GPT.ExpertUnit), from inside the block's backward.
 type gradBucket struct {
 	last   int // the unit whose finish completes the bucket
 	groups []train.ShardGroup
-	first  int // groups[0]'s index among every bucket's groups (ZeRO binds them in this order)
+	at     []int // the unit whose finish issues each group
+	first  int   // groups[0]'s index among every bucket's groups (ZeRO binds them in this order)
 }
 
 // repartitionParams splits the owned parameters into expert-sharded and
@@ -401,13 +408,14 @@ func (e *Engine) repartitionParams() {
 	// Buckets in the order a backward finishes them: the head, the
 	// blocks from last to first, the embeddings inside block 0's bucket.
 	e.buckets = e.buckets[:0]
-	e.bucketOf = make([]int, e.Model.HeadUnit()+2)
+	e.bucketOf = make([]int, e.Model.Units())
 	for u := range e.bucketOf {
 		e.bucketOf[u] = -1
 	}
-	groups := 0
+	e.groups = 0
 	for i := len(units) - 1; i >= 0; i-- {
-		u, ps := units[i], e.unitParams(units[i])
+		blk := units[i]
+		u, ps := blk, e.unitParams(blk)
 		if u == 0 && i > 0 && units[i-1] == nn.EmbedUnit {
 			i--
 			u, ps = nn.EmbedUnit, append(e.unitParams(nn.EmbedUnit), ps...)
@@ -420,14 +428,20 @@ func (e *Engine) repartitionParams() {
 				dense.Params = append(dense.Params, p)
 			}
 		}
-		b := gradBucket{last: u, first: groups}
-		for _, g := range []train.ShardGroup{dense, expert} {
-			if len(g.Params) > 0 {
-				b.groups = append(b.groups, g)
-			}
+		k := len(e.buckets)
+		b := gradBucket{last: u, first: e.groups}
+		if len(dense.Params) > 0 {
+			b.groups, b.at = append(b.groups, dense), append(b.at, u)
 		}
-		groups += len(b.groups)
-		e.bucketOf[u+1] = len(e.buckets)
+		if len(expert.Params) > 0 {
+			// Expert shards belong to an MoE block, whose backward
+			// finishes them before the rest of the block.
+			eu := e.Model.ExpertUnit(blk)
+			b.groups, b.at = append(b.groups, expert), append(b.at, eu)
+			e.bucketOf[eu+1] = k
+		}
+		e.groups += len(b.groups)
+		e.bucketOf[u+1] = k
 		e.buckets = append(e.buckets, b)
 	}
 	e.Trainer.ReformParams(owned)
@@ -483,12 +497,14 @@ func (e *Engine) buildRunner() {
 // 2 FLOPs per active parameter per token (the input half keeps the
 // quadratic term's backward). The expert share is included only when
 // the MoE layers do not self-charge their GEMMs inline on the virtual
-// clock. Every term is an integer-valued float64, so the sums are exact.
+// clock, and is then the block's expert unit's price, the rest the
+// block's. Every term is an integer-valued float64, so the sums are
+// exact.
 func (e *Engine) chunkFlops() {
 	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
 	self := e.moeSelfCharges()
 	sharded := e.shardedSet()
-	unit := func(u int) (fwd, wgrad float64) {
+	unit := func(u int) (fwd, wgrad, experts float64) {
 		var active, quad float64
 		for _, p := range e.unitParams(u) {
 			if !sharded[p] {
@@ -497,22 +513,25 @@ func (e *Engine) chunkFlops() {
 		}
 		if u != nn.EmbedUnit && u != e.Model.HeadUnit() {
 			if m, ok := e.Model.Blocks[u].FFN.(*moe.DistMoE); ok && !self {
-				active += float64(m.Cfg.TopK) * float64(m.PerExpertParams())
+				n := float64(m.Cfg.TopK) * float64(m.PerExpertParams())
+				active += n
+				experts = tokens * 2 * n
 			}
 			quad = 4 * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
 		}
-		return tokens * (2*active + quad), tokens * 2 * active
+		return tokens * (2*active + quad), tokens * 2 * active, experts
 	}
-	e.unitFwdFlops = make([]float64, e.Model.HeadUnit()+2)
-	for u := range e.unitFwdFlops {
-		e.unitFwdFlops[u], _ = unit(u - 1)
-	}
+	e.unitFwdFlops = make([]float64, e.Model.Units())
 	e.chunkFwdFlops, e.chunkWGradFlops = make([]float64, len(e.part)), make([]float64, len(e.part))
 	for g := range e.part {
 		for _, u := range e.chunkUnits(g) {
-			fwd, wgrad := unit(u)
+			fwd, wgrad, experts := unit(u)
 			e.chunkFwdFlops[g] += fwd
 			e.chunkWGradFlops[g] += wgrad
+			e.unitFwdFlops[u+1] = fwd - experts
+			if experts > 0 {
+				e.unitFwdFlops[e.Model.ExpertUnit(u)+1] = experts
+			}
 		}
 	}
 }
@@ -717,49 +736,60 @@ func (e *Engine) DenseParams() []*nn.Param { return e.denseParams }
 func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 
 // unitFinished is the runner's report that the step's backward has
-// made unit u's gradients final. When u completes a bucket, the bucket's
-// sync is issued (startBucket); the first bucket of the step starts the
-// step's scalar exchanges, which go ahead of every bucket's bytes.
+// made unit u's gradients final. The groups of u's bucket that u
+// completes are issued (startBucket); the step's first issue starts its
+// scalar exchanges, which go ahead of every bucket's bytes.
 func (e *Engine) unitFinished(u int) {
 	k := e.bucketOf[u+1]
 	if k < 0 {
 		return
 	}
-	if e.started == 0 {
+	if len(e.syncs) == 0 {
 		// Every forward of the step has run, so its statistics are final:
 		// they leave first, not queued behind the gradient.
 		loss, aux, overflow := e.Trainer.Runner.Sums()
 		e.startScalars(train.Metrics{Loss: loss, AuxLoss: aux, Overflow: overflow})
 	}
-	e.startBucket(k)
+	e.startBucket(k, u)
 }
 
-// startBucket prepares bucket k's gradients under the precision policy
-// and defers its sync as requests (mpi.Comm.Defer): all-reduces on the
-// wire the policy names (16-bit under FP16 and Mixed, see mpi.GradWire),
-// or ZeRO's reduce-scatters. Their clocks start now, and their bytes are
-// booked when syncGradients joins them, into the port time the rest of
-// the backward — its MoE exchanges above all — left idle.
-func (e *Engine) startBucket(k int) {
+// startBucket prepares the gradients of bucket k's groups that unit u
+// completes under the precision policy and defers their syncs as
+// requests (mpi.Comm.Defer): all-reduces on the wire the policy names
+// (16-bit under FP16 and Mixed, see mpi.GradWire), or ZeRO's
+// reduce-scatters. Their clocks start now, and their bytes are booked
+// when syncGradients joins them, into the port time the rest of the
+// backward — its MoE exchanges above all — left idle.
+func (e *Engine) startBucket(k, u int) {
 	b := e.buckets[k]
 	scale, wire := 1/float32(e.Stage.Size()), e.Trainer.MP.GradWire()
 	for j, g := range b.groups {
-		e.Trainer.MP.PrepareGrads(g.Params)
-		if e.zero != nil {
-			e.syncs = append(e.syncs, e.zero.StartSync(b.first+j, scale, wire))
+		if b.at[j] != u {
 			continue
 		}
-		// Expert gradients sum over the data-parallel group, which covers
-		// every replica's tokens, so they too are normalized by the stage
-		// size to match the dense average-loss scaling.
-		e.syncs = append(e.syncs, e.Comm.Defer(func() { allReduceBucketed(g.Comm, g.Params, scale, wire) }))
+		e.Trainer.MP.PrepareGrads(g.Params)
+		var r *mpi.Request
+		if e.zero != nil {
+			r = e.zero.StartSync(b.first+j, scale, wire)
+		} else {
+			// Expert gradients sum over the data-parallel group, which
+			// covers every replica's tokens, so they too are normalized by
+			// the stage size to match the dense average-loss scaling.
+			r = e.Comm.Defer(func() { allReduceBucketed(g.Comm, g.Params, scale, wire) })
+		}
+		// The syncs are joined in group order: a group issued after a
+		// later group of its bucket goes ahead of it.
+		i := len(e.syncs)
+		for i > 0 && e.syncGroup[i-1] > b.first+j {
+			i--
+		}
+		e.syncs, e.syncGroup = slices.Insert(e.syncs, i, r), slices.Insert(e.syncGroup, i, b.first+j)
 	}
-	e.started++
 }
 
 // syncGradients is the sync hook. The buckets' syncs were issued as the
-// backward finished the buckets, so it joins them, which runs their
-// bodies — what it waits is the exposed sync — and clips by the
+// backward finished their groups, so it joins them in group order, which
+// runs their bodies — what it waits is the exposed sync — and clips by the
 // distributed gradient norm. Both paths compute the norm from the same
 // canonical float64 partial sums, per bucket and shard in rank order
 // (train.ShardedNormSq over the reduced gradients,
@@ -769,19 +799,17 @@ func (e *Engine) startBucket(k int) {
 // or a sum that overflows FP16 on the wire — reaches every rank's norm,
 // so every rank skips the step together.
 func (e *Engine) syncGradients(m train.Metrics) float32 {
-	if e.started != len(e.buckets) {
-		panic(fmt.Sprintf("parallel: %d of %d gradient buckets started by the backward", e.started, len(e.buckets)))
+	if len(e.syncs) != e.groups {
+		panic(fmt.Sprintf("parallel: %d of %d gradient groups started by the backward", len(e.syncs), e.groups))
 	}
 	if math.Float32bits(m.Loss) != math.Float32bits(e.sent.Loss) || math.Float32bits(m.AuxLoss) != math.Float32bits(e.sent.AuxLoss) || m.Overflow != e.sent.Overflow {
 		panic("parallel: the step's statistics left before its last forward")
 	}
-	e.started = 0
 	t0 := e.Comm.Now()
 	for _, r := range e.syncs {
 		r.Wait()
 	}
-	clear(e.syncs)
-	e.syncs = e.syncs[:0]
+	e.dropSyncs()
 	e.Comm.Phases().Observe(metrics.PhaseGradSync, e.Comm.Now()-t0)
 
 	if e.zero != nil {
@@ -812,6 +840,13 @@ func (e *Engine) syncGradients(m train.Metrics) float32 {
 		}
 	}
 	return norm
+}
+
+// dropSyncs forgets the step's group syncs: joined, or abandoned by a
+// failure.
+func (e *Engine) dropSyncs() {
+	clear(e.syncs)
+	e.syncs, e.syncGroup = e.syncs[:0], e.syncGroup[:0]
 }
 
 // startScalars starts the step's scalar exchanges as requests ahead of
@@ -888,10 +923,10 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.Gra
 // optimizer.
 func (e *Engine) Step() StepStats {
 	simStart := e.Comm.Now()
-	// A failure abandons a step's bucket syncs where it struck; mpi has
-	// dropped the bodies that had not run.
-	clear(e.syncs)
-	e.syncs, e.started = e.syncs[:0], 0
+	// A failure abandons a step's bucket syncs where it struck — some
+	// issued from inside an MoE layer's backward; mpi has dropped the
+	// bodies that had not run.
+	e.dropSyncs()
 	moe0, wire0 := e.moeTime(), e.EP.WireStats()
 	step := e.Trainer.Step().Step
 	if e.offloadBW > 0 {

@@ -69,18 +69,19 @@ type Runner struct {
 	WGradSeconds func(g int) float64
 
 	// UnitSeconds, when non-nil, prices one forward pass of model unit u
-	// (a block, the head or the embeddings; see nn.EmbedUnit), and the
-	// units of a chunk sum to its FwdSeconds. A fused backward then
-	// charges twice each unit's price as the unit finishes instead of
-	// twice the chunk's once it is done, so the clock reads the moment
-	// each unit's gradients became final.
+	// (a block, a block's experts, the head or the embeddings; see
+	// nn.EmbedUnit), and the units of a chunk sum to its FwdSeconds. A
+	// fused backward then charges twice each unit's price as the unit
+	// finishes instead of twice the chunk's once it is done, so the clock
+	// reads the moment each unit's gradients became final.
 	UnitSeconds func(u int) float64
 
 	// Finished, when non-nil, is told once per step of every unit of the
 	// stage's chunks, when the step's last backward through the unit has
-	// made its gradients final: as the unit finishes in a fused backward,
-	// after the chunk's last W in a split one. The engine starts each
-	// gradient bucket's sync from it.
+	// made its gradients final: as the unit finishes in a fused backward
+	// (a block's experts from inside its MoE layer's backward), after the
+	// chunk's last W in a split one. The engine starts each gradient
+	// bucket's syncs from it.
 	Finished func(u int)
 
 	loss nn.SoftmaxCrossEntropy
@@ -322,6 +323,9 @@ func (r *Runner) runWeights(v, mb int) {
 			r.Finished(r.Model.HeadUnit())
 		}
 		for i := c.Hi - 1; i >= c.Lo; i-- {
+			if _, ok := r.Model.Blocks[i].FFN.(nn.ExpertReporter); ok {
+				r.Finished(r.Model.ExpertUnit(i))
+			}
 			r.Finished(i)
 		}
 		if g == 0 {

@@ -147,11 +147,12 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 		ec := d.allReduceCost(topo, dpSize, dpStride, expert)
 		return concurrentSync(dc, ec), dc.bytes + ec.bytes
 	}
-	perLayerExperts := float64(spec.NumExperts) * float64(spec.expertParams()) / float64(epSize)
 	p.Sync, p.SyncBytes = syncOf(float64(spec.DenseParams())/float64(S),
 		float64(spec.ExpertParamsTotal()/int64(epSize)/int64(S)))
-	// The last bucket to leave is block 0's with the embeddings.
-	lastSync, _ := syncOf(float64(spec.embedParams()+spec.blockDenseParams(0)), perLayerExperts)
+	// The last group to leave is block 0's dense part with the
+	// embeddings: an MoE block's experts leave from inside its backward,
+	// before its return leg and attention backward.
+	lastSync, _ := syncOf(float64(spec.embedParams()+spec.blockDenseParams(0)), 0)
 	if d.ZeRO {
 		// The sharded optimizer turns each fused all-reduce into a
 		// reduce-scatter + all-gather pair (train.ShardedAdam): the
@@ -197,7 +198,7 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	// what hides the sync is that micro-batch's backward — two thirds of
 	// its compute, its replays included — after the head's. The exposed
 	// sync is the part that does not fit under it, and never less than
-	// the last bucket's own sync, which starts as the backward ends.
+	// the last group's own sync, which starts as the backward ends.
 	headBwd := 4 * tokensPerRank * float64(spec.headParams()) / rankFlops
 	window := max(0, (2.0/3.0*totalCompute+p.Recompute)/float64(M)-headBwd)
 	p.VisibleSync = min(p.Sync, max(p.Sync-window, lastSync))

@@ -265,10 +265,19 @@ func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 // TestVisibleSyncIsBucketedOverlap pins how PredictStep prices the
 // engine's gradient buckets on W4's shape (dp8 over two supernodes of
 // two two-rank nodes): the sync starts under the backward, so what shows
-// is less than the whole, but never less than the last bucket's own
-// sync — block 0 with the embeddings, which only leaves as the backward
-// ends. With compute slow enough to hide everything else, the last
-// bucket is all that shows.
+// is less than the whole, but never less than the last group's own sync.
+// Block 0's bucket holds its dense part with the embeddings and its
+// expert part; the expert part leaves from inside the MoE layer's
+// backward, as soon as the expert GEMMs have made its gradients final,
+// with block 0's return leg, gate, attention and the embeddings' backward
+// still to run. Only the dense part with the embeddings leaves as the
+// backward ends, so the floor is that one all-reduce alone, not the pair
+// priced concurrently: on this shape the floor falls from 51.0 µs (the
+// dense all-reduce beside block 0's four experts') to 22.7 µs. At
+// Efficiency 0.3 the visible sync stays 62.2 µs of the 93.7 µs whole —
+// the part that does not fit under the backward, above either floor.
+// With compute slow enough to hide everything else, the floor is all
+// that shows.
 func TestVisibleSyncIsBucketedOverlap(t *testing.T) {
 	spec := ModelSpec{
 		Name: "w4", Vocab: 256, Dim: 64, Heads: 4, Layers: 2, SeqLen: 32,
@@ -280,22 +289,20 @@ func TestVisibleSyncIsBucketedOverlap(t *testing.T) {
 		BatchPerRank: 4, Precision: sunway.FP32, Efficiency: 0.3,
 	}
 	topo := simnet.New(d.Machine, d.RanksPerNode)
-	last := concurrentSync(
-		d.allReduceCost(topo, 8, 1, float64(spec.embedParams()+spec.blockDenseParams(0))),
-		d.allReduceCost(topo, 8, 1, float64(int64(spec.NumExperts)*spec.expertParams())))
+	last := d.allReduceCost(topo, 8, 1, float64(spec.embedParams()+spec.blockDenseParams(0))).total
 	p, err := d.PredictStep(spec, FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("sync %v, visible %v, last bucket %v", p.Sync, p.VisibleSync, last)
+	t.Logf("sync %v, visible %v, last group %v", p.Sync, p.VisibleSync, last)
 	if !(last <= p.VisibleSync && p.VisibleSync < p.Sync) {
-		t.Fatalf("visible sync %v outside [last bucket %v, whole sync %v)", p.VisibleSync, last, p.Sync)
+		t.Fatalf("visible sync %v outside [last group %v, whole sync %v)", p.VisibleSync, last, p.Sync)
 	}
 	d.Efficiency = 1e-4
 	if p, err = d.PredictStep(spec, FaultModel{}); err != nil {
 		t.Fatal(err)
 	}
 	if p.VisibleSync != last {
-		t.Fatalf("under a long backward the visible sync is %v, want the last bucket's %v", p.VisibleSync, last)
+		t.Fatalf("under a long backward the visible sync is %v, want the last group's %v", p.VisibleSync, last)
 	}
 }

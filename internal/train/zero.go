@@ -115,7 +115,8 @@ func (z *ShardedAdam) StateBytes() int64 {
 // factor). It replaces the full-tensor all-reduce of the unsharded path;
 // the parameters' G tensors are left untouched (they hold local,
 // unreduced gradients afterwards). The parallel engine issues each
-// gradient bucket's groups as the backward finishes the bucket.
+// gradient bucket's group as the backward finishes it — an MoE block's
+// expert group from inside the layer's backward.
 func (z *ShardedAdam) StartSync(i int, scale float32, w mpi.GradWire) *mpi.Request {
 	if z.groups == nil {
 		panic("train: ShardedAdam.StartSync before Bind")
