@@ -40,8 +40,8 @@ import (
 //   - Defer runs the body at its Wait, on a clock that began at the Defer
 //     call. Its sends fill only the port time that everything the rank
 //     booked before that Wait left idle: strict priority, at packet
-//     granularity, for what the rank did meanwhile. The gradient buckets'
-//     syncs are deferred (parallel.Engine.startBucket,
+//     granularity, for what the rank did meanwhile. The gradient groups'
+//     syncs are deferred (parallel.Engine.startGroup,
 //     train.ShardedAdam.StartSync), so they leave in the NIC time the
 //     backward's MoE exchanges do not use. Deferred bodies run in Wait
 //     order, and the ranks a body talks to must join in the same order.

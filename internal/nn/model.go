@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bagualu/internal/tensor"
 )
@@ -175,30 +176,57 @@ func (g *GPT) Stash(p *Pass) {
 	}
 }
 
-// EmbedUnit names the embeddings among the model's units, the stretches
-// of the backward whose gradients it finishes one after another: the
-// head (final norm and LM head) is unit HeadUnit(), block i is unit i —
-// preceded by ExpertUnit(i) when its FFN is an ExpertReporter — and the
-// embeddings come last.
+// A Unit is a stretch of the backward whose gradients it makes final
+// together: the head (final norm and LM head), a block, a block's
+// experts, or the embeddings. Units lists them; BackwardPass reports
+// each, by ID, as it finishes it.
+type Unit struct {
+	ID      int  // the name BackwardPass reports (see EmbedUnit)
+	Block   int  // a block or expert unit's block; -1 for the head and the embeddings
+	Experts bool // the block's expert parameters, finished inside its FFN's backward
+	Params  []*Param
+}
+
+// EmbedUnit is the embeddings' unit ID. Block i's is i, its experts'
+// len(Blocks)+1+i and the head's len(Blocks).
 const EmbedUnit = -1
 
-// HeadUnit names the head among the model's units.
-func (g *GPT) HeadUnit() int { return len(g.Blocks) }
-
-// ExpertUnit names block i's expert parameters among the model's units:
-// an ExpertReporter FFN finishes their gradients inside the block's
-// backward, before the rest of the block.
-func (g *GPT) ExpertUnit(i int) int { return len(g.Blocks) + 1 + i }
-
-// Units bounds the unit names: every unit u has 0 <= u+1 < Units().
-func (g *GPT) Units() int { return 2*len(g.Blocks) + 2 }
+func (g *GPT) headUnit() int        { return len(g.Blocks) }
+func (g *GPT) expertUnit(i int) int { return len(g.Blocks) + 1 + i }
 
 // An ExpertReporter is an FFN layer whose backward makes its experts'
-// gradients final before it returns, ahead of the rest of its block.
-// ReportExperts(report, unit) arms its next backward to call
-// report(unit) once, at that moment.
+// gradients — those of its ShardedParams — final before it returns,
+// ahead of the rest of its block. ReportExperts(report, unit) arms its
+// next backward to call report(unit) once, at that moment.
 type ExpertReporter interface {
+	ShardedParams() []*Param
 	ReportExperts(report func(unit int), unit int)
+}
+
+// Units returns the units of blocks [lo, hi) in the order a backward
+// through them finishes them: the head when the run ends the model,
+// then from the last block to the first its experts — when its FFN is
+// an ExpertReporter — and the block, then the embeddings when the run
+// starts the model. Each parameter of the run is in exactly one unit:
+// an expert unit holds its FFN's ShardedParams, its block the rest.
+func (g *GPT) Units(lo, hi int) []Unit {
+	var us []Unit
+	if hi == len(g.Blocks) {
+		us = append(us, Unit{ID: g.headUnit(), Block: -1, Params: append(g.FinalLN.Params(), g.Head.Params()...)})
+	}
+	for i := hi - 1; i >= lo; i-- {
+		ps := g.Blocks[i].Params()
+		if er, ok := g.Blocks[i].FFN.(ExpertReporter); ok {
+			ex := er.ShardedParams()
+			us = append(us, Unit{ID: g.expertUnit(i), Block: i, Experts: true, Params: ex})
+			ps = slices.DeleteFunc(ps, func(p *Param) bool { return slices.Contains(ex, p) })
+		}
+		us = append(us, Unit{ID: i, Block: i, Params: ps})
+	}
+	if lo == 0 {
+		us = append(us, Unit{ID: EmbedUnit, Block: -1, Params: []*Param{g.TokEmbed.Table, g.PosEmbed}})
+	}
+	return us
 }
 
 // BackwardPass propagates d back through everything pass p ran — the
@@ -206,9 +234,9 @@ type ExpertReporter interface {
 // gradient), each block after restoring or replaying it, and the
 // embeddings when the run starts the model — and returns the gradient
 // flowing into the run's first block. finished, when non-nil, is called
-// with each unit (see EmbedUnit) as soon as its gradients are added, in
-// that order: a block's expert unit from inside its FFN's backward. p
-// is empty afterwards.
+// with each unit's ID as soon as its gradients are added, in the order
+// Units lists the run's units: a block's expert unit from inside its
+// FFN's backward. p is empty afterwards.
 func (g *GPT) BackwardPass(p *Pass, d *tensor.Tensor, finished func(unit int)) *tensor.Tensor {
 	return g.backward(p, d, nil, finished)
 }
@@ -238,7 +266,7 @@ func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads, finished func
 			p.head = nil
 		}
 		d = g.FinalLN.Backward(g.Head.Backward(d))
-		finished(g.HeadUnit())
+		finished(g.headUnit())
 	}
 	for i := len(p.blocks) - 1; i >= 0; i-- {
 		b, bp := g.Blocks[p.lo+i], p.blocks[i]
@@ -249,7 +277,7 @@ func (g *GPT) backward(p *Pass, d *tensor.Tensor, wg *WeightGrads, finished func
 			b.restore(bp.st)
 		}
 		if er, ok := b.FFN.(ExpertReporter); ok {
-			er.ReportExperts(finished, g.ExpertUnit(p.lo+i))
+			er.ReportExperts(finished, g.expertUnit(p.lo+i))
 		}
 		d = b.Backward(d)
 		finished(p.lo + i)

@@ -8,84 +8,94 @@ import (
 
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
+	"bagualu/internal/parallel/layout"
 	"bagualu/internal/simnet"
 	"bagualu/internal/sunway"
 	"bagualu/internal/train"
 )
 
-// checkBuckets reports how e's gradient buckets fail to cut its owned
-// parameters: every owned parameter in exactly one bucket and no other,
+// checkBuckets reports how e's gradient groups fail to cut its owned
+// parameters: every owned parameter in exactly one group and no other,
 // dense ones reduced over the stage and expert shards over the
-// data-parallel communicator, buckets in the order a backward finishes
-// them, each found again from the unit that completes it. A dense group
-// is issued by its bucket's unit, an expert group by its MoE block's
-// expert unit, and every unit that maps to a bucket issues one of its
-// groups — a mapping left over from an earlier partition does not.
+// data-parallel communicator, groups in the order a backward completes
+// their blocks — the head, then the blocks from last to first, a block's
+// dense group ahead of its expert group — and each issued by a unit of
+// the rank's current chunks whose parameters it holds: a dense group by
+// its own unit (block 0's by the embeddings, whose parameters it holds
+// too), an expert group by its MoE block's expert unit. A group left
+// over from an earlier partition holds other parameters than its unit.
 func checkBuckets(e *Engine) error {
-	sharded := e.shardedSet()
+	sharded := map[*nn.Param]bool{}
+	for _, m := range e.MoELayers() {
+		for _, p := range m.ShardedParams() {
+			sharded[p] = true
+		}
+	}
+	units := map[int]nn.Unit{}
+	stage := e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank())
+	for v := 0; v < e.Strategy.VPP(); v++ {
+		c := e.part[v*e.Strategy.PP()+stage]
+		for _, u := range e.Model.Units(c.Lo, c.Hi) {
+			units[u.ID] = u
+		}
+	}
 	seen := map[*nn.Param]int{}
-	prev := e.Model.HeadUnit() + 1
-	groups := 0
-	for k, b := range e.buckets {
-		if b.last >= prev {
-			return fmt.Errorf("bucket %d completes at unit %d after bucket %d's %d", k, b.last, k-1, prev)
+	prev, prevExperts := len(e.Model.Blocks)+1, false
+	for i, g := range e.groups {
+		u, ok := units[g.at.ID]
+		if !ok {
+			return fmt.Errorf("group %d is issued by unit %d, which no chunk of the rank holds", i, g.at.ID)
 		}
-		prev = b.last
-		if e.bucketOf[b.last+1] != k {
-			return fmt.Errorf("unit %d maps to bucket %d, not %d", b.last, e.bucketOf[b.last+1], k)
-		}
-		if len(b.at) != len(b.groups) || b.first != groups {
-			return fmt.Errorf("bucket %d: %d issue units for %d groups, first group %d of %d before it", k, len(b.at), len(b.groups), b.first, groups)
-		}
-		groups += len(b.groups)
-		for j, g := range b.groups {
-			if len(g.Params) == 0 {
-				return fmt.Errorf("bucket %d carries an empty group", k)
-			}
-			for _, p := range g.Params {
-				seen[p]++
-				want, where := e.Stage, "the stage"
-				if sharded[p] {
-					want, where = e.DP, "the data-parallel group"
-				}
-				if g.Comm != want {
-					return fmt.Errorf("bucket %d reduces %s off %s", k, p.Name, where)
-				}
-			}
-			want := b.last
-			if sharded[g.Params[0]] {
-				blk := max(b.last, 0)
-				if _, ok := e.Model.Blocks[blk].FFN.(nn.ExpertReporter); !ok {
-					return fmt.Errorf("bucket %d holds expert shards of block %d, which has no experts", k, blk)
-				}
-				want = e.Model.ExpertUnit(blk)
-			}
-			if b.at[j] != want {
-				return fmt.Errorf("bucket %d group %d is issued by unit %d, not %d", k, j, b.at[j], want)
-			}
-			if e.bucketOf[want+1] != k {
-				return fmt.Errorf("unit %d issues bucket %d's group %d but maps to bucket %d", want, k, j, e.bucketOf[want+1])
+		blk, want := u.Block, u.Params
+		switch {
+		case u.ID == nn.EmbedUnit:
+			blk, want = 0, append(slices.Clone(u.Params), units[0].Params...)
+		case blk < 0:
+			blk = len(e.Model.Blocks) // the head
+		case u.Experts:
+			if _, ok := e.Model.Blocks[blk].FFN.(nn.ExpertReporter); !ok {
+				return fmt.Errorf("group %d holds expert shards of block %d, which has no experts", i, blk)
 			}
 		}
-	}
-	if groups != e.groups {
-		return fmt.Errorf("%d groups in the buckets, the engine counts %d", groups, e.groups)
-	}
-	for i, k := range e.bucketOf {
-		if k >= 0 && (k >= len(e.buckets) || !slices.Contains(e.buckets[k].at, i-1)) {
-			return fmt.Errorf("unit %d maps to bucket %d, which it issues no group of", i-1, k)
+		if len(g.Params) == 0 || !slices.Equal(g.Params, want) {
+			return fmt.Errorf("group %d holds %d parameters, not the %d of its unit %d", i, len(g.Params), len(want), u.ID)
+		}
+		if blk > prev || blk == prev && (prevExperts || !u.Experts) {
+			return fmt.Errorf("group %d (block %d, experts %v) comes after block %d's (experts %v)", i, blk, u.Experts, prev, prevExperts)
+		}
+		prev, prevExperts = blk, u.Experts
+		for _, p := range g.Params {
+			seen[p]++
+			want, where := e.Stage, "the stage"
+			if sharded[p] {
+				want, where = e.DP, "the data-parallel group"
+			}
+			if g.Comm != want {
+				return fmt.Errorf("group %d reduces %s off %s", i, p.Name, where)
+			}
 		}
 	}
 	for _, p := range e.Trainer.Params() {
 		if seen[p] != 1 {
-			return fmt.Errorf("owned %s is in %d buckets", p.Name, seen[p])
+			return fmt.Errorf("owned %s is in %d groups", p.Name, seen[p])
 		}
 		delete(seen, p)
 	}
 	for p := range seen {
-		return fmt.Errorf("bucket holds %s, which the rank does not own", p.Name)
+		return fmt.Errorf("a group holds %s, which the rank does not own", p.Name)
 	}
 	return nil
+}
+
+// started counts the step's syncs issued so far.
+func started(e *Engine) int {
+	n := 0
+	for _, r := range e.syncs {
+		if r != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // issueWatch records, over one step, which units the runner reported,
@@ -106,17 +116,14 @@ func watchIssues(e *Engine) *issueWatch {
 		grads: map[*nn.Param][]float32{}, hook: map[*nn.Param][]float32{}}
 	fin, sync := e.Trainer.Runner.Finished, e.Trainer.PostBackward
 	e.Trainer.Runner.Finished = func(u int) {
-		n := len(e.syncs)
+		n := started(e)
 		fin(u)
 		w.order = append(w.order, u)
-		w.clock[u], w.issued[u] = e.Comm.Now(), len(e.syncs)-n
-		if k := e.bucketOf[u+1]; k >= 0 {
-			b := e.buckets[k]
-			for j, g := range b.groups {
-				if b.at[j] == u {
-					for _, p := range g.Params {
-						w.grads[p] = slices.Clone(p.G.Data)
-					}
+		w.clock[u], w.issued[u] = e.Comm.Now(), started(e)-n
+		for _, g := range e.groups {
+			if g.at.ID == u {
+				for _, p := range g.Params {
+					w.grads[p] = slices.Clone(p.G.Data)
 				}
 			}
 		}
@@ -133,8 +140,8 @@ func watchIssues(e *Engine) *issueWatch {
 
 // check reports how the watched step failed to issue e's groups: each
 // group's unit reported once and issuing exactly its groups, an expert
-// unit before its bucket's own unit, and no gradient changed between
-// its group's issue and the sync hook — a unit reported before its
+// unit before its block's unit, and no gradient changed between its
+// group's issue and the sync hook — a unit reported before its
 // gradients were final (an earlier micro-batch's backward, the shadow
 // replicas' gradients not yet reduced onto the owner) changes them.
 func (w *issueWatch) check() error {
@@ -146,28 +153,27 @@ func (w *issueWatch) check() error {
 		}
 		pos[u] = i
 	}
-	for k, b := range e.buckets {
-		for j, u := range b.at {
-			p, ok := pos[u]
-			if !ok {
-				return fmt.Errorf("bucket %d group %d: unit %d never reported", k, j, u)
+	for i, g := range e.groups {
+		u := g.at.ID
+		p, ok := pos[u]
+		if !ok {
+			return fmt.Errorf("group %d: unit %d never reported", i, u)
+		}
+		if blk, ok := pos[g.at.Block]; g.at.Experts && (!ok || p > blk) {
+			return fmt.Errorf("group %d: expert unit %d reported after its block's unit %d", i, u, g.at.Block)
+		}
+		want := 0
+		for _, h := range e.groups {
+			if h.at.ID == u {
+				want++
 			}
-			if p > pos[b.last] {
-				return fmt.Errorf("bucket %d: unit %d reported after the bucket's unit %d", k, u, b.last)
-			}
-			want := 0
-			for _, v := range b.at {
-				if v == u {
-					want++
-				}
-			}
-			if w.issued[u] != want {
-				return fmt.Errorf("unit %d issued %d syncs, not %d", u, w.issued[u], want)
-			}
-			for _, par := range b.groups[j].Params {
-				if !slices.Equal(w.grads[par], w.hook[par]) {
-					return fmt.Errorf("bucket %d: %s changed after unit %d issued its sync", k, par.Name, u)
-				}
+		}
+		if w.issued[u] != want {
+			return fmt.Errorf("unit %d issued %d syncs, not %d", u, w.issued[u], want)
+		}
+		for _, par := range g.Params {
+			if !slices.Equal(w.grads[par], w.hook[par]) {
+				return fmt.Errorf("group %d: %s changed after unit %d issued its sync", i, par.Name, u)
 			}
 		}
 	}
@@ -262,15 +268,13 @@ func TestGradBucketsPartitionOwned(t *testing.T) {
 	}
 }
 
-// issueAtBlockEnd moves every expert group's issue back to its bucket's
-// own unit, where the engine issued it before MoE layers reported their
-// experts from inside the backward.
+// issueAtBlockEnd moves every expert group's issue back to the unit of
+// its block's dense group, just ahead of it, where the engine issued it
+// before MoE layers reported their experts from inside the backward.
 func issueAtBlockEnd(e *Engine) {
-	for _, b := range e.buckets {
-		for j, u := range b.at {
-			if u != b.last {
-				e.bucketOf[u+1], b.at[j] = -1, b.last
-			}
+	for i, g := range e.groups {
+		if g.at.Experts {
+			e.groups[i].at = e.groups[i-1].at
 		}
 	}
 }
@@ -316,12 +320,13 @@ func TestExpertGroupsLeaveInsideBackward(t *testing.T) {
 					stats = append(stats, st)
 				}
 				fail(w.check())
-				for _, b := range e.buckets {
-					for _, u := range b.at {
-						if u != b.last && !(w.clock[u] < w.clock[b.last]) {
-							fail(fmt.Errorf("step %d: expert unit %d issued at %v, its block's unit %d finished at %v",
-								i, u, w.clock[u], b.last, w.clock[b.last]))
-						}
+				for k, g := range e.groups {
+					if !g.at.Experts {
+						continue
+					}
+					if u, end := g.at.ID, e.groups[k-1].at.ID; !(w.clock[u] < w.clock[end]) {
+						fail(fmt.Errorf("step %d: expert unit %d issued at %v, its block's dense group at unit %d's finish at %v",
+							i, u, w.clock[u], end, w.clock[end]))
 					}
 				}
 			}

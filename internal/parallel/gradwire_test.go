@@ -70,12 +70,11 @@ func TestMixedSyncBytesMatchModel(t *testing.T) {
 					if !sync {
 						return
 					}
-					for k, b := range e.buckets {
-						for _, u := range b.at {
-							e.startBucket(k, u)
-						}
+					syncs := make([]*mpi.Request, len(e.groups))
+					for i := range e.groups {
+						syncs[i] = e.startGroup(i)
 					}
-					for _, r := range e.syncs {
+					for _, r := range syncs {
 						r.Wait()
 					}
 					if row.zero {

@@ -121,7 +121,7 @@ type StepStats struct {
 
 	// Memory-capacity phase time for this step, in virtual seconds
 	// (see metrics.PhaseGradSync etc.): the exposed gradient sync (the
-	// wait for the buckets' reduce-scatters or all-reduces after the
+	// wait for the groups' reduce-scatters or all-reduces after the
 	// backward, which hid the rest), the local shard update under ZeRO,
 	// the wait for the parameter all-gathers, the recomputation forward
 	// replay, and optimizer-state offload traffic. Every phase field is
@@ -159,29 +159,17 @@ type Engine struct {
 	Model    *nn.GPT
 	Trainer  *train.Trainer
 
-	// The global chunk partition and per-chunk analytic forward and
-	// weight-gradient FLOPs the stage's runner prices on the virtual
-	// clock, and each unit's forward FLOPs, indexed by unit+1 (see
-	// nn.EmbedUnit).
-	part                           []pipe.Chunk
-	chunkFwdFlops, chunkWGradFlops []float64
-	unitFwdFlops                   []float64
+	part []pipe.Chunk // the global chunk partition
 
 	moeLayers    []*moe.DistMoE
 	denseParams  []*nn.Param
 	expertParams []*nn.Param
 
-	// buckets cut the owned gradients into the stretches of the backward
-	// whose syncs are issued as it finishes each, in finishing order;
-	// bucketOf[u+1] is the bucket whose groups unit u completes, or -1.
-	// groups counts the buckets' groups, and syncs are the step's group
-	// syncs not yet joined, in group order; syncGroup[i] is syncs[i]'s
-	// group.
-	buckets   []gradBucket
-	bucketOf  []int
-	groups    int
-	syncs     []*mpi.Request
-	syncGroup []int
+	// groups cut the owned gradients into the syncs the backward issues
+	// as it finishes their units; syncs[i] is the step's sync of groups[i],
+	// nil until issued, and syncs is empty until the step's first issue.
+	groups []gradGroup
+	syncs  []*mpi.Request
 
 	batch        int
 	clipNorm     float32
@@ -189,7 +177,7 @@ type Engine struct {
 	computeRate  float64 // virtual FLOP/s per rank; 0 = don't charge compute
 
 	// zero is non-nil when the trainer's optimizer is the ZeRO-sharded
-	// Adam; each bucket's sync then reduce-scatters instead of
+	// Adam; each group's sync then reduce-scatters instead of
 	// all-reducing (the optimizer updates the shard and all-gathers the
 	// parameters), and expert migration (rebalance/mitigate) is rejected
 	// because moment ranges span ranks.
@@ -319,228 +307,121 @@ func (e *Engine) splitGrid(c *mpi.Comm, strat Strategy) {
 	}
 }
 
-// ownedUnits returns the model units (see nn.EmbedUnit) of this rank's
-// stage chunks in model order: the embeddings ride with the first chunk,
-// the head (final norm and LM head) with the last — the whole model at
-// depth 1.
-func (e *Engine) ownedUnits() []int {
-	stage := e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank())
-	var us []int
-	for v := 0; v < e.Strategy.VPP(); v++ {
-		us = append(us, e.chunkUnits(v*e.Strategy.PP()+stage)...)
-	}
-	return us
+// A gradGroup is one gradient sync: a unit's dense parameters, reduced
+// over the stage, or its expert parameters, reduced over the
+// data-parallel communicator. It is issued when its unit at finishes on
+// the step's last micro-batch — an MoE block's experts from inside the
+// block's backward. The embeddings join block 0's dense group, which
+// they finish right after and issue.
+type gradGroup struct {
+	train.ShardGroup
+	at nn.Unit
 }
 
-// chunkUnits returns global chunk g's units in model order.
-func (e *Engine) chunkUnits(g int) []int {
-	var us []int
-	if g == 0 {
-		us = append(us, nn.EmbedUnit)
-	}
-	for i := e.part[g].Lo; i < e.part[g].Hi; i++ {
-		us = append(us, i)
-	}
-	if g == len(e.part)-1 {
-		us = append(us, e.Model.HeadUnit())
-	}
-	return us
-}
-
-// unitParams returns the parameters of model unit u.
-func (e *Engine) unitParams(u int) []*nn.Param {
-	switch u {
-	case nn.EmbedUnit:
-		return []*nn.Param{e.Model.TokEmbed.Table, e.Model.PosEmbed}
-	case e.Model.HeadUnit():
-		return append(e.Model.FinalLN.Params(), e.Model.Head.Params()...)
-	}
-	return e.Model.Blocks[u].Params()
-}
-
-// shardedSet returns the MoE layers' expert-sharded parameters.
-func (e *Engine) shardedSet() map[*nn.Param]bool {
-	sharded := map[*nn.Param]bool{}
-	for _, m := range e.moeLayers {
-		for _, p := range m.ShardedParams() {
-			sharded[p] = true
-		}
-	}
-	return sharded
-}
-
-// gradBucket is one stretch of the backward's gradients, synced as
-// soon as the backward finishes it on the step's last micro-batch: the
-// head's, one block's, or block 0's with the embeddings'. Its groups are
-// its dense part, reduced over the stage, and its expert part, reduced
-// over the data-parallel communicator; an empty part is left out. Each
-// group leaves when its own unit finishes: the dense part with the
-// bucket, an MoE block's expert part with the block's expert unit
-// (nn.GPT.ExpertUnit), from inside the block's backward.
-type gradBucket struct {
-	last   int // the unit whose finish completes the bucket
-	groups []train.ShardGroup
-	at     []int // the unit whose finish issues each group
-	first  int   // groups[0]'s index among every bucket's groups (ZeRO binds them in this order)
-}
-
-// repartitionParams splits the owned parameters into expert-sharded and
-// dense/replicated by the MoE layers' current shards, cuts them into the
-// gradient buckets, and moves the trainer onto them
+// repartitionParams cuts the parameters of the rank's stage chunks into
+// dense and expert-sharded by their units (nn.GPT.Units), builds the
+// gradient groups, and moves the trainer onto them
 // (train.Trainer.ReformParams keeps FP32 masters and the loss-scale
 // state). Every re-partition goes through it: NewEngine, Reform after a
 // shrink, Mitigate and RebalanceExperts after a migration.
 func (e *Engine) repartitionParams() {
-	sharded := e.shardedSet()
-	units := e.ownedUnits()
+	stage := e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank())
 	var owned []*nn.Param
-	e.denseParams, e.expertParams = nil, nil
-	for _, u := range units {
-		for _, p := range e.unitParams(u) {
-			owned = append(owned, p)
-			if sharded[p] {
-				e.expertParams = append(e.expertParams, p)
+	e.denseParams, e.expertParams, e.groups = nil, nil, nil
+	for v := 0; v < e.Strategy.VPP(); v++ {
+		c := e.part[v*e.Strategy.PP()+stage]
+		units := e.Model.Units(c.Lo, c.Hi)
+		for i := len(units) - 1; i >= 0; i-- { // model order
+			u := units[i]
+			owned = append(owned, u.Params...)
+			if u.Experts {
+				e.expertParams = append(e.expertParams, u.Params...)
 			} else {
-				e.denseParams = append(e.denseParams, p)
+				e.denseParams = append(e.denseParams, u.Params...)
 			}
 		}
-	}
-	// Buckets in the order a backward finishes them: the head, the
-	// blocks from last to first, the embeddings inside block 0's bucket.
-	e.buckets = e.buckets[:0]
-	e.bucketOf = make([]int, e.Model.Units())
-	for u := range e.bucketOf {
-		e.bucketOf[u] = -1
-	}
-	e.groups = 0
-	for i := len(units) - 1; i >= 0; i-- {
-		blk := units[i]
-		u, ps := blk, e.unitParams(blk)
-		if u == 0 && i > 0 && units[i-1] == nn.EmbedUnit {
-			i--
-			u, ps = nn.EmbedUnit, append(e.unitParams(nn.EmbedUnit), ps...)
-		}
-		dense, expert := train.ShardGroup{Comm: e.Stage}, train.ShardGroup{Comm: e.DP}
-		for _, p := range ps {
-			if sharded[p] {
-				expert.Params = append(expert.Params, p)
-			} else {
-				dense.Params = append(dense.Params, p)
-			}
-		}
-		k := len(e.buckets)
-		b := gradBucket{last: u, first: e.groups}
-		if len(dense.Params) > 0 {
-			b.groups, b.at = append(b.groups, dense), append(b.at, u)
-		}
-		if len(expert.Params) > 0 {
-			// Expert shards belong to an MoE block, whose backward
-			// finishes them before the rest of the block.
-			eu := e.Model.ExpertUnit(blk)
-			b.groups, b.at = append(b.groups, expert), append(b.at, eu)
-			e.bucketOf[eu+1] = k
-		}
-		e.groups += len(b.groups)
-		e.bucketOf[u+1] = k
-		e.buckets = append(e.buckets, b)
+		// A later chunk's groups go first, as a backward finishes it first.
+		e.groups = append(e.chunkGroups(units), e.groups...)
 	}
 	e.Trainer.ReformParams(owned)
 }
 
+// chunkGroups cuts one chunk's units, in the order a backward finishes
+// them, into gradient groups: each block's dense group ahead of its
+// expert group, the order the syncs are joined and ZeRO binds them. An
+// empty group is left out.
+func (e *Engine) chunkGroups(units []nn.Unit) []gradGroup {
+	var gs []gradGroup
+	var experts gradGroup
+	for i := 0; i < len(units); i++ {
+		u := units[i]
+		if u.Experts {
+			experts = gradGroup{train.ShardGroup{Comm: e.DP, Params: u.Params}, u}
+			continue
+		}
+		dense := gradGroup{train.ShardGroup{Comm: e.Stage, Params: u.Params}, u}
+		if i+1 < len(units) && units[i+1].ID == nn.EmbedUnit {
+			i++
+			dense.at, dense.Params = units[i], append(slices.Clone(units[i].Params), u.Params...)
+		}
+		for _, g := range []gradGroup{dense, experts} {
+			if len(g.Params) > 0 {
+				gs = append(gs, g)
+			}
+		}
+		experts = gradGroup{}
+	}
+	return gs
+}
+
 // buildRunner installs the stage's schedule runner for the current
 // partition into the trainer, with the micro-batch count the trainer was
-// built with, and (re)builds the per-chunk analytic FLOP tables it
-// prices.
+// built with, pricing each unit by unitFlops at the compute rate.
 func (e *Engine) buildRunner() {
-	e.chunkFlops()
 	e.Trainer.Runner = &pipe.Runner{
-		Stages:  e.Strategy.PP(),
-		Virtual: e.Strategy.VPP(),
-		Micro:   e.Trainer.Runner.Micro,
-		Stage:   e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank()),
-		Comm:    e.PPComm,
-		Model:   e.Model,
-		Part:    e.part,
-		Rows:    e.batch * e.Model.Cfg.SeqLen,
-		FwdSeconds: func(g int) float64 {
-			if e.computeRate <= 0 {
-				return 0
-			}
-			return e.chunkFwdFlops[g] / e.computeRate
-		},
-		WGradSeconds: func(g int) float64 {
-			if e.computeRate <= 0 {
-				return 0
-			}
-			return e.chunkWGradFlops[g] / e.computeRate
-		},
+		Stages:   e.Strategy.PP(),
+		Virtual:  e.Strategy.VPP(),
+		Micro:    e.Trainer.Runner.Micro,
+		Stage:    e.Strategy.Coord(layout.AxisPipe, e.Comm.Rank()),
+		Comm:     e.PPComm,
+		Model:    e.Model,
+		Part:     e.part,
+		Rows:     e.batch * e.Model.Cfg.SeqLen,
+		Flops:    e.unitFlops,
+		Rate:     e.computeRate,
 		Finished: e.unitFinished,
-	}
-	if e.Stage.Size() > 1 {
-		// A bucket's sync can start under the rest of the backward, so
-		// the backward is charged unit by unit. A rank with no peer to
-		// sync with keeps the one charge per chunk: rounded per unit,
-		// the same seconds would move a one-rank clock in its last bit.
-		e.Trainer.Runner.UnitSeconds = func(u int) float64 {
-			if e.computeRate <= 0 {
-				return 0
-			}
-			return e.unitFwdFlops[u+1] / e.computeRate
-		}
 	}
 }
 
-// chunkFlops prices one micro-batch forward pass of each model unit:
-// 2 FLOPs per active parameter per token, plus a block's attention
-// quadratic term (a backward is twice that). A chunk's forward is the
-// sum of its units', and the weight-gradient share of its backward is
+// unitFlops prices one micro-batch forward pass of unit u: 2 FLOPs per
+// active parameter per token, plus a block's attention quadratic term (a
+// backward is twice that), and the weight-gradient share of its backward,
 // 2 FLOPs per active parameter per token (the input half keeps the
-// quadratic term's backward). The expert share is included only when
-// the MoE layers do not self-charge their GEMMs inline on the virtual
-// clock, and is then the block's expert unit's price, the rest the
-// block's. Every term is an integer-valued float64, so the sums are
-// exact.
-func (e *Engine) chunkFlops() {
+// quadratic term's backward). An expert unit's active parameters are its
+// top-k experts', priced only when the MoE layers do not self-charge
+// their GEMMs inline on the virtual clock. Every term is an
+// integer-valued float64, so the runner's chunk sums are exact.
+func (e *Engine) unitFlops(u nn.Unit) (fwd, wgrad float64) {
 	tokens := float64(e.batch * e.Model.Cfg.SeqLen)
-	self := e.moeSelfCharges()
-	sharded := e.shardedSet()
-	unit := func(u int) (fwd, wgrad, experts float64) {
-		var active, quad float64
-		for _, p := range e.unitParams(u) {
-			if !sharded[p] {
-				active += float64(p.W.Len())
-			}
+	active := float64(nn.NumParams(u.Params))
+	var quad float64
+	switch {
+	case u.Experts:
+		active = 0
+		if m, ok := e.Model.Blocks[u.Block].FFN.(*moe.DistMoE); ok && !e.moeSelfCharges() {
+			active = float64(m.Cfg.TopK) * float64(m.PerExpertParams())
 		}
-		if u != nn.EmbedUnit && u != e.Model.HeadUnit() {
-			if m, ok := e.Model.Blocks[u].FFN.(*moe.DistMoE); ok && !self {
-				n := float64(m.Cfg.TopK) * float64(m.PerExpertParams())
-				active += n
-				experts = tokens * 2 * n
-			}
-			quad = 4 * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
-		}
-		return tokens * (2*active + quad), tokens * 2 * active, experts
+	case u.Block >= 0:
+		quad = 4 * float64(e.Model.Cfg.SeqLen) * float64(e.Model.Cfg.Dim)
 	}
-	e.unitFwdFlops = make([]float64, e.Model.Units())
-	e.chunkFwdFlops, e.chunkWGradFlops = make([]float64, len(e.part)), make([]float64, len(e.part))
-	for g := range e.part {
-		for _, u := range e.chunkUnits(g) {
-			fwd, wgrad, experts := unit(u)
-			e.chunkFwdFlops[g] += fwd
-			e.chunkWGradFlops[g] += wgrad
-			e.unitFwdFlops[u+1] = fwd - experts
-			if experts > 0 {
-				e.unitFwdFlops[e.Model.ExpertUnit(u)+1] = experts
-			}
-		}
-	}
+	return tokens * (2*active + quad), tokens * 2 * active
 }
 
 // replicaGroups names the engine's two replication groups: dense
 // parameters are identical on every rank of the stage, expert
 // parameters on every rank of the data-parallel communicator.
 // Checkpoints deduplicate over them; gradients reduce, and ZeRO shards
-// moments, over the gradient buckets' parts of them.
+// moments, over the gradient groups' parts of them.
 func (e *Engine) replicaGroups() []train.ShardGroup {
 	return []train.ShardGroup{
 		{Comm: e.Stage, Params: e.denseParams},
@@ -642,16 +523,16 @@ func (e *Engine) replicated() map[*nn.Param]bool {
 
 // installSync binds the gradient-synchronization path matching the
 // optimizer. A *train.ShardedAdam gets the ZeRO path: its moment
-// shards are (re)partitioned over the buckets' groups, in bucket order,
-// and each bucket's sync reduce-scatters instead of all-reducing. Reform
+// shards are (re)partitioned over the gradient groups, in group order,
+// and each group's sync reduce-scatters instead of all-reducing. Reform
 // calls this again after a shrink so the shards re-partition over the
 // surviving layout.
 func (e *Engine) installSync(opt train.Optimizer) {
 	e.zero = nil
 	if z, ok := opt.(*train.ShardedAdam); ok {
-		var groups []train.ShardGroup
-		for _, b := range e.buckets {
-			groups = append(groups, b.groups...)
+		groups := make([]train.ShardGroup, len(e.groups))
+		for i, g := range e.groups {
+			groups[i] = g.ShardGroup
 		}
 		z.Bind(groups...)
 		if e.computeRate > 0 {
@@ -674,6 +555,7 @@ const adamFlopsPerElem = 12
 // disables.
 func (e *Engine) SetComputeRate(rate float64) {
 	e.computeRate = rate
+	e.Trainer.Runner.Rate = rate
 	if e.zero != nil {
 		e.zero.UpdateRate = 0
 		if rate > 0 {
@@ -736,62 +618,49 @@ func (e *Engine) DenseParams() []*nn.Param { return e.denseParams }
 func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
 
 // unitFinished is the runner's report that the step's backward has
-// made unit u's gradients final. The groups of u's bucket that u
-// completes are issued (startBucket); the step's first issue starts its
-// scalar exchanges, which go ahead of every bucket's bytes.
+// made unit u's gradients final: the groups u issues leave (startGroup).
+// The step's first issue starts its scalar exchanges, which go ahead of
+// every group's bytes.
 func (e *Engine) unitFinished(u int) {
-	k := e.bucketOf[u+1]
-	if k < 0 {
-		return
-	}
-	if len(e.syncs) == 0 {
-		// Every forward of the step has run, so its statistics are final:
-		// they leave first, not queued behind the gradient.
-		loss, aux, overflow := e.Trainer.Runner.Sums()
-		e.startScalars(train.Metrics{Loss: loss, AuxLoss: aux, Overflow: overflow})
-	}
-	e.startBucket(k, u)
-}
-
-// startBucket prepares the gradients of bucket k's groups that unit u
-// completes under the precision policy and defers their syncs as
-// requests (mpi.Comm.Defer): all-reduces on the wire the policy names
-// (16-bit under FP16 and Mixed, see mpi.GradWire), or ZeRO's
-// reduce-scatters. Their clocks start now, and their bytes are booked
-// when syncGradients joins them, into the port time the rest of the
-// backward — its MoE exchanges above all — left idle.
-func (e *Engine) startBucket(k, u int) {
-	b := e.buckets[k]
-	scale, wire := 1/float32(e.Stage.Size()), e.Trainer.MP.GradWire()
-	for j, g := range b.groups {
-		if b.at[j] != u {
+	for i, g := range e.groups {
+		if g.at.ID != u {
 			continue
 		}
-		e.Trainer.MP.PrepareGrads(g.Params)
-		var r *mpi.Request
-		if e.zero != nil {
-			r = e.zero.StartSync(b.first+j, scale, wire)
-		} else {
-			// Expert gradients sum over the data-parallel group, which
-			// covers every replica's tokens, so they too are normalized by
-			// the stage size to match the dense average-loss scaling.
-			r = e.Comm.Defer(func() { allReduceBucketed(g.Comm, g.Params, scale, wire) })
+		if len(e.syncs) == 0 {
+			// Every forward of the step has run, so its statistics are final:
+			// they leave first, not queued behind the gradient.
+			loss, aux, overflow := e.Trainer.Runner.Sums()
+			e.startScalars(train.Metrics{Loss: loss, AuxLoss: aux, Overflow: overflow})
+			e.syncs = append(e.syncs, make([]*mpi.Request, len(e.groups))...)
 		}
-		// The syncs are joined in group order: a group issued after a
-		// later group of its bucket goes ahead of it.
-		i := len(e.syncs)
-		for i > 0 && e.syncGroup[i-1] > b.first+j {
-			i--
-		}
-		e.syncs, e.syncGroup = slices.Insert(e.syncs, i, r), slices.Insert(e.syncGroup, i, b.first+j)
+		e.syncs[i] = e.startGroup(i)
 	}
 }
 
-// syncGradients is the sync hook. The buckets' syncs were issued as the
-// backward finished their groups, so it joins them in group order, which
+// startGroup prepares group i's gradients under the precision policy and
+// defers its sync as a request (mpi.Comm.Defer): an all-reduce on the
+// wire the policy names (16-bit under FP16 and Mixed, see mpi.GradWire),
+// or ZeRO's reduce-scatter. Its clock starts now, and its bytes are
+// booked when syncGradients joins it, into the port time the rest of the
+// backward — its MoE exchanges above all — left idle.
+func (e *Engine) startGroup(i int) *mpi.Request {
+	g := e.groups[i]
+	scale, wire := 1/float32(e.Stage.Size()), e.Trainer.MP.GradWire()
+	e.Trainer.MP.PrepareGrads(g.Params)
+	if e.zero != nil {
+		return e.zero.StartSync(i, scale, wire)
+	}
+	// Expert gradients sum over the data-parallel group, which covers
+	// every replica's tokens, so they too are normalized by the stage
+	// size to match the dense average-loss scaling.
+	return e.Comm.Defer(func() { allReduceBucketed(g.Comm, g.Params, scale, wire) })
+}
+
+// syncGradients is the sync hook. The groups' syncs were issued as the
+// backward finished their units, so it joins them in group order, which
 // runs their bodies — what it waits is the exposed sync — and clips by the
 // distributed gradient norm. Both paths compute the norm from the same
-// canonical float64 partial sums, per bucket and shard in rank order
+// canonical float64 partial sums, per group and shard in rank order
 // (train.ShardedNormSq over the reduced gradients,
 // train.ShardedAdam.NormSq over the reduced shards), so they see
 // bitwise-identical norms and make identical clip decisions. It returns
@@ -799,8 +668,8 @@ func (e *Engine) startBucket(k, u int) {
 // or a sum that overflows FP16 on the wire — reaches every rank's norm,
 // so every rank skips the step together.
 func (e *Engine) syncGradients(m train.Metrics) float32 {
-	if len(e.syncs) != e.groups {
-		panic(fmt.Sprintf("parallel: %d of %d gradient groups started by the backward", len(e.syncs), e.groups))
+	if len(e.syncs) != len(e.groups) || slices.Contains(e.syncs, nil) {
+		panic(fmt.Sprintf("parallel: not every one of the %d gradient groups was started by the backward", len(e.groups)))
 	}
 	if math.Float32bits(m.Loss) != math.Float32bits(e.sent.Loss) || math.Float32bits(m.AuxLoss) != math.Float32bits(e.sent.AuxLoss) || m.Overflow != e.sent.Overflow {
 		panic("parallel: the step's statistics left before its last forward")
@@ -820,13 +689,11 @@ func (e *Engine) syncGradients(m train.Metrics) float32 {
 		return norm
 	}
 	var denseSq, expertSq float64
-	for _, b := range e.buckets {
-		for _, g := range b.groups {
-			if g.Comm == e.Stage {
-				denseSq += train.ShardedNormSq(g.Comm, g.Params)
-			} else {
-				expertSq += train.ShardedNormSq(g.Comm, g.Params)
-			}
+	for _, g := range e.groups {
+		if g.Comm == e.Stage {
+			denseSq += train.ShardedNormSq(g.Comm, g.Params)
+		} else {
+			expertSq += train.ShardedNormSq(g.Comm, g.Params)
 		}
 	}
 	norm := e.globalNorm(denseSq, expertSq)
@@ -846,7 +713,7 @@ func (e *Engine) syncGradients(m train.Metrics) float32 {
 // failure.
 func (e *Engine) dropSyncs() {
 	clear(e.syncs)
-	e.syncs, e.syncGroup = e.syncs[:0], e.syncGroup[:0]
+	e.syncs = e.syncs[:0]
 }
 
 // startScalars starts the step's scalar exchanges as requests ahead of
@@ -878,11 +745,11 @@ func (e *Engine) globalNorm(denseSq, expertSq float64) float32 {
 	return e.lastGradNorm
 }
 
-// allReduceBucketed all-reduces one gradient bucket: it concatenates
-// the bucket's gradients into one buffer, sums it on the wire w,
+// allReduceBucketed all-reduces one gradient group: it concatenates
+// the group's gradients into one buffer, sums it on the wire w,
 // rescales, and unpacks — the gradient bucketing every large-scale
 // trainer applies, one collective per stretch of the backward instead
-// of one per tensor, each started as the backward finishes its bucket.
+// of one per tensor, each started as the backward finishes its unit.
 func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.GradWire) {
 	if c.Size() == 1 {
 		// Nothing to reduce with; a unit scale leaves every bit alone.
@@ -916,14 +783,14 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.Gra
 }
 
 // Step runs one synchronous training step — the trainer's step, which
-// runs the stage's schedule and issues each gradient bucket's sync as
-// the backward finishes it — and returns world-level statistics
+// runs the stage's schedule and issues each gradient group's sync as
+// the backward finishes its unit — and returns world-level statistics
 // (identical on every rank). The sync hook started the step's scalar
 // exchanges as requests (startScalars); Step joins them after the
 // optimizer.
 func (e *Engine) Step() StepStats {
 	simStart := e.Comm.Now()
-	// A failure abandons a step's bucket syncs where it struck — some
+	// A failure abandons a step's group syncs where it struck — some
 	// issued from inside an MoE layer's backward; mpi has dropped the
 	// bodies that had not run.
 	e.dropSyncs()

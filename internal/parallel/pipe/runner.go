@@ -55,26 +55,20 @@ type Runner struct {
 	// Rows is batch·seq — the activation row count per micro-batch.
 	Rows int
 
-	// FwdSeconds returns the virtual seconds to charge for one executed
-	// forward pass of global chunk g (backward charges twice that; a
+	// Flops prices one forward pass of a unit of the model (see
+	// nn.GPT.Units) in FLOPs, and the weight-gradient share of its
+	// backward, which costs twice the forward; Rate (FLOP/s) turns FLOPs
+	// into virtual seconds. A chunk's forward charges its units' sum (a
 	// replay, the share of the chunk's blocks the recompute policy
-	// marks). WGradSeconds returns the share of that backward its
-	// weight-gradient GEMMs take: a split backward charges it in W and
-	// the rest in B. The engine prices dense FLOPs here; self-charging
-	// MoE layers price their own GEMMs. Nil charges nothing. The
+	// marks); a fused backward charges each unit as it finishes, and a
+	// split one the chunk's weight-gradient sum in W and the rest in B.
+	// The engine prices dense FLOPs here; self-charging MoE layers price
+	// their own GEMMs. A nil Flops or a zero Rate charges nothing. The
 	// charges book metrics.PhaseCompute on the rank's record, replays
 	// metrics.PhaseRecompute, and the time this stage spends blocked on
 	// boundary receives metrics.PhaseBubble.
-	FwdSeconds   func(g int) float64
-	WGradSeconds func(g int) float64
-
-	// UnitSeconds, when non-nil, prices one forward pass of model unit u
-	// (a block, a block's experts, the head or the embeddings; see
-	// nn.EmbedUnit), and the units of a chunk sum to its FwdSeconds. A
-	// fused backward then charges twice each unit's price as the unit
-	// finishes instead of twice the chunk's once it is done, so the clock
-	// reads the moment each unit's gradients became final.
-	UnitSeconds func(u int) float64
+	Flops func(u nn.Unit) (fwd, wgrad float64)
+	Rate  float64
 
 	// Finished, when non-nil, is told once per step of every unit of the
 	// stage's chunks, when the step's last backward through the unit has
@@ -99,18 +93,31 @@ type Runner struct {
 	sends   []*mpi.Request
 	sched   []Op
 
-	// left[v] counts chunk v's backwards (W when split) still to run this
-	// step; final marks the fused backward that leaves none, and unit is
-	// the report the fused backward makes of each unit it finishes (nil
-	// when neither UnitSeconds nor Finished wants one).
+	// units[v] is chunk v's unit table. left[v] counts chunk v's
+	// backwards (W when split) still to run this step; final marks the
+	// fused backward that leaves none. unit is a fused backward's report
+	// of each unit it finishes, which must be unit next of the table cur.
+	units []unitTable
 	left  []int
 	final bool
+	cur   *unitTable
+	next  int
 	unit  func(u int)
 
 	// The step's micro-averaged loss and aux loss and its overflow
 	// count, summed as its forwards run.
 	sumLoss, sumAux float32
 	sumOverflow     int
+}
+
+// unitTable is one chunk's units in the order its backward finishes
+// them, with each unit's forward FLOPs and the chunk's forward and
+// weight-gradient sums. Every price is an integer-valued float64, so
+// the sums are exact.
+type unitTable struct {
+	units      []nn.Unit
+	flops      []float64
+	fwd, wgrad float64
 }
 
 // boundary tags: direction bit + global boundary index + micro-batch.
@@ -143,10 +150,21 @@ func (r *Runner) init() {
 	r.dlogits = make([]*tensor.Tensor, r.Micro)
 	r.kept = make([]*tensor.Tensor, r.Micro)
 	r.left = make([]int, r.Virtual)
-	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
-	if r.UnitSeconds != nil || r.Finished != nil {
-		r.unit = r.unitDone
+	r.units = make([]unitTable, r.Virtual)
+	for v := range r.units {
+		t := &r.units[v]
+		c := r.Part[r.global(v)]
+		t.units = r.Model.Units(c.Lo, c.Hi)
+		t.flops = make([]float64, len(t.units))
+		for i, u := range t.units {
+			if r.Flops != nil {
+				fwd, wgrad := r.Flops(u)
+				t.flops[i], t.fwd, t.wgrad = fwd, t.fwd+fwd, t.wgrad+wgrad
+			}
+		}
 	}
+	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
+	r.unit = r.unitDone
 }
 
 // Stashed returns how many (chunk, micro-batch) passes are between
@@ -178,16 +196,12 @@ func (r *Runner) send(dst, tag int, data []float32) {
 	r.sends = append(r.sends, r.Comm.Start(func() { r.Comm.SendPooled(dst, tag, data) }))
 }
 
-// seconds prices chunk g: one forward pass, and the weight-gradient
-// share of its backward.
-func (r *Runner) seconds(g int) (fwd, wgrad float64) {
-	if r.FwdSeconds != nil {
-		fwd = r.FwdSeconds(g)
+// seconds prices flops at Rate.
+func (r *Runner) seconds(flops float64) float64 {
+	if r.Rate <= 0 {
+		return 0
 	}
-	if r.WGradSeconds != nil {
-		wgrad = r.WGradSeconds(g)
-	}
-	return fwd, wgrad
+	return flops / r.Rate
 }
 
 // charge advances the virtual clock by s seconds of chunk compute,
@@ -222,8 +236,7 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32, 
 		p = new(nn.Pass)
 	}
 	out := r.Model.ForwardBlocks(p, c.Lo, c.Hi, x)
-	fwd, _ := r.seconds(g)
-	r.charge(fwd, metrics.PhaseCompute)
+	r.charge(r.seconds(r.units[v].fwd), metrics.PhaseCompute)
 	if g == r.lastGlobal() {
 		logits := r.Model.HeadForward(out)
 		loss = r.loss.Forward(logits, batches[mb].Targets)
@@ -278,7 +291,7 @@ func (r *Runner) runBackward(v, mb int) {
 	g := r.global(v)
 	split := splits(g)
 	p := r.passes[v][mb]
-	fwd, wgrad := r.seconds(g)
+	fwd := r.seconds(r.units[v].fwd)
 	if n := p.Replays(); n > 0 {
 		r.charge(fwd*(float64(n)/float64(r.Part[g].Blocks())), metrics.PhaseRecompute)
 	}
@@ -295,15 +308,16 @@ func (r *Runner) runBackward(v, mb int) {
 		r.passes[v][mb] = nil
 		r.left[v]--
 		r.final = r.left[v] == 0 && r.Finished != nil
+		r.cur, r.next = &r.units[v], 0
 		r.Model.BackwardPass(p, d, r.unit)
-		r.spare = append(r.spare, p)
-		if r.UnitSeconds == nil {
-			r.charge(fwd*2, metrics.PhaseCompute)
+		if r.next != len(r.cur.units) {
+			panic(fmt.Sprintf("pipe: chunk %d's backward finished %d of its %d units", g, r.next, len(r.cur.units)))
 		}
+		r.spare = append(r.spare, p)
 		return
 	}
 	dx := r.Model.BackwardInput(p, d)
-	r.charge(fwd*2-wgrad, metrics.PhaseCompute)
+	r.charge(fwd*2-r.seconds(r.units[v].wgrad), metrics.PhaseCompute)
 	r.send((g-1)%r.Stages, bTag(1, g-1, mb), dx.Data)
 }
 
@@ -314,35 +328,26 @@ func (r *Runner) runWeights(v, mb int) {
 	r.passes[v][mb] = nil
 	r.Model.BackwardWeights(p)
 	r.spare = append(r.spare, p)
-	g := r.global(v)
-	_, wgrad := r.seconds(g)
-	r.charge(wgrad, metrics.PhaseCompute)
+	r.charge(r.seconds(r.units[v].wgrad), metrics.PhaseCompute)
 	if r.left[v]--; r.left[v] == 0 && r.Finished != nil {
-		c := r.Part[g]
-		if g == r.lastGlobal() {
-			r.Finished(r.Model.HeadUnit())
-		}
-		for i := c.Hi - 1; i >= c.Lo; i-- {
-			if _, ok := r.Model.Blocks[i].FFN.(nn.ExpertReporter); ok {
-				r.Finished(r.Model.ExpertUnit(i))
-			}
-			r.Finished(i)
-		}
-		if g == 0 {
-			r.Finished(nn.EmbedUnit)
+		for _, u := range r.units[v].units {
+			r.Finished(u.ID)
 		}
 	}
 }
 
-// unitDone is a fused backward's report of a finished unit: the unit's
-// backward charge, then, on the step's last backward through the chunk,
-// Finished.
-func (r *Runner) unitDone(u int) {
-	if r.UnitSeconds != nil {
-		r.charge(2*r.UnitSeconds(u), metrics.PhaseCompute)
+// unitDone is a fused backward's report of a finished unit, the next of
+// its chunk's table: the unit's backward charge, then, on the step's
+// last backward through the chunk, Finished.
+func (r *Runner) unitDone(id int) {
+	t, i := r.cur, r.next
+	if i == len(t.units) || t.units[i].ID != id {
+		panic(fmt.Sprintf("pipe: the backward finished unit %d out of its chunk's table order", id))
 	}
+	r.next++
+	r.charge(2*r.seconds(t.flops[i]), metrics.PhaseCompute)
 	if r.final {
-		r.Finished(u)
+		r.Finished(id)
 	}
 }
 

@@ -3,6 +3,7 @@ package pipe
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bagualu/internal/moe"
@@ -138,8 +139,14 @@ func TestSplitBackwardSendsBeforeWeights(t *testing.T) {
 	batches := tinyBatches(micro)
 	mpi.NewWorld(2, topo).Run(func(c *mpi.Comm) {
 		r := tinyRunner(c, tinyModel(false), 1, micro)
-		r.FwdSeconds = func(int) float64 { return fwd }
-		r.WGradSeconds = func(int) float64 { return wgrad }
+		// Each chunk's whole price on its first block, at one FLOP/s.
+		r.Rate = 1
+		r.Flops = func(u nn.Unit) (float64, float64) {
+			if u.Block == r.Part[r.Stage].Lo {
+				return fwd, wgrad
+			}
+			return 0, 0
+		}
 		r.init()
 		for _, op := range r.sched {
 			switch op.Kind {
@@ -175,4 +182,44 @@ func TestSplitBackwardSendsBeforeWeights(t *testing.T) {
 			t.Errorf("mb %d: stage 0 holds dy %.6g after stage 1's B ends, want the link cost %.6g", m, d, link)
 		}
 	}
+}
+
+// TestRunnerReportsFollowUnitsOrder: on a 2-stage, 2-virtual pipeline
+// with MoE blocks, Finished hears each of the stage's chunks once per
+// step, its units all together in the order nn.GPT.Units lists them —
+// from inside the fused backward of chunk 0, after the last W of every
+// split chunk.
+func TestRunnerReportsFollowUnitsOrder(t *testing.T) {
+	const stages, virtual, micro = 2, 2, 4
+	mpi.NewWorld(stages, nil).Run(func(c *mpi.Comm) {
+		model := tinyModel(true)
+		r := tinyRunner(c, model, virtual, micro)
+		var got []int
+		r.Finished = func(u int) { got = append(got, u) }
+		for step := 0; step < 2; step++ {
+			got = got[:0]
+			r.Step(tinyBatches(micro), 1)
+			left := map[int][]int{} // each chunk's table, by its first unit
+			for v := 0; v < virtual; v++ {
+				ch := r.Part[r.global(v)]
+				var ids []int
+				for _, u := range model.Units(ch.Lo, ch.Hi) {
+					ids = append(ids, u.ID)
+				}
+				left[ids[0]] = ids
+			}
+			for rest := got; len(rest) > 0; {
+				want, ok := left[rest[0]]
+				if !ok || len(rest) < len(want) || !slices.Equal(rest[:len(want)], want) {
+					t.Errorf("stage %d step %d: reports %v are no sequence of its chunks' tables %v", c.Rank(), step, got, left)
+					break
+				}
+				delete(left, rest[0])
+				rest = rest[len(want):]
+			}
+			if len(left) > 0 && !t.Failed() {
+				t.Errorf("stage %d step %d: chunks %v never reported", c.Rank(), step, left)
+			}
+		}
+	})
 }

@@ -81,8 +81,13 @@ func analyticCompute(e *Engine, rate float64) float64 {
 				marked++
 			}
 		}
+		var flops float64
+		for _, u := range e.Model.Units(c.Lo, c.Hi) {
+			fwd, _ := e.unitFlops(u)
+			flops += fwd
+		}
 		passes := 3 + float64(marked)/float64(c.Blocks())
-		secs += float64(e.Trainer.Runner.Micro) * passes * e.chunkFwdFlops[g] / rate
+		secs += float64(e.Trainer.Runner.Micro) * passes * flops / rate
 	}
 	return secs
 }

@@ -33,8 +33,12 @@ if go list -deps ./internal/parallel/layout | grep '^bagualu/internal/' | grep -
 if go list -deps ./internal/perfmodel | grep -x 'bagualu/internal/parallel'; then exit 1; fi
 if go list -deps ./internal/metrics | grep '^bagualu/' | grep -vx 'bagualu/internal/metrics'; then exit 1; fi
 if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
+# What a backward unit is — its parameters and when it finishes — is
+# nn's unit table (nn.GPT.Units): no program code outside internal/nn
+# asks a layer whether it reports its experts.
+if git grep -n 'nn\.ExpertReporter)' -- '*.go' ':!*_test.go' ':!internal/nn/'; then exit 1; fi
 go test -race ./...
-go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|DeferYieldsToEarlierJoins|DeferFailureDropsPending|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled|GradWireRoundsOnce|MixedSyncBytesMatchModel|PhaseRecordPerRank|MitigateKeepsMovedState|GatherDissemination|StepLossRankOrder|StepScalarsUnderSync|CrashRecoveryMatchesRestart|BitsGolden|ExchangeRoundsCrossSupernodeOnce|A2AAlgosTrainIdentically|GradBucketsPartitionOwned|ExpertGroupsLeaveInsideBackward' ./internal/...
+go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|DeferYieldsToEarlierJoins|DeferFailureDropsPending|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled|GradWireRoundsOnce|MixedSyncBytesMatchModel|PhaseRecordPerRank|MitigateKeepsMovedState|GatherDissemination|StepLossRankOrder|StepScalarsUnderSync|CrashRecoveryMatchesRestart|BitsGolden|ExchangeRoundsCrossSupernodeOnce|A2AAlgosTrainIdentically|GradBucketsPartitionOwned|ExpertGroupsLeaveInsideBackward|UnitsFollowBackwardOrder|RunnerReportsFollowUnitsOrder' ./internal/...
 # The allocation gates: each step benchmark fails when its step
 # allocates more than its recorded baseline plus 5% (gatedLoop).
 go test -run '^$' -bench 'BenchmarkTrainStep$|BenchmarkPipelineStep$|BenchmarkEngineStep$|BenchmarkInferStep' -benchtime 3x .
