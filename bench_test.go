@@ -249,13 +249,22 @@ func softmaxRowsRef(a *tensor.Tensor) *tensor.Tensor {
 func BenchmarkGELU(b *testing.B) {
 	x := tensor.Randn(tensor.NewRNG(46), 1.5, 4096)
 	b.Run("kernel", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.GELU(x) }) })
-	b.Run("scalar", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.Apply(x, geluRef) }) })
+	b.Run("scalar", func(b *testing.B) { perElem(b, x.Len(), func() { applyRef(x, geluRef) }) })
 }
 
 func BenchmarkGELUGrad(b *testing.B) {
 	x := tensor.Randn(tensor.NewRNG(47), 1.5, 4096)
 	b.Run("kernel", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.GELUGrad(x) }) })
-	b.Run("scalar", func(b *testing.B) { perElem(b, x.Len(), func() { tensor.Apply(x, geluGradRef) }) })
+	b.Run("scalar", func(b *testing.B) { perElem(b, x.Len(), func() { applyRef(x, geluGradRef) }) })
+}
+
+// applyRef returns f applied elementwise to x, one element at a time.
+func applyRef(x *tensor.Tensor, f func(float32) float32) *tensor.Tensor {
+	out := tensor.New(x.Shape...)
+	for i, v := range x.Data {
+		out.Data[i] = f(v)
+	}
+	return out
 }
 
 // BenchmarkSoftmaxRows times the row softmax (max, exp-and-sum, scale)

@@ -26,8 +26,8 @@ func main() {
 	defer os.RemoveAll(dir)
 
 	// Rank 2 fail-stops entering step 7. The schedule is explicit here;
-	// bagualu.NewFaultInjector draws reproducible schedules from an
-	// MTBF instead.
+	// `bagualu exp R11` draws reproducible schedules from an MTBF
+	// instead.
 	inj, err := bagualu.ScriptedFaults(bagualu.FaultConfig{Ranks: ranks, Steps: steps},
 		[]bagualu.FaultEvent{{Rank: 2, Step: 7}})
 	if err != nil {

@@ -95,10 +95,6 @@ func (c *Corpus) RNGState() uint64 { return c.rng.State() }
 // SetRNGState repositions the data-order stream at a captured state.
 func (c *Corpus) SetRNGState(s uint64) { c.rng.SetState(s) }
 
-// TextVocab returns the number of text tokens (ids below this are
-// text; ids at or above are image tokens).
-func (c *Corpus) TextVocab() int { return c.tv }
-
 // sampleZipf draws a text token from the Zipf marginal.
 func (c *Corpus) sampleZipf(r *tensor.RNG) int {
 	u := r.Float64()
@@ -157,16 +153,4 @@ func (c *Corpus) Batch(b int) (ids, targets []int) {
 		targets = append(targets, seq[1:]...)
 	}
 	return ids, targets
-}
-
-// TokenHistogram counts token occurrences over n sequences; the load
-// balance experiments use it to verify the configured skew.
-func (c *Corpus) TokenHistogram(n int) []int {
-	h := make([]int, c.cfg.Vocab)
-	for i := 0; i < n; i++ {
-		for _, t := range c.NextSequence() {
-			h[t]++
-		}
-	}
-	return h
 }

@@ -14,7 +14,6 @@ type TextCorpus struct {
 	text   []byte
 	seqLen int
 	rng    *tensor.RNG
-	cfg    CorpusConfig
 }
 
 // ByteVocab is the vocabulary size of byte-level text corpora.
@@ -32,12 +31,8 @@ func NewTextCorpusFromBytes(text []byte, seqLen int, seed uint64) (*TextCorpus, 
 		text:   text,
 		seqLen: seqLen,
 		rng:    tensor.NewRNG(seed),
-		cfg:    CorpusConfig{Vocab: ByteVocab, SeqLen: seqLen, Seed: seed},
 	}, nil
 }
-
-// Config reports the equivalent corpus configuration (byte vocab).
-func (c *TextCorpus) Config() CorpusConfig { return c.cfg }
 
 // Len returns the underlying text size in bytes.
 func (c *TextCorpus) Len() int { return len(c.text) }

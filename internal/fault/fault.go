@@ -202,15 +202,6 @@ func Scripted(cfg Config, events []Event) (*Injector, error) {
 	return inj, nil
 }
 
-// Config returns the schedule's configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
-// Events returns the precomputed schedule, ordered by step.
-func (inj *Injector) Events() []Event { return append([]Event(nil), inj.events...) }
-
-// CrashAt returns the step boundary at which rank dies, or -1.
-func (inj *Injector) CrashAt(rank int) int { return inj.crashAt[rank] }
-
 // CrashesAt reports whether rank is scheduled to die entering step.
 func (inj *Injector) CrashesAt(rank, step int) bool {
 	return inj.crashAt[rank] >= 0 && inj.crashAt[rank] == step
@@ -227,17 +218,6 @@ func (inj *Injector) StragglerOf(rank int) float64 {
 		}
 	}
 	return 1
-}
-
-// Crashes counts scheduled crash events.
-func (inj *Injector) Crashes() int {
-	n := 0
-	for _, e := range inj.events {
-		if e.Kind == EventCrash {
-			n++
-		}
-	}
-	return n
 }
 
 // Arm installs the schedule's ambient faults on a world: straggler

@@ -19,15 +19,15 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := New(cfg)
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Fatalf("same seed, different schedules:\n%v\n%v", a.Events(), b.Events())
+	if !reflect.DeepEqual(a.events, b.events) {
+		t.Fatalf("same seed, different schedules:\n%v\n%v", a.events, b.events)
 	}
-	if len(a.Events()) == 0 {
+	if len(a.events) == 0 {
 		t.Fatal("schedule empty — parameters should produce events")
 	}
 	cfg.Seed = 43
 	c, _ := New(cfg)
-	if reflect.DeepEqual(a.Events(), c.Events()) {
+	if reflect.DeepEqual(a.events, c.events) {
 		t.Fatal("different seeds produced identical schedules")
 	}
 
@@ -44,11 +44,8 @@ func TestCrashScheduleShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inj.Crashes(); got == 0 || got > 3 {
-		t.Fatalf("crashes = %d, want 1..3", got)
-	}
 	seen := map[int]bool{}
-	for _, e := range inj.Events() {
+	for _, e := range inj.events {
 		if e.Kind != EventCrash {
 			continue
 		}
@@ -59,9 +56,12 @@ func TestCrashScheduleShape(t *testing.T) {
 			t.Fatalf("rank %d crashes twice", e.Rank)
 		}
 		seen[e.Rank] = true
-		if !inj.CrashesAt(e.Rank, e.Step) || inj.CrashAt(e.Rank) != e.Step {
+		if !inj.CrashesAt(e.Rank, e.Step) || inj.crashAt[e.Rank] != e.Step {
 			t.Fatalf("lookup disagrees with schedule: %v", e)
 		}
+	}
+	if got := len(seen); got == 0 || got > 3 {
+		t.Fatalf("crashes = %d, want 1..3", got)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestStragglersAvoidCrashedRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range inj.Events() {
-		if e.Kind == EventStraggler && inj.CrashAt(e.Rank) >= 0 {
+	for _, e := range inj.events {
+		if e.Kind == EventStraggler && inj.crashAt[e.Rank] >= 0 {
 			t.Fatalf("straggler %d is also scheduled to crash", e.Rank)
 		}
 	}
@@ -100,7 +100,7 @@ func TestArmedWireFaultsFire(t *testing.T) {
 		w.Run(func(c *mpi.Comm) {
 			for i := 0; i < 50; i++ {
 				if c.Rank() == 0 {
-					c.Send(1, i, []float32{1, 2})
+					c.SendMsg(1, i, []float32{1, 2}, nil)
 				} else {
 					if err := mpi.Protect(func() { c.Recv(0, i) }); err != nil {
 						drops++

@@ -91,12 +91,6 @@ func (h Float16) Float32() float32 {
 	}
 }
 
-// IsInf reports whether h is ±Inf.
-func (h Float16) IsInf() bool { return h&0x7fff == 0x7c00 }
-
-// IsNaN reports whether h is a NaN.
-func (h Float16) IsNaN() bool { return h&0x7c00 == 0x7c00 && h&0x3ff != 0 }
-
 // BFromFloat32 converts a float32 to bfloat16 with
 // round-to-nearest-even.
 func BFromFloat32(f float32) BFloat16 {
@@ -116,15 +110,6 @@ func BFromFloat32(f float32) BFloat16 {
 func (h BFloat16) Float32() float32 {
 	return math.Float32frombits(uint32(h) << 16)
 }
-
-// RoundTrip32 returns f after a float32->FP16->float32 round trip.
-// The trainer uses it to emulate FP16 storage of activations and
-// gradients without changing slice types.
-func RoundTrip32(f float32) float32 { return FromFloat32(f).Float32() }
-
-// BRoundTrip32 returns f after a float32->bfloat16->float32 round
-// trip.
-func BRoundTrip32(f float32) float32 { return BFromFloat32(f).Float32() }
 
 // BQuantizeSlice rounds every element of x through bfloat16 in place.
 func BQuantizeSlice(x []float32) {

@@ -22,12 +22,6 @@ func buildDecodeTable() {
 	}
 }
 
-// FastFloat32 decodes h via the lookup table.
-func (h Float16) FastFloat32() float32 {
-	decodeOnce.Do(buildDecodeTable)
-	return decodeTable[h]
-}
-
 // QuantizeSliceFast rounds every element of x through FP16 in place,
 // eight at a time in hardware where the CPU has F16C and through
 // FromFloat32 and the decode table otherwise (bit-identical either

@@ -188,14 +188,6 @@ func (m *Monitor) Reset(r int) {
 // State returns a rank's current classification.
 func (m *Monitor) State(r int) State { return m.state[r] }
 
-// Score returns a rank's current EWMA slowness multiplier (1 = nominal).
-func (m *Monitor) Score(r int) float64 {
-	if !m.seen[r] {
-		return 1
-	}
-	return m.ewma[r]
-}
-
 // Degraded lists the ranks currently classified Degraded, ascending.
 func (m *Monitor) Degraded() []int {
 	var out []int

@@ -52,7 +52,7 @@ func TestMonitorIgnoresTransientSpike(t *testing.T) {
 		m.Observe([]float64{1})
 	}
 	if m.State(0) != Healthy {
-		t.Fatalf("one spike degraded the rank: state=%v score=%v", m.State(0), m.Score(0))
+		t.Fatalf("one spike degraded the rank: state=%v score=%v", m.State(0), m.ewma[0])
 	}
 }
 
@@ -113,7 +113,7 @@ func TestCollectScoresEndToEnd(t *testing.T) {
 			for iter := 0; iter < 3; iter++ {
 				for p := 0; p < c.Size(); p++ {
 					if p != c.Rank() {
-						c.Send(p, iter, buf)
+						c.SendMsg(p, iter, buf, nil)
 					}
 				}
 				for p := 0; p < c.Size(); p++ {
@@ -185,8 +185,8 @@ func TestMonitorResetClearsHistory(t *testing.T) {
 		t.Fatal("MarkFailed did not fail the rank")
 	}
 	m.Reset(0)
-	if m.State(0) != Healthy || m.Score(0) != 1 {
-		t.Fatalf("reset rank not fresh (score 1 = nominal): state=%v score=%v", m.State(0), m.Score(0))
+	if m.State(0) != Healthy || m.seen[0] {
+		t.Fatalf("reset rank not fresh: state=%v, EWMA still seeded", m.State(0))
 	}
 	// Fresh incarnation degrades after exactly Window evidence steps —
 	// no leftover dwell from the previous life.

@@ -20,7 +20,7 @@ type Histogram struct {
 	counts []int64
 	under  int64 // values below lo
 	n      int64
-	sum    float64
+	sum    float64 // sum and min travel in Snapshot
 	min    float64
 	max    float64
 }
@@ -67,25 +67,6 @@ func (h *Histogram) Add(v float64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.n }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the average observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest observation (0 when empty).
 func (h *Histogram) Max() float64 {
 	if h.n == 0 {
@@ -122,33 +103,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.lo * math.Pow(h.growth, float64(len(h.counts)))
-}
-
-// sameLayout panics unless o can be merged into h.
-func (h *Histogram) sameLayout(o *Histogram) {
-	if h.lo != o.lo || h.growth != o.growth || len(h.counts) != len(o.counts) {
-		panic(fmt.Sprintf("metrics: merging histograms with different layouts (%v,%v,%d) vs (%v,%v,%d)",
-			h.lo, h.growth, len(h.counts), o.lo, o.growth, len(o.counts)))
-	}
-}
-
-// Merge adds o's observations into h. Layouts must match.
-func (h *Histogram) Merge(o *Histogram) {
-	h.sameLayout(o)
-	for b, c := range o.counts {
-		h.counts[b] += c
-	}
-	h.under += o.under
-	h.n += o.n
-	h.sum += o.sum
-	if o.n > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
 }
 
 // Snapshot flattens the histogram into a float32 vector —

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestHistogramQuantileBounds(t *testing.T) {
 	h := NewHistogram(1e-3, 1.1, 200)
@@ -22,11 +19,8 @@ func TestHistogramQuantileBounds(t *testing.T) {
 			t.Fatalf("q=%v: got %v, want within [%v, %v]", q, got, truth, truth*1.1)
 		}
 	}
-	if m := h.Mean(); math.Abs(m-0.5005) > 1e-6 {
-		t.Fatalf("mean %v", m)
-	}
-	if h.Min() != 1e-3 || h.Max() != 1.0 {
-		t.Fatalf("min/max %v/%v", h.Min(), h.Max())
+	if h.Max() != 1.0 {
+		t.Fatalf("max %v", h.Max())
 	}
 }
 
@@ -47,37 +41,9 @@ func TestHistogramQuantileDeterministicOnTies(t *testing.T) {
 	}
 }
 
-// Merging two shards must equal having observed everything in one
-// histogram — the property rank-level merge relies on.
-func TestHistogramMergeEqualsCombined(t *testing.T) {
-	whole := NewLatencyHistogram()
-	s1 := NewLatencyHistogram()
-	s2 := NewLatencyHistogram()
-	for i := 0; i < 500; i++ {
-		v := 1e-4 * math.Pow(1.01, float64(i))
-		whole.Add(v)
-		if i%2 == 0 {
-			s1.Add(v)
-		} else {
-			s2.Add(v)
-		}
-	}
-	s1.Merge(s2)
-	if s1.Count() != whole.Count() || s1.Sum() != whole.Sum() {
-		t.Fatalf("merged count/sum %d/%v vs %d/%v", s1.Count(), s1.Sum(), whole.Count(), whole.Sum())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if s1.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("q=%v: merged %v != combined %v", q, s1.Quantile(q), whole.Quantile(q))
-		}
-	}
-	if s1.Min() != whole.Min() || s1.Max() != whole.Max() {
-		t.Fatalf("merged min/max diverge")
-	}
-}
-
-// Snapshot/Absorb round-trips counts, sum, and quantiles across the
-// wire representation.
+// Absorbing a shard's Snapshot must equal having observed everything
+// in one histogram — the property the serving engine's rank-level
+// merge relies on.
 func TestHistogramSnapshotAbsorb(t *testing.T) {
 	src := NewLatencyHistogram()
 	for i := 1; i <= 300; i++ {
@@ -91,10 +57,12 @@ func TestHistogramSnapshotAbsorb(t *testing.T) {
 	}
 	want := NewLatencyHistogram()
 	want.Add(5e-3)
-	want.Merge(src)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
+	for i := 1; i <= 300; i++ {
+		want.Add(float64(i) * 2e-4)
+	}
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
 		if dst.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("q=%v: absorb %v != merge %v", q, dst.Quantile(q), want.Quantile(q))
+			t.Fatalf("q=%v: absorb %v != combined %v", q, dst.Quantile(q), want.Quantile(q))
 		}
 	}
 }

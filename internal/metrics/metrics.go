@@ -1,7 +1,6 @@
 // Package metrics provides the small measurement plumbing shared by
-// the benchmark harness and the command-line tools: moving averages,
-// histograms, byte and phase meters, and an aligned table/CSV emitter
-// for experiment output.
+// the benchmark harness and the command-line tools: histograms, phase
+// meters, and an aligned table/CSV emitter for experiment output.
 package metrics
 
 import (
@@ -9,30 +8,6 @@ import (
 	"io"
 	"strings"
 )
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// Add folds in a sample.
-func (e *EWMA) Add(x float64) {
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.1
-	}
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = a*x + (1-a)*e.value
-}
-
-// Value returns the current average (0 before any sample).
-func (e *EWMA) Value() float64 { return e.value }
 
 // Table accumulates rows and renders either an aligned text table or
 // CSV; every experiment harness reports through it so outputs are
@@ -63,9 +38,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // WriteText renders an aligned table.
 func (t *Table) WriteText(w io.Writer) error {
@@ -214,11 +186,4 @@ func (p *PhaseMeter) Total() float64 {
 		t += s
 	}
 	return t
-}
-
-// Reset zeroes the accumulators, keeping the phase set.
-func (p *PhaseMeter) Reset() {
-	for i := range p.secs {
-		p.secs[i] = 0
-	}
 }

@@ -5,31 +5,10 @@ import (
 	"testing"
 )
 
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	e.Add(10)
-	if e.Value() != 10 {
-		t.Fatalf("first sample = %v", e.Value())
-	}
-	e.Add(20)
-	if e.Value() != 15 {
-		t.Fatalf("after second sample = %v", e.Value())
-	}
-	var d EWMA // default alpha
-	d.Add(1)
-	d.Add(2)
-	if d.Value() <= 1 || d.Value() >= 2 {
-		t.Fatalf("default alpha value = %v", d.Value())
-	}
-}
-
 func TestTableText(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1.5)
 	tb.AddRow("beta", 42)
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
-	}
 	var sb strings.Builder
 	if err := tb.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -72,9 +51,5 @@ func TestPhaseMeter(t *testing.T) {
 	}
 	if got := p.Total(); got != 6.5 {
 		t.Fatalf("Total = %v", got)
-	}
-	p.Reset()
-	if p.Total() != 0 || len(p.Names()) != 4 {
-		t.Fatal("Reset must zero but keep the phase set")
 	}
 }

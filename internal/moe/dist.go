@@ -639,10 +639,6 @@ func (m *DistMoE) Params() []*nn.Param {
 	return ps
 }
 
-// ReplicatedParams returns the parameters that are replicated across
-// the expert-parallel group (the gate projection).
-func (m *DistMoE) ReplicatedParams() []*nn.Param { return m.Gate.Params() }
-
 // ShardedParams returns the parameters owned exclusively by this rank
 // (its experts).
 func (m *DistMoE) ShardedParams() []*nn.Param {

@@ -10,9 +10,9 @@ import (
 )
 
 // OptStateCarrier lets expert migration ship optimizer state (Adam
-// moments, SGD velocity) alongside the weights of a moved expert, so
-// a rebalance or straggler mitigation leaves the training trajectory
-// bit-exactly unchanged. Implemented by the train package optimizers;
+// moments) alongside the weights of a moved expert, so a rebalance or
+// straggler mitigation leaves the training trajectory bit-exactly
+// unchanged. Implemented by the train package optimizers;
 // any step-count state (Adam bias correction) advances identically on
 // every rank and needs no shipping.
 type OptStateCarrier interface {

@@ -11,6 +11,15 @@ import (
 	"bagualu/internal/tensor"
 )
 
+// norm2 returns the L2 norm of a.
+func norm2(a *tensor.Tensor) float32 {
+	var sum float64
+	for _, v := range a.Data {
+		sum += float64(v) * float64(v)
+	}
+	return float32(math.Sqrt(sum))
+}
+
 func gateCfg(d, e, k int) GateConfig {
 	return GateConfig{Dim: d, NumExperts: e, TopK: k, CapacityFactor: 100} // effectively no drops
 }
@@ -407,10 +416,10 @@ func TestDistMoEParamPartition(t *testing.T) {
 		if len(m.ShardedParams()) != 2*4 { // 2 experts x (2 linears x w+b)
 			t.Errorf("sharded params = %d", len(m.ShardedParams()))
 		}
-		if len(m.ReplicatedParams()) != 1 {
-			t.Errorf("replicated params = %d", len(m.ReplicatedParams()))
+		if len(m.Gate.Params()) != 1 {
+			t.Errorf("replicated params = %d", len(m.Gate.Params()))
 		}
-		if got := len(m.Params()); got != len(m.ShardedParams())+len(m.ReplicatedParams()) {
+		if got := len(m.Params()); got != len(m.ShardedParams())+len(m.Gate.Params()) {
 			t.Errorf("Params() = %d", got)
 		}
 	})
@@ -489,7 +498,7 @@ func TestRandomRoutingBalancedAndGradFree(t *testing.T) {
 	var expertGrad float32
 	for _, e := range m.Experts {
 		for _, p := range e.Params() {
-			expertGrad += tensor.Norm2(p.G)
+			expertGrad += norm2(p.G)
 		}
 	}
 	if expertGrad == 0 {
@@ -527,7 +536,7 @@ func TestGradScalePropagates(t *testing.T) {
 		nn.ZeroGrads(m.Params())
 		// Zero main-loss gradient isolates the aux contribution.
 		m.Backward(tensor.Zeros(6, 4))
-		return tensor.Norm2(m.Gate.Proj.Weight.G)
+		return norm2(m.Gate.Proj.Weight.G)
 	}
 	g1 := gradAt(1)
 	g2 := gradAt(2)
@@ -585,14 +594,14 @@ func TestZLossShrinksLogits(t *testing.T) {
 	// Start with large gate weights.
 	tensor.ScaleInPlace(m.Gate.Proj.Weight.W, 50)
 	x := tensor.Randn(tensor.NewRNG(26), 1, 16, 4)
-	before := tensor.Norm2(m.Gate.Proj.Weight.W)
+	before := norm2(m.Gate.Proj.Weight.W)
 	for step := 0; step < 50; step++ {
 		m.Forward(x)
 		nn.ZeroGrads(m.Params())
 		m.Backward(tensor.Zeros(16, 4)) // only aux/z gradients
 		tensor.AXPY(-0.5, m.Gate.Proj.Weight.G, m.Gate.Proj.Weight.W)
 	}
-	after := tensor.Norm2(m.Gate.Proj.Weight.W)
+	after := norm2(m.Gate.Proj.Weight.W)
 	if after >= before {
 		t.Fatalf("z-loss did not shrink gate logits: %v -> %v", before, after)
 	}

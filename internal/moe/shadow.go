@@ -26,7 +26,7 @@ import (
 // (2·|expert| bytes per rank) buys the removal of the hot expert's
 // token traffic from the dispatch and combine exchanges. It pays off
 // exactly when an expert is hot enough that its token volume exceeds
-// its parameter volume — the condition ShadowWorthwhile evaluates.
+// its parameter volume.
 
 // SetShadows replicates the given experts on every rank of the
 // expert-parallel group. Collective: all ranks must pass the same
@@ -64,9 +64,6 @@ func (m *DistMoE) SetShadows(experts []int) error {
 	m.refreshShadows()
 	return nil
 }
-
-// Shadows returns the currently shadowed expert ids (sorted).
-func (m *DistMoE) Shadows() []int { return append([]int(nil), m.shadowList...) }
 
 // refreshShadows broadcasts canonical weights into the replicas; runs
 // at the top of every Forward while shadows are active.
@@ -108,29 +105,4 @@ func (m *DistMoE) reduceShadowGrads() {
 func (m *DistMoE) isShadowed(e int) bool {
 	_, ok := m.shadows[e]
 	return ok
-}
-
-// ShadowWorthwhile returns the experts whose observed token load is
-// high enough that shadowing reduces traffic: an expert with c tokens
-// routed to it (globally, per step) costs ~c·d activation words in
-// the all-to-all, while shadowing costs ~2·params words per rank.
-// Experts with c·d > factor·2·expertParams are returned, hottest
-// first.
-func (m *DistMoE) ShadowWorthwhile(globalCounts []int, factor float64) []int {
-	expertWords := float64(2*m.Cfg.Dim*m.hidden + m.hidden + m.Cfg.Dim)
-	type hot struct {
-		e, c int
-	}
-	var hots []hot
-	for e, c := range globalCounts {
-		if float64(c*m.Cfg.Dim) > factor*2*expertWords {
-			hots = append(hots, hot{e, c})
-		}
-	}
-	sort.Slice(hots, func(i, j int) bool { return hots[i].c > hots[j].c })
-	out := make([]int, len(hots))
-	for i, h := range hots {
-		out[i] = h.e
-	}
-	return out
 }

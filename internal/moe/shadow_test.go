@@ -197,34 +197,15 @@ func TestSetShadowsValidation(t *testing.T) {
 		if err := m.SetShadows([]int{2, 0}); err != nil {
 			t.Error(err)
 		}
-		got := m.Shadows()
+		got := m.shadowList
 		if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-			t.Errorf("Shadows() = %v", got)
+			t.Errorf("shadows = %v", got)
 		}
 		if err := m.SetShadows(nil); err != nil {
 			t.Error(err)
 		}
-		if len(m.Shadows()) != 0 {
+		if len(m.shadowList) != 0 {
 			t.Error("clear failed")
-		}
-	})
-}
-
-func TestShadowWorthwhile(t *testing.T) {
-	w := mpi.NewWorld(2, nil)
-	w.Run(func(c *mpi.Comm) {
-		r := tensor.NewRNG(99)
-		m := NewDistMoE("moe", r, gateCfg(4, 4, 1), 8, c, Auto)
-		// Expert words = 2*4*8 + 8 + 4 = 76; threshold c*d > 2*76
-		// => c > 38.
-		counts := []int{1000, 50, 10, 0}
-		hot := m.ShadowWorthwhile(counts, 1)
-		if len(hot) != 2 || hot[0] != 0 || hot[1] != 1 {
-			t.Errorf("hot experts = %v", hot)
-		}
-		// factor 10: c·d > 1520 => only expert 0 (1000·4).
-		if got := m.ShadowWorthwhile(counts, 10); len(got) != 1 || got[0] != 0 {
-			t.Errorf("strict factor hot = %v", got)
 		}
 	})
 }

@@ -197,18 +197,8 @@ func (c *Comm) nextSeq() int64 {
 	return s
 }
 
-// Send delivers data to comm rank dst with a user tag. It does not
-// block (eager buffered semantics).
-func (c *Comm) Send(dst, tag int, data []float32) {
-	c.proc.send(c.group[dst], c.p2pTag(tag), data, nil)
-}
-
-// SendInts delivers an int payload to comm rank dst.
-func (c *Comm) SendInts(dst, tag int, xs []int) {
-	c.proc.send(c.group[dst], c.p2pTag(tag), nil, xs)
-}
-
-// SendMsg delivers a combined float/int payload to comm rank dst.
+// SendMsg delivers a combined float/int payload to comm rank dst with
+// a user tag. It does not block (eager buffered semantics).
 func (c *Comm) SendMsg(dst, tag int, data []float32, ints []int) {
 	c.proc.send(c.group[dst], c.p2pTag(tag), data, ints)
 }
@@ -218,12 +208,6 @@ func (c *Comm) SendMsg(dst, tag int, data []float32, ints []int) {
 func (c *Comm) Recv(src, tag int) []float32 {
 	d, _ := c.RecvMsg(src, tag)
 	return d
-}
-
-// RecvInts blocks for a message and returns its int payload.
-func (c *Comm) RecvInts(src, tag int) []int {
-	_, xs := c.RecvMsg(src, tag)
-	return xs
 }
 
 // RecvMsg blocks for a message and returns both payloads.

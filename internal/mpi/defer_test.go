@@ -143,7 +143,7 @@ func (dp deferProgram) run(skip int) *deferRun {
 				return
 			}
 			Protect(c.Barrier) // absorb the detection
-			c = c.Shrink()
+			c = c.ShrinkTo(c.Survivors())
 		}
 		g := c.Global(c.Rank())
 		half := c.Split(c.Rank()%2, c.Rank())

@@ -391,11 +391,3 @@ func (c *Comm) ShrinkTo(keep []int) *Comm {
 		nextChildID: id<<8 + 1,
 	}
 }
-
-// Shrink re-forms the communicator over its surviving ranks. All
-// survivors must call it after observing the same failure set (the
-// usual case: failures are detected at a step boundary, survivors
-// agree by reading the same failed bitmap).
-func (c *Comm) Shrink() *Comm {
-	return c.ShrinkTo(c.Survivors())
-}

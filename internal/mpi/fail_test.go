@@ -41,7 +41,7 @@ func TestPendingDataDrainedBeforeFailure(t *testing.T) {
 	w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 1, []float32{42})
+			c.SendMsg(1, 1, []float32{42}, nil)
 			c.Abandon()
 		case 1:
 			err := Protect(func() {
@@ -93,7 +93,7 @@ func TestShrinkAfterFailure(t *testing.T) {
 			return
 		}
 		Protect(func() { c.Barrier() }) // absorb the detection
-		nc := c.Shrink()
+		nc := c.ShrinkTo(c.Survivors())
 		if nc.Size() != 3 {
 			t.Errorf("shrunk size %d", nc.Size())
 		}
@@ -155,7 +155,7 @@ func TestWireFaultDetection(t *testing.T) {
 		w.Run(func(c *Comm) {
 			switch c.Rank() {
 			case 0:
-				c.Send(1, 5, []float32{1, 2, 3})
+				c.SendMsg(1, 5, []float32{1, 2, 3}, nil)
 			case 1:
 				got.Store(Protect(func() { c.Recv(0, 5) }))
 			}
@@ -198,7 +198,7 @@ func TestStragglerSlowsLinks(t *testing.T) {
 		w.Run(func(c *Comm) {
 			for i := 0; i < 8; i++ {
 				if c.Rank() == 0 {
-					c.Send(1, i, make([]float32, 1024))
+					c.SendMsg(1, i, make([]float32, 1024), nil)
 				} else {
 					c.Recv(0, i)
 				}

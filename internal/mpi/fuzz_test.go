@@ -166,7 +166,7 @@ func TestPropAllToAllvFramingRoundTrip(t *testing.T) {
 		check := func(c *Comm, rb *RecvBuf) {
 			for s := 0; s < p; s++ {
 				want := vals[s][c.Rank()]
-				if rb.Count(s) != len(want) {
+				if rb.counts[s] != len(want) {
 					ok = false
 					return
 				}
@@ -225,10 +225,10 @@ func TestPropAllToAllvFramingRoundTrip(t *testing.T) {
 						total := 0
 						for _, part := range []*RecvBuf{local, remote} {
 							for _, s := range part.Srcs() {
-								merged.counts[s] = part.Count(s)
+								merged.counts[s] = part.counts[s]
 								merged.offs[s] = total
 								merged.meta[s] = part.Meta(s)
-								total += part.Count(s)
+								total += part.counts[s]
 							}
 						}
 						merged.data = make([]float32, total)

@@ -22,7 +22,7 @@ func TestSendRecvBasic(t *testing.T) {
 	w := NewWorld(2, nil)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []float32{1, 2, 3})
+			c.SendMsg(1, 7, []float32{1, 2, 3}, nil)
 		} else {
 			got := c.Recv(0, 7)
 			if len(got) != 3 || got[2] != 3 {
@@ -37,10 +37,10 @@ func TestSendRecvIntsAndAnySource(t *testing.T) {
 	w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0, 1:
-			c.SendInts(2, 1, []int{c.Rank() + 10})
+			c.SendMsg(2, 1, nil, []int{c.Rank() + 10})
 		case 2:
-			a := c.RecvInts(AnySource, 1)
-			b := c.RecvInts(AnySource, 1)
+			_, a := c.RecvMsg(AnySource, 1)
+			_, b := c.RecvMsg(AnySource, 1)
 			sum := a[0] + b[0]
 			if sum != 21 {
 				t.Errorf("ints sum = %d", sum)
@@ -55,8 +55,8 @@ func TestTagIsolation(t *testing.T) {
 	w := NewWorld(2, nil)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 5, []float32{5})
-			c.Send(1, 4, []float32{4})
+			c.SendMsg(1, 5, []float32{5}, nil)
+			c.SendMsg(1, 4, []float32{4}, nil)
 		} else {
 			if got := c.Recv(0, 4); got[0] != 4 {
 				t.Errorf("tag 4 got %v", got)
@@ -74,7 +74,7 @@ func TestVirtualTimeAdvances(t *testing.T) {
 	var times [8]float64
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(7, 0, make([]float32, 1024))
+			c.SendMsg(7, 0, make([]float32, 1024), nil)
 		} else if c.Rank() == 7 {
 			c.Recv(0, 0)
 		}
@@ -119,7 +119,7 @@ func TestPhaseRecordPerRank(t *testing.T) {
 		clocks[c.Rank()] = c.Now()
 		switch c.Rank() {
 		case 0:
-			c.Start(func() { c.Send(1, 7, []float32{1, 2}) }).Wait()
+			c.Start(func() { c.SendMsg(1, 7, []float32{1, 2}, nil) }).Wait()
 		case 1:
 			c.Recv(0, 7)
 		}
@@ -173,7 +173,7 @@ func TestIntraNodeCheaperThanInterSupernode(t *testing.T) {
 		w.Run(func(c *Comm) {
 			switch c.Rank() {
 			case 0:
-				c.Send(dst, 0, payload)
+				c.SendMsg(dst, 0, payload, nil)
 			case dst:
 				c.Recv(0, 0)
 			}
@@ -440,7 +440,7 @@ func TestStatsCountsBytes(t *testing.T) {
 	w := NewWorld(2, topo)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 0, make([]float32, 100))
+			c.SendMsg(1, 0, make([]float32, 100), nil)
 		} else {
 			c.Recv(0, 0)
 		}

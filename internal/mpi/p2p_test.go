@@ -33,7 +33,7 @@ func TestSendPooledMatchesSendPricing(t *testing.T) {
 	w := NewWorld(2, nil)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, payload)
+			c.SendMsg(1, 1, payload, nil)
 		} else {
 			c.Recv(0, 1)
 			plain = c.Now()

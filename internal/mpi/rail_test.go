@@ -255,7 +255,7 @@ func TestRailTraffic(t *testing.T) {
 	const piece = 4 * n / (S * R) // bytes; n divides evenly
 	w = r8World()
 	sent := make([]atomic.Int64, 32)
-	topo := w.Topology()
+	topo := w.topo
 	w.SetWireFaultFn(func(src, dst int, _ int64) WireFault {
 		if topo.LevelOf(src, dst) == simnet.MachineLevel {
 			sent[src].Add(1)

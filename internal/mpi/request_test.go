@@ -162,7 +162,7 @@ func (tc laneCase) run(mode laneMode) *laneRun {
 				return
 			}
 			Protect(c.Barrier) // absorb the detection
-			c = c.Shrink()
+			c = c.ShrinkTo(c.Survivors())
 		}
 		g := c.Global(c.Rank())
 		half := c.Split(c.Rank()%2, c.Rank())
@@ -346,9 +346,9 @@ func TestRequestPortArithmetic(t *testing.T) {
 		x := make([]float32, n)
 		switch c.Rank() {
 		case 0:
-			a := c.Start(func() { c.Send(2, 0, x) })
-			b := c.Start(func() { c.Send(3, 0, x) })
-			m := c.Start(func() { c.Send(1, 0, x) })
+			a := c.Start(func() { c.SendMsg(2, 0, x, nil) })
+			b := c.Start(func() { c.SendMsg(3, 0, x, nil) })
+			m := c.Start(func() { c.SendMsg(1, 0, x, nil) })
 			a.Wait()
 			b.Wait()
 			m.Wait()

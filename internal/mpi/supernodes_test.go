@@ -65,7 +65,7 @@ func (gw geoWorld) run(fn func(c *mpi.Comm)) {
 				return
 			}
 			mpi.Protect(c.Barrier) // absorb the detection
-			c = c.Shrink()
+			c = c.ShrinkTo(c.Survivors())
 		}
 		g := c.Global(c.Rank())
 		color, key := -1, g

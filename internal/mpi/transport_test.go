@@ -38,7 +38,7 @@ func TestReliableTransportAbsorbsDrop(t *testing.T) {
 		w.Run(func(c *Comm) {
 			switch c.Rank() {
 			case 0:
-				c.Send(1, 5, []float32{1, 2, 3})
+				c.SendMsg(1, 5, []float32{1, 2, 3}, nil)
 			case 1:
 				got.Store(c.Recv(0, 5))
 				at.Store(c.Now())
@@ -89,7 +89,7 @@ func TestReliableTransportAbsorbsCorruption(t *testing.T) {
 	w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 5, []float32{4, 5, 6})
+			c.SendMsg(1, 5, []float32{4, 5, 6}, nil)
 		case 1:
 			err := Protect(func() {
 				v := c.Recv(0, 5)
@@ -124,7 +124,7 @@ func TestTransportExhaustionEscalates(t *testing.T) {
 	w.Run(func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, 5, []float32{1})
+			c.SendMsg(1, 5, []float32{1}, nil)
 		case 1:
 			got.Store(Protect(func() { c.Recv(0, 5) }))
 		}
@@ -189,7 +189,7 @@ func TestLinkObservations(t *testing.T) {
 	w.Run(func(c *Comm) {
 		for i := 0; i < 4; i++ {
 			if c.Rank() == 1 {
-				c.Send(0, i, make([]float32, 512))
+				c.SendMsg(0, i, make([]float32, 512), nil)
 			} else {
 				c.Recv(1, i)
 			}

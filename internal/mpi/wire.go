@@ -139,15 +139,6 @@ func (w WireStats) Sub(o WireStats) WireStats {
 	return d
 }
 
-// Add accumulates o into w.
-func (w *WireStats) Add(o WireStats) {
-	for i := range w.Wire {
-		w.Wire[i] += o.Wire[i]
-		w.Raw[i] += o.Raw[i]
-		w.Msgs[i] += o.Msgs[i]
-	}
-}
-
 // TotalWire sums post-codec bytes over all levels.
 func (w WireStats) TotalWire() int64 {
 	var t int64
@@ -155,15 +146,6 @@ func (w WireStats) TotalWire() int64 {
 		t += v
 	}
 	return t
-}
-
-// InterBytes returns post-codec bytes on inter-supernode links.
-func (w WireStats) InterBytes() int64 { return w.Wire[simnet.MachineLevel] }
-
-// IntraBytes returns post-codec bytes below the inter-supernode tier
-// (node + supernode links; self copies excluded).
-func (w WireStats) IntraBytes() int64 {
-	return w.Wire[simnet.NodeLevel] + w.Wire[simnet.SupernodeLevel]
 }
 
 // WireStats returns a snapshot of this communicator's flattened-
@@ -230,9 +212,6 @@ func (b *SendBuf) Chunk(dst int) []float32 {
 
 // Meta returns the metadata recorded for dst.
 func (b *SendBuf) Meta(dst int) []int { return b.meta[dst] }
-
-// Count returns the number of floats destined to dst.
-func (b *SendBuf) Count(dst int) int { return b.counts[dst] }
 
 // Release returns the backing buffer to the pool. Safe after Flush
 // (every message stages its own copy).

@@ -318,7 +318,11 @@ func TestWireStatsTracksCodecGap(t *testing.T) {
 		})
 		var agg WireStats
 		for _, s := range total {
-			agg.Add(s)
+			for l := range agg.Wire {
+				agg.Wire[l] += s.Wire[l]
+				agg.Raw[l] += s.Raw[l]
+				agg.Msgs[l] += s.Msgs[l]
+			}
 		}
 		return agg
 	}
@@ -383,7 +387,7 @@ func TestFP16WireValuesRoundTrip(t *testing.T) {
 			for i, v := range rb.Chunk(s) {
 				want := vals[i]
 				if cross {
-					want = half.RoundTrip32(vals[i])
+					want = half.FromFloat32(vals[i]).Float32()
 				}
 				if v != want {
 					t.Errorf("rank %d src %d elem %d: got %v want %v (cross=%v)", c.Rank(), s, i, v, want, cross)
@@ -483,7 +487,7 @@ func TestExchangeRoundsCrossSupernodeOnce(t *testing.T) {
 								}
 								for i, v := range vals[s][d] {
 									if codec == FP16Wire && cross {
-										v = half.RoundTrip32(v)
+										v = half.FromFloat32(v).Float32()
 									}
 									if got.bits[d][s][i] != math.Float32bits(v) {
 										t.Fatalf("%s: rank %d from %d elem %d: got %v, want %v (cross=%v)", name, d, s, i,

@@ -316,9 +316,6 @@ func NewSelf() *Comm { return newWorldComm(NewWorld(1, nil), 0, 0) }
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// Topology returns the pricing topology.
-func (w *World) Topology() *simnet.Topology { return w.topo }
-
 // Stats returns the traffic counters.
 func (w *World) Stats() *Stats { return &w.stats }
 

@@ -3,7 +3,6 @@ package nn
 import (
 	"testing"
 
-	"bagualu/internal/autograd"
 	"bagualu/internal/tensor"
 )
 
@@ -22,7 +21,7 @@ func TestLinearMatchesAutograd(t *testing.T) {
 	ZeroGrads(l.Params())
 	dx := l.Backward(tensor.Mul(w, tensor.Ones(w.Shape...)))
 
-	g := autograd.NewGraph()
+	g := NewGraph()
 	xg := g.Param(x.Clone())
 	wg := g.Param(l.Weight.W.Clone())
 	bg := g.Param(l.Bias.W.Clone())
@@ -57,7 +56,7 @@ func TestLayerNormMatchesAutograd(t *testing.T) {
 	ZeroGrads(l.Params())
 	dx := l.Backward(w.Clone())
 
-	g := autograd.NewGraph()
+	g := NewGraph()
 	xg := g.Param(x.Clone())
 	gg := g.Param(l.Gamma.W.Clone())
 	bg := g.Param(l.Beta.W.Clone())
@@ -88,7 +87,7 @@ func TestFFNMatchesAutograd(t *testing.T) {
 	ZeroGrads(f.Params())
 	dx := f.Backward(w.Clone())
 
-	g := autograd.NewGraph()
+	g := NewGraph()
 	xg := g.Param(x.Clone())
 	w1 := g.Param(f.Up.Weight.W.Clone())
 	b1 := g.Param(f.Up.Bias.W.Clone())
@@ -122,7 +121,7 @@ func TestEmbeddingMatchesAutograd(t *testing.T) {
 	ZeroGrads(e.Params())
 	e.BackwardIDs(w.Clone())
 
-	g := autograd.NewGraph()
+	g := NewGraph()
 	tg := g.Param(e.Table.W.Clone())
 	og := g.Embedding(tg, ids)
 	g.Backward(g.Sum(g.Mul(og, g.Input(w))))
@@ -152,7 +151,7 @@ func TestStackedCompositeMatchesAutograd(t *testing.T) {
 	ZeroGrads(append(append(ln.Params(), l1.Params()...), l2.Params()...))
 	dx := ln.Backward(l1.Backward(act.Backward(l2.Backward(ce.Backward()))))
 
-	g := autograd.NewGraph()
+	g := NewGraph()
 	xg := g.Param(x.Clone())
 	gg := g.Param(ln.Gamma.W.Clone())
 	bg := g.Param(ln.Beta.W.Clone())

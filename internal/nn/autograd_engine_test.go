@@ -1,4 +1,4 @@
-package autograd
+package nn
 
 import (
 	"math"
@@ -317,5 +317,218 @@ func TestTwoLayerMLPTrains(t *testing.T) {
 	}
 	if last > first/4 {
 		t.Fatalf("MLP did not train: first loss %v, last %v", first, last)
+	}
+}
+
+func TestDivBackwardNumeric(t *testing.T) {
+	r := tensor.NewRNG(80)
+	av := tensor.Uniform(r, 0.5, 2, 2, 3)
+	bv := tensor.Uniform(r, 0.5, 2, 2, 3)
+	build := func() float32 {
+		g := NewGraph()
+		return g.Sum(g.Div(g.Param(av), g.Param(bv))).Value.Data[0]
+	}
+	g := NewGraph()
+	a, b := g.Param(av), g.Param(bv)
+	g.Backward(g.Sum(g.Div(a, b)))
+	checkGrads(t, "Div/a", av, build, a.Grad, 1e-2)
+	checkGrads(t, "Div/b", bv, build, b.Grad, 1e-2)
+}
+
+func TestExpLogInverse(t *testing.T) {
+	r := tensor.NewRNG(81)
+	xv := tensor.Uniform(r, 0.5, 2, 6)
+	g := NewGraph()
+	x := g.Param(xv)
+	y := g.Log(g.Exp(x))
+	if !y.Value.AllClose(xv, 1e-5) {
+		t.Fatal("log(exp(x)) != x")
+	}
+	g.Backward(g.Sum(y))
+	// d/dx log(exp(x)) = 1.
+	for _, v := range x.Grad.Data {
+		if math.Abs(float64(v)-1) > 1e-4 {
+			t.Fatalf("grad %v, want 1", v)
+		}
+	}
+}
+
+func TestExpBackwardNumeric(t *testing.T) {
+	r := tensor.NewRNG(82)
+	xv := tensor.Uniform(r, -1, 1, 5)
+	build := func() float32 {
+		g := NewGraph()
+		return g.Sum(g.Exp(g.Param(xv))).Value.Data[0]
+	}
+	g := NewGraph()
+	x := g.Param(xv)
+	g.Backward(g.Sum(g.Exp(x)))
+	checkGrads(t, "Exp", xv, build, x.Grad, 1e-2)
+}
+
+func TestPowBackwardNumeric(t *testing.T) {
+	r := tensor.NewRNG(83)
+	xv := tensor.Uniform(r, 0.5, 2, 4)
+	build := func() float32 {
+		g := NewGraph()
+		return g.Sum(g.Pow(g.Param(xv), 2.5)).Value.Data[0]
+	}
+	g := NewGraph()
+	x := g.Param(xv)
+	g.Backward(g.Sum(g.Pow(x, 2.5)))
+	checkGrads(t, "Pow", xv, build, x.Grad, 1e-2)
+}
+
+func TestSliceRows(t *testing.T) {
+	g := NewGraph()
+	x := g.Param(tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2))
+	s := g.SliceRows(x, 1, 3)
+	if s.Value.Shape[0] != 2 || s.Value.At(0, 0) != 3 || s.Value.At(1, 1) != 6 {
+		t.Fatalf("slice = %v", s.Value.Data)
+	}
+	g.Backward(g.Sum(s))
+	want := []float32{0, 0, 1, 1, 1, 1}
+	for i, v := range want {
+		if x.Grad.Data[i] != v {
+			t.Fatalf("slice grad = %v", x.Grad.Data)
+		}
+	}
+}
+
+func TestSliceRowsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	g := NewGraph()
+	g.SliceRows(g.Input(tensor.New(2, 2)), 1, 4)
+}
+
+func TestConcatRows(t *testing.T) {
+	g := NewGraph()
+	a := g.Param(tensor.FromSlice([]float32{1, 2}, 1, 2))
+	b := g.Param(tensor.FromSlice([]float32{3, 4, 5, 6}, 2, 2))
+	c := g.ConcatRows(a, b)
+	if c.Value.Shape[0] != 3 || c.Value.At(2, 1) != 6 {
+		t.Fatalf("concat = %v", c.Value.Data)
+	}
+	g.Backward(g.Scale(g.Sum(c), 2))
+	if a.Grad.Data[0] != 2 || b.Grad.Data[3] != 2 {
+		t.Fatalf("concat grads %v %v", a.Grad.Data, b.Grad.Data)
+	}
+}
+
+func TestConcatSliceRoundTrip(t *testing.T) {
+	r := tensor.NewRNG(84)
+	xv := tensor.Randn(r, 1, 4, 3)
+	g := NewGraph()
+	x := g.Param(xv)
+	top := g.SliceRows(x, 0, 2)
+	bot := g.SliceRows(x, 2, 4)
+	back := g.ConcatRows(top, bot)
+	if !back.Value.AllClose(xv, 0) {
+		t.Fatal("concat(slice) != identity")
+	}
+	g.Backward(g.Sum(back))
+	for _, v := range x.Grad.Data {
+		if v != 1 {
+			t.Fatalf("identity grad %v", v)
+		}
+	}
+}
+
+func TestDropoutTrainAndEval(t *testing.T) {
+	r := tensor.NewRNG(85)
+	xv := tensor.Ones(1, 1000)
+
+	// Eval path (nil RNG): exact identity.
+	g := NewGraph()
+	x := g.Param(xv)
+	y := g.Dropout(x, 0.5, nil)
+	if !y.Value.AllClose(xv, 0) {
+		t.Fatal("eval dropout is not identity")
+	}
+
+	// Train path: ~half zeroed, survivors scaled by 2; the mean is
+	// preserved in expectation.
+	g2 := NewGraph()
+	x2 := g2.Param(xv.Clone())
+	y2 := g2.Dropout(x2, 0.5, r)
+	zeros := 0
+	for _, v := range y2.Value.Data {
+		switch v {
+		case 0:
+			zeros++
+		case 2:
+		default:
+			t.Fatalf("dropout value %v, want 0 or 2", v)
+		}
+	}
+	if zeros < 400 || zeros > 600 {
+		t.Fatalf("dropped %d of 1000 at rate 0.5", zeros)
+	}
+	if math.Abs(float64(mean(y2.Value))-1) > 0.15 {
+		t.Fatalf("dropout mean %v, want ~1", mean(y2.Value))
+	}
+	// Gradient flows only through survivors, with the same scale.
+	g2.Backward(g2.Sum(y2))
+	for i, v := range x2.Grad.Data {
+		if y2.Value.Data[i] == 0 && v != 0 {
+			t.Fatal("gradient leaked through dropped element")
+		}
+		if y2.Value.Data[i] == 2 && v != 2 {
+			t.Fatalf("survivor grad %v, want 2", v)
+		}
+	}
+}
+
+func TestMeanRowsBackward(t *testing.T) {
+	g := NewGraph()
+	x := g.Param(tensor.FromSlice([]float32{1, 3, 2, 6}, 2, 2))
+	m := g.MeanRows(x)
+	if m.Value.Data[0] != 2 || m.Value.Data[1] != 4 {
+		t.Fatalf("MeanRows = %v", m.Value.Data)
+	}
+	g.Backward(g.Sum(m))
+	for _, v := range x.Grad.Data {
+		if v != 0.5 {
+			t.Fatalf("grad %v, want 0.5", v)
+		}
+	}
+}
+
+// The oracle's own tensor operations (autograd_ops_test.go) on values
+// whose results are exact.
+func TestOracleTensorOps(t *testing.T) {
+	a := tensor.FromSlice([]float32{1, 2, 3, 4}, 4)
+	b := tensor.FromSlice([]float32{4, 3, 2, 1}, 4)
+	if got := sub(a, b); got.Data[0] != -3 || got.Data[3] != 3 {
+		t.Fatalf("sub = %v", got.Data)
+	}
+	if got := div(a, b); got.Data[3] != 4 {
+		t.Fatalf("div = %v", got.Data)
+	}
+	if got := scale(a, 2); got.Data[2] != 6 {
+		t.Fatalf("scale = %v", got.Data)
+	}
+	if got := neg(a); got.Data[0] != -1 {
+		t.Fatalf("neg = %v", got.Data)
+	}
+	c := tensor.FromSlice([]float32{1, -2, 3, 0}, 4)
+	if sum(c) != 2 || mean(c) != 0.5 {
+		t.Fatalf("sum = %v, mean = %v", sum(c), mean(c))
+	}
+	if sc := sumCols(tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)); sc.Data[0] != 6 || sc.Data[1] != 15 {
+		t.Fatalf("sumCols = %v", sc.Data)
+	}
+	if r := relu(tensor.FromSlice([]float32{-2, 0, 2}, 3)); r.Data[0] != 0 || r.Data[2] != 2 {
+		t.Fatalf("relu = %v", r.Data)
+	}
+	if sg := sigmoid(tensor.Zeros(1)); sg.Data[0] != 0.5 {
+		t.Fatalf("sigmoid(0) = %v", sg.Data[0])
+	}
+	if th := tanh(tensor.Zeros(1)); th.Data[0] != 0 {
+		t.Fatalf("tanh(0) = %v", th.Data[0])
 	}
 }

@@ -1,28 +1,26 @@
-// Package autograd implements a tape-based reverse-mode automatic
-// differentiation engine over the tensor package. There is no Go deep
-// learning ecosystem to lean on, so this is the substrate that makes
-// model training possible at all.
-//
-// The nn package implements the transformer layers with hand-fused
-// explicit backward passes for speed; this engine provides the
-// independent ground truth those passes are cross-validated against,
-// and a convenient API for examples and small experiments.
+package nn
+
+import (
+	"fmt"
+	"math"
+
+	"bagualu/internal/tensor"
+)
+
+// The layers' gradient oracle: a tape-based reverse-mode automatic
+// differentiation engine over the tensor package. The layers implement
+// hand-fused explicit backward passes for speed; this engine is the
+// independent ground truth those passes are cross-validated against
+// (autograd_consistency_test.go). It is test code: no program runs it.
 //
 // Usage:
 //
-//	g := autograd.NewGraph()
+//	g := NewGraph()
 //	x := g.Input(data)
 //	w := g.Param(weights)
 //	loss := g.Mean(g.Mul(d, d))
 //	g.Backward(loss)
 //	// w.Grad now holds dLoss/dW.
-package autograd
-
-import (
-	"fmt"
-
-	"bagualu/internal/tensor"
-)
 
 // Node is one value in the computation graph.
 type Node struct {
@@ -123,10 +121,10 @@ func (g *Graph) Add(a, b *Node) *Node {
 
 // Sub returns a-b.
 func (g *Graph) Sub(a, b *Node) *Node {
-	out := g.op(tensor.Sub(a.Value, b.Value), nil, a, b)
+	out := g.op(sub(a.Value, b.Value), nil, a, b)
 	out.back = func() {
 		a.accum(out.Grad)
-		b.accum(tensor.Neg(out.Grad))
+		b.accum(neg(out.Grad))
 	}
 	return out
 }
@@ -143,9 +141,9 @@ func (g *Graph) Mul(a, b *Node) *Node {
 
 // Scale returns a*c for scalar c.
 func (g *Graph) Scale(a *Node, c float32) *Node {
-	out := g.op(tensor.Scale(a.Value, c), nil, a)
+	out := g.op(scale(a.Value, c), nil, a)
 	out.back = func() {
-		a.accum(tensor.Scale(out.Grad, c))
+		a.accum(scale(out.Grad, c))
 	}
 	return out
 }
@@ -197,9 +195,9 @@ func (g *Graph) GELU(a *Node) *Node {
 
 // ReLU applies max(0, x).
 func (g *Graph) ReLU(a *Node) *Node {
-	out := g.op(tensor.ReLU(a.Value), nil, a)
+	out := g.op(relu(a.Value), nil, a)
 	out.back = func() {
-		mask := tensor.Apply(a.Value, func(x float32) float32 {
+		mask := apply(a.Value, func(x float32) float32 {
 			if x > 0 {
 				return 1
 			}
@@ -212,22 +210,22 @@ func (g *Graph) ReLU(a *Node) *Node {
 
 // Tanh applies tanh elementwise.
 func (g *Graph) Tanh(a *Node) *Node {
-	t := tensor.Tanh(a.Value)
+	t := tanh(a.Value)
 	out := g.op(t, nil, a)
 	out.back = func() {
 		one := tensor.Ones(t.Shape...)
-		a.accum(tensor.Mul(out.Grad, tensor.Sub(one, tensor.Mul(t, t))))
+		a.accum(tensor.Mul(out.Grad, sub(one, tensor.Mul(t, t))))
 	}
 	return out
 }
 
 // Sigmoid applies the logistic function.
 func (g *Graph) Sigmoid(a *Node) *Node {
-	s := tensor.Sigmoid(a.Value)
+	s := sigmoid(a.Value)
 	out := g.op(s, nil, a)
 	out.back = func() {
 		one := tensor.Ones(s.Shape...)
-		a.accum(tensor.Mul(out.Grad, tensor.Mul(s, tensor.Sub(one, s))))
+		a.accum(tensor.Mul(out.Grad, tensor.Mul(s, sub(one, s))))
 	}
 	return out
 }
@@ -255,7 +253,7 @@ func (g *Graph) LayerNorm(a, gamma, beta *Node, eps float32) *Node {
 			d := float64(v) - mu
 			varsum += d * d
 		}
-		iv := 1 / sqrt64(varsum/float64(cols)+float64(eps))
+		iv := 1 / math.Sqrt(varsum/float64(cols)+float64(eps))
 		mean[i], inv[i] = mu, iv
 		for j, v := range src {
 			x := float32((float64(v) - mu) * iv)
@@ -330,7 +328,7 @@ func (g *Graph) CrossEntropy(logits *Node, targets []int) *Node {
 		if p < 1e-12 {
 			p = 1e-12
 		}
-		loss -= log64(p)
+		loss -= math.Log(p)
 	}
 	lt := tensor.FromSlice([]float32{float32(loss / float64(rows))}, 1)
 	out := g.op(lt, nil, logits)
@@ -374,7 +372,7 @@ func (g *Graph) Embedding(table *Node, ids []int) *Node {
 
 // Mean reduces to the scalar mean of all elements.
 func (g *Graph) Mean(a *Node) *Node {
-	m := tensor.FromSlice([]float32{tensor.Mean(a.Value)}, 1)
+	m := tensor.FromSlice([]float32{mean(a.Value)}, 1)
 	out := g.op(m, nil, a)
 	out.back = func() {
 		scale := out.Grad.Data[0] / float32(a.Value.Len())
@@ -385,10 +383,160 @@ func (g *Graph) Mean(a *Node) *Node {
 
 // Sum reduces to the scalar sum of all elements.
 func (g *Graph) Sum(a *Node) *Node {
-	m := tensor.FromSlice([]float32{tensor.Sum(a.Value)}, 1)
+	m := tensor.FromSlice([]float32{sum(a.Value)}, 1)
 	out := g.op(m, nil, a)
 	out.back = func() {
 		a.accum(tensor.Full(out.Grad.Data[0], a.Value.Shape...))
+	}
+	return out
+}
+
+// Additional operations: elementwise transcendentals, row slicing and
+// concatenation, and dropout — enough to express the full model zoo
+// of the examples without touching the fused nn layers.
+
+// Div returns a / b elementwise.
+func (g *Graph) Div(a, b *Node) *Node {
+	out := g.op(div(a.Value, b.Value), nil, a, b)
+	out.back = func() {
+		// d(a/b)/da = 1/b ; d(a/b)/db = -a/b².
+		a.accum(div(out.Grad, b.Value))
+		bb := tensor.Mul(b.Value, b.Value)
+		b.accum(neg(div(tensor.Mul(out.Grad, a.Value), bb)))
+	}
+	return out
+}
+
+// Exp returns e^a elementwise.
+func (g *Graph) Exp(a *Node) *Node {
+	e := exp(a.Value)
+	out := g.op(e, nil, a)
+	out.back = func() {
+		a.accum(tensor.Mul(out.Grad, e))
+	}
+	return out
+}
+
+// Log returns ln(a) elementwise (a must be positive).
+func (g *Graph) Log(a *Node) *Node {
+	out := g.op(log(a.Value), nil, a)
+	out.back = func() {
+		a.accum(div(out.Grad, a.Value))
+	}
+	return out
+}
+
+// Pow returns a^p elementwise for constant p.
+func (g *Graph) Pow(a *Node, p float32) *Node {
+	v := apply(a.Value, func(x float32) float32 {
+		return float32(math.Pow(float64(x), float64(p)))
+	})
+	out := g.op(v, nil, a)
+	out.back = func() {
+		d := apply(a.Value, func(x float32) float32 {
+			return p * float32(math.Pow(float64(x), float64(p-1)))
+		})
+		a.accum(tensor.Mul(out.Grad, d))
+	}
+	return out
+}
+
+// SliceRows returns rows [lo, hi) of a rank-2 tensor as a view-copy.
+func (g *Graph) SliceRows(a *Node, lo, hi int) *Node {
+	if len(a.Value.Shape) != 2 {
+		panic(fmt.Sprintf("autograd: SliceRows on shape %v", a.Value.Shape))
+	}
+	rows, cols := a.Value.Shape[0], a.Value.Shape[1]
+	if lo < 0 || hi > rows || lo >= hi {
+		panic(fmt.Sprintf("autograd: SliceRows [%d,%d) of %d rows", lo, hi, rows))
+	}
+	v := tensor.New(hi-lo, cols)
+	copy(v.Data, a.Value.Data[lo*cols:hi*cols])
+	out := g.op(v, nil, a)
+	out.back = func() {
+		d := tensor.New(rows, cols)
+		copy(d.Data[lo*cols:hi*cols], out.Grad.Data)
+		a.accum(d)
+	}
+	return out
+}
+
+// ConcatRows stacks rank-2 tensors with equal column counts on the
+// row axis.
+func (g *Graph) ConcatRows(parts ...*Node) *Node {
+	if len(parts) == 0 {
+		panic("autograd: ConcatRows of nothing")
+	}
+	cols := parts[0].Value.Shape[1]
+	rows := 0
+	for _, p := range parts {
+		if len(p.Value.Shape) != 2 || p.Value.Shape[1] != cols {
+			panic(fmt.Sprintf("autograd: ConcatRows with shape %v, want [_, %d]", p.Value.Shape, cols))
+		}
+		rows += p.Value.Shape[0]
+	}
+	v := tensor.New(rows, cols)
+	off := 0
+	for _, p := range parts {
+		copy(v.Data[off:], p.Value.Data)
+		off += p.Value.Len()
+	}
+	out := g.op(v, nil, parts...)
+	out.back = func() {
+		off := 0
+		for _, p := range parts {
+			n := p.Value.Len()
+			d := tensor.FromSlice(append([]float32(nil), out.Grad.Data[off:off+n]...), p.Value.Shape...)
+			p.accum(d)
+			off += n
+		}
+	}
+	return out
+}
+
+// Dropout zeroes each element with probability rate and scales the
+// survivors by 1/(1-rate) (inverted dropout). Pass the training-step
+// RNG; a nil RNG disables dropout (identity), the inference path.
+func (g *Graph) Dropout(a *Node, rate float32, r *tensor.RNG) *Node {
+	if r == nil || rate <= 0 {
+		return g.Scale(a, 1) // identity that still participates in the tape
+	}
+	if rate >= 1 {
+		panic("autograd: dropout rate must be < 1")
+	}
+	keep := 1 - rate
+	mask := tensor.New(a.Value.Shape...)
+	for i := range mask.Data {
+		if r.Float32() < keep {
+			mask.Data[i] = 1 / keep
+		}
+	}
+	out := g.op(tensor.Mul(a.Value, mask), nil, a)
+	out.back = func() {
+		a.accum(tensor.Mul(out.Grad, mask))
+	}
+	return out
+}
+
+// MeanRows reduces a rank-2 tensor to the per-row mean, shape [rows].
+func (g *Graph) MeanRows(a *Node) *Node {
+	if len(a.Value.Shape) != 2 {
+		panic(fmt.Sprintf("autograd: MeanRows on shape %v", a.Value.Shape))
+	}
+	rows, cols := a.Value.Shape[0], a.Value.Shape[1]
+	m := sumCols(a.Value)
+	tensor.ScaleInPlace(m, 1/float32(cols))
+	out := g.op(m, nil, a)
+	out.back = func() {
+		d := tensor.New(rows, cols)
+		for i := 0; i < rows; i++ {
+			gv := out.Grad.Data[i] / float32(cols)
+			row := d.Row(i)
+			for j := range row {
+				row[j] = gv
+			}
+		}
+		a.accum(d)
 	}
 	return out
 }

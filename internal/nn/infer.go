@@ -75,15 +75,6 @@ func (g *GPT) NewKVCache() *KVCache {
 	return c
 }
 
-// Bytes reports the cache's key/value storage footprint.
-func (c *KVCache) Bytes() int {
-	n := 0
-	for _, t := range c.kT {
-		n += 4 * t.Len()
-	}
-	return 2 * n
-}
-
 // InferRun names one sequence's slice of a mixed inference batch: Rows
 // consecutive token rows (Rows == prompt length during prefill, 1
 // during decode) appended to Cache starting at position Cache.Len.

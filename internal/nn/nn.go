@@ -6,9 +6,9 @@
 // Layers cache whatever the backward pass needs during Forward, so
 // the usage contract is Forward-then-Backward. The caches are single
 // slot; a pipeline that keeps several passes in flight moves them out
-// of the layers and back (Stasher, GPT.Stash). The autograd package
-// provides an independent implementation that the tests in this
-// package use as ground truth for every layer's gradients.
+// of the layers and back (Stasher, GPT.Stash). A tape autograd engine
+// in this package's tests (autograd_test.go) is the independent ground
+// truth for every layer's gradients.
 package nn
 
 import (

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"bagualu/internal/autograd"
 	"bagualu/internal/tensor"
 )
 
@@ -184,7 +183,7 @@ func TestSoftmaxCrossEntropyMatchesAutograd(t *testing.T) {
 	loss := l.Forward(logits, targets)
 	dl := l.Backward()
 
-	g := autograd.NewGraph()
+	g := NewGraph()
 	lg := g.Param(logits.Clone())
 	agLoss := g.CrossEntropy(lg, targets)
 	g.Backward(agLoss)

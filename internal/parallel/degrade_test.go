@@ -285,7 +285,7 @@ func TestMitigateKeepsMovedState(t *testing.T) {
 				owner[name] = rank
 				mu.Unlock()
 			}
-			for _, p := range e.ExpertParams() {
+			for _, p := range e.expertParams {
 				expert[p.Name] = true
 				add(p.Name, p.W.Data)
 				if c, ok := e.Trainer.Opt.(moe.OptStateCarrier); ok {

@@ -63,7 +63,7 @@ func TestMixedSyncBytesMatchModel(t *testing.T) {
 						panic(err)
 					}
 					if c.Rank() == 0 {
-						if got, want := nn.NumParams(e.DenseParams()), spec.DenseParams(); int64(got) != want {
+						if got, want := nn.NumParams(e.denseParams), spec.DenseParams(); int64(got) != want {
 							t.Errorf("engine holds %d dense parameters, the spec %d", got, want)
 						}
 					}

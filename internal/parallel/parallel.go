@@ -611,12 +611,6 @@ func (e *Engine) moeSelfCharges() bool {
 // MoELayers returns this rank's distributed MoE layers.
 func (e *Engine) MoELayers() []*moe.DistMoE { return e.moeLayers }
 
-// DenseParams returns the stage-replicated parameters.
-func (e *Engine) DenseParams() []*nn.Param { return e.denseParams }
-
-// ExpertParams returns this rank's expert shard parameters.
-func (e *Engine) ExpertParams() []*nn.Param { return e.expertParams }
-
 // unitFinished is the runner's report that the step's backward has
 // made unit u's gradients final: the groups u issues leave (startGroup).
 // The step's first issue starts its scalar exchanges, which go ahead of

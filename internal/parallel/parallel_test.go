@@ -150,11 +150,11 @@ func TestReplicasStayInSync(t *testing.T) {
 			e.Step()
 		}
 		var d []float32
-		for _, p := range e.DenseParams() {
+		for _, p := range e.denseParams {
 			d = append(d, p.W.Data...)
 		}
 		var x []float32
-		for _, p := range e.ExpertParams() {
+		for _, p := range e.expertParams {
 			x = append(x, p.W.Data...)
 		}
 		dense[c.Rank()] = d
@@ -188,7 +188,7 @@ func TestNumParamsGlobal(t *testing.T) {
 	w := mpi.NewWorld(2, nil)
 	w.Run(func(c *mpi.Comm) {
 		mc := tinyModelCfg(1)
-		e, err := NewEngine(c, strat, mc, tinyCorpusCfg(), tinyTrainCfg(), train.NewSGD(0), 1)
+		e, err := NewEngine(c, strat, mc, tinyCorpusCfg(), tinyTrainCfg(), train.NewAdam(0), 1)
 		if err != nil {
 			panic(err)
 		}
@@ -197,7 +197,7 @@ func TestNumParamsGlobal(t *testing.T) {
 		// Expert params per layer: 4 experts × (8*16+16 + 16*8+8) = 4*280.
 		// 2 MoE layers (MoEEvery=1, Layers=2).
 		wantExperts := 2 * 4 * (8*16 + 16 + 16*8 + 8)
-		dense := nn.NumParams(e.DenseParams())
+		dense := nn.NumParams(e.denseParams)
 		if got != dense+wantExperts {
 			t.Errorf("NumParamsGlobal = %d, want %d", got, dense+wantExperts)
 		}
@@ -210,14 +210,14 @@ func TestNumParamsGlobal(t *testing.T) {
 func TestEngineRejectsBadGrid(t *testing.T) {
 	w := mpi.NewWorld(2, nil)
 	w.Run(func(c *mpi.Comm) {
-		_, err := NewEngine(c, Strategy{DataParallel: 3, ExpertParallel: 1}, tinyModelCfg(0), tinyCorpusCfg(), tinyTrainCfg(), train.NewSGD(0), 1)
+		_, err := NewEngine(c, Strategy{DataParallel: 3, ExpertParallel: 1}, tinyModelCfg(0), tinyCorpusCfg(), tinyTrainCfg(), train.NewAdam(0), 1)
 		if err == nil {
 			t.Error("mismatched grid accepted")
 		}
 		_, err = NewEngine(c, Strategy{DataParallel: 1, ExpertParallel: 2}, ModelConfig{
 			GPT:        tinyModelCfg(1).GPT,
 			NumExperts: 3, TopK: 1, CapacityFactor: 1, MoEHidden: 8, MoEEvery: 1,
-		}, tinyCorpusCfg(), tinyTrainCfg(), train.NewSGD(0), 1)
+		}, tinyCorpusCfg(), tinyTrainCfg(), train.NewAdam(0), 1)
 		if err == nil {
 			t.Error("indivisible experts accepted")
 		}
@@ -419,7 +419,7 @@ func TestMixedOverflowSkipsEverywhere(t *testing.T) {
 							// The embeddings complete the bucket holding the
 							// first dense gradient, whose sync starts now:
 							// finite at the scale, past 65504 once two meet.
-							e.DenseParams()[0].G.Data[0] = 40000
+							e.denseParams[0].G.Data[0] = 40000
 						}
 						finished(u)
 					}
@@ -512,7 +512,7 @@ func TestEngineRebalanceKeepsTraining(t *testing.T) {
 			}
 		}
 		var d []float32
-		for _, p := range e.DenseParams() {
+		for _, p := range e.denseParams {
 			d = append(d, p.W.Data...)
 		}
 		dense[c.Rank()] = d

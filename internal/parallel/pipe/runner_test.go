@@ -134,7 +134,7 @@ func TestSplitBackwardSendsBeforeWeights(t *testing.T) {
 		alpha = 1e-6
 	)
 	topo := simnet.Uniform(alpha, 1)
-	link := topo.Cost(1, 0, 4*tinyBatch*tinyCfg.SeqLen*tinyCfg.Dim)
+	link := topo.CostAtLevel(topo.LevelOf(1, 0), 4*tinyBatch*tinyCfg.SeqLen*tinyCfg.Dim)
 	var bEnd, recvDone [micro]float64
 	batches := tinyBatches(micro)
 	mpi.NewWorld(2, topo).Run(func(c *mpi.Comm) {

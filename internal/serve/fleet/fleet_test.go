@@ -222,9 +222,9 @@ func TestFleetDegradedSteering(t *testing.T) {
 		t.Fatal(err)
 	}
 	straggler := -1
-	for _, e := range inj.Events() {
-		if e.Kind == fault.EventStraggler {
-			straggler = e.Rank
+	for r := range cfg.Replicas {
+		if inj.StragglerOf(r) > 1 {
+			straggler = r
 		}
 	}
 	if straggler < 0 {

@@ -120,13 +120,6 @@ func (t *Topology) LevelOf(a, b int) Level {
 	}
 }
 
-// Cost returns the α–β transfer time in seconds for nbytes between
-// two ranks.
-func (t *Topology) Cost(a, b int, nbytes int) float64 {
-	l := t.LevelOf(a, b)
-	return t.Alpha[l] + float64(nbytes)*t.Beta[l]
-}
-
 // CostAtLevel prices nbytes at a given level directly.
 func (t *Topology) CostAtLevel(l Level, nbytes int) float64 {
 	return t.Alpha[l] + float64(nbytes)*t.Beta[l]
@@ -145,14 +138,6 @@ func (t *Topology) RanksPerSupernode() int {
 type Traffic struct {
 	Msgs  [4]int64 // indexed by Level
 	Bytes [4]int64
-}
-
-// Add accumulates o into t.
-func (t *Traffic) Add(o Traffic) {
-	for l := range t.Msgs {
-		t.Msgs[l] += o.Msgs[l]
-		t.Bytes[l] += o.Bytes[l]
-	}
 }
 
 // Sub returns t minus o — the delta between two snapshots taken

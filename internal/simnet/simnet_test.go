@@ -11,6 +11,12 @@ func topo() *Topology {
 	return New(sunway.TestMachine(2, 2), 2)
 }
 
+// cost prices nbytes between ranks a and b at the level that separates
+// them.
+func cost(tp *Topology, a, b, nbytes int) float64 {
+	return tp.CostAtLevel(tp.LevelOf(a, b), nbytes)
+}
+
 func TestLevelClassification(t *testing.T) {
 	tp := topo()
 	cases := []struct {
@@ -48,10 +54,10 @@ func TestNodeAndSupernodeMapping(t *testing.T) {
 func TestCostMonotoneInHierarchy(t *testing.T) {
 	tp := topo()
 	n := 1 << 16
-	self := tp.Cost(0, 0, n)
-	node := tp.Cost(0, 1, n)
-	sn := tp.Cost(0, 2, n)
-	machine := tp.Cost(0, 4, n)
+	self := cost(tp, 0, 0, n)
+	node := cost(tp, 0, 1, n)
+	sn := cost(tp, 0, 2, n)
+	machine := cost(tp, 0, 4, n)
 	if !(self < node && node < sn && sn < machine) {
 		t.Fatalf("costs not monotone: %v %v %v %v", self, node, sn, machine)
 	}
@@ -60,9 +66,9 @@ func TestCostMonotoneInHierarchy(t *testing.T) {
 func TestCostAlphaBetaStructure(t *testing.T) {
 	tp := topo()
 	// Cost must be affine in message size.
-	c0 := tp.Cost(0, 4, 0)
-	c1 := tp.Cost(0, 4, 1000)
-	c2 := tp.Cost(0, 4, 2000)
+	c0 := cost(tp, 0, 4, 0)
+	c1 := cost(tp, 0, 4, 1000)
+	c2 := cost(tp, 0, 4, 2000)
 	if c0 != tp.Alpha[MachineLevel] {
 		t.Fatalf("zero-byte cost %v != alpha %v", c0, tp.Alpha[MachineLevel])
 	}
@@ -71,24 +77,17 @@ func TestCostAlphaBetaStructure(t *testing.T) {
 	}
 }
 
-func TestCostAtLevelMatchesCost(t *testing.T) {
-	tp := topo()
-	if tp.CostAtLevel(MachineLevel, 500) != tp.Cost(0, 7, 500) {
-		t.Fatal("CostAtLevel disagrees with Cost")
-	}
-}
-
 func TestUniformTopology(t *testing.T) {
 	tp := Uniform(1e-6, 10)
 	// All distinct-rank pairs are priced identically regardless of
 	// the nominal level.
-	if tp.Cost(0, 99, 4096) != tp.Cost(0, 1, 4096) {
+	if cost(tp, 0, 99, 4096) != cost(tp, 0, 1, 4096) {
 		t.Fatal("uniform topology prices pairs differently")
 	}
-	if tp.Cost(0, 1, 0) != 1e-6 {
-		t.Fatalf("uniform alpha = %v", tp.Cost(0, 1, 0))
+	if cost(tp, 0, 1, 0) != 1e-6 {
+		t.Fatalf("uniform alpha = %v", cost(tp, 0, 1, 0))
 	}
-	if tp.Cost(5, 5, 1000) != 0 {
+	if cost(tp, 5, 5, 1000) != 0 {
 		t.Fatal("self transfer should be free in uniform topology")
 	}
 }

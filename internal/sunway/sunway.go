@@ -144,26 +144,6 @@ func (m *Machine) Cores() int {
 	return m.CoreGroups() * (m.CPEsPerCoreGroup + m.MPEsPerCoreGroup)
 }
 
-// CoresPerNode returns cores in one node.
-func (m *Machine) CoresPerNode() int {
-	return m.CoreGroupsPerNode * (m.CPEsPerCoreGroup + m.MPEsPerCoreGroup)
-}
-
-// PeakFlopsFP16 returns the machine-wide half-precision peak in FLOP/s.
-func (m *Machine) PeakFlopsFP16() float64 {
-	return float64(m.CoreGroups()) * m.CGGflopsFP16 * 1e9
-}
-
-// PeakFlopsFP32 returns the machine-wide single-precision peak in FLOP/s.
-func (m *Machine) PeakFlopsFP32() float64 {
-	return float64(m.CoreGroups()) * m.CGGflopsFP32 * 1e9
-}
-
-// TotalMemGiB returns aggregate node memory.
-func (m *Machine) TotalMemGiB() float64 {
-	return float64(m.Nodes()) * m.NodeMemGiB
-}
-
 // NodeFlops returns one node's peak at the given precision.
 func (m *Machine) NodeFlops(p Precision) float64 {
 	var g float64
@@ -199,13 +179,6 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("sunway: bisection oversubscription %v < 1", m.BisectionOversub)
 	}
 	return nil
-}
-
-// String summarizes the machine.
-func (m *Machine) String() string {
-	return fmt.Sprintf("Sunway[%d SN x %d nodes = %d nodes, %d cores, %.2f PFLOPS fp16 peak, %.0f TiB mem]",
-		m.Supernodes, m.NodesPerSupernode, m.Nodes(), m.Cores(),
-		m.PeakFlopsFP16()/1e15, m.TotalMemGiB()/1024)
 }
 
 // Precision enumerates the numeric formats the machine supports.

@@ -1,9 +1,6 @@
 package sunway
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestFullMachineShape(t *testing.T) {
 	m := NewGenerationSunway()
@@ -17,8 +14,8 @@ func TestFullMachineShape(t *testing.T) {
 	if m.Cores() <= 37_000_000 {
 		t.Fatalf("Cores = %d, want > 37M", m.Cores())
 	}
-	if m.CoresPerNode() != 390 {
-		t.Fatalf("CoresPerNode = %d, want 390", m.CoresPerNode())
+	if perNode := m.Cores() / m.Nodes(); perNode != 390 {
+		t.Fatalf("cores per node = %d, want 390", perNode)
 	}
 	if m.CoreGroups() != 96000*6 {
 		t.Fatalf("CoreGroups = %d", m.CoreGroups())
@@ -27,12 +24,13 @@ func TestFullMachineShape(t *testing.T) {
 
 func TestPeakFlopsOrdering(t *testing.T) {
 	m := NewGenerationSunway()
-	if !(m.PeakFlopsFP16() > m.PeakFlopsFP32()) {
+	fp16 := float64(m.Nodes()) * m.NodeFlops(FP16)
+	if !(fp16 > float64(m.Nodes())*m.NodeFlops(FP32)) {
 		t.Fatal("fp16 peak must exceed fp32 peak")
 	}
 	// Full machine half-precision peak should be in exaflop range.
-	if m.PeakFlopsFP16() < 1e18 {
-		t.Fatalf("fp16 peak %.3g < 1 EFLOPS", m.PeakFlopsFP16())
+	if fp16 < 1e18 {
+		t.Fatalf("fp16 peak %.3g < 1 EFLOPS", fp16)
 	}
 }
 
@@ -94,20 +92,6 @@ func TestBytesPerParam(t *testing.T) {
 	}
 	if !(FP16.BytesPerParam() < Mixed.BytesPerParam()) {
 		t.Fatal("fp16 must be smaller than mixed")
-	}
-}
-
-func TestStringSummary(t *testing.T) {
-	s := NewGenerationSunway().String()
-	if !strings.Contains(s, "96000 nodes") {
-		t.Fatalf("summary %q missing node count", s)
-	}
-}
-
-func TestTotalMem(t *testing.T) {
-	m := TestMachine(1, 2)
-	if m.TotalMemGiB() != 2*96 {
-		t.Fatalf("TotalMemGiB = %v", m.TotalMemGiB())
 	}
 }
 

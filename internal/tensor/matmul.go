@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Matrix products, the hot loops of the whole reproduction. Every a@b
 // and a@bᵀ entry point validates its shapes, allocates its output and
@@ -242,15 +239,15 @@ const (
 	stripsOnly
 )
 
-var gemmPool = sync.Pool{New: func() any {
-	g := new(gemm)
-	g.tiledFn, g.stripFn = g.tiledRange, g.stripRows
-	return g
-}}
+var gemmPool freeList[*gemm]
 
 // newGemm takes a descriptor with no groups yet from the pool.
 func newGemm(out, a []float32, k, n int, transB bool, kn kernel) *gemm {
-	g := gemmPool.Get().(*gemm)
+	g, ok := gemmPool.get()
+	if !ok {
+		g = new(gemm)
+		g.tiledFn, g.stripFn = g.tiledRange, g.stripRows
+	}
 	g.out, g.a, g.k, g.n, g.transB, g.kernel = out, a, k, n, transB, kn
 	g.off, g.bs = append(g.off[:0], 0), g.bs[:0]
 	return g
@@ -277,7 +274,7 @@ func (g *gemm) run() {
 	}
 	g.out, g.a = nil, nil
 	clear(g.bs)
-	gemmPool.Put(g)
+	gemmPool.put(g)
 }
 
 // strips is the strip driver: row-parallel matmulRows, each worker's
@@ -354,8 +351,7 @@ const transAK = 128
 // first, as in the tiled kernel: in place its rows sit a whole row of
 // b apart and alias into a fraction of L1.
 func matmulTransARows(out, a, b []float32, pLo, pHi, m, n, s, e int) {
-	bp := panelPool.Get().(*[]float32)
-	panel := *bp
+	panel := getPanel()
 	for p0 := pLo; p0 < pHi; p0 += transAK {
 		p1 := min(p0+transAK, pHi)
 		for j0 := 0; j0 < n; j0 += tileN {
@@ -366,7 +362,7 @@ func matmulTransARows(out, a, b []float32, pLo, pHi, m, n, s, e int) {
 			}
 		}
 	}
-	panelPool.Put(bp)
+	panelPool.put(panel)
 }
 
 // transposeInto writes the transpose of the r-by-c block at src (row

@@ -1,7 +1,5 @@
 package tensor
 
-import "sync"
-
 // Tiled GEMM kernel modeled on the blocking scheme used for the
 // SW26010-Pro CPE mesh: the output is processed in MC×NC macro-tiles
 // with a KC-deep panel of B packed contiguously (the analogue of
@@ -33,10 +31,15 @@ const (
 
 // panelPool recycles the per-worker packed B panels so repeated GEMMs
 // allocate nothing.
-var panelPool = sync.Pool{New: func() any {
-	s := make([]float32, tileK*tileN)
-	return &s
-}}
+var panelPool freeList[[]float32]
+
+// getPanel takes a packed-panel buffer from panelPool.
+func getPanel() []float32 {
+	if p, ok := panelPool.get(); ok {
+		return p
+	}
+	return make([]float32, tileK*tileN)
+}
 
 // gUnit is one row macro-tile of the tiled driver: rows [i0,i1) of the
 // flat activation matrix, all belonging to group g.
@@ -72,8 +75,7 @@ func tiledUnits(out, a []float32, bs [][]float32, units []gUnit, k, n int, trans
 	if transB {
 		pack, stride = packBT, k
 	}
-	bp := panelPool.Get().(*[]float32)
-	panel := *bp
+	panel := getPanel()
 	for j0 := 0; j0 < n; j0 += tileN {
 		j1 := min(j0+tileN, n)
 		for p0 := 0; p0 < k; p0 += tileK {
@@ -88,7 +90,7 @@ func tiledUnits(out, a []float32, bs [][]float32, units []gUnit, k, n int, trans
 			}
 		}
 	}
-	panelPool.Put(bp)
+	panelPool.put(panel)
 }
 
 // packB copies B[p0:p1, j0:j1] into a contiguous row-major panel with

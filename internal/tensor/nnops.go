@@ -133,27 +133,3 @@ func geluGradScalar(x float32) float32 {
 	dinner := c * (1 + 3*0.044715*xf*xf)
 	return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*dinner)
 }
-
-// ReLU applies max(0,x) elementwise.
-func ReLU(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-}
-
-// Sigmoid applies the logistic function elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(x))))
-	})
-}
-
-// Tanh applies tanh elementwise.
-func Tanh(a *Tensor) *Tensor {
-	return Apply(a, func(x float32) float32 {
-		return float32(math.Tanh(float64(x)))
-	})
-}

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // checkSame panics unless a and b have equal shapes.
 func checkSame(op string, a, b *Tensor) {
@@ -24,18 +21,6 @@ func Add(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor {
-	checkSame("Sub", a, b)
-	out := New(a.Shape...)
-	Parallel(len(a.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			out.Data[i] = a.Data[i] - b.Data[i]
-		}
-	})
-	return out
-}
-
 // Mul returns a * b elementwise (Hadamard product).
 func Mul(a, b *Tensor) *Tensor {
 	checkSame("Mul", a, b)
@@ -43,18 +28,6 @@ func Mul(a, b *Tensor) *Tensor {
 	Parallel(len(a.Data), func(s, e int) {
 		for i := s; i < e; i++ {
 			out.Data[i] = a.Data[i] * b.Data[i]
-		}
-	})
-	return out
-}
-
-// Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor {
-	checkSame("Div", a, b)
-	out := New(a.Shape...)
-	Parallel(len(a.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			out.Data[i] = a.Data[i] / b.Data[i]
 		}
 	})
 	return out
@@ -68,17 +41,6 @@ func AddInPlace(a, b *Tensor) {
 			a.Data[i] += b.Data[i]
 		}
 	})
-}
-
-// Scale returns a*c.
-func Scale(a *Tensor, c float32) *Tensor {
-	out := New(a.Shape...)
-	Parallel(len(a.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			out.Data[i] = a.Data[i] * c
-		}
-	})
-	return out
 }
 
 // ScaleInPlace multiplies every element of a by c.
@@ -99,51 +61,6 @@ func AXPY(alpha float32, x, y *Tensor) {
 	})
 }
 
-// Neg returns -a.
-func Neg(a *Tensor) *Tensor { return Scale(a, -1) }
-
-// Sum returns the sum of all elements.
-func Sum(a *Tensor) float32 {
-	// Serial Kahan-style pairwise accumulation keeps results
-	// deterministic across worker counts, which the distributed
-	// gradient-sync tests rely on.
-	var sum float64
-	for _, v := range a.Data {
-		sum += float64(v)
-	}
-	return float32(sum)
-}
-
-// Mean returns the arithmetic mean of all elements.
-func Mean(a *Tensor) float32 {
-	if len(a.Data) == 0 {
-		return 0
-	}
-	return Sum(a) / float32(len(a.Data))
-}
-
-// ArgMaxRows returns, for a rank-2 tensor, the argmax of each row.
-func ArgMaxRows(a *Tensor) []int {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: ArgMaxRows on shape %v", a.Shape))
-	}
-	rows := a.Shape[0]
-	out := make([]int, rows)
-	ParallelWork(rows, a.Shape[1], func(s, e int) {
-		for r := s; r < e; r++ {
-			row := a.Row(r)
-			best, bi := row[0], 0
-			for i, v := range row[1:] {
-				if v > best {
-					best, bi = v, i+1
-				}
-			}
-			out[r] = bi
-		}
-	})
-	return out
-}
-
 // Dot returns the inner product of two equal-shaped tensors.
 func Dot(a, b *Tensor) float32 {
 	checkSame("Dot", a, b)
@@ -152,36 +69,6 @@ func Dot(a, b *Tensor) float32 {
 		sum += float64(a.Data[i]) * float64(b.Data[i])
 	}
 	return float32(sum)
-}
-
-// Norm2 returns the L2 norm of a.
-func Norm2(a *Tensor) float32 {
-	var sum float64
-	for _, v := range a.Data {
-		sum += float64(v) * float64(v)
-	}
-	return float32(math.Sqrt(sum))
-}
-
-// Apply returns f applied elementwise to a.
-func Apply(a *Tensor, f func(float32) float32) *Tensor {
-	out := New(a.Shape...)
-	Parallel(len(a.Data), func(s, e int) {
-		for i := s; i < e; i++ {
-			out.Data[i] = f(a.Data[i])
-		}
-	})
-	return out
-}
-
-// Exp returns e^a elementwise.
-func Exp(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Exp(float64(v))) })
-}
-
-// Log returns ln(a) elementwise.
-func Log(a *Tensor) *Tensor {
-	return Apply(a, func(v float32) float32 { return float32(math.Log(float64(v))) })
 }
 
 // SumRows returns the column-wise sum of a rank-2 tensor: out[j] =
@@ -198,26 +85,6 @@ func SumRows(a *Tensor) *Tensor {
 			out.Data[j] += v
 		}
 	}
-	return out
-}
-
-// SumCols returns the row-wise sum of a rank-2 tensor: out[i] =
-// sum_j a[i,j], shape [rows].
-func SumCols(a *Tensor) *Tensor {
-	if len(a.Shape) != 2 {
-		panic(fmt.Sprintf("tensor: SumCols on shape %v", a.Shape))
-	}
-	r, c := a.Shape[0], a.Shape[1]
-	out := New(r)
-	ParallelWork(r, c, func(s, e int) {
-		for i := s; i < e; i++ {
-			var sum float64
-			for _, v := range a.Data[i*c : (i+1)*c] {
-				sum += float64(v)
-			}
-			out.Data[i] = float32(sum)
-		}
-	})
 	return out
 }
 

@@ -43,7 +43,7 @@ type task struct {
 var (
 	workersOnce sync.Once
 	taskCh      chan task
-	wgPool      = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+	wgPool      freeList[*sync.WaitGroup]
 )
 
 // startWorkers spins up the persistent workers, once, on first
@@ -69,7 +69,10 @@ func startWorkers() {
 func dispatch(n, w int, fn func(start, end int)) {
 	workersOnce.Do(startWorkers)
 	chunk := (n + w - 1) / w
-	wg := wgPool.Get().(*sync.WaitGroup)
+	wg, ok := wgPool.get()
+	if !ok {
+		wg = new(sync.WaitGroup)
+	}
 	for start := chunk; start < n; start += chunk {
 		end := start + chunk
 		if end > n {
@@ -86,7 +89,7 @@ func dispatch(n, w int, fn func(start, end int)) {
 	}
 	fn(0, chunk)
 	wg.Wait()
-	wgPool.Put(wg)
+	wgPool.put(wg)
 }
 
 // Parallel splits [0,n) into contiguous chunks and runs fn on each

@@ -11,6 +11,10 @@ import (
 // payloads and flattened receive buffers (which the distributed MoE
 // exchange legs carry), the sharded optimizer's flat buffers and
 // checkpoint snapshots. Tensors themselves are plain Go allocations.
+// Unlike the small recycled values (freeList), these buffers stay in
+// sync.Pools, so the collector may take them back between steps: kept
+// in free lists, they raised both serving benchmark workloads' peak RSS
+// by 16 % (medians of three runs on 2 vCPU).
 
 const (
 	// Size classes are powers of two from 1<<minClassBits floats up

@@ -67,12 +67,6 @@ func numel(shape []int) int {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
-
 // Reshape returns a view of t with a new shape. One dimension may be
 // -1, in which case it is inferred. The data is shared, not copied.
 func (t *Tensor) Reshape(shape ...int) *Tensor {

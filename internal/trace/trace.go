@@ -7,7 +7,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -41,19 +40,6 @@ func (r *Recorder) Add(e Event) {
 	r.events = append(r.events, e)
 }
 
-// Span records a phase given start/end timestamps in seconds,
-// converting to the trace's microsecond unit.
-func (r *Recorder) Span(name string, rank int, startSec, endSec float64) {
-	r.Add(Event{Name: name, Rank: rank, Start: startSec * 1e6, Dur: (endSec - startSec) * 1e6})
-}
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Events returns a stable copy sorted by (rank, start).
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
@@ -66,13 +52,6 @@ func (r *Recorder) Events() []Event {
 		return out[i].Start < out[j].Start
 	})
 	return out
-}
-
-// Reset drops all events.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = r.events[:0]
 }
 
 // chromeEvent is the on-disk trace-event schema ("X" = complete
@@ -113,30 +92,4 @@ func (r *Recorder) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Summary aggregates total duration per phase name, a quick textual
-// view of the same data.
-func (r *Recorder) Summary() map[string]float64 {
-	out := map[string]float64{}
-	for _, e := range r.Events() {
-		out[e.Name] += e.Dur
-	}
-	return out
-}
-
-// FormatSummary renders the per-phase totals sorted by descending
-// time.
-func (r *Recorder) FormatSummary() string {
-	sum := r.Summary()
-	names := make([]string, 0, len(sum))
-	for n := range sum {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return sum[names[i]] > sum[names[j]] })
-	s := ""
-	for _, n := range names {
-		s += fmt.Sprintf("%-20s %12.1f µs\n", n, sum[n])
-	}
-	return s
 }

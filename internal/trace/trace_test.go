@@ -3,7 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"os"
 	"sync"
 	"testing"
 )
@@ -22,15 +22,6 @@ func TestAddAndEventsSorted(t *testing.T) {
 	}
 }
 
-func TestSpanConvertsSecondsToMicros(t *testing.T) {
-	r := New()
-	r.Span("phase", 2, 1.0, 1.5)
-	e := r.Events()[0]
-	if e.Start != 1e6 || e.Dur != 0.5e6 || e.Rank != 2 {
-		t.Fatalf("event %+v", e)
-	}
-}
-
 func TestConcurrentAdds(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup
@@ -39,21 +30,21 @@ func TestConcurrentAdds(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Span("work", rank, float64(i), float64(i)+0.5)
+				r.Add(Event{Name: "work", Rank: rank, Start: float64(i), Dur: 0.5})
 			}
 		}(rank)
 	}
 	wg.Wait()
-	if r.Len() != 800 {
-		t.Fatalf("len = %d", r.Len())
+	if n := len(r.Events()); n != 800 {
+		t.Fatalf("len = %d", n)
 	}
 }
 
 func TestChromeTraceJSONValid(t *testing.T) {
 	r := New()
-	r.Span("fwd", 0, 0, 0.001)
-	r.Span("bwd", 0, 0.001, 0.003)
-	r.Span("fwd", 1, 0, 0.0012)
+	r.Add(Event{Name: "fwd", Rank: 0, Start: 0, Dur: 1000})
+	r.Add(Event{Name: "bwd", Rank: 0, Start: 1000, Dur: 2000})
+	r.Add(Event{Name: "fwd", Rank: 1, Start: 0, Dur: 1200})
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -80,34 +71,22 @@ func TestChromeTraceJSONValid(t *testing.T) {
 	}
 }
 
-func TestWriteFileAndReset(t *testing.T) {
+func TestWriteFile(t *testing.T) {
 	r := New()
-	r.Span("x", 0, 0, 1)
+	r.Add(Event{Name: "x", Rank: 0, Start: 0, Dur: 1e6})
 	path := t.TempDir() + "/trace.json"
 	if err := r.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset failed")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSummary(t *testing.T) {
-	r := New()
-	r.Span("a", 0, 0, 1)   // 1e6 µs
-	r.Span("a", 1, 0, 0.5) // 5e5 µs
-	r.Span("b", 0, 0, 0.25)
-	sum := r.Summary()
-	if sum["a"] != 1.5e6 || sum["b"] != 0.25e6 {
-		t.Fatalf("summary %v", sum)
+	var want bytes.Buffer
+	if err := r.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
 	}
-	txt := r.FormatSummary()
-	if !strings.Contains(txt, "a") || !strings.Contains(txt, "b") {
-		t.Fatalf("format %q", txt)
-	}
-	// Descending order: "a" first.
-	if strings.Index(txt, "a") > strings.Index(txt, "b") {
-		t.Fatal("summary not sorted by time")
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file %q, want %q", got, want.Bytes())
 	}
 }

@@ -79,21 +79,3 @@ func (l *LAMB) Step(params []*nn.Param, lr float32) {
 
 // StepCount returns updates applied so far.
 func (l *LAMB) StepCount() int { return l.step }
-
-// TrustRatio reports the trust ratio LAMB would apply to p right now,
-// exposed for the large-batch diagnostics in the benchmarks.
-func (l *LAMB) TrustRatio(p *nn.Param) float32 {
-	var wNorm, gNorm float64
-	for i := range p.W.Data {
-		wNorm += float64(p.W.Data[i]) * float64(p.W.Data[i])
-		gNorm += float64(p.G.Data[i]) * float64(p.G.Data[i])
-	}
-	if wNorm == 0 || gNorm == 0 {
-		return 1
-	}
-	t := float32(math.Sqrt(wNorm) / math.Sqrt(gNorm))
-	if t > l.MaxTrust {
-		t = l.MaxTrust
-	}
-	return t
-}

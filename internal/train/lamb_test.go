@@ -6,7 +6,6 @@ import (
 
 	"bagualu/internal/nn"
 	"bagualu/internal/sunway"
-	"bagualu/internal/tensor"
 )
 
 func TestLAMBConverges(t *testing.T) {
@@ -28,17 +27,24 @@ func TestLAMBConverges(t *testing.T) {
 }
 
 func TestLAMBTrustRatioCapped(t *testing.T) {
-	opt := NewLAMB(0)
-	// Huge weights, tiny gradient: raw ratio would exceed MaxTrust.
-	p := quadParam(1e6)
-	p.G.Data[0] = 1e-6
-	if tr := opt.TrustRatio(p); tr != opt.MaxTrust {
-		t.Fatalf("trust ratio %v, want capped at %v", tr, opt.MaxTrust)
+	// A first step moves w by lr·trust·u, where the bias-corrected
+	// Adam direction is u = g/(|g|+eps) and trust = ||w||/||u||.
+	step := func(w, g float32) float64 {
+		opt := NewLAMB(0)
+		p := quadParam(w)
+		p.G.Data[0] = g
+		opt.Step([]*nn.Param{p}, 0.01)
+		return float64(w - p.W.Data[0])
 	}
-	// Zero gradient: neutral ratio.
-	p.G.Data[0] = 0
-	if tr := opt.TrustRatio(p); tr != 1 {
-		t.Fatalf("zero-grad trust ratio %v", tr)
+	u := 1e-3 / (1e-3 + 1e-6)
+	// Large weights, small direction: the raw ratio would be ~1000,
+	// so the step is capped at MaxTrust = 10.
+	if got, want := step(1000, 1e-3), 0.01*10*u; math.Abs(got-want) > 1e-4 {
+		t.Fatalf("step %v, want %v (trust capped at 10)", got, want)
+	}
+	// Zero weights: neutral ratio.
+	if got, want := step(0, 1e-3), 0.01*u; math.Abs(got-want) > 1e-6 {
+		t.Fatalf("zero-weight step %v, want %v (trust 1)", got, want)
 	}
 }
 
@@ -87,7 +93,7 @@ func TestGradAccumulationMatchesManualAverage(t *testing.T) {
 	// micro-batch gradients.
 	mk := func() *Trainer {
 		model, corpus := tinyModel(33)
-		tr, err := NewTrainer(model, corpus, NewSGD(0), Config{
+		tr, err := NewTrainer(model, corpus, NewAdam(0), Config{
 			Batch: 2, Precision: sunway.FP32, Schedule: ConstantLR(0), Accum: 2,
 		})
 		if err != nil {
@@ -162,8 +168,8 @@ func TestZeroGradIsolatesSteps(t *testing.T) {
 	// break this.
 	a, ca := tinyModel(36)
 	b, cb := tinyModel(36)
-	ta, _ := NewTrainer(a, ca, NewSGD(0), Config{Batch: 2, Precision: sunway.FP32, Schedule: ConstantLR(1e-2)})
-	tb, _ := NewTrainer(b, cb, NewSGD(0), Config{Batch: 2, Precision: sunway.FP32, Schedule: ConstantLR(1e-2)})
+	ta, _ := NewTrainer(a, ca, NewAdam(0), Config{Batch: 2, Precision: sunway.FP32, Schedule: ConstantLR(1e-2)})
+	tb, _ := NewTrainer(b, cb, NewAdam(0), Config{Batch: 2, Precision: sunway.FP32, Schedule: ConstantLR(1e-2)})
 	for i := 0; i < 5; i++ {
 		ma := ta.Step()
 		mb := tb.Step()
@@ -183,5 +189,4 @@ func TestTensorOpsUsedByOptimizers(t *testing.T) {
 	if p.W != w || p.G != g {
 		t.Fatal("optimizer replaced parameter tensors")
 	}
-	_ = tensor.Sum(p.W)
 }

@@ -20,61 +20,6 @@ type Optimizer interface {
 	Step(params []*nn.Param, lr float32)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	Momentum float32
-	vel      map[*nn.Param]*tensor.Tensor
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(momentum float32) *SGD {
-	return &SGD{Momentum: momentum, vel: map[*nn.Param]*tensor.Tensor{}}
-}
-
-// Step applies w -= lr * (momentum-filtered) g.
-func (s *SGD) Step(params []*nn.Param, lr float32) {
-	for _, p := range params {
-		g := p.G
-		if s.Momentum > 0 {
-			v := s.vel[p]
-			if v == nil {
-				v = tensor.New(p.W.Shape...)
-				s.vel[p] = v
-			}
-			tensor.ScaleInPlace(v, s.Momentum)
-			tensor.AddInPlace(v, g)
-			g = v
-		}
-		tensor.AXPY(-lr, g, p.W)
-	}
-}
-
-// State, SetState, and Forget implement moe.OptStateCarrier: expert
-// migration ships the velocity with a moved expert's weights so the
-// trajectory stays bit-exact across a rebalance.
-
-// State returns the momentum velocity for p (nil if none exists yet
-// or momentum is off).
-func (s *SGD) State(p *nn.Param) [][]float32 {
-	if v := s.vel[p]; v != nil {
-		return [][]float32{v.Data}
-	}
-	return nil
-}
-
-// SetState installs a shipped velocity slice for p.
-func (s *SGD) SetState(p *nn.Param, state [][]float32) {
-	if len(state) == 0 {
-		return
-	}
-	v := tensor.New(p.W.Shape...)
-	copy(v.Data, state[0])
-	s.vel[p] = v
-}
-
-// Forget drops any velocity held for p.
-func (s *SGD) Forget(p *nn.Param) { delete(s.vel, p) }
-
 // Adam is the Adam/AdamW optimizer. With WeightDecay > 0 it applies
 // decoupled (AdamW-style) decay.
 type Adam struct {

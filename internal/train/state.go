@@ -34,36 +34,6 @@ func stateParam(name string, t *tensor.Tensor) *nn.Param {
 	return &nn.Param{Name: name, W: t}
 }
 
-// ensureState returns the state tensor for p in m, allocating a
-// zeroed one on first use (mirrors the lazy allocation in Step).
-func ensureState(m map[*nn.Param]*tensor.Tensor, p *nn.Param) *tensor.Tensor {
-	t := m[p]
-	if t == nil {
-		t = tensor.New(p.W.Shape...)
-		m[p] = t
-	}
-	return t
-}
-
-// StateTensors exposes the momentum buffers as "<name>.sgd.v".
-// Momentum-free SGD has no state and returns nil.
-func (s *SGD) StateTensors(params []*nn.Param) []*nn.Param {
-	if s.Momentum == 0 {
-		return nil
-	}
-	out := make([]*nn.Param, 0, len(params))
-	for _, p := range params {
-		out = append(out, stateParam(p.Name+".sgd.v", ensureState(s.vel, p)))
-	}
-	return out
-}
-
-// StepCount returns 0: SGD has no step-dependent correction.
-func (s *SGD) StepCount() int { return 0 }
-
-// SetStepCount is a no-op for SGD.
-func (s *SGD) SetStepCount(int) {}
-
 // StateTensors exposes the Adam moments as "<name>.adam.m" / ".adam.v".
 func (a *Adam) StateTensors(params []*nn.Param) []*nn.Param {
 	out := make([]*nn.Param, 0, 2*len(params))
@@ -283,7 +253,3 @@ func (t *Trainer) ApplyRestored(hdr ckpt.Header) {
 	}
 	t.MP.quantizeWeights()
 }
-
-// SetStepCount overrides the trainer's step counter (used by the
-// recovery path when re-aligning survivors to a restored checkpoint).
-func (t *Trainer) SetStepCount(n int) { t.step = n }

@@ -135,11 +135,11 @@ func TestPooledStepGradientsMatchUnpooled(t *testing.T) {
 	// LR 0: steps compute gradients but never move the weights, so
 	// both models stay at their (identical) initialization.
 	cfg := Config{Batch: 4, Precision: sunway.FP32, Schedule: ConstantLR(0)}
-	trStep, err := NewTrainer(mStep, cStep, NewSGD(0), cfg)
+	trStep, err := NewTrainer(mStep, cStep, NewAdam(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trRef, err := NewTrainer(mRef, cRef, NewSGD(0), cfg)
+	trRef, err := NewTrainer(mRef, cRef, NewAdam(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

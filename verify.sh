@@ -7,7 +7,15 @@
 # their assembly, the transcendental
 # kernels on every float32 there is, and the slower
 # deterministic R-tables regenerated and compared with their goldens —
-# a compare that also fails on run-to-run drift.
+# a compare that also fails on run-to-run drift. Last, the reachability
+# gate: the CLI, the examples and the benchmark are built with coverage,
+# the golden runs and one run of every other product entry point record
+# what they reach, and every function no run reached must be listed
+# with its reason in unreached.txt — nor may the list name a function a
+# run reaches or that is gone. A package under internal/ that no
+# product binary links fails it too. The runs use two Ps, so the kernel
+# worker pool is reached on any host; the portable fallbacks, which a
+# CPU without AVX2/F16C or a purego build does reach, need only exist.
 set -eux
 
 go build ./...
@@ -65,9 +73,63 @@ go test -run TestVMathSweep ./internal/tensor -vmath.stride=1
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin/bagualu" ./cmd/bagualu
+# The product binaries are built with coverage: every run from here on,
+# the golden loop's included, records which functions it reached. At
+# one P the kernels never fan out, so the runs get two whatever the
+# host has.
+mkdir "$bin/cov"
+GOCOVERDIR=$bin/cov
+GOMAXPROCS=2
+export GOCOVERDIR GOMAXPROCS
+go build -cover -coverpkg=./... -o "$bin/bagualu" ./cmd/bagualu
+go build -cover -coverpkg=./... -o "$bin/bench" ./benchmark
+for ex in examples/*/; do
+	go build -cover -coverpkg=./... -o "$bin/example-$(basename "$ex")" "./$ex"
+done
 # Through a file, so a failing exit status stops the script too.
 for id in R2 R3 R4 R5 R8 R13 R14b R16 R17 R18 R19; do
 	"$bin/bagualu" exp $id -csv > "$bin/$id.csv"
 	cmp "$bin/$id.csv" cmd/bagualu/testdata/$id.csv
 done
+# Reachability: the product ships only what its entry points run. The
+# rest of the registry (the loop's ids are not run twice), plan, train
+# with each of its optional paths, a checkpoint served by R13, every
+# example, and one short traced run of each benchmark workload.
+"$bin/bagualu" exp list > "$bin/ids"
+for id in $(awk 'NR > 2 { print $1 }' "$bin/ids"); do
+	if [ ! -e "$bin/$id.csv" ]; then "$bin/bagualu" exp $id > /dev/null; fi
+done
+"$bin/bagualu" plan -seed 7 > /dev/null
+"$bin/bagualu" plan -pp-max 4 -layers 8 > /dev/null
+"$bin/bagualu" train > /dev/null
+"$bin/bagualu" train -rebalance 2 > /dev/null
+"$bin/bagualu" train -offload -zero > /dev/null
+"$bin/bagualu" train -steps 2 -checkpoint "$bin/ckpt" > /dev/null
+"$bin/bagualu" exp R13 -ckpt "$bin/ckpt" -ranks 8 -vocab 256 -dim 64 -ffn-hidden 256 -experts 8 -seq 32 > /dev/null
+for ex in examples/*/; do
+	"$bin/example-$(basename "$ex")" > /dev/null
+done
+# The benchmark reads BENCHMARK.json from, and writes its traces under,
+# its working directory: it runs in $bin, beside a copy.
+cp BENCHMARK.json "$bin/"
+for w in $(sed -n '/"workloads"/,/"end_to_end"/s/^ *"name": "\(.*\)",$/\1/p' BENCHMARK.json); do
+	(cd "$bin" && ./bench -workload "$w" -seconds 1 -trace 1 > /dev/null)
+done
+# Every function outside benchmark/ that none of those runs reached
+# must be in unreached.txt with a reason, and every entry there must
+# still be unreached: the diff fails either way. Whether a portable
+# fallback runs depends on the CPU and the build tags, so those entries
+# are taken out of both sides; each must still name a function.
+go tool covdata func -i "$bin/cov" |
+	sed -n 's|^bagualu/\([^:]*\):[0-9]*:[[:space:]]*\([^[:space:]]*\)[[:space:]]*\([0-9.]*\)%$|\1 \2 \3|p' |
+	grep -v '^benchmark/' | sort > "$bin/funcs"
+if grep -v '^#' unreached.txt | grep . | grep -v '^[^ ]* [^ ]* -- ..*$'; then exit 1; fi
+sed -n 's/^\([^#][^ ]* [^ ]*\) -- portable fallback.*$/\1/p' unreached.txt | sort > "$bin/fallbacks"
+if cut -d' ' -f1,2 "$bin/funcs" | sort | comm -13 - "$bin/fallbacks" | grep .; then exit 1; fi
+sed -n 's/^\([^ ]* [^ ]*\) 0\.0$/\1/p' "$bin/funcs" | sort | comm -23 - "$bin/fallbacks" > "$bin/unreached"
+sed -n 's/^\([^#][^ ]* [^ ]*\) -- .*$/\1/p' unreached.txt | sort | comm -23 - "$bin/fallbacks" | diff - "$bin/unreached"
+# A package no product binary links is reached by nothing at all.
+# Asked of the amd64 build with its assembly, the one that links
+# internal/cpufeat, whatever the host and the build tags.
+GOARCH=amd64 GOFLAGS= go list -deps ./cmd/... ./examples/... ./benchmark | sort -u > "$bin/linked"
+if GOARCH=amd64 GOFLAGS= go list ./internal/... | sort | comm -23 - "$bin/linked" | grep .; then exit 1; fi
