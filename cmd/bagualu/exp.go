@@ -102,7 +102,7 @@ func expFlags(o *options, csv *bool) *flag.FlagSet {
 	fs.IntVar(&o.kvBudget, "kv-budget", 0, "R13/R18: max in-flight KV tokens per rank (0 = unlimited; the fleet caps at 64)")
 	fs.IntVar(&o.queueCap, "queue-cap", 0, "R13: admission queue bound (0 = unlimited)")
 	fs.Float64Var(&o.sloWait, "slo-wait", 0, "R13: admission deadline in seconds (0 = none)")
-	fs.StringVar(&o.ckptDir, "ckpt", "", "R13/R18: serve weights restored from this sharded checkpoint dir (pass the model flags it was trained with)")
+	fs.StringVar(&o.ckptDir, "ckpt", "", "R13/R18: serve weights restored from this sharded checkpoint dir (pass the model flags it was trained with, and a -ranks that divides its -experts)")
 	return fs
 }
 

@@ -71,6 +71,9 @@ func TestPredictStepTracksMeasuredSimsec(t *testing.T) {
 		}
 		pred[i], meas[i] = p.StepTime, res.SimPerStep
 		t.Logf("%-28s pred %.6g  measured %.6g", c, pred[i], meas[i])
+		if e := math.Abs(pred[i]-meas[i]) / meas[i]; e > 0.15 {
+			t.Errorf("%s: predicted step %.6g s is %.1f%% off the measured %.6g s (bound 15%%)", c, pred[i], 100*e, meas[i])
+		}
 	}
 	if tau := KendallTau(pred, meas); tau < 0.6 {
 		t.Fatalf("analytic ranking does not track measured simsec: tau %.3f < 0.6\npred %v\nmeas %v",
@@ -78,14 +81,14 @@ func TestPredictStepTracksMeasuredSimsec(t *testing.T) {
 	}
 }
 
-// TestZeROSurchargeFlatInDepth pins why PredictStep charges ZeRO's
-// extra phase startups once per communicator although the engine binds
-// one shard group per gradient bucket: the buckets' reduce-scatters
-// leave under the backward and the parameter all-gathers leave
-// together, so a model with three times the buckets measures about the
-// same surcharge over the replicated sync. Should the simulator start
-// charging a per-message gap, the measured surcharge grows with depth
-// and PredictStep must charge it per bucket.
+// TestZeROSurchargeFlatInDepth: the engine binds one shard group per
+// gradient bucket, but the buckets' reduce-scatters leave under the
+// backward and the parameter all-gathers leave together, so a model with
+// three times the buckets measures about the same surcharge over the
+// replicated sync. The walk books every group's collectives as the
+// engine issues them, so its surcharge is the simulator's at each depth.
+// Should the simulator start charging a per-message gap, the measured
+// surcharge grows with depth, and the walk must charge it per message.
 func TestZeROSurchargeFlatInDepth(t *testing.T) {
 	cfg, err := testConfig().withDefaults()
 	if err != nil {
@@ -114,8 +117,10 @@ func TestZeROSurchargeFlatInDepth(t *testing.T) {
 		}
 		t.Logf("L=%d: ZeRO surcharge predicted %.3g s, measured %.3g s", layers, pred[i], meas[i])
 	}
-	if math.Abs(pred[1]-pred[0]) > 1e-9*pred[0] {
-		t.Fatalf("predicted ZeRO surcharge moved with depth: %.6g -> %.6g s", pred[0], pred[1])
+	for i := range pred {
+		if math.Abs(pred[i]-meas[i]) > 0.15*meas[i] {
+			t.Fatalf("predicted ZeRO surcharge %.6g s is more than 15%% off the measured %.6g s", pred[i], meas[i])
+		}
 	}
 	if meas[0] <= 0 || meas[1] > 1.5*meas[0] {
 		t.Fatalf("measured ZeRO surcharge %.6g s at 2 layers, %.6g s at 8: it scales with the buckets now", meas[0], meas[1])

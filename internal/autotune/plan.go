@@ -64,7 +64,7 @@ type Plan struct {
 	Validated []Validated // measured top-k, analytic order
 
 	Tau      float64 // Kendall tau: predicted step time vs measured simsec
-	TopMatch bool    // analytic best == measured best
+	TopMatch bool    // predicted fastest == measured fastest
 
 	Winner Candidate // measured-best candidate
 	Proj   Projection

@@ -130,22 +130,26 @@ func KendallTau(a, b []float64) float64 {
 
 // agreement summarizes how well the analytic ranking tracked the
 // measurement: Kendall tau over (predicted fault-free step time,
-// measured sim seconds per step), and whether the analytic best was
-// also the measured best.
+// measured sim seconds per step), and whether the candidate predicted
+// fastest was also measured fastest. Both compare step times, since the
+// short runs checkpoint nothing: the effective step time the candidates
+// are ranked by also prices checkpoints and rework.
 func agreement(v []Validated) (tau float64, topMatch bool) {
 	if len(v) == 0 {
 		return 0, false
 	}
 	pred := make([]float64, len(v))
 	meas := make([]float64, len(v))
-	best := 0
+	best, fastest := 0, 0
 	for i, x := range v {
 		pred[i] = x.Pred.StepTime
 		meas[i] = x.Measured.SimPerStep
 		if meas[i] < meas[best] {
 			best = i
 		}
+		if pred[i] < pred[fastest] {
+			fastest = i
+		}
 	}
-	// v is in analytic ranking order, so index 0 is the analytic best.
-	return KendallTau(pred, meas), best == 0
+	return KendallTau(pred, meas), best == fastest
 }

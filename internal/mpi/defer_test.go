@@ -209,7 +209,7 @@ func (dp deferProgram) run(skip int) *deferRun {
 	})
 	r.stats = w.Stats().Snapshot()
 	delta := after.Sub(before)
-	for l, port := range [4]int{copyPort, copyPort, nicPort, nicPort} {
+	for l, port := range [4]int{0, 0, 1, 1} { // the copy port, then the NIC
 		r.sent[port] += float64(delta.Bytes[l]) * topo.Beta[l]
 	}
 	for g := range held {
@@ -366,10 +366,10 @@ func TestDeferFailureDropsPending(t *testing.T) {
 		case at != c.Now() || at < 1:
 			t.Errorf("rank %d: clock %v after the failure, want the rank's own (≥ 1 s)", c.Rank(), at)
 		}
-		for k := range p.ports {
-			for _, s := range p.ports[k].busy {
-				if s.hi > c.Now() {
-					t.Errorf("rank %d: port %d reserved until %v past the detection at %v", c.Rank(), k, s.hi, c.Now())
+		for k, l := range []simnet.Level{simnet.NodeLevel, simnet.MachineLevel} {
+			for _, s := range p.ports.Busy(l) {
+				if s.Hi > c.Now() {
+					t.Errorf("rank %d: port %d reserved until %v past the detection at %v", c.Rank(), k, s.Hi, c.Now())
 				}
 			}
 		}

@@ -1,10 +1,6 @@
 package mpi
 
-import (
-	"slices"
-
-	"bagualu/internal/simnet"
-)
+import "slices"
 
 // Requests and ports: a rank has a NIC.
 //
@@ -18,12 +14,12 @@ import (
 // moment the body runs, would produce; only virtual time differs.
 //
 // What two requests in flight share honestly is injection: every send
-// reserves n·β on one of the rank's two ports, the copy port (self and
-// intra-node: shared memory between the node's core groups) or the NIC
-// (intra- and inter-supernode links). A send that finds its port idle
-// for its whole n·β is priced exactly as before — the clock advances by
-// n·β and the message arrives α + n·β after it started. Otherwise its
-// bytes fill the port's idle gaps from its start onward, never moving an
+// reserves n·β on one of the rank's two ports (simnet.Ports: the copy
+// port for self and intra-node messages, the NIC for intra- and
+// inter-supernode ones). A send that finds its port idle for its whole
+// n·β is priced exactly as before — the clock advances by n·β and the
+// message arrives α + n·β after it started. Otherwise its bytes fill
+// the port's idle gaps from its start onward, never moving an
 // earlier-booked reservation, the sender is busy until the last byte is
 // out, and the message arrives α after that.
 //
@@ -144,9 +140,7 @@ func (p *proc) run(r *Request, body func(), what string) {
 			return
 		}
 		p.now = max(p.now, resume)
-		for i := range p.ports {
-			p.ports[i].busy = p.ports[i].busy[:0]
-		}
+		p.ports.Clear()
 	}()
 	body()
 	ok = true
@@ -180,79 +174,4 @@ func (p *proc) inBody(what string) {
 	if p.lane != nil {
 		panic("mpi: " + what + " inside a request body; a body carries communication only — charge it before Start or after Wait")
 	}
-}
-
-// The rank's two injection ports.
-const (
-	copyPort = iota // self and intra-node
-	nicPort         // intra- and inter-supernode
-)
-
-// portOf names the port a message at level l leaves through.
-func portOf(l simnet.Level) int {
-	if l <= simnet.NodeLevel {
-		return copyPort
-	}
-	return nicPort
-}
-
-// span is one reservation [lo, hi) of a port.
-type span struct{ lo, hi float64 }
-
-// port is one injection resource: its reservations, ascending and
-// disjoint. Only the owning rank's goroutine touches it.
-type port struct {
-	busy []span
-}
-
-// reserve books d seconds of the port for a send that is ready at start
-// and returns when its last byte leaves and whether the port was idle
-// for the whole [start, start+d). Reservations ending at or before floor
-// — the earliest clock any later send can start at — are forgotten
-// first, which keeps the list at one entry while nothing is in flight.
-func (pt *port) reserve(start, d, floor float64) (end float64, idle bool) {
-	if d <= 0 {
-		return start, true
-	}
-	b := pt.busy
-	k := 0
-	for k < len(b) && b[k].hi <= floor {
-		k++
-	}
-	if k > 0 {
-		b = b[:copy(b, b[k:])]
-	}
-	i := 0
-	for i < len(b) && b[i].hi <= start {
-		i++
-	}
-	end = start + d
-	if i == len(b) || b[i].lo >= end {
-		// Idle throughout: one new reservation, inserted in order.
-		b = append(b, span{})
-		copy(b[i+1:], b[i:])
-		b[i] = span{start, end}
-		pt.busy = b
-		return end, true
-	}
-	// Fill the gaps before reservations i, i+1, … from start onward; the
-	// last byte leaves in the first gap wide enough for the remainder, or
-	// after the last reservation. Everything from the first touched
-	// reservation to that byte is then busy, so they merge into one.
-	lo := min(start, b[i].lo)
-	t, left := start, d
-	j := i
-	for ; j < len(b); j++ {
-		if gap := b[j].lo - t; gap > 0 {
-			if gap >= left {
-				break
-			}
-			left -= gap
-		}
-		t = max(t, b[j].hi)
-	}
-	end = t + left
-	b[i] = span{lo, end}
-	pt.busy = append(b[:i+1], b[j:]...)
-	return end, false
 }

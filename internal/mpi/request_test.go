@@ -217,7 +217,7 @@ func (tc laneCase) run(mode laneMode) *laneRun {
 	r.stats = w.Stats().Snapshot()
 	// Shared memory carries self and intra-node bytes, the NIC the rest.
 	delta := after.Sub(before)
-	for l, port := range [4]int{copyPort, copyPort, nicPort, nicPort} {
+	for l, port := range [4]int{0, 0, 1, 1} { // the copy port, then the NIC
 		r.sent[port] += float64(delta.Bytes[l]) * topo.Beta[l]
 	}
 	for g := range held {
@@ -234,15 +234,15 @@ func (tc laneCase) run(mode laneMode) *laneRun {
 // and checks that they are ordered and disjoint.
 func portTime(p *proc, t0 float64) ([2]float64, error) {
 	var held [2]float64
-	for k := range p.ports {
+	for k, l := range []simnet.Level{simnet.NodeLevel, simnet.MachineLevel} {
 		prev := math.Inf(-1)
-		for _, s := range p.ports[k].busy {
-			if !(s.lo < s.hi) || s.lo < prev {
-				return held, fmt.Errorf("port %d reservations out of order: %v", k, p.ports[k].busy)
+		for _, s := range p.ports.Busy(l) {
+			if !(s.Lo < s.Hi) || s.Lo < prev {
+				return held, fmt.Errorf("port %d reservations out of order: %v", k, p.ports.Busy(l))
 			}
-			prev = s.hi
-			if s.hi > t0 {
-				held[k] += s.hi - max(s.lo, t0)
+			prev = s.Hi
+			if s.Hi > t0 {
+				held[k] += s.Hi - max(s.Lo, t0)
 			}
 		}
 	}
@@ -398,10 +398,10 @@ func TestRequestFailureInFlight(t *testing.T) {
 		case c.Now() < start:
 			t.Errorf("rank %d: clock went back to %v from %v", c.Rank(), c.Now(), start)
 		}
-		for k := range p.ports {
-			for _, s := range p.ports[k].busy {
-				if s.hi > c.Now() {
-					t.Errorf("rank %d: port %d reserved until %v past the detection at %v", c.Rank(), k, s.hi, c.Now())
+		for k, l := range []simnet.Level{simnet.NodeLevel, simnet.MachineLevel} {
+			for _, s := range p.ports.Busy(l) {
+				if s.Hi > c.Now() {
+					t.Errorf("rank %d: port %d reserved until %v past the detection at %v", c.Rank(), k, s.Hi, c.Now())
 				}
 			}
 		}
@@ -446,16 +446,16 @@ func TestRequestBodyRules(t *testing.T) {
 // TestPortIdlePathAllocatesNothing: a send that finds its port idle —
 // every send of a blocking program — reuses the port's one reservation.
 func TestPortIdlePathAllocatesNothing(t *testing.T) {
-	var pt port
+	var pt simnet.Ports
 	now := 0.0
 	allocs := testing.AllocsPerRun(1000, func() {
-		end, idle := pt.reserve(now, 1e-6, now)
+		end, idle := pt.Reserve(simnet.MachineLevel, now, 1e-6, now)
 		if !idle {
 			t.Fatal("a send at the rank's clock found its port busy")
 		}
 		now = end
 	})
-	if allocs != 0 || len(pt.busy) != 1 {
-		t.Fatalf("idle sends allocate %v times each and leave %d reservations", allocs, len(pt.busy))
+	if allocs != 0 || len(pt.Busy(simnet.MachineLevel)) != 1 {
+		t.Fatalf("idle sends allocate %v times each and leave %d reservations", allocs, len(pt.Busy(simnet.MachineLevel)))
 	}
 }

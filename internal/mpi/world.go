@@ -407,7 +407,7 @@ type proc struct {
 	now      float64
 	phases   *metrics.PhaseMeter
 	lane     *Request
-	ports    [2]port
+	ports    simnet.Ports
 	deferred []*Request
 }
 
@@ -452,7 +452,7 @@ func (p *proc) post(dst int, m message) {
 	// wire adds latency on top. Retransmissions (below) replay from the
 	// NIC buffer and occupy neither.
 	inject := float64(n) * beta
-	if end, idle := p.ports[portOf(level)].reserve(start, inject, p.floor()); idle {
+	if end, idle := p.ports.Reserve(level, start, inject, p.floor()); idle {
 		p.now += inject
 		m.arrive = start + alpha + inject
 	} else {

@@ -193,43 +193,6 @@ func (g *Graph) GELU(a *Node) *Node {
 	return out
 }
 
-// ReLU applies max(0, x).
-func (g *Graph) ReLU(a *Node) *Node {
-	out := g.op(relu(a.Value), nil, a)
-	out.back = func() {
-		mask := apply(a.Value, func(x float32) float32 {
-			if x > 0 {
-				return 1
-			}
-			return 0
-		})
-		a.accum(tensor.Mul(out.Grad, mask))
-	}
-	return out
-}
-
-// Tanh applies tanh elementwise.
-func (g *Graph) Tanh(a *Node) *Node {
-	t := tanh(a.Value)
-	out := g.op(t, nil, a)
-	out.back = func() {
-		one := tensor.Ones(t.Shape...)
-		a.accum(tensor.Mul(out.Grad, sub(one, tensor.Mul(t, t))))
-	}
-	return out
-}
-
-// Sigmoid applies the logistic function.
-func (g *Graph) Sigmoid(a *Node) *Node {
-	s := sigmoid(a.Value)
-	out := g.op(s, nil, a)
-	out.back = func() {
-		one := tensor.Ones(s.Shape...)
-		a.accum(tensor.Mul(out.Grad, tensor.Mul(s, sub(one, s))))
-	}
-	return out
-}
-
 // ---- Normalization and attention pieces ----
 
 // LayerNorm normalizes rows of a rank-2 tensor with gain gamma and
@@ -387,156 +350,6 @@ func (g *Graph) Sum(a *Node) *Node {
 	out := g.op(m, nil, a)
 	out.back = func() {
 		a.accum(tensor.Full(out.Grad.Data[0], a.Value.Shape...))
-	}
-	return out
-}
-
-// Additional operations: elementwise transcendentals, row slicing and
-// concatenation, and dropout — enough to express the full model zoo
-// of the examples without touching the fused nn layers.
-
-// Div returns a / b elementwise.
-func (g *Graph) Div(a, b *Node) *Node {
-	out := g.op(div(a.Value, b.Value), nil, a, b)
-	out.back = func() {
-		// d(a/b)/da = 1/b ; d(a/b)/db = -a/b².
-		a.accum(div(out.Grad, b.Value))
-		bb := tensor.Mul(b.Value, b.Value)
-		b.accum(neg(div(tensor.Mul(out.Grad, a.Value), bb)))
-	}
-	return out
-}
-
-// Exp returns e^a elementwise.
-func (g *Graph) Exp(a *Node) *Node {
-	e := exp(a.Value)
-	out := g.op(e, nil, a)
-	out.back = func() {
-		a.accum(tensor.Mul(out.Grad, e))
-	}
-	return out
-}
-
-// Log returns ln(a) elementwise (a must be positive).
-func (g *Graph) Log(a *Node) *Node {
-	out := g.op(log(a.Value), nil, a)
-	out.back = func() {
-		a.accum(div(out.Grad, a.Value))
-	}
-	return out
-}
-
-// Pow returns a^p elementwise for constant p.
-func (g *Graph) Pow(a *Node, p float32) *Node {
-	v := apply(a.Value, func(x float32) float32 {
-		return float32(math.Pow(float64(x), float64(p)))
-	})
-	out := g.op(v, nil, a)
-	out.back = func() {
-		d := apply(a.Value, func(x float32) float32 {
-			return p * float32(math.Pow(float64(x), float64(p-1)))
-		})
-		a.accum(tensor.Mul(out.Grad, d))
-	}
-	return out
-}
-
-// SliceRows returns rows [lo, hi) of a rank-2 tensor as a view-copy.
-func (g *Graph) SliceRows(a *Node, lo, hi int) *Node {
-	if len(a.Value.Shape) != 2 {
-		panic(fmt.Sprintf("autograd: SliceRows on shape %v", a.Value.Shape))
-	}
-	rows, cols := a.Value.Shape[0], a.Value.Shape[1]
-	if lo < 0 || hi > rows || lo >= hi {
-		panic(fmt.Sprintf("autograd: SliceRows [%d,%d) of %d rows", lo, hi, rows))
-	}
-	v := tensor.New(hi-lo, cols)
-	copy(v.Data, a.Value.Data[lo*cols:hi*cols])
-	out := g.op(v, nil, a)
-	out.back = func() {
-		d := tensor.New(rows, cols)
-		copy(d.Data[lo*cols:hi*cols], out.Grad.Data)
-		a.accum(d)
-	}
-	return out
-}
-
-// ConcatRows stacks rank-2 tensors with equal column counts on the
-// row axis.
-func (g *Graph) ConcatRows(parts ...*Node) *Node {
-	if len(parts) == 0 {
-		panic("autograd: ConcatRows of nothing")
-	}
-	cols := parts[0].Value.Shape[1]
-	rows := 0
-	for _, p := range parts {
-		if len(p.Value.Shape) != 2 || p.Value.Shape[1] != cols {
-			panic(fmt.Sprintf("autograd: ConcatRows with shape %v, want [_, %d]", p.Value.Shape, cols))
-		}
-		rows += p.Value.Shape[0]
-	}
-	v := tensor.New(rows, cols)
-	off := 0
-	for _, p := range parts {
-		copy(v.Data[off:], p.Value.Data)
-		off += p.Value.Len()
-	}
-	out := g.op(v, nil, parts...)
-	out.back = func() {
-		off := 0
-		for _, p := range parts {
-			n := p.Value.Len()
-			d := tensor.FromSlice(append([]float32(nil), out.Grad.Data[off:off+n]...), p.Value.Shape...)
-			p.accum(d)
-			off += n
-		}
-	}
-	return out
-}
-
-// Dropout zeroes each element with probability rate and scales the
-// survivors by 1/(1-rate) (inverted dropout). Pass the training-step
-// RNG; a nil RNG disables dropout (identity), the inference path.
-func (g *Graph) Dropout(a *Node, rate float32, r *tensor.RNG) *Node {
-	if r == nil || rate <= 0 {
-		return g.Scale(a, 1) // identity that still participates in the tape
-	}
-	if rate >= 1 {
-		panic("autograd: dropout rate must be < 1")
-	}
-	keep := 1 - rate
-	mask := tensor.New(a.Value.Shape...)
-	for i := range mask.Data {
-		if r.Float32() < keep {
-			mask.Data[i] = 1 / keep
-		}
-	}
-	out := g.op(tensor.Mul(a.Value, mask), nil, a)
-	out.back = func() {
-		a.accum(tensor.Mul(out.Grad, mask))
-	}
-	return out
-}
-
-// MeanRows reduces a rank-2 tensor to the per-row mean, shape [rows].
-func (g *Graph) MeanRows(a *Node) *Node {
-	if len(a.Value.Shape) != 2 {
-		panic(fmt.Sprintf("autograd: MeanRows on shape %v", a.Value.Shape))
-	}
-	rows, cols := a.Value.Shape[0], a.Value.Shape[1]
-	m := sumCols(a.Value)
-	tensor.ScaleInPlace(m, 1/float32(cols))
-	out := g.op(m, nil, a)
-	out.back = func() {
-		d := tensor.New(rows, cols)
-		for i := 0; i < rows; i++ {
-			gv := out.Grad.Data[i] / float32(cols)
-			row := d.Row(i)
-			for j := range row {
-				row[j] = gv
-			}
-		}
-		a.accum(d)
 	}
 	return out
 }

@@ -195,13 +195,6 @@ func (g *GPT) inferAttention(blk *TransformerBlock, bi int, x *tensor.Tensor, ru
 	return InferLinear(at.OProj, ctx)
 }
 
-// SampleToken samples from a logits row: greedy argmax when
-// temperature <= 0 or r is nil, otherwise one draw from the
-// temperature-scaled softmax. Exported for the serving engine.
-func SampleToken(logits []float32, temperature float32, r *tensor.RNG) int {
-	return sampleToken(logits, temperature, r)
-}
-
 // GenerateKV continues a prompt for n tokens through the KV-cache
 // decode path: one prefill step over the prompt, then one single-row
 // decode step per emitted token. prompt length + n must fit the
@@ -214,7 +207,7 @@ func (g *GPT) GenerateKV(prompt []int, n int, temperature float32, r *tensor.RNG
 	cache := g.NewKVCache()
 	logits := g.InferStep(out, []InferRun{{Cache: cache, Rows: len(out)}})
 	for i := 0; i < n; i++ {
-		next := sampleToken(logits.Row(logits.Shape[0]-1), temperature, r)
+		next := SampleToken(logits.Row(logits.Shape[0]-1), temperature, r)
 		out = append(out, next)
 		if i == n-1 {
 			break
@@ -237,7 +230,7 @@ func (g *GPT) GenerateReforward(prompt []int, n int, temperature float32, r *ten
 	for i := 0; i < n; i++ {
 		cache := g.NewKVCache()
 		logits := g.InferStep(out, []InferRun{{Cache: cache, Rows: len(out)}})
-		out = append(out, sampleToken(logits.Row(logits.Shape[0]-1), temperature, r))
+		out = append(out, SampleToken(logits.Row(logits.Shape[0]-1), temperature, r))
 	}
 	return out
 }

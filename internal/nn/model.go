@@ -408,15 +408,16 @@ func (g *GPT) Generate(prompt []int, n int, temperature float32, r *tensor.RNG) 
 		}
 		logits := g.Forward(window)
 		row := logits.Row(pos)
-		next := sampleToken(row, temperature, r)
+		next := SampleToken(row, temperature, r)
 		out = append(out, next)
 	}
 	return out
 }
 
-// sampleToken draws from softmax(logits/temperature); temperature 0
-// is argmax.
-func sampleToken(logits []float32, temperature float32, r *tensor.RNG) int {
+// SampleToken samples from a logits row: greedy argmax when
+// temperature <= 0 or r is nil, otherwise one draw from the
+// temperature-scaled softmax.
+func SampleToken(logits []float32, temperature float32, r *tensor.RNG) int {
 	if temperature <= 0 || r == nil {
 		best, bi := logits[0], 0
 		for i, v := range logits[1:] {

@@ -31,7 +31,7 @@ import (
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
-	"bagualu/internal/parallel/pipe"
+	"bagualu/internal/parallel/schedule"
 	"bagualu/internal/train"
 )
 
@@ -185,7 +185,7 @@ func (e *Engine) Reform(newComm *mpi.Comm, strat Strategy) error {
 	// restore-into-fewer-stages lands here after a shrink). Ownership
 	// and the schedule runner follow the new partition; checkpoint
 	// restore re-scatters weights and moments by name afterwards.
-	part, err := pipe.PartitionLayers(len(e.Model.Blocks), strat.PP()*strat.VPP())
+	part, err := schedule.PartitionLayers(len(e.Model.Blocks), strat.PP()*strat.VPP())
 	if err != nil {
 		return err
 	}

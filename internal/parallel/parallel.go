@@ -37,6 +37,7 @@ import (
 	"bagualu/internal/nn"
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/parallel/pipe"
+	"bagualu/internal/parallel/schedule"
 	"bagualu/internal/tensor"
 	"bagualu/internal/train"
 )
@@ -159,7 +160,7 @@ type Engine struct {
 	Model    *nn.GPT
 	Trainer  *train.Trainer
 
-	part []pipe.Chunk // the global chunk partition
+	part []schedule.Chunk // the global chunk partition
 
 	moeLayers    []*moe.DistMoE
 	denseParams  []*nn.Param
@@ -215,7 +216,7 @@ func NewEngine(c *mpi.Comm, strat Strategy, mc ModelConfig, corpusCfg data.Corpu
 		return nil, err
 	}
 
-	part, err := pipe.PartitionLayers(mc.GPT.Layers, strat.PP()*strat.VPP())
+	part, err := schedule.PartitionLayers(mc.GPT.Layers, strat.PP()*strat.VPP())
 	if err != nil {
 		return nil, err
 	}

@@ -3,21 +3,23 @@ package pipe
 import (
 	"reflect"
 	"testing"
+
+	"bagualu/internal/parallel/schedule"
 )
 
 func TestPartitionLayers(t *testing.T) {
-	p, err := PartitionLayers(7, 3)
+	p, err := schedule.PartitionLayers(7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Chunk{{0, 3}, {3, 5}, {5, 7}}
+	want := []schedule.Chunk{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 5}, {Lo: 5, Hi: 7}}
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("partition %v, want %v", p, want)
 	}
-	if _, err := PartitionLayers(2, 3); err == nil {
+	if _, err := schedule.PartitionLayers(2, 3); err == nil {
 		t.Fatal("accepted more chunks than layers")
 	}
-	p, err = PartitionLayers(8, 4)
+	p, err = schedule.PartitionLayers(8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +36,10 @@ func TestPartitionLayers(t *testing.T) {
 // deadlock-free on the eager-send wire.
 func simulate(t *testing.T, stages, virtual, micro int) {
 	t.Helper()
-	scheds := make([][]Op, stages)
+	scheds := make([][]schedule.Op, stages)
 	remaining := 0
 	for s := range scheds {
-		scheds[s] = Schedule(s, stages, virtual, micro)
+		scheds[s] = schedule.Schedule(s, stages, virtual, micro)
 		want := 3 * virtual * micro // F, B and W of every pass …
 		if s == 0 {
 			want -= micro // … but global chunk 0's, which has no W
@@ -49,22 +51,22 @@ func simulate(t *testing.T, stages, virtual, micro int) {
 	}
 	last := stages*virtual - 1
 	type key struct {
-		kind  OpKind
+		kind  schedule.OpKind
 		g, mb int
 	}
 	done := map[key]bool{}
-	ready := func(stage int, op Op) bool {
+	ready := func(stage int, op schedule.Op) bool {
 		g := op.Chunk*stages + stage
 		switch op.Kind {
-		case Fwd:
-			return g == 0 || done[key{Fwd, g - 1, op.MB}]
-		case WGrad:
-			return done[key{Bwd, g, op.MB}]
+		case schedule.Fwd:
+			return g == 0 || done[key{schedule.Fwd, g - 1, op.MB}]
+		case schedule.WGrad:
+			return done[key{schedule.Bwd, g, op.MB}]
 		}
-		if !done[key{Fwd, g, op.MB}] {
+		if !done[key{schedule.Fwd, g, op.MB}] {
 			return false
 		}
-		return g == last || done[key{Bwd, g + 1, op.MB}]
+		return g == last || done[key{schedule.Bwd, g + 1, op.MB}]
 	}
 	pos := make([]int, stages)
 	for remaining > 0 {
@@ -95,7 +97,7 @@ func simulate(t *testing.T, stages, virtual, micro int) {
 	// and its W when the chunk is not global chunk 0.
 	for g := 0; g <= last; g++ {
 		for m := 0; m < micro; m++ {
-			if !done[key{Fwd, g, m}] || !done[key{Bwd, g, m}] || done[key{WGrad, g, m}] != (g > 0) {
+			if !done[key{schedule.Fwd, g, m}] || !done[key{schedule.Bwd, g, m}] || done[key{schedule.WGrad, g, m}] != (g > 0) {
 				t.Fatalf("chunk %d mb %d incomplete", g, m)
 			}
 		}
@@ -131,8 +133,8 @@ func TestBackwardAscendingPerChunk(t *testing.T) {
 			for v := range lastMB {
 				lastMB[v] = -1
 			}
-			for _, op := range Schedule(s, stages, virtual, micro) {
-				if op.Kind != Bwd {
+			for _, op := range schedule.Schedule(s, stages, virtual, micro) {
+				if op.Kind != schedule.Bwd {
 					continue
 				}
 				if op.MB <= lastMB[op.Chunk] {
@@ -164,18 +166,18 @@ func TestScheduleSplitsBackward(t *testing.T) {
 					continue
 				}
 				for stage := 0; stage < S; stage++ {
-					ops := Schedule(stage, S, V, M)
-					count := map[Op]int{}
+					ops := schedule.Schedule(stage, S, V, M)
+					count := map[schedule.Op]int{}
 					lastW := make([]int, V)
 					for v := range lastW {
 						lastW[v] = -1
 					}
 					for i, op := range ops {
 						count[op]++
-						if op.Kind != WGrad {
+						if op.Kind != schedule.WGrad {
 							continue
 						}
-						if i == 0 || ops[i-1] != (Op{Bwd, op.Chunk, op.MB}) {
+						if i == 0 || ops[i-1] != (schedule.Op{Kind: schedule.Bwd, Chunk: op.Chunk, MB: op.MB}) {
 							t.Fatalf("S=%d V=%d M=%d stage %d: %v does not follow its B", S, V, M, stage, op)
 						}
 						if op.MB <= lastW[op.Chunk] {
@@ -190,9 +192,9 @@ func TestScheduleSplitsBackward(t *testing.T) {
 							if split {
 								w = 1
 							}
-							if count[Op{Fwd, v, m}] != 1 || count[Op{Bwd, v, m}] != 1 || count[Op{WGrad, v, m}] != w {
+							if count[schedule.Op{Kind: schedule.Fwd, Chunk: v, MB: m}] != 1 || count[schedule.Op{Kind: schedule.Bwd, Chunk: v, MB: m}] != 1 || count[schedule.Op{Kind: schedule.WGrad, Chunk: v, MB: m}] != w {
 								t.Fatalf("S=%d V=%d M=%d stage %d chunk %d mb %d: %d F, %d B, %d W",
-									S, V, M, stage, v, m, count[Op{Fwd, v, m}], count[Op{Bwd, v, m}], count[Op{WGrad, v, m}])
+									S, V, M, stage, v, m, count[schedule.Op{Kind: schedule.Fwd, Chunk: v, MB: m}], count[schedule.Op{Kind: schedule.Bwd, Chunk: v, MB: m}], count[schedule.Op{Kind: schedule.WGrad, Chunk: v, MB: m}])
 							}
 						}
 					}
@@ -200,10 +202,10 @@ func TestScheduleSplitsBackward(t *testing.T) {
 			}
 		}
 	}
-	if got := (Op{WGrad, 1, 3}).String(); got != "W(c1,m3)" {
+	if got := (schedule.Op{Kind: schedule.WGrad, Chunk: 1, MB: 3}).String(); got != "W(c1,m3)" {
 		t.Fatalf("W op prints %q", got)
 	}
-	if got := (Op{Bwd, 0, 2}).String(); got != "B(c0,m2)" {
+	if got := (schedule.Op{Kind: schedule.Bwd, Chunk: 0, MB: 2}).String(); got != "B(c0,m2)" {
 		t.Fatalf("B op prints %q", got)
 	}
 }
@@ -215,10 +217,11 @@ func TestScheduleWarmupDepth(t *testing.T) {
 	for s := 0; s < stages; s++ {
 		warmup := stages - 1 - s
 		inflight, peak := 0, 0
-		for _, op := range Schedule1F1B(s, stages, micro) {
-			if op.Kind == Fwd {
+		for _, op := range schedule.Schedule(s, stages, 1, micro) {
+			switch op.Kind {
+			case schedule.Fwd:
 				inflight++
-			} else {
+			case schedule.Bwd:
 				inflight--
 			}
 			if inflight > peak {
@@ -238,8 +241,8 @@ func TestScheduleWarmupDepth(t *testing.T) {
 // the same schedule are identical (the -count=2 verify gate re-runs
 // the full 1F1B engine test on top of this).
 func TestScheduleDeterministic(t *testing.T) {
-	a := Schedule(1, 4, 2, 8)
-	b := Schedule(1, 4, 2, 8)
+	a := schedule.Schedule(1, 4, 2, 8)
+	b := schedule.Schedule(1, 4, 2, 8)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("schedule not deterministic")
 	}

@@ -1,3 +1,17 @@
+// Package pipe implements deterministic pipeline-parallel execution
+// of nn.GPT on the virtual clock: a runner that executes a stage's
+// op list (internal/parallel/schedule) with pooled boundary-activation
+// exchange over the reliable mpi wire.
+//
+// Each (chunk, micro-batch) forward moves its layers' single-slot
+// caches out into a stash (nn.GPT.Stash) and its backward restores
+// them, so in-flight micro-batches never replay their forward; a
+// forward whose backward is the next op leaves them in the layers. Only
+// the blocks the model's recompute policy marks keep just their input
+// and replay. With one stage the schedule is F B F B …, plain gradient
+// accumulation: train.Trainer runs every step through a Runner, the
+// one-stage runner it builds or the stage's the parallel engine
+// installs.
 package pipe
 
 import (
@@ -7,6 +21,7 @@ import (
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
+	"bagualu/internal/parallel/schedule"
 	"bagualu/internal/tensor"
 )
 
@@ -50,7 +65,7 @@ type Runner struct {
 	// holds all Stages·Virtual chunk ranges in global order. The
 	// runner only ever touches blocks in this stage's chunks.
 	Model *nn.GPT
-	Part  []Chunk
+	Part  []schedule.Chunk
 
 	// Rows is batch·seq — the activation row count per micro-batch.
 	Rows int
@@ -91,7 +106,7 @@ type Runner struct {
 	dlogits []*tensor.Tensor
 	kept    []*tensor.Tensor
 	sends   []*mpi.Request
-	sched   []Op
+	sched   []schedule.Op
 
 	// units[v] is chunk v's unit table. left[v] counts chunk v's
 	// backwards (W when split) still to run this step; final marks the
@@ -163,7 +178,7 @@ func (r *Runner) init() {
 			}
 		}
 	}
-	r.sched = Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
+	r.sched = schedule.Schedule(r.Stage, r.Stages, r.Virtual, r.Micro)
 	r.unit = r.unitDone
 }
 
@@ -269,7 +284,7 @@ func (r *Runner) runForward(v, mb int, batches []MicroBatch, lossScale float32, 
 // aux sums the auxiliary loss and overflow count of chunk c's MoE
 // layers, read after its forward before another micro-batch overwrites
 // the gates.
-func (r *Runner) aux(c Chunk) (aux float32, overflow int) {
+func (r *Runner) aux(c schedule.Chunk) (aux float32, overflow int) {
 	for i := c.Lo; i < c.Hi; i++ {
 		if l, ok := r.Model.Blocks[i].FFN.(AuxLossLayer); ok {
 			aux += l.AuxLoss()
@@ -289,7 +304,7 @@ func (r *Runner) aux(c Chunk) (aux float32, overflow int) {
 // until W runs them.
 func (r *Runner) runBackward(v, mb int) {
 	g := r.global(v)
-	split := splits(g)
+	split := schedule.Splits(g)
 	p := r.passes[v][mb]
 	fwd := r.seconds(r.units[v].fwd)
 	if n := p.Replays(); n > 0 {
@@ -381,15 +396,15 @@ func (r *Runner) Step(batches []MicroBatch, lossScale float32) (loss, aux float3
 	m := float32(r.Micro)
 	for i, op := range r.sched {
 		switch op.Kind {
-		case Fwd:
-			hot := i+1 < len(r.sched) && r.sched[i+1] == Op{Bwd, op.Chunk, op.MB}
+		case schedule.Fwd:
+			hot := i+1 < len(r.sched) && r.sched[i+1] == schedule.Op{Kind: schedule.Bwd, Chunk: op.Chunk, MB: op.MB}
 			l, a, o := r.runForward(op.Chunk, op.MB, batches, lossScale, hot)
 			r.sumLoss += l / m
 			r.sumAux += a / m
 			r.sumOverflow += o
-		case Bwd:
+		case schedule.Bwd:
 			r.runBackward(op.Chunk, op.MB)
-		case WGrad:
+		case schedule.WGrad:
 			r.runWeights(op.Chunk, op.MB)
 		}
 	}

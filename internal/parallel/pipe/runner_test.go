@@ -9,6 +9,7 @@ import (
 	"bagualu/internal/moe"
 	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
+	"bagualu/internal/parallel/schedule"
 	"bagualu/internal/simnet"
 	"bagualu/internal/tensor"
 )
@@ -50,7 +51,7 @@ func tinyBatches(micro int) []MicroBatch {
 
 func tinyRunner(c *mpi.Comm, model *nn.GPT, virtual, micro int) *Runner {
 	stages := c.Size()
-	part, err := PartitionLayers(tinyCfg.Layers, stages*virtual)
+	part, err := schedule.PartitionLayers(tinyCfg.Layers, stages*virtual)
 	if err != nil {
 		panic(err)
 	}
@@ -63,7 +64,7 @@ func tinyRunner(c *mpi.Comm, model *nn.GPT, virtual, micro int) *Runner {
 // gradsAfterStep runs one step of a 2-stage, 2-virtual pipeline, with
 // plan rewriting each stage's schedule, and returns every rank's
 // gradients by parameter name.
-func gradsAfterStep(t *testing.T, plan func([]Op) []Op) []map[string][]float32 {
+func gradsAfterStep(t *testing.T, plan func([]schedule.Op) []schedule.Op) []map[string][]float32 {
 	t.Helper()
 	const stages, virtual, micro = 2, 2, 4
 	out := make([]map[string][]float32, stages)
@@ -92,10 +93,10 @@ func gradsAfterStep(t *testing.T, plan func([]Op) []Op) []map[string][]float32 {
 // runner's shared receive buffer instead of its own micro-batch's
 // gradient fails it.
 func TestSplitBackwardKeepsItsGradient(t *testing.T) {
-	wLast := func(s []Op) []Op {
-		var ops, ws []Op
+	wLast := func(s []schedule.Op) []schedule.Op {
+		var ops, ws []schedule.Op
 		for _, op := range s {
-			if op.Kind == WGrad {
+			if op.Kind == schedule.WGrad {
 				ws = append(ws, op)
 			} else {
 				ops = append(ops, op)
@@ -103,10 +104,10 @@ func TestSplitBackwardKeepsItsGradient(t *testing.T) {
 		}
 		return append(ops, ws...)
 	}
-	if s := Schedule(0, 2, 2, 4); reflect.DeepEqual(wLast(s), s) {
+	if s := schedule.Schedule(0, 2, 2, 4); reflect.DeepEqual(wLast(s), s) {
 		t.Fatal("stage 0's W ops already run last: nothing is planted")
 	}
-	eager := gradsAfterStep(t, func(s []Op) []Op { return s })
+	eager := gradsAfterStep(t, func(s []schedule.Op) []schedule.Op { return s })
 	late := gradsAfterStep(t, wLast)
 	for rank := range eager {
 		for name, want := range eager[rank] {
@@ -134,7 +135,8 @@ func TestSplitBackwardSendsBeforeWeights(t *testing.T) {
 		alpha = 1e-6
 	)
 	topo := simnet.Uniform(alpha, 1)
-	link := topo.CostAtLevel(topo.LevelOf(1, 0), 4*tinyBatch*tinyCfg.SeqLen*tinyCfg.Dim)
+	l := topo.LevelOf(1, 0)
+	link := topo.Alpha[l] + float64(4*tinyBatch*tinyCfg.SeqLen*tinyCfg.Dim)*topo.Beta[l]
 	var bEnd, recvDone [micro]float64
 	batches := tinyBatches(micro)
 	mpi.NewWorld(2, topo).Run(func(c *mpi.Comm) {
@@ -150,9 +152,9 @@ func TestSplitBackwardSendsBeforeWeights(t *testing.T) {
 		r.init()
 		for _, op := range r.sched {
 			switch op.Kind {
-			case Fwd:
+			case schedule.Fwd:
 				r.runForward(op.Chunk, op.MB, batches, 1, false)
-			case Bwd:
+			case schedule.Bwd:
 				r.runBackward(op.Chunk, op.MB)
 				if c.Rank() == 1 {
 					bEnd[op.MB] = c.Now()
@@ -160,7 +162,7 @@ func TestSplitBackwardSendsBeforeWeights(t *testing.T) {
 					// Chunk 0's fused backward: the receive, then 2F.
 					recvDone[op.MB] = c.Now() - 2*fwd
 				}
-			case WGrad:
+			case schedule.WGrad:
 				r.runWeights(op.Chunk, op.MB)
 			}
 		}

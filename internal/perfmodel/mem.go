@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"bagualu/internal/parallel/layout"
+	"bagualu/internal/parallel/schedule"
 )
 
 // MemBreakdown is the per-node memory model, in GiB. Params and
@@ -26,21 +27,12 @@ type MemBreakdown struct {
 }
 
 // Memory computes the per-node memory breakdown of spec under this
-// deployment:
-//
-//   - working weights stay resident at wire precision: dense (and
-//     gate) replicated on every rank, experts sharded 1/EP;
-//   - optimizer state (FP32 master + Adam m/v) is the ZeRO lever:
-//     dense state shards 1/world, expert state 1/DataParallel (each
-//     data-parallel peer of an expert shard owns a moment range);
-//   - activations are the recompute lever: a block that recomputes
-//     keeps only its input (1·d per token) instead of its ~6·d of
-//     intermediates, so RecomputeFraction f scales the standard count
-//     by (1-f) + f/6; a pipelined pass whose backward is split also
-//     holds its ~6·d of output gradients between its B and its W;
-//   - OffloadOptState parks whatever optimizer state remains after
-//     ZeRO in the host tier, trading NodeMemGiB capacity for
-//     HostMemBWGiBs-priced traffic every step (priced in PredictStep).
+// deployment: working weights at wire precision (dense replicated,
+// experts sharded 1/EP); optimizer state, which ZeRO shards over the
+// stage (dense) and the data-parallel group (experts); activations, of
+// which a recomputed block keeps 1·d a token instead of ~6·d and a split
+// backward holds ~6·d more of output gradients from B to W; and, under
+// OffloadOptState, the optimizer state moved to the host tier.
 func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	var mb MemBreakdown
 	if err := d.ValidateFor(spec); err != nil {
@@ -95,26 +87,29 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 }
 
 // peakPasses is the most the chunk passes of any stage's schedule
-// weigh at one moment, a pass weighing act between its forward and its
-// backward and act+dy between a split backward's B and its W. A stage
-// holds the most passes — its warmup forwards plus the one its steady
-// state adds, capped by the passes there are: S under 1F1B with M ≥ S,
-// one on the flat grid — at its first backward, and that backward is
-// split on every stage but the flat grid's and 1F1B's stage 0 (whose
-// one chunk is global chunk 0); no later moment holds more.
+// weigh at one moment, walking the op list the runner runs
+// (schedule.Schedule): a pass weighs act from its forward to its
+// backward and act+dy from a split backward's B to its W.
 func (d Deployment) peakPasses(act, dy float64) float64 {
-	S, V, M := d.PP(), d.VPP(), d.Micro()
+	S, V := d.PP(), d.VPP()
 	peak := 0.0
 	for stage := 0; stage < S; stage++ {
-		warmup := S - 1 - stage
-		if V > 1 {
-			warmup = 2*(S-1-stage) + (V-1)*S
+		live, held := 0, 0
+		for _, op := range schedule.Schedule(stage, S, V, d.Micro()) {
+			split := schedule.Splits(op.Chunk*S + stage)
+			switch {
+			case op.Kind == schedule.Fwd:
+				live++
+			case op.Kind == schedule.Bwd && split:
+				held++
+			case op.Kind == schedule.Bwd:
+				live--
+			default: // W
+				live--
+				held--
+			}
+			peak = max(peak, float64(live)*act+float64(held)*dy)
 		}
-		w := float64(min(warmup+1, M*V)) * act
-		if stage > 0 || V > 1 {
-			w += dy
-		}
-		peak = max(peak, w)
 	}
 	return peak
 }
@@ -135,16 +130,8 @@ func (d Deployment) MaxTrainableParams(spec ModelSpec) (int64, ModelSpec, error)
 	}
 	// Exponential search for an upper bound, then bisect.
 	lo, hi := 1.0/float64(spec.Dim), 2.0
-	for {
-		ok, _ := fits(hi)
-		if !ok {
-			break
-		}
-		lo = hi
-		hi *= 2
-		if hi > 1e9 {
-			break
-		}
+	for ok, _ := fits(hi); ok && hi <= 1e9; ok, _ = fits(hi) {
+		lo, hi = hi, hi*2
 	}
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
@@ -162,17 +149,10 @@ func (d Deployment) MaxTrainableParams(spec ModelSpec) (int64, ModelSpec, error)
 // keeping depth, vocabulary, and the expert pool shape fixed.
 func scaleWidth(spec ModelSpec, k float64) ModelSpec {
 	s := spec
-	s.Dim = maxInt(1, int(float64(spec.Dim)*k))
-	s.FFNHidden = maxInt(1, int(float64(spec.FFNHidden)*k))
+	s.Dim = max(1, int(float64(spec.Dim)*k))
+	s.FFNHidden = max(1, int(float64(spec.FFNHidden)*k))
 	if s.MoEEvery > 0 {
-		s.MoEHidden = maxInt(1, int(float64(spec.MoEHidden)*k))
+		s.MoEHidden = max(1, int(float64(spec.MoEHidden)*k))
 	}
 	return s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,15 +1,8 @@
-// Package perfmodel is the analytic performance model that projects
-// the reproduction's measured small-scale behaviour to the full New
-// Generation Sunway machine — the only way to reproduce the paper's
-// full-scale experiments (96,000 nodes / 37M cores) without the
-// hardware.
-//
-// It models a MoE transformer training step as compute (GEMM-
-// dominated, priced against per-node peak with an efficiency factor)
-// plus communication (MoE all-to-all dispatch/combine and gradient
-// all-reduce, priced with the same α–β hierarchy simnet uses), and
-// checks the per-node memory budget that determines whether a given
-// parameter count fits at all.
+// Package perfmodel projects the reproduction's simulated training step
+// to the full New Generation Sunway machine (96,000 nodes / 37M cores),
+// which the simulator cannot run. PredictStep walks the step the engine
+// runs (walk.go) on the link tables simnet prices; Memory checks the
+// per-node budget that decides whether a parameter count fits at all.
 package perfmodel
 
 import "fmt"
@@ -45,12 +38,9 @@ func (s ModelSpec) Validate() error {
 
 // MoELayers returns how many blocks carry an expert pool.
 func (s ModelSpec) MoELayers() int {
-	if s.MoEEvery <= 0 {
-		return 0
-	}
 	n := 0
 	for b := 0; b < s.Layers; b++ {
-		if b%s.MoEEvery == 0 {
+		if s.moeBlock(b) {
 			n++
 		}
 	}
@@ -65,36 +55,74 @@ func (s ModelSpec) expertParams() int64 {
 	return linearParams(s.Dim, s.MoEHidden) + linearParams(s.MoEHidden, s.Dim)
 }
 
-// DenseParams counts every replicated parameter: embeddings,
-// attention, layer norms, dense FFNs, gates, head. The formulas
-// mirror nn.NewGPT exactly and are verified against it in tests.
+// A Unit is a stretch of the backward whose gradients it makes final
+// together, by size: the twin of nn.Unit, with the same IDs (a block's
+// is its index, its expert pool's Layers+1+index, the head's Layers,
+// the embeddings' -1) and the same order in Units.
+type Unit struct {
+	ID      int
+	Block   int   // a block or expert unit's block; -1 for the head and the embeddings
+	Experts bool  // the block's expert pool, finished inside its MoE layer's backward
+	Params  int64 // parameter elements; an expert unit counts its whole pool
+}
+
+// Units lists the units of blocks [lo, hi) in the order a backward
+// finishes them, as nn.GPT.Units does: the head (final norm, LM head
+// without bias) when the run ends the model; from the last block to the
+// first, its expert pool if it has one and the block (two layer norms,
+// q/k/v/o, and an expert block's gate projection without bias or any
+// other's FFN); the token and positional embeddings when the run starts
+// the model.
+func (s ModelSpec) Units(lo, hi int) []Unit {
+	var us []Unit
+	if hi == s.Layers {
+		us = append(us, Unit{ID: s.Layers, Block: -1, Params: 2*int64(s.Dim) + int64(s.Dim)*int64(s.Vocab)})
+	}
+	for b := hi - 1; b >= lo; b-- {
+		p := 2*(2*int64(s.Dim)) + 4*linearParams(s.Dim, s.Dim)
+		if s.moeBlock(b) {
+			us = append(us, Unit{ID: s.Layers + 1 + b, Block: b, Experts: true, Params: int64(s.NumExperts) * s.expertParams()})
+			p += int64(s.Dim) * int64(s.NumExperts)
+		} else {
+			p += linearParams(s.Dim, s.FFNHidden) + linearParams(s.FFNHidden, s.Dim)
+		}
+		us = append(us, Unit{ID: b, Block: b, Params: p})
+	}
+	if lo == 0 {
+		us = append(us, Unit{ID: -1, Block: -1, Params: int64(s.Vocab)*int64(s.Dim) + int64(s.SeqLen)*int64(s.Dim)})
+	}
+	return us
+}
+
+// moeBlock reports whether block b carries an expert pool.
+func (s ModelSpec) moeBlock(b int) bool { return s.MoEEvery > 0 && b%s.MoEEvery == 0 }
+
+// unitFlops prices one token through u as the engine's runner does:
+// the forward, 2 FLOPs per active parameter (an expert pool's TopK
+// experts) plus a block's attention term, and the weight-gradient half
+// of the backward, which is twice the forward.
+func (s ModelSpec) unitFlops(u Unit) (fwd, wgrad float64) {
+	active := float64(u.Params)
+	var quad float64
+	switch {
+	case u.Experts:
+		active = float64(s.TopK) * float64(s.expertParams())
+	case u.Block >= 0:
+		quad = 4 * float64(s.SeqLen) * float64(s.Dim)
+	}
+	return 2*active + quad, 2 * active
+}
+
+// DenseParams counts every replicated parameter: every unit but the
+// expert pools.
 func (s ModelSpec) DenseParams() int64 {
-	p := s.embedParams() + s.headParams()
-	for b := 0; b < s.Layers; b++ {
-		p += s.blockDenseParams(b)
+	var p int64
+	for _, u := range s.Units(0, s.Layers) {
+		if !u.Experts {
+			p += u.Params
+		}
 	}
 	return p
-}
-
-// embedParams counts the token and positional embeddings.
-func (s ModelSpec) embedParams() int64 {
-	return int64(s.Vocab)*int64(s.Dim) + int64(s.SeqLen)*int64(s.Dim)
-}
-
-// headParams counts the final layer norm and the LM head (no bias).
-func (s ModelSpec) headParams() int64 {
-	return 2*int64(s.Dim) + int64(s.Dim)*int64(s.Vocab)
-}
-
-// blockDenseParams counts block b's replicated parameters: two layer
-// norms (gamma+beta), q/k/v/o, and the gate projection (no bias) of an
-// expert block or the dense FFN of any other.
-func (s ModelSpec) blockDenseParams(b int) int64 {
-	p := 2*(2*int64(s.Dim)) + 4*linearParams(s.Dim, s.Dim)
-	if s.MoEEvery > 0 && b%s.MoEEvery == 0 {
-		return p + int64(s.Dim)*int64(s.NumExperts)
-	}
-	return p + linearParams(s.Dim, s.FFNHidden) + linearParams(s.FFNHidden, s.Dim)
 }
 
 // ExpertParamsTotal counts all expert parameters across all MoE
@@ -104,19 +132,13 @@ func (s ModelSpec) ExpertParamsTotal() int64 {
 }
 
 // TotalParams is the full model size.
-func (s ModelSpec) TotalParams() int64 {
-	return s.DenseParams() + s.ExpertParamsTotal()
-}
+func (s ModelSpec) TotalParams() int64 { return s.DenseParams() + s.ExpertParamsTotal() }
 
 // ActiveParamsPerToken counts the parameters a single token actually
 // touches (dense + TopK experts per MoE layer); MoE compute scales
 // with this, not with TotalParams.
 func (s ModelSpec) ActiveParamsPerToken() int64 {
-	active := s.DenseParams()
-	if s.MoEEvery > 0 {
-		active += int64(s.MoELayers()) * int64(s.TopK) * s.expertParams()
-	}
-	return active
+	return s.DenseParams() + int64(s.MoELayers())*int64(s.TopK)*s.expertParams()
 }
 
 // FlopsPerToken estimates forward+backward FLOPs per token. The

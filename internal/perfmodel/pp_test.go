@@ -1,11 +1,11 @@
 package perfmodel
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"bagualu/internal/parallel/layout"
-	"bagualu/internal/parallel/pipe"
 )
 
 // ppDeployment folds a pipeline into the standard test deployment:
@@ -46,70 +46,54 @@ func TestPPReducesToFlatAtOneStage(t *testing.T) {
 	if a != b {
 		t.Fatalf("PP=1 prediction diverged from flat:\nflat   %+v\nfolded %+v", a, b)
 	}
-	if b.Bubble != 0 || b.PPSend != 0 {
-		t.Fatalf("flat deployment carries pipeline terms: bubble %v send %v", b.Bubble, b.PPSend)
-	}
 }
 
-// TestBubbleShrinksWithMicroBatches pins the 1F1B bubble law
-// (S-1)/(M·V): more micro-batches amortize the ramp's share of the
-// step, interleaving divides the ramp itself, and deeper pipelines
-// pay a larger bubble fraction at token-fair M=S.
+// idle is the share of stage 0's step it spends neither computing, nor
+// in MoE exchanges, nor waiting for the gradient sync: at S > 1 its
+// waits on boundary receives (the bubble), and the scalar gathers.
+func idle(p StepPrediction) float64 {
+	busy := p.DenseCompute + p.ExpertCompute + p.Recompute + p.A2A + p.Sync + p.Offload
+	return (p.StepTime - busy) / p.StepTime
+}
+
+// TestBubbleShrinksWithMicroBatches: the walk's pipeline bubble — the
+// time stage 0 waits on boundary receives, most of its idle share — is
+// the schedule's fill and drain. More micro-batches amortize it over a
+// longer step, interleaving shortens it, and a deeper pipeline idles a
+// larger share of its step, and each of these steps is the simulator's.
 func TestBubbleShrinksWithMicroBatches(t *testing.T) {
 	spec := ppSpec()
 	at := func(s, v, m int) StepPrediction {
-		p, err := ppDeployment(s, v, m).PredictStep(spec, FaultModel{})
-		if err != nil {
-			t.Fatalf("pp%dv%dm%d: %v", s, v, m, err)
-		}
-		return p
+		return tracks(t, fmt.Sprintf("pp%dv%dm%d", s, v, m), ppDeployment(s, v, m), spec)
 	}
-	p2 := at(2, 1, 2)
-	if p2.Bubble <= 0 || p2.PPSend <= 0 {
-		t.Fatalf("pipelined deployment missing PP terms: %+v", p2)
+	flat := idle(tracks(t, "flat", validDeployment(), spec))
+	p2, p8 := idle(at(2, 1, 2)), idle(at(2, 1, 8))
+	if p2 <= 2*flat {
+		t.Fatalf("pipelined deployment idles %v of its step, the flat one %v", p2, flat)
 	}
-	// The absolute ramp cost — (S-1) idle micro-slots — does not
-	// depend on M, but the step grows with M, so the bubble's share
-	// of the step must shrink.
-	p8 := at(2, 1, 8)
-	if math.Abs(p8.Bubble-p2.Bubble) > 1e-12*p2.Bubble {
-		t.Fatalf("absolute bubble changed with M: M=2 %v vs M=8 %v", p2.Bubble, p8.Bubble)
+	if p8 >= p2 {
+		t.Fatalf("bubble share did not shrink with micro-batches: M=2 %v vs M=8 %v", p2, p8)
 	}
-	if p8.Bubble/p8.StepTime >= p2.Bubble/p2.StepTime {
-		t.Fatalf("bubble share did not shrink with micro-batches: M=2 %v vs M=8 %v",
-			p2.Bubble/p2.StepTime, p8.Bubble/p8.StepTime)
+	if pv := idle(at(2, 2, 8)); pv >= p8 {
+		t.Fatalf("interleaving did not shrink the bubble share: %v vs %v", pv, p8)
 	}
-	if pv := at(2, 2, 8); pv.Bubble >= p8.Bubble {
-		t.Fatal("interleaving did not shrink the bubble")
-	}
-	// Deeper pipeline at fixed token-fair M=S: bubble fraction
-	// (S-1)/S grows with S.
-	b2 := at(2, 1, 2)
-	b4 := at(4, 1, 4)
-	f2 := b2.Bubble / (b2.DenseCompute + b2.MoEPhase + b2.Recompute)
-	f4 := b4.Bubble / (b4.DenseCompute + b4.MoEPhase + b4.Recompute)
-	if f4 <= f2 {
-		t.Fatalf("bubble fraction not increasing with depth: S=2 %v, S=4 %v", f2, f4)
-	}
-	if math.Abs(f2-0.5) > 1e-9 || math.Abs(f4-0.75) > 1e-9 {
-		t.Fatalf("bubble fractions off the (S-1)/M law: S=2 %v (want 0.5), S=4 %v (want 0.75)", f2, f4)
+	if p4 := idle(at(4, 1, 4)); p4 <= p2 {
+		t.Fatalf("bubble share not increasing with depth: S=2 %v, S=4 %v", p2, p4)
 	}
 }
 
-// TestPPSendScalesWithMicroBatches pins the stage-boundary activation
-// traffic: M·V boundary transfers to each neighbouring stage per step.
+// TestPPSendScalesWithMicroBatches: every micro-batch crosses each of
+// the V·S-1 chunk boundaries forward and back, so the walk books
+// 2·M·(V·S-1) boundary sends a step, and the steps they cost are the
+// simulator's.
 func TestPPSendScalesWithMicroBatches(t *testing.T) {
 	spec := ppSpec()
-	p2, err := ppDeployment(2, 1, 2).PredictStep(spec, FaultModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := ppDeployment(2, 1, 4).PredictStep(spec, FaultModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p4.PPSend-2*p2.PPSend) > 1e-12*p4.PPSend {
-		t.Fatalf("PPSend not linear in M: M=2 %v, M=4 %v", p2.PPSend, p4.PPSend)
+	for _, c := range []struct{ s, v, m int }{{2, 1, 2}, {2, 1, 4}, {2, 2, 4}} {
+		d := ppDeployment(c.s, c.v, c.m)
+		if got, want := len(d.walk(spec).arrive), 2*c.m*(c.v*c.s-1); got != want {
+			t.Fatalf("pp%dv%dm%d: %d boundary sends, want %d", c.s, c.v, c.m, got, want)
+		}
+		tracks(t, fmt.Sprintf("pp%dv%dm%d", c.s, c.v, c.m), d, spec)
 	}
 }
 
@@ -136,12 +120,31 @@ func TestPPMemorySharding(t *testing.T) {
 
 // TestMemoryCountsScheduledPasses pins the pipeline activation term to
 // the schedule the runner executes: a rank holds the heaviest moment of
-// any stage's pipe.Schedule, a pass weighing its activations between
+// any stage's schedule.Schedule, a pass weighing its activations between
 // its forward and its backward and its held output gradients too
 // between a split backward's B and its W, each over Layers/(S·V)
-// layers. Stage 0 of S=4, V=2, M=8 holds 11 passes of L/8 layers and
-// one pass's output gradients: 1.5 layer stacks.
+// layers. The walk's count equals the warmup law it replaced — a stage
+// holds the most passes, its warmup forwards plus the one its steady
+// state adds (capped by the passes there are), at its first backward,
+// which is split on every stage but the flat grid's and 1F1B's stage 0
+// — at every shape. Stage 0 of S=4, V=2, M=8 holds 11 passes of L/8
+// layers and one pass's output gradients: 1.5 layer stacks.
 func TestMemoryCountsScheduledPasses(t *testing.T) {
+	warmupLaw := func(S, V, M int, act, dy float64) float64 {
+		peak := 0.0
+		for stage := 0; stage < S; stage++ {
+			warmup := S - 1 - stage
+			if V > 1 {
+				warmup = 2*(S-1-stage) + (V-1)*S
+			}
+			w := float64(min(warmup+1, M*V)) * act
+			if stage > 0 || V > 1 {
+				w += dy
+			}
+			peak = max(peak, w)
+		}
+		return peak
+	}
 	for S := 1; S <= 5; S++ {
 		for V := 1; V <= 3; V++ {
 			for M := 1; M <= 12; M++ {
@@ -150,30 +153,8 @@ func TestMemoryCountsScheduledPasses(t *testing.T) {
 				}
 				d := Deployment{Grid: layout.Grid{Pipeline: S, Virtual: V}, MicroBatches: M}
 				for _, w := range []struct{ act, dy float64 }{{1, 0}, {0, 1}, {6, 6}, {3.5, 6}} {
-					peak := 0.0
-					for stage := 0; stage < S; stage++ {
-						live, held := 0, 0
-						for _, op := range pipe.Schedule(stage, S, V, M) {
-							split := op.Chunk*S+stage > 0
-							switch {
-							case op.Kind == pipe.Fwd:
-								live++
-							case op.Kind == pipe.Bwd && split:
-								held++
-							case op.Kind == pipe.Bwd:
-								live--
-							default: // W
-								live--
-								held--
-							}
-							peak = max(peak, float64(live)*w.act+float64(held)*w.dy)
-						}
-						if live != 0 || held != 0 {
-							t.Fatalf("S=%d V=%d M=%d stage %d: %d passes, %d held gradients left", S, V, M, stage, live, held)
-						}
-					}
-					if got := d.peakPasses(w.act, w.dy); got != peak {
-						t.Fatalf("S=%d V=%d M=%d weights %v: model counts %v, the schedule holds %v", S, V, M, w, got, peak)
+					if got, want := d.peakPasses(w.act, w.dy), warmupLaw(S, V, M, w.act, w.dy); got != want {
+						t.Fatalf("S=%d V=%d M=%d weights %v: the walk counts %v, the warmup law %v", S, V, M, w, got, want)
 					}
 				}
 			}

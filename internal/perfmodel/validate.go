@@ -1,11 +1,8 @@
 package perfmodel
 
-// Layout validation: every inconsistent deployment is rejected with a
-// typed *ConfigError naming the offending knob, instead of being
-// silently mispriced. The autotuner's pruning stage depends on this —
-// a layout the runtime would refuse (parallel.NewEngine) must be
-// refused here too, or the analytic ranking would score configurations
-// the machine cannot run.
+// Layout validation: a deployment the runtime would refuse
+// (parallel.NewEngine) is refused here with a typed *ConfigError naming
+// the knob, so the autotuner never ranks what the machine cannot run.
 
 import (
 	"errors"

@@ -120,17 +120,6 @@ func (t *Topology) LevelOf(a, b int) Level {
 	}
 }
 
-// CostAtLevel prices nbytes at a given level directly.
-func (t *Topology) CostAtLevel(l Level, nbytes int) float64 {
-	return t.Alpha[l] + float64(nbytes)*t.Beta[l]
-}
-
-// RanksPerSupernode returns the number of ranks grouped under one
-// supernode leader.
-func (t *Topology) RanksPerSupernode() int {
-	return t.RanksPerNode * t.NodesPerSupernode
-}
-
 // Traffic is an immutable per-level snapshot of message and byte
 // counters. simnet owns the level vocabulary, so the snapshot type
 // the byte meters pass around lives here; the mpi runtime produces

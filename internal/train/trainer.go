@@ -6,6 +6,7 @@ import (
 	"bagualu/internal/data"
 	"bagualu/internal/nn"
 	"bagualu/internal/parallel/pipe"
+	"bagualu/internal/parallel/schedule"
 	"bagualu/internal/sunway"
 )
 
@@ -83,7 +84,7 @@ func NewTrainer(model *nn.GPT, corpus *data.Corpus, opt Optimizer, cfg Config) (
 	if cfg.Schedule == nil {
 		cfg.Schedule = ConstantLR(1e-3)
 	}
-	part, err := pipe.PartitionLayers(len(model.Blocks), 1)
+	part, err := schedule.PartitionLayers(len(model.Blocks), 1)
 	if err != nil {
 		return nil, err
 	}

@@ -30,15 +30,18 @@ if [ -n "$unformatted" ]; then exit 1; fi
 # (train imports pipe, never the reverse) and below the engine, and a
 # communicator's supernode grouping is derived in mpi alone
 # (Comm.Supernodes) — no other program code asks the topology. The
-# process grid (internal/parallel/layout) stands on nothing else of the
-# repo, so the analytic model reads it without linking the engine. The
+# process grid (internal/parallel/layout) and the pipeline op schedule
+# (internal/parallel/schedule) stand on nothing else of the repo, so the
+# analytic model reads the grid and walks the runner's op list without
+# linking the engine. The
 # phase record's type (internal/metrics) is a leaf: mpi holds one per
 # rank, so metrics may import no other package of the repo.
 if go list -deps ./internal/ckpt | grep -x 'bagualu/internal/train'; then exit 1; fi
 if go list -deps ./internal/serve/... | grep -xE 'bagualu/internal/(train|data)'; then exit 1; fi
 if go list -deps ./internal/parallel/pipe | grep -xE 'bagualu/internal/(train|parallel)'; then exit 1; fi
 if go list -deps ./internal/parallel/layout | grep '^bagualu/internal/' | grep -vx 'bagualu/internal/parallel/layout'; then exit 1; fi
-if go list -deps ./internal/perfmodel | grep -x 'bagualu/internal/parallel'; then exit 1; fi
+if go list -deps ./internal/parallel/schedule | grep '^bagualu/' | grep -vx 'bagualu/internal/parallel/schedule'; then exit 1; fi
+if go list -deps ./internal/perfmodel | grep -xE 'bagualu/internal/(nn|mpi|parallel)'; then exit 1; fi
 if go list -deps ./internal/metrics | grep '^bagualu/' | grep -vx 'bagualu/internal/metrics'; then exit 1; fi
 if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
 # What a backward unit is — its parameters and when it finishes — is
@@ -69,7 +72,7 @@ GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half ./inter
 # The softmax and GELU kernels transcribe math.Exp and math.Tanh; their
 # inputs are float32, so "same bits" is checked on all 2^32 of them
 # (tier-1 visits every 509th). A few minutes.
-go test -run TestVMathSweep ./internal/tensor -vmath.stride=1
+go test -timeout 30m -run TestVMathSweep ./internal/tensor -vmath.stride=1
 
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
