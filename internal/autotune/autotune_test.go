@@ -129,7 +129,9 @@ func TestZeROSurchargeFlatInDepth(t *testing.T) {
 
 // TestExtrapolateDecidesOverlapAtTarget: a search-scale winner without
 // the exchange overlap still projects with it, since the target's
-// expert group spans supernodes and prices it faster.
+// expert group spans supernodes, where the overlap never prices slower;
+// and it projects with the exchange, direct or hierarchical, the walk
+// prices faster there.
 func TestExtrapolateDecidesOverlapAtTarget(t *testing.T) {
 	winner := Candidate{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16}
 	proj, err := Extrapolate(testConfig(), winner)
@@ -138,6 +140,22 @@ func TestExtrapolateDecidesOverlapAtTarget(t *testing.T) {
 	}
 	if !proj.Dep.OverlapA2A {
 		t.Fatal("projection left the exchange overlap off at a target whose expert group spans supernodes")
+	}
+	chosen, err := proj.Dep.PredictStep(proj.Spec, perfmodel.FaultModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := proj.Dep
+	other.A2A = perfmodel.A2AFlat
+	if proj.Dep.A2A == perfmodel.A2AFlat {
+		other.A2A = perfmodel.A2AHierarchical
+	}
+	alt, err := other.PredictStep(proj.Spec, perfmodel.FaultModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alt.StepTime < chosen.StepTime {
+		t.Fatalf("projection took the %v exchange (%.6g s a step) over the faster %v (%.6g s)", proj.Dep.A2A, chosen.StepTime, other.A2A, alt.StepTime)
 	}
 }
 

@@ -9,6 +9,7 @@ package autotune
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"bagualu/internal/metrics"
 	"bagualu/internal/mpi"
@@ -37,7 +38,7 @@ const (
 type Projection struct {
 	Machine *sunway.Machine
 	Spec    perfmodel.ModelSpec
-	Dep     perfmodel.Deployment
+	Dep     perfmodel.Deployment // Dep.A2A names the exchange the target prices faster
 
 	// Escalated reports whether memory levers beyond the winner's own
 	// had to be switched on to fit the target model.
@@ -122,9 +123,9 @@ func gcd(a, b int) int {
 // model: the expert-parallel width becomes the largest divisor of the
 // per-layer expert count the rank count admits, memory levers
 // escalate (ZeRO → full recompute → host offload) until the target
-// fits the node budget, the exchange overlap is re-decided by the
-// target's step time, and the checkpoint interval is re-optimized for
-// goodput under the target MTBF.
+// fits the node budget, the exchange strategy and its overlap are
+// re-decided by the target's step time, and the checkpoint interval is
+// re-optimized for goodput under the target MTBF.
 func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -138,7 +139,6 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 		Grid:         layout.Grid{DataParallel: ranks / ep, ExpertParallel: ep},
 		BatchPerRank: winner.Batch, Precision: targetPrecision,
 		Efficiency:        cfg.Efficiency,
-		A2A:               perfmodel.A2AHierarchical,
 		ZeRO:              winner.ZeRO,
 		RecomputeFraction: recomputeFraction(winner.RecomputeEvery, spec.Layers),
 		OffloadOptState:   winner.Offload,
@@ -168,21 +168,22 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 		}
 		escalated = true
 	}
-	// Overlap the exchange where the target prices it faster. A search-
-	// scale expert group inside one supernode sends nothing the overlap
-	// can hide, so there the winner's flag only broke a tie.
-	on := dep
-	on.OverlapA2A = true
-	pOn, err := on.PredictStep(spec, perfmodel.FaultModel{})
-	if err != nil {
-		return Projection{}, err
-	}
-	pOff, err := dep.PredictStep(spec, perfmodel.FaultModel{})
-	if err != nil {
-		return Projection{}, err
-	}
-	if pOn.StepTime < pOff.StepTime {
-		dep = on
+	// Take the exchange, direct or hierarchical, that the target prices
+	// fastest, overlapped unless that prices slower: a tie keeps the
+	// earlier.
+	best, base := math.Inf(1), dep
+	for _, a := range []perfmodel.A2AStrategy{perfmodel.A2AHierarchical, perfmodel.A2AFlat} {
+		for _, on := range []bool{true, false} {
+			d := base
+			d.A2A, d.OverlapA2A = a, on
+			p, err := d.PredictStep(spec, perfmodel.FaultModel{})
+			if err != nil {
+				return Projection{}, err
+			}
+			if p.StepTime < best {
+				best, dep = p.StepTime, d
+			}
+		}
 	}
 	// Re-optimize the checkpoint interval for goodput at target MTBF.
 	proj := Projection{Machine: m, Spec: spec, Dep: dep, Escalated: escalated}
@@ -252,6 +253,7 @@ func (p *Plan) Tables() []*metrics.Table {
 	t3.AddRow("grid", fmt.Sprintf("dp%d x ep%d", pr.Dep.DataParallel, pr.Dep.ExpertParallel))
 	t3.AddRow("precision", pr.Dep.Precision.String())
 	t3.AddRow("wire codec", map[bool]string{true: "fp16", false: "fp32"}[pr.Dep.WireFP16])
+	t3.AddRow("a2a exchange", pr.Dep.A2A.String())
 	t3.AddRow("a2a overlap", pr.Dep.OverlapA2A)
 	t3.AddRow("zero / recompute / offload", fmt.Sprintf("%v / %.2f / %v (escalated %v)",
 		pr.Dep.ZeRO, pr.Dep.RecomputeFraction, pr.Dep.OffloadOptState, pr.Escalated))

@@ -19,8 +19,10 @@ const (
 	Auto A2AAlgo = iota
 	// Direct sends one eager message per destination.
 	Direct
-	// Hierarchical aggregates at supernode leaders (the paper's
-	// algorithm).
+	// Hierarchical sends each row across supernodes once, through the
+	// member of its source supernode on its destination's rail, which
+	// forwards it with its supernode's other rows for that destination
+	// (the paper's algorithm, sharded over every rank).
 	Hierarchical
 )
 

@@ -72,9 +72,9 @@ func TestDistMoEInferMatchesLocal(t *testing.T) {
 		{Codec: mpi.FP16Wire, Overlap: true},
 	}
 	pinned := map[string][3]uint64{ // one clock/wire digest per config
-		"uniform":          {0x228959d5efdb8614, 0x124e1ee54e0e66ac, 0xbd7d9c6b36e0a2b9},
-		"skewed":           {0xfe1cd9640c5b9088, 0x950fe5bb302a6769, 0x888e62f873fc424d},
-		"zero-token-rank":  {0xd725fdb271fb05ef, 0x626ce5a86086d375, 0x89bd0488b04288ed},
+		"uniform":          {0x502b256076f98487, 0x1070e2c905ed1353, 0x14156cac87503b91},
+		"skewed":           {0x7489a12f95388963, 0x3598e3f3c6398570, 0xcdb9fb75a8e164ed},
+		"zero-token-rank":  {0x5c9ed93342cf453c, 0x2da5aeb8b846c925, 0xc378d14d6117953c},
 		"single-supernode": {0x99a21d1f15568d4c, 0x87d0866b5900e810, 0x81f21ca0ad08d304},
 	}
 	for _, tc := range tripCases {

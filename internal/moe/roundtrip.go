@@ -68,10 +68,11 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	sb := mpi.NewSendBuf(counts)
 	tr.stage(sb)
 
-	// Outbound. With overlap on, the cross-supernode leg — a leader's
-	// aggregate exchange included — is a request started right after the
-	// cheap leg arrives, joined before its rows are computed: it runs
-	// under the local compute.
+	// Outbound. With overlap on, the cross-supernode leg — the rail
+	// messages' receipt — is a request started right after the cheap leg
+	// arrives (the hierarchical exchange has then sent its rail messages),
+	// joined before its rows are computed: it runs under the local
+	// compute.
 	legs := 1
 	if m.CommCfg.Overlap {
 		legs = 2

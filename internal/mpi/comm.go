@@ -42,12 +42,13 @@ type Comm struct {
 }
 
 // supernodes is a communicator's supernode geometry from this rank's
-// point of view: the one place comm ranks are grouped by supernode.
-// Every hierarchical algorithm reads it; a supernode's leader is its
-// lowest comm rank, groups[j][0].
+// point of view: the one place comm ranks are grouped by supernode and
+// by rail, a member's position in its supernode. Every hierarchical
+// algorithm reads it.
 type supernodes struct {
 	groups [][]int // comm ranks per supernode, ascending; supernodes in first-appearance order
 	of     []int   // comm rank -> index into groups
+	at     []int   // comm rank -> its position in groups[of[q]]
 	j      int     // this rank's supernode, of[rank]
 	pos    int     // this rank's position in groups[j]
 	r      int     // rail count: the smallest supernode's member count
@@ -57,7 +58,7 @@ type supernodes struct {
 func (c *Comm) supernodes() *supernodes {
 	if c.sn == nil {
 		t := c.Topology()
-		g := &supernodes{of: make([]int, c.Size())}
+		g := &supernodes{of: make([]int, c.Size()), at: make([]int, c.Size())}
 		idx := map[int]int{} // supernode id -> index in g.groups
 		for q := 0; q < c.Size(); q++ {
 			sn := t.Supernode(c.group[q])
@@ -67,12 +68,10 @@ func (c *Comm) supernodes() *supernodes {
 				idx[sn] = j
 				g.groups = append(g.groups, nil)
 			}
-			if q == c.rank {
-				g.j, g.pos = j, len(g.groups[j])
-			}
-			g.of[q] = j
+			g.of[q], g.at[q] = j, len(g.groups[j])
 			g.groups[j] = append(g.groups[j], q)
 		}
+		g.j, g.pos = g.of[c.rank], g.at[c.rank]
 		g.r = len(g.groups[0])
 		for _, ms := range g.groups {
 			g.r = min(g.r, len(ms))
@@ -82,11 +81,16 @@ func (c *Comm) supernodes() *supernodes {
 	return c.sn
 }
 
+// rail returns the member of supernode j that forwards rows bound for
+// comm rank q: the one at q's position in its own supernode, modulo |j|
+// (q itself when q is in j).
+func (g *supernodes) rail(j, q int) int { return g.groups[j][g.at[q]%len(g.groups[j])] }
+
 // Supernodes returns the communicator's ranks grouped by supernode:
 // groups[j] lists the comm ranks in supernode j ascending, supernodes in
-// order of first appearance (so groups[j][0], the supernode's leader,
-// ascends with j), and of[q] is the group of comm rank q. Both slices
-// are shared and must not be modified.
+// order of first appearance (so groups[j][0] ascends with j), and
+// of[q] is the group of comm rank q. Both slices are shared and must not
+// be modified.
 func (c *Comm) Supernodes() (groups [][]int, of []int) {
 	g := c.supernodes()
 	return g.groups, g.of

@@ -22,11 +22,10 @@ import (
 //     the data messages, so no separate metadata round is needed.
 //   - An optional FP16 codec encodes each chunk bound for another
 //     supernode as raw half bit patterns once, where Post stages it. The
-//     chunk then travels at 16 bits on every leg — the direct message,
-//     or the member up-leg, leader X-leg and down-leg of the
-//     hierarchical path, where leaders aggregate and scatter the bits
-//     as they are — and is decoded once, in assemble. Chunks that stay
-//     in their supernode travel as FP32.
+//     chunk then travels at 16 bits on every hop — the direct message,
+//     or both hops of the hierarchical path, where the rail forwarder
+//     regroups the bits as they are — and is decoded once, in assemble.
+//     Chunks that stay in their supernode travel as FP32.
 //   - Exchange splits the collective into Post/Flush (eager sends) and
 //     RecvLocal/RecvRemote, so the caller can run local expert compute
 //     while cross-supernode traffic is in flight.
@@ -66,10 +65,9 @@ func (c Codec) String() string {
 
 // Collective step numbers within one exchange's tag space.
 const (
-	stepDirect = 0 // direct chunk (intra-supernode, or any in flat mode)
-	stepUp     = 1 // member -> leader aggregation
-	stepX      = 2 // leader -> leader cross-supernode
-	stepDown   = 3 // leader -> member scatter
+	stepDirect = 0 // direct chunk (flat mode)
+	stepMerge  = 1 // hierarchical hop 1: one merged leg per same-supernode member
+	stepRail   = 2 // hierarchical hop 2: rail forwarder -> cross-supernode destination
 )
 
 // Size-classed pool for FP16 staging buffers, mirroring the float32
@@ -119,9 +117,10 @@ func putU16(s []uint16) {
 // crossed the network after codec; Raw is what an all-FP32 wire would
 // have carried for the same exchange. The gap is the codec's saving:
 // 2 bytes per cross-supernode element at MachineLevel, and on the
-// hierarchical up- and down-legs that carry such elements at node and
-// supernode level. Unlike World.Stats (global, atomic), WireStats is
-// per-comm and owned by the comm's goroutine.
+// hierarchical exchange's first hop, which carries such elements to
+// their rail forwarder at node or supernode level. Unlike World.Stats
+// (global, atomic), WireStats is per-comm and owned by the comm's
+// goroutine.
 type WireStats struct {
 	Wire [4]int64 // bytes after codec
 	Raw  [4]int64 // bytes an FP32 wire would have sent
@@ -271,9 +270,9 @@ func (b *RecvBuf) Release() {
 	b.data = nil
 }
 
-// payload is a run of exchanged elements in one wire width: float32,
-// or FP16 bit patterns for a chunk bound for another supernode under
-// FP16Wire. At most one of the slices is set.
+// payload is a run of exchanged elements: float32, and FP16 bit
+// patterns for chunks bound for another supernode under FP16Wire. A
+// hierarchical first-hop leg carries both side by side.
 type payload struct {
 	f32 []float32
 	u16 []uint16
@@ -300,25 +299,17 @@ func (p *payload) grow(n int, fp16 bool) payload {
 	return payload{f32: p.f32[len(p.f32)-n:]}
 }
 
-// sub returns elements [lo, lo+n) of p as a view.
-func (p payload) sub(lo, n int) payload {
-	if p.u16 != nil {
-		return payload{u16: p.u16[lo : lo+n]}
-	}
-	return payload{f32: p.f32[lo : lo+n]}
-}
-
-// append adds q's elements to p, in q's width.
-func (p *payload) append(q payload) {
-	p.f32 = append(p.f32, q.f32...)
-	p.u16 = append(p.u16, q.u16...)
-}
-
 // pooled returns a copy of p in pooled buffers, for a staged message.
 func (p payload) pooled() payload {
-	q := newPayload(p.len(), p.u16 != nil)
-	copy(q.f32, p.f32)
-	copy(q.u16, p.u16)
+	var q payload
+	if p.f32 != nil {
+		q.f32 = tensor.GetSlice(len(p.f32))
+		copy(q.f32, p.f32)
+	}
+	if p.u16 != nil {
+		q.u16 = getU16(len(p.u16))
+		copy(q.u16, p.u16)
+	}
 	return q
 }
 
@@ -375,9 +366,17 @@ func (r *relList) release() {
 // All sends are eager (the simulated network buffers them), so any
 // interleaving of compute between Flush and the Recv calls is
 // deadlock-free; every rank of the communicator must run the same
-// sequence. In hierarchical mode cross-supernode chunks are batched
-// into one up-leg message to the supernode leader at Flush; leaders
-// run the aggregate exchange inside RecvRemote.
+// sequence.
+//
+// In hierarchical mode a supernode's cross traffic is sharded over its
+// ranks by rail: rows bound for destination d in another supernode
+// leave their source supernode j through j's member at position
+// pos(d) mod |j|, d's rail (supernodes.rail). At Flush each rank sends
+// every other member of its supernode one merged leg — the member's own
+// chunk plus this rank's rows riding the member's rail. RecvLocal takes
+// those legs and posts one rail leg to each cross destination this rank
+// serves, carrying every source of its supernode; RecvRemote takes one
+// rail leg from each other supernode.
 type Exchange struct {
 	c     *Comm
 	codec Codec
@@ -392,26 +391,25 @@ type Exchange struct {
 	// Self chunk, staged at Post so the caller's buffer is free.
 	self seg // pooled payload
 
-	// Hierarchical mode: cross-supernode chunks buffered for the
-	// up-leg in their wire width, framed as (dst, n, nmeta) triples.
-	upHdr  []int
-	up     payload
-	upMeta []int
+	// Hierarchical mode: the merged leg bound for each same-supernode
+	// member (this rank's own entry holds the rows riding its own rail),
+	// keyed by destination.
+	legs []leg
 
 	// The communicator's supernode geometry: in hierarchical mode it
-	// names the leaders, in both modes it splits local from remote.
+	// names the rails, in both modes it splits local from remote.
 	sn *supernodes
 }
 
 // BeginExchange opens a flattened all-to-allv on the communicator.
 // hier selects the topology-aware path (cross-supernode chunks are
-// aggregated at supernode leaders); it degrades to the flat direct
+// forwarded by rail, see Exchange); it degrades to the flat direct
 // protocol when the comm does not span supernodes. Every rank of the
 // comm must call BeginExchange with the same arguments, in the same
 // collective order.
 func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
 	g := c.supernodes()
-	return &Exchange{
+	e := &Exchange{
 		c:      c,
 		codec:  codec,
 		hier:   hier && len(g.groups) > 1,
@@ -419,20 +417,26 @@ func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
 		posted: make([]bool, c.Size()),
 		sn:     g,
 	}
+	if e.hier {
+		e.legs = make([]leg, c.Size())
+	}
+	return e
 }
 
 // local reports whether comm rank q shares this rank's supernode: the
 // split between RecvLocal and RecvRemote in both modes.
 func (e *Exchange) local(q int) bool { return e.sn.of[q] == e.sn.j }
 
-// leader returns the leader (lowest comm rank) of supernode j.
-func (e *Exchange) leader(j int) int { return e.sn.groups[j][0] }
+// fp16 reports whether chunks to or from comm rank q travel as FP16.
+func (e *Exchange) fp16(q int) bool { return e.codec == FP16Wire && !e.local(q) }
 
-// Post stages the chunk destined to dst and, unless it is buffered
-// for the hierarchical up-leg, sends it immediately. Under FP16Wire a
-// chunk bound for another supernode is encoded here, the exchange's
-// one encode site. The caller keeps ownership of data and meta (Post
-// copies). Each destination may be posted at most once per exchange.
+// Post stages the chunk destined to dst and, in direct mode, sends it
+// immediately; in hierarchical mode it joins the merged leg of dst, or
+// of dst's rail forwarder when dst is in another supernode. Under
+// FP16Wire a chunk bound for another supernode is encoded here, the
+// exchange's one encode site. The caller keeps ownership of data and
+// meta (Post copies). Each destination may be posted at most once per
+// exchange.
 func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	if e.flushed {
 		panic("mpi: Exchange.Post after Flush")
@@ -445,13 +449,13 @@ func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	}
 	e.posted[dst] = true
 
-	up := e.hier && !e.local(dst)
-	fp16 := e.codec == FP16Wire && !e.local(dst)
+	fp16 := e.fp16(dst)
 	var p payload
-	if up {
-		p = e.up.grow(len(data), fp16)
-	} else {
+	switch {
+	case dst == e.c.rank || !e.hier:
 		p = newPayload(len(data), fp16)
+	default: // a same-supernode dst is its own rail
+		p = e.legs[e.sn.rail(e.sn.j, dst)].grow(dst, len(data), meta, fp16)
 	}
 	if fp16 {
 		half.EncodeSlice(p.u16, data)
@@ -462,10 +466,7 @@ func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	case dst == e.c.rank:
 		e.self = seg{n: len(data), payload: p, meta: append([]int(nil), meta...)}
 		e.c.accountWire(simnet.SelfLevel, 4*len(data)+8*len(meta), 4*len(data)+8*len(meta))
-	case up:
-		e.upHdr = append(e.upHdr, dst, len(data), len(meta))
-		e.upMeta = append(e.upMeta, meta...)
-	default:
+	case !e.hier:
 		e.sendDirect(dst, p, meta)
 	}
 }
@@ -486,7 +487,7 @@ func (e *Exchange) sendDirect(dst int, p payload, meta []int) {
 	e.post(dst, collTag(e.c.id, e.seq, stepDirect), ints, p)
 }
 
-// post sends one leg's message carrying the pooled payload p and books
+// post sends one hop's message carrying the pooled payload p and books
 // it: Wire is what p occupies on the link, Raw what FP32 would.
 func (e *Exchange) post(dst, tag int, ints []int, p payload) {
 	c := e.c
@@ -496,10 +497,9 @@ func (e *Exchange) post(dst, tag int, ints []int, p payload) {
 }
 
 // Flush completes the send side: destinations never posted get an
-// empty chunk, and in hierarchical mode the batched cross-supernode
-// up-leg is shipped to the supernode leader (leaders keep theirs for
-// direct aggregation). After Flush the exchange's SendBuf may be
-// released or reused.
+// empty chunk, and in hierarchical mode each other member of the
+// supernode is sent its merged leg. After Flush the exchange's SendBuf
+// may be released or reused.
 func (e *Exchange) Flush() {
 	if e.flushed {
 		panic("mpi: Exchange.Flush twice")
@@ -510,20 +510,84 @@ func (e *Exchange) Flush() {
 		}
 	}
 	e.flushed = true
-	if e.hier && e.sn.pos != 0 {
-		ints := frame(len(e.upHdr)/3, e.upHdr, e.upMeta)
-		e.post(e.leader(e.sn.j), collTag(e.c.id, e.seq, stepUp), ints, e.up.pooled())
+	if e.hier {
+		for _, q := range e.sn.groups[e.sn.j] {
+			if q != e.c.rank {
+				e.postLeg(q, stepMerge, e.legs[q])
+			}
+		}
 	}
 }
 
-// frame lays out an aggregated leg's ints: [k, hdr..., meta...], k
-// entries of hdr followed by their concatenated metadata.
-func frame(k int, hdr, meta []int) []int {
-	ints := make([]int, 1+len(hdr)+len(meta))
-	ints[0] = k
-	copy(ints[1:], hdr)
-	copy(ints[1+len(hdr):], meta)
-	return ints
+// leg is one hierarchical hop's message: entries (q, n, nmeta) in hdr,
+// their elements in data, each in the width it travels (Exchange.fp16
+// of q: a first-hop leg carries its destination's own chunk at FP32 and
+// the rows riding its rail at codec width side by side), and their
+// metadata concatenated. q is the entry's destination on the first hop
+// and its source on the rail hop.
+type leg struct {
+	hdr  []int
+	data payload
+	meta []int
+}
+
+// grow appends an entry for q of n elements, FP16 when fp16 is set, and
+// returns its elements as a view to fill.
+func (l *leg) grow(q, n int, meta []int, fp16 bool) payload {
+	l.hdr = append(l.hdr, q, n, len(meta))
+	l.meta = append(l.meta, meta...)
+	return l.data.grow(n, fp16)
+}
+
+// postLeg frames l as [k, (q, n, nmeta)×k, meta...] and sends it.
+func (e *Exchange) postLeg(dst, step int, l leg) {
+	ints := make([]int, 1+len(l.hdr)+len(l.meta))
+	ints[0] = len(l.hdr) / 3
+	copy(ints[1:], l.hdr)
+	copy(ints[1+len(l.hdr):], l.meta)
+	e.post(dst, collTag(e.c.id, e.seq, step), ints, l.data.pooled())
+}
+
+// recvLeg receives a leg postLeg framed and queues its staging buffers
+// for release.
+func (e *Exchange) recvLeg(src, step int, rel *relList) leg {
+	m := e.c.recvStep(src, collTag(e.c.id, e.seq, step))
+	if len(m.ints) < 1 || m.ints[0] < 0 || len(m.ints) < 1+3*m.ints[0] {
+		panic(fmt.Sprintf("mpi: wire framing corrupt: leg header %d ints", len(m.ints)))
+	}
+	k := m.ints[0]
+	rel.add(m.payload(), m.staged)
+	return leg{hdr: m.ints[1 : 1+3*k], data: m.payload(), meta: m.ints[1+3*k:]}
+}
+
+// entries calls f with each of l's entries as a seg, a view into l in
+// the width the entry travels.
+func (e *Exchange) entries(l leg, f func(q int, s seg)) {
+	var offF, offU, offM int
+	for i := 0; i+3 <= len(l.hdr); i += 3 {
+		q, n, nm := l.hdr[i], l.hdr[i+1], l.hdr[i+2]
+		if q < 0 || q >= e.c.Size() {
+			panic(fmt.Sprintf("mpi: wire framing corrupt: leg entry for rank %d", q))
+		}
+		fp16, left := e.fp16(q), len(l.data.f32)-offF
+		if fp16 {
+			left = len(l.data.u16) - offU
+		}
+		if n < 0 || n > left || nm < 0 || offM+nm > len(l.meta) {
+			panic("mpi: wire framing corrupt: leg entry out of bounds")
+		}
+		s := seg{n: n, meta: l.meta[offM : offM+nm]}
+		offM += nm
+		if fp16 {
+			s.u16, offU = l.data.u16[offU:offU+n], offU+n
+		} else {
+			s.f32, offF = l.data.f32[offF:offF+n], offF+n
+		}
+		f(q, s)
+	}
+	if offF != len(l.data.f32) || offU != len(l.data.u16) || offM != len(l.meta) {
+		panic("mpi: wire framing corrupt: leg payload longer than its entries")
+	}
 }
 
 // absorbDirect parses a [n, nmeta, meta...]-framed message into a seg
@@ -546,9 +610,9 @@ func absorbDirect(m message, rel *relList) seg {
 
 // assemble copies segs (for the listed sources, ascending) into one
 // flat pooled RecvBuf, decoding FP16 ones — the exchange's one decode
-// site — then releases all staging buffers; a leg whose whole payload
-// is one staged FP32 buffer (the self chunk of a one-rank exchange, for
-// one) takes that buffer over uncopied.
+// site — then releases all staging buffers; a message whose whole
+// payload is one staged FP32 buffer (the self chunk of a one-rank
+// exchange, for one) takes that buffer over uncopied.
 func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 	p := e.c.Size()
 	ints := make([]int, 2*p)
@@ -565,7 +629,7 @@ func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 		b.meta[s] = segs[s].meta
 		total += segs[s].n
 	}
-	if r := *rel; len(r) == 1 && len(r[0].f32) == total && total > 0 {
+	if r := *rel; len(r) == 1 && r[0].u16 == nil && len(r[0].f32) == total && total > 0 {
 		for _, s := range srcs {
 			if f := segs[s].f32; len(f) == total && &f[0] == &r[0].f32[0] {
 				b.data, *rel = f, nil
@@ -601,195 +665,61 @@ func (e *Exchange) remoteSrcs() []int {
 }
 
 // collectLocal blocks for the cheap leg: the self chunk plus every
-// direct message from a same-supernode source.
+// same-supernode source's chunk. In hierarchical mode those arrive in
+// the members' merged legs, whose other rows ride this rank's rail: it
+// regroups them, with its own, into one rail leg per cross destination
+// it serves, sources ascending, and sends them in the width they came.
 func (e *Exchange) collectLocal(segs []seg, rel *relList) {
-	segs[e.c.rank] = e.self
+	me := e.c.rank
+	segs[me] = e.self
 	rel.add(e.self.payload, true)
 	e.self = seg{}
-	for _, s := range e.sn.groups[e.sn.j] {
-		if s == e.c.rank {
-			continue
+	if !e.hier {
+		for _, s := range e.sn.groups[e.sn.j] {
+			if s != me {
+				segs[s] = absorbDirect(e.c.recvStep(s, collTag(e.c.id, e.seq, stepDirect)), rel)
+			}
 		}
-		m := e.c.recvStep(s, collTag(e.c.id, e.seq, stepDirect))
-		segs[s] = absorbDirect(m, rel)
+		return
+	}
+	rails := make([]leg, e.c.Size())
+	for _, s := range e.sn.groups[e.sn.j] {
+		if s != me { // the leg s sent replaces the one this rank sent s
+			e.legs[s] = e.recvLeg(s, stepMerge, rel)
+		}
+		e.entries(e.legs[s], func(q int, sg seg) {
+			if q == me {
+				segs[s] = sg
+				return
+			}
+			p := rails[q].grow(s, sg.n, sg.meta, sg.u16 != nil)
+			copy(p.f32, sg.f32)
+			copy(p.u16, sg.u16)
+		})
+	}
+	for q := range rails {
+		if !e.local(q) && e.sn.rail(e.sn.j, q) == me {
+			e.postLeg(q, stepRail, rails[q])
+		}
 	}
 }
 
-// collectRemote blocks for the cross-supernode leg. In flat mode that
-// is a direct message per remote source; in hierarchical mode the
-// leader absorbs member up-legs, runs the leader-to-leader exchange,
-// and scatters down-legs, while non-leaders receive one down-leg from
-// their leader. Every payload keeps the width Post gave it.
+// collectRemote blocks for the cross-supernode leg: a direct message
+// per remote source in flat mode, in hierarchical mode one rail leg from
+// each other supernode. Every payload keeps the width Post gave it.
 func (e *Exchange) collectRemote(segs []seg, rel *relList) {
 	c := e.c
 	if !e.hier {
 		for _, s := range e.remoteSrcs() {
-			m := c.recvStep(s, collTag(c.id, e.seq, stepDirect))
-			segs[s] = absorbDirect(m, rel)
+			segs[s] = absorbDirect(c.recvStep(s, collTag(c.id, e.seq, stepDirect)), rel)
 		}
 		return
 	}
-	if e.sn.pos != 0 {
-		m := c.recvStep(e.leader(e.sn.j), collTag(c.id, e.seq, stepDown))
-		parseScatter(m, c.rank, segs, rel)
-		return
-	}
-	e.leaderExchange(segs, rel)
-}
-
-// parseScatter splits a down-leg framed [k, (src, n, nmeta)×k,
-// meta...] into segs; all payloads are views into one staged buffer,
-// FP16 under FP16Wire, released once after assembly.
-func parseScatter(m message, me int, segs []seg, rel *relList) {
-	if len(m.ints) < 1 {
-		panic("mpi: wire framing corrupt: scatter header missing")
-	}
-	k := m.ints[0]
-	if k < 0 || len(m.ints) < 1+3*k {
-		panic(fmt.Sprintf("mpi: wire framing corrupt: scatter header k=%d len=%d", k, len(m.ints)))
-	}
-	hdr := m.ints[1 : 1+3*k]
-	meta := m.ints[1+3*k:]
-	p := m.payload()
-	offD, offM := 0, 0
-	for i := 0; i < k; i++ {
-		src, n, nm := hdr[3*i], hdr[3*i+1], hdr[3*i+2]
-		if n < 0 || nm < 0 || offD+n > p.len() || offM+nm > len(meta) {
-			panic("mpi: wire framing corrupt: scatter entry out of bounds")
-		}
-		segs[src] = seg{n: n, payload: p.sub(offD, n), meta: meta[offM : offM+nm]}
-		offD += n
-		offM += nm
-	}
-	rel.add(p, m.staged)
-}
-
-// leaderAgg accumulates chunks bound for one destination supernode,
-// framed as (src, dst, n, nmeta) quads.
-type leaderAgg struct {
-	hdr  []int
-	data payload
-	meta []int
-}
-
-// leaderExchange runs the leader side of the hierarchical protocol:
-// absorb up-legs (own buffered + members'), exchange aggregates
-// pairwise with peer leaders, then scatter down-legs to members and
-// keep this rank's own share in segs. Payloads are moved in the width
-// they arrived in; nothing is decoded or re-encoded here.
-func (e *Exchange) leaderExchange(segs []seg, rel *relList) {
-	c := e.c
-	members := e.sn.groups[e.sn.j]
-	nl := len(e.sn.groups)
-	aggs := make([]leaderAgg, nl)
-
-	absorb := func(src, k int, hdr, meta []int, data payload) {
-		offD, offM := 0, 0
-		for i := 0; i < k; i++ {
-			dst, n, nm := hdr[3*i], hdr[3*i+1], hdr[3*i+2]
-			if n < 0 || nm < 0 || offD+n > data.len() || offM+nm > len(meta) {
-				panic("mpi: wire framing corrupt: up-leg entry out of bounds")
-			}
-			a := &aggs[e.sn.of[dst]]
-			a.hdr = append(a.hdr, src, dst, n, nm)
-			a.data.append(data.sub(offD, n))
-			a.meta = append(a.meta, meta[offM:offM+nm]...)
-			offD += n
-			offM += nm
+	for j := range e.sn.groups {
+		if j != e.sn.j {
+			e.entries(e.recvLeg(e.sn.rail(j, c.rank), stepRail, rel), func(q int, sg seg) { segs[q] = sg })
 		}
 	}
-
-	// Own cross-supernode chunks were buffered at Post time.
-	absorb(c.rank, len(e.upHdr)/3, e.upHdr, e.upMeta, e.up)
-	for _, mb := range members {
-		if mb == c.rank {
-			continue
-		}
-		m := c.recvStep(mb, collTag(c.id, e.seq, stepUp))
-		if len(m.ints) < 1 {
-			panic("mpi: wire framing corrupt: up-leg header missing")
-		}
-		k := m.ints[0]
-		if k < 0 || len(m.ints) < 1+3*k {
-			panic(fmt.Sprintf("mpi: wire framing corrupt: up-leg k=%d len=%d", k, len(m.ints)))
-		}
-		absorb(mb, k, m.ints[1:1+3*k], m.ints[1+3*k:], m.payload())
-		if m.staged {
-			m.payload().release()
-		}
-	}
-
-	// Pairwise aggregate exchange between leaders.
-	me := e.sn.j
-	recvAgg := make([]leaderAgg, nl)
-	tagX := collTag(c.id, e.seq, stepX)
-	for s := 1; s < nl; s++ {
-		dst := (me + s) % nl
-		src := (me - s + nl) % nl
-		a := &aggs[dst]
-		e.post(e.leader(dst), tagX, frame(len(a.hdr)/4, a.hdr, a.meta), a.data.pooled())
-		m := c.recvStep(e.leader(src), tagX)
-		recvAgg[src] = e.parseX(m, rel)
-	}
-	recvAgg[me] = aggs[me] // chunks between members of this supernode never reach the X-leg; kept for symmetry
-
-	// Scatter: regroup received aggregates per destination member.
-	p := c.Size()
-	downHdr := make([][]int, p)
-	downData := make([]payload, p)
-	downMeta := make([][]int, p)
-	for li := range recvAgg {
-		a := &recvAgg[li]
-		offD, offM := 0, 0
-		for i := 0; i < len(a.hdr); i += 4 {
-			src, dst, n, nm := a.hdr[i], a.hdr[i+1], a.hdr[i+2], a.hdr[i+3]
-			downHdr[dst] = append(downHdr[dst], src, n, nm)
-			downData[dst].append(a.data.sub(offD, n))
-			downMeta[dst] = append(downMeta[dst], a.meta[offM:offM+nm]...)
-			offD += n
-			offM += nm
-		}
-	}
-	for _, mb := range members {
-		if mb == c.rank {
-			continue
-		}
-		ints := frame(len(downHdr[mb])/3, downHdr[mb], downMeta[mb])
-		e.post(mb, collTag(c.id, e.seq, stepDown), ints, downData[mb].pooled())
-	}
-	// Own share stays local.
-	hdr := downHdr[c.rank]
-	meta := downMeta[c.rank]
-	data := downData[c.rank]
-	od, om := 0, 0
-	for i := 0; i < len(hdr); i += 3 {
-		src, n, nm := hdr[i], hdr[i+1], hdr[i+2]
-		segs[src] = seg{n: n, payload: data.sub(od, n), meta: meta[om : om+nm]}
-		od += n
-		om += nm
-	}
-}
-
-// parseX frames a received leader aggregate as views into its staged
-// payload.
-func (e *Exchange) parseX(m message, rel *relList) leaderAgg {
-	if len(m.ints) < 1 {
-		panic("mpi: wire framing corrupt: X-leg header missing")
-	}
-	k := m.ints[0]
-	if k < 0 || len(m.ints) < 1+4*k {
-		panic(fmt.Sprintf("mpi: wire framing corrupt: X-leg k=%d len=%d", k, len(m.ints)))
-	}
-	a := leaderAgg{hdr: m.ints[1 : 1+4*k], data: m.payload(), meta: m.ints[1+4*k:]}
-	total := 0
-	for i := 0; i < k; i++ {
-		total += a.hdr[4*i+2]
-	}
-	if a.data.len() != total {
-		panic(fmt.Sprintf("mpi: wire framing corrupt: X payload %d vs %d", a.data.len(), total))
-	}
-	rel.add(a.data, m.staged)
-	return a
 }
 
 // RecvLocal blocks for the cheap leg (self + same-supernode sources)

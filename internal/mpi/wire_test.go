@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bagualu/internal/half"
@@ -189,18 +190,19 @@ func TestAllToAllAlgorithmsAgree(t *testing.T) {
 }
 
 // TestAllToAllHierReducesInterSupernodeMessages pins the hierarchical
-// exchange at S·(S-1) inter-supernode messages — one aggregate per
-// ordered pair of supernode leaders — against the direct exchange's one
-// per cross-supernode rank pair: 2 vs 32 on two supernodes of four
-// ranks, 12 vs 768 on R4's world of four supernodes of eight.
+// exchange at one inter-supernode message per rank and peer supernode —
+// each rank receives one rail message from every other supernode —
+// against the direct exchange's one per cross-supernode rank pair: 8 vs
+// 32 on two supernodes of four ranks, 96 vs 768 on R4's world of four
+// supernodes of eight.
 func TestAllToAllHierReducesInterSupernodeMessages(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		world        func() *World
 		hier, direct int64
 	}{
-		{"2x2x2", func() *World { return NewWorld(8, wireTestTopo()) }, 2, 32},
-		{"R4", r8World, 12, 768},
+		{"2x2x2", func() *World { return NewWorld(8, wireTestTopo()) }, 8, 32},
+		{"R4", r8World, 96, 768},
 	} {
 		msgs := func(f func(*Comm, *SendBuf, Codec) *RecvBuf) int64 {
 			w := tc.world()
@@ -300,10 +302,10 @@ func TestFP16WireHalvesInterSupernodeBytes(t *testing.T) {
 // TestWireStatsTracksCodecGap pins the per-comm Raw/Wire split of the
 // hierarchical exchange exactly. Raw, the message counts, and FP32's
 // Wire are the same under both codecs; under FP16Wire each element
-// bound for another supernode saves 2 bytes on every leg it takes — the
-// member's up-leg (node or supernode level), the leaders' X-leg
-// (machine level) and the down-leg to its member — and nothing else
-// moves.
+// bound for another supernode saves 2 bytes on every hop it takes — to
+// its rail forwarder in the source supernode (node or supernode level)
+// unless the source is that forwarder, then the rail message (machine
+// level) — and nothing else moves.
 func TestWireStatsTracksCodecGap(t *testing.T) {
 	counts := func(s, d int) int { return 32 + (3*s+d)%5 }
 	run := func(codec Codec) WireStats {
@@ -328,9 +330,11 @@ func TestWireStatsTracksCodecGap(t *testing.T) {
 	}
 	fp32, fp16 := run(FP32Wire), run(FP16Wire)
 
-	// The legs each cross-supernode element rides, from the geometry.
+	// The hops each cross-supernode element rides, from the geometry:
+	// four ranks per supernode, so the forwarder of s's rows bound for d
+	// sits in s's supernode at d's position.
 	topo := wireTestTopo()
-	leader := func(q int) int { return q - q%4 } // four ranks per supernode
+	rail := func(s, d int) int { return s - s%4 + d%4 }
 	var gap [4]int64
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
@@ -338,13 +342,10 @@ func TestWireStatsTracksCodecGap(t *testing.T) {
 				continue
 			}
 			n := int64(2 * counts(s, d))
-			if s != leader(s) {
-				gap[topo.LevelOf(s, leader(s))] += n
+			if f := rail(s, d); f != s {
+				gap[topo.LevelOf(s, f)] += n
 			}
 			gap[simnet.MachineLevel] += n
-			if d != leader(d) {
-				gap[topo.LevelOf(leader(d), d)] += n
-			}
 		}
 	}
 	if fp32.Raw != fp16.Raw || fp32.Msgs != fp16.Msgs || fp32.Wire != fp32.Raw {
@@ -549,4 +550,156 @@ func TestRecvBufRows(t *testing.T) {
 		}
 		rb.Release()
 	})
+}
+
+// TestHierExchangeMatchesDirectOnAnyShape is generated: worlds of 2–16
+// ranks over 2–4 supernodes are Split into sub-communicators holding a
+// random subset of the ranks in a random order, so supernode groups are
+// unequal, one-member groups included, and interleaved in comm-rank
+// order. Every rank sends random-length chunks (empty ones included)
+// with random metadata, under both codecs, blocking and two-phase. The
+// hierarchical exchange must deliver the direct one's buffers bit for
+// bit; each rank must send |own supernode|−1 intra-supernode messages
+// and one rail message per cross destination it serves (those at its
+// own position modulo |own supernode| in their supernodes); and the
+// inter-supernode bytes must be each cross chunk once plus the rail
+// messages' framing, so no row crosses a supernode boundary twice.
+func TestHierExchangeMatchesDirectOnAnyShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	type delivery struct {
+		bits  [][][]uint32 // [rank][src]
+		metas [][][]int
+	}
+	var unequal, single int // sampled communicators with unequal, one-member supernode groups
+	for trial := 0; trial < 60; trial++ {
+		sns, nps, rpn := 2+rng.Intn(3), 1+rng.Intn(2), 1+rng.Intn(2)
+		topo := simnet.New(sunway.TestMachine(sns, nps), rpn)
+		keys := rng.Perm(sns * nps * rpn)
+		var members []int // world ranks in the sub-communicator
+		for g := range keys {
+			if rng.Intn(3) != 0 {
+				members = append(members, g)
+			}
+		}
+		p := len(members)
+		if p < 2 {
+			continue
+		}
+		size := map[int]int{} // members per supernode
+		for _, g := range members {
+			size[topo.Supernode(g)]++
+		}
+		if len(size) > 1 {
+			lo, hi := p, 0
+			for _, n := range size {
+				lo, hi = min(lo, n), max(hi, n)
+			}
+			if lo != hi {
+				unequal++
+			}
+			if lo == 1 {
+				single++
+			}
+		}
+		vals := make([][][]float32, p) // [src][dst], comm ranks
+		metas := make([][][]int, p)
+		for s := range vals {
+			vals[s], metas[s] = make([][]float32, p), make([][]int, p)
+			for d := range vals[s] {
+				for range rng.Intn(3) * rng.Intn(4) {
+					vals[s][d] = append(vals[s][d], float32(rng.NormFloat64()*math.Ldexp(1, rng.Intn(30)-15)))
+				}
+				for range rng.Intn(3) {
+					metas[s][d] = append(metas[s][d], rng.Intn(1000))
+				}
+			}
+		}
+		for _, codec := range []Codec{FP32Wire, FP16Wire} {
+			run := func(hier, twoPhase bool) delivery {
+				out := delivery{bits: make([][][]uint32, p), metas: make([][][]int, p)}
+				name := fmt.Sprintf("trial %d (%dsn×%dnode×%d, members %v) %v hier=%v two-phase=%v", trial, sns, nps, rpn, members, codec, hier, twoPhase)
+				NewWorld(sns*nps*rpn, topo).Run(func(w *Comm) {
+					color := -1
+					if slices.Contains(members, w.Rank()) {
+						color = 0
+					}
+					c := w.Split(color, keys[w.Rank()])
+					if c == nil {
+						return
+					}
+					r := c.Rank()
+					cs := make([]int, p)
+					for d := range cs {
+						cs[d] = len(vals[r][d])
+					}
+					sb := NewSendBuf(cs)
+					for d := range cs {
+						sb.Append(d, vals[r][d])
+						sb.SetMeta(d, metas[r][d])
+					}
+					var parts []*RecvBuf
+					if twoPhase {
+						ex := c.BeginExchange(hier, codec)
+						ex.PostAll(sb)
+						ex.Flush()
+						parts = []*RecvBuf{ex.RecvLocal(), ex.RecvRemote()}
+					} else {
+						parts = []*RecvBuf{c.allToAllv(sb, codec, hier)}
+					}
+					sb.Release()
+					out.bits[r], out.metas[r] = make([][]uint32, p), make([][]int, p)
+					for _, rb := range parts {
+						for _, s := range rb.Srcs() {
+							out.bits[r][s] = []uint32{}
+							for _, v := range rb.Chunk(s) {
+								out.bits[r][s] = append(out.bits[r][s], math.Float32bits(v))
+							}
+							out.metas[r][s] = append([]int{}, rb.Meta(s)...)
+						}
+						rb.Release()
+					}
+					if !hier {
+						return
+					}
+					// Messages and inter-supernode bytes, from the geometry.
+					groups, of := c.Supernodes()
+					own := groups[of[r]]
+					pos := func(q int) int { return slices.Index(groups[of[q]], q) }
+					served := 0
+					var crossRaw int64
+					for q := 0; q < p; q++ {
+						if of[q] != of[r] && pos(q)%len(own) == pos(r) {
+							served++
+							crossRaw += int64(8 * (1 + 3*len(own)))
+							for _, s := range own {
+								crossRaw += int64(4*len(vals[s][q]) + 8*len(metas[s][q]))
+							}
+						}
+					}
+					ws := c.WireStats()
+					intra := ws.Msgs[simnet.NodeLevel] + ws.Msgs[simnet.SupernodeLevel]
+					if intra != int64(len(own)-1) || ws.Msgs[simnet.MachineLevel] != int64(served) {
+						t.Errorf("%s: rank %d sent %d intra- and %d inter-supernode messages, want %d and %d",
+							name, r, intra, ws.Msgs[simnet.MachineLevel], len(own)-1, served)
+					}
+					if ws.Raw[simnet.MachineLevel] != crossRaw {
+						t.Errorf("%s: rank %d sent %d inter-supernode bytes at FP32 width, want %d: each cross chunk once in its rail message",
+							name, r, ws.Raw[simnet.MachineLevel], crossRaw)
+					}
+				})
+				return out
+			}
+			direct := run(false, false)
+			for _, twoPhase := range []bool{false, true} {
+				if got := run(true, twoPhase); !reflect.DeepEqual(got, direct) {
+					t.Fatalf("trial %d (%dsn×%dnode×%d, members %v) %v two-phase=%v: hierarchical delivery differs from direct",
+						trial, sns, nps, rpn, members, codec, twoPhase)
+				}
+			}
+		}
+	}
+	if unequal == 0 || single == 0 {
+		t.Fatalf("sampled %d communicators with unequal supernode groups, %d with a one-member group: want some of each", unequal, single)
+	}
+	t.Logf("%d communicators with unequal supernode groups, %d with a one-member group", unequal, single)
 }

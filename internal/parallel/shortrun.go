@@ -10,6 +10,8 @@ package parallel
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"bagualu/internal/data"
 	"bagualu/internal/mpi"
@@ -58,6 +60,11 @@ type ShortRunResult struct {
 	FinalLoss       float32
 	InterSNBytes    int64 // world MoE-exchange bytes that crossed supernodes
 	TotalBytes      int64 // world bytes on every tier, whole run
+	// RouteSkew is the rows the busiest rank of an expert group received
+	// over the group's mean, averaged over the measured steps' MoE layers
+	// and groups (each layer's last micro-batch, where the step keeps its
+	// routing; 0 with none): what perfmodel.Deployment.RouteSkew prices.
+	RouteSkew float64
 }
 
 // ShortRun executes the configured run and returns the measurement.
@@ -93,6 +100,10 @@ func ShortRun(cfg ShortRunConfig) (ShortRunResult, error) {
 	mc := cfg.Model
 	mc.MoESimFLOPS = rate
 
+	// loads[{step, layer, group}] is the rows each member of an expert
+	// group received: every source's routing counts on their owners.
+	var mu sync.Mutex
+	loads := map[[3]int][]int{}
 	var runErr error
 	w.Run(func(c *mpi.Comm) {
 		e, err := NewEngine(c, cfg.Strategy, mc, cfg.Corpus, cfg.Train, cfg.OptFor(), cfg.Seed)
@@ -109,7 +120,23 @@ func ShortRun(cfg ShortRunConfig) (ShortRunResult, error) {
 		var sim float64
 		for s := 0; s < cfg.Warmup+cfg.Steps; s++ {
 			st := e.Step()
-			if s < cfg.Warmup || c.Rank() != 0 {
+			if s < cfg.Warmup {
+				continue
+			}
+			mu.Lock()
+			for l, m := range e.MoELayers() {
+				k := [3]int{s, l, e.EP.Global(0)}
+				if r := m.LastRouting(); r != nil { // a pipelined pass forgets it
+					if loads[k] == nil {
+						loads[k] = make([]int, e.EP.Size())
+					}
+					for x, n := range r.Counts {
+						loads[k][m.Placement().Owner[x]] += n
+					}
+				}
+			}
+			mu.Unlock()
+			if c.Rank() != 0 {
 				continue
 			}
 			sim += st.SimTime
@@ -122,6 +149,20 @@ func ShortRun(cfg ShortRunConfig) (ShortRunResult, error) {
 	})
 	if runErr != nil {
 		return res, runErr
+	}
+	var skews []float64
+	for _, ld := range loads {
+		sum := 0
+		for _, n := range ld {
+			sum += n
+		}
+		if sum > 0 {
+			skews = append(skews, float64(slices.Max(ld)*len(ld))/float64(sum))
+		}
+	}
+	slices.Sort(skews) // a fixed summation order
+	for _, v := range skews {
+		res.RouteSkew += v / float64(len(skews))
 	}
 	tr := w.Stats().Snapshot()
 	res.TotalBytes, res.InterSNBytes = tr.TotalBytes(), tr.InterBytes()

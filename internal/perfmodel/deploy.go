@@ -12,8 +12,9 @@ const (
 	// A2AFlat is the direct exchange: every rank sends every peer its
 	// chunk (moe.Direct).
 	A2AFlat A2AStrategy = iota
-	// A2AHierarchical aggregates cross-supernode chunks at supernode
-	// leaders when the expert group spans supernodes (mpi.Exchange).
+	// A2AHierarchical forwards cross-supernode chunks by rail, through
+	// the member of the source supernode on the destination's position,
+	// when the expert group spans supernodes (mpi.Exchange).
 	A2AHierarchical
 )
 
@@ -68,6 +69,14 @@ type Deployment struct {
 	// WireFP16 is the MoE exchange's FP16 codec (mpi.FP16Wire): a row
 	// bound for another supernode travels at 2 bytes on every leg.
 	WireFP16 bool
+
+	// RouteSkew is the routing's load imbalance: the rows the busiest
+	// rank of an expert group receives in an exchange over the group's
+	// mean (parallel.ShortRunResult.RouteSkew measures it). Every rank
+	// waits for that rank's expert GEMMs and for the rows it sends back,
+	// so the walk prices both at RouteSkew× the mean. 0 or 1 is
+	// balanced routing.
+	RouteSkew float64
 
 	// OverlapA2A is the two-phase exchange (moe.CommConfig.Overlap):
 	// expert GEMMs on the local leg's rows run while the cross-supernode

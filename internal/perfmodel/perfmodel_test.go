@@ -121,13 +121,14 @@ func TestProjectFullMachine174T(t *testing.T) {
 
 // TestA2AStrategiesTrackSimulator: the walk runs both exchanges as mpi
 // does — the direct one posts every peer's chunk eagerly, the
-// hierarchical one aggregates at supernode leaders (mpi.Exchange) — and
-// on an expert group spanning two and four supernodes each step is the
-// simulator's, in the simulator's order. At 96,000 nodes the leader
-// carries its supernode's whole cross-supernode traffic, 256 ranks'
-// worth, while the direct exchange's eager sends overlap their
-// latencies (the simulator charges no per-message gap): the
-// hierarchical exchange is the slower one there too.
+// hierarchical one forwards cross-supernode rows by rail (mpi.Exchange)
+// — and on an expert group spanning two and four supernodes each step is
+// the simulator's, in the simulator's order. At 96,000 nodes every rank
+// of the rail exchange crosses with the direct exchange's bytes, after
+// a first hop inside its supernode, while the direct exchange's eager
+// sends overlap their latencies (the simulator charges no per-message
+// gap): the hierarchical exchange is the slower one there, by its first
+// hop, less than a quarter.
 func TestA2AStrategiesTrackSimulator(t *testing.T) {
 	spec := tinySpec()
 	for _, m := range []*sunway.Machine{sunway.TestMachine(2, 2), sunway.TestMachine(4, 1)} {
@@ -156,8 +157,8 @@ func TestA2AStrategiesTrackSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rh.A2A <= rf.A2A {
-		t.Fatalf("at full scale the leaders' exchange %.3g s !> the direct one's %.3g s", rh.A2A, rf.A2A)
+	if rh.A2A <= rf.A2A || rh.A2A > 1.25*rf.A2A {
+		t.Fatalf("at full scale the rail exchange %.3g s is not within (1, 1.25]× the direct one's %.3g s", rh.A2A, rf.A2A)
 	}
 }
 

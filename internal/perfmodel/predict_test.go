@@ -69,10 +69,11 @@ func TestFP16WireCutsA2ABytesAndTime(t *testing.T) {
 
 // TestHierA2AStagesAtCodecWidth: under the FP16 codec an element bound
 // for another supernode is 2 bytes on every leg of the hierarchical
-// exchange, so the codec saves exactly 2 bytes per crossing element of
-// each of the step's four exchanges per MoE layer, nothing on traffic
-// that stays in a supernode, and the step it saves is the simulator's:
-// both steps track the measurement.
+// exchange, so the codec saves exactly 2 bytes per crossing element on
+// each leg it travels in each of the step's four exchanges per MoE layer
+// — its first hop, unless its source is its rail, and the rail message
+// — nothing on traffic that stays in a supernode, and the step it saves
+// is the simulator's: both steps track the measurement.
 func TestHierA2AStagesAtCodecWidth(t *testing.T) {
 	d := Deployment{
 		Machine: sunway.TestMachine(4, 2), RanksPerNode: 2,
@@ -84,9 +85,11 @@ func TestHierA2AStagesAtCodecWidth(t *testing.T) {
 	full := tracks(t, "fp32 wire", d, spec)
 	d.WireFP16 = true
 	half := tracks(t, "fp16 wire", d, spec)
-	// 12 of the 16 ranks sit in other supernodes.
+	// 12 of the 16 ranks sit in other supernodes, 3 on each rail: a rank
+	// sends the 3 other members of its supernode the rows riding their
+	// rails, then 4 sources' rows to each of its own 3.
 	rows := float64(d.BatchPerRank*spec.SeqLen*spec.TopK) / 16
-	saved := float64(4*spec.MoELayers()) * 12 * rows * float64(spec.Dim) * 2
+	saved := float64(4*spec.MoELayers()) * (3*3 + 3*4) * rows * float64(spec.Dim) * 2
 	if got := full.A2ABytes - half.A2ABytes; math.Abs(got-saved) > 1e-9*saved {
 		t.Fatalf("codec saves %v wire bytes per rank, want %v", got, saved)
 	}
@@ -224,12 +227,13 @@ func serialSync(d Deployment, spec ModelSpec) float64 {
 // groups' collectives priced one after another. With one data-parallel
 // replica there is no expert sync: the sync bytes are the dense ring's.
 // On the autotuner's search spec the step is the simulator's within
-// 15 %. On W2's own, wider spec the walk reads the step 23–26 % under
-// the simulator (dp1×ep8 at FP32 and dp2×ep4 at Mixed): an untrained
-// gate sends one rank up to 2.5× the mean rows, and the walk routes
-// every expert the same rows. That case pins the gap's sign and size
-// (under by at most 30 %), so a walk that drifts further, or a routing
-// model that closes it, shows here.
+// 15 %. On W2's own, wider spec an untrained gate sends one rank up to
+// 2.5× the mean rows. Priced with balanced routing the walk reads the
+// step 17–32 % under the simulator, in both exchanges and within 3
+// points of each other: the gap is the routing's, not the exchange's.
+// Priced with the run's measured RouteSkew (1.58 on dp2×ep4, 2.35 on
+// dp1×ep8) the walk waits for the busiest rank as every rank does, and
+// each step is the simulator's within 15 %.
 func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 	w2 := ModelSpec{
 		Name: "w2", Vocab: 256, Dim: 128, Heads: 4, Layers: 2, SeqLen: 32,
@@ -251,15 +255,34 @@ func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 			if spec.Name == "search" {
 				return tracks(t, name, d, spec)
 			}
-			p, err := d.PredictStep(spec, FaultModel{})
-			if err != nil {
-				t.Fatal(err)
+			var p StepPrediction
+			var gap [2]float64
+			for i, a := range []A2AStrategy{A2AFlat, A2AHierarchical} {
+				da := d
+				da.A2A = a
+				res := shortRun(t, da, spec)
+				meas := res.SimPerStep
+				bal, err := da.PredictStep(spec, FaultModel{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gap[i] = (bal.StepTime - meas) / meas
+				da.RouteSkew = res.RouteSkew
+				if p, err = da.PredictStep(spec, FaultModel{}); err != nil {
+					t.Fatal(err)
+				}
+				e := (p.StepTime - meas) / meas
+				t.Logf("%s %v: measured %.4g s; balanced %.4g s (%+.1f%%); at skew %.3g %.4g s (%+.1f%%)",
+					name, a, meas, bal.StepTime, 100*gap[i], res.RouteSkew, p.StepTime, 100*e)
+				if gap[i] > 0 {
+					t.Errorf("%s %v: priced with balanced routing the step %.4g s is over the measured %.4g s", name, a, bal.StepTime, meas)
+				}
+				if math.Abs(e) > 0.15 {
+					t.Errorf("%s %v: priced at the measured skew %.3g the step %.4g s is %+.1f%% off the measured %.4g s", name, a, res.RouteSkew, p.StepTime, 100*e, meas)
+				}
 			}
-			meas := measure(t, d, spec)
-			e := (p.StepTime - meas) / meas
-			t.Logf("%s: predicted %.4g s, measured %.4g s (%+.1f%%)", name, p.StepTime, meas, 100*e)
-			if e > 0 || e < -0.30 {
-				t.Errorf("%s: predicted step %.4g s is %+.1f%% off the measured %.4g s; the routing gap reads -23 to -26 %%", name, p.StepTime, 100*e, meas)
+			if math.Abs(gap[1]-gap[0]) > 0.03 {
+				t.Errorf("%s: the hierarchical walk's routing gap %+.1f%% is not the direct one's %+.1f%%", name, 100*gap[1], 100*gap[0])
 			}
 			return p
 		}

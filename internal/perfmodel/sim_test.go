@@ -19,6 +19,12 @@ import (
 // the engine does by default.
 func measure(t *testing.T, d Deployment, spec ModelSpec) float64 {
 	t.Helper()
+	return shortRun(t, d, spec).SimPerStep
+}
+
+// shortRun is measure's run, with its routing skew and traffic.
+func shortRun(t *testing.T, d Deployment, spec ModelSpec) parallel.ShortRunResult {
+	t.Helper()
 	comm := moe.CommConfig{Codec: mpi.FP32Wire, Overlap: d.OverlapA2A}
 	if d.WireFP16 {
 		comm.Codec = mpi.FP16Wire
@@ -55,7 +61,7 @@ func measure(t *testing.T, d Deployment, spec ModelSpec) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.SimPerStep
+	return res
 }
 
 // tracks predicts spec under d and fails unless the step is within 15 %

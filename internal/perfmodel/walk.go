@@ -334,75 +334,71 @@ func (w *walker) issue(r *rank, u int) {
 // moe runs an MoE round trip from r's clock: the outbound exchange, k
 // forwards' worth of expert GEMMs (under the two-phase exchange the
 // local leg's while the cross-supernode leg is in flight), the report of
-// unit u, the return exchange.
+// unit u, the return exchange. The GEMMs and the return are the
+// busiest expert rank's, RouteSkew× the mean rows: every rank waits for
+// its rows to come back.
 func (w *walker) moe(r *rank, k float64, meta bool, u int) {
-	t0, g := r.now, k*w.gemm
-	local, all := w.exchange(r, meta)
+	skew := max(w.RouteSkew, 1)
+	t0, g := r.now, k*w.gemm*skew
+	local, all := w.exchange(r, meta, 1)
 	r.now = all + g
 	if w.OverlapA2A {
 		f := float64(r.ep.sn[0]) / float64(r.ep.size)
 		r.now = max(local+f*g, all) + (1-f)*g
 	}
 	w.issue(r, u)
-	_, r.now = w.exchange(r, false)
+	_, r.now = w.exchange(r, false, skew)
 	r.expert += g
 	r.a2a += r.now - t0 - g
 }
 
 // exchange books an MoE all-to-all from r's clock, each rank sending
-// every peer its share of TopK rows a token (a slot id a row when meta),
-// and returns when the local leg (self and same-supernode sources) and
-// the whole exchange have arrived. The direct exchange posts remote
-// chunks first. In the hierarchical one (mpi.Exchange) the
-// representative leads its supernode: its local chunks go direct, the
-// members' up-legs come in, one aggregate goes to every other leader and
-// a down-leg to every member.
-func (w *walker) exchange(r *rank, meta bool) (local, all float64) {
+// every peer load× its share of TopK rows a token (a slot id a row when
+// meta), and returns when the local leg (self and same-supernode
+// sources) and the whole exchange have arrived. The direct exchange
+// posts remote chunks first. The hierarchical one (mpi.Exchange) sends
+// each other member of the supernode one merged message, its chunk and
+// the rows riding its rail at cross width, then from their arrival one
+// rail message to each cross destination it serves, carrying its
+// supernode's rows for it.
+func (w *walker) exchange(r *rank, meta bool, load float64) (local, all float64) {
 	c := r.ep
-	per := w.rows * float64(w.spec.TopK) / float64(c.size)
-	bytes := func(cross bool, rows float64) float64 {
-		width := w.row
+	per := load * w.rows * float64(w.spec.TopK) / float64(c.size)
+	width := func(cross bool) float64 { // a row's bytes on the wire
 		if cross && w.WireFP16 {
-			width = float64(w.spec.Dim) * 2
+			return float64(w.spec.Dim)*2 + 8*float64(b2i(meta))
 		}
-		return rows*(width+8*float64(b2i(meta))) + 16
+		return w.row + 8*float64(b2i(meta))
 	}
 	hier := w.A2A == A2AHierarchical && c.hier()
+	L := float64(c.sn[0])
+	served := float64(c.size-c.sn[0]) / L // cross destinations on a rank's rail
 	t, local, all := r.now, r.now, r.now
 	for _, l := range []simnet.Level{simnet.MachineLevel, simnet.NodeLevel, simnet.SupernodeLevel} {
 		n, cross := float64(c.peers[l]), l == simnet.MachineLevel
-		r.a2aBytes += n * bytes(cross, per)
-		if n > 0 && !(hier && cross) {
-			t = w.send(r, l, t, n*bytes(cross, per))
-			if cross {
-				all = t + w.topo.Alpha[l]
-			} else {
-				local = max(local, t+w.topo.Alpha[l])
-			}
+		if n == 0 || hier && cross {
+			continue
+		}
+		b := n * (per*width(cross) + 16)
+		if hier { // the merged message carries the rows riding the peer's rail
+			b += n * served * per * width(true)
+		}
+		r.a2aBytes += b
+		t = w.send(r, l, t, b)
+		if cross {
+			all = t + w.topo.Alpha[l]
+		} else {
+			local = max(local, t+w.topo.Alpha[l])
 		}
 	}
 	local = max(local, t)
 	all = max(all, local)
-	if !hier {
-		return local, all
+	if hier {
+		b := served * (L*per*width(true) + 16)
+		r.a2aBytes += b
+		all = w.send(r, simnet.MachineLevel, all, b) + w.topo.Alpha[simnet.MachineLevel]
 	}
-	L, remote, m := c.sn[0], float64(c.size-c.sn[0])*per, simnet.MachineLevel
-	lead := simnet.NodeLevel // the slowest leader-member link
-	if c.peers[simnet.SupernodeLevel] > 0 {
-		lead = simnet.SupernodeLevel
-	}
-	if L > 1 {
-		all = max(all, t+bytes(true, remote)*w.topo.Beta[lead]+w.topo.Alpha[lead])
-	}
-	// The aggregates, each a send and a receive, booked as one block; one
-	// rank a supernode crosses, so the bisection leaves its link whole.
-	d := bytes(true, float64(L)*remote) * w.topo.Beta[m]
-	end, _ := r.ports.Reserve(m, all, d, min(all, r.floor))
-	all = max(all+d+float64(len(c.sn)-1)*w.topo.Alpha[m], end+w.topo.Alpha[m])
-	for _, l := range []simnet.Level{simnet.NodeLevel, simnet.SupernodeLevel} {
-		all = w.send(r, l, all, float64(c.peers[l])*bytes(true, remote))
-	}
-	return local, all + w.topo.Alpha[lead]*float64(b2i(L > 1))
+	return local, all
 }
 
 // allReduceSchedule books a gradient collective of n elements over c as
