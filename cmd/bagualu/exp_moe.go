@@ -93,7 +93,7 @@ func expR6b(*options) []*metrics.Table {
 		dm.Forward(tensor.Uniform(tensor.NewRNG(32+uint64(c.Rank())), -1, 1, 64, 16))
 		counts := dm.GatherExpertCounts(c)
 		before := dm.Placement().Imbalance(counts)
-		check(dm.Migrate(dm.Placement().Rebalanced(counts)))
+		check(dm.MigrateOpt(dm.Placement().Rebalanced(counts), nil))
 		if c.Rank() == 0 {
 			mig.AddRow("block", fmt.Sprintf("%.2f", before))
 			mig.AddRow("LPT-migrated", fmt.Sprintf("%.2f", dm.Placement().Imbalance(counts)))

@@ -52,7 +52,7 @@ func expR7(*options) []*metrics.Table {
 			ep := gcd(machine.Nodes(), spec.NumExperts)
 			d := fullMachine(machine, machine.Nodes()/ep, ep)
 			d.Precision = prec
-			rep := must(d.PredictStep(spec, perfmodel.FaultModel{}))
+			rep := must(d.PredictStep(spec))
 			proj.AddRow(spec.Name, prec.String(),
 				rep.StepTime, rep.DenseCompute+rep.ExpertCompute, rep.A2A, rep.Sync,
 				fmt.Sprintf("%.3g", rep.TokensPerSec),
@@ -72,7 +72,7 @@ func expR7b(*options) []*metrics.Table {
 	for _, a := range []perfmodel.A2AStrategy{perfmodel.A2AFlat, perfmodel.A2AHierarchical} {
 		d := fullMachine(machine, 1, machine.Nodes())
 		d.A2A = a
-		rep := must(d.PredictStep(perfmodel.BrainScaleSpecs()[2], perfmodel.FaultModel{}))
+		rep := must(d.PredictStep(perfmodel.BrainScaleSpecs()[2]))
 		abl.AddRow(a.String(), rep.StepTime, rep.A2A, rep.SustainedFlops/1e18)
 	}
 	return []*metrics.Table{abl}
@@ -90,7 +90,7 @@ func expR2proj(*options) []*metrics.Table {
 		m := sunway.NewGenerationSunway()
 		m.Supernodes = nodes / m.NodesPerSupernode
 		spec.NumExperts = nodes // one expert per node: experts ∝ machine
-		rep := must(fullMachine(m, 1, nodes).PredictStep(spec, perfmodel.FaultModel{}))
+		rep := must(fullMachine(m, 1, nodes).PredictStep(spec))
 		perNode := rep.TokensPerSec / float64(nodes)
 		if base == 0 {
 			base = perNode
@@ -136,7 +136,7 @@ func expR15(*options) []*metrics.Table {
 		}
 		n, best, err := dd.MaxTrainableParams(spec)
 		check(err)
-		rep := must(dd.PredictStep(best, perfmodel.FaultModel{}))
+		rep := must(dd.PredictStep(best))
 		if base == 0 {
 			base = float64(n)
 		}

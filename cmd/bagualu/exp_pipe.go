@@ -72,7 +72,7 @@ func expR19(o *options) []*metrics.Table {
 			// Folds run the ZeRO-sharded optimizer; every layout keeps
 			// its activations (no block recomputes).
 			d.ZeRO = g.PP() > 1
-			pred := must(d.PredictStep(spec, perfmodel.FaultModel{}))
+			pred := must(d.PredictStep(spec))
 
 			tc := train.Config{Batch: batch, Precision: sunway.FP32}
 			if g.PP() > 1 {

@@ -8,18 +8,20 @@
 //
 // The pipeline is deliberately staged from cheap to expensive:
 //
-//  1. EnumerateSpace walks every DP×EP layout, wire codec, overlap
-//     setting, batch size, memory lever (ZeRO, selective
-//     recompute, host offload) and checkpoint interval, pruning
-//     points the typed perfmodel validation or the per-node memory
-//     budget rejects.
-//  2. Score prices each survivor analytically (projected step time,
-//     sync bytes, goodput under the fault model) and sorts by
-//     effective step time.
-//  3. Validate runs the top-k distinct candidates for a few simulated
-//     steps (parallel.ShortRun) and measures virtual seconds per
-//     step — ground truth the analytic ranking is checked against
-//     (Kendall tau).
+//  1. EnumerateSpace walks every [pp, dp, ep] layout, batch size and
+//     memory lever (ZeRO, selective recompute, host offload), and the
+//     FP16 wire codec where the expert group crosses a supernode,
+//     pruning points the typed perfmodel validation or the per-node
+//     memory budget rejects. It lists only what the clocks can tell
+//     apart: every candidate runs the two-phase exchange, which is
+//     never slower, and the codec touches only cross-supernode rows.
+//  2. Score walks each survivor's step once (perfmodel.PredictStep),
+//     prices its goodput at its own best checkpoint interval under the
+//     fault model, and sorts by effective step time.
+//  3. Validate runs the top-k candidates for a few simulated steps
+//     (parallel.ShortRun) and measures virtual seconds per step —
+//     ground truth the analytic ranking is checked against (Kendall
+//     tau).
 //  4. Extrapolate projects the measured winner to the full-scale
 //     machine and model, escalating memory levers until the target
 //     fits and re-optimizing the checkpoint interval for goodput.
@@ -62,11 +64,10 @@ type Config struct {
 
 	Efficiency float64 // sustained fraction of peak; default 0.3
 
-	// Search axes. Zero-valued slices get defaults; layouts (DP×EP),
-	// codecs, overlap and memory levers are always enumerated in
-	// full.
-	Batches       []int // default {2, 4}
-	CkptIntervals []int // default {8, 32}
+	// Search axis. Layouts, memory levers and the codec are always
+	// enumerated (the codec where it can matter, see EnumerateSpace);
+	// the checkpoint interval is priced per candidate, not searched.
+	Batches []int // default {2, 4}
 
 	// PPMax caps the pipeline-parallel axis. Stage counts sweep the
 	// divisors of Ranks up to PPMax that also divide Spec.Layers
@@ -127,9 +128,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if len(cfg.Batches) == 0 {
 		cfg.Batches = []int{2, 4}
 	}
-	if len(cfg.CkptIntervals) == 0 {
-		cfg.CkptIntervals = []int{8, 32}
-	}
 	if cfg.MTBFSteps == 0 {
 		cfg.MTBFSteps = 200
 	}
@@ -153,8 +151,8 @@ func (cfg Config) withDefaults() (Config, error) {
 
 // SearchSpec is the default scaled-down MoE model the search measures:
 // small enough that a ShortRun takes milliseconds, MoE-shaped enough
-// that every deployment lever (a2a, codec, overlap, recompute) has a
-// measurable effect.
+// that the layout, the batch and the memory levers move both clocks,
+// and the codec does where the expert group crosses a supernode.
 func SearchSpec() perfmodel.ModelSpec {
 	return perfmodel.ModelSpec{
 		Name: "search-tiny", Vocab: 128, Dim: 32, Heads: 2,
@@ -168,23 +166,17 @@ type Candidate struct {
 	layout.Grid
 	Batch int // sequences per rank per step
 
-	Codec   mpi.Codec // MoE wire codec (fp32 / fp16 inter-supernode)
-	Overlap bool      // two-phase comm/compute overlap
+	Codec mpi.Codec // MoE wire codec (fp32 / fp16 inter-supernode)
 
 	// Memory levers.
 	ZeRO           bool
 	RecomputeEvery int // 0 = off; n = every n-th block replays forward
 	Offload        bool
-
-	CkptEvery int // checkpoint interval in steps
 }
 
 // String is the stable label candidates are reported under.
 func (c Candidate) String() string {
 	s := fmt.Sprintf("%s b%d %s", c.Grid, c.Batch, c.Codec)
-	if c.Overlap {
-		s += "+ov"
-	}
 	if c.ZeRO {
 		s += " zero"
 	}
@@ -194,7 +186,7 @@ func (c Candidate) String() string {
 	if c.Offload {
 		s += " offload"
 	}
-	return s + fmt.Sprintf(" ck%d", c.CkptEvery)
+	return s
 }
 
 // recomputeFraction maps the runtime's every-n-th-block selective
@@ -213,7 +205,8 @@ func recomputeFraction(every, layers int) float64 {
 	return float64(n) / float64(layers)
 }
 
-// deployment maps a candidate onto the analytic model at search scale.
+// deployment maps a candidate onto the analytic model at search scale,
+// with the two-phase exchange every candidate runs.
 func (cfg Config) deployment(c Candidate) perfmodel.Deployment {
 	return perfmodel.Deployment{
 		Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode, Grid: c.Grid,
@@ -224,7 +217,7 @@ func (cfg Config) deployment(c Candidate) perfmodel.Deployment {
 		RecomputeFraction: recomputeFraction(c.RecomputeEvery, cfg.Spec.Layers),
 		OffloadOptState:   c.Offload,
 		WireFP16:          c.Codec == mpi.FP16Wire,
-		OverlapA2A:        c.Overlap,
+		OverlapA2A:        true,
 	}
 }
 
@@ -244,10 +237,12 @@ var memoryLevers = []struct {
 
 // EnumerateSpace walks the full candidate grid and prunes points the
 // typed deployment validation or the per-node memory budget rejects.
-// It returns the feasible candidates in deterministic enumeration
-// order, the total grid size, and how many points were pruned.
+// The FP16 codec is listed only where the expert-parallel group spans
+// more ranks than one supernode holds: inside one supernode it touches
+// no row, and both clocks read the same step. It returns the feasible
+// candidates in deterministic enumeration order, the total grid size,
+// and how many points were pruned.
 func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
-	codecs := []mpi.Codec{mpi.FP32Wire, mpi.FP16Wire}
 	for pp := 1; pp <= cfg.PPMax; pp++ {
 		// Divisor pruning: stages partition both the rank set and the
 		// layer stack into equal contiguous chunks.
@@ -267,28 +262,25 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 				if perStage%ep != 0 {
 					continue
 				}
+				codecs := []mpi.Codec{mpi.FP32Wire}
+				if ep > cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
+					codecs = append(codecs, mpi.FP16Wire)
+				}
 				for _, codec := range codecs {
-					for _, overlap := range []bool{false, true} {
-						for _, batch := range cfg.Batches {
-							for _, lv := range memoryLevers {
-								for _, ck := range cfg.CkptIntervals {
-									total++
-									c := Candidate{
-										Grid:  layout.Grid{DataParallel: perStage / ep, ExpertParallel: ep, Pipeline: pp, Virtual: vpp},
-										Batch: batch,
-										Codec: codec, Overlap: overlap,
-										ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload,
-										CkptEvery: ck,
-									}
-									d := cfg.deployment(c)
-									mb, err := d.Memory(cfg.Spec)
-									if err != nil || !mb.Fits {
-										pruned++
-										continue
-									}
-									feasible = append(feasible, c)
-								}
+					for _, batch := range cfg.Batches {
+						for _, lv := range memoryLevers {
+							total++
+							c := Candidate{
+								Grid:  layout.Grid{DataParallel: perStage / ep, ExpertParallel: ep, Pipeline: pp, Virtual: vpp},
+								Batch: batch, Codec: codec,
+								ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload,
 							}
+							mb, err := cfg.deployment(c).Memory(cfg.Spec)
+							if err != nil || !mb.Fits {
+								pruned++
+								continue
+							}
+							feasible = append(feasible, c)
 						}
 					}
 				}
@@ -322,27 +314,30 @@ func sampleCandidates(cands []Candidate, n int, rng *tensor.RNG) []Candidate {
 	return out
 }
 
-// Scored pairs a candidate with its analytic prediction.
+// Scored pairs a candidate with its analytic prediction, priced at the
+// candidate's goodput-optimal checkpoint interval CkptEvery.
 type Scored struct {
 	Candidate
-	Pred perfmodel.StepPrediction
+	CkptEvery int
+	Pred      perfmodel.StepPrediction
 }
 
-// Score prices every candidate with perfmodel.PredictStep under the
-// search-scale fault model and returns them sorted by effective step
-// time (checkpoint overhead and expected rework included), best
-// first. The sort is stable, so ties keep enumeration order.
+// Score walks every candidate's step once with perfmodel.PredictStep,
+// prices its goodput at its best checkpoint interval under the
+// search-scale fault model, and returns the candidates sorted by that
+// effective step time (checkpoint overhead and expected rework
+// included), best first. The sort is stable, so ties keep enumeration
+// order.
 func Score(cfg Config, cands []Candidate) ([]Scored, error) {
 	scored := make([]Scored, 0, len(cands))
 	for _, c := range cands {
-		fm := perfmodel.FaultModel{
-			MTBFSteps: cfg.MTBFSteps, CkptEverySteps: c.CkptEvery, Async: true,
-		}
-		p, err := cfg.deployment(c).PredictStep(cfg.Spec, fm)
+		d := cfg.deployment(c)
+		p, err := d.PredictStep(cfg.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("autotune: scoring %s: %w", c, err)
 		}
-		scored = append(scored, Scored{Candidate: c, Pred: p})
+		every, p := d.BestCkptInterval(p, cfg.MTBFSteps)
+		scored = append(scored, Scored{Candidate: c, CkptEvery: every, Pred: p})
 	}
 	sort.SliceStable(scored, func(i, j int) bool {
 		return scored[i].Pred.EffStepTime < scored[j].Pred.EffStepTime

@@ -13,13 +13,11 @@ import (
 )
 
 // testConfig is a small, fast search: 8 ranks on a 2-supernode test
-// machine, one batch size and one checkpoint interval so the space
-// stays compact.
+// machine and one batch size, so the space stays compact.
 func testConfig() Config {
 	return Config{
 		Ranks: 8, RanksPerNode: 2, NodesPerSN: 2,
 		Batches:       []int{2},
-		CkptIntervals: []int{16},
 		TopK:          4,
 		ValidateSteps: 3,
 		Warmup:        1,
@@ -41,27 +39,27 @@ func TestKendallTau(t *testing.T) {
 }
 
 // TestPredictStepTracksMeasuredSimsec is the autotuner's key
-// correctness artifact: across DP×EP layouts, wire codecs, and
-// overlap settings, the analytic perfmodel.PredictStep ordering must
-// agree with the simsec ordering the simulated stack actually
-// measures. Kendall tau pins the agreement.
+// correctness artifact: across DP×EP layouts, wire codecs and batch
+// sizes, the analytic perfmodel.PredictStep ordering must agree with
+// the simsec ordering the simulated stack actually measures. Kendall
+// tau pins the agreement.
 func TestPredictStepTracksMeasuredSimsec(t *testing.T) {
 	cfg, err := testConfig().withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands := []Candidate{
-		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, Overlap: true, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 4, Codec: mpi.FP16Wire},
 	}
 	pred := make([]float64, len(cands))
 	meas := make([]float64, len(cands))
 	for i, c := range cands {
-		p, err := cfg.deployment(c).PredictStep(cfg.Spec, perfmodel.FaultModel{})
+		p, err := cfg.deployment(c).PredictStep(cfg.Spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}
@@ -94,13 +92,13 @@ func TestZeROSurchargeFlatInDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Candidate{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16}
+	c := Candidate{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire}
 	var pred, meas [2]float64
 	for i, layers := range []int{2, 8} {
 		cfg.Spec.Layers = layers
 		for _, zero := range []bool{false, true} {
 			c.ZeRO = zero
-			p, err := cfg.deployment(c).PredictStep(cfg.Spec, perfmodel.FaultModel{})
+			p, err := cfg.deployment(c).PredictStep(cfg.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,35 +125,157 @@ func TestZeROSurchargeFlatInDepth(t *testing.T) {
 	}
 }
 
-// TestExtrapolateDecidesOverlapAtTarget: a search-scale winner without
-// the exchange overlap still projects with it, since the target's
-// expert group spans supernodes, where the overlap never prices slower;
-// and it projects with the exchange, direct or hierarchical, the walk
-// prices faster there.
-func TestExtrapolateDecidesOverlapAtTarget(t *testing.T) {
-	winner := Candidate{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16}
-	proj, err := Extrapolate(testConfig(), winner)
+// TestExtrapolateMatchesFullSweep: Extrapolate walks the target twice
+// (the two exchanges, with the two-phase exchange on) and prices every
+// checkpoint interval from the chosen walk. Its projection must be, field
+// for field, the one a walk per exchange × overlap setting and a walk
+// per interval picks — the search it replaced, rebuilt here from the
+// same escalated deployment — for the R17 winner and the other tests'.
+func TestExtrapolateMatchesFullSweep(t *testing.T) {
+	cfg, err := testConfig().withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !proj.Dep.OverlapA2A {
-		t.Fatal("projection left the exchange overlap off at a target whose expert group spans supernodes")
+	for _, winner := range []Candidate{
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, ZeRO: true, RecomputeEvery: 1},
+		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 4, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, Offload: true},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 4, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true},
+	} {
+		proj, err := Extrapolate(cfg, winner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := proj.Dep
+		base.A2A, base.OverlapA2A = 0, false
+		best, dep := math.Inf(1), base
+		for _, a := range []perfmodel.A2AStrategy{perfmodel.A2AHierarchical, perfmodel.A2AFlat} {
+			for _, on := range []bool{true, false} {
+				d := base
+				d.A2A, d.OverlapA2A = a, on
+				p, err := d.PredictStep(proj.Spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.StepTime < best {
+					best, dep = p.StepTime, d
+				}
+			}
+		}
+		var every int
+		var pred perfmodel.StepPrediction
+		for iv := 1; iv <= 1<<16; iv *= 2 {
+			p, err := dep.PredictStep(proj.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p = dep.Goodput(p, perfmodel.FaultModel{MTBFSteps: cfg.MTBFSteps, CkptEverySteps: iv, Async: true})
+			if every == 0 || p.Goodput > pred.Goodput {
+				every, pred = iv, p
+			}
+		}
+		if proj.Dep != dep || proj.CkptEvery != every || proj.Pred != pred {
+			t.Fatalf("%s projects %+v, ckpt %d, %+v\nthe full sweep %+v, ckpt %d, %+v", winner, proj.Dep, proj.CkptEvery, proj.Pred, dep, every, pred)
+		}
 	}
-	chosen, err := proj.Dep.PredictStep(proj.Spec, perfmodel.FaultModel{})
+}
+
+// TestEnumerateSpaceListsDistinctDeployments: at the plan defaults the
+// search lists 40 candidates, each a different deployment, and the FP16
+// codec only where the expert group spans more than one supernode.
+func TestEnumerateSpaceListsDistinctDeployments(t *testing.T) {
+	cfg, err := Config{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	other := proj.Dep
-	other.A2A = perfmodel.A2AFlat
-	if proj.Dep.A2A == perfmodel.A2AFlat {
-		other.A2A = perfmodel.A2AHierarchical
+	feasible, _, _ := EnumerateSpace(cfg)
+	if len(feasible) != 40 {
+		t.Fatalf("%d candidates at the plan defaults, want 40", len(feasible))
 	}
-	alt, err := other.PredictStep(proj.Spec, perfmodel.FaultModel{})
+	seen := map[perfmodel.Deployment]Candidate{}
+	for _, c := range feasible {
+		d := cfg.deployment(c)
+		if prev, ok := seen[d]; ok {
+			t.Fatalf("%s and %s are the same deployment", prev, c)
+		}
+		seen[d] = c
+		if c.Codec == mpi.FP16Wire && c.ExpertParallel <= cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
+			t.Fatalf("%s lists the FP16 codec inside one supernode", c)
+		}
+	}
+}
+
+// TestOverlapNeverSlowsAStep is why every candidate runs the two-phase
+// exchange: on a seeded sample of grids × batches × memory levers, under
+// both codecs, the engine's two-phase step is never slower than the
+// blocking one and trains the same loss, and the walk never prices it
+// slower. Inside one supernode neither the overlap nor the codec touches
+// a row, so both clocks read the same step either way: that is why the
+// search lists FP16 only across supernodes.
+func TestOverlapNeverSlowsAStep(t *testing.T) {
+	cfg, err := testConfig().withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if alt.StepTime < chosen.StepTime {
-		t.Fatalf("projection took the %v exchange (%.6g s a step) over the faster %v (%.6g s)", proj.Dep.A2A, chosen.StepTime, other.A2A, alt.StepTime)
+	var shapes []Candidate
+	for _, g := range []layout.Grid{
+		{DataParallel: 1, ExpertParallel: 8},
+		{DataParallel: 2, ExpertParallel: 4},
+		{DataParallel: 1, ExpertParallel: 4, Pipeline: 2},
+	} {
+		for _, batch := range []int{2, 4} {
+			for _, lv := range memoryLevers {
+				shapes = append(shapes, Candidate{Grid: g, Batch: batch, ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload})
+			}
+		}
+	}
+	type clocks struct {
+		pred, meas float64
+		loss       float32
+	}
+	for _, shape := range sampleCandidates(shapes, 10, tensor.NewRNG(3)) {
+		crosses := shape.ExpertParallel > cfg.RanksPerNode*cfg.Machine.NodesPerSupernode
+		var byCodec [2]clocks
+		for i, codec := range []mpi.Codec{mpi.FP32Wire, mpi.FP16Wire} {
+			c := shape
+			c.Codec = codec
+			var run [2]clocks // two-phase, blocking
+			for j, overlap := range []bool{true, false} {
+				d := cfg.deployment(c)
+				d.OverlapA2A = overlap
+				p, err := d.PredictStep(cfg.Spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rc := cfg.shortRunConfig(c, 42)
+				rc.Model.Comm.Overlap = overlap
+				res, err := parallel.ShortRun(rc)
+				if err != nil {
+					t.Fatalf("%s: %v", c, err)
+				}
+				run[j] = clocks{p.StepTime, res.SimPerStep, res.FinalLoss}
+			}
+			on, off := run[0], run[1]
+			t.Logf("%-30s two-phase pred %.6g meas %.6g, blocking pred %.6g meas %.6g", c, on.pred, on.meas, off.pred, off.meas)
+			if on.meas > off.meas || on.pred > off.pred {
+				t.Errorf("%s: the two-phase step is slower (measured %.6g vs %.6g, predicted %.6g vs %.6g)", c, on.meas, off.meas, on.pred, off.pred)
+			}
+			if math.Float32bits(on.loss) != math.Float32bits(off.loss) {
+				// Across supernodes under the FP16 codec the two trains
+				// part in the last bits of the loss: bound that, and
+				// hold every other case to the bit.
+				if !crosses || codec != mpi.FP16Wire || math.Abs(float64(on.loss-off.loss)) > 1e-5*math.Abs(float64(off.loss)) {
+					t.Errorf("%s: the two-phase exchange trains loss %v, the blocking one %v", c, on.loss, off.loss)
+				}
+			}
+			if !crosses && on != off {
+				t.Errorf("%s: inside one supernode the overlap moved a clock: %+v vs %+v", c, on, off)
+			}
+			byCodec[i] = on
+		}
+		if !crosses && byCodec[0] != byCodec[1] {
+			t.Errorf("%s: inside one supernode the codec moved a clock: fp32 %+v, fp16 %+v", shape, byCodec[0], byCodec[1])
+		}
 	}
 }
 
@@ -283,8 +403,8 @@ func TestRunProducesValidatedRankingAndProjection(t *testing.T) {
 // needed) and carry a finite goodput.
 func TestExtrapolate174TFitsFullMachine(t *testing.T) {
 	winner := Candidate{
-		Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, Overlap: true,
-		ZeRO: true, RecomputeEvery: 1, CkptEvery: 16,
+		Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire,
+		ZeRO: true, RecomputeEvery: 1,
 	}
 	proj, err := Extrapolate(testConfig(), winner)
 	if err != nil {

@@ -123,9 +123,10 @@ func gcd(a, b int) int {
 // model: the expert-parallel width becomes the largest divisor of the
 // per-layer expert count the rank count admits, memory levers
 // escalate (ZeRO → full recompute → host offload) until the target
-// fits the node budget, the exchange strategy and its overlap are
-// re-decided by the target's step time, and the checkpoint interval is
-// re-optimized for goodput under the target MTBF.
+// fits the node budget, the exchange strategy is re-decided by the
+// target's step time (two walks, both with the two-phase exchange), and
+// the checkpoint interval is re-optimized for goodput under the target
+// MTBF from the chosen walk.
 func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -169,35 +170,22 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 		escalated = true
 	}
 	// Take the exchange, direct or hierarchical, that the target prices
-	// fastest, overlapped unless that prices slower: a tie keeps the
-	// earlier.
-	best, base := math.Inf(1), dep
+	// fastest: a tie keeps the hierarchical one.
+	dep.OverlapA2A = true
+	step, base := perfmodel.StepPrediction{StepTime: math.Inf(1)}, dep
 	for _, a := range []perfmodel.A2AStrategy{perfmodel.A2AHierarchical, perfmodel.A2AFlat} {
-		for _, on := range []bool{true, false} {
-			d := base
-			d.A2A, d.OverlapA2A = a, on
-			p, err := d.PredictStep(spec, perfmodel.FaultModel{})
-			if err != nil {
-				return Projection{}, err
-			}
-			if p.StepTime < best {
-				best, dep = p.StepTime, d
-			}
-		}
-	}
-	// Re-optimize the checkpoint interval for goodput at target MTBF.
-	proj := Projection{Machine: m, Spec: spec, Dep: dep, Escalated: escalated}
-	for iv := 1; iv <= 1<<16; iv *= 2 {
-		p, err := dep.PredictStep(spec, perfmodel.FaultModel{
-			MTBFSteps: cfg.MTBFSteps, CkptEverySteps: iv, Async: true,
-		})
+		d := base
+		d.A2A = a
+		p, err := d.PredictStep(spec)
 		if err != nil {
 			return Projection{}, err
 		}
-		if proj.CkptEvery == 0 || p.Goodput > proj.Pred.Goodput {
-			proj.CkptEvery, proj.Pred = iv, p
+		if p.StepTime < step.StepTime {
+			step, dep = p, d
 		}
 	}
+	proj := Projection{Machine: m, Spec: spec, Dep: dep, Escalated: escalated}
+	proj.CkptEvery, proj.Pred = dep.BestCkptInterval(step, cfg.MTBFSteps)
 	maxP, _, err := dep.MaxTrainableParams(spec)
 	if err != nil {
 		return Projection{}, err
@@ -216,12 +204,12 @@ func (p *Plan) Tables() []*metrics.Table {
 	t1 := metrics.NewTable(
 		fmt.Sprintf("R17a: analytic candidate ranking (top %d of %d scored; space %d, pruned %d)",
 			min(rankingRows, len(p.Scored)), p.Sampled, p.SpaceSize, p.Pruned),
-		"rank", "candidate", "pred-step(s)", "goodput", "eff-step(s)", "sync(MiB)", "a2a(MiB)", "mem(GiB)")
+		"rank", "candidate", "pred-step(s)", "ckpt(steps)", "goodput", "eff-step(s)", "sync(MiB)", "a2a(MiB)", "mem(GiB)")
 	for i, s := range p.Scored {
 		if i >= rankingRows {
 			break
 		}
-		t1.AddRow(i+1, s.Candidate.String(), s.Pred.StepTime, s.Pred.Goodput,
+		t1.AddRow(i+1, s.Candidate.String(), s.Pred.StepTime, s.CkptEvery, s.Pred.Goodput,
 			s.Pred.EffStepTime, s.Pred.SyncBytes/(1<<20), s.Pred.A2ABytes/(1<<20),
 			s.Pred.Mem.TotalGiB)
 	}

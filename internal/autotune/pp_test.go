@@ -7,7 +7,6 @@ import (
 	"bagualu/internal/mpi"
 	"bagualu/internal/parallel"
 	"bagualu/internal/parallel/layout"
-	"bagualu/internal/perfmodel"
 )
 
 // TestPredictStepTracksMeasuredSimsecWithPP extends the tau gate to
@@ -21,17 +20,17 @@ func TestPredictStepTracksMeasuredSimsecWithPP(t *testing.T) {
 	}
 	cfg.Spec.Layers = 4 // deep enough for pp ∈ {2, 4} layer chunks
 	cands := []Candidate{
-		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 2, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 1, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 2, Pipeline: 4}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, CkptEvery: 16},
+		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire},
+		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 2, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1},
+		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 1, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1},
+		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 2, Pipeline: 4}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1},
 	}
 	pred := make([]float64, len(cands))
 	meas := make([]float64, len(cands))
 	for i, c := range cands {
-		p, err := cfg.deployment(c).PredictStep(cfg.Spec, perfmodel.FaultModel{})
+		p, err := cfg.deployment(c).PredictStep(cfg.Spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c, err)
 		}

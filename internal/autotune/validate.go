@@ -11,7 +11,6 @@ import (
 
 	"bagualu/internal/data"
 	"bagualu/internal/moe"
-	"bagualu/internal/mpi"
 	"bagualu/internal/nn"
 	"bagualu/internal/parallel"
 	"bagualu/internal/tensor"
@@ -24,23 +23,10 @@ type Validated struct {
 	Measured parallel.ShortRunResult
 }
 
-// measuredKey erases the candidate knobs the virtual clock cannot
-// distinguish, so validation spends its top-k runs on configurations
-// that can actually measure differently: the checkpoint interval
-// (ShortRun never checkpoints), and — when the expert-parallel group
-// fits inside one supernode — the wire codec and overlap flags, which
-// only touch cross-supernode payloads.
-func (cfg Config) measuredKey(c Candidate) Candidate {
-	c.CkptEvery = 0
-	if c.ExpertParallel <= cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
-		c.Codec, c.Overlap = mpi.FP32Wire, false
-	}
-	return c
-}
-
-// shortRunConfig maps a candidate onto the measurement harness. A
-// pipelined candidate runs token-fair: Accum = PP micro-batches per
-// step, matching the analytic model's default M = S.
+// shortRunConfig maps a candidate onto the measurement harness, with
+// the two-phase exchange. A pipelined candidate runs token-fair:
+// Accum = PP micro-batches per step, matching the analytic model's
+// default M = S.
 func (cfg Config) shortRunConfig(c Candidate, seed uint64) parallel.ShortRunConfig {
 	s := cfg.Spec
 	tc := train.Config{Batch: c.Batch, Precision: searchPrecision}
@@ -59,7 +45,7 @@ func (cfg Config) shortRunConfig(c Candidate, seed uint64) parallel.ShortRunConf
 			NumExperts: s.NumExperts, TopK: s.TopK,
 			MoEHidden: s.MoEHidden, MoEEvery: s.MoEEvery,
 			CapacityFactor: 1.25, AuxLossWeight: 0.01,
-			Comm:           moe.CommConfig{Codec: c.Codec, Overlap: c.Overlap},
+			Comm:           moe.CommConfig{Codec: c.Codec, Overlap: true},
 			RecomputeEvery: c.RecomputeEvery,
 		},
 		Corpus: data.CorpusConfig{
@@ -75,26 +61,16 @@ func (cfg Config) shortRunConfig(c Candidate, seed uint64) parallel.ShortRunConf
 	}
 }
 
-// Validate measures the top-k analytically distinct candidates (two
-// candidates differing only in checkpoint interval share one
-// measurement) with short simulated runs. One seed, drawn from rng,
-// is shared by every run: candidates then see identical token
-// streams, so measured differences are configuration effects rather
-// than sampling noise — and the same config and seed reproduce the
-// same measurements exactly.
+// Validate measures the top-k analytically ranked candidates with
+// short simulated runs. One seed, drawn from rng, is shared by every
+// run: candidates then see identical token streams, so measured
+// differences are configuration effects rather than sampling noise —
+// and the same config and seed reproduce the same measurements
+// exactly.
 func Validate(cfg Config, scored []Scored, rng *tensor.RNG) ([]Validated, error) {
-	seen := make(map[Candidate]bool)
 	out := make([]Validated, 0, cfg.TopK)
 	seed := rng.Uint64()
-	for _, s := range scored {
-		if len(out) >= cfg.TopK {
-			break
-		}
-		key := cfg.measuredKey(s.Candidate)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	for _, s := range scored[:min(cfg.TopK, len(scored))] {
 		res, err := parallel.ShortRun(cfg.shortRunConfig(s.Candidate, seed))
 		if err != nil {
 			return nil, fmt.Errorf("autotune: validating %s: %w", s.Candidate, err)

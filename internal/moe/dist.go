@@ -97,7 +97,7 @@ type DistMoE struct {
 	perExpert int // parameter count of one expert FFN
 
 	// Expert placement: which rank owns each expert, plus derived
-	// lookup tables. Rebuilt by Migrate.
+	// lookup tables. Rebuilt by MigrateOpt.
 	place       *Placement
 	localGlobal []int // local slot -> global expert id
 	slotOf      []int // global expert id -> local slot at its owner

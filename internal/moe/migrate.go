@@ -26,23 +26,15 @@ type OptStateCarrier interface {
 	Forget(p *nn.Param)
 }
 
-// Migrate applies a new expert placement: every expert whose owner
-// changes has its weights shipped point-to-point from the old owner
-// to the new one. All ranks of the expert-parallel group must call
-// Migrate with an identical plan (it is a collective). Optimizer
-// state of moved experts is not transferred — Adam moments restart,
-// as when real systems rebalance without checkpoint surgery. Use
-// MigrateOpt to carry the state and keep the trajectory bit-exact.
-func (m *DistMoE) Migrate(newPlace *Placement) error {
-	return m.MigrateOpt(newPlace, nil)
-}
-
-// MigrateOpt is Migrate with optimizer-state transfer: when opt is
-// non-nil, each moved expert's per-parameter state slices travel in
-// the same frame as its weights and are installed on the new owner
-// (and forgotten on the old), so the next optimizer step is
-// bit-identical to a run where the expert never moved. The plan may
-// be unbalanced (see Placement.Validate); LocalExperts is recomputed.
+// MigrateOpt applies a new expert placement: every expert whose owner
+// changes has its weights shipped point-to-point from the old owner to
+// the new one. All ranks of the expert-parallel group must call it with
+// an identical plan (it is a collective). When opt is non-nil, each
+// moved expert's per-parameter state slices travel in the same frame as
+// its weights and are installed on the new owner (and forgotten on the
+// old), so the next optimizer step is bit-identical to a run where the
+// expert never moved; with nil, only the weights move. The plan may be
+// unbalanced (see Placement.Validate); LocalExperts is recomputed.
 func (m *DistMoE) MigrateOpt(newPlace *Placement, opt OptStateCarrier) error {
 	if newPlace.NumExperts != m.Cfg.NumExperts || newPlace.Ranks != m.comm.Size() {
 		return fmt.Errorf("moe: migration plan shape %dx%d does not match %dx%d",

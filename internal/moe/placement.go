@@ -10,7 +10,7 @@ import (
 // skewed workloads concentrate hot experts on few ranks; BaGuaLu's
 // lineage (FasterMoE) rebalances by migrating experts between ranks.
 // Placement is the pure planning half of that mechanism; DistMoE's
-// Migrate applies a plan by actually moving the weights.
+// MigrateOpt applies a plan by actually moving the weights.
 type Placement struct {
 	NumExperts int
 	Ranks      int

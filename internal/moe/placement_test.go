@@ -142,7 +142,7 @@ func TestMigratePreservesOutputs(t *testing.T) {
 
 		newPlace := NewBlockPlacement(8, P)
 		newPlace.Owner[0], newPlace.Owner[7] = newPlace.Owner[7], newPlace.Owner[0]
-		if err := m.Migrate(newPlace); err != nil {
+		if err := m.MigrateOpt(newPlace, nil); err != nil {
 			t.Error(err)
 			panic(err)
 		}
@@ -161,12 +161,12 @@ func TestMigrateRejectsBadPlan(t *testing.T) {
 		r := tensor.NewRNG(72)
 		m := NewDistMoE("moe", r, gateCfg(4, 4, 1), 8, c, Auto)
 		wrong := NewBlockPlacement(8, 2)
-		if err := m.Migrate(wrong); err == nil {
+		if err := m.MigrateOpt(wrong, nil); err == nil {
 			t.Error("wrong-shape plan accepted")
 		}
 		oob := NewBlockPlacement(4, 2)
 		oob.Owner[0] = 7
-		if err := m.Migrate(oob); err == nil {
+		if err := m.MigrateOpt(oob, nil); err == nil {
 			t.Error("out-of-range plan accepted")
 		}
 	})
@@ -187,7 +187,7 @@ func TestMigrateUnbalanced(t *testing.T) {
 		outsBefore[c.Rank()] = m.Forward(x)
 
 		plan := m.Placement().DrainRanks([]int{1, 1, 1, 1}, []bool{true, false})
-		if err := m.Migrate(plan); err != nil {
+		if err := m.MigrateOpt(plan, nil); err != nil {
 			t.Error(err)
 			return
 		}
@@ -252,7 +252,7 @@ func TestEndToEndRebalanceLoop(t *testing.T) {
 		counts := m.GatherExpertCounts(c)
 		oldImb := m.Placement().Imbalance(counts)
 		plan := m.Placement().Rebalanced(counts)
-		if err := m.Migrate(plan); err != nil {
+		if err := m.MigrateOpt(plan, nil); err != nil {
 			panic(err)
 		}
 		newImb := m.Placement().Imbalance(counts)

@@ -38,11 +38,10 @@ func collectHealth(w *mpi.World, comm *mpi.Comm) []float64 {
 // and must be identical on every rank — slots, not individual ranks,
 // because every EP group must install the same placement for the
 // data-parallel gradient exchange of expert shards to stay symmetric.
-// Weights AND optimizer state move (moe.MigrateOpt) — under Mixed the
-// FP32 master rides as the weights — so the loss trajectory is
-// unchanged; an optimizer that cannot ship its state (ZeRO's scattered
-// moment ranges, LAMB) is an error. Returns without acting when every
-// slot is flagged (nowhere to move work) or none is.
+// Weights AND optimizer state move (migrateExperts), so the loss
+// trajectory is unchanged; an optimizer that cannot ship its state is an
+// error. Returns without acting when every slot is flagged (nowhere to
+// move work) or none is.
 func (e *Engine) Mitigate(degradedSlots []bool) error {
 	if len(degradedSlots) != e.EP.Size() {
 		return fmt.Errorf("parallel: %d degraded slots for EP=%d", len(degradedSlots), e.EP.Size())
@@ -56,28 +55,8 @@ func (e *Engine) Mitigate(degradedSlots []bool) error {
 	if flagged == 0 || flagged == len(degradedSlots) {
 		return nil
 	}
-	// ShardedAdam deliberately is not an OptStateCarrier: its moment
-	// ranges are scattered across the data-parallel group, so a drain
-	// migration cannot ship them. Tiered policies must fall back to
-	// rollback there.
-	carrier, ok := e.Trainer.Opt.(moe.OptStateCarrier)
-	if !ok {
-		return fmt.Errorf("parallel: expert mitigation cannot move %T state with an expert; use rollback escalation", e.Trainer.Opt)
-	}
-	// Migration ships working weights; under Mixed they hold the masters
-	// until repartitionParams' cover snapshots the moved ones and rounds
-	// every weight back.
-	e.Trainer.MP.LoadMasters()
-	for _, m := range e.moeLayers {
-		// Counts gathered over the WORLD communicator: every EP group
-		// sees the identical load picture and plans the identical
-		// drain, preserving DP symmetry.
-		counts := m.GatherExpertCounts(e.Comm)
-		plan := m.Placement().DrainRanks(counts, degradedSlots)
-		if err := m.MigrateOpt(plan, carrier); err != nil {
-			return err
-		}
-	}
-	e.repartitionParams()
-	return nil
+	_, err := e.migrateExperts("expert mitigation", func(p *moe.Placement, counts []int) *moe.Placement {
+		return p.DrainRanks(counts, degradedSlots)
+	})
+	return err
 }

@@ -45,7 +45,7 @@ func TestMixedSyncBytesMatchModel(t *testing.T) {
 				Machine: row.machine, RanksPerNode: row.rpn, Grid: layout.Grid(row.grid),
 				BatchPerRank: tc.Batch, Precision: tc.Precision, Efficiency: 0.3, ZeRO: row.zero,
 			}
-			pred, err := d.PredictStep(spec, perfmodel.FaultModel{})
+			pred, err := d.PredictStep(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

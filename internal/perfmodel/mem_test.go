@@ -40,7 +40,7 @@ func TestMemoryBreakdownConsistent(t *testing.T) {
 		t.Fatalf("host tier populated without offload: %+v", mb)
 	}
 	// PredictStep must agree with the standalone breakdown.
-	rep, err := d.PredictStep(memSpec(), FaultModel{})
+	rep, err := d.PredictStep(memSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestMemoryLeversMonotone(t *testing.T) {
 func TestRecomputeAndOffloadTrades(t *testing.T) {
 	d := memDeployment()
 	spec := memSpec()
-	plain, err := d.PredictStep(spec, FaultModel{})
+	plain, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dr := d
 	dr.RecomputeFraction = 1
-	rec, err := dr.PredictStep(spec, FaultModel{})
+	rec, err := dr.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRecomputeAndOffloadTrades(t *testing.T) {
 	}
 	do := d
 	do.OffloadOptState = true
-	off, err := do.PredictStep(spec, FaultModel{})
+	off, err := do.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

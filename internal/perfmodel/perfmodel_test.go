@@ -99,7 +99,7 @@ func fullDeployment(a2a A2AStrategy) Deployment {
 func TestProjectFullMachine174T(t *testing.T) {
 	spec := BrainScaleSpecs()[2] // 96,000 experts: one per rank
 	d := fullDeployment(A2AHierarchical)
-	rep, err := d.PredictStep(spec, FaultModel{})
+	rep, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestA2AStrategiesTrackSimulator(t *testing.T) {
 	spec = BrainScaleSpecs()[0]
 	dFlat, dHier := fullDeployment(A2AFlat), fullDeployment(A2AHierarchical)
 	spec.NumExperts = dFlat.ExpertParallel
-	rf, err := dFlat.PredictStep(spec, FaultModel{})
+	rf, err := dFlat.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := dHier.PredictStep(spec, FaultModel{})
+	rh, err := dHier.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestMemoryGateRejectsOversizedModel(t *testing.T) {
 		BatchPerRank: 1, Precision: sunway.Mixed, Efficiency: 0.35,
 	}
 	spec.NumExperts = 4 * 1000 // divisible by EP, still huge
-	rep, err := d.PredictStep(spec, FaultModel{})
+	rep, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +183,18 @@ func TestMemoryGateRejectsOversizedModel(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	d := fullDeployment(A2AFlat)
 	d.Efficiency = 0
-	if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
+	if _, err := d.PredictStep(tinySpec()); err == nil {
 		t.Fatal("zero efficiency accepted")
 	}
 	d = fullDeployment(A2AFlat)
 	d.DataParallel = 7 // grid mismatch
-	if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
+	if _, err := d.PredictStep(tinySpec()); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
 	d = fullDeployment(A2AFlat)
 	spec := tinySpec()
 	spec.NumExperts = 7 // not divisible by EP
-	if _, err := d.PredictStep(spec, FaultModel{}); err == nil {
+	if _, err := d.PredictStep(spec); err == nil {
 		t.Fatal("indivisible experts accepted")
 	}
 }
@@ -206,12 +206,12 @@ func TestComputeScalesWithBatch(t *testing.T) {
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.5,
 	}
 	spec := tinySpec()
-	r1, err := base.PredictStep(spec, FaultModel{})
+	r1, err := base.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.BatchPerRank = 4
-	r2, err := base.PredictStep(spec, FaultModel{})
+	r2, err := base.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +228,12 @@ func TestMixedPrecisionFasterThanFP32(t *testing.T) {
 		Machine: m, RanksPerNode: 1, Grid: layout.Grid{DataParallel: 16, ExpertParallel: 4},
 		BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 	}
-	r32, err := d.PredictStep(spec, FaultModel{})
+	r32, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Precision = sunway.Mixed
-	rmx, err := d.PredictStep(spec, FaultModel{})
+	rmx, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestWeakScalingImprovesThroughput(t *testing.T) {
 			BatchPerRank: 2, Precision: sunway.Mixed, Efficiency: 0.4,
 			A2A: A2AHierarchical,
 		}
-		r, err := d.PredictStep(spec, FaultModel{})
+		r, err := d.PredictStep(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

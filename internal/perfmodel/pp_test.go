@@ -35,11 +35,11 @@ func TestPPReducesToFlatAtOneStage(t *testing.T) {
 	folded := flat
 	folded.Pipeline = 1
 	folded.MicroBatches = 1
-	a, err := flat.PredictStep(spec, FaultModel{})
+	a, err := flat.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := folded.PredictStep(spec, FaultModel{})
+	b, err := folded.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@ import (
 
 // StepPrediction is the analytic projection of one training step: the
 // step walk's (walk.go) reading of the representative of stage 0, the
-// rank the simulator's measurement reads. With a non-zero FaultModel
-// the prediction also carries the checkpoint overhead and the goodput —
-// the fraction of wall time that produces retained training progress
-// under the failure process.
+// rank the simulator's measurement reads. PredictStep returns it
+// fault-free; Goodput prices it under a FaultModel, adding the
+// checkpoint overhead and the goodput — the fraction of wall time that
+// produces retained training progress under the failure process.
 type StepPrediction struct {
 	DenseCompute  float64 // dense fwd+bwd seconds (attention, FFN, gate, head, embeddings)
 	ExpertCompute float64 // expert GEMM seconds, replays included
@@ -54,9 +54,9 @@ type FaultModel struct {
 	Async bool
 }
 
-// PredictStep computes the analytic prediction for one training step
-// of spec under this deployment and fault model.
-func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, error) {
+// PredictStep computes the fault-free analytic prediction for one
+// training step of spec under this deployment.
+func (d Deployment) PredictStep(spec ModelSpec) (StepPrediction, error) {
 	var p StepPrediction
 	if err := d.ValidateFor(spec); err != nil {
 		return p, err
@@ -79,16 +79,37 @@ func (d Deployment) PredictStep(spec ModelSpec, fm FaultModel) (StepPrediction, 
 	p.SustainedFlops = p.TokensPerStep * spec.FlopsPerToken() / p.StepTime
 	p.PeakFraction = p.SustainedFlops / (d.Machine.NodeFlops(d.Precision) * float64(d.Machine.Nodes()))
 
-	p.Goodput, p.CkptOverhead = d.goodput(p.StepTime, mb, fm)
-	p.EffStepTime = p.StepTime / p.Goodput
+	p.Goodput, p.EffStepTime = 1, p.StepTime
 	return p, nil
 }
 
-// goodput projects the useful-work fraction under the fault model:
-// a checkpoint cycle of I steps pays the writer overhead once, and
-// each expected failure (exponential arrivals at 1/MTBF per step)
-// loses half an interval of work plus the restore read. The returned
-// overhead is the amortized per-step checkpoint cost.
+// BestCkptInterval prices this deployment's step p under the async
+// writer at every checkpoint interval 1, 2, 4 … 2¹⁶ and returns the
+// one with the highest goodput (the shortest on a tie) and p priced
+// there. It walks nothing: goodput reads only p's step time and memory.
+func (d Deployment) BestCkptInterval(p StepPrediction, mtbfSteps float64) (int, StepPrediction) {
+	every, best := 0, p
+	for iv := 1; iv <= 1<<16; iv *= 2 {
+		q := d.Goodput(p, FaultModel{MTBFSteps: mtbfSteps, CkptEverySteps: iv, Async: true})
+		if every == 0 || q.Goodput > best.Goodput {
+			every, best = iv, q
+		}
+	}
+	return every, best
+}
+
+// Goodput prices this deployment's step p (PredictStep's) under the
+// fault model, from the step time and memory the walk computed: a
+// checkpoint cycle of I steps pays the writer overhead once, and each
+// expected failure (exponential arrivals at 1/MTBF per step) loses half
+// an interval of work plus the restore read. It sets the goodput, the
+// amortized per-step checkpoint cost and the effective step time.
+func (d Deployment) Goodput(p StepPrediction, fm FaultModel) StepPrediction {
+	p.Goodput, p.CkptOverhead = d.goodput(p.StepTime, p.Mem, fm)
+	p.EffStepTime = p.StepTime / p.Goodput
+	return p
+}
+
 func (d Deployment) goodput(stepTime float64, mb MemBreakdown, fm FaultModel) (float64, float64) {
 	if fm.CkptEverySteps <= 0 {
 		if fm.MTBFSteps <= 0 {

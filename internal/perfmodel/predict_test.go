@@ -8,20 +8,24 @@ import (
 	"bagualu/internal/sunway"
 )
 
-// TestFaultFreePredictionHasUnitGoodput pins the zero FaultModel the
-// experiment tables project with: no failures and no checkpoints, so
-// the effective step is the fault-free one.
+// TestFaultFreePredictionHasUnitGoodput pins PredictStep's fault-free
+// step, which the experiment tables project with: no failures and no
+// checkpoints, so the effective step is the fault-free one — and so is
+// the zero FaultModel's pricing of it.
 func TestFaultFreePredictionHasUnitGoodput(t *testing.T) {
 	d := validDeployment()
 	d.A2A = A2AHierarchical
 	d.ZeRO = true
-	p, err := d.PredictStep(tinySpec(), FaultModel{})
+	p, err := d.PredictStep(tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Goodput != 1 || p.EffStepTime != p.StepTime || p.CkptOverhead != 0 {
 		t.Fatalf("fault-free prediction has goodput %v, effective step %v of %v, checkpoint overhead %v",
 			p.Goodput, p.EffStepTime, p.StepTime, p.CkptOverhead)
+	}
+	if q := d.Goodput(p, FaultModel{}); q != p {
+		t.Fatalf("the zero fault model prices %+v, the walk %+v", q, p)
 	}
 }
 
@@ -35,12 +39,12 @@ func TestFP16WireCutsA2ABytesAndTime(t *testing.T) {
 	}
 	spec := tinySpec()
 	spec.NumExperts = 8
-	fp32, err := d.PredictStep(spec, FaultModel{})
+	fp32, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.WireFP16 = true
-	fp16, err := d.PredictStep(spec, FaultModel{})
+	fp16, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +57,12 @@ func TestFP16WireCutsA2ABytesAndTime(t *testing.T) {
 	// Intra-supernode-only groups see no codec effect.
 	dIntra := d
 	dIntra.Machine = sunway.TestMachine(1, 8)
-	intra16, err := dIntra.PredictStep(spec, FaultModel{})
+	intra16, err := dIntra.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dIntra.WireFP16 = false
-	intra32, err := dIntra.PredictStep(spec, FaultModel{})
+	intra32, err := dIntra.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +122,12 @@ func TestOverlapA2AHidesExpertCompute(t *testing.T) {
 		t.Fatalf("overlap step %v !< blocking %v", overlap.StepTime, blocking.StepTime)
 	}
 	d.Machine = sunway.TestMachine(1, 8)
-	intra, err := d.PredictStep(spec, FaultModel{})
+	intra, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.OverlapA2A = false
-	intraBlocking, err := d.PredictStep(spec, FaultModel{})
+	intraBlocking, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,22 +141,22 @@ func TestGoodputHasInteriorOptimumOverInterval(t *testing.T) {
 	// The classic Young–Daly trade must produce an interior optimum. It
 	// sits near sqrt(2·C·MTBF) of wall time for a checkpoint cost C, the
 	// snapshot once the flush hides: the grid brackets that interval.
+	// Every interval is priced from the one walk, and BestCkptInterval's
+	// sweep over powers of two lands within a factor 2 of the grid's best.
 	d := fullDeployment(A2AHierarchical)
 	spec := BrainScaleSpecs()[0]
 	spec.NumExperts = d.ExpertParallel
 	const mtbf, long = 400, 1 << 20
-	p, err := d.PredictStep(spec, FaultModel{MTBFSteps: mtbf, CkptEverySteps: long, Async: true})
+	walk, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := d.Goodput(walk, FaultModel{MTBFSteps: mtbf, CkptEverySteps: long, Async: true})
 	opt := max(2, int(math.Round(math.Sqrt(2*p.CkptOverhead*long*mtbf/p.StepTime))))
 	intervals := []int{1, opt, 16 * opt, 256 * opt}
 	good := make([]float64, len(intervals))
 	for i, iv := range intervals {
-		p, err := d.PredictStep(spec, FaultModel{MTBFSteps: mtbf, CkptEverySteps: iv, Async: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := d.Goodput(walk, FaultModel{MTBFSteps: mtbf, CkptEverySteps: iv, Async: true})
 		if p.Goodput <= 0 || p.Goodput >= 1 {
 			t.Fatalf("interval %d: goodput %v out of (0,1)", iv, p.Goodput)
 		}
@@ -170,18 +174,23 @@ func TestGoodputHasInteriorOptimumOverInterval(t *testing.T) {
 	if best == 0 || best == len(good)-1 {
 		t.Fatalf("goodput monotone over intervals %v: %v — no interior optimum", intervals, good)
 	}
+	every, swept := d.BestCkptInterval(walk, mtbf)
+	if every < intervals[best]/2 || every > 2*intervals[best] {
+		t.Fatalf("sweep picked interval %d (goodput %v); the grid's best is %d (goodput %v)", every, swept.Goodput, intervals[best], good[best])
+	}
 }
 
 func TestGoodputDegradesWithShorterMTBF(t *testing.T) {
 	d := fullDeployment(A2AHierarchical)
 	spec := BrainScaleSpecs()[0]
 	spec.NumExperts = d.ExpertParallel
+	walk, err := d.PredictStep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var prev float64 = -1
 	for _, mtbf := range []float64{50, 500, 5000} {
-		p, err := d.PredictStep(spec, FaultModel{MTBFSteps: mtbf, CkptEverySteps: 64, Async: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := d.Goodput(walk, FaultModel{MTBFSteps: mtbf, CkptEverySteps: 64, Async: true})
 		if p.Goodput <= prev {
 			t.Fatalf("goodput %v not increasing with MTBF %v", p.Goodput, mtbf)
 		}
@@ -192,7 +201,7 @@ func TestGoodputDegradesWithShorterMTBF(t *testing.T) {
 func TestSyncBytesMatchRingFormula(t *testing.T) {
 	d := validDeployment()
 	spec := tinySpec()
-	p, err := d.PredictStep(spec, FaultModel{})
+	p, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +271,13 @@ func TestSyncPricesDenseAndExpertConcurrently(t *testing.T) {
 				da.A2A = a
 				res := shortRun(t, da, spec)
 				meas := res.SimPerStep
-				bal, err := da.PredictStep(spec, FaultModel{})
+				bal, err := da.PredictStep(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				gap[i] = (bal.StepTime - meas) / meas
 				da.RouteSkew = res.RouteSkew
-				if p, err = da.PredictStep(spec, FaultModel{}); err != nil {
+				if p, err = da.PredictStep(spec); err != nil {
 					t.Fatal(err)
 				}
 				e := (p.StepTime - meas) / meas
@@ -327,7 +336,7 @@ func TestVisibleSyncIsBucketedOverlap(t *testing.T) {
 		t.Fatalf("visible sync %v outside [last group %v, whole sync %v)", p.Sync, last, whole)
 	}
 	d.Efficiency = 1e-4
-	p, err := d.PredictStep(spec, FaultModel{})
+	p, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func shortRun(t *testing.T, d Deployment, spec ModelSpec) parallel.ShortRunResul
 // of the simulator's.
 func tracks(t *testing.T, name string, d Deployment, spec ModelSpec) StepPrediction {
 	t.Helper()
-	p, err := d.PredictStep(spec, FaultModel{})
+	p, err := d.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestValidateRejectsGridMismatch(t *testing.T) {
 			BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.4,
 		}
 		wantConfigError(t, d.Validate(), "grid")
-		if _, err := d.PredictStep(tinySpec(), FaultModel{}); err == nil {
+		if _, err := d.PredictStep(tinySpec()); err == nil {
 			t.Fatalf("PredictStep priced grid %+v", g)
 		}
 	}
@@ -86,7 +86,7 @@ func TestValidateForRejectsIndivisibleExperts(t *testing.T) {
 	if _, err := d.Memory(spec); err == nil {
 		t.Fatal("Memory accepted an indivisible expert layout")
 	}
-	if _, err := d.PredictStep(spec, FaultModel{}); err == nil {
+	if _, err := d.PredictStep(spec); err == nil {
 		t.Fatal("PredictStep accepted an indivisible expert layout")
 	}
 }

@@ -49,7 +49,7 @@ if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!inter
 # asks a layer whether it reports its experts.
 if git grep -n 'nn\.ExpertReporter)' -- '*.go' ':!*_test.go' ':!internal/nn/'; then exit 1; fi
 go test -race ./...
-go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|DeferYieldsToEarlierJoins|DeferFailureDropsPending|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled|GradWireRoundsOnce|MixedSyncBytesMatchModel|PhaseRecordPerRank|MitigateKeepsMovedState|GatherDissemination|StepLossRankOrder|StepScalarsUnderSync|CrashRecoveryMatchesRestart|BitsGolden|ExchangeRoundsCrossSupernodeOnce|HierExchangeMatchesDirectOnAnyShape|DistMoEWireStatsW2Shape|A2AAlgosTrainIdentically|GradBucketsPartitionOwned|ExpertGroupsLeaveInsideBackward|UnitsFollowBackwardOrder|RunnerReportsFollowUnitsOrder' ./internal/...
+go test -count=2 -run 'Deterministic|BitExact|ArmedWireFaultsFire|TracksMeasuredSimsec|DedupCheckpoint|RestoreBytes|GatherShards|RecoveryReadsSlice|RailScheduleMatchesReference|RailTraffic|AllReduceSelector|ShardedSyncBytesHier|SupernodeGeometry|RequestLanes|RequestPortArithmetic|RequestFailureInFlight|RequestBodyRules|DeferYieldsToEarlierJoins|DeferFailureDropsPending|SyncPricesDenseAndExpertConcurrently|RollForwardMatchesRestart|RecoveryVote|RecoveryPathGenerated|DrainedCrashRestoresFromDisk|PipelineGeneratedEquivalence|StashedPassesMatchSequential|MixedOverflowSkipsEverywhere|MemoryCountsScheduledPasses|DepthOneEngineMatchesTrainer|RepartitionKeepsPrecisionState|PipelineCrashShrinkRestore|PooledStepMatchesUnpooled|GradWireRoundsOnce|MixedSyncBytesMatchModel|PhaseRecordPerRank|MitigateKeepsMovedState|GatherDissemination|StepLossRankOrder|StepScalarsUnderSync|CrashRecoveryMatchesRestart|BitsGolden|ExchangeRoundsCrossSupernodeOnce|HierExchangeMatchesDirectOnAnyShape|DistMoEWireStatsW2Shape|A2AAlgosTrainIdentically|GradBucketsPartitionOwned|ExpertGroupsLeaveInsideBackward|UnitsFollowBackwardOrder|RunnerReportsFollowUnitsOrder|RebalanceKeepsTrajectory|OverlapNeverSlowsAStep|ExtrapolateMatchesFullSweep|EnumerateSpaceListsDistinctDeployments' ./internal/...
 # The allocation gates: each step benchmark fails when its step
 # allocates more than its recorded baseline plus 5% (gatedLoop).
 go test -run '^$' -bench 'BenchmarkTrainStep$|BenchmarkPipelineStep$|BenchmarkEngineStep$|BenchmarkInferStep' -benchtime 3x .
