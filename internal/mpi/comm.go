@@ -6,6 +6,7 @@ import (
 
 	"bagualu/internal/metrics"
 	"bagualu/internal/simnet"
+	"bagualu/internal/simnet/coll"
 )
 
 // Tag-space layout. Every message tag encodes the communicator id,
@@ -35,56 +36,42 @@ type Comm struct {
 
 	wire WireStats // flattened-exchange traffic staged by this comm
 
-	// sn is the supernode geometry, built on first use (group and
-	// topology are fixed for the comm's lifetime; a Comm is owned by one
-	// rank's goroutine, so no locking is needed).
-	sn *supernodes
+	// geo is the supernode geometry and lists the collectives' step
+	// lists of this rank, built on first use (group and topology are
+	// fixed for the comm's lifetime; a Comm is owned by one rank's
+	// goroutine, so no locking is needed).
+	geo   *coll.Geometry
+	lists map[listKey][]coll.Step
 }
 
-// supernodes is a communicator's supernode geometry from this rank's
-// point of view: the one place comm ranks are grouped by supernode and
-// by rail, a member's position in its supernode. Every hierarchical
-// algorithm reads it.
-type supernodes struct {
-	groups [][]int // comm ranks per supernode, ascending; supernodes in first-appearance order
-	of     []int   // comm rank -> index into groups
-	at     []int   // comm rank -> its position in groups[of[q]]
-	j      int     // this rank's supernode, of[rank]
-	pos    int     // this rank's position in groups[j]
-	r      int     // rail count: the smallest supernode's member count
+// listKey names one of this rank's step lists.
+type listKey struct {
+	kind coll.Kind
+	root int
 }
 
-// supernodes returns the communicator's cached supernode geometry.
-func (c *Comm) supernodes() *supernodes {
-	if c.sn == nil {
-		t := c.Topology()
-		g := &supernodes{of: make([]int, c.Size()), at: make([]int, c.Size())}
-		idx := map[int]int{} // supernode id -> index in g.groups
-		for q := 0; q < c.Size(); q++ {
-			sn := t.Supernode(c.group[q])
-			j, ok := idx[sn]
-			if !ok {
-				j = len(g.groups)
-				idx[sn] = j
-				g.groups = append(g.groups, nil)
-			}
-			g.of[q], g.at[q] = j, len(g.groups[j])
-			g.groups[j] = append(g.groups[j], q)
-		}
-		g.j, g.pos = g.of[c.rank], g.at[c.rank]
-		g.r = len(g.groups[0])
-		for _, ms := range g.groups {
-			g.r = min(g.r, len(ms))
-		}
-		c.sn = g
+// geometry returns the communicator's cached supernode geometry.
+func (c *Comm) geometry() *coll.Geometry {
+	if c.geo == nil {
+		c.geo = coll.NewGeometry(c.Topology(), c.Size(), func(q int) int { return c.group[q] })
 	}
-	return c.sn
+	return c.geo
 }
 
-// rail returns the member of supernode j that forwards rows bound for
-// comm rank q: the one at q's position in its own supernode, modulo |j|
-// (q itself when q is in j).
-func (g *supernodes) rail(j, q int) int { return g.groups[j][g.at[q]%len(g.groups[j])] }
+// list returns this rank's cached steps of kind k (root: Bcast and
+// Reduce only).
+func (c *Comm) list(k coll.Kind, root int) []coll.Step {
+	key := listKey{k, root}
+	l, ok := c.lists[key]
+	if !ok {
+		if c.lists == nil {
+			c.lists = map[listKey][]coll.Step{}
+		}
+		l = c.geometry().List(k, c.rank, root)
+		c.lists[key] = l
+	}
+	return l
+}
 
 // Supernodes returns the communicator's ranks grouped by supernode:
 // groups[j] lists the comm ranks in supernode j ascending, supernodes in
@@ -92,17 +79,15 @@ func (g *supernodes) rail(j, q int) int { return g.groups[j][g.at[q]%len(g.group
 // of[q] is the group of comm rank q. Both slices are shared and must not
 // be modified.
 func (c *Comm) Supernodes() (groups [][]int, of []int) {
-	g := c.supernodes()
-	return g.groups, g.of
+	g := c.geometry()
+	return g.Groups, g.Of
 }
 
 // Hierarchical reports whether the communicator's collectives take
-// their topology-aware paths: it spans more than one supernode and has
-// at least 4 ranks. AllReduce, ShardBounds, ReduceScatterShard,
-// AllGatherShard and AllToAllv all decide by it.
-func (c *Comm) Hierarchical() bool {
-	return len(c.supernodes().groups) > 1 && c.Size() >= 4
-}
+// their topology-aware paths (coll.Geometry.Hierarchical): it spans more
+// than one supernode and has at least 4 ranks. AllReduce, ShardBounds,
+// ReduceScatterShard, AllGatherShard and AllToAllv all decide by it.
+func (c *Comm) Hierarchical() bool { return c.geometry().Hierarchical() }
 
 func newWorldComm(w *World, rank int, born int64) *Comm {
 	group := make([]int, w.size)

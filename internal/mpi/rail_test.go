@@ -120,7 +120,10 @@ func refAllReduceHier(inputs [][]float32, sn [][]int, op ReduceOp) []float32 {
 		}
 		local[j] = v[0]
 	}
-	lb := ringBounds(n, S)
+	lb := make([]int, S+1)
+	for c := range lb {
+		lb[c] = c * n / S
+	}
 	out := make([]float32, n)
 	for c := 0; c < S; c++ {
 		for s := 1; s < S; s++ {

@@ -8,6 +8,7 @@ import (
 
 	"bagualu/internal/half"
 	"bagualu/internal/simnet"
+	"bagualu/internal/simnet/coll"
 	"bagualu/internal/tensor"
 )
 
@@ -397,8 +398,10 @@ type Exchange struct {
 	legs []leg
 
 	// The communicator's supernode geometry: in hierarchical mode it
-	// names the rails, in both modes it splits local from remote.
-	sn *supernodes
+	// names the rails, in both modes it splits local from remote. j is
+	// this rank's supernode.
+	sn *coll.Geometry
+	j  int
 }
 
 // BeginExchange opens a flattened all-to-allv on the communicator.
@@ -408,14 +411,15 @@ type Exchange struct {
 // comm must call BeginExchange with the same arguments, in the same
 // collective order.
 func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
-	g := c.supernodes()
+	g := c.geometry()
 	e := &Exchange{
 		c:      c,
 		codec:  codec,
-		hier:   hier && len(g.groups) > 1,
+		hier:   hier && len(g.Groups) > 1,
 		seq:    c.nextSeq(),
 		posted: make([]bool, c.Size()),
 		sn:     g,
+		j:      g.Of[c.rank],
 	}
 	if e.hier {
 		e.legs = make([]leg, c.Size())
@@ -425,7 +429,7 @@ func (c *Comm) BeginExchange(hier bool, codec Codec) *Exchange {
 
 // local reports whether comm rank q shares this rank's supernode: the
 // split between RecvLocal and RecvRemote in both modes.
-func (e *Exchange) local(q int) bool { return e.sn.of[q] == e.sn.j }
+func (e *Exchange) local(q int) bool { return e.sn.Of[q] == e.j }
 
 // fp16 reports whether chunks to or from comm rank q travel as FP16.
 func (e *Exchange) fp16(q int) bool { return e.codec == FP16Wire && !e.local(q) }
@@ -455,7 +459,7 @@ func (e *Exchange) Post(dst int, data []float32, meta []int) {
 	case dst == e.c.rank || !e.hier:
 		p = newPayload(len(data), fp16)
 	default: // a same-supernode dst is its own rail
-		p = e.legs[e.sn.rail(e.sn.j, dst)].grow(dst, len(data), meta, fp16)
+		p = e.legs[e.sn.Rail(e.j, dst)].grow(dst, len(data), meta, fp16)
 	}
 	if fp16 {
 		half.EncodeSlice(p.u16, data)
@@ -511,7 +515,7 @@ func (e *Exchange) Flush() {
 	}
 	e.flushed = true
 	if e.hier {
-		for _, q := range e.sn.groups[e.sn.j] {
+		for _, q := range e.sn.Groups[e.j] {
 			if q != e.c.rank {
 				e.postLeg(q, stepMerge, e.legs[q])
 			}
@@ -652,7 +656,7 @@ func (e *Exchange) assemble(segs []seg, srcs []int, rel *relList) *RecvBuf {
 }
 
 // localSrcs / remoteSrcs partition the comm by this rank's supernode.
-func (e *Exchange) localSrcs() []int { return append([]int(nil), e.sn.groups[e.sn.j]...) }
+func (e *Exchange) localSrcs() []int { return append([]int(nil), e.sn.Groups[e.j]...) }
 
 func (e *Exchange) remoteSrcs() []int {
 	var srcs []int
@@ -675,7 +679,7 @@ func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 	rel.add(e.self.payload, true)
 	e.self = seg{}
 	if !e.hier {
-		for _, s := range e.sn.groups[e.sn.j] {
+		for _, s := range e.sn.Groups[e.j] {
 			if s != me {
 				segs[s] = absorbDirect(e.c.recvStep(s, collTag(e.c.id, e.seq, stepDirect)), rel)
 			}
@@ -683,7 +687,7 @@ func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 		return
 	}
 	rails := make([]leg, e.c.Size())
-	for _, s := range e.sn.groups[e.sn.j] {
+	for _, s := range e.sn.Groups[e.j] {
 		if s != me { // the leg s sent replaces the one this rank sent s
 			e.legs[s] = e.recvLeg(s, stepMerge, rel)
 		}
@@ -698,7 +702,7 @@ func (e *Exchange) collectLocal(segs []seg, rel *relList) {
 		})
 	}
 	for q := range rails {
-		if !e.local(q) && e.sn.rail(e.sn.j, q) == me {
+		if !e.local(q) && e.sn.Rail(e.j, q) == me {
 			e.postLeg(q, stepRail, rails[q])
 		}
 	}
@@ -715,9 +719,9 @@ func (e *Exchange) collectRemote(segs []seg, rel *relList) {
 		}
 		return
 	}
-	for j := range e.sn.groups {
-		if j != e.sn.j {
-			e.entries(e.recvLeg(e.sn.rail(j, c.rank), stepRail, rel), func(q int, sg seg) { segs[q] = sg })
+	for j := range e.sn.Groups {
+		if j != e.j {
+			e.entries(e.recvLeg(e.sn.Rail(j, c.rank), stepRail, rel), func(q int, sg seg) { segs[q] = sg })
 		}
 	}
 }

@@ -440,29 +440,12 @@ func (p *proc) post(dst int, m message) {
 	m.src = p.global
 	n := m.nbytes()
 	level := p.w.topo.LevelOf(p.global, dst)
-	beta := p.w.topo.Beta[level]
-	alpha := p.w.topo.Alpha[level]
-	// Straggler model: a slow rank stretches every link it touches.
-	if mult := p.w.linkDelay(p.global, dst); mult != 1 {
-		beta *= mult
-		alpha *= mult
-	}
-	start := p.now
-	// The sender is occupied while its port injects the message; the
-	// wire adds latency on top. Retransmissions (below) replay from the
-	// NIC buffer and occupy neither.
-	inject := float64(n) * beta
-	if end, idle := p.ports.Reserve(level, start, inject, p.floor()); idle {
-		p.now += inject
-		m.arrive = start + alpha + inject
-	} else {
-		// Queued behind another request's bytes: the link itself is no
-		// slower, so telemetry sees the injection as starting late.
-		p.now = end
-		m.arrive = end + alpha
-		start = end - inject
-	}
-	m.start = start
+	// Straggler model: a slow rank stretches every link it touches. The
+	// sender is occupied while its port injects the message; the wire
+	// adds latency on top. Retransmissions (below) replay from the NIC
+	// buffer and occupy neither.
+	mult := p.w.linkDelay(p.global, dst)
+	p.now, m.arrive, m.start = p.w.topo.Send(&p.ports, level, float64(n), p.now, p.floor(), mult)
 	m.nominal = p.w.topo.Alpha[level] + float64(n)*p.w.topo.Beta[level]
 	p.w.stats.Msgs[level].Add(1)
 	p.w.stats.Bytes[level].Add(int64(n))
@@ -475,7 +458,7 @@ func (p *proc) post(dst int, m message) {
 	}
 	if p.w.wireFault != nil {
 		if p.w.transport != nil {
-			p.w.deliverReliable(&m, dst, n, level, alpha+float64(n)*beta)
+			p.w.deliverReliable(&m, dst, n, level, p.w.topo.Alpha[level]*mult+float64(n)*(p.w.topo.Beta[level]*mult))
 		} else {
 			p.w.injectWireFault(&m, dst)
 		}

@@ -35,11 +35,14 @@ func (c pipeCase) String() string {
 // every block or every other one, and — drawn after every case's other
 // fields, so those are what they were before precision was drawn —
 // FP32, Mixed or FP16. A stage's grid has at most
-// two ranks: the gradient all-reduce picks its algorithm by payload,
-// a stage syncs 1/S of the flat run's, and over four or more ranks the
-// two algorithms associate the sum differently (dp4 and dp2×ep2 folds
-// differ from their flat runs in the last bits whatever the runner
-// does).
+// two ranks. That bound is not what keeps the bits: Comm.AllReduce
+// picks its algorithm by the group's supernode shape (Hierarchical),
+// not by payload, and a stage syncs the flat run's per-unit groups
+// whole, so the ring cuts the same chunk bounds. On this machine every
+// dp4 and dp2×ep2 stage lies in one supernode, as the flat run's group
+// does, and runs the same step list (16 such cases drawn from this
+// seed match bitwise). A stage group that spanned supernodes would take
+// the rails and sum in another association.
 func samplePipeCases(seed uint64, n int) []pipeCase {
 	r := tensor.NewRNG(seed)
 	pick := func(xs ...int) int { return xs[r.Intn(len(xs))] }

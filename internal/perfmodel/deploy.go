@@ -108,21 +108,14 @@ func bytesPerElem(p sunway.Precision) float64 {
 	}
 }
 
-// syncWire is the width in bytes of a gradient-sync element on a hop
-// carrying one rank's own contribution (raw), a partial sum (partial)
-// or a finished value (gather). Under FP16 and Mixed the engine sends
-// raw and finished values at 2 B and partial sums at 4 B (mpi.GradWire);
-// ZeRO's all-gather carries float32 parameters.
-type syncWire struct{ raw, partial, gather float64 }
-
-func (d Deployment) syncWire() syncWire {
-	w := bytesPerElem(d.Precision)
-	sw := syncWire{raw: w, partial: w, gather: w}
+// gradWire is the width in bytes of a gradient-sync element on a hop
+// carrying one rank's own contribution, a partial sum or a finished
+// value, indexed by coll.Wire. Under FP16 and Mixed the engine sends raw
+// and finished values at 2 B and partial sums at 4 B (mpi.GradWire).
+func (d Deployment) gradWire() [3]float64 {
 	if d.Precision == sunway.FP16 || d.Precision == sunway.Mixed {
-		sw = syncWire{raw: 2, partial: 4, gather: 2}
+		return [3]float64{2, 4, 2}
 	}
-	if d.ZeRO {
-		sw.gather = sw.partial
-	}
-	return sw
+	w := bytesPerElem(d.Precision)
+	return [3]float64{w, w, w}
 }
