@@ -132,7 +132,7 @@ func expR15(*options) []*metrics.Table {
 		dd := dep
 		dd.ZeRO, dd.OffloadOptState = lever.zero, lever.offld
 		if lever.recompute {
-			dd.RecomputeFraction = 1
+			dd.RecomputeEvery = 1
 		}
 		n, best, err := dd.MaxTrainableParams(spec)
 		check(err)

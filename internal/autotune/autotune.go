@@ -189,35 +189,19 @@ func (c Candidate) String() string {
 	return s
 }
 
-// recomputeFraction maps the runtime's every-n-th-block selective
-// recompute policy (block b replays iff b%n == 0) onto the analytic
-// model's fraction-of-blocks knob.
-func recomputeFraction(every, layers int) float64 {
-	if every <= 0 || layers <= 0 {
-		return 0
-	}
-	n := 0
-	for b := 0; b < layers; b++ {
-		if b%every == 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(layers)
-}
-
 // deployment maps a candidate onto the analytic model at search scale,
 // with the two-phase exchange every candidate runs.
 func (cfg Config) deployment(c Candidate) perfmodel.Deployment {
 	return perfmodel.Deployment{
 		Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode, Grid: c.Grid,
 		BatchPerRank: c.Batch, Precision: searchPrecision,
-		Efficiency:        cfg.Efficiency,
-		A2A:               perfmodel.A2AHierarchical,
-		ZeRO:              c.ZeRO,
-		RecomputeFraction: recomputeFraction(c.RecomputeEvery, cfg.Spec.Layers),
-		OffloadOptState:   c.Offload,
-		WireFP16:          c.Codec == mpi.FP16Wire,
-		OverlapA2A:        true,
+		Efficiency:      cfg.Efficiency,
+		A2A:             perfmodel.A2AHierarchical,
+		ZeRO:            c.ZeRO,
+		RecomputeEvery:  c.RecomputeEvery,
+		OffloadOptState: c.Offload,
+		WireFP16:        c.Codec == mpi.FP16Wire,
+		OverlapA2A:      true,
 	}
 }
 

@@ -139,11 +139,11 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 		Machine: m, RanksPerNode: targetRanksPerNode,
 		Grid:         layout.Grid{DataParallel: ranks / ep, ExpertParallel: ep},
 		BatchPerRank: winner.Batch, Precision: targetPrecision,
-		Efficiency:        cfg.Efficiency,
-		ZeRO:              winner.ZeRO,
-		RecomputeFraction: recomputeFraction(winner.RecomputeEvery, spec.Layers),
-		OffloadOptState:   winner.Offload,
-		WireFP16:          winner.Codec == mpi.FP16Wire,
+		Efficiency:      cfg.Efficiency,
+		ZeRO:            winner.ZeRO,
+		RecomputeEvery:  winner.RecomputeEvery,
+		OffloadOptState: winner.Offload,
+		WireFP16:        winner.Codec == mpi.FP16Wire,
 	}
 	// Escalate memory levers until the target model fits per node.
 	escalated := false
@@ -158,8 +158,8 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 		switch {
 		case !dep.ZeRO:
 			dep.ZeRO = true
-		case dep.RecomputeFraction < 1:
-			dep.RecomputeFraction = 1
+		case dep.RecomputeEvery != 1:
+			dep.RecomputeEvery = 1
 		case !dep.OffloadOptState:
 			dep.OffloadOptState = true
 		default:
@@ -243,8 +243,8 @@ func (p *Plan) Tables() []*metrics.Table {
 	t3.AddRow("wire codec", map[bool]string{true: "fp16", false: "fp32"}[pr.Dep.WireFP16])
 	t3.AddRow("a2a exchange", pr.Dep.A2A.String())
 	t3.AddRow("a2a overlap", pr.Dep.OverlapA2A)
-	t3.AddRow("zero / recompute / offload", fmt.Sprintf("%v / %.2f / %v (escalated %v)",
-		pr.Dep.ZeRO, pr.Dep.RecomputeFraction, pr.Dep.OffloadOptState, pr.Escalated))
+	t3.AddRow("zero / recompute every / offload", fmt.Sprintf("%v / %d / %v (escalated %v)",
+		pr.Dep.ZeRO, pr.Dep.RecomputeEvery, pr.Dep.OffloadOptState, pr.Escalated))
 	t3.AddRow("ckpt interval (steps)", pr.CkptEvery)
 	t3.AddRow("step time (s)", pr.Pred.StepTime)
 	t3.AddRow("goodput", pr.Pred.Goodput)

@@ -72,14 +72,14 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	// messages' receipt — is a request started right after the cheap leg
 	// arrives (the hierarchical exchange has then sent its rail messages),
 	// joined before its rows are computed: it runs under the local
-	// compute.
+	// compute. The exchange's step list orders its sends.
 	legs := 1
 	if m.CommCfg.Overlap {
 		legs = 2
 	}
 	t0 := time.Now()
 	ex := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-	m.postRemoteFirst(ex, sb)
+	ex.PostAll(sb)
 	ex.Flush()
 	var in [2]*mpi.RecvBuf
 	var remote *mpi.Request
@@ -139,7 +139,7 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 
 	t0 = time.Now()
 	ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
-	m.postRemoteFirst(ex, rsb)
+	ex.PostAll(rsb)
 	ex.Flush()
 	if legs == 2 && !tr.backward {
 		ret[0] = ex.RecvLocal()
@@ -169,24 +169,6 @@ func (m *DistMoE) hierWire() bool {
 func (m *DistMoE) sameSupernode(q int) bool {
 	_, of := m.comm.Supernodes()
 	return of[q] == of[m.comm.Rank()]
-}
-
-// postRemoteFirst posts every chunk of sb, cross-supernode
-// destinations first so their (expensive, high-latency) messages are
-// injected before the cheap local ones and spend the local compute
-// window in flight.
-func (m *DistMoE) postRemoteFirst(ex *mpi.Exchange, sb *mpi.SendBuf) {
-	p := m.comm.Size()
-	for dst := 0; dst < p; dst++ {
-		if !m.sameSupernode(dst) {
-			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
-		}
-	}
-	for dst := 0; dst < p; dst++ {
-		if m.sameSupernode(dst) {
-			ex.Post(dst, sb.Chunk(dst), sb.Meta(dst))
-		}
-	}
 }
 
 // groupRows assigns each row of a received leg to its target local

@@ -432,20 +432,36 @@ func (p *proc) send(dst, tag int, data []float32, ints []int) {
 
 // post is the general send primitive: it delivers a pre-built message
 // (any payload combination, including FP16 wire data and pooled
-// staging buffers) to dst, charging virtual time.
+// staging buffers) to dst as a run of one message, charging virtual
+// time.
 func (p *proc) post(dst int, m message) {
+	r := p.sendRun(dst)
+	p.postOn(&r, true, dst, m)
+}
+
+// sendRun starts a run of messages to dst's level at the stretch of the
+// link to dst (simnet.Run): a slow rank stretches every link it touches.
+func (p *proc) sendRun(dst int) simnet.Run {
 	if dst < 0 || dst >= p.w.size {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d (world size %d)", dst, p.w.size))
 	}
+	return p.w.topo.Run(&p.ports, p.w.topo.LevelOf(p.global, dst), p.now, p.floor(), p.w.linkDelay(p.global, dst))
+}
+
+// postOn delivers m to dst as run r's next message, its last when last;
+// every message of a run goes to r's level at r's stretch. The sender is
+// occupied while its port injects the message; the wire adds latency on
+// top. Retransmissions (below) replay from the NIC buffer and occupy
+// neither.
+func (p *proc) postOn(r *simnet.Run, last bool, dst int, m message) {
 	m.src = p.global
 	n := m.nbytes()
 	level := p.w.topo.LevelOf(p.global, dst)
-	// Straggler model: a slow rank stretches every link it touches. The
-	// sender is occupied while its port injects the message; the wire
-	// adds latency on top. Retransmissions (below) replay from the NIC
-	// buffer and occupy neither.
-	mult := p.w.linkDelay(p.global, dst)
-	p.now, m.arrive, m.start = p.w.topo.Send(&p.ports, level, float64(n), p.now, p.floor(), mult)
+	if last {
+		p.now, m.arrive, m.start = r.Last(float64(n))
+	} else {
+		p.now, m.arrive, m.start = r.Send(float64(n))
+	}
 	m.nominal = p.w.topo.Alpha[level] + float64(n)*p.w.topo.Beta[level]
 	p.w.stats.Msgs[level].Add(1)
 	p.w.stats.Bytes[level].Add(int64(n))
@@ -458,6 +474,7 @@ func (p *proc) post(dst int, m message) {
 	}
 	if p.w.wireFault != nil {
 		if p.w.transport != nil {
+			mult := p.w.linkDelay(p.global, dst)
 			p.w.deliverReliable(&m, dst, n, level, p.w.topo.Alpha[level]*mult+float64(n)*(p.w.topo.Beta[level]*mult))
 		} else {
 			p.w.injectWireFault(&m, dst)

@@ -31,41 +31,45 @@ func (c pipeCase) String() string {
 // samplePipeCases draws n cases from a seed: S ∈ {2,3,4}, V ∈ {1,2}, a
 // micro-batch count the schedule accepts, enough layers for S·V chunks
 // and up to two more, MoE on every block, every other block or none,
-// a dp×ep grid, ZeRO on or off, a recompute policy marking no block,
-// every block or every other one, and — drawn after every case's other
-// fields, so those are what they were before precision was drawn —
-// FP32, Mixed or FP16. A stage's grid has at most
-// two ranks. That bound is not what keeps the bits: Comm.AllReduce
-// picks its algorithm by the group's supernode shape (Hierarchical),
-// not by payload, and a stage syncs the flat run's per-unit groups
-// whole, so the ring cuts the same chunk bounds. On this machine every
-// dp4 and dp2×ep2 stage lies in one supernode, as the flat run's group
-// does, and runs the same step list (16 such cases drawn from this
-// seed match bitwise). A stage group that spanned supernodes would take
-// the rails and sum in another association.
-func samplePipeCases(seed uint64, n int) []pipeCase {
+// a dp×ep grid of one or two ranks, ZeRO on or off, a recompute policy
+// marking no block, every block or every other one, and — drawn after
+// every case's other fields, so those are what they were before
+// precision was drawn — FP32, Mixed or FP16. Then, the same way and from
+// the same stream, wide more whose stage grid is dp4 or dp2×ep2, so the
+// first n keep their draws. Comm.AllReduce picks its algorithm by the
+// group's supernode shape (Hierarchical), not by payload, and a stage
+// syncs the flat run's per-unit groups whole, so the ring cuts the same
+// chunk bounds: on this machine every dp4 and dp2×ep2 stage lies in one
+// supernode, as the flat run's group does, and runs the same step list.
+// A stage group that spanned supernodes would take the rails and sum in
+// another association.
+func samplePipeCases(seed uint64, n, wide int) []pipeCase {
 	r := tensor.NewRNG(seed)
 	pick := func(xs ...int) int { return xs[r.Intn(len(xs))] }
-	out := make([]pipeCase, n)
-	for i := range out {
-		c := pipeCase{S: pick(2, 3, 4), V: pick(1, 2)}
-		if c.V > 1 {
-			c.M = c.S * pick(1, 2)
-		} else {
-			c.M = 1 + r.Intn(2*c.S)
+	draw := func(n int, grids [][2]int) []pipeCase {
+		out := make([]pipeCase, n)
+		for i := range out {
+			c := pipeCase{S: pick(2, 3, 4), V: pick(1, 2)}
+			if c.V > 1 {
+				c.M = c.S * pick(1, 2)
+			} else {
+				c.M = 1 + r.Intn(2*c.S)
+			}
+			c.layers = c.S*c.V + r.Intn(3)
+			g := grids[r.Intn(len(grids))]
+			c.dp, c.ep = g[0], g[1]
+			c.moeEvery = pick(0, 1, 2)
+			c.rcEvery = pick(0, 1, 2)
+			c.zero = r.Intn(2) == 1
+			out[i] = c
 		}
-		c.layers = c.S*c.V + r.Intn(3)
-		g := [][2]int{{1, 1}, {2, 1}, {1, 2}}[r.Intn(3)]
-		c.dp, c.ep = g[0], g[1]
-		c.moeEvery = pick(0, 1, 2)
-		c.rcEvery = pick(0, 1, 2)
-		c.zero = r.Intn(2) == 1
-		out[i] = c
+		for i := range out {
+			out[i].prec = []sunway.Precision{sunway.FP32, sunway.Mixed, sunway.FP16}[r.Intn(3)]
+		}
+		return out
 	}
-	for i := range out {
-		out[i].prec = []sunway.Precision{sunway.FP32, sunway.Mixed, sunway.FP16}[r.Intn(3)]
-	}
-	return out
+	out := draw(n, [][2]int{{1, 1}, {2, 1}, {1, 2}})
+	return append(out, draw(wide, [][2]int{{4, 1}, {2, 2}})...)
 }
 
 // analyticCompute is what one step of e's pipeline charges for model
@@ -118,7 +122,7 @@ func TestPipelineGeneratedEquivalence(t *testing.T) {
 		steps = 2
 		rate  = 1e9
 	)
-	for _, c := range samplePipeCases(29, 16) {
+	for _, c := range samplePipeCases(29, 16, 8) {
 		t.Run(c.String(), func(t *testing.T) {
 			mc := pipeModelCfg(c.layers)
 			mc.MoEEvery = c.moeEvery

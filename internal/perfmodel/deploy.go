@@ -55,11 +55,11 @@ type Deployment struct {
 	// the updated shards are all-gathered.
 	ZeRO bool
 
-	// RecomputeFraction is the share of blocks under selective
-	// activation recomputation, in [0,1]: a recomputed block keeps only
-	// its input (1·d a token instead of ~6·d) and replays its forward in
-	// the backward.
-	RecomputeFraction float64
+	// RecomputeEvery selects activation recomputation as the engine
+	// runs it (parallel.ModelConfig.RecomputeEvery): when positive, block
+	// b replays its forward in the backward when b % RecomputeEvery == 0,
+	// keeping only its input (1·d a token instead of ~6·d); 0 is off.
+	RecomputeEvery int
 
 	// OffloadOptState parks the (post-ZeRO) optimizer state in the host
 	// tier: it leaves NodeMemGiB and streams out and back every step at
@@ -95,8 +95,11 @@ func (d Deployment) Micro() int {
 	return d.PP()
 }
 
-// bytesPerElem is the wire size of an activation element in the given
-// precision (half-precision activations in FP16/Mixed).
+// replays reports whether block b replays its forward in the backward.
+func (d Deployment) replays(b int) bool { return d.RecomputeEvery > 0 && b%d.RecomputeEvery == 0 }
+
+// bytesPerElem is the size of a stored weight or activation element in
+// the given precision (half precision in FP16/Mixed).
 func bytesPerElem(p sunway.Precision) float64 {
 	switch p {
 	case sunway.FP64:

@@ -66,7 +66,11 @@ func (d Deployment) Memory(spec ModelSpec) (MemBreakdown, error) {
 	// split backward waits for its W. Each rank holds the passes its
 	// schedule has in flight, each over one chunk of Layers/(PP·VPP)
 	// layers: on the flat grid one pass of every layer.
-	f := d.RecomputeFraction
+	replayed := 0
+	for b := range spec.Layers {
+		replayed += b2i(d.replays(b))
+	}
+	f := float64(replayed) / float64(max(spec.Layers, 1))
 	tokensPerRank := float64(d.BatchPerRank * spec.SeqLen)
 	layers := float64(spec.Layers) / float64(d.PP()*d.VPP())
 	act := tokensPerRank * float64(spec.Dim) * layers * weightB * d.peakPasses(6*(1-f)+1*f, 6)

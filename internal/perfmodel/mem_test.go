@@ -80,8 +80,8 @@ func TestMemoryLeversMonotone(t *testing.T) {
 	for i, cfg := range []func(*Deployment){
 		func(*Deployment) {},
 		func(d *Deployment) { d.ZeRO = true },
-		func(d *Deployment) { d.ZeRO = true; d.RecomputeFraction = 1 },
-		func(d *Deployment) { d.ZeRO = true; d.RecomputeFraction = 1; d.OffloadOptState = true },
+		func(d *Deployment) { d.ZeRO = true; d.RecomputeEvery = 1 },
+		func(d *Deployment) { d.ZeRO = true; d.RecomputeEvery = 1; d.OffloadOptState = true },
 	} {
 		dd := d
 		cfg(&dd)
@@ -109,7 +109,7 @@ func TestRecomputeAndOffloadTrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	dr := d
-	dr.RecomputeFraction = 1
+	dr.RecomputeEvery = 1
 	rec, err := dr.PredictStep(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -244,7 +244,7 @@ func serialSync(d Deployment, spec ModelSpec) float64 {
 // isolated prices the all-reduce of n gradient elements over c alone,
 // on idle ports from time 0.
 func isolated(w *walker, c *comm, n float64) float64 {
-	end, _ := w.alike(&rank{floor: math.Inf(1)}, c, coll.RingAllReduce, n, w.gradWire(), 0, math.Inf(1), true)
+	end := w.alike(&rank{floor: math.Inf(1)}, c, coll.RingAllReduce, load{n: n, width: w.gradWire()}, 0, math.Inf(1), true).now
 	return end
 }
 

@@ -33,10 +33,6 @@ func shortRun(t *testing.T, d Deployment, spec ModelSpec) parallel.ShortRunResul
 	if d.A2A == A2AFlat {
 		algo = moe.Direct
 	}
-	every := 0
-	if d.RecomputeFraction > 0 {
-		every = int(math.Round(1 / d.RecomputeFraction))
-	}
 	res, err := parallel.ShortRun(parallel.ShortRunConfig{
 		Machine: d.Machine, RanksPerNode: d.RanksPerNode, Strategy: d.Grid,
 		Model: parallel.ModelConfig{
@@ -47,7 +43,7 @@ func shortRun(t *testing.T, d Deployment, spec ModelSpec) parallel.ShortRunResul
 			NumExperts: spec.NumExperts, TopK: spec.TopK,
 			MoEHidden: spec.MoEHidden, MoEEvery: spec.MoEEvery,
 			CapacityFactor: 1.25, AuxLossWeight: 0.01,
-			Comm: comm, Algo: algo, RecomputeEvery: every,
+			Comm: comm, Algo: algo, RecomputeEvery: d.RecomputeEvery,
 		},
 		Corpus:          data.CorpusConfig{Vocab: spec.Vocab, SeqLen: spec.SeqLen, Zipf: 1, Determinism: 0.8},
 		Train:           train.Config{Batch: d.BatchPerRank, Precision: d.Precision, Accum: d.Micro()},

@@ -49,8 +49,8 @@ func (d Deployment) Validate() error {
 	if d.Efficiency <= 0 || d.Efficiency > 1 {
 		return badConfig("efficiency", "%v out of (0,1]", d.Efficiency)
 	}
-	if d.RecomputeFraction < 0 || d.RecomputeFraction > 1 {
-		return badConfig("recompute", "fraction %v out of [0,1]", d.RecomputeFraction)
+	if d.RecomputeEvery < 0 {
+		return badConfig("recompute", "negative recompute interval %d", d.RecomputeEvery)
 	}
 	if d.WireFP16 && d.Precision == sunway.FP64 {
 		return badConfig("wire", "FP16 wire codec under FP64 training would misprice every inter-supernode byte")

@@ -61,11 +61,9 @@ func TestValidateRejectsEfficiencyOutOfRange(t *testing.T) {
 	wantConfigError(t, d.Validate(), "efficiency")
 }
 
-func TestValidateRejectsRecomputeFractionOutOfRange(t *testing.T) {
+func TestValidateRejectsNegativeRecomputeEvery(t *testing.T) {
 	d := validDeployment()
-	d.RecomputeFraction = 1.5
-	wantConfigError(t, d.Validate(), "recompute")
-	d.RecomputeFraction = -0.1
+	d.RecomputeEvery = -1
 	wantConfigError(t, d.Validate(), "recompute")
 }
 

@@ -62,13 +62,12 @@ func (p *Ports) Reserve(l Level, start, d, floor float64) (end float64, idle boo
 	}
 	b := p.busy[port(l)]
 	// The reservations are ascending: binary-search the first that ends
-	// after floor, and after start.
+	// after floor.
 	if k := sort.Search(len(b), func(i int) bool { return b[i].Hi > floor }); k > 0 {
 		b = b[:copy(b, b[k:])]
 	}
-	i := sort.Search(len(b), func(i int) bool { return b[i].Hi > start })
-	end = start + d
-	if i == len(b) || b[i].Lo >= end {
+	end, i, j := fill(b, start, d)
+	if i == j {
 		// Idle throughout: one new reservation, inserted in order.
 		b = append(b, Span{})
 		copy(b[i+1:], b[i:])
@@ -76,13 +75,30 @@ func (p *Ports) Reserve(l Level, start, d, floor float64) (end float64, idle boo
 		p.busy[port(l)] = b
 		return end, true
 	}
-	// Fill the gaps before reservations i, i+1, … from start onward; the
-	// last byte leaves in the first gap wide enough for the remainder, or
-	// after the last reservation. Everything from the first touched
-	// reservation to that byte is then busy, so they merge into one.
-	lo := min(start, b[i].Lo)
+	// Everything from the first touched reservation to the last byte is
+	// then busy, so they merge into one.
+	b[i] = Span{min(start, b[i].Lo), end}
+	p.busy[port(l)] = append(b[:i+1], b[j:]...)
+	return end, false
+}
+
+// fill returns where d seconds injected from start end on a port with
+// reservations b, filling their idle gaps from start onward, and the
+// reservations i … j-1 the injection touches (i == j: none, the port is
+// idle for the whole [start, end) and a reservation would go at i).
+func fill(b []Span, start, d float64) (end float64, i, j int) {
+	if d <= 0 {
+		return start, 0, 0
+	}
+	i = sort.Search(len(b), func(i int) bool { return b[i].Hi > start })
+	end = start + d
+	if i == len(b) || b[i].Lo >= end {
+		return end, i, i
+	}
+	// The last byte leaves in the first gap wide enough for the
+	// remainder, or after the last reservation.
 	t, left := start, d
-	j := i
+	j = i
 	for ; j < len(b); j++ {
 		if gap := b[j].Lo - t; gap > 0 {
 			if gap >= left {
@@ -92,26 +108,68 @@ func (p *Ports) Reserve(l Level, start, d, floor float64) (end float64, idle boo
 		}
 		t = max(t, b[j].Hi)
 	}
-	end = t + left
-	b[i] = Span{lo, end}
-	p.busy[port(l)] = append(b[:i+1], b[j:]...)
-	return end, false
+	return t + left, i, j
 }
 
-// Send charges one message of bytes at level l to a sender whose clock
-// reads now, on its ports p: it reserves the injection, bytes·β, and the
-// message arrives α after its last byte leaves, α and β the level's
-// stretched by stretch (a straggler's slowdown; 1 for none). It returns
-// the sender's clock once its last byte has left, the arrival, and when
-// the injection began. floor is Reserve's. This is the one charge of a
+// A Run is messages one sender injects back to back at one level, from
+// one clock and at one stretch: it books their injection, bytes·β in
+// all, as one send, and its message i leaves when the run's first i+1
+// messages' bytes have been injected — filling the port's idle gaps as
+// Reserve does — and arrives α later. α and β are the level's,
+// stretched by stretch (a straggler's slowdown; 1 for none). A run of
+// one message is a send (Topology.Send). This is the one charge of a
 // send: the mpi runtime prices every message it moves with it, and the
-// step walk every message of the collectives it prices.
-func (t *Topology) Send(p *Ports, l Level, bytes, now, floor, stretch float64) (clock, arrive, start float64) {
-	alpha, inject := t.Alpha[l]*stretch, bytes*(t.Beta[l]*stretch)
-	if end, idle := p.Reserve(l, now, inject, floor); !idle {
+// step walk every message of the lists it prices.
+type Run struct {
+	p                       *Ports
+	l                       Level
+	now, floor, alpha, beta float64
+	bytes                   float64 // the bytes of the messages charged so far
+}
+
+// Run starts a run at level l from a sender whose clock reads now, on
+// its ports p; floor is Reserve's.
+func (t *Topology) Run(p *Ports, l Level, now, floor, stretch float64) Run {
+	return Run{p: p, l: l, now: now, floor: floor, alpha: t.Alpha[l] * stretch, beta: t.Beta[l] * stretch}
+}
+
+// Send charges the run's next message, of bytes, when it is not the
+// last: it returns the sender's clock once its last byte has left, its
+// arrival and when its injection began. The ports are booked by Last.
+func (r *Run) Send(bytes float64) (clock, arrive, start float64) {
+	d := (r.bytes + bytes) * r.beta
+	end, i, j := fill(r.p.busy[port(r.l)], r.now, d)
+	r.bytes += bytes
+	return times(r.now, r.alpha, d, bytes*r.beta, end, i == j)
+}
+
+// Last charges the run's last message, of bytes, as Send does, and
+// books the whole run on the ports.
+func (r *Run) Last(bytes float64) (clock, arrive, start float64) {
+	d := (r.bytes + bytes) * r.beta
+	end, idle := r.p.Reserve(r.l, r.now, d, r.floor)
+	r.bytes += bytes
+	return times(r.now, r.alpha, d, bytes*r.beta, end, idle)
+}
+
+// times returns the sender's clock, the arrival and the start of a
+// message, inject seconds of a run's d from now, whose last byte leaves
+// at end: idle when the port had nothing else in its way.
+func times(now, alpha, d, inject, end float64, idle bool) (clock, arrive, start float64) {
+	if !idle {
 		// Queued behind other bytes: the link itself is no slower, so
 		// the injection starts late.
 		return end, end + alpha, end - inject
 	}
-	return now + inject, now + alpha + inject, now
+	return now + d, now + alpha + d, now + (d - inject)
+}
+
+// Send charges one message of bytes at level l to a sender whose clock
+// reads now, on its ports p: a run of one message, as Run.Last charges
+// it. It returns the sender's clock once its last byte has left, the
+// arrival, and when the injection began.
+func (t *Topology) Send(p *Ports, l Level, bytes, now, floor, stretch float64) (clock, arrive, start float64) {
+	inject := bytes * (t.Beta[l] * stretch)
+	end, idle := p.Reserve(l, now, inject, floor)
+	return times(now, t.Alpha[l]*stretch, inject, inject, end, idle)
 }
