@@ -4,15 +4,10 @@ import (
 	"fmt"
 
 	"bagualu/internal/autotune"
-	"bagualu/internal/data"
 	"bagualu/internal/metrics"
-	"bagualu/internal/moe"
-	"bagualu/internal/mpi"
-	"bagualu/internal/nn"
 	"bagualu/internal/parallel"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
-	"bagualu/internal/train"
 )
 
 // expR19: pipeline parallelism vs the flat MoDa grid across model
@@ -64,43 +59,17 @@ func expR19(o *options) []*metrics.Table {
 		rows := make([]row, 0, len(grids))
 		best := -1
 		for _, g := range grids {
+			// Folds run the ZeRO-sharded optimizer; every layout keeps
+			// its activations (no block recomputes) and blocks on the
+			// exchange. The walk prices the deployment the run measures.
 			d := perfmodel.Deployment{
 				Machine: machine, RanksPerNode: ranksPerNode, Grid: g,
 				BatchPerRank: batch, Precision: sunway.FP32,
 				Efficiency: eff, A2A: perfmodel.A2AHierarchical,
+				ZeRO: g.PP() > 1,
 			}
-			// Folds run the ZeRO-sharded optimizer; every layout keeps
-			// its activations (no block recomputes).
-			d.ZeRO = g.PP() > 1
 			pred := must(d.PredictStep(spec))
-
-			tc := train.Config{Batch: batch, Precision: sunway.FP32}
-			if g.PP() > 1 {
-				tc.Accum = g.PP()
-			}
-			res := must(parallel.ShortRun(parallel.ShortRunConfig{
-				Machine: machine, RanksPerNode: ranksPerNode,
-				Strategy: g,
-				Model: parallel.ModelConfig{
-					GPT: nn.GPTConfig{
-						Vocab: spec.Vocab, Dim: spec.Dim, Heads: spec.Heads,
-						Layers: spec.Layers, SeqLen: spec.SeqLen, FFNHidden: spec.FFNHidden,
-					},
-					NumExperts: spec.NumExperts, TopK: spec.TopK,
-					MoEHidden: spec.MoEHidden, MoEEvery: spec.MoEEvery,
-					CapacityFactor: 1.25, AuxLossWeight: 0.01,
-					Comm: moe.CommConfig{Codec: mpi.FP32Wire},
-				},
-				Corpus: data.CorpusConfig{
-					Vocab: spec.Vocab, SeqLen: spec.SeqLen, Zipf: 1, Determinism: 0.8,
-				},
-				Train:      tc,
-				OptFor:     train.OptimizerFactory(g.PP() > 1, 0),
-				Steps:      steps,
-				Warmup:     1,
-				Seed:       o.seed,
-				Efficiency: eff,
-			}))
+			res := must(autotune.ShortRun(d, spec, steps, 1, o.seed))
 			rows = append(rows, row{g, pred.StepTime, res.SimPerStep})
 			if best < 0 || res.SimPerStep < rows[best].meas {
 				best = len(rows) - 1

@@ -19,9 +19,9 @@
 //     prices its goodput at its own best checkpoint interval under the
 //     fault model, and sorts by effective step time.
 //  3. Validate runs the top-k candidates for a few simulated steps
-//     (parallel.ShortRun) and measures virtual seconds per step —
-//     ground truth the analytic ranking is checked against (Kendall
-//     tau).
+//     (ShortRun, on the deployment the walk priced) and measures
+//     virtual seconds per step — ground truth the analytic ranking is
+//     checked against (Kendall tau).
 //  4. Extrapolate projects the measured winner to the full-scale
 //     machine and model, escalating memory levers until the target
 //     fits and re-optimizing the checkpoint interval for goodput.
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bagualu/internal/mpi"
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
@@ -161,50 +160,6 @@ func SearchSpec() perfmodel.ModelSpec {
 	}
 }
 
-// Candidate is one point of the deployment search space.
-type Candidate struct {
-	layout.Grid
-	Batch int // sequences per rank per step
-
-	Codec mpi.Codec // MoE wire codec (fp32 / fp16 inter-supernode)
-
-	// Memory levers.
-	ZeRO           bool
-	RecomputeEvery int // 0 = off; n = every n-th block replays forward
-	Offload        bool
-}
-
-// String is the stable label candidates are reported under.
-func (c Candidate) String() string {
-	s := fmt.Sprintf("%s b%d %s", c.Grid, c.Batch, c.Codec)
-	if c.ZeRO {
-		s += " zero"
-	}
-	if c.RecomputeEvery > 0 {
-		s += fmt.Sprintf(" rc%d", c.RecomputeEvery)
-	}
-	if c.Offload {
-		s += " offload"
-	}
-	return s
-}
-
-// deployment maps a candidate onto the analytic model at search scale,
-// with the two-phase exchange every candidate runs.
-func (cfg Config) deployment(c Candidate) perfmodel.Deployment {
-	return perfmodel.Deployment{
-		Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode, Grid: c.Grid,
-		BatchPerRank: c.Batch, Precision: searchPrecision,
-		Efficiency:      cfg.Efficiency,
-		A2A:             perfmodel.A2AHierarchical,
-		ZeRO:            c.ZeRO,
-		RecomputeEvery:  c.RecomputeEvery,
-		OffloadOptState: c.Offload,
-		WireFP16:        c.Codec == mpi.FP16Wire,
-		OverlapA2A:      true,
-	}
-}
-
 // memoryLevers are the ZeRO / selective-recompute / offload
 // combinations the search enumerates — the escalation ladder the R15
 // capacity study measured, cheapest first.
@@ -219,14 +174,16 @@ var memoryLevers = []struct {
 	{true, 1, true},
 }
 
-// EnumerateSpace walks the full candidate grid and prunes points the
+// EnumerateSpace walks the full search grid and prunes points the
 // typed deployment validation or the per-node memory budget rejects.
-// The FP16 codec is listed only where the expert-parallel group spans
-// more ranks than one supernode holds: inside one supernode it touches
-// no row, and both clocks read the same step. It returns the feasible
-// candidates in deterministic enumeration order, the total grid size,
-// and how many points were pruned.
-func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
+// Every point runs at the search precision with the two-phase
+// hierarchical exchange. The FP16 codec is listed only where the
+// expert-parallel group spans more ranks than one supernode holds:
+// inside one supernode it touches no row, and both clocks read the same
+// step. It returns the feasible deployments in deterministic
+// enumeration order, the total grid size, and how many points were
+// pruned.
+func EnumerateSpace(cfg Config) (feasible []perfmodel.Deployment, total, pruned int) {
 	for pp := 1; pp <= cfg.PPMax; pp++ {
 		// Divisor pruning: stages partition both the rank set and the
 		// layer stack into equal contiguous chunks.
@@ -246,25 +203,29 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 				if perStage%ep != 0 {
 					continue
 				}
-				codecs := []mpi.Codec{mpi.FP32Wire}
+				codecs := []bool{false}
 				if ep > cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
-					codecs = append(codecs, mpi.FP16Wire)
+					codecs = append(codecs, true)
 				}
-				for _, codec := range codecs {
+				for _, fp16 := range codecs {
 					for _, batch := range cfg.Batches {
 						for _, lv := range memoryLevers {
 							total++
-							c := Candidate{
-								Grid:  layout.Grid{DataParallel: perStage / ep, ExpertParallel: ep, Pipeline: pp, Virtual: vpp},
-								Batch: batch, Codec: codec,
-								ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload,
+							d := perfmodel.Deployment{
+								Machine: cfg.Machine, RanksPerNode: cfg.RanksPerNode,
+								Grid:         layout.Grid{DataParallel: perStage / ep, ExpertParallel: ep, Pipeline: pp, Virtual: vpp},
+								BatchPerRank: batch, Precision: searchPrecision,
+								Efficiency: cfg.Efficiency,
+								A2A:        perfmodel.A2AHierarchical,
+								ZeRO:       lv.zero, RecomputeEvery: lv.rcEvery, OffloadOptState: lv.offload,
+								WireFP16: fp16, OverlapA2A: true,
 							}
-							mb, err := cfg.deployment(c).Memory(cfg.Spec)
+							mb, err := d.Memory(cfg.Spec)
 							if err != nil || !mb.Fits {
 								pruned++
 								continue
 							}
-							feasible = append(feasible, c)
+							feasible = append(feasible, d)
 						}
 					}
 				}
@@ -274,10 +235,10 @@ func EnumerateSpace(cfg Config) (feasible []Candidate, total, pruned int) {
 	return feasible, total, pruned
 }
 
-// sampleCandidates draws at most n candidates without replacement
+// sampleCandidates draws at most n deployments without replacement
 // using the run's seeded RNG, preserving enumeration order in the
 // result so downstream stages stay deterministic.
-func sampleCandidates(cands []Candidate, n int, rng *tensor.RNG) []Candidate {
+func sampleCandidates(cands []perfmodel.Deployment, n int, rng *tensor.RNG) []perfmodel.Deployment {
 	if len(cands) <= n {
 		return cands
 	}
@@ -291,37 +252,36 @@ func sampleCandidates(cands []Candidate, n int, rng *tensor.RNG) []Candidate {
 	}
 	keep := append([]int(nil), idx[:n]...)
 	sort.Ints(keep)
-	out := make([]Candidate, n)
+	out := make([]perfmodel.Deployment, n)
 	for i, k := range keep {
 		out[i] = cands[k]
 	}
 	return out
 }
 
-// Scored pairs a candidate with its analytic prediction, priced at the
-// candidate's goodput-optimal checkpoint interval CkptEvery.
+// Scored pairs a deployment with its analytic prediction, priced at
+// its goodput-optimal checkpoint interval CkptEvery.
 type Scored struct {
-	Candidate
+	perfmodel.Deployment
 	CkptEvery int
 	Pred      perfmodel.StepPrediction
 }
 
-// Score walks every candidate's step once with perfmodel.PredictStep,
+// Score walks every deployment's step once with perfmodel.PredictStep,
 // prices its goodput at its best checkpoint interval under the
-// search-scale fault model, and returns the candidates sorted by that
+// search-scale fault model, and returns the deployments sorted by that
 // effective step time (checkpoint overhead and expected rework
 // included), best first. The sort is stable, so ties keep enumeration
 // order.
-func Score(cfg Config, cands []Candidate) ([]Scored, error) {
-	scored := make([]Scored, 0, len(cands))
-	for _, c := range cands {
-		d := cfg.deployment(c)
+func Score(cfg Config, deps []perfmodel.Deployment) ([]Scored, error) {
+	scored := make([]Scored, 0, len(deps))
+	for _, d := range deps {
 		p, err := d.PredictStep(cfg.Spec)
 		if err != nil {
-			return nil, fmt.Errorf("autotune: scoring %s: %w", c, err)
+			return nil, fmt.Errorf("autotune: scoring %s: %w", d, err)
 		}
 		every, p := d.BestCkptInterval(p, cfg.MTBFSteps)
-		scored = append(scored, Scored{Candidate: c, CkptEvery: every, Pred: p})
+		scored = append(scored, Scored{Deployment: d, CkptEvery: every, Pred: p})
 	}
 	sort.SliceStable(scored, func(i, j int) bool {
 		return scored[i].Pred.EffStepTime < scored[j].Pred.EffStepTime

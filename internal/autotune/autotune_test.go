@@ -2,12 +2,10 @@ package autotune
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
-	"bagualu/internal/mpi"
-	"bagualu/internal/parallel"
-	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/tensor"
 )
@@ -38,6 +36,22 @@ func TestKendallTau(t *testing.T) {
 	}
 }
 
+// searched is the deployment the search lists under label (its
+// String), with cfg's batches widened to 2 and 4 and its pipeline to
+// every depth.
+func searched(t *testing.T, cfg Config, label string) perfmodel.Deployment {
+	t.Helper()
+	cfg.Batches, cfg.PPMax = []int{2, 4}, cfg.Ranks
+	all, _, _ := EnumerateSpace(cfg)
+	for _, d := range all {
+		if d.String() == label {
+			return d
+		}
+	}
+	t.Fatalf("the search lists no %s", label)
+	return perfmodel.Deployment{}
+}
+
 // TestPredictStepTracksMeasuredSimsec is the autotuner's key
 // correctness artifact: across DP×EP layouts, wire codecs and batch
 // sizes, the analytic perfmodel.PredictStep ordering must agree with
@@ -48,29 +62,26 @@ func TestPredictStepTracksMeasuredSimsec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := []Candidate{
-		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 4, Codec: mpi.FP16Wire},
+	labels := []string{
+		"dp8xep1 b2 fp32", "dp4xep2 b2 fp32", "dp2xep4 b2 fp32",
+		"dp1xep8 b2 fp32", "dp1xep8 b2 fp16", "dp1xep8 b4 fp16",
 	}
-	pred := make([]float64, len(cands))
-	meas := make([]float64, len(cands))
-	for i, c := range cands {
-		p, err := cfg.deployment(c).PredictStep(cfg.Spec)
+	pred := make([]float64, len(labels))
+	meas := make([]float64, len(labels))
+	for i, label := range labels {
+		d := searched(t, cfg, label)
+		p, err := d.PredictStep(cfg.Spec)
 		if err != nil {
-			t.Fatalf("%s: %v", c, err)
+			t.Fatalf("%s: %v", d, err)
 		}
-		res, err := parallel.ShortRun(cfg.shortRunConfig(c, 42))
+		res, err := ShortRun(d, cfg.Spec, cfg.ValidateSteps, cfg.Warmup, 42)
 		if err != nil {
-			t.Fatalf("%s: %v", c, err)
+			t.Fatalf("%s: %v", d, err)
 		}
 		pred[i], meas[i] = p.StepTime, res.SimPerStep
-		t.Logf("%-28s pred %.6g  measured %.6g", c, pred[i], meas[i])
+		t.Logf("%-28s pred %.6g  measured %.6g", d, pred[i], meas[i])
 		if e := math.Abs(pred[i]-meas[i]) / meas[i]; e > 0.15 {
-			t.Errorf("%s: predicted step %.6g s is %.1f%% off the measured %.6g s (bound 15%%)", c, pred[i], 100*e, meas[i])
+			t.Errorf("%s: predicted step %.6g s is %.1f%% off the measured %.6g s (bound 15%%)", d, pred[i], 100*e, meas[i])
 		}
 	}
 	if tau := KendallTau(pred, meas); tau < 0.6 {
@@ -92,17 +103,17 @@ func TestZeROSurchargeFlatInDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Candidate{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire}
+	d := searched(t, cfg, "dp8xep1 b2 fp32")
 	var pred, meas [2]float64
 	for i, layers := range []int{2, 8} {
 		cfg.Spec.Layers = layers
 		for _, zero := range []bool{false, true} {
-			c.ZeRO = zero
-			p, err := cfg.deployment(c).PredictStep(cfg.Spec)
+			d.ZeRO = zero
+			p, err := d.PredictStep(cfg.Spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := parallel.ShortRun(cfg.shortRunConfig(c, 42))
+			res, err := ShortRun(d, cfg.Spec, cfg.ValidateSteps, cfg.Warmup, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,12 +147,13 @@ func TestExtrapolateMatchesFullSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, winner := range []Candidate{
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire, ZeRO: true, RecomputeEvery: 1},
-		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 4, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1, Offload: true},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 4, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true},
+	for _, label := range []string{
+		"dp4xep2 b2 fp32",
+		"dp1xep8 b2 fp16 zero rc1",
+		"dp8xep1 b4 fp32 zero rc1 offload",
+		"dp1xep4xpp2 b2 fp32 zero",
 	} {
+		winner := searched(t, cfg, label)
 		proj, err := Extrapolate(cfg, winner)
 		if err != nil {
 			t.Fatal(err)
@@ -181,51 +193,46 @@ func TestExtrapolateMatchesFullSweep(t *testing.T) {
 }
 
 // TestEnumerateSpaceListsDistinctDeployments: at the plan defaults the
-// search lists 40 candidates, each a different deployment, and the FP16
-// codec only where the expert group spans more than one supernode.
+// search lists 40 deployments, all different and differently labelled,
+// and the FP16 codec only where the expert group spans more than one
+// supernode.
 func TestEnumerateSpaceListsDistinctDeployments(t *testing.T) {
 	cfg, err := Config{}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
 	feasible, _, _ := EnumerateSpace(cfg)
-	if len(feasible) != 40 {
-		t.Fatalf("%d candidates at the plan defaults, want 40", len(feasible))
+	deps, labels := map[perfmodel.Deployment]bool{}, map[string]bool{}
+	for _, d := range feasible {
+		deps[d], labels[d.String()] = true, true
+		if d.WireFP16 && d.ExpertParallel <= cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
+			t.Fatalf("%s lists the FP16 codec inside one supernode", d)
+		}
 	}
-	seen := map[perfmodel.Deployment]Candidate{}
-	for _, c := range feasible {
-		d := cfg.deployment(c)
-		if prev, ok := seen[d]; ok {
-			t.Fatalf("%s and %s are the same deployment", prev, c)
-		}
-		seen[d] = c
-		if c.Codec == mpi.FP16Wire && c.ExpertParallel <= cfg.RanksPerNode*cfg.Machine.NodesPerSupernode {
-			t.Fatalf("%s lists the FP16 codec inside one supernode", c)
-		}
+	if len(feasible) != 40 || len(deps) != 40 || len(labels) != 40 {
+		t.Fatalf("%d deployments at the plan defaults, %d distinct, %d labels; want 40 of each", len(feasible), len(deps), len(labels))
 	}
 }
 
 // TestOverlapNeverSlowsAStep is why every candidate runs the two-phase
 // exchange: on a seeded sample of grids × batches × memory levers, under
 // both codecs, the engine's two-phase step is never slower than the
-// blocking one and trains the same loss, and the walk never prices it
-// slower. Inside one supernode neither the overlap nor the codec touches
-// a row, so both clocks read the same step either way: that is why the
-// search lists FP16 only across supernodes.
+// blocking one and trains the same loss to the bit, and the walk never
+// prices it slower. Inside one supernode neither the overlap nor the
+// codec touches a row, so both clocks read the same step either way:
+// that is why the search lists FP16 only across supernodes.
 func TestOverlapNeverSlowsAStep(t *testing.T) {
 	cfg, err := testConfig().withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var shapes []Candidate
-	for _, g := range []layout.Grid{
-		{DataParallel: 1, ExpertParallel: 8},
-		{DataParallel: 2, ExpertParallel: 4},
-		{DataParallel: 1, ExpertParallel: 4, Pipeline: 2},
-	} {
+	var shapes []perfmodel.Deployment
+	for _, g := range []string{"dp1xep8", "dp2xep4", "dp1xep4xpp2"} {
 		for _, batch := range []int{2, 4} {
+			d := searched(t, cfg, fmt.Sprintf("%s b%d fp32", g, batch))
 			for _, lv := range memoryLevers {
-				shapes = append(shapes, Candidate{Grid: g, Batch: batch, ZeRO: lv.zero, RecomputeEvery: lv.rcEvery, Offload: lv.offload})
+				d.ZeRO, d.RecomputeEvery, d.OffloadOptState = lv.zero, lv.rcEvery, lv.offload
+				shapes = append(shapes, d)
 			}
 		}
 	}
@@ -236,40 +243,32 @@ func TestOverlapNeverSlowsAStep(t *testing.T) {
 	for _, shape := range sampleCandidates(shapes, 10, tensor.NewRNG(3)) {
 		crosses := shape.ExpertParallel > cfg.RanksPerNode*cfg.Machine.NodesPerSupernode
 		var byCodec [2]clocks
-		for i, codec := range []mpi.Codec{mpi.FP32Wire, mpi.FP16Wire} {
-			c := shape
-			c.Codec = codec
+		for i, fp16 := range []bool{false, true} {
+			d := shape
+			d.WireFP16 = fp16
 			var run [2]clocks // two-phase, blocking
 			for j, overlap := range []bool{true, false} {
-				d := cfg.deployment(c)
 				d.OverlapA2A = overlap
 				p, err := d.PredictStep(cfg.Spec)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc := cfg.shortRunConfig(c, 42)
-				rc.Model.Comm.Overlap = overlap
-				res, err := parallel.ShortRun(rc)
+				res, err := ShortRun(d, cfg.Spec, cfg.ValidateSteps, cfg.Warmup, 42)
 				if err != nil {
-					t.Fatalf("%s: %v", c, err)
+					t.Fatalf("%s: %v", d, err)
 				}
 				run[j] = clocks{p.StepTime, res.SimPerStep, res.FinalLoss}
 			}
 			on, off := run[0], run[1]
-			t.Logf("%-30s two-phase pred %.6g meas %.6g, blocking pred %.6g meas %.6g", c, on.pred, on.meas, off.pred, off.meas)
+			t.Logf("%-30s two-phase pred %.6g meas %.6g, blocking pred %.6g meas %.6g", d, on.pred, on.meas, off.pred, off.meas)
 			if on.meas > off.meas || on.pred > off.pred {
-				t.Errorf("%s: the two-phase step is slower (measured %.6g vs %.6g, predicted %.6g vs %.6g)", c, on.meas, off.meas, on.pred, off.pred)
+				t.Errorf("%s: the two-phase step is slower (measured %.6g vs %.6g, predicted %.6g vs %.6g)", d, on.meas, off.meas, on.pred, off.pred)
 			}
 			if math.Float32bits(on.loss) != math.Float32bits(off.loss) {
-				// Across supernodes under the FP16 codec the two trains
-				// part in the last bits of the loss: bound that, and
-				// hold every other case to the bit.
-				if !crosses || codec != mpi.FP16Wire || math.Abs(float64(on.loss-off.loss)) > 1e-5*math.Abs(float64(off.loss)) {
-					t.Errorf("%s: the two-phase exchange trains loss %v, the blocking one %v", c, on.loss, off.loss)
-				}
+				t.Errorf("%s: the two-phase exchange trains loss %v, the blocking one %v", d, on.loss, off.loss)
 			}
 			if !crosses && on != off {
-				t.Errorf("%s: inside one supernode the overlap moved a clock: %+v vs %+v", c, on, off)
+				t.Errorf("%s: inside one supernode the overlap moved a clock: %+v vs %+v", d, on, off)
 			}
 			byCodec[i] = on
 		}
@@ -294,12 +293,12 @@ func TestEnumerateSpacePrunesInfeasible(t *testing.T) {
 	if pruned == 0 {
 		t.Fatal("indivisible expert layouts were not pruned")
 	}
-	for _, c := range feasible {
-		if c.ExpertParallel != 1 {
-			t.Fatalf("feasible candidate %s has EP %d not dividing 7 experts", c, c.ExpertParallel)
+	for _, d := range feasible {
+		if d.ExpertParallel != 1 {
+			t.Fatalf("feasible deployment %s has EP %d not dividing 7 experts", d, d.ExpertParallel)
 		}
-		if err := cfg.deployment(c).ValidateFor(cfg.Spec); err != nil {
-			t.Fatalf("feasible candidate %s fails validation: %v", c, err)
+		if err := d.ValidateFor(cfg.Spec); err != nil {
+			t.Fatalf("feasible deployment %s fails validation: %v", d, err)
 		}
 	}
 }
@@ -389,7 +388,7 @@ func TestRunProducesValidatedRankingAndProjection(t *testing.T) {
 	}
 	for _, v := range p.Validated {
 		if v.Measured.SimPerStep <= 0 {
-			t.Fatalf("candidate %s measured non-positive simsec", v.Candidate)
+			t.Fatalf("deployment %s measured non-positive simsec", v.Deployment)
 		}
 	}
 	if p.Proj.Pred.StepTime <= 0 || p.Proj.CkptEvery <= 0 {
@@ -402,11 +401,11 @@ func TestRunProducesValidatedRankingAndProjection(t *testing.T) {
 // perfmodel.Memory feasibility check (with levers escalated as
 // needed) and carry a finite goodput.
 func TestExtrapolate174TFitsFullMachine(t *testing.T) {
-	winner := Candidate{
-		Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8}, Batch: 2, Codec: mpi.FP16Wire,
-		ZeRO: true, RecomputeEvery: 1,
+	cfg, err := testConfig().withDefaults()
+	if err != nil {
+		t.Fatal(err)
 	}
-	proj, err := Extrapolate(testConfig(), winner)
+	proj, err := Extrapolate(cfg, searched(t, cfg, "dp1xep8 b2 fp16 zero rc1"))
 	if err != nil {
 		t.Fatal(err)
 	}

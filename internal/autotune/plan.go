@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"bagualu/internal/metrics"
-	"bagualu/internal/mpi"
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/perfmodel"
 	"bagualu/internal/sunway"
@@ -23,10 +22,10 @@ import (
 // node) at the paper's mixed precision; a search scores at most
 // maxCandidates points, sampling larger spaces without replacement with
 // the run's seeded RNG. The search scale measures and prices at FP32:
-// at Mixed the analytic model prices the all-to-all, the gradient sync
-// and the stage-boundary sends at 2 bytes an element, where the engine
-// sends all three as float32, so the two would disagree on exactly the
-// traffic the search ranks layouts by.
+// both clocks send the exchange, the gradient sync and the
+// stage-boundary sends at the same widths under Mixed too, but the
+// search's tau and top-1 agreement have been validated at FP32 only, not
+// yet at Mixed at every pipeline depth.
 const (
 	targetRanksPerNode = 1
 	targetPrecision    = sunway.Mixed
@@ -67,7 +66,7 @@ type Plan struct {
 	Tau      float64 // Kendall tau: predicted step time vs measured simsec
 	TopMatch bool    // predicted fastest == measured fastest
 
-	Winner Candidate // measured-best candidate
+	Winner perfmodel.Deployment // measured-best candidate
 	Proj   Projection
 }
 
@@ -98,7 +97,7 @@ func Run(cfg Config) (*Plan, error) {
 			winner = v
 		}
 	}
-	proj, err := Extrapolate(cfg, winner.Candidate)
+	proj, err := Extrapolate(cfg, winner.Deployment)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +106,7 @@ func Run(cfg Config) (*Plan, error) {
 		SpaceSize: total, Pruned: pruned, Sampled: len(scored),
 		Scored: scored, Validated: validated,
 		Tau: tau, TopMatch: topMatch,
-		Winner: winner.Candidate, Proj: proj,
+		Winner: winner.Deployment, Proj: proj,
 	}, nil
 }
 
@@ -119,7 +118,7 @@ func gcd(a, b int) int {
 	return a
 }
 
-// Extrapolate projects a winning candidate to the target machine and
+// Extrapolate projects a winning deployment to the target machine and
 // model: the expert-parallel width becomes the largest divisor of the
 // per-layer expert count the rank count admits, memory levers
 // escalate (ZeRO → full recompute → host offload) until the target
@@ -127,7 +126,7 @@ func gcd(a, b int) int {
 // target's step time (two walks, both with the two-phase exchange), and
 // the checkpoint interval is re-optimized for goodput under the target
 // MTBF from the chosen walk.
-func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
+func Extrapolate(cfg Config, winner perfmodel.Deployment) (Projection, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return Projection{}, err
@@ -138,12 +137,12 @@ func Extrapolate(cfg Config, winner Candidate) (Projection, error) {
 	dep := perfmodel.Deployment{
 		Machine: m, RanksPerNode: targetRanksPerNode,
 		Grid:         layout.Grid{DataParallel: ranks / ep, ExpertParallel: ep},
-		BatchPerRank: winner.Batch, Precision: targetPrecision,
+		BatchPerRank: winner.BatchPerRank, Precision: targetPrecision,
 		Efficiency:      cfg.Efficiency,
 		ZeRO:            winner.ZeRO,
 		RecomputeEvery:  winner.RecomputeEvery,
-		OffloadOptState: winner.Offload,
-		WireFP16:        winner.Codec == mpi.FP16Wire,
+		OffloadOptState: winner.OffloadOptState,
+		WireFP16:        winner.WireFP16,
 	}
 	// Escalate memory levers until the target model fits per node.
 	escalated := false
@@ -209,7 +208,7 @@ func (p *Plan) Tables() []*metrics.Table {
 		if i >= rankingRows {
 			break
 		}
-		t1.AddRow(i+1, s.Candidate.String(), s.Pred.StepTime, s.CkptEvery, s.Pred.Goodput,
+		t1.AddRow(i+1, s.String(), s.Pred.StepTime, s.CkptEvery, s.Pred.Goodput,
 			s.Pred.EffStepTime, s.Pred.SyncBytes/(1<<20), s.Pred.A2ABytes/(1<<20),
 			s.Pred.Mem.TotalGiB)
 	}
@@ -229,7 +228,7 @@ func (p *Plan) Tables() []*metrics.Table {
 		measRank[i] = r
 	}
 	for i, v := range p.Validated {
-		t2.AddRow(i+1, v.Candidate.String(), v.Pred.StepTime, v.Measured.SimPerStep,
+		t2.AddRow(i+1, v.String(), v.Pred.StepTime, v.Measured.SimPerStep,
 			measRank[i], v.Measured.TokensPerSimSec, float64(v.Measured.InterSNBytes)/(1<<20))
 	}
 

@@ -3,10 +3,6 @@ package autotune
 import (
 	"math"
 	"testing"
-
-	"bagualu/internal/mpi"
-	"bagualu/internal/parallel"
-	"bagualu/internal/parallel/layout"
 )
 
 // TestPredictStepTracksMeasuredSimsecWithPP extends the tau gate to
@@ -19,29 +15,26 @@ func TestPredictStepTracksMeasuredSimsecWithPP(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Spec.Layers = 4 // deep enough for pp ∈ {2, 4} layer chunks
-	cands := []Candidate{
-		{Grid: layout.Grid{DataParallel: 8, ExpertParallel: 1}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 2}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 4}, Batch: 2, Codec: mpi.FP32Wire},
-		{Grid: layout.Grid{DataParallel: 2, ExpertParallel: 2, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1},
-		{Grid: layout.Grid{DataParallel: 4, ExpertParallel: 1, Pipeline: 2}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1},
-		{Grid: layout.Grid{DataParallel: 1, ExpertParallel: 2, Pipeline: 4}, Batch: 2, Codec: mpi.FP32Wire, ZeRO: true, RecomputeEvery: 1},
+	labels := []string{
+		"dp8xep1 b2 fp32", "dp4xep2 b2 fp32", "dp2xep4 b2 fp32",
+		"dp2xep2xpp2 b2 fp32 zero rc1", "dp4xep1xpp2 b2 fp32 zero rc1", "dp1xep2xpp4 b2 fp32 zero rc1",
 	}
-	pred := make([]float64, len(cands))
-	meas := make([]float64, len(cands))
-	for i, c := range cands {
-		p, err := cfg.deployment(c).PredictStep(cfg.Spec)
+	pred := make([]float64, len(labels))
+	meas := make([]float64, len(labels))
+	for i, label := range labels {
+		d := searched(t, cfg, label)
+		p, err := d.PredictStep(cfg.Spec)
 		if err != nil {
-			t.Fatalf("%s: %v", c, err)
+			t.Fatalf("%s: %v", d, err)
 		}
-		res, err := parallel.ShortRun(cfg.shortRunConfig(c, 42))
+		res, err := ShortRun(d, cfg.Spec, cfg.ValidateSteps, cfg.Warmup, 42)
 		if err != nil {
-			t.Fatalf("%s: %v", c, err)
+			t.Fatalf("%s: %v", d, err)
 		}
 		pred[i], meas[i] = p.StepTime, res.SimPerStep
-		t.Logf("%-34s pred %.6g  measured %.6g", c, pred[i], meas[i])
+		t.Logf("%-34s pred %.6g  measured %.6g", d, pred[i], meas[i])
 		if e := math.Abs(pred[i]-meas[i]) / meas[i]; e > 0.15 {
-			t.Errorf("%s: predicted step %.6g s is %.1f%% off the measured %.6g s (bound 15%%)", c, pred[i], 100*e, meas[i])
+			t.Errorf("%s: predicted step %.6g s is %.1f%% off the measured %.6g s (bound 15%%)", d, pred[i], 100*e, meas[i])
 		}
 	}
 	if tau := KendallTau(pred, meas); tau < 0.6 {
@@ -73,17 +66,17 @@ func TestEnumerateSpaceSweepsPP(t *testing.T) {
 		offload bool
 	}
 	ppLevers := map[lever]bool{}
-	for _, c := range feasible {
-		seenPP[c.PP()] = true
-		if c.PP() > 1 {
-			seenVPP[c.VPP()] = true
-			ppLevers[lever{c.ZeRO, c.RecomputeEvery, c.Offload}] = true
-			if cfg.Spec.Layers%(c.PP()*c.VPP()) != 0 {
-				t.Fatalf("candidate %s does not chunk %d layers evenly", c, cfg.Spec.Layers)
+	for _, d := range feasible {
+		seenPP[d.PP()] = true
+		if d.PP() > 1 {
+			seenVPP[d.VPP()] = true
+			ppLevers[lever{d.ZeRO, d.RecomputeEvery, d.OffloadOptState}] = true
+			if cfg.Spec.Layers%(d.PP()*d.VPP()) != 0 {
+				t.Fatalf("deployment %s does not chunk %d layers evenly", d, cfg.Spec.Layers)
 			}
 		}
-		if err := cfg.deployment(c).ValidateFor(cfg.Spec); err != nil {
-			t.Fatalf("feasible candidate %s fails validation: %v", c, err)
+		if err := d.ValidateFor(cfg.Spec); err != nil {
+			t.Fatalf("feasible deployment %s fails validation: %v", d, err)
 		}
 	}
 	for _, pp := range []int{1, 2, 4} {
@@ -124,13 +117,13 @@ func TestAutotunePicksPPAtDepth(t *testing.T) {
 			best = v
 		}
 	}
-	t.Logf("measured best: %s (%.6g simsec/step)", best.Candidate, best.Measured.SimPerStep)
+	t.Logf("measured best: %s (%.6g simsec/step)", best.Deployment, best.Measured.SimPerStep)
 	if best.PP() <= 1 {
 		for _, v := range p.Validated {
-			t.Logf("validated %-34s pred %.6g meas %.6g", v.Candidate, v.Pred.StepTime, v.Measured.SimPerStep)
+			t.Logf("validated %-34s pred %.6g meas %.6g", v.Deployment, v.Pred.StepTime, v.Measured.SimPerStep)
 		}
 		t.Fatalf("measured-best validated candidate %s is flat; expected a folded pipeline at depth %d",
-			best.Candidate, cfg.Spec.Layers)
+			best.Deployment, cfg.Spec.Layers)
 	}
 }
 
@@ -147,7 +140,7 @@ func TestPlanAtDepthTracksMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range p.Validated {
-		t.Logf("validated %-34s pred %.6g meas %.6g", v.Candidate, v.Pred.StepTime, v.Measured.SimPerStep)
+		t.Logf("validated %-34s pred %.6g meas %.6g", v.Deployment, v.Pred.StepTime, v.Measured.SimPerStep)
 	}
 	if p.Tau < 0.6 {
 		t.Fatalf("plan at depth 8 ranks %d candidates with tau %.3f < 0.6", len(p.Validated), p.Tau)
@@ -160,6 +153,6 @@ func TestPlanAtDepthTracksMeasurement(t *testing.T) {
 	}
 	if !p.TopMatch || p.Validated[0].PP() <= 1 || fastest.PP() <= 1 {
 		t.Fatalf("analytic best %s, measured fastest %s (top-1 match %v); want both pipelined and the fastest predicted so",
-			p.Validated[0].Candidate, fastest.Candidate, p.TopMatch)
+			p.Validated[0].Deployment, fastest.Deployment, p.TopMatch)
 	}
 }

@@ -19,9 +19,10 @@ import (
 // legFn computes one received leg. in holds the leg's rows packed
 // expert-major ([rows, d]; local expert le owns rows off[le]..off[le+1],
 // in dispatch order) and the result has the same shape and row order.
-// l is 0 for the local leg — self plus same-supernode sources, or every
-// source when the exchange blocks — and 1 for the cross-supernode leg.
-// Legs that received no rows are skipped.
+// l is 0 for the local leg — self plus same-supernode sources — and 1
+// for the cross-supernode leg, whether or not the exchange blocks: both
+// modes compute the same rows in the same two passes, so they train the
+// same bits. Legs that received no rows are skipped.
 type legFn func(l int, in *tensor.Tensor, off []int) *tensor.Tensor
 
 // trip describes one round trip.
@@ -72,18 +73,16 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	// messages' receipt — is a request started right after the cheap leg
 	// arrives (the hierarchical exchange has then sent its rail messages),
 	// joined before its rows are computed: it runs under the local
-	// compute. The exchange's step list orders its sends.
-	legs := 1
-	if m.CommCfg.Overlap {
-		legs = 2
-	}
+	// compute. Blocking, one buffer holds both legs' rows. The exchange's
+	// step list orders its sends.
+	overlap := m.CommCfg.Overlap
 	t0 := time.Now()
 	ex := m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
 	ex.PostAll(sb)
 	ex.Flush()
 	var in [2]*mpi.RecvBuf
 	var remote *mpi.Request
-	if legs == 2 {
+	if overlap {
 		in[0] = ex.RecvLocal()
 		remote = m.comm.Start(func() { in[1] = ex.RecvRemote() })
 	} else {
@@ -96,16 +95,18 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 		*tr.ord = [2][][]rowRef{}
 	}
 	var outs [2]*tensor.Tensor
-	for l := 0; l < legs; l++ {
-		if l == 1 {
+	for l := range 2 {
+		rb := in[0]
+		if overlap && l == 1 {
 			remote.Wait()
+			rb = in[1]
 		}
 		if !tr.backward {
-			tr.ord[l] = m.groupRows(in[l], d)
+			tr.ord[l] = m.groupRows(rb, l, d)
 		}
 		t0 = time.Now()
 		if rows := phaseRows(tr.ord[l]); rows > 0 {
-			packed, off := packLeg(in[l], tr.ord[l], rows, d)
+			packed, off := packLeg(rb, tr.ord[l], rows, d)
 			outs[l] = tr.compute(l, packed, off)
 			m.chargeCompute(rows, tr.backward)
 		}
@@ -120,13 +121,15 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 
 	// Return: every computed row goes back to its source at the
 	// position it arrived in.
-	for l := 0; l < legs; l++ {
-		for _, src := range in[l].Srcs() {
-			back[src] = in[l].Count(src)
+	for _, rb := range in {
+		if rb != nil {
+			for _, src := range rb.Srcs() {
+				back[src] = rb.Count(src)
+			}
 		}
 	}
 	rsb := mpi.NewSendBuf(back)
-	for l := 0; l < legs; l++ {
+	for l := range 2 {
 		row := 0
 		for _, refs := range tr.ord[l] {
 			for _, ref := range refs {
@@ -141,7 +144,7 @@ func (m *DistMoE) roundTrip(tr trip) (ret [2]*mpi.RecvBuf, t Timing) {
 	ex = m.comm.BeginExchange(m.hierWire(), m.CommCfg.Codec)
 	ex.PostAll(rsb)
 	ex.Flush()
-	if legs == 2 && !tr.backward {
+	if overlap && !tr.backward {
 		ret[0] = ex.RecvLocal()
 		ret[1] = ex.RecvRemote()
 	} else {
@@ -171,14 +174,23 @@ func (m *DistMoE) sameSupernode(q int) bool {
 	return of[q] == of[m.comm.Rank()]
 }
 
-// groupRows assigns each row of a received leg to its target local
-// expert using the expert-slot metadata that rode in the messages.
-// Counts are exact under dropless routing, so each source's
-// variable-length framing is asserted (payload a whole number of
-// d-wide rows, one slot id per row) before rows are attributed.
-func (m *DistMoE) groupRows(rb *mpi.RecvBuf, d int) [][]rowRef {
-	rows := make([]int, m.LocalExperts)
+// groupRows assigns each row leg l received in rb to its target local
+// expert using the expert-slot metadata that rode in the messages: the
+// rows of rb's sources inside this rank's supernode for the local leg,
+// of the others for the cross-supernode one. A leg with no source
+// groups nothing (nil). Counts are exact under dropless routing, so
+// each source's variable-length framing is asserted (payload a whole
+// number of d-wide rows, one slot id per row) before rows are
+// attributed.
+func (m *DistMoE) groupRows(rb *mpi.RecvBuf, l, d int) [][]rowRef {
+	var rows []int
 	for _, src := range rb.Srcs() {
+		if m.sameSupernode(src) != (l == 0) {
+			continue
+		}
+		if rows == nil {
+			rows = make([]int, m.LocalExperts)
+		}
 		rb.Rows(src, d)
 		for _, le := range rb.Meta(src) {
 			if le < 0 || le >= m.LocalExperts {
@@ -187,10 +199,15 @@ func (m *DistMoE) groupRows(rb *mpi.RecvBuf, d int) [][]rowRef {
 			rows[le]++
 		}
 	}
+	if rows == nil {
+		return nil
+	}
 	ord := carve[rowRef](rows)
 	for _, src := range rb.Srcs() {
-		for pos, le := range rb.Meta(src) {
-			ord[le] = append(ord[le], rowRef{src, pos})
+		if m.sameSupernode(src) == (l == 0) {
+			for pos, le := range rb.Meta(src) {
+				ord[le] = append(ord[le], rowRef{src, pos})
+			}
 		}
 	}
 	return ord

@@ -1,6 +1,8 @@
 package perfmodel
 
 import (
+	"fmt"
+
 	"bagualu/internal/parallel/layout"
 	"bagualu/internal/sunway"
 )
@@ -72,7 +74,7 @@ type Deployment struct {
 
 	// RouteSkew is the routing's load imbalance: the rows the busiest
 	// rank of an expert group receives in an exchange over the group's
-	// mean (parallel.ShortRunResult.RouteSkew measures it). Every rank
+	// mean (autotune.ShortRunResult.RouteSkew measures it). Every rank
 	// waits for that rank's expert GEMMs and for the rows it sends back,
 	// so the walk prices both at RouteSkew× the mean. 0 or 1 is
 	// balanced routing.
@@ -82,6 +84,26 @@ type Deployment struct {
 	// expert GEMMs on the local leg's rows run while the cross-supernode
 	// leg is in flight.
 	OverlapA2A bool
+}
+
+// String labels the deployment by its grid, batch, wire codec and
+// memory levers, the knobs the autotuner searches.
+func (d Deployment) String() string {
+	codec := "fp32"
+	if d.WireFP16 {
+		codec = "fp16"
+	}
+	s := fmt.Sprintf("%s b%d %s", d.Grid, d.BatchPerRank, codec)
+	if d.ZeRO {
+		s += " zero"
+	}
+	if d.RecomputeEvery > 0 {
+		s += fmt.Sprintf(" rc%d", d.RecomputeEvery)
+	}
+	if d.OffloadOptState {
+		s += " offload"
+	}
+	return s
 }
 
 // Ranks returns the total rank count.

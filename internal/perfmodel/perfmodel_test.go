@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -116,49 +115,6 @@ func TestProjectFullMachine174T(t *testing.T) {
 	}
 	if rep.StepTime <= 0 || rep.TokensPerSec <= 0 {
 		t.Fatalf("degenerate report %+v", rep)
-	}
-}
-
-// TestA2AStrategiesTrackSimulator: the walk runs both exchanges as mpi
-// does — the direct one posts every peer's chunk eagerly, the
-// hierarchical one forwards cross-supernode rows by rail (mpi.Exchange)
-// — and on an expert group spanning two and four supernodes each step is
-// the simulator's, in the simulator's order. At 96,000 nodes every rank
-// of the rail exchange crosses with the direct exchange's bytes, after
-// a first hop inside its supernode, while the direct exchange's eager
-// sends overlap their latencies (the simulator charges no per-message
-// gap): the hierarchical exchange is the slower one there, by its first
-// hop, less than a quarter.
-func TestA2AStrategiesTrackSimulator(t *testing.T) {
-	spec := tinySpec()
-	for _, m := range []*sunway.Machine{sunway.TestMachine(2, 2), sunway.TestMachine(4, 1)} {
-		d := Deployment{
-			Machine: m, RanksPerNode: 2, Grid: layout.Grid{DataParallel: 1, ExpertParallel: 8},
-			BatchPerRank: 2, Precision: sunway.FP32, Efficiency: 0.3,
-		}
-		spec.NumExperts = 8
-		flat := tracks(t, fmt.Sprintf("%d supernodes, direct", m.Supernodes), d, spec)
-		d.A2A = A2AHierarchical
-		hier := tracks(t, fmt.Sprintf("%d supernodes, hierarchical", m.Supernodes), d, spec)
-		hierMeas := measure(t, d, spec)
-		d.A2A = A2AFlat
-		if (hier.StepTime < flat.StepTime) != (hierMeas < measure(t, d, spec)) {
-			t.Errorf("%d supernodes: the walk orders the exchanges against the simulator", m.Supernodes)
-		}
-	}
-	spec = BrainScaleSpecs()[0]
-	dFlat, dHier := fullDeployment(A2AFlat), fullDeployment(A2AHierarchical)
-	spec.NumExperts = dFlat.ExpertParallel
-	rf, err := dFlat.PredictStep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh, err := dHier.PredictStep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rh.A2A <= rf.A2A || rh.A2A > 1.25*rf.A2A {
-		t.Fatalf("at full scale the rail exchange %.3g s is not within (1, 1.25]× the direct one's %.3g s", rh.A2A, rf.A2A)
 	}
 }
 

@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -45,55 +44,6 @@ func TestPPReducesToFlatAtOneStage(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("PP=1 prediction diverged from flat:\nflat   %+v\nfolded %+v", a, b)
-	}
-}
-
-// idle is the share of stage 0's step it spends neither computing, nor
-// in MoE exchanges, nor waiting for the gradient sync: at S > 1 its
-// waits on boundary receives (the bubble), and the scalar gathers.
-func idle(p StepPrediction) float64 {
-	busy := p.DenseCompute + p.ExpertCompute + p.Recompute + p.A2A + p.Sync + p.Offload
-	return (p.StepTime - busy) / p.StepTime
-}
-
-// TestBubbleShrinksWithMicroBatches: the walk's pipeline bubble — the
-// time stage 0 waits on boundary receives, most of its idle share — is
-// the schedule's fill and drain. More micro-batches amortize it over a
-// longer step, interleaving shortens it, and a deeper pipeline idles a
-// larger share of its step, and each of these steps is the simulator's.
-func TestBubbleShrinksWithMicroBatches(t *testing.T) {
-	spec := ppSpec()
-	at := func(s, v, m int) StepPrediction {
-		return tracks(t, fmt.Sprintf("pp%dv%dm%d", s, v, m), ppDeployment(s, v, m), spec)
-	}
-	flat := idle(tracks(t, "flat", validDeployment(), spec))
-	p2, p8 := idle(at(2, 1, 2)), idle(at(2, 1, 8))
-	if p2 <= 2*flat {
-		t.Fatalf("pipelined deployment idles %v of its step, the flat one %v", p2, flat)
-	}
-	if p8 >= p2 {
-		t.Fatalf("bubble share did not shrink with micro-batches: M=2 %v vs M=8 %v", p2, p8)
-	}
-	if pv := idle(at(2, 2, 8)); pv >= p8 {
-		t.Fatalf("interleaving did not shrink the bubble share: %v vs %v", pv, p8)
-	}
-	if p4 := idle(at(4, 1, 4)); p4 <= p2 {
-		t.Fatalf("bubble share not increasing with depth: S=2 %v, S=4 %v", p2, p4)
-	}
-}
-
-// TestPPSendScalesWithMicroBatches: every micro-batch crosses each of
-// the V·S-1 chunk boundaries forward and back, so the walk books
-// 2·M·(V·S-1) boundary sends a step, and the steps they cost are the
-// simulator's.
-func TestPPSendScalesWithMicroBatches(t *testing.T) {
-	spec := ppSpec()
-	for _, c := range []struct{ s, v, m int }{{2, 1, 2}, {2, 1, 4}, {2, 2, 4}} {
-		d := ppDeployment(c.s, c.v, c.m)
-		if got, want := len(d.walk(spec).arrive), 2*c.m*(c.v*c.s-1); got != want {
-			t.Fatalf("pp%dv%dm%d: %d boundary sends, want %d", c.s, c.v, c.m, got, want)
-		}
-		tracks(t, fmt.Sprintf("pp%dv%dm%d", c.s, c.v, c.m), d, spec)
 	}
 }
 
