@@ -333,10 +333,12 @@ func BenchmarkTrainStep(b *testing.B) {
 // BenchmarkPipelineStep measures one engine step of the pipelined
 // benchmark workload's layout (train_pp4_zero: pp4 × dp2, two virtual
 // stages, eight micro-batches, ZeRO) at the tiny model size, every
-// rank's allocations counted: 57.4 k per step (73.1 k when the backward
-// replayed every chunk's forward), gated at that plus 5%.
+// rank's allocations counted: 55.1 k per step (55,048 at -cpu 1 and
+// 55,052 at -cpu 2, one kernel call per parameter range of the sharded
+// Adam update included; the gate read 57.4 k before, 73.1 k when the
+// backward replayed every chunk's forward), gated at that plus 5%.
 func BenchmarkPipelineStep(b *testing.B) {
-	engineStepLoop(b, "pipelined engine step", 57400,
+	engineStepLoop(b, "pipelined engine step", 55100,
 		parallel.Strategy{DataParallel: 2, ExpertParallel: 1, Pipeline: 4, Virtual: 2},
 		sunway.TestMachine(2, 2), 2,
 		parallel.ModelConfig{
@@ -350,11 +352,11 @@ func BenchmarkPipelineStep(b *testing.B) {
 // BenchmarkEngineStep measures one engine step of the MoDa benchmark
 // workload's layout (train_moe_ep8: dp2 × ep4 over four one-node
 // supernodes, Mixed precision, FP16 wire with overlap) at the tiny model
-// size, every rank's allocations counted: 16.3 k per step (16,315 at
-// -cpu 1 and 16,388 at -cpu 2 before the flat grid ran through the
-// schedule runner, the same since), gated at that plus 5%.
+// size, every rank's allocations counted: 13.5 k per step (13,471 at
+// -cpu 1 and 13,484–13,508 at -cpu 2 once the all-reduce reduced the
+// gradient bucket in place; 16.4 k before), gated at that plus 5%.
 func BenchmarkEngineStep(b *testing.B) {
-	engineStepLoop(b, "flat engine step", 16388,
+	engineStepLoop(b, "flat engine step", 13510,
 		parallel.Strategy{DataParallel: 2, ExpertParallel: 4},
 		sunway.TestMachine(4, 1), 2,
 		parallel.ModelConfig{

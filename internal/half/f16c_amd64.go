@@ -12,7 +12,9 @@ var useF16C = cpufeat.F16C()
 
 func encodeF16C(dst []uint16, src []float32)
 
-func quantizeF16C(x []float32) (overflow bool)
+func quantizeF16C(dst, src []float32) (overflow bool)
+
+func decodeF16C(dst []float32, src []uint16)
 
 // encodeVec encodes the leading multiple-of-8 elements of src into dst
 // with the hardware converter and returns how many it covered (0
@@ -26,13 +28,25 @@ func encodeVec(dst []uint16, src []float32) int {
 	return n
 }
 
-// quantizeVec rounds the leading multiple-of-8 elements of x through
-// FP16 in place and returns how many it covered and whether any of
-// them overflowed, like encodeVec.
-func quantizeVec(x []float32) (n int, overflow bool) {
+// quantizeVec writes the leading multiple-of-8 elements of src, rounded
+// through FP16, to dst and returns how many it covered and whether any
+// of them overflowed, like encodeVec.
+func quantizeVec(dst, src []float32) (n int, overflow bool) {
 	if !useF16C {
 		return 0, false
 	}
-	n = len(x) &^ 7
-	return n, quantizeF16C(x[:n])
+	n = len(src) &^ 7
+	return n, quantizeF16C(dst[:n], src[:n])
+}
+
+// decodeVec decodes the leading multiple-of-8 elements of src into dst
+// with the hardware converter and returns how many it covered, like
+// encodeVec.
+func decodeVec(dst []float32, src []uint16) int {
+	if !useF16C {
+		return 0
+	}
+	n := len(src) &^ 7
+	decodeF16C(dst[:n], src[:n])
+	return n
 }

@@ -262,17 +262,58 @@ func TestFastFloat32MatchesExact(t *testing.T) {
 	}
 }
 
-// The table decode (DecodeSlice) against the exact conversion.
+// DecodeSlice against Float16.Float32 on all 65,536 encodings, NaN
+// payloads included, by bits: once as one slice and once from an odd
+// start, so every pattern also meets the scalar tail where there is a
+// vector body.
 func TestDecodeFastMatchesDecode(t *testing.T) {
-	src := make([]uint16, 256)
+	src := make([]uint16, 1<<16)
 	for i := range src {
-		src[i] = uint16(FromFloat32(float32(i)*0.37 - 40))
+		src[i] = uint16(i)
 	}
 	got := make([]float32, len(src))
-	DecodeSlice(got, src)
-	for i, h := range src {
-		if want := Float16(h).Float32(); got[i] != want {
-			t.Fatalf("DecodeSlice[%d] = %v, want %v", i, got[i], want)
+	for _, off := range []int{0, 3} {
+		DecodeSlice(got[:len(src)-off], src[off:])
+		DecodeSlice(got[len(src)-off:], src[:off])
+		for i, h := range append(src[off:], src[:off]...) {
+			if g, w := math.Float32bits(got[i]), math.Float32bits(Float16(h).Float32()); g != w {
+				t.Fatalf("off %d: DecodeSlice(%#04x) = %#08x, Float32 = %#08x", off, h, g, w)
+			}
+		}
+	}
+}
+
+// QuantizeInto with a separate destination writes the bits and reports
+// the overflow QuantizeSliceFast does in place, and leaves its source
+// alone: random bit patterns (NaNs, infinities, overflowing finites)
+// at lengths that end inside and outside a vector of eight.
+func TestQuantizeIntoMatchesInPlace(t *testing.T) {
+	state := uint64(0x2545f4914f6cdd1d)
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 4096 + 5} {
+		src := make([]float32, n)
+		for i := range src {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			src[i] = math.Float32frombits(uint32(state >> 32))
+		}
+		if n > 3 {
+			src[3] = 70000 // overflows
+		}
+		orig := append([]float32(nil), src...)
+		inPlace := append([]float32(nil), src...)
+		dst := make([]float32, n)
+		wantFlag := QuantizeSliceFast(inPlace)
+		if flag := QuantizeInto(dst, src); flag != wantFlag {
+			t.Fatalf("n=%d: overflow %v, in place %v", n, flag, wantFlag)
+		}
+		for i := range src {
+			if g, w := math.Float32bits(dst[i]), math.Float32bits(inPlace[i]); g != w {
+				t.Fatalf("n=%d elem %d: QuantizeInto %#08x, in place %#08x", n, i, g, w)
+			}
+			if math.Float32bits(src[i]) != math.Float32bits(orig[i]) {
+				t.Fatalf("n=%d elem %d: source rewritten", n, i)
+			}
 		}
 	}
 }

@@ -22,19 +22,26 @@ func buildDecodeTable() {
 	}
 }
 
-// QuantizeSliceFast rounds every element of x through FP16 in place,
-// eight at a time in hardware where the CPU has F16C and through
+// QuantizeSliceFast rounds every element of x through FP16 in place
+// and reports whether any finite element overflowed to ±Inf: it is
+// QuantizeInto(x, x).
+func QuantizeSliceFast(x []float32) (overflow bool) { return QuantizeInto(x, x) }
+
+// QuantizeInto writes every element of src, rounded through FP16, to
+// dst, eight at a time in hardware where the CPU has F16C and through
 // FromFloat32 and the decode table otherwise (bit-identical either
-// way), and reports whether any finite element overflowed to ±Inf.
-func QuantizeSliceFast(x []float32) (overflow bool) {
-	n, overflow := quantizeVec(x)
+// way), and reports whether any finite element overflowed to ±Inf. dst
+// may be src; otherwise src is left alone.
+func QuantizeInto(dst, src []float32) (overflow bool) {
+	dst = dst[:len(src)]
+	n, overflow := quantizeVec(dst, src)
 	decodeOnce.Do(buildDecodeTable)
-	for i, v := range x[n:] {
+	for i, v := range src[n:] {
 		h := FromFloat32(v)
 		if h&0x7fff == 0x7c00 && !isInf32(v) {
 			overflow = true
 		}
-		x[n+i] = decodeTable[h]
+		dst[n+i] = decodeTable[h]
 	}
 	return overflow
 }
@@ -51,11 +58,19 @@ func EncodeSlice(dst []uint16, src []float32) {
 	}
 }
 
-// DecodeSlice converts raw FP16 bit patterns back to float32 via the
-// decode table, the inverse of EncodeSlice.
+// DecodeSlice converts raw FP16 bit patterns back to float32, the
+// inverse of EncodeSlice: eight at a time with VCVTPH2PS where the CPU
+// has F16C and through the decode table otherwise and for the tail.
+// Both give Float16.Float32's bits: exact for every number, and a NaN
+// of either sign becomes that sign's quiet NaN 0x7fc00000, its payload
+// dropped.
 func DecodeSlice(dst []float32, src []uint16) {
+	n := decodeVec(dst, src)
+	if n == len(src) {
+		return
+	}
 	decodeOnce.Do(buildDecodeTable)
-	for i, v := range src {
-		dst[i] = decodeTable[v]
+	for i, v := range src[n:] {
+		dst[n+i] = decodeTable[v]
 	}
 }

@@ -60,26 +60,27 @@ func (c *Comm) Reduce(root int, data []float32, op ReduceOp) []float32 {
 // cross supernodes (R8), when Hierarchical reports true, and the ring
 // otherwise.
 func (c *Comm) AllReduce(data []float32, op ReduceOp) []float32 {
-	return c.allReduce(data, op, GradWire{})
+	return c.allReduceKind(c.geometry().Algo(coll.RingAllReduce), append([]float32(nil), data...), op, GradWire{})
 }
 
 // AllReduceGrads sums data across all ranks on the wire w, by
 // AllReduce's algorithm choice: with the zero GradWire it is
 // AllReduce(data, OpSum) bit for bit, with a 16-bit one its result
 // rounded once to the FP16 grid at w.Scale (see GradWire).
+//
+// Unlike AllReduce it reduces data in place and returns it: the caller
+// hands over a buffer it packed for the call. A float32 hop sends a
+// view of it, which a peer may still be reading when the call returns,
+// so the caller reads the result and writes it no more.
 func (c *Comm) AllReduceGrads(data []float32, w GradWire) []float32 {
-	return c.allReduce(data, OpSum, w)
-}
-
-func (c *Comm) allReduce(data []float32, op ReduceOp, w GradWire) []float32 {
-	return c.allReduceKind(c.geometry().Algo(coll.RingAllReduce), data, op, w)
+	return c.allReduceKind(c.geometry().Algo(coll.RingAllReduce), data, OpSum, w)
 }
 
 // AllReduceRing is the bandwidth-optimal ring all-reduce
 // (coll.RingAllReduce): a reduce-scatter pass followed by an all-gather
 // pass, 2(P-1) steps moving ~2·n/P bytes each.
 func (c *Comm) AllReduceRing(data []float32, op ReduceOp) []float32 {
-	return c.allReduceKind(coll.RingAllReduce, data, op, GradWire{})
+	return c.allReduceKind(coll.RingAllReduce, append([]float32(nil), data...), op, GradWire{})
 }
 
 // AllReduceHier is the topology-aware all-reduce, the rail schedule
@@ -87,16 +88,18 @@ func (c *Comm) AllReduceRing(data []float32, op ReduceOp) []float32 {
 // phases A and B and AllGatherShard's its phases C and D. The returned
 // slice is exclusively owned by the caller.
 func (c *Comm) AllReduceHier(data []float32, op ReduceOp) []float32 {
-	return c.allReduceKind(coll.RailAllReduce, data, op, GradWire{})
+	return c.allReduceKind(coll.RailAllReduce, append([]float32(nil), data...), op, GradWire{})
 }
 
-func (c *Comm) allReduceKind(k coll.Kind, data []float32, op ReduceOp, w GradWire) []float32 {
+// allReduceKind reduces acc in place on the list k and returns it.
+func (c *Comm) allReduceKind(k coll.Kind, acc []float32, op ReduceOp, w GradWire) []float32 {
 	seq := c.nextSeq()
 	if c.Size() == 1 {
-		return append([]float32(nil), data...)
+		return acc
 	}
-	acc := make([]float32, len(data))
-	w.toWire(acc, data)
+	if w.half() {
+		w.toWire(acc, acc)
+	}
 	c.exec(seq, c.list(k, 0), acc, nil, w, op)
 	if w.half() {
 		// Only a 16-bit wire may rewrite acc here: a float32 hop sends a

@@ -82,7 +82,7 @@ func TestGradWireRoundsOnce(t *testing.T) {
 				in := gradInput(tensor.NewRNG(seed+uint64(c.Rank())), n, off, w.Scale, special)
 				r := c.Rank()
 				ref[r] = c.AllReduce(in, OpSum)
-				got[r] = c.AllReduceGrads(in, w)
+				got[r] = c.AllReduceGrads(append([]float32(nil), in...), w) // reduced in place
 				shards[r], bounds[r] = c.ReduceScatterShard(in, w)
 				hier[r] = c.Hierarchical()
 			})

@@ -768,12 +768,14 @@ func allReduceBucketed(c *mpi.Comm, params []*nn.Param, scale float32, w mpi.Gra
 		copy(buf[off:], p.G.Data)
 		off += p.G.Len()
 	}
+	// The buffer is reduced in place; unpacking rescales in the same pass.
 	buf = c.AllReduceGrads(buf, w)
-	off = 0
 	for _, p := range params {
-		copy(p.G.Data, buf[off:off+p.G.Len()])
-		tensor.ScaleInPlace(p.G, scale)
-		off += p.G.Len()
+		g := p.G.Data
+		for i, v := range buf[:len(g)] {
+			g[i] = v * scale
+		}
+		buf = buf[len(g):]
 	}
 }
 

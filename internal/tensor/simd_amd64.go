@@ -15,6 +15,8 @@ func gemm2RowsAVX2(o0, o1, a0, a1, panel []float32, w int)
 
 func axpyNAVX2(dst, as []float32, sa int, b []float32, sb, kd int, skipZero bool)
 
+func adamAVX2(dst, w, g, m, v []float32, c AdamCoeffs, decay bool)
+
 // Axpy computes dst[j] += a*x[j] for every j < len(x), one float32
 // multiply and one float32 add per element (never fused), so the
 // result does not depend on which path runs. GEMM loops go through
@@ -66,4 +68,16 @@ func gemm2Rows(out, a, panel []float32, i, j0, p0, kd, k, n, w int) int {
 	c0, c1 := i*k+p0, (i+1)*k+p0
 	gemm2RowsAVX2(out[r0:r0+wv], out[r1:r1+wv], a[c0:c0+kd], a[c1:c1+kd], panel[:(kd-1)*w+wv], w)
 	return wv
+}
+
+// adamVec runs the Adam kernel over the leading multiple-of-8 elements
+// and returns how many it covered (0 without AVX2); adamGeneric, whose
+// sequence every lane repeats, finishes the rest.
+func adamVec(dst, w, g, m, v []float32, c AdamCoeffs) int {
+	n := len(g) &^ 7
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	adamAVX2(dst[:n], w[:n], g[:n], m[:n], v[:n], c, c.WeightDecay > 0)
+	return n
 }

@@ -458,3 +458,84 @@ axpyNNextTail:
 axpyNDone:
 	VZEROUPPER
 	RET
+
+DATA adamOne<>+0(SB)/4, $0x3f800000 // 1.0
+GLOBL adamOne<>(SB), RODATA|NOPTR, $4
+
+// func adamAVX2(dst, w, g, m, v []float32, c AdamCoeffs, decay bool)
+//
+// One Adam update of eight elements at a time, each lane the sequence
+// of adamGeneric:
+//
+//	m = b1*m + (1-b1)*g
+//	v = b2*v + ((1-b2)*g)*g
+//	u = (m/bc1) / (sqrt(v/bc2) + eps)
+//	if decay { u = u + wd*w }
+//	dst = w - lr*u
+//
+// VMULPS/VADDPS/VSUBPS/VDIVPS/VSQRTPS, each rounded (VSQRTPS is the
+// correctly rounded float32 root, which float32(math.Sqrt(float64(x)))
+// also is); the commutative operations keep the scalar loop's first
+// operand. decay is WeightDecay > 0. dst may alias w. len(g) must be a
+// multiple of 8 and every other slice at least that long.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-149
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         w_base+24(FP), SI
+	MOVQ         g_base+48(FP), DX
+	MOVQ         g_len+56(FP), CX
+	MOVQ         m_base+72(FP), R8
+	MOVQ         v_base+96(FP), R9
+	MOVBLZX      decay+148(FP), BX
+	VBROADCASTSS c_Beta1+120(FP), Y0
+	VBROADCASTSS c_Beta2+124(FP), Y2
+	VBROADCASTSS c_Eps+128(FP), Y6
+	VBROADCASTSS c_WeightDecay+132(FP), Y7
+	VBROADCASTSS c_LR+136(FP), Y8
+	VBROADCASTSS c_BC1+140(FP), Y4
+	VBROADCASTSS c_BC2+144(FP), Y5
+	VBROADCASTSS adamOne<>+0(SB), Y15
+	VSUBPS       Y0, Y15, Y1            // 1-b1
+	VSUBPS       Y2, Y15, Y3            // 1-b2
+	SHRQ         $3, CX
+	JZ           adamDone
+
+	PCALIGN $32
+adamLoop:
+	VMOVUPS (DX), Y9         // g
+	VMOVUPS (R8), Y10
+	VMULPS  Y0, Y10, Y10     // b1*m
+	VMULPS  Y9, Y1, Y11      // (1-b1)*g
+	VADDPS  Y10, Y11, Y10
+	VMOVUPS Y10, (R8)
+	VMOVUPS (R9), Y12
+	VMULPS  Y2, Y12, Y12     // b2*v
+	VMULPS  Y9, Y3, Y13      // (1-b2)*g
+	VMULPS  Y13, Y9, Y13     // ...*g
+	VADDPS  Y12, Y13, Y12
+	VMOVUPS Y12, (R9)
+	VDIVPS  Y4, Y10, Y10     // mh
+	VDIVPS  Y5, Y12, Y12     // vh
+	VSQRTPS Y12, Y12
+	VADDPS  Y6, Y12, Y12     // + eps
+	VDIVPS  Y12, Y10, Y10    // u
+	VMOVUPS (SI), Y13        // w
+	TESTQ   BX, BX
+	JZ      adamNoDecay
+	VMULPS  Y7, Y13, Y14     // wd*w
+	VADDPS  Y14, Y10, Y10
+
+adamNoDecay:
+	VMULPS  Y8, Y10, Y10     // lr*u
+	VSUBPS  Y10, Y13, Y13
+	VMOVUPS Y13, (DI)
+	ADDQ    $32, DX
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     adamLoop
+
+adamDone:
+	VZEROUPPER
+	RET

@@ -14,3 +14,6 @@ func AxpyN(dst, as []float32, sa int, b []float32, sb, kd int, skipZero bool) {
 
 // gemm2Rows reports that no vector micro-kernel covered any column.
 func gemm2Rows(out, a, panel []float32, i, j0, p0, kd, k, n, w int) int { return 0 }
+
+// adamVec reports that no vector kernel covered any element.
+func adamVec(dst, w, g, m, v []float32, c AdamCoeffs) int { return 0 }

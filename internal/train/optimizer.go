@@ -41,11 +41,10 @@ func NewAdam(weightDecay float32) *Adam {
 	}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update (tensor.AdamUpdate).
 func (a *Adam) Step(params []*nn.Param, lr float32) {
 	a.step++
-	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.step)))
-	bc2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.step)))
+	c := adamCoeffs(a.Beta1, a.Beta2, a.Eps, a.WeightDecay, lr, a.step)
 	for _, p := range params {
 		m := a.m[p]
 		v := a.v[p]
@@ -55,23 +54,17 @@ func (a *Adam) Step(params []*nn.Param, lr float32) {
 			a.m[p] = m
 			a.v[p] = v
 		}
-		w, g := p.W.Data, p.G.Data
-		md, vd := m.Data, v.Data
-		b1, b2, eps := a.Beta1, a.Beta2, a.Eps
-		wd := a.WeightDecay
-		tensor.Parallel(len(w), func(s, e int) {
-			for i := s; i < e; i++ {
-				md[i] = b1*md[i] + (1-b1)*g[i]
-				vd[i] = b2*vd[i] + (1-b2)*g[i]*g[i]
-				mh := md[i] / bc1
-				vh := vd[i] / bc2
-				upd := mh / (float32(math.Sqrt(float64(vh))) + eps)
-				if wd > 0 {
-					upd += wd * w[i]
-				}
-				w[i] -= lr * upd
-			}
-		})
+		tensor.AdamUpdate(p.W.Data, p.W.Data, p.G.Data, m.Data, v.Data, c)
+	}
+}
+
+// adamCoeffs returns the scalars of Adam update number step: the
+// hyper-parameters and the bias corrections 1-β^step.
+func adamCoeffs(beta1, beta2, eps, wd, lr float32, step int) tensor.AdamCoeffs {
+	return tensor.AdamCoeffs{
+		Beta1: beta1, Beta2: beta2, Eps: eps, WeightDecay: wd, LR: lr,
+		BC1: 1 - float32(math.Pow(float64(beta1), float64(step))),
+		BC2: 1 - float32(math.Pow(float64(beta2), float64(step))),
 	}
 }
 

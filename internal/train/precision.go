@@ -175,16 +175,24 @@ func (mp *MixedPrecision) Apply(opt Optimizer, lr float32) {
 		mp.afterGoodStep()
 		return
 	}
-	// Swap masters in, update, swap rounded copies out.
-	for i, p := range mp.params {
-		copy(p.W.Data, mp.masters[i])
-	}
+	// The optimizer updates the masters in place: each is swapped in as
+	// its parameter's weights for the step, and the working weights are
+	// then written once, as the updated masters' FP16 roundings.
+	mp.swapMasters()
 	opt.Step(mp.params, lr)
+	mp.swapMasters()
 	for i, p := range mp.params {
-		copy(mp.masters[i], p.W.Data)
-		half.QuantizeSliceFast(p.W.Data)
+		half.QuantizeInto(p.W.Data, mp.masters[i])
 	}
 	mp.afterGoodStep()
+}
+
+// swapMasters exchanges each covered parameter's weight slice with its
+// FP32 master.
+func (mp *MixedPrecision) swapMasters() {
+	for i, p := range mp.params {
+		p.W.Data, mp.masters[i] = mp.masters[i], p.W.Data
+	}
 }
 
 func (mp *MixedPrecision) afterGoodStep() {

@@ -195,9 +195,7 @@ func (z *ShardedAdam) ScaleGradShards(s float32) {
 // shard update reads and writes master values transparently.
 func (z *ShardedAdam) Step(_ []*nn.Param, lr float32) {
 	z.step++
-	bc1 := 1 - float32(math.Pow(float64(z.Beta1), float64(z.step)))
-	bc2 := 1 - float32(math.Pow(float64(z.Beta2), float64(z.step)))
-	b1, b2, eps, wd := z.Beta1, z.Beta2, z.Eps, z.WeightDecay
+	c := adamCoeffs(z.Beta1, z.Beta2, z.Eps, z.WeightDecay, lr, z.step)
 	reqs := make([]*mpi.Request, 0, len(z.groups))
 	for _, g := range z.groups {
 		if !g.synced {
@@ -212,20 +210,8 @@ func (z *ShardedAdam) Step(_ []*nn.Param, lr float32) {
 			if oLo >= oHi {
 				continue
 			}
-			w := p.W.Data
-			for i := oLo; i < oHi; i++ {
-				k := i - g.my.Lo
-				gi := g.grad[k]
-				g.m[k] = b1*g.m[k] + (1-b1)*gi
-				g.v[k] = b2*g.v[k] + (1-b2)*gi*gi
-				mh := g.m[k] / bc1
-				vh := g.v[k] / bc2
-				u := mh / (float32(math.Sqrt(float64(vh))) + eps)
-				if wd > 0 {
-					u += wd * w[i-off]
-				}
-				upd[k] = w[i-off] - lr*u
-			}
+			lo, hi := oLo-g.my.Lo, oHi-g.my.Lo
+			tensor.AdamUpdate(upd[lo:hi], p.W.Data[oLo-off:oHi-off], g.grad[lo:hi], g.m[lo:hi], g.v[lo:hi], c)
 		}
 		if z.UpdateRate > 0 {
 			g.comm.Compute(float64(g.my.Len())/z.UpdateRate, metrics.PhaseOptimizerShard)

@@ -70,11 +70,14 @@ go test -race -count=2 ./internal/nn ./internal/parallel/pipe
 go test -race -count=2 -run TestConcurrentTrainersMatchSequential ./internal/train
 # The amd64 assembly kernels promise the portable Go loops' bits: the
 # kernel packages, the inference path built on them (transposed key
-# cache, serve and fleet token checks) and the fast goldens again with
-# the assembly compiled out, and the portable files type-checked for an
-# architecture that has no assembly at all (vet's asmdecl checked the
-# amd64 frames above).
-go test -tags purego ./internal/tensor ./internal/half ./internal/nn ./internal/moe ./internal/serve/... ./cmd/bagualu
+# cache, serve and fleet token checks), the optimizers and the
+# collectives (the 16-bit gradient wire among them) that run the Adam
+# and FP16 decode loops, the fast goldens and the engine's bit golden
+# again with the assembly compiled out, and the portable files
+# type-checked for an architecture that has no assembly at all (vet's
+# asmdecl checked the amd64 frames above).
+go test -tags purego ./internal/tensor ./internal/half ./internal/nn ./internal/moe ./internal/train ./internal/mpi ./internal/serve/... ./cmd/bagualu
+go test -tags purego -run BitsGolden ./internal/parallel
 GOARCH=arm64 go vet ./internal/cpufeat ./internal/tensor ./internal/half ./internal/nn ./internal/moe
 # The softmax and GELU kernels transcribe math.Exp and math.Tanh; their
 # inputs are float32, so "same bits" is checked on all 2^32 of them
