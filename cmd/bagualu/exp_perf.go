@@ -11,7 +11,10 @@ import (
 
 // The full-machine analytic experiments project the brain-scale
 // models onto the 96,000-node / 37-million-core New Generation Sunway
-// at the one calibrated constant, GEMM efficiency 0.35.
+// at GEMM efficiency 0.35. It is not the repo's only efficiency:
+// autotune's default, R19 (exp_pipe.go) and the scaling harness
+// (exp_scaling.go) price at 0.3, so R7 and R17c project at different
+// rates. Making it one constant of the machine is ROADMAP item 32.
 const (
 	perfEfficiency = 0.35 // sustained fraction of node peak for GEMM kernels
 	perfBatch      = 4    // sequences per rank per step

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"bagualu/internal/half"
+	"bagualu/internal/simnet"
 	"bagualu/internal/simnet/coll"
+	"bagualu/internal/tensor"
 )
 
 // ReduceOp combines src into dst elementwise. dst and src have equal
@@ -28,8 +30,9 @@ func OpMax(dst, src []float32) {
 }
 
 // The collectives below run the step lists of internal/simnet/coll,
-// whose Kind docs state each algorithm; exec is their one interpreter,
-// and the step walk (internal/perfmodel) prices the same lists.
+// whose Kind docs state each algorithm, through exec, the one runner of
+// every list in this package (the MoE exchanges' too, wire.go); the step
+// walk (internal/perfmodel) prices the same lists.
 
 // Barrier blocks until every rank of the communicator has entered it:
 // the zero-length gather, ceil(log2 P) rounds of empty messages.
@@ -40,14 +43,14 @@ func (c *Comm) Barrier() {
 // Bcast distributes root's data to every rank using a binomial tree
 // and returns it. Non-root ranks may pass nil.
 func (c *Comm) Bcast(root int, data []float32) []float32 {
-	return c.exec(c.nextSeq(), c.list(coll.Bcast, root), data, nil, GradWire{}, nil)
+	return c.collective(c.nextSeq(), c.list(coll.Bcast, root), data, nil, GradWire{}, nil)
 }
 
 // Reduce combines each rank's data with op, leaving the result on
 // root. All ranks receive the reduced slice only on root (others get
 // nil). data is not modified.
 func (c *Comm) Reduce(root int, data []float32, op ReduceOp) []float32 {
-	acc := c.exec(c.nextSeq(), c.list(coll.Reduce, root), append([]float32(nil), data...), nil, GradWire{}, op)
+	acc := c.collective(c.nextSeq(), c.list(coll.Reduce, root), append([]float32(nil), data...), nil, GradWire{}, op)
 	if c.rank != root {
 		return nil
 	}
@@ -100,7 +103,7 @@ func (c *Comm) allReduceKind(k coll.Kind, acc []float32, op ReduceOp, w GradWire
 	if w.half() {
 		w.toWire(acc, acc)
 	}
-	c.exec(seq, c.list(k, 0), acc, nil, w, op)
+	c.collective(seq, c.list(k, 0), acc, nil, w, op)
 	if w.half() {
 		// Only a 16-bit wire may rewrite acc here: a float32 hop sends a
 		// view of it, and a peer may still be reading the last.
@@ -129,7 +132,7 @@ func gather[T float32 | int](c *Comm, xs []T) []T {
 	copy(buf, xs)
 	f, _ := any(buf).([]float32)
 	ints, _ := any(buf).([]int)
-	c.exec(seq, c.list(coll.Dissemination, 0), f, ints, GradWire{}, nil)
+	c.collective(seq, c.list(coll.Dissemination, 0), f, ints, GradWire{}, nil)
 	out := make([]T, n*p)
 	for j := 0; j < p; j++ {
 		r := (me - j + p) % p
@@ -138,104 +141,193 @@ func gather[T float32 | int](c *Comm, xs []T) []T {
 	return out
 }
 
-// exec runs this rank's steps of the collective seq on its vector, f
-// or ints (the other nil), and returns the vector (Bcast's Take may
-// replace it). Sum steps go through sendSum and recvSumInto on the wire
-// w, combining with op. A send of one chunk's range sends a view of it:
-// the lists rewrite no such range before every peer that received the
-// view has read it (the ring's all-gather half receives only after the
-// whole ring has moved on). A rail is packed.
-func (c *Comm) exec(seq int64, steps []coll.Step, f []float32, ints []int, w GradWire, op ReduceOp) []float32 {
-	n := len(f) + len(ints)
-	var slots [][]float32
-	var packed []float32 // the payload of the last multi-range float32 send
-	var packedCut coll.Cut
-	for i := range steps {
+// collective runs this rank's steps of the collective seq on its vector,
+// f or ints (the other nil), and returns the vector (Bcast's Take may
+// replace it). Sums travel on the wire w and combine with op.
+func (c *Comm) collective(seq int64, steps []coll.Step, f []float32, ints []int, w GradWire, op ReduceOp) []float32 {
+	c.vec = vec{f: f, ints: ints, n: len(f) + len(ints), w: w, op: op, slots: c.vec.slots}
+	c.exec(seq, steps, 0, toEnd, &c.vec)
+	clear(c.vec.slots)
+	f, c.vec = c.vec.f, vec{slots: c.vec.slots[:0]}
+	return f
+}
+
+// cargo is what the messages of a step list carry: the cuts of one
+// vector (vec, the collectives) or an exchange's blocks (Exchange). exec
+// moves the messages; the cargo builds each one sent and absorbs each
+// one received.
+type cargo interface {
+	// skip reports whether step st moves nothing.
+	skip(st *coll.Step) bool
+	// message builds step st's message to comm rank q.
+	message(st *coll.Step, q int) message
+	// absorb takes in step st's message m from comm rank q, or runs st
+	// when it is a local step (m is then empty).
+	absorb(st *coll.Step, q int, m message)
+}
+
+// toEnd is an op no step has: exec(…, toEnd, …) stops only at a Mark or
+// the end.
+const toEnd coll.Op = 255
+
+// exec is the package's one runner of step lists. It runs steps i… of
+// this rank's list for the collective or exchange seq on x, up to the
+// first step of op stop or a Mark, and returns that step's index
+// (len(steps) at the end), so a caller resumes where it stopped. A
+// step's N messages go to (come from) Geometry.Peer; a Send step's are
+// charged as one simnet.Run per link stretch (a straggler's), so a
+// collective's one message is a run of one.
+func (c *Comm) exec(seq int64, steps []coll.Step, i int, stop coll.Op, x cargo) int {
+	g, p := c.geometry(), c.proc
+	for ; i < len(steps); i++ {
 		st := &steps[i]
-		if st.Skip(n) {
+		if st.Op == stop || st.Op == coll.Mark {
+			return i
+		}
+		if x.skip(st) {
 			continue
 		}
-		if st.Op != coll.Send {
-			packed = nil
-		}
 		tag := collTag(c.id, seq, int(st.Tag))
-		peer := int(st.Peer)
-		lo, hi := st.Piece(n, 0)
 		switch st.Op {
 		case coll.Send:
-			narrow := st.Wire != coll.Partial
-			switch {
-			case ints != nil:
-				c.sendStep(peer, tag, nil, ints[lo:hi])
-			case st.Cut.Lo != coll.Every:
-				c.sendSum(peer, tag, f[lo:hi], w, narrow)
-			case narrow && w.half():
-				u := getU16(st.Len(n))
-				for j, off := 0, 0; j < st.Cut.Pieces(); j++ {
-					lo, hi := st.Piece(n, j)
-					half.EncodeSlice(u[off:off+hi-lo], f[lo:hi])
-					off += hi - lo
+			var r simnet.Run
+			for j, open := 0, false; j < int(st.N); j++ {
+				q := g.Peer(st, j)
+				if !open {
+					r, open = p.sendRun(c.group[q]), true
 				}
-				c.proc.post(c.group[peer], message{tag: tag, u16: u, staged: true})
-			default:
-				// A rail travels as a packed copy, which consecutive sends
-				// of the same rail share.
-				if packed == nil || packedCut != st.Cut {
-					packed, packedCut = pack(f, st, n), st.Cut
-				}
-				c.sendStep(peer, tag, packed, nil)
+				last := j+1 == int(st.N) || p.w.linkDelay(p.global, c.group[g.Peer(st, j+1)]) != p.w.linkDelay(p.global, c.group[q])
+				m := x.message(st, q)
+				m.tag = tag
+				p.postOn(&r, last, c.group[q], m)
+				open = !last
 			}
-		case coll.Recv, coll.RecvAdd:
-			var combine ReduceOp
-			if st.Op == coll.RecvAdd {
-				combine = op
+		case coll.Stash, coll.Fold, coll.Round:
+			x.absorb(st, -1, message{})
+		default:
+			for j := 0; j < int(st.N); j++ {
+				q := g.Peer(st, j)
+				x.absorb(st, q, p.recv(c.group[q], tag, c.group, c.born))
 			}
-			if st.Cut.Pieces() == 1 && ints == nil {
-				c.recvSumInto(peer, tag, f[lo:hi], combine)
-				break
-			}
-			m := c.recvStep(peer, tag)
-			switch {
-			case ints != nil:
-				if len(m.ints) != hi-lo {
-					panic(fmt.Sprintf("mpi: gather length mismatch: %d vs %d", len(m.ints), hi-lo))
-				}
-				copy(ints[lo:hi], m.ints)
-			case m.u16 != nil:
-				for j, off := 0, 0; j < st.Cut.Pieces(); j++ {
-					lo, hi := st.Piece(n, j)
-					half.DecodeSlice(f[lo:hi], m.u16[off:off+hi-lo])
-					off += hi - lo
-				}
-				releaseStaged(&m)
-			default:
-				unpack(f, m.data, st, n)
-			}
-		case coll.Take:
-			f = c.recvStep(peer, tag).data
-			n = len(f)
-		case coll.Hold, coll.Stash:
-			if slots == nil {
-				slots = make([][]float32, c.Size())
-			}
-			if st.Op == coll.Hold {
-				slots[st.Slot] = c.recvSum(peer, tag)
-			} else {
-				slots[st.Slot] = pack(f, st, n)
-			}
-		case coll.Fold:
-			v := slots[:st.Slot]
-			for k := 1; k < len(v); k <<= 1 {
-				for q := 0; q+k < len(v); q += 2 * k {
-					op(v[q], v[q+k])
-				}
-			}
-			unpack(f, v[0], st, n)
-		case coll.Round:
-			w.round(f[lo:hi])
 		}
 	}
-	return f
+	return i
+}
+
+// vec is a collective's cargo: a vector of n elements, f or ints, whose
+// steps' cuts name what a message carries. Sums travel on the wire w,
+// combine with op, and a rail owner folds its received contributions in
+// slots.
+type vec struct {
+	f      []float32
+	ints   []int
+	n      int
+	w      GradWire
+	op     ReduceOp
+	slots  [][]float32
+	packed []float32 // the payload of the last multi-range float32 send
+	cut    coll.Cut  // packed's
+}
+
+func (v *vec) skip(st *coll.Step) bool { return st.Skip(v.n) }
+
+// message sends the step's elements. A narrow hop on a 16-bit wire (one
+// carrying no partial sum, see GradWire) travels as FP16 in a staged
+// buffer the receiver releases. Otherwise one range travels as a view of
+// it: the lists rewrite no such range before every peer that received
+// the view has read it (the ring's all-gather half receives only after
+// the whole ring has moved on). A rail travels as a packed copy, which
+// consecutive sends of the same rail share.
+func (v *vec) message(st *coll.Step, _ int) message {
+	lo, hi := st.Piece(v.n, 0)
+	switch {
+	case v.ints != nil:
+		return message{ints: v.ints[lo:hi]}
+	case st.Wire != coll.Partial && v.w.half():
+		u := getU16(st.Len(v.n))
+		for j, off := 0, 0; j < st.Cut.Pieces(); j++ {
+			lo, hi := st.Piece(v.n, j)
+			half.EncodeSlice(u[off:off+hi-lo], v.f[lo:hi])
+			off += hi - lo
+		}
+		return message{u16: u, staged: true}
+	case st.Cut.Pieces() == 1:
+		return message{data: v.f[lo:hi]}
+	}
+	if v.packed == nil || v.cut != st.Cut {
+		v.packed, v.cut = pack(v.f, st, v.n), st.Cut
+	}
+	return message{data: v.packed}
+}
+
+// absorb writes a received message over the step's elements (Recv), or
+// combines it into them (RecvAdd), in the width it travelled; Take
+// adopts the payload as the vector, Hold keeps it in a slot, and the
+// local steps stash, fold and round.
+func (v *vec) absorb(st *coll.Step, _ int, m message) {
+	v.packed = nil
+	switch lo, hi := st.Piece(v.n, 0); st.Op {
+	case coll.Take:
+		v.f, v.n = m.data, len(m.data)
+	case coll.Stash: // Stash and Hold fill the slots in order
+		v.slots = append(v.slots[:st.Slot], pack(v.f, st, v.n))
+	case coll.Hold:
+		x := m.data
+		if m.u16 != nil {
+			x = make([]float32, len(m.u16))
+			half.DecodeSlice(x, m.u16)
+		}
+		v.slots = append(v.slots[:st.Slot], x)
+	case coll.Fold:
+		s := v.slots[:st.Slot]
+		for k := 1; k < len(s); k <<= 1 {
+			for q := 0; q+k < len(s); q += 2 * k {
+				v.op(s[q], s[q+k])
+			}
+		}
+		unpack(v.f, s[0], st, v.n)
+	case coll.Round:
+		v.w.round(v.f[lo:hi])
+	default:
+		if v.ints != nil {
+			if len(m.ints) != hi-lo {
+				panic(fmt.Sprintf("mpi: gather length mismatch: %d vs %d", len(m.ints), hi-lo))
+			}
+			copy(v.ints[lo:hi], m.ints)
+			break
+		}
+		op := v.op
+		if st.Op == coll.Recv {
+			op = nil
+		}
+		for j, off := 0, 0; j < st.Cut.Pieces(); j++ {
+			lo, hi := st.Piece(v.n, j)
+			into(v.f[lo:hi], m.data, m.u16, off, op)
+			off += hi - lo
+		}
+	}
+	if m.u16 != nil {
+		releaseStaged(&m) // a float32 payload is a view or a fresh copy
+	}
+}
+
+// into writes the len(dst) elements from off of a payload, f32 or FP16
+// u16, over dst, or combines them into dst with op when op is not nil.
+func into(dst, f32 []float32, u16 []uint16, off int, op ReduceOp) {
+	n := len(dst)
+	switch {
+	case u16 == nil && op == nil:
+		copy(dst, f32[off:off+n])
+	case u16 == nil:
+		op(dst, f32[off:off+n])
+	case op == nil:
+		half.DecodeSlice(dst, u16[off:off+n])
+	default:
+		x := tensor.GetSlice(n)
+		half.DecodeSlice(x, u16[off:off+n])
+		op(dst, x)
+		tensor.PutSlice(x)
+	}
 }
 
 // pack copies the step's ranges of f, end to end, into a fresh slice.

@@ -35,6 +35,7 @@ type Comm struct {
 	nextChildID int64 // id to assign at the next Split
 
 	wire WireStats // flattened-exchange traffic staged by this comm
+	vec  vec       // the running collective's cargo: a field, so exec takes it allocation-free
 
 	// geo is the supernode geometry and lists the collectives' step
 	// lists of this rank, built on first use (group and topology are
@@ -189,7 +190,7 @@ func (c *Comm) nextSeq() int64 {
 // SendMsg delivers a combined float/int payload to comm rank dst with
 // a user tag. It does not block (eager buffered semantics).
 func (c *Comm) SendMsg(dst, tag int, data []float32, ints []int) {
-	c.proc.send(c.group[dst], c.p2pTag(tag), data, ints)
+	c.proc.post(c.group[dst], message{tag: c.p2pTag(tag), data: data, ints: ints})
 }
 
 // Recv blocks until a message with the tag from comm rank src
@@ -207,20 +208,6 @@ func (c *Comm) RecvMsg(src, tag int) ([]float32, []int) {
 	}
 	m := c.proc.recv(gsrc, c.p2pTag(tag), c.group, c.born)
 	return m.data, m.ints
-}
-
-// sendStep/recvStep are the internal primitives collectives use; they
-// address comm ranks and collective tags.
-func (c *Comm) sendStep(dst int, tag int, data []float32, ints []int) {
-	c.proc.send(c.group[dst], tag, data, ints)
-}
-
-func (c *Comm) recvStep(src int, tag int) message {
-	g := AnySource
-	if src != AnySource {
-		g = c.group[src]
-	}
-	return c.proc.recv(g, tag, c.group, c.born)
 }
 
 // Self returns a one-rank communicator holding only the caller, without

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"bagualu/internal/half"
-	"bagualu/internal/tensor"
-)
+import "bagualu/internal/half"
 
 // GradWire is the wire format of the gradient collectives,
 // AllReduceGrads and ReduceScatterShard. The zero value sends every hop
@@ -68,55 +65,5 @@ func scaleInto(dst, src []float32, s float32) {
 func (w GradWire) round(x []float32) {
 	if w.half() {
 		half.QuantizeSliceFast(x)
-	}
-}
-
-// sendSum posts one hop of a sum collective: as FP16 in a staged buffer
-// the receiver releases when the wire is 16-bit and the hop carries no
-// partial sum (narrow), as the float32 slice itself otherwise.
-func (c *Comm) sendSum(dst, tag int, x []float32, w GradWire, narrow bool) {
-	if !narrow || !w.half() {
-		c.sendStep(dst, tag, x, nil)
-		return
-	}
-	u := getU16(len(x))
-	half.EncodeSlice(u, x)
-	c.proc.post(c.group[dst], message{tag: tag, u16: u, staged: true})
-}
-
-// recvSum receives one hop of a sum collective as float32: a float32
-// payload as it arrived, a 16-bit one decoded into a fresh slice.
-func (c *Comm) recvSum(src, tag int) []float32 {
-	m := c.recvStep(src, tag)
-	if m.u16 == nil {
-		return m.data
-	}
-	x := make([]float32, len(m.u16))
-	half.DecodeSlice(x, m.u16)
-	if m.staged {
-		putU16(m.u16)
-	}
-	return x
-}
-
-// recvSumInto receives one hop of a sum collective into dst, combining
-// it with op, or overwriting dst when op is nil.
-func (c *Comm) recvSumInto(src, tag int, dst []float32, op ReduceOp) {
-	m := c.recvStep(src, tag)
-	switch {
-	case m.u16 == nil && op == nil:
-		copy(dst, m.data)
-	case m.u16 == nil:
-		op(dst, m.data)
-	case op == nil:
-		half.DecodeSlice(dst, m.u16)
-	default:
-		x := tensor.GetSlice(len(m.u16))
-		half.DecodeSlice(x, m.u16)
-		op(dst, x)
-		tensor.PutSlice(x)
-	}
-	if m.u16 != nil && m.staged {
-		putU16(m.u16)
 	}
 }

@@ -70,7 +70,7 @@ func (c *Comm) reduceScatterShard(data []float32, op ReduceOp, w GradWire) ([]fl
 	}
 	acc := make([]float32, len(data))
 	w.toWire(acc, data)
-	c.exec(seq, c.list(c.geometry().Algo(coll.RingReduceScatter), 0), acc, nil, w, op)
+	c.collective(seq, c.list(c.geometry().Algo(coll.RingReduceScatter), 0), acc, nil, w, op)
 	s := c.MyShard(len(data))
 	shard := make([]float32, s.Len())
 	w.fromWire(shard, acc[s.Lo:s.Hi])
@@ -100,5 +100,5 @@ func (c *Comm) AllGatherShard(shard []float32, n int) []float32 {
 	}
 	out := make([]float32, n)
 	copy(out[my.Lo:my.Hi], shard)
-	return c.exec(seq, c.list(c.geometry().Algo(coll.RingAllGather), 0), out, nil, GradWire{}, nil)
+	return c.collective(seq, c.list(c.geometry().Algo(coll.RingAllGather), 0), out, nil, GradWire{}, nil)
 }

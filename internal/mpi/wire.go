@@ -26,10 +26,16 @@ import (
 //     or both hops of the hierarchical path, where the rail forwarder
 //     regroups the bits as they are — and is decoded once, in assemble.
 //     Chunks that stay in their supernode travel as FP32.
-//   - Exchange runs the exchange's step list (coll.Direct, coll.Rail)
-//     in parts: Flush's eager sends, then RecvLocal and RecvRemote, so
-//     the caller can run local expert compute while cross-supernode
-//     traffic is in flight.
+//   - The exchange's step list (coll.Direct, coll.Rail) runs through
+//     the package's one list runner, Comm.exec, with the Exchange as
+//     the payload kind (cargo): exec moves and charges the messages,
+//     the Exchange frames its blocks into each one sent (message) and
+//     files the blocks of each one received (absorb). exec resumes
+//     where it stopped, so the Exchange runs the list to three stop
+//     points — Flush to the first receive, RecvLocal to the mark that
+//     ends the local leg, RecvRemote to the end — and the caller can
+//     run local expert compute while cross-supernode traffic is in
+//     flight.
 //
 // Ownership protocol: every message payload is staged into a pooled
 // buffer by the sender (message.staged); the receiver releases it
@@ -331,7 +337,7 @@ func (r *relList) release() {
 //	remote := ex.RecvRemote()  // cross-supernode sources
 //
 // or, when overlap is not wanted, RecvAll() for one merged buffer.
-// The exchange runs this rank's step list of coll.Direct or, in
+// Comm.exec runs this rank's step list of coll.Direct or, in
 // hierarchical mode, coll.Rail, whose docs state the algorithms: Flush
 // runs it up to its first receive, RecvLocal up to the mark that ends
 // the local leg — on the rails after the rail legs this rank forwards
@@ -440,56 +446,22 @@ func (e *Exchange) Flush() {
 		}
 	}
 	e.flushed = true
-	e.run(coll.Recv)
+	e.next = e.c.exec(e.seq, e.steps, 0, coll.Recv, e)
 }
 
-// toEnd is an op no step has: past the mark, run(toEnd) runs the list
-// to its end.
-const toEnd coll.Op = 255
-
-// run executes the list from its next step up to the first step of op
-// stop or the mark, which it leaves to run.
-func (e *Exchange) run(stop coll.Op) {
-	for ; e.next < len(e.steps); e.next++ {
-		switch st := &e.steps[e.next]; st.Op {
-		case stop, coll.Mark:
-			return
-		case coll.Send:
-			e.send(st)
-		case coll.Recv:
-			e.recv(st)
-		}
-	}
-}
-
-// send sends the messages of step st, a run at one level: each run of
-// them at one link stretch is charged as one (simnet.Run).
-func (e *Exchange) send(st *coll.Step) {
-	c, p := e.c, e.c.proc
-	var r simnet.Run
-	for i, open := 0, false; i < int(st.N); i++ {
-		q := e.sn.Peer(st, i)
-		if !open {
-			r, open = p.sendRun(c.group[q]), true
-		}
-		last := i+1 == int(st.N) || p.w.linkDelay(p.global, c.group[e.sn.Peer(st, i+1)]) != p.w.linkDelay(p.global, c.group[q])
-		m := e.message(st, q)
-		c.accountWire(e.sn.Level(c.rank, q), m.nbytes(), 4*(len(m.data)+len(m.u16))+8*len(m.ints))
-		p.postOn(&r, last, c.group[q], m)
-		open = !last
-	}
-}
+// skip reports false: an exchange's runs always move their messages.
+func (e *Exchange) skip(*coll.Step) bool { return false }
 
 // message builds the message of step st to comm rank q from the blocks
-// it carries, taking over this rank's staged ones: a direct message is
-// its one block's, a leg gathers this rank's and, on the rail hop, the
-// merged legs' blocks it forwards.
+// it carries, taking over this rank's staged ones, and books it in the
+// comm's WireStats: a direct message is its one block's, a leg gathers
+// this rank's and, on the rail hop, the merged legs' blocks it forwards.
 func (e *Exchange) message(st *coll.Step, q int) message {
-	me, tag := e.c.rank, collTag(e.c.id, e.seq, int(st.Tag))
+	me := e.c.rank
 	if e.kind == coll.Direct {
 		b := e.out[q]
 		e.out[q].payload = payload{}
-		return message{tag: tag, ints: b.ints, data: b.f32, u16: b.u16, staged: true}
+		return e.account(q, message{ints: b.ints, data: b.f32, u16: b.u16, staged: true})
 	}
 	blk := func(src, dst int) seg {
 		if src == me {
@@ -508,7 +480,7 @@ func (e *Exchange) message(st *coll.Step, q int) message {
 		k, nf, nu, nm = k+1, nf+len(b.f32), nu+len(b.u16), nm+len(b.meta)
 	})
 	hdr := e.kind.Frame(k)
-	m := message{tag: tag, ints: make([]int, hdr+nm), staged: true}
+	m := message{ints: make([]int, hdr+nm), staged: true}
 	if m.ints[0] = k; nf > 0 {
 		m.data = tensor.GetSlice(nf)
 	}
@@ -527,28 +499,29 @@ func (e *Exchange) message(st *coll.Step, q int) message {
 			b.release()
 		}
 	})
+	return e.account(q, m)
+}
+
+// account books message m to comm rank q in the comm's WireStats.
+func (e *Exchange) account(q int, m message) message {
+	e.c.accountWire(e.sn.Level(e.c.rank, q), m.nbytes(), 4*(len(m.data)+len(m.u16))+8*len(m.ints))
 	return m
 }
 
-// recv receives the messages of step st and files their blocks: those
-// for this rank by source, a merged leg's others to forward.
-func (e *Exchange) recv(st *coll.Step) {
-	c := e.c
-	for i := 0; i < int(st.N); i++ {
-		src := e.sn.Peer(st, i)
-		m := c.recvStep(src, collTag(c.id, e.seq, int(st.Tag)))
-		e.rel.add(m.payload(), m.staged)
-		e.blocks(m, src, func(q int, s seg) {
-			switch {
-			case st.Tag == 1 && q != c.rank:
-				e.held[src] = append(e.held[src], block{q, s})
-			case st.Tag == 2:
-				e.in[q] = s
-			default:
-				e.in[src] = s
-			}
-		})
-	}
+// absorb files the blocks of step st's message m from comm rank src:
+// those for this rank by source, a merged leg's others to forward.
+func (e *Exchange) absorb(st *coll.Step, src int, m message) {
+	e.rel.add(m.payload(), m.staged)
+	e.blocks(m, src, func(q int, s seg) {
+		switch {
+		case st.Tag == 1 && q != e.c.rank:
+			e.held[src] = append(e.held[src], block{q, s})
+		case st.Tag == 2:
+			e.in[q] = s
+		default:
+			e.in[src] = s
+		}
+	})
 }
 
 // blocks calls f with each block of message m from comm rank src as a
@@ -651,8 +624,7 @@ func (e *Exchange) srcs(local bool) []int {
 // this rank's own block.
 func (e *Exchange) toMark() {
 	me := e.c.rank
-	e.run(coll.Mark)
-	e.next++
+	e.next = e.c.exec(e.seq, e.steps, e.next, coll.Mark, e) + 1
 	e.in[me], e.out[me].payload = e.out[me], payload{}
 	e.rel.add(e.in[me].payload, true)
 }
@@ -675,7 +647,7 @@ func (e *Exchange) RecvRemote() *RecvBuf {
 		panic("mpi: Exchange.RecvRemote before RecvLocal or twice")
 	}
 	e.remoteDone = true
-	e.run(toEnd)
+	e.c.exec(e.seq, e.steps, e.next, toEnd, e)
 	return e.assemble(e.srcs(false))
 }
 
@@ -687,7 +659,7 @@ func (e *Exchange) RecvAll() *RecvBuf {
 	}
 	e.localDone, e.remoteDone = true, true
 	e.toMark()
-	e.run(toEnd)
+	e.c.exec(e.seq, e.steps, e.next, toEnd, e)
 	srcs := make([]int, e.c.Size())
 	for i := range srcs {
 		srcs[i] = i

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"bagualu/internal/half"
 	"bagualu/internal/simnet"
+	"bagualu/internal/simnet/coll"
 	"bagualu/internal/sunway"
 )
 
@@ -702,4 +704,58 @@ func TestHierExchangeMatchesDirectOnAnyShape(t *testing.T) {
 		t.Fatalf("sampled %d communicators with unequal supernode groups, %d with a one-member group: want some of each", unequal, single)
 	}
 	t.Logf("%d communicators with unequal supernode groups, %d with a one-member group", unequal, single)
+}
+
+// TestExchangeGuardsPanic: an exchange driven out of its protocol's
+// order, or handed a frame that disagrees with its payload, panics with
+// a diagnostic rather than sending, receiving or misattributing rows.
+// The frames go straight to the block decoder of a one-rank exchange.
+func TestExchangeGuardsPanic(t *testing.T) {
+	frame := func(k coll.Kind, m message) func(*Exchange) {
+		return func(e *Exchange) {
+			e.kind = k
+			e.blocks(m, 0, func(int, seg) {})
+		}
+	}
+	cases := []struct {
+		name, want string
+		use        func(e *Exchange)
+	}{
+		{"PostAfterFlush", "Post after Flush", func(e *Exchange) { e.Flush(); e.Post(0, nil, nil) }},
+		{"PostTwice", "Post twice to rank 0", func(e *Exchange) { e.Post(0, nil, nil); e.Post(0, []float32{1}, nil) }},
+		{"PostBelowRange", "invalid rank -1", func(e *Exchange) { e.Post(-1, nil, nil) }},
+		{"PostAboveRange", "invalid rank 1", func(e *Exchange) { e.Post(1, nil, nil) }},
+		{"FlushTwice", "Flush twice", func(e *Exchange) { e.Flush(); e.Flush() }},
+		{"RecvLocalBeforeFlush", "RecvLocal before Flush", func(e *Exchange) { e.RecvLocal() }},
+		{"RecvLocalTwice", "RecvLocal before Flush or twice", func(e *Exchange) { e.Flush(); e.RecvLocal(); e.RecvLocal() }},
+		{"RecvRemoteBeforeRecvLocal", "RecvRemote before RecvLocal", func(e *Exchange) { e.Flush(); e.RecvRemote() }},
+		{"RecvAllBeforeFlush", "RecvAll before Flush", func(e *Exchange) { e.RecvAll() }},
+		{"RecvAllAfterRecvLocal", "after a Recv", func(e *Exchange) { e.Flush(); e.RecvLocal(); e.RecvAll() }},
+		{"DirectShortHeader", "header of 1 ints", frame(coll.Direct, message{ints: []int{0}})},
+		{"DirectNegativeCount", "block out of bounds", frame(coll.Direct, message{ints: []int{-1, 0}})},
+		{"DirectBlockPastPayload", "block out of bounds", frame(coll.Direct, message{ints: []int{3, 0}, data: []float32{1, 2}})},
+		{"DirectMetaPastFrame", "block out of bounds", frame(coll.Direct, message{ints: []int{0, 2, 7}})},
+		{"DirectPayloadPastBlock", "payload longer than its blocks", frame(coll.Direct, message{ints: []int{1, 0}, data: []float32{1, 2}})},
+		{"RailNegativeBlockCount", "header of 1 ints", frame(coll.Rail, message{ints: []int{-1}})},
+		{"RailHeaderPastFrame", "header of 4 ints", frame(coll.Rail, message{ints: []int{2, 0, 0, 0}})},
+		{"RailNegativeCount", "block out of bounds", frame(coll.Rail, message{ints: []int{1, 0, -1, 0}})},
+		{"RailBlockPastPayload", "block out of bounds", frame(coll.Rail, message{ints: []int{1, 0, 3, 0}, data: []float32{1, 2}})},
+		{"RailBlockRankBelowRange", "block of rank -1", frame(coll.Rail, message{ints: []int{1, -1, 0, 0}})},
+		{"RailBlockRankAboveRange", "block of rank 1", frame(coll.Rail, message{ints: []int{1, 1, 0, 0}})},
+		{"RailPayloadPastBlocks", "payload longer than its blocks", frame(coll.Rail, message{ints: []int{1, 0, 1, 0}, data: []float32{1, 2}})},
+		{"RailMetaPastBlocks", "payload longer than its blocks", frame(coll.Rail, message{ints: []int{1, 0, 0, 0, 9}})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewSelf().BeginExchange(false, FP32Wire)
+			got := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				tc.use(e)
+				return ""
+			}()
+			if !strings.Contains(got, tc.want) {
+				t.Errorf("panic %q, want one naming %q", got, tc.want)
+			}
+		})
+	}
 }

@@ -425,11 +425,6 @@ func (p *proc) floor() float64 {
 	return f
 }
 
-// send moves a payload to dst (global rank), charging virtual time.
-func (p *proc) send(dst, tag int, data []float32, ints []int) {
-	p.post(dst, message{tag: tag, data: data, ints: ints})
-}
-
 // post is the general send primitive: it delivers a pre-built message
 // (any payload combination, including FP16 wire data and pooled
 // staging buffers) to dst as a run of one message, charging virtual

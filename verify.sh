@@ -51,6 +51,10 @@ if go list -deps ./internal/parallel | grep -x 'bagualu/internal/perfmodel'; the
 if go list -deps ./internal/simnet/coll | grep '^bagualu/' | grep -vxE 'bagualu/internal/simnet(/coll)?|bagualu/internal/sunway'; then exit 1; fi
 if go list -deps ./internal/metrics | grep '^bagualu/' | grep -vx 'bagualu/internal/metrics'; then exit 1; fi
 if git grep -n '\.Supernode(' -- '*.go' ':!*_test.go' ':!internal/mpi/' ':!internal/simnet/'; then exit 1; fi
+# One list runner: Comm.exec (internal/mpi/collectives.go) walks every
+# step list mpi runs, the collectives' and the MoE exchanges' alike, so
+# no other program file of mpi matches on a step's op.
+if git grep -nE '(case [^:]*|Op [!=]= )coll\.(Send|Recv|RecvAdd|Take|Hold|Stash|Fold|Round|Mark)\b' -- 'internal/mpi/*.go' ':!*_test.go' ':!internal/mpi/collectives.go'; then exit 1; fi
 # What a backward unit is — its parameters and when it finishes — is
 # nn's unit table (nn.GPT.Units): no program code outside internal/nn
 # asks a layer whether it reports its experts.
